@@ -1,7 +1,7 @@
 //! Cluster state: membership and composition bookkeeping.
 
 use crate::params::SecurityMode;
-use now_net::{ClusterId, NodeId};
+use now_net::{ClusterId, Cost, NodeId};
 
 /// One NOW cluster: a vertex of the overlay and a set of member nodes.
 ///
@@ -24,6 +24,40 @@ pub struct Cluster {
     /// Sorted ascending; the invariant every method below preserves.
     members: Vec<NodeId>,
     byz_count: usize,
+}
+
+/// What a collective draw needs to know about the cluster making it:
+/// its size (the draw's message cost) and whether `randNum` is secure
+/// there. Read once per walk hop, straight from the slabs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClusterSecurity {
+    pub(crate) size: u64,
+    /// Secure under [`SecurityMode::Plain`] (< 1/3 Byzantine): gates the
+    /// [`crate::Malice`] hop-forcing hook.
+    pub(crate) secure_plain: bool,
+    /// Secure under the deployment's mode: gates the draws themselves.
+    pub(crate) secure: bool,
+}
+
+impl ClusterSecurity {
+    /// The security of a cluster of `size` members, `byz` of them
+    /// Byzantine, deployed under `mode` (an empty cluster is insecure).
+    pub(crate) fn of(size: usize, byz: usize, mode: SecurityMode) -> Self {
+        ClusterSecurity {
+            size: size as u64,
+            secure_plain: size > 0 && SecurityMode::Plain.rand_num_secure(byz, size),
+            secure: size > 0 && mode.rand_num_secure(byz, size),
+        }
+    }
+
+    /// The paper's cost of one `randNum` run here: `2·|C|·(|C|−1)`
+    /// messages over 2 rounds.
+    pub(crate) fn rand_num_cost(&self) -> Cost {
+        Cost {
+            messages: 2 * self.size * self.size.saturating_sub(1),
+            rounds: 2,
+        }
+    }
 }
 
 impl Cluster {
@@ -82,6 +116,11 @@ impl Cluster {
     /// [`SecurityMode::Authenticated`] — Remark 1).
     pub fn rand_num_secure_in(&self, mode: SecurityMode) -> bool {
         !self.members.is_empty() && mode.rand_num_secure(self.byz_count, self.members.len())
+    }
+
+    /// Size and `randNum` security in one read (see [`ClusterSecurity`]).
+    pub(crate) fn security(&self, mode: SecurityMode) -> ClusterSecurity {
+        ClusterSecurity::of(self.members.len(), self.byz_count, mode)
     }
 
     /// Whether the adversary alone clears the quorum rule (> 1/2).

@@ -15,10 +15,17 @@
 //! members lets the adversary steer the hop (and [`crate::Malice`] may
 //! redirect it outright). Every hop is also a quorum-validated
 //! cluster-to-cluster message, accounted as `|C|·|C'|` message units.
+//!
+//! Hot path: every join and every exchanged member performs this walk,
+//! so one hop is two `randNum` draws, one `ln`, and two O(1) slab reads
+//! — the current cluster's neighbor slice from the overlay and the next
+//! cluster's size and Byzantine count from the registry, each through
+//! its direct id → slot map. Nothing is cached per walk: the slabs
+//! *are* the cache.
 
-use crate::system::NowSystem;
-use now_net::{ClusterId, CostKind};
-use std::collections::BTreeMap;
+use crate::malice::{RandNumContext, RandNumPurpose};
+use crate::system::{collective_draw, NowSystem};
+use now_net::{ClusterId, Cost, CostKind};
 
 /// Diagnostics of one `randCl` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,88 +38,15 @@ pub struct WalkTrace {
     pub compromised_hops: u64,
 }
 
-/// Per-cluster facts a walk re-reads on every visit, cached for the
-/// duration of one `randCl` invocation (membership and overlay are
-/// immutable while a walk runs, so the cache never goes stale).
-///
-/// Without this, every hop re-derived the overlay degree and re-fetched
-/// cluster size and `randNum`-security from the registry — the dominant
-/// wall-clock cost of the biased CTRW that every join performs
-/// (`bench_randcl` measures the win). Neighbor lists are *not* cached:
-/// [`crate::NowSystem`]'s overlay hands out its sorted slab slices by
-/// borrow, so a hop reads them allocation-free at the point of use.
-struct VertexFacts {
-    degree: usize,
-    size: u64,
-    /// Plain-model `randNum` security (< 1/3 Byzantine): gates the
-    /// [`crate::Malice`] hop-forcing hook.
-    secure_plain: bool,
-    /// Security under the deployment's [`crate::SecurityMode`]: gates
-    /// the collective draws themselves.
-    secure_mode: bool,
-}
-
-/// Looks up (or computes once) the walk-relevant facts of `c`.
-fn facts<'a>(
-    cache: &'a mut BTreeMap<ClusterId, VertexFacts>,
-    sys: &NowSystem,
-    c: ClusterId,
-) -> &'a VertexFacts {
-    cache.entry(c).or_insert_with(|| {
-        // INVARIANT: walk steps resolve neighbors from the live
-        // overlay, whose vertices are exactly the live clusters.
-        let cluster = sys.cluster(c).expect("walk visits live clusters");
-        VertexFacts {
-            degree: sys.overlay().degree(c),
-            size: cluster.size() as u64,
-            secure_plain: cluster.rand_num_secure(),
-            secure_mode: cluster.rand_num_secure_in(sys.params().security()),
-        }
-    })
-}
-
 impl NowSystem {
-    /// One collective draw of a walk step against pre-fetched cluster
-    /// facts: ledger spans and randomness stream are *identical* to
-    /// [`NowSystem::rand_num_in`] — this only skips the per-call
-    /// registry lookups the walk loop already has cached.
-    fn rand_num_prefetched(
-        &mut self,
-        c: ClusterId,
-        range: u64,
-        size: u64,
-        secure: bool,
-        purpose: crate::malice::RandNumPurpose,
-    ) -> u64 {
-        use rand::Rng as _;
-        let range = range.max(1);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else {
-            let ctx = crate::malice::RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            self.malice.rand_num(range, ctx, &mut self.rng)
-        }
-    }
-
     /// Runs `randCl` starting from cluster `start`; returns the selected
     /// cluster and the walk diagnostics. Costs are recorded under
     /// [`CostKind::RandCl`] (inclusive of the per-hop `randNum`s).
     ///
-    /// Hot path: every join performs this walk, so the per-cluster facts
-    /// a hop needs (overlay degree, neighbor list, cluster size,
-    /// `randNum` security) are cached across the walk's steps in a
-    /// [`VertexFacts`] table instead of being re-derived per hop, and
-    /// the two collective draws of a hop (Exp-holding-time and neighbor
-    /// choice) are issued back-to-back against one cached record. The
-    /// randomness stream and ledger accounting are bit-identical to the
-    /// naive per-hop derivation.
+    /// Membership and overlay are immutable while a walk runs, so the
+    /// walk borrows neighbor slices and reads cluster sizes in place;
+    /// the size and security of the cluster it stands on carry over from
+    /// the hop that reached it.
     ///
     /// # Panics
     /// Panics if `start` is not a live cluster.
@@ -121,25 +55,42 @@ impl NowSystem {
             self.registry.contains_cluster(start),
             "rand_cl_from: unknown cluster {start}"
         );
-        self.ledger.begin(CostKind::RandCl);
+        let NowSystem {
+            params,
+            registry,
+            overlay,
+            ledger,
+            rng,
+            malice,
+            ..
+        } = self;
+        let malice = malice.as_mut();
+        ledger.begin(CostKind::RandCl);
         let mut trace = WalkTrace {
             hops: 0,
             restarts: 0,
             compromised_hops: 0,
         };
-        let m = self.overlay.vertex_count();
+        let m = overlay.vertex_count();
         if m <= 1 {
-            self.ledger.end();
+            ledger.end();
             return (start, trace);
         }
 
-        let duration = self.params.ctrw_duration(m);
+        let duration = params.ctrw_duration(m);
+        let mode = params.security();
+        let security_of = |c: ClusterId| {
+            registry
+                .cluster(c)
+                // INVARIANT: walk steps resolve neighbors from the live
+                // overlay, whose vertices are exactly the live clusters.
+                .expect("walk visits live clusters")
+                .security(mode)
+        };
         let mut current = start;
+        let mut here = security_of(start);
         // Resolution for fixed-point randomness drawn via randNum.
         const RES: u64 = 1 << 24;
-        // Nothing mutates membership or overlay while a walk runs, so
-        // the facts cache stays valid across hops *and* restarts.
-        let mut cache: BTreeMap<ClusterId, VertexFacts> = BTreeMap::new();
 
         // Hard per-invocation hop cap: compromised clusters can rush
         // their holding times to ~0 (see `Malice`), so a Byzantine-dense
@@ -147,29 +98,29 @@ impl NowSystem {
         // consuming walk-time. Honest walks use ~log²m hops; the cap is
         // far above that and only binds under heavy compromise.
         let hop_cap = 2_000 + 200 * (m as u64);
-        for _restart in 0..=self.params.max_walk_restarts() {
+        for _restart in 0..=params.max_walk_restarts() {
             let mut remaining = duration;
             // One CTRW.
             loop {
                 if trace.hops >= hop_cap {
-                    self.ledger.end();
+                    ledger.end();
                     return (current, trace);
                 }
-                let cur = facts(&mut cache, self, current);
-                let (degree, size, secure_plain, secure_mode) =
-                    (cur.degree, cur.size, cur.secure_plain, cur.secure_mode);
+                let nbrs = overlay.neighbors(current);
+                let degree = nbrs.len();
                 if degree == 0 {
                     break; // isolated vertex absorbs the walk
                 }
+                let mut draw = |range: u64, purpose: RandNumPurpose| {
+                    let ctx = RandNumContext {
+                        cluster: current,
+                        purpose,
+                    };
+                    collective_draw(ledger, rng, malice, ctx, range, here)
+                };
                 // Collaborative holding time: Exp(degree), derived from a
                 // randNum draw (compromised clusters control it).
-                let u = self.rand_num_prefetched(
-                    current,
-                    RES,
-                    size,
-                    secure_mode,
-                    crate::malice::RandNumPurpose::WalkHoldingTime,
-                );
+                let u = draw(RES, RandNumPurpose::WalkHoldingTime);
                 let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
                 let hold = -unit.ln() / degree as f64;
                 if hold >= remaining {
@@ -177,52 +128,44 @@ impl NowSystem {
                 }
                 remaining -= hold;
                 // Collaborative neighbor choice.
-                let idx = self.rand_num_prefetched(
-                    current,
-                    degree as u64,
-                    size,
-                    secure_mode,
-                    crate::malice::RandNumPurpose::WalkNeighborChoice,
-                ) as usize;
-                let nbrs = self.overlay.neighbors(current);
-                // INVARIANT: walks only stand on vertices with nonempty
-                // neighbor lists; `min` clamps the drawn index into bounds.
-                let mut next = nbrs[idx.min(nbrs.len() - 1)];
-                if !secure_plain {
+                let idx = draw(degree as u64, RandNumPurpose::WalkNeighborChoice) as usize;
+                // INVARIANT: `degree = nbrs.len() > 0` (checked above);
+                // `min` clamps the drawn index into bounds.
+                let mut next = nbrs[idx.min(degree - 1)];
+                if !here.secure_plain {
                     trace.compromised_hops += 1;
-                    if let Some(forced) = self.malice.walk_hop(nbrs, &mut self.rng) {
+                    if let Some(forced) = malice.walk_hop(nbrs, rng) {
                         if nbrs.contains(&forced) {
                             next = forced;
                         }
                     }
                 }
                 // Quorum-validated hand-off message C → C'.
-                let to_size = facts(&mut cache, self, next).size;
-                self.ledger.add_messages(size * to_size);
-                self.ledger.add_rounds(1);
+                let there = security_of(next);
+                ledger.add(Cost {
+                    messages: here.size * there.size,
+                    rounds: 1,
+                });
                 trace.hops += 1;
                 current = next;
+                here = there;
             }
             // Size-biased acceptance at the endpoint.
-            let cur = facts(&mut cache, self, current);
-            let (size, secure_mode) = (cur.size, cur.secure_mode);
-            let p_accept = self.params.acceptance_probability(size as usize);
-            let draw = self.rand_num_prefetched(
-                current,
-                RES,
-                size,
-                secure_mode,
-                crate::malice::RandNumPurpose::WalkAcceptance,
-            );
+            let p_accept = params.acceptance_probability(here.size as usize);
+            let ctx = RandNumContext {
+                cluster: current,
+                purpose: RandNumPurpose::WalkAcceptance,
+            };
+            let draw = collective_draw(ledger, rng, malice, ctx, RES, here);
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
-                self.ledger.end();
+                ledger.end();
                 return (current, trace);
             }
             trace.restarts += 1;
         }
         // Restart cap exhausted (never in the invariant regime; see
         // NowParams::max_walk_restarts) — accept the current endpoint.
-        self.ledger.end();
+        ledger.end();
         (current, trace)
     }
 }

@@ -10,8 +10,10 @@
 //! * **cluster slab** — [`Cluster`] objects (sorted member vecs plus
 //!   cached Byzantine counts) live in one `Vec` of generation-tagged
 //!   slots, recycled through a freelist on merge. Lookup by
-//!   [`ClusterId`] is a binary search over the parallel sorted id/slot
-//!   arrays; [`Registry::cluster_ids`] is a borrow of the sorted cache.
+//!   [`ClusterId`] is a direct array index (`cluster_index[raw id]`,
+//!   as for nodes below); the parallel sorted id/slot arrays stay the
+//!   canonical iteration order, and [`Registry::cluster_ids`] is a
+//!   borrow of the sorted cache.
 //! * **node slab + direct index** — node records live in a second slab,
 //!   and `node → slot` resolution is a direct array index
 //!   (`node_index[raw id]`): ids are allocated sequentially by
@@ -50,7 +52,7 @@ use now_net::{ClusterId, NodeId};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
-/// Sentinel in the direct node index: "no slot".
+/// Sentinel in the direct node and cluster indexes: "no slot".
 const NO_SLOT: u32 = u32::MAX;
 
 /// One node's registry entry: the simulator's ground-truth honesty flag
@@ -134,6 +136,10 @@ pub struct Registry {
     sorted_clusters: Vec<ClusterId>,
     /// Slab slot of `sorted_clusters[i]` (parallel array).
     sorted_slots: Vec<u32>,
+    /// Direct map `raw ClusterId → cluster slab slot` (`NO_SLOT` =
+    /// absent): grown on create, reset on remove, never on lookup.
+    /// Cluster ids are sequential too, so this stays dense.
+    cluster_index: Vec<u32>,
     /// The node slab; freed slots are recycled via `node_free`.
     node_slots: Vec<NodeSlot>,
     node_free: Vec<u32>,
@@ -150,14 +156,29 @@ impl Registry {
         Registry::default()
     }
 
-    /// Slab slot of a live cluster, by id (binary search over the
-    /// sorted cache).
+    /// Slab slot of a live cluster, by id (direct index).
     #[inline]
-    fn cluster_slot_of(&self, id: ClusterId) -> Option<u32> {
-        self.sorted_clusters
-            .binary_search(&id)
-            .ok()
-            .map(|pos| self.sorted_slots[pos])
+    pub(crate) fn cluster_slot_of(&self, id: ClusterId) -> Option<u32> {
+        match self.cluster_index.get(id.raw() as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// The live cluster in `slot` (a slot from
+    /// [`Registry::cluster_slot_of`], resolved in the same serial
+    /// phase).
+    #[inline]
+    pub(crate) fn cluster_in_slot(&self, slot: u32) -> &Cluster {
+        let s = &self.cluster_slots[slot as usize];
+        debug_assert!(s.live);
+        &s.cluster
+    }
+
+    /// Length of the cluster slab, live and free slots alike: the
+    /// bound on every slot [`Registry::cluster_slot_of`] returns.
+    pub(crate) fn cluster_slab_len(&self) -> usize {
+        self.cluster_slots.len()
     }
 
     /// Slab slot of a live node, by id (direct index).
@@ -295,6 +316,11 @@ impl Registry {
         };
         self.sorted_clusters.insert(pos, id);
         self.sorted_slots.insert(pos, slot);
+        let raw = id.raw() as usize;
+        if self.cluster_index.len() <= raw {
+            self.cluster_index.resize(raw + 1, NO_SLOT);
+        }
+        self.cluster_index[raw] = slot;
     }
 
     /// Removes a cluster from the store, freeing (and
@@ -318,13 +344,14 @@ impl Registry {
         self.cluster_free.push(slot);
         self.sorted_clusters.remove(pos);
         self.sorted_slots.remove(pos);
+        self.cluster_index[id.raw() as usize] = NO_SLOT;
         Some(removed)
     }
 
     /// A cluster by id.
     pub fn cluster(&self, id: ClusterId) -> Option<&Cluster> {
         self.cluster_slot_of(id)
-            .map(|slot| &self.cluster_slots[slot as usize].cluster)
+            .map(|slot| self.cluster_in_slot(slot))
     }
 
     /// Whether the cluster is live.
@@ -530,7 +557,8 @@ impl Registry {
 
     /// Re-derives every aggregate and cross-checks the direct node
     /// index, the slab freelists, the member vecs, the cached Byzantine
-    /// counts, the sorted cluster cache, and the global counters.
+    /// counts, the sorted cluster cache, the direct cluster map, and
+    /// the global counters.
     /// O(n + #C + slab capacity).
     ///
     /// # Errors
@@ -666,6 +694,31 @@ impl Registry {
                 "membership drift: {memberships} memberships vs {} index entries",
                 self.population
             ));
+        }
+        // Direct cluster map ↔ sorted cache, both directions: every live
+        // id maps to its live slot, and every other entry is the
+        // sentinel (so a recycled slot answers to its new id only).
+        for (&cid, &slot) in self.sorted_clusters.iter().zip(&self.sorted_slots) {
+            if self.cluster_slot_of(cid) != Some(slot) {
+                return Err(format!(
+                    "direct cluster map drift: {cid} lives in slot {slot}, map says {:?}",
+                    self.cluster_slot_of(cid)
+                ));
+            }
+        }
+        for (raw, &slot) in self.cluster_index.iter().enumerate() {
+            if slot == NO_SLOT {
+                continue;
+            }
+            let cid = ClusterId::from_raw(raw as u64);
+            match self.cluster_slots.get(slot as usize) {
+                Some(cs) if cs.live && cs.cluster.id() == cid => {}
+                _ => {
+                    return Err(format!(
+                        "direct cluster map entry {cid} names slot {slot}, which does not hold it"
+                    ))
+                }
+            }
         }
         let live_clusters = self.cluster_slots.iter().filter(|s| s.live).count();
         if live_clusters != self.sorted_clusters.len() {
@@ -1099,6 +1152,74 @@ mod tests {
         reg.check_invariants().unwrap();
     }
 
+    /// The direct cluster map answers for live ids only — removed,
+    /// never-issued and out-of-range ids read as absent without growing
+    /// it — and a slot recycled by split-after-merge is reachable only
+    /// under its new id.
+    #[test]
+    fn direct_cluster_map_answers_only_for_live_ids() {
+        let mut reg = registry_with(3, 2);
+        let map_len = reg.cluster_index.len();
+        let ghost = cid(99_999);
+        assert!(reg.cluster(ghost).is_none());
+        assert!(!reg.contains_cluster(ghost));
+        assert!(reg.cluster_idx(ghost).is_none());
+        assert!(reg.cluster_stats(ghost).is_none());
+        assert!(reg.remove_cluster(ghost).is_none());
+        assert!(reg.cluster(cid(3)).is_none(), "never issued");
+        assert_eq!(
+            reg.cluster_index.len(),
+            map_len,
+            "lookups never grow the map"
+        );
+
+        let slot = reg.cluster_slot_of(cid(1)).unwrap();
+        for n in reg.cluster(cid(1)).unwrap().member_vec() {
+            reg.move_to(n, cid(0)).unwrap();
+        }
+        reg.remove_cluster(cid(1)).unwrap();
+        assert_eq!(reg.cluster_slot_of(cid(1)), None, "removed id reads absent");
+        reg.create_cluster(cid(3));
+        assert_eq!(
+            reg.cluster_slot_of(cid(3)),
+            Some(slot),
+            "freed slot is reused"
+        );
+        assert_eq!(
+            reg.cluster_slot_of(cid(1)),
+            None,
+            "old id does not alias it"
+        );
+        assert_eq!(reg.cluster(cid(3)).unwrap().id(), cid(3));
+        reg.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariant_check_catches_direct_cluster_map_drift() {
+        let reg = registry_with(4, 2);
+        // A live id pointing at another cluster's slot.
+        let mut crossed = reg.clone();
+        crossed.cluster_index.swap(1, 2);
+        assert!(crossed
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct cluster map"));
+        // A stale entry for an id that is not live.
+        let mut stale = reg.clone();
+        stale.cluster_index.push(0);
+        assert!(stale
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct cluster map"));
+        // A live id the map has forgotten.
+        let mut forgotten = reg;
+        forgotten.cluster_index[3] = NO_SLOT;
+        assert!(forgotten
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct cluster map"));
+    }
+
     #[test]
     fn generation_indices_resolve_while_live() {
         let reg = registry_with(3, 4);
@@ -1296,13 +1417,24 @@ mod tests {
 
         /// Asserts every observable of the slab registry against the
         /// map-backed reference, bit for bit.
-        fn assert_equals(&self, reg: &Registry) {
+        fn assert_equals(&self, reg: &Registry, issued_clusters: u64) {
             assert_eq!(reg.population(), self.population());
             assert_eq!(reg.byz_population(), self.byz_population());
             let shadow_nodes: Vec<NodeId> = self.homes.keys().copied().collect();
             assert_eq!(reg.node_ids(), shadow_nodes, "node id set + order");
             let shadow_clusters: Vec<ClusterId> = self.clusters.keys().copied().collect();
             assert_eq!(reg.cluster_ids(), shadow_clusters, "cluster id set + order");
+            // Every id ever issued (and one past them) resolves through
+            // the direct map exactly when the shadow holds it — removed
+            // ids whose slots were recycled included.
+            for raw in 0..=issued_clusters {
+                let c = cid(raw);
+                assert_eq!(
+                    reg.cluster(c).map(|cl| cl.id()),
+                    self.clusters.contains_key(&c).then_some(c),
+                    "lookup of {c}"
+                );
+            }
             for (&c, members) in &self.clusters {
                 let cluster = reg.cluster(c).expect("shadow cluster is live");
                 let shadow_members: Vec<NodeId> = members.keys().copied().collect();
@@ -1330,11 +1462,12 @@ mod tests {
         /// shadow through the same randomized script — direct mutators
         /// and the wave facade alike — and demands bit-equal
         /// observables after every step. Slot recycling is exercised on
-        /// purpose: cluster removal/recreation and node churn force the
-        /// freelists and generation bumps into play mid-script.
+        /// purpose: cluster removal/recreation (merge-then-split
+        /// included) and node churn force the freelists, the generation
+        /// bumps and the direct cluster map into play mid-script.
         #[test]
         fn flat_core_equals_seed_semantics(
-            script in proptest::collection::vec((0u8..6, any::<u16>(), any::<bool>()), 1..160),
+            script in proptest::collection::vec((0u8..7, any::<u16>(), any::<bool>()), 1..160),
         ) {
             let mut reg = Registry::new();
             let mut shadow = ShadowRegistry::default();
@@ -1402,6 +1535,30 @@ mod tests {
                             prop_assert_eq!(reg.move_to(n, to), shadow.move_to(n, to));
                         }
                     }
+                    // Merge then split: dissolve a live cluster into
+                    // another and create a fresh one, which takes over
+                    // the freed slot under a new id.
+                    5 => {
+                        let cs: Vec<ClusterId> = shadow.clusters.keys().copied().collect();
+                        if cs.len() >= 2 {
+                            let victim = cs[pick % cs.len()];
+                            let heir = cs[(pick + 1) % cs.len()];
+                            let members: Vec<NodeId> =
+                                shadow.clusters[&victim].keys().copied().collect();
+                            for n in members {
+                                prop_assert_eq!(reg.move_to(n, heir), shadow.move_to(n, heir));
+                            }
+                            let slot = reg.cluster_slot_of(victim);
+                            reg.remove_cluster(victim).expect("live drained cluster");
+                            shadow.clusters.remove(&victim);
+                            let c = cid(next_cluster);
+                            next_cluster += 1;
+                            reg.create_cluster(c);
+                            shadow.clusters.insert(c, Default::default());
+                            prop_assert_eq!(reg.cluster_slot_of(c), slot, "split recycles the slot");
+                            prop_assert_eq!(reg.cluster_slot_of(victim), None);
+                        }
+                    }
                     // Queue a facade op for the wave segment below.
                     _ => {
                         let cs: Vec<ClusterId> = shadow.clusters.keys().copied().collect();
@@ -1413,7 +1570,7 @@ mod tests {
                         }
                     }
                 }
-                shadow.assert_equals(&reg);
+                shadow.assert_equals(&reg, next_cluster);
             }
 
             // Wave segment: apply the queued arrivals (and immediate
@@ -1439,7 +1596,7 @@ mod tests {
                     shadow.attach(n, true, c);
                 }
             }
-            shadow.assert_equals(&reg);
+            shadow.assert_equals(&reg, next_cluster);
         }
     }
 }

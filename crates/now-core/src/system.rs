@@ -1,9 +1,9 @@
 //! [`NowSystem`] — the live NOW deployment.
 
 use crate::audit::SystemAudit;
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterSecurity};
 use crate::error::NowError;
-use crate::malice::{Malice, NoMalice};
+use crate::malice::{Malice, NoMalice, RandNumContext};
 use crate::params::NowParams;
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
@@ -33,6 +33,29 @@ pub struct NowSystem {
     pub(crate) split_count: u64,
     pub(crate) merge_count: u64,
     pub(crate) hub: crate::hub::TraceHub,
+}
+
+/// One `randNum` draw over `0..range` by the cluster `ctx` names, whose
+/// size and security the caller has already read (`at`): a
+/// [`CostKind::RandNum`] leaf span, then the draw — from `rng` when the
+/// cluster is secure, from `malice` otherwise. Takes the system's
+/// fields apart so that [`NowSystem::rand_cl_from`] can draw while it
+/// holds borrowed overlay slices.
+pub(crate) fn collective_draw(
+    ledger: &mut Ledger,
+    rng: &mut DetRng,
+    malice: &mut dyn Malice,
+    ctx: RandNumContext,
+    range: u64,
+    at: ClusterSecurity,
+) -> u64 {
+    let range = range.max(1);
+    ledger.leaf(CostKind::RandNum, at.rand_num_cost());
+    if at.secure {
+        rng.gen_range(0..range)
+    } else {
+        malice.rand_num(range, ctx, rng)
+    }
 }
 
 impl fmt::Debug for NowSystem {
@@ -384,24 +407,18 @@ impl NowSystem {
         range: u64,
         purpose: crate::malice::RandNumPurpose,
     ) -> u64 {
-        let range = range.max(1);
-        let mode = self.params.security();
-        let cluster = self.cluster_ref(c);
-        let size = cluster.size() as u64;
-        let secure = cluster.rand_num_secure_in(mode);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else {
-            let ctx = crate::malice::RandNumContext {
+        let at = self.cluster_ref(c).security(self.params.security());
+        collective_draw(
+            &mut self.ledger,
+            &mut self.rng,
+            self.malice.as_mut(),
+            RandNumContext {
                 cluster: c,
                 purpose,
-            };
-            self.malice.rand_num(range, ctx, &mut self.rng)
-        }
+            },
+            range,
+            at,
+        )
     }
 
     /// Accounts the cost of cluster `c` announcing its new composition

@@ -32,8 +32,9 @@
 //! 1. **Plan/apply split.** Each operation is *planned* by a pure
 //!    kernel ([`Planner`]) that reads the immutable pre-wave state
 //!    (registry + overlay are shared read-only across workers) through
-//!    a copy-on-read *view* that overlays the operation's own effects —
-//!    snapshot-isolation semantics. Planning emits an [`OpPlan`]: the
+//!    a copy-on-write *view* that overlays the operation's own effects
+//!    — snapshot-isolation semantics; a cluster the op has not edited is
+//!    read in place from the frozen registry. Planning emits an [`OpPlan`]: the
 //!    op's registry effects, its private ledger, and a deferred
 //!    split/merge check. Plans are pure functions of `(pre-wave state,
 //!    op, substream)`, so the thread that computes one is irrelevant.
@@ -80,9 +81,10 @@
 //! workers.
 
 use crate::batch::{BatchReport, WaveStats};
+use crate::cluster::ClusterSecurity;
 use crate::error::NowError;
 use crate::malice::{Malice, RandNumContext, RandNumPurpose};
-use crate::params::{NowParams, SecurityMode};
+use crate::params::NowParams;
 use crate::registry::Registry;
 use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
@@ -205,7 +207,7 @@ struct WaveCtx<'a> {
     recording: bool,
 }
 
-/// A cluster as one operation sees it: pre-wave membership overlaid
+/// A cluster the operation has edited: its pre-wave membership overlaid
 /// with the operation's own effects.
 struct ViewCluster {
     /// Members in ascending id order (mirrors `Cluster`'s set order).
@@ -213,17 +215,33 @@ struct ViewCluster {
     byz: usize,
 }
 
+/// Sentinel in [`Planner::view_of_slot`]: the op has not edited the
+/// cluster in that slot, so reads go to the frozen registry.
+const NO_VIEW: u32 = u32::MAX;
+
 /// The pure planning kernel: interprets one join/leave against the
 /// wave context, mirroring the serial operation semantics of
 /// [`crate::ops`] / [`crate::exchange`] / [`crate::rand_cl`] — same
 /// draw order, same ledger spans — but reading through the op's view
 /// and emitting effects instead of mutating shared state.
+///
+/// Views are copy-on-write: a cluster's member vec is copied the first
+/// time the op *edits* it (its host, its exchange partners). Every
+/// other read — the sizes and Byzantine counts a walk needs of each
+/// cluster it passes through, neighbour sizes for notifications, the
+/// member a partner surrenders — borrows the frozen registry.
 struct Planner<'c, 'a> {
     ctx: &'c WaveCtx<'a>,
     rng: DetRng,
     ledger: Ledger,
     effects: Vec<Effect>,
-    view: BTreeMap<ClusterId, ViewCluster>,
+    /// `view_of_slot[registry slot]` indexes `views`, or is [`NO_VIEW`].
+    view_of_slot: Vec<u32>,
+    views: Vec<ViewCluster>,
+    /// Deterministic work gate: member ids copied into views and
+    /// exchange snapshots.
+    #[cfg(test)]
+    member_ids_copied: usize,
     /// Home overrides for nodes this op moved (`None` = departed).
     homes: BTreeMap<NodeId, Option<ClusterId>>,
     /// The op's own arrival, if any (honesty is not in the registry yet).
@@ -247,7 +265,10 @@ impl<'c, 'a> Planner<'c, 'a> {
                 Ledger::new()
             },
             effects: Vec::new(),
-            view: BTreeMap::new(),
+            view_of_slot: vec![NO_VIEW; ctx.registry.cluster_slab_len()],
+            views: Vec::new(),
+            #[cfg(test)]
+            member_ids_copied: 0,
             homes: BTreeMap::new(),
             joiner: None,
             malice,
@@ -258,45 +279,83 @@ impl<'c, 'a> Planner<'c, 'a> {
     // View maintenance.
     // ---------------------------------------------------------------
 
+    fn slot_of(&self, c: ClusterId) -> u32 {
+        // INVARIANT: every cluster id reaching a plan comes from this
+        // wave's frozen registry and overlay, which only name live
+        // clusters (maintenance runs serially between waves).
+        self.ctx
+            .registry
+            .cluster_slot_of(c)
+            .expect("plan touches live clusters")
+    }
+
+    /// The op's edited copy of the cluster in `slot`, if it has one.
+    fn view(&self, slot: u32) -> Option<&ViewCluster> {
+        // INVARIANT: `view_of_slot` spans the frozen registry's whole
+        // cluster slab, which bounds every slot `slot_of` returns.
+        match self.view_of_slot[slot as usize] {
+            NO_VIEW => None,
+            // INVARIANT: non-sentinel entries are indexes `view_mut`
+            // issued as it pushed onto `views`.
+            v => Some(&self.views[v as usize]),
+        }
+    }
+
+    /// The op's editable copy of `c`, made from the frozen registry on
+    /// first use.
     fn view_mut(&mut self, c: ClusterId) -> &mut ViewCluster {
-        let reg = self.ctx.registry;
-        self.view.entry(c).or_insert_with(|| {
-            // INVARIANT: every cluster id reaching a plan view comes
-            // from this wave's footprint, which only names live
-            // clusters (maintenance runs serially between waves).
-            let cluster = reg.cluster(c).expect("plan touches live clusters");
-            ViewCluster {
+        let slot = self.slot_of(c);
+        // INVARIANT: `view_of_slot` spans the frozen registry's whole
+        // cluster slab, which bounds every slot `slot_of` returns.
+        let entry = &mut self.view_of_slot[slot as usize];
+        if *entry == NO_VIEW {
+            let cluster = self.ctx.registry.cluster_in_slot(slot);
+            #[cfg(test)]
+            {
+                self.member_ids_copied += cluster.size();
+            }
+            *entry = self.views.len() as u32;
+            self.views.push(ViewCluster {
                 members: cluster.member_vec(),
                 byz: cluster.byz_count(),
-            }
-        })
+            });
+        }
+        // INVARIANT: the entry was just checked or set to an index
+        // into `views`.
+        &mut self.views[*entry as usize]
     }
 
-    fn size(&mut self, c: ClusterId) -> u64 {
-        self.view_mut(c).members.len() as u64
+    /// Members of `c` as the op sees them, in ascending id order: the
+    /// op's copy if it has edited `c`, the frozen slice otherwise.
+    fn members(&self, c: ClusterId) -> &[NodeId] {
+        let slot = self.slot_of(c);
+        match self.view(slot) {
+            Some(v) => &v.members,
+            None => self.ctx.registry.cluster_in_slot(slot).member_slice(),
+        }
     }
 
-    fn view_members(&mut self, c: ClusterId) -> Vec<NodeId> {
-        self.view_mut(c).members.clone()
-    }
-
-    fn member_at(&mut self, c: ClusterId, idx: usize) -> NodeId {
-        self.view_mut(c).members[idx]
-    }
-
-    fn contains_member(&mut self, c: ClusterId, n: NodeId) -> bool {
-        self.view_mut(c).members.binary_search(&n).is_ok()
-    }
-
-    /// `(size, secure under Plain, secure under the deployment mode)` —
-    /// the triple every walk hop and `randNum` gate needs.
-    fn cluster_security(&mut self, c: ClusterId) -> (u64, bool, bool) {
+    /// Size and `randNum` security of `c` as the op sees it — what
+    /// every walk hop and `randNum` gate needs.
+    fn cluster_security(&self, c: ClusterId) -> ClusterSecurity {
         let mode = self.ctx.params.security();
-        let v = self.view_mut(c);
-        let size = v.members.len();
-        let plain = size > 0 && SecurityMode::Plain.rand_num_secure(v.byz, size);
-        let secure = size > 0 && mode.rand_num_secure(v.byz, size);
-        (size as u64, plain, secure)
+        let slot = self.slot_of(c);
+        match self.view(slot) {
+            Some(v) => ClusterSecurity::of(v.members.len(), v.byz, mode),
+            None => self.ctx.registry.cluster_in_slot(slot).security(mode),
+        }
+    }
+
+    fn size(&self, c: ClusterId) -> u64 {
+        self.members(c).len() as u64
+    }
+
+    fn member_at(&self, c: ClusterId, idx: usize) -> NodeId {
+        self.members(c)[idx]
+    }
+
+    fn contains_member(&self, c: ClusterId, n: NodeId) -> bool {
+        self.members(c).binary_search(&n).is_ok()
     }
 
     fn honesty(&self, n: NodeId) -> bool {
@@ -395,25 +454,29 @@ impl<'c, 'a> Planner<'c, 'a> {
     // implementations bit for bit under a neutral adversary).
     // ---------------------------------------------------------------
 
-    fn rand_num(&mut self, c: ClusterId, range: u64, purpose: RandNumPurpose) -> u64 {
+    /// One collective draw by `c`, whose size and security the caller
+    /// has already read (`at`): mirror of [`crate::system::collective_draw`].
+    fn draw(
+        &mut self,
+        c: ClusterId,
+        range: u64,
+        at: ClusterSecurity,
+        purpose: RandNumPurpose,
+    ) -> u64 {
         let range = range.max(1);
-        let (size, _, secure) = self.cluster_security(c);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else if let Some(malice) = self.malice.as_mut() {
-            let ctx = RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            malice.rand_num(range, ctx, &mut self.rng)
-        } else {
-            // Neutral-adversary planning: `NoMalice::rand_num` is the
-            // same uniform draw, so the streams coincide.
-            self.rng.gen_range(0..range)
+        self.ledger.leaf(CostKind::RandNum, at.rand_num_cost());
+        match self.malice.as_mut() {
+            Some(malice) if !at.secure => {
+                let ctx = RandNumContext {
+                    cluster: c,
+                    purpose,
+                };
+                malice.rand_num(range, ctx, &mut self.rng)
+            }
+            // Secure cluster, or neutral-adversary planning:
+            // `NoMalice::rand_num` is the same uniform draw, so the
+            // streams coincide.
+            _ => self.rng.gen_range(0..range),
         }
     }
 
@@ -427,6 +490,7 @@ impl<'c, 'a> Planner<'c, 'a> {
         }
         let duration = self.ctx.params.ctrw_duration(m);
         let mut current = start;
+        let mut here = self.cluster_security(start);
         const RES: u64 = 1 << 24;
         let hop_cap = 2_000 + 200 * (m as u64);
         let mut hops = 0u64;
@@ -439,24 +503,27 @@ impl<'c, 'a> Planner<'c, 'a> {
                 }
                 let nbrs = self.neighbor_list(current);
                 let degree = nbrs.len();
-                let (size, secure_plain, _) = self.cluster_security(current);
                 if degree == 0 {
                     break;
                 }
-                let u = self.rand_num(current, RES, RandNumPurpose::WalkHoldingTime);
+                let u = self.draw(current, RES, here, RandNumPurpose::WalkHoldingTime);
                 let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
                 let hold = -unit.ln() / degree as f64;
                 if hold >= remaining {
                     break;
                 }
                 remaining -= hold;
-                let idx = self.rand_num(current, degree as u64, RandNumPurpose::WalkNeighborChoice)
-                    as usize;
-                // INVARIANT: `degree = nbrs.len() > 0` (checked at loop
-                // entry) and the draw is over 0..degree; the `min` is
+                let idx = self.draw(
+                    current,
+                    degree as u64,
+                    here,
+                    RandNumPurpose::WalkNeighborChoice,
+                ) as usize;
+                // INVARIANT: `degree = nbrs.len() > 0` (checked above)
+                // and the draw is over 0..degree; the `min` is
                 // belt-and-braces against a future draw-range change.
-                let mut next = nbrs[idx.min(nbrs.len() - 1)];
-                if !secure_plain {
+                let mut next = nbrs[idx.min(degree - 1)];
+                if !here.secure_plain {
                     if let Some(malice) = self.malice.as_mut() {
                         if let Some(forced) = malice.walk_hop(nbrs, &mut self.rng) {
                             if nbrs.contains(&forced) {
@@ -465,15 +532,17 @@ impl<'c, 'a> Planner<'c, 'a> {
                         }
                     }
                 }
-                let to_size = self.size(next);
-                self.ledger.add_messages(size * to_size);
-                self.ledger.add_rounds(1);
+                let there = self.cluster_security(next);
+                self.ledger.add(Cost {
+                    messages: here.size * there.size,
+                    rounds: 1,
+                });
                 hops += 1;
                 current = next;
+                here = there;
             }
-            let (size, _, _) = self.cluster_security(current);
-            let p_accept = self.ctx.params.acceptance_probability(size as usize);
-            let draw = self.rand_num(current, RES, RandNumPurpose::WalkAcceptance);
+            let p_accept = self.ctx.params.acceptance_probability(here.size as usize);
+            let draw = self.draw(current, RES, here, RandNumPurpose::WalkAcceptance);
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
                 self.ledger.end();
                 return current;
@@ -486,7 +555,13 @@ impl<'c, 'a> Planner<'c, 'a> {
     /// Mirror of the serial `exchange_single`.
     fn exchange_single(&mut self, c: ClusterId) -> BTreeSet<ClusterId> {
         self.ledger.begin(CostKind::Exchange);
-        let mut members = self.view_members(c);
+        // The exchange's one membership snapshot: the loop below edits
+        // `c` while it iterates.
+        let mut members = self.members(c).to_vec();
+        #[cfg(test)]
+        {
+            self.member_ids_copied += members.len();
+        }
         if let Some(cap) = self.ctx.params.exchange_cap() {
             if cap < members.len() {
                 let picks = now_graph::sample::sample_distinct(members.len(), cap, &mut self.rng);
@@ -502,28 +577,29 @@ impl<'c, 'a> Planner<'c, 'a> {
             if partner == c {
                 continue;
             }
-            let partner_size = self.size(partner) as usize;
+            let at_partner = self.cluster_security(partner);
+            let partner_size = at_partner.size as usize;
             if partner_size == 0 {
                 continue;
             }
-            let idx =
-                self.rand_num(partner, partner_size as u64, RandNumPurpose::MemberIndex) as usize;
+            let idx = self.draw(
+                partner,
+                at_partner.size,
+                at_partner,
+                RandNumPurpose::MemberIndex,
+            ) as usize;
             let mut y = self.member_at(partner, idx.min(partner_size - 1));
-            let (_, _, partner_secure) = self.cluster_security(partner);
-            if !partner_secure && self.malice.is_some() {
+            if !at_partner.secure && self.malice.is_some() {
                 let labeled: Vec<(NodeId, bool)> = self
-                    .view_members(partner)
-                    .into_iter()
-                    .map(|m| (m, self.honesty(m)))
+                    .members(partner)
+                    .iter()
+                    .map(|&m| (m, self.honesty(m)))
                     .collect();
-                // INVARIANT: guarded by `self.malice.is_some()` in the
-                // enclosing condition; the borrow is re-taken only to
-                // split it from `self.rng`.
+                let rng = &mut self.rng;
                 let forced = self
                     .malice
                     .as_mut()
-                    .expect("checked above")
-                    .exchange_victim(&labeled, &mut self.rng);
+                    .and_then(|malice| malice.exchange_victim(&labeled, rng));
                 if let Some(forced) = forced {
                     if self.contains_member(partner, forced) {
                         y = forced;
@@ -539,8 +615,7 @@ impl<'c, 'a> Planner<'c, 'a> {
             self.ledger.add_rounds(1);
         }
         self.account_neighbor_notification(c);
-        let partners: Vec<ClusterId> = receivers.iter().copied().collect();
-        for partner in partners {
+        for &partner in &receivers {
             self.account_neighbor_notification(partner);
         }
         self.ledger.end();
@@ -556,6 +631,7 @@ impl<'c, 'a> Planner<'c, 'a> {
         }
     }
 
+    /// Neighbour sizes are read in place; nothing is copied.
     fn account_neighbor_notification(&mut self, c: ClusterId) {
         let size = self.size(c);
         let nbrs = self.neighbor_list(c);
@@ -1945,6 +2021,133 @@ mod tests {
                 "{what} mean cost drifted: serial {serial}, mirror {mirror} (×{ratio:.3})"
             );
         }
+    }
+
+    fn wave_ctx(sys: &NowSystem) -> WaveCtx<'_> {
+        WaveCtx {
+            registry: &sys.registry,
+            overlay: &sys.overlay,
+            params: sys.params,
+            recording: false,
+        }
+    }
+
+    /// The two walk kernels are one walk: on the same state and the
+    /// same stream, the serial `rand_cl_from` and the planner's mirror
+    /// stop at the same cluster, leave the stream at the same word, and
+    /// book the same `RandCl` / `RandNum` spans — from secure starts
+    /// and from a start cluster the adversary holds past 1/3.
+    #[test]
+    fn serial_and_planner_walks_agree() {
+        let mut sys = system(400, 14);
+        // Pollute one cluster past 1/3 by registry surgery: honest
+        // members out until `randNum` is compromised there.
+        let victim = sys.cluster_ids()[0];
+        let refuge = sys.cluster_ids()[1];
+        while sys.cluster(victim).unwrap().rand_num_secure() {
+            let honest = sys
+                .cluster(victim)
+                .unwrap()
+                .members()
+                .find(|&m| sys.is_honest(m).unwrap())
+                .expect("has honest members");
+            sys.move_node(honest, refuge);
+        }
+        sys.check_consistency().unwrap();
+        let secure_start = sys.cluster_ids()[2];
+        assert!(sys.cluster(secure_start).unwrap().rand_num_secure());
+
+        let mut compromised_hops = 0;
+        for (walk, start) in [victim, secure_start]
+            .into_iter()
+            .cycle()
+            .take(40)
+            .enumerate()
+        {
+            let stream = DetRng::new(1000 + walk as u64);
+
+            let (planned_end, planned_word, planned_ledger) = {
+                let ctx = wave_ctx(&sys);
+                let mut planner = Planner::new(&ctx, stream.clone(), None);
+                let end = planner.rand_cl(start);
+                assert!(planner.views.is_empty(), "a walk edits nothing");
+                (end, planner.rng.next_u64(), planner.ledger)
+            };
+
+            sys.rng = stream;
+            sys.ledger = Ledger::new();
+            let (serial_end, trace) = sys.rand_cl_from(start);
+            compromised_hops += trace.compromised_hops;
+
+            assert_eq!(serial_end, planned_end, "endpoint of walk {walk}");
+            assert_eq!(sys.rng.next_u64(), planned_word, "stream after walk {walk}");
+            assert_eq!(sys.ledger.total(), planned_ledger.total());
+            for kind in [CostKind::RandCl, CostKind::RandNum] {
+                assert_eq!(
+                    sys.ledger.stats(kind),
+                    planned_ledger.stats(kind),
+                    "{kind} of walk {walk}"
+                );
+            }
+            assert!(sys.ledger.stats(CostKind::RandNum).count > 0);
+        }
+        assert!(
+            compromised_hops > 0,
+            "walks from the victim hop compromised"
+        );
+    }
+
+    /// Deterministic work gate for the copy-on-write views: a join
+    /// planned on a 1024-cluster system copies the membership of the
+    /// clusters it edits — its host and its exchange partners — and of
+    /// none of the clusters its walks merely pass through.
+    #[test]
+    fn join_materializes_views_only_for_edited_clusters() {
+        let params = NowParams::for_capacity(1 << 16).unwrap();
+        let sys = NowSystem::init_fast(params, 1024 * params.target_cluster_size(), 0.05, 3);
+        assert_eq!(sys.cluster_count(), 1024);
+        let ctx = wave_ctx(&sys);
+        let mut planner = Planner::new(&ctx, DetRng::new(9), None);
+        let joiner = NodeId::from_raw(1 << 40);
+        let contact = sys.cluster_ids()[17];
+        let Maintenance::Split(host) = planner.plan_join(joiner, true, contact) else {
+            panic!("a join defers a split check");
+        };
+
+        // Host and partners, read off the planned effects.
+        let mut edited = BTreeSet::from([host]);
+        for effect in &planner.effects {
+            match *effect {
+                Effect::Attach { cluster, .. } => assert_eq!(cluster, host),
+                Effect::Move { to, .. } => {
+                    edited.insert(to);
+                }
+                Effect::Detach { .. } => panic!("a join detaches nobody"),
+            }
+        }
+        let viewed: BTreeSet<ClusterId> = sys
+            .cluster_ids()
+            .into_iter()
+            .filter(|&c| planner.view(planner.slot_of(c)).is_some())
+            .collect();
+        assert_eq!(viewed, edited, "views exist exactly for host + partners");
+        assert_eq!(planner.views.len(), edited.len());
+
+        // The walks went far wider than that: one per exchanged member
+        // plus the host draw, dozens of hops each (a hop books one
+        // round on top of its draws' two each).
+        let walks = planner.ledger.stats(CostKind::RandCl);
+        assert!(walks.count > 30, "walks: {}", walks.count);
+        let draws = planner.ledger.stats(CostKind::RandNum);
+        let hops = walks.total_rounds - draws.total_rounds;
+        assert!(hops > 1024, "hops: {hops}");
+        let host_size = sys.cluster(host).unwrap().size() + 1;
+        assert!(edited.len() <= 1 + host_size);
+
+        // Ids copied: each edited cluster once, plus the one exchange
+        // snapshot of the host.
+        let copied_into_views: usize = edited.iter().map(|&c| sys.cluster(c).unwrap().size()).sum();
+        assert_eq!(planner.member_ids_copied, copied_into_views + host_size);
     }
 
     #[test]

@@ -3,10 +3,17 @@
 //! The paper's complexity claims are about *numbers of messages* (of
 //! identical size) and *communication rounds*. The [`Ledger`] records both
 //! with nested operation spans: when `exchange` calls `randCl`, which in
-//! turn runs one `randNum` per hop, each message is attributed to every
+//! turn runs one `randNum` per hop, each message counts towards every
 //! open span, so `exchange`'s recorded cost includes its sub-protocols —
 //! exactly how the paper states "exchange costs O(log⁶N)" (inclusive of
 //! the `randCl` invocations inside it).
+//!
+//! Inclusive accounting is *settled at `end()`*: every add goes to the
+//! global total only (O(1), whatever the nesting depth), a span
+//! remembers the total it began at, and its inclusive cost is how far
+//! the total has advanced when it ends. Every span therefore reports
+//! the same cost as if each add had been written to every open span;
+//! an open span's running cost is not observable before it ends.
 
 use std::fmt;
 
@@ -55,7 +62,8 @@ pub enum CostKind {
 }
 
 impl CostKind {
-    /// All variants, for iteration in reports.
+    /// All variants, in declaration order (`ALL[k as usize] == k`), for
+    /// iteration in reports.
     pub const ALL: [CostKind; 16] = [
         CostKind::RandNum,
         CostKind::RandCl,
@@ -207,13 +215,16 @@ impl CostStats {
 #[derive(Debug, Clone)]
 struct Span {
     kind: CostKind,
-    cost: Cost,
+    /// The ledger's global total when the span began.
+    began_at: Cost,
 }
 
 /// Nested-span message/round accountant.
 ///
-/// Costs added while a span is open are attributed to *every* open span
-/// (inclusive accounting) and to the global totals once.
+/// Costs added while a span is open count towards *every* open span
+/// (inclusive accounting) and towards the global totals once: a span's
+/// cost is the advance of the global total between its `begin` and its
+/// `end` (see the module docs).
 ///
 /// # Example
 /// ```
@@ -234,7 +245,8 @@ struct Span {
 pub struct Ledger {
     stack: Vec<Span>,
     total: Cost,
-    stats: std::collections::BTreeMap<CostKind, CostStats>,
+    /// Per-kind aggregates, indexed by `CostKind as usize`.
+    stats: [CostStats; CostKind::ALL.len()],
     records: Vec<OpRecord>,
     keep_records: bool,
 }
@@ -255,19 +267,22 @@ impl Ledger {
     }
 
     /// Opens a new span of the given kind (may nest).
+    #[inline]
     pub fn begin(&mut self, kind: CostKind) {
         self.stack.push(Span {
             kind,
-            cost: Cost::ZERO,
+            began_at: self.total,
         });
     }
 
-    /// Closes the innermost span, folds its stats, and returns its
-    /// inclusive cost.
+    /// Closes the innermost span, folds its inclusive cost — everything
+    /// added since its `begin`, sub-spans included — into its kind's
+    /// stats, and returns that cost.
     ///
     /// # Panics
     /// Panics if no span is open (an unbalanced `begin`/`end` is a
     /// programming error in protocol code).
+    #[inline]
     pub fn end(&mut self) -> Cost {
         let span = self
             .stack
@@ -275,37 +290,57 @@ impl Ledger {
             // INVARIANT: documented contract — `end` pairs with a
             // preceding `begin`; an unbalanced call is a caller bug.
             .expect("Ledger::end called with no open span");
-        self.stats.entry(span.kind).or_default().absorb(span.cost);
+        let cost = Cost {
+            messages: self.total.messages - span.began_at.messages,
+            rounds: self.total.rounds - span.began_at.rounds,
+        };
+        self.close(span.kind, cost);
+        cost
+    }
+
+    /// Stats and record of a span of `kind` that just closed at the
+    /// current depth with inclusive cost `cost`.
+    #[inline]
+    fn close(&mut self, kind: CostKind, cost: Cost) {
+        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
+        // variants, so its discriminant indexes `stats` in bounds.
+        self.stats[kind as usize].absorb(cost);
         if self.keep_records {
             self.records.push(OpRecord {
-                kind: span.kind,
-                cost: span.cost,
+                kind,
+                cost,
                 depth: self.stack.len(),
             });
         }
-        span.cost
     }
 
-    /// Adds `n` messages to the global total and every open span.
+    /// A whole leaf span in one call: exactly `begin(kind)`, `add(cost)`,
+    /// `end()`, without the stack push and pop. The walk kernels account
+    /// each hop's `randNum` draws with it.
+    #[inline]
+    pub fn leaf(&mut self, kind: CostKind, cost: Cost) {
+        self.total += cost;
+        self.close(kind, cost);
+    }
+
+    /// Adds `n` messages to the global total, and thereby to every
+    /// open span.
+    #[inline]
     pub fn add_messages(&mut self, n: u64) {
         self.total.messages += n;
-        for span in &mut self.stack {
-            span.cost.messages += n;
-        }
     }
 
-    /// Adds `n` sequential rounds to the global total and every open span.
+    /// Adds `n` sequential rounds to the global total, and thereby to
+    /// every open span.
+    #[inline]
     pub fn add_rounds(&mut self, n: u64) {
         self.total.rounds += n;
-        for span in &mut self.stack {
-            span.cost.rounds += n;
-        }
     }
 
     /// Convenience: `add_messages` + `add_rounds` in one call.
+    #[inline]
     pub fn add(&mut self, cost: Cost) {
-        self.add_messages(cost.messages);
-        self.add_rounds(cost.rounds);
+        self.total += cost;
     }
 
     /// Global total across all activity.
@@ -315,7 +350,9 @@ impl Ledger {
 
     /// Aggregate statistics for one kind (zero stats if never seen).
     pub fn stats(&self, kind: CostKind) -> CostStats {
-        self.stats.get(&kind).copied().unwrap_or_default()
+        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
+        // variants, so its discriminant indexes `stats` in bounds.
+        self.stats[kind as usize]
     }
 
     /// All retained per-operation records (empty unless constructed with
@@ -340,9 +377,9 @@ impl Ledger {
     /// The threaded wave executor gives each batched operation a
     /// private ledger (so worker threads never contend on the shared
     /// accountant) and merges them back **in canonical operation
-    /// order**: the child's total is added to the global total and to
-    /// every currently open span (inclusive accounting, as if the
-    /// child's spans had nested here), its per-kind statistics are
+    /// order**: the child's total is added to the global total (and
+    /// thereby to every currently open span — inclusive accounting, as
+    /// if the child's spans had nested here), its per-kind statistics are
     /// folded in (counts and totals add, maxima take the max), and its
     /// records — if both ledgers record — are appended with their
     /// depths shifted by the current open-span depth. Merging the same
@@ -357,11 +394,8 @@ impl Ledger {
             "merge_child requires a balanced child ledger"
         );
         self.total += child.total;
-        for span in &mut self.stack {
-            span.cost += child.total;
-        }
-        for (kind, stats) in &child.stats {
-            self.stats.entry(*kind).or_default().merge(stats);
+        for (mine, theirs) in self.stats.iter_mut().zip(&child.stats) {
+            mine.merge(theirs);
         }
         if self.keep_records {
             let depth = self.stack.len();
@@ -420,6 +454,73 @@ mod tests {
                 rounds: 1
             }
         );
+    }
+
+    /// Inner costs reach every enclosing span, however deep the nesting
+    /// and wherever the adds land.
+    #[test]
+    fn deep_nesting_folds_into_every_ancestor() {
+        let mut l = Ledger::new();
+        let kinds = [
+            CostKind::Batch,
+            CostKind::Leave,
+            CostKind::Exchange,
+            CostKind::RandCl,
+        ];
+        for (depth, &kind) in kinds.iter().enumerate() {
+            l.begin(kind);
+            l.add_messages(1 << depth);
+        }
+        l.leaf(
+            CostKind::RandNum,
+            Cost {
+                messages: 100,
+                rounds: 2,
+            },
+        );
+        for depth in (0..kinds.len()).rev() {
+            let cost = l.end();
+            // Own add plus everything opened after it, plus the leaf.
+            let own_and_inner: u64 = (depth..kinds.len()).map(|d| 1u64 << d).sum();
+            assert_eq!(cost.messages, own_and_inner + 100, "depth {depth}");
+            assert_eq!(cost.rounds, 2);
+        }
+        assert_eq!(l.total().messages, 15 + 100);
+        assert_eq!(l.stats(CostKind::RandNum).count, 1);
+        assert_eq!(l.stats(CostKind::RandNum).max_messages, 100);
+    }
+
+    #[test]
+    fn leaf_equals_begin_add_end() {
+        let cost = Cost {
+            messages: 7,
+            rounds: 2,
+        };
+        let mut spelled = Ledger::recording();
+        let mut leafed = Ledger::recording();
+        for l in [&mut spelled, &mut leafed] {
+            l.begin(CostKind::RandCl);
+            l.add_messages(3);
+        }
+        spelled.begin(CostKind::RandNum);
+        spelled.add(cost);
+        spelled.end();
+        leafed.leaf(CostKind::RandNum, cost);
+        assert_eq!(spelled.end(), leafed.end());
+        assert_eq!(spelled.total(), leafed.total());
+        assert_eq!(spelled.records(), leafed.records());
+        for kind in CostKind::ALL {
+            assert_eq!(spelled.stats(kind), leafed.stats(kind), "{kind}");
+        }
+    }
+
+    /// `stats` is indexed by discriminant, so `ALL` must list the
+    /// variants in declaration order.
+    #[test]
+    fn all_is_in_discriminant_order() {
+        for (i, kind) in CostKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
     }
 
     #[test]

@@ -23,9 +23,11 @@ struct VertexSlot {
 /// with structural enforcement of the degree cap and floor-repair on
 /// removals.
 ///
-/// Storage is a slab of [`VertexSlot`]s (freelist-recycled on removal)
-/// plus a sorted `(id, slot)` index: neighbor sets are per-vertex
-/// sorted vecs, so [`Overlay::neighbors`] is a borrow — zero
+/// Storage is a slab of [`VertexSlot`]s (freelist-recycled on removal),
+/// a sorted `(id, slot)` index that fixes the canonical iteration
+/// order, and a direct `raw id → slot` map that resolves lookups in
+/// O(1): neighbor sets are per-vertex sorted vecs, so
+/// [`Overlay::neighbors`] is one array read and a borrow — zero
 /// allocation — and iteration is a contiguous scan in canonical id
 /// order. The previous `BTreeMap<ClusterId, BTreeSet<ClusterId>>`
 /// layout paid a pointer chase per neighbor on every footprint
@@ -43,17 +45,23 @@ pub struct Overlay {
     slots: Vec<VertexSlot>,
     free: Vec<u32>,
     /// Live `(id, slot)` pairs sorted by id: the canonical iteration
-    /// order and the id → slot resolver (binary search).
+    /// order.
     index: Vec<(ClusterId, u32)>,
+    /// Direct map `raw ClusterId → slab slot` (`NO_SLOT` = absent): the
+    /// id → slot resolver. Grown on insert, reset on remove, never on
+    /// lookup; cluster ids are sequential, so it stays dense.
+    slot_index: Vec<u32>,
     params: OverParams,
     edges: usize,
     /// Live vertices in arbitrary (insertion/swap-remove) order: the
     /// incrementally maintained candidate pool that uniform maintenance
     /// sampling indexes into. Each vertex's position lives in its slab
-    /// slot (`pool_pos`), so pool upkeep is O(log V) for the slot
-    /// lookup and O(1) for the swap-remove.
+    /// slot (`pool_pos`), so pool upkeep is O(1).
     sample_pool: Vec<ClusterId>,
 }
+
+/// Sentinel in the direct slot map: "no slot".
+const NO_SLOT: u32 = u32::MAX;
 
 impl Overlay {
     /// Creates an empty overlay.
@@ -62,6 +70,7 @@ impl Overlay {
             slots: Vec::new(),
             free: Vec::new(),
             index: Vec::new(),
+            slot_index: Vec::new(),
             params,
             edges: 0,
             sample_pool: Vec::new(),
@@ -97,13 +106,13 @@ impl Overlay {
         overlay
     }
 
-    /// Slab slot of a live vertex, by id.
+    /// Slab slot of a live vertex, by id (direct index).
     #[inline]
     fn slot_of(&self, id: ClusterId) -> Option<u32> {
-        self.index
-            .binary_search_by_key(&id, |&(i, _)| i)
-            .ok()
-            .map(|pos| self.index[pos].1)
+        match self.slot_index.get(id.raw() as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot),
+            _ => None,
+        }
     }
 
     /// Static parameters.
@@ -141,6 +150,7 @@ impl Overlay {
     /// Neighbors of `id` in id order, borrowed from the slab (empty if
     /// absent). Zero-allocation: this is the footprint/planner hot
     /// path.
+    #[inline]
     pub fn neighbors(&self, id: ClusterId) -> &[ClusterId] {
         match self.slot_of(id) {
             Some(s) => &self.slots[s as usize].neighbors,
@@ -180,11 +190,16 @@ impl Overlay {
             }
         };
         self.index.insert(pos, (id, slot));
+        let raw = id.raw() as usize;
+        if self.slot_index.len() <= raw {
+            self.slot_index.resize(raw + 1, NO_SLOT);
+        }
+        self.slot_index[raw] = slot;
         self.sample_pool.push(id);
     }
 
     /// Drops the vertex in `slot` from the incremental sampling pool
-    /// (O(1) swap-remove; O(log V) to fix the moved entry's position).
+    /// (O(1) swap-remove, O(1) to fix the moved entry's position).
     fn forget_sample(&mut self, slot: u32) {
         let pos = self.slots[slot as usize].pool_pos as usize;
         self.sample_pool.swap_remove(pos);
@@ -346,6 +361,7 @@ impl Overlay {
         };
         let slot = self.index[pos].1;
         self.index.remove(pos);
+        self.slot_index[id.raw() as usize] = NO_SLOT;
         self.forget_sample(slot);
         let former = {
             let v = &mut self.slots[slot as usize];
@@ -438,11 +454,36 @@ impl Overlay {
 
     /// Structural invariant check used by tests and debug assertions:
     /// symmetry, no self-loops, sorted neighbor vecs, consistent edge
-    /// count, degree cap, slab/freelist/pool exactness.
+    /// count, degree cap, slab/freelist/pool exactness, and the direct
+    /// slot map against the sorted index in both directions.
     pub fn check_invariants(&self) -> Result<(), String> {
         // INVARIANT: `windows(2)` only yields slices of length 2.
         if self.index.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err("vertex index out of order".to_string());
+        }
+        // Every live id maps to its live slot, and every other entry is
+        // the sentinel (so a recycled slot answers to its new id only).
+        for &(v, slot) in &self.index {
+            if self.slot_of(v) != Some(slot) {
+                return Err(format!(
+                    "direct slot map drift: {v} lives in slot {slot}, map says {:?}",
+                    self.slot_of(v)
+                ));
+            }
+        }
+        for (raw, &slot) in self.slot_index.iter().enumerate() {
+            if slot == NO_SLOT {
+                continue;
+            }
+            let v = ClusterId::from_raw(raw as u64);
+            match self.slots.get(slot as usize) {
+                Some(s) if s.live && s.id == v => {}
+                _ => {
+                    return Err(format!(
+                        "direct slot map entry {v} names slot {slot}, which does not hold it"
+                    ))
+                }
+            }
         }
         let mut count = 0usize;
         for &(v, slot) in &self.index {
@@ -665,6 +706,71 @@ mod tests {
         overlay.add_uniform(ClusterId::from_raw(500), &mut rng);
         assert!(overlay.contains(ClusterId::from_raw(500)));
         overlay.check_invariants().unwrap();
+    }
+
+    /// The direct slot map answers for live ids only — removed,
+    /// never-issued and out-of-range ids read as absent without growing
+    /// it — and a recycled slot is reachable only under its new id.
+    #[test]
+    fn direct_map_answers_only_for_live_ids() {
+        let mut rng = DetRng::new(10);
+        let mut overlay = Overlay::init_random(&ids(30), params(), &mut rng);
+        let map_len = overlay.slot_index.len();
+        let ghost = ClusterId::from_raw(99_999);
+        let live = ClusterId::from_raw(0);
+        assert!(!overlay.contains(ghost));
+        assert_eq!(overlay.degree(ghost), 0);
+        assert!(overlay.neighbors(ghost).is_empty());
+        assert!(!overlay.has_edge(ghost, live) && !overlay.has_edge(live, ghost));
+        assert!(!overlay.link(ghost, live) && !overlay.unlink(ghost, live));
+        assert!(overlay.remove(ghost, &mut rng).is_empty());
+        assert_eq!(overlay.repair_floor(ghost, &mut rng), 0);
+        assert_eq!(
+            overlay.slot_index.len(),
+            map_len,
+            "lookups never grow the map"
+        );
+
+        let victim = ClusterId::from_raw(3);
+        let slot = overlay.slot_of(victim).unwrap();
+        overlay.remove(victim, &mut rng);
+        assert_eq!(overlay.slot_of(victim), None, "removed id reads absent");
+        let newcomer = ClusterId::from_raw(30);
+        overlay.add_uniform(newcomer, &mut rng);
+        assert_eq!(
+            overlay.slot_of(newcomer),
+            Some(slot),
+            "freed slot is reused"
+        );
+        assert_eq!(overlay.slot_of(victim), None, "old id does not alias it");
+        overlay.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariant_check_catches_direct_map_drift() {
+        let mut rng = DetRng::new(11);
+        let overlay = Overlay::init_random(&ids(10), params(), &mut rng);
+        // A live id pointing at another vertex's slot.
+        let mut crossed = overlay.clone();
+        crossed.slot_index.swap(1, 2);
+        assert!(crossed
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct slot map"));
+        // A stale entry for an id that is not live.
+        let mut stale = overlay.clone();
+        stale.slot_index.push(0);
+        assert!(stale
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct slot map"));
+        // A live id the map has forgotten.
+        let mut forgotten = overlay;
+        forgotten.slot_index[4] = NO_SLOT;
+        assert!(forgotten
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct slot map"));
     }
 
     #[test]

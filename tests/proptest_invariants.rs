@@ -6,7 +6,7 @@ use now_bft::adversary::{
     BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick,
 };
 use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem};
-use now_bft::net::{DetRng, NodeId};
+use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId, OpRecord};
 use proptest::prelude::*;
 
 fn params() -> NowParams {
@@ -370,6 +370,174 @@ proptest! {
             prop_assert!(sys.ledger().is_balanced());
             last = now;
         }
+    }
+}
+
+/// The ledger's previous accounting, kept as the reference the O(1)
+/// implementation is checked against: every add is written to every
+/// open span, eagerly, and per-kind stats live in a map.
+#[derive(Default)]
+struct EagerLedger {
+    stack: Vec<(CostKind, Cost)>,
+    total: Cost,
+    stats: std::collections::BTreeMap<CostKind, CostStats>,
+    records: Vec<OpRecord>,
+    keep_records: bool,
+}
+
+impl EagerLedger {
+    fn begin(&mut self, kind: CostKind) {
+        self.stack.push((kind, Cost::ZERO));
+    }
+
+    fn add(&mut self, cost: Cost) {
+        self.total += cost;
+        for (_, open) in &mut self.stack {
+            *open += cost;
+        }
+    }
+
+    fn end(&mut self) -> Cost {
+        let (kind, cost) = self.stack.pop().expect("script ends open spans only");
+        let stats = self.stats.entry(kind).or_default();
+        stats.count += 1;
+        stats.total_messages += cost.messages;
+        stats.total_rounds += cost.rounds;
+        stats.max_messages = stats.max_messages.max(cost.messages);
+        stats.max_rounds = stats.max_rounds.max(cost.rounds);
+        if self.keep_records {
+            self.records.push(OpRecord {
+                kind,
+                cost,
+                depth: self.stack.len(),
+            });
+        }
+        cost
+    }
+
+    fn merge_child(&mut self, child: &EagerLedger) {
+        assert!(child.stack.is_empty());
+        self.add(child.total);
+        for (&kind, theirs) in &child.stats {
+            let mine = self.stats.entry(kind).or_default();
+            mine.count += theirs.count;
+            mine.total_messages += theirs.total_messages;
+            mine.total_rounds += theirs.total_rounds;
+            mine.max_messages = mine.max_messages.max(theirs.max_messages);
+            mine.max_rounds = mine.max_rounds.max(theirs.max_rounds);
+        }
+        if self.keep_records {
+            let depth = self.stack.len();
+            self.records.extend(child.records.iter().map(|r| OpRecord {
+                depth: r.depth + depth,
+                ..*r
+            }));
+        }
+    }
+}
+
+/// One scripted ledger call, applied to both implementations; the
+/// `end()` return values must already agree here.
+fn ledger_step(
+    ledger: &mut Ledger,
+    eager: &mut EagerLedger,
+    (op, kind, a, b): (u8, u8, u16, u16),
+) -> Result<(), TestCaseError> {
+    let kind = CostKind::ALL[kind as usize % CostKind::ALL.len()];
+    let cost = Cost {
+        messages: a as u64,
+        rounds: b as u64,
+    };
+    match op {
+        0 | 1 => {
+            ledger.begin(kind);
+            eager.begin(kind);
+        }
+        2 => {
+            ledger.add_messages(cost.messages);
+            eager.add(Cost { rounds: 0, ..cost });
+        }
+        3 => {
+            ledger.add_rounds(cost.rounds);
+            eager.add(Cost {
+                messages: 0,
+                ..cost
+            });
+        }
+        // The one-call leaf span is `begin`, `add`, `end`.
+        4 => {
+            ledger.leaf(kind, cost);
+            eager.begin(kind);
+            eager.add(cost);
+            eager.end();
+        }
+        _ => {
+            if !eager.stack.is_empty() {
+                prop_assert_eq!(ledger.end(), eager.end(), "end() of a {} span", kind);
+            }
+        }
+    }
+    prop_assert_eq!(ledger.open_spans(), eager.stack.len());
+    Ok(())
+}
+
+fn assert_ledgers_equal(ledger: &Ledger, eager: &EagerLedger) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ledger.total(), eager.total);
+    for kind in CostKind::ALL {
+        let expected = eager.stats.get(&kind).copied().unwrap_or_default();
+        prop_assert_eq!(ledger.stats(kind), expected, "stats({})", kind);
+    }
+    prop_assert_eq!(ledger.records(), &eager.records[..]);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Settling inclusive costs at `end()` is unobservable: random
+    /// begin / add / leaf / end scripts with child ledgers merged in at
+    /// random depths — recording or not on either side — leave the
+    /// `Ledger` equal to the eager reference on `total()`, every
+    /// `stats(kind)`, every `end()` return value, and `records()`
+    /// including depths.
+    #[test]
+    fn ledger_equals_eager_reference(
+        recording in any::<bool>(),
+        script in proptest::collection::vec(
+            (
+                (0u8..8, any::<u8>(), any::<u16>(), any::<u16>()),
+                // A child ledger to merge in after the call, sometimes.
+                any::<bool>(),
+                any::<bool>(),
+                proptest::collection::vec((0u8..6, any::<u8>(), any::<u16>(), any::<u16>()), 0..12),
+            ),
+            1..60,
+        ),
+    ) {
+        let mut ledger = if recording { Ledger::recording() } else { Ledger::new() };
+        let mut eager = EagerLedger { keep_records: recording, ..EagerLedger::default() };
+        for (call, merge, child_recording, child_script) in script {
+            ledger_step(&mut ledger, &mut eager, call)?;
+            if merge {
+                let mut child = if child_recording { Ledger::recording() } else { Ledger::new() };
+                let mut eager_child =
+                    EagerLedger { keep_records: child_recording, ..EagerLedger::default() };
+                for call in child_script {
+                    ledger_step(&mut child, &mut eager_child, call)?;
+                }
+                while !eager_child.stack.is_empty() {
+                    prop_assert_eq!(child.end(), eager_child.end());
+                }
+                assert_ledgers_equal(&child, &eager_child)?;
+                ledger.merge_child(&child);
+                eager.merge_child(&eager_child);
+            }
+        }
+        while !eager.stack.is_empty() {
+            prop_assert_eq!(ledger.end(), eager.end());
+        }
+        prop_assert!(ledger.is_balanced());
+        assert_ledgers_equal(&ledger, &eager)?;
     }
 }
 

@@ -2,13 +2,13 @@
 //! and [`crate::pressure`], emitting one *batch* of operations per time
 //! step.
 //!
-//! `Scenario::run_batched` historically covered only environmental
+//! `Scenario::run_batch` historically covered only environmental
 //! churn (Quiet/Balanced/Sawtooth); the attack styles lacked batch
 //! counterparts (ROADMAP: "Batched adversarial drivers"). This module
 //! closes the gap: the [`BatchDriver`] trait lives here — next to the
 //! serial [`crate::Adversary`] it generalizes — and the three attack
 //! drivers emit whole batches that the conflict-free wave scheduler
-//! ([`now_core::NowSystem::step_parallel_specs`]) executes as single
+//! ([`now_core::NowSystem::step_batch`]) executes as single
 //! time steps:
 //!
 //! * [`BatchJoinLeave`] — the §3.3 cluster-capture strategy at batch

@@ -1,8 +1,7 @@
-//! Criterion sweep of the threaded wave executor: the same wide,
+//! Criterion sweep of the pooled wave executor: the same wide,
 //! footprint-disjoint batch executed at 1/2/4/8 worker threads, plus
-//! the pooled-vs-scoped spawn-overhead comparison (the threaded entry
-//! points now plan on a persistent [`WavePool`]; the per-wave scoped
-//! spawner is retained as the reference).
+//! the pool's dispatch overhead on narrow waves against inline
+//! planning.
 //!
 //! The acceptance target for the executor is *measured* wall-clock
 //! speedup on wide disjoint batches — the regime the §2-footnote
@@ -125,27 +124,18 @@ fn bench_narrow_dense(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline comparison of the pooled executor: conflict-heavy
-/// batches whose waves are **narrow but ≥ 2 wide** — the regime where
-/// the scoped path re-spawns `min(threads, ops)` OS threads for every
-/// wave while the pool reuses one spawn set for the whole run. A
-/// moderately sparse 32-cluster overlay with wide mixed batches
-/// schedules each step into many small waves; ten steps back-to-back
-/// approximate a run.
-///
-/// Measured on the 1-vCPU dev container (no parallelism exists by
-/// physics, so this isolates overhead): pooled-4 ≈ 97 ms, scoped-4 ≈
-/// 95 ms, serial-1 ≈ 91 ms per 10-step run — statistically
-/// indistinguishable, because per-wave *planning* dominates at these
-/// batch shapes and thread spawns are ~10 µs each. The structural
-/// difference is the spawn count, pinned exactly by
-/// `tests/pool_spawn_accounting.rs`: 4 spawns for the whole pooled run
-/// vs `Σ min(threads, ops)` over every wide wave for scoped (hundreds
-/// under sustained campaigns). Re-run on a ≥ 4-core host to add the
-/// planning fan-out on top (see the module caveat above). Outcomes of
-/// both engines are bit-identical (asserted below and gated in CI).
-fn bench_pooled_vs_scoped_narrow_waves(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wave_exec/pool_vs_scoped_narrow");
+/// The pool's worst regime: conflict-heavy batches whose waves are
+/// **narrow but ≥ 2 wide**, so every wave pays a dispatch to the
+/// workers for little planning to share. A moderately sparse
+/// 32-cluster overlay with wide mixed batches schedules each step into
+/// many small waves; ten steps back-to-back approximate a run, with
+/// one run-scoped pool (4 spawns for the whole run, pinned by
+/// `tests/pool_spawn_accounting.rs`). `serial-1` is the same run on a
+/// single-worker pool, which plans inline. Outcomes of both are
+/// bit-identical to sequential planning (asserted below and gated in
+/// CI).
+fn bench_pooled_narrow_waves(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wave_exec/pool_narrow");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
@@ -185,24 +175,6 @@ fn bench_pooled_vs_scoped_narrow_waves(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         );
     });
-    group.bench_function("scoped-4", |b| {
-        b.iter_batched(
-            setup,
-            |mut sys| {
-                let mut waves = 0usize;
-                for step in 0..STEPS {
-                    let (joins, leaves) = batch(&sys, step);
-                    let report = sys.step_batch(
-                        &BatchInput::from_specs(&joins, &leaves),
-                        &ExecConfig::scoped(THREADS),
-                    );
-                    waves += report.wave_count();
-                }
-                (sys, waves)
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
     group.bench_function("serial-1", |b| {
         b.iter_batched(
             setup,
@@ -235,7 +207,7 @@ fn bench_pooled_vs_scoped_narrow_waves(c: &mut Criterion) {
         let (joins, leaves) = batch(&b, step);
         let rb = b.step_batch(
             &BatchInput::from_specs(&joins, &leaves),
-            &ExecConfig::scoped(THREADS),
+            &ExecConfig::scheduled(),
         );
         assert_eq!(ra.joined, rb.joined);
         assert_eq!(ra.cost, rb.cost);
@@ -247,6 +219,6 @@ criterion_group!(
     benches,
     bench_wide_disjoint,
     bench_narrow_dense,
-    bench_pooled_vs_scoped_narrow_waves
+    bench_pooled_narrow_waves
 );
 criterion_main!(benches);

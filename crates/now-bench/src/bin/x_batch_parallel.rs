@@ -21,11 +21,9 @@
 //!
 //! `--smoke` runs a reduced sweep for CI. The JSON report contains only
 //! deterministic outcome fields (no wall-clock), so CI can diff it
-//! three ways: two runs of the same seed must be byte-identical
-//! (`batch-smoke`), `--threads 1` vs `--threads 4` must be
-//! byte-identical (the cross-thread determinism gate), and `--threads N`
-//! vs `--threads N --scoped` must be byte-identical (the pooled
-//! executor against the legacy per-wave scoped spawner it replaced).
+//! two ways: two runs of the same seed must be byte-identical
+//! (`batch-smoke`), and `--threads 1` vs `--threads 4` must be
+//! byte-identical (the cross-thread determinism gate).
 
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
@@ -76,16 +74,11 @@ fn sweep(
     clusters: usize,
     capacity: u64,
     threads: Option<usize>,
-    scoped: bool,
     smoke: bool,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
     for &width in widths {
-        let exec = match (threads, scoped) {
-            (None, _) => BatchExec::Scheduled,
-            (Some(t), false) => BatchExec::Threaded(t),
-            (Some(t), true) => BatchExec::ThreadedScoped(t),
-        };
+        let exec = threads.map_or(BatchExec::Scheduled, BatchExec::Threaded);
         let (report, sys, steps) = run_once(width, total_ops, clusters, capacity, exec);
         // Measured speedup: re-run the identical batches single-worker
         // and compare wall clocks (outcomes are bit-identical, so this
@@ -180,12 +173,8 @@ fn parse_threads() -> Option<usize> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let scoped = std::env::args().any(|a| a == "--scoped");
     let threads = parse_threads();
     match threads {
-        Some(t) if scoped => println!(
-            "# X-BATCH: parallel join/leave batches (§2 footnote), LEGACY scoped executor ({t} workers)\n"
-        ),
         Some(t) => println!(
             "# X-BATCH: parallel join/leave batches (§2 footnote), pooled executor ({t} workers)\n"
         ),
@@ -195,9 +184,9 @@ fn main() {
     // below the cluster count, so batches contain genuinely disjoint
     // footprints; the smoke sweep shrinks everything for CI.
     let rows = if smoke {
-        sweep(&[1, 4, 8], 60, 32, 16, threads, scoped, true)
+        sweep(&[1, 4, 8], 60, 32, 16, threads, true)
     } else {
-        sweep(&[1, 2, 4, 8, 16], 480, 64, 16, threads, scoped, false)
+        sweep(&[1, 2, 4, 8, 16], 480, 64, 16, threads, false)
     };
 
     let mut headers = vec![

@@ -9,7 +9,7 @@
 //! until the population crosses a threshold → quiesce*) into a single
 //! deterministic run over one [`now_core::NowSystem`], driven through
 //! the batched wave-scheduled execution path
-//! ([`now_sim::run_batched_until`]).
+//! ([`now_sim::BatchRun`]).
 //!
 //! Three layers:
 //!

@@ -23,12 +23,16 @@
 //! the step's leavers precedes the admission of its joiners — each in
 //! input order) and opening a new wave whenever an operation's
 //! footprint intersects the current wave's. Waves therefore form
-//! contiguous segments of the canonical order, every wave's operations
-//! are pairwise footprint-disjoint, and executing the waves in order is
-//! *identical* to executing the operations serially — which is what
-//! makes the batch deterministic: same seed ⇒ same admitted ids, same
-//! ledger totals. Message costs are schedule-invariant by construction
-//! (parallelism saves time, not traffic).
+//! contiguous segments of the canonical order and every wave's
+//! operations are pairwise footprint-disjoint ([`WaveFootprint`] is the
+//! one copy of that rule). The serial engine in this module
+//! ([`crate::ExecConfig::Serial`]) executes the operations one after
+//! another on the live registry and *derives* the schedule from their
+//! measured costs; the wave engine ([`crate::wave_exec`]) partitions
+//! first and executes wave by wave. Either way the batch is
+//! deterministic: same seed ⇒ same admitted ids, same ledger totals.
+//! Message costs are schedule-invariant by construction (parallelism
+//! saves time, not traffic).
 //!
 //! The round complexity of the batched step is derived from the
 //! schedule: each wave costs the *maximum* round count over its
@@ -48,10 +52,10 @@
 //! traffic as quorum-layer message passing that composes across waves
 //! (their rounds are already accounted per operation), and reserves
 //! *conflict* for contention on the entry cluster's quorum
-//! neighborhood. The simulator executes waves in canonical order, so
-//! none of the reported outcome metrics depend on this choice — only
-//! the `rounds_parallel` estimate does, and `x_batch_parallel` reports
-//! the wave structure alongside it so the estimate is inspectable.
+//! neighborhood. On the serial engine none of the reported outcome
+//! metrics depend on this choice — only the `rounds_parallel` estimate
+//! does, and `x_batch_parallel` reports the wave structure alongside it
+//! so the estimate is inspectable.
 
 use crate::error::NowError;
 use crate::system::NowSystem;
@@ -107,7 +111,7 @@ pub struct WaveStats {
     pub messages: u64,
 }
 
-/// Outcome of one batched time step ([`NowSystem::step_parallel`]).
+/// Outcome of one batched time step ([`NowSystem::step_batch`]).
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Ids assigned to the batch's admitted joiners, in input order.
@@ -126,7 +130,7 @@ pub struct BatchReport {
     /// The conflict-free wave schedule, in execution order.
     pub waves: Vec<WaveStats>,
     /// Steered contacts ([`JoinSpec::via`]) that had been dissolved —
-    /// before the batch, or (threaded engine) by an earlier wave's
+    /// before the batch, or (wave engine) by an earlier wave's
     /// merge — and degraded to the uniform redraw. Deterministic per
     /// engine; every engine applies the same uniform-over-all-clusters
     /// rule the serial [`NowSystem::join`] path uses.
@@ -191,39 +195,51 @@ impl BatchReport {
     }
 }
 
-/// Order-preserving greedy wave scheduler: operations arrive in
-/// canonical batch order with a pre-computed footprint; a new wave opens
-/// whenever the incoming footprint intersects the current wave's union.
+/// The greedy conflict rule, in one place: the footprint union of the
+/// wave being filled. Operations arrive in order with a pre-computed
+/// footprint; a new wave opens whenever the incoming footprint
+/// intersects the open wave's union.
+#[derive(Default)]
+pub(crate) struct WaveFootprint {
+    union: BTreeSet<ClusterId>,
+}
+
+impl WaveFootprint {
+    /// Admits the next operation. Returns `true` when its footprint
+    /// conflicts with the open wave — that wave is closed and the
+    /// operation opens the next one; `false` when it joined the open
+    /// wave (always the case for a wave's first operation).
+    pub(crate) fn admit(&mut self, footprint: &[ClusterId]) -> bool {
+        let conflicts = footprint.iter().any(|c| self.union.contains(c));
+        if conflicts {
+            self.union.clear();
+        }
+        self.union.extend(footprint.iter().copied());
+        conflicts
+    }
+}
+
+/// The serial engine's schedule: operations are placed in canonical
+/// batch order, after they ran, with their measured costs.
+#[derive(Default)]
 struct WaveScheduler {
     waves: Vec<WaveStats>,
     current: WaveStats,
-    current_footprint: BTreeSet<ClusterId>,
+    open: WaveFootprint,
 }
 
 impl WaveScheduler {
-    fn new() -> Self {
-        WaveScheduler {
-            waves: Vec::new(),
-            current: WaveStats::default(),
-            current_footprint: BTreeSet::new(),
-        }
-    }
-
     /// Places one executed operation (footprint computed *before* it
     /// ran, cost measured while it ran) into the schedule.
     fn place(&mut self, footprint: &[ClusterId], rounds: u64, messages: u64) {
-        let conflicts =
-            self.current.ops > 0 && footprint.iter().any(|c| self.current_footprint.contains(c));
-        if conflicts {
+        if self.open.admit(footprint) {
             self.waves.push(self.current);
             self.current = WaveStats::default();
-            self.current_footprint.clear();
         }
         self.current.ops += 1;
         self.current.rounds_max = self.current.rounds_max.max(rounds);
         self.current.rounds_total += rounds;
         self.current.messages += messages;
-        self.current_footprint.extend(footprint.iter().copied());
     }
 
     /// Closes the schedule: the waves plus the derived parallel round
@@ -243,8 +259,8 @@ impl NowSystem {
     /// honored; a dissolved one **degrades to the uniform draw** — the
     /// same rule the serial [`NowSystem::join`] path applies — and is
     /// counted as a redraw ([`BatchReport::contact_redraws`]). Shared
-    /// by the scheduled and threaded engines so the rule cannot drift
-    /// per site.
+    /// by the serial and wave engines so the rule cannot drift per
+    /// site.
     pub(crate) fn resolve_batch_contact(&mut self, spec: JoinSpec) -> (ClusterId, bool) {
         match spec.contact {
             Some(c) if self.cluster(c).is_some() => (c, false),
@@ -265,49 +281,17 @@ impl NowSystem {
         fp
     }
 
-    /// Executes a batch of departures and arrivals as **one** time step
-    /// (the paper footnote's "several parallel join and leave
-    /// operations"), scheduled into conflict-free waves (module docs).
-    ///
-    /// `leaves` are processed first, then one join per entry of
-    /// `join_honesty` (the flag is the adversary's corruption decision
-    /// for that arrival; each joiner contacts a uniformly drawn
-    /// cluster). A departure that fails (unknown node — e.g. listed
-    /// twice — or the `N^{1/y}` population floor) is reported in
-    /// [`BatchReport::rejected`] and does not abort the rest of the
-    /// batch.
-    ///
-    /// The whole batch lands in the ledger under [`CostKind::Batch`]
-    /// (with the usual per-operation spans nested inside it); the
-    /// report carries the wave schedule and the derived parallel round
-    /// count alongside.
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::serial`")]
-    pub fn step_parallel(&mut self, join_honesty: &[bool], leaves: &[NodeId]) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_flags(join_honesty, leaves),
-            &crate::exec::ExecConfig::serial(),
-        )
-    }
-
-    /// [`NowSystem::step_parallel`] with per-arrival contact steering:
-    /// each [`JoinSpec`] may pin its contact cluster (the batched
-    /// analogue of [`NowSystem::join_via`]), which the attack drivers
-    /// (join–leave flood, split forcing) require. Stale contacts
-    /// degrade to the uniform draw (see [`JoinSpec`]).
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::serial`")]
-    pub fn step_parallel_specs(&mut self, joins: &[JoinSpec], leaves: &[NodeId]) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_specs(joins, leaves),
-            &crate::exec::ExecConfig::serial(),
-        )
-    }
-
-    /// The serial engine ([`crate::ExecConfig::Serial`]): operations
-    /// run one after another off the system's shared randomness stream,
-    /// exactly like a sequence of [`NowSystem::join`] /
-    /// [`NowSystem::leave`] calls folded into one ledger span and one
-    /// time step. The wave schedule is *derived* (measured costs placed
-    /// by the greedy scheduler), not executed.
+    /// The serial engine ([`crate::ExecConfig::Serial`]): the paper
+    /// footnote's "several parallel join and leave operations" as
+    /// **one** time step. Departures run first, then arrivals, one
+    /// after another on the live registry off the system's shared
+    /// randomness stream — exactly like a sequence of
+    /// [`NowSystem::join`] / [`NowSystem::leave`] calls folded into one
+    /// [`CostKind::Batch`] span. A departure that fails (unknown node —
+    /// e.g. listed twice — or the `N^{1/y}` population floor) is
+    /// reported in [`BatchReport::rejected`] and does not abort the
+    /// rest of the batch. The wave schedule is *derived* (measured
+    /// costs placed by the greedy scheduler), not executed.
     pub(crate) fn step_serial_impl(
         &mut self,
         joins: &[JoinSpec],
@@ -322,7 +306,7 @@ impl NowSystem {
         let mut joined = Vec::with_capacity(joins.len());
         let mut left = Vec::with_capacity(leaves.len());
         let mut rejected = Vec::new();
-        let mut sched = WaveScheduler::new();
+        let mut sched = WaveScheduler::default();
 
         for &node in leaves {
             // Footprint from the pre-operation state (read-only; a

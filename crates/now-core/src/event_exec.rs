@@ -46,7 +46,7 @@
 
 use crate::batch::{BatchReport, JoinSpec, WaveStats};
 use crate::system::NowSystem;
-use crate::wave_exec::{partition_waves, AdmittedBatch, OpSpec, PlanEngine, PlannedOp, WavePool};
+use crate::wave_exec::{partition_waves, AdmittedBatch, OpSpec, PlannedOp, WavePool};
 use now_net::{
     ClusterId, CostKind, DetRng, DropReason, EventNet, EventNetConfig, EventRecord, NodeId,
     Partition,
@@ -80,7 +80,6 @@ impl NowSystem {
             left,
             rejected,
             specs,
-            mut contact_redraws,
         } = self.admit_batch(joins, leaves);
 
         // The step's network conditions, as trace events: an in-force
@@ -216,19 +215,14 @@ impl NowSystem {
         );
 
         // ---- execute conflict-free delivery runs through the waves ----
-        let engine = match pool {
-            Some(p) => PlanEngine::Pooled(p),
-            None => PlanEngine::Scoped(1),
-        };
         let waves = partition_waves(&delivered_specs);
+        let mut contact_redraws = 0u64;
         let mut wave_stats: Vec<WaveStats> = Vec::with_capacity(waves.len());
         for wave in waves {
-            let stats = self.execute_wave(
-                &delivered_specs[wave],
-                &engine,
-                master,
-                &mut contact_redraws,
-            );
+            // INVARIANT: `partition_waves` returns ranges within the
+            // slice it was given.
+            let stats =
+                self.execute_wave(&delivered_specs[wave], pool, master, &mut contact_redraws);
             wave_stats.push(stats);
         }
 

@@ -15,12 +15,18 @@
 //! The `cascade` flag implements the rule the Theorem 3 proof leans on
 //! for `leave`: every cluster that received one of `C`'s (possibly
 //! non-uniform) nodes must itself exchange all of its nodes afterwards.
+//!
+//! The shuffle is a [`Kernel`] method, so it edits whichever
+//! [`StateView`] the operation runs against: swaps land in the live
+//! registry at once, or in a planner view as recorded relocations.
 
+use crate::kernel::{Kernel, StateView};
+use crate::malice::RandNumPurpose;
 use crate::system::NowSystem;
-use now_net::{ClusterId, CostKind};
+use now_net::{ClusterId, CostKind, NodeId};
 use std::collections::BTreeSet;
 
-impl NowSystem {
+impl<S: StateView> Kernel<'_, S> {
     /// Exchanges every member of `c` with uniformly chosen nodes of the
     /// network (one `randCl` + one `randNum` per member). Returns the
     /// set of partner clusters that received one of `c`'s former
@@ -29,6 +35,105 @@ impl NowSystem {
     /// With `cascade = true`, each partner cluster then exchanges all of
     /// *its* members (non-recursively — partners of partners do not
     /// cascade), matching the `leave` operation's specification.
+    pub(crate) fn exchange_all(&mut self, c: ClusterId, cascade: bool) -> BTreeSet<ClusterId> {
+        let receivers = self.exchange_single(c);
+        if cascade {
+            for &partner in &receivers {
+                self.exchange_single(partner);
+            }
+        }
+        receivers
+    }
+
+    /// One full-membership exchange of `c`, no cascade. With the
+    /// [`crate::NowParams::with_exchange_cap`] ablation set, only a
+    /// uniformly chosen subset of that size is exchanged (the regime
+    /// Lemmas 2–3 analyze between full refreshes).
+    fn exchange_single(&mut self, c: ClusterId) -> BTreeSet<ClusterId> {
+        self.ledger.begin(CostKind::Exchange);
+        // The exchange's one membership snapshot: the loop below edits
+        // `c` while it iterates.
+        let mut members = self.state.members(c).to_vec();
+        if let Some(cap) = self.params.exchange_cap() {
+            if cap < members.len() {
+                let picks = now_graph::sample::sample_distinct(members.len(), cap, self.rng);
+                // INVARIANT: `sample_distinct(n, ..)` yields indices below
+                // `n = members.len()`.
+                members = picks.into_iter().map(|i| members[i]).collect();
+            }
+        }
+        let mut receivers = BTreeSet::new();
+
+        for x in members {
+            // `x` may have been swapped out by an earlier iteration only
+            // if it was chosen as a partner's replacement — the partner
+            // picks from *its* members, so `x` (still in `c`) is safe;
+            // guard anyway for robustness.
+            if self.state.home_of(x) != Some(c) {
+                continue;
+            }
+            let (partner, _trace) = self.rand_cl(c);
+            if partner == c {
+                continue; // self-exchange is a no-op
+            }
+            // Partner picks a uniformly random member via randNum; if
+            // the partner is compromised, Malice chooses the victim.
+            let at_partner = self.security(partner);
+            let partner_size = at_partner.size as usize;
+            if partner_size == 0 {
+                continue;
+            }
+            let idx = self.draw(
+                partner,
+                at_partner.size,
+                RandNumPurpose::MemberIndex,
+                at_partner,
+            ) as usize;
+            // INVARIANT: `partner_size > 0` (checked above); `min`
+            // clamps the drawn index into bounds.
+            let mut y = self.state.members(partner)[idx.min(partner_size - 1)];
+            // A neutral adversary ignores the labels: skip building them.
+            if !at_partner.secure && !self.malice.is_neutral() {
+                let labeled: Vec<(NodeId, bool)> = self
+                    .state
+                    .members(partner)
+                    .iter()
+                    .map(|&m| (m, self.state.honesty(m)))
+                    .collect();
+                if let Some(forced) = self.malice.exchange_victim(&labeled, self.rng) {
+                    if self.state.members(partner).binary_search(&forced).is_ok() {
+                        y = forced;
+                    }
+                }
+            }
+            // Swap x ↔ y.
+            self.state.relocate(x, partner);
+            self.state.relocate(y, c);
+            receivers.insert(partner);
+            // Transfer + view updates inside both clusters: each member
+            // of each cluster learns the newcomer (1 round).
+            let size_c = self.state.members(c).len() as u64;
+            let size_p = self.state.members(partner).len() as u64;
+            self.ledger.add_messages(size_c + size_p);
+            self.ledger.add_rounds(1);
+        }
+
+        // Both `c` and the partners announce their final compositions to
+        // their overlay neighbors.
+        self.notify_neighbors(c);
+        for &partner in &receivers {
+            self.notify_neighbors(partner);
+        }
+        self.ledger.end();
+        receivers
+    }
+}
+
+impl NowSystem {
+    /// Exchanges every member of `c` on the live system; returns the
+    /// partner clusters that received one of `c`'s former members. With
+    /// `cascade = true` each partner then exchanges all of its members
+    /// too.
     ///
     /// Costs land under [`CostKind::Exchange`] (inclusive of the inner
     /// `randCl`/`randNum` invocations; the paper's stated complexity for
@@ -41,95 +146,7 @@ impl NowSystem {
             self.registry.contains_cluster(c),
             "exchange_all: unknown cluster {c}"
         );
-        let receivers = self.exchange_single(c);
-        if cascade {
-            for &partner in &receivers {
-                if self.registry.contains_cluster(partner) {
-                    self.exchange_single(partner);
-                }
-            }
-        }
-        receivers
-    }
-
-    /// One full-membership exchange of `c`, no cascade. With the
-    /// [`crate::NowParams::with_exchange_cap`] ablation set, only a
-    /// uniformly chosen subset of that size is exchanged (the regime
-    /// Lemmas 2–3 analyze between full refreshes).
-    fn exchange_single(&mut self, c: ClusterId) -> BTreeSet<ClusterId> {
-        self.ledger.begin(CostKind::Exchange);
-        let mut members = self.cluster_ref(c).member_vec();
-        if let Some(cap) = self.params.exchange_cap() {
-            if cap < members.len() {
-                let picks = now_graph::sample::sample_distinct(members.len(), cap, &mut self.rng);
-                members = picks.into_iter().map(|i| members[i]).collect();
-            }
-        }
-        let mut receivers = BTreeSet::new();
-
-        for x in members {
-            // `x` may have been swapped out by an earlier iteration only
-            // if it was chosen as a partner's replacement — the partner
-            // picks from *its* members, so `x` (still in `c`) is safe;
-            // guard anyway for robustness.
-            if self.node_cluster(x).map(|home| home != c).unwrap_or(true) {
-                continue;
-            }
-            let (partner, _trace) = self.rand_cl_from(c);
-            if partner == c {
-                continue; // self-exchange is a no-op
-            }
-            // Partner picks a uniformly random member via randNum; if
-            // the partner is compromised, Malice chooses the victim.
-            let partner_size = self.cluster_ref(partner).size();
-            if partner_size == 0 {
-                continue;
-            }
-            let idx = self.rand_num_in(
-                partner,
-                partner_size as u64,
-                crate::malice::RandNumPurpose::MemberIndex,
-            ) as usize;
-            let mut y = self
-                .cluster_ref(partner)
-                .member_at(idx.min(partner_size - 1));
-            if !self
-                .cluster_ref(partner)
-                .rand_num_secure_in(self.params.security())
-            {
-                let labeled: Vec<(now_net::NodeId, bool)> = self
-                    .cluster_ref(partner)
-                    .members()
-                    // INVARIANT: honesty of ids read from a live member vec in
-                    // the same serial phase.
-                    .map(|m| (m, self.is_honest(m).expect("live member")))
-                    .collect();
-                if let Some(forced) = self.malice.exchange_victim(&labeled, &mut self.rng) {
-                    if self.cluster_ref(partner).contains(forced) {
-                        y = forced;
-                    }
-                }
-            }
-            // Swap x ↔ y.
-            self.move_node(x, partner);
-            self.move_node(y, c);
-            receivers.insert(partner);
-            // Transfer + view updates inside both clusters: each member
-            // of each cluster learns the newcomer (1 round).
-            let size_c = self.cluster_ref(c).size() as u64;
-            let size_p = self.cluster_ref(partner).size() as u64;
-            self.ledger.add_messages(size_c + size_p);
-            self.ledger.add_rounds(1);
-        }
-
-        // Both `c` and the partners announce their final compositions to
-        // their overlay neighbors.
-        self.account_neighbor_notification(c);
-        for &partner in &receivers {
-            self.account_neighbor_notification(partner);
-        }
-        self.ledger.end();
-        receivers
+        self.kernel().exchange_all(c, cascade)
     }
 }
 

@@ -1,9 +1,5 @@
-//! The single batched entry point: [`NowSystem::step_batch`].
-//!
-//! The batch API grew one public method per execution strategy (serial,
-//! scheduled waves, scoped threads, batch-scoped pools, caller-held
-//! pools — times the flag/spec input split). This module collapses the
-//! matrix into one method taking two values:
+//! The single batched entry point: [`NowSystem::step_batch`]. It takes
+//! two values:
 //!
 //! * [`BatchInput`] — *what* the step does: the arrivals and departures
 //!   of one time step, however constructed.
@@ -11,13 +7,13 @@
 //!   resources (thread count, a caller-held [`WavePool`], an event
 //!   network model).
 //!
-//! Every engine is bit-deterministic from `(seed, input, config)`: the
-//! serial engine replays the shared-stream semantics of a sequence of
-//! [`NowSystem::join`] / [`NowSystem::leave`] calls, and all other
-//! engines share the plan/apply wave machinery (see
-//! [`crate::wave_exec`]) whose outcome is independent of thread count.
-//! The legacy `step_parallel*` names survive as `#[deprecated]`
-//! delegates onto this method.
+//! Every engine is bit-deterministic from `(seed, input, config)`, and
+//! every engine runs the same op kernel ([`crate::kernel`]): the serial
+//! engine runs it on the live registry off the shared stream — the
+//! semantics of a sequence of [`NowSystem::join`] /
+//! [`NowSystem::leave`] calls — and all other engines run it on
+//! per-operation views inside the plan/apply wave machinery (see
+//! [`crate::wave_exec`]), whose outcome is independent of thread count.
 //!
 //! ```
 //! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
@@ -31,7 +27,7 @@
 
 use crate::batch::{BatchReport, JoinSpec};
 use crate::system::NowSystem;
-use crate::wave_exec::{normalize_threads, PlanEngine, WavePool};
+use crate::wave_exec::WavePool;
 use now_net::{EventNetConfig, NodeId};
 
 /// The work of one batched time step: departures first, then arrivals,
@@ -128,14 +124,6 @@ pub enum ExecConfig<'p> {
         /// Worker threads for the batch-scoped pool.
         threads: usize,
     },
-    /// The legacy scoped executor: bit-identical to the pooled engine
-    /// but spawns fresh scoped workers for every wave of width ≥ 2.
-    /// Retained as the spawn-overhead reference for benches and the
-    /// pooled ≡ scoped property gates.
-    Scoped {
-        /// Scoped worker threads per wave. `0` is treated as 1.
-        threads: usize,
-    },
     /// The wave engine on a caller-held [`WavePool`]: successive
     /// batches reuse the pool's workers, so a run spawns O(threads)
     /// threads total.
@@ -177,11 +165,6 @@ impl<'p> ExecConfig<'p> {
         ExecConfig::Threaded { threads }
     }
 
-    /// [`ExecConfig::Scoped`] with `threads` workers.
-    pub fn scoped(threads: usize) -> Self {
-        ExecConfig::Scoped { threads }
-    }
-
     /// [`ExecConfig::Pooled`] on a caller-held pool.
     pub fn pooled(pool: &'p WavePool) -> Self {
         ExecConfig::Pooled { pool }
@@ -210,9 +193,6 @@ impl std::fmt::Debug for ExecConfig<'_> {
                 .debug_struct("Threaded")
                 .field("threads", &threads)
                 .finish(),
-            ExecConfig::Scoped { threads } => {
-                f.debug_struct("Scoped").field("threads", &threads).finish()
-            }
             ExecConfig::Pooled { pool } => f
                 .debug_struct("Pooled")
                 .field("threads", &pool.threads())
@@ -240,20 +220,13 @@ impl NowSystem {
     pub fn step_batch(&mut self, input: &BatchInput, exec: &ExecConfig<'_>) -> BatchReport {
         let report = match *exec {
             ExecConfig::Serial => self.step_serial_impl(&input.joins, &input.leaves),
-            ExecConfig::Scheduled => {
-                self.step_waves_impl(&input.joins, &input.leaves, PlanEngine::Scoped(1))
-            }
+            ExecConfig::Scheduled => self.step_waves_impl(&input.joins, &input.leaves, None),
             ExecConfig::Threaded { threads } => {
                 let pool = WavePool::new(threads);
-                self.step_waves_impl(&input.joins, &input.leaves, PlanEngine::Pooled(&pool))
+                self.step_waves_impl(&input.joins, &input.leaves, Some(&pool))
             }
-            ExecConfig::Scoped { threads } => self.step_waves_impl(
-                &input.joins,
-                &input.leaves,
-                PlanEngine::Scoped(normalize_threads(threads)),
-            ),
             ExecConfig::Pooled { pool } => {
-                self.step_waves_impl(&input.joins, &input.leaves, PlanEngine::Pooled(pool))
+                self.step_waves_impl(&input.joins, &input.leaves, Some(pool))
             }
             ExecConfig::Event { net, pool } => {
                 self.step_event_impl(&input.joins, &input.leaves, net, pool)
@@ -328,16 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_threaded_scoped_and_pooled_agree() {
+    fn scheduled_threaded_and_pooled_agree() {
         let input = BatchInput::new().joins_uniform(12, true);
         let mut reference = system(260, 33);
         let want = reference.step_batch(&input, &ExecConfig::scheduled());
         let pool = WavePool::new(3);
-        for exec in [
-            ExecConfig::threaded(4),
-            ExecConfig::scoped(2),
-            ExecConfig::pooled(&pool),
-        ] {
+        for exec in [ExecConfig::threaded(4), ExecConfig::pooled(&pool)] {
             let mut sys = system(260, 33);
             let got = sys.step_batch(&input, &exec);
             assert_eq!(got.joined, want.joined, "{exec:?}");

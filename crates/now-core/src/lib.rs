@@ -61,6 +61,7 @@ mod exec;
 mod hub;
 pub mod init;
 pub mod init_tree;
+mod kernel;
 mod malice;
 mod ops;
 mod params;

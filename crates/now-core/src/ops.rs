@@ -19,10 +19,78 @@
 //!   over subsequent time steps; we execute them inline, which accounts
 //!   identical costs and keeps one external operation per time step —
 //!   see DESIGN.md §6).
+//!
+//! Join and leave up to the size check are [`Kernel`] methods and run
+//! on any [`StateView`]; the check itself belongs to the caller. On the
+//! live registry ([`NowSystem::join`], [`NowSystem::leave`], the serial
+//! batch engine) it follows inline, inside the operation's span. On a
+//! planner view it is deferred to after the wave. Split and merge
+//! change the cluster set and the overlay, so they only ever run on the
+//! live system, between operations.
 
 use crate::error::NowError;
+use crate::kernel::{Kernel, StateView};
 use crate::system::NowSystem;
 use now_net::{ClusterId, CostKind, NodeId};
+
+impl<S: StateView> Kernel<'_, S> {
+    /// Algorithm 1 up to the size check: the contact cluster draws the
+    /// host with `randCl`, the host absorbs `node`, announces it, and
+    /// exchanges all of its members. Returns the host with the
+    /// [`CostKind::Join`] span **still open**: the caller closes it
+    /// after its oversize check (inline) or at once (deferred).
+    pub(crate) fn join(&mut self, node: NodeId, honest: bool, contact: ClusterId) -> ClusterId {
+        self.ledger.begin(CostKind::Join);
+
+        // The contact cluster runs randCl to pick the host.
+        let (host, _) = self.rand_cl(contact);
+
+        // Host inserts the newcomer into every member's view and
+        // announces it to neighboring clusters; the newcomer receives
+        // the local overlay structure.
+        self.state.attach(node, honest, host);
+        let host_size = self.state.members(host).len() as u64;
+        self.ledger.add_messages(host_size); // views += x
+        self.ledger.add_rounds(1);
+        self.notify_neighbors(host);
+        self.ledger.add_messages(host_size); // x learns its neighborhood
+        self.ledger.add_rounds(1);
+
+        // The host exchanges all of its nodes (Algorithm 1). Skipped by
+        // the no-shuffle ablation (the baseline the paper's §3.3 attack
+        // argument targets).
+        if self.params.shuffle_enabled() {
+            self.exchange_all(host, false);
+        }
+        host
+    }
+
+    /// Algorithm 2 up to the size check: `node`'s cluster removes it
+    /// from all views, tells its neighbors, and exchanges all of its
+    /// members, receivers cascading. Returns that cluster with the
+    /// [`CostKind::Leave`] span **still open** (see [`Kernel::join`]).
+    pub(crate) fn leave(&mut self, node: NodeId) -> ClusterId {
+        // INVARIANT: every caller validates the leaver against the
+        // state it runs on before the kernel starts.
+        let home = self.state.home_of(node).expect("pre-validated leaver");
+        self.ledger.begin(CostKind::Leave);
+
+        // Members of C update their views and tell the neighbors to
+        // drop x (accepted once more than half of C says so).
+        self.state.detach(node);
+        let size = self.state.members(home).len() as u64;
+        self.ledger.add_messages(size);
+        self.ledger.add_rounds(1);
+        self.notify_neighbors(home);
+
+        // C exchanges all of its nodes; receivers cascade (Algorithm 2).
+        if self.params.shuffle_enabled() {
+            let cascade = self.params.cascade_enabled();
+            self.exchange_all(home, cascade);
+        }
+        home
+    }
+}
 
 impl NowSystem {
     /// A node joins the network; `honest` is the adversary's corruption
@@ -75,37 +143,15 @@ impl NowSystem {
         node
     }
 
-    /// Shared join path for fresh arrivals and merge re-joins.
+    /// Shared join path for fresh arrivals and merge re-joins: the
+    /// kernel on the live registry, then the inline oversize check.
     fn admit(&mut self, node: NodeId, honest: bool, contact: ClusterId) {
         assert!(
             self.registry.contains_cluster(contact),
             "join: unknown contact cluster {contact}"
         );
-        self.ledger.begin(CostKind::Join);
         self.join_count += 1;
-
-        // The contact cluster runs randCl to pick the host.
-        let (host, _) = self.rand_cl_from(contact);
-
-        // Host inserts the newcomer into every member's view and
-        // announces it to neighboring clusters; the newcomer receives
-        // the local overlay structure.
-        self.attach_node(node, honest, host);
-        let host_size = self.cluster_ref(host).size() as u64;
-        self.ledger.add_messages(host_size); // views += x
-        self.ledger.add_rounds(1);
-        self.account_neighbor_notification(host);
-        self.ledger.add_messages(host_size); // x learns its neighborhood
-        self.ledger.add_rounds(1);
-
-        // The host exchanges all of its nodes (Algorithm 1). Skipped by
-        // the no-shuffle ablation (the baseline the paper's §3.3 attack
-        // argument targets).
-        if self.params.shuffle_enabled() {
-            self.exchange_all(host, false);
-        }
-
-        // Oversize check.
+        let host = self.kernel().join(node, honest, contact);
         if self.cluster_ref(host).size() > self.params.max_cluster_size() {
             self.split(host);
         }
@@ -125,8 +171,9 @@ impl NowSystem {
         Ok(())
     }
 
-    /// Leave path shared by external departures and batched steps:
-    /// performs the operation without advancing the time step.
+    /// Leave path shared by external departures and batched steps: the
+    /// kernel on the live registry, then the inline undersize check,
+    /// without advancing the time step.
     pub(crate) fn leave_inner(&mut self, node: NodeId) -> Result<(), NowError> {
         let floor = self.params.min_population();
         if self.population() <= floor {
@@ -135,26 +182,9 @@ impl NowSystem {
                 floor,
             });
         }
-        let home = self.node_cluster(node)?;
-        self.ledger.begin(CostKind::Leave);
+        self.node_cluster(node)?;
         self.leave_count += 1;
-
-        // Members of C update their views and tell the neighbors to
-        // drop x (accepted once more than half of C says so).
-        // INVARIANT: `node` was validated live at the top of this op.
-        self.detach_node(node).expect("checked above");
-        let size = self.cluster_ref(home).size() as u64;
-        self.ledger.add_messages(size);
-        self.ledger.add_rounds(1);
-        self.account_neighbor_notification(home);
-
-        // C exchanges all of its nodes; receivers cascade (Algorithm 2).
-        if self.params.shuffle_enabled() {
-            let cascade = self.params.cascade_enabled();
-            self.exchange_all(home, cascade);
-        }
-
-        // Undersize check.
+        let home = self.kernel().leave(node);
         if self.cluster_ref(home).size() < self.params.min_cluster_size()
             && self.cluster_count() > 1
         {
@@ -228,8 +258,8 @@ impl NowSystem {
 
         // Old cluster keeps its neighbors but announces the shrinkage;
         // the new cluster announces itself.
-        self.account_neighbor_notification(c);
-        self.account_neighbor_notification(new_id);
+        self.kernel().notify_neighbors(c);
+        self.kernel().notify_neighbors(new_id);
         self.ledger.end();
     }
 
@@ -315,7 +345,7 @@ impl NowSystem {
         // INVARIANT: the victim was chosen from the live cluster set
         // in this same serial phase.
             .expect("victim is live");
-        self.account_neighbor_notification(c);
+        self.kernel().notify_neighbors(c);
 
         // Re-joins through the ordinary join path (contact chosen
         // uniformly, as for any arrival).

@@ -10,21 +10,23 @@
 //! size-biased acceptance yields the target distribution `(|C|/n)` —
 //! i.e. a uniformly random *node*'s cluster.
 //!
-//! Byzantine influence: each hop's collective choices run through
-//! [`crate::NowSystem::rand_num_in`], so a cluster with ≥ 1/3 Byzantine
-//! members lets the adversary steer the hop (and [`crate::Malice`] may
-//! redirect it outright). Every hop is also a quorum-validated
-//! cluster-to-cluster message, accounted as `|C|·|C'|` message units.
+//! Byzantine influence: each hop's collective choices are
+//! [`Kernel::draw`]s, so a cluster with ≥ 1/3 Byzantine members lets
+//! the adversary steer the hop (and [`crate::Malice`] may redirect it
+//! outright). Every hop is also a quorum-validated cluster-to-cluster
+//! message, accounted as `|C|·|C'|` message units.
 //!
 //! Hot path: every join and every exchanged member performs this walk,
-//! so one hop is two `randNum` draws, one `ln`, and two O(1) slab reads
-//! — the current cluster's neighbor slice from the overlay and the next
-//! cluster's size and Byzantine count from the registry, each through
-//! its direct id → slot map. Nothing is cached per walk: the slabs
-//! *are* the cache.
+//! so one hop is two `randNum` draws, one `ln`, and two O(1) reads —
+//! the current cluster's neighbor slice from the overlay and the next
+//! cluster's size and Byzantine count from the [`StateView`], which is
+//! a direct id → slot lookup on the live registry and on a planner
+//! view alike. Nothing is cached per walk, and the walk is monomorphised
+//! per state.
 
-use crate::malice::{RandNumContext, RandNumPurpose};
-use crate::system::{collective_draw, NowSystem};
+use crate::kernel::{Kernel, StateView};
+use crate::malice::RandNumPurpose;
+use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, CostKind};
 
 /// Diagnostics of one `randCl` invocation.
@@ -38,57 +40,38 @@ pub struct WalkTrace {
     pub compromised_hops: u64,
 }
 
-impl NowSystem {
-    /// Runs `randCl` starting from cluster `start`; returns the selected
-    /// cluster and the walk diagnostics. Costs are recorded under
-    /// [`CostKind::RandCl`] (inclusive of the per-hop `randNum`s).
+impl<S: StateView> Kernel<'_, S> {
+    /// `randCl` from cluster `start`: the selected cluster and the walk
+    /// diagnostics. Costs are recorded under [`CostKind::RandCl`]
+    /// (inclusive of the per-hop `randNum`s).
     ///
     /// Membership and overlay are immutable while a walk runs, so the
     /// walk borrows neighbor slices and reads cluster sizes in place;
     /// the size and security of the cluster it stands on carry over from
     /// the hop that reached it.
-    ///
-    /// # Panics
-    /// Panics if `start` is not a live cluster.
-    pub fn rand_cl_from(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
-        assert!(
-            self.registry.contains_cluster(start),
-            "rand_cl_from: unknown cluster {start}"
-        );
-        let NowSystem {
-            params,
-            registry,
-            overlay,
-            ledger,
-            rng,
-            malice,
-            ..
-        } = self;
-        let malice = malice.as_mut();
-        ledger.begin(CostKind::RandCl);
+    pub(crate) fn rand_cl(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
+        self.ledger.begin(CostKind::RandCl);
+        let (end, trace) = self.walk(start);
+        self.ledger.end();
+        (end, trace)
+    }
+
+    fn walk(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
         let mut trace = WalkTrace {
             hops: 0,
             restarts: 0,
             compromised_hops: 0,
         };
+        // Copied out so neighbor slices outlive the `&mut self` draws.
+        let overlay = self.overlay;
         let m = overlay.vertex_count();
         if m <= 1 {
-            ledger.end();
             return (start, trace);
         }
 
-        let duration = params.ctrw_duration(m);
-        let mode = params.security();
-        let security_of = |c: ClusterId| {
-            registry
-                .cluster(c)
-                // INVARIANT: walk steps resolve neighbors from the live
-                // overlay, whose vertices are exactly the live clusters.
-                .expect("walk visits live clusters")
-                .security(mode)
-        };
+        let duration = self.params.ctrw_duration(m);
         let mut current = start;
-        let mut here = security_of(start);
+        let mut here = self.security(start);
         // Resolution for fixed-point randomness drawn via randNum.
         const RES: u64 = 1 << 24;
 
@@ -98,12 +81,11 @@ impl NowSystem {
         // consuming walk-time. Honest walks use ~log²m hops; the cap is
         // far above that and only binds under heavy compromise.
         let hop_cap = 2_000 + 200 * (m as u64);
-        for _restart in 0..=params.max_walk_restarts() {
+        for _restart in 0..=self.params.max_walk_restarts() {
             let mut remaining = duration;
             // One CTRW.
             loop {
                 if trace.hops >= hop_cap {
-                    ledger.end();
                     return (current, trace);
                 }
                 let nbrs = overlay.neighbors(current);
@@ -111,16 +93,9 @@ impl NowSystem {
                 if degree == 0 {
                     break; // isolated vertex absorbs the walk
                 }
-                let mut draw = |range: u64, purpose: RandNumPurpose| {
-                    let ctx = RandNumContext {
-                        cluster: current,
-                        purpose,
-                    };
-                    collective_draw(ledger, rng, malice, ctx, range, here)
-                };
                 // Collaborative holding time: Exp(degree), derived from a
                 // randNum draw (compromised clusters control it).
-                let u = draw(RES, RandNumPurpose::WalkHoldingTime);
+                let u = self.draw(current, RES, RandNumPurpose::WalkHoldingTime, here);
                 let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
                 let hold = -unit.ln() / degree as f64;
                 if hold >= remaining {
@@ -128,21 +103,26 @@ impl NowSystem {
                 }
                 remaining -= hold;
                 // Collaborative neighbor choice.
-                let idx = draw(degree as u64, RandNumPurpose::WalkNeighborChoice) as usize;
+                let idx = self.draw(
+                    current,
+                    degree as u64,
+                    RandNumPurpose::WalkNeighborChoice,
+                    here,
+                ) as usize;
                 // INVARIANT: `degree = nbrs.len() > 0` (checked above);
                 // `min` clamps the drawn index into bounds.
                 let mut next = nbrs[idx.min(degree - 1)];
                 if !here.secure_plain {
                     trace.compromised_hops += 1;
-                    if let Some(forced) = malice.walk_hop(nbrs, rng) {
+                    if let Some(forced) = self.malice.walk_hop(nbrs, self.rng) {
                         if nbrs.contains(&forced) {
                             next = forced;
                         }
                     }
                 }
                 // Quorum-validated hand-off message C → C'.
-                let there = security_of(next);
-                ledger.add(Cost {
+                let there = self.security(next);
+                self.ledger.add(Cost {
                     messages: here.size * there.size,
                     rounds: 1,
                 });
@@ -151,22 +131,31 @@ impl NowSystem {
                 here = there;
             }
             // Size-biased acceptance at the endpoint.
-            let p_accept = params.acceptance_probability(here.size as usize);
-            let ctx = RandNumContext {
-                cluster: current,
-                purpose: RandNumPurpose::WalkAcceptance,
-            };
-            let draw = collective_draw(ledger, rng, malice, ctx, RES, here);
+            let p_accept = self.params.acceptance_probability(here.size as usize);
+            let draw = self.draw(current, RES, RandNumPurpose::WalkAcceptance, here);
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
-                ledger.end();
                 return (current, trace);
             }
             trace.restarts += 1;
         }
         // Restart cap exhausted (never in the invariant regime; see
         // NowParams::max_walk_restarts) — accept the current endpoint.
-        ledger.end();
         (current, trace)
+    }
+}
+
+impl NowSystem {
+    /// Runs `randCl` starting from cluster `start` on the live system;
+    /// returns the selected cluster and the walk diagnostics.
+    ///
+    /// # Panics
+    /// Panics if `start` is not a live cluster.
+    pub fn rand_cl_from(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
+        assert!(
+            self.registry.contains_cluster(start),
+            "rand_cl_from: unknown cluster {start}"
+        );
+        self.kernel().rand_cl(start)
     }
 }
 

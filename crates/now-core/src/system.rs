@@ -1,9 +1,10 @@
 //! [`NowSystem`] — the live NOW deployment.
 
 use crate::audit::SystemAudit;
-use crate::cluster::{Cluster, ClusterSecurity};
+use crate::cluster::Cluster;
 use crate::error::NowError;
-use crate::malice::{Malice, NoMalice, RandNumContext};
+use crate::kernel::Kernel;
+use crate::malice::{Malice, NoMalice};
 use crate::params::NowParams;
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
@@ -33,29 +34,6 @@ pub struct NowSystem {
     pub(crate) split_count: u64,
     pub(crate) merge_count: u64,
     pub(crate) hub: crate::hub::TraceHub,
-}
-
-/// One `randNum` draw over `0..range` by the cluster `ctx` names, whose
-/// size and security the caller has already read (`at`): a
-/// [`CostKind::RandNum`] leaf span, then the draw — from `rng` when the
-/// cluster is secure, from `malice` otherwise. Takes the system's
-/// fields apart so that [`NowSystem::rand_cl_from`] can draw while it
-/// holds borrowed overlay slices.
-pub(crate) fn collective_draw(
-    ledger: &mut Ledger,
-    rng: &mut DetRng,
-    malice: &mut dyn Malice,
-    ctx: RandNumContext,
-    range: u64,
-    at: ClusterSecurity,
-) -> u64 {
-    let range = range.max(1);
-    ledger.leaf(CostKind::RandNum, at.rand_num_cost());
-    if at.secure {
-        rng.gen_range(0..range)
-    } else {
-        malice.rand_num(range, ctx, rng)
-    }
 }
 
 impl fmt::Debug for NowSystem {
@@ -181,7 +159,7 @@ impl NowSystem {
     }
 
     /// Completed time steps (one per external join/leave, or one per
-    /// batch — see [`NowSystem::step_parallel`]).
+    /// batch — see [`NowSystem::step_batch`]).
     pub fn time_step(&self) -> u64 {
         self.time_step
     }
@@ -384,11 +362,6 @@ impl NowSystem {
         self.registry.move_to(node, to).expect("node must be live");
     }
 
-    /// Inserts a (new or re-joining) node into a cluster.
-    pub(crate) fn attach_node(&mut self, node: NodeId, honest: bool, cluster: ClusterId) {
-        self.registry.attach(node, honest, cluster);
-    }
-
     /// Removes a node from the network; returns its honesty flag.
     pub(crate) fn detach_node(&mut self, node: NodeId) -> Result<bool, NowError> {
         self.registry
@@ -397,44 +370,30 @@ impl NowSystem {
             .ok_or(NowError::UnknownNode { node })
     }
 
-    /// `randNum` within cluster `c` over `0..range`: ideal functionality
-    /// with the paper's cost (`2·|C|·(|C|−1)` messages, 2 rounds), with
-    /// [`Malice`] steering the output when the cluster is compromised.
-    /// `purpose` tells a strategic adversary what the draw decides.
+    /// The op kernel over the live registry: what serial execution
+    /// (and split/merge, which only ever run here) drives.
+    pub(crate) fn kernel(&mut self) -> Kernel<'_, Registry> {
+        Kernel::new(
+            &mut self.registry,
+            &self.overlay,
+            self.params,
+            &mut self.ledger,
+            &mut self.rng,
+            self.malice.as_mut(),
+        )
+    }
+
+    /// `randNum` within live cluster `c` over `0..range` (see
+    /// [`Kernel::draw`]).
     pub(crate) fn rand_num_in(
         &mut self,
         c: ClusterId,
         range: u64,
         purpose: crate::malice::RandNumPurpose,
     ) -> u64 {
-        let at = self.cluster_ref(c).security(self.params.security());
-        collective_draw(
-            &mut self.ledger,
-            &mut self.rng,
-            self.malice.as_mut(),
-            RandNumContext {
-                cluster: c,
-                purpose,
-            },
-            range,
-            at,
-        )
-    }
-
-    /// Accounts the cost of cluster `c` announcing its new composition
-    /// to every member of every neighboring cluster (the view-update
-    /// step of exchange/split/merge): `Σ_{D ∈ N(C)} |C|·|D|` messages in
-    /// one round.
-    pub(crate) fn account_neighbor_notification(&mut self, c: ClusterId) {
-        let size = self.cluster_ref(c).size() as u64;
-        let mut msgs = 0u64;
-        for &nbr in self.overlay.neighbors(c) {
-            if let Some(stats) = self.registry.cluster_stats(nbr) {
-                msgs += size * stats.size as u64;
-            }
-        }
-        self.ledger.add_messages(msgs);
-        self.ledger.add_rounds(1);
+        let mut kernel = self.kernel();
+        let at = kernel.security(c);
+        kernel.draw(c, range, purpose, at)
     }
 
     /// **Experiment-only registry surgery**: teleports a node into
@@ -595,7 +554,7 @@ mod tests {
             sys.node_cluster(node),
             Err(NowError::UnknownNode { .. })
         ));
-        sys.attach_node(node, honest, home);
+        sys.registry.attach(node, honest, home);
         assert_eq!(sys.node_cluster(node).unwrap(), home);
         sys.check_consistency().unwrap();
     }

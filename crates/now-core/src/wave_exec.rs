@@ -1,43 +1,38 @@
-//! Threaded execution of conflict-free waves — the engine that turns
-//! the [`crate::batch`] *schedule* into wall-clock parallelism.
-//!
-//! PR 2's `step_parallel` schedules a batch into footprint-disjoint
-//! waves but still executes the operations one after another;
-//! `rounds_parallel` is an estimate, not a measurement. This module
-//! adds [`NowSystem::step_parallel_threaded`], which actually runs a
-//! wave's operations on worker threads while keeping the run
+//! The wave engine: executes a batch as conflict-free waves, planning
+//! each wave's operations in parallel while keeping the run
 //! **bit-identical at every thread count** — same admitted ids, same
-//! population, same ledger totals, same wave schedule whether the batch
-//! runs on 1, 2, or 8 workers.
+//! population, same ledger totals, same wave schedule whether the
+//! batch is planned on the driving thread or on 2 or 8 pool workers.
 //!
 //! # Worker pool
 //!
-//! Waves execute on a persistent, channel-fed [`WavePool`]: workers
+//! Waves are planned on a persistent, channel-fed [`WavePool`]: workers
 //! spawn **once per pool** (run-scoped in `now-sim`, campaign-scoped in
-//! `now-campaign`, batch-scoped for the convenience entry points) and
-//! receive wave-plan jobs over per-worker channels — O(threads) thread
-//! spawns per run, not the O(waves·threads) the original scoped
-//! executor paid, which dominated conflict-heavy batches whose waves
-//! are narrow. Workers claim operations through an atomic cursor and
-//! write plans into positional slots, so pooled, scoped
-//! ([`NowSystem::step_parallel_scoped_specs`], retained as the
-//! reference), and sequential planning are bit-identical; property
-//! tests and the CI smoke gates pin all three equal.
+//! `now-campaign`, batch-scoped for `ExecConfig::Threaded`) and receive
+//! wave-plan jobs over per-worker channels — O(threads) thread spawns
+//! per run, however many narrow waves a conflict-heavy batch schedules
+//! into. Workers claim operations through an atomic cursor and write
+//! plans into positional slots, so pooled planning is bit-identical to
+//! sequential planning on the driving thread
+//! (`ExecConfig::Scheduled`), the reference every pooled run is
+//! tested against.
 //!
 //! # How determinism survives threading
 //!
 //! Three mechanisms, mirrored by `vendor/README.md`'s determinism
 //! notes:
 //!
-//! 1. **Plan/apply split.** Each operation is *planned* by a pure
-//!    kernel ([`Planner`]) that reads the immutable pre-wave state
-//!    (registry + overlay are shared read-only across workers) through
-//!    a copy-on-write *view* that overlays the operation's own effects
-//!    — snapshot-isolation semantics; a cluster the op has not edited is
-//!    read in place from the frozen registry. Planning emits an [`OpPlan`]: the
-//!    op's registry effects, its private ledger, and a deferred
-//!    split/merge check. Plans are pure functions of `(pre-wave state,
-//!    op, substream)`, so the thread that computes one is irrelevant.
+//! 1. **Plan/apply split.** Each operation is *planned* by the op
+//!    kernel ([`crate::kernel`]) — the same join/leave/exchange/walk
+//!    code the serial engine runs on the live registry — over a
+//!    [`Planner`]: a copy-on-write *view* of the immutable pre-wave
+//!    state (registry + overlay are shared read-only across workers)
+//!    that overlays the operation's own edits — snapshot-isolation
+//!    semantics; a cluster the op has not edited is read in place from
+//!    the frozen registry. Planning emits an [`OpPlan`]: the op's
+//!    registry effects, its private ledger, and a deferred split/merge
+//!    check. Plans are pure functions of `(pre-wave state, op,
+//!    substream)`, so the thread that computes one is irrelevant.
 //! 2. **Per-operation substreams.** Every operation draws from a
 //!    ChaCha12 stream derived via [`DetRng::for_op`] from `(master,
 //!    time_step, canonical op index)` — never from the shared system
@@ -54,7 +49,7 @@
 //!    partners are walk-chosen anywhere) use the facade's unconfined
 //!    path.
 //!
-//! # Model semantics (and how they differ from `step_parallel`)
+//! # Model semantics (and how they differ from the serial engine)
 //!
 //! The engine defines a *parallel deployment* of the §2-footnote batch:
 //! operations of one wave observe the pre-wave state plus their own
@@ -68,24 +63,24 @@
 //! sweep over every other cluster the wave's effects touched —
 //! conflict resolution can net-change the size of clusters that are
 //! nobody's host or home, and the size band must hold there too.
-//! Because
-//! randomness is consumed per-operation instead of from one shared
-//! stream, outcomes differ from the serial `step_parallel` path for the
+//! Because randomness is consumed per-operation instead of from one
+//! shared stream, outcomes differ from `ExecConfig::Serial` for the
 //! same seed — by design; the bit-equality contract is *across thread
 //! counts of this engine*, which the property tests pin.
 //!
 //! A strategic [`Malice`] implementation is a single stateful oracle
 //! whose hook-call order is protocol-visible, so non-neutral adversaries
 //! plan sequentially in canonical order (the results still do not
-//! depend on the requested thread count). The neutral default plans on
-//! workers.
+//! depend on the requested thread count). For the neutral default,
+//! every worker plans against its own stack [`NoMalice`].
 
-use crate::batch::{BatchReport, WaveStats};
+use crate::batch::{BatchReport, WaveFootprint, WaveStats};
 use crate::cluster::ClusterSecurity;
 use crate::error::NowError;
-use crate::malice::{Malice, RandNumContext, RandNumPurpose};
-use crate::params::NowParams;
-use crate::registry::Registry;
+use crate::kernel::{Kernel, StateView};
+use crate::malice::{Malice, NoMalice};
+use crate::params::{NowParams, SecurityMode};
+use crate::registry::{Registry, WaveShards};
 use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
 use now_over::Overlay;
@@ -97,19 +92,19 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Canonical normalization of the `threads` knob, shared by **every**
-/// entry point that accepts one ([`WavePool::new`], the scoped
-/// executor, `now-sim`'s `BatchExec::Threaded`, the campaign runner's
-/// per-phase exec knob): `0` means "unspecified" and is treated as 1
-/// worker. Centralized so no call site can drift to a different rule.
+/// entry point that accepts one ([`WavePool::new`], `now-sim`'s
+/// `BatchExec::Threaded`, the campaign runner's per-phase exec knob):
+/// `0` means "unspecified" and is treated as 1 worker. Centralized so
+/// no call site can drift to a different rule.
 pub fn normalize_threads(threads: usize) -> usize {
     threads.max(1)
 }
 
-/// Monotone count of wave-worker threads this process has ever spawned
-/// (pooled workers and legacy scoped workers alike). Tests use the
-/// delta around a run to assert the pool's O(threads)-spawns-per-run
-/// guarantee; note the counter is process-global, so such assertions
-/// must not share a test binary with concurrently spawning tests.
+/// Monotone count of wave-worker threads this process has ever
+/// spawned. Tests use the delta around a run to assert the pool's
+/// O(threads)-spawns-per-run guarantee; note the counter is
+/// process-global, so such assertions must not share a test binary
+/// with concurrently spawning tests.
 static WAVE_WORKER_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// Current value of the process-global wave-worker spawn counter.
@@ -219,72 +214,50 @@ struct ViewCluster {
 /// cluster in that slot, so reads go to the frozen registry.
 const NO_VIEW: u32 = u32::MAX;
 
-/// The pure planning kernel: interprets one join/leave against the
-/// wave context, mirroring the serial operation semantics of
-/// [`crate::ops`] / [`crate::exchange`] / [`crate::rand_cl`] — same
-/// draw order, same ledger spans — but reading through the op's view
-/// and emitting effects instead of mutating shared state.
+/// One operation's view of the wave: the frozen pre-wave registry
+/// overlaid with the operation's own edits, which it records as
+/// [`Effect`]s instead of applying. It is the [`StateView`] the op
+/// kernel runs on when an operation is *planned*.
 ///
 /// Views are copy-on-write: a cluster's member vec is copied the first
 /// time the op *edits* it (its host, its exchange partners). Every
 /// other read — the sizes and Byzantine counts a walk needs of each
 /// cluster it passes through, neighbour sizes for notifications, the
 /// member a partner surrenders — borrows the frozen registry.
-struct Planner<'c, 'a> {
-    ctx: &'c WaveCtx<'a>,
-    rng: DetRng,
-    ledger: Ledger,
+struct Planner<'a> {
+    registry: &'a Registry,
     effects: Vec<Effect>,
     /// `view_of_slot[registry slot]` indexes `views`, or is [`NO_VIEW`].
     view_of_slot: Vec<u32>,
     views: Vec<ViewCluster>,
-    /// Deterministic work gate: member ids copied into views and
-    /// exchange snapshots.
+    /// Deterministic work gate: member ids copied into views.
     #[cfg(test)]
     member_ids_copied: usize,
     /// Home overrides for nodes this op moved (`None` = departed).
     homes: BTreeMap<NodeId, Option<ClusterId>>,
     /// The op's own arrival, if any (honesty is not in the registry yet).
     joiner: Option<(NodeId, bool)>,
-    /// Present only when a non-neutral adversary serializes planning.
-    malice: Option<&'c mut (dyn Malice + 'static)>,
 }
 
-impl<'c, 'a> Planner<'c, 'a> {
-    fn new(
-        ctx: &'c WaveCtx<'a>,
-        rng: DetRng,
-        malice: Option<&'c mut (dyn Malice + 'static)>,
-    ) -> Self {
+impl<'a> Planner<'a> {
+    fn new(registry: &'a Registry) -> Self {
         Planner {
-            ctx,
-            rng,
-            ledger: if ctx.recording {
-                Ledger::recording()
-            } else {
-                Ledger::new()
-            },
+            registry,
             effects: Vec::new(),
-            view_of_slot: vec![NO_VIEW; ctx.registry.cluster_slab_len()],
+            view_of_slot: vec![NO_VIEW; registry.cluster_slab_len()],
             views: Vec::new(),
             #[cfg(test)]
             member_ids_copied: 0,
             homes: BTreeMap::new(),
             joiner: None,
-            malice,
         }
     }
-
-    // ---------------------------------------------------------------
-    // View maintenance.
-    // ---------------------------------------------------------------
 
     fn slot_of(&self, c: ClusterId) -> u32 {
         // INVARIANT: every cluster id reaching a plan comes from this
         // wave's frozen registry and overlay, which only name live
         // clusters (maintenance runs serially between waves).
-        self.ctx
-            .registry
+        self.registry
             .cluster_slot_of(c)
             .expect("plan touches live clusters")
     }
@@ -309,7 +282,7 @@ impl<'c, 'a> Planner<'c, 'a> {
         // cluster slab, which bounds every slot `slot_of` returns.
         let entry = &mut self.view_of_slot[slot as usize];
         if *entry == NO_VIEW {
-            let cluster = self.ctx.registry.cluster_in_slot(slot);
+            let cluster = self.registry.cluster_in_slot(slot);
             #[cfg(test)]
             {
                 self.member_ids_copied += cluster.size();
@@ -323,62 +296,6 @@ impl<'c, 'a> Planner<'c, 'a> {
         // INVARIANT: the entry was just checked or set to an index
         // into `views`.
         &mut self.views[*entry as usize]
-    }
-
-    /// Members of `c` as the op sees them, in ascending id order: the
-    /// op's copy if it has edited `c`, the frozen slice otherwise.
-    fn members(&self, c: ClusterId) -> &[NodeId] {
-        let slot = self.slot_of(c);
-        match self.view(slot) {
-            Some(v) => &v.members,
-            None => self.ctx.registry.cluster_in_slot(slot).member_slice(),
-        }
-    }
-
-    /// Size and `randNum` security of `c` as the op sees it — what
-    /// every walk hop and `randNum` gate needs.
-    fn cluster_security(&self, c: ClusterId) -> ClusterSecurity {
-        let mode = self.ctx.params.security();
-        let slot = self.slot_of(c);
-        match self.view(slot) {
-            Some(v) => ClusterSecurity::of(v.members.len(), v.byz, mode),
-            None => self.ctx.registry.cluster_in_slot(slot).security(mode),
-        }
-    }
-
-    fn size(&self, c: ClusterId) -> u64 {
-        self.members(c).len() as u64
-    }
-
-    fn member_at(&self, c: ClusterId, idx: usize) -> NodeId {
-        self.members(c)[idx]
-    }
-
-    fn contains_member(&self, c: ClusterId, n: NodeId) -> bool {
-        self.members(c).binary_search(&n).is_ok()
-    }
-
-    fn honesty(&self, n: NodeId) -> bool {
-        if let Some((joiner, honest)) = self.joiner {
-            if joiner == n {
-                return honest;
-            }
-        }
-        // INVARIANT: honesty is only queried for members of the wave's
-        // own view clusters (plus the joiner handled above), all of
-        // which are registered for the whole wave.
-        self.ctx
-            .registry
-            .get(n)
-            .expect("honesty of a live node")
-            .honest
-    }
-
-    fn home_of(&self, n: NodeId) -> Option<ClusterId> {
-        match self.homes.get(&n) {
-            Some(over) => *over,
-            None => self.ctx.registry.get(n).map(|r| r.cluster),
-        }
     }
 
     fn insert_member(&mut self, c: ClusterId, n: NodeId, honest: bool) {
@@ -404,8 +321,48 @@ impl<'c, 'a> Planner<'c, 'a> {
             v.byz -= 1;
         }
     }
+}
 
-    fn attach_node(&mut self, n: NodeId, honest: bool, c: ClusterId) {
+impl StateView for Planner<'_> {
+    #[inline]
+    fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity {
+        let slot = self.slot_of(c);
+        match self.view(slot) {
+            Some(v) => ClusterSecurity::of(v.members.len(), v.byz, mode),
+            None => self.registry.cluster_in_slot(slot).security(mode),
+        }
+    }
+
+    /// The op's copy if it has edited `c`, the frozen slice otherwise.
+    #[inline]
+    fn members(&self, c: ClusterId) -> &[NodeId] {
+        let slot = self.slot_of(c);
+        match self.view(slot) {
+            Some(v) => &v.members,
+            None => self.registry.cluster_in_slot(slot).member_slice(),
+        }
+    }
+
+    fn home_of(&self, n: NodeId) -> Option<ClusterId> {
+        match self.homes.get(&n) {
+            Some(over) => *over,
+            None => self.registry.get(n).map(|r| r.cluster),
+        }
+    }
+
+    fn honesty(&self, n: NodeId) -> bool {
+        if let Some((joiner, honest)) = self.joiner {
+            if joiner == n {
+                return honest;
+            }
+        }
+        // INVARIANT: honesty is only queried for members of the wave's
+        // own view clusters (plus the joiner handled above), all of
+        // which are registered for the whole wave.
+        self.registry.get(n).expect("honesty of a live node").honest
+    }
+
+    fn attach(&mut self, n: NodeId, honest: bool, c: ClusterId) {
         self.joiner = Some((n, honest));
         self.insert_member(c, n, honest);
         self.homes.insert(n, Some(c));
@@ -416,7 +373,7 @@ impl<'c, 'a> Planner<'c, 'a> {
         });
     }
 
-    fn detach_node(&mut self, n: NodeId) {
+    fn detach(&mut self, n: NodeId) {
         // INVARIANT: leave planning pre-validates the leaver against
         // the registry before the wave starts, and no other op in the
         // same wave shares its footprint.
@@ -427,10 +384,9 @@ impl<'c, 'a> Planner<'c, 'a> {
         self.effects.push(Effect::Detach { node: n });
     }
 
-    fn move_node(&mut self, n: NodeId, to: ClusterId) {
-        // INVARIANT: moves originate from exchange/walk steps over
-        // members of this wave's own view, which are live by
-        // construction.
+    fn relocate(&mut self, n: NodeId, to: ClusterId) {
+        // INVARIANT: moves originate from exchange steps over members
+        // of this op's own view, which are live by construction.
         let from = self.home_of(n).expect("moving a live node");
         if from == to {
             return;
@@ -441,260 +397,29 @@ impl<'c, 'a> Planner<'c, 'a> {
         self.homes.insert(n, Some(to));
         self.effects.push(Effect::Move { node: n, to });
     }
-
-    /// Overlay neighbors of `c`, borrowed straight from the frozen
-    /// overlay for the wave's lifetime `'a` — so the slice can be held
-    /// across the planner's own `&mut self` draws without a copy.
-    fn neighbor_list(&self, c: ClusterId) -> &'a [ClusterId] {
-        self.ctx.overlay.neighbors(c)
-    }
-
-    // ---------------------------------------------------------------
-    // Primitive mirrors (draw order and ledger spans match the serial
-    // implementations bit for bit under a neutral adversary).
-    // ---------------------------------------------------------------
-
-    /// One collective draw by `c`, whose size and security the caller
-    /// has already read (`at`): mirror of [`crate::system::collective_draw`].
-    fn draw(
-        &mut self,
-        c: ClusterId,
-        range: u64,
-        at: ClusterSecurity,
-        purpose: RandNumPurpose,
-    ) -> u64 {
-        let range = range.max(1);
-        self.ledger.leaf(CostKind::RandNum, at.rand_num_cost());
-        match self.malice.as_mut() {
-            Some(malice) if !at.secure => {
-                let ctx = RandNumContext {
-                    cluster: c,
-                    purpose,
-                };
-                malice.rand_num(range, ctx, &mut self.rng)
-            }
-            // Secure cluster, or neutral-adversary planning:
-            // `NoMalice::rand_num` is the same uniform draw, so the
-            // streams coincide.
-            _ => self.rng.gen_range(0..range),
-        }
-    }
-
-    /// Mirror of [`NowSystem::rand_cl_from`] against the op's view.
-    fn rand_cl(&mut self, start: ClusterId) -> ClusterId {
-        self.ledger.begin(CostKind::RandCl);
-        let m = self.ctx.overlay.vertex_count();
-        if m <= 1 {
-            self.ledger.end();
-            return start;
-        }
-        let duration = self.ctx.params.ctrw_duration(m);
-        let mut current = start;
-        let mut here = self.cluster_security(start);
-        const RES: u64 = 1 << 24;
-        let hop_cap = 2_000 + 200 * (m as u64);
-        let mut hops = 0u64;
-        for _restart in 0..=self.ctx.params.max_walk_restarts() {
-            let mut remaining = duration;
-            loop {
-                if hops >= hop_cap {
-                    self.ledger.end();
-                    return current;
-                }
-                let nbrs = self.neighbor_list(current);
-                let degree = nbrs.len();
-                if degree == 0 {
-                    break;
-                }
-                let u = self.draw(current, RES, here, RandNumPurpose::WalkHoldingTime);
-                let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
-                let hold = -unit.ln() / degree as f64;
-                if hold >= remaining {
-                    break;
-                }
-                remaining -= hold;
-                let idx = self.draw(
-                    current,
-                    degree as u64,
-                    here,
-                    RandNumPurpose::WalkNeighborChoice,
-                ) as usize;
-                // INVARIANT: `degree = nbrs.len() > 0` (checked above)
-                // and the draw is over 0..degree; the `min` is
-                // belt-and-braces against a future draw-range change.
-                let mut next = nbrs[idx.min(degree - 1)];
-                if !here.secure_plain {
-                    if let Some(malice) = self.malice.as_mut() {
-                        if let Some(forced) = malice.walk_hop(nbrs, &mut self.rng) {
-                            if nbrs.contains(&forced) {
-                                next = forced;
-                            }
-                        }
-                    }
-                }
-                let there = self.cluster_security(next);
-                self.ledger.add(Cost {
-                    messages: here.size * there.size,
-                    rounds: 1,
-                });
-                hops += 1;
-                current = next;
-                here = there;
-            }
-            let p_accept = self.ctx.params.acceptance_probability(here.size as usize);
-            let draw = self.draw(current, RES, here, RandNumPurpose::WalkAcceptance);
-            if (draw as f64 + 0.5) / RES as f64 <= p_accept {
-                self.ledger.end();
-                return current;
-            }
-        }
-        self.ledger.end();
-        current
-    }
-
-    /// Mirror of the serial `exchange_single`.
-    fn exchange_single(&mut self, c: ClusterId) -> BTreeSet<ClusterId> {
-        self.ledger.begin(CostKind::Exchange);
-        // The exchange's one membership snapshot: the loop below edits
-        // `c` while it iterates.
-        let mut members = self.members(c).to_vec();
-        #[cfg(test)]
-        {
-            self.member_ids_copied += members.len();
-        }
-        if let Some(cap) = self.ctx.params.exchange_cap() {
-            if cap < members.len() {
-                let picks = now_graph::sample::sample_distinct(members.len(), cap, &mut self.rng);
-                members = picks.into_iter().map(|i| members[i]).collect();
-            }
-        }
-        let mut receivers = BTreeSet::new();
-        for x in members {
-            if self.home_of(x).map(|home| home != c).unwrap_or(true) {
-                continue;
-            }
-            let partner = self.rand_cl(c);
-            if partner == c {
-                continue;
-            }
-            let at_partner = self.cluster_security(partner);
-            let partner_size = at_partner.size as usize;
-            if partner_size == 0 {
-                continue;
-            }
-            let idx = self.draw(
-                partner,
-                at_partner.size,
-                at_partner,
-                RandNumPurpose::MemberIndex,
-            ) as usize;
-            let mut y = self.member_at(partner, idx.min(partner_size - 1));
-            if !at_partner.secure && self.malice.is_some() {
-                let labeled: Vec<(NodeId, bool)> = self
-                    .members(partner)
-                    .iter()
-                    .map(|&m| (m, self.honesty(m)))
-                    .collect();
-                let rng = &mut self.rng;
-                let forced = self
-                    .malice
-                    .as_mut()
-                    .and_then(|malice| malice.exchange_victim(&labeled, rng));
-                if let Some(forced) = forced {
-                    if self.contains_member(partner, forced) {
-                        y = forced;
-                    }
-                }
-            }
-            self.move_node(x, partner);
-            self.move_node(y, c);
-            receivers.insert(partner);
-            let size_c = self.size(c);
-            let size_p = self.size(partner);
-            self.ledger.add_messages(size_c + size_p);
-            self.ledger.add_rounds(1);
-        }
-        self.account_neighbor_notification(c);
-        for &partner in &receivers {
-            self.account_neighbor_notification(partner);
-        }
-        self.ledger.end();
-        receivers
-    }
-
-    fn exchange_all(&mut self, c: ClusterId, cascade: bool) {
-        let receivers = self.exchange_single(c);
-        if cascade {
-            for &partner in &receivers {
-                self.exchange_single(partner);
-            }
-        }
-    }
-
-    /// Neighbour sizes are read in place; nothing is copied.
-    fn account_neighbor_notification(&mut self, c: ClusterId) {
-        let size = self.size(c);
-        let nbrs = self.neighbor_list(c);
-        let mut msgs = 0u64;
-        for &nbr in nbrs {
-            msgs += size * self.size(nbr);
-        }
-        self.ledger.add_messages(msgs);
-        self.ledger.add_rounds(1);
-    }
-
-    // ---------------------------------------------------------------
-    // Operation kernels.
-    // ---------------------------------------------------------------
-
-    fn plan_join(&mut self, node: NodeId, honest: bool, contact: ClusterId) -> Maintenance {
-        self.ledger.begin(CostKind::Join);
-        let host = self.rand_cl(contact);
-        self.attach_node(node, honest, host);
-        let host_size = self.size(host);
-        self.ledger.add_messages(host_size);
-        self.ledger.add_rounds(1);
-        self.account_neighbor_notification(host);
-        self.ledger.add_messages(host_size);
-        self.ledger.add_rounds(1);
-        if self.ctx.params.shuffle_enabled() {
-            self.exchange_all(host, false);
-        }
-        self.ledger.end();
-        Maintenance::Split(host)
-    }
-
-    fn plan_leave(&mut self, node: NodeId) -> Maintenance {
-        // INVARIANT: batch admission rejects leaves of unregistered
-        // nodes before specs are formed, so the leaver has a home.
-        let home = self.home_of(node).expect("pre-validated leaver");
-        self.ledger.begin(CostKind::Leave);
-        self.detach_node(node);
-        let size = self.size(home);
-        self.ledger.add_messages(size);
-        self.ledger.add_rounds(1);
-        self.account_neighbor_notification(home);
-        if self.ctx.params.shuffle_enabled() {
-            let cascade = self.ctx.params.cascade_enabled();
-            self.exchange_all(home, cascade);
-        }
-        self.ledger.end();
-        Maintenance::Merge(home)
-    }
 }
 
-/// Plans one operation; pure in `(ctx, spec, rng)` when `malice` is
-/// `None`.
-fn plan_op(
-    ctx: &WaveCtx<'_>,
-    spec: &OpSpec,
-    rng: DetRng,
-    malice: Option<&mut (dyn Malice + 'static)>,
-) -> OpPlan {
-    let mut planner = Planner::new(ctx, rng, malice);
+/// Plans one operation: the op kernel over a fresh [`Planner`] view,
+/// on the op's own substream and a private ledger. Pure in
+/// `(ctx, spec, rng)` under a neutral `malice`.
+fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn Malice) -> OpPlan {
+    let mut view = Planner::new(ctx.registry);
+    let mut ledger = if ctx.recording {
+        Ledger::recording()
+    } else {
+        Ledger::new()
+    };
     let mut contact_redrawn = false;
+    let mut kernel = Kernel::new(
+        &mut view,
+        ctx.overlay,
+        ctx.params,
+        &mut ledger,
+        &mut rng,
+        malice,
+    );
     let maintenance = match spec.op {
-        PlannedOp::Leave { node } => planner.plan_leave(node),
+        PlannedOp::Leave { node } => Maintenance::Merge(kernel.leave(node)),
         PlannedOp::Join {
             node,
             honest,
@@ -703,35 +428,35 @@ fn plan_op(
             // The contact drawn at batch admission can have been
             // dissolved by an earlier wave's merge; re-draw uniformly
             // over all live clusters from the op's own substream
-            // (deterministic) — the same rule the serial path
-            // (`NowSystem::join`) and the scheduled engine
-            // (`step_parallel_specs`) apply to a stale contact, driven
-            // by a different stream.
+            // (deterministic) — the same rule the serial engine
+            // applies to a stale contact, driven by a different stream.
             let contact = if ctx.registry.contains_cluster(contact) {
                 contact
             } else {
                 contact_redrawn = true;
-                let idx = planner.rng.gen_range(0..ctx.registry.cluster_count());
+                let idx = kernel.rng.gen_range(0..ctx.registry.cluster_count());
                 ctx.registry.cluster_id_at(idx)
             };
-            planner.plan_join(node, honest, contact)
+            Maintenance::Split(kernel.join(node, honest, contact))
         }
     };
+    // The size check is deferred to after the wave, so the op's span
+    // closes here.
+    ledger.end();
     OpPlan {
-        cost: planner.ledger.total(),
-        effects: planner.effects,
-        ledger: planner.ledger,
+        cost: ledger.total(),
+        effects: view.effects,
+        ledger,
         maintenance,
         contact_redrawn,
     }
 }
 
-/// The worker claim loop shared by the pooled and scoped executors:
-/// claim the next op via the atomic cursor, derive its substream, plan
-/// it, and park the plan in its positional slot. Because both executors
-/// run this exact loop against the same `(master, time_step, canon)`
-/// keying, their outputs are bit-identical however claims interleave —
-/// and identical to the sequential path.
+/// The pool workers' claim loop: claim the next op via the atomic
+/// cursor, derive its substream, plan it, and park the plan in its
+/// positional slot. Plans are keyed by `(master, time_step, canon)`
+/// alone, so the output is bit-identical however claims interleave —
+/// and identical to [`plan_wave_sequential`].
 fn claim_and_plan(
     ctx: &WaveCtx<'_>,
     specs: &[OpSpec],
@@ -746,9 +471,10 @@ fn claim_and_plan(
             break;
         }
         let rng = DetRng::for_op(master, time_step, specs[i].canon);
-        let plan = plan_op(ctx, &specs[i], rng, None);
+        // Workers only ever plan for a neutral adversary.
+        let plan = plan_op(ctx, &specs[i], rng, &mut NoMalice);
         // A poisoned slot means another worker panicked mid-wave. That
-        // first panic is re-raised by the executor after quiescence;
+        // first panic is re-raised by the pool after quiescence;
         // cascading a second one here would only bury it, so this
         // worker just stops claiming.
         let Ok(mut slot) = slots[i].lock() else {
@@ -758,72 +484,41 @@ fn claim_and_plan(
     }
 }
 
-/// Single-worker planning: the canonical sequential order every
-/// parallel execution must reproduce bit for bit.
+/// Planning on the driving thread in canonical order: the reference
+/// every pooled run must reproduce bit for bit, and the only way a
+/// strategic (stateful) `malice` is ever consulted.
 fn plan_wave_sequential(
     ctx: &WaveCtx<'_>,
     specs: &[OpSpec],
     master: u64,
     time_step: u64,
+    malice: &mut dyn Malice,
 ) -> Vec<OpPlan> {
     specs
         .iter()
         .map(|spec| {
             let rng = DetRng::for_op(master, time_step, spec.canon);
-            plan_op(ctx, spec, rng, None)
+            plan_op(ctx, spec, rng, &mut *malice)
         })
         .collect()
 }
 
 /// Drains the positional slots into the wave's plan vector.
 ///
-/// Only called after the executor has observed every worker finish
+/// Only called after the pool has observed every worker finish
 /// cleanly (a worker panic is re-raised before collection).
 fn collect_slots(slots: Vec<Mutex<Option<OpPlan>>>) -> Vec<OpPlan> {
     slots
         .into_iter()
         .map(|slot| {
             // INVARIANT: all workers completed without panicking (the
-            // executor re-raised any panic before collecting), so no
+            // pool re-raised any panic before collecting), so no
             // slot is poisoned and the claim cursor covered every op.
             slot.into_inner()
                 .expect("plan slot poisoned")
                 .expect("every op planned")
         })
         .collect()
-}
-
-/// The **legacy scoped executor**: plans a wave on up to `threads`
-/// freshly spawned scoped workers (plain sequential planning when the
-/// wave or the thread budget is width 1). Kept as the determinism and
-/// spawn-overhead reference for [`WavePool`] — `bench_wave_exec`
-/// measures pooled vs scoped, and the property tests pin them
-/// bit-equal. Spawns O(waves·threads) threads per run, which is exactly
-/// the overhead the pool removes.
-fn plan_wave_scoped(
-    ctx: &WaveCtx<'_>,
-    specs: &[OpSpec],
-    master: u64,
-    time_step: u64,
-    threads: usize,
-) -> Vec<OpPlan> {
-    let n = specs.len();
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return plan_wave_sequential(ctx, specs, master, time_step);
-    }
-    let slots: Vec<Mutex<Option<OpPlan>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    // Legacy scoped spawner, kept as the bench/CI reference engine; with
-    // WavePool::new below, one of this file's two sanctioned spawn sites
-    // (lint.toml D003 allow — gated by tests/pool_spawn_accounting.rs).
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            WAVE_WORKER_SPAWNS.fetch_add(1, Ordering::Relaxed);
-            scope.spawn(|| claim_and_plan(ctx, specs, &slots, &cursor, master, time_step));
-        }
-    });
-    collect_slots(slots)
 }
 
 // -------------------------------------------------------------------
@@ -890,15 +585,12 @@ struct PoolWorker {
 /// A persistent, channel-fed wave-worker pool: **one spawn per run, not
 /// per wave**.
 ///
-/// The scoped executor of PR 3 re-spawned `threads` OS threads for
-/// every wave of width ≥ 2, so conflict-heavy batches that schedule
-/// into hundreds of narrow waves paid spawn overhead hundreds of times
-/// per step. A `WavePool` spawns its workers once, at construction, and
+/// Conflict-heavy batches schedule into hundreds of narrow waves per
+/// step, so a `WavePool` spawns its workers once, at construction, and
 /// feeds them wave-plan jobs over per-worker channels; workers claim
-/// operations through the same atomic cursor and write plans into the
-/// same positional slots as the scoped path, so the output is
-/// **bit-identical** to the scoped executor (and the sequential path)
-/// at every thread count — the property tests pin all three equal.
+/// operations through an atomic cursor and write plans into positional
+/// slots, so the output is **bit-identical** to sequential planning at
+/// every thread count — the property tests pin them equal.
 ///
 /// * `threads == 1` (or 0, see [`normalize_threads`]) spawns **no**
 ///   workers: planning runs inline on the driving thread.
@@ -919,15 +611,15 @@ pub struct WavePool {
 }
 
 impl WavePool {
-    /// Spawns the pool's workers: `normalize_threads(threads) - 1 + 1`
-    /// OS threads when `threads ≥ 2`, none for single-worker pools.
+    /// Spawns the pool's workers: `normalize_threads(threads)` OS
+    /// threads when `threads ≥ 2`, none for single-worker pools.
     pub fn new(threads: usize) -> Self {
         let threads = normalize_threads(threads);
         let (done_tx, done_rx) = mpsc::channel();
         let mut workers = Vec::new();
         if threads > 1 {
-            // The pool is the workspace's home for worker threads: every
-            // other spawn is a D003 finding (lint.toml allows this file).
+            // The workspace's one thread-spawn site: every other spawn
+            // is a D003 finding (lint.toml allows this file).
             for _ in 0..threads {
                 let (job_tx, job_rx) = mpsc::channel::<WaveJob>();
                 let done = done_tx.clone();
@@ -987,7 +679,7 @@ impl WavePool {
         let n = specs.len();
         let participants = self.workers.len().min(n);
         if participants <= 1 {
-            return plan_wave_sequential(ctx, specs, master, time_step);
+            return plan_wave_sequential(ctx, specs, master, time_step, &mut NoMalice);
         }
         let slots: Vec<Mutex<Option<OpPlan>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
@@ -1045,15 +737,6 @@ impl Drop for WavePool {
     }
 }
 
-/// Which parallel planner a batched step runs its waves on.
-pub(crate) enum PlanEngine<'p> {
-    /// The persistent pool (one spawn per pool lifetime).
-    Pooled(&'p WavePool),
-    /// The legacy scoped executor (spawns per wave); retained as the
-    /// determinism/spawn-overhead reference.
-    Scoped(usize),
-}
-
 /// Order-preserving greedy wave partition over pre-batch footprints
 /// (the same rule the serial scheduler applies incrementally). The
 /// event engine feeds this the batch in *network delivery order*; the
@@ -1061,20 +744,75 @@ pub(crate) enum PlanEngine<'p> {
 pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
     let mut waves = Vec::new();
     let mut start = 0usize;
-    let mut union: BTreeSet<ClusterId> = BTreeSet::new();
+    let mut open = WaveFootprint::default();
     for (i, spec) in specs.iter().enumerate() {
-        let conflicts = i > start && spec.footprint.iter().any(|c| union.contains(c));
-        if conflicts {
+        if open.admit(&spec.footprint) {
             waves.push(start..i);
             start = i;
-            union.clear();
         }
-        union.extend(spec.footprint.iter().copied());
     }
     if start < specs.len() {
         waves.push(start..specs.len());
     }
     waves
+}
+
+/// Applies one planned operation's effects to the wave's shards —
+/// through the op's footprint handle where the effect stays inside the
+/// footprint, through the facade's unconfined path where it
+/// legitimately escapes — and records every cluster whose membership
+/// changed in `touched`. Called in canonical op order, so a relocation
+/// of a node an earlier op already moved or detached resolves the same
+/// way at every thread count.
+fn apply_effects(
+    shards: &WaveShards<'_>,
+    footprint: &[ClusterId],
+    effects: &[Effect],
+    touched: &mut BTreeSet<ClusterId>,
+) {
+    let mut handle = shards.handle(footprint);
+    for effect in effects {
+        match *effect {
+            Effect::Detach { node } => match shards.node_record(node) {
+                Some(rec) if handle.covers(rec.cluster) => {
+                    handle.detach(node);
+                    touched.insert(rec.cluster);
+                }
+                Some(rec) => {
+                    shards.detach_any(node);
+                    touched.insert(rec.cluster);
+                }
+                None => {}
+            },
+            Effect::Attach {
+                node,
+                honest,
+                cluster,
+            } => {
+                if handle.covers(cluster) {
+                    handle.attach(node, honest, cluster);
+                } else {
+                    shards.attach_any(node, honest, cluster);
+                }
+                touched.insert(cluster);
+            }
+            Effect::Move { node, to } => match shards.node_record(node) {
+                Some(rec) if handle.covers(rec.cluster) && handle.covers(to) => {
+                    handle.move_within(node, to);
+                    touched.insert(rec.cluster);
+                    touched.insert(to);
+                }
+                Some(rec) => {
+                    shards.move_any(node, to);
+                    touched.insert(rec.cluster);
+                    touched.insert(to);
+                }
+                // The node departed earlier in this wave: the
+                // relocation is void.
+                None => {}
+            },
+        }
+    }
 }
 
 /// The admitted half of a batch: up-front rejection decisions applied,
@@ -1089,94 +827,9 @@ pub(crate) struct AdmittedBatch {
     pub(crate) rejected: Vec<(NodeId, NowError)>,
     /// The admitted operations in canonical order.
     pub(crate) specs: Vec<OpSpec>,
-    /// Steered contacts redrawn at admission.
-    pub(crate) contact_redraws: u64,
 }
 
 impl NowSystem {
-    /// Executes a batch of departures and arrivals as one time step,
-    /// *actually running* each conflict-free wave's operations on up to
-    /// `threads` worker threads (see the module docs for the execution
-    /// model).
-    ///
-    /// The result is bit-identical at every `threads` value — admitted
-    /// ids, population, ledger totals and per-kind statistics, and the
-    /// wave schedule all match a `threads = 1` run of the same seed;
-    /// only [`BatchReport::wall_nanos`] varies. `threads = 0` is
-    /// treated as 1.
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::threaded`")]
-    pub fn step_parallel_threaded(
-        &mut self,
-        join_honesty: &[bool],
-        leaves: &[NodeId],
-        threads: usize,
-    ) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_flags(join_honesty, leaves),
-            &crate::exec::ExecConfig::threaded(threads),
-        )
-    }
-
-    /// [`NowSystem::step_parallel_threaded`] with per-arrival contact
-    /// steering (see [`crate::batch::JoinSpec`]).
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::threaded`")]
-    pub fn step_parallel_threaded_specs(
-        &mut self,
-        joins: &[crate::batch::JoinSpec],
-        leaves: &[NodeId],
-        threads: usize,
-    ) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_specs(joins, leaves),
-            &crate::exec::ExecConfig::threaded(threads),
-        )
-    }
-
-    /// [`NowSystem::step_parallel_threaded`] on a caller-held
-    /// [`WavePool`].
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::pooled`")]
-    pub fn step_parallel_pooled(
-        &mut self,
-        join_honesty: &[bool],
-        leaves: &[NodeId],
-        pool: &WavePool,
-    ) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_flags(join_honesty, leaves),
-            &crate::exec::ExecConfig::pooled(pool),
-        )
-    }
-
-    /// [`NowSystem::step_parallel_pooled`] with per-arrival contact
-    /// steering.
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::pooled`")]
-    pub fn step_parallel_pooled_specs(
-        &mut self,
-        joins: &[crate::batch::JoinSpec],
-        leaves: &[NodeId],
-        pool: &WavePool,
-    ) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_specs(joins, leaves),
-            &crate::exec::ExecConfig::pooled(pool),
-        )
-    }
-
-    /// The legacy scoped executor: bit-identical to the pooled engine
-    /// but spawns fresh scoped workers for every wave of width ≥ 2.
-    #[deprecated(note = "use `NowSystem::step_batch` with `ExecConfig::scoped`")]
-    pub fn step_parallel_scoped_specs(
-        &mut self,
-        joins: &[crate::batch::JoinSpec],
-        leaves: &[NodeId],
-        threads: usize,
-    ) -> BatchReport {
-        self.step_batch(
-            &crate::exec::BatchInput::from_specs(joins, leaves),
-            &crate::exec::ExecConfig::scoped(threads),
-        )
-    }
-
     /// Validates a batch up front and fixes the canonical order:
     /// departures before arrivals, each in input order, with the
     /// per-operation substream index ([`OpSpec::canon`]) equal to the
@@ -1244,14 +897,12 @@ impl NowSystem {
                 }
             }
         }
-        // Redraws are counted when the op's wave executes (via the
-        // spec flag), so admission itself reports zero.
-        let contact_redraws = 0u64;
         for &spec in joins {
             // Admission-time resolution against the pre-batch state;
             // contacts dissolved later, by an earlier *wave* of this
             // batch, get the plan-time redraw in `plan_op`. Either way
-            // the op counts as at most one redraw (see `OpSpec`).
+            // the op counts as at most one redraw, when its wave
+            // executes (see `OpSpec`).
             let (contact, redrawn) = self.resolve_batch_contact(spec);
             let node = self.ids.node();
             joined.push(node);
@@ -1281,15 +932,16 @@ impl NowSystem {
             left,
             rejected,
             specs,
-            contact_redraws,
         }
     }
 
+    /// The wave engine: admit, partition into conflict-free waves, and
+    /// execute each on `pool` (on the driving thread when `None`).
     pub(crate) fn step_waves_impl(
         &mut self,
         joins: &[crate::batch::JoinSpec],
         leaves: &[NodeId],
-        engine: PlanEngine<'_>,
+        pool: Option<&WavePool>,
     ) -> BatchReport {
         // Wall-clock measurement only: feeds `wall_nanos`, which is
         // excluded from byte-diffed reports.
@@ -1301,15 +953,16 @@ impl NowSystem {
             left,
             rejected,
             specs,
-            mut contact_redraws,
         } = self.admit_batch(joins, leaves);
 
         let waves = partition_waves(&specs);
         let master = self.rng.next_u64();
 
+        let mut contact_redraws = 0u64;
         let mut wave_stats: Vec<WaveStats> = Vec::with_capacity(waves.len());
         for wave in waves {
-            let stats = self.execute_wave(&specs[wave], &engine, master, &mut contact_redraws);
+            // INVARIANT: `partition_waves` returns ranges within `specs`.
+            let stats = self.execute_wave(&specs[wave], pool, master, &mut contact_redraws);
             wave_stats.push(stats);
         }
 
@@ -1338,15 +991,16 @@ impl NowSystem {
         }
     }
 
-    /// Plans and applies one conflict-free wave: plan on the engine's
-    /// workers (sequentially for a strategic Malice), apply effects
-    /// canonically through the wave shards, fold ledgers, then run the
-    /// deferred size maintenance. Shared by the wave engines (canonical
-    /// order) and the event engine (delivery order).
+    /// Plans and applies one conflict-free wave: plan on the pool's
+    /// workers (on the driving thread without a pool, or for a
+    /// strategic Malice), apply effects canonically through the wave
+    /// shards, fold ledgers, then run the deferred size maintenance.
+    /// Shared by the wave engines (canonical order) and the event engine
+    /// (delivery order).
     pub(crate) fn execute_wave(
         &mut self,
         wave_specs: &[OpSpec],
-        engine: &PlanEngine<'_>,
+        pool: Option<&WavePool>,
         master: u64,
         contact_redraws: &mut u64,
     ) -> WaveStats {
@@ -1355,7 +1009,7 @@ impl NowSystem {
         let recording = self.ledger.is_recording();
 
         {
-            // ---- plan (workers; sequential for a strategic Malice) ----
+            // ---- plan ----
             let ctx = WaveCtx {
                 registry: &self.registry,
                 overlay: &self.overlay,
@@ -1363,21 +1017,14 @@ impl NowSystem {
                 recording,
             };
             let plan_start = now_trace::stopwatch();
-            let plans: Vec<OpPlan> = if neutral {
-                match *engine {
-                    PlanEngine::Pooled(pool) => pool.plan_wave(&ctx, wave_specs, master, time_step),
-                    PlanEngine::Scoped(threads) => {
-                        plan_wave_scoped(&ctx, wave_specs, master, time_step, threads)
-                    }
+            let plans: Vec<OpPlan> = match pool {
+                Some(pool) if neutral => pool.plan_wave(&ctx, wave_specs, master, time_step),
+                _ if neutral => {
+                    plan_wave_sequential(&ctx, wave_specs, master, time_step, &mut NoMalice)
                 }
-            } else {
-                wave_specs
-                    .iter()
-                    .map(|spec| {
-                        let rng = DetRng::for_op(master, time_step, spec.canon);
-                        plan_op(&ctx, spec, rng, Some(&mut *self.malice))
-                    })
-                    .collect()
+                _ => {
+                    plan_wave_sequential(&ctx, wave_specs, master, time_step, self.malice.as_mut())
+                }
             };
             plan_start.record_into(&WAVE_PLAN_NANOS);
 
@@ -1412,49 +1059,7 @@ impl NowSystem {
             {
                 let shards = self.registry.wave_shards();
                 for (spec, plan) in wave_specs.iter().zip(&plans) {
-                    let mut handle = shards.handle(&spec.footprint);
-                    for effect in &plan.effects {
-                        match *effect {
-                            Effect::Detach { node } => match shards.node_record(node) {
-                                Some(rec) if handle.covers(rec.cluster) => {
-                                    handle.detach(node);
-                                    touched.insert(rec.cluster);
-                                }
-                                Some(rec) => {
-                                    shards.detach_any(node);
-                                    touched.insert(rec.cluster);
-                                }
-                                None => {}
-                            },
-                            Effect::Attach {
-                                node,
-                                honest,
-                                cluster,
-                            } => {
-                                if handle.covers(cluster) {
-                                    handle.attach(node, honest, cluster);
-                                } else {
-                                    shards.attach_any(node, honest, cluster);
-                                }
-                                touched.insert(cluster);
-                            }
-                            Effect::Move { node, to } => match shards.node_record(node) {
-                                Some(rec) if handle.covers(rec.cluster) && handle.covers(to) => {
-                                    handle.move_within(node, to);
-                                    touched.insert(rec.cluster);
-                                    touched.insert(to);
-                                }
-                                Some(rec) => {
-                                    shards.move_any(node, to);
-                                    touched.insert(rec.cluster);
-                                    touched.insert(to);
-                                }
-                                // The node departed earlier in this
-                                // wave: the relocation is void.
-                                None => {}
-                            },
-                        }
-                    }
+                    apply_effects(&shards, &spec.footprint, &plan.effects, &mut touched);
                 }
                 let (pop_delta, byz_delta) = shards.deltas();
                 // INVARIANT: the deltas are sums over this wave's own
@@ -1538,8 +1143,11 @@ impl NowSystem {
 mod tests {
     use super::*;
     use crate::exec::{BatchInput, ExecConfig};
+    use crate::malice::{RandNumContext, RandNumPurpose};
     use crate::params::NowParams;
     use now_net::CostKind;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -1635,40 +1243,22 @@ mod tests {
     #[test]
     fn threads_knob_normalizes_identically_everywhere() {
         // The one shared rule: 0 means 1. Pinned here for the helper
-        // itself and for each now-core entry point that takes the knob;
-        // now-sim and now-campaign have their own regression tests
-        // built on the same helper.
+        // itself and for the pool (`zero_threads_is_one_thread` covers
+        // `ExecConfig::threaded`); now-sim and now-campaign have their
+        // own regression tests built on the same helper.
         assert_eq!(normalize_threads(0), 1);
         assert_eq!(normalize_threads(1), 1);
         assert_eq!(normalize_threads(7), 7);
         let pool = WavePool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.worker_count(), 0, "single-worker pools plan inline");
-        let joins = [true, false];
-        let scoped = |threads: usize| {
-            let mut sys = sparse_system(3);
-            let leaves: Vec<NodeId> = sys.node_ids().into_iter().step_by(17).take(2).collect();
-            let specs: Vec<crate::batch::JoinSpec> = joins
-                .iter()
-                .map(|&h| crate::batch::JoinSpec::uniform(h))
-                .collect();
-            let report = sys.step_batch(
-                &BatchInput::from_specs(&specs, &leaves),
-                &ExecConfig::scoped(threads),
-            );
-            (fingerprint(&sys, &report), sys)
-        };
-        let (f0, _) = scoped(0);
-        let (f1, _) = scoped(1);
-        assert_eq!(f0, f1, "scoped executor: threads=0 must equal threads=1");
     }
 
-    /// The tentpole contract: the pooled engine, the legacy scoped
-    /// engine, and sequential planning are bit-identical on the full
-    /// observable fingerprint, for multi-wave batches at several thread
-    /// counts.
+    /// The pool's contract: pooled planning and sequential planning on
+    /// the driving thread are bit-identical on the full observable
+    /// fingerprint, for multi-wave batches at several thread counts.
     #[test]
-    fn pooled_equals_scoped_equals_sequential() {
+    fn pooled_equals_sequential() {
         let joins = [true, false, true, true, false, true, true, false];
         let build = || {
             let sys = sparse_system(21);
@@ -1682,7 +1272,7 @@ mod tests {
         let (mut seq_sys, leaves) = build();
         let seq_report = seq_sys.step_batch(
             &BatchInput::from_specs(&specs, &leaves),
-            &ExecConfig::threaded(1),
+            &ExecConfig::scheduled(),
         );
         assert!(
             seq_report.waves.len() >= 2,
@@ -1696,20 +1286,10 @@ mod tests {
                 &BatchInput::from_specs(&specs, &leaves),
                 &ExecConfig::pooled(&pool),
             );
-            let (mut scoped_sys, leaves) = build();
-            let scoped_report = scoped_sys.step_batch(
-                &BatchInput::from_specs(&specs, &leaves),
-                &ExecConfig::scoped(threads),
-            );
             assert_eq!(
                 fingerprint(&seq_sys, &seq_report),
                 fingerprint(&pooled_sys, &pooled_report),
                 "sequential vs pooled({threads}) diverged"
-            );
-            assert_eq!(
-                fingerprint(&seq_sys, &seq_report),
-                fingerprint(&scoped_sys, &scoped_report),
-                "sequential vs scoped({threads}) diverged"
             );
             pooled_sys.check_consistency().unwrap();
         }
@@ -1959,91 +1539,91 @@ mod tests {
         assert!(joins >= 50 && leaves >= 50);
     }
 
-    /// Tripwire for kernel/serial drift: the planner mirrors the serial
-    /// join/leave/exchange/walk implementations, so a single-op batch
-    /// and a serial op are the *same cost model* driven by different
-    /// streams. The span-kind sets must agree exactly and the ensemble
-    /// mean per-op message cost must stay within a tight band — a
-    /// change to the serial semantics (new ledger span, changed walk
-    /// formula, cascade rule) that is not mirrored here trips this
-    /// before it silently forks the two engines.
-    #[test]
-    fn mirror_tracks_serial_cost_model() {
-        use std::collections::BTreeSet;
-        let span_kinds = |sys: &NowSystem| -> BTreeSet<CostKind> {
-            CostKind::ALL
+    /// What a [`Script`] was asked, shared with the test through an
+    /// `Rc` because the system owns its adversary.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct Tally {
+        forced_hops: u64,
+        victims: u64,
+        saw_joiner: u64,
+    }
+
+    /// A strategic adversary with a script. The first walk that starts
+    /// in a compromised cluster stays there when `stay` is set (so a
+    /// join through such a contact is hosted by it); every later walk
+    /// that passes a compromised cluster is hopped towards `lure` and
+    /// stops there; every endpoint a compromised cluster decides on is
+    /// accepted; a compromised exchange partner surrenders its lowest-id
+    /// Byzantine member — a choice that depends on the honesty the
+    /// state reports for each member, the op's own joiner included.
+    /// Draws it has no script for consume the stream.
+    struct Script {
+        lure: ClusterId,
+        stay: bool,
+        joiner: Option<NodeId>,
+        tally: Rc<Cell<Tally>>,
+    }
+
+    impl Script {
+        fn note(&self, f: impl FnOnce(&mut Tally)) {
+            let mut tally = self.tally.get();
+            f(&mut tally);
+            self.tally.set(tally);
+        }
+    }
+
+    impl Malice for Script {
+        fn rand_num(&mut self, range: u64, ctx: RandNumContext, rng: &mut DetRng) -> u64 {
+            match ctx.purpose {
+                // The smallest draw is the longest holding time (stop
+                // here), the largest the shortest (hop on).
+                RandNumPurpose::WalkHoldingTime => {
+                    if ctx.cluster == self.lure || std::mem::take(&mut self.stay) {
+                        0
+                    } else {
+                        range - 1
+                    }
+                }
+                RandNumPurpose::WalkAcceptance => 0,
+                _ => rng.gen_range(0..range),
+            }
+        }
+
+        fn walk_hop(&mut self, neighbors: &[ClusterId], rng: &mut DetRng) -> Option<ClusterId> {
+            self.note(|t| t.forced_hops += 1);
+            if neighbors.contains(&self.lure) {
+                Some(self.lure)
+            } else {
+                Some(neighbors[rng.gen_range(0..neighbors.len())])
+            }
+        }
+
+        fn exchange_victim(
+            &mut self,
+            members: &[(NodeId, bool)],
+            _rng: &mut DetRng,
+        ) -> Option<NodeId> {
+            let saw = members.iter().any(|&(m, _)| Some(m) == self.joiner);
+            self.note(|t| {
+                t.victims += 1;
+                t.saw_joiner += u64::from(saw);
+            });
+            members
                 .iter()
-                .copied()
-                .filter(|&k| k != CostKind::Batch && sys.ledger().stats(k).count > 0)
-                .collect()
-        };
-        // Sized so no split/merge triggers: serial nests maintenance
-        // inside the op span while the engine accounts it as a sibling,
-        // which would skew the comparison.
-        let mut serial_join = 0u64;
-        let mut mirror_join = 0u64;
-        let mut serial_leave = 0u64;
-        let mut mirror_leave = 0u64;
-        for seed in 0..12u64 {
-            let mut a = system(160, seed);
-            a.join(true);
-            let victim = a.node_ids()[0];
-            a.leave(victim).unwrap();
-            serial_join += a.ledger().stats(CostKind::Join).total_messages;
-            serial_leave += a.ledger().stats(CostKind::Leave).total_messages;
-
-            let mut b = system(160, seed);
-            b.step_batch(
-                &BatchInput::from_flags(&[true], &[]),
-                &ExecConfig::threaded(1),
-            );
-            let victim = b.node_ids()[0];
-            b.step_batch(
-                &BatchInput::from_flags(&[], &[victim]),
-                &ExecConfig::threaded(1),
-            );
-            mirror_join += b.ledger().stats(CostKind::Join).total_messages;
-            mirror_leave += b.ledger().stats(CostKind::Leave).total_messages;
-
-            assert_eq!(
-                span_kinds(&a),
-                span_kinds(&b),
-                "span-kind sets diverged (seed {seed})"
-            );
-        }
-        for (serial, mirror, what) in [
-            (serial_join, mirror_join, "join"),
-            (serial_leave, mirror_leave, "leave"),
-        ] {
-            let ratio = mirror as f64 / serial as f64;
-            assert!(
-                (0.75..=1.33).contains(&ratio),
-                "{what} mean cost drifted: serial {serial}, mirror {mirror} (×{ratio:.3})"
-            );
+                .find(|&&(_, honest)| !honest)
+                .map(|&(m, _)| m)
         }
     }
 
-    fn wave_ctx(sys: &NowSystem) -> WaveCtx<'_> {
-        WaveCtx {
-            registry: &sys.registry,
-            overlay: &sys.overlay,
-            params: sys.params,
-            recording: false,
-        }
-    }
-
-    /// The two walk kernels are one walk: on the same state and the
-    /// same stream, the serial `rand_cl_from` and the planner's mirror
-    /// stop at the same cluster, leave the stream at the same word, and
-    /// book the same `RandCl` / `RandNum` spans — from secure starts
-    /// and from a start cluster the adversary holds past 1/3.
-    #[test]
-    fn serial_and_planner_walks_agree() {
-        let mut sys = system(400, 14);
-        // Pollute one cluster past 1/3 by registry surgery: honest
-        // members out until `randNum` is compromised there.
-        let victim = sys.cluster_ids()[0];
-        let refuge = sys.cluster_ids()[1];
+    /// Swaps honest members of `victim` for Byzantine members of the
+    /// `donors` until `randNum` is compromised there; sizes stay as
+    /// they were.
+    fn pollute(sys: &mut NowSystem, victim: ClusterId, donors: &[ClusterId]) {
+        let mut traitors: Vec<NodeId> = donors
+            .iter()
+            .flat_map(|&d| sys.cluster(d).unwrap().members())
+            .filter(|&m| !sys.is_honest(m).unwrap())
+            .collect();
         while sys.cluster(victim).unwrap().rand_num_secure() {
             let honest = sys
                 .cluster(victim)
@@ -2051,49 +1631,160 @@ mod tests {
                 .members()
                 .find(|&m| sys.is_honest(m).unwrap())
                 .expect("has honest members");
-            sys.move_node(honest, refuge);
+            let traitor = traitors
+                .pop()
+                .expect("donors hold enough Byzantine members");
+            let donor = sys.node_cluster(traitor).unwrap();
+            sys.move_node(traitor, victim);
+            sys.move_node(honest, donor);
         }
-        sys.check_consistency().unwrap();
-        let secure_start = sys.cluster_ids()[2];
-        assert!(sys.cluster(secure_start).unwrap().rand_num_secure());
+    }
 
-        let mut compromised_hops = 0;
-        for (walk, start) in [victim, secure_start]
-            .into_iter()
-            .cycle()
-            .take(40)
-            .enumerate()
-        {
-            let stream = DetRng::new(1000 + walk as u64);
+    /// One Byzantine arrival through `start`, or the departure of
+    /// `node`, with the op's span closed right after (no size check).
+    fn run<S: StateView>(
+        kernel: &mut Kernel<'_, S>,
+        join: bool,
+        node: NodeId,
+        start: ClusterId,
+    ) -> ClusterId {
+        let center = if join {
+            kernel.join(node, false, start)
+        } else {
+            kernel.leave(node)
+        };
+        kernel.ledger.end();
+        center
+    }
 
-            let (planned_end, planned_word, planned_ledger) = {
-                let ctx = wave_ctx(&sys);
-                let mut planner = Planner::new(&ctx, stream.clone(), None);
-                let end = planner.rand_cl(start);
-                assert!(planner.views.is_empty(), "a walk edits nothing");
-                (end, planner.rng.next_u64(), planner.ledger)
-            };
+    /// The op kernel is one piece of code on two states, and the two
+    /// states agree: an operation run on the live registry, and the same
+    /// operation run on a planner view whose effects are then applied
+    /// canonically, leave identical member slices in every cluster, the
+    /// stream at the same word, and the same ledger — under the neutral
+    /// adversary and under a scripted strategic one, from secure
+    /// clusters and from a start (and a lure next to it) that the
+    /// adversary holds past 1/3.
+    #[test]
+    fn kernel_on_live_state_equals_plan_then_apply() {
+        let mut cases = 0;
+        let mut asked = Tally::default();
+        for seed in 0..14u64 {
+            for (join, strategic) in [(true, false), (true, true), (false, false), (false, true)] {
+                let case = format!("seed {seed}, join {join}, strategic {strategic}");
+                // Two identical systems. The lowest node id is freed so
+                // that a joiner can take it: exchanges go through a
+                // cluster in id order, so this joiner is swapped out
+                // first and sits in a partner cluster while the others
+                // follow. Odd seeds pollute the start and the lure.
+                let recycled = NodeId::from_raw(0);
+                let build = || {
+                    let mut sys = system(400, seed);
+                    sys.detach_node(recycled).unwrap();
+                    let ids = sys.cluster_ids();
+                    let start = ids[0];
+                    let lure = sys.overlay().neighbors(start)[0];
+                    if seed % 2 == 1 {
+                        let donors: Vec<ClusterId> = ids
+                            .iter()
+                            .copied()
+                            .filter(|&c| c != start && c != lure)
+                            .collect();
+                        pollute(&mut sys, start, &donors);
+                        pollute(&mut sys, lure, &donors);
+                    }
+                    sys.check_consistency().unwrap();
+                    (sys, start, lure)
+                };
+                let ((mut live, start, lure), (mut frozen, ..)) = (build(), build());
+                let ids = live.cluster_ids();
+                // A Byzantine arrival, or a departure from the start.
+                let node = if join {
+                    recycled
+                } else {
+                    live.cluster(start).unwrap().member_at(seed as usize % 7)
+                };
+                let adversary = || -> (Box<dyn Malice>, Rc<Cell<Tally>>) {
+                    let tally = Rc::new(Cell::new(Tally::default()));
+                    let malice: Box<dyn Malice> = if strategic {
+                        Box::new(Script {
+                            lure,
+                            stay: join,
+                            joiner: join.then_some(node),
+                            tally: Rc::clone(&tally),
+                        })
+                    } else {
+                        Box::new(NoMalice)
+                    };
+                    (malice, tally)
+                };
+                let stream = DetRng::new(7_000 + seed);
 
-            sys.rng = stream;
-            sys.ledger = Ledger::new();
-            let (serial_end, trace) = sys.rand_cl_from(start);
-            compromised_hops += trace.compromised_hops;
+                // The kernel on the live registry.
+                let (malice, live_tally) = adversary();
+                live.set_malice(malice);
+                live.rng = stream.clone();
+                live.ledger = Ledger::new();
+                let center = run(&mut live.kernel(), join, node, start);
+                let size = live.cluster(center).unwrap().size();
+                let band = live.params.min_cluster_size()..=live.params.max_cluster_size();
+                assert!(band.contains(&size), "no split/merge fires: {case}");
 
-            assert_eq!(serial_end, planned_end, "endpoint of walk {walk}");
-            assert_eq!(sys.rng.next_u64(), planned_word, "stream after walk {walk}");
-            assert_eq!(sys.ledger.total(), planned_ledger.total());
-            for kind in [CostKind::RandCl, CostKind::RandNum] {
-                assert_eq!(
-                    sys.ledger.stats(kind),
-                    planned_ledger.stats(kind),
-                    "{kind} of walk {walk}"
+                // The kernel on a view, then canonical application.
+                let (mut malice, view_tally) = adversary();
+                let mut rng = stream.clone();
+                let mut ledger = Ledger::new();
+                let mut view = Planner::new(&frozen.registry);
+                let mut kernel = Kernel::new(
+                    &mut view,
+                    &frozen.overlay,
+                    frozen.params,
+                    &mut ledger,
+                    &mut rng,
+                    malice.as_mut(),
                 );
+                let planned_center = run(&mut kernel, join, node, start);
+                let effects = view.effects;
+                let footprint = frozen.op_footprint(start);
+                let shards = frozen.registry.wave_shards();
+                apply_effects(&shards, &footprint, &effects, &mut BTreeSet::new());
+                let (pop, byz) = shards.deltas();
+                frozen.registry.apply_wave_deltas(pop, byz).unwrap();
+                live.check_consistency().unwrap();
+                frozen.check_consistency().unwrap();
+
+                assert_eq!(center, planned_center, "{case}");
+                for &c in &ids {
+                    assert_eq!(
+                        live.cluster(c).unwrap().member_slice(),
+                        frozen.cluster(c).unwrap().member_slice(),
+                        "members of {c}: {case}"
+                    );
+                }
+                assert_eq!(live.rng.next_u64(), rng.next_u64(), "stream: {case}");
+                assert_eq!(live.ledger.total(), ledger.total(), "{case}");
+                for &kind in CostKind::ALL.iter() {
+                    assert_eq!(
+                        live.ledger.stats(kind),
+                        ledger.stats(kind),
+                        "{kind}: {case}"
+                    );
+                }
+                assert!(ledger.stats(CostKind::Exchange).count > 0, "{case}");
+                assert_eq!(live_tally.get(), view_tally.get(), "hooks asked: {case}");
+                let t = view_tally.get();
+                asked.forced_hops += t.forced_hops;
+                asked.victims += t.victims;
+                asked.saw_joiner += t.saw_joiner;
+                cases += 1;
             }
-            assert!(sys.ledger.stats(CostKind::RandNum).count > 0);
         }
+        assert!(cases >= 48, "cases: {cases}");
+        assert!(asked.forced_hops > 0, "the script forced hops: {asked:?}");
+        assert!(asked.victims > 0, "the script chose victims: {asked:?}");
         assert!(
-            compromised_hops > 0,
-            "walks from the victim hop compromised"
+            asked.saw_joiner > 0,
+            "a compromised partner held the op's own joiner: {asked:?}"
         );
     }
 
@@ -2106,13 +1797,20 @@ mod tests {
         let params = NowParams::for_capacity(1 << 16).unwrap();
         let sys = NowSystem::init_fast(params, 1024 * params.target_cluster_size(), 0.05, 3);
         assert_eq!(sys.cluster_count(), 1024);
-        let ctx = wave_ctx(&sys);
-        let mut planner = Planner::new(&ctx, DetRng::new(9), None);
+        let mut planner = Planner::new(&sys.registry);
+        let mut ledger = Ledger::new();
         let joiner = NodeId::from_raw(1 << 40);
         let contact = sys.cluster_ids()[17];
-        let Maintenance::Split(host) = planner.plan_join(joiner, true, contact) else {
-            panic!("a join defers a split check");
-        };
+        let host = Kernel::new(
+            &mut planner,
+            &sys.overlay,
+            sys.params,
+            &mut ledger,
+            &mut DetRng::new(9),
+            &mut NoMalice,
+        )
+        .join(joiner, true, contact);
+        ledger.end();
 
         // Host and partners, read off the planned effects.
         let mut edited = BTreeSet::from([host]);
@@ -2136,18 +1834,19 @@ mod tests {
         // The walks went far wider than that: one per exchanged member
         // plus the host draw, dozens of hops each (a hop books one
         // round on top of its draws' two each).
-        let walks = planner.ledger.stats(CostKind::RandCl);
+        let walks = ledger.stats(CostKind::RandCl);
         assert!(walks.count > 30, "walks: {}", walks.count);
-        let draws = planner.ledger.stats(CostKind::RandNum);
+        let draws = ledger.stats(CostKind::RandNum);
         let hops = walks.total_rounds - draws.total_rounds;
         assert!(hops > 1024, "hops: {hops}");
         let host_size = sys.cluster(host).unwrap().size() + 1;
         assert!(edited.len() <= 1 + host_size);
 
-        // Ids copied: each edited cluster once, plus the one exchange
-        // snapshot of the host.
+        // Ids copied into views: each edited cluster once. (The
+        // exchange's one snapshot of the host is the kernel's, the same
+        // on every state.)
         let copied_into_views: usize = edited.iter().map(|&c| sys.cluster(c).unwrap().size()).sum();
-        assert_eq!(planner.member_ids_copied, copied_into_views + host_size);
+        assert_eq!(planner.member_ids_copied, copied_into_views);
     }
 
     #[test]

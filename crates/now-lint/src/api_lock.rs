@@ -2,7 +2,9 @@
 //!
 //! Every crate under `crates/` commits a canonical `API.lock`: one
 //! sorted line per lexically-`pub` item (plus trait-impl lines, which
-//! change a type's capabilities without any `pub` keyword). The lock is
+//! change a type's capabilities without any `pub` keyword — except
+//! impls of a trait the crate itself declares without `pub`, which
+//! nobody outside can name). The lock is
 //! the reviewable semver surface: changing what a crate exports without
 //! touching its `API.lock` fails CI, so a public-surface change is
 //! always a *visible, intentional* diff — regenerate with
@@ -29,10 +31,14 @@ pub const LOCK_HEADER: &str =
 /// trailing newline). Byte-stable: depends only on the parsed source.
 pub fn render_surface(files: &[UnitFile]) -> String {
     let mut lines: Vec<String> = Vec::new();
+    let mut internal_traits: Vec<&str> = Vec::new();
+    for file in files {
+        collect_internal_traits(&file.items, &mut internal_traits);
+    }
     for file in files {
         let base = module_path_of(&file.path);
         let mut path = base.clone();
-        walk(&file.items, &mut path, &mut lines);
+        walk(&file.items, &mut path, &internal_traits, &mut lines);
     }
     lines.sort();
     lines.dedup();
@@ -111,7 +117,18 @@ fn join(path: &[String], name: &str) -> String {
     }
 }
 
-fn walk(items: &[Item], path: &mut Vec<String>, out: &mut Vec<String>) {
+/// Names of the traits this unit declares without plain `pub`.
+fn collect_internal_traits<'a>(items: &'a [Item], out: &mut Vec<&'a str>) {
+    for item in items {
+        match item.kind {
+            ItemKind::Trait if item.vis != Vis::Pub => out.push(&item.name),
+            ItemKind::Mod => collect_internal_traits(&item.children, out),
+            _ => {}
+        }
+    }
+}
+
+fn walk(items: &[Item], path: &mut Vec<String>, internal_traits: &[&str], out: &mut Vec<String>) {
     for item in items {
         if item.in_test {
             continue;
@@ -123,15 +140,18 @@ fn walk(items: &[Item], path: &mut Vec<String>, out: &mut Vec<String>) {
                 }
                 if !item.children.is_empty() {
                     path.push(item.name.clone());
-                    walk(&item.children, path, out);
+                    walk(&item.children, path, internal_traits, out);
                     path.pop();
                 }
             }
             ItemKind::Impl => {
                 if let Some(tr) = &item.trait_name {
                     // Trait impls extend a type's public capabilities
-                    // without a `pub` keyword of their own.
-                    out.push(format!("impl {} for {}", tr, join(path, &item.name)));
+                    // without a `pub` keyword of their own — unless the
+                    // trait itself is crate-internal.
+                    if !internal_traits.contains(&tr.as_str()) {
+                        out.push(format!("impl {} for {}", tr, join(path, &item.name)));
+                    }
                 } else {
                     for child in &item.children {
                         if child.in_test || child.vis != Vis::Pub {
@@ -229,7 +249,8 @@ mod tests {
     #[test]
     fn impls_surface_methods_and_trait_lines() {
         let src = "pub struct S;\nimpl S { pub fn m(&self) {} fn hidden(&self) {} }\n\
-                   impl Default for S { fn default() -> S { S } }";
+                   impl Default for S { fn default() -> S { S } }\n\
+                   pub(crate) trait Internal {}\nimpl Internal for S {}";
         assert_eq!(
             surface("crates/x/src/lib.rs", src),
             ["fn S::m", "impl Default for S", "struct S"]

@@ -10,7 +10,7 @@
 //! The pipeline per file: [`tokenizer`] (comment/string/raw-string
 //! aware, no `syn` — this environment is offline), [`scope`] (marks
 //! `#[cfg(test)]` / `#[test]` items so determinism rules bind only to
-//! production code), [`rules`] (D001–D004, S001, A001), then the
+//! production code), [`rules`] (D001–D004, S001), then the
 //! committed [`config`] allowlist (`lint.toml`, every entry with a
 //! mandatory reason; stale entries are themselves findings).
 //!

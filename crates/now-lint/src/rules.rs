@@ -1,6 +1,6 @@
 //! The rule set: what this workspace's determinism contract forbids.
 //!
-//! Everything the reproduction claims — pooled ≡ scoped ≡ serial
+//! Everything the reproduction claims — pooled ≡ sequential
 //! execution, byte-identical campaign reports across thread counts,
 //! replayable `EventNet` runs — rests on one invariant: *no
 //! nondeterminism source ever enters a deterministic code path*. Each
@@ -15,7 +15,6 @@
 //! | D003 | thread spawning outside the `WavePool` machinery | all non-test code |
 //! | D004 | ambient entropy (`thread_rng`, `rand::random`, `OsRng`, …) | everywhere, tests included |
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
-//! | A001 | deprecated batch-API identifiers (`step_parallel*`, `run_batched*`) | tests / benches / bins / examples, where `#[deny(deprecated)]` cannot reach |
 
 use crate::tokenizer::{TokKind, Token};
 
@@ -59,7 +58,7 @@ impl Finding {
 /// All rule ids the allowlist may reference (L001 is emitted by the
 /// driver for stale allowlist entries and cannot itself be allowed).
 pub const RULE_IDS: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "S001", "A001", "P001", "L002", "API001",
+    "D001", "D002", "D003", "D004", "D005", "S001", "P001", "L002", "API001",
 ];
 
 /// Hash-based collections whose iteration order is randomized per
@@ -70,12 +69,6 @@ const D001_TYPES: &[&str] = &["HashMap", "HashSet"];
 /// approved randomness source, in tests included: a test drawing OS
 /// entropy is a test that cannot be replayed.
 const D004_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
-
-/// Deprecated batch-API prefixes (the PR 6 collapse left these as
-/// `#[deprecated]` delegates; lib crates carry `#![deny(deprecated)]`,
-/// this rule extends the ban to non-lib targets where rustc only
-/// warns).
-const A001_PREFIXES: &[&str] = &["step_parallel", "run_batched"];
 
 /// How many tokens S001 walks back looking for the `// SAFETY:` group
 /// before giving up (bounds pathological files; a real safety comment
@@ -249,23 +242,6 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
                     .to_string(),
             );
         }
-
-        // A001 — deprecated batch APIs in non-lib targets (lib crates
-        // already carry #![deny(deprecated)]; rustc only warns here).
-        if matches!(
-            class,
-            FileClass::TestOnly | FileClass::Bench | FileClass::Bin | FileClass::Example
-        ) && A001_PREFIXES.iter().any(|p| name.starts_with(p))
-        {
-            push(
-                tok.line,
-                "A001",
-                format!(
-                    "{name} is a deprecated batch entry point; use NowSystem::step_batch / \
-                     now_sim::BatchRun / Scenario::run_batch"
-                ),
-            );
-        }
     }
     out
 }
@@ -349,16 +325,6 @@ mod tests {
         // second unsafe crossed a `;` before reaching any comment.
         let src = "// SAFETY: covered.\nlet a = unsafe { f() };\nlet b = unsafe { g() };";
         assert_eq!(rules(FileClass::Prod, src), ["S001"]);
-    }
-
-    #[test]
-    fn a001_prefix_match_in_nonlib_targets_only() {
-        let src = "sys.step_parallel_pooled(&joins, &leaves, &pool); run_batched_until(x);";
-        assert_eq!(rules(FileClass::TestOnly, src), ["A001", "A001"]);
-        assert_eq!(rules(FileClass::Bin, src), ["A001", "A001"]);
-        // Lib code holds the deprecated definitions; deny(deprecated)
-        // polices it there.
-        assert!(rules(FileClass::Prod, src).is_empty());
     }
 
     #[test]

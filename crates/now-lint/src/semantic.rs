@@ -35,7 +35,7 @@
 //! propagates along call edges into RNG-parameterized callees. Any fn
 //! that draws and is never reached by that propagation holds an
 //! *ambient* stream — exactly the leak that would silently break
-//! pooled ≡ scoped ≡ serial bit-equality.
+//! pooled ≡ sequential bit-equality.
 
 use crate::items::{build_graph, parse_items, Item, UnitGraph};
 use crate::rules::{FileClass, Finding};

@@ -130,25 +130,6 @@ fn s001_flags_only_the_undocumented_unsafe() {
 }
 
 #[test]
-fn a001_binds_in_non_lib_targets_only() {
-    let expected = pairs(&[("A001", 6), ("A001", 7), ("A001", 8)]);
-    assert_eq!(
-        lint_fixture("a001_deprecated_api.rs", FileClass::TestOnly),
-        expected
-    );
-    assert_eq!(
-        lint_fixture("a001_deprecated_api.rs", FileClass::Bench),
-        expected
-    );
-    // Lib code holds the #[deprecated] definitions; #![deny(deprecated)]
-    // polices it there, so A001 stays quiet.
-    assert_eq!(
-        lint_fixture("a001_deprecated_api.rs", FileClass::Prod),
-        pairs(&[])
-    );
-}
-
-#[test]
 fn string_and_comment_traps_stay_silent() {
     for class in [FileClass::Prod, FileClass::TestOnly, FileClass::Bin] {
         assert_eq!(

@@ -90,9 +90,9 @@ impl BatchDriver for BatchRandomChurn {
 /// How a batched run executes each step's wave schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchExec {
-    /// The PR 2 path: waves are scheduled but operations execute
-    /// serially off the shared stream
-    /// ([`now_core::ExecConfig::Serial`]).
+    /// The serial engine: operations execute one after another off the
+    /// shared stream and the wave schedule is derived from their
+    /// measured costs ([`now_core::ExecConfig::Serial`]).
     Scheduled,
     /// The threaded wave executor on a **run-scoped persistent
     /// [`WavePool`]** with this many worker threads: workers spawn once
@@ -100,12 +100,6 @@ pub enum BatchExec {
     /// ([`now_core::ExecConfig::Pooled`]). Outcomes are bit-identical
     /// across thread counts; only the wall-clock changes.
     Threaded(usize),
-    /// The legacy scoped executor ([`now_core::ExecConfig::Scoped`]):
-    /// spawns fresh scoped workers for every wave of width ≥ 2.
-    /// Bit-identical to [`BatchExec::Threaded`]; retained as the
-    /// spawn-overhead reference for benches and the pooled-vs-scoped CI
-    /// gate.
-    ThreadedScoped(usize),
     /// The event-driven engine ([`now_core::ExecConfig::Event`]): each
     /// step's operations travel a seeded discrete-event network with
     /// the given per-link latency/jitter/loss/partition model and
@@ -118,12 +112,11 @@ impl BatchExec {
     /// The normalized worker-thread count of the execution mode
     /// (`None` for the serial scheduled path and for the event engine,
     /// which plans on the driving thread unless a pool is supplied);
-    /// every threaded variant shares [`normalize_threads`]' `0 → 1`
-    /// rule.
+    /// [`normalize_threads`]' `0 → 1` rule applies.
     pub fn threads(&self) -> Option<usize> {
         match *self {
             BatchExec::Scheduled | BatchExec::Event(_) => None,
-            BatchExec::Threaded(t) | BatchExec::ThreadedScoped(t) => Some(normalize_threads(t)),
+            BatchExec::Threaded(t) => Some(normalize_threads(t)),
         }
     }
 }
@@ -235,11 +228,6 @@ type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 /// driver), the execution engine, an optional caller-held [`WavePool`],
 /// and an optional stop predicate. The *what* — system, driver, length,
 /// seed — is supplied at [`BatchRun::run`] time (or by the scenario).
-///
-/// Every legacy entry point maps onto this builder:
-/// `run_batched(sys, d, n, s)` is `BatchRun::new().run(sys, d, n, s)`,
-/// `run_batched_with` adds `.exec(..)`, `run_batched_until` adds
-/// `.until(..)`, and `run_batched_until_in` adds `.in_pool(..)`.
 ///
 /// # Example
 /// ```
@@ -376,23 +364,17 @@ impl<'p> BatchRun<'p> {
             sys.enable_metrics();
         }
 
-        // The run-scoped pool: one worker-spawn set for the whole run,
-        // whatever the step count or wave structure. A caller-held pool
-        // takes precedence.
-        let scoped_pool = match (exec, pool) {
-            (BatchExec::Threaded(t), None) => Some(WavePool::new(t)),
-            _ => None,
-        };
-        let pool = pool.or(scoped_pool.as_ref());
-
-        // One `ExecConfig` for the whole run — the per-step dispatch of
-        // the legacy entry points collapsed into data.
+        // One `ExecConfig` for the whole run. A threaded run without a
+        // caller-held pool gets a run-scoped one: one worker-spawn set
+        // for the whole run, whatever the step count or wave structure.
+        let run_pool;
         let exec_cfg = match (exec, pool) {
             (BatchExec::Scheduled, _) => ExecConfig::serial(),
             (BatchExec::Threaded(_), Some(p)) => ExecConfig::pooled(p),
-            // Unreachable (the run-scoped pool above), kept total.
-            (BatchExec::Threaded(t), None) => ExecConfig::threaded(t),
-            (BatchExec::ThreadedScoped(t), _) => ExecConfig::scoped(t),
+            (BatchExec::Threaded(t), None) => {
+                run_pool = WavePool::new(t);
+                ExecConfig::pooled(&run_pool)
+            }
             (BatchExec::Event(net), Some(p)) => ExecConfig::event_in(net, p),
             (BatchExec::Event(net), None) => ExecConfig::event(net),
         };
@@ -400,12 +382,13 @@ impl<'p> BatchRun<'p> {
         let mut rng = DetRng::new(seed);
         let mut report = BatchRunReport {
             driver: driver.name().to_string(),
-            // A caller-held pool is what actually executes Threaded
-            // steps, so its width is the honest record even if the exec
-            // knob says otherwise (outcomes are identical either way).
-            threads: match (exec, pool) {
-                (BatchExec::Threaded(_), Some(pool)) => Some(pool.threads()),
-                _ => exec.threads(),
+            // The pool is what actually executes Threaded steps, so a
+            // caller-held pool's width is the honest record even if the
+            // exec knob says otherwise (outcomes are identical either
+            // way).
+            threads: match exec_cfg {
+                ExecConfig::Pooled { pool } => Some(pool.threads()),
+                _ => None,
             },
             steps: 0,
             joins: 0,
@@ -471,65 +454,6 @@ impl<'p> BatchRun<'p> {
         report.final_audit = sys.audit();
         report
     }
-}
-
-/// Runs `steps` batched time steps of `driver`-produced churn through
-/// the serial wave *scheduler*, auditing after every step.
-#[deprecated(note = "use the `BatchRun` builder")]
-pub fn run_batched(
-    sys: &mut NowSystem,
-    driver: &mut dyn BatchDriver,
-    steps: u64,
-    seed: u64,
-) -> BatchRunReport {
-    BatchRun::new().run(sys, driver, steps, seed)
-}
-
-/// Runs `steps` batched time steps of `driver`-produced churn with the
-/// chosen execution engine, auditing after every step.
-#[deprecated(note = "use the `BatchRun` builder with `.exec(..)`")]
-pub fn run_batched_with(
-    sys: &mut NowSystem,
-    driver: &mut dyn BatchDriver,
-    steps: u64,
-    seed: u64,
-    exec: BatchExec,
-) -> BatchRunReport {
-    BatchRun::new().exec(exec).run(sys, driver, steps, seed)
-}
-
-/// The phase-oriented batched runner with an early-stop predicate.
-#[deprecated(note = "use the `BatchRun` builder with `.until(..)`")]
-pub fn run_batched_until(
-    sys: &mut NowSystem,
-    driver: &mut dyn BatchDriver,
-    max_steps: u64,
-    seed: u64,
-    exec: BatchExec,
-    stop: impl FnMut(&NowSystem, &BatchRunReport) -> bool,
-) -> BatchRunReport {
-    BatchRun::new()
-        .exec(exec)
-        .until(stop)
-        .run(sys, driver, max_steps, seed)
-}
-
-/// The phase-oriented batched runner against a caller-held pool.
-#[deprecated(note = "use the `BatchRun` builder with `.in_pool(..)`")]
-pub fn run_batched_until_in(
-    sys: &mut NowSystem,
-    driver: &mut dyn BatchDriver,
-    max_steps: u64,
-    seed: u64,
-    exec: BatchExec,
-    pool: Option<&WavePool>,
-    stop: impl FnMut(&NowSystem, &BatchRunReport) -> bool,
-) -> BatchRunReport {
-    let mut run = BatchRun::new().exec(exec).until(stop);
-    if let Some(pool) = pool {
-        run = run.in_pool(pool);
-    }
-    run.run(sys, driver, max_steps, seed)
 }
 
 #[cfg(test)]
@@ -677,10 +601,8 @@ mod tests {
     fn zero_threads_normalizes_like_one_across_exec_modes() {
         // Regression for the shared `normalize_threads` rule: the sim
         // layer must treat `Threaded(0)` exactly like `Threaded(1)` —
-        // in the report metadata *and* in the outcomes — for the pooled
-        // and the scoped engine alike.
+        // in the report metadata *and* in the outcomes.
         assert_eq!(BatchExec::Threaded(0).threads(), Some(1));
-        assert_eq!(BatchExec::ThreadedScoped(0).threads(), Some(1));
         assert_eq!(BatchExec::Scheduled.threads(), None);
         let go = |exec: BatchExec| {
             let mut sys = sparse_system(19);
@@ -695,14 +617,10 @@ mod tests {
             )
         };
         assert_eq!(go(BatchExec::Threaded(0)), go(BatchExec::Threaded(1)));
-        assert_eq!(
-            go(BatchExec::ThreadedScoped(0)),
-            go(BatchExec::ThreadedScoped(1))
-        );
     }
 
     #[test]
-    fn pooled_and_scoped_exec_agree_bitwise() {
+    fn pooled_exec_agrees_bitwise_across_worker_counts() {
         let go = |exec: BatchExec| {
             let mut sys = sparse_system(23);
             let mut driver = BatchRandomChurn::balanced(7, 0.1);
@@ -724,12 +642,7 @@ mod tests {
             )
         };
         let pooled = go(BatchExec::Threaded(4));
-        assert_eq!(
-            pooled,
-            go(BatchExec::ThreadedScoped(4)),
-            "pooled vs scoped diverged"
-        );
-        assert_eq!(pooled, go(BatchExec::Threaded(1)), "pooled vs serial");
+        assert_eq!(pooled, go(BatchExec::Threaded(1)), "pooled vs inline");
     }
 
     #[test]
@@ -806,32 +719,5 @@ mod tests {
         let mut driver = BatchRandomChurn::balanced(5, 0.1);
         let report = BatchRun::new().run(&mut sys, &mut driver, 10, 36);
         assert_eq!(report.dropped, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_builder() {
-        let go = |legacy: bool| {
-            let mut sys = sparse_system(41);
-            let mut driver = BatchRandomChurn::balanced(6, 0.1);
-            let r = if legacy {
-                run_batched_with(&mut sys, &mut driver, 10, 42, BatchExec::Threaded(3))
-            } else {
-                BatchRun::new()
-                    .exec(BatchExec::Threaded(3))
-                    .run(&mut sys, &mut driver, 10, 42)
-            };
-            (
-                r.joins,
-                r.leaves,
-                r.rejected,
-                r.rounds_serial,
-                r.rounds_parallel,
-                r.waves,
-                r.threads,
-                sys.node_ids(),
-            )
-        };
-        assert_eq!(go(true), go(false));
     }
 }

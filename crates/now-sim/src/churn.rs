@@ -152,7 +152,7 @@ impl Adversary for Sawtooth {
 /// emitting a whole batch of `width` operations per time step, so the
 /// population swings between the turning points while every step
 /// exercises the conflict-free wave scheduler of
-/// [`now_core::NowSystem::step_parallel`].
+/// [`now_core::NowSystem::step_batch`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSawtooth {
     /// Lower turning point.

@@ -31,8 +31,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 
-#[allow(deprecated)]
-pub use batch_run::{run_batched, run_batched_until, run_batched_until_in, run_batched_with};
 pub use batch_run::{BatchDriver, BatchExec, BatchRandomChurn, BatchRun, BatchRunReport};
 pub use churn::{BatchSawtooth, GrowthPhase, Sawtooth, ShrinkPhase};
 pub use metrics::{CsvTable, Summary, TimeSeries};

@@ -291,32 +291,6 @@ impl Scenario {
         let report = run.run(&mut sys, driver.as_mut(), self.steps, seed);
         Ok((report, sys))
     }
-
-    /// Batched run through the serial wave scheduler.
-    ///
-    /// # Errors
-    /// As [`Scenario::run_batch`].
-    #[deprecated(note = "use `Scenario::run_batch` with a `BatchRun` builder")]
-    pub fn run_batched(self, width: usize) -> Result<(BatchRunReport, NowSystem), NowError> {
-        self.run_batch(BatchRun::new().width(width))
-    }
-
-    /// Batched run on the threaded wave executor.
-    ///
-    /// # Errors
-    /// As [`Scenario::run_batch`].
-    #[deprecated(note = "use `Scenario::run_batch` with a `BatchRun` builder")]
-    pub fn run_batched_threaded(
-        self,
-        width: usize,
-        threads: usize,
-    ) -> Result<(BatchRunReport, NowSystem), NowError> {
-        self.run_batch(
-            BatchRun::new()
-                .width(width)
-                .exec(crate::batch_run::BatchExec::Threaded(threads)),
-        )
-    }
 }
 
 fn run_boxed(sys: &mut NowSystem, adv: &mut dyn Adversary, config: RunConfig) -> RunReport {

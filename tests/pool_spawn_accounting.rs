@@ -1,7 +1,6 @@
 //! Spawn accounting for the persistent wave-worker pool: a pooled run
 //! spawns **O(threads) worker threads total**, however many batches and
-//! waves it executes, while the legacy scoped executor provably spawns
-//! per wave. The assertions read the process-global spawn counter
+//! waves it executes. The assertions read the process-global spawn counter
 //! (`wave_worker_spawn_total`), so this file deliberately contains a
 //! **single** test — integration-test binaries run their tests in
 //! parallel, and any concurrently spawning test in the same process
@@ -35,7 +34,7 @@ const STEPS: usize = 10;
 const THREADS: usize = 4;
 
 #[test]
-fn pool_spawns_o_threads_per_run_while_scoped_spawns_per_wave() {
+fn pool_spawns_o_threads_per_run() {
     // ---- pooled run: exactly THREADS spawns, all at pool creation ----
     let before = wave_worker_spawn_total();
     let pool = WavePool::new(THREADS);
@@ -84,33 +83,5 @@ fn pool_spawns_o_threads_per_run_while_scoped_spawns_per_wave() {
         wave_worker_spawn_total() - before,
         0,
         "threads=1 must not spawn at all"
-    );
-
-    // ---- scoped reference: spawns min(threads, ops) per wide wave ----
-    let before = wave_worker_spawn_total();
-    let mut sys = sparse_system(5);
-    let mut expected_scoped_spawns = 0u64;
-    for step in 0..STEPS {
-        let (joins, leaves) = step_batch(&sys, step);
-        let report = sys.step_batch(
-            &BatchInput::from_specs(&joins, &leaves),
-            &ExecConfig::scoped(THREADS),
-        );
-        expected_scoped_spawns += report
-            .waves
-            .iter()
-            .filter(|w| w.ops >= 2)
-            .map(|w| w.ops.min(THREADS) as u64)
-            .sum::<u64>();
-    }
-    let scoped_spawns = wave_worker_spawn_total() - before;
-    assert_eq!(
-        scoped_spawns, expected_scoped_spawns,
-        "scoped executor spawns min(threads, ops) fresh workers per wide wave"
-    );
-    assert!(
-        scoped_spawns > THREADS as u64,
-        "the workload makes the scoped path spawn more than a whole pooled \
-         run ({scoped_spawns} vs {THREADS}) — the overhead the pool removes"
     );
 }

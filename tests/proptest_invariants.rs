@@ -167,15 +167,14 @@ proptest! {
         prop_assert_eq!(&serial, &run(8), "threads=1 vs threads=8 diverged");
     }
 
-    /// The worker-pool tentpole contract: **pooled ≡ scoped ≡ serial**
-    /// on population, admitted ids, ledger totals and per-kind stats,
-    /// and the wave schedule — across threads ∈ {1, 2, 4, 8} *and*
-    /// across pool reuse: one run-scoped [`now_bft::core::WavePool`]
-    /// serves every step of a multi-step run and must be
-    /// indistinguishable from per-wave scoped spawning and from plain
-    /// sequential planning.
+    /// The worker-pool contract: **pooled ≡ sequential** on population,
+    /// admitted ids, ledger totals and per-kind stats, and the wave
+    /// schedule — across threads ∈ {1, 2, 4, 8} *and* across pool
+    /// reuse: one run-scoped [`now_bft::core::WavePool`] serves every
+    /// step of a multi-step run and must be indistinguishable from
+    /// plain sequential planning on the driving thread.
     #[test]
-    fn pooled_scoped_serial_agree_across_pool_reuse(
+    fn pooled_serial_agree_across_pool_reuse(
         seed in any::<u64>(),
         joins in proptest::collection::vec(any::<bool>(), 1..6),
         leave_picks in proptest::collection::vec(any::<u16>(), 1..6),
@@ -187,7 +186,6 @@ proptest! {
         enum Engine {
             Serial,
             Pooled(usize),
-            Scoped(usize),
         }
 
         let specs: Vec<JoinSpec> = joins.iter().map(|&h| JoinSpec::uniform(h)).collect();
@@ -197,7 +195,7 @@ proptest! {
             // the contract under test.
             let pool = match engine {
                 Engine::Pooled(t) => Some(WavePool::new(t)),
-                _ => None,
+                Engine::Serial => None,
             };
             let mut per_step = Vec::new();
             for step in 0..steps {
@@ -208,11 +206,10 @@ proptest! {
                     .collect();
                 let input = BatchInput::from_specs(&specs, &leaves);
                 let report = match engine {
-                    Engine::Serial => sys.step_batch(&input, &ExecConfig::threaded(1)),
+                    Engine::Serial => sys.step_batch(&input, &ExecConfig::scheduled()),
                     Engine::Pooled(_) => {
                         sys.step_batch(&input, &ExecConfig::pooled(pool.as_ref().unwrap()))
                     }
-                    Engine::Scoped(t) => sys.step_batch(&input, &ExecConfig::scoped(t)),
                 };
                 per_step.push((
                     report.joined,
@@ -244,12 +241,6 @@ proptest! {
                 &serial,
                 &run(Engine::Pooled(threads)),
                 "serial vs pooled({}) diverged",
-                threads
-            );
-            prop_assert_eq!(
-                &serial,
-                &run(Engine::Scoped(threads)),
-                "serial vs scoped({}) diverged",
                 threads
             );
         }
@@ -538,118 +529,5 @@ proptest! {
         }
         prop_assert!(ledger.is_balanced());
         assert_ledgers_equal(&ledger, &eager)?;
-    }
-}
-
-// Satellite contract of the `step_batch` redesign: every deprecated
-// batch entry point is a pure delegate of `NowSystem::step_batch` —
-// bit-identical report, system state, and ledger totals for arbitrary
-// batch shapes and seeds. This is the one file allowed to name the
-// deprecated identifiers (lint.toml A001 allow): delete the delegates
-// and this proof retires together with that entry.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_batch_entry_points_equal_step_batch(
-        seed in any::<u64>(),
-        joins in proptest::collection::vec(any::<bool>(), 0..6),
-        leave_picks in proptest::collection::vec(any::<u16>(), 0..6),
-    ) {
-        use now_bft::core::{BatchReport, WavePool};
-
-        let fingerprint = |sys: &NowSystem, report: &BatchReport| {
-            (
-                report.joined.clone(),
-                report.left.clone(),
-                report
-                    .rejected
-                    .iter()
-                    .map(|(n, e)| (*n, format!("{e:?}")))
-                    .collect::<Vec<_>>(),
-                report.cost,
-                report.rounds_parallel,
-                report.waves.clone(),
-                sys.population(),
-                sys.byz_population(),
-                sys.node_ids(),
-                sys.cluster_ids(),
-                sys.ledger().total(),
-            )
-        };
-        let specs: Vec<JoinSpec> = joins.iter().map(|&h| JoinSpec::uniform(h)).collect();
-        let setup = || NowSystem::init_fast(params(), 140, 0.15, seed);
-        let leaves_for = |sys: &NowSystem| -> Vec<NodeId> {
-            let nodes = sys.node_ids();
-            leave_picks
-                .iter()
-                .map(|&p| nodes[p as usize % nodes.len()])
-                .collect()
-        };
-        let run_new = |exec: &ExecConfig<'_>| {
-            let mut sys = setup();
-            let leaves = leaves_for(&sys);
-            let report = sys.step_batch(&BatchInput::from_specs(&specs, &leaves), exec);
-            fingerprint(&sys, &report)
-        };
-        let run_old = |f: &dyn Fn(&mut NowSystem, &[NodeId]) -> BatchReport| {
-            let mut sys = setup();
-            let leaves = leaves_for(&sys);
-            let report = f(&mut sys, &leaves);
-            fingerprint(&sys, &report)
-        };
-
-        let serial = run_new(&ExecConfig::serial());
-        prop_assert_eq!(
-            &serial,
-            &run_old(&|sys, leaves| sys.step_parallel(&joins, leaves)),
-            "step_parallel != step_batch(serial)"
-        );
-        prop_assert_eq!(
-            &serial,
-            &run_old(&|sys, leaves| sys.step_parallel_specs(&specs, leaves)),
-            "step_parallel_specs != step_batch(serial)"
-        );
-
-        let threaded = run_new(&ExecConfig::threaded(3));
-        prop_assert_eq!(
-            &threaded,
-            &run_old(&|sys, leaves| sys.step_parallel_threaded(&joins, leaves, 3)),
-            "step_parallel_threaded != step_batch(threaded)"
-        );
-        prop_assert_eq!(
-            &threaded,
-            &run_old(&|sys, leaves| sys.step_parallel_threaded_specs(&specs, leaves, 3)),
-            "step_parallel_threaded_specs != step_batch(threaded)"
-        );
-
-        let pool = WavePool::new(3);
-        let pooled = run_new(&ExecConfig::pooled(&pool));
-        prop_assert_eq!(
-            &pooled,
-            &run_old(&|sys, leaves| sys.step_parallel_pooled(&joins, leaves, &pool)),
-            "step_parallel_pooled != step_batch(pooled)"
-        );
-        prop_assert_eq!(
-            &pooled,
-            &run_old(&|sys, leaves| sys.step_parallel_pooled_specs(&specs, leaves, &pool)),
-            "step_parallel_pooled_specs != step_batch(pooled)"
-        );
-
-        let scoped = run_new(&ExecConfig::scoped(3));
-        prop_assert_eq!(
-            &scoped,
-            &run_old(&|sys, leaves| sys.step_parallel_scoped_specs(&specs, leaves, 3)),
-            "step_parallel_scoped_specs != step_batch(scoped)"
-        );
-
-        // The wave engines all land on the same answer (threaded ≡
-        // pooled ≡ scoped; the scheduled path draws from the master
-        // stream instead of per-op substreams, so it shares outcomes
-        // and ids with them but not walk costs — see
-        // `pooled_scoped_serial_agree_across_pool_reuse`).
-        prop_assert_eq!(&threaded, &pooled);
-        prop_assert_eq!(&threaded, &scoped);
     }
 }

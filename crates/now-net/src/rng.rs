@@ -132,19 +132,26 @@ impl DetRng {
     }
 }
 
+// Inlined across crates: a `randNum` draw is `gen_range` over
+// `next_u64`, and with these forwards (and `ChaCha12Rng`'s own) marked
+// it compiles to two buffered-word reads at the call site.
 impl RngCore for DetRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }
 
+    #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.inner.fill_bytes(dest)
     }
 
+    #[inline]
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }

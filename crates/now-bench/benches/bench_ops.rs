@@ -1,13 +1,12 @@
 //! Criterion benches for the NOW maintenance operations (Figure 2) and
 //! the shuffle/cascade ablations called out in DESIGN.md.
 //!
-//! Flat-memory core before → after (per `x_flat_core`, 1-vCPU dev
-//! container): batched-step wall clock per op at 64/512/4096 clusters
+//! Flat-memory core before → after (measured when it landed, 1-vCPU
+//! dev container): batched-step wall clock per op at 64/512/4096 clusters
 //! 5.33/23.2/35.8 ms → 4.21/22.7/31.6 ms, with planning still ~95 % of
 //! the step (the parallelizable share — see `bench_wave_exec`), and
 //! the op-kernel hot leaves (`Cluster::member_at` 364 → 0.7 ns,
-//! member/neighbor slices borrow instead of clone). Committed sweep:
-//! `BENCH_flat_core.json`.
+//! member/neighbor slices borrow instead of clone).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};

@@ -2,12 +2,13 @@
 //! and the spectral audit.
 //!
 //! Flat-memory core (slab vertices + sorted-vec neighbor sets behind
-//! the same `Overlay` API) before → after, measured by `x_flat_core`
+//! the same `Overlay` API) before → after, measured when it landed
 //! at m = 64/512/4096 (ns/op, steady-state add+remove churn): add
 //! 8.6/9.2/13.1 µs → 2.7/2.1/3.9 µs, remove 5.2/5.3/6.9 µs →
 //! 2.6/2.5/2.8 µs, neighbor iteration 6.3/9.5/14.8 → 1.9/2.8/5.0 ns
 //! per neighbor (now a borrowed slice — `op_footprint` and walk hops
-//! stopped allocating). Committed sweep: `BENCH_flat_core.json`.
+//! stopped allocating). The `bench/` probes `over.add_us`,
+//! `over.remove_us` and `over.neighbors_ns` track these kernels now.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use now_net::{ClusterId, DetRng};

@@ -6,12 +6,12 @@
 //! sweep points.
 //!
 //! Flat-memory core (slab clusters + sorted-vec members + direct-mapped
-//! node index) before → after, measured by `x_flat_core` on the 1-vCPU
+//! node index) before → after, measured when it landed on the 1-vCPU
 //! dev container at 64/512/4096 clusters (ns/op, steady state):
 //! attach 82/120/159 → 53/69/101, move 100/133/184 → 52/67/71, detach
 //! 72/88/115 → 23/27/20, `node_ids()` 33/35/38 → 5/8/6 per id. The
-//! committed sweep lives in `BENCH_flat_core.json` (CI's
-//! bench-snapshot job validates it with `x_flat_core --check`).
+//! `bench/` probes `registry.{attach,move,detach}_ns` and
+//! `registry.node_ids_us` track these kernels now.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use now_core::Registry;

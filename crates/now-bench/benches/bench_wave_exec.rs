@@ -13,7 +13,9 @@
 //! whose planning (walks + exchange draws, ≈85 % of the step's wall
 //! clock) fans out across the workers. The narrow-dense group is the
 //! control: width-≤2 batches on a dense overlay serialize almost fully,
-//! so its 1-vs-4 gap measures pure threading overhead.
+//! so its 1-vs-4 gap measures the pool's per-wave dispatch overhead
+//! (the pool is built once per thread count, outside the timed
+//! closure).
 //!
 //! **Host parallelism caveat**: the speedup is bounded by the
 //! machine's usable cores. On a single-CPU host (e.g. a 1-vCPU CI
@@ -66,6 +68,7 @@ fn bench_wide_disjoint(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
+                let pool = WavePool::new(threads);
                 b.iter_batched(
                     || {
                         let sys = sparse_system(256, 7);
@@ -77,7 +80,7 @@ fn bench_wide_disjoint(c: &mut Criterion) {
                         let n = leaves.len();
                         let report = sys.step_batch(
                             &BatchInput::from_flags(&[], &leaves),
-                            &ExecConfig::threaded(threads),
+                            &ExecConfig::pooled(&pool),
                         );
                         assert_eq!(report.max_wave_width(), n, "one wide wave");
                         report.rounds_parallel
@@ -100,6 +103,7 @@ fn bench_narrow_dense(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
+                let pool = WavePool::new(threads);
                 b.iter_batched(
                     || {
                         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -112,7 +116,7 @@ fn bench_narrow_dense(c: &mut Criterion) {
                         // graph, so the batch fully serializes.
                         sys.step_batch(
                             &BatchInput::from_flags(&[true], &leaves),
-                            &ExecConfig::threaded(threads),
+                            &ExecConfig::pooled(&pool),
                         )
                         .rounds_parallel
                     },

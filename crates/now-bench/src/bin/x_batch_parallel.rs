@@ -4,9 +4,9 @@
 //! notes (§2, footnote): *"the analysis can be generalized to several
 //! parallel join and leave operations."* `NowSystem::step_batch` with
 //! `ExecConfig::serial` realizes the generalization as a conflict-free
-//! wave schedule over cluster footprints; `ExecConfig::threaded`
-//! actually runs each wave's operations on worker threads. We sweep the batch width `w` and
-//! measure:
+//! wave schedule over cluster footprints; `ExecConfig::pooled`
+//! actually plans each wave's operations on the workers of a run-scoped
+//! `WavePool`. We sweep the batch width `w` and measure:
 //!
 //! * per-operation message cost (should be flat — parallelism does not
 //!   change traffic; message costs are schedule-invariant),

@@ -55,14 +55,6 @@ pub enum NowError {
         /// Human-readable reason.
         reason: String,
     },
-    /// An internal bookkeeping invariant was violated — continuing
-    /// would silently corrupt aggregate state (e.g. a wave's
-    /// population delta driving a counter negative). This is always a
-    /// bug in the caller's op sequence, never a recoverable condition.
-    StateCorrupt {
-        /// Which invariant broke, and how.
-        reason: String,
-    },
 }
 
 impl fmt::Display for NowError {
@@ -88,9 +80,6 @@ impl fmt::Display for NowError {
             }
             NowError::CampaignReport { reason } => {
                 write!(f, "campaign report error: {reason}")
-            }
-            NowError::StateCorrupt { reason } => {
-                write!(f, "internal state corruption: {reason}")
             }
         }
     }

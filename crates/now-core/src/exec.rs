@@ -4,8 +4,7 @@
 //! * [`BatchInput`] — *what* the step does: the arrivals and departures
 //!   of one time step, however constructed.
 //! * [`ExecConfig`] — *how* it runs: the execution engine and its
-//!   resources (thread count, a caller-held [`WavePool`], an event
-//!   network model).
+//!   resources (a caller-held [`WavePool`], an event network model).
 //!
 //! Every engine is bit-deterministic from `(seed, input, config)`, and
 //! every engine runs the same op kernel ([`crate::kernel`]): the serial
@@ -16,12 +15,13 @@
 //! [`crate::wave_exec`]), whose outcome is independent of thread count.
 //!
 //! ```
-//! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
+//! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
 //!
 //! let params = NowParams::for_capacity(1 << 10).unwrap();
 //! let mut sys = NowSystem::init_fast(params, 300, 0.2, 7);
 //! let input = BatchInput::new().joins_uniform(4, true);
-//! let report = sys.step_batch(&input, &ExecConfig::threaded(2));
+//! let pool = WavePool::new(2);
+//! let report = sys.step_batch(&input, &ExecConfig::pooled(&pool));
 //! assert_eq!(report.joined.len(), 4);
 //! ```
 
@@ -115,15 +115,8 @@ pub enum ExecConfig<'p> {
     /// The plan/apply wave engine on the driving thread: waves are
     /// *executed* (per-operation substreams, canonical effect
     /// application), with no worker threads. The single-threaded
-    /// reference every threaded configuration must match bit for bit.
+    /// reference every pooled configuration must match bit for bit.
     Scheduled,
-    /// The wave engine on a batch-scoped [`WavePool`] of `threads`
-    /// workers (one spawn set per call; loops should hold a pool and
-    /// use [`ExecConfig::Pooled`]). `0` is treated as 1.
-    Threaded {
-        /// Worker threads for the batch-scoped pool.
-        threads: usize,
-    },
     /// The wave engine on a caller-held [`WavePool`]: successive
     /// batches reuse the pool's workers, so a run spawns O(threads)
     /// threads total.
@@ -160,11 +153,6 @@ impl<'p> ExecConfig<'p> {
         ExecConfig::Scheduled
     }
 
-    /// [`ExecConfig::Threaded`] with `threads` workers.
-    pub fn threaded(threads: usize) -> Self {
-        ExecConfig::Threaded { threads }
-    }
-
     /// [`ExecConfig::Pooled`] on a caller-held pool.
     pub fn pooled(pool: &'p WavePool) -> Self {
         ExecConfig::Pooled { pool }
@@ -189,10 +177,6 @@ impl std::fmt::Debug for ExecConfig<'_> {
         match *self {
             ExecConfig::Serial => f.write_str("Serial"),
             ExecConfig::Scheduled => f.write_str("Scheduled"),
-            ExecConfig::Threaded { threads } => f
-                .debug_struct("Threaded")
-                .field("threads", &threads)
-                .finish(),
             ExecConfig::Pooled { pool } => f
                 .debug_struct("Pooled")
                 .field("threads", &pool.threads())
@@ -221,10 +205,6 @@ impl NowSystem {
         let report = match *exec {
             ExecConfig::Serial => self.step_serial_impl(&input.joins, &input.leaves),
             ExecConfig::Scheduled => self.step_waves_impl(&input.joins, &input.leaves, None),
-            ExecConfig::Threaded { threads } => {
-                let pool = WavePool::new(threads);
-                self.step_waves_impl(&input.joins, &input.leaves, Some(&pool))
-            }
             ExecConfig::Pooled { pool } => {
                 self.step_waves_impl(&input.joins, &input.leaves, Some(pool))
             }
@@ -301,19 +281,17 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_threaded_and_pooled_agree() {
+    fn scheduled_and_pooled_agree() {
         let input = BatchInput::new().joins_uniform(12, true);
         let mut reference = system(260, 33);
         let want = reference.step_batch(&input, &ExecConfig::scheduled());
         let pool = WavePool::new(3);
-        for exec in [ExecConfig::threaded(4), ExecConfig::pooled(&pool)] {
-            let mut sys = system(260, 33);
-            let got = sys.step_batch(&input, &exec);
-            assert_eq!(got.joined, want.joined, "{exec:?}");
-            assert_eq!(got.cost, want.cost, "{exec:?}");
-            assert_eq!(got.waves, want.waves, "{exec:?}");
-            assert_eq!(sys.population(), reference.population(), "{exec:?}");
-        }
+        let mut sys = system(260, 33);
+        let got = sys.step_batch(&input, &ExecConfig::pooled(&pool));
+        assert_eq!(got.joined, want.joined);
+        assert_eq!(got.cost, want.cost);
+        assert_eq!(got.waves, want.waves);
+        assert_eq!(sys.population(), reference.population());
     }
 
     #[test]

@@ -83,9 +83,7 @@ pub use now_trace::{
 };
 pub use params::{NowParams, SecurityMode};
 pub use rand_cl::WalkTrace;
-pub use registry::{
-    ClusterIdx, ClusterStats, FootprintHandle, NodeIdx, NodeRecord, Registry, WaveShards,
-};
+pub use registry::{ClusterStats, NodeRecord, Registry};
 pub use system::NowSystem;
 pub use views::{NodeView, ViewAudit};
 pub use wave_exec::{normalize_threads, wave_plan_nanos_total, wave_worker_spawn_total, WavePool};

@@ -1,4 +1,4 @@
-//! Slab-backed membership registry with generational indices.
+//! Slab-backed membership registry.
 //!
 //! The membership state of a NOW deployment used to live in sharded
 //! `BTreeMap`s — one node → record map and one cluster map, split over
@@ -8,12 +8,11 @@
 //! in contiguous slabs instead:
 //!
 //! * **cluster slab** — [`Cluster`] objects (sorted member vecs plus
-//!   cached Byzantine counts) live in one `Vec` of generation-tagged
-//!   slots, recycled through a freelist on merge. Lookup by
-//!   [`ClusterId`] is a direct array index (`cluster_index[raw id]`,
-//!   as for nodes below); the parallel sorted id/slot arrays stay the
-//!   canonical iteration order, and [`Registry::cluster_ids`] is a
-//!   borrow of the sorted cache.
+//!   cached Byzantine counts) live in one `Vec` of slots, recycled
+//!   through a freelist on merge. Lookup by [`ClusterId`] is a direct
+//!   array index (`cluster_index[raw id]`, as for nodes below); the
+//!   parallel sorted id/slot arrays stay the canonical iteration order,
+//!   and [`Registry::cluster_ids`] is a borrow of the sorted cache.
 //! * **node slab + direct index** — node records live in a second slab,
 //!   and `node → slot` resolution is a direct array index
 //!   (`node_index[raw id]`): ids are allocated sequentially by
@@ -24,20 +23,14 @@
 //!   incrementally, so `population()` / `byz_population()` /
 //!   `cluster_ids()` are O(1).
 //!
-//! **Generational indices.** A [`ClusterIdx`] / [`NodeIdx`] names a
-//! slab slot *and* the generation the slot had when the index was
-//! issued. Freeing a slot bumps its generation, so an index held across
-//! a merge (or a departure) can never silently alias the slot's next
-//! tenant: [`Registry::cluster_by_idx`] / [`Registry::node_by_idx`]
-//! assert the generation still matches and panic on staleness.
-//!
-//! **Determinism.** Slot numbers and generations are *internal* names:
-//! nothing observable (ids, member vecs, counters, reports) depends on
-//! them, and every public iteration order is canonical id order
+//! **Determinism.** Slot numbers are *internal* names: nothing
+//! observable (ids, member vecs, counters, reports) depends on them,
+//! and every public iteration order is canonical id order
 //! ([`Registry::cluster_ids`], [`Registry::node_ids`],
-//! [`Registry::clusters`]). That is what keeps slab recycling — whose
-//! freelist order can vary across thread interleavings inside a wave —
-//! invisible to the bit-determinism gates.
+//! [`Registry::clusters`]). Slab recycling is deterministic too: the
+//! registry has one writer at a time (`&mut self`), and the wave engine
+//! applies effects in canonical order on the driving thread, so the
+//! freelists see the same sequence at every thread count.
 //!
 //! Every mutation goes through the registry ([`Registry::attach`],
 //! [`Registry::detach`], [`Registry::move_to`]), which keeps the node
@@ -47,10 +40,7 @@
 //! the test suites, so the slab layout is *exact*, not approximate.
 
 use crate::cluster::Cluster;
-use crate::error::NowError;
 use now_net::{ClusterId, NodeId};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Mutex;
 
 /// Sentinel in the direct node and cluster indexes: "no slot".
 const NO_SLOT: u32 = u32::MAX;
@@ -82,33 +72,10 @@ impl ClusterStats {
     }
 }
 
-/// A generation-checked reference to a cluster slab slot.
-///
-/// Issued by [`Registry::cluster_idx`]; resolved by
-/// [`Registry::cluster_by_idx`], which panics if the slot has been
-/// recycled since (its generation moved on). The planner never holds
-/// one across a maintenance phase — indices are resolved fresh from
-/// live [`ClusterId`]s each wave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterIdx {
-    slot: u32,
-    gen: u32,
-}
-
-/// A generation-checked reference to a node slab slot (see
-/// [`ClusterIdx`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeIdx {
-    slot: u32,
-    gen: u32,
-}
-
 /// One slot of the cluster slab.
 #[derive(Debug, Clone)]
 struct ClusterSlot {
     cluster: Cluster,
-    /// Bumped when the slot is freed; stale [`ClusterIdx`] detector.
-    gen: u32,
     live: bool,
 }
 
@@ -119,8 +86,6 @@ struct NodeSlot {
     honest: bool,
     /// Slot of the home cluster in the cluster slab.
     cluster_slot: u32,
-    /// Bumped when the slot is freed; stale [`NodeIdx`] detector.
-    gen: u32,
     live: bool,
 }
 
@@ -251,36 +216,6 @@ impl Registry {
         out
     }
 
-    /// A generation-checked index for a live node.
-    pub fn node_idx(&self, node: NodeId) -> Option<NodeIdx> {
-        let slot = self.node_slot_of(node)?;
-        Some(NodeIdx {
-            slot,
-            gen: self.node_slots[slot as usize].gen,
-        })
-    }
-
-    /// Resolves a [`NodeIdx`] to the node's current record.
-    ///
-    /// # Panics
-    /// Panics if the index is stale: the slot was freed (and possibly
-    /// recycled) after the index was issued.
-    pub fn node_by_idx(&self, idx: NodeIdx) -> NodeRecord {
-        let slot = &self.node_slots[idx.slot as usize];
-        assert!(
-            slot.live && slot.gen == idx.gen,
-            "stale node index: slot {} gen {} (slot is at gen {}, live {})",
-            idx.slot,
-            idx.gen,
-            slot.gen,
-            slot.live
-        );
-        NodeRecord {
-            honest: slot.honest,
-            cluster: self.cluster_slots[slot.cluster_slot as usize].cluster.id(),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Cluster store.
     // ------------------------------------------------------------------
@@ -308,7 +243,6 @@ impl Registry {
             None => {
                 self.cluster_slots.push(ClusterSlot {
                     cluster: Cluster::new(id),
-                    gen: 0,
                     live: true,
                 });
                 (self.cluster_slots.len() - 1) as u32
@@ -323,8 +257,7 @@ impl Registry {
         self.cluster_index[raw] = slot;
     }
 
-    /// Removes a cluster from the store, freeing (and
-    /// generation-bumping) its slab slot.
+    /// Removes a cluster from the store, freeing its slab slot.
     ///
     /// # Panics
     /// Panics if the cluster still has members (detach or move them
@@ -340,7 +273,6 @@ impl Registry {
         );
         let removed = std::mem::replace(&mut s.cluster, Cluster::new(id));
         s.live = false;
-        s.gen = s.gen.wrapping_add(1);
         self.cluster_free.push(slot);
         self.sorted_clusters.remove(pos);
         self.sorted_slots.remove(pos);
@@ -386,33 +318,6 @@ impl Registry {
             .map(move |&slot| &self.cluster_slots[slot as usize].cluster)
     }
 
-    /// A generation-checked index for a live cluster.
-    pub fn cluster_idx(&self, id: ClusterId) -> Option<ClusterIdx> {
-        let slot = self.cluster_slot_of(id)?;
-        Some(ClusterIdx {
-            slot,
-            gen: self.cluster_slots[slot as usize].gen,
-        })
-    }
-
-    /// Resolves a [`ClusterIdx`] to the cluster it was issued for.
-    ///
-    /// # Panics
-    /// Panics if the index is stale: the slot was freed by a merge (and
-    /// possibly recycled by a later split) after the index was issued.
-    pub fn cluster_by_idx(&self, idx: ClusterIdx) -> &Cluster {
-        let slot = &self.cluster_slots[idx.slot as usize];
-        assert!(
-            slot.live && slot.gen == idx.gen,
-            "stale cluster index: slot {} gen {} (slot is at gen {}, live {})",
-            idx.slot,
-            idx.gen,
-            slot.gen,
-            slot.live
-        );
-        &slot.cluster
-    }
-
     /// Per-cluster size / honest-count aggregate, O(1) after the slot
     /// lookup ([`Cluster`] caches its Byzantine count).
     pub fn cluster_stats(&self, id: ClusterId) -> Option<ClusterStats> {
@@ -432,7 +337,44 @@ impl Registry {
     /// Panics if the node is already registered or the cluster is not
     /// live.
     pub fn attach(&mut self, node: NodeId, honest: bool, cluster: ClusterId) {
-        self.attach_uncounted(node, honest, cluster);
+        // INVARIANT: documented `# Panics` contract — attach targets
+        // come from the caller's live cluster choice; a dead id here is
+        // an ordering bug upstream, not recoverable state.
+        let cslot = self
+            .cluster_slot_of(cluster)
+            .unwrap_or_else(|| panic!("attach into dead cluster {cluster}"));
+        assert!(
+            self.cluster_slots[cslot as usize]
+                .cluster
+                .insert(node, honest),
+            "{node} already in {cluster}"
+        );
+        let raw = node.raw() as usize;
+        if self.node_index.len() <= raw {
+            self.node_index.resize(raw + 1, NO_SLOT);
+        }
+        assert!(self.node_index[raw] == NO_SLOT, "{node} attached twice");
+        let slot = match self.node_free.pop() {
+            Some(slot) => {
+                let s = &mut self.node_slots[slot as usize];
+                debug_assert!(!s.live);
+                s.node = node;
+                s.honest = honest;
+                s.cluster_slot = cslot;
+                s.live = true;
+                slot
+            }
+            None => {
+                self.node_slots.push(NodeSlot {
+                    node,
+                    honest,
+                    cluster_slot: cslot,
+                    live: true,
+                });
+                (self.node_slots.len() - 1) as u32
+            }
+        };
+        self.node_index[raw] = slot;
         self.population += 1;
         if !honest {
             self.byz_population += 1;
@@ -441,12 +383,24 @@ impl Registry {
 
     /// Unregisters `node`; returns its final record.
     pub fn detach(&mut self, node: NodeId) -> Option<NodeRecord> {
-        let record = self.detach_uncounted(node)?;
+        let slot = self.node_slot_of(node)?;
+        self.node_index[node.raw() as usize] = NO_SLOT;
+        let (honest, cslot) = {
+            let s = &mut self.node_slots[slot as usize];
+            s.live = false;
+            (s.honest, s.cluster_slot)
+        };
+        self.node_free.push(slot);
+        let c = &mut self.cluster_slots[cslot as usize];
+        assert!(c.cluster.remove(node, honest), "member set drifted");
         self.population -= 1;
-        if !record.honest {
+        if !honest {
             self.byz_population -= 1;
         }
-        Some(record)
+        Some(NodeRecord {
+            honest,
+            cluster: c.cluster.id(),
+        })
     }
 
     /// Moves `node` to cluster `to` (no-op if already there); returns
@@ -484,71 +438,6 @@ impl Registry {
         );
         self.node_slots[slot as usize].cluster_slot = to_slot;
         Some(from_id)
-    }
-
-    /// [`Registry::attach`] without the aggregate-counter update: the
-    /// shared body for direct attaches and wave-facade attaches (which
-    /// accumulate counter *deltas* instead; see [`WaveShards`]).
-    fn attach_uncounted(&mut self, node: NodeId, honest: bool, cluster: ClusterId) {
-        // INVARIANT: documented `# Panics` contract — attach targets
-        // come from the caller's live cluster choice; a dead id here is
-        // an ordering bug upstream, not recoverable state.
-        let cslot = self
-            .cluster_slot_of(cluster)
-            .unwrap_or_else(|| panic!("attach into dead cluster {cluster}"));
-        assert!(
-            self.cluster_slots[cslot as usize]
-                .cluster
-                .insert(node, honest),
-            "{node} already in {cluster}"
-        );
-        let raw = node.raw() as usize;
-        if self.node_index.len() <= raw {
-            self.node_index.resize(raw + 1, NO_SLOT);
-        }
-        assert!(self.node_index[raw] == NO_SLOT, "{node} attached twice");
-        let slot = match self.node_free.pop() {
-            Some(slot) => {
-                let s = &mut self.node_slots[slot as usize];
-                debug_assert!(!s.live);
-                s.node = node;
-                s.honest = honest;
-                s.cluster_slot = cslot;
-                s.live = true;
-                slot
-            }
-            None => {
-                self.node_slots.push(NodeSlot {
-                    node,
-                    honest,
-                    cluster_slot: cslot,
-                    gen: 0,
-                    live: true,
-                });
-                (self.node_slots.len() - 1) as u32
-            }
-        };
-        self.node_index[raw] = slot;
-    }
-
-    /// [`Registry::detach`] without the aggregate-counter update (see
-    /// [`Registry::attach_uncounted`]).
-    fn detach_uncounted(&mut self, node: NodeId) -> Option<NodeRecord> {
-        let slot = self.node_slot_of(node)?;
-        self.node_index[node.raw() as usize] = NO_SLOT;
-        let (honest, cslot) = {
-            let s = &mut self.node_slots[slot as usize];
-            s.live = false;
-            s.gen = s.gen.wrapping_add(1);
-            (s.honest, s.cluster_slot)
-        };
-        self.node_free.push(slot);
-        let c = &mut self.cluster_slots[cslot as usize];
-        assert!(c.cluster.remove(node, honest), "member set drifted");
-        Some(NodeRecord {
-            honest,
-            cluster: c.cluster.id(),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -742,265 +631,6 @@ impl Registry {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Wave-scoped facade access.
-    // ------------------------------------------------------------------
-
-    /// Wraps the registry in a wave-scoped mutation facade for the
-    /// duration of one conflict-free wave (see [`WaveShards`]).
-    ///
-    /// While the facade is alive the registry itself is mutably
-    /// borrowed, so the aggregate counters and the sorted cluster cache
-    /// are frozen; mutations made through the facade accumulate
-    /// population/Byzantine *deltas* which the caller folds back with
-    /// [`Registry::apply_wave_deltas`] once the facade is dropped.
-    /// Cluster creation/removal is deliberately not offered — wave
-    /// execution defers split/merge maintenance to its canonical serial
-    /// phase.
-    pub fn wave_shards(&mut self) -> WaveShards<'_> {
-        WaveShards {
-            store: Mutex::new(self),
-            pop_delta: AtomicI64::new(0),
-            byz_delta: AtomicI64::new(0),
-        }
-    }
-
-    /// Folds the population/Byzantine deltas of a completed wave (from
-    /// [`WaveShards::deltas`]) back into the exact aggregate counters.
-    ///
-    /// # Errors
-    /// [`NowError::StateCorrupt`] if a delta would drive a counter
-    /// negative — that would mean the wave detached nodes that never
-    /// existed. The counters are left untouched on error (the first
-    /// failing check returns before either field is written).
-    pub fn apply_wave_deltas(&mut self, pop_delta: i64, byz_delta: i64) -> Result<(), NowError> {
-        let population = self
-            .population
-            .checked_add_signed(pop_delta)
-            .ok_or_else(|| NowError::StateCorrupt {
-                reason: format!(
-                    "wave population delta {pop_delta} underflows counter {}",
-                    self.population
-                ),
-            })?;
-        let byz_population = self
-            .byz_population
-            .checked_add_signed(byz_delta)
-            .ok_or_else(|| NowError::StateCorrupt {
-                reason: format!(
-                    "wave byzantine delta {byz_delta} underflows counter {}",
-                    self.byz_population
-                ),
-            })?;
-        self.population = population;
-        self.byz_population = byz_population;
-        Ok(())
-    }
-}
-
-/// Wave-scoped mutation facade over the registry for one conflict-free
-/// wave.
-///
-/// Obtained from [`Registry::wave_shards`]. The slab store sits behind
-/// one [`Mutex`], shared by every handle: wave effects are applied in
-/// one canonical serial pass by the executor, so the lock is
-/// uncontended there, and the handles stay `Sync` for callers that do
-/// apply disjoint-footprint mutations from worker threads. Under
-/// threads, correctness rests on the wave contract itself — every node
-/// is touched by at most one handle and every cluster is mutated by at
-/// most one handle, so the final membership state is a function of the
-/// operation set, not of lock-acquisition order. (Slab slot numbers
-/// *can* vary with interleaving; they are internal names and observable
-/// state never depends on them — see the module docs.)
-///
-/// [`WaveShards::handle`] scopes a mutator to one operation's cluster
-/// footprint and `debug_assert`s that it never escapes it; the
-/// unconfined `*_any` methods exist for the executor's canonical serial
-/// phase, where exchange relocations legitimately land outside every
-/// footprint.
-pub struct WaveShards<'a> {
-    store: Mutex<&'a mut Registry>,
-    pop_delta: AtomicI64,
-    byz_delta: AtomicI64,
-}
-
-impl<'a> WaveShards<'a> {
-    /// A mutator confined (by debug assertions) to `footprint`.
-    pub fn handle(&self, footprint: &[ClusterId]) -> FootprintHandle<'_, 'a> {
-        let mut sorted: Vec<ClusterId> = footprint.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        FootprintHandle {
-            shards: self,
-            footprint: sorted,
-        }
-    }
-
-    /// The record of a live node (locks the store briefly).
-    pub fn node_record(&self, node: NodeId) -> Option<NodeRecord> {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        self.store
-            .lock()
-            .expect("registry store poisoned")
-            .get(node)
-    }
-
-    /// Whether the cluster is live.
-    pub fn contains_cluster(&self, cluster: ClusterId) -> bool {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        self.store
-            .lock()
-            .expect("registry store poisoned")
-            .contains_cluster(cluster)
-    }
-
-    /// Per-cluster aggregate, as [`Registry::cluster_stats`].
-    pub fn cluster_stats(&self, cluster: ClusterId) -> Option<ClusterStats> {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        self.store
-            .lock()
-            .expect("registry store poisoned")
-            .cluster_stats(cluster)
-    }
-
-    /// Unconfined attach (canonical serial phase only; see the type
-    /// docs). Same invariant maintenance as [`Registry::attach`].
-    ///
-    /// # Panics
-    /// Panics if the node is already registered or the cluster is dead.
-    pub fn attach_any(&self, node: NodeId, honest: bool, cluster: ClusterId) {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        self.store
-            .lock()
-            .expect("registry store poisoned")
-            .attach_uncounted(node, honest, cluster);
-        self.pop_delta.fetch_add(1, Ordering::Relaxed);
-        if !honest {
-            self.byz_delta.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Unconfined detach; returns the node's final record, or `None` if
-    /// it was not registered.
-    pub fn detach_any(&self, node: NodeId) -> Option<NodeRecord> {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        let record = self
-            .store
-            .lock()
-            .expect("registry store poisoned")
-            .detach_uncounted(node)?;
-        self.pop_delta.fetch_add(-1, Ordering::Relaxed);
-        if !record.honest {
-            self.byz_delta.fetch_add(-1, Ordering::Relaxed);
-        }
-        Some(record)
-    }
-
-    /// Unconfined move (no-op if already there); returns the previous
-    /// home, or `None` if the node is unknown.
-    ///
-    /// # Panics
-    /// Panics if `to` is not a live cluster.
-    pub fn move_any(&self, node: NodeId, to: ClusterId) -> Option<ClusterId> {
-        // INVARIANT: the store mutex is poisoned only if a planner
-        // worker panicked while holding it; the executor re-raises
-        // that panic after quiescence, so this path never fires in
-        // a run that is still healthy.
-        self.store
-            .lock()
-            .expect("registry store poisoned")
-            .move_to(node, to)
-    }
-
-    /// Net `(population, byzantine)` deltas accumulated so far; fold
-    /// them back with [`Registry::apply_wave_deltas`] after dropping the
-    /// facade.
-    pub fn deltas(&self) -> (i64, i64) {
-        (
-            self.pop_delta.load(Ordering::Relaxed),
-            self.byz_delta.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A [`WaveShards`] mutator confined to one operation's cluster
-/// footprint.
-///
-/// Every access `debug_assert`s that the touched cluster lies inside
-/// the footprint the handle was created with — the executable form of
-/// the wave contract ("a handle never escapes its footprint"). Release
-/// builds keep only the store locking.
-pub struct FootprintHandle<'w, 'a> {
-    shards: &'w WaveShards<'a>,
-    /// Sorted, deduplicated; membership is a binary search.
-    footprint: Vec<ClusterId>,
-}
-
-impl FootprintHandle<'_, '_> {
-    /// Whether `cluster` lies inside this handle's footprint.
-    pub fn covers(&self, cluster: ClusterId) -> bool {
-        self.footprint.binary_search(&cluster).is_ok()
-    }
-
-    /// Attach into a footprint cluster.
-    pub fn attach(&mut self, node: NodeId, honest: bool, cluster: ClusterId) {
-        debug_assert!(
-            self.covers(cluster),
-            "handle escaped its footprint: attach into {cluster}"
-        );
-        self.shards.attach_any(node, honest, cluster);
-    }
-
-    /// Detach a node whose home lies inside the footprint.
-    pub fn detach(&mut self, node: NodeId) -> Option<NodeRecord> {
-        debug_assert!(
-            self.shards
-                .node_record(node)
-                .map_or(true, |r| self.covers(r.cluster)),
-            "handle escaped its footprint: detach of {node}"
-        );
-        self.shards.detach_any(node)
-    }
-
-    /// Move a node between two footprint clusters.
-    pub fn move_within(&mut self, node: NodeId, to: ClusterId) -> Option<ClusterId> {
-        debug_assert!(
-            self.covers(to),
-            "handle escaped its footprint: move into {to}"
-        );
-        debug_assert!(
-            self.shards
-                .node_record(node)
-                .map_or(true, |r| self.covers(r.cluster)),
-            "handle escaped its footprint: move of {node}"
-        );
-        self.shards.move_any(node, to)
-    }
-
-    /// Footprint-confined aggregate read.
-    pub fn cluster_stats(&self, cluster: ClusterId) -> Option<ClusterStats> {
-        debug_assert!(
-            self.covers(cluster),
-            "handle escaped its footprint: stats of {cluster}"
-        );
-        self.shards.cluster_stats(cluster)
-    }
 }
 
 #[cfg(test)]
@@ -1128,27 +758,27 @@ mod tests {
         reg.attach(nid(0), true, cid(1));
     }
 
-    /// Freed slab slots are recycled through the freelists, and
-    /// recycling bumps the generation so stale indices are detectable.
+    /// Freed slab slots are recycled through the freelists.
     #[test]
-    fn slabs_recycle_slots_with_fresh_generations() {
+    fn slabs_recycle_freed_slots() {
         let mut reg = registry_with(2, 2);
-        let old_node = reg.node_idx(nid(0)).unwrap();
+        let old_node = reg.node_slot_of(nid(0)).unwrap();
         reg.detach(nid(0)).unwrap();
+        assert_eq!(reg.node_slot_of(nid(0)), None);
         reg.attach(nid(100), true, cid(1));
-        let new_node = reg.node_idx(nid(100)).unwrap();
-        assert_eq!(new_node.slot, old_node.slot, "freed node slot is reused");
-        assert_ne!(new_node.gen, old_node.gen, "recycled slot changed gen");
+        assert_eq!(
+            reg.node_slot_of(nid(100)),
+            Some(old_node),
+            "freed node slot is reused"
+        );
 
-        let old_cluster = reg.cluster_idx(cid(0)).unwrap();
+        let old_cluster = reg.cluster_slot_of(cid(0)).unwrap();
         for n in reg.cluster(cid(0)).unwrap().member_vec() {
             reg.detach(n).unwrap();
         }
         reg.remove_cluster(cid(0)).unwrap();
         reg.create_cluster(cid(7));
-        let new_cluster = reg.cluster_idx(cid(7)).unwrap();
-        assert_eq!(new_cluster.slot, old_cluster.slot);
-        assert_ne!(new_cluster.gen, old_cluster.gen);
+        assert_eq!(reg.cluster_slot_of(cid(7)), Some(old_cluster));
         reg.check_invariants().unwrap();
     }
 
@@ -1163,7 +793,6 @@ mod tests {
         let ghost = cid(99_999);
         assert!(reg.cluster(ghost).is_none());
         assert!(!reg.contains_cluster(ghost));
-        assert!(reg.cluster_idx(ghost).is_none());
         assert!(reg.cluster_stats(ghost).is_none());
         assert!(reg.remove_cluster(ghost).is_none());
         assert!(reg.cluster(cid(3)).is_none(), "never issued");
@@ -1221,147 +850,9 @@ mod tests {
     }
 
     #[test]
-    fn generation_indices_resolve_while_live() {
-        let reg = registry_with(3, 4);
-        let idx = reg.cluster_idx(cid(1)).unwrap();
-        assert_eq!(reg.cluster_by_idx(idx).id(), cid(1));
-        let nidx = reg.node_idx(nid(5)).unwrap();
-        assert_eq!(reg.node_by_idx(nidx).cluster, cid(1));
-        assert!(reg.cluster_idx(cid(99)).is_none());
-        assert!(reg.node_idx(nid(99)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "stale cluster index")]
-    fn stale_cluster_idx_panics() {
-        let mut reg = Registry::new();
-        reg.create_cluster(cid(0));
-        let idx = reg.cluster_idx(cid(0)).unwrap();
-        reg.remove_cluster(cid(0)).unwrap();
-        // The slot is recycled by a new cluster; the old index must not
-        // silently alias it.
-        reg.create_cluster(cid(1));
-        let _ = reg.cluster_by_idx(idx);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale node index")]
-    fn stale_node_idx_panics() {
-        let mut reg = registry_with(1, 2);
-        let idx = reg.node_idx(nid(0)).unwrap();
-        reg.detach(nid(0)).unwrap();
-        let _ = reg.node_by_idx(idx);
-    }
-
-    #[test]
     fn invariant_check_is_exhaustive_on_empty() {
         let reg = Registry::new();
         assert!(reg.is_empty());
-        reg.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn wave_shards_mutations_match_direct_registry_calls() {
-        let mut direct = registry_with(4, 6);
-        let mut sharded = registry_with(4, 6);
-
-        direct.detach(nid(0)).unwrap();
-        direct.attach(nid(100), false, cid(2));
-        direct.move_to(nid(5), cid(3)).unwrap();
-
-        {
-            let shards = sharded.wave_shards();
-            let mut h = shards.handle(&[cid(0), cid(2), cid(3)]);
-            assert!(h.covers(cid(0)) && !h.covers(cid(1)));
-            let rec = h.detach(nid(0)).unwrap();
-            assert_eq!(rec.cluster, cid(0));
-            h.attach(nid(100), false, cid(2));
-            // nid(5) lives in cluster 0 (6 nodes per cluster).
-            assert_eq!(h.move_within(nid(5), cid(3)), Some(cid(0)));
-            assert_eq!(
-                h.cluster_stats(cid(3)).unwrap().size,
-                direct.cluster_stats(cid(3)).unwrap().size
-            );
-            let (dp, db) = shards.deltas();
-            assert_eq!((dp, db), (0, 0), "one detach + one attach net out");
-            sharded.apply_wave_deltas(dp, db).unwrap();
-        }
-
-        assert_eq!(direct.population(), sharded.population());
-        assert_eq!(direct.byz_population(), sharded.byz_population());
-        assert_eq!(direct.node_ids(), sharded.node_ids());
-        for c in 0..4 {
-            assert_eq!(
-                direct.cluster(cid(c)).unwrap().member_slice(),
-                sharded.cluster(cid(c)).unwrap().member_slice()
-            );
-        }
-        sharded.check_invariants().unwrap();
-    }
-
-    /// The facade's whole point: handles over disjoint footprints may
-    /// run on different threads, and the final registry state is
-    /// independent of their interleaving.
-    #[test]
-    fn disjoint_handles_mutate_concurrently() {
-        let mut reg = registry_with(8, 8); // 64 nodes, ids 0..64
-        {
-            let shards = reg.wave_shards();
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let shards = &shards;
-                    s.spawn(move || {
-                        // Thread t owns clusters 2t and 2t+1.
-                        let fp = [cid(2 * t), cid(2 * t + 1)];
-                        let mut h = shards.handle(&fp);
-                        // Detach one member, move another across the
-                        // footprint, attach a fresh node.
-                        h.detach(nid(2 * t * 8)).unwrap();
-                        h.move_within(nid(2 * t * 8 + 1), cid(2 * t + 1)).unwrap();
-                        h.attach(nid(1000 + t), t % 2 == 0, cid(2 * t + 1));
-                    });
-                }
-            });
-            let (dp, db) = shards.deltas();
-            assert_eq!(dp, 0, "4 detaches + 4 attaches net out");
-            reg.apply_wave_deltas(dp, db).unwrap();
-        }
-        reg.check_invariants().unwrap();
-        assert_eq!(reg.population(), 64);
-        for t in 0..4u64 {
-            assert!(!reg.contains(nid(2 * t * 8)));
-            assert!(reg.contains(nid(1000 + t)));
-            assert_eq!(reg.get(nid(2 * t * 8 + 1)).unwrap().cluster, cid(2 * t + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "escaped its footprint")]
-    #[cfg(debug_assertions)]
-    fn handle_escape_is_caught() {
-        let mut reg = registry_with(3, 4);
-        let shards = reg.wave_shards();
-        let mut h = shards.handle(&[cid(0)]);
-        // nid(4) lives in cluster 1 — outside the footprint.
-        let _ = h.detach(nid(4));
-    }
-
-    #[test]
-    fn move_any_between_clusters() {
-        let mut reg = registry_with(17, 2);
-        {
-            let shards = reg.wave_shards();
-            // Exercise cross-cluster moves, the no-op path, and the
-            // unknown-node case through the facade.
-            assert_eq!(shards.move_any(nid(0), cid(16)), Some(cid(0)));
-            assert_eq!(shards.move_any(nid(1), cid(1)), Some(cid(0)));
-            assert_eq!(shards.move_any(nid(1), cid(1)), Some(cid(1)), "no-op");
-            assert_eq!(shards.move_any(nid(9999), cid(1)), None);
-            assert!(shards.contains_cluster(cid(1)));
-            assert!(!shards.contains_cluster(cid(999)));
-            assert_eq!(shards.node_record(nid(1)).unwrap().cluster, cid(1));
-            assert_eq!(shards.deltas(), (0, 0));
-        }
         reg.check_invariants().unwrap();
     }
 
@@ -1459,12 +950,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Drives the slab-backed registry and the seed-semantics map
-        /// shadow through the same randomized script — direct mutators
-        /// and the wave facade alike — and demands bit-equal
-        /// observables after every step. Slot recycling is exercised on
-        /// purpose: cluster removal/recreation (merge-then-split
-        /// included) and node churn force the freelists, the generation
-        /// bumps and the direct cluster map into play mid-script.
+        /// shadow through the same randomized script and demands
+        /// bit-equal observables after every step. Slot recycling is
+        /// exercised on purpose: cluster removal/recreation
+        /// (merge-then-split included) and node churn force the
+        /// freelists and the direct cluster map into play mid-script.
         #[test]
         fn flat_core_equals_seed_semantics(
             script in proptest::collection::vec((0u8..7, any::<u16>(), any::<bool>()), 1..160),
@@ -1473,10 +963,6 @@ mod tests {
             let mut shadow = ShadowRegistry::default();
             let mut next_node = 0u64;
             let mut next_cluster = 0u64;
-            // Deferred wave segment: facade ops queued and applied in
-            // one batch through `wave_shards`, mirroring the executor's
-            // canonical serial effect pass.
-            let mut wave_ops: Vec<(u8, NodeId, ClusterId)> = Vec::new();
 
             for (op, pick, honest) in script {
                 let pick = pick as usize;
@@ -1559,44 +1045,25 @@ mod tests {
                             prop_assert_eq!(reg.cluster_slot_of(victim), None);
                         }
                     }
-                    // Queue a facade op for the wave segment below.
+                    // An arrival that departs at once when Byzantine:
+                    // its node slot goes straight back on the freelist.
                     _ => {
                         let cs: Vec<ClusterId> = shadow.clusters.keys().copied().collect();
                         if !cs.is_empty() {
                             let c = cs[pick % cs.len()];
                             let n = nid(next_node);
                             next_node += 1;
-                            wave_ops.push((if honest { 0 } else { 1 }, n, c));
+                            reg.attach(n, honest, c);
+                            shadow.attach(n, honest, c);
+                            if !honest {
+                                prop_assert!(reg.detach(n).is_some());
+                                prop_assert!(shadow.detach(n).is_some());
+                            }
                         }
                     }
                 }
                 shadow.assert_equals(&reg, next_cluster);
             }
-
-            // Wave segment: apply the queued arrivals (and immediate
-            // departures for the odd-tagged half) through the facade,
-            // then fold the deltas back — exactly the executor's shape.
-            // Ops whose target cluster was removed after queuing are
-            // dropped, as the serial maintenance phase would do.
-            wave_ops.retain(|(_, _, c)| shadow.clusters.contains_key(c));
-            {
-                let shards = reg.wave_shards();
-                for &(tag, n, c) in &wave_ops {
-                    let mut handle = shards.handle(&[c]);
-                    handle.attach(n, tag == 0, c);
-                    if tag == 1 {
-                        prop_assert!(handle.detach(n).is_some());
-                    }
-                }
-                let (pop, byz) = shards.deltas();
-                reg.apply_wave_deltas(pop, byz).unwrap();
-            }
-            for &(tag, n, c) in &wave_ops {
-                if tag == 0 {
-                    shadow.attach(n, true, c);
-                }
-            }
-            shadow.assert_equals(&reg, next_cluster);
         }
     }
 }

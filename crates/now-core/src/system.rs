@@ -13,7 +13,7 @@ use now_over::Overlay;
 use rand::Rng;
 use std::fmt;
 
-/// The live system: sharded membership registry ([`Registry`]), OVER
+/// The live system: slab-backed membership registry ([`Registry`]), OVER
 /// overlay, message ledger, and deterministic randomness.
 ///
 /// All maintenance operations are methods (`join`, `leave`, and the
@@ -181,7 +181,7 @@ impl NowSystem {
         self.registry.byz_population()
     }
 
-    /// The sharded membership registry.
+    /// The slab-backed membership registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -432,7 +432,7 @@ impl NowSystem {
     }
 
     /// Deep consistency check used by tests after every operation:
-    /// registry shards ↔ clusters ↔ overlay all agree, caches and
+    /// registry indexes ↔ clusters ↔ overlay all agree, caches and
     /// counters are exact, and the ledger is span-balanced.
     pub fn check_consistency(&self) -> Result<(), String> {
         self.registry.check_invariants()?;

@@ -8,14 +8,13 @@
 //!
 //! Waves are planned on a persistent, channel-fed [`WavePool`]: workers
 //! spawn **once per pool** (run-scoped in `now-sim`, campaign-scoped in
-//! `now-campaign`, batch-scoped for `ExecConfig::Threaded`) and receive
-//! wave-plan jobs over per-worker channels — O(threads) thread spawns
-//! per run, however many narrow waves a conflict-heavy batch schedules
-//! into. Workers claim operations through an atomic cursor and write
-//! plans into positional slots, so pooled planning is bit-identical to
-//! sequential planning on the driving thread
-//! (`ExecConfig::Scheduled`), the reference every pooled run is
-//! tested against.
+//! `now-campaign`) and receive wave-plan jobs over per-worker channels
+//! — O(threads) thread spawns per run, however many narrow waves a
+//! conflict-heavy batch schedules into. Workers claim operations
+//! through an atomic cursor and write plans into positional slots, so
+//! pooled planning is bit-identical to sequential planning on the
+//! driving thread (`ExecConfig::Scheduled`), the reference every pooled
+//! run is tested against.
 //!
 //! # How determinism survives threading
 //!
@@ -42,12 +41,11 @@
 //! 3. **Canonical merge.** Effects, ledger deltas
 //!    ([`Ledger::merge_child`]), and deferred maintenance apply on the
 //!    driving thread in canonical batch order (departures before
-//!    arrivals, each in input order). Footprint-local effects go
-//!    through the wave's [`crate::registry::WaveShards`] handles —
-//!    whose debug assertions enforce that a handle never escapes its
-//!    footprint — and relocations that legitimately escape (exchange
-//!    partners are walk-chosen anywhere) use the facade's unconfined
-//!    path.
+//!    arrivals, each in input order). The apply half has one writer:
+//!    the driving thread holds `&mut Registry` and calls
+//!    [`Registry::attach`] / [`Registry::detach`] /
+//!    [`Registry::move_to`] directly, inside an op's footprint or
+//!    outside it (exchange partners are walk-chosen anywhere).
 //!
 //! # Model semantics (and how they differ from the serial engine)
 //!
@@ -80,7 +78,7 @@ use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
 use crate::malice::{Malice, NoMalice};
 use crate::params::{NowParams, SecurityMode};
-use crate::registry::{Registry, WaveShards};
+use crate::registry::Registry;
 use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
 use now_over::Overlay;
@@ -757,60 +755,35 @@ pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
     waves
 }
 
-/// Applies one planned operation's effects to the wave's shards —
-/// through the op's footprint handle where the effect stays inside the
-/// footprint, through the facade's unconfined path where it
-/// legitimately escapes — and records every cluster whose membership
-/// changed in `touched`. Called in canonical op order, so a relocation
-/// of a node an earlier op already moved or detached resolves the same
-/// way at every thread count.
-fn apply_effects(
-    shards: &WaveShards<'_>,
-    footprint: &[ClusterId],
-    effects: &[Effect],
-    touched: &mut BTreeSet<ClusterId>,
-) {
-    let mut handle = shards.handle(footprint);
+/// Applies one planned operation's effects to the registry and records
+/// every cluster whose membership they named in `touched`. Called in
+/// canonical op order on the driving thread, so a relocation of a node
+/// an earlier op already moved or detached resolves the same way at
+/// every thread count.
+fn apply_effects(registry: &mut Registry, effects: &[Effect], touched: &mut BTreeSet<ClusterId>) {
     for effect in effects {
         match *effect {
-            Effect::Detach { node } => match shards.node_record(node) {
-                Some(rec) if handle.covers(rec.cluster) => {
-                    handle.detach(node);
+            Effect::Detach { node } => {
+                if let Some(rec) = registry.detach(node) {
                     touched.insert(rec.cluster);
                 }
-                Some(rec) => {
-                    shards.detach_any(node);
-                    touched.insert(rec.cluster);
-                }
-                None => {}
-            },
+            }
             Effect::Attach {
                 node,
                 honest,
                 cluster,
             } => {
-                if handle.covers(cluster) {
-                    handle.attach(node, honest, cluster);
-                } else {
-                    shards.attach_any(node, honest, cluster);
-                }
+                registry.attach(node, honest, cluster);
                 touched.insert(cluster);
             }
-            Effect::Move { node, to } => match shards.node_record(node) {
-                Some(rec) if handle.covers(rec.cluster) && handle.covers(to) => {
-                    handle.move_within(node, to);
-                    touched.insert(rec.cluster);
+            Effect::Move { node, to } => {
+                // `None`: the node departed earlier in this wave, and
+                // the relocation is void.
+                if let Some(from) = registry.move_to(node, to) {
+                    touched.insert(from);
                     touched.insert(to);
                 }
-                Some(rec) => {
-                    shards.move_any(node, to);
-                    touched.insert(rec.cluster);
-                    touched.insert(to);
-                }
-                // The node departed earlier in this wave: the
-                // relocation is void.
-                None => {}
-            },
+            }
         }
     }
 }
@@ -993,8 +966,8 @@ impl NowSystem {
 
     /// Plans and applies one conflict-free wave: plan on the pool's
     /// workers (on the driving thread without a pool, or for a
-    /// strategic Malice), apply effects canonically through the wave
-    /// shards, fold ledgers, then run the deferred size maintenance.
+    /// strategic Malice), apply effects canonically, fold ledgers, then
+    /// run the deferred size maintenance.
     /// Shared by the wave engines (canonical order) and the event engine
     /// (delivery order).
     pub(crate) fn execute_wave(
@@ -1048,7 +1021,7 @@ impl NowSystem {
                 },
             );
 
-            // ---- apply effects canonically through the wave shards ----
+            // ---- apply effects canonically ----
             // `touched` collects every cluster whose membership actually
             // changed: canonical conflict resolution (two ops drawing
             // the same exchange victim, relocations voided by an
@@ -1056,18 +1029,8 @@ impl NowSystem {
             // that are *nobody's* host or home, and those must still be
             // maintenance-checked below.
             let mut touched: BTreeSet<ClusterId> = BTreeSet::new();
-            {
-                let shards = self.registry.wave_shards();
-                for (spec, plan) in wave_specs.iter().zip(&plans) {
-                    apply_effects(&shards, &spec.footprint, &plan.effects, &mut touched);
-                }
-                let (pop_delta, byz_delta) = shards.deltas();
-                // INVARIANT: the deltas are sums over this wave's own
-                // attach/detach calls against live records, so they can
-                // never drive a counter below the pre-wave value.
-                self.registry
-                    .apply_wave_deltas(pop_delta, byz_delta)
-                    .expect("wave deltas balance");
+            for plan in &plans {
+                apply_effects(&mut self.registry, &plan.effects, &mut touched);
             }
 
             // ---- fold ledgers + op counters canonically ----
@@ -1211,9 +1174,10 @@ mod tests {
             .step_by(17)
             .take(n_leaves)
             .collect();
+        let pool = WavePool::new(threads);
         let report = sys.step_batch(
             &BatchInput::from_flags(joins, &leaves),
-            &ExecConfig::threaded(threads),
+            &ExecConfig::pooled(&pool),
         );
         (sys, report)
     }
@@ -1244,8 +1208,8 @@ mod tests {
     fn threads_knob_normalizes_identically_everywhere() {
         // The one shared rule: 0 means 1. Pinned here for the helper
         // itself and for the pool (`zero_threads_is_one_thread` covers
-        // `ExecConfig::threaded`); now-sim and now-campaign have their
-        // own regression tests built on the same helper.
+        // a pooled batch); now-sim and now-campaign have their own
+        // regression tests built on the same helper.
         assert_eq!(normalize_threads(0), 1);
         assert_eq!(normalize_threads(1), 1);
         assert_eq!(normalize_threads(7), 7);
@@ -1356,9 +1320,10 @@ mod tests {
         scheduled.check_consistency().unwrap();
 
         let mut threaded = system(150, 31);
+        let pool = WavePool::new(4);
         let r = threaded.step_batch(
             &BatchInput::from_specs(&joins, &[]),
-            &ExecConfig::threaded(4),
+            &ExecConfig::pooled(&pool),
         );
         assert_eq!(r.contact_redraws, 1, "threaded engine counts the redraw");
         assert_eq!(r.joined.len(), 2);
@@ -1384,6 +1349,7 @@ mod tests {
                 .with_shuffle(false);
             NowSystem::init_fast(params, 200, 0.2, seed)
         };
+        let (one, four) = (WavePool::new(1), WavePool::new(4));
         let mut exercised = false;
         for seed in 0..20u64 {
             let sys = build(seed);
@@ -1400,7 +1366,7 @@ mod tests {
             let mut probe = build(seed);
             probe.step_batch(
                 &BatchInput::from_flags(&[], &leaves),
-                &ExecConfig::threaded(1),
+                &ExecConfig::pooled(&one),
             );
             let dissolved: Vec<ClusterId> = ids_before
                 .iter()
@@ -1413,7 +1379,7 @@ mod tests {
                 let mut s1 = build(seed);
                 let r1 = s1.step_batch(
                     &BatchInput::from_specs(&joins, &leaves),
-                    &ExecConfig::threaded(1),
+                    &ExecConfig::pooled(&one),
                 );
                 if r1.contact_redraws == 0 {
                     continue;
@@ -1428,7 +1394,7 @@ mod tests {
                 let mut s4 = build(seed);
                 let r4 = s4.step_batch(
                     &BatchInput::from_specs(&joins, &leaves),
-                    &ExecConfig::threaded(4),
+                    &ExecConfig::pooled(&four),
                 );
                 assert_eq!(
                     fingerprint(&s1, &r1),
@@ -1484,9 +1450,10 @@ mod tests {
         let nodes = sys.node_ids();
         // One fits above the floor, the duplicate and the rest reject.
         let leaves = [nodes[0], nodes[0], nodes[1]];
+        let pool = WavePool::new(4);
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &leaves),
-            &ExecConfig::threaded(4),
+            &ExecConfig::pooled(&pool),
         );
         assert_eq!(report.left, vec![nodes[0]]);
         assert_eq!(report.rejected.len(), 2);
@@ -1505,6 +1472,7 @@ mod tests {
     #[test]
     fn sustained_threaded_batches_keep_invariants() {
         let mut sys = system(220, 7);
+        let pool = WavePool::new(4);
         let (lo, hi) = (
             sys.params().min_cluster_size(),
             sys.params().max_cluster_size(),
@@ -1514,7 +1482,7 @@ mod tests {
             let joins = [round % 3 != 0, true];
             let report = sys.step_batch(
                 &BatchInput::from_flags(&joins, &leavers),
-                &ExecConfig::threaded(4),
+                &ExecConfig::pooled(&pool),
             );
             assert_eq!(report.joined.len(), 2);
             sys.check_consistency().unwrap();
@@ -1745,11 +1713,7 @@ mod tests {
                 );
                 let planned_center = run(&mut kernel, join, node, start);
                 let effects = view.effects;
-                let footprint = frozen.op_footprint(start);
-                let shards = frozen.registry.wave_shards();
-                apply_effects(&shards, &footprint, &effects, &mut BTreeSet::new());
-                let (pop, byz) = shards.deltas();
-                frozen.registry.apply_wave_deltas(pop, byz).unwrap();
+                apply_effects(&mut frozen.registry, &effects, &mut BTreeSet::new());
                 live.check_consistency().unwrap();
                 frozen.check_consistency().unwrap();
 
@@ -1786,6 +1750,78 @@ mod tests {
             asked.saw_joiner > 0,
             "a compromised partner held the op's own joiner: {asked:?}"
         );
+    }
+
+    /// The canonical conflict rules, on two hand-built plans applied in
+    /// order: a move of a node an earlier op detached is void, the
+    /// later of two moves of one node wins, a move to the current home
+    /// changes nothing, and `touched` names exactly the clusters the
+    /// applied effects named.
+    #[test]
+    fn conflicting_plans_resolve_canonically() {
+        let n = NodeId::from_raw;
+        let c = ClusterId::from_raw;
+        // Five clusters of two: c(i) holds n(2i) and n(2i + 1); n(0)
+        // and n(4) are Byzantine.
+        let mut reg = Registry::new();
+        for i in 0..5 {
+            reg.create_cluster(c(i));
+            reg.attach(n(2 * i), i != 0 && i != 2, c(i));
+            reg.attach(n(2 * i + 1), true, c(i));
+        }
+        let mut touched = BTreeSet::new();
+        let counters = |reg: &Registry| (reg.population(), reg.byz_population());
+
+        let first = [
+            Effect::Detach { node: n(0) },
+            Effect::Move {
+                node: n(2),
+                to: c(0),
+            },
+            Effect::Move {
+                node: n(4),
+                to: c(3),
+            },
+        ];
+        apply_effects(&mut reg, &first, &mut touched);
+        assert_eq!(counters(&reg), (9, 1));
+
+        let second = [
+            Effect::Attach {
+                node: n(10),
+                honest: false,
+                cluster: c(1),
+            },
+            // Departed in the first op: void, and c(4) stays unnamed.
+            Effect::Move {
+                node: n(0),
+                to: c(4),
+            },
+            // Planned from c(2), found in c(3): the later move wins.
+            Effect::Move {
+                node: n(4),
+                to: c(1),
+            },
+            // Already home.
+            Effect::Move {
+                node: n(3),
+                to: c(1),
+            },
+        ];
+        apply_effects(&mut reg, &second, &mut touched);
+
+        let members = |i| reg.cluster(c(i)).unwrap().member_vec();
+        assert!(!reg.contains(n(0)));
+        assert_eq!(members(0), [n(1), n(2)]);
+        assert_eq!(members(1), [n(3), n(4), n(10)]);
+        assert_eq!(members(2), [n(5)], "lost the twice-moved node");
+        assert_eq!(members(3), [n(6), n(7)], "gained it, then lost it");
+        assert_eq!(members(4), [n(8), n(9)]);
+        assert_eq!(touched, BTreeSet::from([c(0), c(1), c(2), c(3)]));
+        assert_eq!(counters(&reg), (10, 2));
+        assert_eq!(reg.node_ids().len(), 10);
+        assert_eq!(reg.byz_node_ids(), [n(4), n(10)]);
+        reg.check_invariants().unwrap();
     }
 
     /// Deterministic work gate for the copy-on-write views: a join
@@ -1854,11 +1890,12 @@ mod tests {
         // Dense capacity-2¹⁰ system: sustained shrinkage must merge,
         // sustained growth must split — through the deferred path.
         let mut sys = system(220, 8);
+        let pool = WavePool::new(4);
         for _ in 0..30 {
             let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(3).collect();
             sys.step_batch(
                 &BatchInput::from_flags(&[], &leavers),
-                &ExecConfig::threaded(4),
+                &ExecConfig::pooled(&pool),
             );
             sys.check_consistency().unwrap();
         }
@@ -1869,7 +1906,7 @@ mod tests {
         for _ in 0..30 {
             grow.step_batch(
                 &BatchInput::from_flags(&[true, true, true, true], &[]),
-                &ExecConfig::threaded(4),
+                &ExecConfig::pooled(&pool),
             );
             grow.check_consistency().unwrap();
         }
@@ -1880,9 +1917,10 @@ mod tests {
     #[test]
     fn batch_lands_under_batch_cost_kind_with_nested_ops() {
         let mut sys = system(150, 10);
+        let pool = WavePool::new(2);
         let report = sys.step_batch(
             &BatchInput::from_flags(&[true, false], &[]),
-            &ExecConfig::threaded(2),
+            &ExecConfig::pooled(&pool),
         );
         assert_eq!(report.joined.len(), 2);
         let batch = sys.ledger().stats(CostKind::Batch);
@@ -1898,7 +1936,11 @@ mod tests {
         let mut sys = system(100, 11);
         let t0 = sys.time_step();
         let total = sys.ledger().total();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::threaded(8));
+        let pool = WavePool::new(8);
+        let report = sys.step_batch(
+            &BatchInput::from_flags(&[], &[]),
+            &ExecConfig::pooled(&pool),
+        );
         assert_eq!(sys.time_step(), t0 + 1);
         assert_eq!(report.cost, Cost::ZERO);
         assert_eq!(sys.ledger().total(), total);
@@ -1913,9 +1955,10 @@ mod tests {
         let go = |threads: usize| {
             let mut s = NowSystem::init_fast(params, 150, 0.1, 12);
             *s.ledger_mut() = Ledger::recording();
+            let pool = WavePool::new(threads);
             s.step_batch(
                 &BatchInput::from_flags(&[true, true, false], &[]),
-                &ExecConfig::threaded(threads),
+                &ExecConfig::pooled(&pool),
             );
             s.ledger().records().to_vec()
         };

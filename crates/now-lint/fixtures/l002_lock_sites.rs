@@ -7,15 +7,14 @@ pub fn rogue(m: &Mutex<u32>) -> u32 {
     *m.lock().unwrap()
 }
 
-pub struct WaveShards;
-
-impl WaveShards {
-    // Same type name as the sanctioned registry facade, wrong file:
-    // the site check is (path, scope), so this still flags.
-    pub fn double(&self, a: &Mutex<u32>, b: &Mutex<u32>) {
-        let _x = a.lock();
-        let _y = b.lock();
-    }
+// Same fn name as the sanctioned plan-slot fill in `wave_exec.rs`,
+// wrong file: the site check is (path, scope), so the first guard
+// still flags.
+//
+// The second guard in one fn flags wherever the fn lives.
+pub fn claim_and_plan(a: &Mutex<u32>, b: &Mutex<u32>) {
+    let _x = a.lock();
+    let _y = b.lock();
 }
 
 #[cfg(test)]

@@ -331,7 +331,7 @@ mod tests {
             FileClass::Bench
         );
         assert_eq!(
-            classify("crates/now-bench/src/bin/x_flat_core.rs"),
+            classify("crates/now-bench/src/bin/x_batch_parallel.rs"),
             FileClass::Bin
         );
         assert_eq!(classify("examples/batch_churn.rs"), FileClass::Example);

@@ -13,17 +13,17 @@
 //! bracket content carries arithmetic, a literal offset, a range, or a
 //! `&`-keyed map lookup — the shapes that hold an off-by-one. A plain
 //! single-path index (`v[i]`, `slab[idx.pos]`) is exempt: bounded-loop
-//! iteration and generation-checked slab access are this codebase's
-//! documented deliberate-panic idioms, and flagging them would bury the
+//! iteration and slab-slot access are this codebase's documented
+//! deliberate-panic idioms, and flagging them would bury the
 //! real findings in noise.
 //!
 //! **L002** encodes the workspace locking contract directly (the rule
 //! *is* the contract, so the sites are named here, not in lint.toml):
-//! every `Mutex` acquisition lives in `registry.rs`'s `WaveShards` /
-//! `FootprintHandle` facades or the `wave_exec.rs` slot fill
-//! (`claim_and_plan`), each of which takes exactly one guard at a time.
-//! A fn taking two guards is a nested-acquisition deadlock candidate
-//! and is flagged wherever it lives, sanctioned files included.
+//! the one `Mutex` acquisition lives in the `wave_exec.rs` plan-slot
+//! fill (`claim_and_plan`), where pool workers write, and it takes
+//! exactly one guard at a time. A fn taking two guards is a
+//! nested-acquisition deadlock candidate and is flagged wherever it
+//! lives, the sanctioned file included.
 //!
 //! **D005** runs on the call graph: the *sanctioned* set starts at fns
 //! that derive a stream canonically (`DetRng::for_op`, `DetRng::new`,
@@ -243,11 +243,7 @@ fn is_computed_index(tokens: &[Token], i: usize) -> bool {
 
 /// The sanctioned single-guard lock sites: `(file suffix, impl type or
 /// fn name)`. Everything else holding a `MutexGuard` is a finding.
-const L002_SANCTIONED: &[(&str, &str)] = &[
-    ("crates/now-core/src/registry.rs", "WaveShards"),
-    ("crates/now-core/src/registry.rs", "FootprintHandle"),
-    ("crates/now-core/src/wave_exec.rs", "claim_and_plan"),
-];
+const L002_SANCTIONED: &[(&str, &str)] = &[("crates/now-core/src/wave_exec.rs", "claim_and_plan")];
 
 fn l002_lock_discipline(
     graph: &UnitGraph,
@@ -284,9 +280,9 @@ fn l002_lock_discipline(
                 line: f.facts.lock_lines[0],
                 rule: "L002",
                 message: format!(
-                    "fn `{}` calls .lock() outside the sanctioned shard sites \
-                     (registry.rs WaveShards/FootprintHandle, wave_exec.rs claim_and_plan): \
-                     route shared-state mutation through the wave facades",
+                    "fn `{}` calls .lock() outside the sanctioned site \
+                     (wave_exec.rs claim_and_plan): shared state is mutated on the \
+                     driving thread through `&mut`, not through a lock",
                     f.name
                 ),
             });
@@ -508,10 +504,10 @@ mod tests {
 
     #[test]
     fn l002_flags_double_acquisition_even_in_sanctioned_scope() {
-        let src = "impl WaveShards { fn f(&self) {\n\
+        let src = "fn claim_and_plan() {\n\
                    // INVARIANT: test double-lock shape.\n\
-                   let a = x.lock(); let b = y.lock(); } }";
-        let file = UnitFile::parse("crates/now-core/src/registry.rs", FileClass::Prod, src);
+                   let a = x.lock(); let b = y.lock(); }";
+        let file = UnitFile::parse("crates/now-core/src/wave_exec.rs", FileClass::Prod, src);
         let findings = analyze_unit(&[file]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "L002");
@@ -520,10 +516,10 @@ mod tests {
 
     #[test]
     fn l002_sanctioned_single_guards_pass() {
-        let src = "impl WaveShards { fn f(&self) {\n\
-                   // INVARIANT: store poisoning re-raises a worker panic.\n\
-                   let a = self.store.lock().expect(\"poisoned\"); } }";
-        let file = UnitFile::parse("crates/now-core/src/registry.rs", FileClass::Prod, src);
+        let src = "fn claim_and_plan(slot: &Mutex<u32>) {\n\
+                   // INVARIANT: slot poisoning re-raises a worker panic.\n\
+                   let a = slot.lock().expect(\"poisoned\"); }";
+        let file = UnitFile::parse("crates/now-core/src/wave_exec.rs", FileClass::Prod, src);
         assert!(analyze_unit(&[file]).is_empty());
     }
 

@@ -189,8 +189,8 @@ fn l002_flags_rogue_and_nested_locks_but_not_tests() {
         semantic_fixture("l002_lock_sites.rs", FileClass::Prod),
         pairs(&[
             ("L002", 7),  // rogue(): lock outside the sanctioned sites
-            ("L002", 16), // double(): WaveShards in the wrong file
-            ("L002", 17), // double(): second guard in one fn
+            ("L002", 16), // claim_and_plan(): right name, wrong file
+            ("L002", 17), // claim_and_plan(): second guard in one fn
         ])
     );
 }

@@ -5,7 +5,7 @@
 use now_bft::adversary::{
     BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick,
 };
-use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem};
+use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem, WavePool};
 use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId, OpRecord};
 use proptest::prelude::*;
 
@@ -130,9 +130,10 @@ proptest! {
                 .iter()
                 .map(|&p| nodes[p as usize % nodes.len()])
                 .collect();
+            let pool = WavePool::new(threads);
             let report = sys.step_batch(
                 &BatchInput::from_flags(&joins, &leaves),
-                &ExecConfig::threaded(threads),
+                &ExecConfig::pooled(&pool),
             );
             sys.check_consistency().expect("post-batch consistency");
             (
@@ -180,7 +181,6 @@ proptest! {
         leave_picks in proptest::collection::vec(any::<u16>(), 1..6),
         steps in 2usize..5,
     ) {
-        use now_bft::core::WavePool;
 
         #[derive(Clone, Copy)]
         enum Engine {
@@ -319,10 +319,11 @@ proptest! {
             let mut driver = attack_driver(kind, pick, width, tau);
             let mut rng = DetRng::new(seed ^ 0xA5A5_5A5A);
             let mut waves = Vec::new();
+            let pool = WavePool::new(threads);
             for _ in 0..STEPS {
                 let (joins, leaves) = driver.decide_batch(&sys, &mut rng);
                 let report =
-                    sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &ExecConfig::threaded(threads));
+                    sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &ExecConfig::pooled(&pool));
                 waves.push(report.waves.clone());
             }
             sys.check_consistency().expect("post-threaded consistency");

@@ -52,10 +52,19 @@
 //! traffic as quorum-layer message passing that composes across waves
 //! (their rounds are already accounted per operation), and reserves
 //! *conflict* for contention on the entry cluster's quorum
-//! neighborhood. On the serial engine none of the reported outcome
-//! metrics depend on this choice — only the `rounds_parallel` estimate
-//! does, and `x_batch_parallel` reports the wave structure alongside it
-//! so the estimate is inspectable.
+//! neighborhood. Exchange traffic composes *because* an exchange step
+//! is a swap — the partner sends one of its own members back "in
+//! replacement" (§3.1) — and the wave engine applies it as a swap of
+//! the two nodes' current positions: two concurrent cascades that pick
+//! the same node reorder who ends up where, but neither can change a
+//! cluster's size, so the size band never depends on how ops of a wave
+//! interleave. How often they do pick the same node is measured, not
+//! assumed: `now_swap_conflicts_total`.
+//!
+//! On the serial engine none of the reported outcome metrics depend on
+//! this choice — only the `rounds_parallel` estimate does, and
+//! `x_batch_parallel` reports the wave structure alongside it so the
+//! estimate is inspectable.
 
 use crate::error::NowError;
 use crate::system::NowSystem;

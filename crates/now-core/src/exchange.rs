@@ -18,7 +18,9 @@
 //!
 //! The shuffle is a [`Kernel`] method, so it edits whichever
 //! [`StateView`] the operation runs against: swaps land in the live
-//! registry at once, or in a planner view as recorded relocations.
+//! registry at once, or in a planner view as recorded swaps — one
+//! effect per `x ↔ y` pair, applied as a unit after the wave, so no
+//! conflict between concurrent cascades can leave half of one behind.
 
 use crate::kernel::{Kernel, StateView};
 use crate::malice::RandNumPurpose;
@@ -65,13 +67,12 @@ impl<S: StateView> Kernel<'_, S> {
         let mut receivers = BTreeSet::new();
 
         for x in members {
-            // `x` may have been swapped out by an earlier iteration only
-            // if it was chosen as a partner's replacement — the partner
-            // picks from *its* members, so `x` (still in `c`) is safe;
-            // guard anyway for robustness.
-            if self.state.home_of(x) != Some(c) {
-                continue;
-            }
+            // `x` is still in `c`: only a swap takes a node out of a
+            // cluster, and the one leaving `c` in an earlier iteration
+            // was that iteration's own `x` — its `y` came from a
+            // `partner ≠ c`, so it was never an unprocessed member of
+            // the snapshot. (Were a view ever to drift from this, the
+            // planner's `remove_member` fails loudly on the missing id.)
             let (partner, _trace) = self.rand_cl(c);
             if partner == c {
                 continue; // self-exchange is a no-op
@@ -106,9 +107,9 @@ impl<S: StateView> Kernel<'_, S> {
                     }
                 }
             }
-            // Swap x ↔ y.
-            self.state.relocate(x, partner);
-            self.state.relocate(y, c);
+            // Swap x ↔ y: `y` goes back "in replacement" (§3.1), so
+            // neither cluster's size changes.
+            self.state.swap(x, c, y, partner);
             receivers.insert(partner);
             // Transfer + view updates inside both clusters: each member
             // of each cluster learns the newcomer (1 round).

@@ -16,6 +16,17 @@
 //!   frozen registry and applied canonically after the wave, and the
 //!   size check is deferred with them.
 //!
+//! The edits are the paper's three: a node arrives ([`StateView::attach`]),
+//! a node departs ([`StateView::detach`]), and two nodes of different
+//! clusters trade places ([`StateView::swap`], §3.1's `exchange` step:
+//! the partner sends one of its own members back "in replacement").
+//! There is no lone move: nothing in Algorithms 1–2 changes one
+//! cluster's size without an arrival or a departure, and the trait
+//! cannot express it. The kernel always knows which cluster a node it
+//! edits is in — it just read the node from that cluster's member
+//! slice, or its caller validated it — so it names the clusters in
+//! every edit and a view needs no per-node home index.
+//!
 //! Everything else — overlay, ledger, stream, adversary — is borrowed
 //! as disjoint fields, so draw order, span nesting and every message
 //! count are the same code on both states. Each [`Malice`] hook
@@ -40,16 +51,15 @@ pub(crate) trait StateView {
     fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity;
     /// Members of `c` in ascending id order.
     fn members(&self, c: ClusterId) -> &[NodeId];
-    /// The cluster `n` belongs to, `None` once it has departed.
-    fn home_of(&self, n: NodeId) -> Option<ClusterId>;
     /// Ground-truth honesty of a present node.
     fn honesty(&self, n: NodeId) -> bool;
     /// Adds a new node to `c`.
     fn attach(&mut self, n: NodeId, honest: bool, c: ClusterId);
-    /// Removes a present node from the network.
-    fn detach(&mut self, n: NodeId);
-    /// Moves a present node into `to` (no-op if it is there already).
-    fn relocate(&mut self, n: NodeId, to: ClusterId);
+    /// Removes `n`, a member of `from`, from the network.
+    fn detach(&mut self, n: NodeId, from: ClusterId);
+    /// One exchange step: `x`, a member of `c`, and `y`, a member of
+    /// `partner ≠ c`, trade places. Both cluster sizes are unchanged.
+    fn swap(&mut self, x: NodeId, c: ClusterId, y: NodeId, partner: ClusterId);
 }
 
 impl StateView for Registry {
@@ -65,10 +75,6 @@ impl StateView for Registry {
         self.cluster(c).expect("live cluster").member_slice()
     }
 
-    fn home_of(&self, n: NodeId) -> Option<ClusterId> {
-        self.get(n).map(|r| r.cluster)
-    }
-
     fn honesty(&self, n: NodeId) -> bool {
         // INVARIANT: asked only of ids just read from a member slice.
         self.get(n).expect("live member").honest
@@ -78,14 +84,18 @@ impl StateView for Registry {
         Registry::attach(self, n, honest, c);
     }
 
-    fn detach(&mut self, n: NodeId) {
+    fn detach(&mut self, n: NodeId, from: ClusterId) {
         // INVARIANT: leave validates its node before the kernel runs.
-        Registry::detach(self, n).expect("detaching a live node");
+        let rec = Registry::detach(self, n).expect("detaching a live node");
+        debug_assert_eq!(rec.cluster, from);
     }
 
-    fn relocate(&mut self, n: NodeId, to: ClusterId) {
-        // INVARIANT: exchange moves members it just read from a slice.
-        self.move_to(n, to).expect("moving a live node");
+    fn swap(&mut self, x: NodeId, c: ClusterId, y: NodeId, partner: ClusterId) {
+        // INVARIANT: exchange read `x` from `c`'s member slice just now.
+        let from_x = self.move_to(x, partner).expect("swapping a live node");
+        // INVARIANT: exchange read `y` from `partner`'s member slice.
+        let from_y = self.move_to(y, c).expect("swapping a live node");
+        debug_assert_eq!((from_x, from_y), (c, partner));
     }
 }
 

@@ -65,19 +65,17 @@ impl<S: StateView> Kernel<'_, S> {
         host
     }
 
-    /// Algorithm 2 up to the size check: `node`'s cluster removes it
+    /// Algorithm 2 up to the size check: `node`'s cluster `home` (looked
+    /// up by the caller, on the state the kernel runs on) removes it
     /// from all views, tells its neighbors, and exchanges all of its
-    /// members, receivers cascading. Returns that cluster with the
+    /// members, receivers cascading. Returns with the
     /// [`CostKind::Leave`] span **still open** (see [`Kernel::join`]).
-    pub(crate) fn leave(&mut self, node: NodeId) -> ClusterId {
-        // INVARIANT: every caller validates the leaver against the
-        // state it runs on before the kernel starts.
-        let home = self.state.home_of(node).expect("pre-validated leaver");
+    pub(crate) fn leave(&mut self, node: NodeId, home: ClusterId) {
         self.ledger.begin(CostKind::Leave);
 
         // Members of C update their views and tell the neighbors to
         // drop x (accepted once more than half of C says so).
-        self.state.detach(node);
+        self.state.detach(node, home);
         let size = self.state.members(home).len() as u64;
         self.ledger.add_messages(size);
         self.ledger.add_rounds(1);
@@ -88,7 +86,6 @@ impl<S: StateView> Kernel<'_, S> {
             let cascade = self.params.cascade_enabled();
             self.exchange_all(home, cascade);
         }
-        home
     }
 }
 
@@ -182,9 +179,9 @@ impl NowSystem {
                 floor,
             });
         }
-        self.node_cluster(node)?;
+        let home = self.node_cluster(node)?;
         self.leave_count += 1;
-        let home = self.kernel().leave(node);
+        self.kernel().leave(node, home);
         if self.cluster_ref(home).size() < self.params.min_cluster_size()
             && self.cluster_count() > 1
         {
@@ -336,8 +333,9 @@ impl NowSystem {
             self.move_node(node, c);
         }
         for (node, _) in &rejoiners {
-            // INVARIANT: rejoiners were read from the victim's live
-            // member vec above and nothing detached them since.
+            // INVARIANT: rejoiners are `c`'s original members, read
+            // from its live member vec above; only the victim's members
+            // moved since (into `c`), and nothing detached anyone.
             self.detach_node(*node).expect("rejoiner is live");
         }
         self.registry

@@ -45,22 +45,39 @@
 //!    the driving thread holds `&mut Registry` and calls
 //!    [`Registry::attach`] / [`Registry::detach`] /
 //!    [`Registry::move_to`] directly, inside an op's footprint or
-//!    outside it (exchange partners are walk-chosen anywhere).
+//!    outside it (exchange partners are walk-chosen anywhere). A plan
+//!    holds three kinds of effect — an arrival, a departure, and a
+//!    **swap** of two nodes (one `exchange` step) — and the swap is
+//!    applied as a unit.
 //!
 //! # Model semantics (and how they differ from the serial engine)
 //!
 //! The engine defines a *parallel deployment* of the §2-footnote batch:
 //! operations of one wave observe the pre-wave state plus their own
-//! effects, exactly as genuinely concurrent admissions would; a node
-//! claimed by two concurrent relocations resolves to the canonical
-//! winner (later-applied move wins; a move of a node that already
-//! departed is dropped). Split/merge maintenance runs after the wave
-//! whose operations triggered it, accounted as sibling spans of the
-//! batch rather than nested inside the triggering operation: first
-//! each op's own host/home in canonical order, then a deterministic
-//! sweep over every other cluster the wave's effects touched —
-//! conflict resolution can net-change the size of clusters that are
-//! nobody's host or home, and the size band must hold there too.
+//! effects, exactly as genuinely concurrent admissions would. Two
+//! cascading leaves of one wave each swap a few hundred nodes, many of
+//! them the same ones, so a later op's plan can name a node that an
+//! earlier op has since swapped elsewhere or detached. The paper's
+//! `exchange` (§3.1) is a swap — the partner sends one of its own
+//! members back "in replacement" — and that is the unit of canonical
+//! apply: a planned swap `x ↔ y` **exchanges the clusters the two
+//! nodes are in when it is applied**. That is the planned edit
+//! whenever the plan's view was accurate (always, in a wave of one
+//! op); it is void if either node has departed, and changes nothing if
+//! both are now in one cluster. Whatever collides, a swap moves one
+//! node each way between two clusters or does nothing, so cluster
+//! sizes are invariant under exchange — as Lemma 1 and Theorem 3's
+//! size band assume — and no shuffle step is lost unless one of its
+//! two nodes has left the network. How often plans do collide is
+//! counted (`now_swap_conflicts_total`).
+//!
+//! Split/merge maintenance runs after the wave whose operations
+//! triggered it, accounted as sibling spans of the batch rather than
+//! nested inside the triggering operation: each op's own host/home in
+//! canonical order. Only one other cluster can have changed size: when
+//! an earlier op of the wave swapped a leaver out of its home before
+//! the leaver's own departure applied, the departure takes it from the
+//! cluster it was swapped into, and that cluster is checked as well.
 //! Because randomness is consumed per-operation instead of from one
 //! shared stream, outcomes differ from `ExecConfig::Serial` for the
 //! same seed — by design; the bit-equality contract is *across thread
@@ -84,7 +101,7 @@ use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
 use now_over::Overlay;
 use now_trace::{SpanTotal, TraceData};
 use rand::{Rng, RngCore};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -157,6 +174,8 @@ pub(crate) enum PlannedOp {
 }
 
 /// A registry mutation planned by a kernel, applied canonically later.
+/// There is one per [`StateView`] edit, so the only effects that change
+/// a cluster's size are an arrival and a departure.
 enum Effect {
     Detach {
         node: NodeId,
@@ -166,9 +185,13 @@ enum Effect {
         honest: bool,
         cluster: ClusterId,
     },
-    Move {
-        node: NodeId,
-        to: ClusterId,
+    /// `x` of `c` and `y` of `partner` trade places, as the plan's view
+    /// saw them; [`apply_effects`] exchanges the places they have by then.
+    Swap {
+        x: NodeId,
+        c: ClusterId,
+        y: NodeId,
+        partner: ClusterId,
     },
 }
 
@@ -231,8 +254,6 @@ struct Planner<'a> {
     /// Deterministic work gate: member ids copied into views.
     #[cfg(test)]
     member_ids_copied: usize,
-    /// Home overrides for nodes this op moved (`None` = departed).
-    homes: BTreeMap<NodeId, Option<ClusterId>>,
     /// The op's own arrival, if any (honesty is not in the registry yet).
     joiner: Option<(NodeId, bool)>,
 }
@@ -246,7 +267,6 @@ impl<'a> Planner<'a> {
             views: Vec::new(),
             #[cfg(test)]
             member_ids_copied: 0,
-            homes: BTreeMap::new(),
             joiner: None,
         }
     }
@@ -310,9 +330,10 @@ impl<'a> Planner<'a> {
 
     fn remove_member(&mut self, c: ClusterId, n: NodeId, honest: bool) {
         let v = self.view_mut(c);
-        // INVARIANT: callers only remove a node from the cluster the
-        // view itself reported as its home, so the sorted member vec
-        // must contain it.
+        // INVARIANT: the kernel only removes a node from the cluster
+        // whose member slice (this view's) it just read the node from,
+        // or, for the leaver, from its home in the frozen registry
+        // before any edit — so the sorted member vec must contain it.
         let pos = v.members.binary_search(&n).expect("member present in view");
         v.members.remove(pos);
         if !honest {
@@ -341,13 +362,6 @@ impl StateView for Planner<'_> {
         }
     }
 
-    fn home_of(&self, n: NodeId) -> Option<ClusterId> {
-        match self.homes.get(&n) {
-            Some(over) => *over,
-            None => self.registry.get(n).map(|r| r.cluster),
-        }
-    }
-
     fn honesty(&self, n: NodeId) -> bool {
         if let Some((joiner, honest)) = self.joiner {
             if joiner == n {
@@ -363,7 +377,6 @@ impl StateView for Planner<'_> {
     fn attach(&mut self, n: NodeId, honest: bool, c: ClusterId) {
         self.joiner = Some((n, honest));
         self.insert_member(c, n, honest);
-        self.homes.insert(n, Some(c));
         self.effects.push(Effect::Attach {
             node: n,
             honest,
@@ -371,29 +384,19 @@ impl StateView for Planner<'_> {
         });
     }
 
-    fn detach(&mut self, n: NodeId) {
-        // INVARIANT: leave planning pre-validates the leaver against
-        // the registry before the wave starts, and no other op in the
-        // same wave shares its footprint.
-        let from = self.home_of(n).expect("detaching a live node");
+    fn detach(&mut self, n: NodeId, from: ClusterId) {
         let honest = self.honesty(n);
         self.remove_member(from, n, honest);
-        self.homes.insert(n, None);
         self.effects.push(Effect::Detach { node: n });
     }
 
-    fn relocate(&mut self, n: NodeId, to: ClusterId) {
-        // INVARIANT: moves originate from exchange steps over members
-        // of this op's own view, which are live by construction.
-        let from = self.home_of(n).expect("moving a live node");
-        if from == to {
-            return;
-        }
-        let honest = self.honesty(n);
-        self.remove_member(from, n, honest);
-        self.insert_member(to, n, honest);
-        self.homes.insert(n, Some(to));
-        self.effects.push(Effect::Move { node: n, to });
+    fn swap(&mut self, x: NodeId, c: ClusterId, y: NodeId, partner: ClusterId) {
+        let (x_honest, y_honest) = (self.honesty(x), self.honesty(y));
+        self.remove_member(c, x, x_honest);
+        self.insert_member(partner, x, x_honest);
+        self.remove_member(partner, y, y_honest);
+        self.insert_member(c, y, y_honest);
+        self.effects.push(Effect::Swap { x, c, y, partner });
     }
 }
 
@@ -417,7 +420,17 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
         malice,
     );
     let maintenance = match spec.op {
-        PlannedOp::Leave { node } => Maintenance::Merge(kernel.leave(node)),
+        PlannedOp::Leave { node } => {
+            // The leaver's home in the frozen registry, not
+            // `spec.center`: an earlier wave's exchange can have moved
+            // it since admission.
+            // INVARIANT: admission validated the leaver and claimed it
+            // for this op alone, and nothing between waves removes a
+            // node (a merge re-attaches every member it detaches).
+            let home = ctx.registry.get(node).expect("admitted leaver").cluster;
+            kernel.leave(node, home);
+            Maintenance::Merge(home)
+        }
         PlannedOp::Join {
             node,
             honest,
@@ -755,15 +768,29 @@ pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
     waves
 }
 
-/// Applies one planned operation's effects to the registry and records
-/// every cluster whose membership they named in `touched`. Called in
-/// canonical op order on the driving thread, so a relocation of a node
-/// an earlier op already moved or detached resolves the same way at
-/// every thread count.
-fn apply_effects(registry: &mut Registry, effects: &[Effect], touched: &mut BTreeSet<ClusterId>) {
+/// Applies one planned operation's effects to the registry, records
+/// every cluster that gained or lost a member in `touched`, and returns
+/// how many of its swaps found a party somewhere other than where the
+/// plan's view had it. Called in canonical op order on the driving
+/// thread, so a swap of a node an earlier op already swapped or
+/// detached resolves the same way at every thread count.
+///
+/// A swap is applied as an exchange of the two nodes' **current**
+/// clusters: exactly the planned edit when the view was accurate
+/// (always, in a width-1 wave), and size-preserving whatever an earlier
+/// op of the wave did to either party — void if one has departed,
+/// nothing to do if both are now in one cluster.
+fn apply_effects(
+    registry: &mut Registry,
+    effects: &[Effect],
+    touched: &mut BTreeSet<ClusterId>,
+) -> u64 {
+    let mut conflicts = 0;
     for effect in effects {
         match *effect {
             Effect::Detach { node } => {
+                // Wherever it is now: an earlier op's swap can have
+                // taken the leaver out of the home its own plan saw.
                 if let Some(rec) = registry.detach(node) {
                     touched.insert(rec.cluster);
                 }
@@ -776,16 +803,22 @@ fn apply_effects(registry: &mut Registry, effects: &[Effect], touched: &mut BTre
                 registry.attach(node, honest, cluster);
                 touched.insert(cluster);
             }
-            Effect::Move { node, to } => {
-                // `None`: the node departed earlier in this wave, and
-                // the relocation is void.
-                if let Some(from) = registry.move_to(node, to) {
-                    touched.insert(from);
-                    touched.insert(to);
+            Effect::Swap { x, c, y, partner } => {
+                let (Some(at_x), Some(at_y)) = (registry.get(x), registry.get(y)) else {
+                    // A party departed earlier in this wave: void.
+                    conflicts += 1;
+                    continue;
+                };
+                let (at_x, at_y) = (at_x.cluster, at_y.cluster);
+                conflicts += u64::from((at_x, at_y) != (c, partner));
+                if at_x != at_y {
+                    registry.move_to(x, at_y);
+                    registry.move_to(y, at_x);
                 }
             }
         }
     }
+    conflicts
 }
 
 /// The admitted half of a batch: up-front rejection decisions applied,
@@ -1022,16 +1055,16 @@ impl NowSystem {
             );
 
             // ---- apply effects canonically ----
-            // `touched` collects every cluster whose membership actually
-            // changed: canonical conflict resolution (two ops drawing
-            // the same exchange victim, relocations voided by an
-            // earlier departure) can net-change the size of clusters
-            // that are *nobody's* host or home, and those must still be
-            // maintenance-checked below.
+            // `touched` collects the clusters whose size changed: each
+            // op's host or home, and, for a leaver an earlier op of
+            // this wave had swapped away, the cluster it was really
+            // detached from. Swaps change no size and name nothing.
             let mut touched: BTreeSet<ClusterId> = BTreeSet::new();
+            let mut swap_conflicts = 0;
             for plan in &plans {
-                apply_effects(&mut self.registry, &plan.effects, &mut touched);
+                swap_conflicts += apply_effects(&mut self.registry, &plan.effects, &mut touched);
             }
+            self.hub.count("now_swap_conflicts_total", swap_conflicts);
 
             // ---- fold ledgers + op counters canonically ----
             for (spec, plan) in wave_specs.iter().zip(&plans) {
@@ -1059,10 +1092,9 @@ impl NowSystem {
             // ---- deferred maintenance ----
             // First each op's own host/home in canonical order (the
             // direct analogue of the serial oversize/undersize checks),
-            // then a sweep over every other touched cluster in
-            // ascending id order — a deterministic net to catch
-            // size-band escapes that conflict resolution produced on
-            // third-party clusters.
+            // then whatever is left in `touched`, in ascending id
+            // order: at most one cluster per leave, the one that lost
+            // the leaver in its home's stead.
             for plan in &plans {
                 match plan.maintenance {
                     Maintenance::Split(c) => {
@@ -1609,7 +1641,8 @@ mod tests {
     }
 
     /// One Byzantine arrival through `start`, or the departure of
-    /// `node`, with the op's span closed right after (no size check).
+    /// `node` from `start`, with the op's span closed right after (no
+    /// size check).
     fn run<S: StateView>(
         kernel: &mut Kernel<'_, S>,
         join: bool,
@@ -1619,7 +1652,8 @@ mod tests {
         let center = if join {
             kernel.join(node, false, start)
         } else {
-            kernel.leave(node)
+            kernel.leave(node, start);
+            start
         };
         kernel.ledger.end();
         center
@@ -1713,7 +1747,8 @@ mod tests {
                 );
                 let planned_center = run(&mut kernel, join, node, start);
                 let effects = view.effects;
-                apply_effects(&mut frozen.registry, &effects, &mut BTreeSet::new());
+                let conflicts = apply_effects(&mut frozen.registry, &effects, &mut BTreeSet::new());
+                assert_eq!(conflicts, 0, "one op alone collides with nobody: {case}");
                 live.check_consistency().unwrap();
                 frozen.check_consistency().unwrap();
 
@@ -1753,10 +1788,12 @@ mod tests {
     }
 
     /// The canonical conflict rules, on two hand-built plans applied in
-    /// order: a move of a node an earlier op detached is void, the
-    /// later of two moves of one node wins, a move to the current home
-    /// changes nothing, and `touched` names exactly the clusters the
-    /// applied effects named.
+    /// order, the second drawn up against the state *before* the first:
+    /// a swap with a party the earlier op detached is void, a node both
+    /// ops swap ends where the later swap puts it, a swap of two nodes
+    /// that now share a home changes nothing — and whatever collides,
+    /// only a detach or an attach changes a cluster's size or names it
+    /// in `touched`.
     #[test]
     fn conflicting_plans_resolve_canonically() {
         let n = NodeId::from_raw;
@@ -1769,55 +1806,52 @@ mod tests {
             reg.attach(n(2 * i), i != 0 && i != 2, c(i));
             reg.attach(n(2 * i + 1), true, c(i));
         }
+        let swap = |x, from, y, partner| Effect::Swap {
+            x: n(x),
+            c: c(from),
+            y: n(y),
+            partner: c(partner),
+        };
         let mut touched = BTreeSet::new();
         let counters = |reg: &Registry| (reg.population(), reg.byz_population());
 
+        // n(0) leaves c(0), which swaps its other member out; c(2) and
+        // c(3) trade a member each.
         let first = [
             Effect::Detach { node: n(0) },
-            Effect::Move {
-                node: n(2),
-                to: c(0),
-            },
-            Effect::Move {
-                node: n(4),
-                to: c(3),
-            },
+            swap(1, 0, 2, 1),
+            swap(4, 2, 6, 3),
         ];
-        apply_effects(&mut reg, &first, &mut touched);
+        assert_eq!(apply_effects(&mut reg, &first, &mut touched), 0);
         assert_eq!(counters(&reg), (9, 1));
+        assert_eq!(touched, BTreeSet::from([c(0)]));
 
         let second = [
             Effect::Attach {
                 node: n(10),
                 honest: false,
-                cluster: c(1),
+                cluster: c(4),
             },
-            // Departed in the first op: void, and c(4) stays unnamed.
-            Effect::Move {
-                node: n(0),
-                to: c(4),
-            },
-            // Planned from c(2), found in c(3): the later move wins.
-            Effect::Move {
-                node: n(4),
-                to: c(1),
-            },
-            // Already home.
-            Effect::Move {
-                node: n(3),
-                to: c(1),
-            },
+            // n(0) departed in the first op: void, n(8) stays.
+            swap(8, 4, 0, 0),
+            // Planned with n(4) in c(2), found in c(3): n(9) takes its
+            // place there, and n(4) ends in c(4) as planned.
+            swap(9, 4, 4, 2),
+            // Planned across c(1) and c(0); the first op put both in c(1).
+            swap(3, 1, 1, 0),
+            // Both where the plan saw them.
+            swap(10, 4, 7, 3),
         ];
-        apply_effects(&mut reg, &second, &mut touched);
+        assert_eq!(apply_effects(&mut reg, &second, &mut touched), 3);
 
         let members = |i| reg.cluster(c(i)).unwrap().member_vec();
         assert!(!reg.contains(n(0)));
-        assert_eq!(members(0), [n(1), n(2)]);
-        assert_eq!(members(1), [n(3), n(4), n(10)]);
-        assert_eq!(members(2), [n(5)], "lost the twice-moved node");
-        assert_eq!(members(3), [n(6), n(7)], "gained it, then lost it");
-        assert_eq!(members(4), [n(8), n(9)]);
-        assert_eq!(touched, BTreeSet::from([c(0), c(1), c(2), c(3)]));
+        assert_eq!(members(0), [n(2)], "lost the leaver, nothing else");
+        assert_eq!(members(1), [n(1), n(3)]);
+        assert_eq!(members(2), [n(5), n(6)]);
+        assert_eq!(members(3), [n(9), n(10)]);
+        assert_eq!(members(4), [n(4), n(7), n(8)], "gained the joiner");
+        assert_eq!(touched, BTreeSet::from([c(0), c(4)]));
         assert_eq!(counters(&reg), (10, 2));
         assert_eq!(reg.node_ids().len(), 10);
         assert_eq!(reg.byz_node_ids(), [n(4), n(10)]);
@@ -1853,8 +1887,9 @@ mod tests {
         for effect in &planner.effects {
             match *effect {
                 Effect::Attach { cluster, .. } => assert_eq!(cluster, host),
-                Effect::Move { to, .. } => {
-                    edited.insert(to);
+                Effect::Swap { c, partner, .. } => {
+                    assert_eq!(c, host, "a join's exchange does not cascade");
+                    edited.insert(partner);
                 }
                 Effect::Detach { .. } => panic!("a join detaches nobody"),
             }

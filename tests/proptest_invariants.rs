@@ -343,6 +343,36 @@ proptest! {
         prop_assert_eq!(threaded(1), threaded(4), "threads=1 vs threads=4 diverged");
     }
 
+    /// Exchanges are swaps, so only a departure changes a cluster's
+    /// size: in a leave-only batch on the wave engine — on an overlay
+    /// sparse enough that the cascades of one wave collide — that ran
+    /// no split and no merge, the cluster sizes move by exactly the
+    /// number of admitted leaves, one cluster down one per leave.
+    #[test]
+    fn concurrent_leaves_move_sizes_by_departures_only(
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u16>(), 2..=8),
+    ) {
+        // Capacity 16 ⇒ overlay degree 5 over 64 clusters: wide waves;
+        // k = 6 ⇒ clusters of 24, so each leave cascades through ≈ 600
+        // of the 1536 nodes.
+        let sparse = NowParams::new(16, 6, 1.5, 0.25, 0.05).unwrap();
+        let mut sys = NowSystem::init_fast(sparse, 64 * sparse.target_cluster_size(), 0.1, seed);
+        let nodes = sys.node_ids();
+        let leaves: Vec<NodeId> = picks.iter().map(|&p| nodes[p as usize % nodes.len()]).collect();
+        let ids = sys.cluster_ids();
+        let sizes = |sys: &NowSystem| -> Vec<usize> { sys.clusters().map(|c| c.size()).collect() };
+        let before = sizes(&sys);
+
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::scheduled());
+        prop_assert!(sys.check_consistency().is_ok(), "{:?}", sys.check_consistency());
+        if let (.., 0, 0) = sys.op_counts() {
+            prop_assert_eq!(&ids, &sys.cluster_ids(), "no maintenance, same cluster set");
+            let moved: usize = before.iter().zip(sizes(&sys)).map(|(&was, is)| was.abs_diff(is)).sum();
+            prop_assert_eq!(moved, report.left.len(), "waves: {:?}", report.waves);
+        }
+    }
+
     /// Ledger totals are monotone non-decreasing across operations and
     /// spans always balance at operation boundaries.
     #[test]

@@ -1,15 +1,12 @@
-//! Batched churn drivers: the attack styles of [`crate::strategies`]
-//! and [`crate::pressure`], emitting one *batch* of operations per time
-//! step.
+//! The churn-driver trait and the attack styles at batch rate.
 //!
-//! `Scenario::run_batch` historically covered only environmental
-//! churn (Quiet/Balanced/Sawtooth); the attack styles lacked batch
-//! counterparts (ROADMAP: "Batched adversarial drivers"). This module
-//! closes the gap: the [`BatchDriver`] trait lives here — next to the
-//! serial [`crate::Adversary`] it generalizes — and the three attack
-//! drivers emit whole batches that the conflict-free wave scheduler
-//! ([`now_core::NowSystem::step_batch`]) executes as single
-//! time steps:
+//! [`BatchDriver`] is the workspace's one churn-driver interface: each
+//! time step a driver emits the arrivals and departures of that step,
+//! and one [`now_core::NowSystem::step_batch`] executes them. The
+//! paper's one-operation-per-step model is the case of at most one
+//! operation per batch ([`crate::strategies`], [`crate::pressure`],
+//! [`crate::Oscillation`]); the drivers here emit whole batches (the
+//! §2 footnote's "several parallel join and leave operations"):
 //!
 //! * [`BatchJoinLeave`] — the §3.3 cluster-capture strategy at batch
 //!   rate: withdraw Byzantine nodes parked outside the target and
@@ -17,11 +14,14 @@
 //! * [`BatchForcedLeave`] — the DoS attack at batch rate: evict a
 //!   batch of the target's honest members, replacing them with
 //!   arrivals so the population (and the model floor) hold.
-//! * [`BatchSplitForcing`] — structural pressure at batch rate: flood
-//!   the target with steered arrivals so it splits every few steps.
+//! * [`BatchSplitForcing`] / [`BatchMergeForcing`] — structural
+//!   pressure at batch rate: flood the target so it splits every few
+//!   steps, or drain it so it merges.
+//! * [`BatchBurstChurn`] — alternating whole-batch join and leave
+//!   bursts.
 //!
-//! All three resolve their target through a [`ClusterPick`] policy
-//! (largest cluster by default — the natural flood target) and
+//! The targeted ones resolve their target through a [`ClusterPick`]
+//! policy (largest cluster by default — the natural flood target) and
 //! re-resolve whenever the current target merges away. Corruption
 //! decisions project the population forward across the batch (the
 //! pattern established by `BatchRandomChurn`), so a wide batch cannot
@@ -32,24 +32,26 @@ use crate::budget::CorruptionBudget;
 use now_core::{JoinSpec, NowSystem};
 use now_net::{ClusterId, DetRng, NodeId};
 
-/// A churn schedule that emits one *batch* of operations per time step:
-/// join specs (corruption decision plus optional steered contact) and
-/// departing nodes. The batched analogue of [`crate::Adversary`].
+/// A churn driver — adversarial strategy or environmental churn alike.
+/// Each time step it emits one batch of operations: join specs
+/// (corruption decision plus optional steered contact) and departing
+/// nodes. A per-step strategy returns at most one operation; an empty
+/// batch is a step in which time passes and nothing churns.
 ///
 /// Implementations must be deterministic functions of `(sys, rng)` —
-/// the batched runners rely on it for their bit-reproducibility
-/// guarantees.
+/// the runners rely on it for their bit-reproducibility guarantees.
 pub trait BatchDriver {
-    /// Decides this step's batch: the arrivals (with corruption flags
-    /// and contact steering) and the departing nodes.
+    /// Decides this step's batch from the full system state (the
+    /// paper's adversary has full information): the arrivals (with
+    /// corruption flags and contact steering) and the departing nodes.
     fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>);
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
 
-/// The batched analogue of [`crate::Quiet`]: every step is an empty
-/// batch (time passes, nothing churns) — control and quiesce phases.
+/// No churn at all: every step is an empty batch (time passes,
+/// nothing churns) — control runs and quiesce phases.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuietBatches;
 
@@ -70,7 +72,7 @@ impl BatchDriver for QuietBatches {
 /// How a targeted batch driver (re)selects its victim cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterPick {
-    /// The first live cluster in id order (the serial attacks' default).
+    /// The first live cluster in id order (the per-step attacks' default).
     First,
     /// The largest live cluster (ties broken by id) — the natural
     /// flood target.
@@ -128,7 +130,7 @@ fn live_target(target: &mut Option<ClusterId>, pick: ClusterPick, sys: &NowSyste
 /// and re-joins the same number of corrupt arrivals (budget permitting)
 /// steered at the target. When no Byzantine node is parked outside the
 /// target, the driver falls back to pure corrupt insertion up to the
-/// projected budget — the serial strategy's "all inside already; try to
+/// projected budget — the per-step strategy's "all inside already; try to
 /// add one", batched.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchJoinLeave {
@@ -365,7 +367,7 @@ impl BatchDriver for BatchSplitForcing {
 
 /// The merge-forcing drain at batch rate: each step evicts up to
 /// `width / 2` members of the target cluster (honest first — the
-/// adversary keeps its own nodes in play, exactly the serial
+/// adversary keeps its own nodes in play, exactly the per-step
 /// [`crate::MergeForcing`] preference) and interleaves the same number
 /// of *uniform* replacement arrivals corrupted up to the projected
 /// budget. The replacements keep the population and model floor
@@ -468,7 +470,7 @@ impl BatchDriver for BatchMergeForcing {
 /// Alternating join/leave bursts at batch rate: each *step* is one
 /// whole burst — `width` arrivals on even steps, `width` departures of
 /// distinct uniformly random nodes on odd steps. The batched analogue
-/// of the serial [`crate::BurstChurn`] (whose burst of `width`
+/// of the per-step [`crate::BurstChurn`] (whose burst of `width`
 /// consecutive single-op steps collapses into one wave-scheduled time
 /// step here — the regime the paper's parallel-batch footnote is for).
 #[derive(Debug, Clone, Copy)]
@@ -478,7 +480,7 @@ pub struct BatchBurstChurn {
     /// Corruption budget for the join bursts.
     pub budget: CorruptionBudget,
     /// Steers the join bursts at a sticky [`ClusterPick`] target
-    /// (`None` = uniform contacts, the serial driver's behavior).
+    /// (`None` = uniform contacts, the per-step driver's behavior).
     pub pick: Option<ClusterPick>,
     target: Option<ClusterId>,
     position: u64,
@@ -564,6 +566,17 @@ mod tests {
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
         NowSystem::init_fast(params, n0, tau, seed)
+    }
+
+    #[test]
+    fn quiet_never_acts() {
+        let sys = system(100, 0.1, 1);
+        let mut rng = DetRng::new(1);
+        assert_eq!(
+            QuietBatches.decide_batch(&sys, &mut rng),
+            (Vec::new(), Vec::new())
+        );
+        assert_eq!(QuietBatches.name(), "quiet-batches");
     }
 
     #[test]

@@ -6,22 +6,25 @@
 //! drives churn: join–leave attacks and forced departures of honest
 //! nodes (e.g. DoS). This crate packages those capabilities:
 //!
-//! * [`Adversary`] — per-time-step churn decisions ([`Action`]),
-//!   consuming the full system state the model entitles it to.
-//! * Strategies: [`RandomChurn`] (environmental churn at a corruption
+//! * [`BatchDriver`] — the one churn-driver trait: each time step's
+//!   arrivals ([`now_core::JoinSpec`]) and departures, decided from the
+//!   full system state the model entitles the adversary to.
+//! * Per-step strategies (at most one operation per step — the paper's
+//!   model): [`RandomChurn`] (environmental churn at a corruption
 //!   rate), [`JoinLeaveAttack`] (the §3.3 cluster-capture strategy),
 //!   [`ForcedLeaveAttack`] (DoS on a target cluster's honest members),
 //!   [`SplitForcing`]/[`MergeForcing`] (pressure on the split/merge
 //!   machinery), [`BurstChurn`] (the high-rate regime of the parallel-
-//!   batch footnote), [`Quiet`] (no churn).
+//!   batch footnote), [`Oscillation`] (whipsaw across the size band),
+//!   [`QuietBatches`] (no churn).
 //! * [`TargetedMalice`] — the in-protocol [`now_core::Malice`]
 //!   implementation a strategic adversary uses once some cluster is
 //!   compromised: steer walks toward the target, surrender honest
 //!   members first, extremize `randNum`.
-//! * Batched attack drivers ([`BatchDriver`]): [`BatchJoinLeave`],
+//! * Batch-rate attack drivers: [`BatchJoinLeave`],
 //!   [`BatchForcedLeave`], [`BatchSplitForcing`], [`BatchMergeForcing`],
-//!   [`BatchBurstChurn`] — the attack styles at batch rate, for the
-//!   §2-footnote wave-scheduled execution.
+//!   [`BatchBurstChurn`] — the attack styles at several operations per
+//!   step, for the §2-footnote wave-scheduled execution.
 //!
 //! The corruption *budget* is enforced by [`CorruptionBudget`]: the
 //! adversary may corrupt an arrival only while its share is below `τ`.
@@ -45,4 +48,4 @@ pub use budget::CorruptionBudget;
 pub use malice_impls::TargetedMalice;
 pub use oscillation::Oscillation;
 pub use pressure::{BurstChurn, MergeForcing, SplitForcing};
-pub use strategies::{Action, Adversary, ForcedLeaveAttack, JoinLeaveAttack, Quiet, RandomChurn};
+pub use strategies::{ForcedLeaveAttack, JoinLeaveAttack, RandomChurn};

@@ -9,10 +9,10 @@
 //! and re-randomizes memberships — the adversary pays nothing and makes
 //! the system churn internally).
 
+use crate::batch_drivers::BatchDriver;
 use crate::budget::CorruptionBudget;
-use crate::strategies::{Action, Adversary};
-use now_core::NowSystem;
-use now_net::DetRng;
+use now_core::{JoinSpec, NowSystem};
+use now_net::{DetRng, NodeId};
 use rand::Rng;
 
 /// Alternating join/leave bursts sized relative to the cluster-size
@@ -44,25 +44,21 @@ impl Oscillation {
     }
 }
 
-impl Adversary for Oscillation {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for Oscillation {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if self.burst_remaining == 0 {
             self.joining = !self.joining;
             self.burst_remaining = Self::burst_len(sys);
         }
         self.burst_remaining -= 1;
         if self.joining {
-            Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            }
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            (vec![JoinSpec::uniform(honest)], Vec::new())
         } else {
             let nodes = sys.node_ids();
-            Action::Leave {
-                // INVARIANT: adversaries only act on populated systems
-                // (population floor holds ids in the registry).
-                node: nodes[rng.gen_range(0..nodes.len())],
-            }
+            // INVARIANT: adversaries only act on populated systems
+            // (population floor holds ids in the registry).
+            (Vec::new(), vec![nodes[rng.gen_range(0..nodes.len())]])
         }
     }
 
@@ -74,7 +70,7 @@ impl Adversary for Oscillation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_core::NowParams;
+    use now_core::{BatchInput, ExecConfig, NowParams};
 
     #[test]
     fn oscillation_alternates_bursts() {
@@ -84,10 +80,11 @@ mod tests {
         let mut rng = DetRng::new(2);
         let mut kinds = Vec::new();
         for _ in 0..200 {
-            let k = match adv.decide(&sys, &mut rng) {
-                Action::Join { .. } => 'j',
-                Action::Leave { .. } => 'l',
-                Action::Idle => 'i',
+            let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+            let k = match (joins.len(), leaves.len()) {
+                (1, 0) => 'j',
+                (0, 1) => 'l',
+                _ => 'i',
             };
             kinds.push(k);
         }
@@ -106,15 +103,11 @@ mod tests {
         let mut adv = Oscillation::new(0.1);
         let mut rng = DetRng::new(4);
         for _ in 0..400 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { honest, .. } => {
-                    sys.join(honest);
-                }
-                Action::Leave { node } => {
-                    let _ = sys.leave(node);
-                }
-                Action::Idle => {}
-            }
+            let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+            sys.step_batch(
+                &BatchInput::from_specs(&joins, &leaves),
+                &ExecConfig::serial(),
+            );
         }
         let (_, _, splits, merges) = sys.op_counts();
         assert!(

@@ -17,10 +17,10 @@
 //!   footnote) is meant for; it doubles as the workload of the batch
 //!   experiments.
 
+use crate::batch_drivers::BatchDriver;
 use crate::budget::CorruptionBudget;
-use crate::strategies::{Action, Adversary};
-use now_core::NowSystem;
-use now_net::{ClusterId, DetRng};
+use now_core::{JoinSpec, NowSystem};
+use now_net::{ClusterId, DetRng, NodeId};
 use rand::Rng;
 
 /// Flood a target cluster with arrivals so that it oversizes and splits
@@ -48,18 +48,16 @@ impl SplitForcing {
     }
 }
 
-impl Adversary for SplitForcing {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for SplitForcing {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if sys.cluster(self.target).is_none() {
             let ids = sys.cluster_ids();
             // INVARIANT: LastCluster guard keeps `ids` non-empty; the
             // draw range is its exact length.
             self.target = ids[rng.gen_range(0..ids.len())];
         }
-        Action::Join {
-            honest: !self.budget.can_corrupt_arrival(sys),
-            contact: Some(self.target),
-        }
+        let honest = !self.budget.can_corrupt_arrival(sys);
+        (vec![JoinSpec::via(self.target, honest)], Vec::new())
     }
 
     fn name(&self) -> &'static str {
@@ -95,8 +93,8 @@ impl MergeForcing {
     }
 }
 
-impl Adversary for MergeForcing {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for MergeForcing {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if sys.cluster(self.target).is_none() {
             let ids = sys.cluster_ids();
             // INVARIANT: LastCluster guard keeps `ids` non-empty; the
@@ -105,10 +103,8 @@ impl Adversary for MergeForcing {
         }
         if self.rejoin_next {
             self.rejoin_next = false;
-            return Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            };
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            return (vec![JoinSpec::uniform(honest)], Vec::new());
         }
         // INVARIANT: the retarget branch above just ensured the
         // target names a live cluster.
@@ -120,9 +116,9 @@ impl Adversary for MergeForcing {
         match victim {
             Some(node) => {
                 self.rejoin_next = true;
-                Action::Leave { node }
+                (Vec::new(), vec![node])
             }
-            None => Action::Idle,
+            None => (Vec::new(), Vec::new()),
         }
     }
 
@@ -167,22 +163,18 @@ impl BurstChurn {
     }
 }
 
-impl Adversary for BurstChurn {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for BurstChurn {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         let joining = self.is_joining();
         self.position += 1;
         if joining {
-            Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            }
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            (vec![JoinSpec::uniform(honest)], Vec::new())
         } else {
             let nodes = sys.node_ids();
-            Action::Leave {
-                // INVARIANT: population floor keeps the id list non-empty;
-                // the draw range is its exact length.
-                node: nodes[rng.gen_range(0..nodes.len())],
-            }
+            // INVARIANT: population floor keeps the id list non-empty;
+            // the draw range is its exact length.
+            (Vec::new(), vec![nodes[rng.gen_range(0..nodes.len())]])
         }
     }
 
@@ -194,7 +186,7 @@ impl Adversary for BurstChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_core::NowParams;
+    use now_core::{BatchInput, ExecConfig, NowParams};
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -208,8 +200,10 @@ mod tests {
         let mut adv = SplitForcing::new(target, 0.3);
         let mut rng = DetRng::new(1);
         for _ in 0..5 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { contact, .. } => assert_eq!(contact, Some(target)),
+            match adv.decide_batch(&sys, &mut rng) {
+                (joins, leaves) if joins.len() == 1 && leaves.is_empty() => {
+                    assert_eq!(joins[0].contact, Some(target))
+                }
                 other => panic!("expected join, got {other:?}"),
             }
         }
@@ -220,7 +214,7 @@ mod tests {
         let sys = system(150, 0.2, 2);
         let mut adv = SplitForcing::new(ClusterId::from_raw(77_777), 0.3);
         let mut rng = DetRng::new(2);
-        let _ = adv.decide(&sys, &mut rng);
+        let _ = adv.decide_batch(&sys, &mut rng);
         assert!(sys.cluster(adv.target).is_some());
     }
 
@@ -230,14 +224,15 @@ mod tests {
         let target = sys.cluster_ids()[0];
         let mut adv = MergeForcing::new(target, 0.2);
         let mut rng = DetRng::new(3);
-        match adv.decide(&sys, &mut rng) {
-            Action::Leave { node } => {
-                assert_eq!(sys.node_cluster(node).unwrap(), target);
-                assert!(sys.is_honest(node).unwrap(), "honest drained first");
+        match adv.decide_batch(&sys, &mut rng) {
+            (joins, leaves) if joins.is_empty() && leaves.len() == 1 => {
+                assert_eq!(sys.node_cluster(leaves[0]).unwrap(), target);
+                assert!(sys.is_honest(leaves[0]).unwrap(), "honest drained first");
             }
             other => panic!("expected leave, got {other:?}"),
         }
-        assert!(matches!(adv.decide(&sys, &mut rng), Action::Join { .. }));
+        let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+        assert_eq!((joins.len(), leaves.len()), (1, 0));
     }
 
     #[test]
@@ -247,7 +242,9 @@ mod tests {
         let mut rng = DetRng::new(4);
         let mut pattern = Vec::new();
         for _ in 0..12 {
-            pattern.push(matches!(adv.decide(&sys, &mut rng), Action::Join { .. }));
+            let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+            assert_eq!(joins.len() + leaves.len(), 1, "one op per step");
+            pattern.push(joins.len() == 1);
         }
         assert_eq!(
             pattern,
@@ -265,26 +262,17 @@ mod tests {
     /// protocol, and the invariants survive it at low τ.
     #[test]
     fn split_forcing_triggers_splits_against_now() {
-        use crate::strategies::Adversary as _;
         let mut sys = system(150, 0.1, 5);
         let target = sys.cluster_ids()[0];
         let mut adv = SplitForcing::new(target, 0.1);
         let mut rng = DetRng::new(5);
         for _ in 0..80 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { honest, contact } => {
-                    let c = contact.filter(|c| sys.cluster(*c).is_some());
-                    match c {
-                        Some(c) => {
-                            sys.join_via(c, honest);
-                        }
-                        None => {
-                            sys.join(honest);
-                        }
-                    }
-                }
-                _ => unreachable!("split forcing only joins"),
-            }
+            let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+            assert!(leaves.is_empty(), "split forcing only joins");
+            sys.step_batch(
+                &BatchInput::from_specs(&joins, &leaves),
+                &ExecConfig::serial(),
+            );
         }
         let (_, _, splits, _) = sys.op_counts();
         assert!(splits > 0, "80 arrivals must split something");
@@ -299,15 +287,11 @@ mod tests {
         let mut adv = MergeForcing::new(target, 0.1);
         let mut rng = DetRng::new(6);
         for _ in 0..120 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Leave { node } => {
-                    let _ = sys.leave(node);
-                }
-                Action::Join { honest, .. } => {
-                    sys.join(honest);
-                }
-                Action::Idle => {}
-            }
+            let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+            sys.step_batch(
+                &BatchInput::from_specs(&joins, &leaves),
+                &ExecConfig::serial(),
+            );
         }
         let (_, _, _, merges) = sys.op_counts();
         assert!(merges > 0, "sustained draining must merge something");

@@ -1,57 +1,12 @@
-//! Churn strategies: what the adversary (or the environment) does at
-//! each time step.
+//! Per-step churn strategies: what the adversary (or the environment)
+//! does at each time step under the paper's one-join-or-leave-per-step
+//! model — a [`BatchDriver`] whose batch holds at most one operation.
 
+use crate::batch_drivers::BatchDriver;
 use crate::budget::CorruptionBudget;
-use now_core::NowSystem;
+use now_core::{JoinSpec, NowSystem};
 use now_net::{ClusterId, DetRng, NodeId};
 use rand::Rng;
-
-/// One time step's worth of churn (the paper's model: one join or leave
-/// per step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// A node joins; `honest` is the adversary's corruption decision,
-    /// `contact` the cluster it approaches (`None` = uniform).
-    Join {
-        /// Whether the arrival is honest.
-        honest: bool,
-        /// Contact cluster, if the adversary steers it.
-        contact: Option<ClusterId>,
-    },
-    /// The given node leaves (the adversary may force honest departures
-    /// — a DoS — and may withdraw its own nodes at will).
-    Leave {
-        /// The departing node.
-        node: NodeId,
-    },
-    /// No churn this step.
-    Idle,
-}
-
-/// A churn driver. Both adversarial strategies and environmental churn
-/// (growth phases, random turnover) implement this.
-pub trait Adversary {
-    /// Decides this time step's action from the full system state (the
-    /// paper's adversary has full information).
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// No churn at all (control runs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Quiet;
-
-impl Adversary for Quiet {
-    fn decide(&mut self, _sys: &NowSystem, _rng: &mut DetRng) -> Action {
-        Action::Idle
-    }
-
-    fn name(&self) -> &'static str {
-        "quiet"
-    }
-}
 
 /// Environmental churn: each step is a join with probability `p_join`,
 /// else a leave of a uniformly random node. Arrivals are corrupted
@@ -75,19 +30,17 @@ impl RandomChurn {
     }
 }
 
-impl Adversary for RandomChurn {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for RandomChurn {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if rng.gen_bool(self.p_join.clamp(0.0, 1.0)) {
-            Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            }
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            (vec![JoinSpec::uniform(honest)], Vec::new())
         } else {
             let nodes = sys.node_ids();
             // INVARIANT: population floor keeps the id list non-empty;
             // the draw range is its exact length.
             let node = nodes[rng.gen_range(0..nodes.len())];
-            Action::Leave { node }
+            (Vec::new(), vec![node])
         }
     }
 
@@ -132,8 +85,8 @@ impl JoinLeaveAttack {
     }
 }
 
-impl Adversary for JoinLeaveAttack {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for JoinLeaveAttack {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         // If the target vanished (merged), retarget to some live cluster.
         if sys.cluster(self.target).is_none() {
             let ids = sys.cluster_ids();
@@ -150,19 +103,16 @@ impl Adversary for JoinLeaveAttack {
             });
             if let Some(node) = candidate {
                 self.leave_next = false;
-                return Action::Leave { node };
+                return (Vec::new(), vec![node]);
             }
             // All byzantine nodes already in the target (or none exist):
             // try to add one.
         }
         self.leave_next = true;
         if self.budget.can_corrupt_arrival(sys) {
-            Action::Join {
-                honest: false,
-                contact: Some(self.target),
-            }
+            (vec![JoinSpec::via(self.target, false)], Vec::new())
         } else {
-            Action::Idle
+            (Vec::new(), Vec::new())
         }
     }
 
@@ -196,8 +146,8 @@ impl ForcedLeaveAttack {
     }
 }
 
-impl Adversary for ForcedLeaveAttack {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for ForcedLeaveAttack {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if sys.cluster(self.target).is_none() {
             let ids = sys.cluster_ids();
             // INVARIANT: LastCluster guard keeps `ids` non-empty; the
@@ -206,10 +156,8 @@ impl Adversary for ForcedLeaveAttack {
         }
         if self.join_next {
             self.join_next = false;
-            return Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            };
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            return (vec![JoinSpec::uniform(honest)], Vec::new());
         }
         let victim = sys
             .cluster(self.target)
@@ -217,9 +165,9 @@ impl Adversary for ForcedLeaveAttack {
         match victim {
             Some(node) => {
                 self.join_next = true; // replace next step to keep n stable
-                Action::Leave { node }
+                (Vec::new(), vec![node])
             }
-            None => Action::Idle,
+            None => (Vec::new(), Vec::new()),
         }
     }
 
@@ -239,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn quiet_never_acts() {
-        let sys = system(100, 0.1, 1);
-        let mut rng = DetRng::new(1);
-        assert_eq!(Quiet.decide(&sys, &mut rng), Action::Idle);
-        assert_eq!(Quiet.name(), "quiet");
-    }
-
-    #[test]
     fn random_churn_mixes_joins_and_leaves() {
         let sys = system(100, 0.1, 2);
         let mut adv = RandomChurn::balanced(0.2);
@@ -254,11 +194,10 @@ mod tests {
         let mut joins = 0;
         let mut leaves = 0;
         for _ in 0..100 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { .. } => joins += 1,
-                Action::Leave { .. } => leaves += 1,
-                Action::Idle => {}
-            }
+            let (j, l) = adv.decide_batch(&sys, &mut rng);
+            assert_eq!(j.len() + l.len(), 1, "one op per step");
+            joins += j.len();
+            leaves += l.len();
         }
         assert!(joins > 20 && leaves > 20, "joins {joins}, leaves {leaves}");
     }
@@ -272,8 +211,10 @@ mod tests {
         };
         let mut rng = DetRng::new(3);
         for _ in 0..10 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { honest, .. } => assert!(honest, "budget exhausted"),
+            match adv.decide_batch(&sys, &mut rng) {
+                (joins, leaves) if joins.len() == 1 && leaves.is_empty() => {
+                    assert!(joins[0].honest, "budget exhausted")
+                }
                 other => panic!("expected join, got {other:?}"),
             }
         }
@@ -286,18 +227,18 @@ mod tests {
         let mut adv = JoinLeaveAttack::new(target, 0.3);
         let mut rng = DetRng::new(4);
         // First action: withdraw a byzantine node from outside the target.
-        match adv.decide(&sys, &mut rng) {
-            Action::Leave { node } => {
-                assert!(!sys.is_honest(node).unwrap());
-                assert_ne!(sys.node_cluster(node).unwrap(), target);
+        match adv.decide_batch(&sys, &mut rng) {
+            (joins, leaves) if joins.is_empty() && leaves.len() == 1 => {
+                assert!(!sys.is_honest(leaves[0]).unwrap());
+                assert_ne!(sys.node_cluster(leaves[0]).unwrap(), target);
             }
             other => panic!("expected leave, got {other:?}"),
         }
         // Second: corrupt join contacting the target.
-        match adv.decide(&sys, &mut rng) {
-            Action::Join { honest, contact } => {
-                assert!(!honest);
-                assert_eq!(contact, Some(target));
+        match adv.decide_batch(&sys, &mut rng) {
+            (joins, leaves) if joins.len() == 1 && leaves.is_empty() => {
+                assert!(!joins[0].honest);
+                assert_eq!(joins[0].contact, Some(target));
             }
             other => panic!("expected join, got {other:?}"),
         }
@@ -309,7 +250,7 @@ mod tests {
         let ghost = ClusterId::from_raw(99_999);
         let mut adv = JoinLeaveAttack::new(ghost, 0.3);
         let mut rng = DetRng::new(5);
-        let _ = adv.decide(&sys, &mut rng);
+        let _ = adv.decide_batch(&sys, &mut rng);
         assert!(sys.cluster(adv.target).is_some(), "must retarget to live");
     }
 
@@ -319,28 +260,30 @@ mod tests {
         let target = sys.cluster_ids()[1];
         let mut adv = ForcedLeaveAttack::new(target, 0.2);
         let mut rng = DetRng::new(6);
-        match adv.decide(&sys, &mut rng) {
-            Action::Leave { node } => {
-                assert!(sys.is_honest(node).unwrap(), "DoS hits honest nodes");
-                assert_eq!(sys.node_cluster(node).unwrap(), target);
+        match adv.decide_batch(&sys, &mut rng) {
+            (joins, leaves) if joins.is_empty() && leaves.len() == 1 => {
+                assert!(sys.is_honest(leaves[0]).unwrap(), "DoS hits honest nodes");
+                assert_eq!(sys.node_cluster(leaves[0]).unwrap(), target);
             }
             other => panic!("expected leave, got {other:?}"),
         }
         // Next step replaces the departed node.
-        assert!(matches!(adv.decide(&sys, &mut rng), Action::Join { .. }));
+        let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+        assert_eq!((joins.len(), leaves.len()), (1, 0));
     }
 
     #[test]
-    fn adversary_is_object_safe() {
+    fn per_step_strategies_are_object_safe_batch_drivers() {
         let sys = system(100, 0.1, 7);
         let mut rng = DetRng::new(7);
-        let mut advs: Vec<Box<dyn Adversary>> = vec![
-            Box::new(Quiet),
+        let mut advs: Vec<Box<dyn BatchDriver>> = vec![
+            Box::new(crate::QuietBatches),
             Box::new(RandomChurn::balanced(0.2)),
             Box::new(JoinLeaveAttack::new(sys.cluster_ids()[0], 0.2)),
         ];
         for a in advs.iter_mut() {
-            let _ = a.decide(&sys, &mut rng);
+            let (joins, leaves) = a.decide_batch(&sys, &mut rng);
+            assert!(joins.len() + leaves.len() <= 1);
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::process::Command;
 
 const EXPERIMENTS: [&str; 20] = [
-    // Paper claims (first EXPERIMENTS.md section).
+    // Paper claims.
     "x_f1_init",
     "x_f2_ops",
     "x_l1_exchange",
@@ -19,7 +19,7 @@ const EXPERIMENTS: [&str; 20] = [
     "x_poly_growth",
     "x_a1_broadcast",
     "x_a2_sampling",
-    // Stated extensions and open problems (second section).
+    // Stated extensions and open problems.
     "x_r1_authenticated",
     "x_batch_parallel",
     "x_yz_growth",

@@ -17,7 +17,7 @@
 
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
-use now_sim::{run, CsvTable, MdTable, RunConfig, ViolationKind};
+use now_sim::{BatchRun, CsvTable, MdTable, ViolationKind};
 
 fn main() {
     println!("# X-ABL-EX: exchange volume ablation (Lemmas 1-3 trade-off)\n");
@@ -52,15 +52,7 @@ fn main() {
         let mut sys = NowSystem::init_fast(params, n0, tau, 31_000 + cap as u64 % 997);
         let target = sys.cluster_ids()[0];
         let mut adv = now_adversary::JoinLeaveAttack::new(target, tau);
-        let report = run(
-            &mut sys,
-            &mut adv,
-            RunConfig {
-                steps,
-                audit_every: 1,
-                seed: 13,
-            },
-        );
+        let report = BatchRun::new().run(&mut sys, &mut adv, steps, 13);
         let join_msgs = sys.ledger().stats(now_net::CostKind::Join).mean_messages();
         let leave_msgs = sys.ledger().stats(now_net::CostKind::Leave).mean_messages();
         let compromised = report.count(ViolationKind::RandNumCompromised);
@@ -74,7 +66,7 @@ fn main() {
             label.clone(),
             format!("{join_msgs:.0}"),
             format!("{leave_msgs:.0}"),
-            format!("{:.3}", report.peak_byz_fraction),
+            format!("{:.3}", report.peak_byz_fraction()),
             compromised.to_string(),
             captured.to_string(),
         ]);
@@ -82,7 +74,7 @@ fn main() {
             label,
             format!("{join_msgs:.3}"),
             format!("{leave_msgs:.3}"),
-            format!("{:.6}", report.peak_byz_fraction),
+            format!("{:.6}", report.peak_byz_fraction()),
             compromised.to_string(),
             captured.to_string(),
         ]);

@@ -5,7 +5,7 @@
 //! parallel join and leave operations."* `NowSystem::step_batch` with
 //! `ExecConfig::serial` realizes the generalization as a conflict-free
 //! wave schedule over cluster footprints; `ExecConfig::pooled`
-//! actually plans each wave's operations on the workers of a run-scoped
+//! actually plans each wave's operations on the workers of the sweep's
 //! `WavePool`. We sweep the batch width `w` and measure:
 //!
 //! * per-operation message cost (should be flat — parallelism does not
@@ -26,8 +26,8 @@
 //! byte-identical (the cross-thread determinism gate).
 
 use now_bench::results_dir;
-use now_core::{NowParams, NowSystem};
-use now_sim::{BatchExec, BatchRandomChurn, BatchRun, CsvTable, MdTable};
+use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
+use now_sim::{BatchRandomChurn, BatchRun, CsvTable, MdTable};
 use std::fmt::Write as _;
 
 struct Row {
@@ -54,7 +54,7 @@ fn run_once(
     total_ops: u64,
     clusters: usize,
     capacity: u64,
-    exec: BatchExec,
+    exec: ExecConfig<'_>,
 ) -> (now_sim::BatchRunReport, NowSystem, u64) {
     let params = NowParams::for_capacity(capacity).unwrap();
     let n0 = clusters * params.target_cluster_size();
@@ -77,8 +77,11 @@ fn sweep(
     smoke: bool,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
+    let pool = threads.map(WavePool::new);
+    let exec = pool
+        .as_ref()
+        .map_or(ExecConfig::serial(), ExecConfig::pooled);
     for &width in widths {
-        let exec = threads.map_or(BatchExec::Scheduled, BatchExec::Threaded);
         let (report, sys, steps) = run_once(width, total_ops, clusters, capacity, exec);
         // Measured speedup: re-run the identical batches single-worker
         // and compare wall clocks (outcomes are bit-identical, so this
@@ -87,8 +90,14 @@ fn sweep(
         // wall-clock, so the baseline re-run would be discarded work.
         let meas_speedup = match threads {
             Some(t) if t > 1 && !smoke => {
-                let (baseline, _, _) =
-                    run_once(width, total_ops, clusters, capacity, BatchExec::Threaded(1));
+                let one_worker = WavePool::new(1);
+                let (baseline, _, _) = run_once(
+                    width,
+                    total_ops,
+                    clusters,
+                    capacity,
+                    ExecConfig::pooled(&one_worker),
+                );
                 assert_eq!(
                     (baseline.joins, baseline.leaves, baseline.rounds_parallel),
                     (report.joins, report.leaves, report.rounds_parallel),

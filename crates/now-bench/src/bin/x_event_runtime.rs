@@ -9,7 +9,7 @@
 //!
 //! * **NOW on the event engine**: batched churn where joins travel as
 //!   routed messages and leaves as self-messages, delivery order
-//!   re-partitioned into conflict-free waves ([`now_sim::BatchExec::Event`]).
+//!   re-partitioned into conflict-free waves ([`now_core::ExecConfig::Event`]).
 //! * **Ben-Or on [`now_net::EventNet`]**: asynchronous binary consensus
 //!   whose liveness visibly degrades with loss and partitions while
 //!   safety holds ([`now_agreement::run_ben_or_event`]).
@@ -21,9 +21,9 @@
 
 use now_agreement::{run_ben_or_event, ByzPlan, CoinMode};
 use now_bench::results_dir;
-use now_core::{NowParams, NowSystem, WavePool};
+use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
 use now_net::{DetRng, EventNetConfig, Ledger};
-use now_sim::{BatchExec, BatchRandomChurn, BatchRun, BatchRunReport, MdTable};
+use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, MdTable};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -93,10 +93,12 @@ fn run_now(name: &'static str, net: EventNetConfig, pool: &WavePool) -> NowRow {
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 220, 0.10, SEED);
     let mut driver = BatchRandomChurn::balanced(WIDTH, 0.10);
-    let report = BatchRun::new()
-        .exec(BatchExec::Event(net))
-        .in_pool(pool)
-        .run(&mut sys, &mut driver, STEPS, SEED ^ 0x5EED);
+    let report = BatchRun::new().exec(ExecConfig::event_in(net, pool)).run(
+        &mut sys,
+        &mut driver,
+        STEPS,
+        SEED ^ 0x5EED,
+    );
     sys.check_consistency().expect("post-run consistency");
     NowRow {
         name,

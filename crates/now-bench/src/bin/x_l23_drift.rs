@@ -6,8 +6,9 @@
 //! `O(logN)` exchanges. We track one cluster's Byzantine fraction over
 //! a long churn run and measure band behavior per k.
 
-use now_adversary::{Action, Adversary, RandomChurn};
+use now_adversary::{BatchDriver, RandomChurn};
 use now_bench::{build_system, results_dir};
+use now_core::{BatchInput, ExecConfig};
 use now_net::DetRng;
 use now_sim::{CsvTable, MdTable};
 
@@ -54,15 +55,11 @@ fn main() {
         let mut above_high_steps = 0u64;
 
         for step in 0..steps {
-            match churn.decide(&sys, &mut rng) {
-                Action::Join { honest, .. } => {
-                    sys.join(honest);
-                }
-                Action::Leave { node } => {
-                    let _ = sys.leave(node);
-                }
-                Action::Idle => {}
-            }
+            let (joins, leaves) = churn.decide_batch(&sys, &mut rng);
+            sys.step_batch(
+                &BatchInput::from_specs(&joins, &leaves),
+                &ExecConfig::serial(),
+            );
             let Some(cluster) = sys.cluster(watched) else {
                 break; // merged away; the trace ends here
             };

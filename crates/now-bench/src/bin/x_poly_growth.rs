@@ -10,7 +10,7 @@
 use now_bench::{results_dir, standard_params};
 use now_core::NowSystem;
 use now_net::CostKind;
-use now_sim::{run, CsvTable, GrowthPhase, MdTable, RunConfig, ShrinkPhase};
+use now_sim::{BatchDriver, BatchRun, CsvTable, GrowthPhase, MdTable, ShrinkPhase};
 
 fn main() {
     println!("# X-POLY: polynomial size variation (abstract/§1)\n");
@@ -50,28 +50,16 @@ fn main() {
     for (i, &target) in plateaus.iter().enumerate() {
         // Move to the plateau.
         let pop = sys.population();
-        if target > pop {
-            let mut grow = GrowthPhase::new(target, tau);
-            run(
-                &mut sys,
-                &mut grow,
-                RunConfig {
-                    steps: (target - pop) + 4,
-                    audit_every: 8,
-                    seed: 70 + i as u64,
-                },
-            );
-        } else if target < pop {
-            let mut shrink = ShrinkPhase::new(target);
-            run(
-                &mut sys,
-                &mut shrink,
-                RunConfig {
-                    steps: (pop - target) + 4,
-                    audit_every: 8,
-                    seed: 70 + i as u64,
-                },
-            );
+        if target != pop {
+            let mut driver: Box<dyn BatchDriver> = if target > pop {
+                Box::new(GrowthPhase::new(target, tau))
+            } else {
+                Box::new(ShrinkPhase::new(target))
+            };
+            let steps = target.abs_diff(pop) + 4;
+            BatchRun::new()
+                .audit_every(8)
+                .run(&mut sys, driver.as_mut(), steps, 70 + i as u64);
         }
         // Measure join cost at the plateau.
         let before = sys.ledger().stats(CostKind::Join);

@@ -63,7 +63,7 @@ fn main() {
                 shuffle.to_string(),
                 splits.to_string(),
                 merges.to_string(),
-                format!("{:.3}", report.peak_byz_fraction),
+                format!("{:.3}", report.peak_byz_fraction()),
                 report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
                 report.count(ViolationKind::Forgeable).to_string(),
             ]);
@@ -72,7 +72,7 @@ fn main() {
                 shuffle.to_string(),
                 splits.to_string(),
                 merges.to_string(),
-                format!("{:.6}", report.peak_byz_fraction),
+                format!("{:.6}", report.peak_byz_fraction()),
                 report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
                 report.count(ViolationKind::Forgeable).to_string(),
             ]);

@@ -18,7 +18,7 @@
 use now_adversary::RandomChurn;
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
-use now_sim::{run, CsvTable, MdTable, RunConfig, ViolationKind};
+use now_sim::{BatchRun, CsvTable, MdTable, ViolationKind};
 
 fn main() {
     println!("# X-R1: crypto-hardened tolerance (Remark 1)\n");
@@ -48,15 +48,7 @@ fn main() {
             let n0 = 10 * params.target_cluster_size();
             let mut sys = NowSystem::init_fast(params, n0, tau, 7000 + k as u64);
             let mut churn = RandomChurn::balanced(tau);
-            let report = run(
-                &mut sys,
-                &mut churn,
-                RunConfig {
-                    steps,
-                    audit_every: 1,
-                    seed: 77,
-                },
-            );
+            let report = BatchRun::new().run(&mut sys, &mut churn, steps, 77);
             let plain_rate = report.count(ViolationKind::NotTwoThirdsHonest) as f64 / steps as f64;
             let majority_rate =
                 report.count(ViolationKind::NotMajorityHonest) as f64 / steps as f64;
@@ -66,7 +58,7 @@ fn main() {
                 k.to_string(),
                 format!("{plain_rate:.3}"),
                 format!("{majority_rate:.3}"),
-                format!("{:.3}", report.peak_byz_fraction),
+                format!("{:.3}", report.peak_byz_fraction()),
                 forgeable.to_string(),
             ]);
             csv.row([
@@ -74,7 +66,7 @@ fn main() {
                 k.to_string(),
                 format!("{plain_rate:.6}"),
                 format!("{majority_rate:.6}"),
-                format!("{:.6}", report.peak_byz_fraction),
+                format!("{:.6}", report.peak_byz_fraction()),
                 forgeable.to_string(),
             ]);
             sys.check_consistency().unwrap();

@@ -10,7 +10,7 @@
 use now_adversary::RandomChurn;
 use now_bench::{results_dir, standard_params};
 use now_core::NowSystem;
-use now_sim::{run, CsvTable, MdTable, RunConfig};
+use now_sim::{BatchRun, CsvTable, MdTable};
 
 fn main() {
     println!("# X-R2: generalized ratio bound (Remark 2)\n");
@@ -42,15 +42,7 @@ fn main() {
         let n0 = 10 * params.target_cluster_size();
         let mut sys = NowSystem::init_fast(params, n0, tau, 900 + r as u64);
         let mut churn = RandomChurn::balanced(tau);
-        let report = run(
-            &mut sys,
-            &mut churn,
-            RunConfig {
-                steps,
-                audit_every: 1,
-                seed: 43,
-            },
-        );
+        let report = BatchRun::new().run(&mut sys, &mut churn, steps, 43);
         let over_bound = report
             .worst_byz_fraction
             .points()
@@ -62,7 +54,7 @@ fn main() {
             r.to_string(),
             format!("{tau:.3}"),
             format!("{bound:.3}"),
-            format!("{:.3}", report.peak_byz_fraction),
+            format!("{:.3}", report.peak_byz_fraction()),
             over_bound.to_string(),
             format!("{over_rate:.4}"),
             (over_rate <= 0.05).to_string(),
@@ -71,7 +63,7 @@ fn main() {
             r.to_string(),
             format!("{tau:.6}"),
             format!("{bound:.6}"),
-            format!("{:.6}", report.peak_byz_fraction),
+            format!("{:.6}", report.peak_byz_fraction()),
             over_bound.to_string(),
             format!("{over_rate:.6}"),
             (over_rate <= 0.05).to_string(),

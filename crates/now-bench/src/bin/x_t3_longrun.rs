@@ -10,7 +10,7 @@
 
 use now_adversary::RandomChurn;
 use now_bench::{build_system, results_dir};
-use now_sim::{run, CsvTable, MdTable, RunConfig, ViolationKind};
+use now_sim::{BatchRun, CsvTable, MdTable, ViolationKind};
 
 fn main() {
     println!("# X-T3: long-run cluster honesty (Theorem 3)\n");
@@ -43,21 +43,13 @@ fn main() {
             let mut sys = build_system(1 << 12, k, 10, tau, (tau * 1000.0) as u64 + k as u64);
             let cluster = sys.params().target_cluster_size();
             let mut churn = RandomChurn::balanced(tau);
-            let report = run(
-                &mut sys,
-                &mut churn,
-                RunConfig {
-                    steps,
-                    audit_every: 1,
-                    seed: 77,
-                },
-            );
+            let report = BatchRun::new().run(&mut sys, &mut churn, steps, 77);
             md.row([
                 format!("{tau:.2}"),
                 k.to_string(),
                 cluster.to_string(),
                 report.steps.to_string(),
-                format!("{:.3}", report.peak_byz_fraction),
+                format!("{:.3}", report.peak_byz_fraction()),
                 report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
                 report.count(ViolationKind::RandNumCompromised).to_string(),
                 report.count(ViolationKind::Forgeable).to_string(),
@@ -68,7 +60,7 @@ fn main() {
                 k.to_string(),
                 cluster.to_string(),
                 report.steps.to_string(),
-                format!("{:.6}", report.peak_byz_fraction),
+                format!("{:.6}", report.peak_byz_fraction()),
                 report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
                 report.count(ViolationKind::RandNumCompromised).to_string(),
                 report.count(ViolationKind::Forgeable).to_string(),

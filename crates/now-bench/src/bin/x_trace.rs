@@ -3,8 +3,8 @@
 //!
 //! Usage: `x_trace [--threads N] [--out-dir <dir>]`
 //!
-//! Replays a fixed mixed workload — threaded balanced churn, a
-//! split-forcing burst on the scheduled engine, then lossy event-driven
+//! Replays a fixed mixed workload — pooled balanced churn, a
+//! split-forcing burst on the serial engine, then lossy event-driven
 //! churn — on one system with both observability sinks armed, and
 //! writes three artifacts:
 //!
@@ -24,9 +24,9 @@
 
 use now_adversary::BatchSplitForcing;
 use now_bench::results_dir;
-use now_core::{wave_plan_nanos_total, NowParams, NowSystem, WavePool};
+use now_core::{wave_plan_nanos_total, ExecConfig, NowParams, NowSystem, WavePool};
 use now_net::EventNetConfig;
-use now_sim::{BatchExec, BatchRandomChurn, BatchRun};
+use now_sim::{BatchRandomChurn, BatchRun};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -77,27 +77,22 @@ fn main() -> ExitCode {
     sys.enable_tracing(RING);
     sys.enable_metrics();
 
-    // Segment 1: balanced churn on the threaded wave engine.
+    // Segment 1: balanced churn on the pooled wave engine.
     let mut churn = BatchRandomChurn::balanced(6, 0.10);
     BatchRun::new()
-        .exec(BatchExec::Threaded(args.threads))
-        .in_pool(&pool)
+        .exec(ExecConfig::pooled(&pool))
         .run(&mut sys, &mut churn, 12, SEED ^ 1);
 
-    // Segment 2: split-forcing burst on the scheduled engine.
+    // Segment 2: split-forcing burst on the serial engine.
     let mut split = BatchSplitForcing::new(5, 0.10);
-    BatchRun::new()
-        .exec(BatchExec::Scheduled)
-        .run(&mut sys, &mut split, 8, SEED ^ 2);
+    BatchRun::new().run(&mut sys, &mut split, 8, SEED ^ 2);
 
     // Segment 3: lossy event-driven churn (exercises the network
     // events: send / deliver / drop).
     let mut storm = BatchRandomChurn::balanced(6, 0.10);
+    let net = EventNetConfig::ideal().with_latency(2).with_drop(0.25);
     BatchRun::new()
-        .exec(BatchExec::Event(
-            EventNetConfig::ideal().with_latency(2).with_drop(0.25),
-        ))
-        .in_pool(&pool)
+        .exec(ExecConfig::event_in(net, &pool))
         .run(&mut sys, &mut storm, 10, SEED ^ 3);
 
     if let Err(e) = sys.check_consistency() {

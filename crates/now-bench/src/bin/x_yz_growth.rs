@@ -16,7 +16,7 @@
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
 use now_net::CostKind;
-use now_sim::{run, CsvTable, GrowthPhase, MdTable, RunConfig, ShrinkPhase};
+use now_sim::{BatchDriver, BatchRun, CsvTable, GrowthPhase, MdTable, ShrinkPhase};
 
 fn main() {
     println!("# X-YZ: generalized polynomial band N^(1/y) <= n <= N^z (§2)\n");
@@ -77,31 +77,20 @@ fn main() {
         let down = [start + (ceiling - start) / 2, start];
         for (i, &target) in up.iter().chain(down.iter()).enumerate() {
             let pop = sys.population();
-            let report = if target > pop {
-                let mut grow = GrowthPhase::new(target, tau);
-                run(
-                    &mut sys,
-                    &mut grow,
-                    RunConfig {
-                        steps: (target - pop) + 2,
-                        audit_every: 16,
-                        seed: 70 + i as u64,
-                    },
-                )
+            let mut driver: Box<dyn BatchDriver> = if target > pop {
+                Box::new(GrowthPhase::new(target, tau))
             } else {
-                let mut shrink = ShrinkPhase::new(target);
-                run(
-                    &mut sys,
-                    &mut shrink,
-                    RunConfig {
-                        steps: (pop - target) + 2,
-                        audit_every: 16,
-                        seed: 70 + i as u64,
-                    },
-                )
+                Box::new(ShrinkPhase::new(target))
             };
+            let steps = target.abs_diff(pop) + 2;
+            let report = BatchRun::new().audit_every(16).run(
+                &mut sys,
+                driver.as_mut(),
+                steps,
+                70 + i as u64,
+            );
             violations += report.binding_violations(now_core::SecurityMode::Plain);
-            worst = worst.max(report.peak_byz_fraction);
+            worst = worst.max(report.peak_byz_fraction());
             band_ok &= report.final_audit.size_bounds_ok;
             if sys.population() >= peak_n {
                 peak_n = sys.population();

@@ -1,7 +1,7 @@
 //! Shared helpers for the experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one row-group of
-//! `EXPERIMENTS.md` (see `DESIGN.md` §5 for the experiment index):
+//! Each binary in `src/bin/` regenerates the table of one claim (see
+//! README § Experiment index, or `exp_all`'s list):
 //! it prints a markdown table to stdout and writes a CSV next to it
 //! under `results/`. Criterion benches in `benches/` measure the same
 //! primitives' wall-clock behavior.

@@ -103,21 +103,23 @@ impl PhaseStyle {
     }
 }
 
-/// Which batch execution engine a phase uses.
+/// The pool-free, parseable name of the [`now_core::ExecConfig`] a
+/// phase runs on; each variant (and its `exec` keyword in the text
+/// format) is named after the `ExecConfig` variant it selects, on the
+/// campaign's one worker pool.
 ///
-/// Outcomes are deterministic in every case: `Scheduled` ignores the
-/// runner's thread count entirely, `Threaded` is bit-identical at
+/// Outcomes are deterministic in every case: `Serial` ignores the
+/// runner's thread count entirely, `Pooled` is bit-identical at
 /// every thread count, and `Event` replays from the campaign seed and
 /// the phase's network model alone — so a campaign report never
 /// depends on how many workers the host offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseExec {
-    /// The serial wave *scheduler*
-    /// ([`now_core::ExecConfig::Serial`]).
-    Scheduled,
-    /// The threaded wave executor ([`now_core::ExecConfig::Pooled`])
-    /// with the runner-supplied worker count.
-    Threaded,
+    /// The serial engine ([`now_core::ExecConfig::Serial`]).
+    Serial,
+    /// The wave engine on the campaign pool
+    /// ([`now_core::ExecConfig::Pooled`]).
+    Pooled,
     /// The event-driven network runtime
     /// ([`now_core::ExecConfig::Event`]): each step's operations become
     /// messages on a seeded discrete-event network shaped by the
@@ -155,7 +157,7 @@ pub struct Phase {
 
 impl Phase {
     /// A phase of the given style ending after `steps` steps, with the
-    /// campaign's default width/τ, threaded execution, and (for
+    /// campaign's default width/τ, pooled execution, and (for
     /// targeted styles) the largest-cluster pick.
     pub fn new(name: impl Into<String>, style: PhaseStyle, trigger: Trigger) -> Self {
         Phase {
@@ -164,7 +166,7 @@ impl Phase {
             target: ClusterPick::Largest,
             width: None,
             tau: None,
-            exec: PhaseExec::Threaded,
+            exec: PhaseExec::Pooled,
             net: EventNetConfig::ideal(),
             trigger,
         }
@@ -357,14 +359,14 @@ mod tests {
                     .width(8)
                     .tau(0.2)
                     .target(ClusterPick::First)
-                    .exec(PhaseExec::Scheduled),
+                    .exec(PhaseExec::Serial),
             );
         assert_eq!(c.k, 2);
         assert_eq!(c.width, 4);
         assert!(c.shuffle);
         assert_eq!(c.phases.len(), 2);
         assert_eq!(c.phases[1].width, Some(8));
-        assert_eq!(c.phases[1].exec, PhaseExec::Scheduled);
+        assert_eq!(c.phases[1].exec, PhaseExec::Serial);
         assert!(c.check().is_ok());
     }
 
@@ -410,7 +412,7 @@ mod tests {
 
         // Hand-assembled knobs on a non-event engine are a defect.
         let mut bad = ok.clone();
-        bad.phases[0].exec = PhaseExec::Threaded;
+        bad.phases[0].exec = PhaseExec::Pooled;
         let Err(NowError::CampaignReport { reason }) = bad.check() else {
             panic!("net knobs without exec event must fail");
         };

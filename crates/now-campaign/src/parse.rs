@@ -38,7 +38,7 @@
 //! sawtooth <low> <high> | join-leave | forced-leave | split-forcing |
 //! merge-forcing | burst`,
 //! `target first|largest|smallest`, `width`, `tau`,
-//! `exec scheduled|threaded|event`, and exactly one trigger — `steps
+//! `exec serial|pooled|event`, and exactly one trigger — `steps
 //! <n>`, `until-pop-above <target> [cap <n>]`, `until-pop-below
 //! <target> [cap <n>]`, or `until-violation [cap <n>]` (default cap
 //! 10 000).
@@ -111,7 +111,7 @@ impl PhaseDraft {
             target: ClusterPick::Largest,
             width: None,
             tau: None,
-            exec: PhaseExec::Threaded,
+            exec: PhaseExec::Pooled,
             net: EventNetConfig::ideal(),
             net_line: None,
             trigger: None,
@@ -355,14 +355,14 @@ impl Campaign {
                         }
                         p.tau = Some(t);
                     }
-                    ("exec", ["scheduled"]) => p.exec = PhaseExec::Scheduled,
-                    ("exec", ["threaded"]) => p.exec = PhaseExec::Threaded,
+                    ("exec", ["serial"]) => p.exec = PhaseExec::Serial,
+                    ("exec", ["pooled"]) => p.exec = PhaseExec::Pooled,
                     ("exec", ["event"]) => p.exec = PhaseExec::Event,
                     ("exec", other) => {
                         return Err(err(
                             line,
                             format!(
-                                "`exec` takes scheduled|threaded|event, got `{}`",
+                                "`exec` takes serial|pooled|event, got `{}`",
                                 other.join(" ")
                             ),
                         ))
@@ -502,7 +502,7 @@ phase flood      # inline comment
   target largest
   width 8
   tau 0.15
-  exec scheduled
+  exec serial
   steps 30
 
 phase drain
@@ -556,7 +556,7 @@ phase pulse
         assert_eq!(c.phases[0].style, PhaseStyle::Balanced);
         assert_eq!(c.phases[1].width, Some(8));
         assert_eq!(c.phases[1].tau, Some(0.15));
-        assert_eq!(c.phases[1].exec, PhaseExec::Scheduled);
+        assert_eq!(c.phases[1].exec, PhaseExec::Serial);
         assert_eq!(c.phases[1].target, ClusterPick::Largest);
         assert_eq!(
             c.phases[2].trigger,
@@ -747,8 +747,24 @@ phase pulse
         assert_eq!(line, 4, "error points at the first net knob");
         assert!(reason.contains("require `exec event`"), "{reason}");
         let (_, reason) =
-            parse_err("campaign x\nphase a\nstyle quiet\nexec threaded\ndrop 0.5\nsteps 2\n");
+            parse_err("campaign x\nphase a\nstyle quiet\nexec pooled\ndrop 0.5\nsteps 2\n");
         assert!(reason.contains("require `exec event`"), "{reason}");
+    }
+
+    #[test]
+    fn retired_exec_scheduled_is_typed() {
+        let (line, reason) =
+            parse_err("campaign x\nphase a\nstyle quiet\nexec scheduled\nsteps 2\n");
+        assert_eq!(line, 4);
+        assert!(reason.contains("takes serial|pooled|event"), "{reason}");
+    }
+
+    #[test]
+    fn retired_exec_threaded_is_typed() {
+        let (line, reason) =
+            parse_err("campaign x\nphase a\nstyle quiet\nexec threaded\nsteps 2\n");
+        assert_eq!(line, 4);
+        assert!(reason.contains("takes serial|pooled|event"), "{reason}");
     }
 
     #[test]

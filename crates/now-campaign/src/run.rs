@@ -1,8 +1,8 @@
 //! The phase-switching campaign runner.
 //!
 //! Each phase compiles to a batched driver plus a stop predicate, and
-//! runs through a [`now_sim::BatchRun`] — the same wave-scheduled
-//! execution path as `Scenario::run_batch` — against the *same*
+//! runs through a [`now_sim::BatchRun`] — the one step loop, the same
+//! path as `Scenario::run_batch` — against the *same*
 //! [`NowSystem`], so later regimes inherit the state earlier ones
 //! produced. Per-phase driver streams derive deterministically from
 //! the campaign's master seed, so a campaign is a single reproducible
@@ -15,8 +15,8 @@ use now_adversary::{
     BatchBurstChurn, BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing,
     BatchSplitForcing, QuietBatches,
 };
-use now_core::{normalize_threads, NowError, NowParams, NowSystem, WavePool};
-use now_sim::{BatchExec, BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth};
+use now_core::{ExecConfig, NowError, NowParams, NowSystem, WavePool};
+use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth};
 
 /// A phase's compiled stop condition (evaluated before the first step
 /// and after every audited step).
@@ -53,11 +53,11 @@ impl Campaign {
     /// Builds the system and runs every phase in order, returning the
     /// per-phase report together with the final system.
     ///
-    /// `threads` is the worker count for phases on the threaded engine
-    /// (normalized by [`now_core::normalize_threads`]; a
-    /// campaign-scoped [`WavePool`] is spawned once and reused by every
-    /// threaded phase). It never changes outcomes (the engine is
-    /// bit-identical across thread counts), only wall-clock.
+    /// `threads` is the worker count of the campaign-scoped
+    /// [`WavePool`] (normalized by [`now_core::normalize_threads`];
+    /// spawned once and reused by every `exec pooled` and `exec event`
+    /// phase). It never changes outcomes (the engines are bit-identical
+    /// across thread counts), only wall-clock.
     ///
     /// # Errors
     /// [`NowError::CampaignReport`] for shape defects
@@ -82,7 +82,7 @@ impl Campaign {
         // One campaign-scoped worker pool: successive phases (and their
         // steps) reuse the same workers, so a whole campaign spawns
         // O(threads) threads however many phases and waves it runs —
-        // and none at all when no phase uses the threaded engine.
+        // and none at all when every phase is `exec serial`.
         // Campaign-scoped observability: the `trace` / `metrics`
         // header directives arm the system's sinks before the first
         // phase. Sinks a caller already armed on a prebuilt system are
@@ -96,11 +96,10 @@ impl Campaign {
         if self.metrics && sys.metrics().is_none() {
             sys.enable_metrics();
         }
-        let threads = normalize_threads(threads);
         let pool = self
             .phases
             .iter()
-            .any(|p| matches!(p.exec, PhaseExec::Threaded | PhaseExec::Event))
+            .any(|p| p.exec != PhaseExec::Serial)
             .then(|| WavePool::new(threads));
 
         for (i, phase) in self.phases.iter().enumerate() {
@@ -126,22 +125,16 @@ impl Campaign {
                 }
                 PhaseStyle::BurstChurn => Box::new(BatchBurstChurn::new(width, tau)),
             };
-            let (exec, phase_pool) = match phase.exec {
-                PhaseExec::Scheduled => (BatchExec::Scheduled, None),
-                PhaseExec::Threaded => (
-                    BatchExec::Threaded(threads),
-                    // INVARIANT: the pool was constructed upfront for any
-                    // campaign containing a threaded or event phase.
-                    Some(pool.as_ref().expect("threaded phase implies a pool")),
-                ),
+            let exec = match (phase.exec, pool.as_ref()) {
+                (PhaseExec::Serial, _) => ExecConfig::serial(),
+                (PhaseExec::Pooled, Some(pool)) => ExecConfig::pooled(pool),
                 // Event phases plan their delivery waves on the same
                 // campaign pool; the thread count never changes the
                 // outcome, only wall-clock.
-                PhaseExec::Event => (
-                    BatchExec::Event(phase.net),
-                    // INVARIANT: same upfront pool construction as above.
-                    Some(pool.as_ref().expect("event phase implies a pool")),
-                ),
+                (PhaseExec::Event, Some(pool)) => ExecConfig::event_in(phase.net, pool),
+                // INVARIANT: the pool was constructed upfront for any
+                // campaign containing a non-serial phase.
+                (_, None) => unreachable!("a pooled or event phase implies a pool"),
             };
             // Per-phase substream: a splitmix-style mix of the master
             // seed and the phase index, so reordering or editing one
@@ -170,17 +163,16 @@ impl Campaign {
 
             let pop_start = sys.population();
             let ledger_before = sys.ledger().total();
-            let mut run = BatchRun::new().exec(exec).until(|s, rep| {
-                let hit = condition(s, rep);
-                if hit {
-                    fired.set(true);
-                }
-                hit
-            });
-            if let Some(p) = phase_pool {
-                run = run.in_pool(p);
-            }
-            let r = run.run(sys, driver.as_mut(), phase.trigger.max_steps(), phase_seed);
+            let r = BatchRun::new()
+                .exec(exec)
+                .until(|s, rep| {
+                    let hit = condition(s, rep);
+                    if hit {
+                        fired.set(true);
+                    }
+                    hit
+                })
+                .run(sys, driver.as_mut(), phase.trigger.max_steps(), phase_seed);
             let ledger_after = sys.ledger().total();
             let trigger_fired = matches!(phase.trigger, Trigger::Steps(_)) || fired.get();
             let pops = r.population.summary();
@@ -215,7 +207,7 @@ impl Campaign {
                 pop_end: sys.population(),
                 pop_min,
                 pop_max,
-                peak_byz_fraction: r.worst_byz_fraction.summary().max,
+                peak_byz_fraction: r.peak_byz_fraction(),
                 binding_violations: r.binding_violations(mode),
                 violations: r.violations,
                 population: r.population,
@@ -357,7 +349,7 @@ mod tests {
             .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(4)))
             .phase(
                 Phase::new("sched", PhaseStyle::Balanced, Trigger::Steps(3))
-                    .exec(PhaseExec::Scheduled),
+                    .exec(PhaseExec::Serial),
             );
         let (r0, s0) = c.run(0).unwrap();
         let (r1, s1) = c.run(1).unwrap();
@@ -366,12 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_and_threaded_phases_both_run() {
+    fn serial_and_pooled_phases_both_run() {
         let c = base()
             .initial_population_of(140)
             .phase(
                 Phase::new("sched", PhaseStyle::Balanced, Trigger::Steps(5))
-                    .exec(PhaseExec::Scheduled),
+                    .exec(PhaseExec::Serial),
             )
             .phase(Phase::new(
                 "thread",

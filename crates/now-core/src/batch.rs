@@ -80,7 +80,7 @@ use std::collections::BTreeSet;
 /// `contact` of `None` draws a uniformly random live cluster, exactly
 /// like [`NowSystem::join`]; a stale contact (the cluster merged away
 /// between decision and execution) degrades to the uniform draw rather
-/// than aborting the batch, mirroring the serial runner's behavior.
+/// than aborting the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinSpec {
     /// Whether the arrival is honest (the corruption decision).

@@ -107,8 +107,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Canonical normalization of the `threads` knob, shared by **every**
-/// entry point that accepts one ([`WavePool::new`], `now-sim`'s
-/// `BatchExec::Threaded`, the campaign runner's per-phase exec knob):
+/// entry point that accepts one ([`WavePool::new`], the campaign
+/// runner's `threads` argument, the `--threads` flag of the binaries):
 /// `0` means "unspecified" and is treated as 1 worker. Centralized so
 /// no call site can drift to a different rule.
 pub fn normalize_threads(threads: usize) -> usize {

@@ -1,9 +1,10 @@
 //! Deterministic, fork-able randomness.
 //!
 //! Every simulated run must be a pure function of `(config, seed)`: the
-//! experiments in `EXPERIMENTS.md` cite seeds, and the integration tests
-//! replay runs and assert bit-identical audit trails. `rand::StdRng` does
-//! not promise cross-version stability, so we pin ChaCha12 explicitly.
+//! experiment binaries (README § Experiment index) cite seeds, and the
+//! integration tests replay runs and assert bit-identical audit trails.
+//! `rand::StdRng` does not promise cross-version stability, so we pin
+//! ChaCha12 explicitly.
 //!
 //! [`DetRng::fork`] derives an independent labeled substream. Protocol
 //! components each own a fork, so adding instrumentation (which may draw

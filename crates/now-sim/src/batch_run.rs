@@ -1,29 +1,28 @@
-//! Batched churn: several parallel joins/leaves per time step.
+//! The step loop: drive churn, execute each step's batch, audit the
+//! paper's invariants.
 //!
-//! The paper's footnote generalizes the one-operation-per-step model to
-//! "several parallel join and leave operations". This module drives
-//! [`now_core::NowSystem::step_batch`] — which schedules each batch
-//! into conflict-free waves by cluster-footprint disjointness — with
-//! batch-producing churn schedules, and reports the round-complexity
-//! advantage of the scheduled execution (messages are identical; rounds
-//! shrink from the batch sum to the per-wave maxima) together with the
-//! wave-level metrics of the schedule. The [`BatchRun`] builder is the
-//! single entry point; the engine — including the event-driven network
-//! runtime of [`BatchExec::Event`] — is one knob on it.
+//! The paper states its model as one join or leave per time step and
+//! notes (§2, footnote) that the analysis generalizes to "several
+//! parallel join and leave operations" — so the per-step model is the
+//! batched one at width ≤ 1, and one loop serves both. [`BatchRun`]
+//! asks a [`BatchDriver`] for each step's operations, hands them to
+//! [`now_core::NowSystem::step_batch`] on the [`ExecConfig`] the caller
+//! names — which schedules a batch into conflict-free waves by
+//! cluster-footprint disjointness — and reports the outcome: violation
+//! tracking and time series, plus the round-complexity advantage of the
+//! scheduled execution (messages are identical; rounds shrink from the
+//! batch sum to the per-wave maxima) and the wave-level metrics of the
+//! schedule.
 
 use crate::metrics::TimeSeries;
-use crate::runner::{record_violations, Violation};
+use crate::runner::{record_violations, Violation, ViolationKind};
 use now_adversary::CorruptionBudget;
-use now_core::{
-    normalize_threads, BatchInput, EventNetConfig, ExecConfig, JoinSpec, NowSystem, SystemAudit,
-    WavePool,
-};
+use now_core::{BatchInput, ExecConfig, JoinSpec, NowSystem, SystemAudit};
 use now_net::{DetRng, NodeId};
 use rand::Rng;
 
-// The batch-driver trait lives in `now-adversary`, next to the serial
-// `Adversary` trait it generalizes, so the attack drivers can implement
-// it without a dependency cycle; re-exported here for continuity.
+// The driver trait lives in `now-adversary`, next to the strategies
+// that implement it; re-exported here for continuity.
 pub use now_adversary::BatchDriver;
 
 /// Random batched churn: each step performs `Binomial(width, p_join)`
@@ -87,47 +86,16 @@ impl BatchDriver for BatchRandomChurn {
     }
 }
 
-/// How a batched run executes each step's wave schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchExec {
-    /// The serial engine: operations execute one after another off the
-    /// shared stream and the wave schedule is derived from their
-    /// measured costs ([`now_core::ExecConfig::Serial`]).
-    Scheduled,
-    /// The threaded wave executor on a **run-scoped persistent
-    /// [`WavePool`]** with this many worker threads: workers spawn once
-    /// per run and every step's waves reuse them
-    /// ([`now_core::ExecConfig::Pooled`]). Outcomes are bit-identical
-    /// across thread counts; only the wall-clock changes.
-    Threaded(usize),
-    /// The event-driven engine ([`now_core::ExecConfig::Event`]): each
-    /// step's operations travel a seeded discrete-event network with
-    /// the given per-link latency/jitter/loss/partition model and
-    /// execute in delivery order; dropped messages become operations
-    /// that never happened ([`BatchRunReport::dropped`]).
-    Event(EventNetConfig),
-}
-
-impl BatchExec {
-    /// The normalized worker-thread count of the execution mode
-    /// (`None` for the serial scheduled path and for the event engine,
-    /// which plans on the driving thread unless a pool is supplied);
-    /// [`normalize_threads`]' `0 → 1` rule applies.
-    pub fn threads(&self) -> Option<usize> {
-        match *self {
-            BatchExec::Scheduled | BatchExec::Event(_) => None,
-            BatchExec::Threaded(t) => Some(normalize_threads(t)),
-        }
-    }
-}
-
-/// Report of one batched run ([`BatchRun`]).
+/// Report of one run ([`BatchRun`]).
 #[derive(Debug, Clone)]
 pub struct BatchRunReport {
     /// Driver name.
     pub driver: String,
-    /// Worker threads used by the wave executor, `None` for the
-    /// serial scheduled path.
+    /// Worker threads that planned the run's waves, read off its
+    /// [`ExecConfig`]: the pool's width for [`ExecConfig::Pooled`] and
+    /// for [`ExecConfig::Event`] on a pool, `None` for engines that run
+    /// on the driving thread. Advisory (outcomes never depend on it) and
+    /// in no byte-diffed artifact.
     pub threads: Option<usize>,
     /// Time steps executed (each may contain many operations).
     pub steps: u64,
@@ -135,7 +103,8 @@ pub struct BatchRunReport {
     pub joins: u64,
     /// Total leaves completed.
     pub leaves: u64,
-    /// Departures rejected (floor / unknown).
+    /// Departures refused (population floor / unknown node). A step
+    /// whose only operation is refused still advances time.
     pub rejected: u64,
     /// Sum over steps of the serial round cost.
     pub rounds_serial: u64,
@@ -153,14 +122,14 @@ pub struct BatchRunReport {
     /// as an aggregate).
     pub wave_slack_rounds: u64,
     /// Operations whose triggering message the event network dropped
-    /// across all steps (always zero outside [`BatchExec::Event`]).
+    /// across all steps (always zero outside [`ExecConfig::Event`]).
     pub dropped: u64,
     /// Messages injected into the event network across all steps
-    /// (always zero outside [`BatchExec::Event`]). Conservation holds
+    /// (always zero outside [`ExecConfig::Event`]). Conservation holds
     /// per step and in aggregate: `sent == delivered + dropped`.
     pub sent: u64,
     /// Messages the event network delivered across all steps (always
-    /// zero outside [`BatchExec::Event`]).
+    /// zero outside [`ExecConfig::Event`]).
     pub delivered: u64,
     /// Wall-clock nanoseconds spent inside batch execution across all
     /// steps (host-dependent; excluded from determinism comparisons).
@@ -168,11 +137,14 @@ pub struct BatchRunReport {
     /// Waves per step over time (1 point per step; lower = more
     /// parallelism for a fixed batch width).
     pub waves_per_step: TimeSeries,
-    /// Population over time.
+    /// Population over time (1 point per audited step).
     pub population: TimeSeries,
-    /// Worst per-cluster Byzantine fraction over time.
+    /// Cluster count over time (1 point per audited step).
+    pub cluster_count: TimeSeries,
+    /// Worst per-cluster Byzantine fraction over time (1 point per
+    /// audited step).
     pub worst_byz_fraction: TimeSeries,
-    /// All invariant violations observed.
+    /// All invariant violations the audits observed.
     pub violations: Vec<Violation>,
     /// Audit at the final step.
     pub final_audit: SystemAudit,
@@ -207,6 +179,17 @@ impl BatchRunReport {
         self.violations.is_empty()
     }
 
+    /// Number of violations of a given kind.
+    pub fn count(&self, kind: ViolationKind) -> usize {
+        self.violations.iter().filter(|v| v.kind == kind).count()
+    }
+
+    /// Highest worst-cluster Byzantine fraction any audit of the run
+    /// observed (0 for a run without audited steps).
+    pub fn peak_byz_fraction(&self) -> f64 {
+        self.worst_byz_fraction.summary().max
+    }
+
     /// Violations binding for the given mode (see
     /// [`ViolationKind::binds_in`]).
     pub fn binding_violations(&self, mode: now_core::SecurityMode) -> usize {
@@ -221,35 +204,41 @@ impl BatchRunReport {
 /// report-so-far after each step, returning `true` to end the run.
 type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 
-/// The batched runner, as a builder — **the** way to run batched churn.
+/// The step loop, as a builder — **the** way to run churn.
 ///
-/// A `BatchRun` describes *how* a batched run executes: the batch width
-/// (consumed by [`crate::Scenario::run_batch`] when it builds the
-/// driver), the execution engine, an optional caller-held [`WavePool`],
-/// and an optional stop predicate. The *what* — system, driver, length,
-/// seed — is supplied at [`BatchRun::run`] time (or by the scenario).
+/// A `BatchRun` describes *how* a run executes: the engine (an
+/// [`ExecConfig`], default [`ExecConfig::Serial`]; a caller who wants
+/// workers holds the [`now_core::WavePool`], as `step_batch` itself
+/// requires), an optional stop predicate, and the audit cadence. The
+/// *what* — system, driver, length, seed — is supplied at
+/// [`BatchRun::run`] time (or by a [`crate::Scenario`]).
+///
+/// Every step is one [`now_core::NowSystem::step_batch`] of whatever
+/// the driver decided, so **time advances once per step** — also when
+/// the batch is empty (a quiet step) or its only operation is refused
+/// (counted in [`BatchRunReport::rejected`]) — and the x values of
+/// every series are strictly increasing.
 ///
 /// # Example
 /// ```
-/// use now_sim::{BatchExec, BatchRandomChurn, BatchRun};
-/// use now_core::{NowParams, NowSystem};
+/// use now_sim::{BatchRandomChurn, BatchRun};
+/// use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
 ///
 /// let params = NowParams::for_capacity(1 << 10).unwrap();
 /// let mut sys = NowSystem::init_fast(params, 200, 0.1, 1);
 /// let mut driver = BatchRandomChurn::balanced(6, 0.1);
+/// let pool = WavePool::new(2);
 /// let report = BatchRun::new()
-///     .exec(BatchExec::Threaded(2))
+///     .exec(ExecConfig::pooled(&pool))
 ///     .until(|_, r| r.steps >= 5)
 ///     .run(&mut sys, &mut driver, 20, 2);
 /// assert_eq!(report.steps, 5);
+/// assert_eq!(report.threads, Some(2));
 /// ```
 pub struct BatchRun<'p> {
-    width: usize,
-    exec: BatchExec,
-    pool: Option<&'p WavePool>,
-    stop: Option<StopFn<'p>>,
-    trace: Option<usize>,
-    metrics: bool,
+    exec: ExecConfig<'p>,
+    stop: StopFn<'p>,
+    audit_every: u64,
 }
 
 impl Default for BatchRun<'_> {
@@ -259,86 +248,44 @@ impl Default for BatchRun<'_> {
 }
 
 impl<'p> BatchRun<'p> {
-    /// A run with the defaults: width 4, [`BatchExec::Scheduled`], no
-    /// caller-held pool, no stop predicate.
+    /// A run with the defaults: [`ExecConfig::Serial`], no stop
+    /// predicate, audited every step.
     pub fn new() -> Self {
         BatchRun {
-            width: 4,
-            exec: BatchExec::Scheduled,
-            pool: None,
-            stop: None,
-            trace: None,
-            metrics: false,
+            exec: ExecConfig::Serial,
+            stop: Box::new(|_, _| false),
+            audit_every: 1,
         }
     }
 
-    /// Sets the batch width (operations per step). Consumed by
-    /// [`crate::Scenario::run_batch`] when it builds the churn driver;
-    /// a driver passed directly to [`BatchRun::run`] carries its own
-    /// width and ignores this knob.
-    pub fn width(mut self, width: usize) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// The configured batch width.
-    pub fn batch_width(&self) -> usize {
-        self.width
-    }
-
-    /// The configured execution engine.
-    pub fn exec_mode(&self) -> BatchExec {
-        self.exec
-    }
-
     /// Sets the execution engine.
-    pub fn exec(mut self, exec: BatchExec) -> Self {
+    pub fn exec(mut self, exec: ExecConfig<'p>) -> Self {
         self.exec = exec;
         self
     }
 
-    /// Runs on a **caller-held** [`WavePool`]: the primitive for
-    /// drivers of multiple runs (the campaign engine holds one pool for
-    /// all of a campaign's phases, so successive phases reuse the same
-    /// workers). Consulted by [`BatchExec::Threaded`] (instead of the
-    /// run-scoped pool) and [`BatchExec::Event`] (wave planning moves
-    /// onto the pool's workers).
-    pub fn in_pool(mut self, pool: &'p WavePool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Enables the system's flight recorder before the run starts,
-    /// with a ring buffer of `capacity` events (see
-    /// [`now_core::NowSystem::enable_tracing`]). Violations the run's
-    /// audits observe are forwarded to the recorder, so the first one
-    /// captures a causal-neighborhood dump. A recorder already enabled
-    /// on the system is left as is.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace = Some(capacity);
-        self
-    }
-
-    /// Enables the system's metrics registry before the run starts
-    /// (see [`now_core::NowSystem::enable_metrics`]). A registry
-    /// already enabled on the system is left as is.
-    pub fn metrics(mut self) -> Self {
-        self.metrics = true;
-        self
-    }
-
     /// Stops the run early: `stop` is checked before the first step and
-    /// after every audited step — the primitive the campaign engine's
+    /// after every step — the primitive the campaign engine's
     /// population and first-violation triggers are built on. A
     /// condition already satisfied at entry yields a zero-step run; the
     /// `max_steps` given to [`BatchRun::run`] caps the run regardless.
     pub fn until(mut self, stop: impl FnMut(&NowSystem, &BatchRunReport) -> bool + 'p) -> Self {
-        self.stop = Some(Box::new(stop));
+        self.stop = Box::new(stop);
         self
     }
 
-    /// Runs at most `max_steps` batched time steps of `driver`-produced
-    /// churn on `sys`, auditing after every step.
+    /// Sets the audit cadence: the first step and every `every`-th
+    /// after it are audited (1, the default, audits every step; 0 is
+    /// read as 1). Larger values trade coverage for speed on very long
+    /// runs: only audited steps check the invariants and add a point to
+    /// the audit-derived series.
+    pub fn audit_every(mut self, every: u64) -> Self {
+        self.audit_every = every.max(1);
+        self
+    }
+
+    /// Runs at most `max_steps` time steps of `driver`-produced churn
+    /// on `sys`; `seed` seeds the driver's randomness.
     pub fn run(
         self,
         sys: &mut NowSystem,
@@ -347,47 +294,19 @@ impl<'p> BatchRun<'p> {
         seed: u64,
     ) -> BatchRunReport {
         let BatchRun {
-            width: _,
             exec,
-            pool,
-            stop,
-            trace,
-            metrics,
+            mut stop,
+            audit_every,
         } = self;
-        let mut stop = stop.unwrap_or_else(|| Box::new(|_: &NowSystem, _: &BatchRunReport| false));
-        if let Some(capacity) = trace {
-            if sys.flight_recorder().is_none() {
-                sys.enable_tracing(capacity);
-            }
-        }
-        if metrics && sys.metrics().is_none() {
-            sys.enable_metrics();
-        }
-
-        // One `ExecConfig` for the whole run. A threaded run without a
-        // caller-held pool gets a run-scoped one: one worker-spawn set
-        // for the whole run, whatever the step count or wave structure.
-        let run_pool;
-        let exec_cfg = match (exec, pool) {
-            (BatchExec::Scheduled, _) => ExecConfig::serial(),
-            (BatchExec::Threaded(_), Some(p)) => ExecConfig::pooled(p),
-            (BatchExec::Threaded(t), None) => {
-                run_pool = WavePool::new(t);
-                ExecConfig::pooled(&run_pool)
-            }
-            (BatchExec::Event(net), Some(p)) => ExecConfig::event_in(net, p),
-            (BatchExec::Event(net), None) => ExecConfig::event(net),
-        };
 
         let mut rng = DetRng::new(seed);
         let mut report = BatchRunReport {
             driver: driver.name().to_string(),
-            // The pool is what actually executes Threaded steps, so a
-            // caller-held pool's width is the honest record even if the
-            // exec knob says otherwise (outcomes are identical either
-            // way).
-            threads: match exec_cfg {
-                ExecConfig::Pooled { pool } => Some(pool.threads()),
+            threads: match exec {
+                ExecConfig::Pooled { pool }
+                | ExecConfig::Event {
+                    pool: Some(pool), ..
+                } => Some(pool.threads()),
                 _ => None,
             },
             steps: 0,
@@ -405,6 +324,7 @@ impl<'p> BatchRun<'p> {
             wall_nanos: 0,
             waves_per_step: TimeSeries::new("waves_per_step"),
             population: TimeSeries::new("population"),
+            cluster_count: TimeSeries::new("cluster_count"),
             worst_byz_fraction: TimeSeries::new("worst_byz_fraction"),
             violations: Vec::new(),
             final_audit: sys.audit(),
@@ -412,9 +332,9 @@ impl<'p> BatchRun<'p> {
         if stop(sys, &report) {
             return report;
         }
-        for _ in 0..max_steps {
+        for step in 0..max_steps {
             let (joins, leaves) = driver.decide_batch(sys, &mut rng);
-            let batch = sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &exec_cfg);
+            let batch = sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &exec);
             report.steps += 1;
             report.joins += batch.joined.len() as u64;
             report.leaves += batch.left.len() as u64;
@@ -429,23 +349,28 @@ impl<'p> BatchRun<'p> {
             report.delivered += step_delivered;
             report.sent += step_delivered + batch.dropped;
             report.wall_nanos += batch.wall_nanos;
-
-            let audit = sys.audit();
             report
                 .waves_per_step
-                .push(audit.time_step, batch.wave_count() as f64);
-            report
-                .population
-                .push(audit.time_step, audit.population as f64);
-            report
-                .worst_byz_fraction
-                .push(audit.time_step, audit.worst_byz_fraction);
-            let seen = report.violations.len();
-            record_violations(&audit, &mut report.violations);
-            // INVARIANT: `seen` is the pre-append length of this same
-            // vec, so the tail slice is in bounds.
-            for v in &report.violations[seen..] {
-                sys.record_violation(v.kind.name(), v.cluster);
+                .push(sys.time_step(), batch.wave_count() as f64);
+
+            if step % audit_every == 0 {
+                let audit = sys.audit();
+                report
+                    .population
+                    .push(audit.time_step, audit.population as f64);
+                report
+                    .cluster_count
+                    .push(audit.time_step, audit.cluster_count as f64);
+                report
+                    .worst_byz_fraction
+                    .push(audit.time_step, audit.worst_byz_fraction);
+                let seen = report.violations.len();
+                record_violations(&audit, &mut report.violations);
+                // INVARIANT: `seen` is the pre-append length of this same
+                // vec, so the tail slice is in bounds.
+                for v in &report.violations[seen..] {
+                    sys.record_violation(v.kind.name(), v.cluster);
+                }
             }
             if stop(sys, &report) {
                 break;
@@ -459,7 +384,8 @@ impl<'p> BatchRun<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_core::NowParams;
+    use now_adversary::{QuietBatches, RandomChurn};
+    use now_core::{EventNetConfig, NowParams, WavePool};
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -474,6 +400,17 @@ mod tests {
         assert_eq!(report.steps, 20);
         assert!(report.joins + report.leaves > 60, "width 6 × 20 steps");
         assert_eq!(sys.time_step(), 20, "one time step per batch");
+        sys.check_consistency().unwrap();
+
+        // Time passes on a quiet step too: 20 empty batches advance the
+        // clock by 20 and change nothing else.
+        let before = sys.population();
+        let quiet = BatchRun::new().run(&mut sys, &mut QuietBatches, 20, 0);
+        assert_eq!(quiet.steps, 20);
+        assert_eq!(quiet.joins + quiet.leaves, 0);
+        assert_eq!(sys.time_step(), 40, "time_step + 20");
+        assert_eq!(sys.population(), before);
+        assert!(quiet.clean());
         sys.check_consistency().unwrap();
     }
 
@@ -547,14 +484,13 @@ mod tests {
     #[test]
     fn threaded_runs_are_thread_count_invariant() {
         let go = |threads: usize| {
+            let pool = WavePool::new(threads);
             let mut sys = sparse_system(13);
             let mut driver = BatchRandomChurn::balanced(6, 0.1);
-            let r = BatchRun::new().exec(BatchExec::Threaded(threads)).run(
-                &mut sys,
-                &mut driver,
-                12,
-                14,
-            );
+            let r =
+                BatchRun::new()
+                    .exec(ExecConfig::pooled(&pool))
+                    .run(&mut sys, &mut driver, 12, 14);
             sys.check_consistency().unwrap();
             (
                 r.joins,
@@ -576,11 +512,13 @@ mod tests {
 
     #[test]
     fn threaded_report_carries_thread_and_timing_metadata() {
+        let pool = WavePool::new(4);
         let mut sys = sparse_system(15);
         let mut driver = BatchRandomChurn::balanced(6, 0.1);
-        let report = BatchRun::new()
-            .exec(BatchExec::Threaded(4))
-            .run(&mut sys, &mut driver, 8, 16);
+        let report =
+            BatchRun::new()
+                .exec(ExecConfig::pooled(&pool))
+                .run(&mut sys, &mut driver, 8, 16);
         assert_eq!(report.threads, Some(4));
         assert!(report.wall_nanos > 0, "executed batches take time");
         assert!(
@@ -591,23 +529,25 @@ mod tests {
         // maintenance rounds are charged outside the schedule.
         assert!(report.wave_slack_rounds <= report.rounds_serial - report.rounds_parallel);
 
-        let mut legacy_sys = sparse_system(15);
-        let mut legacy_driver = BatchRandomChurn::balanced(6, 0.1);
-        let legacy = BatchRun::new().run(&mut legacy_sys, &mut legacy_driver, 8, 16);
-        assert_eq!(legacy.threads, None);
+        let mut serial_sys = sparse_system(15);
+        let mut serial_driver = BatchRandomChurn::balanced(6, 0.1);
+        let serial = BatchRun::new().run(&mut serial_sys, &mut serial_driver, 8, 16);
+        assert_eq!(serial.threads, None);
     }
 
     #[test]
-    fn zero_threads_normalizes_like_one_across_exec_modes() {
-        // Regression for the shared `normalize_threads` rule: the sim
-        // layer must treat `Threaded(0)` exactly like `Threaded(1)` —
-        // in the report metadata *and* in the outcomes.
-        assert_eq!(BatchExec::Threaded(0).threads(), Some(1));
-        assert_eq!(BatchExec::Scheduled.threads(), None);
-        let go = |exec: BatchExec| {
+    fn zero_threads_normalizes_like_one() {
+        // Regression for the shared `normalize_threads` rule: a pool of
+        // 0 is a pool of 1 — in the report metadata *and* in the
+        // outcomes.
+        let go = |threads: usize| {
+            let pool = WavePool::new(threads);
             let mut sys = sparse_system(19);
             let mut driver = BatchRandomChurn::balanced(5, 0.1);
-            let r = BatchRun::new().exec(exec).run(&mut sys, &mut driver, 6, 20);
+            let r =
+                BatchRun::new()
+                    .exec(ExecConfig::pooled(&pool))
+                    .run(&mut sys, &mut driver, 6, 20);
             (
                 r.threads,
                 r.joins,
@@ -616,12 +556,13 @@ mod tests {
                 sys.node_ids(),
             )
         };
-        assert_eq!(go(BatchExec::Threaded(0)), go(BatchExec::Threaded(1)));
+        assert_eq!(go(0).0, Some(1));
+        assert_eq!(go(0), go(1));
     }
 
     #[test]
-    fn pooled_exec_agrees_bitwise_across_worker_counts() {
-        let go = |exec: BatchExec| {
+    fn pooled_exec_agrees_bitwise_with_the_driving_thread() {
+        let go = |exec: ExecConfig<'_>| {
             let mut sys = sparse_system(23);
             let mut driver = BatchRandomChurn::balanced(7, 0.1);
             let r = BatchRun::new()
@@ -641,39 +582,35 @@ mod tests {
                 sys.node_ids(),
             )
         };
-        let pooled = go(BatchExec::Threaded(4));
-        assert_eq!(pooled, go(BatchExec::Threaded(1)), "pooled vs inline");
+        let pool = WavePool::new(4);
+        let pooled = go(ExecConfig::pooled(&pool));
+        // The same pool again (reuse across runs)...
+        assert_eq!(pooled, go(ExecConfig::pooled(&pool)));
+        // ...and the wave engine without workers.
+        assert_eq!(pooled, go(ExecConfig::scheduled()), "pooled vs inline");
     }
 
     #[test]
-    fn caller_held_pool_matches_run_scoped_pool() {
-        let go = |pool: Option<&now_core::WavePool>| {
-            let mut sys = sparse_system(27);
-            let mut driver = BatchRandomChurn::balanced(6, 0.1);
-            let mut run = BatchRun::new().exec(BatchExec::Threaded(4));
-            if let Some(pool) = pool {
-                run = run.in_pool(pool);
-            }
-            let r = run.run(&mut sys, &mut driver, 8, 28);
-            (r.joins, r.leaves, r.rounds_parallel, sys.node_ids())
-        };
-        let shared = now_core::WavePool::new(4);
-        let with_shared = go(Some(&shared));
-        // The same shared pool again (reuse across runs)...
-        assert_eq!(with_shared, go(Some(&shared)));
-        // ...and the per-batch fallback.
-        assert_eq!(with_shared, go(None));
-    }
-
-    #[test]
-    fn batched_runs_are_deterministic() {
-        let go = || {
+    fn runs_are_deterministic() {
+        let batched = || {
             let mut sys = system(200, 0.1, 7);
             let mut driver = BatchRandomChurn::balanced(5, 0.1);
             let r = BatchRun::new().run(&mut sys, &mut driver, 25, 8);
             (r.joins, r.leaves, r.rounds_parallel, sys.population())
         };
-        assert_eq!(go(), go());
+        assert_eq!(batched(), batched());
+        let per_step = || {
+            let mut sys = system(150, 0.1, 5);
+            let mut adv = RandomChurn::balanced(0.1);
+            let r = BatchRun::new().run(&mut sys, &mut adv, 60, 10);
+            (
+                r.joins,
+                r.leaves,
+                sys.population(),
+                r.peak_byz_fraction().to_bits(),
+            )
+        };
+        assert_eq!(per_step(), per_step());
     }
 
     #[test]
@@ -690,23 +627,28 @@ mod tests {
             .with_drop(0.3);
         let mut sys = system(200, 0.1, 31);
         let mut driver = BatchRandomChurn::balanced(6, 0.1);
-        let report = BatchRun::new()
-            .exec(BatchExec::Event(net))
-            .run(&mut sys, &mut driver, 15, 32);
+        let report =
+            BatchRun::new()
+                .exec(ExecConfig::event(net))
+                .run(&mut sys, &mut driver, 15, 32);
         assert_eq!(report.steps, 15);
-        assert_eq!(report.threads, None, "event runs carry no thread count");
+        assert_eq!(report.threads, None, "planned on the driving thread");
         assert!(report.dropped > 0, "30% loss over 15 steps must drop joins");
         sys.check_consistency().unwrap();
 
-        // Same run on a caller-held pool: identical outcomes, pool width
-        // recorded nowhere (planning threads never change results).
+        // Same run planning on a caller-held pool: identical outcomes
+        // (planning threads never change results), the pool's width in
+        // the report.
         let pool = WavePool::new(4);
         let mut pooled_sys = system(200, 0.1, 31);
         let mut pooled_driver = BatchRandomChurn::balanced(6, 0.1);
-        let pooled = BatchRun::new()
-            .exec(BatchExec::Event(net))
-            .in_pool(&pool)
-            .run(&mut pooled_sys, &mut pooled_driver, 15, 32);
+        let pooled = BatchRun::new().exec(ExecConfig::event_in(net, &pool)).run(
+            &mut pooled_sys,
+            &mut pooled_driver,
+            15,
+            32,
+        );
+        assert_eq!(pooled.threads, Some(4));
         assert_eq!(pooled.dropped, report.dropped);
         assert_eq!(pooled.joins, report.joins);
         assert_eq!(pooled.leaves, report.leaves);
@@ -719,5 +661,78 @@ mod tests {
         let mut driver = BatchRandomChurn::balanced(5, 0.1);
         let report = BatchRun::new().run(&mut sys, &mut driver, 10, 36);
         assert_eq!(report.dropped, 0);
+    }
+
+    #[test]
+    fn per_step_random_churn_is_clean_at_low_tau() {
+        // k = 4 (clusters of ~40): the Chernoff tail to the 1/3
+        // threshold at τ = 0.1 is negligible — the k-dependence of
+        // Lemma 1. (At k = 2 occasional threshold crossings are
+        // *expected*; experiment X-T3 measures that trade-off.)
+        let params = NowParams::new(1 << 10, 4, 1.5, 0.30, 0.05).unwrap();
+        let mut sys = NowSystem::init_fast(params, 240, 0.1, 2);
+        let mut adv = RandomChurn::balanced(0.1);
+        let report = BatchRun::new().run(&mut sys, &mut adv, 150, 7);
+        assert_eq!(report.steps, 150);
+        assert!(report.joins > 30);
+        assert!(report.leaves > 30);
+        assert_eq!(report.max_wave_width, 1, "one op per step");
+        assert!(
+            report.clean(),
+            "violations at τ=0.1: {:?}",
+            report.violations
+        );
+        assert!(report.peak_byz_fraction() < 1.0 / 3.0);
+        sys.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn audit_cadence_thins_series() {
+        let go = |every: u64| {
+            let mut sys = system(150, 0.1, 4);
+            let mut adv = RandomChurn::balanced(0.1);
+            BatchRun::new()
+                .audit_every(every)
+                .run(&mut sys, &mut adv, 50, 9)
+        };
+        let every_step = go(1);
+        for series in [
+            &every_step.worst_byz_fraction,
+            &every_step.population,
+            &every_step.cluster_count,
+            &every_step.waves_per_step,
+        ] {
+            assert_eq!(series.len(), 50, "{}", series.name);
+            assert!(
+                series.points().windows(2).all(|w| w[0].0 < w[1].0),
+                "{}: time advances once per step",
+                series.name
+            );
+        }
+        let thinned = go(10);
+        assert_eq!(thinned.worst_byz_fraction.len(), 5);
+        assert_eq!(thinned.population.len(), 5);
+        assert_eq!(thinned.steps, 50, "cadence thins audits, not steps");
+        assert_eq!(
+            (thinned.joins, thinned.leaves),
+            (every_step.joins, every_step.leaves)
+        );
+    }
+
+    #[test]
+    fn violation_counting_api() {
+        let mut sys = system(50, 0.0, 6);
+        let mut report = BatchRun::new().run(&mut sys, &mut QuietBatches, 0, 0);
+        assert!(report.clean());
+        for step in [1, 2] {
+            report.violations.push(Violation {
+                step,
+                kind: ViolationKind::SizeBounds,
+                cluster: None,
+            });
+        }
+        assert!(!report.clean());
+        assert_eq!(report.count(ViolationKind::SizeBounds), 2);
+        assert_eq!(report.count(ViolationKind::Forgeable), 0);
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! The paper's headline is tolerance of **polynomial size variation**:
 //! the population may roam anywhere in `[√N, N]`. These drivers produce
-//! exactly that motion; they implement [`Adversary`] so the runner
+//! exactly that motion; they implement [`BatchDriver`] so the step loop
 //! treats environmental churn and attacks uniformly (arrivals are still
 //! corrupted up to the adversary's budget — churn and corruption
 //! coexist in the model).
 
 use crate::batch_run::BatchDriver;
-use now_adversary::{Action, Adversary, CorruptionBudget};
+use now_adversary::CorruptionBudget;
 use now_core::{JoinSpec, NowSystem};
 use now_net::{DetRng, NodeId};
 use rand::Rng;
@@ -32,15 +32,13 @@ impl GrowthPhase {
     }
 }
 
-impl Adversary for GrowthPhase {
-    fn decide(&mut self, sys: &NowSystem, _rng: &mut DetRng) -> Action {
+impl BatchDriver for GrowthPhase {
+    fn decide_batch(&mut self, sys: &NowSystem, _rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if sys.population() >= self.target {
-            Action::Idle
+            (Vec::new(), Vec::new())
         } else {
-            Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            }
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            (vec![JoinSpec::uniform(honest)], Vec::new())
         }
     }
 
@@ -64,17 +62,15 @@ impl ShrinkPhase {
     }
 }
 
-impl Adversary for ShrinkPhase {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for ShrinkPhase {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         if sys.population() <= self.target {
-            Action::Idle
+            (Vec::new(), Vec::new())
         } else {
             let nodes = sys.node_ids();
-            Action::Leave {
-                // INVARIANT: population floor keeps the id list non-empty;
-                // the draw range is its exact length.
-                node: nodes[rng.gen_range(0..nodes.len())],
-            }
+            // INVARIANT: population floor keeps the id list non-empty;
+            // the draw range is its exact length.
+            (Vec::new(), vec![nodes[rng.gen_range(0..nodes.len())]])
         }
     }
 
@@ -120,8 +116,8 @@ impl Sawtooth {
     }
 }
 
-impl Adversary for Sawtooth {
-    fn decide(&mut self, sys: &NowSystem, rng: &mut DetRng) -> Action {
+impl BatchDriver for Sawtooth {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
         let pop = sys.population();
         if self.growing && pop >= self.high {
             self.growing = false;
@@ -129,17 +125,13 @@ impl Adversary for Sawtooth {
             self.growing = true;
         }
         if self.growing {
-            Action::Join {
-                honest: !self.budget.can_corrupt_arrival(sys),
-                contact: None,
-            }
+            let honest = !self.budget.can_corrupt_arrival(sys);
+            (vec![JoinSpec::uniform(honest)], Vec::new())
         } else {
             let nodes = sys.node_ids();
-            Action::Leave {
-                // INVARIANT: population floor keeps the id list non-empty;
-                // the draw range is its exact length.
-                node: nodes[rng.gen_range(0..nodes.len())],
-            }
+            // INVARIANT: population floor keeps the id list non-empty;
+            // the draw range is its exact length.
+            (Vec::new(), vec![nodes[rng.gen_range(0..nodes.len())]])
         }
     }
 
@@ -232,7 +224,6 @@ impl BatchDriver for BatchSawtooth {
 mod tests {
     use super::*;
     use crate::batch_run::BatchRun;
-    use crate::runner::{run, RunConfig};
     use now_core::NowParams;
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
@@ -244,10 +235,10 @@ mod tests {
     fn growth_reaches_target_then_idles() {
         let mut sys = system(60, 0.1, 1);
         let mut adv = GrowthPhase::new(100, 0.1);
-        let report = run(&mut sys, &mut adv, RunConfig::for_steps(60));
+        let report = BatchRun::new().run(&mut sys, &mut adv, 60, 0);
         assert_eq!(sys.population(), 100);
         assert_eq!(report.joins, 40);
-        assert_eq!(report.idles, 20);
+        assert_eq!(report.steps - report.joins - report.leaves, 20);
         sys.check_consistency().unwrap();
     }
 
@@ -255,7 +246,7 @@ mod tests {
     fn growth_corrupts_within_budget() {
         let mut sys = system(60, 0.0, 2);
         let mut adv = GrowthPhase::new(120, 0.2);
-        run(&mut sys, &mut adv, RunConfig::for_steps(60));
+        BatchRun::new().run(&mut sys, &mut adv, 60, 0);
         let frac = sys.byz_population() as f64 / sys.population() as f64;
         assert!(frac > 0.1 && frac <= 0.2, "byz fraction {frac}");
     }
@@ -264,7 +255,7 @@ mod tests {
     fn shrink_reaches_target() {
         let mut sys = system(150, 0.1, 3);
         let mut adv = ShrinkPhase::new(100);
-        let report = run(&mut sys, &mut adv, RunConfig::for_steps(80));
+        let report = BatchRun::new().run(&mut sys, &mut adv, 80, 0);
         assert_eq!(sys.population(), 100);
         assert_eq!(report.leaves, 50);
         sys.check_consistency().unwrap();
@@ -274,15 +265,7 @@ mod tests {
     fn sawtooth_oscillates() {
         let mut sys = system(60, 0.1, 4);
         let mut adv = Sawtooth::new(50, 90, 0.1);
-        let report = run(
-            &mut sys,
-            &mut adv,
-            RunConfig {
-                steps: 300,
-                audit_every: 1,
-                seed: 5,
-            },
-        );
+        let report = BatchRun::new().run(&mut sys, &mut adv, 300, 5);
         let pops: Vec<f64> = report.population.points().iter().map(|&(_, v)| v).collect();
         let max = pops.iter().cloned().fold(0.0f64, f64::max);
         let min = pops.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -1,20 +1,24 @@
 //! Simulation harness for NOW experiments.
 //!
-//! Ties a [`now_core::NowSystem`] to a churn driver
-//! ([`now_adversary::Adversary`]) and runs polynomially long operation
-//! sequences while auditing the paper's invariants after every step:
+//! Ties a [`now_core::NowSystem`] to a churn driver ([`BatchDriver`])
+//! and runs polynomially long operation sequences while auditing the
+//! paper's invariants after every step:
 //!
-//! * [`runner`] — the step loop, violation tracking, and time series
-//!   collection ([`RunReport`]).
-//! * [`batch_run`] — the batched variant (several parallel join/leave
-//!   operations per time step; the paper's §2 footnote), reporting the
-//!   serial-vs-parallel round complexity.
+//! * [`batch_run`] — the step loop ([`BatchRun`]): each step is one
+//!   `step_batch` of what the driver decided — at most one operation
+//!   under the paper's model, several under its §2 footnote — on the
+//!   [`now_core::ExecConfig`] the caller names, with time series
+//!   collection and the serial-vs-parallel round complexity
+//!   ([`BatchRunReport`]).
+//! * [`runner`] — violation tracking ([`Violation`], [`ViolationKind`]).
+//! * [`scenario`] — the one-call front door ([`Scenario`]).
 //! * [`churn`] — environmental churn schedules, including the headline
 //!   *polynomial size variation* driver ([`Sawtooth`]) that swings the
 //!   population between `√N` and `N`.
 //! * [`metrics`] — time series, summaries, and CSV emission (hand-rolled;
 //!   no serde dependency).
-//! * [`report`] — markdown tables for `EXPERIMENTS.md`.
+//! * [`report`] — markdown tables for the experiment binaries (indexed
+//!   in the README).
 //! * [`baselines`] — the comparison systems: no-shuffle static
 //!   clustering (the §3.3 attack victim) and the naive
 //!   single-cluster/full-mesh cost formulas of §6.
@@ -31,9 +35,9 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 
-pub use batch_run::{BatchDriver, BatchExec, BatchRandomChurn, BatchRun, BatchRunReport};
+pub use batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
 pub use churn::{BatchSawtooth, GrowthPhase, Sawtooth, ShrinkPhase};
 pub use metrics::{CsvTable, Summary, TimeSeries};
 pub use report::MdTable;
-pub use runner::{run, RunConfig, RunReport, Violation, ViolationKind};
+pub use runner::{Violation, ViolationKind};
 pub use scenario::{ChurnStyle, Scenario};

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 /// A markdown table builder used by the experiment binaries to emit the
-/// rows recorded in `EXPERIMENTS.md`.
+/// rows printed by the experiment binaries (README § Experiments).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MdTable {
     headers: Vec<String>,

@@ -1,9 +1,8 @@
-//! The step loop: drive churn, apply operations, audit invariants.
+//! Violation tracking: what an audit of the step loop
+//! ([`crate::BatchRun`]) found wrong, and when.
 
-use crate::metrics::TimeSeries;
-use now_adversary::{Action, Adversary};
-use now_core::{NowSystem, SystemAudit};
-use now_net::{ClusterId, DetRng};
+use now_core::SystemAudit;
+use now_net::ClusterId;
 
 /// What went wrong at a time step (Theorem 3 says: nothing, whp).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,81 +63,7 @@ pub struct Violation {
     pub cluster: Option<ClusterId>,
 }
 
-/// Runner configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Number of time steps (external operations) to execute.
-    pub steps: u64,
-    /// Audit cadence (1 = every step; larger values trade coverage for
-    /// speed on very long runs).
-    pub audit_every: u64,
-    /// Seed for the churn driver's randomness.
-    pub seed: u64,
-}
-
-impl RunConfig {
-    /// `steps` steps, audited every step, seed 0.
-    pub fn for_steps(steps: u64) -> Self {
-        RunConfig {
-            steps,
-            audit_every: 1,
-            seed: 0,
-        }
-    }
-}
-
-/// Everything an experiment needs from one run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Churn driver name.
-    pub adversary: String,
-    /// Steps actually executed.
-    pub steps: u64,
-    /// Joins / leaves / idles performed.
-    pub joins: u64,
-    /// Leaves performed.
-    pub leaves: u64,
-    /// Idle steps.
-    pub idles: u64,
-    /// Worst per-cluster Byzantine fraction over time.
-    pub worst_byz_fraction: TimeSeries,
-    /// Population over time.
-    pub population: TimeSeries,
-    /// Cluster count over time.
-    pub cluster_count: TimeSeries,
-    /// All invariant violations observed.
-    pub violations: Vec<Violation>,
-    /// Audit at the final step.
-    pub final_audit: SystemAudit,
-    /// Highest worst-cluster Byzantine fraction ever observed.
-    pub peak_byz_fraction: f64,
-}
-
-impl RunReport {
-    /// True if the headline invariant held at every audited step.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Number of violations of a given kind.
-    pub fn count(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
-    }
-
-    /// Number of violations that are *binding* for the given substrate
-    /// mode (see [`ViolationKind::binds_in`]). An Authenticated run at
-    /// τ > 1/3 legitimately trips `NotTwoThirdsHonest`; this counter
-    /// ignores it there.
-    pub fn binding_violations(&self, mode: now_core::SecurityMode) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.kind.binds_in(mode))
-            .count()
-    }
-}
-
-/// Translates one audit snapshot into violation records (shared by the
-/// serial and batched runners).
+/// Translates one audit snapshot into violation records.
 pub(crate) fn record_violations(audit: &SystemAudit, out: &mut Vec<Violation>) {
     let step = audit.time_step;
     if audit.clusters_not_two_thirds_honest > 0 {
@@ -175,212 +100,5 @@ pub(crate) fn record_violations(audit: &SystemAudit, out: &mut Vec<Violation>) {
             kind: ViolationKind::SizeBounds,
             cluster: None,
         });
-    }
-}
-
-/// Runs `config.steps` time steps of `adversary`-driven churn on `sys`,
-/// auditing after every `config.audit_every`-th step.
-///
-/// Leaves refused by the population floor and joins into vanished
-/// contact clusters degrade to idle steps (recorded as such), so a
-/// mis-calibrated churn schedule cannot panic the run.
-pub fn run(sys: &mut NowSystem, adversary: &mut dyn Adversary, config: RunConfig) -> RunReport {
-    let mut rng = DetRng::new(config.seed);
-    let mut report = RunReport {
-        adversary: adversary.name().to_string(),
-        steps: 0,
-        joins: 0,
-        leaves: 0,
-        idles: 0,
-        worst_byz_fraction: TimeSeries::new("worst_byz_fraction"),
-        population: TimeSeries::new("population"),
-        cluster_count: TimeSeries::new("cluster_count"),
-        violations: Vec::new(),
-        final_audit: sys.audit(),
-        peak_byz_fraction: 0.0,
-    };
-    record_violations(&report.final_audit, &mut report.violations);
-    report.peak_byz_fraction = report.final_audit.worst_byz_fraction;
-
-    for step in 0..config.steps {
-        match adversary.decide(sys, &mut rng) {
-            Action::Join { honest, contact } => {
-                match contact {
-                    Some(c) if sys.cluster(c).is_some() => {
-                        sys.join_via(c, honest);
-                    }
-                    Some(_) | None => {
-                        sys.join(honest);
-                    }
-                }
-                report.joins += 1;
-            }
-            Action::Leave { node } => match sys.leave(node) {
-                Ok(()) => report.leaves += 1,
-                Err(_) => report.idles += 1,
-            },
-            Action::Idle => report.idles += 1,
-        }
-        report.steps += 1;
-
-        if config.audit_every > 0 && step % config.audit_every == 0 {
-            let audit = sys.audit();
-            report
-                .worst_byz_fraction
-                .push(audit.time_step, audit.worst_byz_fraction);
-            report
-                .population
-                .push(audit.time_step, audit.population as f64);
-            report
-                .cluster_count
-                .push(audit.time_step, audit.cluster_count as f64);
-            report.peak_byz_fraction = report.peak_byz_fraction.max(audit.worst_byz_fraction);
-            record_violations(&audit, &mut report.violations);
-        }
-    }
-    report.final_audit = sys.audit();
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use now_adversary::{Quiet, RandomChurn};
-    use now_core::NowParams;
-
-    fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
-        let params = NowParams::for_capacity(1 << 10).unwrap();
-        NowSystem::init_fast(params, n0, tau, seed)
-    }
-
-    #[test]
-    fn quiet_run_changes_nothing() {
-        let mut sys = system(120, 0.1, 1);
-        let before = sys.population();
-        let report = run(&mut sys, &mut Quiet, RunConfig::for_steps(20));
-        assert_eq!(report.idles, 20);
-        assert_eq!(report.joins, 0);
-        assert_eq!(sys.population(), before);
-        assert!(report.clean());
-        sys.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn random_churn_run_is_clean_at_low_tau() {
-        // k = 4 (clusters of ~40): the Chernoff tail to the 1/3
-        // threshold at τ = 0.1 is negligible — the k-dependence of
-        // Lemma 1. (At k = 2 occasional threshold crossings are
-        // *expected*; experiment X-T3 measures that trade-off.)
-        let params = NowParams::new(1 << 10, 4, 1.5, 0.30, 0.05).unwrap();
-        let mut sys = NowSystem::init_fast(params, 240, 0.1, 2);
-        let mut adv = RandomChurn::balanced(0.1);
-        let report = run(
-            &mut sys,
-            &mut adv,
-            RunConfig {
-                steps: 150,
-                audit_every: 1,
-                seed: 7,
-            },
-        );
-        assert_eq!(report.steps, 150);
-        assert!(report.joins > 30);
-        assert!(report.leaves > 30);
-        assert!(
-            report.clean(),
-            "violations at τ=0.1: {:?}",
-            report.violations
-        );
-        assert!(report.peak_byz_fraction < 1.0 / 3.0);
-        sys.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn series_are_recorded_per_step() {
-        let mut sys = system(150, 0.1, 3);
-        let mut adv = RandomChurn::balanced(0.1);
-        let report = run(
-            &mut sys,
-            &mut adv,
-            RunConfig {
-                steps: 50,
-                audit_every: 1,
-                seed: 8,
-            },
-        );
-        assert_eq!(report.worst_byz_fraction.len(), 50);
-        assert_eq!(report.population.len(), 50);
-        assert_eq!(report.cluster_count.len(), 50);
-    }
-
-    #[test]
-    fn audit_cadence_thins_series() {
-        let mut sys = system(150, 0.1, 4);
-        let mut adv = RandomChurn::balanced(0.1);
-        let report = run(
-            &mut sys,
-            &mut adv,
-            RunConfig {
-                steps: 50,
-                audit_every: 10,
-                seed: 9,
-            },
-        );
-        assert_eq!(report.worst_byz_fraction.len(), 5);
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let go = || {
-            let mut sys = system(150, 0.1, 5);
-            let mut adv = RandomChurn::balanced(0.1);
-            let r = run(
-                &mut sys,
-                &mut adv,
-                RunConfig {
-                    steps: 60,
-                    audit_every: 1,
-                    seed: 10,
-                },
-            );
-            (
-                r.joins,
-                r.leaves,
-                sys.population(),
-                r.peak_byz_fraction.to_bits(),
-            )
-        };
-        assert_eq!(go(), go());
-    }
-
-    #[test]
-    fn violation_counting_api() {
-        let report = RunReport {
-            adversary: "x".into(),
-            steps: 0,
-            joins: 0,
-            leaves: 0,
-            idles: 0,
-            worst_byz_fraction: TimeSeries::new("w"),
-            population: TimeSeries::new("p"),
-            cluster_count: TimeSeries::new("c"),
-            violations: vec![
-                Violation {
-                    step: 1,
-                    kind: ViolationKind::SizeBounds,
-                    cluster: None,
-                },
-                Violation {
-                    step: 2,
-                    kind: ViolationKind::SizeBounds,
-                    cluster: None,
-                },
-            ],
-            final_audit: system(50, 0.0, 6).audit(),
-            peak_byz_fraction: 0.0,
-        };
-        assert!(!report.clean());
-        assert_eq!(report.count(ViolationKind::SizeBounds), 2);
-        assert_eq!(report.count(ViolationKind::Forgeable), 0);
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! A [`Scenario`] bundles everything a run needs — capacity, security
 //! parameter, corruption rate, churn style, length, seed — builds the
-//! system, runs it, and returns the [`RunReport`] together with the
-//! final system for inspection. Every experiment binary and several
-//! integration tests are expressible as one `Scenario` call.
+//! system, runs it through the step loop ([`BatchRun`]), and returns
+//! the [`BatchRunReport`] together with the final system for
+//! inspection. Every experiment binary and several integration tests
+//! are expressible as one `Scenario` call.
 
 use crate::batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
 use crate::churn::{BatchSawtooth, Sawtooth};
-use crate::runner::{run, RunConfig, RunReport};
 use now_adversary::{
-    Adversary, BatchBurstChurn, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing,
-    BatchSplitForcing, BurstChurn, ClusterPick, ForcedLeaveAttack, JoinLeaveAttack, MergeForcing,
-    Quiet, QuietBatches, RandomChurn, SplitForcing,
+    BatchBurstChurn, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing, BatchSplitForcing,
+    BurstChurn, ClusterPick, ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, QuietBatches,
+    RandomChurn, SplitForcing,
 };
-use now_core::{NowError, NowParams, NowSystem};
+use now_core::{ExecConfig, NowError, NowParams, NowSystem};
 
 /// Which churn driver a scenario uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,6 +72,7 @@ pub struct Scenario {
     epsilon: f64,
     initial_population: usize,
     churn: ChurnStyle,
+    width: usize,
     steps: u64,
     audit_every: u64,
     seed: u64,
@@ -83,7 +84,8 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario for capacity `N` with the standard defaults
     /// (`k = 2`, `l = 1.5`, `τ = 0.10`, `ε = 0.05`, 10 clusters' worth
-    /// of initial nodes, balanced churn, 100 steps, seed 0).
+    /// of initial nodes, balanced churn, batch width 4, 100 steps,
+    /// audited every step, seed 0).
     pub fn new(capacity: u64) -> Self {
         Scenario {
             capacity,
@@ -93,6 +95,7 @@ impl Scenario {
             epsilon: 0.05,
             initial_population: 0, // resolved at run time from k
             churn: ChurnStyle::Balanced,
+            width: 4,
             steps: 100,
             audit_every: 1,
             seed: 0,
@@ -133,15 +136,23 @@ impl Scenario {
         self
     }
 
+    /// Sets the batch width: operations per step of
+    /// [`Scenario::run_batch`] ([`Scenario::run`] is the paper's
+    /// one-operation-per-step model and ignores it).
+    pub fn width(mut self, width: usize) -> Self {
+        self.width = width;
+        self
+    }
+
     /// Sets the number of time steps.
     pub fn steps(mut self, steps: u64) -> Self {
         self.steps = steps;
         self
     }
 
-    /// Sets the audit cadence.
+    /// Sets the audit cadence ([`BatchRun::audit_every`]).
     pub fn audit_every(mut self, every: u64) -> Self {
-        self.audit_every = every.max(1);
+        self.audit_every = every;
         self
     }
 
@@ -172,8 +183,7 @@ impl Scenario {
         self
     }
 
-    /// Builds the scenario's system (shared by the serial and batched
-    /// run paths, so parameter plumbing cannot diverge between them).
+    /// Builds the scenario's system.
     fn build_system(&self) -> Result<NowSystem, NowError> {
         let params = if self.authenticated {
             NowParams::new_authenticated(self.capacity, self.k, self.l, self.tau, self.epsilon)?
@@ -190,61 +200,47 @@ impl Scenario {
         Ok(NowSystem::init_fast(params, n0, self.tau, self.seed))
     }
 
-    /// Builds the system, runs the churn, returns report + system.
+    /// The one place a scenario meets the step loop.
+    fn drive(
+        &self,
+        mut sys: NowSystem,
+        driver: &mut dyn BatchDriver,
+        exec: ExecConfig<'_>,
+    ) -> (BatchRunReport, NowSystem) {
+        let report = BatchRun::new()
+            .exec(exec)
+            .audit_every(self.audit_every)
+            .run(&mut sys, driver, self.steps, self.seed.wrapping_add(1));
+        (report, sys)
+    }
+
+    /// Builds the system and runs the churn under the paper's model —
+    /// at most one join or leave per time step, on
+    /// [`ExecConfig::Serial`] — returning report + system. The attack
+    /// styles target the first cluster.
     ///
     /// # Errors
     /// Propagates [`NowError::BadParams`] for invalid parameters.
-    pub fn run(self) -> Result<(RunReport, NowSystem), NowError> {
-        let mut sys = self.build_system()?;
-        let config = RunConfig {
-            steps: self.steps,
-            audit_every: self.audit_every,
-            seed: self.seed.wrapping_add(1),
+    pub fn run(self) -> Result<(BatchRunReport, NowSystem), NowError> {
+        let sys = self.build_system()?;
+        // INVARIANT: LastCluster guard — index 0 always exists.
+        let target = sys.cluster_ids()[0];
+        let mut driver: Box<dyn BatchDriver> = match self.churn {
+            ChurnStyle::Quiet => Box::new(QuietBatches),
+            ChurnStyle::Balanced => Box::new(RandomChurn::balanced(self.tau)),
+            ChurnStyle::Sawtooth { low, high } => Box::new(Sawtooth::new(low, high, self.tau)),
+            ChurnStyle::JoinLeaveAttack => Box::new(JoinLeaveAttack::new(target, self.tau)),
+            ChurnStyle::ForcedLeaveAttack => Box::new(ForcedLeaveAttack::new(target, self.tau)),
+            ChurnStyle::SplitForcing => Box::new(SplitForcing::new(target, self.tau)),
+            ChurnStyle::MergeForcing => Box::new(MergeForcing::new(target, self.tau)),
+            ChurnStyle::Burst { burst } => Box::new(BurstChurn::new(burst, self.tau)),
         };
-        let report = match self.churn {
-            ChurnStyle::Quiet => run(&mut sys, &mut Quiet, config),
-            ChurnStyle::Balanced => run(&mut sys, &mut RandomChurn::balanced(self.tau), config),
-            ChurnStyle::Sawtooth { low, high } => {
-                run(&mut sys, &mut Sawtooth::new(low, high, self.tau), config)
-            }
-            ChurnStyle::JoinLeaveAttack => {
-                // INVARIANT: LastCluster guard — index 0 always exists.
-                let target = sys.cluster_ids()[0];
-                let mut adv = JoinLeaveAttack::new(target, self.tau);
-                run_boxed(&mut sys, &mut adv, config)
-            }
-            ChurnStyle::ForcedLeaveAttack => {
-                // INVARIANT: LastCluster guard — index 0 always exists.
-                let target = sys.cluster_ids()[0];
-                let mut adv = ForcedLeaveAttack::new(target, self.tau);
-                run_boxed(&mut sys, &mut adv, config)
-            }
-            ChurnStyle::SplitForcing => {
-                // INVARIANT: LastCluster guard — index 0 always exists.
-                let target = sys.cluster_ids()[0];
-                let mut adv = SplitForcing::new(target, self.tau);
-                run_boxed(&mut sys, &mut adv, config)
-            }
-            ChurnStyle::MergeForcing => {
-                // INVARIANT: LastCluster guard — index 0 always exists.
-                let target = sys.cluster_ids()[0];
-                let mut adv = MergeForcing::new(target, self.tau);
-                run_boxed(&mut sys, &mut adv, config)
-            }
-            ChurnStyle::Burst { burst } => {
-                let mut adv = BurstChurn::new(burst, self.tau);
-                run_boxed(&mut sys, &mut adv, config)
-            }
-        };
-        Ok((report, sys))
+        Ok(self.drive(sys, driver.as_mut(), ExecConfig::serial()))
     }
-}
 
-impl Scenario {
-    /// Builds the system and runs the churn in **batched** mode, as
-    /// configured by a [`BatchRun`] builder: each of the `steps` time
-    /// steps executes a whole batch of [`BatchRun::width`] operations
-    /// through the engine the builder selects
+    /// Builds the system and runs the churn in **batched** mode: each
+    /// of the `steps` time steps executes a whole batch of
+    /// [`Scenario::width`] operations on the engine `exec` names
     /// ([`now_core::NowSystem::step_batch`]).
     ///
     /// Churn styles map to batch drivers: `Balanced` →
@@ -252,22 +248,21 @@ impl Scenario {
     /// empty batches, `JoinLeaveAttack` → [`BatchJoinLeave`],
     /// `ForcedLeaveAttack` → [`BatchForcedLeave`], `SplitForcing` →
     /// [`BatchSplitForcing`], `MergeForcing` → [`BatchMergeForcing`]
-    /// (the attack drivers target the first cluster, mirroring the
-    /// serial scenario path), `Burst` → [`BatchBurstChurn`] (each step
-    /// is one whole burst; the serial `burst` length is subsumed by the
+    /// (the attack drivers target the first cluster, like
+    /// [`Scenario::run`]), `Burst` → [`BatchBurstChurn`] (each step is
+    /// one whole burst; the per-step `burst` length is subsumed by the
     /// batch width).
     ///
     /// # Errors
     /// [`NowError::BadParams`] for invalid parameters or a zero width.
-    pub fn run_batch(self, run: BatchRun<'_>) -> Result<(BatchRunReport, NowSystem), NowError> {
-        let width = run.batch_width();
+    pub fn run_batch(self, exec: ExecConfig<'_>) -> Result<(BatchRunReport, NowSystem), NowError> {
+        let width = self.width;
         if width == 0 {
             return Err(NowError::BadParams {
                 reason: "batch width must be positive".to_string(),
             });
         }
-        let mut sys = self.build_system()?;
-        let seed = self.seed.wrapping_add(1);
+        let sys = self.build_system()?;
         let mut driver: Box<dyn BatchDriver> = match self.churn {
             ChurnStyle::Quiet => Box::new(QuietBatches),
             ChurnStyle::Balanced => Box::new(BatchRandomChurn::balanced(width, self.tau)),
@@ -288,13 +283,8 @@ impl Scenario {
             }
             ChurnStyle::Burst { .. } => Box::new(BatchBurstChurn::new(width, self.tau)),
         };
-        let report = run.run(&mut sys, driver.as_mut(), self.steps, seed);
-        Ok((report, sys))
+        Ok(self.drive(sys, driver.as_mut(), exec))
     }
-}
-
-fn run_boxed(sys: &mut NowSystem, adv: &mut dyn Adversary, config: RunConfig) -> RunReport {
-    run(sys, adv, config)
 }
 
 #[cfg(test)]
@@ -334,7 +324,7 @@ mod tests {
             .steps(20)
             .run()
             .unwrap();
-        assert_eq!(report.idles, 20);
+        assert_eq!(report.joins + report.leaves, 0);
         assert_eq!(sys.population(), 100);
     }
 
@@ -451,7 +441,8 @@ mod tests {
             .initial_population(160)
             .steps(12)
             .seed(5)
-            .run_batch(BatchRun::new().width(4))
+            .width(4)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         assert_eq!(report.steps, 12);
         assert!(report.joins + report.leaves > 30, "4-wide × 12 steps");
@@ -463,16 +454,14 @@ mod tests {
     #[test]
     fn batched_scenario_threaded_is_thread_count_invariant() {
         let go = |threads: usize| {
+            let pool = now_core::WavePool::new(threads);
             let (report, sys) = Scenario::new(1 << 10)
                 .tau(0.1)
                 .initial_population(160)
                 .steps(8)
                 .seed(6)
-                .run_batch(
-                    BatchRun::new()
-                        .width(4)
-                        .exec(crate::batch_run::BatchExec::Threaded(threads)),
-                )
+                .width(4)
+                .run_batch(ExecConfig::pooled(&pool))
                 .unwrap();
             sys.check_consistency().unwrap();
             assert_eq!(report.threads, Some(threads.max(1)));
@@ -494,15 +483,19 @@ mod tests {
             .churn(ChurnStyle::Quiet)
             .initial_population(100)
             .steps(5)
-            .run_batch(BatchRun::new().width(3))
+            .audit_every(2)
+            .width(3)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         assert_eq!(quiet.joins + quiet.leaves, 0);
+        assert_eq!(quiet.population.len(), 3, "batched runs honour the cadence");
         assert_eq!(sys.population(), 100);
         let (saw, _) = Scenario::new(1 << 10)
             .initial_population(80)
             .churn(ChurnStyle::Sawtooth { low: 60, high: 120 })
             .steps(40)
-            .run_batch(BatchRun::new().width(4))
+            .width(4)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         assert!(saw.population.summary().max >= 115.0);
     }
@@ -511,7 +504,8 @@ mod tests {
     fn batched_scenario_rejects_bad_configs() {
         assert!(Scenario::new(1 << 10)
             .steps(1)
-            .run_batch(BatchRun::new().width(0))
+            .width(0)
+            .run_batch(ExecConfig::serial())
             .is_err());
         assert!(Scenario::new(1 << 10).tau(0.5).steps(1).run().is_err());
     }
@@ -524,7 +518,8 @@ mod tests {
             .churn(ChurnStyle::MergeForcing)
             .steps(30)
             .seed(12)
-            .run_batch(BatchRun::new().width(6))
+            .width(6)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         let (_, _, _, merges) = sys.op_counts();
         assert!(merges > 0, "sustained batched draining must merge");
@@ -539,7 +534,8 @@ mod tests {
             .churn(ChurnStyle::Burst { burst: 4 })
             .steps(20)
             .seed(13)
-            .run_batch(BatchRun::new().width(4))
+            .width(4)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         assert_eq!(report.steps, 20);
         assert!(report.joins > 0 && report.leaves > 0);
@@ -567,7 +563,8 @@ mod tests {
                 .churn(style)
                 .steps(20)
                 .seed(4)
-                .run_batch(BatchRun::new().width(4))
+                .width(4)
+                .run_batch(ExecConfig::serial())
                 .unwrap();
             assert_eq!(report.steps, 20, "{style:?}");
             assert!(
@@ -586,7 +583,8 @@ mod tests {
             .churn(ChurnStyle::SplitForcing)
             .steps(30)
             .seed(9)
-            .run_batch(BatchRun::new().width(6))
+            .width(6)
+            .run_batch(ExecConfig::serial())
             .unwrap();
         let (_, _, splits, _) = sys.op_counts();
         assert!(splits > 0, "180 steered arrivals must split something");

@@ -20,7 +20,7 @@
 //!    transiently reaches the 1/3 `randNum`-compromise threshold, the
 //!    adversary exploits it — stalling walks, steering hops, draining
 //!    honest members. The defense is Lemma 1's "k large enough"; see
-//!    EXPERIMENTS.md (X-JLA) for the k/τ sweep.
+//!    `x_jla_attack` (README § Experiment index) for the k sweep.
 //!
 //! Run with: `cargo run --release --example join_leave_attack`
 

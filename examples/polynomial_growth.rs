@@ -10,7 +10,7 @@
 
 use now_bft::core::{NowParams, NowSystem};
 use now_bft::net::CostKind;
-use now_bft::sim::{run, RunConfig, Sawtooth};
+use now_bft::sim::{BatchRun, Sawtooth};
 
 fn main() {
     let capacity = 1u64 << 12; // N = 4096, √N = 64
@@ -27,15 +27,9 @@ fn main() {
     let mut driver = Sawtooth::new(low, high, 0.10);
     // Enough steps for two full up-down sweeps.
     let steps = 2 * 2 * (high - low) + 200;
-    let report = run(
-        &mut sys,
-        &mut driver,
-        RunConfig {
-            steps,
-            audit_every: 16,
-            seed: 5,
-        },
-    );
+    let report = BatchRun::new()
+        .audit_every(16)
+        .run(&mut sys, &mut driver, steps, 5);
 
     println!(
         "\n{} steps: {} joins, {} leaves, {} splits, {} merges",
@@ -59,7 +53,7 @@ fn main() {
     );
     println!(
         "worst byz fraction over whole run: {:.3} (1/3 threshold crossings: {})",
-        report.peak_byz_fraction,
+        report.peak_byz_fraction(),
         report.count(now_bft::sim::ViolationKind::RandNumCompromised)
     );
     println!(

@@ -5,7 +5,7 @@
 use now_bft::adversary::RandomChurn;
 use now_bft::core::{NowParams, NowSystem};
 use now_bft::net::CostKind;
-use now_bft::sim::{run, RunConfig};
+use now_bft::sim::BatchRun;
 
 fn main() {
     // A deployment sized for at most N = 2^12 nodes, with clusters of
@@ -23,15 +23,7 @@ fn main() {
     // 400 time steps of balanced churn; every arrival the adversary can
     // afford is corrupted.
     let mut churn = RandomChurn::balanced(0.15);
-    let report = run(
-        &mut sys,
-        &mut churn,
-        RunConfig {
-            steps: 400,
-            audit_every: 1,
-            seed: 7,
-        },
-    );
+    let report = BatchRun::new().run(&mut sys, &mut churn, 400, 7);
 
     println!(
         "\nafter {} steps ({} joins, {} leaves):",
@@ -47,7 +39,8 @@ fn main() {
     );
     println!(
         "  worst byz fraction    : {:.3} (peak over run: {:.3})",
-        audit.worst_byz_fraction, report.peak_byz_fraction
+        audit.worst_byz_fraction,
+        report.peak_byz_fraction()
     );
     println!(
         "  all clusters > 2/3 honest: {}",

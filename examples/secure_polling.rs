@@ -12,7 +12,7 @@
 use now_bft::adversary::RandomChurn;
 use now_bft::apps::poll;
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::sim::{run, RunConfig};
+use now_bft::sim::BatchRun;
 
 fn main() {
     let params = NowParams::new(1 << 12, 4, 1.5, 0.15, 0.05).expect("valid parameters");
@@ -63,15 +63,9 @@ fn main() {
 
         // 150 steps of churn between polls.
         let mut churn = RandomChurn::balanced(0.15);
-        run(
-            &mut sys,
-            &mut churn,
-            RunConfig {
-                steps: 150,
-                audit_every: 10,
-                seed: 31 + round,
-            },
-        );
+        BatchRun::new()
+            .audit_every(10)
+            .run(&mut sys, &mut churn, 150, 31 + round);
     }
 
     sys.check_consistency().expect("system is consistent");

@@ -17,8 +17,8 @@
 //! | [`agreement`] | Bracha, Phase-King, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |
-//! | [`adversary`] | churn attacks, structural pressure, batched attack drivers, in-protocol malice |
-//! | [`sim`] | serial + batched runners, churn schedules, metrics, baselines |
+//! | [`adversary`] | the churn-driver trait, per-step and batch-rate attacks, structural pressure, in-protocol malice |
+//! | [`sim`] | the step loop, scenario builder, churn schedules, metrics, baselines |
 //! | [`trace`] | deterministic flight recorder, metrics registry, opt-in phase profiler |
 //! | [`campaign`] | declarative multi-phase attack campaigns (`scenarios/*.campaign`) |
 //! | [`apps`] | §6 applications: broadcast, sampling, aggregation, agreement, polling |
@@ -28,18 +28,18 @@
 //! ```
 //! use now_bft::core::{NowParams, NowSystem};
 //! use now_bft::adversary::RandomChurn;
-//! use now_bft::sim::{run, RunConfig};
+//! use now_bft::sim::BatchRun;
 //!
 //! let params = NowParams::for_capacity(1 << 10)?;
 //! let mut sys = NowSystem::init_fast(params, 128, 0.15, 42);
 //! let mut churn = RandomChurn::balanced(0.15);
-//! let report = run(&mut sys, &mut churn, RunConfig::for_steps(50));
+//! let report = BatchRun::new().run(&mut sys, &mut churn, 50, 0);
 //! assert!(report.final_audit.population > 0);
 //! # Ok::<(), now_bft::core::NowError>(())
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/now-bench` for the
-//! experiment harness regenerating every claim in `EXPERIMENTS.md`.
+//! experiment harness (indexed in the README).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

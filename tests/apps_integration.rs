@@ -5,14 +5,14 @@
 use now_bft::adversary::RandomChurn;
 use now_bft::apps::{aggregate_count, broadcast, cluster_agreement, sample_node};
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::sim::{run, RunConfig};
+use now_bft::sim::BatchRun;
 use std::collections::BTreeMap;
 
 fn churned_system(seed: u64) -> NowSystem {
     let params = NowParams::new(1 << 10, 3, 1.5, 0.2, 0.05).unwrap();
     let mut sys = NowSystem::init_fast(params, 240, 0.15, seed);
     let mut churn = RandomChurn::balanced(0.15);
-    run(&mut sys, &mut churn, RunConfig::for_steps(60));
+    BatchRun::new().run(&mut sys, &mut churn, 60, 0);
     sys.check_consistency().unwrap();
     sys
 }

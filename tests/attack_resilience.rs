@@ -11,11 +11,11 @@
 //! seed could.
 
 use now_bft::adversary::{
-    Action, Adversary, BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing,
-    ClusterPick, ForcedLeaveAttack, JoinLeaveAttack,
+    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick,
+    ForcedLeaveAttack, JoinLeaveAttack,
 };
-use now_bft::core::{NowParams, NowSystem, SecurityMode};
-use now_bft::net::DetRng;
+use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, SecurityMode};
+use now_bft::net::{ClusterId, DetRng};
 use now_bft::sim::baselines::no_shuffle_params;
 use now_bft::sim::BatchRun;
 
@@ -23,25 +23,25 @@ fn params() -> NowParams {
     NowParams::new(1 << 10, 3, 2.0, 0.15, 0.05).unwrap()
 }
 
-/// Drives `adv` for `steps`, returning the peak Byzantine fraction seen
-/// at the adversary's (possibly retargeted) aim cluster.
-fn drive(sys: &mut NowSystem, adv: &mut JoinLeaveAttack, steps: u64, seed: u64) -> f64 {
+/// Drives `adv` for `steps` one-op steps on the serial engine,
+/// returning the peak Byzantine fraction seen at the adversary's
+/// (possibly retargeted) aim cluster, read through `aim`.
+fn drive<D: BatchDriver>(
+    sys: &mut NowSystem,
+    adv: &mut D,
+    aim: impl Fn(&D) -> ClusterId,
+    steps: u64,
+    seed: u64,
+) -> f64 {
     let mut rng = DetRng::new(seed);
     let mut peak = 0.0f64;
     for _ in 0..steps {
-        match adv.decide(sys, &mut rng) {
-            Action::Join { honest, contact } => {
-                match contact {
-                    Some(c) if sys.cluster(c).is_some() => sys.join_via(c, honest),
-                    _ => sys.join(honest),
-                };
-            }
-            Action::Leave { node } => {
-                let _ = sys.leave(node);
-            }
-            Action::Idle => {}
-        }
-        if let Some(c) = sys.cluster(adv.target) {
+        let (joins, leaves) = adv.decide_batch(sys, &mut rng);
+        sys.step_batch(
+            &BatchInput::from_specs(&joins, &leaves),
+            &ExecConfig::serial(),
+        );
+        if let Some(c) = sys.cluster(aim(adv)) {
             peak = peak.max(c.byz_fraction());
         }
     }
@@ -67,12 +67,12 @@ fn shuffling_beats_the_join_leave_attack() {
         let mut baseline = NowSystem::init_fast(no_shuffle_params(params()), 300, tau, init_seed);
         let target_b = baseline.cluster_ids()[0];
         let mut adv_b = JoinLeaveAttack::new(target_b, tau);
-        let peak_baseline = drive(&mut baseline, &mut adv_b, steps, drive_seed);
+        let peak_baseline = drive(&mut baseline, &mut adv_b, |a| a.target, steps, drive_seed);
 
         let mut now = NowSystem::init_fast(params(), 300, tau, init_seed);
         let target_n = now.cluster_ids()[0];
         let mut adv_n = JoinLeaveAttack::new(target_n, tau);
-        let peak_now = drive(&mut now, &mut adv_n, steps, drive_seed);
+        let peak_now = drive(&mut now, &mut adv_n, |a| a.target, steps, drive_seed);
 
         baseline.check_consistency().unwrap();
         now.check_consistency().unwrap();
@@ -130,25 +130,7 @@ fn forced_leaves_do_not_concentrate_byzantines() {
         let mut sys = NowSystem::init_fast(params(), 300, tau, init_seed);
         let target = sys.cluster_ids()[1];
         let mut adv = ForcedLeaveAttack::new(target, tau);
-        let mut rng = DetRng::new(drive_seed);
-        let mut peak = 0.0f64;
-        for _ in 0..200 {
-            match adv.decide(&sys, &mut rng) {
-                Action::Join { honest, contact } => {
-                    match contact {
-                        Some(c) if sys.cluster(c).is_some() => sys.join_via(c, honest),
-                        _ => sys.join(honest),
-                    };
-                }
-                Action::Leave { node } => {
-                    let _ = sys.leave(node);
-                }
-                Action::Idle => {}
-            }
-            if let Some(c) = sys.cluster(adv.target) {
-                peak = peak.max(c.byz_fraction());
-            }
-        }
+        let peak = drive(&mut sys, &mut adv, |a| a.target, 200, drive_seed);
         sys.check_consistency().unwrap();
         peaks.push(peak);
     }
@@ -185,11 +167,7 @@ fn batched_attack_violations(
     let mut sys = NowSystem::init_fast(params(), 300, 0.15, init_seed);
     let report = BatchRun::new().run(&mut sys, driver.as_mut(), 60, drive_seed);
     sys.check_consistency().unwrap();
-    let forgeable = report
-        .violations
-        .iter()
-        .filter(|v| v.kind == now_bft::sim::ViolationKind::Forgeable)
-        .count();
+    let forgeable = report.count(now_bft::sim::ViolationKind::Forgeable);
     (report.binding_violations(SecurityMode::Plain), forgeable)
 }
 
@@ -264,13 +242,13 @@ fn no_shuffle_ablation_is_strictly_cheaper_but_weaker() {
         let mut cheap = NowSystem::init_fast(no_shuffle_params(params()), 300, tau, init_seed);
         let t1 = cheap.cluster_ids()[0];
         let mut adv1 = JoinLeaveAttack::new(t1, tau);
-        let peak_cheap = drive(&mut cheap, &mut adv1, steps, drive_seed);
+        let peak_cheap = drive(&mut cheap, &mut adv1, |a| a.target, steps, drive_seed);
         let cost_cheap = cheap.ledger().total().messages;
 
         let mut full = NowSystem::init_fast(params(), 300, tau, init_seed);
         let t2 = full.cluster_ids()[0];
         let mut adv2 = JoinLeaveAttack::new(t2, tau);
-        let peak_full = drive(&mut full, &mut adv2, steps, drive_seed);
+        let peak_full = drive(&mut full, &mut adv2, |a| a.target, steps, drive_seed);
         let cost_full = full.ledger().total().messages;
 
         // The cost separation is structural (shuffling dominates every

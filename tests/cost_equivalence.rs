@@ -1,10 +1,11 @@
-//! L0 ↔ L1 cost-model coherence (DESIGN.md's fidelity ladder).
+//! L0 ↔ L1 cost-model coherence (the fidelity ladder: message-level L0,
+//! cluster-level L1).
 //!
 //! The cluster-level (L1) execution path accounts costs with closed-form
 //! counts derived from participant sets; the message-level (L0)
 //! protocols measure them from an actual bus. These tests pin the
-//! relationship between the two so the ledger numbers quoted in
-//! EXPERIMENTS.md are interpretable.
+//! relationship between the two so the ledger numbers the experiment
+//! binaries print are interpretable.
 
 use now_bft::agreement::{rand_num_commit_reveal, rand_num_ideal, ByzPlan};
 use now_bft::core::init::discover;

@@ -6,7 +6,7 @@ use now_bft::core::init::init_discovered;
 use now_bft::core::{NowError, NowParams, NowSystem};
 use now_bft::graph::gen;
 use now_bft::net::{CostKind, DetRng};
-use now_bft::sim::{run, RunConfig};
+use now_bft::sim::BatchRun;
 
 fn params() -> NowParams {
     NowParams::new(1 << 10, 3, 1.5, 0.25, 0.05).unwrap()
@@ -16,7 +16,7 @@ fn params() -> NowParams {
 fn fast_init_churn_audit_cycle() {
     let mut sys = NowSystem::init_fast(params(), 180, 0.10, 1);
     let mut churn = RandomChurn::balanced(0.10);
-    let report = run(&mut sys, &mut churn, RunConfig::for_steps(80));
+    let report = BatchRun::new().run(&mut sys, &mut churn, 80, 0);
     assert_eq!(report.steps, 80);
     sys.check_consistency().unwrap();
     let audit = sys.audit();
@@ -58,19 +58,11 @@ fn runs_replay_bit_identically() {
     let go = || {
         let mut sys = NowSystem::init_fast(params(), 160, 0.15, 7);
         let mut churn = RandomChurn::balanced(0.15);
-        let report = run(
-            &mut sys,
-            &mut churn,
-            RunConfig {
-                steps: 60,
-                audit_every: 1,
-                seed: 9,
-            },
-        );
+        let report = BatchRun::new().run(&mut sys, &mut churn, 60, 9);
         (
             sys.node_ids(),
             sys.cluster_ids(),
-            report.peak_byz_fraction.to_bits(),
+            report.peak_byz_fraction().to_bits(),
             sys.ledger().total(),
         )
     };
@@ -121,7 +113,7 @@ fn split_and_merge_fire_across_the_band() {
 fn overlay_stays_healthy_through_system_churn() {
     let mut sys = NowSystem::init_fast(params(), 240, 0.10, 6);
     let mut churn = RandomChurn::balanced(0.10);
-    run(&mut sys, &mut churn, RunConfig::for_steps(100));
+    BatchRun::new().run(&mut sys, &mut churn, 100, 0);
     let overlay = sys.overlay_audit();
     assert!(overlay.connected, "overlay disconnected by churn");
     assert!(overlay.degree_bound_holds, "Property 2 violated");

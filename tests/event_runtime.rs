@@ -2,7 +2,7 @@
 //! runtime:
 //!
 //! 1. **Worker-count invariance** — a NOW run on the event scheduler
-//!    (`BatchExec::Event`) is byte-identical across pools of 1, 2, 4,
+//!    (`ExecConfig::Event`) is byte-identical across pools of 1, 2, 4,
 //!    and 8 workers: every outcome is a pure function of
 //!    `(seed, config)`, never of the thread schedule.
 //! 2. **Partition heal ⇒ eventual delivery** — every message the
@@ -10,9 +10,9 @@
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
 
-use now_bft::core::{NowParams, NowSystem, WavePool};
+use now_bft::core::{ExecConfig, NowParams, NowSystem, WavePool};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
-use now_bft::sim::{BatchExec, BatchRandomChurn, BatchRun};
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
 /// Full deterministic fingerprint of an event-driven NOW run: report
@@ -36,10 +36,12 @@ fn event_run(
     let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
     let mut driver = BatchRandomChurn::balanced(5, 0.12);
     let pool = WavePool::new(threads);
-    let report = BatchRun::new()
-        .exec(BatchExec::Event(net))
-        .in_pool(&pool)
-        .run(&mut sys, &mut driver, 12, seed ^ 0xD1CE);
+    let report = BatchRun::new().exec(ExecConfig::event_in(net, &pool)).run(
+        &mut sys,
+        &mut driver,
+        12,
+        seed ^ 0xD1CE,
+    );
     sys.check_consistency().expect("post-run consistency");
     (
         (
@@ -111,8 +113,7 @@ proptest! {
         let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
         let mut driver = BatchRandomChurn::balanced(5, 0.12);
         let report = BatchRun::new()
-            .exec(BatchExec::Event(net))
-            .in_pool(&pool)
+            .exec(ExecConfig::event_in(net, &pool))
             .run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
         prop_assert_eq!(report.sent, report.delivered + report.dropped);
         prop_assert!(report.sent > 0, "12 churn steps must send messages");
@@ -121,8 +122,7 @@ proptest! {
         let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
         let mut driver = BatchRandomChurn::balanced(5, 0.12);
         let waved = BatchRun::new()
-            .exec(BatchExec::Threaded(2))
-            .in_pool(&pool)
+            .exec(ExecConfig::pooled(&pool))
             .run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
         prop_assert_eq!(waved.sent, 0, "wave engines never touch the net");
         prop_assert_eq!(waved.delivered, 0);

@@ -2,11 +2,10 @@
 //! quorum certificates, the scenario builder, and the oscillation
 //! attack.
 
-use now_bft::adversary::{Action, Adversary, Oscillation};
+use now_bft::adversary::Oscillation;
 use now_bft::agreement::{certify_by_honest, QuorumCertificate, SigOracle};
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::net::DetRng;
-use now_bft::sim::{ChurnStyle, Scenario};
+use now_bft::sim::{BatchRun, ChurnStyle, Scenario, ViolationKind};
 use std::collections::BTreeSet;
 
 #[test]
@@ -106,8 +105,8 @@ fn scenario_builder_reproduces_manual_runs() {
         .run()
         .unwrap();
     assert_eq!(
-        report.peak_byz_fraction.to_bits(),
-        report2.peak_byz_fraction.to_bits()
+        report.peak_byz_fraction().to_bits(),
+        report2.peak_byz_fraction().to_bits()
     );
     assert_eq!(sys.node_ids(), sys2.node_ids());
 }
@@ -117,24 +116,10 @@ fn oscillation_attack_cannot_break_the_band() {
     let params = NowParams::new(1 << 10, 2, 1.5, 0.1, 0.05).unwrap();
     let mut sys = NowSystem::init_fast(params, 160, 0.1, 34);
     let mut adv = Oscillation::new(0.1);
-    let mut rng = DetRng::new(35);
-    for _ in 0..300 {
-        match adv.decide(&sys, &mut rng) {
-            Action::Join { honest, .. } => {
-                sys.join(honest);
-            }
-            Action::Leave { node } => {
-                let _ = sys.leave(node);
-            }
-            Action::Idle => {}
-        }
-        let audit = sys.audit();
-        assert!(
-            audit.size_bounds_ok,
-            "band broken at step {}",
-            sys.time_step()
-        );
-    }
+    let report = BatchRun::new().run(&mut sys, &mut adv, 300, 35);
+    assert_eq!(report.population.len(), 300, "audited after every step");
+    let broken = report.count(ViolationKind::SizeBounds);
+    assert_eq!(broken, 0, "band broken: {:?}", report.violations);
     sys.check_consistency().unwrap();
     let (_, _, splits, merges) = sys.op_counts();
     assert!(

@@ -254,6 +254,9 @@ proptest! {
     ///    reproduces the batch execution exactly — population, admitted
     ///    ids, node sets, and total message cost (message costs are
     ///    schedule-invariant).
+    ///    One op per step too: the ops as one-op `step_batch` calls end
+    ///    with the same ids, homes, ledger total and next `rand_num`
+    ///    draw, and `time_step` equal to the step count.
     /// 2. **threaded(1) ≡ threaded(4)**: the threaded engine is
     ///    bit-identical across thread counts on population, ids, wave
     ///    schedule, and full ledger statistics.
@@ -288,19 +291,23 @@ proptest! {
             sys.ledger().total().messages,
         );
 
-        // --- serial replay of the same script, one op per time step ---
+        // --- serial replay of the same script: plain calls on `serial`,
+        // the same ops (≤ 40) as one-op steps on `stepped` ---
         let mut serial = NowSystem::init_fast(params(), 150, 0.15, seed);
+        let mut stepped = NowSystem::init_fast(params(), 150, 0.15, seed);
         let mut serial_joined = Vec::new();
         for (joins, leaves) in &script {
             for &node in leaves {
                 let _ = serial.leave(node);
+                stepped.step_batch(&BatchInput::new().leave(node), &ExecConfig::serial());
             }
-            for spec in joins {
+            for &spec in joins {
                 let id = match spec.contact {
                     Some(c) if serial.cluster(c).is_some() => serial.join_via(c, spec.honest),
                     _ => serial.join(spec.honest),
                 };
                 serial_joined.push(id);
+                stepped.step_batch(&BatchInput::new().join(spec), &ExecConfig::serial());
             }
         }
         serial.check_consistency().expect("post-serial consistency");
@@ -312,6 +319,15 @@ proptest! {
             serial.ledger().total().messages,
         );
         prop_assert_eq!(&batched, &serial_out, "serial vs batched diverged");
+        let steps: usize = script.iter().map(|(j, l)| j.len() + l.len()).sum();
+        prop_assert_eq!(stepped.time_step(), steps as u64, "time advances once per step");
+        let end_state = |sys: &mut NowSystem| {
+            let ids = sys.node_ids();
+            let homes: Vec<_> = ids.iter().map(|&n| sys.node_cluster(n).unwrap()).collect();
+            let first = sys.cluster_ids()[0];
+            (ids, homes, sys.ledger().total(), sys.rand_num(first, 1 << 32))
+        };
+        prop_assert_eq!(end_state(&mut stepped), end_state(&mut serial), "one-op steps diverged");
 
         // --- threaded engine: bit-identical across thread counts ---
         let threaded = |threads: usize| {

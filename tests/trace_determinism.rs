@@ -16,22 +16,21 @@
 //! 4. **No run-environment leakage** — no wall-clock or thread-count
 //!    vocabulary ever appears in a deterministic artifact.
 
-use now_bft::core::{EventNetConfig, NowParams, NowSystem, WavePool};
-use now_bft::sim::{BatchExec, BatchRandomChurn, BatchRun};
+use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
-/// Runs a fixed balanced-churn workload with both sinks armed and
-/// returns the three observability artifacts.
-fn traced_run(exec: BatchExec, threads: usize, seed: u64) -> (String, String, String) {
+/// Runs a fixed balanced-churn workload with both sinks armed on
+/// `exec` (its pool, if any, held by the caller) and returns the three
+/// observability artifacts.
+fn traced_run(exec: ExecConfig<'_>, seed: u64) -> (String, String, String) {
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
+    sys.enable_tracing(512);
+    sys.enable_metrics();
     let mut driver = BatchRandomChurn::balanced(5, 0.12);
-    let pool = WavePool::new(threads);
     BatchRun::new()
         .exec(exec)
-        .in_pool(&pool)
-        .trace(512)
-        .metrics()
         .run(&mut sys, &mut driver, 10, seed ^ 0x7A0E);
     sys.check_consistency().expect("post-run consistency");
     (
@@ -48,11 +47,12 @@ proptest! {
     /// the wave engine, for arbitrary seeds.
     #[test]
     fn trace_identical_across_engines(seed in any::<u64>()) {
-        let baseline = traced_run(BatchExec::Threaded(1), 1, seed);
+        let on = |pool: WavePool| traced_run(ExecConfig::pooled(&pool), seed);
+        let baseline = on(WavePool::new(1));
         for threads in [2usize, 4, 8] {
             prop_assert_eq!(
                 &baseline,
-                &traced_run(BatchExec::Threaded(threads), threads, seed),
+                &on(WavePool::new(threads)),
                 "pooled executor with {} workers diverged",
                 threads
             );
@@ -71,11 +71,12 @@ proptest! {
         let net = EventNetConfig::ideal()
             .with_latency(latency)
             .with_drop(f64::from(drop) / 100.0);
-        let baseline = traced_run(BatchExec::Event(net), 1, seed);
+        let on = |pool: WavePool| traced_run(ExecConfig::event_in(net, &pool), seed);
+        let baseline = on(WavePool::new(1));
         for threads in [2usize, 4] {
             prop_assert_eq!(
                 &baseline,
-                &traced_run(BatchExec::Event(net), threads, seed),
+                &on(WavePool::new(threads)),
                 "event engine with {} workers diverged",
                 threads
             );
@@ -87,8 +88,8 @@ proptest! {
     #[test]
     fn serial_traces_self_replay(seed in any::<u64>()) {
         prop_assert_eq!(
-            traced_run(BatchExec::Scheduled, 1, seed),
-            traced_run(BatchExec::Scheduled, 1, seed)
+            traced_run(ExecConfig::serial(), seed),
+            traced_run(ExecConfig::serial(), seed)
         );
     }
 }
@@ -103,8 +104,7 @@ fn ring_eviction_retains_the_newest_window() {
     let mut driver = BatchRandomChurn::balanced(6, 0.12);
     let pool = WavePool::new(2);
     BatchRun::new()
-        .exec(BatchExec::Threaded(2))
-        .in_pool(&pool)
+        .exec(ExecConfig::pooled(&pool))
         .run(&mut sys, &mut driver, 12, 99);
     let rec = sys.flight_recorder().unwrap();
     assert!(rec.evicted() > 0, "12 churn steps must overflow 16 slots");
@@ -122,7 +122,8 @@ fn ring_eviction_retains_the_newest_window() {
 /// worker-count vocabulary (mirrors CI's `trace-smoke` grep gate).
 #[test]
 fn artifacts_never_mention_run_environment() {
-    let (trace, metrics, prom) = traced_run(BatchExec::Threaded(4), 4, 0xFACE);
+    let pool = WavePool::new(4);
+    let (trace, metrics, prom) = traced_run(ExecConfig::pooled(&pool), 0xFACE);
     for artifact in [&trace, &metrics, &prom] {
         for banned in ["wall", "nanos", "thread", "Instant"] {
             assert!(

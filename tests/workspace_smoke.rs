@@ -4,7 +4,7 @@
 
 use now_bft::adversary::RandomChurn;
 use now_bft::core::{NowParams, NowSystem, SystemAudit};
-use now_bft::sim::{run, RunConfig};
+use now_bft::sim::BatchRun;
 
 /// Every facade module must resolve to its crate; referencing one item
 /// through each path is enough for the compiler to prove the wiring.
@@ -16,7 +16,7 @@ fn facade_reexports_resolve() {
     let _over = now_bft::over::OverParams::for_capacity(1 << 10);
     let _core = now_bft::core::NowParams::for_capacity;
     let _adversary = now_bft::adversary::RandomChurn::balanced;
-    let _sim = now_bft::sim::RunConfig::for_steps;
+    let _sim = now_bft::sim::BatchRun::new;
     let _apps = now_bft::apps::broadcast;
 }
 
@@ -24,7 +24,7 @@ fn one_round(seed: u64) -> (SystemAudit, u64) {
     let params = NowParams::for_capacity(1 << 10).unwrap();
     let mut sys = NowSystem::init_fast(params, 128, 0.15, seed);
     let mut churn = RandomChurn::balanced(0.15);
-    let report = run(&mut sys, &mut churn, RunConfig::for_steps(50));
+    let report = BatchRun::new().run(&mut sys, &mut churn, 50, 0);
     (report.final_audit, sys.ledger().total().messages)
 }
 

@@ -10,13 +10,13 @@
 //!   arrivals ([`now_core::JoinSpec`]) and departures, decided from the
 //!   full system state the model entitles the adversary to.
 //! * Per-step strategies (at most one operation per step — the paper's
-//!   model): [`RandomChurn`] (environmental churn at a corruption
-//!   rate), [`JoinLeaveAttack`] (the §3.3 cluster-capture strategy),
+//!   model): [`JoinLeaveAttack`] (the §3.3 cluster-capture strategy),
 //!   [`ForcedLeaveAttack`] (DoS on a target cluster's honest members),
 //!   [`SplitForcing`]/[`MergeForcing`] (pressure on the split/merge
 //!   machinery), [`BurstChurn`] (the high-rate regime of the parallel-
 //!   batch footnote), [`Oscillation`] (whipsaw across the size band),
-//!   [`QuietBatches`] (no churn).
+//!   [`QuietBatches`] (no churn). Environmental random churn is the
+//!   width-1 case of `now_sim::BatchRandomChurn`.
 //! * [`TargetedMalice`] — the in-protocol [`now_core::Malice`]
 //!   implementation a strategic adversary uses once some cluster is
 //!   compromised: steer walks toward the target, surrender honest
@@ -48,4 +48,4 @@ pub use budget::CorruptionBudget;
 pub use malice_impls::TargetedMalice;
 pub use oscillation::Oscillation;
 pub use pressure::{BurstChurn, MergeForcing, SplitForcing};
-pub use strategies::{ForcedLeaveAttack, JoinLeaveAttack, RandomChurn};
+pub use strategies::{ForcedLeaveAttack, JoinLeaveAttack};

@@ -8,47 +8,6 @@ use now_core::{JoinSpec, NowSystem};
 use now_net::{ClusterId, DetRng, NodeId};
 use rand::Rng;
 
-/// Environmental churn: each step is a join with probability `p_join`,
-/// else a leave of a uniformly random node. Arrivals are corrupted
-/// whenever the budget allows (the adversary maximizes its presence).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomChurn {
-    /// Probability a step is a join.
-    pub p_join: f64,
-    /// Corruption budget for arrivals.
-    pub budget: CorruptionBudget,
-}
-
-impl RandomChurn {
-    /// Balanced churn (joins and leaves equally likely) at corruption
-    /// fraction `tau`.
-    pub fn balanced(tau: f64) -> Self {
-        RandomChurn {
-            p_join: 0.5,
-            budget: CorruptionBudget::new(tau),
-        }
-    }
-}
-
-impl BatchDriver for RandomChurn {
-    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
-        if rng.gen_bool(self.p_join.clamp(0.0, 1.0)) {
-            let honest = !self.budget.can_corrupt_arrival(sys);
-            (vec![JoinSpec::uniform(honest)], Vec::new())
-        } else {
-            let nodes = sys.node_ids();
-            // INVARIANT: population floor keeps the id list non-empty;
-            // the draw range is its exact length.
-            let node = nodes[rng.gen_range(0..nodes.len())];
-            (Vec::new(), vec![node])
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "random-churn"
-    }
-}
-
 /// The §3.3 cluster-capture strategy: "the adversary chooses a specific
 /// cluster and keeps adding and removing the Byzantine nodes until they
 /// fall into that cluster."
@@ -187,40 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn random_churn_mixes_joins_and_leaves() {
-        let sys = system(100, 0.1, 2);
-        let mut adv = RandomChurn::balanced(0.2);
-        let mut rng = DetRng::new(2);
-        let mut joins = 0;
-        let mut leaves = 0;
-        for _ in 0..100 {
-            let (j, l) = adv.decide_batch(&sys, &mut rng);
-            assert_eq!(j.len() + l.len(), 1, "one op per step");
-            joins += j.len();
-            leaves += l.len();
-        }
-        assert!(joins > 20 && leaves > 20, "joins {joins}, leaves {leaves}");
-    }
-
-    #[test]
-    fn random_churn_respects_budget() {
-        let sys = system(100, 0.3, 3); // already at 30%
-        let mut adv = RandomChurn {
-            p_join: 1.0,
-            budget: CorruptionBudget::new(0.3),
-        };
-        let mut rng = DetRng::new(3);
-        for _ in 0..10 {
-            match adv.decide_batch(&sys, &mut rng) {
-                (joins, leaves) if joins.len() == 1 && leaves.is_empty() => {
-                    assert!(joins[0].honest, "budget exhausted")
-                }
-                other => panic!("expected join, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn join_leave_attack_alternates_and_targets() {
         let sys = system(150, 0.2, 4);
         let target = sys.cluster_ids()[0];
@@ -278,7 +203,6 @@ mod tests {
         let mut rng = DetRng::new(7);
         let mut advs: Vec<Box<dyn BatchDriver>> = vec![
             Box::new(crate::QuietBatches),
-            Box::new(RandomChurn::balanced(0.2)),
             Box::new(JoinLeaveAttack::new(sys.cluster_ids()[0], 0.2)),
         ];
         for a in advs.iter_mut() {

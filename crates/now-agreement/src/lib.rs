@@ -5,9 +5,12 @@
 //! [`now_net`] (fidelity level L0):
 //!
 //! * [`phase_king::run_phase_king`] — multivalued synchronous Byzantine
-//!   agreement tolerating `f < n/4` (Berman–Garay–Perry). Used by the
-//!   clusterization step of NOW's initialization; the paper permits "any
-//!   Byzantine agreement protocol" there.
+//!   agreement tolerating `f < n/4` (Berman–Garay–Perry). The paper
+//!   permits "any Byzantine agreement protocol" in the clusterization
+//!   step of NOW's initialization, but `now_core::init::clusterize`
+//!   runs the commit–reveal `randNum` instead: nothing outside this
+//!   module's own tests calls `run_phase_king` (keep or delete is
+//!   ROADMAP's fidelity-ladder item).
 //! * [`dolev_strong::run_dolev_strong`] — authenticated broadcast
 //!   tolerating any number of faults in `f+1` rounds, over simulated
 //!   unforgeable signatures ([`crypto::SigOracle`]). This is the

@@ -57,3 +57,38 @@ fn main() {
         std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+    use std::path::Path;
+
+    /// The tools that take arguments and run on their own (CI's smoke
+    /// jobs), so `exp_all` skips them.
+    const ARGUMENT_TOOLS: [&str; 3] = ["x_campaign", "x_trace", "x_event_runtime"];
+
+    #[test]
+    fn experiment_list_matches_the_directory_and_the_readme_index() {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut on_disk: Vec<String> = std::fs::read_dir(crate_dir.join("src/bin"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter_map(|f| f.strip_suffix(".rs").map(str::to_string))
+            .filter(|name| name.starts_with("x_"))
+            .collect();
+        on_disk.sort();
+
+        let readme = std::fs::read_to_string(crate_dir.join("../../README.md")).unwrap();
+        for name in &on_disk {
+            assert!(
+                readme.contains(&format!("`{name}`")),
+                "{name} is missing from the README Experiment index"
+            );
+        }
+
+        on_disk.retain(|name| !ARGUMENT_TOOLS.contains(&name.as_str()));
+        let mut listed = EXPERIMENTS.to_vec();
+        listed.sort_unstable();
+        assert_eq!(listed, on_disk, "EXPERIMENTS vs src/bin/x_*.rs");
+    }
+}

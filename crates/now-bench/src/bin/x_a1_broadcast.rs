@@ -3,20 +3,11 @@
 use now_apps::broadcast;
 use now_bench::{build_system, results_dir, slope};
 use now_sim::baselines::naive_broadcast_cost;
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 
 fn main() {
     println!("# X-A1: broadcast complexity (§6)\n");
-    let mut md = MdTable::new([
-        "n",
-        "clusters",
-        "clustered_msgs",
-        "naive_msgs",
-        "speedup",
-        "rounds",
-        "complete",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "n",
         "clusters",
         "clustered_msgs",
@@ -36,31 +27,23 @@ fn main() {
         let naive = naive_broadcast_cost(n);
         ns.push((n as f64).ln());
         costs.push((report.messages as f64).ln());
-        md.row([
-            n.to_string(),
-            sys.cluster_count().to_string(),
-            report.messages.to_string(),
-            naive.to_string(),
-            format!("{:.1}×", naive as f64 / report.messages.max(1) as f64),
-            report.rounds.to_string(),
-            report.complete.to_string(),
-        ]);
-        csv.row([
-            n.to_string(),
-            sys.cluster_count().to_string(),
-            report.messages.to_string(),
-            naive.to_string(),
-            format!("{:.4}", naive as f64 / report.messages.max(1) as f64),
-            report.rounds.to_string(),
-            report.complete.to_string(),
+        table.row([
+            n.into(),
+            sys.cluster_count().into(),
+            report.messages.into(),
+            naive.into(),
+            (naive as f64 / report.messages.max(1) as f64).into(),
+            report.rounds.into(),
+            report.complete.into(),
         ]);
     }
 
     let exponent = slope(&ns, &costs);
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("fitted cost exponent: clustered_msgs ≈ n^{exponent:.2} (naive is n^2.00)");
     println!("expectation: exponent ≈ 1 (Õ(n)); speedup grows with n; delivery complete.");
-    csv.write_csv(&results_dir().join("x_a1_broadcast.csv"))
+    table
+        .write_csv(&results_dir().join("x_a1_broadcast.csv"))
         .unwrap();
     println!("wrote results/x_a1_broadcast.csv");
 }

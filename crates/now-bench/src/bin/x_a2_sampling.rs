@@ -3,21 +3,13 @@
 use now_apps::sample_node;
 use now_bench::{build_system, results_dir, slope};
 use now_sim::baselines::naive_sampling_cost;
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 use std::collections::BTreeMap;
 
 fn main() {
     println!("# X-A2: sampling complexity and uniformity (§6)\n");
     let trials = 400u64;
-    let mut md = MdTable::new([
-        "n",
-        "mean_msgs/sample",
-        "naive_flood",
-        "mean_rounds",
-        "TV_to_uniform",
-        "noise_floor",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "n",
         "mean_msgs",
         "naive_flood",
@@ -53,32 +45,25 @@ fn main() {
         // An ideal uniform sampler measured with `trials` draws over n
         // atoms still shows TV ≈ sqrt(n/(2π·trials)) — the noise floor.
         let floor = (n as f64 / (2.0 * std::f64::consts::PI * trials as f64)).sqrt();
-        md.row([
-            n.to_string(),
-            format!("{mean:.0}"),
-            naive_sampling_cost(n).to_string(),
-            format!("{:.1}", rounds as f64 / trials as f64),
-            format!("{tv:.3}"),
-            format!("{floor:.3}"),
-        ]);
-        csv.row([
-            n.to_string(),
-            format!("{mean:.2}"),
-            naive_sampling_cost(n).to_string(),
-            format!("{:.3}", rounds as f64 / trials as f64),
-            format!("{tv:.6}"),
-            format!("{floor:.6}"),
+        table.row([
+            n.into(),
+            mean.into(),
+            naive_sampling_cost(n).into(),
+            (rounds as f64 / trials as f64).into(),
+            tv.into(),
+            floor.into(),
         ]);
     }
 
     let exponent = slope(&ns, &costs);
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("fitted cost exponent: msgs/sample ≈ n^{exponent:.2} (naive flood is n^1.00)");
     println!("expectation: sub-linear exponent (the growth is the walk length log²m and");
     println!("overlay-degree saturation, not n itself); TV tracking the noise_floor column");
     println!("is the uniformity verdict — an ideal sampler cannot do better at this trial");
     println!("count.");
-    csv.write_csv(&results_dir().join("x_a2_sampling.csv"))
+    table
+        .write_csv(&results_dir().join("x_a2_sampling.csv"))
         .unwrap();
     println!("wrote results/x_a2_sampling.csv");
 }

@@ -17,7 +17,7 @@
 
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
-use now_sim::{BatchRun, CsvTable, MdTable, ViolationKind};
+use now_sim::{BatchRun, Table, ViolationKind};
 
 fn main() {
     println!("# X-ABL-EX: exchange volume ablation (Lemmas 1-3 trade-off)\n");
@@ -25,15 +25,7 @@ fn main() {
     let k = 4usize;
     let steps = 600u64;
     let tau = 0.20;
-    let mut md = MdTable::new([
-        "cap",
-        "join_msgs",
-        "leave_msgs",
-        "peak_frac",
-        "randnum_compromised_steps",
-        "captured_steps",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "cap",
         "join_msgs",
         "leave_msgs",
@@ -62,26 +54,18 @@ fn main() {
         } else {
             cap.to_string()
         };
-        md.row([
-            label.clone(),
-            format!("{join_msgs:.0}"),
-            format!("{leave_msgs:.0}"),
-            format!("{:.3}", report.peak_byz_fraction()),
-            compromised.to_string(),
-            captured.to_string(),
-        ]);
-        csv.row([
-            label,
-            format!("{join_msgs:.3}"),
-            format!("{leave_msgs:.3}"),
-            format!("{:.6}", report.peak_byz_fraction()),
-            compromised.to_string(),
-            captured.to_string(),
+        table.row([
+            label.into(),
+            join_msgs.into(),
+            leave_msgs.into(),
+            report.peak_byz_fraction().into(),
+            compromised.into(),
+            captured.into(),
         ]);
         sys.check_consistency().unwrap();
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: cap 0 (no shuffle) is the §3.3 victim — the attacker saturates");
     println!("its target (peak_frac well past 1/2, captured_steps > 0). The defense then");
     println!("turns out to be nearly *binary*: even cap 1 (one uniform replacement per");
@@ -93,7 +77,8 @@ fn main() {
     println!("the step Theorem 3's alternating-subsequence argument leans on after a");
     println!("leave's non-uniform spillover; the capped variants only guarantee the slower");
     println!("Lemma 2-3 drift recovery.");
-    csv.write_csv(&results_dir().join("x_abl_exchange.csv"))
+    table
+        .write_csv(&results_dir().join("x_abl_exchange.csv"))
         .unwrap();
     println!("wrote results/x_abl_exchange.csv");
 }

@@ -17,7 +17,7 @@ use now_bench::results_dir;
 use now_graph::walks::{endpoint_distribution, total_variation, uniform_distribution};
 use now_net::{ClusterId, DetRng};
 use now_over::{CyclesOverlay, OverParams, Overlay};
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 
 fn ids(n: u64) -> Vec<ClusterId> {
     (0..n).map(ClusterId::from_raw).collect()
@@ -28,10 +28,7 @@ fn main() {
     let m = 96usize; // overlay vertices (clusters)
     let churn_rounds = 200usize;
     let trials = 3000usize;
-    let mut md = MdTable::new([
-        "overlay", "max_deg", "mean_deg", "lambda2", "TV@dur2", "TV@dur8", "TV@dur32",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "overlay", "max_deg", "mean_deg", "lambda2", "tv_dur2", "tv_dur8", "tv_dur32",
     ]);
 
@@ -49,23 +46,14 @@ fn main() {
         }
         let lambda2 =
             now_graph::algebraic_connectivity(&graph, now_graph::SpectralOptions::default());
-        md.row([
-            name.to_string(),
-            graph.max_degree().to_string(),
-            format!("{:.1}", graph.mean_degree()),
-            format!("{lambda2:.3}"),
-            format!("{:.3}", tvs[0]),
-            format!("{:.3}", tvs[1]),
-            format!("{:.3}", tvs[2]),
-        ]);
-        csv.row([
-            name.to_string(),
-            graph.max_degree().to_string(),
-            format!("{:.3}", graph.mean_degree()),
-            format!("{lambda2:.6}"),
-            format!("{:.6}", tvs[0]),
-            format!("{:.6}", tvs[1]),
-            format!("{:.6}", tvs[2]),
+        table.row([
+            name.into(),
+            graph.max_degree().into(),
+            graph.mean_degree().into(),
+            lambda2.into(),
+            tvs[0].into(),
+            tvs[1].into(),
+            tvs[2].into(),
         ]);
     };
 
@@ -105,7 +93,7 @@ fn main() {
         eval(&format!("cycles r={r} (deg<={})", 2 * r), g_cyc);
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: OVER's log-degree buys a larger λ₂ and near-instant mixing");
     println!("(TV at the noise floor already at duration 2); the r = 2 cycles overlay");
     println!("(degree ≤ 4 — the constant the paper quotes for [2]) still mixes, but");
@@ -113,7 +101,8 @@ fn main() {
     println!("that makes randCl's cost O(log⁵N) either way: cheaper hops × more of");
     println!("them. r = 1 is the control: a single cycle's λ₂ vanishes and walks do");
     println!("not mix at any affordable duration.");
-    csv.write_csv(&results_dir().join("x_alt_overlay.csv"))
+    table
+        .write_csv(&results_dir().join("x_alt_overlay.csv"))
         .unwrap();
     println!("wrote results/x_alt_overlay.csv");
 }

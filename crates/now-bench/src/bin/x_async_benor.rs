@@ -18,7 +18,7 @@ use now_agreement::{
 };
 use now_bench::results_dir;
 use now_net::{DetRng, Ledger};
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 use std::collections::BTreeSet;
 
 fn main() {
@@ -26,15 +26,7 @@ fn main() {
 
     // ---- Part A: scaling in n under attack ----
     println!("## A. scaling at the resilience bound (split inputs, equivocator)\n");
-    let mut md = MdTable::new([
-        "n",
-        "f",
-        "runs_decided/20",
-        "mean_phases",
-        "max_phases",
-        "mean_msgs",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "n",
         "f",
         "decided",
@@ -77,39 +69,26 @@ fn main() {
             phase_max = phase_max.max(worst);
             msg_sum += report.result.messages;
         }
-        md.row([
-            n.to_string(),
-            f.to_string(),
-            decided.to_string(),
-            format!("{:.1}", phase_sum as f64 / 20.0),
-            phase_max.to_string(),
-            format!("{:.0}", msg_sum as f64 / 20.0),
-        ]);
-        csv.row([
-            n.to_string(),
-            f.to_string(),
-            decided.to_string(),
-            format!("{:.3}", phase_sum as f64 / 20.0),
-            phase_max.to_string(),
-            format!("{:.1}", msg_sum as f64 / 20.0),
+        table.row([
+            n.into(),
+            f.into(),
+            decided.into(),
+            (phase_sum as f64 / 20.0).into(),
+            phase_max.into(),
+            (msg_sum as f64 / 20.0).into(),
         ]);
     }
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: every run decides (termination w.p. 1 under randomized");
     println!("scheduling); phases stay O(1)-ish in n for the random scheduler while");
     println!("messages grow ≈ n² per phase.\n");
-    csv.write_csv(&results_dir().join("x_async_scaling.csv"))
+    table
+        .write_csv(&results_dir().join("x_async_scaling.csv"))
         .unwrap();
 
     // ---- Part B: delay-bound robustness ----
     println!("## B. delay-bound robustness (n = 11, f = 2, equivocator)\n");
-    let mut md_b = MdTable::new([
-        "max_delay",
-        "decided/20",
-        "mean_phases",
-        "mean_virtual_time",
-    ]);
-    let mut csv_b = CsvTable::new(["max_delay", "decided", "mean_phases", "mean_virtual_time"]);
+    let mut table = Table::new(["max_delay", "decided", "mean_phases", "mean_virtual_time"]);
     let n = 11usize;
     let f = 2usize;
     let byz: BTreeSet<usize> = [3, 8].into_iter().collect();
@@ -143,33 +122,26 @@ fn main() {
                 .unwrap_or(400);
             vt_sum += report.virtual_time;
         }
-        md_b.row([
-            delay.to_string(),
-            decided.to_string(),
-            format!("{:.1}", phase_sum as f64 / 20.0),
-            format!("{:.0}", vt_sum as f64 / 20.0),
-        ]);
-        csv_b.row([
-            delay.to_string(),
-            decided.to_string(),
-            format!("{:.3}", phase_sum as f64 / 20.0),
-            format!("{:.1}", vt_sum as f64 / 20.0),
+        table.row([
+            delay.into(),
+            decided.into(),
+            (phase_sum as f64 / 20.0).into(),
+            (vt_sum as f64 / 20.0).into(),
         ]);
     }
-    println!("{}", md_b.render());
+    println!("{}", table.to_markdown());
     println!("expectation: the decided count and phase count are flat in the delay bound");
     println!("(safety and phase-logic never read the clock); only virtual time stretches");
     println!("linearly with it. This is the property that lets the NOW maintenance layer");
     println!("swap its synchronous randNum transport for an asynchronous one without");
     println!("touching the drift analysis — the direction §6 points at.\n");
-    csv_b
+    table
         .write_csv(&results_dir().join("x_async_delay.csv"))
         .unwrap();
 
     // ---- Part C: local vs common coin ----
     println!("## C. coin comparison (split inputs, equivocator, 30 runs/cell)\n");
-    let mut md_c = MdTable::new(["n", "coin", "mean_phases", "p90_phases", "max_phases"]);
-    let mut csv_c = CsvTable::new(["n", "coin", "mean_phases", "p90_phases", "max_phases"]);
+    let mut table = Table::new(["n", "coin", "mean_phases", "p90_phases", "max_phases"]);
     for &n in &[11usize, 21, 31] {
         let f = (n - 1) / 5;
         let byz: BTreeSet<usize> = (1..=f).collect();
@@ -208,44 +180,22 @@ fn main() {
             let mean = phases.iter().sum::<u64>() as f64 / phases.len() as f64;
             let p90 = phases[phases.len() * 9 / 10];
             let max = *phases.last().unwrap();
-            md_c.row([
-                n.to_string(),
-                label.to_string(),
-                format!("{mean:.1}"),
-                p90.to_string(),
-                max.to_string(),
-            ]);
-            csv_c.row([
-                n.to_string(),
-                label.to_string(),
-                format!("{mean:.3}"),
-                p90.to_string(),
-                max.to_string(),
-            ]);
+            table.row([n.into(), label.into(), mean.into(), p90.into(), max.into()]);
         }
     }
-    println!("{}", md_c.render());
+    println!("{}", table.to_markdown());
     println!("expectation: the common coin decides in one phase in every run (one shared");
     println!("flip aligns all honest nodes; expected ≤ 2 phases against any scheduler),");
     println!("while local coins need several phases with a heavy tail that grows with n —");
     println!("a split of private flips only heals when enough of them coincide. This is");
     println!("the measured version of the Ben-Or → Rabin upgrade an async-NOW would take.\n");
-    csv_c
+    table
         .write_csv(&results_dir().join("x_async_coins.csv"))
         .unwrap();
 
     // ---- Part D: the substitution carried through — async randNum ----
     println!("## D. randNum rebuilt for asynchrony (commit-reveal + common subset)\n");
-    let mut md_d = MdTable::new([
-        "n",
-        "f",
-        "sync_msgs",
-        "async_msgs",
-        "ratio",
-        "included",
-        "agreed_runs/10",
-    ]);
-    let mut csv_d = CsvTable::new([
+    let mut table = Table::new([
         "n",
         "f",
         "sync_msgs",
@@ -283,32 +233,23 @@ fn main() {
                 agreed += 1;
             }
         }
-        md_d.row([
-            n.to_string(),
-            f.to_string(),
-            format!("{:.0}", sync_msgs as f64 / 10.0),
-            format!("{:.0}", async_msgs as f64 / 10.0),
-            format!("{:.1}", async_msgs as f64 / sync_msgs.max(1) as f64),
-            format!("{:.1}", included_sum as f64 / 10.0),
-            agreed.to_string(),
-        ]);
-        csv_d.row([
-            n.to_string(),
-            f.to_string(),
-            format!("{:.1}", sync_msgs as f64 / 10.0),
-            format!("{:.1}", async_msgs as f64 / 10.0),
-            format!("{:.4}", async_msgs as f64 / sync_msgs.max(1) as f64),
-            format!("{:.2}", included_sum as f64 / 10.0),
-            agreed.to_string(),
+        table.row([
+            n.into(),
+            f.into(),
+            (sync_msgs as f64 / 10.0).into(),
+            (async_msgs as f64 / 10.0).into(),
+            (async_msgs as f64 / sync_msgs.max(1) as f64).into(),
+            (included_sum as f64 / 10.0).into(),
+            agreed.into(),
         ]);
     }
-    println!("{}", md_d.render());
+    println!("{}", table.to_markdown());
     println!("expectation: the asynchronous randNum agrees in every run (the §6");
     println!("substitution is *possible*) at a constant-factor message overhead over the");
     println!("synchronous commit-reveal — the n inclusion instances each cost ~n² like");
     println!("the broadcast they replace. The included-set size stays ≥ n − f (every");
     println!("honest contribution survives), which is what keeps the output uniform.");
-    csv_d
+    table
         .write_csv(&results_dir().join("x_async_randnum.csv"))
         .unwrap();
     println!("wrote results/x_async_{{scaling,delay,coins,randnum}}.csv");

@@ -27,7 +27,7 @@
 
 use now_bench::results_dir;
 use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
-use now_sim::{BatchRandomChurn, BatchRun, CsvTable, MdTable};
+use now_sim::{BatchRandomChurn, BatchRun, Cell, Table};
 use std::fmt::Write as _;
 
 struct Row {
@@ -215,31 +215,29 @@ fn main() {
         headers.push("wall_ms");
         headers.push("meas_speedup");
     }
-    let mut md = MdTable::new(headers.clone());
-    let mut csv = CsvTable::new(headers);
+    let mut table = Table::new(headers);
     for r in &rows {
-        let mut cells = vec![
-            r.width.to_string(),
-            r.steps.to_string(),
-            r.ops.to_string(),
-            format!("{:.0}", r.msgs_per_op),
-            r.rounds_serial.to_string(),
-            r.rounds_parallel.to_string(),
-            r.waves.to_string(),
-            r.max_wave_width.to_string(),
-            r.wave_slack.to_string(),
-            format!("{:.2}", r.est_speedup),
-            r.binding_violations.to_string(),
+        let mut cells: Vec<Cell> = vec![
+            r.width.into(),
+            r.steps.into(),
+            r.ops.into(),
+            r.msgs_per_op.into(),
+            r.rounds_serial.into(),
+            r.rounds_parallel.into(),
+            r.waves.into(),
+            r.max_wave_width.into(),
+            r.wave_slack.into(),
+            r.est_speedup.into(),
+            r.binding_violations.into(),
         ];
         if threads.is_some() {
-            cells.push(format!("{:.2}", r.wall_ms));
-            cells.push(format!("{:.2}", r.meas_speedup));
+            cells.push(r.wall_ms.into());
+            cells.push(r.meas_speedup.into());
         }
-        md.row(cells.clone());
-        csv.row(cells);
+        table.row(cells);
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: msgs_per_op stays flat across widths (message costs are");
     println!("schedule-invariant); waves grow sub-linearly in width — footprint conflicts");
     println!("serialize some operations, so the estimated speedup is the ratio of serial");
@@ -256,7 +254,8 @@ fn main() {
     println!("survives batching. (At this toy capacity clusters hold ~8 nodes, so τ = 0.1");
     println!("trips thresholds often; that is the k-dependence of Lemma 1, not a scheduler");
     println!("artifact.)");
-    csv.write_csv(&results_dir().join("x_batch_parallel.csv"))
+    table
+        .write_csv(&results_dir().join("x_batch_parallel.csv"))
         .unwrap();
     let json_path = results_dir().join("x_batch_parallel.json");
     std::fs::write(&json_path, to_json(&rows, smoke, threads.is_some())).unwrap();

@@ -22,7 +22,7 @@
 use now_bench::results_dir;
 use now_campaign::Campaign;
 use now_core::NowError;
-use now_sim::MdTable;
+use now_sim::Table;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -82,7 +82,7 @@ fn run(args: &Args) -> Result<(), NowError> {
         report.phases.len(),
         args.threads
     );
-    let mut md = MdTable::new([
+    let mut table = Table::new([
         "phase",
         "style",
         "steps",
@@ -98,23 +98,23 @@ fn run(args: &Args) -> Result<(), NowError> {
         "binding_viol",
     ]);
     for p in &report.phases {
-        md.row([
-            p.name.clone(),
-            p.style.clone(),
-            p.steps.to_string(),
-            p.trigger_fired.to_string(),
-            p.joins.to_string(),
-            p.leaves.to_string(),
-            p.waves.to_string(),
-            p.max_wave_width.to_string(),
-            p.wave_slack_rounds.to_string(),
-            p.messages.to_string(),
-            format!("{}→{}", p.pop_start, p.pop_end),
-            format!("{:.3}", p.peak_byz_fraction),
-            p.binding_violations.to_string(),
+        table.row([
+            p.name.clone().into(),
+            p.style.clone().into(),
+            p.steps.into(),
+            p.trigger_fired.into(),
+            p.joins.into(),
+            p.leaves.into(),
+            p.waves.into(),
+            p.max_wave_width.into(),
+            p.wave_slack_rounds.into(),
+            p.messages.into(),
+            format!("{}→{}", p.pop_start, p.pop_end).into(),
+            p.peak_byz_fraction.into(),
+            p.binding_violations.into(),
         ]);
     }
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!(
         "totals: {} steps, {} messages, {} binding violations, final population {}",
         report.total_steps(),

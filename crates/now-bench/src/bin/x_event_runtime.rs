@@ -23,7 +23,7 @@ use now_agreement::{run_ben_or_event, ByzPlan, CoinMode};
 use now_bench::results_dir;
 use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
 use now_net::{DetRng, EventNetConfig, Ledger};
-use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, MdTable};
+use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, Table};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -231,7 +231,7 @@ fn main() -> ExitCode {
         args.threads
     );
     println!("## NOW on the event scheduler\n");
-    let mut md = MdTable::new([
+    let mut table = Table::new([
         "scenario",
         "steps",
         "joins",
@@ -246,25 +246,25 @@ fn main() -> ExitCode {
         "messages",
     ]);
     for r in &now_rows {
-        md.row([
-            r.name.to_string(),
-            r.report.steps.to_string(),
-            r.report.joins.to_string(),
-            r.report.leaves.to_string(),
-            r.report.sent.to_string(),
-            r.report.delivered.to_string(),
-            r.report.dropped.to_string(),
-            r.report.waves.to_string(),
-            r.report.max_wave_width.to_string(),
-            r.report.rounds_parallel.to_string(),
-            r.population.to_string(),
-            r.messages.to_string(),
+        table.row([
+            r.name.into(),
+            r.report.steps.into(),
+            r.report.joins.into(),
+            r.report.leaves.into(),
+            r.report.sent.into(),
+            r.report.delivered.into(),
+            r.report.dropped.into(),
+            r.report.waves.into(),
+            r.report.max_wave_width.into(),
+            r.report.rounds_parallel.into(),
+            r.population.into(),
+            r.messages.into(),
         ]);
     }
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
 
     println!("## Ben-Or on the event scheduler\n");
-    let mut md = MdTable::new([
+    let mut table = Table::new([
         "scenario",
         "decided",
         "all_decided",
@@ -275,18 +275,18 @@ fn main() -> ExitCode {
         "virtual_time",
     ]);
     for r in &benor_rows {
-        md.row([
-            r.name.to_string(),
-            r.decided.to_string(),
-            r.all_decided.to_string(),
-            r.unanimous.map_or("-".into(), |v| v.to_string()),
-            r.phases.to_string(),
-            r.messages.to_string(),
-            r.dropped.to_string(),
-            r.virtual_time.to_string(),
+        table.row([
+            r.name.into(),
+            r.decided.into(),
+            r.all_decided.into(),
+            r.unanimous.map_or("-".into(), |v| v.to_string().into()),
+            r.phases.into(),
+            r.messages.into(),
+            r.dropped.into(),
+            r.virtual_time.into(),
         ]);
     }
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
 
     let json = to_json(&now_rows, &benor_rows);
     let out_path = args

@@ -12,22 +12,12 @@ use now_core::NowParams;
 use now_graph::gen;
 use now_graph::traversal::diameter;
 use now_net::{CostKind, DetRng, Ledger};
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 use std::collections::BTreeSet;
 
 fn main() {
     println!("# X-F1: initialization phase (Figure 1)\n");
-    let mut md = MdTable::new([
-        "n",
-        "e",
-        "disc_msgs",
-        "2*n*e",
-        "ratio",
-        "disc_rounds",
-        "diameter",
-        "clus_msgs",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "n",
         "e",
         "disc_msgs",
@@ -53,31 +43,23 @@ fn main() {
         let e = g.edge_count() as u64;
         let envelope = 2 * n as u64 * e; // each id crosses each edge at most once per direction
         let dia = diameter(&g).unwrap_or(0);
-        md.row([
-            n.to_string(),
-            e.to_string(),
-            out.message_units.to_string(),
-            envelope.to_string(),
-            format!("{:.3}", out.message_units as f64 / envelope as f64),
-            out.rounds.to_string(),
-            dia.to_string(),
-            clus.total_messages.to_string(),
-        ]);
-        csv.row([
-            n.to_string(),
-            e.to_string(),
-            out.message_units.to_string(),
-            envelope.to_string(),
-            format!("{:.6}", out.message_units as f64 / envelope as f64),
-            out.rounds.to_string(),
-            dia.to_string(),
-            clus.total_messages.to_string(),
+        table.row([
+            n.into(),
+            e.into(),
+            out.message_units.into(),
+            envelope.into(),
+            (out.message_units as f64 / envelope as f64).into(),
+            out.rounds.into(),
+            dia.into(),
+            clus.total_messages.into(),
         ]);
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: disc_msgs ≤ 2·n·e (ratio < 1; the paper's O(n·e) absorbs the");
     println!("per-direction constant); rounds track the honest-adjacent diameter.");
-    csv.write_csv(&results_dir().join("x_f1_init.csv")).unwrap();
+    table
+        .write_csv(&results_dir().join("x_f1_init.csv"))
+        .unwrap();
     println!("\nwrote results/x_f1_init.csv");
 }

@@ -9,7 +9,7 @@
 use now_bench::{polylog_exponent, results_dir, standard_params};
 use now_core::NowSystem;
 use now_net::CostKind;
-use now_sim::{CsvTable, MdTable};
+use now_sim::{Cell, Table};
 
 fn main() {
     println!("# X-F2: maintenance operation complexity (Figure 2)\n");
@@ -20,17 +20,7 @@ fn main() {
         CostKind::Exchange,
         CostKind::RandCl,
     ];
-    let mut md = MdTable::new([
-        "N",
-        "logN",
-        "cluster",
-        "join_msgs",
-        "join_rounds",
-        "leave_msgs",
-        "exchange_msgs",
-        "randcl_msgs",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "capacity",
         "log_n",
         "cluster_size",
@@ -60,10 +50,10 @@ fn main() {
                 let _ = sys.leave(node);
             }
         }
-        let mut row = vec![
-            cap.to_string(),
-            format!("{:.0}", params.log_n()),
-            params.target_cluster_size().to_string(),
+        let mut row: Vec<Cell> = vec![
+            cap.into(),
+            params.log_n().into(),
+            params.target_cluster_size().into(),
         ];
         for (j, &kind) in kinds.iter().enumerate() {
             let after = sys.ledger().stats(kind);
@@ -75,7 +65,7 @@ fn main() {
                 0.0
             };
             series[j].push(mean);
-            row.push(format!("{mean:.0}"));
+            row.push(mean.into());
             if kind == CostKind::Join {
                 let rounds = after.total_rounds - baseline[j].total_rounds;
                 let mean_rounds = if count > 0 {
@@ -83,15 +73,14 @@ fn main() {
                 } else {
                     0.0
                 };
-                row.push(format!("{mean_rounds:.0}"));
+                row.push(mean_rounds.into());
             }
         }
-        md.row(row.clone());
-        csv.row(row);
+        table.row(row);
         sys.check_consistency().unwrap();
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("fitted polylog exponents (cost ≈ c·log^p N):");
     for (j, &kind) in kinds.iter().enumerate() {
         let p = polylog_exponent(&capacities, &series[j]);
@@ -99,6 +88,8 @@ fn main() {
     }
     println!("\nexpectation: exponents stay bounded (polylog), join/leave well below linear-in-N growth;");
     println!("paper bounds: randCl O(log⁵N), exchange O(log⁶N), rounds O(log⁴N).");
-    csv.write_csv(&results_dir().join("x_f2_ops.csv")).unwrap();
+    table
+        .write_csv(&results_dir().join("x_f2_ops.csv"))
+        .unwrap();
     println!("wrote results/x_f2_ops.csv");
 }

@@ -20,7 +20,7 @@ use now_core::init::discover;
 use now_core::init_tree::tree_discover;
 use now_graph::gen;
 use now_net::{DetRng, Ledger};
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 use std::collections::BTreeSet;
 
 fn bootstrap(n: usize, seed: u64) -> now_graph::Graph {
@@ -37,8 +37,7 @@ fn main() {
 
     // ---- Part A: cost scaling ----
     println!("## A. discovery cost scaling (honest run)\n");
-    let mut md = MdTable::new(["n", "edges", "flood_units", "tree_units(t=5)", "ratio"]);
-    let mut csv = CsvTable::new(["n", "edges", "flood_units", "tree_units", "ratio"]);
+    let mut table = Table::new(["n", "edges", "flood_units", "tree_units", "ratio"]);
     let sizes = [64usize, 128, 256, 512, 1024];
     let mut ns = Vec::new();
     let mut flood_costs = Vec::new();
@@ -58,19 +57,12 @@ fn main() {
         flood_costs.push(flood.message_units as f64);
         tree_costs.push(tree.message_units as f64);
         let ratio = flood.message_units as f64 / tree.message_units as f64;
-        md.row([
-            n.to_string(),
-            g.edge_count().to_string(),
-            flood.message_units.to_string(),
-            tree.message_units.to_string(),
-            format!("{ratio:.1}"),
-        ]);
-        csv.row([
-            n.to_string(),
-            g.edge_count().to_string(),
-            flood.message_units.to_string(),
-            tree.message_units.to_string(),
-            format!("{ratio:.3}"),
+        table.row([
+            n.into(),
+            g.edge_count().into(),
+            flood.message_units.into(),
+            tree.message_units.into(),
+            ratio.into(),
         ]);
     }
     let xs: Vec<f64> = ns.iter().map(|&n| n.ln()).collect();
@@ -79,17 +71,17 @@ fn main() {
         &flood_costs.iter().map(|&c| c.ln()).collect::<Vec<_>>(),
     );
     let tree_exp = slope(&xs, &tree_costs.iter().map(|&c| c.ln()).collect::<Vec<_>>());
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("fitted exponents: flooding n^{flood_exp:.2}, trees n^{tree_exp:.2}");
     println!("expectation: flooding ≈ n^2 (n·e with e = Θ(n·log n) gives exponent ≥ 2);");
     println!("trees ≈ n^1 plus log factors — the o(n²) candidate.\n");
-    csv.write_csv(&results_dir().join("x_init2_cost.csv"))
+    table
+        .write_csv(&results_dir().join("x_init2_cost.csv"))
         .unwrap();
 
     // ---- Part B: completeness vs redundancy ----
     println!("## B. completeness under suppression (n = 256)\n");
-    let mut md_b = MdTable::new(["tau", "trees", "complete_runs/20", "mean_accepted"]);
-    let mut csv_b = CsvTable::new(["tau", "trees", "complete_runs", "mean_accepted"]);
+    let mut table = Table::new(["tau", "trees", "complete_runs", "mean_accepted"]);
     let n = 256usize;
     for &tau in &[0.10f64, 0.20, 0.30] {
         for &t in &[1usize, 3, 5, 9, 15] {
@@ -111,21 +103,15 @@ fn main() {
                 }
                 accepted_sum += out.accepted.len();
             }
-            md_b.row([
-                format!("{tau:.2}"),
-                t.to_string(),
-                complete.to_string(),
-                format!("{:.1}", accepted_sum as f64 / 20.0),
-            ]);
-            csv_b.row([
-                format!("{tau:.3}"),
-                t.to_string(),
-                complete.to_string(),
-                format!("{:.3}", accepted_sum as f64 / 20.0),
+            table.row([
+                tau.into(),
+                t.into(),
+                complete.into(),
+                (accepted_sum as f64 / 20.0).into(),
             ]);
         }
     }
-    println!("{}", md_b.render());
+    println!("{}", table.to_markdown());
     println!("expectation: completeness rises steeply with the tree count (per-node loss");
     println!("needs a Byzantine majority among its t path-sets) and falls with τ: at");
     println!("τ = 0.1 the complete-run rate climbs from ~0/20 at t = 1 to a majority of");
@@ -134,7 +120,7 @@ fn main() {
     println!("full-information adversary still needs flooding (or a routing-around");
     println!("scheme; the open problem stands). Where completeness does hold, Part A's");
     println!("n^1 cost applies — a different point on the cost/certainty frontier.");
-    csv_b
+    table
         .write_csv(&results_dir().join("x_init2_completeness.csv"))
         .unwrap();
     println!("wrote results/x_init2_cost.csv, results/x_init2_completeness.csv");

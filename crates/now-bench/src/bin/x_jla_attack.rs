@@ -12,7 +12,7 @@ use now_adversary::{BatchDriver, JoinLeaveAttack, TargetedMalice};
 use now_bench::results_dir;
 use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_net::DetRng;
-use now_sim::{baselines::no_shuffle_params, CsvTable, MdTable};
+use now_sim::{baselines::no_shuffle_params, Table};
 
 struct Outcome {
     captured_at: Option<u64>,
@@ -57,8 +57,7 @@ fn main() {
     println!("# X-JLA: join–leave attack resilience (§3.3)\n");
     let tau = 0.12;
     let steps = 1500u64;
-    let mut md = MdTable::new(["k", "system", "adversary", "captured_at", "peak_frac"]);
-    let mut csv = CsvTable::new(["k", "system", "adversary", "captured_at", "peak_frac"]);
+    let mut table = Table::new(["k", "system", "adversary", "captured_at", "peak_frac"]);
 
     for k in [2usize, 3, 4] {
         let params = NowParams::new(1 << 12, k, 2.0, tau, 0.05).unwrap();
@@ -74,24 +73,17 @@ fn main() {
                 .captured_at
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "never".into());
-            md.row([
-                k.to_string(),
-                system.to_string(),
-                adversary.to_string(),
-                captured.clone(),
-                format!("{:.3}", out.peak),
-            ]);
-            csv.row([
-                k.to_string(),
-                system.to_string(),
-                adversary.to_string(),
-                captured,
-                format!("{:.6}", out.peak),
+            table.row([
+                k.into(),
+                system.into(),
+                adversary.into(),
+                captured.into(),
+                out.peak.into(),
             ]);
         }
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: the baseline is captured at every k (monotone accumulation);");
     println!("NOW vs the paper-model adversary is never captured. The hardened adversary");
     println!("captures NOW at every laptop-scale k: it exploits *intra-operation* transient");
@@ -100,7 +92,8 @@ fn main() {
     println!("finding of the reproduction, beyond the paper's per-step analysis: the 1/3");
     println!("threshold is sticky, and suppressing intra-step excursions needs the full");
     println!("asymptotic margin, not just per-snapshot Chernoff tails.");
-    csv.write_csv(&results_dir().join("x_jla_attack.csv"))
+    table
+        .write_csv(&results_dir().join("x_jla_attack.csv"))
         .unwrap();
     println!("wrote results/x_jla_attack.csv");
 }

@@ -7,22 +7,15 @@
 //! tabulate the post-exchange distribution across many trials.
 
 use now_bench::{build_system, results_dir};
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 
 fn main() {
     println!("# X-L1: composition after full exchange (Lemma 1)\n");
     let tau = 0.20;
     let eps = 0.5; // tail threshold τ(1+ε) = 0.30
     let trials = 150;
-    let mut md = MdTable::new([
-        "k",
-        "cluster",
-        "mean_after",
-        "max_after",
-        "tail_P(p>τ(1+ε))",
-        "chernoff_bound",
-    ]);
-    let mut csv = CsvTable::new([
+    // empirical_tail is P(p_C > τ(1+ε)) over the trials.
+    let mut table = Table::new([
         "k",
         "cluster_size",
         "mean_after",
@@ -72,31 +65,24 @@ fn main() {
         let tail = exceed as f64 / trials as f64;
         // Chernoff: P(X > (1+ε)τ|C|) ≤ exp(−ε²τ|C|/3).
         let bound = (-eps * eps * tau * cluster_size as f64 / 3.0).exp();
-        md.row([
-            k.to_string(),
-            cluster_size.to_string(),
-            format!("{:.3}", sum / trials as f64),
-            format!("{max_after:.3}"),
-            format!("{tail:.3}"),
-            format!("{bound:.3}"),
-        ]);
-        csv.row([
-            k.to_string(),
-            cluster_size.to_string(),
-            format!("{:.6}", sum / trials as f64),
-            format!("{max_after:.6}"),
-            format!("{tail:.6}"),
-            format!("{bound:.6}"),
+        table.row([
+            k.into(),
+            cluster_size.into(),
+            (sum / trials as f64).into(),
+            max_after.into(),
+            tail.into(),
+            bound.into(),
         ]);
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: mean_after ≈ τ = {tau} plus a self-exchange residual of");
     println!("(|C|/n)·(p₀ − τ) — randCl picks C itself with probability |C|/n and the member");
     println!("is then retained; Lemma 1 idealizes this away and it vanishes as n grows.");
     println!("The tail probability decays with k (the Chernoff column is the paper's bound;");
     println!("empirical values sit below it).");
-    csv.write_csv(&results_dir().join("x_l1_exchange.csv"))
+    table
+        .write_csv(&results_dir().join("x_l1_exchange.csv"))
         .unwrap();
     println!("wrote results/x_l1_exchange.csv");
 }

@@ -6,11 +6,11 @@
 //! `O(logN)` exchanges. We track one cluster's Byzantine fraction over
 //! a long churn run and measure band behavior per k.
 
-use now_adversary::{BatchDriver, RandomChurn};
+use now_adversary::BatchDriver;
 use now_bench::{build_system, results_dir};
 use now_core::{BatchInput, ExecConfig};
 use now_net::DetRng;
-use now_sim::{CsvTable, MdTable};
+use now_sim::{BatchRandomChurn, Table};
 
 fn main() {
     println!("# X-L23: composition drift between exchanges (Lemmas 2–3)\n");
@@ -21,16 +21,8 @@ fn main() {
     let steps = 1200u64;
     println!("bands: τ = {tau}, τ(1+ε/2) = {low:.3}, τ(1+ε) = {high:.3}\n");
 
-    let mut md = MdTable::new([
-        "k",
-        "cluster",
-        "mean_frac",
-        "peak_frac",
-        "excursions>τ(1+ε/2)",
-        "mean_recovery_steps",
-        "steps>τ(1+ε)",
-    ]);
-    let mut csv = CsvTable::new([
+    // excursions: above τ(1+ε/2); steps_above_high: above τ(1+ε).
+    let mut table = Table::new([
         "k",
         "cluster_size",
         "mean_frac",
@@ -43,7 +35,7 @@ fn main() {
     for k in [2usize, 4, 6] {
         let mut sys = build_system(1 << 12, k, 10, tau, 3000 + k as u64);
         let watched = sys.cluster_ids()[0];
-        let mut churn = RandomChurn::balanced(tau);
+        let mut churn = BatchRandomChurn::balanced(1, tau);
         let mut rng = DetRng::new(31 + k as u64);
 
         let mut sum = 0.0;
@@ -89,31 +81,23 @@ fn main() {
             .cluster(watched)
             .map(|c| c.size())
             .unwrap_or(sys.params().target_cluster_size());
-        md.row([
-            k.to_string(),
-            cluster_size.to_string(),
-            format!("{:.3}", sum / samples.max(1) as f64),
-            format!("{peak:.3}"),
-            excursions.to_string(),
-            format!("{mean_recovery:.1}"),
-            above_high_steps.to_string(),
-        ]);
-        csv.row([
-            k.to_string(),
-            cluster_size.to_string(),
-            format!("{:.6}", sum / samples.max(1) as f64),
-            format!("{peak:.6}"),
-            excursions.to_string(),
-            format!("{mean_recovery:.3}"),
-            above_high_steps.to_string(),
+        table.row([
+            k.into(),
+            cluster_size.into(),
+            (sum / samples.max(1) as f64).into(),
+            peak.into(),
+            excursions.into(),
+            mean_recovery.into(),
+            above_high_steps.into(),
         ]);
         sys.check_consistency().unwrap();
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation (Lemma 3): excursions above τ(1+ε/2) recover within O(logN) steps;");
     println!("expectation (Lemma 2): time spent above τ(1+ε) shrinks rapidly with k.");
-    csv.write_csv(&results_dir().join("x_l23_drift.csv"))
+    table
+        .write_csv(&results_dir().join("x_l23_drift.csv"))
         .unwrap();
     println!("wrote results/x_l23_drift.csv");
 }

@@ -11,7 +11,7 @@
 use now_bench::results_dir;
 use now_net::{ClusterId, DetRng};
 use now_over::{OverParams, Overlay};
-use now_sim::{CsvTable, MdTable};
+use now_sim::{Cell, Table};
 use rand::Rng;
 
 fn main() {
@@ -29,18 +29,7 @@ fn main() {
     let mut overlay = Overlay::init_random(&ids, params, &mut rng);
     let mut next_id = 1000u64;
 
-    let mut md = MdTable::new([
-        "step",
-        "m",
-        "max_deg",
-        "cap_ok",
-        "connected",
-        "lambda2",
-        "cheeger_low",
-        "sweep_up",
-        "bound_holds(spectral)",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "step",
         "m",
         "max_degree",
@@ -49,6 +38,7 @@ fn main() {
         "lambda2",
         "cheeger_lower",
         "sweep_upper",
+        "bound_holds_spectral",
         "exact",
     ]);
 
@@ -67,37 +57,24 @@ fn main() {
         }
         if step % 100 == 0 {
             let audit = overlay.audit();
-            md.row([
-                step.to_string(),
-                audit.vertex_count.to_string(),
-                audit.max_degree.to_string(),
-                audit.degree_bound_holds.to_string(),
-                audit.connected.to_string(),
-                format!("{:.2}", audit.lambda2),
-                format!("{:.2}", audit.cheeger_lower),
-                format!("{:.2}", audit.sweep_upper),
+            table.row([
+                step.into(),
+                audit.vertex_count.into(),
+                audit.max_degree.into(),
+                audit.degree_bound_holds.into(),
+                audit.connected.into(),
+                audit.lambda2.into(),
+                audit.cheeger_lower.into(),
+                audit.sweep_upper.into(),
                 // At laptop scale the honest comparison is against the
                 // sweep-cut estimate; the paper's bound is asymptotic.
-                (audit.sweep_upper >= params.expansion_bound() * 0.25).to_string(),
-            ]);
-            csv.row([
-                step.to_string(),
-                audit.vertex_count.to_string(),
-                audit.max_degree.to_string(),
-                audit.degree_bound_holds.to_string(),
-                audit.connected.to_string(),
-                format!("{:.4}", audit.lambda2),
-                format!("{:.4}", audit.cheeger_lower),
-                format!("{:.4}", audit.sweep_upper),
-                audit
-                    .exact_isoperimetric
-                    .map(|v| format!("{v:.4}"))
-                    .unwrap_or_else(|| "-".into()),
+                (audit.sweep_upper >= params.expansion_bound() * 0.25).into(),
+                audit.exact_isoperimetric.map_or("-".into(), Cell::from),
             ]);
             overlay.check_invariants().unwrap();
         }
     }
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
 
     // Exact check on a small overlay (subset enumeration feasible).
     println!("## exact isoperimetric check (small overlay, m ≤ 24)\n");
@@ -130,7 +107,8 @@ fn main() {
         println!("sandwich cheeger ≤ exact ≤ sweep verified.");
     }
 
-    csv.write_csv(&results_dir().join("x_p12_overlay.csv"))
+    table
+        .write_csv(&results_dir().join("x_p12_overlay.csv"))
         .unwrap();
     println!("\nexpectation: cap_ok true throughout (Property 2, enforced structurally +");
     println!("audited), overlay stays connected with λ₂ bounded away from 0 (Property 1's");

@@ -10,7 +10,7 @@
 use now_bench::{results_dir, standard_params};
 use now_core::NowSystem;
 use now_net::CostKind;
-use now_sim::{BatchDriver, BatchRun, CsvTable, GrowthPhase, MdTable, ShrinkPhase};
+use now_sim::{BatchDriver, BatchRun, GrowthPhase, ShrinkPhase, Table};
 
 fn main() {
     println!("# X-POLY: polynomial size variation (abstract/§1)\n");
@@ -28,16 +28,8 @@ fn main() {
     );
 
     let plateaus: Vec<u64> = vec![start, 300, 700, 1400, 2800, 1400, 700, 300, start];
-    let mut md = MdTable::new([
-        "n",
-        "clusters",
-        "mean_join_msgs",
-        "msgs/log²m",
-        "worst_frac",
-        "band_ok",
-        "static-#C size (prior work)",
-    ]);
-    let mut csv = CsvTable::new([
+    // static_cluster_size: what prior work's frozen cluster count gives.
+    let mut table = Table::new([
         "n",
         "clusters",
         "mean_join_msgs",
@@ -73,36 +65,28 @@ fn main() {
         // The dominant n-dependence of the join cost is the walk length
         // log²m; normalizing by it exposes the remaining ~constant.
         let log2m = ((audit.cluster_count + 2) as f64).log2().powi(2);
-        md.row([
-            audit.population.to_string(),
-            audit.cluster_count.to_string(),
-            format!("{mean_join:.0}"),
-            format!("{:.0}", mean_join / log2m),
-            format!("{:.3}", audit.worst_byz_fraction),
-            audit.size_bounds_ok.to_string(),
-            format!("{:.0}", audit.population as f64 / static_cluster_count),
-        ]);
-        csv.row([
-            audit.population.to_string(),
-            audit.cluster_count.to_string(),
-            format!("{mean_join:.2}"),
-            format!("{:.2}", mean_join / log2m),
-            format!("{:.6}", audit.worst_byz_fraction),
-            audit.size_bounds_ok.to_string(),
-            format!("{:.2}", audit.population as f64 / static_cluster_count),
+        table.row([
+            audit.population.into(),
+            audit.cluster_count.into(),
+            mean_join.into(),
+            (mean_join / log2m).into(),
+            audit.worst_byz_fraction.into(),
+            audit.size_bounds_ok.into(),
+            (audit.population as f64 / static_cluster_count).into(),
         ]);
         sys.check_consistency().unwrap();
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     let (joins, leaves, splits, merges) = sys.op_counts();
     println!("totals: {joins} joins, {leaves} leaves, {splits} splits, {merges} merges");
     println!("\nexpectation: cluster count tracks n/(k·logN) (splits on the way up, merges");
     println!("on the way down); the join cost's n-dependence is the walk length log²m plus");
-    println!("overlay-degree saturation (msgs/log²m flattens), i.e. polylog — while the");
-    println!("static-#C column shows prior work's cluster size growing linearly in n, the");
-    println!("blow-up NOW's dynamic cluster count avoids.");
-    csv.write_csv(&results_dir().join("x_poly_growth.csv"))
+    println!("overlay-degree saturation (msgs_per_log2m flattens), i.e. polylog — while the");
+    println!("static_cluster_size column shows prior work's cluster size growing linearly");
+    println!("in n, the blow-up NOW's dynamic cluster count avoids.");
+    table
+        .write_csv(&results_dir().join("x_poly_growth.csv"))
         .unwrap();
     println!("wrote results/x_poly_growth.csv");
 }

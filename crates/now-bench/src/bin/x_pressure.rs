@@ -15,22 +15,13 @@
 //! the target).
 
 use now_bench::results_dir;
-use now_sim::{ChurnStyle, CsvTable, MdTable, Scenario, ViolationKind};
+use now_sim::{ChurnStyle, Scenario, Table, ViolationKind};
 
 fn main() {
     println!("# X-PRESSURE: split/merge-forcing attacks (§3.3 extension)\n");
     let steps = 500u64;
     let tau = 0.20;
-    let mut md = MdTable::new([
-        "attack",
-        "shuffle",
-        "splits",
-        "merges",
-        "peak_frac",
-        "not_2/3_steps",
-        "forgeable_steps",
-    ]);
-    let mut csv = CsvTable::new([
+    let mut table = Table::new([
         "attack",
         "shuffle",
         "splits",
@@ -58,29 +49,20 @@ fn main() {
             }
             let (report, sys) = scenario.run().unwrap();
             let (_, _, splits, merges) = sys.op_counts();
-            md.row([
-                label.to_string(),
-                shuffle.to_string(),
-                splits.to_string(),
-                merges.to_string(),
-                format!("{:.3}", report.peak_byz_fraction()),
-                report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
-                report.count(ViolationKind::Forgeable).to_string(),
-            ]);
-            csv.row([
-                label.to_string(),
-                shuffle.to_string(),
-                splits.to_string(),
-                merges.to_string(),
-                format!("{:.6}", report.peak_byz_fraction()),
-                report.count(ViolationKind::NotTwoThirdsHonest).to_string(),
-                report.count(ViolationKind::Forgeable).to_string(),
+            table.row([
+                label.into(),
+                shuffle.into(),
+                splits.into(),
+                merges.into(),
+                report.peak_byz_fraction().into(),
+                report.count(ViolationKind::NotTwoThirdsHonest).into(),
+                report.count(ViolationKind::Forgeable).into(),
             ]);
             sys.check_consistency().unwrap();
         }
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     println!("expectation: the attacks trigger their targeted operations (splits resp.");
     println!("merges > 0) but never capture a cluster (forgeable_steps = 0 everywhere):");
     println!("randCl re-routes the flood and merges re-sample both clusters, so structural");
@@ -93,7 +75,8 @@ fn main() {
     println!("while leave-bearing rows (control, merge-forcing) drift *worse* than with");
     println!("shuffling, the §3.3 motivation. And no-shuffle is exactly the configuration");
     println!("the join-leave attacker captures outright (X-JLA, X-ABL-EX).");
-    csv.write_csv(&results_dir().join("x_pressure.csv"))
+    table
+        .write_csv(&results_dir().join("x_pressure.csv"))
         .unwrap();
     println!("wrote results/x_pressure.csv");
 }

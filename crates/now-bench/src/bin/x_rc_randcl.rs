@@ -10,21 +10,14 @@
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
 use now_net::CostKind;
-use now_sim::{CsvTable, MdTable};
+use now_sim::Table;
 use std::collections::BTreeMap;
 
 fn main() {
     println!("# X-RC: randCl distribution and cost (§3.1)\n");
     let trials = 3000;
-    let mut md = MdTable::new([
-        "walk_factor",
-        "TV_to_size_biased",
-        "mean_msgs",
-        "mean_rounds",
-        "mean_hops",
-        "mean_restarts",
-    ]);
-    let mut csv = CsvTable::new([
+    // tv_distance: to the size-biased law |C|/n.
+    let mut table = Table::new([
         "walk_factor",
         "tv_distance",
         "mean_msgs",
@@ -68,25 +61,17 @@ fn main() {
         tv /= 2.0;
         let mean_msgs = (after_rc.total_messages - before_rc.total_messages) as f64 / trials as f64;
         let mean_rounds = (after_rc.total_rounds - before_rc.total_rounds) as f64 / trials as f64;
-        md.row([
-            format!("{factor:.2}"),
-            format!("{tv:.4}"),
-            format!("{mean_msgs:.0}"),
-            format!("{mean_rounds:.1}"),
-            format!("{:.1}", hops as f64 / trials as f64),
-            format!("{:.2}", restarts as f64 / trials as f64),
-        ]);
-        csv.row([
-            format!("{factor}"),
-            format!("{tv:.6}"),
-            format!("{mean_msgs:.2}"),
-            format!("{mean_rounds:.3}"),
-            format!("{:.3}", hops as f64 / trials as f64),
-            format!("{:.4}", restarts as f64 / trials as f64),
+        table.row([
+            factor.into(),
+            tv.into(),
+            mean_msgs.into(),
+            mean_rounds.into(),
+            (hops as f64 / trials as f64).into(),
+            (restarts as f64 / trials as f64).into(),
         ]);
     }
 
-    println!("{}", md.render());
+    println!("{}", table.to_markdown());
     let log_n = 12.0f64;
     println!(
         "paper cost bounds at logN = 12: O(log⁵N) = O({:.0}) messages, O(log⁴N) = O({:.0}) rounds.",
@@ -97,7 +82,8 @@ fn main() {
     println!("≈ 0.03 even for the shortest walks (the OVER overlay mixes in O(1) relaxation");
     println!("times), while cost grows ~linearly in the factor — so the paper's walk length");
     println!("is conservative here; the default factor 1.0 sits inside its cost envelope.");
-    csv.write_csv(&results_dir().join("x_rc_randcl.csv"))
+    table
+        .write_csv(&results_dir().join("x_rc_randcl.csv"))
         .unwrap();
     println!("wrote results/x_rc_randcl.csv");
 }

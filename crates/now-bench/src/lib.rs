@@ -2,9 +2,11 @@
 //!
 //! Each binary in `src/bin/` regenerates the table of one claim (see
 //! README § Experiment index, or `exp_all`'s list):
-//! it prints a markdown table to stdout and writes a CSV next to it
-//! under `results/`. Criterion benches in `benches/` measure the same
-//! primitives' wall-clock behavior.
+//! it builds one `now_sim::Table`, prints it as markdown to stdout and
+//! writes it as CSV under `results/`. The paper's claims are counts
+//! (messages, rounds, violation steps), so that is all these tables
+//! hold; wall-clock is measured by the one timing harness, `bench/`
+//! (a package outside this workspace, declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![deny(deprecated)]

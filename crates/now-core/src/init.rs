@@ -15,7 +15,7 @@
 //!    and broadcasts the assignment, which each node accepts from a
 //!    majority of the committee.
 //!
-//! **Substitution note (DESIGN.md §3):** the paper elects the committee
+//! **Substitution note:** the paper elects the committee
 //! with the Byzantine agreement of King et al. (`Õ(n√n)` messages),
 //! which guarantees a > 2/3-honest committee against the
 //! full-information adversary. We inherit that guarantee rather than

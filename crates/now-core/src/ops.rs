@@ -17,8 +17,7 @@
 //!   its members move into `C`, and `C`'s original members re-join the
 //!   network through ordinary joins (the paper spreads these re-joins
 //!   over subsequent time steps; we execute them inline, which accounts
-//!   identical costs and keeps one external operation per time step —
-//!   see DESIGN.md §6).
+//!   identical costs and keeps one external operation per time step).
 //!
 //! Join and leave up to the size check are [`Kernel`] methods and run
 //! on any [`StateView`]; the check itself belongs to the caller. On the

@@ -116,7 +116,8 @@ impl NowSystem {
         let overlay = Overlay::init_random(&cluster_ids, params.over(), &mut rng);
 
         // Cost accounting for the initialization phase (structure
-        // mirrors the L0 path in `crate::init`; see DESIGN.md §5 X-F1).
+        // mirrors the L0 path in `crate::init`, which experiment X-F1
+        // measures).
         let mut ledger = Ledger::new();
         let n = n0 as u64;
         let log_n = ((n0.max(2)) as f64).log2().ceil() as u64;

@@ -1,6 +1,6 @@
 //! D002 positive: wall-clock reads in deterministic code. Time must
-//! derive from the step counter; wall measurement belongs in benches,
-//! x_* bins, or an allowlisted wall_nanos site.
+//! derive from the step counter; wall measurement belongs in x_* bins
+//! (`bench/` is one), or an allowlisted wall_nanos site.
 
 use std::time::Instant;
 

@@ -95,7 +95,7 @@ fn module_path_of(rel_path: &str) -> Vec<String> {
         // INVARIANT: `i` is the byte index of "/src/", so `i + 5`
         // lands exactly one past it — at most `len`, a valid bound.
         Some(i) => &rel_path[i + 5..],
-        None => rel_path, // standalone unit (test/bench file): flat
+        None => rel_path, // standalone unit (test file): flat
     };
     let stem = after_src.strip_suffix(".rs").unwrap_or(after_src);
     let mut segs: Vec<String> = stem.split('/').map(str::to_string).collect();

@@ -17,7 +17,7 @@
 //! On top of the token rules sits the **semantic layer**: [`items`]
 //! parses each token stream into an item tree, files are grouped into
 //! *analysis units* (one per crate `src/` tree; each standalone
-//! test/bench/bin/example file is its own unit), and [`semantic`] runs
+//! test/bin/example file is its own unit), and [`semantic`] runs
 //! the graph rules — P001 panic audit, L002 lock discipline, D005
 //! RNG-stream discipline — over each unit's call graph. [`api_lock`]
 //! renders every crate unit's public surface into a canonical
@@ -54,8 +54,6 @@ use semantic::UnitFile;
 pub fn classify(rel_path: &str) -> FileClass {
     if rel_path.starts_with("tests/") || rel_path.contains("/tests/") {
         FileClass::TestOnly
-    } else if rel_path.contains("/benches/") {
-        FileClass::Bench
     } else if rel_path.contains("/src/bin/") {
         FileClass::Bin
     } else if rel_path.starts_with("examples/") || rel_path.contains("/examples/") {
@@ -105,7 +103,7 @@ pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
 /// The analysis-unit key of a workspace-relative path: `crate:<name>`
 /// for files in a crate's `src/` tree (bins excluded — each is its own
 /// process with its own call graph), `root` for the facade package's
-/// `src/`, and `file:<rel>` for every standalone test/bench/bin/example
+/// `src/`, and `file:<rel>` for every standalone test/bin/example
 /// file.
 pub fn unit_key(rel: &str) -> String {
     if let Some(rest) = rel.strip_prefix("crates/") {
@@ -326,9 +324,11 @@ mod tests {
         assert_eq!(classify("src/lib.rs"), FileClass::Prod);
         assert_eq!(classify("tests/event_runtime.rs"), FileClass::TestOnly);
         assert_eq!(classify("crates/now-net/tests/t.rs"), FileClass::TestOnly);
+        // No bench class: a wall-clock read in a `benches/` file is a
+        // finding (timing lives in `bench/`, whose sources are bins).
         assert_eq!(
             classify("crates/now-bench/benches/bench_ops.rs"),
-            FileClass::Bench
+            FileClass::Prod
         );
         assert_eq!(
             classify("crates/now-bench/src/bin/x_batch_parallel.rs"),

@@ -11,7 +11,7 @@
 //! | rule | forbids | where it binds |
 //! |------|---------|----------------|
 //! | D001 | `HashMap` / `HashSet` (iteration-order nondeterminism) | all non-test code |
-//! | D002 | `Instant::now` / `SystemTime` (wall clock) | non-test lib code; benches and `x_*` bins are exempt; the one sanctioned library site is `now_trace::stopwatch` (`crates/now-trace/src/profile.rs`, allowlisted) |
+//! | D002 | `Instant::now` / `SystemTime` (wall clock) | non-test lib code; `x_*` bins are exempt; the one sanctioned library site is `now_trace::stopwatch` (`crates/now-trace/src/profile.rs`, allowlisted) |
 //! | D003 | thread spawning outside the `WavePool` machinery | all non-test code |
 //! | D004 | ambient entropy (`thread_rng`, `rand::random`, `OsRng`, …) | everywhere, tests included |
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
@@ -28,9 +28,6 @@ pub enum FileClass {
     /// rules still matter (seeded RNG only!) but test-only structures
     /// and timing are fine.
     TestOnly,
-    /// Criterion benches (`crates/*/benches`): wall-clock measurement
-    /// is their job.
-    Bench,
     /// Experiment binaries (`crates/*/src/bin`, the `x_*` tools): emit
     /// byte-diffed JSON, so determinism rules bind, but they are the
     /// allow-listed wall-clock measurement sites.
@@ -155,11 +152,11 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
             );
         }
 
-        // D002 — wall clock in deterministic code. Benches and x_* bins
-        // measure time by design; library code must route advisory
+        // D002 — wall clock in deterministic code. The x_* bins measure
+        // time by design; library code must route advisory
         // measurement through `now_trace::stopwatch`, whose home
         // (crates/now-trace/src/profile.rs) is the one allowlisted site.
-        if !test_code && class != FileClass::Bench && class != FileClass::Bin {
+        if !test_code && class != FileClass::Bin {
             let instant_now = name == "Instant"
                 && next_noncomment(tokens, i).is_some_and(|t| t.is_punct(':'))
                 && tokens
@@ -174,7 +171,7 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
                     "D002",
                     "Instant::now reads the wall clock; deterministic paths must derive time \
                      from the step counter — advisory measurement goes through \
-                     now_trace::stopwatch (the one allowlisted site), benches, or x_* bins"
+                     now_trace::stopwatch (the one allowlisted site) or x_* bins"
                         .to_string(),
                 );
             }
@@ -275,9 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn d002_exempts_benches_and_bins() {
+    fn d002_exempts_bins() {
         let src = "let t = Instant::now();";
-        assert!(rules(FileClass::Bench, src).is_empty());
         assert!(rules(FileClass::Bin, src).is_empty());
         assert_eq!(rules(FileClass::Example, src), ["D002"]);
     }

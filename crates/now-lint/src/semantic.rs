@@ -67,7 +67,7 @@ impl UnitFile {
 }
 
 /// Runs every semantic rule over one analysis unit (a crate's `src/`
-/// tree, or a single standalone bin/test/bench/example file). Findings
+/// tree, or a single standalone bin/test/example file). Findings
 /// come back unsorted; the driver merges and sorts.
 pub fn analyze_unit(files: &[UnitFile]) -> Vec<Finding> {
     let mut out = Vec::new();

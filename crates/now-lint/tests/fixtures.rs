@@ -77,11 +77,7 @@ fn d002_flags_wall_clock_reads() {
         lint_fixture("d002_wall_clock.rs", FileClass::Prod),
         pairs(&[("D002", 8), ("D002", 9)])
     );
-    // Benches and experiment binaries measure wall time by design.
-    assert_eq!(
-        lint_fixture("d002_wall_clock.rs", FileClass::Bench),
-        pairs(&[])
-    );
+    // Experiment binaries measure wall time by design.
     assert_eq!(
         lint_fixture("d002_wall_clock.rs", FileClass::Bin),
         pairs(&[])

@@ -14,7 +14,8 @@
 //!   simulation is a pure function of `(config, seed)`.
 //! * [`Bus`] — a synchronous round-based message bus with per-port
 //!   inboxes, used to execute real per-node protocol state machines
-//!   (fidelity level L0 in `DESIGN.md`).
+//!   (fidelity level L0; root `tests/cost_equivalence.rs` holds it
+//!   against the L1 closed-form counts).
 //! * [`AsyncNet`] — an event-driven network with adversarial bounded
 //!   delays, the substrate for the paper's §6 future-work item of
 //!   removing the synchrony assumption (see `now_agreement::ben_or`).

@@ -10,8 +10,8 @@
 //!
 //! The detailed OVER construction lives in the paper's long version
 //! (arXiv:1202.3084), which is not available offline; this crate
-//! re-derives it from the constraints stated in the PODC text (see
-//! `DESIGN.md` §3): the overlay starts as a degree-normalized
+//! re-derives it from the constraints stated in the PODC text: the
+//! overlay starts as a degree-normalized
 //! Erdős–Rényi graph; `Add` links the incoming vertex to
 //! `target_degree` vertices sampled (by the caller, normally via
 //! `randCl`) from the existing overlay, skipping vertices at the degree

@@ -15,7 +15,7 @@
 //! schedule.
 
 use crate::metrics::TimeSeries;
-use crate::runner::{record_violations, Violation, ViolationKind};
+use crate::violation::{record_violations, Violation, ViolationKind};
 use now_adversary::CorruptionBudget;
 use now_core::{BatchInput, ExecConfig, JoinSpec, NowSystem, SystemAudit};
 use now_net::{DetRng, NodeId};
@@ -384,7 +384,7 @@ impl<'p> BatchRun<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_adversary::{QuietBatches, RandomChurn};
+    use now_adversary::QuietBatches;
     use now_core::{EventNetConfig, NowParams, WavePool};
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
@@ -601,7 +601,7 @@ mod tests {
         assert_eq!(batched(), batched());
         let per_step = || {
             let mut sys = system(150, 0.1, 5);
-            let mut adv = RandomChurn::balanced(0.1);
+            let mut adv = BatchRandomChurn::balanced(1, 0.1);
             let r = BatchRun::new().run(&mut sys, &mut adv, 60, 10);
             (
                 r.joins,
@@ -671,7 +671,7 @@ mod tests {
         // *expected*; experiment X-T3 measures that trade-off.)
         let params = NowParams::new(1 << 10, 4, 1.5, 0.30, 0.05).unwrap();
         let mut sys = NowSystem::init_fast(params, 240, 0.1, 2);
-        let mut adv = RandomChurn::balanced(0.1);
+        let mut adv = BatchRandomChurn::balanced(1, 0.1);
         let report = BatchRun::new().run(&mut sys, &mut adv, 150, 7);
         assert_eq!(report.steps, 150);
         assert!(report.joins > 30);
@@ -690,7 +690,7 @@ mod tests {
     fn audit_cadence_thins_series() {
         let go = |every: u64| {
             let mut sys = system(150, 0.1, 4);
-            let mut adv = RandomChurn::balanced(0.1);
+            let mut adv = BatchRandomChurn::balanced(1, 0.1);
             BatchRun::new()
                 .audit_every(every)
                 .run(&mut sys, &mut adv, 50, 9)

@@ -80,71 +80,12 @@ impl BatchDriver for ShrinkPhase {
 }
 
 /// The polynomial-variation driver: grow to `high`, shrink to `low`,
-/// repeat — e.g. `low = √N`, `high` close to `N`. Every arrival is
-/// corrupted while the budget allows, so the adversary's share tracks
-/// its bound through both phases.
-#[derive(Debug, Clone, Copy)]
-pub struct Sawtooth {
-    /// Lower turning point.
-    pub low: u64,
-    /// Upper turning point.
-    pub high: u64,
-    /// Corruption budget.
-    pub budget: CorruptionBudget,
-    growing: bool,
-}
-
-impl Sawtooth {
-    /// Oscillates in `[low, high]` with corruption fraction `tau`,
-    /// starting in the growth phase.
-    ///
-    /// # Panics
-    /// Panics if `low >= high`.
-    pub fn new(low: u64, high: u64, tau: f64) -> Self {
-        assert!(low < high, "sawtooth needs low < high, got [{low}, {high}]");
-        Sawtooth {
-            low,
-            high,
-            budget: CorruptionBudget::new(tau),
-            growing: true,
-        }
-    }
-
-    /// Whether the driver is currently in its growth phase.
-    pub fn is_growing(&self) -> bool {
-        self.growing
-    }
-}
-
-impl BatchDriver for Sawtooth {
-    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
-        let pop = sys.population();
-        if self.growing && pop >= self.high {
-            self.growing = false;
-        } else if !self.growing && pop <= self.low {
-            self.growing = true;
-        }
-        if self.growing {
-            let honest = !self.budget.can_corrupt_arrival(sys);
-            (vec![JoinSpec::uniform(honest)], Vec::new())
-        } else {
-            let nodes = sys.node_ids();
-            // INVARIANT: population floor keeps the id list non-empty;
-            // the draw range is its exact length.
-            (Vec::new(), vec![nodes[rng.gen_range(0..nodes.len())]])
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sawtooth"
-    }
-}
-
-/// The batched polynomial-variation driver: like [`Sawtooth`], but
-/// emitting a whole batch of `width` operations per time step, so the
-/// population swings between the turning points while every step
-/// exercises the conflict-free wave scheduler of
-/// [`now_core::NowSystem::step_batch`].
+/// repeat — e.g. `low = √N`, `high` close to `N` — `width` operations
+/// per time step (width 1 is the paper's one-operation-per-step
+/// model; wider batches exercise the conflict-free wave scheduler of
+/// [`now_core::NowSystem::step_batch`]). Every arrival is corrupted
+/// while the budget allows, so the adversary's share tracks its bound
+/// through both phases.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSawtooth {
     /// Lower turning point.
@@ -264,7 +205,7 @@ mod tests {
     #[test]
     fn sawtooth_oscillates() {
         let mut sys = system(60, 0.1, 4);
-        let mut adv = Sawtooth::new(50, 90, 0.1);
+        let mut adv = BatchSawtooth::new(50, 90, 1, 0.1);
         let report = BatchRun::new().run(&mut sys, &mut adv, 300, 5);
         let pops: Vec<f64> = report.population.points().iter().map(|&(_, v)| v).collect();
         let max = pops.iter().cloned().fold(0.0f64, f64::max);
@@ -290,7 +231,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "low < high")]
     fn sawtooth_rejects_bad_band() {
-        let _ = Sawtooth::new(100, 100, 0.1);
+        let _ = BatchSawtooth::new(100, 100, 1, 0.1);
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //!   [`now_core::ExecConfig`] the caller names, with time series
 //!   collection and the serial-vs-parallel round complexity
 //!   ([`BatchRunReport`]).
-//! * [`runner`] — violation tracking ([`Violation`], [`ViolationKind`]).
+//! * [`violation`] — violation tracking ([`Violation`], [`ViolationKind`]).
 //! * [`scenario`] — the one-call front door ([`Scenario`]).
 //! * [`churn`] — environmental churn schedules, including the headline
-//!   *polynomial size variation* driver ([`Sawtooth`]) that swings the
+//!   *polynomial size variation* driver ([`BatchSawtooth`]) that swings the
 //!   population between `√N` and `N`.
-//! * [`metrics`] — time series, summaries, and CSV emission (hand-rolled;
-//!   no serde dependency).
-//! * [`report`] — markdown tables for the experiment binaries (indexed
-//!   in the README).
+//! * [`metrics`] — time series, summaries, and quantiles.
+//! * [`report`] — the experiment binaries' [`Table`]: one set of rows,
+//!   rendered as markdown and as CSV (hand-rolled; no serde dependency).
 //! * [`baselines`] — the comparison systems: no-shuffle static
 //!   clustering (the §3.3 attack victim) and the naive
 //!   single-cluster/full-mesh cost formulas of §6.
@@ -32,12 +31,12 @@ pub mod batch_run;
 pub mod churn;
 pub mod metrics;
 pub mod report;
-pub mod runner;
 pub mod scenario;
+pub mod violation;
 
 pub use batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
-pub use churn::{BatchSawtooth, GrowthPhase, Sawtooth, ShrinkPhase};
-pub use metrics::{CsvTable, Summary, TimeSeries};
-pub use report::MdTable;
-pub use runner::{Violation, ViolationKind};
+pub use churn::{BatchSawtooth, GrowthPhase, ShrinkPhase};
+pub use metrics::{Summary, TimeSeries};
+pub use report::{Cell, Table};
 pub use scenario::{ChurnStyle, Scenario};
+pub use violation::{Violation, ViolationKind};

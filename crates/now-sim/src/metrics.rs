@@ -1,6 +1,4 @@
-//! Time series, summaries, and CSV output.
-
-use std::fmt::Write as _;
+//! Time series, summaries, and quantiles.
 
 /// A named series of `(time_step, value)` points.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,87 +112,6 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     }
 }
 
-/// A rectangular table with a header row, rendered as CSV.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CsvTable {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl CsvTable {
-    /// A table with the given column headers.
-    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
-        CsvTable {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringified cells).
-    ///
-    /// # Panics
-    /// Panics if the cell count differs from the header count.
-    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
-        let row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(
-            row.len(),
-            self.headers.len(),
-            "row width {} != header width {}",
-            row.len(),
-            self.headers.len()
-        );
-        self.rows.push(row);
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders as CSV (quotes cells containing separators).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
-    /// Writes the CSV to a file.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,37 +147,5 @@ mod tests {
         assert!((quantile(&v, 0.5) - 2.5).abs() < 1e-12);
         assert_eq!(quantile(&[], 0.5), 0.0);
         assert_eq!(quantile(&v, 2.0), 4.0, "clamped");
-    }
-
-    #[test]
-    fn csv_renders_and_escapes() {
-        let mut t = CsvTable::new(["a", "b"]);
-        t.row(["1", "plain"]);
-        t.row(["2", "with,comma"]);
-        t.row(["3", "with\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\""));
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn csv_rejects_ragged_rows() {
-        let mut t = CsvTable::new(["a", "b"]);
-        t.row(["only-one"]);
-    }
-
-    #[test]
-    fn csv_writes_to_disk() {
-        let mut t = CsvTable::new(["x"]);
-        t.row(["1"]);
-        let dir = std::env::temp_dir().join("now_sim_test_csv");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        t.write_csv(&path).unwrap();
-        let back = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(back, "x\n1\n");
     }
 }

@@ -1,19 +1,50 @@
-//! Markdown tables for experiment write-ups.
+//! The experiment table: declared once, rendered as markdown for the
+//! write-up and as CSV for `results/`.
 
 use std::fmt::Write as _;
 
-/// A markdown table builder used by the experiment binaries to emit the
-/// rows printed by the experiment binaries (README § Experiments).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MdTable {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// One table cell. Text renders the same in both formats; a float
+/// carries its value and each renderer picks the precision.
+#[derive(Debug, Clone)]
+pub enum Cell {
+    /// Rendered as is.
+    Text(String),
+    /// Markdown renders about three significant decimals, CSV six
+    /// decimals.
+    Float(f64),
 }
 
-impl MdTable {
-    /// A table with the given headers.
+impl From<f64> for Cell {
+    fn from(v: f64) -> Self {
+        Cell::Float(v)
+    }
+}
+
+macro_rules! text_cell_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Cell {
+            fn from(v: $t) -> Self {
+                Cell::Text(v.to_string())
+            }
+        }
+    )*};
+}
+text_cell_from!(&str, String, bool, u32, u64, usize);
+
+/// A rectangular table with a header row, used by the experiment
+/// binaries (README § Experiment index): each declares its headers
+/// once, pushes each row once, prints [`Table::to_markdown`] and writes
+/// [`Table::write_csv`].
+#[derive(Debug, Clone)]
+pub struct Table {
+    headers: Vec<String>,
+    rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    /// A table with the given column headers.
     pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
-        MdTable {
+        Table {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
@@ -23,35 +54,73 @@ impl MdTable {
     ///
     /// # Panics
     /// Panics if the cell count differs from the header count.
-    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
-        let row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(row.len(), self.headers.len(), "ragged markdown row");
+    pub fn row(&mut self, cells: impl IntoIterator<Item = Cell>) -> &mut Self {
+        let row: Vec<Cell> = cells.into_iter().collect();
+        assert_eq!(
+            row.len(),
+            self.headers.len(),
+            "ragged row: width {} != header width {}",
+            row.len(),
+            self.headers.len()
+        );
         self.rows.push(row);
         self
     }
 
     /// Renders GitHub-flavored markdown.
-    pub fn render(&self) -> String {
+    pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
+        let _ = writeln!(out, "|{}|", vec!["---"; self.headers.len()].join("|"));
         for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
+            let cells: Vec<String> = row
+                .iter()
+                .map(|c| match c {
+                    Cell::Text(s) => s.clone(),
+                    Cell::Float(v) => fmt_f(*v),
+                })
+                .collect();
+            let _ = writeln!(out, "| {} |", cells.join(" | "));
         }
         out
+    }
+
+    /// Renders as CSV (quotes cells containing separators).
+    pub fn to_csv(&self) -> String {
+        fn escape(cell: &str) -> String {
+            if cell.contains([',', '"', '\n']) {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.to_string()
+            }
+        }
+        let mut out = String::new();
+        let headers: Vec<String> = self.headers.iter().map(|h| escape(h)).collect();
+        let _ = writeln!(out, "{}", headers.join(","));
+        for row in &self.rows {
+            let cells: Vec<String> = row
+                .iter()
+                .map(|c| match c {
+                    Cell::Text(s) => escape(s),
+                    Cell::Float(v) => format!("{v:.6}"),
+                })
+                .collect();
+            let _ = writeln!(out, "{}", cells.join(","));
+        }
+        out
+    }
+
+    /// Writes the CSV to a file.
+    ///
+    /// # Errors
+    /// Propagates I/O errors.
+    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_csv())
     }
 }
 
 /// Formats a float with 3 significant-ish decimals for table cells.
-pub fn fmt_f(v: f64) -> String {
+fn fmt_f(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 100.0 {
@@ -69,20 +138,54 @@ mod tests {
 
     #[test]
     fn renders_markdown() {
-        let mut t = MdTable::new(["n", "cost"]);
-        t.row(["10", "100"]);
-        t.row(["20", "400"]);
-        let md = t.render();
+        let mut t = Table::new(["n", "cost"]);
+        t.row([10u64.into(), "100".into()]);
+        t.row([20u64.into(), "400".into()]);
+        let md = t.to_markdown();
         assert!(md.starts_with("| n | cost |\n|---|---|\n"));
         assert!(md.contains("| 10 | 100 |"));
         assert!(md.contains("| 20 | 400 |"));
     }
 
     #[test]
+    fn csv_renders_and_escapes() {
+        let mut t = Table::new(["a", "b,c"]);
+        t.row([1usize.into(), "plain".into()]);
+        t.row([2usize.into(), "with,comma".into()]);
+        t.row([3usize.into(), "with\"quote".into()]);
+        t.row([4usize.into(), "with\nnewline".into()]);
+        let csv = t.to_csv();
+        assert!(csv.starts_with("a,\"b,c\"\n1,plain\n"));
+        assert!(csv.contains("\"with,comma\""));
+        assert!(csv.contains("\"with\"\"quote\""));
+        assert!(csv.contains("\"with\nnewline\""));
+    }
+
+    #[test]
+    fn float_cells_carry_the_value_to_both_renderers() {
+        let mut t = Table::new(["label", "ratio"]);
+        t.row(["x".into(), 12.3456789.into()]);
+        assert!(t.to_markdown().ends_with("| x | 12.35 |\n"));
+        assert_eq!(t.to_csv(), "label,ratio\nx,12.345679\n");
+    }
+
+    #[test]
     #[should_panic(expected = "ragged")]
     fn rejects_ragged_rows() {
-        let mut t = MdTable::new(["a"]);
-        t.row(["1", "2"]);
+        let mut t = Table::new(["a"]);
+        t.row(["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn csv_writes_to_disk() {
+        let mut t = Table::new(["x"]);
+        t.row([true.into()]);
+        let dir = std::env::temp_dir().join("now_sim_test_csv");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        t.write_csv(&path).unwrap();
+        let back = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(back, "x\ntrue\n");
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! are expressible as one `Scenario` call.
 
 use crate::batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
-use crate::churn::{BatchSawtooth, Sawtooth};
+use crate::churn::BatchSawtooth;
 use now_adversary::{
     BatchBurstChurn, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing, BatchSplitForcing,
     BurstChurn, ClusterPick, ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, QuietBatches,
-    RandomChurn, SplitForcing,
+    SplitForcing,
 };
 use now_core::{ExecConfig, NowError, NowParams, NowSystem};
 
@@ -227,8 +227,10 @@ impl Scenario {
         let target = sys.cluster_ids()[0];
         let mut driver: Box<dyn BatchDriver> = match self.churn {
             ChurnStyle::Quiet => Box::new(QuietBatches),
-            ChurnStyle::Balanced => Box::new(RandomChurn::balanced(self.tau)),
-            ChurnStyle::Sawtooth { low, high } => Box::new(Sawtooth::new(low, high, self.tau)),
+            ChurnStyle::Balanced => Box::new(BatchRandomChurn::balanced(1, self.tau)),
+            ChurnStyle::Sawtooth { low, high } => {
+                Box::new(BatchSawtooth::new(low, high, 1, self.tau))
+            }
             ChurnStyle::JoinLeaveAttack => Box::new(JoinLeaveAttack::new(target, self.tau)),
             ChurnStyle::ForcedLeaveAttack => Box::new(ForcedLeaveAttack::new(target, self.tau)),
             ChurnStyle::SplitForcing => Box::new(SplitForcing::new(target, self.tau)),
@@ -290,7 +292,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ViolationKind;
+    use crate::violation::ViolationKind;
 
     #[test]
     fn default_scenario_runs_clean() {

@@ -10,7 +10,7 @@
 
 use now_bft::core::{NowParams, NowSystem};
 use now_bft::net::CostKind;
-use now_bft::sim::{BatchRun, Sawtooth};
+use now_bft::sim::{BatchRun, BatchSawtooth};
 
 fn main() {
     let capacity = 1u64 << 12; // N = 4096, √N = 64
@@ -24,7 +24,7 @@ fn main() {
         params.min_population()
     );
 
-    let mut driver = Sawtooth::new(low, high, 0.10);
+    let mut driver = BatchSawtooth::new(low, high, 1, 0.10);
     // Enough steps for two full up-down sweeps.
     let steps = 2 * 2 * (high - low) + 200;
     let report = BatchRun::new()

@@ -2,10 +2,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use now_bft::adversary::RandomChurn;
 use now_bft::core::{NowParams, NowSystem};
 use now_bft::net::CostKind;
-use now_bft::sim::BatchRun;
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 
 fn main() {
     // A deployment sized for at most N = 2^12 nodes, with clusters of
@@ -22,7 +21,7 @@ fn main() {
 
     // 400 time steps of balanced churn; every arrival the adversary can
     // afford is corrupted.
-    let mut churn = RandomChurn::balanced(0.15);
+    let mut churn = BatchRandomChurn::balanced(1, 0.15);
     let report = BatchRun::new().run(&mut sys, &mut churn, 400, 7);
 
     println!(

@@ -9,10 +9,9 @@
 //!
 //! Run with: `cargo run --release --example secure_polling`
 
-use now_bft::adversary::RandomChurn;
 use now_bft::apps::poll;
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::sim::BatchRun;
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 
 fn main() {
     let params = NowParams::new(1 << 12, 4, 1.5, 0.15, 0.05).expect("valid parameters");
@@ -62,7 +61,7 @@ fn main() {
         assert!(report.distortion() <= sys.byz_population());
 
         // 150 steps of churn between polls.
-        let mut churn = RandomChurn::balanced(0.15);
+        let mut churn = BatchRandomChurn::balanced(1, 0.15);
         BatchRun::new()
             .audit_every(10)
             .run(&mut sys, &mut churn, 150, 31 + round);

@@ -27,12 +27,11 @@
 //!
 //! ```
 //! use now_bft::core::{NowParams, NowSystem};
-//! use now_bft::adversary::RandomChurn;
-//! use now_bft::sim::BatchRun;
+//! use now_bft::sim::{BatchRandomChurn, BatchRun};
 //!
 //! let params = NowParams::for_capacity(1 << 10)?;
 //! let mut sys = NowSystem::init_fast(params, 128, 0.15, 42);
-//! let mut churn = RandomChurn::balanced(0.15);
+//! let mut churn = BatchRandomChurn::balanced(1, 0.15);
 //! let report = BatchRun::new().run(&mut sys, &mut churn, 50, 0);
 //! assert!(report.final_audit.population > 0);
 //! # Ok::<(), now_bft::core::NowError>(())

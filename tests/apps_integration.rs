@@ -2,16 +2,15 @@
 //! after the cluster partition has been reshaped by joins, leaves,
 //! splits, and merges.
 
-use now_bft::adversary::RandomChurn;
 use now_bft::apps::{aggregate_count, broadcast, cluster_agreement, sample_node};
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::sim::BatchRun;
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 use std::collections::BTreeMap;
 
 fn churned_system(seed: u64) -> NowSystem {
     let params = NowParams::new(1 << 10, 3, 1.5, 0.2, 0.05).unwrap();
     let mut sys = NowSystem::init_fast(params, 240, 0.15, seed);
-    let mut churn = RandomChurn::balanced(0.15);
+    let mut churn = BatchRandomChurn::balanced(1, 0.15);
     BatchRun::new().run(&mut sys, &mut churn, 60, 0);
     sys.check_consistency().unwrap();
     sys

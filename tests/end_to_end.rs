@@ -1,12 +1,11 @@
 //! End-to-end integration: initialization → churn → invariants, across
 //! all workspace crates.
 
-use now_bft::adversary::RandomChurn;
 use now_bft::core::init::init_discovered;
 use now_bft::core::{NowError, NowParams, NowSystem};
 use now_bft::graph::gen;
 use now_bft::net::{CostKind, DetRng};
-use now_bft::sim::BatchRun;
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 
 fn params() -> NowParams {
     NowParams::new(1 << 10, 3, 1.5, 0.25, 0.05).unwrap()
@@ -15,7 +14,7 @@ fn params() -> NowParams {
 #[test]
 fn fast_init_churn_audit_cycle() {
     let mut sys = NowSystem::init_fast(params(), 180, 0.10, 1);
-    let mut churn = RandomChurn::balanced(0.10);
+    let mut churn = BatchRandomChurn::balanced(1, 0.10);
     let report = BatchRun::new().run(&mut sys, &mut churn, 80, 0);
     assert_eq!(report.steps, 80);
     sys.check_consistency().unwrap();
@@ -57,7 +56,7 @@ fn discovered_init_matches_fast_init_shape() {
 fn runs_replay_bit_identically() {
     let go = || {
         let mut sys = NowSystem::init_fast(params(), 160, 0.15, 7);
-        let mut churn = RandomChurn::balanced(0.15);
+        let mut churn = BatchRandomChurn::balanced(1, 0.15);
         let report = BatchRun::new().run(&mut sys, &mut churn, 60, 9);
         (
             sys.node_ids(),
@@ -112,7 +111,7 @@ fn split_and_merge_fire_across_the_band() {
 #[test]
 fn overlay_stays_healthy_through_system_churn() {
     let mut sys = NowSystem::init_fast(params(), 240, 0.10, 6);
-    let mut churn = RandomChurn::balanced(0.10);
+    let mut churn = BatchRandomChurn::balanced(1, 0.10);
     BatchRun::new().run(&mut sys, &mut churn, 100, 0);
     let overlay = sys.overlay_audit();
     assert!(overlay.connected, "overlay disconnected by churn");

@@ -2,9 +2,8 @@
 //! resolve, and a tiny end-to-end init+ops round is bit-deterministic
 //! under the seeded RNG.
 
-use now_bft::adversary::RandomChurn;
 use now_bft::core::{NowParams, NowSystem, SystemAudit};
-use now_bft::sim::BatchRun;
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 
 /// Every facade module must resolve to its crate; referencing one item
 /// through each path is enough for the compiler to prove the wiring.
@@ -15,7 +14,7 @@ fn facade_reexports_resolve() {
     let _agreement = now_bft::agreement::quorum::forgery_possible;
     let _over = now_bft::over::OverParams::for_capacity(1 << 10);
     let _core = now_bft::core::NowParams::for_capacity;
-    let _adversary = now_bft::adversary::RandomChurn::balanced;
+    let _adversary = now_bft::adversary::JoinLeaveAttack::new;
     let _sim = now_bft::sim::BatchRun::new;
     let _apps = now_bft::apps::broadcast;
 }
@@ -23,7 +22,7 @@ fn facade_reexports_resolve() {
 fn one_round(seed: u64) -> (SystemAudit, u64) {
     let params = NowParams::for_capacity(1 << 10).unwrap();
     let mut sys = NowSystem::init_fast(params, 128, 0.15, seed);
-    let mut churn = RandomChurn::balanced(0.15);
+    let mut churn = BatchRandomChurn::balanced(1, 0.15);
     let report = BatchRun::new().run(&mut sys, &mut churn, 50, 0);
     (report.final_audit, sys.ledger().total().messages)
 }

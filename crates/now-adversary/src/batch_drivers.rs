@@ -134,7 +134,9 @@ fn live_target(target: &mut Option<ClusterId>, pick: ClusterPick, sys: &NowSyste
 /// add one", batched.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchJoinLeave {
-    /// Operations per step (joins + leaves combined).
+    /// Step size: a step holds at most `half = max(1, width / 2)`
+    /// leaves and as many joins — up to `width` operations at
+    /// even widths, `width − 1` at odd widths ≥ 3, and 2 at width 1.
     pub width: usize,
     /// Corruption budget for the re-joining arrivals.
     pub budget: CorruptionBudget,
@@ -220,7 +222,9 @@ impl BatchDriver for BatchJoinLeave {
 /// while the target's Byzantine share is pressured upward.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchForcedLeave {
-    /// Operations per step (evictions + replacements combined).
+    /// Step size: a step holds at most `half = max(1, width / 2)`
+    /// evictions and as many replacements — up to `width` operations at
+    /// even widths, `width − 1` at odd widths ≥ 3, and 2 at width 1.
     pub width: usize,
     /// Corruption budget for the replacement arrivals.
     pub budget: CorruptionBudget,
@@ -377,7 +381,9 @@ impl BatchDriver for BatchSplitForcing {
 /// structural churn per batch.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchMergeForcing {
-    /// Operations per step (evictions + replacements combined).
+    /// Step size: a step holds at most `half = max(1, width / 2)`
+    /// evictions and as many replacements — up to `width` operations at
+    /// even widths, `width − 1` at odd widths ≥ 3, and 2 at width 1.
     pub width: usize,
     /// Corruption budget for the replacement arrivals.
     pub budget: CorruptionBudget,

@@ -3,8 +3,13 @@
 //! The paper's §6 lists removing the synchrony assumption as future
 //! work. This module supplies the asynchronous agreement building block
 //! that substitution needs: Ben-Or's classic protocol (PODC 1983),
-//! executed event-by-event on [`now_net::AsyncNet`] — no rounds, no
+//! executed event-by-event on [`now_net::EventNet`] — no rounds, no
 //! clocks; every transition is triggered by a single message delivery.
+//! Deliveries are scheduled either adversarially ([`run_ben_or`]: each
+//! delay drawn uniformly in `1..=max_delay` from the caller's stream;
+//! the bound is a simulation horizon, so every run terminates, not a
+//! protocol assumption — the state machine never reads the clock) or
+//! by the net's own link model ([`run_ben_or_event`]).
 //!
 //! Per phase `r`, with `n` nodes and resilience parameter `f`:
 //!
@@ -21,81 +26,76 @@
 //! with `n > 5f`; termination holds with probability 1 because once
 //! every honest coin lands the same way the next phase decides. The
 //! expected phase count is constant for random scheduling (what the
-//! delay-randomizing [`AsyncNet`] produces) but exponential against a
+//! uniform delay draws produce) but exponential against a
 //! worst-case scheduler — the gap the **common coin** closes:
 //! [`run_ben_or_with_coin`] with [`CoinMode::Common`] is Rabin's
 //! variant, where a shared per-phase beacon (the ideal functionality of
 //! a threshold signature) gives an O(1) expected phase count against
 //! any scheduler.
-//!
-//! [`AsyncNet`]: now_net::AsyncNet
 
 use crate::outcome::{ByzPlan, ProtocolResult};
-use now_net::{AsyncNet, CostKind, DetRng, EventNet, EventNetConfig, Ledger};
+use now_net::{CostKind, DetRng, EventNet, EventNetConfig, Ledger};
 use rand::{Rng, RngCore};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The state machine's view of a network: both the delay-randomizing
-/// [`AsyncNet`] and the seeded discrete-event [`EventNet`] drive the
-/// *same* Ben-Or transition code, so the two execution paths cannot
-/// diverge semantically — only in who schedules (and who may drop)
-/// the deliveries.
-trait Transport {
-    fn send(&mut self, from: usize, to: usize, m: Msg, rng: &mut DetRng);
-    fn bcast(&mut self, from: usize, m: Msg, rng: &mut DetRng);
-    fn pop(&mut self) -> Option<(usize, usize, Msg)>;
-    fn messages_sent(&self) -> u64;
-    fn now(&self) -> u64;
-    fn dropped(&self) -> u64;
+/// Who schedules the deliveries of a run on an [`EventNet`]: the same
+/// transition code runs under both policies, so the two execution
+/// paths differ only in who picks the delays (and who may drop).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Delays {
+    /// Every delay is drawn uniformly in `1..=max_delay` from the
+    /// **caller's** stream, one draw per send whether or not the sender
+    /// is alive, so the stream position depends on the protocol alone.
+    Adversarial {
+        /// Simulation horizon of any single delivery.
+        max_delay: u64,
+    },
+    /// The net's own link model: latency, jitter, loss, partitions.
+    Model,
 }
 
-impl Transport for AsyncNet<Msg> {
-    fn send(&mut self, from: usize, to: usize, m: Msg, rng: &mut DetRng) {
-        AsyncNet::send(self, from, to, m, rng);
+impl Delays {
+    /// An adversarially scheduled net over `n` ports. Its links are
+    /// ideal, so its own stream is never read and its seed is
+    /// immaterial.
+    pub(crate) fn adversarial<M: Clone>(n: usize, max_delay: u64) -> (EventNet<M>, Delays) {
+        assert!(max_delay > 0, "delay bound must be positive");
+        let net = EventNet::new(n, EventNetConfig::ideal(), 0);
+        (net, Delays::Adversarial { max_delay })
     }
-    fn bcast(&mut self, from: usize, m: Msg, rng: &mut DetRng) {
-        self.broadcast(from, m, rng);
-    }
-    fn pop(&mut self) -> Option<(usize, usize, Msg)> {
-        AsyncNet::pop(self).map(|(_, env)| (env.from, env.to, env.payload))
-    }
-    fn messages_sent(&self) -> u64 {
-        AsyncNet::messages_sent(self)
-    }
-    fn now(&self) -> u64 {
-        AsyncNet::now(self)
-    }
-    fn dropped(&self) -> u64 {
-        // The async net delivers everything (no loss model, and Ben-Or
-        // never kills a port).
-        0
-    }
-}
 
-impl Transport for EventNet<Msg> {
-    fn send(&mut self, from: usize, to: usize, m: Msg, _rng: &mut DetRng) {
+    pub(crate) fn send<M: Clone>(
+        self,
+        net: &mut EventNet<M>,
+        from: usize,
+        to: usize,
+        m: M,
+        rng: &mut DetRng,
+    ) {
         // Loss/partition outcomes are the model's to decide; the
         // counters and the report's `dropped` carry the verdict.
-        let _ = EventNet::send(self, from, to, m);
+        let _ = match self {
+            Delays::Adversarial { max_delay } => {
+                let delay = rng.gen_range(1..=max_delay);
+                net.send_after(from, to, m, delay)
+            }
+            Delays::Model => net.send(from, to, m),
+        };
     }
-    fn bcast(&mut self, from: usize, m: Msg, _rng: &mut DetRng) {
-        for to in 0..self.ports() {
+
+    /// Sends to every other port, in port order.
+    pub(crate) fn bcast<M: Clone>(
+        self,
+        net: &mut EventNet<M>,
+        from: usize,
+        m: M,
+        rng: &mut DetRng,
+    ) {
+        for to in 0..net.ports() {
             if to != from {
-                let _ = EventNet::send(self, from, to, m);
+                self.send(net, from, to, m.clone(), rng);
             }
         }
-    }
-    fn pop(&mut self) -> Option<(usize, usize, Msg)> {
-        EventNet::pop(self).map(|(_, env)| (env.from, env.to, env.payload))
-    }
-    fn messages_sent(&self) -> u64 {
-        EventNet::messages_sent(self)
-    }
-    fn now(&self) -> u64 {
-        EventNet::now(self)
-    }
-    fn dropped(&self) -> u64 {
-        EventNet::dropped(self)
     }
 }
 
@@ -186,15 +186,17 @@ pub struct BenOrReport {
     /// Whether every honest node decided before the event horizon.
     pub all_decided: bool,
     /// Messages the network model dropped (loss or partition). Always
-    /// zero on [`AsyncNet`]; on the event runtime
+    /// zero under adversarial delays (ideal links, and Ben-Or never
+    /// kills a port); on the event runtime
     /// ([`run_ben_or_event`]) a non-zero count explains a stalled
     /// execution — Ben-Or has no retransmission, so enough losses leave
     /// thresholds forever unmet and `all_decided` false.
     pub dropped: u64,
 }
 
-fn byz_volley<T: Transport>(
-    net: &mut T,
+fn byz_volley(
+    net: &mut EventNet<Msg>,
+    delays: Delays,
     p: usize,
     n: usize,
     phase: u64,
@@ -222,24 +224,16 @@ fn byz_volley<T: Transport>(
                 (v, prop)
             }
         };
-        net.send(
-            p,
-            to,
-            Msg::Report {
-                phase,
-                value: report_v,
-            },
-            rng,
-        );
-        net.send(
-            p,
-            to,
-            Msg::Proposal {
-                phase,
-                value: proposal_v,
-            },
-            rng,
-        );
+        let report = Msg::Report {
+            phase,
+            value: report_v,
+        };
+        delays.send(net, p, to, report, rng);
+        let proposal = Msg::Proposal {
+            phase,
+            value: proposal_v,
+        };
+        delays.send(net, p, to, proposal, rng);
     }
 }
 
@@ -306,9 +300,9 @@ pub fn run_ben_or_with_coin(
     ledger: &mut Ledger,
     rng: &mut DetRng,
 ) -> BenOrReport {
-    let mut net: AsyncNet<Msg> = AsyncNet::new(n, max_delay);
+    let (mut net, delays) = Delays::adversarial(n, max_delay);
     run_core(
-        &mut net, n, inputs, byz, f, plan, coin, max_phases, ledger, rng,
+        &mut net, delays, n, inputs, byz, f, plan, coin, max_phases, ledger, rng,
     )
 }
 
@@ -320,7 +314,7 @@ pub fn run_ben_or_with_coin(
 /// from `rng`, so the full execution — delivery order, losses,
 /// decisions — is a pure function of `(rng seed, net config)`.
 ///
-/// Unlike [`AsyncNet`], the model may *drop* messages (loss, or a
+/// Unlike the adversarial scheduler, the model may *drop* messages (loss, or a
 /// partition still unhealed at a message's scheduled delivery time).
 /// Ben-Or has no retransmission, so dropped messages can leave
 /// thresholds forever unmet: the run then ends with
@@ -349,16 +343,18 @@ pub fn run_ben_or_event(
 ) -> BenOrReport {
     let seed = rng.next_u64();
     let mut net: EventNet<Msg> = EventNet::new(n, net, seed);
+    let delays = Delays::Model;
     run_core(
-        &mut net, n, inputs, byz, f, plan, coin, max_phases, ledger, rng,
+        &mut net, delays, n, inputs, byz, f, plan, coin, max_phases, ledger, rng,
     )
 }
 
-// The transport-generic core threads every public knob through — the
-// arity mirrors the three public entry points it backs.
+// The core threads every public knob through — the arity mirrors the
+// three public entry points it backs.
 #[allow(clippy::too_many_arguments)]
-fn run_core<T: Transport>(
-    net: &mut T,
+fn run_core(
+    net: &mut EventNet<Msg>,
+    delays: Delays,
     n: usize,
     inputs: &[u64],
     byz: &BTreeSet<usize>,
@@ -384,10 +380,10 @@ fn run_core<T: Transport>(
     for p in 0..n {
         if byz.contains(&p) {
             byz_acted[p].insert(0);
-            byz_volley(net, p, n, 0, plan, rng);
+            byz_volley(net, delays, p, n, 0, plan, rng);
         } else {
             let x = nodes[p].x;
-            net.bcast(p, Msg::Report { phase: 0, value: x }, rng);
+            delays.bcast(net, p, Msg::Report { phase: 0, value: x }, rng);
             // Self-delivery is immediate (a node knows its own value).
             nodes[p].reports.entry(0).or_default().insert(p, x);
         }
@@ -400,7 +396,8 @@ fn run_core<T: Transport>(
     };
 
     let mut aborted = false;
-    while let Some((from, p, payload)) = net.pop() {
+    while let Some((_, env)) = net.pop() {
+        let (from, p, payload) = (env.from, env.to, env.payload);
         if byz.contains(&p) {
             // Byzantine nodes track phases to keep injecting volleys
             // (total silence would stall nothing — thresholds use n−f —
@@ -409,7 +406,7 @@ fn run_core<T: Transport>(
                 Msg::Report { phase, .. } | Msg::Proposal { phase, .. } => phase,
             };
             if byz_acted[p].insert(phase) {
-                byz_volley(net, p, n, phase, plan, rng);
+                byz_volley(net, delays, p, n, phase, plan, rng);
             }
             continue;
         }
@@ -468,7 +465,7 @@ fn run_core<T: Transport>(
                         phase,
                         value: proposal,
                     };
-                    net.bcast(p, m, rng);
+                    delays.bcast(net, p, m, rng);
                     nodes[p]
                         .proposals
                         .entry(phase)
@@ -528,7 +525,7 @@ fn run_core<T: Transport>(
                         phase: next,
                         value: nodes[p].x,
                     };
-                    net.bcast(p, m, rng);
+                    delays.bcast(net, p, m, rng);
                     let x = nodes[p].x;
                     nodes[p].reports.entry(next).or_default().insert(p, x);
                 }

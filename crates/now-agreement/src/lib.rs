@@ -4,13 +4,6 @@
 //! executing per-node state machines over the synchronous bus of
 //! [`now_net`] (fidelity level L0):
 //!
-//! * [`phase_king::run_phase_king`] — multivalued synchronous Byzantine
-//!   agreement tolerating `f < n/4` (Berman–Garay–Perry). The paper
-//!   permits "any Byzantine agreement protocol" in the clusterization
-//!   step of NOW's initialization, but `now_core::init::clusterize`
-//!   runs the commit–reveal `randNum` instead: nothing outside this
-//!   module's own tests calls `run_phase_king` (keep or delete is
-//!   ROADMAP's fidelity-ladder item).
 //! * [`dolev_strong::run_dolev_strong`] — authenticated broadcast
 //!   tolerating any number of faults in `f+1` rounds, over simulated
 //!   unforgeable signatures ([`crypto::SigOracle`]). This is the
@@ -19,8 +12,9 @@
 //!   the transport under the commit–reveal `randNum`.
 //! * [`ben_or::run_ben_or`] — **asynchronous** randomized binary
 //!   consensus (`f < n/5`) over the event-driven
-//!   [`now_net::AsyncNet`]: the building block for the paper's §6
-//!   future-work item of removing the synchrony assumption.
+//!   [`now_net::EventNet`], under adversarial delays or the net's own
+//!   link model: the building block for the paper's §6 future-work
+//!   item of removing the synchrony assumption.
 //! * [`rand_num_async::rand_num_async`] — that substitution carried
 //!   through: the intra-cluster `randNum` rebuilt for asynchrony as
 //!   commit–reveal + agreement-on-a-common-subset (one Ben-Or
@@ -47,7 +41,7 @@
 #![allow(
     // The per-node state machines index `state`/`value` arrays by
     // process id on purpose (`for p in 0..n`): the index IS the port.
-    // Fires in bracha, dolev_strong, phase_king, rand_num.
+    // Fires in bracha, dolev_strong, rand_num.
     clippy::needless_range_loop,
     // `x >= n/2 + 1` is the literal "strict majority" phrasing of the
     // quorum rule; rewriting as `x > n/2` would obscure the paper's
@@ -61,7 +55,6 @@ pub mod certificate;
 pub mod crypto;
 pub mod dolev_strong;
 pub mod outcome;
-pub mod phase_king;
 pub mod quorum;
 pub mod rand_num;
 pub mod rand_num_async;
@@ -72,7 +65,6 @@ pub use certificate::{certify_by_honest, CertificateError, QuorumCertificate};
 pub use crypto::{commit_value, verify_commitment, Commitment, SigOracle};
 pub use dolev_strong::run_dolev_strong;
 pub use outcome::{check_agreement, check_validity, ByzPlan, ProtocolResult};
-pub use phase_king::run_phase_king;
 pub use quorum::{accept_cluster_message, QuorumDecision};
 pub use rand_num::{rand_num_commit_reveal, rand_num_ideal, RandNumSecurity};
 pub use rand_num_async::{rand_num_async, AsyncRandNum};

@@ -8,8 +8,8 @@
 //! shape (Ben-Or, Canetti, Rabin):
 //!
 //! 1. every node commits to a private contribution and broadcasts the
-//!    commitment, then its reveal, over the delay-adversarial
-//!    [`now_net::AsyncNet`];
+//!    commitment, then its reveal, over an adversarially delayed
+//!    [`now_net::EventNet`];
 //! 2. for each node `i`, a binary [`crate::ben_or`] instance decides
 //!    whether `i`'s contribution is **included**; each honest node
 //!    votes 1 iff it saw `i`'s valid reveal before the instance starts.
@@ -27,10 +27,10 @@
 //! path's `f < n/3`; experiment X-ASYNC's conclusion about τ sizing
 //! applies verbatim.
 
-use crate::ben_or::{run_ben_or_with_coin, CoinMode};
+use crate::ben_or::{run_ben_or_with_coin, CoinMode, Delays};
 use crate::crypto::{commit_value, verify_commitment, Commitment};
 use crate::outcome::ByzPlan;
-use now_net::{AsyncNet, CostKind, DetRng, Ledger};
+use now_net::{CostKind, DetRng, EventNet, Ledger};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,7 +91,7 @@ pub fn rand_num_async(
     let f = byz.len();
 
     ledger.begin(CostKind::RandNum);
-    let mut net: AsyncNet<Msg> = AsyncNet::new(n, max_delay);
+    let (mut net, delays): (EventNet<Msg>, _) = Delays::adversarial(n, max_delay);
 
     // Phase 1 — commitments and reveals in flight. Honest nodes draw a
     // private contribution; Byzantine nodes pick adversarial constants
@@ -103,7 +103,7 @@ pub fn rand_num_async(
         value[p] = rng.gen();
         nonce[p] = rng.gen();
         let c = commit_value(value[p], nonce[p], p);
-        net.broadcast(p, Msg::Commit(c), rng);
+        delays.bcast(&mut net, p, Msg::Commit(c), rng);
     }
     for p in 0..n {
         let reveal = Msg::Reveal {
@@ -114,11 +114,11 @@ pub fn rand_num_async(
             // Selective omission: reveal only to even ports.
             for to in (0..n).step_by(2) {
                 if to != p {
-                    net.send(p, to, reveal, rng);
+                    delays.send(&mut net, p, to, reveal, rng);
                 }
             }
         } else {
-            net.broadcast(p, reveal, rng);
+            delays.bcast(&mut net, p, reveal, rng);
         }
     }
 

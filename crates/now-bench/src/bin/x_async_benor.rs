@@ -3,7 +3,7 @@
 //! *"We currently seek schemes to alleviate the need of the assumption
 //! of synchronous nodes."* The first brick of any such scheme is an
 //! agreement primitive that survives asynchrony; we measure Ben-Or
-//! randomized binary consensus on the event-driven `AsyncNet`:
+//! randomized binary consensus on an adversarially delayed `EventNet`:
 //!
 //! * phases-to-decide and messages as `n` grows, under adversarial
 //!   equivocation at the `f < n/5` resilience bound;

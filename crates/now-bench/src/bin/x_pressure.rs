@@ -14,8 +14,14 @@
 //! no-shuffle ablation (where the same pressure is expected to break
 //! the target).
 
+use now_adversary::{BatchDriver, BurstChurn, MergeForcing, SplitForcing};
 use now_bench::results_dir;
-use now_sim::{ChurnStyle, Scenario, Table, ViolationKind};
+use now_core::{NowParams, NowSystem};
+use now_net::ClusterId;
+use now_sim::{BatchRandomChurn, BatchRun, Table, ViolationKind};
+
+/// Builds an attack's per-step driver against the target cluster.
+type Attack = fn(ClusterId, f64) -> Box<dyn BatchDriver>;
 
 fn main() {
     println!("# X-PRESSURE: split/merge-forcing attacks (§3.3 extension)\n");
@@ -31,23 +37,31 @@ fn main() {
         "forgeable_steps",
     ]);
 
-    for (style, label) in [
-        (ChurnStyle::Balanced, "balanced (control)"),
-        (ChurnStyle::SplitForcing, "split-forcing"),
-        (ChurnStyle::MergeForcing, "merge-forcing"),
-        (ChurnStyle::Burst { burst: 8 }, "burst-8"),
-    ] {
+    let attacks: [(Attack, &str); 4] = [
+        (
+            |_, tau| Box::new(BatchRandomChurn::balanced(1, tau)),
+            "balanced (control)",
+        ),
+        (
+            |target, tau| Box::new(SplitForcing::new(target, tau)),
+            "split-forcing",
+        ),
+        (
+            |target, tau| Box::new(MergeForcing::new(target, tau)),
+            "merge-forcing",
+        ),
+        (|_, tau| Box::new(BurstChurn::new(8, tau)), "burst-8"),
+    ];
+    for (attack, label) in attacks {
         for shuffle in [true, false] {
-            let mut scenario = Scenario::new(1 << 12)
-                .k(4)
-                .tau(tau)
-                .churn(style)
-                .steps(steps)
-                .seed(23);
-            if !shuffle {
-                scenario = scenario.without_shuffle();
-            }
-            let (report, sys) = scenario.run().unwrap();
+            let params = NowParams::new(1 << 12, 4, 1.5, tau, 0.05)
+                .unwrap()
+                .with_shuffle(shuffle);
+            let n0 = 10 * params.target_cluster_size();
+            let mut sys = NowSystem::init_fast(params, n0, tau, 23);
+            // The attacks target the first cluster.
+            let mut driver = attack(sys.cluster_ids()[0], tau);
+            let report = BatchRun::new().run(&mut sys, driver.as_mut(), steps, 24);
             let (_, _, splits, merges) = sys.op_counts();
             table.row([
                 label.into(),

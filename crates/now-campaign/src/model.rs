@@ -207,11 +207,11 @@ impl Phase {
 
 /// A declarative multi-phase attack campaign.
 ///
-/// System-level knobs mirror [`now_sim::Scenario`]; phases then run on
-/// the *same* system in order, so regime N + 1 inherits whatever state
-/// regime N left behind — the evaluation shape of phased-adversary
-/// work (Dynamic Byzantine Reliable Broadcast, mobile Byzantine
-/// faults) the single-style runners cannot express.
+/// System-level knobs size and seed one [`now_core::NowSystem`];
+/// phases then run on the *same* system in order, so regime N + 1
+/// inherits whatever state regime N left behind — the evaluation shape
+/// of phased-adversary work (Dynamic Byzantine Reliable Broadcast,
+/// mobile Byzantine faults) a single-driver run cannot express.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     /// Campaign name (report key).

@@ -1,10 +1,9 @@
 //! The phase-switching campaign runner.
 //!
 //! Each phase compiles to a batched driver plus a stop predicate, and
-//! runs through a [`now_sim::BatchRun`] — the one step loop, the same
-//! path as `Scenario::run_batch` — against the *same*
-//! [`NowSystem`], so later regimes inherit the state earlier ones
-//! produced. Per-phase driver streams derive deterministically from
+//! runs through a [`now_sim::BatchRun`] — the one step loop — against
+//! the *same* [`NowSystem`], so later regimes inherit the state earlier
+//! ones produced. Per-phase driver streams derive deterministically from
 //! the campaign's master seed, so a campaign is a single reproducible
 //! run whatever the phase mix — including `exec event` phases, whose
 //! network schedules replay from the same seeds.

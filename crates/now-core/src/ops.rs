@@ -82,8 +82,7 @@ impl<S: StateView> Kernel<'_, S> {
 
         // C exchanges all of its nodes; receivers cascade (Algorithm 2).
         if self.params.shuffle_enabled() {
-            let cascade = self.params.cascade_enabled();
-            self.exchange_all(home, cascade);
+            self.exchange_all(home, true);
         }
     }
 }

@@ -107,7 +107,6 @@ pub struct NowParams {
     walk_length_factor: f64,
     max_walk_restarts: usize,
     shuffle: bool,
-    cascade: bool,
     /// Ablation: exchange at most this many members per `exchange`
     /// invocation (`None` = the paper's "all of its nodes").
     exchange_cap: Option<usize>,
@@ -207,7 +206,6 @@ impl NowParams {
             walk_length_factor: 1.0,
             max_walk_restarts: 64,
             shuffle: true,
-            cascade: true,
             exchange_cap: None,
         })
     }
@@ -249,15 +247,6 @@ impl NowParams {
         self
     }
 
-    /// **Ablation switch**: disables the cascade rule of `leave` (the
-    /// receivers of a leaving cluster's nodes re-exchange). The Theorem
-    /// 3 proof leans on the cascade; the ablation bench measures its
-    /// cost share and its effect on composition drift.
-    pub fn with_cascade(mut self, cascade: bool) -> Self {
-        self.cascade = cascade;
-        self
-    }
-
     /// **Ablation switch**: caps how many members one `exchange`
     /// invocation shuffles (`None` = the paper's "exchanges all of its
     /// nodes"). Lemmas 2–3 analyze the drift when only `O(log N)` nodes
@@ -271,11 +260,6 @@ impl NowParams {
     /// Whether `exchange` shuffling is enabled (default true).
     pub fn shuffle_enabled(&self) -> bool {
         self.shuffle
-    }
-
-    /// Whether the leave cascade is enabled (default true).
-    pub fn cascade_enabled(&self) -> bool {
-        self.cascade
     }
 
     /// The per-invocation exchange cap, if any (default `None`).

@@ -7,14 +7,14 @@
 //! # Worker pool
 //!
 //! Waves are planned on a persistent, channel-fed [`WavePool`]: workers
-//! spawn **once per pool** (run-scoped in `now-sim`, campaign-scoped in
-//! `now-campaign`) and receive wave-plan jobs over per-worker channels
-//! — O(threads) thread spawns per run, however many narrow waves a
-//! conflict-heavy batch schedules into. Workers claim operations
-//! through an atomic cursor and write plans into positional slots, so
-//! pooled planning is bit-identical to sequential planning on the
-//! driving thread (`ExecConfig::Scheduled`), the reference every pooled
-//! run is tested against.
+//! spawn **once per pool** (held by the caller of `step_batch`;
+//! campaign-scoped in `now-campaign`) and receive wave-plan jobs over
+//! per-worker channels — O(threads) thread spawns per run, however many
+//! narrow waves a conflict-heavy batch schedules into. Workers claim
+//! operations through an atomic cursor and write plans into positional
+//! slots, so pooled planning is bit-identical to sequential planning on
+//! the driving thread (`ExecConfig::Scheduled`), the reference every
+//! pooled run is tested against.
 //!
 //! # How determinism survives threading
 //!
@@ -610,8 +610,7 @@ struct PoolWorker {
 ///   spawn-accounting test via [`wave_worker_spawn_total`].
 /// * A pool is stateless between waves: it can be reused across
 ///   batches, runs, phases, and even different [`NowSystem`]s, which is
-///   how `now-sim` (run-scoped) and `now-campaign` (campaign-scoped)
-///   hold one.
+///   how `now-campaign` holds one for a whole campaign.
 ///
 /// The pool is `Send` but deliberately not `Sync` (its completion
 /// receiver is single-consumer): one driving thread at a time.

@@ -1,14 +1,22 @@
 //! Deterministic discrete-event network scheduler.
 //!
-//! [`AsyncNet`](crate::AsyncNet) models *adversarial* bounded delays:
-//! the caller supplies the randomness (or an explicit delay) per send,
-//! which is the right interface for an adversary but makes a run a
-//! function of whatever stream the caller happened to thread through.
-//! [`EventNet`] is the production-shaped sibling: a seeded event loop
-//! whose entire behavior — per-link latency, jitter, loss, and
-//! partitions — is a pure function of `(seed, config)`. Two `EventNet`s
-//! built from the same pair replay byte-identical delivery schedules,
-//! whatever thread count or host executes the protocol on top.
+//! The paper assumes synchrony and lists removing that assumption as
+//! future work (§6: *"We currently seek schemes to alleviate the need
+//! of the assumption of synchronous nodes."*). [`EventNet`] is the
+//! substrate for that extension: a network with **no rounds**, where
+//! protocols react to single deliveries instead of round barriers. It
+//! is a seeded event loop whose entire behavior — per-link latency,
+//! jitter, loss, and partitions — is a pure function of
+//! `(seed, config)`. Two `EventNet`s built from the same pair replay
+//! byte-identical delivery schedules, whatever thread count or host
+//! executes the protocol on top.
+//!
+//! An *adversarial* scheduler is the same net with the delay chosen by
+//! the caller: [`EventNet::send_after`] takes the delivery delay
+//! explicitly (`now_agreement::ben_or` draws it from its own stream,
+//! bounded by a simulation horizon so every run terminates), and
+//! [`EventNet::send`] is that call with the delay drawn from the link
+//! model.
 //!
 //! # Link model
 //!
@@ -268,43 +276,61 @@ impl<M: Clone> EventNet<M> {
 
     /// Queues a message on the link `from → to`, scheduling its
     /// delivery `latency + U(0..=jitter)` ticks from now, unless the
-    /// link loses it. Returns the loss reason, or `None` when the
-    /// message was scheduled.
-    ///
-    /// A dead or unknown *sender* sends nothing (not counted). A live
-    /// sender's message always counts in [`EventNet::messages_sent`],
-    /// even when lost. Self-addressed messages (`from == to`) are
-    /// node-local: base latency only, exempt from loss and partitions.
-    ///
-    /// A partition cuts a cross-group message iff it is still in force
-    /// at the message's scheduled **delivery** time: healing restores
-    /// arrivals, so in-flight messages outrun a heal that lands before
-    /// their delivery.
+    /// link loses it: [`EventNet::send_after`] with the delay drawn
+    /// from the link model. Self-addressed messages (`from == to`) are
+    /// node-local and pay base latency only.
     pub fn send(&mut self, from: usize, to: usize, payload: M) -> Option<DropReason> {
-        if from >= self.alive.len() || !self.alive[from] {
+        if !self.live(from) {
             return None;
         }
-        self.messages_sent += 1;
-        // Fixed draw order per accepted send — jitter then loss — so
-        // the stream position never depends on the config's outcome.
-        let local = from == to;
-        let extra = if self.config.jitter > 0 && !local {
+        // Fixed draw order per accepted send — jitter here, then the
+        // loss draw of `send_after` — so the stream position never
+        // depends on the config's outcome.
+        let extra = if self.config.jitter > 0 && from != to {
             self.rng.gen_range(0..=self.config.jitter)
         } else {
             0
         };
+        self.send_after(from, to, payload, self.config.latency.max(1) + extra)
+    }
+
+    /// Queues a message on the link `from → to` for delivery `delay`
+    /// ticks from now (values below 1 behave as 1), unless the link
+    /// loses it — the hook for an adversarial scheduler, which chooses
+    /// every delay itself. Returns the loss reason, or `None` when the
+    /// message was scheduled. The only draw is the loss draw, and only
+    /// when [`EventNetConfig::drop`] is positive: under
+    /// [`EventNetConfig::ideal`] the net's own stream is never read.
+    ///
+    /// A dead or unknown *sender* sends nothing (not counted). A live
+    /// sender's message always counts in [`EventNet::messages_sent`],
+    /// even when lost. Self-addressed messages (`from == to`) are
+    /// node-local: exempt from loss and partitions.
+    ///
+    /// A partition cuts a cross-group message iff it is still in force
+    /// at the message's scheduled **delivery** time: healing restores
+    /// arrivals, so in-flight messages outrun a heal that lands before
+    /// their delivery, while one that would land inside the cut is
+    /// lost.
+    pub fn send_after(
+        &mut self,
+        from: usize,
+        to: usize,
+        payload: M,
+        delay: u64,
+    ) -> Option<DropReason> {
+        if !self.live(from) {
+            return None;
+        }
+        self.messages_sent += 1;
+        let local = from == to;
         let lost = if self.config.drop > 0.0 && !local {
             self.rng.gen_bool(self.config.drop.clamp(0.0, 1.0))
         } else {
             false
         };
-        // A cross-group message is cut iff the partition is still in
-        // force at the message's *scheduled delivery time*: a message
-        // in flight when the partition heals gets through (its arrival
-        // is what the heal restores), while one that would land inside
-        // the cut is lost.
-        let deliver = self.now + self.config.latency.max(1) + extra;
-        let reason = if to >= self.alive.len() || !self.alive[to] {
+        let deliver = self.now + delay.max(1);
+        let reason = if !self.live(to) {
             Some(DropReason::DeadRecipient)
         } else if !local && self.config.severs_at(from, to, deliver) {
             Some(DropReason::Partition)
@@ -328,18 +354,19 @@ impl<M: Clone> EventNet<M> {
     /// Messages addressed to ports that died after sending are counted
     /// as [`EventNet::dropped`] and skipped.
     pub fn pop(&mut self) -> Option<(u64, Envelope<M>)> {
-        while let Some((&key, _)) = self.queue.iter().next() {
-            // INVARIANT: `key` was read from the map one line up and
-            // `self` is exclusively borrowed in between.
-            let env = self.queue.remove(&key).expect("key just observed");
-            self.now = key.0;
-            if self.alive.get(env.to).copied().unwrap_or(false) {
+        while let Some(((time, _), env)) = self.queue.pop_first() {
+            self.now = time;
+            if self.live(env.to) {
                 self.delivered += 1;
-                return Some((key.0, env));
+                return Some((time, env));
             }
             self.dropped += 1;
         }
         None
+    }
+
+    fn live(&self, port: usize) -> bool {
+        self.alive.get(port).copied().unwrap_or(false)
     }
 }
 
@@ -490,6 +517,69 @@ mod tests {
         net.send(2, 1, 20);
         let order = drain(&mut net);
         assert_eq!(order, vec![(4, 10), (4, 20)], "ties break by send order");
+    }
+
+    #[test]
+    fn explicit_delays_order_deliveries_and_stamp_the_sender() {
+        let mut net: EventNet<u64> = EventNet::new(3, EventNetConfig::ideal(), 1);
+        net.send_after(0, 1, 10, 50);
+        net.send_after(0, 2, 20, 5);
+        net.send_after(1, 2, 30, 20);
+        net.send_after(2, 0, 40, 0); // below 1 behaves as 1
+        let order: Vec<(u64, usize, u64)> = std::iter::from_fn(|| net.pop())
+            .map(|(t, e)| (t, e.from, e.payload))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(1, 2, 40), (5, 0, 20), (20, 1, 30), (50, 0, 10)]
+        );
+    }
+
+    #[test]
+    fn explicit_delay_keeps_the_liveness_and_counter_rules() {
+        let mut net: EventNet<u64> = EventNet::new(3, EventNetConfig::ideal(), 1);
+        net.set_alive(1, false);
+        assert_eq!(
+            net.send_after(1, 0, 1, 1),
+            None,
+            "dead sender sends nothing"
+        );
+        assert_eq!(net.messages_sent(), 0);
+        assert_eq!(net.send_after(0, 1, 2, 1), Some(DropReason::DeadRecipient));
+        // A recipient dying after the send drops the message at delivery.
+        assert_eq!(net.send_after(0, 2, 3, 1), None);
+        net.set_alive(2, false);
+        assert!(net.pop().is_none());
+        assert_eq!(
+            (net.messages_sent(), net.delivered(), net.dropped()),
+            (2, 0, 2)
+        );
+    }
+
+    #[test]
+    fn explicit_delay_draws_loss_but_never_jitter() {
+        // On a jittery, lossless link an explicit-delay send reads
+        // nothing from the net's stream: the modelled sends around it
+        // land exactly where they would have without it.
+        let config = EventNetConfig::ideal().with_jitter(30);
+        let mut mixed: EventNet<u64> = EventNet::new(2, config, 17);
+        let mut plain: EventNet<u64> = EventNet::new(2, config, 17);
+        for i in 0..20 {
+            mixed.send_after(0, 1, 99, 1000);
+            mixed.send(0, 1, i);
+            plain.send(0, 1, i);
+        }
+        let mut modelled = drain(&mut mixed);
+        modelled.retain(|&(_, payload)| payload != 99);
+        assert_eq!(modelled, drain(&mut plain));
+        // Loss and the partition-at-delivery rule apply as in `send`.
+        let lossy = EventNetConfig::ideal().with_drop(1.0);
+        let mut net: EventNet<u64> = EventNet::new(2, lossy, 3);
+        assert_eq!(net.send_after(0, 1, 0, 4), Some(DropReason::Loss));
+        let cut = EventNetConfig::ideal().with_partition(2).healing_at(10);
+        let mut net: EventNet<u64> = EventNet::new(2, cut, 3);
+        assert_eq!(net.send_after(0, 1, 0, 9), Some(DropReason::Partition));
+        assert_eq!(net.send_after(0, 1, 0, 10), None, "lands at the heal");
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   inboxes, used to execute real per-node protocol state machines
 //!   (fidelity level L0; root `tests/cost_equivalence.rs` holds it
 //!   against the L1 closed-form counts).
-//! * [`AsyncNet`] — an event-driven network with adversarial bounded
-//!   delays, the substrate for the paper's §6 future-work item of
-//!   removing the synchrony assumption (see `now_agreement::ben_or`).
 //! * [`EventNet`] — the seeded discrete-event scheduler: per-link
 //!   latency/jitter/loss/partition models, replayable from
-//!   `(seed, config)` alone; the substrate of the event-driven NOW
-//!   runtime (`now_core`'s `ExecConfig::Event`).
+//!   `(seed, config)` alone, or every delay chosen by the caller (an
+//!   adversarial scheduler). The substrate of the event-driven NOW
+//!   runtime (`now_core`'s `ExecConfig::Event`) and of the paper's §6
+//!   future-work item of removing the synchrony assumption (see
+//!   `now_agreement::ben_or`).
 //! * [`Ledger`] — exact message/round accounting with nested operation
 //!   spans, used by the cluster-level execution path (fidelity level L1)
 //!   and by the L0 bus alike, so both levels report comparable costs.
@@ -49,7 +49,6 @@
 #![deny(deprecated)]
 #![warn(missing_docs)]
 
-mod async_net;
 mod bus;
 mod error;
 mod event;
@@ -57,7 +56,6 @@ mod id;
 mod ledger;
 mod rng;
 
-pub use async_net::AsyncNet;
 pub use bus::{Bus, Envelope};
 pub use error::NetError;
 pub use event::{DropReason, EventNet, EventNetConfig, EventRecord, Partition};

@@ -211,7 +211,7 @@ type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 /// workers holds the [`now_core::WavePool`], as `step_batch` itself
 /// requires), an optional stop predicate, and the audit cadence. The
 /// *what* — system, driver, length, seed — is supplied at
-/// [`BatchRun::run`] time (or by a [`crate::Scenario`]).
+/// [`BatchRun::run`] time.
 ///
 /// Every step is one [`now_core::NowSystem::step_batch`] of whatever
 /// the driver decided, so **time advances once per step** — also when
@@ -384,8 +384,12 @@ impl<'p> BatchRun<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_adversary::QuietBatches;
+    use now_adversary::{
+        BatchBurstChurn, BatchMergeForcing, BatchSplitForcing, BurstChurn, ClusterPick,
+        MergeForcing, QuietBatches, SplitForcing,
+    };
     use now_core::{EventNetConfig, NowParams, WavePool};
+    use now_net::ClusterId;
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -683,6 +687,71 @@ mod tests {
             report.violations
         );
         assert!(report.peak_byz_fraction() < 1.0 / 3.0);
+        sys.check_consistency().unwrap();
+    }
+
+    /// A serial run at τ = 0.10 of the driver `make` builds against the
+    /// first cluster.
+    fn attack_run(
+        make: impl FnOnce(ClusterId) -> Box<dyn BatchDriver>,
+        n0: usize,
+        steps: u64,
+        seed: u64,
+    ) -> (BatchRunReport, NowSystem) {
+        let params = NowParams::new(1 << 10, 2, 1.5, 0.10, 0.05).unwrap();
+        let mut sys = NowSystem::init_fast(params, n0, 0.10, seed);
+        let mut driver = make(sys.cluster_ids()[0]);
+        let report = BatchRun::new().run(&mut sys, driver.as_mut(), steps, seed + 1);
+        (report, sys)
+    }
+
+    #[test]
+    fn per_step_pressure_attacks_run() {
+        let attacks: [fn(ClusterId) -> Box<dyn BatchDriver>; 3] = [
+            |target| Box::new(SplitForcing::new(target, 0.10)),
+            |target| Box::new(MergeForcing::new(target, 0.10)),
+            |_| Box::new(BurstChurn::new(5, 0.10)),
+        ];
+        for make in attacks {
+            let (report, sys) = attack_run(make, 200, 60, 3);
+            assert_eq!(report.steps, 60, "{}", report.driver);
+            assert_eq!(
+                report.max_wave_width, 1,
+                "{}: one op per step",
+                report.driver
+            );
+            sys.check_consistency().unwrap();
+        }
+    }
+
+    #[test]
+    fn split_forcing_batches_cause_splits() {
+        let flood = BatchSplitForcing::new(6, 0.10).with_pick(ClusterPick::First);
+        let (_, sys) = attack_run(|_| Box::new(flood), 160, 30, 9);
+        let (_, _, splits, _) = sys.op_counts();
+        assert!(splits > 0, "180 steered arrivals must split something");
+    }
+
+    #[test]
+    fn merge_forcing_batches_cause_merges() {
+        let drain = BatchMergeForcing::new(6, 0.10).with_pick(ClusterPick::First);
+        let (_, sys) = attack_run(|_| Box::new(drain), 200, 30, 12);
+        let (_, _, _, merges) = sys.op_counts();
+        assert!(merges > 0, "sustained batched draining must merge");
+        sys.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn burst_batches_hold_population_over_a_period() {
+        let (report, sys) = attack_run(|_| Box::new(BatchBurstChurn::new(4, 0.10)), 160, 20, 13);
+        assert_eq!(report.steps, 20);
+        assert!(report.joins > 0 && report.leaves > 0);
+        // Stationary over full periods: joins and leaves roughly cancel.
+        assert!(
+            sys.population() >= 150 && sys.population() <= 170,
+            "population drifted to {}",
+            sys.population()
+        );
         sys.check_consistency().unwrap();
     }
 

@@ -11,7 +11,6 @@
 //!   collection and the serial-vs-parallel round complexity
 //!   ([`BatchRunReport`]).
 //! * [`violation`] — violation tracking ([`Violation`], [`ViolationKind`]).
-//! * [`scenario`] — the one-call front door ([`Scenario`]).
 //! * [`churn`] — environmental churn schedules, including the headline
 //!   *polynomial size variation* driver ([`BatchSawtooth`]) that swings the
 //!   population between `√N` and `N`.
@@ -31,12 +30,10 @@ pub mod batch_run;
 pub mod churn;
 pub mod metrics;
 pub mod report;
-pub mod scenario;
 pub mod violation;
 
 pub use batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
 pub use churn::{BatchSawtooth, GrowthPhase, ShrinkPhase};
 pub use metrics::{Summary, TimeSeries};
 pub use report::{Cell, Table};
-pub use scenario::{ChurnStyle, Scenario};
 pub use violation::{Violation, ViolationKind};

@@ -12,13 +12,13 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`net`] | ids, synchronous bus, async event-driven net, cost ledger, deterministic RNG |
+//! | [`net`] | ids, synchronous bus, event-driven net, cost ledger, deterministic RNG |
 //! | [`graph`] | ER generation, spectral expansion, isoperimetric constants, CTRWs |
-//! | [`agreement`] | Bracha, Phase-King, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
+//! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |
 //! | [`adversary`] | the churn-driver trait, per-step and batch-rate attacks, structural pressure, in-protocol malice |
-//! | [`sim`] | the step loop, scenario builder, churn schedules, metrics, baselines |
+//! | [`sim`] | the step loop, churn schedules, metrics, baselines |
 //! | [`trace`] | deterministic flight recorder, metrics registry, opt-in phase profiler |
 //! | [`campaign`] | declarative multi-phase attack campaigns (`scenarios/*.campaign`) |
 //! | [`apps`] | §6 applications: broadcast, sampling, aggregation, agreement, polling |

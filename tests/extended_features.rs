@@ -5,7 +5,7 @@
 use now_bft::adversary::Oscillation;
 use now_bft::agreement::{certify_by_honest, QuorumCertificate, SigOracle};
 use now_bft::core::{NowParams, NowSystem};
-use now_bft::sim::{BatchRun, ChurnStyle, Scenario, ViolationKind};
+use now_bft::sim::{BatchRandomChurn, BatchRun, ViolationKind};
 use std::collections::BTreeSet;
 
 #[test]
@@ -85,25 +85,19 @@ fn stale_certificate_dies_after_exchange() {
 
 #[test]
 fn scenario_builder_reproduces_manual_runs() {
-    let (report, sys) = Scenario::new(1 << 10)
-        .k(3)
-        .tau(0.10)
-        .churn(ChurnStyle::Balanced)
-        .steps(50)
-        .seed(42)
-        .run()
-        .unwrap();
+    let go = || {
+        let params = NowParams::new(1 << 10, 3, 1.5, 0.10, 0.05).unwrap();
+        let n0 = 10 * params.target_cluster_size();
+        let mut sys = NowSystem::init_fast(params, n0, 0.10, 42);
+        let mut churn = BatchRandomChurn::balanced(1, 0.10);
+        let report = BatchRun::new().run(&mut sys, &mut churn, 50, 43);
+        (report, sys)
+    };
+    let (report, sys) = go();
     assert_eq!(report.steps, 50);
     sys.check_consistency().unwrap();
     // Identical scenario, identical outcome.
-    let (report2, sys2) = Scenario::new(1 << 10)
-        .k(3)
-        .tau(0.10)
-        .churn(ChurnStyle::Balanced)
-        .steps(50)
-        .seed(42)
-        .run()
-        .unwrap();
+    let (report2, sys2) = go();
     assert_eq!(
         report.peak_byz_fraction().to_bits(),
         report2.peak_byz_fraction().to_bits()

@@ -14,7 +14,7 @@ use now_bft::core::init_tree::init_tree_discovered;
 use now_bft::core::{NowParams, NowSystem, SecurityMode};
 use now_bft::graph::gen;
 use now_bft::net::{CostKind, DetRng, Ledger};
-use now_bft::sim::{BatchRandomChurn, BatchRun, ChurnStyle, Scenario, ViolationKind};
+use now_bft::sim::{BatchRandomChurn, BatchRun, ViolationKind};
 use std::collections::BTreeSet;
 
 #[test]
@@ -83,15 +83,11 @@ fn authenticated_deployment_survives_tau_past_one_third() {
     // End-to-end Remark 1: τ = 0.38 churn on an authenticated system.
     // The binding (majority) invariant holds at k = 8 for this seed;
     // the plain 2/3 target fails pervasively, as it must.
-    let (report, sys) = Scenario::new(1 << 10)
-        .k(8)
-        .tau(0.38)
-        .authenticated()
-        .churn(ChurnStyle::Balanced)
-        .steps(80)
-        .seed(74)
-        .run()
-        .unwrap();
+    let params = NowParams::new_authenticated(1 << 10, 8, 1.5, 0.38, 0.05).unwrap();
+    let n0 = 10 * params.target_cluster_size();
+    let mut sys = NowSystem::init_fast(params, n0, 0.38, 74);
+    let mut churn = BatchRandomChurn::balanced(1, 0.38);
+    let report = BatchRun::new().run(&mut sys, &mut churn, 80, 75);
     assert_eq!(sys.params().security(), SecurityMode::Authenticated);
     assert!(report.count(ViolationKind::NotTwoThirdsHonest) > 50);
     assert!(

@@ -8,9 +8,10 @@ use now_bft::agreement::{
 };
 use now_bft::apps::poll;
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, SecurityMode};
-use now_bft::net::{AsyncNet, ClusterId, DetRng, Ledger};
+use now_bft::net::{ClusterId, DetRng, EventNet, EventNetConfig, Ledger};
 use now_bft::over::CyclesOverlay;
 use proptest::prelude::*;
+use rand::Rng;
 use std::collections::BTreeSet;
 
 fn params() -> NowParams {
@@ -135,9 +136,9 @@ proptest! {
         max_delay in 1u64..30,
     ) {
         let mut rng = DetRng::new(seed);
-        let mut net: AsyncNet<u8> = AsyncNet::new(6, max_delay);
+        let mut net: EventNet<u8> = EventNet::new(6, EventNetConfig::ideal(), 0);
         for &(from, to, payload) in &sends {
-            net.send(from, to, payload, &mut rng);
+            net.send_after(from, to, payload, rng.gen_range(1..=max_delay));
         }
         // All ports alive: every send is accepted (self-sends included).
         let expected = sends.len() as u64;

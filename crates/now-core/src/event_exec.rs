@@ -21,8 +21,9 @@
 //! The protocol then runs in **delivery order**: the drained deliveries
 //! form the execution sequence, re-partitioned into conflict-free waves
 //! (contiguous runs of footprint-disjoint deliveries) that drain
-//! through the same plan/apply machinery — and optionally the same
-//! [`WavePool`] workers — as the scheduled engine. Split/merge
+//! through the same wave machinery — plan/apply, or the kernel live for
+//! a wave of one op, and optionally the same [`WavePool`] workers — as
+//! the scheduled engine. Split/merge
 //! maintenance runs after each wave, i.e. it is *driven by the
 //! deliveries* rather than by a barrier. Per-operation randomness is
 //! keyed by the operation's **canonical** index ([`OpSpec::canon`]),

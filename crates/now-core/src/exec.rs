@@ -10,9 +10,11 @@
 //! every engine runs the same op kernel ([`crate::kernel`]): the serial
 //! engine runs it on the live registry off the shared stream — the
 //! semantics of a sequence of [`NowSystem::join`] /
-//! [`NowSystem::leave`] calls — and all other engines run it on
-//! per-operation views inside the plan/apply wave machinery (see
-//! [`crate::wave_exec`]), whose outcome is independent of thread count.
+//! [`NowSystem::leave`] calls — and all other engines run it inside the
+//! wave machinery (see [`crate::wave_exec`]): on per-operation views,
+//! planned and applied, in a wave of two or more ops, and live on the
+//! registry in a wave of one. Its outcome is independent of thread
+//! count.
 //!
 //! ```
 //! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};

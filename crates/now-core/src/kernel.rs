@@ -46,6 +46,10 @@ use rand::Rng;
 /// exactly the live clusters while an operation runs (split and merge
 /// happen between operations).
 pub(crate) trait StateView {
+    /// The registry the state reads through: the live one itself, or
+    /// the frozen pre-wave one a planner view overlays. An op looks its
+    /// leaver and its contact up here before its first edit.
+    fn registry(&self) -> &Registry;
     /// Size and `randNum` security of `c` — what every walk hop and
     /// every collective draw needs.
     fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity;
@@ -63,6 +67,10 @@ pub(crate) trait StateView {
 }
 
 impl StateView for Registry {
+    fn registry(&self) -> &Registry {
+        self
+    }
+
     #[inline]
     fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity {
         // INVARIANT: see `StateView` — ids reaching a view are live.
@@ -142,7 +150,8 @@ impl<'k, S: StateView> Kernel<'k, S> {
     /// [`CostKind::RandNum`] leaf span (`2·|C|·(|C|−1)` messages, 2
     /// rounds), then the draw — from the stream when the cluster is
     /// secure, from [`Malice`] otherwise. `purpose` tells a strategic
-    /// adversary what the draw decides.
+    /// adversary what the draw decides. A walk books its leaves itself,
+    /// once per walk, and takes only the draw ([`Kernel::draw_value`]).
     #[inline]
     pub(crate) fn draw(
         &mut self,
@@ -151,8 +160,21 @@ impl<'k, S: StateView> Kernel<'k, S> {
         purpose: RandNumPurpose,
         at: ClusterSecurity,
     ) -> u64 {
-        let range = range.max(1);
         self.ledger.leaf(CostKind::RandNum, at.rand_num_cost());
+        self.draw_value(c, range, purpose, at)
+    }
+
+    /// The value half of [`Kernel::draw`], leaving the leaf to the
+    /// caller.
+    #[inline]
+    pub(crate) fn draw_value(
+        &mut self,
+        c: ClusterId,
+        range: u64,
+        purpose: RandNumPurpose,
+        at: ClusterSecurity,
+    ) -> u64 {
+        let range = range.max(1);
         if at.secure {
             self.rng.gen_range(0..range)
         } else {

@@ -21,17 +21,27 @@
 //! the current cluster's neighbor slice from the overlay and the next
 //! cluster's size and Byzantine count from the [`StateView`], which is
 //! a direct id → slot lookup on the live registry and on a planner
-//! view alike. Nothing is cached per walk, and the walk is monomorphised
-//! per state. Of the ≈ 33 ns a hop takes on the `bench/` workloads, the
-//! two draws' keystream is ≈ 11 ns (`DetRng` inlines to two buffered
-//! words of a four-block ChaCha12 refill; no call is made on the draw
-//! path), and the `ln`, the two `randNum` ledger leaves and the two
-//! reads are the larger half.
+//! view alike. Nothing is cached per walk, nothing is booked per hop,
+//! and the walk is monomorphised per state: a hop's costs stay in
+//! walk-local variables ([`WalkBooks`] — its `randNum` leaves as a
+//! count, a message sum and a peak, and its hand-off messages) and are
+//! settled into the ledger once per walk ([`Ledger::leaves`], exactly
+//! that many leaf calls). A recording ledger keeps a record per leaf,
+//! so there each leaf is booked as it is drawn. Of the ≈ 23 ns a hop
+//! takes on a `steady_*`-shaped system (min of 7 × 4 000 walks), the
+//! two draws' keystream is ≈ 6.5 ns (`DetRng` inlines to two buffered
+//! words of an eight-block ChaCha12 refill, AVX2 where the CPU has it;
+//! no call is made on the draw path), the `ln` ≈ 6 ns, and range
+//! scaling, the two reads and the tally the rest. The hop was ≈ 30 ns
+//! with a ledger leaf per draw (≈ 2.6 ns of it) and a four-block SSE2
+//! refill (≈ 4.5 ns more keystream; the portable routine costs ≈ 9 ns
+//! more again).
 
+use crate::cluster::ClusterSecurity;
 use crate::kernel::{Kernel, StateView};
 use crate::malice::RandNumPurpose;
 use crate::system::NowSystem;
-use now_net::{ClusterId, Cost, CostKind};
+use now_net::{ClusterId, Cost, CostKind, Ledger};
 
 /// Diagnostics of one `randCl` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +52,54 @@ pub struct WalkTrace {
     pub restarts: u64,
     /// Hops that passed through a `randNum`-compromised cluster.
     pub compromised_hops: u64,
+}
+
+/// A walk's costs, kept in walk-local variables and settled into the
+/// ledger once, when the walk ends: its hand-off messages, and its
+/// `randNum` leaves as a count, a sum and a peak
+/// ([`Ledger::leaves`]). Nothing reads either before the walk's span
+/// closes. A recording ledger keeps a record per leaf, so there each
+/// leaf is booked as it is drawn.
+struct WalkBooks {
+    recording: bool,
+    /// The tallied leaves: how many, their summed cost, and their
+    /// component-wise largest cost.
+    count: u64,
+    sum: Cost,
+    peak: Cost,
+    /// The hand-off messages and rounds.
+    hops: Cost,
+}
+
+impl WalkBooks {
+    fn new(recording: bool) -> Self {
+        WalkBooks {
+            recording,
+            count: 0,
+            sum: Cost::ZERO,
+            peak: Cost::ZERO,
+            hops: Cost::ZERO,
+        }
+    }
+
+    #[inline]
+    fn leaf(&mut self, ledger: &mut Ledger, cost: Cost) {
+        if self.recording {
+            ledger.leaf(CostKind::RandNum, cost);
+        } else {
+            self.count += 1;
+            self.sum += cost;
+            self.peak.messages = self.peak.messages.max(cost.messages);
+            self.peak.rounds = self.peak.rounds.max(cost.rounds);
+        }
+    }
+
+    fn settle(self, ledger: &mut Ledger) {
+        if !self.recording {
+            ledger.leaves(CostKind::RandNum, self.count, self.sum, self.peak);
+        }
+        ledger.add(self.hops);
+    }
 }
 
 impl<S: StateView> Kernel<'_, S> {
@@ -55,12 +113,28 @@ impl<S: StateView> Kernel<'_, S> {
     /// the hop that reached it.
     pub(crate) fn rand_cl(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
         self.ledger.begin(CostKind::RandCl);
-        let (end, trace) = self.walk(start);
+        let mut books = WalkBooks::new(self.ledger.is_recording());
+        let (end, trace) = self.walk(start, &mut books);
+        books.settle(self.ledger);
         self.ledger.end();
         (end, trace)
     }
 
-    fn walk(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
+    /// [`Kernel::draw`], with the leaf booked on the walk's `books`.
+    #[inline]
+    fn walk_draw(
+        &mut self,
+        books: &mut WalkBooks,
+        c: ClusterId,
+        range: u64,
+        purpose: RandNumPurpose,
+        at: ClusterSecurity,
+    ) -> u64 {
+        books.leaf(self.ledger, at.rand_num_cost());
+        self.draw_value(c, range, purpose, at)
+    }
+
+    fn walk(&mut self, start: ClusterId, books: &mut WalkBooks) -> (ClusterId, WalkTrace) {
         let mut trace = WalkTrace {
             hops: 0,
             restarts: 0,
@@ -99,7 +173,7 @@ impl<S: StateView> Kernel<'_, S> {
                 }
                 // Collaborative holding time: Exp(degree), derived from a
                 // randNum draw (compromised clusters control it).
-                let u = self.draw(current, RES, RandNumPurpose::WalkHoldingTime, here);
+                let u = self.walk_draw(books, current, RES, RandNumPurpose::WalkHoldingTime, here);
                 let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
                 let hold = -unit.ln() / degree as f64;
                 if hold >= remaining {
@@ -107,7 +181,8 @@ impl<S: StateView> Kernel<'_, S> {
                 }
                 remaining -= hold;
                 // Collaborative neighbor choice.
-                let idx = self.draw(
+                let idx = self.walk_draw(
+                    books,
                     current,
                     degree as u64,
                     RandNumPurpose::WalkNeighborChoice,
@@ -126,17 +201,17 @@ impl<S: StateView> Kernel<'_, S> {
                 }
                 // Quorum-validated hand-off message C → C'.
                 let there = self.security(next);
-                self.ledger.add(Cost {
+                books.hops += Cost {
                     messages: here.size * there.size,
                     rounds: 1,
-                });
+                };
                 trace.hops += 1;
                 current = next;
                 here = there;
             }
             // Size-biased acceptance at the endpoint.
             let p_accept = self.params.acceptance_probability(here.size as usize);
-            let draw = self.draw(current, RES, RandNumPurpose::WalkAcceptance, here);
+            let draw = self.walk_draw(books, current, RES, RandNumPurpose::WalkAcceptance, here);
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
                 return (current, trace);
             }
@@ -340,6 +415,78 @@ mod tests {
             compromised > 0,
             "walks through a compromised cluster must be flagged"
         );
+    }
+
+    /// A walk's books settled once equal its leaves booked one by one:
+    /// the same 200 walks, from two builds of one system, each on a
+    /// fresh plain ledger (tallied per walk) and on a fresh recording
+    /// ledger (a record per leaf) leave the same total and the same
+    /// stats of every kind — on a secure system, and on one whose start
+    /// cluster the adversary holds past 1/3, where draws go through
+    /// `Malice`. Cluster sizes differ, so a walk's leaves differ in
+    /// cost and its peak is not simply its last leaf.
+    #[test]
+    fn tallied_walks_book_what_per_leaf_walks_book() {
+        for polluted in [false, true] {
+            let build = || {
+                let mut sys = system(300, 12);
+                let ids = sys.cluster_ids();
+                let shift = |sys: &mut NowSystem, from: ClusterId, to: ClusterId| {
+                    let honest = sys
+                        .cluster(from)
+                        .unwrap()
+                        .members()
+                        .find(|&m| sys.is_honest(m).unwrap())
+                        .expect("has honest members");
+                    sys.move_node(honest, to);
+                };
+                // Sizes apart: honest members from the cluster with the
+                // fewest Byzantine ones, which stays secure.
+                let donor = sys
+                    .clusters()
+                    .skip(2)
+                    .min_by_key(|c| c.byz_count())
+                    .unwrap()
+                    .id();
+                for _ in 0..6 {
+                    shift(&mut sys, donor, ids[1]);
+                }
+                while polluted && sys.cluster(ids[0]).unwrap().rand_num_secure() {
+                    shift(&mut sys, ids[0], ids[1]);
+                }
+                let secure = sys.clusters().filter(|c| c.rand_num_secure()).count();
+                let compromised = if polluted { 1 } else { 0 };
+                assert_eq!(secure + compromised, sys.cluster_count(), "setup");
+                (sys, ids)
+            };
+            let ((mut tallied, ids), (mut per_leaf, _)) = (build(), build());
+            let (mut restarts, mut compromised) = (0, 0);
+            for i in 0..200 {
+                *tallied.ledger_mut() = Ledger::new();
+                *per_leaf.ledger_mut() = Ledger::recording();
+                let start = ids[if i % 2 == 0 { 0 } else { i % ids.len() }];
+                let walk = tallied.rand_cl_from(start);
+                assert_eq!(walk, per_leaf.rand_cl_from(start), "walk {i}");
+                restarts += walk.1.restarts;
+                compromised += walk.1.compromised_hops;
+                let (a, b) = (tallied.ledger(), per_leaf.ledger());
+                assert_eq!(a.total(), b.total(), "walk {i}, polluted {polluted}");
+                for kind in CostKind::ALL {
+                    assert_eq!(a.stats(kind), b.stats(kind), "{kind}, walk {i}");
+                }
+                assert!(a.records().is_empty());
+                assert_eq!(
+                    b.records().len() as u64,
+                    b.stats(CostKind::RandNum).count + 1
+                );
+            }
+            assert!(restarts > 0, "restarts covered");
+            assert_eq!(
+                compromised > 0,
+                polluted,
+                "Malice path covered iff polluted"
+            );
+        }
     }
 
     #[test]

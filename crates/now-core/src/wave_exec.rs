@@ -50,6 +50,22 @@
 //!    **swap** of two nodes (one `exchange` step) — and the swap is
 //!    applied as a unit.
 //!
+//! # A wave of one op runs live
+//!
+//! Planned against the pre-wave registry and applied at once, the only
+//! op of a wave makes exactly the edits the kernel makes on the live
+//! registry, in the same order — nothing else in the wave can have moved
+//! a node, so no swap collides — and its child ledger folds in exactly
+//! what the kernel books inline at the same depth. So such a wave is
+//! not planned: it runs the kernel live on the registry, on the op's
+//! own [`DetRng::for_op`] substream and with the adversary planning
+//! would consult, with no [`Planner`], effect list or child ledger, and
+//! then the same wave tail as any other (wave event, swap-conflict
+//! count, op counters, the op's own split/merge check).
+//! `kernel_on_live_state_equals_plan_then_apply` pins the two paths
+//! equal. Only waves of two or more ops are planned, so only they are
+//! timed into [`wave_plan_nanos_total`] or reach the pool.
+//!
 //! # Model semantics (and how they differ from the serial engine)
 //!
 //! The engine defines a *parallel deployment* of the §2-footnote batch:
@@ -62,9 +78,9 @@
 //! members back "in replacement" — and that is the unit of canonical
 //! apply: a planned swap `x ↔ y` **exchanges the clusters the two
 //! nodes are in when it is applied**. That is the planned edit
-//! whenever the plan's view was accurate (always, in a wave of one
-//! op); it is void if either node has departed, and changes nothing if
-//! both are now in one cluster. Whatever collides, a swap moves one
+//! whenever the plan's view was accurate (always, were a wave of one
+//! op planned); it is void if either node has departed, and changes
+//! nothing if both are now in one cluster. Whatever collides, a swap moves one
 //! node each way between two clusters or does nothing, so cluster
 //! sizes are invariant under exchange — as Lemma 1 and Theorem 3's
 //! size band assume — and no shuffle step is lost unless one of its
@@ -134,7 +150,9 @@ pub fn wave_worker_spawn_total() -> u64 {
 static WAVE_PLAN_NANOS: SpanTotal = SpanTotal::new();
 
 /// Current value of the process-global planning-phase wall-clock
-/// counter, in nanoseconds.
+/// counter, in nanoseconds. Waves of one op are never planned, so this
+/// (and a planning share computed from it) counts waves of two or more
+/// ops only.
 pub fn wave_plan_nanos_total() -> u64 {
     WAVE_PLAN_NANOS.total()
 }
@@ -203,16 +221,22 @@ enum Maintenance {
     Merge(ClusterId),
 }
 
-/// The pure result of planning one operation.
-struct OpPlan {
-    effects: Vec<Effect>,
-    ledger: Ledger,
+/// What the rest of a wave needs from each of its ops, however the op
+/// ran.
+struct OpOutcome {
     /// Inclusive cost of the operation's top-level span.
     cost: Cost,
     maintenance: Maintenance,
     /// Whether a steered contact had been dissolved by an earlier
-    /// wave's merge and was re-drawn uniformly at plan time.
+    /// wave's merge and was re-drawn uniformly when the op ran.
     contact_redrawn: bool,
+}
+
+/// The pure result of planning one operation.
+struct OpPlan {
+    effects: Vec<Effect>,
+    ledger: Ledger,
+    outcome: OpOutcome,
 }
 
 /// Immutable pre-wave state shared (read-only) across planner threads.
@@ -343,6 +367,10 @@ impl<'a> Planner<'a> {
 }
 
 impl StateView for Planner<'_> {
+    fn registry(&self) -> &Registry {
+        self.registry
+    }
+
     #[inline]
     fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity {
         let slot = self.slot_of(c);
@@ -400,6 +428,62 @@ impl StateView for Planner<'_> {
     }
 }
 
+impl<S: StateView> Kernel<'_, S> {
+    /// Runs one operation — the leaver's home, the contact redraw, the
+    /// join or the leave — and closes its span: the size check is
+    /// deferred to after the wave. The one op dispatch of both ways a
+    /// wave runs an op: planned on a [`Planner`] view, and, alone in
+    /// its wave, live on the registry.
+    fn run_op(&mut self, op: &PlannedOp) -> OpOutcome {
+        let mut contact_redrawn = false;
+        let maintenance = match *op {
+            PlannedOp::Leave { node } => {
+                // The leaver's home before the op, not `spec.center`: an
+                // earlier wave's exchange can have moved it since
+                // admission.
+                // INVARIANT: admission validated the leaver and claimed
+                // it for this op alone, and nothing between waves
+                // removes a node (a merge re-attaches every member it
+                // detaches).
+                let home = self
+                    .state
+                    .registry()
+                    .get(node)
+                    .expect("admitted leaver")
+                    .cluster;
+                self.leave(node, home);
+                Maintenance::Merge(home)
+            }
+            PlannedOp::Join {
+                node,
+                honest,
+                contact,
+            } => {
+                // The contact drawn at batch admission can have been
+                // dissolved by an earlier wave's merge; re-draw
+                // uniformly over all live clusters from the op's own
+                // substream (deterministic) — the same rule the serial
+                // engine applies to a stale contact, driven by a
+                // different stream.
+                let registry = self.state.registry();
+                let contact = if registry.contains_cluster(contact) {
+                    contact
+                } else {
+                    contact_redrawn = true;
+                    let idx = self.rng.gen_range(0..registry.cluster_count());
+                    registry.cluster_id_at(idx)
+                };
+                Maintenance::Split(self.join(node, honest, contact))
+            }
+        };
+        OpOutcome {
+            cost: self.ledger.end(),
+            maintenance,
+            contact_redrawn,
+        }
+    }
+}
+
 /// Plans one operation: the op kernel over a fresh [`Planner`] view,
 /// on the op's own substream and a private ledger. Pure in
 /// `(ctx, spec, rng)` under a neutral `malice`.
@@ -410,56 +494,19 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
     } else {
         Ledger::new()
     };
-    let mut contact_redrawn = false;
-    let mut kernel = Kernel::new(
+    let outcome = Kernel::new(
         &mut view,
         ctx.overlay,
         ctx.params,
         &mut ledger,
         &mut rng,
         malice,
-    );
-    let maintenance = match spec.op {
-        PlannedOp::Leave { node } => {
-            // The leaver's home in the frozen registry, not
-            // `spec.center`: an earlier wave's exchange can have moved
-            // it since admission.
-            // INVARIANT: admission validated the leaver and claimed it
-            // for this op alone, and nothing between waves removes a
-            // node (a merge re-attaches every member it detaches).
-            let home = ctx.registry.get(node).expect("admitted leaver").cluster;
-            kernel.leave(node, home);
-            Maintenance::Merge(home)
-        }
-        PlannedOp::Join {
-            node,
-            honest,
-            contact,
-        } => {
-            // The contact drawn at batch admission can have been
-            // dissolved by an earlier wave's merge; re-draw uniformly
-            // over all live clusters from the op's own substream
-            // (deterministic) — the same rule the serial engine
-            // applies to a stale contact, driven by a different stream.
-            let contact = if ctx.registry.contains_cluster(contact) {
-                contact
-            } else {
-                contact_redrawn = true;
-                let idx = kernel.rng.gen_range(0..ctx.registry.cluster_count());
-                ctx.registry.cluster_id_at(idx)
-            };
-            Maintenance::Split(kernel.join(node, honest, contact))
-        }
-    };
-    // The size check is deferred to after the wave, so the op's span
-    // closes here.
-    ledger.end();
+    )
+    .run_op(&spec.op);
     OpPlan {
-        cost: ledger.total(),
         effects: view.effects,
         ledger,
-        maintenance,
-        contact_redrawn,
+        outcome,
     }
 }
 
@@ -675,10 +722,12 @@ impl WavePool {
         self.workers.len()
     }
 
-    /// Plans one wave on the pool. Sequential inline planning when the
-    /// wave (or the pool) is width 1; otherwise the wave is dispatched
-    /// to `min(workers, ops)` workers and the call blocks until every
-    /// dispatched worker has drained the cursor.
+    /// Plans one wave on the pool. Waves of one op never get here (they
+    /// run live, see the module docs), so every wave planned has two or
+    /// more ops. Sequential inline planning when the pool has no
+    /// workers; otherwise the wave is dispatched to `min(workers, ops)`
+    /// workers and the call blocks until every dispatched worker has
+    /// drained the cursor.
     fn plan_wave(
         &self,
         ctx: &WaveCtx<'_>,
@@ -776,7 +825,8 @@ pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
 ///
 /// A swap is applied as an exchange of the two nodes' **current**
 /// clusters: exactly the planned edit when the view was accurate
-/// (always, in a width-1 wave), and size-preserving whatever an earlier
+/// (always, for a wave's only op, which is why such a wave runs live
+/// instead), and size-preserving whatever an earlier
 /// op of the wave did to either party — void if one has departed,
 /// nothing to do if both are now in one cluster.
 fn apply_effects(
@@ -996,12 +1046,13 @@ impl NowSystem {
         }
     }
 
-    /// Plans and applies one conflict-free wave: plan on the pool's
-    /// workers (on the driving thread without a pool, or for a
-    /// strategic Malice), apply effects canonically, fold ledgers, then
-    /// run the deferred size maintenance.
-    /// Shared by the wave engines (canonical order) and the event engine
-    /// (delivery order).
+    /// Executes one conflict-free wave, then its deferred size
+    /// maintenance. A wave of one op runs the op kernel live on the
+    /// registry ([`NowSystem::run_op_live`]); a wider one is planned on
+    /// the pool's workers (on the driving thread without a pool, or for
+    /// a strategic Malice), its effects applied and its ledgers folded
+    /// canonically ([`NowSystem::plan_and_apply`]). Shared by the wave
+    /// engines (canonical order) and the event engine (delivery order).
     pub(crate) fn execute_wave(
         &mut self,
         wave_specs: &[OpSpec],
@@ -1009,127 +1060,181 @@ impl NowSystem {
         master: u64,
         contact_redraws: &mut u64,
     ) -> WaveStats {
+        let (outcomes, touched, swap_conflicts) = match wave_specs {
+            [spec] => (vec![self.run_op_live(spec, master)], BTreeSet::new(), 0),
+            _ => self.plan_and_apply(wave_specs, pool, master),
+        };
+        self.finish_wave(
+            wave_specs,
+            &outcomes,
+            touched,
+            swap_conflicts,
+            contact_redraws,
+        )
+    }
+
+    /// Runs the only op of a wave on the live registry (see "A wave of
+    /// one op runs live" in the module docs): the kernel on the op's
+    /// own substream, with the adversary planning would consult,
+    /// booking into the system ledger at the current depth.
+    fn run_op_live(&mut self, spec: &OpSpec, master: u64) -> OpOutcome {
+        let mut rng = DetRng::for_op(master, self.time_step, spec.canon);
+        let mut neutral = NoMalice;
+        let malice: &mut dyn Malice = if self.malice.is_neutral() {
+            &mut neutral
+        } else {
+            self.malice.as_mut()
+        };
+        Kernel::new(
+            &mut self.registry,
+            &self.overlay,
+            self.params,
+            &mut self.ledger,
+            &mut rng,
+            malice,
+        )
+        .run_op(&spec.op)
+    }
+
+    /// Plans a wave of two or more ops against the pre-wave state, then
+    /// applies their effects and folds their ledgers in canonical
+    /// order. Returns each op's outcome, the clusters whose size
+    /// changed, and how many swaps found a party moved.
+    fn plan_and_apply(
+        &mut self,
+        wave_specs: &[OpSpec],
+        pool: Option<&WavePool>,
+        master: u64,
+    ) -> (Vec<OpOutcome>, BTreeSet<ClusterId>, u64) {
         let time_step = self.time_step;
         let neutral = self.malice.is_neutral();
-        let recording = self.ledger.is_recording();
-
-        {
-            // ---- plan ----
-            let ctx = WaveCtx {
-                registry: &self.registry,
-                overlay: &self.overlay,
-                params: self.params,
-                recording,
-            };
-            let plan_start = now_trace::stopwatch();
-            let plans: Vec<OpPlan> = match pool {
-                Some(pool) if neutral => pool.plan_wave(&ctx, wave_specs, master, time_step),
-                _ if neutral => {
-                    plan_wave_sequential(&ctx, wave_specs, master, time_step, &mut NoMalice)
-                }
-                _ => {
-                    plan_wave_sequential(&ctx, wave_specs, master, time_step, self.malice.as_mut())
-                }
-            };
-            plan_start.record_into(&WAVE_PLAN_NANOS);
-
-            // ---- wave stats from the planned costs ----
-            let mut stats = WaveStats::default();
-            for (spec, plan) in wave_specs.iter().zip(&plans) {
-                stats.ops += 1;
-                stats.rounds_max = stats.rounds_max.max(plan.cost.rounds);
-                stats.rounds_total += plan.cost.rounds;
-                stats.messages += plan.cost.messages;
-                if spec.contact_redrawn || plan.contact_redrawn {
-                    *contact_redraws += 1;
-                }
+        let ctx = WaveCtx {
+            registry: &self.registry,
+            overlay: &self.overlay,
+            params: self.params,
+            recording: self.ledger.is_recording(),
+        };
+        let plan_start = now_trace::stopwatch();
+        let plans: Vec<OpPlan> = match pool {
+            Some(pool) if neutral => pool.plan_wave(&ctx, wave_specs, master, time_step),
+            _ if neutral => {
+                plan_wave_sequential(&ctx, wave_specs, master, time_step, &mut NoMalice)
             }
+            _ => plan_wave_sequential(&ctx, wave_specs, master, time_step, self.malice.as_mut()),
+        };
+        plan_start.record_into(&WAVE_PLAN_NANOS);
+
+        // `touched` collects the clusters whose size changed: each op's
+        // host or home, and, for a leaver an earlier op of this wave had
+        // swapped away, the cluster it was really detached from. Swaps
+        // change no size and name nothing.
+        let mut touched: BTreeSet<ClusterId> = BTreeSet::new();
+        let mut swap_conflicts = 0;
+        let mut outcomes = Vec::with_capacity(plans.len());
+        for plan in plans {
+            swap_conflicts += apply_effects(&mut self.registry, &plan.effects, &mut touched);
+            self.ledger.merge_child(&plan.ledger);
+            outcomes.push(plan.outcome);
+        }
+        (outcomes, touched, swap_conflicts)
+    }
+
+    /// The rest of a wave, however its ops ran: wave stats and trace
+    /// events, op counters, then the deferred size maintenance.
+    fn finish_wave(
+        &mut self,
+        wave_specs: &[OpSpec],
+        outcomes: &[OpOutcome],
+        mut touched: BTreeSet<ClusterId>,
+        swap_conflicts: u64,
+        contact_redraws: &mut u64,
+    ) -> WaveStats {
+        let time_step = self.time_step;
+
+        // ---- wave stats from the ops' costs ----
+        let mut stats = WaveStats::default();
+        for (spec, outcome) in wave_specs.iter().zip(outcomes) {
+            stats.ops += 1;
+            stats.rounds_max = stats.rounds_max.max(outcome.cost.rounds);
+            stats.rounds_total += outcome.cost.rounds;
+            stats.messages += outcome.cost.messages;
+            if spec.contact_redrawn || outcome.contact_redrawn {
+                *contact_redraws += 1;
+            }
+        }
+        self.hub.event(
+            time_step,
+            TraceData::Wave {
+                ops: stats.ops as u64,
+                rounds: stats.rounds_max,
+                messages: stats.messages,
+            },
+        );
+        self.hub.count("now_swap_conflicts_total", swap_conflicts);
+
+        // ---- op counters canonically ----
+        for spec in wave_specs {
+            let (join, node) = match spec.op {
+                PlannedOp::Join { node, .. } => {
+                    self.join_count += 1;
+                    (true, node)
+                }
+                PlannedOp::Leave { node } => {
+                    self.leave_count += 1;
+                    (false, node)
+                }
+            };
             self.hub.event(
                 time_step,
-                TraceData::Wave {
-                    ops: stats.ops as u64,
-                    rounds: stats.rounds_max,
-                    messages: stats.messages,
+                TraceData::OpApplied {
+                    canon: spec.canon,
+                    join,
+                    node: node.raw(),
                 },
             );
-
-            // ---- apply effects canonically ----
-            // `touched` collects the clusters whose size changed: each
-            // op's host or home, and, for a leaver an earlier op of
-            // this wave had swapped away, the cluster it was really
-            // detached from. Swaps change no size and name nothing.
-            let mut touched: BTreeSet<ClusterId> = BTreeSet::new();
-            let mut swap_conflicts = 0;
-            for plan in &plans {
-                swap_conflicts += apply_effects(&mut self.registry, &plan.effects, &mut touched);
-            }
-            self.hub.count("now_swap_conflicts_total", swap_conflicts);
-
-            // ---- fold ledgers + op counters canonically ----
-            for (spec, plan) in wave_specs.iter().zip(&plans) {
-                let (join, node) = match spec.op {
-                    PlannedOp::Join { node, .. } => {
-                        self.join_count += 1;
-                        (true, node)
-                    }
-                    PlannedOp::Leave { node } => {
-                        self.leave_count += 1;
-                        (false, node)
-                    }
-                };
-                self.hub.event(
-                    time_step,
-                    TraceData::OpApplied {
-                        canon: spec.canon,
-                        join,
-                        node: node.raw(),
-                    },
-                );
-                self.ledger.merge_child(&plan.ledger);
-            }
-
-            // ---- deferred maintenance ----
-            // First each op's own host/home in canonical order (the
-            // direct analogue of the serial oversize/undersize checks),
-            // then whatever is left in `touched`, in ascending id
-            // order: at most one cluster per leave, the one that lost
-            // the leaver in its home's stead.
-            for plan in &plans {
-                match plan.maintenance {
-                    Maintenance::Split(c) => {
-                        touched.remove(&c);
-                        if self.registry.contains_cluster(c)
-                            && self.cluster_ref(c).size() > self.params.max_cluster_size()
-                        {
-                            self.split(c);
-                        }
-                    }
-                    Maintenance::Merge(c) => {
-                        touched.remove(&c);
-                        if self.registry.contains_cluster(c)
-                            && self.cluster_ref(c).size() < self.params.min_cluster_size()
-                            && self.cluster_count() > 1
-                        {
-                            self.merge(c);
-                        }
-                    }
-                }
-            }
-            for c in touched {
-                if !self.registry.contains_cluster(c) {
-                    continue;
-                }
-                if self.cluster_ref(c).size() > self.params.max_cluster_size() {
-                    self.split(c);
-                } else if self.cluster_ref(c).size() < self.params.min_cluster_size()
-                    && self.cluster_count() > 1
-                {
-                    self.merge(c);
-                }
-            }
-
-            stats
         }
+
+        // ---- deferred maintenance ----
+        // First each op's own host/home in canonical order (the direct
+        // analogue of the serial oversize/undersize checks), then
+        // whatever is left in `touched`, in ascending id order: at most
+        // one cluster per leave, the one that lost the leaver in its
+        // home's stead.
+        for outcome in outcomes {
+            match outcome.maintenance {
+                Maintenance::Split(c) => {
+                    touched.remove(&c);
+                    if self.registry.contains_cluster(c)
+                        && self.cluster_ref(c).size() > self.params.max_cluster_size()
+                    {
+                        self.split(c);
+                    }
+                }
+                Maintenance::Merge(c) => {
+                    touched.remove(&c);
+                    if self.registry.contains_cluster(c)
+                        && self.cluster_ref(c).size() < self.params.min_cluster_size()
+                        && self.cluster_count() > 1
+                    {
+                        self.merge(c);
+                    }
+                }
+            }
+        }
+        for c in touched {
+            if !self.registry.contains_cluster(c) {
+                continue;
+            }
+            if self.cluster_ref(c).size() > self.params.max_cluster_size() {
+                self.split(c);
+            } else if self.cluster_ref(c).size() < self.params.min_cluster_size()
+                && self.cluster_count() > 1
+            {
+                self.merge(c);
+            }
+        }
+
+        stats
     }
 }
 
@@ -1639,145 +1744,186 @@ mod tests {
         }
     }
 
-    /// One Byzantine arrival through `start`, or the departure of
-    /// `node` from `start`, with the op's span closed right after (no
-    /// size check).
-    fn run<S: StateView>(
-        kernel: &mut Kernel<'_, S>,
-        join: bool,
-        node: NodeId,
-        start: ClusterId,
-    ) -> ClusterId {
-        let center = if join {
-            kernel.join(node, false, start)
-        } else {
-            kernel.leave(node, start);
-            start
-        };
-        kernel.ledger.end();
-        center
+    impl NowSystem {
+        /// The reference for a wave of one op: the wave planned,
+        /// applied, folded and maintained as a wider wave is. Test-only —
+        /// outside tests a width-1 wave always runs live.
+        fn execute_wave_planned(
+            &mut self,
+            wave_specs: &[OpSpec],
+            master: u64,
+            contact_redraws: &mut u64,
+        ) -> WaveStats {
+            let (outcomes, touched, swap_conflicts) = self.plan_and_apply(wave_specs, None, master);
+            self.finish_wave(
+                wave_specs,
+                &outcomes,
+                touched,
+                swap_conflicts,
+                contact_redraws,
+            )
+        }
     }
 
-    /// The op kernel is one piece of code on two states, and the two
-    /// states agree: an operation run on the live registry, and the same
-    /// operation run on a planner view whose effects are then applied
-    /// canonically, leave identical member slices in every cluster, the
-    /// stream at the same word, and the same ledger — under the neutral
-    /// adversary and under a scripted strategic one, from secure
-    /// clusters and from a start (and a lure next to it) that the
-    /// adversary holds past 1/3.
+    /// A wave of one op runs the kernel live, and that is exactly the
+    /// wave planned and applied: `execute_wave` on a width-1 wave, and
+    /// the same wave through [`NowSystem::execute_wave_planned`] on a
+    /// second build of the system, leave identical member slices in
+    /// every cluster, the system stream at the same word, the same
+    /// ledger (total, stats, records with their depths), op counts,
+    /// flight-recorder events and metrics — under the neutral adversary
+    /// and under a scripted strategic one, from secure clusters and from
+    /// a start (and a lure next to it) that the adversary holds past
+    /// 1/3, on plain and on recording ledgers.
     #[test]
     fn kernel_on_live_state_equals_plan_then_apply() {
         let mut cases = 0;
         let mut asked = Tally::default();
         for seed in 0..14u64 {
             for (join, strategic) in [(true, false), (true, true), (false, false), (false, true)] {
-                let case = format!("seed {seed}, join {join}, strategic {strategic}");
-                // Two identical systems. The lowest node id is freed so
-                // that a joiner can take it: exchanges go through a
-                // cluster in id order, so this joiner is swapped out
-                // first and sits in a partner cluster while the others
-                // follow. Odd seeds pollute the start and the lure.
-                let recycled = NodeId::from_raw(0);
-                let build = || {
-                    let mut sys = system(400, seed);
-                    sys.detach_node(recycled).unwrap();
-                    let ids = sys.cluster_ids();
-                    let start = ids[0];
-                    let lure = sys.overlay().neighbors(start)[0];
-                    if seed % 2 == 1 {
-                        let donors: Vec<ClusterId> = ids
-                            .iter()
-                            .copied()
-                            .filter(|&c| c != start && c != lure)
-                            .collect();
-                        pollute(&mut sys, start, &donors);
-                        pollute(&mut sys, lure, &donors);
-                    }
-                    sys.check_consistency().unwrap();
-                    (sys, start, lure)
-                };
-                let ((mut live, start, lure), (mut frozen, ..)) = (build(), build());
-                let ids = live.cluster_ids();
-                // A Byzantine arrival, or a departure from the start.
-                let node = if join {
-                    recycled
-                } else {
-                    live.cluster(start).unwrap().member_at(seed as usize % 7)
-                };
-                let adversary = || -> (Box<dyn Malice>, Rc<Cell<Tally>>) {
-                    let tally = Rc::new(Cell::new(Tally::default()));
-                    let malice: Box<dyn Malice> = if strategic {
-                        Box::new(Script {
-                            lure,
-                            stay: join,
-                            joiner: join.then_some(node),
-                            tally: Rc::clone(&tally),
-                        })
-                    } else {
-                        Box::new(NoMalice)
+                for recording in [false, true] {
+                    let case = format!(
+                        "seed {seed}, join {join}, strategic {strategic}, recording {recording}"
+                    );
+                    // Two identical systems. The lowest node id is freed
+                    // so that a joiner can take it: exchanges go through
+                    // a cluster in id order, so this joiner is swapped
+                    // out first and sits in a partner cluster while the
+                    // others follow. Odd seeds pollute the start and the
+                    // lure.
+                    let recycled = NodeId::from_raw(0);
+                    let build = || {
+                        let mut sys = system(400, seed);
+                        sys.detach_node(recycled).unwrap();
+                        let ids = sys.cluster_ids();
+                        let start = ids[0];
+                        let lure = sys.overlay().neighbors(start)[0];
+                        if seed % 2 == 1 {
+                            let donors: Vec<ClusterId> = ids
+                                .iter()
+                                .copied()
+                                .filter(|&c| c != start && c != lure)
+                                .collect();
+                            pollute(&mut sys, start, &donors);
+                            pollute(&mut sys, lure, &donors);
+                        }
+                        sys.check_consistency().unwrap();
+                        if recording {
+                            sys.ledger = Ledger::recording();
+                        }
+                        sys.enable_tracing(1 << 12);
+                        sys.enable_metrics();
+                        (sys, start, lure)
                     };
-                    (malice, tally)
-                };
-                let stream = DetRng::new(7_000 + seed);
+                    let ((mut live, start, lure), (mut planned, ..)) = (build(), build());
+                    // A Byzantine arrival, or a departure from the start.
+                    let node = if join {
+                        recycled
+                    } else {
+                        live.cluster(start).unwrap().member_at(seed as usize % 7)
+                    };
+                    let op = || OpSpec {
+                        op: if join {
+                            PlannedOp::Join {
+                                node,
+                                honest: false,
+                                contact: start,
+                            }
+                        } else {
+                            PlannedOp::Leave { node }
+                        },
+                        footprint: Vec::new(),
+                        canon: seed % 3,
+                        center: start,
+                        contact_redrawn: false,
+                    };
+                    let adversary = || -> (Box<dyn Malice>, Rc<Cell<Tally>>) {
+                        let tally = Rc::new(Cell::new(Tally::default()));
+                        let malice: Box<dyn Malice> = if strategic {
+                            Box::new(Script {
+                                lure,
+                                stay: join,
+                                joiner: join.then_some(node),
+                                tally: Rc::clone(&tally),
+                            })
+                        } else {
+                            Box::new(NoMalice)
+                        };
+                        (malice, tally)
+                    };
+                    let (malice, live_tally) = adversary();
+                    live.set_malice(malice);
+                    let (malice, planned_tally) = adversary();
+                    planned.set_malice(malice);
 
-                // The kernel on the live registry.
-                let (malice, live_tally) = adversary();
-                live.set_malice(malice);
-                live.rng = stream.clone();
-                live.ledger = Ledger::new();
-                let center = run(&mut live.kernel(), join, node, start);
-                let size = live.cluster(center).unwrap().size();
-                let band = live.params.min_cluster_size()..=live.params.max_cluster_size();
-                assert!(band.contains(&size), "no split/merge fires: {case}");
+                    // Inside an open span, as in a batch, so recorded
+                    // depths are shifted on both sides.
+                    let master = 7_000 + seed;
+                    let (mut live_redraws, mut planned_redraws) = (0, 0);
+                    live.ledger.begin(CostKind::Batch);
+                    let live_stats = live.execute_wave(&[op()], None, master, &mut live_redraws);
+                    live.ledger.end();
+                    planned.ledger.begin(CostKind::Batch);
+                    let planned_stats =
+                        planned.execute_wave_planned(&[op()], master, &mut planned_redraws);
+                    planned.ledger.end();
+                    live.check_consistency().unwrap();
+                    planned.check_consistency().unwrap();
 
-                // The kernel on a view, then canonical application.
-                let (mut malice, view_tally) = adversary();
-                let mut rng = stream.clone();
-                let mut ledger = Ledger::new();
-                let mut view = Planner::new(&frozen.registry);
-                let mut kernel = Kernel::new(
-                    &mut view,
-                    &frozen.overlay,
-                    frozen.params,
-                    &mut ledger,
-                    &mut rng,
-                    malice.as_mut(),
-                );
-                let planned_center = run(&mut kernel, join, node, start);
-                let effects = view.effects;
-                let conflicts = apply_effects(&mut frozen.registry, &effects, &mut BTreeSet::new());
-                assert_eq!(conflicts, 0, "one op alone collides with nobody: {case}");
-                live.check_consistency().unwrap();
-                frozen.check_consistency().unwrap();
-
-                assert_eq!(center, planned_center, "{case}");
-                for &c in &ids {
+                    assert_eq!(live_stats, planned_stats, "{case}");
+                    assert_eq!(live_redraws, planned_redraws, "{case}");
+                    assert_eq!(live.cluster_ids(), planned.cluster_ids(), "{case}");
+                    for c in live.cluster_ids() {
+                        assert_eq!(
+                            live.cluster(c).unwrap().member_slice(),
+                            planned.cluster(c).unwrap().member_slice(),
+                            "members of {c}: {case}"
+                        );
+                    }
+                    assert_eq!(live.byz_node_ids(), planned.byz_node_ids(), "{case}");
                     assert_eq!(
-                        live.cluster(c).unwrap().member_slice(),
-                        frozen.cluster(c).unwrap().member_slice(),
-                        "members of {c}: {case}"
+                        live.rng.next_u64(),
+                        planned.rng.next_u64(),
+                        "stream: {case}"
                     );
-                }
-                assert_eq!(live.rng.next_u64(), rng.next_u64(), "stream: {case}");
-                assert_eq!(live.ledger.total(), ledger.total(), "{case}");
-                for &kind in CostKind::ALL.iter() {
+                    assert_eq!(live.ledger.total(), planned.ledger.total(), "{case}");
+                    for &kind in CostKind::ALL.iter() {
+                        assert_eq!(
+                            live.ledger.stats(kind),
+                            planned.ledger.stats(kind),
+                            "{kind}: {case}"
+                        );
+                    }
+                    assert_eq!(live.ledger.records(), planned.ledger.records(), "{case}");
                     assert_eq!(
-                        live.ledger.stats(kind),
-                        ledger.stats(kind),
-                        "{kind}: {case}"
+                        live.ledger.records().is_empty(),
+                        !recording,
+                        "records kept: {case}"
                     );
+                    assert!(live.ledger.stats(CostKind::Exchange).count > 0, "{case}");
+                    assert_eq!(live.op_counts(), planned.op_counts(), "{case}");
+                    assert_eq!(
+                        live.flight_recorder().unwrap().to_json(),
+                        planned.flight_recorder().unwrap().to_json(),
+                        "events: {case}"
+                    );
+                    let metrics = planned.metrics().unwrap();
+                    assert_eq!(live.metrics().unwrap(), metrics, "metrics: {case}");
+                    assert_eq!(
+                        metrics.counter("now_swap_conflicts_total"),
+                        0,
+                        "one op alone collides with nobody: {case}"
+                    );
+                    assert_eq!(live_tally.get(), planned_tally.get(), "hooks asked: {case}");
+                    let t = planned_tally.get();
+                    asked.forced_hops += t.forced_hops;
+                    asked.victims += t.victims;
+                    asked.saw_joiner += t.saw_joiner;
+                    cases += 1;
                 }
-                assert!(ledger.stats(CostKind::Exchange).count > 0, "{case}");
-                assert_eq!(live_tally.get(), view_tally.get(), "hooks asked: {case}");
-                let t = view_tally.get();
-                asked.forced_hops += t.forced_hops;
-                asked.victims += t.victims;
-                asked.saw_joiner += t.saw_joiner;
-                cases += 1;
             }
         }
-        assert!(cases >= 48, "cases: {cases}");
+        assert!(cases >= 112, "cases: {cases}");
         assert!(asked.forced_hops > 0, "the script forced hops: {asked:?}");
         assert!(asked.victims > 0, "the script chose victims: {asked:?}");
         assert!(

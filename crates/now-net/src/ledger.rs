@@ -323,6 +323,32 @@ impl Ledger {
         self.close(kind, cost);
     }
 
+    /// `count` leaf spans of `kind` in one call, given their summed cost
+    /// `sum` and their component-wise largest cost `peak`: exactly
+    /// `count` [`Ledger::leaf`] calls on a ledger that keeps no records
+    /// (with `count = 0`, `sum` and `peak` zero, nothing). A walk tallies
+    /// its `randNum` draws locally and settles them here once.
+    ///
+    /// # Panics
+    /// Panics on a recording ledger, where every leaf is a record of
+    /// its own.
+    pub fn leaves(&mut self, kind: CostKind, count: u64, sum: Cost, peak: Cost) {
+        assert!(
+            !self.keep_records,
+            "Ledger::leaves on a recording ledger: book each leaf"
+        );
+        self.total += sum;
+        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
+        // variants, so its discriminant indexes `stats` in bounds.
+        self.stats[kind as usize].merge(&CostStats {
+            count,
+            total_messages: sum.messages,
+            total_rounds: sum.rounds,
+            max_messages: peak.messages,
+            max_rounds: peak.rounds,
+        });
+    }
+
     /// Adds `n` messages to the global total, and thereby to every
     /// open span.
     #[inline]
@@ -512,6 +538,49 @@ mod tests {
         for kind in CostKind::ALL {
             assert_eq!(spelled.stats(kind), leafed.stats(kind), "{kind}");
         }
+    }
+
+    /// A tally settled with `leaves` is exactly its leaves booked one by
+    /// one, on a ledger with prior activity of the same kind (so maxima
+    /// on both sides of the tally's peak are exercised) and with
+    /// `n = 0`.
+    #[test]
+    fn leaves_equal_n_leaf_calls() {
+        let cost = |messages, rounds| Cost { messages, rounds };
+        let tallies: [&[Cost]; 4] = [
+            &[],
+            &[cost(12, 2)],
+            &[cost(40, 2), cost(0, 2), cost(112, 2), cost(12, 2)],
+            &[cost(3, 9), cost(300, 1)],
+        ];
+        for costs in tallies {
+            for kind in [CostKind::RandNum, CostKind::Other] {
+                let mut one_by_one = Ledger::new();
+                one_by_one.begin(CostKind::RandCl);
+                one_by_one.leaf(CostKind::RandNum, cost(60, 2));
+                let mut tallied = one_by_one.clone();
+                for &c in costs {
+                    one_by_one.leaf(kind, c);
+                }
+                let sum = costs.iter().fold(Cost::ZERO, |a, &c| a + c);
+                let peak = costs.iter().fold(Cost::ZERO, |a, c| Cost {
+                    messages: a.messages.max(c.messages),
+                    rounds: a.rounds.max(c.rounds),
+                });
+                tallied.leaves(kind, costs.len() as u64, sum, peak);
+                assert_eq!(one_by_one.end(), tallied.end(), "{costs:?}");
+                assert_eq!(one_by_one.total(), tallied.total(), "{costs:?}");
+                for k in CostKind::ALL {
+                    assert_eq!(one_by_one.stats(k), tallied.stats(k), "{k}: {costs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "recording ledger")]
+    fn leaves_refuse_a_recording_ledger() {
+        Ledger::recording().leaves(CostKind::RandNum, 0, Cost::ZERO, Cost::ZERO);
     }
 
     /// `stats` is indexed by discriminant, so `ALL` must list the

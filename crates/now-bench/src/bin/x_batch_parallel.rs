@@ -2,11 +2,8 @@
 //!
 //! The paper proves its claims for one join/leave per time step and
 //! notes (§2, footnote): *"the analysis can be generalized to several
-//! parallel join and leave operations."* `NowSystem::step_batch` with
-//! `ExecConfig::serial` realizes the generalization as a conflict-free
-//! wave schedule over cluster footprints; `ExecConfig::pooled`
-//! actually plans each wave's operations on the workers of the sweep's
-//! `WavePool`. We sweep the batch width `w` and measure:
+//! parallel join and leave operations."* We sweep the batch width `w`
+//! and measure:
 //!
 //! * per-operation message cost (should be flat — parallelism does not
 //!   change traffic; message costs are schedule-invariant),
@@ -15,39 +12,27 @@
 //!   (Σ `rounds_total − rounds_max` — the serial rounds the schedule
 //!   saves), and
 //! * with `--threads N`: the **measured** wall-clock speedup of the
-//!   threaded executor over its own 1-worker run, next to the
-//!   *estimated* round-complexity speedup — schedule model vs hardware
-//!   reality on the same batches.
+//!   pooled engine over its own 1-worker run, next to the *estimated*
+//!   round-complexity speedup — schedule model vs hardware reality on
+//!   the same batches.
 //!
-//! `--smoke` runs a reduced sweep for CI. The JSON report contains only
-//! deterministic outcome fields (no wall-clock), so CI can diff it
-//! two ways: two runs of the same seed must be byte-identical
-//! (`batch-smoke`), and `--threads 1` vs `--threads 4` must be
-//! byte-identical (the cross-thread determinism gate).
+//! Without `--threads` the sweep runs `ExecConfig::serial`: the ops run
+//! one after another and the conflict-free wave schedule over cluster
+//! footprints is derived from their costs. With `--threads N` it runs
+//! `ExecConfig::pooled` on an N-worker `WavePool`, which executes the
+//! waves. The JSON's `engine` field names which (`serial` / `pooled`);
+//! the two draw randomness differently, so their reports differ.
+//!
+//! `--smoke` runs a reduced sweep for CI. The CSV and JSON hold the
+//! deterministic outcome table only; the wall-clock columns go to a
+//! second, advisory table on stdout. So CI can diff the JSON two ways:
+//! two runs of the same seed must be byte-identical (`batch-smoke`),
+//! and `--threads 1` vs `--threads 4` must be byte-identical (the
+//! cross-thread determinism gate).
 
 use now_bench::results_dir;
-use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
-use now_sim::{BatchRandomChurn, BatchRun, Cell, Table};
-use std::fmt::Write as _;
-
-struct Row {
-    width: usize,
-    steps: u64,
-    ops: u64,
-    msgs_per_op: f64,
-    rounds_serial: u64,
-    rounds_parallel: u64,
-    waves: u64,
-    max_wave_width: usize,
-    wave_slack: u64,
-    est_speedup: f64,
-    binding_violations: usize,
-    /// Wall-clock of this run, ms (threaded sweeps only; not in JSON).
-    wall_ms: f64,
-    /// wall(threads=1) / wall(threads=N) on identical batches
-    /// (threaded sweeps only; not in JSON).
-    meas_speedup: f64,
-}
+use now_core::{ExecConfig, Json, NowParams, NowSystem, WavePool};
+use now_sim::{BatchRandomChurn, BatchRun, Table};
 
 fn run_once(
     width: usize,
@@ -68,6 +53,8 @@ fn run_once(
     (report, sys, steps)
 }
 
+/// Runs the sweep; returns the deterministic outcome table and the
+/// advisory wall-clock table.
 fn sweep(
     widths: &[usize],
     total_ops: u64,
@@ -75,8 +62,21 @@ fn sweep(
     capacity: u64,
     threads: Option<usize>,
     smoke: bool,
-) -> Vec<Row> {
-    let mut rows = Vec::new();
+) -> (Table, Table) {
+    let mut table = Table::new([
+        "width",
+        "steps",
+        "ops",
+        "msgs_per_op",
+        "rounds_serial",
+        "rounds_parallel",
+        "waves",
+        "max_wave_width",
+        "wave_slack",
+        "est_speedup",
+        "binding_violations",
+    ]);
+    let mut wall = Table::new(["width", "wall_ms", "meas_speedup"]);
     let pool = threads.map(WavePool::new);
     let exec = pool
         .as_ref()
@@ -114,61 +114,28 @@ fn sweep(
         } else {
             batch_stats.total_messages as f64 / ops as f64
         };
-        rows.push(Row {
-            width,
-            steps,
-            ops,
-            msgs_per_op,
-            rounds_serial: report.rounds_serial,
-            rounds_parallel: report.rounds_parallel,
-            waves: report.waves,
-            max_wave_width: report.max_wave_width,
-            wave_slack: report.wave_slack_rounds,
-            est_speedup: report.parallel_speedup(),
-            binding_violations: report.binding_violations(now_core::SecurityMode::Plain),
-            wall_ms: report.wall_nanos as f64 / 1e6,
-            meas_speedup,
-        });
+        table.row([
+            width.into(),
+            steps.into(),
+            ops.into(),
+            msgs_per_op.into(),
+            report.rounds_serial.into(),
+            report.rounds_parallel.into(),
+            report.waves.into(),
+            report.max_wave_width.into(),
+            report.wave_slack_rounds.into(),
+            report.parallel_speedup().into(),
+            report
+                .binding_violations(now_core::SecurityMode::Plain)
+                .into(),
+        ]);
+        wall.row([
+            width.into(),
+            (report.wall_nanos as f64 / 1e6).into(),
+            meas_speedup.into(),
+        ]);
     }
-    rows
-}
-
-fn to_json(rows: &[Row], smoke: bool, threaded: bool) -> String {
-    // Deterministic outcome fields only: both CI gates byte-diff this
-    // file, so wall-clock and thread count must stay out.
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"x_batch_parallel\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        out,
-        "  \"engine\": \"{}\",",
-        if threaded { "threaded" } else { "scheduled" }
-    );
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"width\": {}, \"steps\": {}, \"ops\": {}, \
-             \"msgs_per_op\": {:.3}, \"rounds_serial\": {}, \
-             \"rounds_parallel\": {}, \"waves\": {}, \
-             \"max_wave_width\": {}, \"wave_slack\": {}, \
-             \"speedup\": {:.4}, \"binding_violations\": {}}}{comma}",
-            r.width,
-            r.steps,
-            r.ops,
-            r.msgs_per_op,
-            r.rounds_serial,
-            r.rounds_parallel,
-            r.waves,
-            r.max_wave_width,
-            r.wave_slack,
-            r.est_speedup,
-            r.binding_violations,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    (table, wall)
 }
 
 fn parse_threads() -> Option<usize> {
@@ -192,52 +159,17 @@ fn main() {
     // A capacity-16 parameterization keeps the overlay degree (5) well
     // below the cluster count, so batches contain genuinely disjoint
     // footprints; the smoke sweep shrinks everything for CI.
-    let rows = if smoke {
+    let (table, wall) = if smoke {
         sweep(&[1, 4, 8], 60, 32, 16, threads, true)
     } else {
         sweep(&[1, 2, 4, 8, 16], 480, 64, 16, threads, false)
     };
 
-    let mut headers = vec![
-        "width",
-        "steps",
-        "ops",
-        "msgs_per_op",
-        "rounds_serial",
-        "rounds_parallel",
-        "waves",
-        "max_wave_width",
-        "wave_slack",
-        "est_speedup",
-        "binding_violations",
-    ];
-    if threads.is_some() {
-        headers.push("wall_ms");
-        headers.push("meas_speedup");
-    }
-    let mut table = Table::new(headers);
-    for r in &rows {
-        let mut cells: Vec<Cell> = vec![
-            r.width.into(),
-            r.steps.into(),
-            r.ops.into(),
-            r.msgs_per_op.into(),
-            r.rounds_serial.into(),
-            r.rounds_parallel.into(),
-            r.waves.into(),
-            r.max_wave_width.into(),
-            r.wave_slack.into(),
-            r.est_speedup.into(),
-            r.binding_violations.into(),
-        ];
-        if threads.is_some() {
-            cells.push(r.wall_ms.into());
-            cells.push(r.meas_speedup.into());
-        }
-        table.row(cells);
-    }
-
     println!("{}", table.to_markdown());
+    if threads.is_some() {
+        println!("wall clock (advisory: kept out of the CSV and JSON, which CI byte-diffs)\n");
+        println!("{}", wall.to_markdown());
+    }
     println!("expectation: msgs_per_op stays flat across widths (message costs are");
     println!("schedule-invariant); waves grow sub-linearly in width — footprint conflicts");
     println!("serialize some operations, so the estimated speedup is the ratio of serial");
@@ -257,7 +189,20 @@ fn main() {
     table
         .write_csv(&results_dir().join("x_batch_parallel.csv"))
         .unwrap();
-    let json_path = results_dir().join("x_batch_parallel.json");
-    std::fs::write(&json_path, to_json(&rows, smoke, threads.is_some())).unwrap();
+    let json = Json::object([
+        ("experiment", "x_batch_parallel".into()),
+        ("smoke", smoke.into()),
+        (
+            "engine",
+            if threads.is_some() {
+                "pooled"
+            } else {
+                "serial"
+            }
+            .into(),
+        ),
+        ("rows", table.json()),
+    ]);
+    std::fs::write(results_dir().join("x_batch_parallel.json"), json.render()).unwrap();
     println!("wrote results/x_batch_parallel.csv and results/x_batch_parallel.json");
 }

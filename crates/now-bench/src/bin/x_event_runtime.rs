@@ -14,18 +14,18 @@
 //!   whose liveness visibly degrades with loss and partitions while
 //!   safety holds ([`now_agreement::run_ben_or_event`]).
 //!
-//! The JSON report contains only deterministic outcome fields — no
+//! The JSON report holds the same two tables the binary prints, one
+//! object per row. They contain only deterministic outcome fields — no
 //! wall-clock, no thread counts — so CI's `event-smoke` job byte-diffs
 //! `--threads 1` against `--threads 4`: every outcome is a pure
 //! function of `(seed, config)`, never of the worker schedule.
 
 use now_agreement::{run_ben_or_event, ByzPlan, CoinMode};
 use now_bench::results_dir;
-use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
+use now_core::{ExecConfig, Json, NowParams, NowSystem, WavePool};
 use now_net::{DetRng, EventNetConfig, Ledger};
-use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, Table};
+use now_sim::{BatchRandomChurn, BatchRun, Cell, Table};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -82,44 +82,40 @@ fn scenarios() -> Vec<(&'static str, EventNetConfig)> {
     ]
 }
 
-struct NowRow {
-    name: &'static str,
-    report: BatchRunReport,
-    population: u64,
-    messages: u64,
-}
-
-fn run_now(name: &'static str, net: EventNetConfig, pool: &WavePool) -> NowRow {
+/// One row of the NOW table: batched churn on the event engine.
+fn run_now(name: &'static str, net: EventNetConfig, pool: &WavePool) -> Vec<Cell> {
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 220, 0.10, SEED);
     let mut driver = BatchRandomChurn::balanced(WIDTH, 0.10);
-    let report = BatchRun::new().exec(ExecConfig::event_in(net, pool)).run(
+    let r = BatchRun::new().exec(ExecConfig::event_in(net, pool)).run(
         &mut sys,
         &mut driver,
         STEPS,
         SEED ^ 0x5EED,
     );
     sys.check_consistency().expect("post-run consistency");
-    NowRow {
-        name,
-        population: sys.population(),
-        messages: sys.ledger().total().messages,
-        report,
-    }
+    vec![
+        name.into(),
+        r.steps.into(),
+        r.joins.into(),
+        r.leaves.into(),
+        r.rejected.into(),
+        r.sent.into(),
+        r.delivered.into(),
+        r.dropped.into(),
+        r.waves.into(),
+        r.max_wave_width.into(),
+        r.rounds_serial.into(),
+        r.rounds_parallel.into(),
+        r.wave_slack_rounds.into(),
+        sys.population().into(),
+        sys.ledger().total().messages.into(),
+    ]
 }
 
-struct BenOrRow {
-    name: &'static str,
-    decided: usize,
-    all_decided: bool,
-    unanimous: Option<u64>,
-    phases: u64,
-    messages: u64,
-    dropped: u64,
-    virtual_time: u64,
-}
-
-fn run_agreement(name: &'static str, net: EventNetConfig) -> BenOrRow {
+/// One row of the Ben-Or table: asynchronous consensus on the event
+/// net.
+fn run_agreement(name: &'static str, net: EventNetConfig) -> Vec<Cell> {
     const N: usize = 8;
     const F: usize = 1;
     let byz: BTreeSet<usize> = [N - 1].into_iter().collect();
@@ -138,73 +134,16 @@ fn run_agreement(name: &'static str, net: EventNetConfig) -> BenOrRow {
         &mut ledger,
         &mut rng,
     );
-    BenOrRow {
-        name,
-        decided: report.result.decisions.len(),
-        all_decided: report.all_decided,
-        unanimous: report.result.unanimous().copied(),
-        phases: report.result.rounds,
-        messages: report.result.messages,
-        dropped: report.dropped,
-        virtual_time: report.virtual_time,
-    }
-}
-
-/// Deterministic JSON: stable key order, no wall-clock or thread
-/// fields. Byte-identical across `--threads` values by construction.
-fn to_json(now_rows: &[NowRow], benor_rows: &[BenOrRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"now\": [\n");
-    for (i, r) in now_rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"steps\": {}, \"joins\": {}, \"leaves\": {}, \
-             \"rejected\": {}, \"sent\": {}, \"delivered\": {}, \"dropped\": {}, \
-             \"waves\": {}, \"max_wave_width\": {}, \
-             \"rounds_serial\": {}, \"rounds_parallel\": {}, \"wave_slack_rounds\": {}, \
-             \"population\": {}, \"messages\": {}}}",
-            r.name,
-            r.report.steps,
-            r.report.joins,
-            r.report.leaves,
-            r.report.rejected,
-            r.report.sent,
-            r.report.delivered,
-            r.report.dropped,
-            r.report.waves,
-            r.report.max_wave_width,
-            r.report.rounds_serial,
-            r.report.rounds_parallel,
-            r.report.wave_slack_rounds,
-            r.population,
-            r.messages,
-        );
-        s.push_str(if i + 1 < now_rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n  \"ben_or\": [\n");
-    for (i, r) in benor_rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"decided\": {}, \"all_decided\": {}, \
-             \"unanimous\": {}, \"phases\": {}, \"messages\": {}, \"dropped\": {}, \
-             \"virtual_time\": {}}}",
-            r.name,
-            r.decided,
-            r.all_decided,
-            r.unanimous.map_or("null".into(), |v| v.to_string()),
-            r.phases,
-            r.messages,
-            r.dropped,
-            r.virtual_time,
-        );
-        s.push_str(if i + 1 < benor_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    vec![
+        name.into(),
+        report.result.decisions.len().into(),
+        report.all_decided.into(),
+        report.result.unanimous().map_or("-".into(), |&v| v.into()),
+        report.result.rounds.into(),
+        report.result.messages.into(),
+        report.dropped.into(),
+        report.virtual_time.into(),
+    ]
 }
 
 fn main() -> ExitCode {
@@ -217,54 +156,27 @@ fn main() -> ExitCode {
     };
 
     let pool = WavePool::new(args.threads);
-    let now_rows: Vec<NowRow> = scenarios()
-        .into_iter()
-        .map(|(name, net)| run_now(name, net, &pool))
-        .collect();
-    let benor_rows: Vec<BenOrRow> = scenarios()
-        .into_iter()
-        .map(|(name, net)| run_agreement(name, net))
-        .collect();
-
-    println!(
-        "# X-EVENT-RUNTIME ({} workers; outputs are worker-count invariant)\n",
-        args.threads
-    );
-    println!("## NOW on the event scheduler\n");
-    let mut table = Table::new([
+    let mut now_table = Table::new([
         "scenario",
         "steps",
         "joins",
         "leaves",
+        "rejected",
         "sent",
         "delivered",
         "dropped",
         "waves",
         "max_width",
+        "rounds_serial",
         "rounds_par",
+        "wave_slack_rounds",
         "population",
         "messages",
     ]);
-    for r in &now_rows {
-        table.row([
-            r.name.into(),
-            r.report.steps.into(),
-            r.report.joins.into(),
-            r.report.leaves.into(),
-            r.report.sent.into(),
-            r.report.delivered.into(),
-            r.report.dropped.into(),
-            r.report.waves.into(),
-            r.report.max_wave_width.into(),
-            r.report.rounds_parallel.into(),
-            r.population.into(),
-            r.messages.into(),
-        ]);
+    for (name, net) in scenarios() {
+        now_table.row(run_now(name, net, &pool));
     }
-    println!("{}", table.to_markdown());
-
-    println!("## Ben-Or on the event scheduler\n");
-    let mut table = Table::new([
+    let mut ben_or_table = Table::new([
         "scenario",
         "decided",
         "all_decided",
@@ -274,25 +186,24 @@ fn main() -> ExitCode {
         "dropped",
         "virtual_time",
     ]);
-    for r in &benor_rows {
-        table.row([
-            r.name.into(),
-            r.decided.into(),
-            r.all_decided.into(),
-            r.unanimous.map_or("-".into(), |v| v.to_string().into()),
-            r.phases.into(),
-            r.messages.into(),
-            r.dropped.into(),
-            r.virtual_time.into(),
-        ]);
+    for (name, net) in scenarios() {
+        ben_or_table.row(run_agreement(name, net));
     }
-    println!("{}", table.to_markdown());
 
-    let json = to_json(&now_rows, &benor_rows);
+    println!(
+        "# X-EVENT-RUNTIME ({} workers; outputs are worker-count invariant)\n",
+        args.threads
+    );
+    println!("## NOW on the event scheduler\n");
+    println!("{}", now_table.to_markdown());
+    println!("## Ben-Or on the event scheduler\n");
+    println!("{}", ben_or_table.to_markdown());
+
+    let json = Json::object([("now", now_table.json()), ("ben_or", ben_or_table.json())]);
     let out_path = args
         .out
         .unwrap_or_else(|| results_dir().join("x_event_runtime.json"));
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, json.render()) {
         eprintln!("x_event_runtime: cannot write {}: {e}", out_path.display());
         return ExitCode::from(2);
     }

@@ -5,9 +5,8 @@
 //! must be byte-identical whatever `--threads` value drove them. CI's
 //! `campaign-smoke` job diffs exactly that.
 
-use now_core::SecurityMode;
+use now_core::{Json, SecurityMode};
 use now_sim::{TimeSeries, Violation, ViolationKind};
-use std::fmt::Write as _;
 
 /// Outcome of one campaign phase.
 #[derive(Debug, Clone)]
@@ -76,6 +75,59 @@ impl PhaseReport {
     pub fn count(&self, kind: ViolationKind) -> usize {
         self.violations.iter().filter(|v| v.kind == kind).count()
     }
+
+    /// The phase's JSON object, as it appears in the report's `phases`.
+    fn json(&self) -> Json {
+        let population = Json::object([
+            ("start", self.pop_start.into()),
+            ("end", self.pop_end.into()),
+            ("min", self.pop_min.into()),
+            ("max", self.pop_max.into()),
+        ]);
+        let mut violations = vec![("binding", self.binding_violations.into())];
+        for kind in [
+            ViolationKind::NotTwoThirdsHonest,
+            ViolationKind::NotMajorityHonest,
+            ViolationKind::RandNumCompromised,
+            ViolationKind::Forgeable,
+            ViolationKind::SizeBounds,
+        ] {
+            violations.push((kind.name(), self.count(kind).into()));
+        }
+        // Downsampled population trajectory: at most ~25 points per
+        // phase, stride-even so equal runs sample equal steps.
+        let points = self.population.points();
+        let stride = (points.len() / 25).max(1);
+        let trajectory = points
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % stride == 0 || *i + 1 == points.len())
+            .map(|(_, &(step, pop))| Json::array([step, pop.round() as u64]));
+        Json::object([
+            ("name", self.name.as_str().into()),
+            ("style", self.style.as_str().into()),
+            ("driver", self.driver.as_str().into()),
+            ("steps", self.steps.into()),
+            ("trigger_fired", self.trigger_fired.into()),
+            ("joins", self.joins.into()),
+            ("leaves", self.leaves.into()),
+            ("rejected", self.rejected.into()),
+            ("rounds_serial", self.rounds_serial.into()),
+            ("rounds_parallel", self.rounds_parallel.into()),
+            ("waves", self.waves.into()),
+            ("max_wave_width", self.max_wave_width.into()),
+            ("wave_slack", self.wave_slack_rounds.into()),
+            ("sent", self.sent.into()),
+            ("delivered", self.delivered.into()),
+            ("dropped", self.dropped.into()),
+            ("messages", self.messages.into()),
+            ("rounds", self.rounds.into()),
+            ("population", population),
+            ("peak_byz_fraction", self.peak_byz_fraction.into()),
+            ("violations", Json::object(violations)),
+            ("trajectory", Json::array(trajectory)),
+        ])
+    }
 }
 
 /// Outcome of a whole campaign run.
@@ -89,15 +141,15 @@ pub struct CampaignReport {
     pub security: SecurityMode,
     /// Per-phase outcomes, in execution order.
     pub phases: Vec<PhaseReport>,
-    /// Flight-recorder state at campaign end, pre-rendered as canonical
-    /// JSON (see [`now_core::FlightRecorder::to_json`]); `None` when
-    /// the campaign ran without a `trace` directive. Deterministic —
-    /// part of the byte-diffed surface.
-    pub trace: Option<String>,
-    /// Metrics registry at campaign end, pre-rendered as canonical
-    /// JSON (see [`now_core::MetricsRegistry::to_json`]); `None`
-    /// without a `metrics on` directive. Deterministic.
-    pub metrics: Option<String>,
+    /// Flight-recorder state at campaign end (see
+    /// [`now_core::FlightRecorder::json`]); `None` when the campaign ran
+    /// without a `trace` directive. Deterministic — part of the
+    /// byte-diffed surface.
+    pub trace: Option<Json>,
+    /// Metrics registry at campaign end (see
+    /// [`now_core::MetricsRegistry::json`]); `None` without a
+    /// `metrics on` directive. Deterministic.
+    pub metrics: Option<Json>,
 }
 
 impl CampaignReport {
@@ -116,141 +168,32 @@ impl CampaignReport {
         self.phases.iter().map(|p| p.messages).sum()
     }
 
-    /// Renders the deterministic JSON report (module docs). Hand-rolled
-    /// — the workspace carries no serde — with fixed field order and
-    /// fixed float precision, so equal runs yield equal bytes.
+    /// Renders the deterministic JSON report (module docs): fixed field
+    /// order, so equal runs yield equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"campaign\": \"{}\",", escape(&self.campaign));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            out,
-            "  \"security\": \"{}\",",
-            match self.security {
-                SecurityMode::Plain => "plain",
-                SecurityMode::Authenticated => "authenticated",
-            }
-        );
-        let _ = writeln!(out, "  \"total_steps\": {},", self.total_steps());
-        let _ = writeln!(
-            out,
-            "  \"total_binding_violations\": {},",
-            self.total_binding_violations()
-        );
-        let _ = writeln!(out, "  \"total_messages\": {},", self.total_messages());
-        let _ = writeln!(out, "  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let comma = if i + 1 < self.phases.len() { "," } else { "" };
-            out.push_str(&phase_json(p, "    "));
-            let _ = writeln!(out, "{comma}");
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"trace\": ");
-        out.push_str(&embed(self.trace.as_deref(), "  "));
-        out.push_str(",\n  \"metrics\": ");
-        out.push_str(&embed(self.metrics.as_deref(), "  "));
-        out.push_str("\n}\n");
-        out
+        let security = match self.security {
+            SecurityMode::Plain => "plain",
+            SecurityMode::Authenticated => "authenticated",
+        };
+        Json::object([
+            ("campaign", self.campaign.as_str().into()),
+            ("seed", self.seed.into()),
+            ("security", security.into()),
+            ("total_steps", self.total_steps().into()),
+            (
+                "total_binding_violations",
+                self.total_binding_violations().into(),
+            ),
+            ("total_messages", self.total_messages().into()),
+            (
+                "phases",
+                Json::array(self.phases.iter().map(PhaseReport::json)),
+            ),
+            ("trace", self.trace.clone().into()),
+            ("metrics", self.metrics.clone().into()),
+        ])
+        .render()
     }
-}
-
-/// Embeds a pre-rendered JSON value (or `null`) at the given indent:
-/// continuation lines are re-indented so the composite document stays
-/// uniformly formatted — and stays byte-stable, since the input is
-/// already canonical.
-fn embed(value: Option<&str>, indent: &str) -> String {
-    match value {
-        None => "null".to_string(),
-        Some(json) => {
-            let mut out = String::with_capacity(json.len());
-            for (i, line) in json.trim_end().lines().enumerate() {
-                if i > 0 {
-                    out.push('\n');
-                    out.push_str(indent);
-                }
-                out.push_str(line);
-            }
-            out
-        }
-    }
-}
-
-/// JSON string escaping: backslash, quote, and control characters
-/// (reachable through the programmatic `Campaign`/`Phase` API — the
-/// text parser's whitespace tokenizer cannot produce them, but the
-/// emitter must not produce invalid JSON either way).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn phase_json(p: &PhaseReport, indent: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{indent}{{");
-    let _ = writeln!(out, "{indent}  \"name\": \"{}\",", escape(&p.name));
-    let _ = writeln!(out, "{indent}  \"style\": \"{}\",", escape(&p.style));
-    let _ = writeln!(out, "{indent}  \"driver\": \"{}\",", escape(&p.driver));
-    let _ = writeln!(out, "{indent}  \"steps\": {},", p.steps);
-    let _ = writeln!(out, "{indent}  \"trigger_fired\": {},", p.trigger_fired);
-    let _ = writeln!(out, "{indent}  \"joins\": {},", p.joins);
-    let _ = writeln!(out, "{indent}  \"leaves\": {},", p.leaves);
-    let _ = writeln!(out, "{indent}  \"rejected\": {},", p.rejected);
-    let _ = writeln!(out, "{indent}  \"rounds_serial\": {},", p.rounds_serial);
-    let _ = writeln!(out, "{indent}  \"rounds_parallel\": {},", p.rounds_parallel);
-    let _ = writeln!(out, "{indent}  \"waves\": {},", p.waves);
-    let _ = writeln!(out, "{indent}  \"max_wave_width\": {},", p.max_wave_width);
-    let _ = writeln!(out, "{indent}  \"wave_slack\": {},", p.wave_slack_rounds);
-    let _ = writeln!(out, "{indent}  \"sent\": {},", p.sent);
-    let _ = writeln!(out, "{indent}  \"delivered\": {},", p.delivered);
-    let _ = writeln!(out, "{indent}  \"dropped\": {},", p.dropped);
-    let _ = writeln!(out, "{indent}  \"messages\": {},", p.messages);
-    let _ = writeln!(out, "{indent}  \"rounds\": {},", p.rounds);
-    let _ = writeln!(
-        out,
-        "{indent}  \"population\": {{\"start\": {}, \"end\": {}, \"min\": {}, \"max\": {}}},",
-        p.pop_start, p.pop_end, p.pop_min, p.pop_max
-    );
-    let _ = writeln!(
-        out,
-        "{indent}  \"peak_byz_fraction\": {:.6},",
-        p.peak_byz_fraction
-    );
-    let _ = writeln!(
-        out,
-        "{indent}  \"violations\": {{\"binding\": {}, \"not_two_thirds_honest\": {}, \
-         \"not_majority_honest\": {}, \"rand_num_compromised\": {}, \"forgeable\": {}, \
-         \"size_bounds\": {}}},",
-        p.binding_violations,
-        p.count(ViolationKind::NotTwoThirdsHonest),
-        p.count(ViolationKind::NotMajorityHonest),
-        p.count(ViolationKind::RandNumCompromised),
-        p.count(ViolationKind::Forgeable),
-        p.count(ViolationKind::SizeBounds),
-    );
-    // Downsampled population trajectory: at most ~25 points per phase,
-    // stride-even so equal runs sample equal steps.
-    let points = p.population.points();
-    let stride = (points.len() / 25).max(1);
-    let traj: Vec<String> = points
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % stride == 0 || *i + 1 == points.len())
-        .map(|(_, &(step, pop))| format!("[{step}, {pop:.0}]"))
-        .collect();
-    let _ = writeln!(out, "{indent}  \"trajectory\": [{}]", traj.join(", "));
-    let _ = write!(out, "{indent}}}");
-    out
 }
 
 #[cfg(test)]
@@ -330,13 +273,14 @@ mod tests {
             seed: 0,
             security: SecurityMode::Plain,
             phases: vec![phase("a")],
-            trace: Some("{\n  \"capacity\": 4,\n  \"events\": []\n}\n".into()),
-            metrics: Some("{\n  \"counters\": {}\n}\n".into()),
+            trace: Some(now_core::FlightRecorder::new(4).json()),
+            metrics: Some(now_core::MetricsRegistry::new().json()),
         };
         let json = report.to_json();
-        // Continuation lines are re-indented under the embedding key.
-        assert!(json.contains("\"trace\": {\n    \"capacity\": 4"));
-        assert!(json.contains("\"metrics\": {\n    \"counters\": {}"));
+        // Nested values are laid out at their depth in the document.
+        assert!(json.contains("\"trace\": {\n    \"capacity\": 4,"));
+        assert!(json.contains("\"events\": [],\n    \"dump\": null\n  },"));
+        assert!(json.contains("\"metrics\": {\n    \"counters\": {},"));
         // Absent sinks render as explicit nulls.
         let bare = CampaignReport {
             trace: None,
@@ -346,6 +290,23 @@ mod tests {
         let j = bare.to_json();
         assert!(j.contains("\"trace\": null"));
         assert!(j.contains("\"metrics\": null"));
+    }
+
+    #[test]
+    fn non_finite_fraction_renders_null() {
+        let mut p = phase("a");
+        p.peak_byz_fraction = f64::NAN;
+        let report = CampaignReport {
+            campaign: "t".into(),
+            seed: 0,
+            security: SecurityMode::Plain,
+            phases: vec![p],
+            trace: None,
+            metrics: None,
+        };
+        let json = report.to_json();
+        assert!(json.contains("\"peak_byz_fraction\": null,"), "{json}");
+        assert!(!json.contains("NaN"));
     }
 
     #[test]

@@ -218,8 +218,8 @@ impl Campaign {
             seed: self.seed,
             security: mode,
             phases,
-            trace: sys.flight_recorder().map(|r| r.to_json()),
-            metrics: sys.metrics().map(|m| m.to_json()),
+            trace: sys.flight_recorder().map(|r| r.json()),
+            metrics: sys.metrics().map(|m| m.json()),
         })
     }
 }
@@ -457,12 +457,17 @@ mod tests {
             r4.to_json(),
             "trace + metrics byte-identical across threads"
         );
-        let trace = r1.trace.as_ref().expect("trace directive arms recorder");
+        let trace = r1
+            .trace
+            .as_ref()
+            .expect("trace directive arms recorder")
+            .render();
         assert!(trace.contains("\"kind\": \"wave\""));
         let metrics = r1
             .metrics
             .as_ref()
-            .expect("metrics directive arms registry");
+            .expect("metrics directive arms registry")
+            .render();
         assert!(metrics.contains("now_steps_total"));
         assert!(metrics.contains("now_net_sent_total"));
         // Message conservation holds per phase, and only event phases
@@ -495,11 +500,17 @@ mod tests {
         let rec = sys.flight_recorder().expect("recorder armed");
         let dump = rec.dump().expect("first violation captured a dump");
         assert!(!dump.events.is_empty(), "dump holds the causal window");
-        assert!(report.trace.as_ref().unwrap().contains("\"dump\": {"));
+        assert!(report
+            .trace
+            .as_ref()
+            .unwrap()
+            .render()
+            .contains("\"dump\": {"));
         assert!(report
             .metrics
             .as_ref()
             .unwrap()
+            .render()
             .contains("now_violations_total"));
     }
 

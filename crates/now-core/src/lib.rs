@@ -79,7 +79,7 @@ pub use exec::{BatchInput, ExecConfig};
 pub use malice::{Malice, NoMalice, RandNumContext, RandNumPurpose};
 pub use now_net::{DropReason, EventNetConfig, EventRecord, Partition};
 pub use now_trace::{
-    FlightRecorder, Histogram, MetricsRegistry, TraceData, TraceEvent, ViolationDump,
+    FlightRecorder, Histogram, Json, MetricsRegistry, TraceData, TraceEvent, ViolationDump,
 };
 pub use params::{NowParams, SecurityMode};
 pub use rand_cl::WalkTrace;

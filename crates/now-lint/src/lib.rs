@@ -268,41 +268,6 @@ pub fn write_api_locks(root: &Path, cfg: &Config) -> Result<Vec<String>, String>
     Ok(written)
 }
 
-/// Renders findings as a canonical JSON document (sorted input order is
-/// preserved): `{"findings":[{"path","line","rule","message"},…]}`.
-/// Hand-rolled — this crate is zero-dependency by design.
-pub fn render_json(findings: &[Finding]) -> String {
-    fn escape(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"path\":\"");
-        escape(&f.path, &mut out);
-        out.push_str(&format!(
-            "\",\"line\":{},\"rule\":\"{}\",\"message\":\"",
-            f.line, f.rule
-        ));
-        escape(&f.message, &mut out);
-        out.push_str("\"}");
-    }
-    out.push_str(&format!("],\"count\":{}}}\n", findings.len()));
-    out
-}
-
 /// Loads `lint.toml` from `root`. A missing file is an empty config
 /// (deny-by-default stays in force); a malformed one is an error.
 pub fn load_config(root: &Path) -> Result<Config, String> {

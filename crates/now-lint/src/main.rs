@@ -11,8 +11,9 @@
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or config error.
 //! Findings print as `file:line rule-id message`, one per line; with
-//! `--json`, as a canonical sorted `{"findings":[…],"count":N}`
-//! document (exit codes unchanged).
+//! `--json`, as one `{"findings": […], "count": N}` document in the
+//! workspace's JSON layout (`now_trace::Json`), findings in the same
+//! sorted order (exit codes unchanged).
 
 #![forbid(unsafe_code)] // SAFETY-comment police carry no unsafe themselves
 #![deny(deprecated)]
@@ -22,9 +23,9 @@ use std::process::ExitCode;
 
 use now_lint::semantic::UnitFile;
 use now_lint::{
-    classify, config, lint_source, load_config, render_json, run_workspace, semantic,
-    write_api_locks, Finding,
+    classify, config, lint_source, load_config, run_workspace, semantic, write_api_locks, Finding,
 };
+use now_trace::Json;
 
 fn usage() -> &'static str {
     "usage: now-lint --workspace [--root DIR] [--config FILE] [--json]\n       \
@@ -48,7 +49,11 @@ fn fail(msg: &str) -> ExitCode {
 
 fn report(findings: &[Finding], json: bool) -> ExitCode {
     if json {
-        print!("{}", render_json(findings));
+        let doc = Json::object([
+            ("findings", Json::array(findings.iter().map(Finding::json))),
+            ("count", findings.len().into()),
+        ]);
+        print!("{}", doc.render());
     } else {
         for f in findings {
             println!("{}", f.render());

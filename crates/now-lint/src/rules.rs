@@ -17,6 +17,7 @@
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
 
 use crate::tokenizer::{TokKind, Token};
+use now_trace::Json;
 
 /// Where a file sits in the workspace; decides which rules bind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +50,16 @@ impl Finding {
     /// The canonical `file:line rule message` report line.
     pub fn render(&self) -> String {
         format!("{}:{} {} {}", self.path, self.line, self.rule, self.message)
+    }
+
+    /// The finding as a JSON row of the `--json` report.
+    pub fn json(&self) -> Json {
+        Json::object([
+            ("path", self.path.as_str().into()),
+            ("line", u64::from(self.line).into()),
+            ("rule", self.rule.into()),
+            ("message", self.message.as_str().into()),
+        ])
     }
 }
 

@@ -16,7 +16,8 @@
 //!   population between `√N` and `N`.
 //! * [`metrics`] — time series, summaries, and quantiles.
 //! * [`report`] — the experiment binaries' [`Table`]: one set of rows,
-//!   rendered as markdown and as CSV (hand-rolled; no serde dependency).
+//!   rendered as markdown, as CSV, and as JSON rows (through
+//!   [`now_core::Json`], the workspace's one JSON writer).
 //! * [`baselines`] — the comparison systems: no-shuffle static
 //!   clustering (the §3.3 attack victim) and the naive
 //!   single-cluster/full-mesh cost formulas of §6.

@@ -1,14 +1,20 @@
 //! The experiment table: declared once, rendered as markdown for the
-//! write-up and as CSV for `results/`.
+//! write-up, as CSV for `results/`, and as JSON rows.
 
+use now_core::Json;
 use std::fmt::Write as _;
 
-/// One table cell. Text renders the same in both formats; a float
-/// carries its value and each renderer picks the precision.
+/// One table cell. Text, flags and counts render the same in markdown
+/// and CSV; a float carries its value and each renderer picks the
+/// precision. JSON keeps each cell's type: string, boolean or number.
 #[derive(Debug, Clone)]
 pub enum Cell {
     /// Rendered as is.
     Text(String),
+    /// A flag, rendered `true` / `false`.
+    Bool(bool),
+    /// A count, rendered exactly.
+    Int(u64),
     /// Markdown renders about three significant decimals, CSV six
     /// decimals.
     Float(f64),
@@ -29,12 +35,29 @@ macro_rules! text_cell_from {
         }
     )*};
 }
-text_cell_from!(&str, String, bool, u32, u64, usize);
+text_cell_from!(&str, String);
+
+impl From<bool> for Cell {
+    fn from(v: bool) -> Self {
+        Cell::Bool(v)
+    }
+}
+
+macro_rules! int_cell_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Cell {
+            fn from(v: $t) -> Self {
+                Cell::Int(v as u64)
+            }
+        }
+    )*};
+}
+int_cell_from!(u32, u64, usize);
 
 /// A rectangular table with a header row, used by the experiment
 /// binaries (README § Experiment index): each declares its headers
 /// once, pushes each row once, prints [`Table::to_markdown`] and writes
-/// [`Table::write_csv`].
+/// [`Table::write_csv`] (and, where CI byte-diffs it, [`Table::json`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -77,6 +100,8 @@ impl Table {
                 .iter()
                 .map(|c| match c {
                     Cell::Text(s) => s.clone(),
+                    Cell::Bool(b) => b.to_string(),
+                    Cell::Int(v) => v.to_string(),
                     Cell::Float(v) => fmt_f(*v),
                 })
                 .collect();
@@ -102,12 +127,29 @@ impl Table {
                 .iter()
                 .map(|c| match c {
                     Cell::Text(s) => escape(s),
+                    Cell::Bool(b) => b.to_string(),
+                    Cell::Int(v) => v.to_string(),
                     Cell::Float(v) => format!("{v:.6}"),
                 })
                 .collect();
             let _ = writeln!(out, "{}", cells.join(","));
         }
         out
+    }
+
+    /// One JSON object per row, keyed by header.
+    pub fn json(&self) -> Json {
+        Json::array(self.rows.iter().map(|row| {
+            Json::object(self.headers.iter().zip(row).map(|(h, c)| {
+                let v = match c {
+                    Cell::Text(s) => s.as_str().into(),
+                    Cell::Bool(b) => (*b).into(),
+                    Cell::Int(v) => (*v).into(),
+                    Cell::Float(v) => (*v).into(),
+                };
+                (h.as_str(), v)
+            }))
+        }))
     }
 
     /// Writes the CSV to a file.
@@ -167,6 +209,23 @@ mod tests {
         t.row(["x".into(), 12.3456789.into()]);
         assert!(t.to_markdown().ends_with("| x | 12.35 |\n"));
         assert_eq!(t.to_csv(), "label,ratio\nx,12.345679\n");
+    }
+
+    #[test]
+    fn json_rows_are_keyed_by_header() {
+        let mut t = Table::new(["name", "count", "ratio", "ok"]);
+        t.row(["a".into(), 3usize.into(), 0.5.into(), true.into()]);
+        t.row(["b\"".into(), u64::MAX.into(), f64::NAN.into(), false.into()]);
+        assert_eq!(
+            t.json().render(),
+            "[\n  {\"name\": \"a\", \"count\": 3, \"ratio\": 0.500000, \"ok\": true},\n  \
+             {\"name\": \"b\\\"\", \"count\": 18446744073709551615, \"ratio\": null, \
+             \"ok\": false}\n]\n"
+        );
+        // Counts and flags render the same in markdown and CSV as text
+        // did.
+        assert!(t.to_markdown().contains("| a | 3 | 0.5000 | true |"));
+        assert!(t.to_csv().contains("\na,3,0.500000,true\n"));
     }
 
     #[test]

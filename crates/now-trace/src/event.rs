@@ -1,6 +1,6 @@
-//! Typed protocol events and their canonical JSON rendering.
+//! Typed protocol events and their canonical JSON form.
 
-use std::fmt::Write as _;
+use crate::json::Json;
 
 /// One protocol event, as recorded by the engines.
 ///
@@ -157,89 +157,67 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event as one canonical single-line JSON object:
-    /// fixed field order (`seq`, `step`, `kind`, then the variant's
-    /// fields in declaration order), integers only.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"seq\": {}, \"step\": {}, \"kind\": \"{}\"",
-            self.seq,
-            self.step,
-            self.data.kind()
-        );
+    /// The event as one JSON row: fixed field order (`seq`, `step`,
+    /// `kind`, then the variant's fields in declaration order),
+    /// integers only.
+    pub fn json(&self) -> Json {
+        let mut m: Vec<(&str, Json)> = vec![
+            ("seq", self.seq.into()),
+            ("step", self.step.into()),
+            ("kind", self.data.kind().into()),
+        ];
         match self.data {
             TraceData::OpPlanned { canon, join, node }
-            | TraceData::OpApplied { canon, join, node } => {
-                let _ = write!(
-                    s,
-                    ", \"canon\": {canon}, \"op\": \"{}\", \"node\": {node}",
-                    if join { "join" } else { "leave" }
-                );
-            }
-            TraceData::OpRejected { node } => {
-                let _ = write!(s, ", \"node\": {node}");
-            }
-            TraceData::MsgSend { canon, from, to } => {
-                let _ = write!(s, ", \"canon\": {canon}, \"from\": {from}, \"to\": {to}");
-            }
+            | TraceData::OpApplied { canon, join, node } => m.extend([
+                ("canon", canon.into()),
+                ("op", if join { "join" } else { "leave" }.into()),
+                ("node", node.into()),
+            ]),
+            TraceData::OpRejected { node } => m.push(("node", node.into())),
+            TraceData::MsgSend { canon, from, to } => m.extend([
+                ("canon", canon.into()),
+                ("from", from.into()),
+                ("to", to.into()),
+            ]),
             TraceData::MsgDeliver { time, canon } => {
-                let _ = write!(s, ", \"time\": {time}, \"canon\": {canon}");
+                m.extend([("time", time.into()), ("canon", canon.into())]);
             }
             TraceData::MsgDrop {
                 time,
                 canon,
                 reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ", \"time\": {time}, \"canon\": {canon}, \"reason\": \"{reason}\""
-                );
-            }
+            } => m.extend([
+                ("time", time.into()),
+                ("canon", canon.into()),
+                ("reason", reason.into()),
+            ]),
             TraceData::Split {
                 cluster,
                 new_cluster,
-            } => {
-                let _ = write!(
-                    s,
-                    ", \"cluster\": {cluster}, \"new_cluster\": {new_cluster}"
-                );
-            }
+            } => m.extend([
+                ("cluster", cluster.into()),
+                ("new_cluster", new_cluster.into()),
+            ]),
             TraceData::Merge { cluster, absorbed } => {
-                let _ = write!(s, ", \"cluster\": {cluster}, \"absorbed\": {absorbed}");
+                m.extend([("cluster", cluster.into()), ("absorbed", absorbed.into())]);
             }
-            TraceData::ContactRedraws { count } => {
-                let _ = write!(s, ", \"count\": {count}");
-            }
+            TraceData::ContactRedraws { count } => m.push(("count", count.into())),
             TraceData::Wave {
                 ops,
                 rounds,
                 messages,
-            } => {
-                let _ = write!(
-                    s,
-                    ", \"ops\": {ops}, \"rounds\": {rounds}, \"messages\": {messages}"
-                );
-            }
-            TraceData::Partition { groups } => {
-                let _ = write!(s, ", \"groups\": {groups}");
-            }
-            TraceData::Heal { at } => {
-                let _ = write!(s, ", \"at\": {at}");
-            }
+            } => m.extend([
+                ("ops", ops.into()),
+                ("rounds", rounds.into()),
+                ("messages", messages.into()),
+            ]),
+            TraceData::Partition { groups } => m.push(("groups", groups.into())),
+            TraceData::Heal { at } => m.push(("at", at.into())),
             TraceData::Violation { kind, cluster } => {
-                let _ = write!(s, ", \"violation\": \"{kind}\", \"cluster\": ");
-                match cluster {
-                    Some(c) => {
-                        let _ = write!(s, "{c}");
-                    }
-                    None => s.push_str("null"),
-                }
+                m.extend([("violation", kind.into()), ("cluster", cluster.into())]);
             }
         }
-        s.push('}');
-        s
+        Json::object(m)
     }
 }
 
@@ -268,10 +246,12 @@ mod tests {
                 node: 41,
             },
         };
+        // A top-level object breaks; as an array element (in the
+        // recorder's `events`) it is one line.
         assert_eq!(
-            ev.to_json(),
-            "{\"seq\": 3, \"step\": 7, \"kind\": \"op_applied\", \"canon\": 2, \
-             \"op\": \"join\", \"node\": 41}"
+            Json::array([ev.json()]).render(),
+            "[\n  {\"seq\": 3, \"step\": 7, \"kind\": \"op_applied\", \"canon\": 2, \
+             \"op\": \"join\", \"node\": 41}\n]\n"
         );
     }
 
@@ -285,7 +265,7 @@ mod tests {
                 cluster: None,
             },
         };
-        assert!(ev.to_json().ends_with("\"cluster\": null}"));
+        assert!(ev.json().render().ends_with("\"cluster\": null\n}\n"));
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //!   advisory fields and process-global span totals only; they are
 //!   excluded from every byte-diffed artifact.
 //!
+//! Every deterministic JSON artifact of the workspace — these two
+//! sinks', campaign reports, experiment tables, lint findings — is
+//! rendered by the one writer here, [`Json`].
+//!
 //! The crate is dependency-free and protocol-agnostic: callers record
 //! node and cluster identities as raw `u64`s, which keeps this crate at
 //! the bottom of the workspace DAG (everything above — now-core,
@@ -29,11 +33,13 @@
 #![warn(missing_docs)]
 
 mod event;
+mod json;
 mod metrics;
 mod profile;
 mod recorder;
 
 pub use event::{TraceData, TraceEvent};
+pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{stopwatch, SpanTotal, Stopwatch};
 pub use recorder::{FlightRecorder, ViolationDump};

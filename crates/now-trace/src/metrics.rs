@@ -11,6 +11,7 @@
 //! value: a metrics artifact is part of the byte-diffed determinism
 //! surface.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -118,53 +119,38 @@ impl MetricsRegistry {
 
     /// Canonical JSON: three sorted maps, fixed field order, integers
     /// only.
+    pub fn json(&self) -> Json {
+        let histogram = |h: &Histogram| {
+            Json::object([
+                ("bounds", Json::array(h.bounds().iter().copied())),
+                ("counts", Json::array(h.counts().iter().copied())),
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+            ])
+        };
+        Json::object([
+            (
+                "counters",
+                Json::object(self.counters.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+            ),
+            (
+                "gauges",
+                Json::object(self.gauges.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+            ),
+            (
+                "histograms",
+                Json::object(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.as_str(), histogram(h))),
+                ),
+            ),
+        ])
+    }
+
+    /// [`MetricsRegistry::json`] rendered as a document.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    \"{k}\": {v}");
-        }
-        s.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    \"{k}\": {v}");
-        }
-        s.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    \"{k}\": {{\"bounds\": [");
-            for (j, b) in h.bounds().iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{b}");
-            }
-            s.push_str("], \"counts\": [");
-            for (j, c) in h.counts().iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{c}");
-            }
-            let _ = write!(s, "], \"count\": {}, \"sum\": {}}}", h.count(), h.sum());
-        }
-        s.push_str(if self.histograms.is_empty() {
-            "}\n"
-        } else {
-            "\n  }\n"
-        });
-        s.push_str("}\n");
-        s
+        self.json().render()
     }
 
     /// Prometheus-style text exposition: `# TYPE` headers, buckets as
@@ -230,9 +216,10 @@ mod tests {
         let b = json.find("now_b_total").unwrap();
         assert!(a < b, "keys must render sorted");
         assert!(json.contains("\"now_population\": 42"));
-        assert!(
-            json.contains("\"bounds\": [1, 2], \"counts\": [0, 1, 0], \"count\": 1, \"sum\": 2")
-        );
+        assert!(json.contains(
+            "\"now_wave_width\": {\n      \"bounds\": [1, 2],\n      \"counts\": [0, 1, 0],\n      \
+             \"count\": 1,\n      \"sum\": 2\n    }"
+        ));
         // Two renders are byte-identical.
         assert_eq!(json, m.to_json());
     }
@@ -242,6 +229,21 @@ mod tests {
         let json = MetricsRegistry::new().to_json();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
+    }
+
+    #[test]
+    fn metric_names_are_escaped() {
+        let mut m = MetricsRegistry::new();
+        m.inc("now_\"quoted\"_total", 1);
+        m.set_gauge("now_multi\nline", 2);
+        let json = m.to_json();
+        assert!(json.contains("\"now_\\\"quoted\\\"_total\": 1"), "{json}");
+        assert!(json.contains("\"now_multi\\nline\": 2"), "{json}");
+        assert_eq!(
+            json.matches('\n').count(),
+            9,
+            "no raw newline in a key: {json}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The flight recorder: a bounded ring of recent protocol events.
 
 use crate::event::{TraceData, TraceEvent};
+use crate::json::Json;
 use std::collections::{BTreeSet, VecDeque};
 
 /// A bounded ring buffer of [`TraceEvent`]s.
@@ -42,32 +43,20 @@ pub struct ViolationDump {
 
 impl ViolationDump {
     /// Canonical JSON object for the dump.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"step\": {}, \"kind\": \"{}\", ",
-            self.step, self.kind
-        ));
-        match self.cluster {
-            Some(c) => s.push_str(&format!("\"cluster\": {c}, ")),
-            None => s.push_str("\"cluster\": null, "),
-        }
-        s.push_str("\"neighborhood\": [");
-        for (i, c) in self.neighborhood.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str("], \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&ev.to_json());
-        }
-        s.push_str("]}");
-        s
+    pub fn json(&self) -> Json {
+        Json::object([
+            ("step", self.step.into()),
+            ("kind", self.kind.into()),
+            ("cluster", self.cluster.into()),
+            (
+                "neighborhood",
+                Json::array(self.neighborhood.iter().copied()),
+            ),
+            (
+                "events",
+                Json::array(self.events.iter().map(TraceEvent::json)),
+            ),
+        ])
     }
 }
 
@@ -173,25 +162,21 @@ impl FlightRecorder {
     }
 
     /// Canonical JSON for the whole recorder: capacity, eviction count,
-    /// retained events, and the violation dump (or `null`).
+    /// retained events (one line each), and the violation dump (or
+    /// `null`).
+    pub fn json(&self) -> Json {
+        Json::object([
+            ("capacity", self.capacity.into()),
+            ("recorded", self.recorded().into()),
+            ("evicted", self.evicted().into()),
+            ("events", Json::array(self.buf.iter().map(TraceEvent::json))),
+            ("dump", self.dump.as_ref().map(ViolationDump::json).into()),
+        ])
+    }
+
+    /// [`FlightRecorder::json`] rendered as a document.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        s.push_str(&format!("  \"recorded\": {},\n", self.recorded()));
-        s.push_str(&format!("  \"evicted\": {},\n", self.evicted()));
-        s.push_str("  \"events\": [\n");
-        for (i, ev) in self.buf.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&ev.to_json());
-            s.push_str(if i + 1 < self.buf.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n  \"dump\": ");
-        match &self.dump {
-            Some(d) => s.push_str(&d.to_json()),
-            None => s.push_str("null"),
-        }
-        s.push_str("\n}\n");
-        s
+        self.json().render()
     }
 }
 
@@ -307,6 +292,16 @@ mod tests {
         assert!(json.contains("\"evicted\": 0"));
         assert!(json.contains("\"kind\": \"wave\""));
         assert!(json.contains("\"dump\": null"));
+        // One line per event, in the ring and in the dump.
+        let line = "{\"seq\": 0, \"step\": 0, \"kind\": \"wave\", \"ops\": 3, \"rounds\": 1, \
+                    \"messages\": 1}";
+        assert!(json.contains(&format!("\"events\": [\n    {line}\n  ],")));
+        rec.capture_dump(0, "size_bounds", None, &[]);
+        let json = rec.to_json();
+        assert!(json.contains(&format!(
+            "\"dump\": {{\n    \"step\": 0,\n    \"kind\": \"size_bounds\",\n    \
+             \"cluster\": null,\n    \"neighborhood\": [],\n    \"events\": [\n      {line}\n    ]\n  }}"
+        )));
         // Determinism guard: no wall-clock or worker-count vocabulary
         // may ever enter the trace artifact.
         for banned in ["wall", "nanos", "thread"] {

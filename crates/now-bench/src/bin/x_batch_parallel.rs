@@ -6,7 +6,7 @@
 //! and measure:
 //!
 //! * per-operation message cost (should be flat — parallelism does not
-//!   change traffic; message costs are schedule-invariant),
+//!   change an operation's traffic, only which state it runs on),
 //! * round complexity per time step: serial sum vs the scheduled
 //!   per-wave maxima, the wave counts, and the per-wave *slack*
 //!   (Σ `rounds_total − rounds_max` — the serial rounds the schedule
@@ -16,19 +16,17 @@
 //!   round-complexity speedup — schedule model vs hardware reality on
 //!   the same batches.
 //!
-//! Without `--threads` the sweep runs `ExecConfig::serial`: the ops run
-//! one after another and the conflict-free wave schedule over cluster
-//! footprints is derived from their costs. With `--threads N` it runs
-//! `ExecConfig::pooled` on an N-worker `WavePool`, which executes the
-//! waves. The JSON's `engine` field names which (`serial` / `pooled`);
-//! the two draw randomness differently, so their reports differ.
+//! Every run executes the conflict-free waves over cluster footprints:
+//! without `--threads` on the driving thread (`ExecConfig::scheduled`),
+//! with `--threads N` on an N-worker `WavePool` (`ExecConfig::pooled`).
+//! The two are bit-identical, so the report does not say which ran.
 //!
 //! `--smoke` runs a reduced sweep for CI. The CSV and JSON hold the
 //! deterministic outcome table only; the wall-clock columns go to a
 //! second, advisory table on stdout. So CI can diff the JSON two ways:
 //! two runs of the same seed must be byte-identical (`batch-smoke`),
-//! and `--threads 1` vs `--threads 4` must be byte-identical (the
-//! cross-thread determinism gate).
+//! and the default run, `--threads 1` and `--threads 4` must be
+//! byte-identical (the cross-thread determinism gate).
 
 use now_bench::results_dir;
 use now_core::{ExecConfig, Json, NowParams, NowSystem, WavePool};
@@ -80,7 +78,7 @@ fn sweep(
     let pool = threads.map(WavePool::new);
     let exec = pool
         .as_ref()
-        .map_or(ExecConfig::serial(), ExecConfig::pooled);
+        .map_or(ExecConfig::scheduled(), ExecConfig::pooled);
     for &width in widths {
         let (report, sys, steps) = run_once(width, total_ops, clusters, capacity, exec);
         // Measured speedup: re-run the identical batches single-worker
@@ -170,8 +168,8 @@ fn main() {
         println!("wall clock (advisory: kept out of the CSV and JSON, which CI byte-diffs)\n");
         println!("{}", wall.to_markdown());
     }
-    println!("expectation: msgs_per_op stays flat across widths (message costs are");
-    println!("schedule-invariant); waves grow sub-linearly in width — footprint conflicts");
+    println!("expectation: msgs_per_op stays flat across widths (parallelism does not");
+    println!("change an op's traffic); waves grow sub-linearly in width — footprint conflicts");
     println!("serialize some operations, so the estimated speedup is the ratio of serial");
     println!("rounds to the per-wave maxima rather than the ideal ×width; wave_slack is the");
     println!("serial rounds the schedule saves. With --threads N the meas_speedup column");
@@ -192,15 +190,6 @@ fn main() {
     let json = Json::object([
         ("experiment", "x_batch_parallel".into()),
         ("smoke", smoke.into()),
-        (
-            "engine",
-            if threads.is_some() {
-                "pooled"
-            } else {
-                "serial"
-            }
-            .into(),
-        ),
         ("rows", table.json()),
     ]);
     std::fs::write(results_dir().join("x_batch_parallel.json"), json.render()).unwrap();

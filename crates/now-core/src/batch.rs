@@ -1,4 +1,5 @@
-//! Parallel join/leave batches and the conflict-free wave scheduler.
+//! Parallel join/leave batches: the step's arrivals, its report, and
+//! the cluster footprints its conflict-free waves are cut by.
 //!
 //! The paper's model processes one join or leave per time step "for
 //! simplicity of presentation", with the footnote (§2): *"However, the
@@ -18,24 +19,20 @@
 //! contend for the same clusters' quorums and must be serialized; two
 //! operations with disjoint footprints can run concurrently.
 //!
-//! The scheduler partitions the batch into waves by scanning it in
-//! canonical order (departures before arrivals — failure detection of
-//! the step's leavers precedes the admission of its joiners — each in
-//! input order) and opening a new wave whenever an operation's
-//! footprint intersects the current wave's. Waves therefore form
-//! contiguous segments of the canonical order and every wave's
-//! operations are pairwise footprint-disjoint ([`WaveFootprint`] is the
-//! one copy of that rule). The serial engine in this module
-//! ([`crate::ExecConfig::Serial`]) executes the operations one after
-//! another on the live registry and *derives* the schedule from their
-//! measured costs; the wave engine ([`crate::wave_exec`]) partitions
-//! first and executes wave by wave. Either way the batch is
-//! deterministic: same seed ⇒ same admitted ids, same ledger totals.
-//! Message costs are schedule-invariant by construction (parallelism
-//! saves time, not traffic).
+//! The wave engine ([`crate::wave_exec`]) partitions the batch into
+//! waves by scanning it in canonical order (departures before arrivals
+//! — failure detection of the step's leavers precedes the admission of
+//! its joiners — each in input order) and opening a new wave whenever
+//! an operation's footprint intersects the current wave's. Waves
+//! therefore form contiguous segments of the canonical order and every
+//! wave's operations are pairwise footprint-disjoint. It then executes
+//! wave by wave. [`crate::ExecConfig::Serial`] is the same engine with
+//! every operation in a wave of its own. Either way the batch is
+//! deterministic: same seed and engine ⇒ same admitted ids, same ledger
+//! totals.
 //!
-//! The round complexity of the batched step is derived from the
-//! schedule: each wave costs the *maximum* round count over its
+//! The round complexity of the batched step is read off the waves
+//! executed: each wave costs the *maximum* round count over its
 //! operations (they proceed in lockstep; the slowest determines the
 //! wave's duration), and the step costs the sum over waves —
 //! [`BatchReport::rounds_parallel`]. The serial baseline is the plain
@@ -59,17 +56,12 @@
 //! the same node reorder who ends up where, but neither can change a
 //! cluster's size, so the size band never depends on how ops of a wave
 //! interleave. How often they do pick the same node is measured, not
-//! assumed: `now_swap_conflicts_total`.
-//!
-//! On the serial engine none of the reported outcome metrics depend on
-//! this choice — only the `rounds_parallel` estimate does, and
-//! `x_batch_parallel` reports the wave structure alongside it so the
-//! estimate is inspectable.
+//! assumed: `now_swap_conflicts_total`. On [`crate::ExecConfig::Serial`]
+//! no two operations share a wave, so none of this arises.
 
 use crate::error::NowError;
 use crate::system::NowSystem;
-use now_net::{ClusterId, Cost, CostKind, EventRecord, NodeId};
-use std::collections::BTreeSet;
+use now_net::{ClusterId, Cost, EventRecord, NodeId};
 
 /// One arrival of a batched step: the adversary's corruption decision
 /// plus an optional steered contact cluster.
@@ -204,80 +196,7 @@ impl BatchReport {
     }
 }
 
-/// The greedy conflict rule, in one place: the footprint union of the
-/// wave being filled. Operations arrive in order with a pre-computed
-/// footprint; a new wave opens whenever the incoming footprint
-/// intersects the open wave's union.
-#[derive(Default)]
-pub(crate) struct WaveFootprint {
-    union: BTreeSet<ClusterId>,
-}
-
-impl WaveFootprint {
-    /// Admits the next operation. Returns `true` when its footprint
-    /// conflicts with the open wave — that wave is closed and the
-    /// operation opens the next one; `false` when it joined the open
-    /// wave (always the case for a wave's first operation).
-    pub(crate) fn admit(&mut self, footprint: &[ClusterId]) -> bool {
-        let conflicts = footprint.iter().any(|c| self.union.contains(c));
-        if conflicts {
-            self.union.clear();
-        }
-        self.union.extend(footprint.iter().copied());
-        conflicts
-    }
-}
-
-/// The serial engine's schedule: operations are placed in canonical
-/// batch order, after they ran, with their measured costs.
-#[derive(Default)]
-struct WaveScheduler {
-    waves: Vec<WaveStats>,
-    current: WaveStats,
-    open: WaveFootprint,
-}
-
-impl WaveScheduler {
-    /// Places one executed operation (footprint computed *before* it
-    /// ran, cost measured while it ran) into the schedule.
-    fn place(&mut self, footprint: &[ClusterId], rounds: u64, messages: u64) {
-        if self.open.admit(footprint) {
-            self.waves.push(self.current);
-            self.current = WaveStats::default();
-        }
-        self.current.ops += 1;
-        self.current.rounds_max = self.current.rounds_max.max(rounds);
-        self.current.rounds_total += rounds;
-        self.current.messages += messages;
-    }
-
-    /// Closes the schedule: the waves plus the derived parallel round
-    /// count (Σ over waves of the wave's max).
-    fn finish(mut self) -> (Vec<WaveStats>, u64) {
-        if self.current.ops > 0 {
-            self.waves.push(self.current);
-        }
-        let rounds = self.waves.iter().map(|w| w.rounds_max).sum();
-        (self.waves, rounds)
-    }
-}
-
 impl NowSystem {
-    /// Resolves one arrival's contact cluster at batch admission,
-    /// returning `(contact, redrawn)`: a live steered contact is
-    /// honored; a dissolved one **degrades to the uniform draw** — the
-    /// same rule the serial [`NowSystem::join`] path applies — and is
-    /// counted as a redraw ([`BatchReport::contact_redraws`]). Shared
-    /// by the serial and wave engines so the rule cannot drift per
-    /// site.
-    pub(crate) fn resolve_batch_contact(&mut self, spec: JoinSpec) -> (ClusterId, bool) {
-        match spec.contact {
-            Some(c) if self.cluster(c).is_some() => (c, false),
-            Some(_) => (self.contact_cluster(), true),
-            None => (self.contact_cluster(), false),
-        }
-    }
-
     /// The cluster footprint of a maintenance operation coordinating
     /// through `center`: the cluster itself plus its current overlay
     /// neighborhood (view updates, split/merge/exchange candidates of
@@ -289,118 +208,6 @@ impl NowSystem {
         fp.push(center);
         fp
     }
-
-    /// The serial engine ([`crate::ExecConfig::Serial`]): the paper
-    /// footnote's "several parallel join and leave operations" as
-    /// **one** time step. Departures run first, then arrivals, one
-    /// after another on the live registry off the system's shared
-    /// randomness stream — exactly like a sequence of
-    /// [`NowSystem::join`] / [`NowSystem::leave`] calls folded into one
-    /// [`CostKind::Batch`] span. A departure that fails (unknown node —
-    /// e.g. listed twice — or the `N^{1/y}` population floor) is
-    /// reported in [`BatchReport::rejected`] and does not abort the
-    /// rest of the batch. The wave schedule is *derived* (measured
-    /// costs placed by the greedy scheduler), not executed.
-    pub(crate) fn step_serial_impl(
-        &mut self,
-        joins: &[JoinSpec],
-        leaves: &[NodeId],
-    ) -> BatchReport {
-        // Wall-clock measurement only: feeds `wall_nanos`, which is
-        // excluded from byte-diffed reports.
-        let start = now_trace::stopwatch();
-        self.ledger_mut().begin(CostKind::Batch);
-        let step = self.time_step;
-        let mut canon = 0u64;
-        let mut joined = Vec::with_capacity(joins.len());
-        let mut left = Vec::with_capacity(leaves.len());
-        let mut rejected = Vec::new();
-        let mut sched = WaveScheduler::default();
-
-        for &node in leaves {
-            // Footprint from the pre-operation state (read-only; a
-            // rejected leave has none and is never scheduled).
-            let footprint = self
-                .node_cluster(node)
-                .ok()
-                .map(|home| self.op_footprint(home));
-            let before = self.ledger().total();
-            match self.leave_inner(node) {
-                Ok(()) => {
-                    left.push(node);
-                    let after = self.ledger().total();
-                    sched.place(
-                        // INVARIANT: an admitted leave resolved its footprint
-                        // during admission, in the same serial phase.
-                        &footprint.expect("admitted leave has a live home cluster"),
-                        after.rounds - before.rounds,
-                        after.messages - before.messages,
-                    );
-                    let data = now_trace::TraceData::OpApplied {
-                        canon,
-                        join: false,
-                        node: node.raw(),
-                    };
-                    self.hub.event(step, data);
-                    canon += 1;
-                }
-                Err(e) => {
-                    self.hub
-                        .event(step, now_trace::TraceData::OpRejected { node: node.raw() });
-                    rejected.push((node, e));
-                }
-            }
-        }
-        let mut contact_redraws = 0u64;
-        for &spec in joins {
-            // Contact resolution happens immediately before the op
-            // runs, so a contact dissolved by an earlier op of this
-            // very batch also degrades here.
-            let (contact, redrawn) = self.resolve_batch_contact(spec);
-            contact_redraws += u64::from(redrawn);
-            let footprint = self.op_footprint(contact);
-            let before = self.ledger().total();
-            let node = self.join_inner(contact, spec.honest);
-            joined.push(node);
-            let after = self.ledger().total();
-            sched.place(
-                &footprint,
-                after.rounds - before.rounds,
-                after.messages - before.messages,
-            );
-            let data = now_trace::TraceData::OpApplied {
-                canon,
-                join: true,
-                node: node.raw(),
-            };
-            self.hub.event(step, data);
-            canon += 1;
-        }
-        if contact_redraws > 0 {
-            self.hub.event(
-                step,
-                now_trace::TraceData::ContactRedraws {
-                    count: contact_redraws,
-                },
-            );
-        }
-
-        let (waves, rounds_parallel) = sched.finish();
-        let cost = self.ledger_mut().end();
-        self.advance_time_step();
-        BatchReport {
-            joined,
-            left,
-            rejected,
-            cost,
-            rounds_parallel,
-            waves,
-            contact_redraws,
-            dropped: 0,
-            events: Vec::new(),
-            wall_nanos: start.elapsed_nanos(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +215,7 @@ mod tests {
     use super::*;
     use crate::exec::{BatchInput, ExecConfig};
     use crate::params::NowParams;
-    use now_net::NodeId;
+    use now_net::{CostKind, NodeId};
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -526,7 +333,7 @@ mod tests {
             .collect();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::scheduled(),
         );
         assert_eq!(report.left.len(), 3);
         assert_eq!(report.wave_count(), 1, "disjoint batch must not serialize");
@@ -550,7 +357,7 @@ mod tests {
         let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(2).collect();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::scheduled(),
         );
         assert_eq!(report.left.len(), 2);
         assert_eq!(report.wave_count(), 2, "overlapping ops must serialize");
@@ -561,39 +368,50 @@ mod tests {
         sys.check_consistency().unwrap();
     }
 
-    /// Same seed, same batch: the scheduled execution and the serial
-    /// one-at-a-time execution agree on population, admitted ids, and
-    /// total message cost (message costs are schedule-invariant).
+    /// Same seed, same batch: the scheduled execution agrees with plain
+    /// one-at-a-time `leave` / `join` calls on population and admitted
+    /// ids, and — on this dense overlay, where every footprint meets
+    /// every other and the partition is all singletons — with the serial
+    /// engine on every node's home and the whole ledger.
     #[test]
     fn batched_execution_matches_serial_exactly() {
         let mut batched = system(160, 8);
         let mut serial = system(160, 8);
+        let mut calls = system(160, 8);
         let leavers: Vec<NodeId> = batched.node_ids().into_iter().take(4).collect();
         let joins = [true, false, true];
+        let input = BatchInput::from_flags(&joins, &leavers);
 
-        let report = batched.step_batch(
-            &BatchInput::from_flags(&joins, &leavers),
-            &ExecConfig::serial(),
-        );
-        let mut serial_joined = Vec::new();
+        let report = batched.step_batch(&input, &ExecConfig::scheduled());
+        assert_eq!(report.max_wave_width(), 1, "dense overlay: singleton waves");
+        let serial_report = serial.step_batch(&input, &ExecConfig::serial());
+        let mut joined = Vec::new();
         for &n in &leavers {
-            serial.leave(n).unwrap();
+            calls.leave(n).unwrap();
         }
         for &honest in &joins {
-            serial_joined.push(serial.join(honest));
+            joined.push(calls.join(honest));
         }
 
-        assert_eq!(batched.population(), serial.population());
-        assert_eq!(batched.byz_population(), serial.byz_population());
-        assert_eq!(report.joined, serial_joined, "identical admitted ids");
-        assert_eq!(
-            batched.ledger().total().messages,
-            serial.ledger().total().messages,
-            "message costs are schedule-invariant"
-        );
-        assert_eq!(batched.node_ids(), serial.node_ids());
-        // Batch took 1 step; serial took 7.
-        assert_eq!(batched.time_step() + 6, serial.time_step());
+        assert_eq!(batched.population(), calls.population());
+        assert_eq!(batched.byz_population(), calls.byz_population());
+        assert_eq!(report.joined, joined, "identical admitted ids");
+        assert_eq!(batched.node_ids(), calls.node_ids());
+        // Batch took 1 step; the calls took 7.
+        assert_eq!(batched.time_step() + 6, calls.time_step());
+
+        assert_eq!(report.waves, serial_report.waves);
+        assert_eq!(report.cost, serial_report.cost);
+        let homes = |sys: &NowSystem| {
+            sys.node_ids()
+                .into_iter()
+                .map(|n| sys.node_cluster(n).unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(homes(&batched), homes(&serial));
+        for &kind in CostKind::ALL.iter() {
+            assert_eq!(batched.ledger().stats(kind), serial.ledger().stats(kind));
+        }
     }
 
     #[test]
@@ -697,7 +515,7 @@ mod tests {
             .collect();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::scheduled(),
         );
         assert_eq!(report.wave_count(), 1);
         assert_eq!(

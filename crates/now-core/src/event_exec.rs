@@ -23,8 +23,7 @@
 //! (contiguous runs of footprint-disjoint deliveries) that drain
 //! through the same wave machinery — plan/apply, or the kernel live for
 //! a wave of one op, and optionally the same [`WavePool`] workers — as
-//! the scheduled engine. Split/merge
-//! maintenance runs after each wave, i.e. it is *driven by the
+//! the other engines. Split/merge maintenance runs after each wave, i.e. it is *driven by the
 //! deliveries* rather than by a barrier. Per-operation randomness is
 //! keyed by the operation's **canonical** index ([`OpSpec::canon`]),
 //! not its delivery position, so an operation plans identically

@@ -7,14 +7,13 @@
 //!   resources (a caller-held [`WavePool`], an event network model).
 //!
 //! Every engine is bit-deterministic from `(seed, input, config)`, and
-//! every engine runs the same op kernel ([`crate::kernel`]): the serial
-//! engine runs it on the live registry off the shared stream — the
-//! semantics of a sequence of [`NowSystem::join`] /
-//! [`NowSystem::leave`] calls — and all other engines run it inside the
-//! wave machinery (see [`crate::wave_exec`]): on per-operation views,
-//! planned and applied, in a wave of two or more ops, and live on the
-//! registry in a wave of one. Its outcome is independent of thread
-//! count.
+//! every engine runs the same op kernel inside the same wave machinery
+//! ([`crate::wave_exec`]): one master draw per batch, one
+//! [`now_net::DetRng::for_op`] substream per operation, the kernel on
+//! per-operation views, planned and applied, in a wave of two or more
+//! ops, and live on the registry in a wave of one. The engines differ
+//! only in how a batch is cut into waves and where waves are planned;
+//! the outcome is independent of thread count.
 //!
 //! ```
 //! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
@@ -29,7 +28,7 @@
 
 use crate::batch::{BatchReport, JoinSpec};
 use crate::system::NowSystem;
-use crate::wave_exec::WavePool;
+use crate::wave_exec::{partition_waves, singleton_waves, WavePool};
 use now_net::{EventNetConfig, NodeId};
 
 /// The work of one batched time step: departures first, then arrivals,
@@ -100,31 +99,27 @@ impl BatchInput {
 
 /// How [`NowSystem::step_batch`] executes a step.
 ///
-/// Every variant is bit-deterministic; [`ExecConfig::Serial`] has its
-/// own (shared-stream) randomness semantics, while all other variants
-/// produce identical outcomes to each other at every thread count —
-/// they differ only in wall-clock and spawn behavior (and the event
-/// engine in *which* admitted operations execute, governed solely by
-/// its `(seed, net)` pair).
+/// Every variant is the wave engine and draws its randomness the same
+/// way, so a seed has one trajectory: a batch whose footprint partition
+/// is all singletons ends byte-identical on every variant and thread
+/// count. [`ExecConfig::Pooled`] is bit-identical with and without a
+/// pool, at every thread count. The variants differ in how wide a wave
+/// may be (and the event engine in *which* admitted operations execute,
+/// governed solely by its `(seed, net)` pair).
 #[derive(Clone, Copy)]
 pub enum ExecConfig<'p> {
-    /// Operations run one after another off the system's shared
-    /// randomness stream — the semantics of serial [`NowSystem::join`]
-    /// / [`NowSystem::leave`] calls folded into one time step. The wave
-    /// schedule in the report is derived from measured costs, not
-    /// executed.
+    /// The wave engine capped at width 1: every admitted operation is
+    /// its own wave, run live on the registry — the paper's one join or
+    /// leave at a time, folded into one time step.
     Serial,
-    /// The plan/apply wave engine on the driving thread: waves are
-    /// *executed* (per-operation substreams, canonical effect
-    /// application), with no worker threads. The single-threaded
-    /// reference every pooled configuration must match bit for bit.
-    Scheduled,
-    /// The wave engine on a caller-held [`WavePool`]: successive
-    /// batches reuse the pool's workers, so a run spawns O(threads)
-    /// threads total.
+    /// The wave engine on conflict-free waves over cluster footprints,
+    /// planned on a caller-held [`WavePool`] (successive batches reuse
+    /// its workers, so a run spawns O(threads) threads total), or on
+    /// the driving thread without one.
     Pooled {
-        /// The pool whose workers plan the waves.
-        pool: &'p WavePool,
+        /// The pool whose workers plan the waves; `None` plans on the
+        /// driving thread.
+        pool: Option<&'p WavePool>,
     },
     /// The event-driven engine: each admitted operation becomes a
     /// message on a seeded discrete-event network
@@ -150,14 +145,14 @@ impl<'p> ExecConfig<'p> {
         ExecConfig::Serial
     }
 
-    /// [`ExecConfig::Scheduled`].
+    /// [`ExecConfig::Pooled`] planning on the driving thread.
     pub fn scheduled() -> Self {
-        ExecConfig::Scheduled
+        ExecConfig::Pooled { pool: None }
     }
 
     /// [`ExecConfig::Pooled`] on a caller-held pool.
     pub fn pooled(pool: &'p WavePool) -> Self {
-        ExecConfig::Pooled { pool }
+        ExecConfig::Pooled { pool: Some(pool) }
     }
 
     /// [`ExecConfig::Event`] planning on the driving thread.
@@ -178,10 +173,9 @@ impl std::fmt::Debug for ExecConfig<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ExecConfig::Serial => f.write_str("Serial"),
-            ExecConfig::Scheduled => f.write_str("Scheduled"),
             ExecConfig::Pooled { pool } => f
                 .debug_struct("Pooled")
-                .field("threads", &pool.threads())
+                .field("threads", &pool.map(WavePool::threads))
                 .finish(),
             ExecConfig::Event { net, pool } => f
                 .debug_struct("Event")
@@ -205,10 +199,11 @@ impl NowSystem {
     /// See [`ExecConfig`] for the determinism contract per engine.
     pub fn step_batch(&mut self, input: &BatchInput, exec: &ExecConfig<'_>) -> BatchReport {
         let report = match *exec {
-            ExecConfig::Serial => self.step_serial_impl(&input.joins, &input.leaves),
-            ExecConfig::Scheduled => self.step_waves_impl(&input.joins, &input.leaves, None),
+            ExecConfig::Serial => {
+                self.step_waves_impl(&input.joins, &input.leaves, singleton_waves, None)
+            }
             ExecConfig::Pooled { pool } => {
-                self.step_waves_impl(&input.joins, &input.leaves, Some(pool))
+                self.step_waves_impl(&input.joins, &input.leaves, partition_waves, pool)
             }
             ExecConfig::Event { net, pool } => {
                 self.step_event_impl(&input.joins, &input.leaves, net, pool)

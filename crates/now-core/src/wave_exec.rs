@@ -13,7 +13,7 @@
 //! narrow waves a conflict-heavy batch schedules into. Workers claim
 //! operations through an atomic cursor and write plans into positional
 //! slots, so pooled planning is bit-identical to sequential planning on
-//! the driving thread (`ExecConfig::Scheduled`), the reference every
+//! the driving thread (`ExecConfig::scheduled()`), the reference every
 //! pooled run is tested against.
 //!
 //! # How determinism survives threading
@@ -23,7 +23,7 @@
 //!
 //! 1. **Plan/apply split.** Each operation is *planned* by the op
 //!    kernel ([`crate::kernel`]) — the same join/leave/exchange/walk
-//!    code the serial engine runs on the live registry — over a
+//!    code a wave of one op runs on the live registry — over a
 //!    [`Planner`]: a copy-on-write *view* of the immutable pre-wave
 //!    state (registry + overlay are shared read-only across workers)
 //!    that overlays the operation's own edits — snapshot-isolation
@@ -66,7 +66,14 @@
 //! equal. Only waves of two or more ops are planned, so only they are
 //! timed into [`wave_plan_nanos_total`] or reach the pool.
 //!
-//! # Model semantics (and how they differ from the serial engine)
+//! [`crate::ExecConfig::Serial`] is this engine with every op in a wave
+//! of its own ([`singleton_waves`]): the paper's one join or leave at a
+//! time, each run live. So a batch whose footprint partition is all
+//! singletons — every one-op step, every batch on an overlay dense
+//! enough that all footprints meet — ends byte-identical on `Serial`,
+//! on `Pooled` without a pool and on `Pooled` at every thread count.
+//!
+//! # Model semantics
 //!
 //! The engine defines a *parallel deployment* of the §2-footnote batch:
 //! operations of one wave observe the pre-wave state plus their own
@@ -94,10 +101,13 @@
 //! an earlier op of the wave swapped a leaver out of its home before
 //! the leaver's own departure applied, the departure takes it from the
 //! cluster it was swapped into, and that cluster is checked as well.
-//! Because randomness is consumed per-operation instead of from one
-//! shared stream, outcomes differ from `ExecConfig::Serial` for the
-//! same seed — by design; the bit-equality contract is *across thread
-//! counts of this engine*, which the property tests pin.
+//! A wave of width w is therefore a different trajectory from the same
+//! w ops run one per wave: byte equality with `ExecConfig::Serial` is a
+//! width-1 promise, and the bit-equality contract for wider waves is
+//! *across thread counts of this engine*, which the property tests pin.
+//! The direct one-op API ([`NowSystem::join`] / [`NowSystem::leave`])
+//! draws from the system's shared stream instead and is not part of
+//! either contract.
 //!
 //! A strategic [`Malice`] implementation is a single stateful oracle
 //! whose hook-call order is protocol-visible, so non-neutral adversaries
@@ -105,7 +115,7 @@
 //! depend on the requested thread count). For the neutral default,
 //! every worker plans against its own stack [`NoMalice`].
 
-use crate::batch::{BatchReport, WaveFootprint, WaveStats};
+use crate::batch::{BatchReport, WaveStats};
 use crate::cluster::ClusterSecurity;
 use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
@@ -175,8 +185,7 @@ pub(crate) struct OpSpec {
     /// Whether a join's steered contact was already dead at batch
     /// admission and degraded to the uniform draw (always `false` for
     /// leaves). Folded with the plan-time redraw into at most **one**
-    /// counted redraw per operation, matching the scheduled engine's
-    /// resolve-once-per-op semantics.
+    /// counted redraw per operation.
     pub(crate) contact_redrawn: bool,
 }
 
@@ -462,9 +471,8 @@ impl<S: StateView> Kernel<'_, S> {
                 // The contact drawn at batch admission can have been
                 // dissolved by an earlier wave's merge; re-draw
                 // uniformly over all live clusters from the op's own
-                // substream (deterministic) — the same rule the serial
-                // engine applies to a stale contact, driven by a
-                // different stream.
+                // substream (deterministic) — the same rule admission
+                // applies to a contact already dead before the batch.
                 let registry = self.state.registry();
                 let contact = if registry.contains_cluster(contact) {
                     contact
@@ -796,24 +804,34 @@ impl Drop for WavePool {
     }
 }
 
-/// Order-preserving greedy wave partition over pre-batch footprints
-/// (the same rule the serial scheduler applies incrementally). The
-/// event engine feeds this the batch in *network delivery order*; the
-/// other engines feed it the canonical order.
+/// Order-preserving greedy wave partition over pre-batch footprints:
+/// a new wave opens whenever an operation's footprint intersects the
+/// union of the open wave's, so every wave's operations are pairwise
+/// footprint-disjoint. The event engine feeds this the batch in
+/// *network delivery order*; [`crate::ExecConfig::Pooled`] feeds it the
+/// canonical order.
 pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
     let mut waves = Vec::new();
     let mut start = 0usize;
-    let mut open = WaveFootprint::default();
+    let mut open: BTreeSet<ClusterId> = BTreeSet::new();
     for (i, spec) in specs.iter().enumerate() {
-        if open.admit(&spec.footprint) {
+        if spec.footprint.iter().any(|c| open.contains(c)) {
             waves.push(start..i);
             start = i;
+            open.clear();
         }
+        open.extend(spec.footprint.iter().copied());
     }
     if start < specs.len() {
         waves.push(start..specs.len());
     }
     waves
+}
+
+/// The partition of [`crate::ExecConfig::Serial`]: every operation is
+/// a wave of its own, in canonical order.
+pub(crate) fn singleton_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
+    (0..specs.len()).map(|i| i..i + 1).collect()
 }
 
 /// Applies one planned operation's effects to the registry, records
@@ -953,12 +971,18 @@ impl NowSystem {
             }
         }
         for &spec in joins {
-            // Admission-time resolution against the pre-batch state;
-            // contacts dissolved later, by an earlier *wave* of this
-            // batch, get the plan-time redraw in `plan_op`. Either way
-            // the op counts as at most one redraw, when its wave
-            // executes (see `OpSpec`).
-            let (contact, redrawn) = self.resolve_batch_contact(spec);
+            // Admission-time resolution against the pre-batch state: a
+            // live steered contact is honored, a dissolved one degrades
+            // to the uniform draw `NowSystem::join` makes. Contacts
+            // dissolved later, by an earlier *wave* of this batch, get
+            // the plan-time redraw in `run_op`. Either way the op counts
+            // as at most one redraw, when its wave executes (see
+            // `OpSpec`).
+            let (contact, redrawn) = match spec.contact {
+                Some(c) if self.cluster(c).is_some() => (c, false),
+                Some(_) => (self.contact_cluster(), true),
+                None => (self.contact_cluster(), false),
+            };
             let node = self.ids.node();
             joined.push(node);
             let canon = specs.len() as u64;
@@ -990,12 +1014,14 @@ impl NowSystem {
         }
     }
 
-    /// The wave engine: admit, partition into conflict-free waves, and
-    /// execute each on `pool` (on the driving thread when `None`).
+    /// The wave engine: admit, cut the canonical order into waves with
+    /// `partition`, and execute each on `pool` (on the driving thread
+    /// when `None`).
     pub(crate) fn step_waves_impl(
         &mut self,
         joins: &[crate::batch::JoinSpec],
         leaves: &[NodeId],
+        partition: fn(&[OpSpec]) -> Vec<Range<usize>>,
         pool: Option<&WavePool>,
     ) -> BatchReport {
         // Wall-clock measurement only: feeds `wall_nanos`, which is
@@ -1010,13 +1036,13 @@ impl NowSystem {
             specs,
         } = self.admit_batch(joins, leaves);
 
-        let waves = partition_waves(&specs);
+        let waves = partition(&specs);
         let master = self.rng.next_u64();
 
         let mut contact_redraws = 0u64;
         let mut wave_stats: Vec<WaveStats> = Vec::with_capacity(waves.len());
         for wave in waves {
-            // INVARIANT: `partition_waves` returns ranges within `specs`.
+            // INVARIANT: both partitions return ranges within `specs`.
             let stats = self.execute_wave(&specs[wave], pool, master, &mut contact_redraws);
             wave_stats.push(stats);
         }
@@ -1440,7 +1466,7 @@ mod tests {
 
     /// Steered contacts that are already dead at batch admission
     /// degrade to the uniform redraw — same rule, and same count
-    /// surfaced, in the scheduled and threaded engines.
+    /// surfaced, in the serial and threaded engines.
     #[test]
     fn stale_contact_at_admission_redraws_in_both_engines() {
         let ghost = ClusterId::from_raw(999_999);
@@ -1448,12 +1474,12 @@ mod tests {
             crate::batch::JoinSpec::via(ghost, true),
             crate::batch::JoinSpec::uniform(true),
         ];
-        let mut scheduled = system(150, 31);
-        assert!(scheduled.cluster(ghost).is_none());
-        let r = scheduled.step_batch(&BatchInput::from_specs(&joins, &[]), &ExecConfig::serial());
-        assert_eq!(r.contact_redraws, 1, "scheduled engine counts the redraw");
+        let mut serial = system(150, 31);
+        assert!(serial.cluster(ghost).is_none());
+        let r = serial.step_batch(&BatchInput::from_specs(&joins, &[]), &ExecConfig::serial());
+        assert_eq!(r.contact_redraws, 1, "serial engine counts the redraw");
         assert_eq!(r.joined.len(), 2);
-        scheduled.check_consistency().unwrap();
+        serial.check_consistency().unwrap();
 
         let mut threaded = system(150, 31);
         let pool = WavePool::new(4);

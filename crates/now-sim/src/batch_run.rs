@@ -303,7 +303,7 @@ impl<'p> BatchRun<'p> {
         let mut report = BatchRunReport {
             driver: driver.name().to_string(),
             threads: match exec {
-                ExecConfig::Pooled { pool }
+                ExecConfig::Pooled { pool: Some(pool) }
                 | ExecConfig::Event {
                     pool: Some(pool), ..
                 } => Some(pool.threads()),
@@ -430,7 +430,10 @@ mod tests {
     fn parallel_rounds_beat_serial_on_sparse_overlays() {
         let mut sys = sparse_system(3);
         let mut driver = BatchRandomChurn::balanced(8, 0.1);
-        let report = BatchRun::new().run(&mut sys, &mut driver, 10, 4);
+        let report =
+            BatchRun::new()
+                .exec(ExecConfig::scheduled())
+                .run(&mut sys, &mut driver, 10, 4);
         assert!(
             report.parallel_speedup() > 1.2,
             "8-wide batches on a 64-cluster sparse overlay should save \

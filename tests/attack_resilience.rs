@@ -2,7 +2,7 @@
 //! forced-leave (DoS) countermeasure, across `now-core`,
 //! `now-adversary`, and `now-sim`.
 //!
-//! All three tests assert over a 5-seed *ensemble* with quantile bands
+//! The tests assert over seed *ensembles* with quantile bands
 //! (the pattern established by `endpoint_distribution_is_size_biased`;
 //! see ROADMAP "statistical-test robustness"): the median must sit
 //! comfortably inside the claimed regime and even the worst seed must
@@ -54,11 +54,37 @@ fn sorted(mut xs: Vec<f64>) -> Vec<f64> {
     xs
 }
 
+/// The §3.3 comparison over 24 seeds `(s, 1000 + s)`, `s = 1..=24`.
+///
+/// The bands come from two 60-seed ensembles (`s = 1..=60`) of this
+/// exact run, one on each side of the change that made the serial
+/// engine the wave engine capped at width 1 (per-op substreams instead
+/// of the shared stream). Clusters hold ~30 members, so one member is
+/// ±0.033 of fraction and a transient graze of 1/3 is granularity, not
+/// capture:
+///
+/// | | shared stream | per-op substreams |
+/// |---|---|---|
+/// | NOW peak: mean / median | 0.319 / 0.314 | 0.319 / 0.317 |
+/// | NOW peak ≥ 1/3 | 19 of 60 | 21 of 60 |
+/// | NOW peak: max | 0.387 | 0.406 |
+/// | baseline − NOW gap: median | 0.153 | 0.165 |
+/// | baseline worse | 58 of 60 | 59 of 60 |
+///
+/// Over every window of 24 consecutive seeds of either ensemble the
+/// median NOW peak lies in 0.303–0.324, 5–10 seeds reach 1/3, the worst
+/// seed lies in 0.364–0.406, the median gap is ≥ 0.131 and the baseline
+/// is worse on ≥ 23. So the test asserts: median peak < 1/3, at most
+/// half the seeds reach 1/3, the worst seed < 0.45 (below the
+/// forgeability line 1/2), median gap > 0.05, and the baseline worse on
+/// ≥ 90 % of seeds. (The old check on seeds 1–5, "median < 1/3" and
+/// "worst < 0.40", fails on the second ensemble: all five of those
+/// seeds reach 1/3 there, and seed 3 peaks at 0.406.)
 #[test]
 fn shuffling_beats_the_join_leave_attack() {
     let steps = 300;
     let tau = 0.15;
-    let seeds: [(u64, u64); 5] = [(1, 1001), (2, 1002), (3, 1003), (4, 1004), (5, 1005)];
+    let seeds: Vec<(u64, u64)> = (1..=24).map(|s| (s, 1000 + s)).collect();
 
     let mut gaps = Vec::new();
     let mut now_peaks = Vec::new();
@@ -92,28 +118,22 @@ fn shuffling_beats_the_join_leave_attack() {
         "median protection gap too small: {gaps:?}"
     );
     assert!(
-        baseline_wins >= seeds.len() - 1,
+        baseline_wins * 10 >= seeds.len() * 9,
         "baseline not clearly worse on {baseline_wins}/{} seeds (gaps {gaps:?})",
         seeds.len()
     );
-    // NOW keeps the attacked cluster below the 1/3 compromise line on
-    // the median seed; the per-seed bound is quantified as a count
-    // (clusters hold ~20 members here, so one member is ±0.05 of
-    // fraction — a transient graze of 1/3 on a minority of seeds is
-    // granularity, not capture). Measured ensemble on the vendored
-    // stream: peaks ≈ [0.275, 0.323, 0.326, 0.333, 0.342] — the old
-    // single-seed `< 1/3` assertion held only on its pinned seed.
     assert!(
         now_peaks[now_peaks.len() / 2] < 1.0 / 3.0,
         "NOW median peak crossed 1/3: {now_peaks:?}"
     );
     let crossed = now_peaks.iter().filter(|&&p| p >= 1.0 / 3.0).count();
     assert!(
-        crossed <= 3,
-        "NOW peak reached 1/3 on {crossed}/5 seeds: {now_peaks:?}"
+        crossed * 2 <= seeds.len(),
+        "NOW peak reached 1/3 on {crossed}/{} seeds: {now_peaks:?}",
+        seeds.len()
     );
     assert!(
-        *now_peaks.last().unwrap() < 0.40,
+        *now_peaks.last().unwrap() < 0.45,
         "NOW worst-seed peak out of band: {now_peaks:?}"
     );
 }

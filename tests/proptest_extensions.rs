@@ -63,11 +63,13 @@ proptest! {
         prop_assert!(sys.check_consistency().is_ok());
     }
 
-    /// Schedule invariance: for any batch, the conflict-free wave
+    /// Admission invariance: for any batch, the conflict-free wave
     /// scheduler and a plain serial replay of the same operations (same
-    /// seed) agree on the final population, the admitted node ids, and
-    /// the total message cost — parallel scheduling saves rounds, never
-    /// changes outcomes.
+    /// seed) agree on the final population, the Byzantine population,
+    /// the completed departures and the admitted node ids. (The plain
+    /// calls draw from the system's shared stream, so their costs are
+    /// their own; engine-vs-engine byte equality is pinned by
+    /// `proptest_invariants::singleton_partitions_agree_across_engines`.)
     #[test]
     fn wave_scheduler_matches_serial_execution(
         seed in any::<u64>(),
@@ -82,7 +84,7 @@ proptest! {
             .map(|&p| nodes[p as usize % nodes.len()])
             .collect();
 
-        let report = batched.step_batch(&BatchInput::from_flags(&joins, &leaves), &ExecConfig::serial());
+        let report = batched.step_batch(&BatchInput::from_flags(&joins, &leaves), &ExecConfig::scheduled());
         let mut serial_joined = Vec::new();
         let mut serial_left = 0usize;
         for &n in &leaves {
@@ -99,10 +101,6 @@ proptest! {
         prop_assert_eq!(report.left.len(), serial_left);
         prop_assert_eq!(report.joined, serial_joined);
         prop_assert_eq!(batched.node_ids(), serial.node_ids());
-        prop_assert_eq!(
-            batched.ledger().total().messages,
-            serial.ledger().total().messages
-        );
         prop_assert!(batched.check_consistency().is_ok());
         prop_assert!(serial.check_consistency().is_ok());
     }

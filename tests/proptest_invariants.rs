@@ -3,10 +3,12 @@
 //! ledger.
 
 use now_bft::adversary::{
-    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick,
+    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, BurstChurn, ClusterPick,
+    ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, SplitForcing,
 };
 use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem, WavePool};
 use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId, OpRecord};
+use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
 fn params() -> NowParams {
@@ -249,14 +251,13 @@ proptest! {
     /// The batched attack drivers' engine-agreement contract, for every
     /// driver kind, target policy, width, and seed:
     ///
-    /// 1. **serial ≡ batched**: replaying a scheduled run's decided
+    /// 1. **batched ≡ plain calls**: replaying a serial run's decided
     ///    batches one operation at a time (`join_via`/`join`/`leave`)
-    ///    reproduces the batch execution exactly — population, admitted
-    ///    ids, node sets, and total message cost (message costs are
-    ///    schedule-invariant).
-    ///    One op per step too: the ops as one-op `step_batch` calls end
-    ///    with the same ids, homes, ledger total and next `rand_num`
-    ///    draw, and `time_step` equal to the step count.
+    ///    admits and removes the same nodes — population, Byzantine
+    ///    population, admitted ids and node sets agree. (The calls draw
+    ///    from the system's shared stream, the engines from per-op
+    ///    substreams, so costs and homes differ; engine-vs-engine byte
+    ///    equality is `singleton_partitions_agree_across_engines`.)
     /// 2. **threaded(1) ≡ threaded(4)**: the threaded engine is
     ///    bit-identical across thread counts on population, ids, wave
     ///    schedule, and full ledger statistics.
@@ -270,7 +271,7 @@ proptest! {
         const STEPS: usize = 5;
         let tau = 0.20;
 
-        // --- scheduled run, recording each decided batch ---
+        // --- serial run, recording each decided batch ---
         let mut sys = NowSystem::init_fast(params(), 150, 0.15, seed);
         let mut driver = attack_driver(kind, pick, width, tau);
         let mut rng = DetRng::new(seed ^ 0xA5A5_5A5A);
@@ -288,18 +289,14 @@ proptest! {
             sys.byz_population(),
             sys.node_ids(),
             batched_joined,
-            sys.ledger().total().messages,
         );
 
-        // --- serial replay of the same script: plain calls on `serial`,
-        // the same ops (≤ 40) as one-op steps on `stepped` ---
+        // --- the same script as plain one-op calls ---
         let mut serial = NowSystem::init_fast(params(), 150, 0.15, seed);
-        let mut stepped = NowSystem::init_fast(params(), 150, 0.15, seed);
         let mut serial_joined = Vec::new();
         for (joins, leaves) in &script {
             for &node in leaves {
                 let _ = serial.leave(node);
-                stepped.step_batch(&BatchInput::new().leave(node), &ExecConfig::serial());
             }
             for &spec in joins {
                 let id = match spec.contact {
@@ -307,7 +304,6 @@ proptest! {
                     _ => serial.join(spec.honest),
                 };
                 serial_joined.push(id);
-                stepped.step_batch(&BatchInput::new().join(spec), &ExecConfig::serial());
             }
         }
         serial.check_consistency().expect("post-serial consistency");
@@ -316,18 +312,8 @@ proptest! {
             serial.byz_population(),
             serial.node_ids(),
             serial_joined,
-            serial.ledger().total().messages,
         );
         prop_assert_eq!(&batched, &serial_out, "serial vs batched diverged");
-        let steps: usize = script.iter().map(|(j, l)| j.len() + l.len()).sum();
-        prop_assert_eq!(stepped.time_step(), steps as u64, "time advances once per step");
-        let end_state = |sys: &mut NowSystem| {
-            let ids = sys.node_ids();
-            let homes: Vec<_> = ids.iter().map(|&n| sys.node_cluster(n).unwrap()).collect();
-            let first = sys.cluster_ids()[0];
-            (ids, homes, sys.ledger().total(), sys.rand_num(first, 1 << 32))
-        };
-        prop_assert_eq!(end_state(&mut stepped), end_state(&mut serial), "one-op steps diverged");
 
         // --- threaded engine: bit-identical across thread counts ---
         let threaded = |threads: usize| {
@@ -357,6 +343,64 @@ proptest! {
             )
         };
         prop_assert_eq!(threaded(1), threaded(4), "threads=1 vs threads=4 diverged");
+    }
+
+    /// One trajectory per seed: on batch sequences whose footprint
+    /// partition is all singletons — every one-op driver, and the
+    /// batches of any driver on `params()`'s small overlay, where every
+    /// footprint meets every other — `serial`, `scheduled()` and
+    /// `pooled` at 1 and 4 workers end byte-identical in node ids and
+    /// homes, every ledger kind's statistics, the flight-recorder and
+    /// metrics JSON, and the next system draw.
+    #[test]
+    fn singleton_partitions_agree_across_engines(
+        seed in any::<u64>(),
+        kind in 0usize..10,
+        pick in 0usize..3,
+        width in 1usize..5,
+    ) {
+        const STEPS: u64 = 24;
+        let tau = 0.20;
+        let run = |exec: ExecConfig<'_>| {
+            let mut sys = NowSystem::init_fast(params(), 150, 0.15, seed);
+            sys.enable_tracing(1 << 12);
+            sys.enable_metrics();
+            let target = sys.cluster_ids()[0];
+            let mut driver: Box<dyn BatchDriver> = match kind {
+                0 => Box::new(JoinLeaveAttack::new(target, tau)),
+                1 => Box::new(ForcedLeaveAttack::new(target, tau)),
+                2 => Box::new(SplitForcing::new(target, tau)),
+                3 => Box::new(MergeForcing::new(target, tau)),
+                4 => Box::new(BurstChurn::new(5, tau)),
+                5 => Box::new(BatchRandomChurn::balanced(1, tau)),
+                6 => Box::new(BatchRandomChurn::balanced(width, tau)),
+                _ => attack_driver(kind, pick, width, tau),
+            };
+            let report = BatchRun::new().exec(exec).run(&mut sys, driver.as_mut(), STEPS, seed);
+            sys.check_consistency().expect("post-run consistency");
+            let ids = sys.node_ids();
+            let homes: Vec<_> = ids.iter().map(|&n| sys.node_cluster(n).unwrap()).collect();
+            let stats: Vec<_> = CostKind::ALL.iter().map(|&k| sys.ledger().stats(k)).collect();
+            let trace = sys.flight_recorder().expect("tracing armed").to_json();
+            let metrics = sys.metrics().expect("metrics armed").to_json();
+            let first = sys.cluster_ids()[0];
+            let draw = sys.rand_num(first, 1 << 32);
+            (report.max_wave_width, ids, homes, stats, trace, metrics, draw)
+        };
+        let serial = run(ExecConfig::serial());
+        prop_assert!(serial.0 <= 1, "serial runs one op per wave");
+        let scheduled = run(ExecConfig::scheduled());
+        prop_assert_eq!(scheduled.0, serial.0, "the partition is all singletons");
+        prop_assert_eq!(&serial, &scheduled, "serial vs scheduled diverged");
+        for threads in [1usize, 4] {
+            let pool = WavePool::new(threads);
+            prop_assert_eq!(
+                &serial,
+                &run(ExecConfig::pooled(&pool)),
+                "serial vs pooled({}) diverged",
+                threads
+            );
+        }
     }
 
     /// Exchanges are swaps, so only a departure changes a cluster's

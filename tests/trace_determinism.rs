@@ -10,9 +10,10 @@
 //! 2. **Event-engine invariance** — the same holds when operations
 //!    travel through the event-driven network (send/deliver/drop
 //!    events included).
-//! 3. **Serial self-replay** — the shared-stream serial engine has its
-//!    own randomness schedule (documented ≢ wave engines), but replays
-//!    itself byte-identically.
+//! 3. **Serial self-replay** — the serial engine (the wave engine
+//!    capped at width 1) replays itself byte-identically; that it
+//!    equals the wider engines on singleton partitions is
+//!    `proptest_invariants::singleton_partitions_agree_across_engines`.
 //! 4. **No run-environment leakage** — no wall-clock or thread-count
 //!    vocabulary ever appears in a deterministic artifact.
 
@@ -83,8 +84,7 @@ proptest! {
         }
     }
 
-    /// The shared-stream serial engine replays itself byte-identically
-    /// (its stream is documented as distinct from the wave engines').
+    /// The serial engine replays itself byte-identically.
     #[test]
     fn serial_traces_self_replay(seed in any::<u64>()) {
         prop_assert_eq!(

@@ -14,11 +14,12 @@
 //! * on `2f+1` `Ready(v)`: deliver `v`.
 //!
 //! In a synchronous network the whole exchange settles within a handful
-//! of rounds; the runner executes a fixed schedule long enough for any
-//! reachable delivery.
+//! of rounds; the runner executes a fixed schedule of [`EventNet`]
+//! rounds on the ideal link model, long enough for any reachable
+//! delivery.
 
 use crate::outcome::{ByzPlan, ProtocolResult};
-use now_net::{Bus, CostKind, Ledger};
+use now_net::{CostKind, EventNet, EventNetConfig, Ledger};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -75,7 +76,7 @@ pub fn run_bracha<R: Rng>(
     assert!(sender < n, "sender {sender} out of range for n={n}");
 
     ledger.begin(CostKind::Agreement);
-    let mut bus: Bus<Msg> = Bus::new(n);
+    let mut net: EventNet<Msg> = EventNet::new(n, EventNetConfig::ideal(), 0);
     let mut state: Vec<NodeState> = vec![NodeState::default(); n];
     let echo_threshold = (n + f + 1).div_ceil(2);
     let ready_amplify = f + 1;
@@ -88,11 +89,11 @@ pub fn run_bracha<R: Rng>(
                 continue;
             }
             if let Some(m) = byz_message(plan, to, Msg::Init, rng) {
-                bus.send(sender, to, m);
+                net.send(sender, to, m);
             }
         }
     } else {
-        bus.broadcast(sender, Msg::Init(value));
+        net.broadcast(sender, Msg::Init(value));
         // The sender echoes its own value.
         state[sender].echoed = true;
         state[sender]
@@ -100,18 +101,17 @@ pub fn run_bracha<R: Rng>(
             .entry(value)
             .or_default()
             .insert(sender);
-        bus.broadcast(sender, Msg::Echo(value));
+        net.broadcast(sender, Msg::Echo(value));
     }
 
     // Enough rounds for init→echo→ready→amplify→deliver on a synchronous
-    // bus, with slack.
+    // network, with slack.
     let schedule_rounds = 8;
     for _ in 0..schedule_rounds {
-        bus.step();
+        let inboxes = net.round();
         let mut outgoing: Vec<(usize, Msg)> = Vec::new();
         let mut byz_outgoing: Vec<(usize, usize, Msg)> = Vec::new();
-        for p in 0..n {
-            let inbox = bus.recv(p);
+        for (p, inbox) in inboxes.into_iter().enumerate() {
             if byz.contains(&p) {
                 // Byzantine participants: one adversarial echo+ready volley.
                 if !state[p].echoed {
@@ -178,15 +178,15 @@ pub fn run_bracha<R: Rng>(
             }
         }
         for (p, msg) in outgoing {
-            bus.broadcast(p, msg);
+            net.broadcast(p, msg);
         }
         for (p, to, msg) in byz_outgoing {
-            bus.send(p, to, msg);
+            net.send(p, to, msg);
         }
     }
 
-    ledger.add_messages(bus.messages_sent());
-    ledger.add_rounds(bus.round());
+    ledger.add_messages(net.messages_sent());
+    ledger.add_rounds(net.now());
     ledger.end();
 
     ProtocolResult {
@@ -194,8 +194,8 @@ pub fn run_bracha<R: Rng>(
             .filter(|p| !byz.contains(p))
             .map(|p| (p, state[p].delivered))
             .collect(),
-        rounds: bus.round(),
-        messages: bus.messages_sent(),
+        rounds: net.now(),
+        messages: net.messages_sent(),
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::crypto::{SigOracle, Signature};
 use crate::outcome::{ByzPlan, ProtocolResult};
-use now_net::{Bus, CostKind, Ledger};
+use now_net::{CostKind, EventNet, EventNetConfig, Ledger};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -57,8 +57,9 @@ fn chain_valid(chain: &Chain, sender: usize, needed: usize, oracle: &SigOracle) 
 ///
 /// * `value` — the sender's input (ignored if the sender is Byzantine;
 ///   then `plan` governs what it claims).
-/// * `f` — resilience parameter: the protocol runs `f + 2` bus rounds
-///   and guarantees agreement whenever `byz.len() ≤ f` (any fraction!).
+/// * `f` — resilience parameter: the protocol runs `f + 1` rounds after
+///   the dispatch (on an [`EventNet`] under the ideal link model) and
+///   guarantees agreement whenever `byz.len() ≤ f` (any fraction!).
 ///
 /// Honest decisions are `Some(v)` or `None` (= ⊥, sender exposed as
 /// faulty). Costs are recorded under [`CostKind::Agreement`].
@@ -83,7 +84,7 @@ pub fn run_dolev_strong<R: Rng>(
 
     ledger.begin(CostKind::Agreement);
     let mut oracle = SigOracle::new();
-    let mut bus: Bus<Chain> = Bus::new(n);
+    let mut net: EventNet<Chain> = EventNet::new(n, EventNetConfig::ideal(), 0);
     // extracted[p]: values p has accepted so far (capped at 2 — a third
     // changes nothing: the decision is already ⊥).
     let mut extracted: Vec<Vec<u64>> = vec![Vec::new(); n];
@@ -94,7 +95,7 @@ pub fn run_dolev_strong<R: Rng>(
             ByzPlan::Silent => {}
             ByzPlan::ConstantValue(v) => {
                 let sig = oracle.sign(sender, v);
-                bus.broadcast(
+                net.broadcast(
                     sender,
                     Chain {
                         value: v,
@@ -120,7 +121,7 @@ pub fn run_dolev_strong<R: Rng>(
                             sigs: vec![sig_b],
                         }
                     };
-                    bus.send(sender, to, chain);
+                    net.send(sender, to, chain);
                 }
             }
             ByzPlan::Random => {
@@ -130,7 +131,7 @@ pub fn run_dolev_strong<R: Rng>(
                     }
                     let v: u64 = rng.gen();
                     let sig = oracle.sign(sender, v);
-                    bus.send(
+                    net.send(
                         sender,
                         to,
                         Chain {
@@ -143,7 +144,7 @@ pub fn run_dolev_strong<R: Rng>(
         }
     } else {
         let sig = oracle.sign(sender, value);
-        bus.broadcast(
+        net.broadcast(
             sender,
             Chain {
                 value,
@@ -155,10 +156,9 @@ pub fn run_dolev_strong<R: Rng>(
 
     // Rounds 1..=f+1: relay.
     for k in 1..=(f + 1) {
-        bus.step();
+        let inboxes = net.round();
         let mut outgoing: Vec<(usize, Chain)> = Vec::new();
-        for p in 0..n {
-            let inbox = bus.recv(p);
+        for (p, inbox) in inboxes.into_iter().enumerate() {
             if byz.contains(&p) {
                 // Byzantine relays: withhold (all plans), except Random,
                 // which attempts to inject a *forged* chain each round —
@@ -193,12 +193,12 @@ pub fn run_dolev_strong<R: Rng>(
             }
         }
         for (p, chain) in outgoing {
-            bus.broadcast(p, chain);
+            net.broadcast(p, chain);
         }
     }
 
-    ledger.add_messages(bus.messages_sent());
-    ledger.add_rounds(bus.round());
+    ledger.add_messages(net.messages_sent());
+    ledger.add_rounds(net.now());
     ledger.end();
 
     ProtocolResult {
@@ -214,8 +214,8 @@ pub fn run_dolev_strong<R: Rng>(
                 (p, d)
             })
             .collect(),
-        rounds: bus.round(),
-        messages: bus.messages_sent(),
+        rounds: net.now(),
+        messages: net.messages_sent(),
     }
 }
 

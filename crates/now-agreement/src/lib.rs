@@ -1,8 +1,11 @@
 //! Byzantine agreement and broadcast substrate for NOW.
 //!
 //! The paper uses these as black boxes; we build them as genuinely
-//! executing per-node state machines over the synchronous bus of
-//! [`now_net`] (fidelity level L0):
+//! executing per-node state machines over one network,
+//! [`now_net::EventNet`] (fidelity level L0): the synchronous protocols
+//! drive it a round at a time under the ideal link model
+//! ([`now_net::EventNet::round`]), the asynchronous ones a delivery at a
+//! time under adversarial delays or a lossy link model:
 //!
 //! * [`dolev_strong::run_dolev_strong`] — authenticated broadcast
 //!   tolerating any number of faults in `f+1` rounds, over simulated

@@ -25,8 +25,9 @@ pub enum ByzPlan {
 /// Result of a protocol execution.
 ///
 /// `decisions` holds one entry per **honest** port (Byzantine "outputs"
-/// are meaningless). Costs are measured from the bus, so they reflect
-/// messages actually sent, including Byzantine traffic.
+/// are meaningless). Costs are measured from the network
+/// (`now_net::EventNet`), so they reflect messages actually sent,
+/// including Byzantine traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolResult<V> {
     /// Decision of each honest port.

@@ -23,7 +23,7 @@
 
 use crate::crypto::{commit_value, verify_commitment, Commitment};
 use crate::outcome::{ByzPlan, ProtocolResult};
-use now_net::{Bus, CostKind, Ledger};
+use now_net::{CostKind, EventNet, EventNetConfig, Ledger};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -128,10 +128,10 @@ struct NodeState {
 /// broadcasts its item; everyone echoes/readies. Returns nothing —
 /// deliveries accumulate in `state`.
 // Phase helper shared by both randNum variants: carries the whole
-// per-phase protocol context (bus, state, items, byz, plan, …) flat.
+// per-phase protocol context (net, state, items, byz, plan, …) flat.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_bracha_phase<R: Rng>(
-    bus: &mut Bus<Msg>,
+    net: &mut EventNet<Msg>,
     state: &mut [NodeState],
     items: &BTreeMap<usize, Item>,
     byz: &BTreeSet<usize>,
@@ -147,6 +147,11 @@ fn run_parallel_bracha_phase<R: Rng>(
 
     // Dispatch.
     for (&src, &item) in items {
+        let init = Msg {
+            kind: Kind::Init,
+            src,
+            item,
+        };
         if byz.contains(&src) {
             match plan {
                 ByzPlan::Silent => {}
@@ -163,93 +168,54 @@ fn run_parallel_bracha_phase<R: Rng>(
                                 Item::Reveal(if to % 2 == 0 { a } else { b }, nonce)
                             }
                         };
-                        bus.send(
+                        net.send(
                             src,
                             to,
                             Msg {
-                                kind: Kind::Init,
-                                src,
                                 item: forged,
+                                ..init
                             },
                         );
                     }
                 }
-                _ => {
-                    // ConstantValue/Random byzantines follow the wire
-                    // format (their *contribution* was already chosen by
-                    // the plan at the caller).
-                    for to in 0..n {
-                        if to != src {
-                            bus.send(
-                                src,
-                                to,
-                                Msg {
-                                    kind: Kind::Init,
-                                    src,
-                                    item,
-                                },
-                            );
-                        }
-                    }
-                }
+                // ConstantValue/Random byzantines follow the wire
+                // format (their *contribution* was already chosen by
+                // the plan at the caller).
+                _ => net.broadcast(src, init),
             }
         } else {
-            for to in 0..n {
-                if to != src {
-                    bus.send(
-                        src,
-                        to,
-                        Msg {
-                            kind: Kind::Init,
-                            src,
-                            item,
-                        },
-                    );
-                }
-            }
+            net.broadcast(src, init);
             // Self-echo.
             let key = (src, item);
             state[src].echoed.insert((src, item.phase()));
             state[src].echo_counts.entry(key).or_default().insert(src);
-            for to in 0..n {
-                if to != src {
-                    bus.send(
-                        src,
-                        to,
+            net.broadcast(
+                src,
+                Msg {
+                    kind: Kind::Echo,
+                    ..init
+                },
+            );
+        }
+    }
+
+    for _ in 0..rounds {
+        let inboxes = net.round();
+        let mut outgoing: Vec<(usize, Msg)> = Vec::new();
+        for (p, inbox) in inboxes.into_iter().enumerate() {
+            if byz.contains(&p) {
+                if matches!(plan, ByzPlan::Random) {
+                    // Random echo noise for a random source.
+                    let src = rng.gen_range(0..n);
+                    let item = Item::Commit(rng.gen());
+                    net.broadcast(
+                        p,
                         Msg {
                             kind: Kind::Echo,
                             src,
                             item,
                         },
                     );
-                }
-            }
-        }
-    }
-
-    for _ in 0..rounds {
-        bus.step();
-        let mut outgoing: Vec<(usize, Msg)> = Vec::new();
-        for p in 0..n {
-            let inbox = bus.recv(p);
-            if byz.contains(&p) {
-                if matches!(plan, ByzPlan::Random) {
-                    // Random echo noise for a random source.
-                    let src = rng.gen_range(0..n);
-                    let item = Item::Commit(rng.gen());
-                    for to in 0..n {
-                        if to != p {
-                            bus.send(
-                                p,
-                                to,
-                                Msg {
-                                    kind: Kind::Echo,
-                                    src,
-                                    item,
-                                },
-                            );
-                        }
-                    }
                 }
                 continue;
             }
@@ -325,7 +291,7 @@ fn run_parallel_bracha_phase<R: Rng>(
             }
         }
         for (p, msg) in outgoing {
-            bus.broadcast(p, msg);
+            net.broadcast(p, msg);
         }
     }
 }
@@ -362,7 +328,7 @@ pub fn rand_num_commit_reveal<R: Rng>(
     let f = (n.saturating_sub(1)) / 3;
 
     ledger.begin(CostKind::RandNum);
-    let mut bus: Bus<Msg> = Bus::new(n);
+    let mut net: EventNet<Msg> = EventNet::new(n, EventNetConfig::ideal(), 0);
     let mut state: Vec<NodeState> = vec![NodeState::default(); n];
 
     // Local draws.
@@ -381,17 +347,17 @@ pub fn rand_num_commit_reveal<R: Rng>(
         .filter(|p| !(byz.contains(p) && matches!(plan, ByzPlan::Silent)))
         .map(|p| (p, Item::Commit(commit_value(xs[p], nonces[p], p).0)))
         .collect();
-    run_parallel_bracha_phase(&mut bus, &mut state, &commits, byz, plan, f, 8, rng);
+    run_parallel_bracha_phase(&mut net, &mut state, &commits, byz, plan, f, 8, rng);
 
     // Phase 2: reveals.
     let reveals: BTreeMap<usize, Item> = (0..n)
         .filter(|p| !(byz.contains(p) && matches!(plan, ByzPlan::Silent)))
         .map(|p| (p, Item::Reveal(xs[p], nonces[p])))
         .collect();
-    run_parallel_bracha_phase(&mut bus, &mut state, &reveals, byz, plan, f, 8, rng);
+    run_parallel_bracha_phase(&mut net, &mut state, &reveals, byz, plan, f, 8, rng);
 
-    ledger.add_messages(bus.messages_sent());
-    ledger.add_rounds(bus.round());
+    ledger.add_messages(net.messages_sent());
+    ledger.add_rounds(net.now());
     ledger.end();
 
     // Result extraction per honest node.
@@ -417,8 +383,8 @@ pub fn rand_num_commit_reveal<R: Rng>(
 
     ProtocolResult {
         decisions,
-        rounds: bus.round(),
-        messages: bus.messages_sent(),
+        rounds: net.now(),
+        messages: net.messages_sent(),
     }
 }
 

@@ -18,7 +18,7 @@ use now_core::{ExecConfig, NowError, NowParams, NowSystem, WavePool};
 use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth};
 
 /// A phase's compiled stop condition (evaluated before the first step
-/// and after every audited step).
+/// and after every step, audited or not).
 type StopFn = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool>;
 
 impl Campaign {
@@ -435,6 +435,32 @@ mod tests {
         assert_eq!(r1.phases[0].dropped, 0, "wave engines never drop");
         assert!(r1.to_json().contains("\"dropped\":"));
         s1.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn saturated_latency_event_phase_runs_in_send_order() {
+        // The parser takes any u64 latency. At u64::MAX plus jitter,
+        // every delivery saturates to the end of virtual time instead of
+        // overflowing (or wrapping to an early delivery), so the phase
+        // executes its ops in send order: what the ideal network runs.
+        let text = |knobs: &str| {
+            format!(
+                "campaign x\ninitial-population 150\nphase storm\nstyle balanced\n\
+                 width 6\nexec event\n{knobs}steps 6\n"
+            )
+        };
+        let saturated = text("latency 18446744073709551615\njitter 1\n");
+        let (far, far_sys) = Campaign::parse(&saturated).unwrap().run(1).unwrap();
+        let (ideal, ideal_sys) = Campaign::parse(&text("")).unwrap().run(1).unwrap();
+        let (f, i) = (&far.phases[0], &ideal.phases[0]);
+        assert_eq!(f.dropped, 0, "a latency cuts nothing");
+        assert_eq!(
+            (f.joins, f.leaves, f.waves, f.messages, f.rounds, f.pop_end),
+            (i.joins, i.leaves, i.waves, i.messages, i.rounds, i.pop_end)
+        );
+        assert!(f.joins + f.leaves > 0);
+        assert_eq!(far_sys.node_ids(), ideal_sys.node_ids());
+        far_sys.check_consistency().unwrap();
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The event-driven batch engine ([`crate::ExecConfig::Event`]).
+//! The event engine's stage of the batch step
+//! ([`crate::ExecConfig::Event`]).
 //!
 //! The paper's model is synchronous — §6 names removing that assumption
 //! as the open problem. This engine takes the step: instead of a round
@@ -6,6 +7,14 @@
 //! becomes a **message** on a seeded discrete-event network
 //! ([`EventNet`]) whose per-link latency/jitter/loss/partition models
 //! decide *when* — and *whether* — the protocol reacts to it.
+//!
+//! The engine is not a second step function. [`NowSystem::step_batch`]
+//! runs one batch skeleton for every engine — admission, the master
+//! draw, the waves, the report — and the event engine contributes one
+//! stage to it, [`NowSystem::deliver`]: it maps the admitted operations
+//! to the order the network delivers them in, and the skeleton cuts that
+//! order into waves exactly as it cuts the canonical order of
+//! [`crate::ExecConfig::Pooled`].
 //!
 //! # Execution model
 //!
@@ -22,37 +31,35 @@
 //! form the execution sequence, re-partitioned into conflict-free waves
 //! (contiguous runs of footprint-disjoint deliveries) that drain
 //! through the same wave machinery — plan/apply, or the kernel live for
-//! a wave of one op, and optionally the same [`WavePool`] workers — as
-//! the other engines. Split/merge maintenance runs after each wave, i.e. it is *driven by the
-//! deliveries* rather than by a barrier. Per-operation randomness is
-//! keyed by the operation's **canonical** index ([`OpSpec::canon`]),
-//! not its delivery position, so an operation plans identically
-//! wherever the network schedules it.
+//! a wave of one op, and optionally the same [`crate::WavePool`]
+//! workers — as the other engines. Split/merge maintenance runs after
+//! each wave, i.e. it is *driven by the deliveries* rather than by a
+//! barrier. Per-operation randomness is keyed by the operation's
+//! **canonical** index ([`OpSpec::canon`]), not its delivery position,
+//! so an operation plans identically wherever the network schedules it.
 //!
 //! A dropped message means the operation simply does not happen this
 //! step: the joiner never reached its contact (the id it would have
 //! used is still consumed, keeping admission deterministic), and the
-//! report counts it in [`BatchReport::dropped`] with a loss record in
-//! the trace. Departure self-messages always deliver, so a step never
-//! strands a leaver.
+//! report counts it in [`crate::BatchReport::dropped`] with a loss
+//! record in the trace. Departure self-messages always deliver, so a
+//! step never strands a leaver.
 //!
 //! # Determinism
 //!
-//! The network is seeded from the system's own stream (one master draw
-//! per step, exactly like the wave engines), so the delivery trace and
-//! the final state are a pure function of `(seed, EventNetConfig)` —
-//! the thread count of the optional pool changes nothing, which the
+//! The network is seeded from the batch's master draw (the same one
+//! draw per step every engine makes), so the delivery trace and the
+//! final state are a pure function of `(seed, EventNetConfig)` — the
+//! thread count of the optional pool changes nothing, which the
 //! workspace determinism tests pin byte-for-byte.
 
-use crate::batch::{BatchReport, JoinSpec, WaveStats};
 use crate::system::NowSystem;
-use crate::wave_exec::{partition_waves, AdmittedBatch, OpSpec, PlannedOp, WavePool};
+use crate::wave_exec::{AdmittedBatch, OpSpec, PlannedOp};
 use now_net::{
-    ClusterId, CostKind, DetRng, DropReason, EventNet, EventNetConfig, EventRecord, NodeId,
-    Partition,
+    ClusterId, DetRng, DropReason, EventNet, EventNetConfig, EventRecord, NodeId, Partition,
 };
 use now_trace::TraceData;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use std::collections::BTreeSet;
 
 /// The substream index reserved for the engine's own routing draws
@@ -62,25 +69,21 @@ use std::collections::BTreeSet;
 const ROUTE_STREAM: u64 = u64::MAX;
 
 impl NowSystem {
-    pub(crate) fn step_event_impl(
+    /// Puts `batch` in network delivery order on a net with link model
+    /// `net`, seeded by the batch's `master` draw: injects one message
+    /// per admitted operation, drains the net, and keeps the delivered
+    /// operations in delivery order (`batch.specs`) and the joiners
+    /// that reached their contact (`batch.joined`). Records the
+    /// partition, heal, send, drop and deliver trace events and the
+    /// `now_net_*` counters, and returns the number of dropped
+    /// operations with the delivery trace.
+    pub(crate) fn deliver(
         &mut self,
-        joins: &[JoinSpec],
-        leaves: &[NodeId],
+        batch: &mut AdmittedBatch,
         net: EventNetConfig,
-        pool: Option<&WavePool>,
-    ) -> BatchReport {
-        // Wall-clock measurement only: feeds `wall_nanos`, which is
-        // excluded from byte-diffed reports.
-        let start = now_trace::stopwatch();
-        self.ledger.begin(CostKind::Batch);
+        master: u64,
+    ) -> (u64, Vec<EventRecord>) {
         let step = self.time_step;
-
-        let AdmittedBatch {
-            joined,
-            left,
-            rejected,
-            specs,
-        } = self.admit_batch(joins, leaves);
 
         // The step's network conditions, as trace events: an in-force
         // partition (and its scheduled heal) governs what follows.
@@ -108,14 +111,11 @@ impl NowSystem {
                 .expect("admitted op centers on a live cluster")
         };
 
-        // One master draw per step, exactly like the wave engines, so
-        // the serial-vs-event divergence point is the engine, not the
-        // stream position.
-        let master = self.rng.next_u64();
         let mut link = EventNet::<u64>::new(ports.len(), net, master);
-        let mut route = DetRng::for_op(master, self.time_step, ROUTE_STREAM);
+        let mut route = DetRng::for_op(master, step, ROUTE_STREAM);
 
         // ---- inject: one message per admitted operation ----
+        let specs = std::mem::take(&mut batch.specs);
         let mut events: Vec<EventRecord> = Vec::with_capacity(specs.len());
         let mut dropped = 0u64;
         for spec in &specs {
@@ -177,6 +177,9 @@ impl NowSystem {
             order.push(env.payload);
         }
         debug_assert_eq!(link.delivered() + link.dropped(), link.messages_sent());
+        self.hub.count("now_net_sent_total", link.messages_sent());
+        self.hub.count("now_net_delivered_total", link.delivered());
+        self.hub.count("now_net_dropped_total", link.dropped());
 
         let executed: BTreeSet<u64> = order.iter().copied().collect();
         let join_canons: Vec<u64> = specs
@@ -185,7 +188,7 @@ impl NowSystem {
             .map(|s| s.canon)
             .collect();
         let mut slots: Vec<Option<OpSpec>> = specs.into_iter().map(Some).collect();
-        let delivered_specs: Vec<OpSpec> = order
+        batch.specs = order
             .iter()
             .map(|&canon| {
                 slots[canon as usize]
@@ -200,67 +203,32 @@ impl NowSystem {
         // departure executes (self-messages always deliver), while a
         // joiner whose contact message was dropped never joined — its
         // pre-assigned id is consumed but never attached.
-        let joined: Vec<NodeId> = joined
+        let joined: Vec<NodeId> = std::mem::take(&mut batch.joined);
+        batch.joined = joined
             .into_iter()
             .zip(join_canons)
             .filter_map(|(node, canon)| executed.contains(&canon).then_some(node))
             .collect();
         debug_assert_eq!(
-            delivered_specs
+            batch
+                .specs
                 .iter()
                 .filter(|s| matches!(s.op, PlannedOp::Leave { .. }))
                 .count(),
-            left.len(),
+            batch.left.len(),
             "departure self-messages always deliver"
         );
-
-        // ---- execute conflict-free delivery runs through the waves ----
-        let waves = partition_waves(&delivered_specs);
-        let mut contact_redraws = 0u64;
-        let mut wave_stats: Vec<WaveStats> = Vec::with_capacity(waves.len());
-        for wave in waves {
-            // INVARIANT: `partition_waves` returns ranges within the
-            // slice it was given.
-            let stats =
-                self.execute_wave(&delivered_specs[wave], pool, master, &mut contact_redraws);
-            wave_stats.push(stats);
-        }
-
-        if contact_redraws > 0 {
-            self.hub.event(
-                step,
-                TraceData::ContactRedraws {
-                    count: contact_redraws,
-                },
-            );
-        }
-        self.hub.count("now_net_sent_total", link.messages_sent());
-        self.hub.count("now_net_delivered_total", link.delivered());
-        self.hub.count("now_net_dropped_total", link.dropped());
-        let rounds_parallel = wave_stats.iter().map(|w| w.rounds_max).sum();
-        let cost = self.ledger.end();
-        self.advance_time_step();
-        BatchReport {
-            joined,
-            left,
-            rejected,
-            cost,
-            rounds_parallel,
-            waves: wave_stats,
-            contact_redraws,
-            dropped,
-            events,
-            wall_nanos: start.elapsed_nanos(),
-        }
+        (dropped, events)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchReport;
     use crate::exec::{BatchInput, ExecConfig};
     use crate::params::NowParams;
-    use now_net::Partition;
+    use crate::wave_exec::WavePool;
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();

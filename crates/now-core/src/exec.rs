@@ -7,13 +7,16 @@
 //!   resources (a caller-held [`WavePool`], an event network model).
 //!
 //! Every engine is bit-deterministic from `(seed, input, config)`, and
-//! every engine runs the same op kernel inside the same wave machinery
-//! ([`crate::wave_exec`]): one master draw per batch, one
-//! [`now_net::DetRng::for_op`] substream per operation, the kernel on
-//! per-operation views, planned and applied, in a wave of two or more
-//! ops, and live on the registry in a wave of one. The engines differ
-//! only in how a batch is cut into waves and where waves are planned;
-//! the outcome is independent of thread count.
+//! every engine is one batch skeleton, [`NowSystem::step_batch`]:
+//! admission, one master draw per batch, the waves, the report. Each
+//! wave runs the same op kernel in the same wave machinery
+//! ([`crate::wave_exec`]): one [`now_net::DetRng::for_op`] substream per
+//! operation, the kernel on per-operation views, planned and applied,
+//! in a wave of two or more ops, and live on the registry in a wave of
+//! one. The engines differ only in the order the admitted operations
+//! run in — canonical, or the delivery order of the event network
+//! ([`NowSystem::deliver`]) — how that order is cut into waves, and
+//! where waves are planned; the outcome is independent of thread count.
 //!
 //! ```
 //! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
@@ -26,10 +29,12 @@
 //! assert_eq!(report.joined.len(), 4);
 //! ```
 
-use crate::batch::{BatchReport, JoinSpec};
+use crate::batch::{BatchReport, JoinSpec, WaveStats};
 use crate::system::NowSystem;
 use crate::wave_exec::{partition_waves, singleton_waves, WavePool};
-use now_net::{EventNetConfig, NodeId};
+use now_net::{CostKind, EventNetConfig, NodeId};
+use now_trace::TraceData;
+use rand::RngCore;
 
 /// The work of one batched time step: departures first, then arrivals,
 /// each in input order (the canonical order of the wave scheduler).
@@ -198,16 +203,54 @@ impl NowSystem {
     ///
     /// See [`ExecConfig`] for the determinism contract per engine.
     pub fn step_batch(&mut self, input: &BatchInput, exec: &ExecConfig<'_>) -> BatchReport {
-        let report = match *exec {
-            ExecConfig::Serial => {
-                self.step_waves_impl(&input.joins, &input.leaves, singleton_waves, None)
+        // Wall-clock measurement only: feeds `wall_nanos`, which is
+        // excluded from byte-diffed reports.
+        let start = now_trace::stopwatch();
+        self.ledger.begin(CostKind::Batch);
+        let mut batch = self.admit_batch(&input.joins, &input.leaves);
+        // The batch's one draw from the system stream, first after
+        // admission on every engine.
+        let master = self.rng.next_u64();
+        let (dropped, events) = match *exec {
+            ExecConfig::Event { net, .. } => self.deliver(&mut batch, net, master),
+            _ => (0, Vec::new()),
+        };
+        let (waves, pool) = match *exec {
+            ExecConfig::Serial => (singleton_waves(&batch.specs), None),
+            ExecConfig::Pooled { pool } | ExecConfig::Event { pool, .. } => {
+                (partition_waves(&batch.specs), pool)
             }
-            ExecConfig::Pooled { pool } => {
-                self.step_waves_impl(&input.joins, &input.leaves, partition_waves, pool)
-            }
-            ExecConfig::Event { net, pool } => {
-                self.step_event_impl(&input.joins, &input.leaves, net, pool)
-            }
+        };
+
+        let mut contact_redraws = 0u64;
+        let waves: Vec<WaveStats> = waves
+            .into_iter()
+            // INVARIANT: both partitions return ranges within the slice
+            // they were given.
+            .map(|wave| self.execute_wave(&batch.specs[wave], pool, master, &mut contact_redraws))
+            .collect();
+        if contact_redraws > 0 {
+            self.hub.event(
+                self.time_step,
+                TraceData::ContactRedraws {
+                    count: contact_redraws,
+                },
+            );
+        }
+        let rounds_parallel = waves.iter().map(|w| w.rounds_max).sum();
+        let cost = self.ledger.end();
+        self.advance_time_step();
+        let report = BatchReport {
+            joined: batch.joined,
+            left: batch.left,
+            rejected: batch.rejected,
+            cost,
+            rounds_parallel,
+            waves,
+            contact_redraws,
+            dropped,
+            events,
+            wall_nanos: start.elapsed_nanos(),
         };
         self.record_step_metrics(&report);
         report

@@ -1,7 +1,8 @@
 //! The NOW initialization phase, genuinely executed (fidelity L0).
 //!
 //! Per §3.2 of the paper, initialization has two sub-phases, both run
-//! here as real per-node protocols over the synchronous bus:
+//! here as real per-node protocols over the synchronous network — an
+//! [`EventNet`] on the ideal link model, driven a round at a time:
 //!
 //! 1. **Network discovery** ([`discover`]): flooding over the bootstrap
 //!    graph until every honest node knows every identity. Terminates
@@ -30,7 +31,7 @@ use now_agreement::outcome::ByzPlan;
 use now_agreement::rand_num::rand_num_commit_reveal;
 use now_graph::sample::{sample_distinct, shuffle};
 use now_graph::Graph;
-use now_net::{Bus, CostKind, DetRng, Ledger};
+use now_net::{CostKind, DetRng, EventNet, EventNetConfig, Ledger};
 use std::collections::BTreeSet;
 
 /// Result of the discovery flooding.
@@ -53,7 +54,7 @@ pub struct DiscoveryOutcome {
 pub fn discover(bootstrap: &Graph, byz: &BTreeSet<usize>, ledger: &mut Ledger) -> DiscoveryOutcome {
     let n = bootstrap.vertex_count();
     ledger.begin(CostKind::Discovery);
-    let mut bus: Bus<Vec<u64>> = Bus::new(n);
+    let mut net: EventNet<Vec<u64>> = EventNet::new(n, EventNetConfig::ideal(), 0);
     let mut known: Vec<BTreeSet<usize>> = (0..n)
         .map(|p| {
             let mut s: BTreeSet<usize> = bootstrap.neighbors(p).collect();
@@ -63,7 +64,6 @@ pub fn discover(bootstrap: &Graph, byz: &BTreeSet<usize>, ledger: &mut Ledger) -
         .collect();
     let mut fresh: Vec<Vec<usize>> = known.iter().map(|s| s.iter().copied().collect()).collect();
     let mut units = 0u64;
-    let mut rounds = 0u64;
 
     loop {
         // Send phase: honest nodes relay everything new.
@@ -75,7 +75,7 @@ pub fn discover(bootstrap: &Graph, byz: &BTreeSet<usize>, ledger: &mut Ledger) -
             let packet: Vec<u64> = fresh_p.iter().map(|&id| id as u64).collect();
             for nb in bootstrap.neighbors(p) {
                 units += packet.len() as u64;
-                bus.send(p, nb, packet.clone());
+                net.send(p, nb, packet.clone());
                 sent_any = true;
             }
             fresh_p.clear();
@@ -83,11 +83,8 @@ pub fn discover(bootstrap: &Graph, byz: &BTreeSet<usize>, ledger: &mut Ledger) -
         if !sent_any {
             break;
         }
-        bus.step();
-        rounds += 1;
         // Receive phase.
-        for p in 0..n {
-            let inbox = bus.recv(p);
+        for (p, inbox) in net.round().into_iter().enumerate() {
             if byz.contains(&p) {
                 continue;
             }
@@ -102,6 +99,7 @@ pub fn discover(bootstrap: &Graph, byz: &BTreeSet<usize>, ledger: &mut Ledger) -
         }
     }
 
+    let rounds = net.now();
     ledger.add_messages(units);
     ledger.add_rounds(rounds);
     ledger.end();

@@ -18,9 +18,9 @@
 //!   continuous-time random walk [`NowSystem::rand_cl_from`], and invariant
 //!   audits ([`SystemAudit`]).
 //! * [`init`] — the initialization phase: genuinely executed discovery
-//!   flooding and committee-based clusterization over the synchronous
-//!   bus (fidelity L0), plus the fast path used by large-scale
-//!   experiments.
+//!   flooding and committee-based clusterization over synchronous
+//!   rounds of [`now_net::EventNet`] (fidelity L0), plus the fast path
+//!   used by large-scale experiments.
 //! * [`Malice`] — the hook through which an adversary exploits
 //!   *compromised* clusters (≥ 1/3 Byzantine ⇒ `randNum` steerable;
 //!   more than 1/2 ⇒ message forgery). In the Theorem-3 regime these hooks stay

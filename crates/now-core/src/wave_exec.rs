@@ -115,7 +115,7 @@
 //! depend on the requested thread count). For the neutral default,
 //! every worker plans against its own stack [`NoMalice`].
 
-use crate::batch::{BatchReport, WaveStats};
+use crate::batch::WaveStats;
 use crate::cluster::ClusterSecurity;
 use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
@@ -123,10 +123,10 @@ use crate::malice::{Malice, NoMalice};
 use crate::params::{NowParams, SecurityMode};
 use crate::registry::Registry;
 use crate::system::NowSystem;
-use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
+use now_net::{ClusterId, Cost, DetRng, Ledger, NodeId};
 use now_over::Overlay;
 use now_trace::{SpanTotal, TraceData};
-use rand::{Rng, RngCore};
+use rand::Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1014,64 +1014,6 @@ impl NowSystem {
         }
     }
 
-    /// The wave engine: admit, cut the canonical order into waves with
-    /// `partition`, and execute each on `pool` (on the driving thread
-    /// when `None`).
-    pub(crate) fn step_waves_impl(
-        &mut self,
-        joins: &[crate::batch::JoinSpec],
-        leaves: &[NodeId],
-        partition: fn(&[OpSpec]) -> Vec<Range<usize>>,
-        pool: Option<&WavePool>,
-    ) -> BatchReport {
-        // Wall-clock measurement only: feeds `wall_nanos`, which is
-        // excluded from byte-diffed reports.
-        let start = now_trace::stopwatch();
-        self.ledger.begin(CostKind::Batch);
-
-        let AdmittedBatch {
-            joined,
-            left,
-            rejected,
-            specs,
-        } = self.admit_batch(joins, leaves);
-
-        let waves = partition(&specs);
-        let master = self.rng.next_u64();
-
-        let mut contact_redraws = 0u64;
-        let mut wave_stats: Vec<WaveStats> = Vec::with_capacity(waves.len());
-        for wave in waves {
-            // INVARIANT: both partitions return ranges within `specs`.
-            let stats = self.execute_wave(&specs[wave], pool, master, &mut contact_redraws);
-            wave_stats.push(stats);
-        }
-
-        if contact_redraws > 0 {
-            self.hub.event(
-                self.time_step,
-                TraceData::ContactRedraws {
-                    count: contact_redraws,
-                },
-            );
-        }
-        let rounds_parallel = wave_stats.iter().map(|w| w.rounds_max).sum();
-        let cost = self.ledger.end();
-        self.advance_time_step();
-        BatchReport {
-            joined,
-            left,
-            rejected,
-            cost,
-            rounds_parallel,
-            waves: wave_stats,
-            contact_redraws,
-            dropped: 0,
-            events: Vec::new(),
-            wall_nanos: start.elapsed_nanos(),
-        }
-    }
-
     /// Executes one conflict-free wave, then its deferred size
     /// maintenance. A wave of one op runs the op kernel live on the
     /// registry ([`NowSystem::run_op_live`]); a wider one is planned on
@@ -1267,10 +1209,12 @@ impl NowSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchReport;
     use crate::exec::{BatchInput, ExecConfig};
     use crate::malice::{RandNumContext, RandNumPurpose};
     use crate::params::NowParams;
     use now_net::CostKind;
+    use rand::RngCore;
     use std::cell::Cell;
     use std::rc::Rc;
 

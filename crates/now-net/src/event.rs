@@ -3,13 +3,13 @@
 //! The paper assumes synchrony and lists removing that assumption as
 //! future work (§6: *"We currently seek schemes to alleviate the need
 //! of the assumption of synchronous nodes."*). [`EventNet`] is the
-//! substrate for that extension: a network with **no rounds**, where
-//! protocols react to single deliveries instead of round barriers. It
-//! is a seeded event loop whose entire behavior — per-link latency,
-//! jitter, loss, and partitions — is a pure function of
-//! `(seed, config)`. Two `EventNet`s built from the same pair replay
-//! byte-identical delivery schedules, whatever thread count or host
-//! executes the protocol on top.
+//! substrate for that extension: a network with **no round barrier**,
+//! where protocols can react to single deliveries. It is a seeded event
+//! loop whose entire behavior — per-link latency, jitter, loss, and
+//! partitions — is a pure function of `(seed, config)`. Two
+//! `EventNet`s built from the same pair replay byte-identical delivery
+//! schedules, whatever thread count or host executes the protocol on
+//! top.
 //!
 //! An *adversarial* scheduler is the same net with the delay chosen by
 //! the caller: [`EventNet::send_after`] takes the delivery delay
@@ -18,11 +18,27 @@
 //! [`EventNet::send`] is that call with the delay drawn from the link
 //! model.
 //!
+//! The paper's own synchronous model is the same net driven a round at
+//! a time: [`EventNet::round`] advances virtual time by one tick and
+//! hands every port the messages due by then, in send order. Under
+//! [`EventNetConfig::ideal`] every message sent in one round arrives at
+//! the next, the net's stream is never read and [`EventNet::now`]
+//! counts rounds — the lock-step model the message-level (L0)
+//! protocols run on: flooding discovery, Bracha, Dolev–Strong and
+//! commit–reveal `randNum`.
+//!
+//! Ports are dense `usize` indices local to one protocol execution; the
+//! caller maps ports to global [`crate::NodeId`]s. The net stamps every
+//! [`Envelope`] with the true sender port, so a Byzantine node may *say*
+//! anything but cannot *impersonate* anyone — the paper's
+//! unforgeable-identity assumption.
+//!
 //! # Link model
 //!
 //! Every accepted message is scheduled `latency + U(0..=jitter)` ticks
 //! of virtual time after its send, where the uniform draw comes from the
-//! net's own internal [`DetRng`]. Before scheduling, the message may be
+//! net's own internal [`DetRng`]. Delays and delivery times saturate at
+//! `u64::MAX` rather than wrap. Before scheduling, the message may be
 //! *lost*: an independent Bernoulli draw with probability
 //! [`EventNetConfig::drop`], or a partition cut
 //! ([`Partition`]) while the partition is in force. Lost messages count
@@ -35,10 +51,20 @@
 //! timer, a detector firing): they pay base latency only and are exempt
 //! from loss and partitions.
 
-use crate::bus::Envelope;
 use crate::rng::DetRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+
+/// A message in flight or delivered, stamped with its true sender.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Envelope<M> {
+    /// True sender port (stamped by the net, not claimable).
+    pub from: usize,
+    /// Destination port.
+    pub to: usize,
+    /// Protocol payload.
+    pub payload: M,
+}
 
 /// A network partition: which port groups can exchange messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,7 +317,16 @@ impl<M: Clone> EventNet<M> {
         } else {
             0
         };
-        self.send_after(from, to, payload, self.config.latency.max(1) + extra)
+        let delay = self.config.latency.max(1).saturating_add(extra);
+        self.send_after(from, to, payload, delay)
+    }
+
+    /// Sends `payload` from `from` to every other port, in port order
+    /// ([`EventNet::send`] per recipient).
+    pub fn broadcast(&mut self, from: usize, payload: M) {
+        for to in (0..self.ports()).filter(|&to| to != from) {
+            self.send(from, to, payload.clone());
+        }
     }
 
     /// Queues a message on the link `from → to` for delivery `delay`
@@ -329,7 +364,7 @@ impl<M: Clone> EventNet<M> {
         } else {
             false
         };
-        let deliver = self.now + delay.max(1);
+        let deliver = self.now.saturating_add(delay.max(1));
         let reason = if !self.live(to) {
             Some(DropReason::DeadRecipient)
         } else if !local && self.config.severs_at(from, to, deliver) {
@@ -363,6 +398,30 @@ impl<M: Clone> EventNet<M> {
             self.dropped += 1;
         }
         None
+    }
+
+    /// One synchronous round: advances virtual time by one tick and
+    /// delivers every in-flight message due by then. Returns each port's
+    /// deliveries as `(sender, payload)` pairs in send order
+    /// (`inboxes[p]` for port `p`). A message to a port that died after
+    /// the send counts as [`EventNet::dropped`], as in [`EventNet::pop`].
+    ///
+    /// Under [`EventNetConfig::ideal`] every message sent before a round
+    /// is delivered by it, and [`EventNet::now`] equals the number of
+    /// rounds run, empty ones included.
+    pub fn round(&mut self) -> Vec<Vec<(usize, M)>> {
+        self.now = self.now.saturating_add(1);
+        let mut inboxes = vec![Vec::new(); self.ports()];
+        while let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= self.now) {
+            let env = due.remove();
+            if self.live(env.to) {
+                self.delivered += 1;
+                inboxes[env.to].push((env.from, env.payload));
+            } else {
+                self.dropped += 1;
+            }
+        }
+        inboxes
     }
 
     fn live(&self, port: usize) -> bool {
@@ -602,6 +661,74 @@ mod tests {
         for (t, p) in drain(&mut sealed) {
             assert_eq!(open_times[&p], t, "surviving message {p} rescheduled");
         }
+    }
+
+    #[test]
+    fn ideal_round_delivers_the_last_rounds_sends_in_send_order() {
+        let mut net: EventNet<u64> = EventNet::new(3, EventNetConfig::ideal(), 1);
+        net.send(0, 2, 1);
+        net.send(1, 2, 2);
+        net.send(0, 2, 3);
+        net.send(2, 1, 4);
+        let inboxes = net.round();
+        assert_eq!(
+            inboxes,
+            vec![vec![], vec![(2, 4)], vec![(0, 1), (1, 2), (0, 3)]]
+        );
+        assert!(net.round().iter().all(Vec::is_empty), "a round drains");
+        assert_eq!(net.now(), 2, "now counts rounds, empty ones included");
+        assert_eq!((net.messages_sent(), net.delivered()), (4, 4));
+    }
+
+    #[test]
+    fn broadcast_reaches_every_other_port_stamped_with_the_sender() {
+        let mut net: EventNet<&str> = EventNet::new(4, EventNetConfig::ideal(), 1);
+        // The payload may claim anything; the envelope names the sender.
+        net.broadcast(1, "i am node 0");
+        for (port, inbox) in net.round().into_iter().enumerate() {
+            let want = if port == 1 {
+                vec![]
+            } else {
+                vec![(1, "i am node 0")]
+            };
+            assert_eq!(inbox, want, "port {port}");
+        }
+        assert_eq!(net.messages_sent(), 3);
+    }
+
+    #[test]
+    fn round_holds_back_messages_not_yet_due() {
+        let config = EventNetConfig::ideal().with_latency(2);
+        let mut net: EventNet<u64> = EventNet::new(2, config, 1);
+        net.send(0, 1, 7);
+        assert!(net.round()[1].is_empty(), "due at t = 2");
+        assert_eq!(net.round()[1], vec![(0, 7)]);
+        // A recipient dying in flight drops the message at its round.
+        net.send(0, 1, 8);
+        net.set_alive(1, false);
+        assert!(net.round().concat().is_empty() && net.round().concat().is_empty());
+        assert_eq!(
+            (net.delivered(), net.dropped(), net.messages_sent()),
+            (1, 1, 2)
+        );
+    }
+
+    #[test]
+    fn saturated_delays_land_at_the_end_of_time_in_send_order() {
+        // latency u64::MAX plus any jitter must neither overflow nor
+        // wrap around to an early delivery, at any virtual time.
+        let config = EventNetConfig::ideal()
+            .with_latency(u64::MAX)
+            .with_jitter(1);
+        let mut net: EventNet<u64> = EventNet::new(2, config, 5);
+        net.send_after(0, 1, 99, 3);
+        assert_eq!(net.pop().map(|(t, e)| (t, e.payload)), Some((3, 99)));
+        for i in 0..16 {
+            assert_eq!(net.send(0, 1, i), None);
+        }
+        net.send_after(0, 1, 16, u64::MAX);
+        let want: Vec<(u64, u64)> = (0..=16).map(|i| (u64::MAX, i)).collect();
+        assert_eq!(drain(&mut net), want);
     }
 
     #[test]

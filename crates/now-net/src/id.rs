@@ -2,8 +2,9 @@
 //!
 //! The paper assigns every node a unique, unforgeable identifier. In the
 //! simulator, identity is enforced structurally: a [`NodeId`] can only be
-//! minted by an [`IdGen`], and message envelopes are stamped by the bus
-//! with the true sender, so Byzantine nodes cannot impersonate others.
+//! minted by an [`IdGen`], and message envelopes are stamped by the
+//! network ([`crate::EventNet`]) with the true sender, so Byzantine
+//! nodes cannot impersonate others.
 
 use std::fmt;
 

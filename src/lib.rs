@@ -12,7 +12,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`net`] | ids, synchronous bus, event-driven net, cost ledger, deterministic RNG |
+//! | [`net`] | ids, the one network (synchronous rounds or event-driven), cost ledger, deterministic RNG |
 //! | [`graph`] | ER generation, spectral expansion, isoperimetric constants, CTRWs |
 //! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |

@@ -3,9 +3,10 @@
 //!
 //! The cluster-level (L1) execution path accounts costs with closed-form
 //! counts derived from participant sets; the message-level (L0)
-//! protocols measure them from an actual bus. These tests pin the
-//! relationship between the two so the ledger numbers the experiment
-//! binaries print are interpretable.
+//! protocols measure them from messages actually sent on an `EventNet`
+//! (the ideal link model, driven a synchronous round at a time). These
+//! tests pin the relationship between the two so the ledger numbers the
+//! experiment binaries print are interpretable.
 
 use now_bft::agreement::{rand_num_commit_reveal, rand_num_ideal, ByzPlan};
 use now_bft::core::init::discover;

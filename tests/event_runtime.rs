@@ -9,11 +9,94 @@
 //!    scheduler accepts (not dropped at send time) is eventually
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
+//! 3. **Cross-commit replay** — wide batches on lossy and partitioned
+//!    nets land on pins recorded at the parent of the change that made
+//!    the event engine a delivery-order stage of the one wave step.
 
-use now_bft::core::{ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
+
+/// `(joined, left, dropped, events, event digest, waves, ledger
+/// messages, ledger rounds, population)` after ten wide steps.
+type WidePin = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+/// The pinned networks: lossy and jittered, a partition that heals
+/// mid-step, and a permanent partition.
+fn wide_nets() -> [EventNetConfig; 3] {
+    let ideal = EventNetConfig::ideal();
+    [
+        ideal.with_latency(2).with_jitter(3).with_drop(0.2),
+        ideal.with_jitter(4).with_partition(3).healing_at(3),
+        ideal.with_partition(2).with_drop(0.05),
+    ]
+}
+
+/// `(index into wide_nets, seed, pin)`.
+#[rustfmt::skip]
+const WIDE_PINS: [(usize, u64, WidePin); 6] = [
+    (0, 1, (68, 60, 12, 140, 9875977520330526162, 77, 82858162, 1359493, 520)),
+    (0, 2, (69, 60, 11, 140, 9150135244004420998, 74, 74200296, 1242897, 521)),
+    (1, 1, (56, 60, 24, 140, 7818462764055692236, 70, 82859718, 1374854, 508)),
+    (1, 2, (57, 60, 23, 140, 17060628869837930303, 61, 70351989, 1171381, 509)),
+    (2, 1, (41, 60, 39, 140, 4651820939083069359, 59, 75204110, 1278117, 493)),
+    (2, 2, (35, 60, 45, 140, 2610702007871140875, 53, 62468387, 1110991, 487)),
+];
+
+/// Ten steps of eight joins and six spread-out leaves each on `exec`,
+/// over 64 clusters of a degree-5 overlay, so footprints leave room
+/// for waves of several ops. The event trace is folded into a count
+/// and an FNV-1a digest over `(time, op, delivered)`.
+fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> WidePin {
+    let params = NowParams::for_capacity(16).expect("params");
+    let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, seed);
+    let honesty = [true, true, false, true, true, true, false, true];
+    let (mut joined, mut left, mut dropped, mut waves) = (0, 0, 0, 0);
+    let (mut events, mut digest) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for step in 0..10usize {
+        let ids = sys.node_ids();
+        let leaves: Vec<_> = (0..6)
+            .map(|i| ids[(step * 7 + i * 37) % ids.len()])
+            .collect();
+        let report = sys.step_batch(&BatchInput::from_flags(&honesty, &leaves), exec);
+        joined += report.joined.len() as u64;
+        left += report.left.len() as u64;
+        dropped += report.dropped;
+        waves += report.waves.len() as u64;
+        for e in &report.events {
+            events += 1;
+            for word in [e.time, e.op, u64::from(e.delivered)] {
+                digest = (digest ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    sys.check_consistency().expect("post-run consistency");
+    let total = sys.ledger().total();
+    (
+        joined,
+        left,
+        dropped,
+        events,
+        digest,
+        waves,
+        total.messages,
+        total.rounds,
+        sys.population(),
+    )
+}
+
+#[test]
+fn wide_event_batches_replay_the_parent_commit() {
+    let pool = WavePool::new(2);
+    for (net, seed, pin) in WIDE_PINS {
+        let net = wide_nets()[net];
+        let solo = wide_event_run(&ExecConfig::event(net), seed);
+        assert_eq!(solo, pin, "seed {seed}, {net:?}");
+        let pooled = wide_event_run(&ExecConfig::event_in(net, &pool), seed);
+        assert_eq!(pooled, pin, "seed {seed}, {net:?}, pooled");
+    }
+}
 
 /// Full deterministic fingerprint of an event-driven NOW run: report
 /// aggregates, end state, and ledger statistics.

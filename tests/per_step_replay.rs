@@ -8,11 +8,12 @@
 //! system's shared stream); that change is their one cause. Before it
 //! they were recorded at the parent of the change that deleted the
 //! per-step loop (`now_sim::run`). A batch of at most one op is one
-//! singleton wave on every engine, so `serial` and `pooled` must both
-//! land on every pin.
+//! singleton wave on every engine, so `serial`, `pooled` and the event
+//! engine on the ideal network, with and without a pool, must all land
+//! on every pin.
 
 use now_bft::adversary::{BatchDriver, JoinLeaveAttack};
-use now_bft::core::{ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, WavePool};
 use now_bft::sim::{BatchRandomChurn, BatchRun, BatchSawtooth};
 
 /// `(joins, leaves, population, byz, ledger messages, rounds, op_counts)`.
@@ -35,7 +36,13 @@ const PINS: [(&str, u64, u64, Pin); 9] = [
 #[test]
 fn per_step_strategies_replay_the_parent_commit() {
     let pool = WavePool::new(2);
-    for exec in [ExecConfig::serial(), ExecConfig::pooled(&pool)] {
+    let ideal = EventNetConfig::ideal();
+    for exec in [
+        ExecConfig::serial(),
+        ExecConfig::pooled(&pool),
+        ExecConfig::event(ideal),
+        ExecConfig::event_in(ideal, &pool),
+    ] {
         for (name, steps, seed, pin) in PINS {
             let params = NowParams::new(1 << 10, 3, 1.5, 0.25, 0.05).unwrap();
             let mut sys = NowSystem::init_fast(params, 200, 0.15, seed);

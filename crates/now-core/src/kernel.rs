@@ -114,31 +114,13 @@ pub(crate) struct Kernel<'k, S: StateView> {
     pub(crate) overlay: &'k Overlay,
     pub(crate) params: NowParams,
     pub(crate) ledger: &'k mut Ledger,
+    /// The system's shared stream on the live registry, the op's own
+    /// substream on a view.
     pub(crate) rng: &'k mut DetRng,
     pub(crate) malice: &'k mut dyn Malice,
 }
 
-impl<'k, S: StateView> Kernel<'k, S> {
-    /// A kernel over `state`, drawing from `rng`: the system's shared
-    /// stream on the live registry, the op's own substream on a view.
-    pub(crate) fn new(
-        state: &'k mut S,
-        overlay: &'k Overlay,
-        params: NowParams,
-        ledger: &'k mut Ledger,
-        rng: &'k mut DetRng,
-        malice: &'k mut dyn Malice,
-    ) -> Self {
-        Kernel {
-            state,
-            overlay,
-            params,
-            ledger,
-            rng,
-            malice,
-        }
-    }
-
+impl<S: StateView> Kernel<'_, S> {
     /// Size and security of `c` under the deployment's mode.
     #[inline]
     pub(crate) fn security(&self, c: ClusterId) -> ClusterSecurity {

@@ -374,14 +374,14 @@ impl NowSystem {
     /// The op kernel over the live registry: what serial execution
     /// (and split/merge, which only ever run here) drives.
     pub(crate) fn kernel(&mut self) -> Kernel<'_, Registry> {
-        Kernel::new(
-            &mut self.registry,
-            &self.overlay,
-            self.params,
-            &mut self.ledger,
-            &mut self.rng,
-            self.malice.as_mut(),
-        )
+        Kernel {
+            state: &mut self.registry,
+            overlay: &self.overlay,
+            params: self.params,
+            ledger: &mut self.ledger,
+            rng: &mut self.rng,
+            malice: self.malice.as_mut(),
+        }
     }
 
     /// `randNum` within live cluster `c` over `0..range` (see

@@ -12,9 +12,14 @@
 //! per-worker channels — O(threads) thread spawns per run, however many
 //! narrow waves a conflict-heavy batch schedules into. Workers claim
 //! operations through an atomic cursor and write plans into positional
-//! slots, so pooled planning is bit-identical to sequential planning on
-//! the driving thread (`ExecConfig::scheduled()`), the reference every
-//! pooled run is tested against.
+//! write-once slots (`OnceLock`), so pooled planning is bit-identical
+//! to sequential planning on the driving thread
+//! (`ExecConfig::scheduled()`), the reference every pooled run is
+//! tested against. The cursor hands each index to exactly one worker,
+//! so no slot is ever contended and nothing in the pool takes a lock:
+//! a worker that panics leaves its slot empty, the pool re-raises the
+//! panic on the driving thread once the wave has quiesced, and the
+//! same pool plans the next wave.
 //!
 //! # How determinism survives threading
 //!
@@ -130,7 +135,7 @@ use rand::Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, OnceLock};
 
 /// Canonical normalization of the `threads` knob, shared by **every**
 /// entry point that accepts one ([`WavePool::new`], the campaign
@@ -203,6 +208,7 @@ pub(crate) enum PlannedOp {
 /// A registry mutation planned by a kernel, applied canonically later.
 /// There is one per [`StateView`] edit, so the only effects that change
 /// a cluster's size are an arrival and a departure.
+#[derive(Debug)]
 enum Effect {
     Detach {
         node: NodeId,
@@ -223,6 +229,7 @@ enum Effect {
 }
 
 /// Size-triggered maintenance deferred to the post-wave serial phase.
+#[derive(Debug)]
 enum Maintenance {
     /// Re-check the join's host for an oversize split.
     Split(ClusterId),
@@ -232,6 +239,7 @@ enum Maintenance {
 
 /// What the rest of a wave needs from each of its ops, however the op
 /// ran.
+#[derive(Debug)]
 struct OpOutcome {
     /// Inclusive cost of the operation's top-level span.
     cost: Cost,
@@ -242,6 +250,7 @@ struct OpOutcome {
 }
 
 /// The pure result of planning one operation.
+#[derive(Debug)]
 struct OpPlan {
     effects: Vec<Effect>,
     ledger: Ledger,
@@ -502,14 +511,14 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
     } else {
         Ledger::new()
     };
-    let outcome = Kernel::new(
-        &mut view,
-        ctx.overlay,
-        ctx.params,
-        &mut ledger,
-        &mut rng,
+    let outcome = Kernel {
+        state: &mut view,
+        overlay: ctx.overlay,
+        params: ctx.params,
+        ledger: &mut ledger,
+        rng: &mut rng,
         malice,
-    )
+    }
     .run_op(&spec.op);
     OpPlan {
         effects: view.effects,
@@ -526,7 +535,7 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
 fn claim_and_plan(
     ctx: &WaveCtx<'_>,
     specs: &[OpSpec],
-    slots: &[Mutex<Option<OpPlan>>],
+    slots: &[OnceLock<OpPlan>],
     cursor: &AtomicUsize,
     master: u64,
     time_step: u64,
@@ -539,14 +548,9 @@ fn claim_and_plan(
         let rng = DetRng::for_op(master, time_step, specs[i].canon);
         // Workers only ever plan for a neutral adversary.
         let plan = plan_op(ctx, &specs[i], rng, &mut NoMalice);
-        // A poisoned slot means another worker panicked mid-wave. That
-        // first panic is re-raised by the pool after quiescence;
-        // cascading a second one here would only bury it, so this
-        // worker just stops claiming.
-        let Ok(mut slot) = slots[i].lock() else {
-            return;
-        };
-        *slot = Some(plan);
+        // The cursor hands out each index once, so this is the slot's
+        // only write and it cannot find the slot full.
+        let _ = slots[i].set(plan);
     }
 }
 
@@ -572,17 +576,15 @@ fn plan_wave_sequential(
 /// Drains the positional slots into the wave's plan vector.
 ///
 /// Only called after the pool has observed every worker finish
-/// cleanly (a worker panic is re-raised before collection).
-fn collect_slots(slots: Vec<Mutex<Option<OpPlan>>>) -> Vec<OpPlan> {
+/// cleanly (a worker panic is re-raised before collection), so the
+/// claim cursor ran past every op and every slot was filled.
+fn collect_slots(slots: Vec<OnceLock<OpPlan>>) -> Vec<OpPlan> {
     slots
         .into_iter()
         .map(|slot| {
-            // INVARIANT: all workers completed without panicking (the
-            // pool re-raised any panic before collecting), so no
-            // slot is poisoned and the claim cursor covered every op.
-            slot.into_inner()
-                .expect("plan slot poisoned")
-                .expect("every op planned")
+            // INVARIANT: every worker finished without panicking, so
+            // each claimed op's plan was set (see above).
+            slot.into_inner().expect("every op planned")
         })
         .collect()
 }
@@ -602,7 +604,7 @@ struct WaveJob {
     /// workers only dereference it inside the dispatch window).
     ctx: *const WaveCtx<'static>,
     specs: *const OpSpec,
-    slots: *const Mutex<Option<OpPlan>>,
+    slots: *const OnceLock<OpPlan>,
     cursor: *const AtomicUsize,
     len: usize,
     master: u64,
@@ -610,11 +612,12 @@ struct WaveJob {
 }
 
 // SAFETY: a `WaveJob` is an inert bundle of pointers plus plain keying
-// data. The pointees (`WaveCtx`, `OpSpec`s, slot mutexes, cursor) are
-// all `Sync` — workers only read the context/specs and synchronize slot
-// writes through the mutexes and the atomic cursor — and the driving
-// thread guarantees they outlive every worker access by blocking until
-// all completion signals for the wave have been received.
+// data. The pointees (`WaveCtx`, `OpSpec`s, `OnceLock` slots, cursor)
+// are all `Sync` — workers only read the context/specs, and each slot
+// is written once, by the one worker the atomic cursor handed its
+// index — and the driving thread guarantees they outlive every worker
+// access by blocking until all completion signals for the wave have
+// been received.
 #[allow(unsafe_code)]
 unsafe impl Send for WaveJob {}
 
@@ -748,7 +751,7 @@ impl WavePool {
         if participants <= 1 {
             return plan_wave_sequential(ctx, specs, master, time_step, &mut NoMalice);
         }
-        let slots: Vec<Mutex<Option<OpPlan>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<OnceLock<OpPlan>> = (0..n).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
         // Lifetime-collapsing cast for transport; see `WaveJob`.
         let ctx_ptr = (ctx as *const WaveCtx<'_>).cast::<WaveCtx<'static>>();
@@ -1053,14 +1056,14 @@ impl NowSystem {
         } else {
             self.malice.as_mut()
         };
-        Kernel::new(
-            &mut self.registry,
-            &self.overlay,
-            self.params,
-            &mut self.ledger,
-            &mut rng,
+        Kernel {
+            state: &mut self.registry,
+            overlay: &self.overlay,
+            params: self.params,
+            ledger: &mut self.ledger,
+            rng: &mut rng,
             malice,
-        )
+        }
         .run_op(&spec.op)
     }
 
@@ -1209,7 +1212,7 @@ impl NowSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchReport;
+    use crate::batch::{BatchReport, JoinSpec};
     use crate::exec::{BatchInput, ExecConfig};
     use crate::malice::{RandNumContext, RandNumPurpose};
     use crate::params::NowParams;
@@ -1986,14 +1989,14 @@ mod tests {
         let mut ledger = Ledger::new();
         let joiner = NodeId::from_raw(1 << 40);
         let contact = sys.cluster_ids()[17];
-        let host = Kernel::new(
-            &mut planner,
-            &sys.overlay,
-            sys.params,
-            &mut ledger,
-            &mut DetRng::new(9),
-            &mut NoMalice,
-        )
+        let host = Kernel {
+            state: &mut planner,
+            overlay: &sys.overlay,
+            params: sys.params,
+            ledger: &mut ledger,
+            rng: &mut DetRng::new(9),
+            malice: &mut NoMalice,
+        }
         .join(joiner, true, contact);
         ledger.end();
 
@@ -2033,6 +2036,52 @@ mod tests {
         // on every state.)
         let copied_into_views: usize = edited.iter().map(|&c| sys.cluster(c).unwrap().size()).sum();
         assert_eq!(planner.member_ids_copied, copied_into_views);
+    }
+
+    /// A worker that panics mid-wave: the panic reaches the caller once
+    /// the wave has quiesced, the same pool then plans a well-formed
+    /// wave exactly as the driving thread does, and the pool still
+    /// shuts down.
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_plans_on() {
+        let mut sys = sparse_system(21);
+        let leaves: Vec<NodeId> = sys.node_ids().into_iter().step_by(17).take(3).collect();
+        let joins = [JoinSpec::uniform(true), JoinSpec::uniform(false)];
+        let good = sys.admit_batch(&joins, &leaves).specs;
+        // The second op is the leave of a node the registry never held:
+        // built directly, it bypasses admission and panics in planning.
+        let leave = |node, canon| OpSpec {
+            op: PlannedOp::Leave { node },
+            footprint: Vec::new(),
+            canon,
+            center: good[0].center,
+            contact_redrawn: false,
+        };
+        let bad = [leave(leaves[0], 0), leave(NodeId::from_raw(1 << 40), 1)];
+
+        let ctx = WaveCtx {
+            registry: &sys.registry,
+            overlay: &sys.overlay,
+            params: sys.params,
+            recording: false,
+        };
+        let (master, time_step) = (77, sys.time_step);
+        let pool = WavePool::new(2);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.plan_wave(&ctx, &bad, master, time_step)
+        }))
+        .expect_err("a worker's panic reaches the caller");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("admitted leaver"));
+
+        assert!(good.len() > pool.worker_count(), "every worker plans");
+        let pooled = pool.plan_wave(&ctx, &good, master, time_step);
+        let sequential = plan_wave_sequential(&ctx, &good, master, time_step, &mut NoMalice);
+        assert_eq!(format!("{pooled:?}"), format!("{sequential:?}"));
+        drop(pool);
     }
 
     #[test]

@@ -18,16 +18,34 @@
 
 use std::path::Path;
 
-use crate::items::{Item, ItemKind, Vis};
+use crate::items::{parse_items, Item, ItemKind, Vis};
 use crate::rules::Finding;
-use crate::semantic::UnitFile;
 
 /// The committed lock's first line: makes the file self-describing and
 /// versions the line grammar (bump if the format ever changes).
 pub const LOCK_HEADER: &str =
     "# API.lock v1 — canonical public surface; regenerate with: now-lint --write-api-locks";
 
-/// Renders the canonical lock text for one crate unit (sorted, deduped,
+/// One source file of a crate's `src/` tree, item-parsed.
+pub struct UnitFile {
+    /// Workspace-relative path (forward slashes).
+    pub path: String,
+    pub items: Vec<Item>,
+}
+
+impl UnitFile {
+    /// Tokenizes + scope-marks + item-parses one source text.
+    pub fn parse(path: &str, src: &str) -> UnitFile {
+        let mut tokens = crate::tokenizer::tokenize(src);
+        crate::scope::mark_test_scopes(&mut tokens);
+        UnitFile {
+            path: path.to_string(),
+            items: parse_items(&tokens),
+        }
+    }
+}
+
+/// Renders the canonical lock text for one crate (sorted, deduped,
 /// trailing newline). Byte-stable: depends only on the parsed source.
 pub fn render_surface(files: &[UnitFile]) -> String {
     let mut lines: Vec<String> = Vec::new();
@@ -95,7 +113,7 @@ fn module_path_of(rel_path: &str) -> Vec<String> {
         // INVARIANT: `i` is the byte index of "/src/", so `i + 5`
         // lands exactly one past it — at most `len`, a valid bound.
         Some(i) => &rel_path[i + 5..],
-        None => rel_path, // standalone unit (test file): flat
+        None => rel_path,
     };
     let stem = after_src.strip_suffix(".rs").unwrap_or(after_src);
     let mut segs: Vec<String> = stem.split('/').map(str::to_string).collect();
@@ -104,8 +122,6 @@ fn module_path_of(rel_path: &str) -> Vec<String> {
             segs.pop();
         }
     }
-    // A standalone file (`tests/foo.rs` grouped as its own unit) keeps
-    // only its stem; crate files keep the full src-relative path.
     segs
 }
 
@@ -204,10 +220,9 @@ fn walk(items: &[Item], path: &mut Vec<String>, internal_traits: &[&str], out: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::FileClass;
 
     fn surface(path: &str, src: &str) -> Vec<String> {
-        let file = UnitFile::parse(path, FileClass::Prod, src);
+        let file = UnitFile::parse(path, src);
         render_surface(std::slice::from_ref(&file))
             .lines()
             .skip(1) // header
@@ -274,11 +289,7 @@ mod tests {
 
     #[test]
     fn rendering_is_byte_stable_and_deduped() {
-        let file = UnitFile::parse(
-            "crates/x/src/lib.rs",
-            FileClass::Prod,
-            "pub fn a() {}\npub fn b() {}",
-        );
+        let file = UnitFile::parse("crates/x/src/lib.rs", "pub fn a() {}\npub fn b() {}");
         let once = render_surface(std::slice::from_ref(&file));
         let twice = render_surface(std::slice::from_ref(&file));
         assert_eq!(once, twice);

@@ -1,29 +1,16 @@
-//! The semantic layer: an item tree and an intra-unit call graph.
+//! The item tree API001 renders: each file's token stream parsed into
+//! mods / fns / impls / traits / … with their names and visibility.
 //!
-//! PR 8's rules are token-local — they can say *this line holds a
-//! `HashMap`*, but not *which function* it sits in, or who calls that
-//! function. The rules that matter next (panic-path audit, lock-order
-//! discipline, RNG-stream descent, public-surface locks) are properties
-//! of *items*, so this module parses each file's token stream into a
-//! tree of items (mod / fn / impl / trait / … with token spans and
-//! visibility) and links the files of one **analysis unit** (a crate's
-//! `src/` tree, or one standalone bin/test/example file) into a call
-//! graph.
+//! The token rules need no items; the per-crate public-surface lock
+//! ([`crate::api_lock`]) does. The parse is lexical, with these
+//! approximations (also in the `API.lock` docs):
 //!
-//! Honesty about the approximations (also in the README):
-//!
-//! * **Name resolution is by identifier, intra-unit.** A call `f(…)` or
-//!   `.f(…)` gets an edge to *every* function named `f` in the unit —
-//!   shadowed and same-named methods are conflated (conservative for
-//!   reachability-style rules). Cross-crate edges do not exist; rules
-//!   treat parameter-receiving functions with no intra-unit callers as
-//!   crate boundaries.
-//! * **Function bodies are opaque spans.** Items nested *inside* a fn
-//!   body (local fns, local impls) are not re-parsed; their calls are
-//!   attributed to the enclosing fn.
-//! * **Type association is lexical.** A method belongs to the
-//!   `impl`/`trait` block's self-type *name*; two types with one name
-//!   in one unit are conflated.
+//! * **Visibility is as written.** A `pub` item inside a private module
+//!   is still recorded `Pub`.
+//! * **Function bodies are opaque.** Items nested *inside* a fn body
+//!   (local fns, local impls) are not parsed.
+//! * **Impls are named by their self-type's last path segment**, and a
+//!   trait impl records the trait's last segment.
 
 use crate::tokenizer::{TokKind, Token};
 
@@ -81,7 +68,7 @@ pub enum Vis {
     Private,
 }
 
-/// One parsed item with its token span.
+/// One parsed item.
 #[derive(Debug, Clone)]
 pub struct Item {
     pub kind: ItemKind,
@@ -92,20 +79,25 @@ pub struct Item {
     /// segment.
     pub trait_name: Option<String>,
     pub vis: Vis,
-    /// 1-based line of the item's first token (after attributes).
-    pub line: u32,
-    /// Index of the item's first token (attributes included).
-    pub tok_start: usize,
-    /// Index of the `{` opening the body, for items that have one.
-    pub body_start: Option<usize>,
-    /// Index one past the item's last token (`;` or closing `}`).
-    pub tok_end: usize,
     /// Children of `Mod` / `Trait` / `Impl` bodies. `Fn` bodies are
     /// opaque (no nested item parsing).
     pub children: Vec<Item>,
     /// True when the item's first token is test-scoped (set by
     /// [`crate::scope::mark_test_scopes`] before parsing).
     pub in_test: bool,
+}
+
+impl Item {
+    fn new(kind: ItemKind, name: String, vis: Vis, in_test: bool) -> Item {
+        Item {
+            kind,
+            name,
+            trait_name: None,
+            vis,
+            children: Vec::new(),
+            in_test,
+        }
+    }
 }
 
 /// Parses a marked token stream into a top-level item list. Never
@@ -228,6 +220,15 @@ impl<'t> Parser<'t> {
         j
     }
 
+    /// Parses the items of a body `{…}` that opens at `body_start` and
+    /// ends just before `tok_end`; no body, no children.
+    fn body_items(&mut self, body_start: Option<usize>, tok_end: usize) -> Vec<Item> {
+        match body_start {
+            Some(body) => self.items(body + 1, tok_end.saturating_sub(1)),
+            None => Vec::new(),
+        }
+    }
+
     /// Parses the item list in `[start, end)` (exclusive of any
     /// enclosing braces).
     fn items(&mut self, start: usize, end: usize) -> Vec<Item> {
@@ -239,23 +240,18 @@ impl<'t> Parser<'t> {
                 break;
             }
             if self.tokens[i].is_punct('#') {
-                let after = self.skip_attribute(i, end);
-                // Attributes precede their item; remember where this
-                // run began so the span covers them.
-                let item_start = i;
-                i = after;
-                i = self.skip_comments(i, end);
+                // Attributes precede their item.
                 while i < end && self.tokens[i].is_punct('#') {
                     i = self.skip_attribute(i, end);
                     i = self.skip_comments(i, end);
                 }
-                if let Some((item, next)) = self.item(i, end, item_start) {
+                if let Some((item, next)) = self.item(i, end) {
                     out.push(item);
                     i = next;
                 }
                 continue;
             }
-            if let Some((item, next)) = self.item(i, end, i) {
+            if let Some((item, next)) = self.item(i, end) {
                 out.push(item);
                 i = next;
             } else {
@@ -267,7 +263,7 @@ impl<'t> Parser<'t> {
 
     /// Attempts to parse one item whose (post-attribute) head starts at
     /// `i`. Returns the item and the index one past it.
-    fn item(&mut self, i: usize, end: usize, tok_start: usize) -> Option<(Item, usize)> {
+    fn item(&mut self, i: usize, end: usize) -> Option<(Item, usize)> {
         let mut j = i;
         // Visibility.
         let mut vis = Vis::Private;
@@ -325,7 +321,7 @@ impl<'t> Parser<'t> {
                 .is_some_and(|t| t.is_ident("extern"))
             {
                 // `extern crate name;` or `extern "C" { … }`.
-                return self.extern_item(self.skip_comments(j, end), end, tok_start, vis);
+                return self.extern_item(self.skip_comments(j, end), end, vis);
             }
             // else: plain `const NAME: …` / `unsafe impl` — fall through
             // with `j` untouched.
@@ -345,34 +341,19 @@ impl<'t> Parser<'t> {
         if head.kind != TokKind::Ident {
             return None;
         }
-        let line = head.line;
         let in_test = head.in_test;
-        match head.text.as_str() {
-            "fn" => self.named_item(j, end, tok_start, vis, ItemKind::Fn, line, in_test),
-            "mod" => {
-                let (mut item, next) =
-                    self.named_item(j, end, tok_start, vis, ItemKind::Mod, line, in_test)?;
-                if let Some(body) = item.body_start {
-                    item.children = self.items(body + 1, item.tok_end.saturating_sub(1));
-                }
-                Some((item, next))
-            }
-            "trait" => {
-                let (mut item, next) =
-                    self.named_item(j, end, tok_start, vis, ItemKind::Trait, line, in_test)?;
-                if let Some(body) = item.body_start {
-                    item.children = self.items(body + 1, item.tok_end.saturating_sub(1));
-                }
-                Some((item, next))
-            }
-            "struct" => self.named_item(j, end, tok_start, vis, ItemKind::Struct, line, in_test),
-            "enum" => self.named_item(j, end, tok_start, vis, ItemKind::Enum, line, in_test),
-            "union" => self.named_item(j, end, tok_start, vis, ItemKind::Union, line, in_test),
-            "const" => self.named_item(j, end, tok_start, vis, ItemKind::Const, line, in_test),
-            "static" => self.named_item(j, end, tok_start, vis, ItemKind::Static, line, in_test),
-            "type" => self.named_item(j, end, tok_start, vis, ItemKind::TypeAlias, line, in_test),
-            "use" => self.use_item(j, end, tok_start, vis, line, in_test),
-            "impl" => self.impl_item(j, end, tok_start, vis, line, in_test),
+        let kind = match head.text.as_str() {
+            "fn" => ItemKind::Fn,
+            "mod" => ItemKind::Mod,
+            "trait" => ItemKind::Trait,
+            "struct" => ItemKind::Struct,
+            "enum" => ItemKind::Enum,
+            "union" => ItemKind::Union,
+            "const" => ItemKind::Const,
+            "static" => ItemKind::Static,
+            "type" => ItemKind::TypeAlias,
+            "use" => return self.use_item(j, end, vis, in_test),
+            "impl" => return self.impl_item(j, end, vis, in_test),
             "macro_rules" => {
                 // `macro_rules! name { … }`
                 let mut k = self.skip_comments(j + 1, end);
@@ -383,39 +364,24 @@ impl<'t> Parser<'t> {
                     Some(t) if t.kind == TokKind::Ident => t.text.clone(),
                     _ => String::new(),
                 };
-                let (body_start, tok_end) = self.scan_to_body_or_semi(k, end);
-                Some((
-                    Item {
-                        kind: ItemKind::MacroDef,
-                        name,
-                        trait_name: None,
-                        vis,
-                        line,
-                        tok_start,
-                        body_start,
-                        tok_end,
-                        children: Vec::new(),
-                        in_test,
-                    },
-                    tok_end,
-                ))
+                let (_, tok_end) = self.scan_to_body_or_semi(k, end);
+                return Some((Item::new(ItemKind::MacroDef, name, vis, in_test), tok_end));
             }
-            "extern" => self.extern_item(j, end, tok_start, vis),
-            _ => None,
-        }
+            "extern" => return self.extern_item(j, end, vis),
+            _ => return None,
+        };
+        self.named_item(j, end, vis, kind, in_test)
     }
 
     /// `kind NAME … (; | {…})` — the shared shape of most items. `j`
-    /// points at the keyword.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, one call shape
+    /// points at the keyword. Mod and trait bodies are parsed into
+    /// children.
     fn named_item(
         &mut self,
         j: usize,
         end: usize,
-        tok_start: usize,
         vis: Vis,
         kind: ItemKind,
-        line: u32,
         in_test: bool,
     ) -> Option<(Item, usize)> {
         let mut k = self.skip_comments(j + 1, end);
@@ -437,36 +403,18 @@ impl<'t> Parser<'t> {
             return None;
         }
         let (body_start, tok_end) = self.scan_to_body_or_semi(k + 1, end);
-        Some((
-            Item {
-                kind,
-                name,
-                trait_name: None,
-                vis,
-                line,
-                tok_start,
-                body_start,
-                tok_end,
-                children: Vec::new(),
-                in_test,
-            },
-            tok_end,
-        ))
+        let mut item = Item::new(kind, name, vis, in_test);
+        if matches!(kind, ItemKind::Mod | ItemKind::Trait) {
+            item.children = self.body_items(body_start, tok_end);
+        }
+        Some((item, tok_end))
     }
 
     /// `use path::to::{Thing, Other};` — the name is the normalized
     /// path text (idents, `::`, `{`, `}`, `,`, `*`, `as` joined with
     /// single spaces only where needed), so `API.lock` lines are
     /// whitespace-insensitive.
-    fn use_item(
-        &mut self,
-        j: usize,
-        end: usize,
-        tok_start: usize,
-        vis: Vis,
-        line: u32,
-        in_test: bool,
-    ) -> Option<(Item, usize)> {
+    fn use_item(&mut self, j: usize, end: usize, vis: Vis, in_test: bool) -> Option<(Item, usize)> {
         let mut k = j + 1;
         let mut text = String::new();
         let mut prev_ident = false;
@@ -491,21 +439,7 @@ impl<'t> Parser<'t> {
             }
             k += 1;
         }
-        Some((
-            Item {
-                kind: ItemKind::Use,
-                name: text,
-                trait_name: None,
-                vis,
-                line,
-                tok_start,
-                body_start: None,
-                tok_end: k,
-                children: Vec::new(),
-                in_test,
-            },
-            k,
-        ))
+        Some((Item::new(ItemKind::Use, text, vis, in_test), k))
     }
 
     /// `impl[<…>] Path [for Path] [where …] { … }`. The item name is
@@ -515,9 +449,7 @@ impl<'t> Parser<'t> {
         &mut self,
         j: usize,
         end: usize,
-        tok_start: usize,
         vis: Vis,
-        line: u32,
         in_test: bool,
     ) -> Option<(Item, usize)> {
         let mut k = self.skip_comments(j + 1, end);
@@ -536,25 +468,10 @@ impl<'t> Parser<'t> {
         };
         // Skip `where …` to the body.
         let (body_start, tok_end) = self.scan_to_body_or_semi(k, end);
-        let children = match body_start {
-            Some(body) => self.items(body + 1, tok_end.saturating_sub(1)),
-            None => Vec::new(),
-        };
-        Some((
-            Item {
-                kind: ItemKind::Impl,
-                name: self_ty,
-                trait_name,
-                vis,
-                line,
-                tok_start,
-                body_start,
-                tok_end,
-                children,
-                in_test,
-            },
-            tok_end,
-        ))
+        let mut item = Item::new(ItemKind::Impl, self_ty, vis, in_test);
+        item.trait_name = trait_name;
+        item.children = self.body_items(body_start, tok_end);
+        Some((item, tok_end))
     }
 
     /// Reads a type path (`a::b::C<…>`, `&mut T`, `[T; N]`, `dyn Tr`),
@@ -604,14 +521,7 @@ impl<'t> Parser<'t> {
     }
 
     /// `extern crate name;` or `extern "C" { … }`.
-    fn extern_item(
-        &mut self,
-        j: usize,
-        end: usize,
-        tok_start: usize,
-        vis: Vis,
-    ) -> Option<(Item, usize)> {
-        let line = self.tok(j)?.line;
+    fn extern_item(&mut self, j: usize, end: usize, vis: Vis) -> Option<(Item, usize)> {
         let in_test = self.tok(j)?.in_test;
         let mut k = self.skip_comments(j + 1, end);
         if self.tok(k).is_some_and(|t| t.is_ident("crate")) {
@@ -622,301 +532,19 @@ impl<'t> Parser<'t> {
             };
             let (_, tok_end) = self.scan_to_body_or_semi(k, end);
             return Some((
-                Item {
-                    kind: ItemKind::ExternCrate,
-                    name,
-                    trait_name: None,
-                    vis,
-                    line,
-                    tok_start,
-                    body_start: None,
-                    tok_end,
-                    children: Vec::new(),
-                    in_test,
-                },
+                Item::new(ItemKind::ExternCrate, name, vis, in_test),
                 tok_end,
             ));
         }
         if self.tok(k).is_some_and(|t| t.kind == TokKind::Str) {
             k = self.skip_comments(k + 1, end);
         }
-        let (body_start, tok_end) = self.scan_to_body_or_semi(k, end);
+        let (_, tok_end) = self.scan_to_body_or_semi(k, end);
         Some((
-            Item {
-                kind: ItemKind::ForeignMod,
-                name: String::new(),
-                trait_name: None,
-                vis,
-                line,
-                tok_start,
-                body_start,
-                tok_end,
-                children: Vec::new(),
-                in_test,
-            },
+            Item::new(ItemKind::ForeignMod, String::new(), vis, in_test),
             tok_end,
         ))
     }
-}
-
-// ---------------------------------------------------------------------
-// The call graph over one analysis unit.
-// ---------------------------------------------------------------------
-
-/// Per-function facts the semantic rules consume, gathered in one body
-/// scan.
-#[derive(Debug, Clone, Default)]
-pub struct FnFacts {
-    /// Number of `.lock()` / `.try_lock()` call sites in the body.
-    pub lock_calls: u32,
-    /// Lines of those call sites (first occurrence order).
-    pub lock_lines: Vec<u32>,
-    /// The body draws from an RNG (`.gen_range(` / `.next_u64(` / …).
-    pub draws: bool,
-    /// Line of the first draw call.
-    pub draw_line: u32,
-    /// The body derives a stream canonically (`DetRng::for_op`,
-    /// `DetRng::new`, `.fork(`, `from_seed`, `seed_from_u64`).
-    pub derives: bool,
-    /// The signature carries an RNG-typed parameter (`DetRng`,
-    /// `RngCore`, an `Rng` bound, …).
-    pub rng_param: bool,
-}
-
-/// One function node in the unit graph.
-#[derive(Debug, Clone)]
-pub struct FnNode {
-    /// Workspace-relative path of the defining file.
-    pub path: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    pub name: String,
-    /// Self-type of the enclosing `impl`/`trait` block, if any.
-    pub type_name: Option<String>,
-    pub vis: Vis,
-    pub in_test: bool,
-    pub facts: FnFacts,
-    /// Names this function's body calls (`f(…)` and `.f(…)` alike),
-    /// deduplicated, in first-seen order.
-    pub calls: Vec<String>,
-}
-
-/// The intra-unit call graph: function nodes plus name-resolved edges.
-#[derive(Debug, Default)]
-pub struct UnitGraph {
-    pub fns: Vec<FnNode>,
-    /// `edges[i]` = indices of functions that `fns[i]` may call.
-    pub edges: Vec<Vec<usize>>,
-}
-
-impl UnitGraph {
-    /// Indices of the intra-unit callers of `callee`.
-    pub fn callers_of(&self, callee: usize) -> Vec<usize> {
-        (0..self.fns.len())
-            .filter(|&i| self.edges[i].contains(&callee))
-            .collect()
-    }
-}
-
-/// RNG draw methods: calling one of these on any receiver marks the
-/// enclosing fn as *drawing* from a stream.
-const DRAW_METHODS: &[&str] = &[
-    "gen_range",
-    "gen_bool",
-    "gen_ratio",
-    "next_u32",
-    "next_u64",
-    "fill_bytes",
-];
-
-/// Canonical stream-derivation markers (see `now_net::DetRng`): a
-/// `DetRng::for_op` / `DetRng::new` construction, a labeled `.fork(`,
-/// or the `SeedableRng` constructors.
-const DERIVE_CONSTRUCTORS: &[&str] = &["for_op", "new", "from_seed", "seed_from_u64"];
-
-/// Builds the call graph for one analysis unit from its parsed files.
-/// `files` pairs each workspace-relative path with its tokens and item
-/// tree.
-pub fn build_graph(files: &[(String, &[Token], &[Item])]) -> UnitGraph {
-    let mut graph = UnitGraph::default();
-    for (path, tokens, items) in files {
-        collect_fns(path, tokens, items, None, &mut graph.fns);
-    }
-    // Name → node indices, for resolution.
-    let mut by_name: std::collections::BTreeMap<&str, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(i);
-    }
-    for f in &graph.fns {
-        let mut out = Vec::new();
-        for call in &f.calls {
-            if let Some(targets) = by_name.get(call.as_str()) {
-                for &t in targets {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        graph.edges.push(out);
-    }
-    graph
-}
-
-fn collect_fns(
-    path: &str,
-    tokens: &[Token],
-    items: &[Item],
-    enclosing_type: Option<&str>,
-    out: &mut Vec<FnNode>,
-) {
-    for item in items {
-        match item.kind {
-            ItemKind::Fn => {
-                let sig_start = item.tok_start;
-                let (body_start, body_end) = match item.body_start {
-                    Some(b) => (b, item.tok_end),
-                    None => (item.tok_end, item.tok_end), // trait decl: no body
-                };
-                let facts = scan_fn_facts(tokens, sig_start, body_start, body_end);
-                let calls = scan_calls(tokens, body_start, body_end);
-                out.push(FnNode {
-                    path: path.to_string(),
-                    line: item.line,
-                    name: item.name.clone(),
-                    type_name: enclosing_type.map(str::to_string),
-                    vis: item.vis,
-                    in_test: item.in_test,
-                    facts,
-                    calls,
-                });
-            }
-            ItemKind::Impl | ItemKind::Trait => {
-                collect_fns(path, tokens, &item.children, Some(&item.name), out);
-            }
-            ItemKind::Mod => {
-                collect_fns(path, tokens, &item.children, None, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Scans one fn's signature (`[sig_start, body_start)`) and body
-/// (`[body_start, body_end)`) for the facts the rules need.
-fn scan_fn_facts(
-    tokens: &[Token],
-    sig_start: usize,
-    body_start: usize,
-    body_end: usize,
-) -> FnFacts {
-    let mut facts = FnFacts::default();
-    for t in tokens
-        .iter()
-        .take(body_start.min(tokens.len()))
-        .skip(sig_start)
-    {
-        if t.kind == TokKind::Ident
-            && (t.text == "DetRng" || t.text == "RngCore" || t.text == "Rng")
-        {
-            facts.rng_param = true;
-        }
-    }
-    let mut i = body_start;
-    while i < body_end.min(tokens.len()) {
-        let t = &tokens[i];
-        if t.kind == TokKind::Ident {
-            let name = t.text.as_str();
-            let prev_dot = prev_code(tokens, i).is_some_and(|p| p.is_punct('.'));
-            let next_paren = next_code(tokens, i, body_end).is_some_and(|n| n.is_punct('('));
-            if prev_dot && next_paren {
-                if name == "lock" || name == "try_lock" {
-                    facts.lock_calls += 1;
-                    facts.lock_lines.push(t.line);
-                }
-                if DRAW_METHODS.contains(&name) && !facts.draws {
-                    facts.draws = true;
-                    facts.draw_line = t.line;
-                }
-                if name == "fork" {
-                    facts.derives = true;
-                }
-            }
-            // `DetRng :: new` / `DetRng :: for_op` / `:: from_seed` …
-            if name == "DetRng" {
-                if let Some(seg) = path_segment_after(tokens, i, body_end) {
-                    if DERIVE_CONSTRUCTORS.contains(&seg) {
-                        facts.derives = true;
-                    }
-                }
-            }
-            if (name == "from_seed" || name == "seed_from_u64") && next_paren {
-                facts.derives = true;
-            }
-        }
-        i += 1;
-    }
-    facts
-}
-
-/// For `Path :: seg`, returns `seg`'s text when `i` names `Path`.
-fn path_segment_after(tokens: &[Token], i: usize, end: usize) -> Option<&str> {
-    let mut j = i + 1;
-    let mut colons = 0;
-    while j < end.min(tokens.len()) {
-        match &tokens[j].kind {
-            TokKind::Comment => {}
-            TokKind::Punct(':') if colons < 2 => colons += 1,
-            TokKind::Ident if colons == 2 => return Some(&tokens[j].text),
-            _ => return None,
-        }
-        j += 1;
-    }
-    None
-}
-
-fn prev_code(tokens: &[Token], i: usize) -> Option<&Token> {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        if tokens[j].kind != TokKind::Comment {
-            return Some(&tokens[j]);
-        }
-    }
-    None
-}
-
-fn next_code(tokens: &[Token], i: usize, end: usize) -> Option<&Token> {
-    let mut j = i + 1;
-    while j < end.min(tokens.len()) {
-        if tokens[j].kind != TokKind::Comment {
-            return Some(&tokens[j]);
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Extracts called names from a body span: `name(` direct calls and
-/// `.name(` method calls. Macro invocations (`name!`), definitions
-/// (`fn name`), and struct literals don't match the shape.
-fn scan_calls(tokens: &[Token], body_start: usize, body_end: usize) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut i = body_start;
-    while i < body_end.min(tokens.len()) {
-        let t = &tokens[i];
-        if t.kind == TokKind::Ident {
-            let next_is_paren = next_code(tokens, i, body_end).is_some_and(|n| n.is_punct('('));
-            let prev = prev_code(tokens, i);
-            let prev_is_fn_kw = prev.is_some_and(|p| p.is_ident("fn"));
-            if next_is_paren && !prev_is_fn_kw && !out.contains(&t.text) {
-                out.push(t.text.clone());
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1038,40 +666,11 @@ mod tests {
 
     #[test]
     fn generic_fn_signatures_find_their_bodies() {
-        let items = parse("fn g<T: Iterator<Item = u8>>(x: T) -> Vec<u8> where T: Clone { x() }");
+        let items = parse(
+            "fn g<T: Iterator<Item = u8>>(x: T) -> Vec<u8> where T: Clone { x() }\nfn h() {}",
+        );
+        assert_eq!(flat_names(&items).len(), 2);
         assert_eq!(items[0].name, "g");
-        assert!(items[0].body_start.is_some());
-    }
-
-    #[test]
-    fn call_graph_links_direct_and_method_calls() {
-        let src = "fn a() { b(); }\nfn b() { self.c(); }\nimpl T { fn c(&self) {} }";
-        let mut toks = tokenize(src);
-        mark_test_scopes(&mut toks);
-        let items = parse_items(&toks);
-        let graph = build_graph(&[("f.rs".to_string(), &toks[..], &items[..])]);
-        assert_eq!(graph.fns.len(), 3);
-        let idx = |n: &str| graph.fns.iter().position(|f| f.name == n).unwrap();
-        assert!(graph.edges[idx("a")].contains(&idx("b")));
-        assert!(graph.edges[idx("b")].contains(&idx("c")));
-        assert_eq!(graph.fns[idx("c")].type_name.as_deref(), Some("T"));
-    }
-
-    #[test]
-    fn fn_facts_see_locks_draws_and_derivations() {
-        let src = "fn f(rng: &mut DetRng) { let g = m.lock().unwrap(); rng.gen_range(0..4); }\n\
-                   fn d() { let r = DetRng::for_op(1, 2, 3); }\n\
-                   fn k() { let r = parent.fork(\"label\"); }";
-        let mut toks = tokenize(src);
-        mark_test_scopes(&mut toks);
-        let items = parse_items(&toks);
-        let graph = build_graph(&[("f.rs".to_string(), &toks[..], &items[..])]);
-        let by = |n: &str| &graph.fns[graph.fns.iter().position(|f| f.name == n).unwrap()];
-        assert_eq!(by("f").facts.lock_calls, 1);
-        assert!(by("f").facts.draws);
-        assert!(by("f").facts.rng_param);
-        assert!(!by("f").facts.derives);
-        assert!(by("d").facts.derives);
-        assert!(by("k").facts.derives);
+        assert_eq!(items[1].name, "h");
     }
 }

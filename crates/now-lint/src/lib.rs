@@ -8,20 +8,17 @@
 //! bisected out of a million-node campaign.
 //!
 //! The pipeline per file: [`tokenizer`] (comment/string/raw-string
-//! aware, no `syn` — this environment is offline), [`scope`] (marks
-//! `#[cfg(test)]` / `#[test]` items so determinism rules bind only to
-//! production code), [`rules`] (D001–D004, S001), then the
-//! committed [`config`] allowlist (`lint.toml`, every entry with a
-//! mandatory reason; stale entries are themselves findings).
+//! aware, no `syn` — the workspace vendors every dependency),
+//! [`scope`] (marks `#[cfg(test)]` / `#[test]` items so determinism
+//! rules bind only to production code), [`rules`] (D001–D004, S001,
+//! P001), then the committed [`config`] allowlist (`lint.toml`, every
+//! entry with a mandatory reason; stale entries are themselves
+//! findings).
 //!
-//! On top of the token rules sits the **semantic layer**: [`items`]
-//! parses each token stream into an item tree, files are grouped into
-//! *analysis units* (one per crate `src/` tree; each standalone
-//! test/bin/example file is its own unit), and [`semantic`] runs
-//! the graph rules — P001 panic audit, L002 lock discipline, D005
-//! RNG-stream discipline — over each unit's call graph. [`api_lock`]
-//! renders every crate unit's public surface into a canonical
-//! `API.lock` and reports drift against the committed copy (API001).
+//! One rule looks past a single file: [`api_lock`] parses each crate's
+//! `src/` files into an [`items`] tree, renders the crate's public
+//! surface into a canonical `API.lock` and reports drift against the
+//! committed copy (API001).
 //!
 //! Run it locally with:
 //!
@@ -37,7 +34,6 @@ pub mod config;
 pub mod items;
 pub mod rules;
 pub mod scope;
-pub mod semantic;
 pub mod tokenizer;
 
 pub use config::Config;
@@ -47,7 +43,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use semantic::UnitFile;
+use api_lock::UnitFile;
 
 /// Classifies a workspace-relative path (forward slashes) into the
 /// file class that decides which rules bind. See [`FileClass`].
@@ -100,39 +96,26 @@ pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// The analysis-unit key of a workspace-relative path: `crate:<name>`
-/// for files in a crate's `src/` tree (bins excluded — each is its own
-/// process with its own call graph), `root` for the facade package's
-/// `src/`, and `file:<rel>` for every standalone test/bin/example
-/// file.
-pub fn unit_key(rel: &str) -> String {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        if let Some((name, tail)) = rest.split_once('/') {
-            if tail.starts_with("src/") && !tail.starts_with("src/bin/") {
-                return format!("crate:{name}");
-            }
-        }
-    }
-    if rel.starts_with("src/") {
-        return "root".to_string();
-    }
-    format!("file:{rel}")
+/// The crate whose public surface a workspace-relative path belongs
+/// to: `<name>` for files in `crates/<name>/src/` outside `src/bin/`
+/// (each bin is its own process, not part of the crate's API), `None`
+/// for every other file.
+fn crate_of(rel: &str) -> Option<&str> {
+    let (name, tail) = rel.strip_prefix("crates/")?.split_once('/')?;
+    (tail.starts_with("src/") && !tail.starts_with("src/bin/")).then_some(name)
 }
 
-/// Lints every discovered `.rs` file under `root` and applies the
-/// allowlist. Token rules run per file; the semantic rules (P001, L002,
-/// D005) run per analysis unit over its call graph; API001 compares
-/// each crate unit's rendered public surface against the committed
-/// `crates/<name>/API.lock`. Returns surviving findings (sorted by
-/// path, line, rule), including one `L001` finding per allowlist entry
-/// that suppressed nothing and per orphan `API.lock` (a lock with no
-/// live crate) — the lists can only shrink, never rot. IO errors on
-/// individual files are findings too, not silent skips.
-pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut allow_used = vec![false; cfg.allows.len()];
-    let mut units: BTreeMap<String, Vec<UnitFile>> = BTreeMap::new();
+/// One linted source file: its workspace-relative path and its text,
+/// or why it could not be read.
+type Source = (String, std::io::Result<String>);
 
+/// Reads every `.rs` file under `root` that `cfg` does not exclude
+/// (sorted by path) and groups the crate `src/` files into per-crate
+/// item trees, keyed by crate name ([`crate_of`]). The lint run and
+/// `--write-api-locks` both start here, so they see the same crates.
+fn read_workspace(root: &Path, cfg: &Config) -> (Vec<Source>, BTreeMap<String, Vec<UnitFile>>) {
+    let mut sources = Vec::new();
+    let mut crates: BTreeMap<String, Vec<UnitFile>> = BTreeMap::new();
     for path in discover_rs_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -142,48 +125,56 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
         if cfg.is_excluded(&rel) {
             continue;
         }
-        let src = match fs::read_to_string(&path) {
-            Ok(src) => src,
-            Err(e) => {
-                findings.push(Finding {
-                    path: rel.clone(),
-                    line: 0,
-                    rule: "L001",
-                    message: format!("unreadable source file: {e}"),
-                });
-                continue;
-            }
-        };
-        let class = classify(&rel);
-        for finding in lint_source(&rel, class, &src) {
-            match cfg.allow_index(finding.rule, &rel) {
-                Some(idx) => allow_used[idx] = true,
-                None => findings.push(finding),
-            }
+        let src = fs::read_to_string(&path);
+        if let (Some(name), Ok(src)) = (crate_of(&rel), &src) {
+            crates
+                .entry(name.to_string())
+                .or_default()
+                .push(UnitFile::parse(&rel, src));
         }
-        units
-            .entry(unit_key(&rel))
-            .or_default()
-            .push(UnitFile::parse(&rel, class, &src));
+        sources.push((rel, src));
+    }
+    (sources, crates)
+}
+
+/// Lints every discovered `.rs` file under `root` and applies the
+/// allowlist. The token rules run per file; API001 compares each
+/// crate's rendered public surface against the committed
+/// `crates/<name>/API.lock`. Returns surviving findings (sorted by
+/// path, line, rule), including one `L001` finding per allowlist entry
+/// that suppressed nothing and per orphan `API.lock` (a lock with no
+/// live crate) — the lists can only shrink, never rot. IO errors on
+/// individual files are findings too, not silent skips.
+pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
+    let (sources, crates) = read_workspace(root, cfg);
+    let mut findings = Vec::new();
+    let mut raw = Vec::new();
+    for (rel, src) in &sources {
+        match src {
+            Ok(src) => raw.extend(lint_source(rel, classify(rel), src)),
+            Err(e) => findings.push(Finding {
+                path: rel.clone(),
+                line: 0,
+                rule: "L001",
+                message: format!("unreadable source file: {e}"),
+            }),
+        }
+    }
+    for (name, files) in &crates {
+        let lock_rel = format!("crates/{name}/API.lock");
+        let rendered = api_lock::render_surface(files);
+        raw.extend(api_lock::check_lock(
+            &root.join(&lock_rel),
+            &lock_rel,
+            &rendered,
+        ));
     }
 
-    for (key, files) in &units {
-        for finding in semantic::analyze_unit(files) {
-            match cfg.allow_index(finding.rule, &finding.path) {
-                Some(idx) => allow_used[idx] = true,
-                None => findings.push(finding),
-            }
-        }
-        if let Some(name) = key.strip_prefix("crate:") {
-            let lock_rel = format!("crates/{name}/API.lock");
-            let rendered = api_lock::render_surface(files);
-            if let Some(finding) = api_lock::check_lock(&root.join(&lock_rel), &lock_rel, &rendered)
-            {
-                match cfg.allow_index(finding.rule, &finding.path) {
-                    Some(idx) => allow_used[idx] = true,
-                    None => findings.push(finding),
-                }
-            }
+    let mut allow_used = vec![false; cfg.allows.len()];
+    for finding in raw {
+        match cfg.allow_index(finding.rule, &finding.path) {
+            Some(idx) => allow_used[idx] = true,
+            None => findings.push(finding),
         }
     }
 
@@ -197,7 +188,7 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
                 continue;
             }
             let name = dir.file_name().unwrap_or_default().to_string_lossy();
-            if !units.contains_key(&format!("crate:{name}")) {
+            if !crates.contains_key(name.as_ref()) {
                 findings.push(Finding {
                     path: format!("crates/{name}/API.lock"),
                     line: 0,
@@ -230,35 +221,17 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
     findings
 }
 
-/// Renders every crate unit's canonical `API.lock` and writes the files
+/// Renders every crate's canonical `API.lock` and writes the files
 /// under `root`. Returns the workspace-relative paths written (sorted).
 /// Used by `now-lint --write-api-locks`; the output is byte-stable, so
 /// a second run writes identical bytes.
 pub fn write_api_locks(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
-    let mut units: BTreeMap<String, Vec<UnitFile>> = BTreeMap::new();
-    for path in discover_rs_files(root) {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if cfg.is_excluded(&rel) {
-            continue;
-        }
-        let key = unit_key(&rel);
-        if !key.starts_with("crate:") {
-            continue;
-        }
-        let src =
-            fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        units
-            .entry(key)
-            .or_default()
-            .push(UnitFile::parse(&rel, classify(&rel), &src));
+    let (sources, crates) = read_workspace(root, cfg);
+    if let Some((rel, Err(e))) = sources.iter().find(|(_, src)| src.is_err()) {
+        return Err(format!("reading {rel}: {e}"));
     }
     let mut written = Vec::new();
-    for (key, files) in &units {
-        let name = key.strip_prefix("crate:").unwrap_or(key);
+    for (name, files) in &crates {
         let lock_rel = format!("crates/{name}/API.lock");
         let rendered = api_lock::render_surface(files);
         fs::write(root.join(&lock_rel), rendered)
@@ -302,6 +275,16 @@ mod tests {
         assert_eq!(classify("examples/batch_churn.rs"), FileClass::Example);
     }
 
+    #[test]
+    fn only_crate_library_sources_have_a_surface() {
+        assert_eq!(crate_of("crates/now-core/src/batch.rs"), Some("now-core"));
+        assert_eq!(crate_of("crates/now-net/src/a/b.rs"), Some("now-net"));
+        assert_eq!(crate_of("crates/now-bench/src/bin/x_f1_init.rs"), None);
+        assert_eq!(crate_of("crates/now-net/tests/t.rs"), None);
+        assert_eq!(crate_of("src/lib.rs"), None);
+        assert_eq!(crate_of("bench/src/bin/step_anatomy/main.rs"), None);
+    }
+
     /// The real gate, enforced by `cargo test` as well as CI: the
     /// workspace tree must be clean under its committed allowlist.
     #[test]
@@ -325,11 +308,11 @@ mod tests {
         );
     }
 
-    /// L001 covers the semantic layer too: an allow for a semantic rule
-    /// that suppresses nothing is stale, and an `API.lock` whose crate
-    /// has no linted sources is an orphan.
+    /// L001 covers every rule and the locks: an allow that suppresses
+    /// nothing is stale, and an `API.lock` whose crate has no linted
+    /// sources is an orphan.
     #[test]
-    fn stale_semantic_allow_and_orphan_lock_fire_l001() {
+    fn stale_allow_and_orphan_lock_fire_l001() {
         let root = std::env::temp_dir().join(format!("now-lint-l001-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/ghost")).unwrap();

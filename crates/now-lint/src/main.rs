@@ -1,8 +1,8 @@
-//! The `now-lint` binary: the CI determinism gate.
+//! The `now-lint` binary: the CI determinism-and-safety gate.
 //!
 //! ```text
 //! now-lint --workspace            # lint the whole tree under lint.toml
-//! now-lint path/to/file.rs …      # lint specific files (same rules)
+//! now-lint path/to/file.rs …      # lint specific files (token rules, no allowlist)
 //! now-lint --write-api-locks      # regenerate crates/<name>/API.lock files
 //!     --root <dir>                # workspace root (default: ascend from cwd)
 //!     --config <file>             # allowlist (default: <root>/lint.toml)
@@ -21,9 +21,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use now_lint::semantic::UnitFile;
 use now_lint::{
-    classify, config, lint_source, load_config, run_workspace, semantic, write_api_locks, Finding,
+    classify, config, lint_source, load_config, run_workspace, write_api_locks, Finding,
 };
 use now_trace::Json;
 
@@ -144,10 +143,8 @@ fn main() -> ExitCode {
         return report(&run_workspace(&root, &cfg), json);
     }
 
-    // Explicit-file mode: no allowlist, raw rule output — used by the
-    // CI seeded-violation check and for quick local runs on one file.
-    // Each file is analyzed as its own unit, so the semantic rules
-    // (P001/L002/D005) fire here too; API001 needs --workspace.
+    // Explicit-file mode: no allowlist, raw token-rule output, for
+    // quick local runs on one file. API001 needs --workspace.
     let mut findings = Vec::new();
     for file in &files {
         let rel = file.to_string_lossy().replace('\\', "/");
@@ -155,10 +152,7 @@ fn main() -> ExitCode {
             Ok(s) => s,
             Err(e) => return fail(&format!("reading {rel}: {e}")),
         };
-        let class = classify(&rel);
-        findings.extend(lint_source(&rel, class, &src));
-        let unit = UnitFile::parse(&rel, class, &src);
-        findings.extend(semantic::analyze_unit(std::slice::from_ref(&unit)));
+        findings.extend(lint_source(&rel, classify(&rel), &src));
     }
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));

@@ -1,12 +1,15 @@
-//! The rule set: what this workspace's determinism contract forbids.
+//! The token rules: what this workspace's determinism-and-safety
+//! contract forbids, one token stream at a time.
 //!
 //! Everything the reproduction claims — pooled ≡ sequential
 //! execution, byte-identical campaign reports across thread counts,
 //! replayable `EventNet` runs — rests on one invariant: *no
 //! nondeterminism source ever enters a deterministic code path*. Each
-//! rule below names one way that invariant has been (or could be)
+//! D rule below names one way that invariant has been (or could be)
 //! broken, and the engine flags it at lint time instead of leaving it
-//! to be bisected out of a million-node campaign:
+//! to be bisected out of a million-node campaign; S001 and P001 ask
+//! every site that can break memory safety or abort a run to say why
+//! it cannot:
 //!
 //! | rule | forbids | where it binds |
 //! |------|---------|----------------|
@@ -15,6 +18,19 @@
 //! | D003 | thread spawning outside the `WavePool` machinery | all non-test code |
 //! | D004 | ambient entropy (`thread_rng`, `rand::random`, `OsRng`, …) | everywhere, tests included |
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
+//! | P001 | panic-capable sites (`.unwrap()` / `.expect(` / `panic!`-family / *computed* slice indexing) without a `// INVARIANT:` justification in the statement head | Prod-class non-test code |
+//!
+//! **S001** and **P001** share one walk-back: from the flagged token,
+//! walk back through its statement head to the nearest comment group;
+//! any comment in the group carrying the rule's marker (`SAFETY:`,
+//! `INVARIANT:`) justifies the site, and for P001 every panic-capable
+//! site in that statement. *Computed* indexing means the bracket
+//! content carries arithmetic, a literal offset, a range, or a
+//! `&`-keyed map lookup — the shapes that hold an off-by-one. A plain
+//! single-path index (`v[i]`, `slab[idx.pos]`) is exempt: bounded-loop
+//! iteration and slab-slot access are this codebase's documented
+//! deliberate-panic idioms, and flagging them would bury the real
+//! findings in noise.
 
 use crate::tokenizer::{TokKind, Token};
 use now_trace::Json;
@@ -65,9 +81,7 @@ impl Finding {
 
 /// All rule ids the allowlist may reference (L001 is emitted by the
 /// driver for stale allowlist entries and cannot itself be allowed).
-pub const RULE_IDS: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "S001", "P001", "L002", "API001",
-];
+pub const RULE_IDS: &[&str] = &["D001", "D002", "D003", "D004", "S001", "P001", "API001"];
 
 /// Hash-based collections whose iteration order is randomized per
 /// process (`RandomState`) — poison for byte-identical reports.
@@ -78,11 +92,13 @@ const D001_TYPES: &[&str] = &["HashMap", "HashSet"];
 /// entropy is a test that cannot be replayed.
 const D004_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
 
-/// How many tokens S001 walks back looking for the `// SAFETY:` group
-/// before giving up (bounds pathological files; a real safety comment
-/// sits within a handful of attribute/statement tokens of its
-/// `unsafe`).
-const S001_LOOKBACK: usize = 64;
+/// Panic-family macros: `name!(…)` panics unconditionally when reached.
+const P001_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// How many tokens the S001/P001 walk-back looks for its comment group
+/// before giving up (bounds pathological files; a real justification
+/// sits within a handful of attribute/statement tokens of its site).
+const LOOKBACK: usize = 64;
 
 fn next_noncomment(tokens: &[Token], mut i: usize) -> Option<&Token> {
     loop {
@@ -105,21 +121,22 @@ fn prev_noncomment(tokens: &[Token], i: usize) -> Option<&Token> {
     None
 }
 
-/// S001: walk back from the `unsafe` token, through its statement head
-/// and any attributes, to the nearest comment group; pass if any
-/// comment in the group says `SAFETY:`. A `;`, `{` or `}` before any
-/// comment means the previous statement ended without one.
-fn has_safety_comment(tokens: &[Token], unsafe_idx: usize) -> bool {
-    let mut j = unsafe_idx;
+/// The S001/P001 walk-back: from the token at `i`, through its
+/// statement head and any attributes, to the nearest comment group;
+/// true if any comment in the group contains `marker`. A `;`, `{` or
+/// `}` before any comment means the previous statement ended without
+/// one.
+fn has_marker_comment(tokens: &[Token], i: usize, marker: &str) -> bool {
+    let mut j = i;
     let mut steps = 0usize;
     let mut seen_comment = false;
-    while j > 0 && steps < S001_LOOKBACK {
+    while j > 0 && steps < LOOKBACK {
         j -= 1;
         steps += 1;
         match tokens[j].kind {
             TokKind::Comment => {
                 seen_comment = true;
-                if tokens[j].text.contains("SAFETY:") {
+                if tokens[j].text.contains(marker) {
                     return true;
                 }
             }
@@ -130,6 +147,76 @@ fn has_safety_comment(tokens: &[Token], unsafe_idx: usize) -> bool {
         }
     }
     false
+}
+
+/// True when `[` at `i` opens a *computed* index expression: postfix
+/// position (previous code token is an identifier, `]` or `)`) and the
+/// bracket content carries arithmetic, a numeric literal, a range, or a
+/// `&`-keyed map lookup. The bare full-range `[..]` cannot panic and is
+/// exempt.
+fn is_computed_index(tokens: &[Token], i: usize) -> bool {
+    let postfix = matches!(
+        prev_noncomment(tokens, i).map(|t| &t.kind),
+        Some(TokKind::Ident) | Some(TokKind::Punct(']')) | Some(TokKind::Punct(')'))
+    );
+    if !postfix {
+        return false;
+    }
+    // Scan the bracket content (depth 1 = directly inside our `[ ]`).
+    let mut depth = 1usize;
+    let mut j = i + 1;
+    let mut computed = false;
+    let mut nonrange_tokens = 0usize;
+    let mut prev_was_dot = false;
+    let mut first = true;
+    while j < tokens.len() && depth > 0 {
+        let tok = &tokens[j];
+        j += 1;
+        match &tok.kind {
+            TokKind::Comment => continue,
+            TokKind::Punct('[') => depth += 1,
+            TokKind::Punct(']') => {
+                depth -= 1;
+                continue;
+            }
+            TokKind::Punct('.') => {
+                if prev_was_dot {
+                    computed = true; // `..` range
+                    prev_was_dot = false;
+                    first = false;
+                    continue;
+                }
+                prev_was_dot = true;
+                first = false;
+                continue;
+            }
+            TokKind::Punct(c) if "+-*/%".contains(*c) => {
+                computed = true;
+                nonrange_tokens += 1;
+            }
+            TokKind::Punct('&') if first => {
+                computed = true; // `m[&key]` map lookup
+                nonrange_tokens += 1;
+            }
+            TokKind::Num => {
+                computed = true;
+                nonrange_tokens += 1;
+            }
+            _ => nonrange_tokens += 1,
+        }
+        prev_was_dot = false;
+        first = false;
+    }
+    // `[..]` alone: two dots, nothing else — never panics.
+    computed && nonrange_tokens > 0
+}
+
+/// The P001 message for one unjustified panic-capable site.
+fn p001_message(what: &str) -> String {
+    format!(
+        "{what} on a driving path without a `// INVARIANT:` justification in the \
+         statement head — document why it cannot fire, or return a typed NowError"
+    )
 }
 
 /// Runs every rule over one file's marked token stream.
@@ -145,6 +232,16 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
     };
 
     for (i, tok) in tokens.iter().enumerate() {
+        // P001 binds non-test library code only: bins, examples and
+        // tests may panic on bad input.
+        let panic_audit = class == FileClass::Prod && !tok.in_test;
+        if panic_audit
+            && tok.is_punct('[')
+            && is_computed_index(tokens, i)
+            && !has_marker_comment(tokens, i, "INVARIANT:")
+        {
+            push(tok.line, "P001", p001_message("computed slice indexing"));
+        }
         if tok.kind != TokKind::Ident {
             continue;
         }
@@ -241,7 +338,7 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
         // S001 — unsafe without a SAFETY comment. Binds everywhere:
         // an unexplained unsafe in a test is still an unexplained
         // soundness obligation.
-        if name == "unsafe" && !has_safety_comment(tokens, i) {
+        if name == "unsafe" && !has_marker_comment(tokens, i, "SAFETY:") {
             push(
                 tok.line,
                 "S001",
@@ -249,6 +346,26 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
                  invariants hold"
                     .to_string(),
             );
+        }
+
+        // P001 — panic-capable calls and macros.
+        if panic_audit {
+            let next = next_noncomment(tokens, i);
+            let what = if (name == "unwrap" || name == "expect")
+                && prev_noncomment(tokens, i).is_some_and(|t| t.is_punct('.'))
+                && next.is_some_and(|t| t.is_punct('('))
+            {
+                Some(format!(".{name}()"))
+            } else if P001_MACROS.contains(&name) && next.is_some_and(|t| t.is_punct('!')) {
+                Some(format!("{name}!"))
+            } else {
+                None
+            };
+            if let Some(what) = what {
+                if !has_marker_comment(tokens, i, "INVARIANT:") {
+                    push(tok.line, "P001", p001_message(&what));
+                }
+            }
         }
     }
     out
@@ -345,5 +462,94 @@ mod tests {
     fn d001_fires_outside_test_scope() {
         let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }";
         assert_eq!(rules(FileClass::Prod, src), ["D001", "D001"]);
+    }
+
+    #[test]
+    fn p001_flags_unwrap_without_invariant() {
+        assert_eq!(rules(FileClass::Prod, "fn f() { x.unwrap(); }"), ["P001"]);
+        assert_eq!(
+            rules(FileClass::Prod, "fn f() { x.expect(\"reason\"); }"),
+            ["P001"]
+        );
+        assert!(rules(
+            FileClass::Prod,
+            "fn f() {\n// INVARIANT: x was checked non-empty above.\nx.unwrap(); }"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn p001_one_invariant_covers_the_statement() {
+        let src = "fn f() {\n// INVARIANT: both live, see wave contract.\n\
+                   let v = a.unwrap() + b.expect(\"x\"); }";
+        assert!(rules(FileClass::Prod, src).is_empty());
+    }
+
+    #[test]
+    fn p001_statement_boundary_cuts_the_walkback() {
+        let src = "fn f() {\n// INVARIANT: covers only the first.\nlet a = x.unwrap();\n\
+                   let b = y.unwrap(); }";
+        assert_eq!(rules(FileClass::Prod, src), ["P001"]);
+    }
+
+    #[test]
+    fn p001_flags_panic_macros() {
+        assert_eq!(
+            rules(FileClass::Prod, "fn f() { panic!(\"boom\"); }"),
+            ["P001"]
+        );
+        assert_eq!(
+            rules(
+                FileClass::Prod,
+                "fn f() { match x { _ => unreachable!() } }"
+            ),
+            ["P001"]
+        );
+        // The walk-back stops at `{` like S001's, so inside a match arm
+        // the justification sits at the arm, not above the `match`.
+        assert!(rules(
+            FileClass::Prod,
+            "fn f() { match x { _ =>\n// INVARIANT: enum is exhaustive without this arm.\n\
+             unreachable!() } }"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn p001_computed_indexing_only() {
+        // Plain loop/slab indices are the documented deliberate-panic
+        // idiom — exempt.
+        assert!(rules(FileClass::Prod, "fn f() { let x = v[i]; }").is_empty());
+        assert!(rules(FileClass::Prod, "fn f() { let x = slab[idx.pos]; }").is_empty());
+        // Arithmetic, literal, range, and map-key shapes are flagged.
+        assert_eq!(
+            rules(FileClass::Prod, "fn f() { let x = v[i + 1]; }"),
+            ["P001"]
+        );
+        assert_eq!(rules(FileClass::Prod, "fn f() { let x = v[0]; }"), ["P001"]);
+        assert_eq!(
+            rules(FileClass::Prod, "fn f() { let s = &v[1..n]; }"),
+            ["P001"]
+        );
+        assert_eq!(
+            rules(FileClass::Prod, "fn f() { let x = m[&key]; }"),
+            ["P001"]
+        );
+        // The bare full-range slice cannot panic.
+        assert!(rules(FileClass::Prod, "fn f() { let s = &v[..]; }").is_empty());
+        // Array literals and types are not postfix indexing.
+        assert!(rules(
+            FileClass::Prod,
+            "fn f() { let a = [1, 2]; let b: [u8; 4] = x; }"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn p001_binds_only_in_prod_nontest() {
+        assert!(rules(FileClass::TestOnly, "fn f() { x.unwrap(); }").is_empty());
+        assert!(rules(FileClass::Bin, "fn f() { x.unwrap(); }").is_empty());
+        let gated = "#[cfg(test)]\nmod tests { fn f() { x.unwrap(); } }";
+        assert!(rules(FileClass::Prod, gated).is_empty());
     }
 }

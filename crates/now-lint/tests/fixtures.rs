@@ -5,7 +5,7 @@
 //! workspace run via `lint.toml` (it contains deliberate violations);
 //! these tests are what keep it honest.
 
-use now_lint::semantic::{analyze_unit, UnitFile};
+use now_lint::api_lock::UnitFile;
 use now_lint::{lint_source, FileClass};
 
 /// Lints a fixture under the given class; returns `(rule, line)` pairs
@@ -22,23 +22,6 @@ fn lint_fixture(name: &str, class: FileClass) -> Vec<(String, u32)> {
 
 fn pairs(expect: &[(&str, u32)]) -> Vec<(String, u32)> {
     expect.iter().map(|(r, l)| (r.to_string(), *l)).collect()
-}
-
-/// Parses a fixture into a single-file analysis unit and runs the
-/// semantic pass (P001 / L002 / D005); returns `(rule, line)` pairs
-/// sorted by `(line, rule)` — the workspace run sorts findings the
-/// same way, so emission order is not part of the contract.
-fn semantic_fixture(name: &str, class: FileClass) -> Vec<(String, u32)> {
-    let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    let src =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} must exist: {e}"));
-    let unit = UnitFile::parse(name, class, &src);
-    let mut out: Vec<(String, u32)> = analyze_unit(std::slice::from_ref(&unit))
-        .into_iter()
-        .map(|f| (f.rule.to_string(), f.line))
-        .collect();
-    out.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
-    out
 }
 
 #[test]
@@ -152,14 +135,10 @@ fn cfg_not_test_is_not_an_exemption() {
     );
 }
 
-// -------------------------------------------------------------------
-// Semantic-pass fixtures (P001 / L002 / D005).
-// -------------------------------------------------------------------
-
 #[test]
 fn p001_flags_unjustified_panic_sites_only() {
     assert_eq!(
-        semantic_fixture("p001_panic_paths.rs", FileClass::Prod),
+        lint_fixture("p001_panic_paths.rs", FileClass::Prod),
         pairs(&[
             ("P001", 5),  // .unwrap() without INVARIANT
             ("P001", 6),  // .expect() without INVARIANT
@@ -172,47 +151,19 @@ fn p001_flags_unjustified_panic_sites_only() {
 }
 
 #[test]
-fn p001_is_silent_in_test_targets() {
-    assert_eq!(
-        semantic_fixture("p001_panic_paths.rs", FileClass::TestOnly),
-        pairs(&[])
-    );
-}
-
-#[test]
-fn l002_flags_rogue_and_nested_locks_but_not_tests() {
-    assert_eq!(
-        semantic_fixture("l002_lock_sites.rs", FileClass::Prod),
-        pairs(&[
-            ("L002", 7),  // rogue(): lock outside the sanctioned sites
-            ("L002", 16), // claim_and_plan(): right name, wrong file
-            ("L002", 17), // claim_and_plan(): second guard in one fn
-        ])
-    );
-}
-
-#[test]
-fn d005_flags_ambient_and_tainted_draws_only() {
-    assert_eq!(
-        semantic_fixture("d005_rng_streams.rs", FileClass::Prod),
-        pairs(&[
-            ("D005", 8),  // ambient_draw(): no derivation anywhere
-            ("D005", 26), // tainted_kernel(): only caller is unsanctioned
-        ])
-    );
-}
-
-#[test]
-fn d005_is_silent_in_test_targets() {
-    assert_eq!(
-        semantic_fixture("d005_rng_streams.rs", FileClass::TestOnly),
-        pairs(&[])
-    );
+fn p001_is_silent_outside_library_code() {
+    for class in [FileClass::TestOnly, FileClass::Bin, FileClass::Example] {
+        assert_eq!(
+            lint_fixture("p001_panic_paths.rs", class),
+            pairs(&[]),
+            "P001 binds library code only, not {class:?}"
+        );
+    }
 }
 
 // -------------------------------------------------------------------
 // Item-parser traps: nested impls, trait methods, shadowed names,
-// cross-module calls, cfg(test)-scoped items.
+// cfg(test)-scoped items.
 // -------------------------------------------------------------------
 
 #[test]
@@ -221,7 +172,7 @@ fn items_traps_parse_into_the_expected_tree() {
 
     let path = format!("{}/fixtures/items_traps.rs", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).expect("fixture must exist");
-    let unit = UnitFile::parse("items_traps.rs", FileClass::Prod, &src);
+    let unit = UnitFile::parse("items_traps.rs", &src);
 
     fn sig(item: &Item) -> (ItemKind, &str, Vis, bool) {
         (item.kind, item.name.as_str(), item.vis, item.in_test)
@@ -281,48 +232,12 @@ fn items_traps_parse_into_the_expected_tree() {
 }
 
 #[test]
-fn items_traps_call_graph_resolves_shadowed_names_to_both() {
-    use now_lint::items::build_graph;
-
-    let path = format!("{}/fixtures/items_traps.rs", env!("CARGO_MANIFEST_DIR"));
-    let src = std::fs::read_to_string(&path).expect("fixture must exist");
-    let unit = UnitFile::parse("items_traps.rs", FileClass::Prod, &src);
-    let graph = build_graph(&[(
-        unit.path.clone(),
-        unit.tokens.as_slice(),
-        unit.items.as_slice(),
-    )]);
-
-    let idx = |name: &str, line: u32| {
-        graph
-            .fns
-            .iter()
-            .position(|f| f.name == name && f.line == line)
-            .unwrap_or_else(|| panic!("fn {name}@{line} must be in the graph"))
-    };
-    // Both `shadowed` definitions are distinct nodes…
-    let inner_shadowed = idx("shadowed", 26);
-    let outer_shadowed = idx("shadowed", 31);
-    let caller = idx("caller", 36);
-    // …and name-level resolution gives `caller` an edge to each
-    // (documented over-approximation: identifiers, not paths).
-    assert!(graph.edges[caller].contains(&inner_shadowed));
-    assert!(graph.edges[caller].contains(&outer_shadowed));
-    // `provide` resolves its `self.require()` to both require defs
-    // (trait decl + impl), and nothing calls `build`.
-    assert!(graph.callers_of(idx("build", 8)).is_empty());
-    let require_impl = idx("require", 22);
-    let provide = idx("provide", 16);
-    assert!(graph.edges[provide].contains(&require_impl));
-}
-
-#[test]
 fn items_traps_public_surface_hides_test_scoped_items() {
     use now_lint::api_lock::render_surface;
 
     let path = format!("{}/fixtures/items_traps.rs", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).expect("fixture must exist");
-    let unit = UnitFile::parse("crates/x/src/lib.rs", FileClass::Prod, &src);
+    let unit = UnitFile::parse("crates/x/src/lib.rs", &src);
     let surface = render_surface(std::slice::from_ref(&unit));
     let lines: Vec<&str> = surface
         .lines()

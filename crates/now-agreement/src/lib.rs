@@ -23,10 +23,11 @@
 //!   commit–reveal + agreement-on-a-common-subset (one Ben-Or
 //!   inclusion instance per contribution).
 //! * [`rand_num`] — the intra-cluster distributed random number
-//!   generator: a full commit–reveal protocol over Bracha broadcast, plus
-//!   the *ideal functionality* used by the cluster-level execution path
-//!   (uniform when Byzantine < 1/3 of the cluster, adversary-chosen
-//!   otherwise — the security threshold the paper states).
+//!   generator: a full commit–reveal protocol over Bracha broadcast. Its
+//!   *ideal functionality*, which the cluster-level execution path runs,
+//!   lives in `now_core` (`Kernel::draw`, booked at `2·c·(c−1)` messages
+//!   per draw; root `tests/cost_equivalence.rs` measures this protocol
+//!   against it).
 //! * [`quorum`] — the inter-cluster acceptance rule: a node accepts a
 //!   message from cluster `C` iff more than half of `C`'s members sent
 //!   the identical message.
@@ -69,5 +70,5 @@ pub use crypto::{commit_value, verify_commitment, Commitment, SigOracle};
 pub use dolev_strong::run_dolev_strong;
 pub use outcome::{check_agreement, check_validity, ByzPlan, ProtocolResult};
 pub use quorum::{accept_cluster_message, QuorumDecision};
-pub use rand_num::{rand_num_commit_reveal, rand_num_ideal, RandNumSecurity};
+pub use rand_num::rand_num_commit_reveal;
 pub use rand_num_async::{rand_num_async, AsyncRandNum};

@@ -8,8 +8,9 @@
 //! as reliable super-nodes.
 //!
 //! The rule's two failure thresholds structure the whole audit story:
-//! * Byzantine ≥ 1/3 of a cluster → `randNum` can be biased
-//!   ([`crate::rand_num::RandNumSecurity`]);
+//! * Byzantine ≥ 1/3 of a cluster → `randNum` can be biased (the
+//!   threshold `now_core`'s `SecurityMode::rand_num_secure` applies to
+//!   every draw the simulator makes);
 //! * Byzantine > 1/2 of a cluster → the adversary alone clears the
 //!   quorum and can forge arbitrary cluster messages
 //!   ([`forgery_possible`]).

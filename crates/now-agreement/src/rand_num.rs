@@ -4,87 +4,30 @@
 //! enabling the nodes of a cluster to agree on a common integer chosen
 //! uniformly at random from the interval (0, r)", secure while the
 //! cluster has more than two thirds honest members, and defers the
-//! construction to its long version. We provide both:
+//! construction to its long version.
 //!
-//! * [`rand_num_commit_reveal`] — a genuinely executing commit–reveal
-//!   protocol: every member Bracha-broadcasts a commitment to a local
-//!   draw, then Bracha-broadcasts the opening; the result is the sum
-//!   (mod `r`) of all correctly opened contributions. Bracha's
-//!   consistency + totality make the honest members agree on the valid
-//!   set, hence on the result, for `f < n/3`. A Byzantine member's only
-//!   leverage is *selective abort* (withholding its opening), which is
-//!   visible and bounded — it cannot steer the sum because commitments
-//!   are binding and at least one honest contribution is uniform.
-//! * [`rand_num_ideal`] — the ideal functionality used by the
-//!   cluster-level (L1) execution path: uniform while Byzantine < 1/3 of
-//!   the cluster, adversary-chosen otherwise, with the paper's stated
-//!   cost of `O(log²N)` accounted as `2·c·(c−1)` messages in 2 rounds
-//!   for a cluster of `c` members.
+//! [`rand_num_commit_reveal`] is a genuinely executing commit–reveal
+//! protocol: every member Bracha-broadcasts a commitment to a local
+//! draw, then Bracha-broadcasts the opening; the result is the sum
+//! (mod `r`) of all correctly opened contributions. Bracha's
+//! consistency + totality make the honest members agree on the valid
+//! set, hence on the result, for `f < n/3`. A Byzantine member's only
+//! leverage is *selective abort* (withholding its opening), which is
+//! visible and bounded — it cannot steer the sum because commitments
+//! are binding and at least one honest contribution is uniform.
+//!
+//! The ideal functionality the cluster-level (L1) execution path runs
+//! instead — uniform while Byzantine < 1/3 of the cluster,
+//! adversary-chosen otherwise, booked at the paper's `O(log²N)` as
+//! `2·c·(c−1)` messages in 2 rounds for a cluster of `c` members — is
+//! `now_core`'s `Kernel::draw`; root `tests/cost_equivalence.rs` holds
+//! this protocol against it.
 
 use crate::crypto::{commit_value, verify_commitment, Commitment};
 use crate::outcome::{ByzPlan, ProtocolResult};
 use now_net::{CostKind, EventNet, EventNetConfig, Ledger};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Whether a cluster's composition keeps `randNum` secure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RandNumSecurity {
-    /// Byzantine members are fewer than one third: output is uniform.
-    Secure,
-    /// Byzantine members reached one third: the adversary may control
-    /// the output.
-    Compromised,
-}
-
-impl RandNumSecurity {
-    /// Classifies a cluster of `size` members with `byz` Byzantine ones.
-    pub fn from_counts(byz: usize, size: usize) -> Self {
-        if 3 * byz < size {
-            RandNumSecurity::Secure
-        } else {
-            RandNumSecurity::Compromised
-        }
-    }
-
-    /// Convenience predicate.
-    pub fn is_secure(self) -> bool {
-        matches!(self, RandNumSecurity::Secure)
-    }
-}
-
-/// Ideal-functionality `randNum` used by the L1 execution path.
-///
-/// Returns a uniform draw from `0..range` while the cluster is
-/// [`RandNumSecurity::Secure`]; otherwise returns `adversary_pick`
-/// (clamped into range; defaults to `range − 1` — "the adversary chooses
-/// freely" and any fixed choice is the worst case for the caller).
-///
-/// Accounts the paper's stated cost: one all-to-all commit round and one
-/// all-to-all reveal round among `cluster_size` members.
-///
-/// # Panics
-/// Panics if `range == 0` or `cluster_size == 0`.
-pub fn rand_num_ideal<R: Rng>(
-    range: u64,
-    cluster_size: usize,
-    byz_in_cluster: usize,
-    adversary_pick: Option<u64>,
-    ledger: &mut Ledger,
-    rng: &mut R,
-) -> u64 {
-    assert!(range > 0, "randNum range must be positive");
-    assert!(cluster_size > 0, "randNum needs a non-empty cluster");
-    ledger.begin(CostKind::RandNum);
-    let c = cluster_size as u64;
-    ledger.add_messages(2 * c * (c - 1));
-    ledger.add_rounds(2);
-    ledger.end();
-    match RandNumSecurity::from_counts(byz_in_cluster, cluster_size) {
-        RandNumSecurity::Secure => rng.gen_range(0..range),
-        RandNumSecurity::Compromised => adversary_pick.unwrap_or(range - 1).min(range - 1),
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Item {
@@ -127,8 +70,9 @@ struct NodeState {
 /// One phase of parallel Bracha broadcasts: every port in `initiators`
 /// broadcasts its item; everyone echoes/readies. Returns nothing —
 /// deliveries accumulate in `state`.
-// Phase helper shared by both randNum variants: carries the whole
-// per-phase protocol context (net, state, items, byz, plan, …) flat.
+// Run once per phase (commit, reveal) of the commit–reveal randNum:
+// carries the whole per-phase protocol context (net, state, items,
+// byz, plan, …) flat.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_bracha_phase<R: Rng>(
     net: &mut EventNet<Msg>,
@@ -474,47 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn ideal_secure_is_uniformish_and_cheap() {
-        let mut ledger = Ledger::new();
-        let mut rng = DetRng::new(4);
-        let mut seen = BTreeSet::new();
-        for _ in 0..64 {
-            seen.insert(rand_num_ideal(16, 20, 6, None, &mut ledger, &mut rng));
-        }
-        assert!(seen.len() > 8, "secure ideal should spread: {seen:?}");
-        let s = ledger.stats(CostKind::RandNum);
-        assert_eq!(s.count, 64);
-        assert_eq!(s.total_messages / 64, 2 * 20 * 19);
-        assert_eq!(s.total_rounds / 64, 2);
-    }
-
-    #[test]
-    fn ideal_compromised_is_adversary_controlled() {
-        let mut ledger = Ledger::new();
-        let mut rng = DetRng::new(5);
-        // 7 byzantine of 20: 3·7 = 21 ≥ 20 → compromised.
-        let v = rand_num_ideal(10, 20, 7, Some(3), &mut ledger, &mut rng);
-        assert_eq!(v, 3);
-        let w = rand_num_ideal(10, 20, 7, None, &mut ledger, &mut rng);
-        assert_eq!(w, 9, "default adversary pick is range−1");
-    }
-
-    #[test]
-    fn security_threshold_is_one_third() {
-        assert!(RandNumSecurity::from_counts(6, 19).is_secure());
-        assert!(!RandNumSecurity::from_counts(7, 19).is_secure(), "3·7 > 19");
-        assert!(
-            !RandNumSecurity::from_counts(7, 21).is_secure(),
-            "3·7 = 21 boundary"
-        );
-        assert!(RandNumSecurity::from_counts(0, 1).is_secure());
-    }
-
-    #[test]
     #[should_panic(expected = "range must be positive")]
     fn zero_range_rejected() {
-        let mut ledger = Ledger::new();
-        let mut rng = DetRng::new(6);
-        let _ = rand_num_ideal(0, 5, 0, None, &mut ledger, &mut rng);
+        let _ = run(5, 0, &[], ByzPlan::Silent, 6);
     }
 }

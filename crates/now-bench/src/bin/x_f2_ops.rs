@@ -40,7 +40,6 @@ fn main() {
         for _ in 0..3 {
             sys.join(true);
         }
-        sys.ledger_mut().clear_records();
         let baseline: Vec<_> = kinds.iter().map(|&k| sys.ledger().stats(k)).collect();
         for step in 0..30 {
             if step % 2 == 0 {

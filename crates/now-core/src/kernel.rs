@@ -9,8 +9,10 @@
 //! notification here. What differs between execution engines is only
 //! the membership state the listing reads and edits:
 //!
-//! * the live [`Registry`] — serial execution: edits land at once, and
-//!   the caller runs the split/merge check inline;
+//! * the live [`Registry`] — the direct API, a merge's re-joins and
+//!   every wave of one op: edits land at once. The direct API and the
+//!   re-joins run the split/merge check inline, inside the op's span; a
+//!   wave of one defers it to after the wave like any other;
 //! * the wave planner's copy-on-write view
 //!   ([`crate::wave_exec`]) — edits are recorded as effects against a
 //!   frozen registry and applied canonically after the wave, and the

@@ -20,12 +20,14 @@
 //!   identical costs and keeps one external operation per time step).
 //!
 //! Join and leave up to the size check are [`Kernel`] methods and run
-//! on any [`StateView`]; the check itself belongs to the caller. On the
-//! live registry ([`NowSystem::join`], [`NowSystem::leave`], the serial
-//! batch engine) it follows inline, inside the operation's span. On a
-//! planner view it is deferred to after the wave. Split and merge
-//! change the cluster set and the overlay, so they only ever run on the
-//! live system, between operations.
+//! on any [`StateView`]; the check itself belongs to the caller. The
+//! direct API ([`NowSystem::join`], [`NowSystem::leave`]) and a merge's
+//! re-joins run it inline, inside the operation's span. Every batch
+//! engine runs its ops in waves (`Serial` in waves of one) and defers
+//! the check to after the wave, where a split or merge books a span of
+//! its own after the op's span has closed. Split and merge change the
+//! cluster set and the overlay, so they only ever run on the live
+//! system, between operations.
 
 use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
@@ -145,7 +147,6 @@ impl NowSystem {
             self.registry.contains_cluster(contact),
             "join: unknown contact cluster {contact}"
         );
-        self.join_count += 1;
         let host = self.kernel().join(node, honest, contact);
         if self.cluster_ref(host).size() > self.params.max_cluster_size() {
             self.split(host);
@@ -178,7 +179,6 @@ impl NowSystem {
             });
         }
         let home = self.node_cluster(node)?;
-        self.leave_count += 1;
         self.kernel().leave(node, home);
         if self.cluster_ref(home).size() < self.params.min_cluster_size()
             && self.cluster_count() > 1
@@ -200,7 +200,6 @@ impl NowSystem {
             "split: unknown cluster {c}"
         );
         self.ledger.begin(CostKind::Split);
-        self.split_count += 1;
         self.hub.count("now_splits_total", 1);
 
         // The members compute a random partition collaboratively: a
@@ -272,7 +271,6 @@ impl NowSystem {
         );
         assert!(self.cluster_count() > 1, "cannot merge the last cluster");
         self.ledger.begin(CostKind::Merge);
-        self.merge_count += 1;
 
         // Draw the victim cluster (≠ c) via randCl; fall back to a
         // uniform pick if the walk keeps landing on c.

@@ -26,8 +26,7 @@
 //! walk-local variables ([`WalkBooks`] — its `randNum` leaves as a
 //! count, a message sum and a peak, and its hand-off messages) and are
 //! settled into the ledger once per walk ([`Ledger::leaves`], exactly
-//! that many leaf calls). A recording ledger keeps a record per leaf,
-//! so there each leaf is booked as it is drawn. Of the ≈ 23 ns a hop
+//! that many leaf calls). Of the ≈ 23 ns a hop
 //! takes on a `steady_*`-shaped system (min of 7 × 4 000 walks), the
 //! two draws' keystream is ≈ 6.5 ns (`DetRng` inlines to two buffered
 //! words of an eight-block ChaCha12 refill, AVX2 where the CPU has it;
@@ -58,10 +57,9 @@ pub struct WalkTrace {
 /// ledger once, when the walk ends: its hand-off messages, and its
 /// `randNum` leaves as a count, a sum and a peak
 /// ([`Ledger::leaves`]). Nothing reads either before the walk's span
-/// closes. A recording ledger keeps a record per leaf, so there each
-/// leaf is booked as it is drawn.
+/// closes.
+#[derive(Default)]
 struct WalkBooks {
-    recording: bool,
     /// The tallied leaves: how many, their summed cost, and their
     /// component-wise largest cost.
     count: u64,
@@ -72,32 +70,16 @@ struct WalkBooks {
 }
 
 impl WalkBooks {
-    fn new(recording: bool) -> Self {
-        WalkBooks {
-            recording,
-            count: 0,
-            sum: Cost::ZERO,
-            peak: Cost::ZERO,
-            hops: Cost::ZERO,
-        }
-    }
-
     #[inline]
-    fn leaf(&mut self, ledger: &mut Ledger, cost: Cost) {
-        if self.recording {
-            ledger.leaf(CostKind::RandNum, cost);
-        } else {
-            self.count += 1;
-            self.sum += cost;
-            self.peak.messages = self.peak.messages.max(cost.messages);
-            self.peak.rounds = self.peak.rounds.max(cost.rounds);
-        }
+    fn leaf(&mut self, cost: Cost) {
+        self.count += 1;
+        self.sum += cost;
+        self.peak.messages = self.peak.messages.max(cost.messages);
+        self.peak.rounds = self.peak.rounds.max(cost.rounds);
     }
 
     fn settle(self, ledger: &mut Ledger) {
-        if !self.recording {
-            ledger.leaves(CostKind::RandNum, self.count, self.sum, self.peak);
-        }
+        ledger.leaves(CostKind::RandNum, self.count, self.sum, self.peak);
         ledger.add(self.hops);
     }
 }
@@ -113,7 +95,7 @@ impl<S: StateView> Kernel<'_, S> {
     /// the hop that reached it.
     pub(crate) fn rand_cl(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
         self.ledger.begin(CostKind::RandCl);
-        let mut books = WalkBooks::new(self.ledger.is_recording());
+        let mut books = WalkBooks::default();
         let (end, trace) = self.walk(start, &mut books);
         books.settle(self.ledger);
         self.ledger.end();
@@ -130,7 +112,7 @@ impl<S: StateView> Kernel<'_, S> {
         purpose: RandNumPurpose,
         at: ClusterSecurity,
     ) -> u64 {
-        books.leaf(self.ledger, at.rand_num_cost());
+        books.leaf(at.rand_num_cost());
         self.draw_value(c, range, purpose, at)
     }
 
@@ -417,68 +399,67 @@ mod tests {
         );
     }
 
-    /// A walk's books settled once equal its leaves booked one by one:
-    /// the same 200 walks, from two builds of one system, each on a
-    /// fresh plain ledger (tallied per walk) and on a fresh recording
-    /// ledger (a record per leaf) leave the same total and the same
-    /// stats of every kind — on a secure system, and on one whose start
-    /// cluster the adversary holds past 1/3, where draws go through
-    /// `Malice`. Cluster sizes differ, so a walk's leaves differ in
-    /// cost and its peak is not simply its last leaf.
+    /// A walk's books settle once, inside its span: on a fresh ledger,
+    /// each of 200 walks leaves one `RandCl` span that holds everything
+    /// booked, one round per hop on top of its draws' rounds, two draws
+    /// per hop plus a holding-time and an acceptance draw per component
+    /// CTRW, and a peak that is one cluster's `randNum` cost, not a sum —
+    /// on a secure system, and on one whose start cluster the adversary
+    /// holds past 1/3, where draws go through `Malice`. Cluster sizes
+    /// differ, so a walk's leaves differ in cost.
     #[test]
-    fn tallied_walks_book_what_per_leaf_walks_book() {
+    fn tallied_walks_settle_inside_their_span() {
         for polluted in [false, true] {
-            let build = || {
-                let mut sys = system(300, 12);
-                let ids = sys.cluster_ids();
-                let shift = |sys: &mut NowSystem, from: ClusterId, to: ClusterId| {
-                    let honest = sys
-                        .cluster(from)
-                        .unwrap()
-                        .members()
-                        .find(|&m| sys.is_honest(m).unwrap())
-                        .expect("has honest members");
-                    sys.move_node(honest, to);
-                };
-                // Sizes apart: honest members from the cluster with the
-                // fewest Byzantine ones, which stays secure.
-                let donor = sys
-                    .clusters()
-                    .skip(2)
-                    .min_by_key(|c| c.byz_count())
+            let mut sys = system(300, 12);
+            let ids = sys.cluster_ids();
+            let shift = |sys: &mut NowSystem, from: ClusterId, to: ClusterId| {
+                let honest = sys
+                    .cluster(from)
                     .unwrap()
-                    .id();
-                for _ in 0..6 {
-                    shift(&mut sys, donor, ids[1]);
-                }
-                while polluted && sys.cluster(ids[0]).unwrap().rand_num_secure() {
-                    shift(&mut sys, ids[0], ids[1]);
-                }
-                let secure = sys.clusters().filter(|c| c.rand_num_secure()).count();
-                let compromised = if polluted { 1 } else { 0 };
-                assert_eq!(secure + compromised, sys.cluster_count(), "setup");
-                (sys, ids)
+                    .members()
+                    .find(|&m| sys.is_honest(m).unwrap())
+                    .expect("has honest members");
+                sys.move_node(honest, to);
             };
-            let ((mut tallied, ids), (mut per_leaf, _)) = (build(), build());
+            // Sizes apart: honest members from the cluster with the
+            // fewest Byzantine ones, which stays secure.
+            let donor = sys
+                .clusters()
+                .skip(2)
+                .min_by_key(|c| c.byz_count())
+                .unwrap()
+                .id();
+            for _ in 0..6 {
+                shift(&mut sys, donor, ids[1]);
+            }
+            while polluted && sys.cluster(ids[0]).unwrap().rand_num_secure() {
+                shift(&mut sys, ids[0], ids[1]);
+            }
+            let secure = sys.clusters().filter(|c| c.rand_num_secure()).count();
+            let compromised = if polluted { 1 } else { 0 };
+            assert_eq!(secure + compromised, sys.cluster_count(), "setup");
+            let draw_costs: Vec<u64> = sys
+                .clusters()
+                .map(|c| c.security(crate::params::SecurityMode::Plain))
+                .map(|at| at.rand_num_cost().messages)
+                .collect();
+
             let (mut restarts, mut compromised) = (0, 0);
             for i in 0..200 {
-                *tallied.ledger_mut() = Ledger::new();
-                *per_leaf.ledger_mut() = Ledger::recording();
+                *sys.ledger_mut() = Ledger::new();
                 let start = ids[if i % 2 == 0 { 0 } else { i % ids.len() }];
-                let walk = tallied.rand_cl_from(start);
-                assert_eq!(walk, per_leaf.rand_cl_from(start), "walk {i}");
-                restarts += walk.1.restarts;
-                compromised += walk.1.compromised_hops;
-                let (a, b) = (tallied.ledger(), per_leaf.ledger());
-                assert_eq!(a.total(), b.total(), "walk {i}, polluted {polluted}");
-                for kind in CostKind::ALL {
-                    assert_eq!(a.stats(kind), b.stats(kind), "{kind}, walk {i}");
-                }
-                assert!(a.records().is_empty());
-                assert_eq!(
-                    b.records().len() as u64,
-                    b.stats(CostKind::RandNum).count + 1
-                );
+                let (_, trace) = sys.rand_cl_from(start);
+                restarts += trace.restarts;
+                compromised += trace.compromised_hops;
+                let l = sys.ledger();
+                let (walk, draws) = (l.stats(CostKind::RandCl), l.stats(CostKind::RandNum));
+                assert_eq!(walk.count, 1, "walk {i}");
+                assert_eq!(walk.total_messages, l.total().messages, "walk {i}");
+                assert_eq!(walk.total_rounds, l.total().rounds, "walk {i}");
+                assert_eq!(walk.total_rounds - draws.total_rounds, trace.hops);
+                let ctrws = trace.restarts + 1;
+                assert_eq!(draws.count, 2 * trace.hops + 2 * ctrws, "walk {i}");
+                assert!(draw_costs.contains(&draws.max_messages), "walk {i}");
             }
             assert!(restarts > 0, "restarts covered");
             assert_eq!(

@@ -10,14 +10,18 @@
 //! * **cluster slab** — [`Cluster`] objects (sorted member vecs plus
 //!   cached Byzantine counts) live in one `Vec` of slots, recycled
 //!   through a freelist on merge. Lookup by [`ClusterId`] is a direct
-//!   array index (`cluster_index[raw id]`, as for nodes below); the
-//!   parallel sorted id/slot arrays stay the canonical iteration order,
-//!   and [`Registry::cluster_ids`] is a borrow of the sorted cache.
-//! * **node slab + direct index** — node records live in a second slab,
-//!   and `node → slot` resolution is a direct array index
-//!   (`node_index[raw id]`): ids are allocated sequentially by
-//!   [`now_net::IdGen`], so the index stays dense and
-//!   [`Registry::node_ids`] is an ascending scan, already sorted.
+//!   array index (`cluster_index[raw id]`); the parallel sorted id/slot
+//!   arrays stay the canonical iteration order, and
+//!   [`Registry::cluster_ids`] is a borrow of the sorted cache. The
+//!   wave planner sizes its per-op slot tables by this slab, so the
+//!   slab stays compact: merges free slots and splits reuse them.
+//! * **direct node table** — one 8-byte entry per node id ever issued,
+//!   indexed by raw id: the slot of the node's home cluster in the
+//!   cluster slab and its honesty, with `NO_SLOT` marking an absent
+//!   node. Ids are allocated sequentially by [`now_net::IdGen`], so the
+//!   table stays dense, a lookup is one load into it and one into the
+//!   cluster slab, and [`Registry::node_ids`] is an ascending scan,
+//!   already sorted.
 //! * **exact aggregates** — a global population counter, a global
 //!   Byzantine counter, and the sorted cluster-id cache, all maintained
 //!   incrementally, so `population()` / `byz_population()` /
@@ -30,11 +34,11 @@
 //! [`Registry::clusters`]). Slab recycling is deterministic too: the
 //! registry has one writer at a time (`&mut self`), and the wave engine
 //! applies effects in canonical order on the driving thread, so the
-//! freelists see the same sequence at every thread count.
+//! freelist sees the same sequence at every thread count.
 //!
 //! Every mutation goes through the registry ([`Registry::attach`],
 //! [`Registry::detach`], [`Registry::move_to`]), which keeps the node
-//! index, the member vecs, and the aggregate counters in lockstep;
+//! table, the member vecs, and the aggregate counters in lockstep;
 //! [`Registry::check_invariants`] re-derives all of them from scratch
 //! and is run by `NowSystem::check_consistency` after every operation in
 //! the test suites, so the slab layout is *exact*, not approximate.
@@ -42,7 +46,7 @@
 use crate::cluster::Cluster;
 use now_net::{ClusterId, NodeId};
 
-/// Sentinel in the direct node and cluster indexes: "no slot".
+/// Sentinel in the node table and the direct cluster index: "no slot".
 const NO_SLOT: u32 = u32::MAX;
 
 /// One node's registry entry: the simulator's ground-truth honesty flag
@@ -79,14 +83,20 @@ struct ClusterSlot {
     live: bool,
 }
 
-/// One slot of the node slab.
+/// One entry of the direct node table.
 #[derive(Debug, Clone, Copy)]
-struct NodeSlot {
-    node: NodeId,
-    honest: bool,
-    /// Slot of the home cluster in the cluster slab.
+struct NodeEntry {
+    /// Slot of the home cluster in the cluster slab; `NO_SLOT` if the
+    /// node is absent.
     cluster_slot: u32,
-    live: bool,
+    honest: bool,
+}
+
+impl NodeEntry {
+    const ABSENT: NodeEntry = NodeEntry {
+        cluster_slot: NO_SLOT,
+        honest: false,
+    };
 }
 
 /// The slab-backed membership store (see the module docs).
@@ -105,12 +115,9 @@ pub struct Registry {
     /// absent): grown on create, reset on remove, never on lookup.
     /// Cluster ids are sequential too, so this stays dense.
     cluster_index: Vec<u32>,
-    /// The node slab; freed slots are recycled via `node_free`.
-    node_slots: Vec<NodeSlot>,
-    node_free: Vec<u32>,
-    /// Direct map `raw NodeId → node slab slot` (`NO_SLOT` = absent).
-    /// Ids are sequential, so this stays dense.
-    node_index: Vec<u32>,
+    /// The node table: `raw NodeId → entry`, grown on attach, never on
+    /// lookup. Ids are sequential, so this stays dense.
+    nodes: Vec<NodeEntry>,
     population: u64,
     byz_population: u64,
 }
@@ -146,11 +153,11 @@ impl Registry {
         self.cluster_slots.len()
     }
 
-    /// Slab slot of a live node, by id (direct index).
+    /// The entry of a live node, by id (direct index).
     #[inline]
-    fn node_slot_of(&self, node: NodeId) -> Option<u32> {
-        match self.node_index.get(node.raw() as usize) {
-            Some(&slot) if slot != NO_SLOT => Some(slot),
+    fn entry(&self, node: NodeId) -> Option<NodeEntry> {
+        match self.nodes.get(node.raw() as usize) {
+            Some(&entry) if entry.cluster_slot != NO_SLOT => Some(entry),
             _ => None,
         }
     }
@@ -175,30 +182,29 @@ impl Registry {
     }
 
     // ------------------------------------------------------------------
-    // Node index.
+    // Node table.
     // ------------------------------------------------------------------
 
-    /// The record of a live node (direct slab index, O(1)).
+    /// The record of a live node (direct table index, O(1)).
     pub fn get(&self, node: NodeId) -> Option<NodeRecord> {
-        let slot = &self.node_slots[self.node_slot_of(node)? as usize];
-        debug_assert!(slot.live && slot.node == node);
+        let entry = self.entry(node)?;
         Some(NodeRecord {
-            honest: slot.honest,
-            cluster: self.cluster_slots[slot.cluster_slot as usize].cluster.id(),
+            honest: entry.honest,
+            cluster: self.cluster_slots[entry.cluster_slot as usize].cluster.id(),
         })
     }
 
     /// Whether the node is registered.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.node_slot_of(node).is_some()
+        self.entry(node).is_some()
     }
 
-    /// All node ids, ascending: one scan of the direct index, which is
+    /// All node ids, ascending: one scan of the node table, which is
     /// keyed by raw id and therefore already sorted.
     pub fn node_ids(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.population as usize);
-        for (raw, &slot) in self.node_index.iter().enumerate() {
-            if slot != NO_SLOT {
+        for (raw, entry) in self.nodes.iter().enumerate() {
+            if entry.cluster_slot != NO_SLOT {
                 out.push(NodeId::from_raw(raw as u64));
             }
         }
@@ -208,8 +214,8 @@ impl Registry {
     /// Ids of the Byzantine nodes, ascending (same scan, filtered).
     pub fn byz_node_ids(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.byz_population as usize);
-        for (raw, &slot) in self.node_index.iter().enumerate() {
-            if slot != NO_SLOT && !self.node_slots[slot as usize].honest {
+        for (raw, entry) in self.nodes.iter().enumerate() {
+            if entry.cluster_slot != NO_SLOT && !entry.honest {
                 out.push(NodeId::from_raw(raw as u64));
             }
         }
@@ -350,31 +356,15 @@ impl Registry {
             "{node} already in {cluster}"
         );
         let raw = node.raw() as usize;
-        if self.node_index.len() <= raw {
-            self.node_index.resize(raw + 1, NO_SLOT);
+        if self.nodes.len() <= raw {
+            self.nodes.resize(raw + 1, NodeEntry::ABSENT);
         }
-        assert!(self.node_index[raw] == NO_SLOT, "{node} attached twice");
-        let slot = match self.node_free.pop() {
-            Some(slot) => {
-                let s = &mut self.node_slots[slot as usize];
-                debug_assert!(!s.live);
-                s.node = node;
-                s.honest = honest;
-                s.cluster_slot = cslot;
-                s.live = true;
-                slot
-            }
-            None => {
-                self.node_slots.push(NodeSlot {
-                    node,
-                    honest,
-                    cluster_slot: cslot,
-                    live: true,
-                });
-                (self.node_slots.len() - 1) as u32
-            }
+        let entry = &mut self.nodes[raw];
+        assert!(entry.cluster_slot == NO_SLOT, "{node} attached twice");
+        *entry = NodeEntry {
+            cluster_slot: cslot,
+            honest,
         };
-        self.node_index[raw] = slot;
         self.population += 1;
         if !honest {
             self.byz_population += 1;
@@ -383,15 +373,12 @@ impl Registry {
 
     /// Unregisters `node`; returns its final record.
     pub fn detach(&mut self, node: NodeId) -> Option<NodeRecord> {
-        let slot = self.node_slot_of(node)?;
-        self.node_index[node.raw() as usize] = NO_SLOT;
-        let (honest, cslot) = {
-            let s = &mut self.node_slots[slot as usize];
-            s.live = false;
-            (s.honest, s.cluster_slot)
-        };
-        self.node_free.push(slot);
-        let c = &mut self.cluster_slots[cslot as usize];
+        let NodeEntry {
+            cluster_slot,
+            honest,
+        } = self.entry(node)?;
+        self.nodes[node.raw() as usize] = NodeEntry::ABSENT;
+        let c = &mut self.cluster_slots[cluster_slot as usize];
         assert!(c.cluster.remove(node, honest), "member set drifted");
         self.population -= 1;
         if !honest {
@@ -409,11 +396,10 @@ impl Registry {
     /// # Panics
     /// Panics if `to` is not a live cluster.
     pub fn move_to(&mut self, node: NodeId, to: ClusterId) -> Option<ClusterId> {
-        let slot = self.node_slot_of(node)?;
-        let (honest, from_slot) = {
-            let s = &self.node_slots[slot as usize];
-            (s.honest, s.cluster_slot)
-        };
+        let NodeEntry {
+            cluster_slot: from_slot,
+            honest,
+        } = self.entry(node)?;
         let from_id = self.cluster_slots[from_slot as usize].cluster.id();
         if from_id == to {
             return Some(from_id);
@@ -436,7 +422,7 @@ impl Registry {
                 .insert(node, honest),
             "{node} already in {to}"
         );
-        self.node_slots[slot as usize].cluster_slot = to_slot;
+        self.nodes[node.raw() as usize].cluster_slot = to_slot;
         Some(from_id)
     }
 
@@ -444,44 +430,30 @@ impl Registry {
     // Exactness.
     // ------------------------------------------------------------------
 
-    /// Re-derives every aggregate and cross-checks the direct node
-    /// index, the slab freelists, the member vecs, the cached Byzantine
-    /// counts, the sorted cluster cache, the direct cluster map, and
-    /// the global counters.
-    /// O(n + #C + slab capacity).
+    /// Re-derives every aggregate and cross-checks the node table, the
+    /// cluster slab and its freelist, the member vecs, the cached
+    /// Byzantine counts, the sorted cluster cache, the direct cluster
+    /// map, and the global counters.
+    /// O(ids issued + #C + slab capacity).
     ///
     /// # Errors
     /// A human-readable description of the first inconsistency found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Node index: every entry points at a live slot that agrees on
-        // the id and at a live home cluster holding the node.
+        // Node table: every entry names a live home cluster that holds
+        // the node.
         let mut seen_nodes = 0u64;
         let mut seen_byz = 0u64;
-        for (raw, &slot) in self.node_index.iter().enumerate() {
+        for (raw, entry) in self.nodes.iter().enumerate() {
+            let slot = entry.cluster_slot;
             if slot == NO_SLOT {
                 continue;
             }
             let node = NodeId::from_raw(raw as u64);
-            let Some(s) = self.node_slots.get(slot as usize) else {
-                return Err(format!("{node} points at out-of-range slot {slot}"));
-            };
-            if !s.live {
-                return Err(format!("{node} points at dead slot {slot}"));
-            }
-            if s.node != node {
-                return Err(format!(
-                    "slot {slot} id drift: holds {}, indexed by {node}",
-                    s.node
-                ));
-            }
-            let Some(cs) = self.cluster_slots.get(s.cluster_slot as usize) else {
-                return Err(format!("{node} home slot {} out of range", s.cluster_slot));
+            let Some(cs) = self.cluster_slots.get(slot as usize) else {
+                return Err(format!("{node} home slot {slot} out of range"));
             };
             if !cs.live {
-                return Err(format!(
-                    "{node} points at dead cluster slot {}",
-                    s.cluster_slot
-                ));
+                return Err(format!("{node} points at dead cluster slot {slot}"));
             }
             if !cs.cluster.contains(node) {
                 return Err(format!(
@@ -490,7 +462,7 @@ impl Registry {
                 ));
             }
             seen_nodes += 1;
-            if !s.honest {
+            if !entry.honest {
                 seen_byz += 1;
             }
         }
@@ -505,28 +477,6 @@ impl Registry {
                 "byz counter drift: counted {seen_byz}, cached {}",
                 self.byz_population
             ));
-        }
-
-        // Node slab: live slots and freelist partition the slab.
-        let live_nodes = self.node_slots.iter().filter(|s| s.live).count() as u64;
-        if live_nodes != self.population {
-            return Err(format!(
-                "node slab drift: {live_nodes} live slots vs population {}",
-                self.population
-            ));
-        }
-        if self.node_free.len() + live_nodes as usize != self.node_slots.len() {
-            return Err(format!(
-                "node freelist drift: {} free + {live_nodes} live != {} slots",
-                self.node_free.len(),
-                self.node_slots.len()
-            ));
-        }
-        for &slot in &self.node_free {
-            match self.node_slots.get(slot as usize) {
-                Some(s) if !s.live => {}
-                _ => return Err(format!("node freelist holds live/bogus slot {slot}")),
-            }
         }
 
         // Cluster store: sorted cache + slab + member vecs + byz caches.
@@ -561,10 +511,10 @@ impl Registry {
                 }
                 prev = Some(m);
                 let Some(rec) = self.get(m) else {
-                    return Err(format!("{m} in cluster {cid} but not in node index"));
+                    return Err(format!("{m} in cluster {cid} but not in node table"));
                 };
                 if rec.cluster != cid {
-                    return Err(format!("{m} node index points elsewhere than {cid}"));
+                    return Err(format!("{m} node table points elsewhere than {cid}"));
                 }
                 if !rec.honest {
                     byz += 1;
@@ -580,7 +530,7 @@ impl Registry {
         }
         if memberships != self.population {
             return Err(format!(
-                "membership drift: {memberships} memberships vs {} index entries",
+                "membership drift: {memberships} memberships vs {} table entries",
                 self.population
             ));
         }
@@ -758,19 +708,22 @@ mod tests {
         reg.attach(nid(0), true, cid(1));
     }
 
-    /// Freed slab slots are recycled through the freelists.
+    /// A detached node's entry reads absent, the node table grows only
+    /// to the largest id attached, and a freed cluster slot is recycled
+    /// through the freelist.
     #[test]
-    fn slabs_recycle_freed_slots() {
+    fn node_table_and_cluster_slab_recycle() {
         let mut reg = registry_with(2, 2);
-        let old_node = reg.node_slot_of(nid(0)).unwrap();
         reg.detach(nid(0)).unwrap();
-        assert_eq!(reg.node_slot_of(nid(0)), None);
+        assert!(!reg.contains(nid(0)));
+        assert!(reg.get(nid(0)).is_none());
+        assert!(reg.get(nid(100)).is_none());
+        assert_eq!(reg.nodes.len(), 4, "lookups never grow the table");
         reg.attach(nid(100), true, cid(1));
-        assert_eq!(
-            reg.node_slot_of(nid(100)),
-            Some(old_node),
-            "freed node slot is reused"
-        );
+        assert_eq!(reg.nodes.len(), 101);
+        assert_eq!(reg.node_ids(), [nid(1), nid(2), nid(3), nid(100)]);
+        reg.attach(nid(0), false, cid(1));
+        assert_eq!(reg.get(nid(0)).unwrap().cluster, cid(1));
 
         let old_cluster = reg.cluster_slot_of(cid(0)).unwrap();
         for n in reg.cluster(cid(0)).unwrap().member_vec() {
@@ -821,6 +774,42 @@ mod tests {
         );
         assert_eq!(reg.cluster(cid(3)).unwrap().id(), cid(3));
         reg.check_invariants().unwrap();
+    }
+
+    /// A node-table entry whose home slot does not hold the node: one
+    /// naming another live cluster's slot, one past the slab, one naming
+    /// a freed slot.
+    #[test]
+    fn invariant_check_catches_node_table_drift() {
+        let reg = registry_with(4, 2);
+        let slot = |c| reg.cluster_slot_of(cid(c)).unwrap();
+        // nid(0) lives in cid(0).
+        let mut crossed = reg.clone();
+        crossed.nodes[0].cluster_slot = slot(1);
+        assert!(crossed
+            .check_invariants()
+            .unwrap_err()
+            .contains("missing from its cluster"));
+        let mut out_of_range = reg.clone();
+        out_of_range.nodes[0].cluster_slot = 4;
+        assert!(out_of_range
+            .check_invariants()
+            .unwrap_err()
+            .contains("out of range"));
+        let mut dead = reg.clone();
+        for n in [nid(6), nid(7)] {
+            dead.detach(n).unwrap();
+        }
+        dead.remove_cluster(cid(3)).unwrap();
+        dead.nodes[0].cluster_slot = slot(3);
+        assert!(dead
+            .check_invariants()
+            .unwrap_err()
+            .contains("dead cluster slot"));
+        // An honesty flag flipped behind the counters' back.
+        let mut flipped = reg;
+        flipped.nodes[0].honest = !flipped.nodes[0].honest;
+        assert!(flipped.check_invariants().unwrap_err().contains("drift"));
     }
 
     #[test]
@@ -908,11 +897,27 @@ mod tests {
 
         /// Asserts every observable of the slab registry against the
         /// map-backed reference, bit for bit.
-        fn assert_equals(&self, reg: &Registry, issued_clusters: u64) {
+        fn assert_equals(&self, reg: &Registry, issued_clusters: u64, issued_nodes: u64) {
             assert_eq!(reg.population(), self.population());
             assert_eq!(reg.byz_population(), self.byz_population());
             let shadow_nodes: Vec<NodeId> = self.homes.keys().copied().collect();
             assert_eq!(reg.node_ids(), shadow_nodes, "node id set + order");
+            let shadow_byz: Vec<NodeId> = self
+                .homes
+                .iter()
+                .filter(|&(n, home)| !self.clusters[home][n])
+                .map(|(&n, _)| n)
+                .collect();
+            assert_eq!(reg.byz_node_ids(), shadow_byz, "byz id set + order");
+            // Every node id ever issued (and one past them) resolves
+            // through the node table exactly when the shadow holds it —
+            // detached ids included.
+            for raw in 0..=issued_nodes {
+                let n = nid(raw);
+                let home = self.homes.get(&n).copied();
+                assert_eq!(reg.get(n).map(|r| r.cluster), home, "lookup of {n}");
+                assert_eq!(reg.contains(n), home.is_some(), "contains {n}");
+            }
             let shadow_clusters: Vec<ClusterId> = self.clusters.keys().copied().collect();
             assert_eq!(reg.cluster_ids(), shadow_clusters, "cluster id set + order");
             // Every id ever issued (and one past them) resolves through
@@ -953,8 +958,9 @@ mod tests {
         /// shadow through the same randomized script and demands
         /// bit-equal observables after every step. Slot recycling is
         /// exercised on purpose: cluster removal/recreation
-        /// (merge-then-split included) and node churn force the
-        /// freelists and the direct cluster map into play mid-script.
+        /// (merge-then-split included) forces the cluster freelist and
+        /// the direct cluster map into play mid-script, and node churn
+        /// leaves absent entries between live ones in the node table.
         #[test]
         fn flat_core_equals_seed_semantics(
             script in proptest::collection::vec((0u8..7, any::<u16>(), any::<bool>()), 1..160),
@@ -1000,7 +1006,7 @@ mod tests {
                             shadow.attach(n, honest, c);
                         }
                     }
-                    // Detach a live node (recycles a node slot).
+                    // Detach a live node (its table entry reads absent).
                     3 => {
                         let ns: Vec<NodeId> = shadow.homes.keys().copied().collect();
                         if !ns.is_empty() {
@@ -1046,7 +1052,7 @@ mod tests {
                         }
                     }
                     // An arrival that departs at once when Byzantine:
-                    // its node slot goes straight back on the freelist.
+                    // its table entry reads absent at once.
                     _ => {
                         let cs: Vec<ClusterId> = shadow.clusters.keys().copied().collect();
                         if !cs.is_empty() {
@@ -1062,7 +1068,7 @@ mod tests {
                         }
                     }
                 }
-                shadow.assert_equals(&reg, next_cluster);
+                shadow.assert_equals(&reg, next_cluster, next_node);
             }
         }
     }

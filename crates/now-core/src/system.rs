@@ -29,10 +29,6 @@ pub struct NowSystem {
     pub(crate) rng: DetRng,
     pub(crate) malice: Box<dyn Malice>,
     pub(crate) time_step: u64,
-    pub(crate) join_count: u64,
-    pub(crate) leave_count: u64,
-    pub(crate) split_count: u64,
-    pub(crate) merge_count: u64,
     pub(crate) hub: crate::hub::TraceHub,
 }
 
@@ -42,10 +38,7 @@ impl fmt::Debug for NowSystem {
             .field("population", &self.registry.population())
             .field("clusters", &self.registry.cluster_count())
             .field("time_step", &self.time_step)
-            .field("joins", &self.join_count)
-            .field("leaves", &self.leave_count)
-            .field("splits", &self.split_count)
-            .field("merges", &self.merge_count)
+            .field("op_counts", &self.op_counts())
             .finish_non_exhaustive()
     }
 }
@@ -141,10 +134,6 @@ impl NowSystem {
             rng,
             malice: Box::new(NoMalice),
             time_step: 0,
-            join_count: 0,
-            leave_count: 0,
-            split_count: 0,
-            merge_count: 0,
             hub: crate::hub::TraceHub::default(),
         }
     }
@@ -217,7 +206,8 @@ impl NowSystem {
         &self.ledger
     }
 
-    /// Mutable ledger access (experiments reset records between phases).
+    /// Mutable ledger access: applications book their own spans here.
+    /// Replacing the ledger also resets [`NowSystem::op_counts`].
     pub fn ledger_mut(&mut self) -> &mut Ledger {
         &mut self.ledger
     }
@@ -257,13 +247,22 @@ impl NowSystem {
     }
 
     /// Number of operations of each kind performed so far:
-    /// `(joins, leaves, splits, merges)`.
+    /// `(joins, leaves, splits, merges)`, read from the ledger, where
+    /// every operation closes exactly one span of its kind (a merge's
+    /// re-joins are joins).
+    ///
+    /// The counts live in the ledger alone, so replacing it through
+    /// [`NowSystem::ledger_mut`] resets them. Only tests and the
+    /// discovered-bootstrap constructors (`init::init_discovered`,
+    /// `init_tree::init_tree_discovered`) do that, the constructors
+    /// before any operation runs.
     pub fn op_counts(&self) -> (u64, u64, u64, u64) {
+        let count = |kind| self.ledger.stats(kind).count;
         (
-            self.join_count,
-            self.leave_count,
-            self.split_count,
-            self.merge_count,
+            count(CostKind::Join),
+            count(CostKind::Leave),
+            count(CostKind::Split),
+            count(CostKind::Merge),
         )
     }
 
@@ -371,7 +370,7 @@ impl NowSystem {
             .ok_or(NowError::UnknownNode { node })
     }
 
-    /// The op kernel over the live registry: what serial execution
+    /// The op kernel over the live registry: what the direct API
     /// (and split/merge, which only ever run here) drives.
     pub(crate) fn kernel(&mut self) -> Kernel<'_, Registry> {
         Kernel {
@@ -604,5 +603,6 @@ mod tests {
         let dbg = format!("{sys:?}");
         assert!(dbg.contains("population"));
         assert!(dbg.contains("clusters"));
+        assert!(dbg.contains("op_counts: (0, 0, 0, 0)"), "{dbg}");
     }
 }

@@ -262,7 +262,6 @@ struct WaveCtx<'a> {
     registry: &'a Registry,
     overlay: &'a Overlay,
     params: NowParams,
-    recording: bool,
 }
 
 /// A cluster the operation has edited: its pre-wave membership overlaid
@@ -506,11 +505,7 @@ impl<S: StateView> Kernel<'_, S> {
 /// `(ctx, spec, rng)` under a neutral `malice`.
 fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn Malice) -> OpPlan {
     let mut view = Planner::new(ctx.registry);
-    let mut ledger = if ctx.recording {
-        Ledger::recording()
-    } else {
-        Ledger::new()
-    };
+    let mut ledger = Ledger::new();
     let outcome = Kernel {
         state: &mut view,
         overlay: ctx.overlay,
@@ -1083,7 +1078,6 @@ impl NowSystem {
             registry: &self.registry,
             overlay: &self.overlay,
             params: self.params,
-            recording: self.ledger.is_recording(),
         };
         let plan_start = now_trace::stopwatch();
         let plans: Vec<OpPlan> = match pool {
@@ -1111,7 +1105,7 @@ impl NowSystem {
     }
 
     /// The rest of a wave, however its ops ran: wave stats and trace
-    /// events, op counters, then the deferred size maintenance.
+    /// events, then the deferred size maintenance.
     fn finish_wave(
         &mut self,
         wave_specs: &[OpSpec],
@@ -1143,17 +1137,11 @@ impl NowSystem {
         );
         self.hub.count("now_swap_conflicts_total", swap_conflicts);
 
-        // ---- op counters canonically ----
+        // ---- applied ops canonically ----
         for spec in wave_specs {
             let (join, node) = match spec.op {
-                PlannedOp::Join { node, .. } => {
-                    self.join_count += 1;
-                    (true, node)
-                }
-                PlannedOp::Leave { node } => {
-                    self.leave_count += 1;
-                    (false, node)
-                }
+                PlannedOp::Join { node, .. } => (true, node),
+                PlannedOp::Leave { node } => (false, node),
             };
             self.hub.event(
                 time_step,
@@ -1743,160 +1731,145 @@ mod tests {
     /// the same wave through [`NowSystem::execute_wave_planned`] on a
     /// second build of the system, leave identical member slices in
     /// every cluster, the system stream at the same word, the same
-    /// ledger (total, stats, records with their depths), op counts,
-    /// flight-recorder events and metrics — under the neutral adversary
-    /// and under a scripted strategic one, from secure clusters and from
-    /// a start (and a lure next to it) that the adversary holds past
-    /// 1/3, on plain and on recording ledgers.
+    /// ledger (total and stats, so op counts too), flight-recorder
+    /// events and metrics — under the neutral adversary and under a
+    /// scripted strategic one, from secure clusters and from a start
+    /// (and a lure next to it) that the adversary holds past 1/3.
     #[test]
     fn kernel_on_live_state_equals_plan_then_apply() {
         let mut cases = 0;
         let mut asked = Tally::default();
         for seed in 0..14u64 {
             for (join, strategic) in [(true, false), (true, true), (false, false), (false, true)] {
-                for recording in [false, true] {
-                    let case = format!(
-                        "seed {seed}, join {join}, strategic {strategic}, recording {recording}"
-                    );
-                    // Two identical systems. The lowest node id is freed
-                    // so that a joiner can take it: exchanges go through
-                    // a cluster in id order, so this joiner is swapped
-                    // out first and sits in a partner cluster while the
-                    // others follow. Odd seeds pollute the start and the
-                    // lure.
-                    let recycled = NodeId::from_raw(0);
-                    let build = || {
-                        let mut sys = system(400, seed);
-                        sys.detach_node(recycled).unwrap();
-                        let ids = sys.cluster_ids();
-                        let start = ids[0];
-                        let lure = sys.overlay().neighbors(start)[0];
-                        if seed % 2 == 1 {
-                            let donors: Vec<ClusterId> = ids
-                                .iter()
-                                .copied()
-                                .filter(|&c| c != start && c != lure)
-                                .collect();
-                            pollute(&mut sys, start, &donors);
-                            pollute(&mut sys, lure, &donors);
+                let case = format!("seed {seed}, join {join}, strategic {strategic}");
+                // Two identical systems. The lowest node id is freed
+                // so that a joiner can take it: exchanges go through
+                // a cluster in id order, so this joiner is swapped
+                // out first and sits in a partner cluster while the
+                // others follow. Odd seeds pollute the start and the
+                // lure.
+                let recycled = NodeId::from_raw(0);
+                let build = || {
+                    let mut sys = system(400, seed);
+                    sys.detach_node(recycled).unwrap();
+                    let ids = sys.cluster_ids();
+                    let start = ids[0];
+                    let lure = sys.overlay().neighbors(start)[0];
+                    if seed % 2 == 1 {
+                        let donors: Vec<ClusterId> = ids
+                            .iter()
+                            .copied()
+                            .filter(|&c| c != start && c != lure)
+                            .collect();
+                        pollute(&mut sys, start, &donors);
+                        pollute(&mut sys, lure, &donors);
+                    }
+                    sys.check_consistency().unwrap();
+                    sys.enable_tracing(1 << 12);
+                    sys.enable_metrics();
+                    (sys, start, lure)
+                };
+                let ((mut live, start, lure), (mut planned, ..)) = (build(), build());
+                // A Byzantine arrival, or a departure from the start.
+                let node = if join {
+                    recycled
+                } else {
+                    live.cluster(start).unwrap().member_at(seed as usize % 7)
+                };
+                let op = || OpSpec {
+                    op: if join {
+                        PlannedOp::Join {
+                            node,
+                            honest: false,
+                            contact: start,
                         }
-                        sys.check_consistency().unwrap();
-                        if recording {
-                            sys.ledger = Ledger::recording();
-                        }
-                        sys.enable_tracing(1 << 12);
-                        sys.enable_metrics();
-                        (sys, start, lure)
-                    };
-                    let ((mut live, start, lure), (mut planned, ..)) = (build(), build());
-                    // A Byzantine arrival, or a departure from the start.
-                    let node = if join {
-                        recycled
                     } else {
-                        live.cluster(start).unwrap().member_at(seed as usize % 7)
+                        PlannedOp::Leave { node }
+                    },
+                    footprint: Vec::new(),
+                    canon: seed % 3,
+                    center: start,
+                    contact_redrawn: false,
+                };
+                let adversary = || -> (Box<dyn Malice>, Rc<Cell<Tally>>) {
+                    let tally = Rc::new(Cell::new(Tally::default()));
+                    let malice: Box<dyn Malice> = if strategic {
+                        Box::new(Script {
+                            lure,
+                            stay: join,
+                            joiner: join.then_some(node),
+                            tally: Rc::clone(&tally),
+                        })
+                    } else {
+                        Box::new(NoMalice)
                     };
-                    let op = || OpSpec {
-                        op: if join {
-                            PlannedOp::Join {
-                                node,
-                                honest: false,
-                                contact: start,
-                            }
-                        } else {
-                            PlannedOp::Leave { node }
-                        },
-                        footprint: Vec::new(),
-                        canon: seed % 3,
-                        center: start,
-                        contact_redrawn: false,
-                    };
-                    let adversary = || -> (Box<dyn Malice>, Rc<Cell<Tally>>) {
-                        let tally = Rc::new(Cell::new(Tally::default()));
-                        let malice: Box<dyn Malice> = if strategic {
-                            Box::new(Script {
-                                lure,
-                                stay: join,
-                                joiner: join.then_some(node),
-                                tally: Rc::clone(&tally),
-                            })
-                        } else {
-                            Box::new(NoMalice)
-                        };
-                        (malice, tally)
-                    };
-                    let (malice, live_tally) = adversary();
-                    live.set_malice(malice);
-                    let (malice, planned_tally) = adversary();
-                    planned.set_malice(malice);
+                    (malice, tally)
+                };
+                let (malice, live_tally) = adversary();
+                live.set_malice(malice);
+                let (malice, planned_tally) = adversary();
+                planned.set_malice(malice);
 
-                    // Inside an open span, as in a batch, so recorded
-                    // depths are shifted on both sides.
-                    let master = 7_000 + seed;
-                    let (mut live_redraws, mut planned_redraws) = (0, 0);
-                    live.ledger.begin(CostKind::Batch);
-                    let live_stats = live.execute_wave(&[op()], None, master, &mut live_redraws);
-                    live.ledger.end();
-                    planned.ledger.begin(CostKind::Batch);
-                    let planned_stats =
-                        planned.execute_wave_planned(&[op()], master, &mut planned_redraws);
-                    planned.ledger.end();
-                    live.check_consistency().unwrap();
-                    planned.check_consistency().unwrap();
+                // Inside an open span, as in a batch.
+                let master = 7_000 + seed;
+                let (mut live_redraws, mut planned_redraws) = (0, 0);
+                live.ledger.begin(CostKind::Batch);
+                let live_stats = live.execute_wave(&[op()], None, master, &mut live_redraws);
+                live.ledger.end();
+                planned.ledger.begin(CostKind::Batch);
+                let planned_stats =
+                    planned.execute_wave_planned(&[op()], master, &mut planned_redraws);
+                planned.ledger.end();
+                live.check_consistency().unwrap();
+                planned.check_consistency().unwrap();
 
-                    assert_eq!(live_stats, planned_stats, "{case}");
-                    assert_eq!(live_redraws, planned_redraws, "{case}");
-                    assert_eq!(live.cluster_ids(), planned.cluster_ids(), "{case}");
-                    for c in live.cluster_ids() {
-                        assert_eq!(
-                            live.cluster(c).unwrap().member_slice(),
-                            planned.cluster(c).unwrap().member_slice(),
-                            "members of {c}: {case}"
-                        );
-                    }
-                    assert_eq!(live.byz_node_ids(), planned.byz_node_ids(), "{case}");
+                assert_eq!(live_stats, planned_stats, "{case}");
+                assert_eq!(live_redraws, planned_redraws, "{case}");
+                assert_eq!(live.cluster_ids(), planned.cluster_ids(), "{case}");
+                for c in live.cluster_ids() {
                     assert_eq!(
-                        live.rng.next_u64(),
-                        planned.rng.next_u64(),
-                        "stream: {case}"
+                        live.cluster(c).unwrap().member_slice(),
+                        planned.cluster(c).unwrap().member_slice(),
+                        "members of {c}: {case}"
                     );
-                    assert_eq!(live.ledger.total(), planned.ledger.total(), "{case}");
-                    for &kind in CostKind::ALL.iter() {
-                        assert_eq!(
-                            live.ledger.stats(kind),
-                            planned.ledger.stats(kind),
-                            "{kind}: {case}"
-                        );
-                    }
-                    assert_eq!(live.ledger.records(), planned.ledger.records(), "{case}");
-                    assert_eq!(
-                        live.ledger.records().is_empty(),
-                        !recording,
-                        "records kept: {case}"
-                    );
-                    assert!(live.ledger.stats(CostKind::Exchange).count > 0, "{case}");
-                    assert_eq!(live.op_counts(), planned.op_counts(), "{case}");
-                    assert_eq!(
-                        live.flight_recorder().unwrap().to_json(),
-                        planned.flight_recorder().unwrap().to_json(),
-                        "events: {case}"
-                    );
-                    let metrics = planned.metrics().unwrap();
-                    assert_eq!(live.metrics().unwrap(), metrics, "metrics: {case}");
-                    assert_eq!(
-                        metrics.counter("now_swap_conflicts_total"),
-                        0,
-                        "one op alone collides with nobody: {case}"
-                    );
-                    assert_eq!(live_tally.get(), planned_tally.get(), "hooks asked: {case}");
-                    let t = planned_tally.get();
-                    asked.forced_hops += t.forced_hops;
-                    asked.victims += t.victims;
-                    asked.saw_joiner += t.saw_joiner;
-                    cases += 1;
                 }
+                assert_eq!(live.byz_node_ids(), planned.byz_node_ids(), "{case}");
+                assert_eq!(
+                    live.rng.next_u64(),
+                    planned.rng.next_u64(),
+                    "stream: {case}"
+                );
+                assert_eq!(live.ledger.total(), planned.ledger.total(), "{case}");
+                for &kind in CostKind::ALL.iter() {
+                    assert_eq!(
+                        live.ledger.stats(kind),
+                        planned.ledger.stats(kind),
+                        "{kind}: {case}"
+                    );
+                }
+                assert!(live.ledger.stats(CostKind::Exchange).count > 0, "{case}");
+                assert_eq!(live.op_counts(), planned.op_counts(), "{case}");
+                assert_eq!(
+                    live.flight_recorder().unwrap().to_json(),
+                    planned.flight_recorder().unwrap().to_json(),
+                    "events: {case}"
+                );
+                let metrics = planned.metrics().unwrap();
+                assert_eq!(live.metrics().unwrap(), metrics, "metrics: {case}");
+                assert_eq!(
+                    metrics.counter("now_swap_conflicts_total"),
+                    0,
+                    "one op alone collides with nobody: {case}"
+                );
+                assert_eq!(live_tally.get(), planned_tally.get(), "hooks asked: {case}");
+                let t = planned_tally.get();
+                asked.forced_hops += t.forced_hops;
+                asked.victims += t.victims;
+                asked.saw_joiner += t.saw_joiner;
+                cases += 1;
             }
         }
-        assert!(cases >= 112, "cases: {cases}");
+        assert!(cases >= 56, "cases: {cases}");
         assert!(asked.forced_hops > 0, "the script forced hops: {asked:?}");
         assert!(asked.victims > 0, "the script chose victims: {asked:?}");
         assert!(
@@ -2063,7 +2036,6 @@ mod tests {
             registry: &sys.registry,
             overlay: &sys.overlay,
             params: sys.params,
-            recording: false,
         };
         let (master, time_step) = (77, sys.time_step);
         let pool = WavePool::new(2);
@@ -2147,24 +2119,21 @@ mod tests {
     }
 
     #[test]
-    fn recording_ledger_survives_threaded_merge() {
+    fn ledger_survives_threaded_merge() {
         let params = NowParams::for_capacity(1 << 10).unwrap();
-        let mut sys = NowSystem::init_fast(params, 150, 0.1, 12);
-        *sys.ledger_mut() = Ledger::recording();
         let go = |threads: usize| {
             let mut s = NowSystem::init_fast(params, 150, 0.1, 12);
-            *s.ledger_mut() = Ledger::recording();
             let pool = WavePool::new(threads);
             s.step_batch(
                 &BatchInput::from_flags(&[true, true, false], &[]),
                 &ExecConfig::pooled(&pool),
             );
-            s.ledger().records().to_vec()
+            s.check_consistency().unwrap();
+            let l = s.ledger();
+            (l.total(), CostKind::ALL.map(|kind| l.stats(kind)))
         };
         let serial = go(1);
-        let threaded = go(4);
-        assert!(!serial.is_empty());
-        assert_eq!(serial, threaded, "record streams must be bit-identical");
-        sys.check_consistency().unwrap();
+        assert_eq!(serial.1[CostKind::Join as usize].count, 3);
+        assert_eq!(serial, go(4), "ledgers must be bit-identical");
     }
 }

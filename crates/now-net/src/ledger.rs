@@ -14,6 +14,11 @@
 //! the total has advanced when it ends. Every span therefore reports
 //! the same cost as if each add had been written to every open span;
 //! an open span's running cost is not observable before it ends.
+//!
+//! The ledger keeps aggregates only: per kind, how many spans closed,
+//! their summed and their largest cost ([`CostStats`]). A closed span
+//! leaves nothing else behind, so these counts are also the system's
+//! per-kind operation counts.
 
 use std::fmt;
 
@@ -150,17 +155,6 @@ impl std::ops::AddAssign for Cost {
     }
 }
 
-/// A completed top-level or nested operation with its inclusive cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpRecord {
-    /// What ran.
-    pub kind: CostKind,
-    /// Inclusive cost (sub-operations counted in).
-    pub cost: Cost,
-    /// Nesting depth at which the span ran (0 = top level).
-    pub depth: usize,
-}
-
 /// Aggregate statistics for one [`CostKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostStats {
@@ -247,23 +241,12 @@ pub struct Ledger {
     total: Cost,
     /// Per-kind aggregates, indexed by `CostKind as usize`.
     stats: [CostStats; CostKind::ALL.len()],
-    records: Vec<OpRecord>,
-    keep_records: bool,
 }
 
 impl Ledger {
-    /// Creates an empty ledger that keeps aggregate stats only.
+    /// Creates an empty ledger.
     pub fn new() -> Self {
         Ledger::default()
-    }
-
-    /// Creates a ledger that additionally retains every [`OpRecord`]
-    /// (used by experiments that need per-operation distributions).
-    pub fn recording() -> Self {
-        Ledger {
-            keep_records: true,
-            ..Ledger::default()
-        }
     }
 
     /// Opens a new span of the given kind (may nest).
@@ -298,20 +281,13 @@ impl Ledger {
         cost
     }
 
-    /// Stats and record of a span of `kind` that just closed at the
-    /// current depth with inclusive cost `cost`.
+    /// Folds a span of `kind` that just closed with inclusive cost
+    /// `cost` into its kind's stats.
     #[inline]
     fn close(&mut self, kind: CostKind, cost: Cost) {
         // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
         // variants, so its discriminant indexes `stats` in bounds.
         self.stats[kind as usize].absorb(cost);
-        if self.keep_records {
-            self.records.push(OpRecord {
-                kind,
-                cost,
-                depth: self.stack.len(),
-            });
-        }
     }
 
     /// A whole leaf span in one call: exactly `begin(kind)`, `add(cost)`,
@@ -325,18 +301,10 @@ impl Ledger {
 
     /// `count` leaf spans of `kind` in one call, given their summed cost
     /// `sum` and their component-wise largest cost `peak`: exactly
-    /// `count` [`Ledger::leaf`] calls on a ledger that keeps no records
-    /// (with `count = 0`, `sum` and `peak` zero, nothing). A walk tallies
-    /// its `randNum` draws locally and settles them here once.
-    ///
-    /// # Panics
-    /// Panics on a recording ledger, where every leaf is a record of
-    /// its own.
+    /// `count` [`Ledger::leaf`] calls (with `count = 0`, `sum` and `peak`
+    /// zero, nothing). A walk tallies its `randNum` draws locally and
+    /// settles them here once.
     pub fn leaves(&mut self, kind: CostKind, count: u64, sum: Cost, peak: Cost) {
-        assert!(
-            !self.keep_records,
-            "Ledger::leaves on a recording ledger: book each leaf"
-        );
         self.total += sum;
         // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
         // variants, so its discriminant indexes `stats` in bounds.
@@ -381,22 +349,6 @@ impl Ledger {
         self.stats[kind as usize]
     }
 
-    /// All retained per-operation records (empty unless constructed with
-    /// [`Ledger::recording`]).
-    pub fn records(&self) -> &[OpRecord] {
-        &self.records
-    }
-
-    /// Discards retained records (aggregates are kept).
-    pub fn clear_records(&mut self) {
-        self.records.clear();
-    }
-
-    /// Whether this ledger retains per-operation records.
-    pub fn is_recording(&self) -> bool {
-        self.keep_records
-    }
-
     /// Folds a completed child ledger into this one, exactly as if the
     /// child's activity had run inline at the current nesting depth.
     ///
@@ -405,12 +357,10 @@ impl Ledger {
     /// accountant) and merges them back **in canonical operation
     /// order**: the child's total is added to the global total (and
     /// thereby to every currently open span — inclusive accounting, as
-    /// if the child's spans had nested here), its per-kind statistics are
-    /// folded in (counts and totals add, maxima take the max), and its
-    /// records — if both ledgers record — are appended with their
-    /// depths shifted by the current open-span depth. Merging the same
-    /// children in the same order therefore yields a bit-identical
-    /// ledger regardless of which threads produced them.
+    /// if the child's spans had nested here), and its per-kind statistics
+    /// are folded in (counts and totals add, maxima take the max).
+    /// Merging the same children in the same order therefore yields a
+    /// bit-identical ledger regardless of which threads produced them.
     ///
     /// # Panics
     /// Panics if the child still has open spans.
@@ -422,13 +372,6 @@ impl Ledger {
         self.total += child.total;
         for (mine, theirs) in self.stats.iter_mut().zip(&child.stats) {
             mine.merge(theirs);
-        }
-        if self.keep_records {
-            let depth = self.stack.len();
-            self.records.extend(child.records.iter().map(|r| OpRecord {
-                depth: r.depth + depth,
-                ..*r
-            }));
         }
     }
 
@@ -522,8 +465,8 @@ mod tests {
             messages: 7,
             rounds: 2,
         };
-        let mut spelled = Ledger::recording();
-        let mut leafed = Ledger::recording();
+        let mut spelled = Ledger::new();
+        let mut leafed = Ledger::new();
         for l in [&mut spelled, &mut leafed] {
             l.begin(CostKind::RandCl);
             l.add_messages(3);
@@ -534,7 +477,6 @@ mod tests {
         leafed.leaf(CostKind::RandNum, cost);
         assert_eq!(spelled.end(), leafed.end());
         assert_eq!(spelled.total(), leafed.total());
-        assert_eq!(spelled.records(), leafed.records());
         for kind in CostKind::ALL {
             assert_eq!(spelled.stats(kind), leafed.stats(kind), "{kind}");
         }
@@ -577,12 +519,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "recording ledger")]
-    fn leaves_refuse_a_recording_ledger() {
-        Ledger::recording().leaves(CostKind::RandNum, 0, Cost::ZERO, Cost::ZERO);
-    }
-
     /// `stats` is indexed by discriminant, so `ALL` must list the
     /// variants in declaration order.
     #[test]
@@ -618,35 +554,9 @@ mod tests {
         assert_eq!(s.mean_messages(), 0.0);
     }
 
-    #[test]
-    fn recording_ledger_keeps_records_with_depth() {
-        let mut l = Ledger::recording();
-        l.begin(CostKind::Join);
-        l.begin(CostKind::RandCl);
-        l.add_messages(3);
-        l.end();
-        l.end();
-        let recs = l.records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].kind, CostKind::RandCl);
-        assert_eq!(recs[0].depth, 1);
-        assert_eq!(recs[1].kind, CostKind::Join);
-        assert_eq!(recs[1].depth, 0);
-        assert_eq!(recs[1].cost.messages, 3);
-    }
-
-    #[test]
-    fn non_recording_ledger_keeps_no_records() {
-        let mut l = Ledger::new();
-        l.begin(CostKind::Other);
-        l.end();
-        assert!(l.records().is_empty());
-    }
-
     /// The merge contract the threaded wave executor relies on: running
     /// an op inline vs. in a child ledger merged afterwards must leave
-    /// the parent bit-identical (totals, open-span attribution, stats,
-    /// records).
+    /// the parent bit-identical (totals, open-span attribution, stats).
     #[test]
     fn merge_child_matches_inline_execution() {
         let run_op = |l: &mut Ledger| {
@@ -660,16 +570,16 @@ mod tests {
             l.end();
         };
 
-        let mut inline = Ledger::recording();
+        let mut inline = Ledger::new();
         inline.begin(CostKind::Batch);
         run_op(&mut inline);
         run_op(&mut inline);
         let inline_batch = inline.end();
 
-        let mut merged = Ledger::recording();
+        let mut merged = Ledger::new();
         merged.begin(CostKind::Batch);
         for _ in 0..2 {
-            let mut child = Ledger::recording();
+            let mut child = Ledger::new();
             run_op(&mut child);
             merged.merge_child(&child);
         }
@@ -680,22 +590,6 @@ mod tests {
         for kind in CostKind::ALL {
             assert_eq!(inline.stats(kind), merged.stats(kind), "{kind}");
         }
-        assert_eq!(inline.records(), merged.records());
-    }
-
-    #[test]
-    fn merge_child_into_non_recording_parent_drops_records() {
-        let mut parent = Ledger::new();
-        let mut child = Ledger::recording();
-        child.begin(CostKind::Leave);
-        child.add_messages(3);
-        child.end();
-        parent.merge_child(&child);
-        assert!(parent.records().is_empty());
-        assert_eq!(parent.total().messages, 3);
-        assert_eq!(parent.stats(CostKind::Leave).count, 1);
-        assert!(!parent.is_recording());
-        assert!(child.is_recording());
     }
 
     #[test]

@@ -58,5 +58,5 @@ mod rng;
 
 pub use event::{DropReason, Envelope, EventNet, EventNetConfig, EventRecord, Partition};
 pub use id::{ClusterId, IdGen, NodeId};
-pub use ledger::{Cost, CostKind, CostStats, Ledger, OpRecord};
+pub use ledger::{Cost, CostKind, CostStats, Ledger};
 pub use rng::DetRng;

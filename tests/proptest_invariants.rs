@@ -7,7 +7,7 @@ use now_bft::adversary::{
     ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, SplitForcing,
 };
 use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem, WavePool};
-use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId, OpRecord};
+use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
@@ -463,8 +463,6 @@ struct EagerLedger {
     stack: Vec<(CostKind, Cost)>,
     total: Cost,
     stats: std::collections::BTreeMap<CostKind, CostStats>,
-    records: Vec<OpRecord>,
-    keep_records: bool,
 }
 
 impl EagerLedger {
@@ -487,13 +485,6 @@ impl EagerLedger {
         stats.total_rounds += cost.rounds;
         stats.max_messages = stats.max_messages.max(cost.messages);
         stats.max_rounds = stats.max_rounds.max(cost.rounds);
-        if self.keep_records {
-            self.records.push(OpRecord {
-                kind,
-                cost,
-                depth: self.stack.len(),
-            });
-        }
         cost
     }
 
@@ -507,13 +498,6 @@ impl EagerLedger {
             mine.total_rounds += theirs.total_rounds;
             mine.max_messages = mine.max_messages.max(theirs.max_messages);
             mine.max_rounds = mine.max_rounds.max(theirs.max_rounds);
-        }
-        if self.keep_records {
-            let depth = self.stack.len();
-            self.records.extend(child.records.iter().map(|r| OpRecord {
-                depth: r.depth + depth,
-                ..*r
-            }));
         }
     }
 }
@@ -569,7 +553,6 @@ fn assert_ledgers_equal(ledger: &Ledger, eager: &EagerLedger) -> Result<(), Test
         let expected = eager.stats.get(&kind).copied().unwrap_or_default();
         prop_assert_eq!(ledger.stats(kind), expected, "stats({})", kind);
     }
-    prop_assert_eq!(ledger.records(), &eager.records[..]);
     Ok(())
 }
 
@@ -578,32 +561,27 @@ proptest! {
 
     /// Settling inclusive costs at `end()` is unobservable: random
     /// begin / add / leaf / end scripts with child ledgers merged in at
-    /// random depths — recording or not on either side — leave the
-    /// `Ledger` equal to the eager reference on `total()`, every
-    /// `stats(kind)`, every `end()` return value, and `records()`
-    /// including depths.
+    /// random depths leave the `Ledger` equal to the eager reference on
+    /// `total()`, every `stats(kind)` and every `end()` return value.
     #[test]
     fn ledger_equals_eager_reference(
-        recording in any::<bool>(),
         script in proptest::collection::vec(
             (
                 (0u8..8, any::<u8>(), any::<u16>(), any::<u16>()),
                 // A child ledger to merge in after the call, sometimes.
-                any::<bool>(),
                 any::<bool>(),
                 proptest::collection::vec((0u8..6, any::<u8>(), any::<u16>(), any::<u16>()), 0..12),
             ),
             1..60,
         ),
     ) {
-        let mut ledger = if recording { Ledger::recording() } else { Ledger::new() };
-        let mut eager = EagerLedger { keep_records: recording, ..EagerLedger::default() };
-        for (call, merge, child_recording, child_script) in script {
+        let mut ledger = Ledger::new();
+        let mut eager = EagerLedger::default();
+        for (call, merge, child_script) in script {
             ledger_step(&mut ledger, &mut eager, call)?;
             if merge {
-                let mut child = if child_recording { Ledger::recording() } else { Ledger::new() };
-                let mut eager_child =
-                    EagerLedger { keep_records: child_recording, ..EagerLedger::default() };
+                let mut child = Ledger::new();
+                let mut eager_child = EagerLedger::default();
                 for call in child_script {
                     ledger_step(&mut child, &mut eager_child, call)?;
                 }

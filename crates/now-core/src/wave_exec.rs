@@ -682,7 +682,7 @@ impl WavePool {
         let mut workers = Vec::new();
         if threads > 1 {
             // The workspace's one thread-spawn site: every other spawn
-            // is a D003 finding (lint.toml allows this file).
+            // is a D003 finding (the rule exempts this file alone).
             for _ in 0..threads {
                 let (job_tx, job_rx) = mpsc::channel::<WaveJob>();
                 let done = done_tx.clone();

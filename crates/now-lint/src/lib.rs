@@ -10,10 +10,12 @@
 //! The pipeline per file: [`tokenizer`] (comment/string/raw-string
 //! aware, no `syn` — the workspace vendors every dependency),
 //! [`scope`] (marks `#[cfg(test)]` / `#[test]` items so determinism
-//! rules bind only to production code), [`rules`] (D001–D004, S001,
-//! P001), then the committed [`config`] allowlist (`lint.toml`, every
-//! entry with a mandatory reason; stale entries are themselves
-//! findings).
+//! rules bind only to production code), then [`rules`] (D001–D004,
+//! S001, P001). The tool takes no configuration: the two sanctioned
+//! exceptions (D002's wall-clock site, D003's thread-spawn site) are
+//! constants next to their rules, and the directories never linted are
+//! `SKIPPED_DIRS`. Tests on the real tree keep each of them from
+//! going stale.
 //!
 //! One rule looks past a single file: [`api_lock`] parses each crate's
 //! `src/` files into an [`items`] tree, renders the crate's public
@@ -30,13 +32,11 @@
 #![deny(deprecated)]
 
 pub mod api_lock;
-pub mod config;
 pub mod items;
 pub mod rules;
 pub mod scope;
 pub mod tokenizer;
 
-pub use config::Config;
 pub use rules::{FileClass, Finding};
 
 use std::collections::BTreeMap;
@@ -44,6 +44,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use api_lock::UnitFile;
+
+/// Directories never linted, relative to the workspace root: the
+/// vendored API-compatible subsets of external crates (`rand`,
+/// `rand_chacha`, `proptest`), which are not this workspace's code and
+/// mirror upstream idiom, and the lint's own test corpus, whose
+/// deliberate violations the fixture tests pin. A directory prefix
+/// only: `crates/now-lint/fixtures.rs` would still be linted.
+pub(crate) const SKIPPED_DIRS: &[&str] = &["vendor", "crates/now-lint/fixtures"];
 
 /// Classifies a workspace-relative path (forward slashes) into the
 /// file class that decides which rules bind. See [`FileClass`].
@@ -59,19 +67,20 @@ pub fn classify(rel_path: &str) -> FileClass {
     }
 }
 
-/// Lints one file's source text under the given class. The returned
-/// findings are **pre-allowlist**: the caller applies [`Config`].
+/// Lints one file's source text under the given class with the token
+/// rules.
 pub fn lint_source(rel_path: &str, class: FileClass, src: &str) -> Vec<Finding> {
     let mut tokens = tokenizer::tokenize(src);
     scope::mark_test_scopes(&mut tokens);
     rules::lint_tokens(rel_path, class, &tokens)
 }
 
-/// Recursively collects `.rs` files under `root`, skipping VCS and
-/// build-output directories outright (`vendor/` and the fixture corpus
-/// are excluded via `lint.toml`, where the exclusion carries a reason).
-/// Paths come back sorted so reports are byte-stable.
+/// Recursively collects `.rs` files under `root`, skipping dot
+/// directories (`.git` among them), every `target` build-output
+/// directory and the `SKIPPED_DIRS` under `root`. Paths come back
+/// sorted so reports are byte-stable.
 pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
+    let skipped: Vec<PathBuf> = SKIPPED_DIRS.iter().map(|d| root.join(d)).collect();
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -83,7 +92,7 @@ pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name == ".git" || name == "target" || name.starts_with('.') {
+                if name == "target" || name.starts_with('.') || skipped.contains(&path) {
                     continue;
                 }
                 stack.push(path);
@@ -105,131 +114,78 @@ fn crate_of(rel: &str) -> Option<&str> {
     (tail.starts_with("src/") && !tail.starts_with("src/bin/")).then_some(name)
 }
 
-/// One linted source file: its workspace-relative path and its text,
-/// or why it could not be read.
-type Source = (String, std::io::Result<String>);
+/// One linted source file: its workspace-relative path and its text.
+type Source = (String, String);
 
-/// Reads every `.rs` file under `root` that `cfg` does not exclude
-/// (sorted by path) and groups the crate `src/` files into per-crate
-/// item trees, keyed by crate name ([`crate_of`]). The lint run and
-/// `--write-api-locks` both start here, so they see the same crates.
-fn read_workspace(root: &Path, cfg: &Config) -> (Vec<Source>, BTreeMap<String, Vec<UnitFile>>) {
+/// Each crate's item-parsed `src/` files, keyed by crate name.
+type CrateUnits = BTreeMap<String, Vec<UnitFile>>;
+
+/// Reads every discovered `.rs` file under `root` (sorted by path) and
+/// groups the crate `src/` files into per-crate item trees, keyed by
+/// crate name ([`crate_of`]). The lint run and `--write-api-locks` both
+/// start here, so they see the same crates. An unreadable file is an
+/// error naming its path, never a silent skip.
+fn read_workspace(root: &Path) -> Result<(Vec<Source>, CrateUnits), String> {
     let mut sources = Vec::new();
-    let mut crates: BTreeMap<String, Vec<UnitFile>> = BTreeMap::new();
+    let mut crates = CrateUnits::new();
     for path in discover_rs_files(root) {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        if cfg.is_excluded(&rel) {
-            continue;
-        }
-        let src = fs::read_to_string(&path);
-        if let (Some(name), Ok(src)) = (crate_of(&rel), &src) {
+        let src = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
+        if let Some(name) = crate_of(&rel) {
             crates
                 .entry(name.to_string())
                 .or_default()
-                .push(UnitFile::parse(&rel, src));
+                .push(UnitFile::parse(&rel, &src));
         }
         sources.push((rel, src));
     }
-    (sources, crates)
+    Ok((sources, crates))
 }
 
-/// Lints every discovered `.rs` file under `root` and applies the
-/// allowlist. The token rules run per file; API001 compares each
-/// crate's rendered public surface against the committed
-/// `crates/<name>/API.lock`. Returns surviving findings (sorted by
-/// path, line, rule), including one `L001` finding per allowlist entry
-/// that suppressed nothing and per orphan `API.lock` (a lock with no
-/// live crate) — the lists can only shrink, never rot. IO errors on
-/// individual files are findings too, not silent skips.
-pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
-    let (sources, crates) = read_workspace(root, cfg);
-    let mut findings = Vec::new();
-    let mut raw = Vec::new();
-    for (rel, src) in &sources {
-        match src {
-            Ok(src) => raw.extend(lint_source(rel, classify(rel), src)),
-            Err(e) => findings.push(Finding {
-                path: rel.clone(),
-                line: 0,
-                rule: "L001",
-                message: format!("unreadable source file: {e}"),
-            }),
+/// Lints every discovered `.rs` file under `root`. The token rules run
+/// per file; API001 compares each crate's rendered public surface
+/// against the committed `crates/<name>/API.lock`. An orphan lock (its
+/// crate has no linted sources) is checked against the empty surface,
+/// so a lock claiming any item fails until it is deleted with its
+/// crate. Returns the findings sorted by path, line, rule.
+pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    let (sources, mut crates) = read_workspace(root)?;
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        for dir in entries.flatten().map(|e| e.path()) {
+            if dir.join("API.lock").is_file() {
+                let name = dir.file_name().unwrap_or_default().to_string_lossy();
+                crates.entry(name.into_owned()).or_default();
+            }
         }
+    }
+    let mut findings = Vec::new();
+    for (rel, src) in &sources {
+        findings.extend(lint_source(rel, classify(rel), src));
     }
     for (name, files) in &crates {
         let lock_rel = format!("crates/{name}/API.lock");
         let rendered = api_lock::render_surface(files);
-        raw.extend(api_lock::check_lock(
+        findings.extend(api_lock::check_lock(
             &root.join(&lock_rel),
             &lock_rel,
             &rendered,
         ));
     }
-
-    let mut allow_used = vec![false; cfg.allows.len()];
-    for finding in raw {
-        match cfg.allow_index(finding.rule, &finding.path) {
-            Some(idx) => allow_used[idx] = true,
-            None => findings.push(finding),
-        }
-    }
-
-    // Orphan locks: an API.lock whose crate no longer contributes any
-    // sources is dead weight and, worse, a stale claim about a surface.
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for dir in dirs {
-            if !dir.join("API.lock").is_file() {
-                continue;
-            }
-            let name = dir.file_name().unwrap_or_default().to_string_lossy();
-            if !crates.contains_key(name.as_ref()) {
-                findings.push(Finding {
-                    path: format!("crates/{name}/API.lock"),
-                    line: 0,
-                    rule: "L001",
-                    message: "orphan API.lock: this crate has no linted sources — delete the \
-                              lock with the crate"
-                        .to_string(),
-                });
-            }
-        }
-    }
-
-    for (idx, used) in allow_used.iter().enumerate() {
-        if !used {
-            let entry = &cfg.allows[idx];
-            findings.push(Finding {
-                path: "lint.toml".to_string(),
-                line: entry.line,
-                rule: "L001",
-                message: format!(
-                    "stale allowlist entry: rule {} no longer fires for `{}` — delete it",
-                    entry.rule, entry.path
-                ),
-            });
-        }
-    }
-
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    findings
+    Ok(findings)
 }
 
 /// Renders every crate's canonical `API.lock` and writes the files
 /// under `root`. Returns the workspace-relative paths written (sorted).
 /// Used by `now-lint --write-api-locks`; the output is byte-stable, so
 /// a second run writes identical bytes.
-pub fn write_api_locks(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
-    let (sources, crates) = read_workspace(root, cfg);
-    if let Some((rel, Err(e))) = sources.iter().find(|(_, src)| src.is_err()) {
-        return Err(format!("reading {rel}: {e}"));
-    }
+pub fn write_api_locks(root: &Path) -> Result<Vec<String>, String> {
+    let (_, crates) = read_workspace(root)?;
     let mut written = Vec::new();
     for (name, files) in &crates {
         let lock_rel = format!("crates/{name}/API.lock");
@@ -241,20 +197,18 @@ pub fn write_api_locks(root: &Path, cfg: &Config) -> Result<Vec<String>, String>
     Ok(written)
 }
 
-/// Loads `lint.toml` from `root`. A missing file is an empty config
-/// (deny-by-default stays in force); a malformed one is an error.
-pub fn load_config(root: &Path) -> Result<Config, String> {
-    let path = root.join("lint.toml");
-    if !path.exists() {
-        return Ok(Config::default());
-    }
-    let text = fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    config::parse(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rules::{D002_SANCTIONED_FILE, D003_SANCTIONED_FILE};
+
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crate lives at <root>/crates/now-lint")
+            .to_path_buf()
+    }
 
     #[test]
     fn classification_covers_the_workspace_layout() {
@@ -286,20 +240,10 @@ mod tests {
     }
 
     /// The real gate, enforced by `cargo test` as well as CI: the
-    /// workspace tree must be clean under its committed allowlist.
+    /// workspace tree must be lint-clean.
     #[test]
-    fn workspace_is_clean_under_the_committed_allowlist() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crate lives at <root>/crates/now-lint")
-            .to_path_buf();
-        let cfg = load_config(&root).expect("lint.toml parses");
-        assert!(
-            !cfg.allows.is_empty(),
-            "committed lint.toml should carry the documented allow entries"
-        );
-        let findings = run_workspace(&root, &cfg);
+    fn workspace_is_clean() {
+        let findings = run_workspace(&workspace_root()).expect("every source file reads");
         let rendered: Vec<String> = findings.iter().map(Finding::render).collect();
         assert!(
             findings.is_empty(),
@@ -308,30 +252,105 @@ mod tests {
         );
     }
 
-    /// L001 covers every rule and the locks: an allow that suppresses
-    /// nothing is stale, and an `API.lock` whose crate has no linted
-    /// sources is an orphan.
+    /// Every exemption still exempts something: each sanctioned file
+    /// exists and would fire its rule under any other path, and each
+    /// skipped directory holds `.rs` files with findings. An exemption
+    /// that no longer covers anything fails here and should be deleted.
     #[test]
-    fn stale_allow_and_orphan_lock_fire_l001() {
-        let root = std::env::temp_dir().join(format!("now-lint-l001-{}", std::process::id()));
+    fn sanctions_cannot_go_stale() {
+        let root = workspace_root();
+        for (file, rule) in [
+            (D002_SANCTIONED_FILE, "D002"),
+            (D003_SANCTIONED_FILE, "D003"),
+        ] {
+            let src = fs::read_to_string(root.join(file))
+                .unwrap_or_else(|e| panic!("sanctioned file {file}: {e}"));
+            let elsewhere = file.replace(".rs", "_elsewhere.rs");
+            assert!(
+                lint_source(&elsewhere, FileClass::Prod, &src)
+                    .iter()
+                    .any(|f| f.rule == rule),
+                "{file} no longer needs its {rule} sanction"
+            );
+        }
+        for dir in SKIPPED_DIRS {
+            let files = discover_rs_files(&root.join(dir));
+            assert!(
+                !files.is_empty(),
+                "skipped directory {dir} holds no .rs files"
+            );
+            let findings: usize = files
+                .iter()
+                .map(|path| {
+                    let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+                    let src = fs::read_to_string(path).unwrap();
+                    lint_source(&rel, classify(&rel), &src).len()
+                })
+                .sum();
+            assert!(findings > 0, "skipped directory {dir} would lint clean");
+        }
+    }
+
+    /// The gate has teeth: on a scratch tree, each fixture violation
+    /// planted into a crate's `src/` fires its own rule on the planted
+    /// file (every fixture also declares `pub` items, so API001 alone
+    /// would fail the run even if the rule under test went silent), the
+    /// D002 sanction covers `profile.rs` alone, an appended `pub fn`
+    /// drifts its crate's lock, and an orphan lock fails API001.
+    #[test]
+    fn seeded_probes_fire_their_own_rule() {
+        let root = std::env::temp_dir().join(format!("now-lint-probes-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/ghost")).unwrap();
-        fs::write(root.join("crates/ghost/API.lock"), "# stale\n").unwrap();
-        fs::create_dir_all(root.join("crates/live/src")).unwrap();
-        fs::write(root.join("crates/live/src/lib.rs"), "pub fn ok() {}\n").unwrap();
-        let cfg = config::parse(
-            "[[allow]]\nrule = \"P001\"\npath = \"nope.rs\"\nreason = \"never fires\"\n",
+        for host in ["now-core", "now-trace"] {
+            fs::create_dir_all(root.join(format!("crates/{host}/src"))).unwrap();
+            fs::write(
+                root.join(format!("crates/{host}/src/lib.rs")),
+                "pub fn ok() {}\n",
+            )
+            .unwrap();
+        }
+        fs::write(
+            root.join(D002_SANCTIONED_FILE),
+            "pub fn stopwatch() -> std::time::Instant { std::time::Instant::now() }\n",
         )
         .unwrap();
-        // Baseline the live crate's lock so only the planted rot remains.
-        write_api_locks(&root, &cfg).unwrap();
-        let findings = run_workspace(&root, &cfg);
+        // Baseline the locks so only the planted violations remain.
+        write_api_locks(&root).unwrap();
+        assert!(run_workspace(&root).unwrap().is_empty());
+
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+        for (host, fixture, rule) in [
+            ("now-core", "d001_hash_collections", "D001"),
+            ("now-core", "d002_wall_clock", "D002"),
+            ("now-core", "d003_thread_spawn", "D003"),
+            ("now-core", "d004_ambient_entropy", "D004"),
+            ("now-core", "s001_unsafe", "S001"),
+            ("now-core", "p001_panic_paths", "P001"),
+            ("now-trace", "d002_wall_clock", "D002"),
+        ] {
+            let probe = format!("crates/{host}/src/__lint_probe.rs");
+            fs::copy(fixtures.join(format!("{fixture}.rs")), root.join(&probe)).unwrap();
+            let findings = run_workspace(&root).unwrap();
+            assert!(
+                findings.iter().any(|f| f.path == probe && f.rule == rule),
+                "{fixture} planted in {host} did not fire {rule}: {findings:?}"
+            );
+            fs::remove_file(root.join(&probe)).unwrap();
+        }
+
+        let lib = root.join("crates/now-core/src/lib.rs");
+        fs::write(&lib, "pub fn ok() {}\npub fn __api_drift_probe() {}\n").unwrap();
+        fs::create_dir_all(root.join("crates/ghost")).unwrap();
+        fs::write(root.join("crates/ghost/API.lock"), "# stale\nfn gone\n").unwrap();
+        let findings = run_workspace(&root).unwrap();
         let got: Vec<(&str, &str)> = findings.iter().map(|f| (f.path.as_str(), f.rule)).collect();
         assert_eq!(
             got,
-            vec![("crates/ghost/API.lock", "L001"), ("lint.toml", "L001")],
-            "findings: {:?}",
-            findings
+            [
+                ("crates/ghost/API.lock", "API001"),
+                ("crates/now-core/API.lock", "API001")
+            ],
+            "findings: {findings:?}"
         );
         let _ = fs::remove_dir_all(&root);
     }

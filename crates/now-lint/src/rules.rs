@@ -14,8 +14,8 @@
 //! | rule | forbids | where it binds |
 //! |------|---------|----------------|
 //! | D001 | `HashMap` / `HashSet` (iteration-order nondeterminism) | all non-test code |
-//! | D002 | `Instant::now` / `SystemTime` (wall clock) | non-test lib code; `x_*` bins are exempt; the one sanctioned library site is `now_trace::stopwatch` (`crates/now-trace/src/profile.rs`, allowlisted) |
-//! | D003 | thread spawning outside the `WavePool` machinery | all non-test code |
+//! | D002 | `Instant::now` / `SystemTime` (wall clock) | non-test lib code; `x_*` bins are exempt; the one sanctioned library site is `now_trace::stopwatch` (`D002_SANCTIONED_FILE`) |
+//! | D003 | thread spawning outside the `WavePool` machinery | all non-test code except the pool's home (`D003_SANCTIONED_FILE`) |
 //! | D004 | ambient entropy (`thread_rng`, `rand::random`, `OsRng`, …) | everywhere, tests included |
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
 //! | P001 | panic-capable sites (`.unwrap()` / `.expect(` / `panic!`-family / *computed* slice indexing) without a `// INVARIANT:` justification in the statement head | Prod-class non-test code |
@@ -33,7 +33,6 @@
 //! findings in noise.
 
 use crate::tokenizer::{TokKind, Token};
-use now_trace::Json;
 
 /// Where a file sits in the workspace; decides which rules bind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +45,8 @@ pub enum FileClass {
     /// and timing are fine.
     TestOnly,
     /// Experiment binaries (`crates/*/src/bin`, the `x_*` tools): emit
-    /// byte-diffed JSON, so determinism rules bind, but they are the
-    /// allow-listed wall-clock measurement sites.
+    /// byte-diffed JSON, so determinism rules bind, but they measure
+    /// wall-clock time by design and are exempt from D002.
     Bin,
     /// `examples/`: treated like binaries.
     Example,
@@ -67,25 +66,26 @@ impl Finding {
     pub fn render(&self) -> String {
         format!("{}:{} {} {}", self.path, self.line, self.rule, self.message)
     }
-
-    /// The finding as a JSON row of the `--json` report.
-    pub fn json(&self) -> Json {
-        Json::object([
-            ("path", self.path.as_str().into()),
-            ("line", u64::from(self.line).into()),
-            ("rule", self.rule.into()),
-            ("message", self.message.as_str().into()),
-        ])
-    }
 }
-
-/// All rule ids the allowlist may reference (L001 is emitted by the
-/// driver for stale allowlist entries and cannot itself be allowed).
-pub const RULE_IDS: &[&str] = &["D001", "D002", "D003", "D004", "S001", "P001", "API001"];
 
 /// Hash-based collections whose iteration order is randomized per
 /// process (`RandomState`) — poison for byte-identical reports.
 const D001_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// The one sanctioned wall-clock site, exempt from D002:
+/// `now_trace::stopwatch`, behind which every advisory measurement
+/// (`BatchReport::wall_nanos`, `wave_plan_nanos`) routes. Its readings
+/// are excluded from all byte-diffed artifacts and never fed back into
+/// deterministic state.
+pub(crate) const D002_SANCTIONED_FILE: &str = "crates/now-trace/src/profile.rs";
+
+/// The `WavePool` home, exempt from D003: `WavePool::new`, which spawns
+/// a pool's workers once for the pool's lifetime, is the only sanctioned
+/// thread-spawn site, gated by `tests/pool_spawn_accounting.rs`. The
+/// pool is also the only state shared across threads, and it takes no
+/// lock (write-once plan slots behind an atomic cursor), so no
+/// lock-discipline rule is needed.
+pub(crate) const D003_SANCTIONED_FILE: &str = "crates/now-core/src/wave_exec.rs";
 
 /// Ambient-entropy entry points. `DetRng` substreams are the only
 /// approved randomness source, in tests included: a test drawing OS
@@ -262,9 +262,9 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
 
         // D002 — wall clock in deterministic code. The x_* bins measure
         // time by design; library code must route advisory
-        // measurement through `now_trace::stopwatch`, whose home
-        // (crates/now-trace/src/profile.rs) is the one allowlisted site.
-        if !test_code && class != FileClass::Bin {
+        // measurement through `now_trace::stopwatch`, whose home is
+        // the one sanctioned site.
+        if !test_code && class != FileClass::Bin && path != D002_SANCTIONED_FILE {
             let instant_now = name == "Instant"
                 && next_noncomment(tokens, i).is_some_and(|t| t.is_punct(':'))
                 && tokens
@@ -279,7 +279,7 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
                     "D002",
                     "Instant::now reads the wall clock; deterministic paths must derive time \
                      from the step counter — advisory measurement goes through \
-                     now_trace::stopwatch (the one allowlisted site) or x_* bins"
+                     now_trace::stopwatch (the one sanctioned site) or x_* bins"
                         .to_string(),
                 );
             }
@@ -296,6 +296,7 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
 
         // D003 — thread spawning outside the WavePool machinery.
         if !test_code
+            && path != D003_SANCTIONED_FILE
             && name == "spawn"
             && next_noncomment(tokens, i).is_some_and(|t| t.is_punct('('))
         {
@@ -413,6 +414,22 @@ mod tests {
         // The word in other positions (e.g. a field or fn name being
         // defined without call syntax) is not a spawn call.
         assert!(rules(FileClass::Prod, "let spawn = 3; use_it(spawn);").is_empty());
+    }
+
+    #[test]
+    fn sanctioned_files_skip_only_their_own_rule() {
+        let src = "fn f() { let t = Instant::now(); std::thread::spawn(g); }";
+        let rules_at = |path: &str| -> Vec<&'static str> {
+            let mut toks = tokenize(src);
+            mark_test_scopes(&mut toks);
+            lint_tokens(path, FileClass::Prod, &toks)
+                .into_iter()
+                .map(|f| f.rule)
+                .collect()
+        };
+        assert_eq!(rules_at(D002_SANCTIONED_FILE), ["D003"]);
+        assert_eq!(rules_at(D003_SANCTIONED_FILE), ["D002"]);
+        assert_eq!(rules_at("crates/now-trace/src/lib.rs"), ["D002", "D003"]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The fixture corpus: each file under `fixtures/` pins one slice of
 //! tokenizer / scoping / rule behavior — positive and negative cases
 //! per rule plus the comment / string / raw-string / nested-test-module
-//! traps a naive grep gets wrong. The corpus is excluded from the real
-//! workspace run via `lint.toml` (it contains deliberate violations);
-//! these tests are what keep it honest.
+//! traps a naive grep gets wrong. The real workspace run skips the
+//! corpus (`SKIPPED_DIRS` in `src/lib.rs`: it contains deliberate
+//! violations); these tests are what keep it honest.
 
 use now_lint::api_lock::UnitFile;
 use now_lint::{lint_source, FileClass};

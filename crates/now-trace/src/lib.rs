@@ -14,7 +14,7 @@
 //!   derived from protocol outcomes; no wall clock ever enters a
 //!   metric. Exports as canonical JSON and Prometheus-style text.
 //! * **Phase profiler** ([`stopwatch`], [`SpanTotal`]) — the single
-//!   sanctioned wall-clock measurement site (lint rule D002 allowlists
+//!   sanctioned wall-clock measurement site (lint rule D002 exempts
 //!   exactly `src/profile.rs` of this crate). Wall-clock readings feed
 //!   advisory fields and process-global span totals only; they are
 //!   excluded from every byte-diffed artifact.

@@ -2,7 +2,7 @@
 //! measurement site**.
 //!
 //! Lint rule D002 bans `Instant::now` / `SystemTime` from every
-//! deterministic path; `lint.toml` allowlists exactly this file. All
+//! deterministic path and exempts exactly this file. All
 //! engine-internal timing — `BatchReport::wall_nanos` and the
 //! plan/apply/maintenance span totals in `now_core::wave_exec` — is
 //! funneled through [`stopwatch`], so the wall clock has one auditable

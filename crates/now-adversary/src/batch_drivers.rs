@@ -518,7 +518,7 @@ impl BatchBurstChurn {
 
     /// Whether the next batch is a join burst.
     pub fn is_joining(&self) -> bool {
-        self.position % 2 == 0
+        self.position.is_multiple_of(2)
     }
 
     /// The current sticky target, if steered and resolved.

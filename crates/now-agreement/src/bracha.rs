@@ -43,7 +43,7 @@ fn byz_message<R: Rng>(plan: ByzPlan, to: usize, make: fn(u64) -> Msg, rng: &mut
     match plan {
         ByzPlan::Silent => None,
         ByzPlan::ConstantValue(v) => Some(make(v)),
-        ByzPlan::Equivocate(a, b) => Some(make(if to % 2 == 0 { a } else { b })),
+        ByzPlan::Equivocate(a, b) => Some(make(if to.is_multiple_of(2) { a } else { b })),
         ByzPlan::Random => Some(make(rng.gen())),
     }
 }

@@ -12,13 +12,14 @@
 //!   (Σ `rounds_total − rounds_max` — the serial rounds the schedule
 //!   saves), and
 //! * with `--threads N`: the **measured** wall-clock speedup of the
-//!   pooled engine over its own 1-worker run, next to the *estimated*
+//!   pooled engine over its own 1-thread run, next to the *estimated*
 //!   round-complexity speedup — schedule model vs hardware reality on
 //!   the same batches.
 //!
 //! Every run executes the conflict-free waves over cluster footprints:
 //! without `--threads` on the driving thread (`ExecConfig::scheduled`),
-//! with `--threads N` on an N-worker `WavePool` (`ExecConfig::pooled`).
+//! with `--threads N` on an N-thread `WavePool` (`ExecConfig::pooled`:
+//! the driving thread and N − 1 workers).
 //! The two are bit-identical, so the report does not say which ran.
 //!
 //! `--smoke` runs a reduced sweep for CI. The CSV and JSON hold the
@@ -150,7 +151,7 @@ fn main() {
     let threads = parse_threads();
     match threads {
         Some(t) => println!(
-            "# X-BATCH: parallel join/leave batches (§2 footnote), pooled executor ({t} workers)\n"
+            "# X-BATCH: parallel join/leave batches (§2 footnote), pooled executor ({t} threads)\n"
         ),
         None => println!("# X-BATCH: parallel join/leave batches (§2 footnote)\n"),
     }
@@ -173,7 +174,7 @@ fn main() {
     println!("serialize some operations, so the estimated speedup is the ratio of serial");
     println!("rounds to the per-wave maxima rather than the ideal ×width; wave_slack is the");
     println!("serial rounds the schedule saves. With --threads N the meas_speedup column");
-    println!("reports the wall-clock ratio of the 1-worker run to the N-worker run of the");
+    println!("reports the wall-clock ratio of the 1-thread run to the N-thread run of the");
     println!("*same* batches (outcomes bit-identical, asserted): the schedule's estimate is");
     println!("a round-complexity model, the measurement is what the hardware delivers —");
     println!("wide waves approach min(width, cores), narrow ones ≈ 1, and a single-CPU host");

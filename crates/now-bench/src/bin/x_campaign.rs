@@ -77,7 +77,7 @@ fn run(args: &Args) -> Result<(), NowError> {
         })?;
 
     println!(
-        "# X-CAMPAIGN `{}` ({} phases, {} workers)\n",
+        "# X-CAMPAIGN `{}` ({} phases, {} threads)\n",
         report.campaign,
         report.phases.len(),
         args.threads

@@ -52,9 +52,9 @@ impl Campaign {
     /// Builds the system and runs every phase in order, returning the
     /// per-phase report together with the final system.
     ///
-    /// `threads` is the worker count of the campaign-scoped
-    /// [`WavePool`] (normalized by [`now_core::normalize_threads`];
-    /// spawned once and reused by every `exec pooled` and `exec event`
+    /// `threads` is the planner count of the campaign-scoped
+    /// [`WavePool`], the driving thread included (normalized by
+    /// [`now_core::normalize_threads`]; its workers are spawned once and reused by every `exec pooled` and `exec event`
     /// phase). It never changes outcomes (the engines are bit-identical
     /// across thread counts), only wall-clock.
     ///

@@ -80,7 +80,7 @@ impl BatchInput {
     /// Appends `n` uniform-contact arrivals of the given honesty.
     pub fn joins_uniform(mut self, n: usize, honest: bool) -> Self {
         self.joins
-            .extend(std::iter::repeat(JoinSpec::uniform(honest)).take(n));
+            .extend(std::iter::repeat_n(JoinSpec::uniform(honest), n));
         self
     }
 

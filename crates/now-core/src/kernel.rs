@@ -38,6 +38,7 @@
 use crate::cluster::ClusterSecurity;
 use crate::malice::{Malice, RandNumContext, RandNumPurpose};
 use crate::params::{NowParams, SecurityMode};
+use crate::rand_cl::WalkConstants;
 use crate::registry::Registry;
 use now_net::{ClusterId, CostKind, DetRng, Ledger, NodeId};
 use now_over::Overlay;
@@ -120,6 +121,39 @@ pub(crate) struct Kernel<'k, S: StateView> {
     /// substream on a view.
     pub(crate) rng: &'k mut DetRng,
     pub(crate) malice: &'k mut dyn Malice,
+    /// What every walk of the op shares. Private, so that every kernel
+    /// is built by [`Kernel::new`], which derives it from `overlay`.
+    walk: WalkConstants,
+}
+
+impl<'k, S: StateView> Kernel<'k, S> {
+    /// The kernel over `state`, with its walk constants computed from
+    /// `overlay`, whose vertex count cannot change while the kernel
+    /// borrows it.
+    pub(crate) fn new(
+        state: &'k mut S,
+        overlay: &'k Overlay,
+        params: NowParams,
+        ledger: &'k mut Ledger,
+        rng: &'k mut DetRng,
+        malice: &'k mut dyn Malice,
+    ) -> Self {
+        Kernel {
+            state,
+            overlay,
+            params,
+            ledger,
+            rng,
+            malice,
+            walk: WalkConstants::new(&params, overlay.vertex_count()),
+        }
+    }
+
+    /// The constants of this kernel's walks.
+    #[inline]
+    pub(crate) fn walk_constants(&self) -> WalkConstants {
+        self.walk
+    }
 }
 
 impl<S: StateView> Kernel<'_, S> {

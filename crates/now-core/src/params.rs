@@ -365,7 +365,7 @@ impl NowParams {
     /// bound stands in for `max_C |C|`, which the protocol cannot know
     /// exactly; sizes never exceed it while the invariants hold).
     pub fn acceptance_probability(&self, cluster_size: usize) -> f64 {
-        (cluster_size as f64 / self.max_cluster_size() as f64).clamp(0.0, 1.0)
+        acceptance(cluster_size, self.max_cluster_size())
     }
 
     /// Cap on biased-walk restarts before `rand_cl` falls back to the
@@ -375,6 +375,12 @@ impl NowParams {
     pub fn max_walk_restarts(&self) -> usize {
         self.max_walk_restarts
     }
+}
+
+/// [`NowParams::acceptance_probability`] under a normaliser the caller
+/// has already computed: `|C| / max_cluster_size`, clamped to `[0, 1]`.
+pub(crate) fn acceptance(cluster_size: usize, max_cluster_size: usize) -> f64 {
+    (cluster_size as f64 / max_cluster_size as f64).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

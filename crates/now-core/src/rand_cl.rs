@@ -21,24 +21,26 @@
 //! the current cluster's neighbor slice from the overlay and the next
 //! cluster's size and Byzantine count from the [`StateView`], which is
 //! a direct id → slot lookup on the live registry and on a planner
-//! view alike. Nothing is cached per walk, nothing is booked per hop,
-//! and the walk is monomorphised per state: a hop's costs stay in
-//! walk-local variables ([`WalkBooks`] — its `randNum` leaves as a
-//! count, a message sum and a peak, and its hand-off messages) and are
-//! settled into the ledger once per walk ([`Ledger::leaves`], exactly
-//! that many leaf calls). Of the ≈ 23 ns a hop
-//! takes on a `steady_*`-shaped system (min of 7 × 4 000 walks), the
-//! two draws' keystream is ≈ 6.5 ns (`DetRng` inlines to two buffered
-//! words of an eight-block ChaCha12 refill, AVX2 where the CPU has it;
-//! no call is made on the draw path), the `ln` ≈ 6 ns, and range
-//! scaling, the two reads and the tally the rest. The hop was ≈ 30 ns
-//! with a ledger leaf per draw (≈ 2.6 ns of it) and a four-block SSE2
-//! refill (≈ 4.5 ns more keystream; the portable routine costs ≈ 9 ns
-//! more again).
+//! view alike. Nothing is booked per hop, and the walk is
+//! monomorphised per state: a hop's costs stay in walk-local variables
+//! ([`WalkBooks`] — its `randNum` leaves as a count, a message sum and
+//! a peak, and its hand-off messages) and are settled into the ledger
+//! once per walk ([`Ledger::leaves`], exactly that many leaf calls).
+//! What every walk of an op shares — the CTRW duration and the
+//! acceptance normaliser ([`WalkConstants`]) — is computed once per
+//! [`Kernel`], so a walk's only libm call is its hops' `ln`. On a
+//! `steady_*`-shaped system a hop's marginal cost is ≈ 12.6 ns: the
+//! two draws' keystream is ≈ 2.4 ns (`DetRng` inlines to two buffered
+//! words of a sixteen-block ChaCha12 refill, AVX-512 where the CPU has
+//! it; no call is made on the draw path), the `ln` ≈ 6 ns, and range
+//! scaling, the two reads and the tally the rest. A walk's fixed cost
+//! in an op is ≈ 68 ns, and the constants alone cost ≈ 43 ns, which is
+//! why they are not computed per walk.
 
 use crate::cluster::ClusterSecurity;
 use crate::kernel::{Kernel, StateView};
 use crate::malice::RandNumPurpose;
+use crate::params::{acceptance, NowParams};
 use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, CostKind, Ledger};
 
@@ -51,6 +53,28 @@ pub struct WalkTrace {
     pub restarts: u64,
     /// Hops that passed through a `randNum`-compromised cluster.
     pub compromised_hops: u64,
+}
+
+/// What every walk of one op shares: the CTRW duration and the
+/// acceptance normaliser, both fixed by the overlay's vertex count and
+/// the parameters; [`Kernel::new`] computes them once per kernel.
+#[derive(Clone, Copy)]
+pub(crate) struct WalkConstants {
+    /// [`NowParams::ctrw_duration`] of the overlay.
+    duration: f64,
+    /// [`NowParams::max_cluster_size`], the size an endpoint is
+    /// accepted against.
+    max_cluster_size: usize,
+}
+
+impl WalkConstants {
+    /// The constants of walks on an overlay of `vertices` clusters.
+    pub(crate) fn new(params: &NowParams, vertices: usize) -> Self {
+        WalkConstants {
+            duration: params.ctrw_duration(vertices),
+            max_cluster_size: params.max_cluster_size(),
+        }
+    }
 }
 
 /// A walk's costs, kept in walk-local variables and settled into the
@@ -129,7 +153,10 @@ impl<S: StateView> Kernel<'_, S> {
             return (start, trace);
         }
 
-        let duration = self.params.ctrw_duration(m);
+        let WalkConstants {
+            duration,
+            max_cluster_size,
+        } = self.walk_constants();
         let mut current = start;
         let mut here = self.security(start);
         // Resolution for fixed-point randomness drawn via randNum.
@@ -192,7 +219,7 @@ impl<S: StateView> Kernel<'_, S> {
                 here = there;
             }
             // Size-biased acceptance at the endpoint.
-            let p_accept = self.params.acceptance_probability(here.size as usize);
+            let p_accept = acceptance(here.size as usize, max_cluster_size);
             let draw = self.walk_draw(books, current, RES, RandNumPurpose::WalkAcceptance, here);
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
                 return (current, trace);

@@ -2,7 +2,8 @@
 //! each wave's operations in parallel while keeping the run
 //! **bit-identical at every thread count** — same admitted ids, same
 //! population, same ledger totals, same wave schedule whether the
-//! batch is planned on the driving thread or on 2 or 8 pool workers.
+//! batch is planned on the driving thread alone or by a pool of 2 or 8
+//! planners.
 //!
 //! # Worker pool
 //!
@@ -10,14 +11,16 @@
 //! spawn **once per pool** (held by the caller of `step_batch`;
 //! campaign-scoped in `now-campaign`) and receive wave-plan jobs over
 //! per-worker channels — O(threads) thread spawns per run, however many
-//! narrow waves a conflict-heavy batch schedules into. Workers claim
-//! operations through an atomic cursor and write plans into positional
-//! write-once slots (`OnceLock`), so pooled planning is bit-identical
-//! to sequential planning on the driving thread
+//! narrow waves a conflict-heavy batch schedules into. The driving
+//! thread is one of a pool's `threads` planners: it takes a wave's
+//! first op before it dispatches, then claims operations through the
+//! same atomic cursor as the workers. Every planner writes its plans
+//! into positional write-once slots (`OnceLock`), so pooled planning is
+//! bit-identical to sequential planning on the driving thread
 //! (`ExecConfig::scheduled()`), the reference every pooled run is
-//! tested against. The cursor hands each index to exactly one worker,
-//! so no slot is ever contended and nothing in the pool takes a lock:
-//! a worker that panics leaves its slot empty, the pool re-raises the
+//! tested against. The cursor hands each index to exactly one planner,
+//! so no slot is ever contended and nothing in the pool takes a lock: a
+//! planner that panics leaves its slot empty, the pool re-raises the
 //! panic on the driving thread once the wave has quiesced, and the
 //! same pool plans the next wave.
 //!
@@ -140,8 +143,9 @@ use std::sync::{mpsc, OnceLock};
 /// Canonical normalization of the `threads` knob, shared by **every**
 /// entry point that accepts one ([`WavePool::new`], the campaign
 /// runner's `threads` argument, the `--threads` flag of the binaries):
-/// `0` means "unspecified" and is treated as 1 worker. Centralized so
-/// no call site can drift to a different rule.
+/// the number of planners, the driving thread included, where `0`
+/// means "unspecified" and is treated as 1 (plan inline). Centralized
+/// so no call site can drift to a different rule.
 pub fn normalize_threads(threads: usize) -> usize {
     threads.max(1)
 }
@@ -506,14 +510,14 @@ impl<S: StateView> Kernel<'_, S> {
 fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn Malice) -> OpPlan {
     let mut view = Planner::new(ctx.registry);
     let mut ledger = Ledger::new();
-    let outcome = Kernel {
-        state: &mut view,
-        overlay: ctx.overlay,
-        params: ctx.params,
-        ledger: &mut ledger,
-        rng: &mut rng,
+    let outcome = Kernel::new(
+        &mut view,
+        ctx.overlay,
+        ctx.params,
+        &mut ledger,
+        &mut rng,
         malice,
-    }
+    )
     .run_op(&spec.op);
     OpPlan {
         effects: view.effects,
@@ -522,11 +526,29 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
     }
 }
 
-/// The pool workers' claim loop: claim the next op via the atomic
-/// cursor, derive its substream, plan it, and park the plan in its
-/// positional slot. Plans are keyed by `(master, time_step, canon)`
-/// alone, so the output is bit-identical however claims interleave —
-/// and identical to [`plan_wave_sequential`].
+/// Plans op `i` of a pooled wave on its own substream and parks the
+/// plan in its positional slot. Plans are keyed by `(master, time_step,
+/// canon)` alone, so the output is bit-identical whichever thread plans
+/// which op — and identical to [`plan_wave_sequential`].
+fn plan_into_slot(
+    ctx: &WaveCtx<'_>,
+    specs: &[OpSpec],
+    slots: &[OnceLock<OpPlan>],
+    i: usize,
+    master: u64,
+    time_step: u64,
+) {
+    let rng = DetRng::for_op(master, time_step, specs[i].canon);
+    // A pool only ever plans for a neutral adversary.
+    let plan = plan_op(ctx, &specs[i], rng, &mut NoMalice);
+    // Each index is planned once — op 0 by the driving thread, every
+    // other by whoever the cursor hands it to — so this is the slot's
+    // only write and it cannot find the slot full.
+    let _ = slots[i].set(plan);
+}
+
+/// The planners' claim loop, on the workers and the driving thread
+/// alike: claim the next op via the atomic cursor and plan it.
 fn claim_and_plan(
     ctx: &WaveCtx<'_>,
     specs: &[OpSpec],
@@ -540,12 +562,7 @@ fn claim_and_plan(
         if i >= specs.len() {
             break;
         }
-        let rng = DetRng::for_op(master, time_step, specs[i].canon);
-        // Workers only ever plan for a neutral adversary.
-        let plan = plan_op(ctx, &specs[i], rng, &mut NoMalice);
-        // The cursor hands out each index once, so this is the slot's
-        // only write and it cannot find the slot full.
-        let _ = slots[i].set(plan);
+        plan_into_slot(ctx, specs, slots, i, master, time_step);
     }
 }
 
@@ -570,14 +587,14 @@ fn plan_wave_sequential(
 
 /// Drains the positional slots into the wave's plan vector.
 ///
-/// Only called after the pool has observed every worker finish
-/// cleanly (a worker panic is re-raised before collection), so the
-/// claim cursor ran past every op and every slot was filled.
+/// Only called after the pool has observed every planner finish
+/// cleanly (a panic is re-raised before collection), so the claim
+/// cursor ran past every op and every slot was filled.
 fn collect_slots(slots: Vec<OnceLock<OpPlan>>) -> Vec<OpPlan> {
     slots
         .into_iter()
         .map(|slot| {
-            // INVARIANT: every worker finished without panicking, so
+            // INVARIANT: every planner finished without panicking, so
             // each claimed op's plan was set (see above).
             slot.into_inner().expect("every op planned")
         })
@@ -608,11 +625,12 @@ struct WaveJob {
 
 // SAFETY: a `WaveJob` is an inert bundle of pointers plus plain keying
 // data. The pointees (`WaveCtx`, `OpSpec`s, `OnceLock` slots, cursor)
-// are all `Sync` — workers only read the context/specs, and each slot
-// is written once, by the one worker the atomic cursor handed its
-// index — and the driving thread guarantees they outlive every worker
-// access by blocking until all completion signals for the wave have
-// been received.
+// are all `Sync` — planners only read the context/specs, and each slot
+// is written once, by the one planner the atomic cursor handed its
+// index (op 0, which the cursor never hands out, by the driving
+// thread) — and the driving thread guarantees they outlive every
+// worker access by blocking until all completion signals for the wave
+// have been received, its own share's panic included.
 #[allow(unsafe_code)]
 unsafe impl Send for WaveJob {}
 
@@ -651,15 +669,18 @@ struct PoolWorker {
 ///
 /// Conflict-heavy batches schedule into hundreds of narrow waves per
 /// step, so a `WavePool` spawns its workers once, at construction, and
-/// feeds them wave-plan jobs over per-worker channels; workers claim
-/// operations through an atomic cursor and write plans into positional
-/// slots, so the output is **bit-identical** to sequential planning at
-/// every thread count — the property tests pin them equal.
+/// feeds them wave-plan jobs over per-worker channels. `threads` counts
+/// the planners, and the driving thread is one of them: it takes op 0
+/// of a wave, dispatches one job per further op up to the pool's
+/// workers, and then claims operations through the same atomic cursor
+/// as the workers. Every planner writes into positional slots, so the
+/// output is **bit-identical** to sequential planning at every thread
+/// count — the property tests pin them equal.
 ///
 /// * `threads == 1` (or 0, see [`normalize_threads`]) spawns **no**
 ///   workers: planning runs inline on the driving thread.
-/// * `threads == t ≥ 2` spawns exactly `t` workers for the pool's whole
-///   lifetime — O(threads) spawns per run, asserted by the
+/// * `threads == t ≥ 2` spawns exactly `t − 1` workers for the pool's
+///   whole lifetime — O(threads) spawns per run, asserted by the
 ///   spawn-accounting test via [`wave_worker_spawn_total`].
 /// * A pool is stateless between waves: it can be reused across
 ///   batches, runs, phases, and even different [`NowSystem`]s, which is
@@ -674,8 +695,9 @@ pub struct WavePool {
 }
 
 impl WavePool {
-    /// Spawns the pool's workers: `normalize_threads(threads)` OS
-    /// threads when `threads ≥ 2`, none for single-worker pools.
+    /// Spawns the pool's workers: `normalize_threads(threads) − 1` OS
+    /// threads, since the driving thread is the last planner; none for
+    /// single-planner pools.
     pub fn new(threads: usize) -> Self {
         let threads = normalize_threads(threads);
         let (done_tx, done_rx) = mpsc::channel();
@@ -683,7 +705,7 @@ impl WavePool {
         if threads > 1 {
             // The workspace's one thread-spawn site: every other spawn
             // is a D003 finding (the rule exempts this file alone).
-            for _ in 0..threads {
+            for _ in 1..threads {
                 let (job_tx, job_rx) = mpsc::channel::<WaveJob>();
                 let done = done_tx.clone();
                 let handle = std::thread::Builder::new()
@@ -717,13 +739,14 @@ impl WavePool {
         }
     }
 
-    /// The normalized thread budget this pool was built with.
+    /// The normalized thread budget this pool was built with: its
+    /// workers plus the driving thread.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Worker threads actually spawned (`threads` for multi-worker
-    /// pools, 0 for single-worker pools, which plan inline).
+    /// Worker threads actually spawned (`threads − 1`; 0 for
+    /// single-planner pools, which plan inline).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
@@ -731,9 +754,10 @@ impl WavePool {
     /// Plans one wave on the pool. Waves of one op never get here (they
     /// run live, see the module docs), so every wave planned has two or
     /// more ops. Sequential inline planning when the pool has no
-    /// workers; otherwise the wave is dispatched to `min(workers, ops)`
-    /// workers and the call blocks until every dispatched worker has
-    /// drained the cursor.
+    /// workers; otherwise the driving thread takes op 0, dispatches
+    /// `min(workers, ops − 1)` jobs, plans op 0 and then claims from
+    /// the cursor with the workers, and blocks until every dispatched
+    /// worker has drained it.
     fn plan_wave(
         &self,
         ctx: &WaveCtx<'_>,
@@ -742,17 +766,19 @@ impl WavePool {
         time_step: u64,
     ) -> Vec<OpPlan> {
         let n = specs.len();
-        let participants = self.workers.len().min(n);
-        if participants <= 1 {
+        let jobs = self.workers.len().min(n.saturating_sub(1));
+        if jobs == 0 {
             return plan_wave_sequential(ctx, specs, master, time_step, &mut NoMalice);
         }
         let slots: Vec<OnceLock<OpPlan>> = (0..n).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
+        // Op 0 is the driving thread's, taken before any job is sent, so
+        // it has work however fast the workers claim.
+        let cursor = AtomicUsize::new(1);
         // Lifetime-collapsing cast for transport; see `WaveJob`.
         let ctx_ptr = (ctx as *const WaveCtx<'_>).cast::<WaveCtx<'static>>();
-        // INVARIANT: `participants = workers.len().min(n)`, so the
-        // prefix slice is always in bounds.
-        for worker in &self.workers[..participants] {
+        // INVARIANT: `jobs ≤ workers.len()`, so the prefix slice is
+        // always in bounds.
+        for worker in &self.workers[..jobs] {
             let job = WaveJob {
                 ctx: ctx_ptr,
                 specs: specs.as_ptr(),
@@ -767,14 +793,20 @@ impl WavePool {
             // a live pool's job channel always has a receiver.
             worker.job_tx.send(job).expect("pool worker alive");
         }
+        // The driving thread's share. Its panic is caught like a
+        // worker's, so it too unwinds only once the wave has quiesced.
+        let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan_into_slot(ctx, specs, &slots, 0, master, time_step);
+            claim_and_plan(ctx, specs, &slots, &cursor, master, time_step);
+        }));
         // Block until every dispatched worker has finished: this is the
         // synchronization the `WaveJob` safety contract relies on — the
         // wave's stack data (ctx borrow, specs, slots, cursor) stays
-        // alive past the last worker access. Worker panics are carried
-        // back over the channel and resumed on the driving thread after
-        // the wave has fully quiesced.
+        // alive past the last worker access. Panics, the driving
+        // thread's first, are resumed on the driving thread after the
+        // wave has fully quiesced.
         let mut worker_panic = None;
-        for _ in 0..participants {
+        for _ in 0..jobs {
             // INVARIANT: every dispatched worker sends exactly one
             // completion signal (even on panic, via catch_unwind), and
             // workers outlive the pool that holds their senders.
@@ -783,7 +815,7 @@ impl WavePool {
                 Err(panic) => worker_panic = Some(panic),
             }
         }
-        if let Some(panic) = worker_panic {
+        if let Some(panic) = driven.err().or(worker_panic) {
             std::panic::resume_unwind(panic);
         }
         collect_slots(slots)
@@ -1014,9 +1046,9 @@ impl NowSystem {
 
     /// Executes one conflict-free wave, then its deferred size
     /// maintenance. A wave of one op runs the op kernel live on the
-    /// registry ([`NowSystem::run_op_live`]); a wider one is planned on
-    /// the pool's workers (on the driving thread without a pool, or for
-    /// a strategic Malice), its effects applied and its ledgers folded
+    /// registry ([`NowSystem::run_op_live`]); a wider one is planned by
+    /// the pool's planners (on the driving thread alone without a pool,
+    /// or for a strategic Malice), its effects applied and its ledgers folded
     /// canonically ([`NowSystem::plan_and_apply`]). Shared by the wave
     /// engines (canonical order) and the event engine (delivery order).
     pub(crate) fn execute_wave(
@@ -1051,14 +1083,14 @@ impl NowSystem {
         } else {
             self.malice.as_mut()
         };
-        Kernel {
-            state: &mut self.registry,
-            overlay: &self.overlay,
-            params: self.params,
-            ledger: &mut self.ledger,
-            rng: &mut rng,
+        Kernel::new(
+            &mut self.registry,
+            &self.overlay,
+            self.params,
+            &mut self.ledger,
+            &mut rng,
             malice,
-        }
+        )
         .run_op(&spec.op)
     }
 
@@ -1208,6 +1240,7 @@ mod tests {
     use rand::RngCore;
     use std::cell::Cell;
     use std::rc::Rc;
+    use std::time::Duration;
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -1312,7 +1345,7 @@ mod tests {
         assert_eq!(normalize_threads(7), 7);
         let pool = WavePool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.worker_count(), 0, "single-worker pools plan inline");
+        assert_eq!(pool.worker_count(), 0, "single-planner pools plan inline");
     }
 
     /// The pool's contract: pooled planning and sequential planning on
@@ -1962,14 +1995,14 @@ mod tests {
         let mut ledger = Ledger::new();
         let joiner = NodeId::from_raw(1 << 40);
         let contact = sys.cluster_ids()[17];
-        let host = Kernel {
-            state: &mut planner,
-            overlay: &sys.overlay,
-            params: sys.params,
-            ledger: &mut ledger,
-            rng: &mut DetRng::new(9),
-            malice: &mut NoMalice,
-        }
+        let host = Kernel::new(
+            &mut planner,
+            &sys.overlay,
+            sys.params,
+            &mut ledger,
+            &mut DetRng::new(9),
+            &mut NoMalice,
+        )
         .join(joiner, true, contact);
         ledger.end();
 
@@ -2050,6 +2083,58 @@ mod tests {
         assert_eq!(message, Some("admitted leaver"));
 
         assert!(good.len() > pool.worker_count(), "every worker plans");
+        let pooled = pool.plan_wave(&ctx, &good, master, time_step);
+        let sequential = plan_wave_sequential(&ctx, &good, master, time_step, &mut NoMalice);
+        assert_eq!(format!("{pooled:?}"), format!("{sequential:?}"));
+        drop(pool);
+    }
+
+    /// The driving thread's own op panics: the panic reaches the caller
+    /// only after the worker it dispatched has finished (no completion
+    /// signal is left to arrive), and the same pool then plans a
+    /// well-formed wave exactly as the driving thread does alone.
+    #[test]
+    fn driver_panic_waits_for_workers_and_the_pool_plans_on() {
+        let mut sys = sparse_system(21);
+        let leaves: Vec<NodeId> = sys.node_ids().into_iter().step_by(17).take(3).collect();
+        let joins = [JoinSpec::uniform(true), JoinSpec::uniform(false)];
+        let good = sys.admit_batch(&joins, &leaves).specs;
+        // Op 0, the driving thread's, is the leave of a node the
+        // registry never held; the worker's op 1 is a real leave.
+        let leave = |node, canon| OpSpec {
+            op: PlannedOp::Leave { node },
+            footprint: Vec::new(),
+            canon,
+            center: good[0].center,
+            contact_redrawn: false,
+        };
+        let bad = [leave(NodeId::from_raw(1 << 40), 0), leave(leaves[0], 1)];
+
+        let ctx = WaveCtx {
+            registry: &sys.registry,
+            overlay: &sys.overlay,
+            params: sys.params,
+        };
+        let (master, time_step) = (77, sys.time_step);
+        let pool = WavePool::new(2);
+        assert_eq!(pool.worker_count(), 1);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.plan_wave(&ctx, &bad, master, time_step)
+        }))
+        .expect_err("the driving thread's panic reaches the caller");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("admitted leaver"));
+        // Were the worker still planning, its completion would arrive
+        // now; it was drained before the panic resumed.
+        let late = pool.done_rx.recv_timeout(Duration::from_millis(250));
+        assert!(
+            matches!(late, Err(mpsc::RecvTimeoutError::Timeout)),
+            "the worker finished before the driving thread's panic resumed"
+        );
+
         let pooled = pool.plan_wave(&ctx, &good, master, time_step);
         let sequential = plan_wave_sequential(&ctx, &good, master, time_step, &mut NoMalice);
         assert_eq!(format!("{pooled:?}"), format!("{sequential:?}"));

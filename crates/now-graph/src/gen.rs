@@ -118,7 +118,7 @@ pub fn near_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
         let mut stubs: Vec<usize> = Vec::new();
         for v in 0..n {
             let deficit = d.saturating_sub(g.degree(v));
-            stubs.extend(std::iter::repeat(v).take(deficit));
+            stubs.extend(std::iter::repeat_n(v, deficit));
         }
         if stubs.len() < 2 {
             break;

@@ -159,7 +159,7 @@ impl EventNetConfig {
 
     /// Whether the partition is in force at virtual time `now`.
     pub fn partitioned_at(&self, now: u64) -> bool {
-        self.partition != Partition::None && self.heal_at.map_or(true, |h| now < h)
+        self.partition != Partition::None && self.heal_at.is_none_or(|h| now < h)
     }
 
     /// Whether the link `from → to` is cut at virtual time `now`.

@@ -71,7 +71,7 @@ fn widened_band_supports_population_beyond_capacity() {
     assert_eq!(params.max_population(), 776); // 256^1.2
     let mut sys = NowSystem::init_fast(params, 100, 0.1, 73);
     while sys.population() < 400 {
-        sys.try_join(sys.population() % 10 != 0).unwrap();
+        sys.try_join(!sys.population().is_multiple_of(10)).unwrap();
     }
     assert!(sys.population() > (1 << 8), "population beyond N");
     let audit = sys.audit();

@@ -1,6 +1,7 @@
 //! Spawn accounting for the persistent wave-worker pool: a pooled run
 //! spawns **O(threads) worker threads total**, however many batches and
-//! waves it executes. The assertions read the process-global spawn counter
+//! waves it executes — exactly `threads − 1`, since the driving thread
+//! is the pool's last planner. The assertions read the process-global spawn counter
 //! (`wave_worker_spawn_total`), so this file deliberately contains a
 //! **single** test — integration-test binaries run their tests in
 //! parallel, and any concurrently spawning test in the same process
@@ -20,7 +21,10 @@ fn sparse_system(seed: u64) -> NowSystem {
 }
 
 fn step_batch(sys: &NowSystem, step: usize) -> (Vec<JoinSpec>, Vec<NodeId>) {
-    let joins = vec![JoinSpec::uniform(step % 3 != 0), JoinSpec::uniform(true)];
+    let joins = vec![
+        JoinSpec::uniform(!step.is_multiple_of(3)),
+        JoinSpec::uniform(true),
+    ];
     let leaves: Vec<NodeId> = sys
         .node_ids()
         .into_iter()
@@ -35,15 +39,15 @@ const THREADS: usize = 4;
 
 #[test]
 fn pool_spawns_o_threads_per_run() {
-    // ---- pooled run: exactly THREADS spawns, all at pool creation ----
+    // ---- pooled run: exactly THREADS − 1 spawns, all at pool creation ----
     let before = wave_worker_spawn_total();
     let pool = WavePool::new(THREADS);
     assert_eq!(
         wave_worker_spawn_total() - before,
-        THREADS as u64,
-        "a pool spawns its workers eagerly, once"
+        THREADS as u64 - 1,
+        "a pool spawns its workers eagerly, once; the driving thread is the last planner"
     );
-    assert_eq!(pool.worker_count(), THREADS);
+    assert_eq!(pool.worker_count(), THREADS - 1);
 
     let mut sys = sparse_system(5);
     let mut pooled_wide_waves: Vec<usize> = Vec::new();
@@ -62,13 +66,13 @@ fn pool_spawns_o_threads_per_run() {
     );
     assert_eq!(
         wave_worker_spawn_total() - before,
-        THREADS as u64,
+        THREADS as u64 - 1,
         "the pooled run must not spawn beyond its initial workers: \
          O(threads) per run, not O(waves)"
     );
     drop(pool);
 
-    // A single-worker pool plans inline: zero spawns.
+    // A single-planner pool plans inline: zero spawns.
     let before = wave_worker_spawn_total();
     let inline_pool = WavePool::new(1);
     let mut sys = sparse_system(5);

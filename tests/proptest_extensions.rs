@@ -117,7 +117,7 @@ proptest! {
         let all_before: BTreeSet<_> = sys.node_ids().into_iter().collect();
         let sizes_before: Vec<usize> = sys.clusters().map(|c| c.size()).collect();
         let target = sys.cluster_ids()[seed as usize % sys.cluster_count()];
-        sys.exchange_all(target, seed % 2 == 0);
+        sys.exchange_all(target, seed.is_multiple_of(2));
         let all_after: BTreeSet<_> = sys.node_ids().into_iter().collect();
         let sizes_after: Vec<usize> = sys.clusters().map(|c| c.size()).collect();
         prop_assert_eq!(all_before, all_after);

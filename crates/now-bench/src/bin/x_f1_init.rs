@@ -38,7 +38,13 @@ fn main() {
         let out = discover(&g, &byz, &mut ledger);
         assert!(out.complete, "discovery must complete at this density");
         let params = NowParams::for_capacity(1 << 10).unwrap();
-        let _cl = clusterize(n, &byz, params.target_cluster_size(), &mut ledger, &mut rng);
+        let _cl = clusterize(
+            n,
+            &byz,
+            params.initial_cluster_count(n),
+            &mut ledger,
+            &mut rng,
+        );
         let clus = ledger.stats(CostKind::Clusterization);
         let e = g.edge_count() as u64;
         let envelope = 2 * n as u64 * e; // each id crosses each edge at most once per direction

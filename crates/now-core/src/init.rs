@@ -12,8 +12,9 @@
 //! 2. **Clusterization** ([`clusterize`]): a representative committee of
 //!    logarithmic size agrees on a random seed (we run the *real*
 //!    commit–reveal `randNum` of [`now_agreement`] among the committee),
-//!    derives a uniformly random partition into clusters of `k·logN`,
-//!    and broadcasts the assignment, which each node accepts from a
+//!    derives a uniformly random partition into clusters of about
+//!    `k·logN` ([`crate::NowParams::initial_cluster_count`]), and
+//!    broadcasts the assignment, which each node accepts from a
 //!    majority of the committee.
 //!
 //! **Substitution note:** the paper elects the committee
@@ -131,26 +132,31 @@ pub struct ClusterizeOutcome {
 /// Runs the clusterization sub-phase among `n` ports with the given
 /// Byzantine set: committee election (cost accounted per \[19\], outcome
 /// inherited — see module docs), a *real* commit–reveal `randNum` among
-/// the committee, a seed-driven random partition into clusters of
-/// `target_size`, and the assignment broadcast. Costs are recorded under
+/// the committee, a seed-driven random partition into `cluster_count`
+/// clusters (callers pass [`crate::NowParams::initial_cluster_count`]),
+/// and the assignment broadcast. Costs are recorded under
 /// [`CostKind::Clusterization`].
 ///
 /// # Panics
-/// Panics if `n == 0` or `target_size == 0`.
+/// Panics if `n == 0` or `cluster_count ∉ 1..=n`.
 pub fn clusterize(
     n: usize,
     byz: &BTreeSet<usize>,
-    target_size: usize,
+    cluster_count: usize,
     ledger: &mut Ledger,
     rng: &mut DetRng,
 ) -> ClusterizeOutcome {
     assert!(n > 0, "clusterize needs nodes");
-    assert!(target_size > 0, "cluster target size must be positive");
+    assert!(
+        (1..=n).contains(&cluster_count),
+        "cluster count must lie in 1..=n"
+    );
     ledger.begin(CostKind::Clusterization);
 
     // Committee election: uniform draw (distribution certified by the
     // substituted BA of [19]); its Õ(n√n) message cost is accounted.
-    let committee_size = target_size.min(n);
+    // The committee is as large as the smallest cluster it forms.
+    let committee_size = n / cluster_count;
     let committee = sample_distinct(n, committee_size, rng);
     let election_cost = ((n as f64).powf(1.5) * (n.max(2) as f64).log2()).ceil() as u64;
     ledger.add_messages(election_cost);
@@ -181,7 +187,6 @@ pub fn clusterize(
     let mut order: Vec<usize> = (0..n).collect();
     let mut part_rng = DetRng::new(seed);
     shuffle(&mut order, &mut part_rng);
-    let cluster_count = (n / target_size).max(1);
     let mut assignment = vec![0usize; n];
     for (pos, &port) in order.iter().enumerate() {
         assignment[port] = pos % cluster_count;
@@ -235,7 +240,8 @@ pub fn init_discovered(
                 .to_string(),
         });
     }
-    let outcome = clusterize(n, &byz, params.target_cluster_size(), &mut ledger, &mut rng);
+    let cluster_count = params.initial_cluster_count(n);
+    let outcome = clusterize(n, &byz, cluster_count, &mut ledger, &mut rng);
 
     // Build the system from the measured assignment.
     let mut sys =
@@ -244,11 +250,17 @@ pub fn init_discovered(
     // rebuild memberships according to `outcome.assignment`.
     let node_ids = sys.node_ids();
     let cluster_ids = sys.cluster_ids();
-    if cluster_ids.len() == outcome.cluster_count {
-        for (port, &node) in node_ids.iter().enumerate() {
-            let target = cluster_ids[outcome.assignment[port]];
-            sys.move_node(node, target);
-        }
+    // INVARIANT: both partitions deal `n` nodes into
+    // `initial_cluster_count(n)` clusters, so every assignment index
+    // names a live cluster.
+    assert_eq!(
+        cluster_ids.len(),
+        outcome.cluster_count,
+        "one cluster-count rule"
+    );
+    for (port, &node) in node_ids.iter().enumerate() {
+        let target = cluster_ids[outcome.assignment[port]];
+        sys.move_node(node, target);
     }
     // Swap in the measured initialization ledger (the fast path's
     // synthetic init costs are replaced by the real ones).
@@ -351,7 +363,7 @@ mod tests {
     fn clusterize_partitions_evenly() {
         let mut ledger = Ledger::new();
         let mut rng = DetRng::new(5);
-        let out = clusterize(100, &BTreeSet::new(), 20, &mut ledger, &mut rng);
+        let out = clusterize(100, &BTreeSet::new(), 5, &mut ledger, &mut rng);
         assert_eq!(out.cluster_count, 5);
         let mut sizes = vec![0usize; 5];
         for &a in &out.assignment {
@@ -368,8 +380,8 @@ mod tests {
     fn clusterize_is_deterministic_per_rng() {
         let mut l1 = Ledger::new();
         let mut l2 = Ledger::new();
-        let a = clusterize(60, &BTreeSet::new(), 15, &mut l1, &mut DetRng::new(6));
-        let b = clusterize(60, &BTreeSet::new(), 15, &mut l2, &mut DetRng::new(6));
+        let a = clusterize(60, &BTreeSet::new(), 4, &mut l1, &mut DetRng::new(6));
+        let b = clusterize(60, &BTreeSet::new(), 4, &mut l2, &mut DetRng::new(6));
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.seed, b.seed);
     }
@@ -379,7 +391,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut rng = DetRng::new(7);
         let byz: BTreeSet<usize> = (0..20).collect(); // 20% of 100
-        let out = clusterize(100, &byz, 20, &mut ledger, &mut rng);
+        let out = clusterize(100, &byz, 5, &mut ledger, &mut rng);
         // Silent byzantine committee members cannot block the seed.
         assert_eq!(out.assignment.len(), 100);
         assert_eq!(out.cluster_count, 5);

@@ -128,8 +128,9 @@ impl NowParams {
     ///
     /// # Errors
     /// Returns [`NowError::BadParams`] if `capacity < 16`, `k == 0`,
-    /// `l ≤ √2`, `τ ∉ [0, 1/3)`, `ε ≤ 0`, or `τ·(1+ε) ≥ 1/3` (the
-    /// regime Lemma 1 needs).
+    /// `l ≤ √2` or an integer band `[min, max]` with `⌈max/2⌉ < min`,
+    /// `τ ∉ [0, 1/3)`, `ε ≤ 0`, or `τ·(1+ε) ≥ 1/3` (the regime Lemma 1
+    /// needs).
     pub fn new(capacity: u64, k: usize, l: f64, tau: f64, epsilon: f64) -> Result<Self, NowError> {
         Self::build(SecurityMode::Plain, capacity, k, l, tau, epsilon)
     }
@@ -140,7 +141,8 @@ impl NowParams {
     ///
     /// # Errors
     /// Returns [`NowError::BadParams`] if `capacity < 16`, `k == 0`,
-    /// `l ≤ √2`, `τ ∉ [0, 1/2)`, `ε ≤ 0`, or `τ·(1+ε) ≥ 1/2`.
+    /// `l ≤ √2` or an integer band `[min, max]` with `⌈max/2⌉ < min`,
+    /// `τ ∉ [0, 1/2)`, `ε ≤ 0`, or `τ·(1+ε) ≥ 1/2`.
     pub fn new_authenticated(
         capacity: u64,
         k: usize,
@@ -193,7 +195,7 @@ impl NowParams {
                 }
             };
         }
-        Ok(NowParams {
+        let params = NowParams {
             capacity,
             k,
             l,
@@ -207,7 +209,23 @@ impl NowParams {
             max_walk_restarts: 64,
             shuffle: true,
             exchange_cap: None,
-        })
+        };
+        // `l > √2` is the real-valued condition; the integer band must
+        // also hold it: a just-oversized cluster (max + 1 members)
+        // splits into halves of ⌊(max + 1)/2⌋ = ⌈max/2⌉ and one more,
+        // and nothing re-checks the smaller one.
+        let (min, max) = (params.min_cluster_size(), params.max_cluster_size());
+        let half = max.div_ceil(2);
+        if half < min {
+            return Err(NowError::BadParams {
+                reason: format!(
+                    "band [{min}, {max}] too narrow: a split of {} members leaves a half \
+                     of {half} under the merge bound",
+                    max + 1
+                ),
+            });
+        }
+        Ok(params)
     }
 
     /// Generalizes the population band to `N^{1/y} ≤ n ≤ N^z` (the
@@ -340,6 +358,17 @@ impl NowParams {
         (self.k as f64 * self.log_n() / self.l).ceil() as usize
     }
 
+    /// How many clusters an initial population of `n` nodes is dealt
+    /// into: `max(⌊n/t⌋, ⌈n/max⌉, 1)` for the target size `t` and the
+    /// split threshold `max`. The first term keeps every cluster at
+    /// least `t` strong, the second keeps none over the band when `n`
+    /// falls between two multiples of `t`.
+    pub fn initial_cluster_count(&self, n: usize) -> usize {
+        (n / self.target_cluster_size())
+            .max(n.div_ceil(self.max_cluster_size()))
+            .max(1)
+    }
+
     /// Lower bound on the population (`N^{1/y}`, default `√N`) the model
     /// assumes.
     pub fn min_population(&self) -> u64 {
@@ -427,6 +456,45 @@ mod tests {
             NowParams::new(1 << 10, 2, 1.5, 0.32, 0.2).is_err(),
             "tau(1+eps) ≥ 1/3"
         );
+    }
+
+    #[test]
+    fn rejects_a_band_whose_split_halves_fall_under_it() {
+        // N = 2^10, k = 2, l = 1.42: band [15, 28], and a 29-node
+        // cluster would split into 14 + 15.
+        let Err(NowError::BadParams { reason }) = NowParams::new(1 << 10, 2, 1.42, 0.2, 0.1) else {
+            panic!("a band that cannot hold a split must be rejected");
+        };
+        assert!(reason.contains("[15, 28]"), "{reason}");
+        for l in [1.5, 2.0] {
+            for log_n in 4..=16 {
+                for k in 1..=6 {
+                    assert!(NowParams::new(1 << log_n, k, l, 0.2, 0.1).is_ok());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn initial_clusters_start_inside_the_band() {
+        for (k, l) in [(2, 1.5), (3, 1.5), (3, 2.0)] {
+            let p = NowParams::new(1 << 10, k, l, 0.2, 0.1).unwrap();
+            let t = p.target_cluster_size();
+            for n in 1..=8 * t {
+                let c = p.initial_cluster_count(n);
+                let (small, large) = (n / c, n.div_ceil(c));
+                assert!(large <= p.max_cluster_size(), "n = {n}: {c} clusters");
+                assert!(
+                    c == 1 || small >= p.min_cluster_size(),
+                    "n = {n}: {c} clusters"
+                );
+            }
+        }
+        // Between two multiples of t = 20 (band [14, 30]): 35 nodes
+        // start as two clusters, not one oversize cluster.
+        let p = NowParams::new(1 << 10, 2, 1.5, 0.2, 0.1).unwrap();
+        assert_eq!(p.initial_cluster_count(35), 2);
+        assert_eq!(p.initial_cluster_count(60), 3);
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl NowSystem {
     ///
     /// This is the fast (L1) initialization: it produces the *outcome*
     /// of the paper's initialization phase — a uniformly random
-    /// partition into clusters of target size plus a fresh random
-    /// overlay — and accounts the phase's costs with the same structure
+    /// partition into [`NowParams::initial_cluster_count`] clusters of
+    /// about the target size plus a fresh random overlay — and accounts the phase's costs with the same structure
     /// the genuinely executed path (`crate::init`) exhibits:
     /// discovery ≈ `n·e` message units over `diameter` rounds,
     /// clusterization ≈ committee `randNum` + assignment broadcast.
@@ -91,7 +91,7 @@ impl NowSystem {
         shuffle(&mut order, &mut rng);
 
         let target = params.target_cluster_size();
-        let cluster_count = (n0 / target).max(1);
+        let cluster_count = params.initial_cluster_count(n0);
         let mut registry = Registry::new();
         let mut cluster_ids = Vec::with_capacity(cluster_count);
         for _ in 0..cluster_count {

@@ -125,7 +125,7 @@ const DISCOVER_PINS: [(u64, usize, u64, u64, bool); 6] = [
 ];
 
 /// `(rng seed, committee, agreed seed, ledger messages, ledger rounds)`
-/// of `clusterize(60, {0, 5, 10, …}, 15)`.
+/// of `clusterize(60, {0, 5, 10, …}, 4)`.
 #[rustfmt::skip]
 const CLUSTERIZE_PINS: [(u64, &str, u64, u64, u64); 3] = [
     (1, "50,17,54,34,49,7,48,14,19,0,23,11,6,51,57", 254072274784970766, 13474, 24),
@@ -204,7 +204,7 @@ fn observe_discover(seed: u64, byz: usize) -> (u64, u64, bool) {
 fn observe_clusterize(seed: u64) -> (String, u64, u64, u64) {
     let byz: BTreeSet<usize> = (0..60).step_by(5).collect();
     let ledger = &mut Ledger::new();
-    let out = clusterize(60, &byz, 15, ledger, &mut DetRng::new(seed));
+    let out = clusterize(60, &byz, 4, ledger, &mut DetRng::new(seed));
     let committee = render(out.committee.iter().map(Some));
     let total = ledger.total();
     (committee, out.seed, total.messages, total.rounds)

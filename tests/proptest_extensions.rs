@@ -7,12 +7,14 @@ use now_bft::agreement::{
     check_agreement, check_validity, run_ben_or_with_coin, ByzPlan, CoinMode,
 };
 use now_bft::apps::poll;
-use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, SecurityMode};
+use now_bft::core::{NowParams, NowSystem, SecurityMode};
 use now_bft::net::{ClusterId, DetRng, EventNet, EventNetConfig, Ledger};
 use now_bft::over::CyclesOverlay;
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeSet;
+
+mod oracle;
 
 fn params() -> NowParams {
     NowParams::new(1 << 10, 2, 1.5, 0.25, 0.05).unwrap()
@@ -21,88 +23,30 @@ fn params() -> NowParams {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A batched step must conserve population exactly: admitted joins
-    /// minus completed leaves, whatever the batch composition, with
-    /// duplicates and floor rejections accounted.
+    /// A batched step conserves population on every engine leg of the
+    /// oracle, duplicates and floor rejections (the system starts just
+    /// above its √N = 32 floor) accounted, and its waves run exactly the
+    /// admitted operations.
     #[test]
     fn batches_conserve_population(
         seed in any::<u64>(),
-        joins in proptest::collection::vec(any::<bool>(), 0..12),
-        leave_picks in proptest::collection::vec(any::<u16>(), 0..12),
+        n0 in 33usize..48,
+        batch in oracle::batches(1..2, 12),
     ) {
-        let mut sys = NowSystem::init_fast(params(), 140, 0.2, seed);
-        let nodes = sys.node_ids();
-        let leaves: Vec<_> = leave_picks
-            .iter()
-            .map(|&p| nodes[p as usize % nodes.len()])
-            .collect();
-        let before = sys.population() as i64;
-        let report = sys.step_batch(&BatchInput::from_flags(&joins, &leaves), &ExecConfig::serial());
-        let after = sys.population() as i64;
-        prop_assert_eq!(
-            after,
-            before + report.joined.len() as i64 - report.left.len() as i64
-        );
-        prop_assert_eq!(report.left.len() + report.rejected.len(), leaves.len());
-        prop_assert_eq!(report.joined.len(), joins.len());
-        prop_assert!(report.rounds_parallel <= report.cost.rounds);
-        // The wave schedule covers exactly the admitted operations and
-        // partitions the batch's serial cost.
-        prop_assert_eq!(
-            report.waves.iter().map(|w| w.ops).sum::<usize>(),
-            report.left.len() + report.joined.len()
-        );
-        prop_assert_eq!(
-            report.waves.iter().map(|w| w.rounds_total).sum::<u64>(),
-            report.cost.rounds
-        );
-        prop_assert_eq!(
-            report.rounds_parallel,
-            report.waves.iter().map(|w| w.rounds_max).sum::<u64>()
-        );
-        prop_assert!(sys.check_consistency().is_ok());
+        let shape = oracle::Shape(params(), n0, 0.2, seed);
+        oracle::check_script(&shape, &oracle::Body::Batches(batch))?;
     }
 
-    /// Admission invariance: for any batch, the conflict-free wave
-    /// scheduler and a plain serial replay of the same operations (same
-    /// seed) agree on the final population, the Byzantine population,
-    /// the completed departures and the admitted node ids. (The plain
-    /// calls draw from the system's shared stream, so their costs are
-    /// their own; engine-vs-engine byte equality is pinned by
-    /// `proptest_invariants::singleton_partitions_agree_across_engines`.)
+    /// Admission invariance: every engine leg and a plain one-op replay
+    /// of any batch agree on the final node set, the Byzantine
+    /// population and the admitted node ids.
     #[test]
     fn wave_scheduler_matches_serial_execution(
         seed in any::<u64>(),
-        joins in proptest::collection::vec(any::<bool>(), 0..10),
-        leave_picks in proptest::collection::vec(any::<u16>(), 0..10),
+        batch in oracle::batches(1..2, 10),
     ) {
-        let mut batched = NowSystem::init_fast(params(), 140, 0.2, seed);
-        let mut serial = NowSystem::init_fast(params(), 140, 0.2, seed);
-        let nodes = batched.node_ids();
-        let leaves: Vec<_> = leave_picks
-            .iter()
-            .map(|&p| nodes[p as usize % nodes.len()])
-            .collect();
-
-        let report = batched.step_batch(&BatchInput::from_flags(&joins, &leaves), &ExecConfig::scheduled());
-        let mut serial_joined = Vec::new();
-        let mut serial_left = 0usize;
-        for &n in &leaves {
-            if serial.leave(n).is_ok() {
-                serial_left += 1;
-            }
-        }
-        for &honest in &joins {
-            serial_joined.push(serial.join(honest));
-        }
-
-        prop_assert_eq!(batched.population(), serial.population());
-        prop_assert_eq!(batched.byz_population(), serial.byz_population());
-        prop_assert_eq!(report.left.len(), serial_left);
-        prop_assert_eq!(report.joined, serial_joined);
-        prop_assert_eq!(batched.node_ids(), serial.node_ids());
-        prop_assert!(batched.check_consistency().is_ok());
-        prop_assert!(serial.check_consistency().is_ok());
+        let shape = oracle::Shape(params(), 140, 0.2, seed);
+        oracle::check_script(&shape, &oracle::Body::Batches(batch))?;
     }
 
     /// Any exchange cap (including 0-equivalent and over-size caps)

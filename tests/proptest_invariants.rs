@@ -3,30 +3,33 @@
 //! ledger.
 
 use now_bft::adversary::{
-    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, BurstChurn, ClusterPick,
-    ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, SplitForcing,
+    BatchDriver, BurstChurn, ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, SplitForcing,
 };
-use now_bft::core::{BatchInput, ExecConfig, JoinSpec, NowParams, NowSystem, WavePool};
-use now_bft::net::{Cost, CostKind, CostStats, DetRng, Ledger, NodeId};
-use now_bft::sim::{BatchRandomChurn, BatchRun};
+use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
+use now_bft::net::{Cost, CostKind, CostStats, Ledger, NodeId};
 use proptest::prelude::*;
+
+mod oracle;
 
 fn params() -> NowParams {
     NowParams::new(1 << 10, 2, 1.5, 0.25, 0.05).unwrap()
 }
 
-/// Builds one of the three batched attack drivers (the ROADMAP's
-/// "batched adversarial drivers" gap) from proptest-chosen knobs.
-fn attack_driver(kind: usize, pick: usize, width: usize, tau: f64) -> Box<dyn BatchDriver> {
-    let pick = [
-        ClusterPick::First,
-        ClusterPick::Largest,
-        ClusterPick::Smallest,
-    ][pick % 3];
-    match kind % 3 {
-        0 => Box::new(BatchJoinLeave::new(width, tau).with_pick(pick)),
-        1 => Box::new(BatchForcedLeave::new(width, tau).with_pick(pick)),
-        _ => Box::new(BatchSplitForcing::new(width, tau).with_pick(pick)),
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Generated campaigns of every style and knob agree on every engine
+    /// leg of the oracle, each consistent and inside the size band.
+    #[test]
+    fn threaded_waves_are_bit_deterministic(seed in any::<u64>()) {
+        oracle::check_campaign(&oracle::campaign(seed, oracle::STYLES))?;
+    }
+
+    /// Generated campaigns of the adversarial styles only, at every
+    /// target policy, width and driver τ.
+    #[test]
+    fn attack_drivers_agree_across_engines(seed in any::<u64>()) {
+        oracle::check_campaign(&oracle::campaign(seed, oracle::ATTACKS))?;
     }
 }
 
@@ -112,295 +115,41 @@ proptest! {
         prop_assert!(sys.check_consistency().is_ok());
     }
 
-    /// The threaded wave executor's headline contract: for any seed and
-    /// any batch shape, serial (1 worker) and threaded (2 and 8 worker)
-    /// executions are **bit-equal** on population, admitted ids, ledger
-    /// totals and per-kind statistics, and the wave schedule — thread
-    /// interleaving is unobservable.
-    #[test]
-    fn threaded_waves_are_bit_deterministic(
-        seed in any::<u64>(),
-        joins in proptest::collection::vec(any::<bool>(), 0..8),
-        leave_picks in proptest::collection::vec(any::<u16>(), 0..8),
-    ) {
-        let run = |threads: usize| {
-            let mut sys = NowSystem::init_fast(params(), 140, 0.15, seed);
-            let nodes = sys.node_ids();
-            // Arbitrary victims; duplicates allowed (the engine must
-            // reject them identically at every thread count).
-            let leaves: Vec<_> = leave_picks
-                .iter()
-                .map(|&p| nodes[p as usize % nodes.len()])
-                .collect();
-            let pool = WavePool::new(threads);
-            let report = sys.step_batch(
-                &BatchInput::from_flags(&joins, &leaves),
-                &ExecConfig::pooled(&pool),
-            );
-            sys.check_consistency().expect("post-batch consistency");
-            (
-                (
-                    sys.population(),
-                    sys.byz_population(),
-                    sys.node_ids(),
-                    sys.cluster_ids(),
-                    sys.op_counts(),
-                ),
-                (
-                    report.joined.clone(),
-                    report.left.clone(),
-                    report
-                        .rejected
-                        .iter()
-                        .map(|(n, e)| (*n, format!("{e:?}")))
-                        .collect::<Vec<_>>(),
-                ),
-                (report.cost, report.rounds_parallel, report.waves.clone()),
-                (
-                    sys.ledger().total(),
-                    now_bft::net::CostKind::ALL
-                        .iter()
-                        .map(|&k| sys.ledger().stats(k))
-                        .collect::<Vec<_>>(),
-                ),
-            )
-        };
-        let serial = run(1);
-        prop_assert_eq!(&serial, &run(2), "threads=1 vs threads=2 diverged");
-        prop_assert_eq!(&serial, &run(8), "threads=1 vs threads=8 diverged");
-    }
-
-    /// The worker-pool contract: **pooled ≡ sequential** on population,
-    /// admitted ids, ledger totals and per-kind stats, and the wave
-    /// schedule — across threads ∈ {1, 2, 4, 8} *and* across pool
-    /// reuse: one run-scoped [`now_bft::core::WavePool`] serves every
-    /// step of a multi-step run and must be indistinguishable from
-    /// plain sequential planning on the driving thread.
+    /// Multi-step raw batches — duplicate and departed leave ids,
+    /// steered contacts that may have dissolved — on one pool per leg
+    /// reused across steps: `scheduled` ≡ `pooled{1,4}`, and every leg
+    /// and the plain one-op replay admit the same operations.
     #[test]
     fn pooled_serial_agree_across_pool_reuse(
         seed in any::<u64>(),
-        joins in proptest::collection::vec(any::<bool>(), 1..6),
-        leave_picks in proptest::collection::vec(any::<u16>(), 1..6),
-        steps in 2usize..5,
+        sparse in any::<bool>(),
+        batches in oracle::batches(2..5, 6),
     ) {
-
-        #[derive(Clone, Copy)]
-        enum Engine {
-            Serial,
-            Pooled(usize),
-        }
-
-        let specs: Vec<JoinSpec> = joins.iter().map(|&h| JoinSpec::uniform(h)).collect();
-        let run = |engine: Engine| {
-            let mut sys = NowSystem::init_fast(params(), 140, 0.15, seed);
-            // One pool for the whole run: reuse across steps is part of
-            // the contract under test.
-            let pool = match engine {
-                Engine::Pooled(t) => Some(WavePool::new(t)),
-                Engine::Serial => None,
-            };
-            let mut per_step = Vec::new();
-            for step in 0..steps {
-                let nodes = sys.node_ids();
-                let leaves: Vec<NodeId> = leave_picks
-                    .iter()
-                    .map(|&p| nodes[(p as usize + step) % nodes.len()])
-                    .collect();
-                let input = BatchInput::from_specs(&specs, &leaves);
-                let report = match engine {
-                    Engine::Serial => sys.step_batch(&input, &ExecConfig::scheduled()),
-                    Engine::Pooled(_) => {
-                        sys.step_batch(&input, &ExecConfig::pooled(pool.as_ref().unwrap()))
-                    }
-                };
-                per_step.push((
-                    report.joined,
-                    report.left,
-                    report.cost,
-                    report.rounds_parallel,
-                    report.waves,
-                    report.contact_redraws,
-                ));
-            }
-            sys.check_consistency().expect("post-run consistency");
-            (
-                per_step,
-                sys.population(),
-                sys.byz_population(),
-                sys.node_ids(),
-                sys.cluster_ids(),
-                sys.ledger().total(),
-                now_bft::net::CostKind::ALL
-                    .iter()
-                    .map(|&k| sys.ledger().stats(k))
-                    .collect::<Vec<_>>(),
-            )
-        };
-
-        let serial = run(Engine::Serial);
-        for threads in [1usize, 2, 4, 8] {
-            prop_assert_eq!(
-                &serial,
-                &run(Engine::Pooled(threads)),
-                "serial vs pooled({}) diverged",
-                threads
-            );
-        }
+        // Capacity 16: overlay degree 5 over 64 clusters, so waves widen.
+        let sparse_params = NowParams::new(16, 2, 1.5, 0.25, 0.05).unwrap();
+        let (params, n0) = if sparse { (sparse_params, 512) } else { (params(), 140) };
+        let shape = oracle::Shape(params, n0, 0.15, seed);
+        oracle::check_script(&shape, &oracle::Body::Batches(batches))?;
     }
 
-    /// The batched attack drivers' engine-agreement contract, for every
-    /// driver kind, target policy, width, and seed:
-    ///
-    /// 1. **batched ≡ plain calls**: replaying a serial run's decided
-    ///    batches one operation at a time (`join_via`/`join`/`leave`)
-    ///    admits and removes the same nodes — population, Byzantine
-    ///    population, admitted ids and node sets agree. (The calls draw
-    ///    from the system's shared stream, the engines from per-op
-    ///    substreams, so costs and homes differ; engine-vs-engine byte
-    ///    equality is `singleton_partitions_agree_across_engines`.)
-    /// 2. **threaded(1) ≡ threaded(4)**: the threaded engine is
-    ///    bit-identical across thread counts on population, ids, wave
-    ///    schedule, and full ledger statistics.
+    /// One trajectory per seed: one-op drivers run singleton waves, so
+    /// `serial`, `scheduled`, `pooled{1,4}` and `event(ideal){1,4}` end
+    /// equal, trace and metrics included. (Batched drivers are styles.)
     #[test]
-    fn attack_drivers_agree_across_engines(
-        seed in any::<u64>(),
-        kind in 0usize..3,
-        pick in 0usize..3,
-        width in 1usize..7,
-    ) {
-        const STEPS: usize = 5;
-        let tau = 0.20;
-
-        // --- serial run, recording each decided batch ---
-        let mut sys = NowSystem::init_fast(params(), 150, 0.15, seed);
-        let mut driver = attack_driver(kind, pick, width, tau);
-        let mut rng = DetRng::new(seed ^ 0xA5A5_5A5A);
-        let mut script: Vec<(Vec<JoinSpec>, Vec<NodeId>)> = Vec::new();
-        let mut batched_joined = Vec::new();
-        for _ in 0..STEPS {
-            let (joins, leaves) = driver.decide_batch(&sys, &mut rng);
-            script.push((joins.clone(), leaves.clone()));
-            let report = sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &ExecConfig::serial());
-            batched_joined.extend(report.joined);
-        }
-        sys.check_consistency().expect("post-batch consistency");
-        let batched = (
-            sys.population(),
-            sys.byz_population(),
-            sys.node_ids(),
-            batched_joined,
-        );
-
-        // --- the same script as plain one-op calls ---
-        let mut serial = NowSystem::init_fast(params(), 150, 0.15, seed);
-        let mut serial_joined = Vec::new();
-        for (joins, leaves) in &script {
-            for &node in leaves {
-                let _ = serial.leave(node);
-            }
-            for &spec in joins {
-                let id = match spec.contact {
-                    Some(c) if serial.cluster(c).is_some() => serial.join_via(c, spec.honest),
-                    _ => serial.join(spec.honest),
-                };
-                serial_joined.push(id);
-            }
-        }
-        serial.check_consistency().expect("post-serial consistency");
-        let serial_out = (
-            serial.population(),
-            serial.byz_population(),
-            serial.node_ids(),
-            serial_joined,
-        );
-        prop_assert_eq!(&batched, &serial_out, "serial vs batched diverged");
-
-        // --- threaded engine: bit-identical across thread counts ---
-        let threaded = |threads: usize| {
-            let mut sys = NowSystem::init_fast(params(), 150, 0.15, seed);
-            let mut driver = attack_driver(kind, pick, width, tau);
-            let mut rng = DetRng::new(seed ^ 0xA5A5_5A5A);
-            let mut waves = Vec::new();
-            let pool = WavePool::new(threads);
-            for _ in 0..STEPS {
-                let (joins, leaves) = driver.decide_batch(&sys, &mut rng);
-                let report =
-                    sys.step_batch(&BatchInput::from_specs(&joins, &leaves), &ExecConfig::pooled(&pool));
-                waves.push(report.waves.clone());
-            }
-            sys.check_consistency().expect("post-threaded consistency");
-            (
-                sys.population(),
-                sys.byz_population(),
-                sys.node_ids(),
-                sys.cluster_ids(),
-                waves,
-                sys.ledger().total(),
-                now_bft::net::CostKind::ALL
-                    .iter()
-                    .map(|&k| sys.ledger().stats(k))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        prop_assert_eq!(threaded(1), threaded(4), "threads=1 vs threads=4 diverged");
-    }
-
-    /// One trajectory per seed: on batch sequences whose footprint
-    /// partition is all singletons — every one-op driver, and the
-    /// batches of any driver on `params()`'s small overlay, where every
-    /// footprint meets every other — `serial`, `scheduled()` and
-    /// `pooled` at 1 and 4 workers end byte-identical in node ids and
-    /// homes, every ledger kind's statistics, the flight-recorder and
-    /// metrics JSON, and the next system draw.
-    #[test]
-    fn singleton_partitions_agree_across_engines(
-        seed in any::<u64>(),
-        kind in 0usize..10,
-        pick in 0usize..3,
-        width in 1usize..5,
-    ) {
-        const STEPS: u64 = 24;
-        let tau = 0.20;
-        let run = |exec: ExecConfig<'_>| {
-            let mut sys = NowSystem::init_fast(params(), 150, 0.15, seed);
-            sys.enable_tracing(1 << 12);
-            sys.enable_metrics();
-            let target = sys.cluster_ids()[0];
-            let mut driver: Box<dyn BatchDriver> = match kind {
+    fn singleton_partitions_agree_across_engines(seed in any::<u64>(), kind in 0usize..5) {
+        let driver = move |sys: &NowSystem| -> Box<dyn BatchDriver> {
+            let (target, tau) = (sys.cluster_ids()[0], 0.20);
+            match kind {
                 0 => Box::new(JoinLeaveAttack::new(target, tau)),
                 1 => Box::new(ForcedLeaveAttack::new(target, tau)),
                 2 => Box::new(SplitForcing::new(target, tau)),
                 3 => Box::new(MergeForcing::new(target, tau)),
-                4 => Box::new(BurstChurn::new(5, tau)),
-                5 => Box::new(BatchRandomChurn::balanced(1, tau)),
-                6 => Box::new(BatchRandomChurn::balanced(width, tau)),
-                _ => attack_driver(kind, pick, width, tau),
-            };
-            let report = BatchRun::new().exec(exec).run(&mut sys, driver.as_mut(), STEPS, seed);
-            sys.check_consistency().expect("post-run consistency");
-            let ids = sys.node_ids();
-            let homes: Vec<_> = ids.iter().map(|&n| sys.node_cluster(n).unwrap()).collect();
-            let stats: Vec<_> = CostKind::ALL.iter().map(|&k| sys.ledger().stats(k)).collect();
-            let trace = sys.flight_recorder().expect("tracing armed").to_json();
-            let metrics = sys.metrics().expect("metrics armed").to_json();
-            let first = sys.cluster_ids()[0];
-            let draw = sys.rand_num(first, 1 << 32);
-            (report.max_wave_width, ids, homes, stats, trace, metrics, draw)
+                _ => Box::new(BurstChurn::new(5, tau)),
+            }
         };
-        let serial = run(ExecConfig::serial());
-        prop_assert!(serial.0 <= 1, "serial runs one op per wave");
-        let scheduled = run(ExecConfig::scheduled());
-        prop_assert_eq!(scheduled.0, serial.0, "the partition is all singletons");
-        prop_assert_eq!(&serial, &scheduled, "serial vs scheduled diverged");
-        for threads in [1usize, 4] {
-            let pool = WavePool::new(threads);
-            prop_assert_eq!(
-                &serial,
-                &run(ExecConfig::pooled(&pool)),
-                "serial vs pooled({}) diverged",
-                threads
-            );
-        }
+        let shape = oracle::Shape(params(), 150, 0.15, seed);
+        let singleton = oracle::check_script(&shape, &oracle::Body::Driver(Box::new(driver), 24))?;
+        prop_assert!(singleton, "one-op steps are singleton waves");
     }
 
     /// Exchanges are swaps, so only a departure changes a cluster's

@@ -118,11 +118,6 @@ impl Cluster {
         !self.members.is_empty() && mode.rand_num_secure(self.byz_count, self.members.len())
     }
 
-    /// Size and `randNum` security in one read (see [`ClusterSecurity`]).
-    pub(crate) fn security(&self, mode: SecurityMode) -> ClusterSecurity {
-        ClusterSecurity::of(self.members.len(), self.byz_count, mode)
-    }
-
     /// Whether the adversary alone clears the quorum rule (> 1/2).
     /// Signatures do not change this: honest members never co-sign a
     /// forged message, so forgery needs a Byzantine strict majority in

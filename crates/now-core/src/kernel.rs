@@ -29,33 +29,45 @@
 //! slice, or its caller validated it — so it names the clusters in
 //! every edit and a view needs no per-node home index.
 //!
-//! Everything else — overlay, ledger, stream, adversary — is borrowed
-//! as disjoint fields, so draw order, span nesting and every message
-//! count are the same code on both states. Each [`Malice`] hook
-//! (`rand_num`, `walk_hop`, `exchange_victim`) is consulted at exactly
-//! one site.
+//! Everything else — the walk table (the overlay, read by registry
+//! slot), ledger, stream, adversary — is borrowed as disjoint fields,
+//! so draw order, span nesting and every message count are the same
+//! code on both states. Each [`Malice`] hook (`rand_num`, `walk_hop`,
+//! `exchange_victim`) is consulted at exactly one site.
 
 use crate::cluster::ClusterSecurity;
 use crate::malice::{Malice, RandNumContext, RandNumPurpose};
 use crate::params::{NowParams, SecurityMode};
-use crate::rand_cl::WalkConstants;
+use crate::rand_cl::WalkTable;
 use crate::registry::Registry;
 use now_net::{ClusterId, CostKind, DetRng, Ledger, NodeId};
-use now_over::Overlay;
 use rand::Rng;
 
 /// The membership state an operation runs against. Cluster ids handed
 /// to a view are live: they come from the overlay, whose vertices are
 /// exactly the live clusters while an operation runs (split and merge
-/// happen between operations).
+/// happen between operations). So are registry slots: the kernel reads
+/// them from the [`WalkTable`] or resolves them through
+/// [`StateView::registry`], and the slab cannot change shape while an
+/// operation runs.
 pub(crate) trait StateView {
     /// The registry the state reads through: the live one itself, or
     /// the frozen pre-wave one a planner view overlays. An op looks its
-    /// leaver and its contact up here before its first edit.
+    /// leaver and its contact up here before its first edit, and
+    /// resolves a cluster id to its slot here.
     fn registry(&self) -> &Registry;
-    /// Size and `randNum` security of `c` — what every walk hop and
-    /// every collective draw needs.
-    fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity;
+    /// Size and Byzantine count of the cluster in registry slot `slot`:
+    /// what every walk hop and every collective draw needs, read by
+    /// slot so that a hop, which has the next cluster's slot from its
+    /// table row, translates no id.
+    fn size_and_byz(&self, slot: u32) -> (usize, usize);
+    /// Size and `randNum` security under `mode` of the cluster in
+    /// registry slot `slot`.
+    #[inline]
+    fn security_at(&self, slot: u32, mode: SecurityMode) -> ClusterSecurity {
+        let (size, byz) = self.size_and_byz(slot);
+        ClusterSecurity::of(size, byz, mode)
+    }
     /// Members of `c` in ascending id order.
     fn members(&self, c: ClusterId) -> &[NodeId];
     /// Ground-truth honesty of a present node.
@@ -74,10 +86,11 @@ impl StateView for Registry {
         self
     }
 
+    /// One read of the cluster slab.
     #[inline]
-    fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity {
-        // INVARIANT: see `StateView` — ids reaching a view are live.
-        self.cluster(c).expect("live cluster").security(mode)
+    fn size_and_byz(&self, slot: u32) -> (usize, usize) {
+        let c = self.cluster_in_slot(slot);
+        (c.size(), c.byz_count())
     }
 
     #[inline]
@@ -111,56 +124,38 @@ impl StateView for Registry {
 }
 
 /// One operation's execution context: the state it edits plus the
-/// overlay, ledger, stream and adversary it borrows.
+/// walk table, ledger, stream and adversary it borrows.
 pub(crate) struct Kernel<'k, S: StateView> {
     pub(crate) state: &'k mut S,
-    pub(crate) overlay: &'k Overlay,
+    /// The overlay as walks and notifications read it, by registry
+    /// slot, with the walk constants of its shape.
+    pub(crate) walks: &'k WalkTable,
     pub(crate) params: NowParams,
     pub(crate) ledger: &'k mut Ledger,
     /// The system's shared stream on the live registry, the op's own
     /// substream on a view.
     pub(crate) rng: &'k mut DetRng,
     pub(crate) malice: &'k mut dyn Malice,
-    /// What every walk of the op shares. Private, so that every kernel
-    /// is built by [`Kernel::new`], which derives it from `overlay`.
-    walk: WalkConstants,
-}
-
-impl<'k, S: StateView> Kernel<'k, S> {
-    /// The kernel over `state`, with its walk constants computed from
-    /// `overlay`, whose vertex count cannot change while the kernel
-    /// borrows it.
-    pub(crate) fn new(
-        state: &'k mut S,
-        overlay: &'k Overlay,
-        params: NowParams,
-        ledger: &'k mut Ledger,
-        rng: &'k mut DetRng,
-        malice: &'k mut dyn Malice,
-    ) -> Self {
-        Kernel {
-            state,
-            overlay,
-            params,
-            ledger,
-            rng,
-            malice,
-            walk: WalkConstants::new(&params, overlay.vertex_count()),
-        }
-    }
-
-    /// The constants of this kernel's walks.
-    #[inline]
-    pub(crate) fn walk_constants(&self) -> WalkConstants {
-        self.walk
-    }
 }
 
 impl<S: StateView> Kernel<'_, S> {
+    /// The registry slot of `c`: the one id → slot translation per
+    /// cluster an op names (a walk's start, an exchange partner, a
+    /// notifying cluster). A walk's hops translate none.
+    #[inline]
+    pub(crate) fn slot_of(&self, c: ClusterId) -> u32 {
+        // INVARIANT: see `StateView` — ids reaching a view are live.
+        self.state
+            .registry()
+            .cluster_slot_of(c)
+            .expect("live cluster")
+    }
+
     /// Size and security of `c` under the deployment's mode.
     #[inline]
     pub(crate) fn security(&self, c: ClusterId) -> ClusterSecurity {
-        self.state.security(c, self.params.security())
+        self.state
+            .security_at(self.slot_of(c), self.params.security())
     }
 
     /// One `randNum` draw over `0..range` by cluster `c`, whose size
@@ -169,7 +164,7 @@ impl<S: StateView> Kernel<'_, S> {
     /// rounds), then the draw — from the stream when the cluster is
     /// secure, from [`Malice`] otherwise. `purpose` tells a strategic
     /// adversary what the draw decides. A walk books its leaves itself,
-    /// once per walk, and takes only the draw ([`Kernel::draw_value`]).
+    /// once per walk, and takes only the draw ([`draw_value`]).
     #[inline]
     pub(crate) fn draw(
         &mut self,
@@ -179,44 +174,47 @@ impl<S: StateView> Kernel<'_, S> {
         at: ClusterSecurity,
     ) -> u64 {
         self.ledger.leaf(CostKind::RandNum, at.rand_num_cost());
-        self.draw_value(c, range, purpose, at)
-    }
-
-    /// The value half of [`Kernel::draw`], leaving the leaf to the
-    /// caller.
-    #[inline]
-    pub(crate) fn draw_value(
-        &mut self,
-        c: ClusterId,
-        range: u64,
-        purpose: RandNumPurpose,
-        at: ClusterSecurity,
-    ) -> u64 {
-        let range = range.max(1);
-        if at.secure {
-            self.rng.gen_range(0..range)
-        } else {
-            let ctx = RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            self.malice.rand_num(range, ctx, self.rng)
-        }
+        draw_value(self.rng, self.malice, || c, range, purpose, at)
     }
 
     /// Accounts cluster `c` announcing its new composition to every
     /// member of every neighbouring cluster (the view-update step of
     /// join/leave/exchange/split/merge): `Σ_{D ∈ N(C)} |C|·|D|`
-    /// messages in one round. Neighbour sizes are read in place.
+    /// messages in one round. Neighbour sizes are read in place, by
+    /// slot, from `c`'s walk-table row.
     pub(crate) fn notify_neighbors(&mut self, c: ClusterId) {
-        let size = self.state.members(c).len() as u64;
-        let msgs: u64 = self
-            .overlay
-            .neighbors(c)
-            .iter()
-            .map(|&nbr| size * self.state.members(nbr).len() as u64)
+        let slot = self.slot_of(c);
+        let size = self.state.size_and_byz(slot).0 as u64;
+        let msgs: u64 = (self.walks.row(slot).iter())
+            .map(|&nbr| size * self.state.size_and_byz(nbr).0 as u64)
             .sum();
         self.ledger.add_messages(msgs);
         self.ledger.add_rounds(1);
+    }
+}
+
+/// The value half of [`Kernel::draw`], leaving the leaf to the caller:
+/// from `rng` when the drawing cluster is secure (`at`), from `malice`
+/// otherwise. Only the adversary is told which cluster draws, so the
+/// caller names it lazily (`cluster`): a walk knows the slot it stands
+/// on, and reads that slot's id only for a compromised draw.
+#[inline]
+pub(crate) fn draw_value(
+    rng: &mut DetRng,
+    malice: &mut dyn Malice,
+    cluster: impl FnOnce() -> ClusterId,
+    range: u64,
+    purpose: RandNumPurpose,
+    at: ClusterSecurity,
+) -> u64 {
+    let range = range.max(1);
+    if at.secure {
+        rng.gen_range(0..range)
+    } else {
+        let ctx = RandNumContext {
+            cluster: cluster(),
+            purpose,
+        };
+        malice.rand_num(range, ctx, rng)
     }
 }

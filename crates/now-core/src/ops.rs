@@ -27,7 +27,8 @@
 //! the check to after the wave, where a split or merge books a span of
 //! its own after the op's span has closed. Split and merge change the
 //! cluster set and the overlay, so they only ever run on the live
-//! system, between operations.
+//! system, between operations, and each rebuilds the system's walk
+//! table once ([`crate::rand_cl::WalkTable`]).
 
 use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
@@ -236,6 +237,9 @@ impl NowSystem {
         }
         self.overlay.insert_vertex(new_id);
         let linked = self.overlay.add_with_candidates(new_id, &candidates);
+        // The candidate walks above ran on the old shape; everything
+        // after this (notifications, later walks) sees the new vertex.
+        self.rebuild_walks();
         // Edge establishment: the new cluster's membership is sent to
         // every member of each new neighbor (and vice versa).
         let new_size = movers.len() as u64;
@@ -339,6 +343,9 @@ impl NowSystem {
         // INVARIANT: the victim was chosen from the live cluster set
         // in this same serial phase.
             .expect("victim is live");
+        // One rebuild for both shape changes: nothing walks or notifies
+        // between the overlay removal and this.
+        self.rebuild_walks();
         self.kernel().notify_neighbors(c);
 
         // Re-joins through the ordinary join path (contact chosen
@@ -354,8 +361,11 @@ impl NowSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::malice::NoMalice;
     use crate::params::NowParams;
-    use std::collections::BTreeSet;
+    use crate::rand_cl::WalkTable;
+    use now_net::Ledger;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -605,5 +615,79 @@ mod tests {
         let node = sys.node_ids()[0];
         sys.leave(node).unwrap();
         assert_eq!(sys.time_step(), 2);
+    }
+
+    /// A system rebuilt from `sys`'s state: the same registry, overlay,
+    /// ids and stream, with its walk table derived afresh.
+    fn rebuilt(sys: &NowSystem) -> NowSystem {
+        NowSystem {
+            params: sys.params,
+            ids: sys.ids.clone(),
+            registry: sys.registry.clone(),
+            overlay: sys.overlay.clone(),
+            walks: WalkTable::build(&sys.params, &sys.overlay, &sys.registry),
+            ledger: Ledger::new(),
+            rng: sys.rng.clone(),
+            malice: Box::new(NoMalice),
+            time_step: sys.time_step,
+            hub: Default::default(),
+        }
+    }
+
+    /// `sys` is consistent, and a walk from every cluster ends where it
+    /// ends, after the same hops, on a system rebuilt from its state.
+    fn assert_walks_current(sys: &mut NowSystem) {
+        sys.check_consistency().unwrap();
+        let mut twin = rebuilt(sys);
+        for c in sys.cluster_ids() {
+            assert_eq!(sys.rand_cl_from(c), twin.rand_cl_from(c), "walk from {c}");
+        }
+    }
+
+    /// The walk table cannot go stale across the two shape changes: a
+    /// split, and a merge whose victim leaves neighbours below the
+    /// overlay's degree floor, so that `Overlay::remove` repairs them.
+    #[test]
+    fn walk_table_follows_split_and_merge_with_floor_repairs() {
+        let params = NowParams::for_capacity(16).unwrap();
+        let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, 5);
+        // Thin the overlay to its degree floor wherever both ends allow,
+        // so that any victim's neighbours sit at the floor.
+        let floor = params.over().degree_floor();
+        for a in sys.cluster_ids() {
+            for b in sys.overlay.neighbors(a).to_vec() {
+                if sys.overlay.degree(a) > floor && sys.overlay.degree(b) > floor {
+                    sys.overlay.unlink(a, b);
+                }
+            }
+        }
+        sys.rebuild_walks();
+        assert_walks_current(&mut sys);
+
+        let ids = sys.cluster_ids();
+        sys.split(ids[0]);
+        assert_eq!(sys.cluster_count(), ids.len() + 1);
+        assert_walks_current(&mut sys);
+
+        let before: BTreeMap<ClusterId, Vec<ClusterId>> = sys
+            .cluster_ids()
+            .into_iter()
+            .map(|c| (c, sys.overlay.neighbors(c).to_vec()))
+            .collect();
+        sys.merge(ids[1]);
+        let victim = *before
+            .keys()
+            .find(|&&c| !sys.registry.contains_cluster(c))
+            .expect("a merge dissolves its victim");
+        // A repair links a former neighbour of the victim to a cluster
+        // that existed before the merge and was not its neighbour.
+        let repaired = before[&victim].iter().any(|n| {
+            sys.overlay
+                .neighbors(*n)
+                .iter()
+                .any(|m| before.contains_key(m) && !before[n].contains(m))
+        });
+        assert!(repaired, "removing {victim} repaired no neighbour");
+        assert_walks_current(&mut sys);
     }
 }

@@ -17,32 +17,54 @@
 //! message, accounted as `|C|·|C'|` message units.
 //!
 //! Hot path: every join and every exchanged member performs this walk,
-//! so one hop is two `randNum` draws, one `ln`, and two O(1) reads —
-//! the current cluster's neighbor slice from the overlay and the next
-//! cluster's size and Byzantine count from the [`StateView`], which is
-//! a direct id → slot lookup on the live registry and on a planner
-//! view alike. Nothing is booked per hop, and the walk is
-//! monomorphised per state: a hop's costs stay in walk-local variables
-//! ([`WalkBooks`] — its `randNum` leaves as a count, a message sum and
-//! a peak, and its hand-off messages) and are settled into the ledger
-//! once per walk ([`Ledger::leaves`], exactly that many leaf calls).
-//! What every walk of an op shares — the CTRW duration and the
-//! acceptance normaliser ([`WalkConstants`]) — is computed once per
-//! [`Kernel`], so a walk's only libm call is its hops' `ln`. On a
-//! `steady_*`-shaped system a hop's marginal cost is ≈ 12.6 ns: the
-//! two draws' keystream is ≈ 2.4 ns (`DetRng` inlines to two buffered
-//! words of a sixteen-block ChaCha12 refill, AVX-512 where the CPU has
-//! it; no call is made on the draw path), the `ln` ≈ 6 ns, and range
-//! scaling, the two reads and the tally the rest. A walk's fixed cost
-//! in an op is ≈ 68 ns, and the constants alone cost ≈ 43 ns, which is
-//! why they are not computed per walk.
+//! so it translates no cluster id while it hops. It resolves its
+//! start's registry slot once and then carries a slot: one hop is two
+//! `randNum` draws, one `ln`, and two reads by slot — the [`WalkTable`]
+//! row of the slot it stands on (its neighbours' slots, contiguous, in
+//! the overlay's order) and the next cluster's size and Byzantine count
+//! ([`StateView::size_and_byz`]: the cluster slab on the live registry;
+//! the op's `view_of_slot`, then the frozen slab, on a planner view).
+//! The id behind a slot is read only where it is told: to the adversary
+//! at a compromised cluster, and as the walk's result. The table is the
+//! overlay by registry slot, one per system, rebuilt only where the
+//! overlay or the cluster slab changes shape (init, split, merge), and
+//! it carries what every walk on that shape shares — the CTRW duration
+//! and the acceptance normaliser — so a walk's only libm call is its
+//! hops' `ln`. Nothing is booked per hop, and the walk is monomorphised
+//! per state: a hop's costs stay in walk-local variables ([`WalkBooks`]
+//! — its `randNum` leaves as a count, a message sum and a peak, and its
+//! hand-off messages) and are settled into the ledger once per walk
+//! ([`Ledger::leaves`], exactly that many leaf calls).
+//!
+//! Hop anatomy: `rand_cl_from` on the live registry of an `init_fast`
+//! system (`NowParams::new(N, 2, 1.5, 0.30, 0.05)`, τ 0.05) at
+//! walk-length factors 0.5–2.5; per factor the minimum over 60
+//! interleaved rounds of 500 walks in each of 16 processes; a
+//! least-squares line of ns per walk on hops per walk (2-vCPU AVX-512
+//! Xeon; README § Flat-memory core has the same run for the id → slot
+//! hop):
+//!
+//! | | m = 128 (N = 2¹², `steady_*`) | m = 1 024 (N = 2¹⁶, `grow_wide`) |
+//! |---|---|---|
+//! | marginal hop | ≈ 20.4 ns | ≈ 19.4 ns |
+//! | fixed cost per walk | ≈ 140 ns | ≈ 190 ns |
+//!
+//! The marginal hop is its two draws' keystream (two buffered words of
+//! a sixteen-block ChaCha12 refill, AVX-512 where the CPU has it), the
+//! `ln`, range scaling, the row and slab reads and the tally; reading
+//! by slot keeps it flat as the overlay grows. The fixed cost (a line's
+//! intercept, good to ≈ ±100 ns) is the start's slot, the kernel
+//! `rand_cl_from` builds, the acceptance draws and the ledger
+//! settlement.
 
 use crate::cluster::ClusterSecurity;
-use crate::kernel::{Kernel, StateView};
-use crate::malice::RandNumPurpose;
+use crate::kernel::{draw_value, Kernel, StateView};
+use crate::malice::{Malice, RandNumPurpose};
 use crate::params::{acceptance, NowParams};
+use crate::registry::Registry;
 use crate::system::NowSystem;
-use now_net::{ClusterId, Cost, CostKind, Ledger};
+use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger};
+use now_over::Overlay;
 
 /// Diagnostics of one `randCl` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +77,32 @@ pub struct WalkTrace {
     pub compromised_hops: u64,
 }
 
-/// What every walk of one op shares: the CTRW duration and the
-/// acceptance normaliser, both fixed by the overlay's vertex count and
-/// the parameters; [`Kernel::new`] computes them once per kernel.
-#[derive(Clone, Copy)]
-pub(crate) struct WalkConstants {
+/// The overlay as walks read it, built once per overlay shape: for the
+/// registry slot of every live cluster, a row of its neighbours'
+/// registry slots in the overlay's (ascending id) order, plus what
+/// every walk on this shape shares — the CTRW duration and the
+/// acceptance normaliser. A hop reads its row by the slot it stands on
+/// and the next cluster's size and Byzantine count by the slot the row
+/// gives ([`StateView::size_and_byz`]), so no hop translates an id, on
+/// the live registry or on a planner view, whose slots are the frozen
+/// registry's. Rows hold no ids: a hop reads none, and the few readers
+/// that need one (the adversary at a compromised cluster, the walk's
+/// result) take it from the cluster slab, in the slot's own line.
+///
+/// [`NowSystem`] keeps one, rebuilt where the overlay or the cluster
+/// slab changes shape (init, split, merge) and shared read-only by
+/// every planner of a wave; `check_consistency` re-derives it. Between
+/// a split's `create_cluster` and its rebuild, the new cluster's slot
+/// has no row; nothing reads one, because the cluster is not yet an
+/// overlay vertex.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct WalkTable {
+    /// Row `s` is `slots[offsets[s]..offsets[s + 1]]`; a free slab
+    /// slot has an empty row.
+    offsets: Vec<u32>,
+    slots: Vec<u32>,
+    /// The overlay's vertex count.
+    vertices: usize,
     /// [`NowParams::ctrw_duration`] of the overlay.
     duration: f64,
     /// [`NowParams::max_cluster_size`], the size an endpoint is
@@ -67,13 +110,45 @@ pub(crate) struct WalkConstants {
     max_cluster_size: usize,
 }
 
-impl WalkConstants {
-    /// The constants of walks on an overlay of `vertices` clusters.
-    pub(crate) fn new(params: &NowParams, vertices: usize) -> Self {
-        WalkConstants {
-            duration: params.ctrw_duration(vertices),
-            max_cluster_size: params.max_cluster_size(),
+impl WalkTable {
+    /// The table of `overlay`, whose vertices are `registry`'s live
+    /// clusters.
+    pub(crate) fn build(params: &NowParams, overlay: &Overlay, registry: &Registry) -> Self {
+        let mut table = WalkTable::default();
+        table.rebuild(params, overlay, registry);
+        table
+    }
+
+    /// Re-derives the table in place, keeping its allocations.
+    pub(crate) fn rebuild(&mut self, params: &NowParams, overlay: &Overlay, registry: &Registry) {
+        let (rows, entries) = (registry.cluster_slab_len(), 2 * overlay.edge_count());
+        self.offsets.clear();
+        self.slots.clear();
+        self.offsets.reserve(rows + 1);
+        self.slots.reserve(entries);
+        self.offsets.push(0);
+        for slot in 0..rows as u32 {
+            if let Some(c) = registry.cluster_id_in_slot(slot) {
+                // INVARIANT: the overlay's vertices are the live
+                // clusters whenever the table is rebuilt.
+                let slot_of = |&nbr| registry.cluster_slot_of(nbr).expect("neighbour is live");
+                self.slots.extend(overlay.neighbors(c).iter().map(slot_of));
+            }
+            self.offsets.push(self.slots.len() as u32);
         }
+        self.vertices = overlay.vertex_count();
+        self.duration = params.ctrw_duration(self.vertices);
+        self.max_cluster_size = params.max_cluster_size();
+    }
+
+    /// The registry slots of the neighbours of the cluster in `slot`.
+    #[inline]
+    pub(crate) fn row(&self, slot: u32) -> &[u32] {
+        let s = slot as usize;
+        // INVARIANT: the table has a row for every slot of the slab it
+        // was built on, which bounds every slot a walk or notification
+        // holds, and its offsets ascend to `slots.len()`.
+        &self.slots[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 }
 
@@ -114,122 +189,166 @@ impl<S: StateView> Kernel<'_, S> {
     /// (inclusive of the per-hop `randNum`s).
     ///
     /// Membership and overlay are immutable while a walk runs, so the
-    /// walk borrows neighbor slices and reads cluster sizes in place;
-    /// the size and security of the cluster it stands on carry over from
-    /// the hop that reached it.
+    /// walk borrows its table rows and reads cluster sizes in place; the
+    /// size and security of the cluster it stands on carry over from the
+    /// hop that reached it.
     pub(crate) fn rand_cl(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
         self.ledger.begin(CostKind::RandCl);
         let mut books = WalkBooks::default();
-        let (end, trace) = self.walk(start, &mut books);
+        let start = self.slot_of(start);
+        let (end, trace) = walk(
+            &*self.state,
+            self.walks,
+            self.params,
+            self.rng,
+            self.malice,
+            start,
+            &mut books,
+        );
         books.settle(self.ledger);
         self.ledger.end();
         (end, trace)
     }
+}
 
-    /// [`Kernel::draw`], with the leaf booked on the walk's `books`.
-    #[inline]
-    fn walk_draw(
-        &mut self,
-        books: &mut WalkBooks,
-        c: ClusterId,
-        range: u64,
-        purpose: RandNumPurpose,
-        at: ClusterSecurity,
-    ) -> u64 {
-        books.leaf(at.rand_num_cost());
-        self.draw_value(c, range, purpose, at)
+/// [`Kernel::draw`], with the leaf booked on the walk's `books`.
+#[inline]
+fn walk_draw(
+    rng: &mut DetRng,
+    malice: &mut dyn Malice,
+    books: &mut WalkBooks,
+    cluster: impl FnOnce() -> ClusterId,
+    range: u64,
+    purpose: RandNumPurpose,
+    at: ClusterSecurity,
+) -> u64 {
+    books.leaf(at.rand_num_cost());
+    draw_value(rng, malice, cluster, range, purpose, at)
+}
+
+/// The walk from registry slot `start`, on the kernel's borrows passed
+/// one by one rather than through `&mut Kernel`: as distinct parameters
+/// the stream, the adversary and the books are known to alias nothing
+/// else, so a hop need not reload them from memory.
+fn walk<S: StateView>(
+    state: &S,
+    walks: &WalkTable,
+    params: NowParams,
+    rng: &mut DetRng,
+    malice: &mut dyn Malice,
+    start: u32,
+    books: &mut WalkBooks,
+) -> (ClusterId, WalkTrace) {
+    let mut trace = WalkTrace {
+        hops: 0,
+        restarts: 0,
+        compromised_hops: 0,
+    };
+    // The walk carries the slot it stands on; the id behind it is read
+    // only where it is told: to the adversary, and as the result.
+    let registry = state.registry();
+    let id_of = |slot: u32| move || registry.cluster_in_slot(slot).id();
+    let mut slot = start;
+    let m = walks.vertices;
+    if m <= 1 {
+        return (id_of(slot)(), trace);
     }
 
-    fn walk(&mut self, start: ClusterId, books: &mut WalkBooks) -> (ClusterId, WalkTrace) {
-        let mut trace = WalkTrace {
-            hops: 0,
-            restarts: 0,
-            compromised_hops: 0,
-        };
-        // Copied out so neighbor slices outlive the `&mut self` draws.
-        let overlay = self.overlay;
-        let m = overlay.vertex_count();
-        if m <= 1 {
-            return (start, trace);
-        }
+    let mode = params.security();
+    let mut here = state.security_at(slot, mode);
+    // The legal hops by id, as the adversary is shown them: filled only
+    // at a compromised cluster.
+    let mut nbr_ids = Vec::new();
+    // Resolution for fixed-point randomness drawn via randNum.
+    const RES: u64 = 1 << 24;
 
-        let WalkConstants {
-            duration,
-            max_cluster_size,
-        } = self.walk_constants();
-        let mut current = start;
-        let mut here = self.security(start);
-        // Resolution for fixed-point randomness drawn via randNum.
-        const RES: u64 = 1 << 24;
-
-        // Hard per-invocation hop cap: compromised clusters can rush
-        // their holding times to ~0 (see `Malice`), so a Byzantine-dense
-        // region could otherwise bounce a walk indefinitely without
-        // consuming walk-time. Honest walks use ~log²m hops; the cap is
-        // far above that and only binds under heavy compromise.
-        let hop_cap = 2_000 + 200 * (m as u64);
-        for _restart in 0..=self.params.max_walk_restarts() {
-            let mut remaining = duration;
-            // One CTRW.
-            loop {
-                if trace.hops >= hop_cap {
-                    return (current, trace);
-                }
-                let nbrs = overlay.neighbors(current);
-                let degree = nbrs.len();
-                if degree == 0 {
-                    break; // isolated vertex absorbs the walk
-                }
-                // Collaborative holding time: Exp(degree), derived from a
-                // randNum draw (compromised clusters control it).
-                let u = self.walk_draw(books, current, RES, RandNumPurpose::WalkHoldingTime, here);
-                let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
-                let hold = -unit.ln() / degree as f64;
-                if hold >= remaining {
-                    break; // duration expires while sitting at `current`
-                }
-                remaining -= hold;
-                // Collaborative neighbor choice.
-                let idx = self.walk_draw(
-                    books,
-                    current,
-                    degree as u64,
-                    RandNumPurpose::WalkNeighborChoice,
-                    here,
-                ) as usize;
-                // INVARIANT: `degree = nbrs.len() > 0` (checked above);
-                // `min` clamps the drawn index into bounds.
-                let mut next = nbrs[idx.min(degree - 1)];
-                if !here.secure_plain {
-                    trace.compromised_hops += 1;
-                    if let Some(forced) = self.malice.walk_hop(nbrs, self.rng) {
-                        if nbrs.contains(&forced) {
-                            next = forced;
-                        }
+    // Hard per-invocation hop cap: compromised clusters can rush
+    // their holding times to ~0 (see `Malice`), so a Byzantine-dense
+    // region could otherwise bounce a walk indefinitely without
+    // consuming walk-time. Honest walks use ~log²m hops; the cap is
+    // far above that and only binds under heavy compromise.
+    let hop_cap = 2_000 + 200 * (m as u64);
+    for _restart in 0..=params.max_walk_restarts() {
+        let mut remaining = walks.duration;
+        // One CTRW.
+        loop {
+            if trace.hops >= hop_cap {
+                return (id_of(slot)(), trace);
+            }
+            let slots = walks.row(slot);
+            let degree = slots.len();
+            if degree == 0 {
+                break; // isolated vertex absorbs the walk
+            }
+            // Collaborative holding time: Exp(degree), derived from a
+            // randNum draw (compromised clusters control it).
+            let u = walk_draw(
+                rng,
+                malice,
+                books,
+                id_of(slot),
+                RES,
+                RandNumPurpose::WalkHoldingTime,
+                here,
+            );
+            let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
+            let hold = -unit.ln() / degree as f64;
+            if hold >= remaining {
+                break; // duration expires at this cluster
+            }
+            remaining -= hold;
+            // Collaborative neighbor choice.
+            let idx = walk_draw(
+                rng,
+                malice,
+                books,
+                id_of(slot),
+                degree as u64,
+                RandNumPurpose::WalkNeighborChoice,
+                here,
+            ) as usize;
+            // INVARIANT: `degree = slots.len() > 0` (checked above);
+            // `min` clamps the drawn index into bounds.
+            let mut pick = idx.min(degree - 1);
+            if !here.secure_plain {
+                trace.compromised_hops += 1;
+                nbr_ids.clear();
+                nbr_ids.extend(slots.iter().map(|&s| id_of(s)()));
+                if let Some(forced) = malice.walk_hop(&nbr_ids, rng) {
+                    if let Some(at) = nbr_ids.iter().position(|&nbr| nbr == forced) {
+                        pick = at;
                     }
                 }
-                // Quorum-validated hand-off message C → C'.
-                let there = self.security(next);
-                books.hops += Cost {
-                    messages: here.size * there.size,
-                    rounds: 1,
-                };
-                trace.hops += 1;
-                current = next;
-                here = there;
             }
-            // Size-biased acceptance at the endpoint.
-            let p_accept = acceptance(here.size as usize, max_cluster_size);
-            let draw = self.walk_draw(books, current, RES, RandNumPurpose::WalkAcceptance, here);
-            if (draw as f64 + 0.5) / RES as f64 <= p_accept {
-                return (current, trace);
-            }
-            trace.restarts += 1;
+            // Quorum-validated hand-off message C → C'.
+            let there = state.security_at(slots[pick], mode);
+            books.hops += Cost {
+                messages: here.size * there.size,
+                rounds: 1,
+            };
+            trace.hops += 1;
+            slot = slots[pick];
+            here = there;
         }
-        // Restart cap exhausted (never in the invariant regime; see
-        // NowParams::max_walk_restarts) — accept the current endpoint.
-        (current, trace)
+        // Size-biased acceptance at the endpoint.
+        let p_accept = acceptance(here.size as usize, walks.max_cluster_size);
+        let draw = walk_draw(
+            rng,
+            malice,
+            books,
+            id_of(slot),
+            RES,
+            RandNumPurpose::WalkAcceptance,
+            here,
+        );
+        if (draw as f64 + 0.5) / RES as f64 <= p_accept {
+            return (id_of(slot)(), trace);
+        }
+        trace.restarts += 1;
     }
+    // Restart cap exhausted (never in the invariant regime; see
+    // NowParams::max_walk_restarts) — accept the current endpoint.
+    (id_of(slot)(), trace)
 }
 
 impl NowSystem {
@@ -467,7 +586,9 @@ mod tests {
             assert_eq!(secure + compromised, sys.cluster_count(), "setup");
             let draw_costs: Vec<u64> = sys
                 .clusters()
-                .map(|c| c.security(crate::params::SecurityMode::Plain))
+                .map(|c| {
+                    ClusterSecurity::of(c.size(), c.byz_count(), crate::params::SecurityMode::Plain)
+                })
                 .map(|at| at.rand_num_cost().messages)
                 .collect();
 

@@ -147,6 +147,12 @@ impl Registry {
         &s.cluster
     }
 
+    /// The id of the cluster in `slot`, or `None` if the slot is free.
+    pub(crate) fn cluster_id_in_slot(&self, slot: u32) -> Option<ClusterId> {
+        let s = &self.cluster_slots[slot as usize];
+        s.live.then(|| s.cluster.id())
+    }
+
     /// Length of the cluster slab, live and free slots alike: the
     /// bound on every slot [`Registry::cluster_slot_of`] returns.
     pub(crate) fn cluster_slab_len(&self) -> usize {

@@ -6,6 +6,7 @@ use crate::error::NowError;
 use crate::kernel::Kernel;
 use crate::malice::{Malice, NoMalice};
 use crate::params::NowParams;
+use crate::rand_cl::WalkTable;
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
 use now_net::{ClusterId, CostKind, DetRng, IdGen, Ledger, NodeId};
@@ -25,6 +26,9 @@ pub struct NowSystem {
     pub(crate) ids: IdGen,
     pub(crate) registry: Registry,
     pub(crate) overlay: Overlay,
+    /// The overlay by registry slot, as walks read it: rebuilt where
+    /// `overlay` or the cluster slab changes shape, and nowhere else.
+    pub(crate) walks: WalkTable,
     pub(crate) ledger: Ledger,
     pub(crate) rng: DetRng,
     pub(crate) malice: Box<dyn Malice>,
@@ -125,11 +129,13 @@ impl NowSystem {
         ledger.add_rounds(2 + c / 2);
         ledger.end();
 
+        let walks = WalkTable::build(&params, &overlay, &registry);
         NowSystem {
             params,
             ids,
             registry,
             overlay,
+            walks,
             ledger,
             rng,
             malice: Box::new(NoMalice),
@@ -373,14 +379,21 @@ impl NowSystem {
     /// The op kernel over the live registry: what the direct API
     /// (and split/merge, which only ever run here) drives.
     pub(crate) fn kernel(&mut self) -> Kernel<'_, Registry> {
-        Kernel::new(
-            &mut self.registry,
-            &self.overlay,
-            self.params,
-            &mut self.ledger,
-            &mut self.rng,
-            self.malice.as_mut(),
-        )
+        Kernel {
+            state: &mut self.registry,
+            walks: &self.walks,
+            params: self.params,
+            ledger: &mut self.ledger,
+            rng: &mut self.rng,
+            malice: self.malice.as_mut(),
+        }
+    }
+
+    /// Re-derives the walk table after the overlay or the cluster slab
+    /// changed shape: called by split and merge, once each.
+    pub(crate) fn rebuild_walks(&mut self) {
+        self.walks
+            .rebuild(&self.params, &self.overlay, &self.registry);
     }
 
     /// `randNum` within live cluster `c` over `0..range` (see
@@ -432,8 +445,8 @@ impl NowSystem {
     }
 
     /// Deep consistency check used by tests after every operation:
-    /// registry indexes ↔ clusters ↔ overlay all agree, caches and
-    /// counters are exact, and the ledger is span-balanced.
+    /// registry indexes ↔ clusters ↔ overlay ↔ walk table all agree,
+    /// caches and counters are exact, and the ledger is span-balanced.
     pub fn check_consistency(&self) -> Result<(), String> {
         self.registry.check_invariants()?;
         for &cid in self.registry.cluster_ids() {
@@ -451,7 +464,11 @@ impl NowSystem {
         if !self.ledger.is_balanced() {
             return Err("ledger has dangling spans".to_string());
         }
-        self.overlay.check_invariants()
+        self.overlay.check_invariants()?;
+        if self.walks != WalkTable::build(&self.params, &self.overlay, &self.registry) {
+            return Err("walk table differs from one derived now".to_string());
+        }
+        Ok(())
     }
 }
 

@@ -33,7 +33,7 @@
 //!    kernel ([`crate::kernel`]) — the same join/leave/exchange/walk
 //!    code a wave of one op runs on the live registry — over a
 //!    [`Planner`]: a copy-on-write *view* of the immutable pre-wave
-//!    state (registry + overlay are shared read-only across workers)
+//!    state (registry + walk table are shared read-only across workers)
 //!    that overlays the operation's own edits — snapshot-isolation
 //!    semantics; a cluster the op has not edited is read in place from
 //!    the frozen registry. Planning emits an [`OpPlan`]: the op's
@@ -124,15 +124,14 @@
 //! every worker plans against its own stack [`NoMalice`].
 
 use crate::batch::WaveStats;
-use crate::cluster::ClusterSecurity;
 use crate::error::NowError;
 use crate::kernel::{Kernel, StateView};
 use crate::malice::{Malice, NoMalice};
-use crate::params::{NowParams, SecurityMode};
+use crate::params::NowParams;
+use crate::rand_cl::WalkTable;
 use crate::registry::Registry;
 use crate::system::NowSystem;
 use now_net::{ClusterId, Cost, DetRng, Ledger, NodeId};
-use now_over::Overlay;
 use now_trace::{SpanTotal, TraceData};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -261,10 +260,12 @@ struct OpPlan {
     outcome: OpOutcome,
 }
 
-/// Immutable pre-wave state shared (read-only) across planner threads.
+/// Immutable pre-wave state shared (read-only) across planner threads:
+/// the registry and the system's one walk table, whose slots are this
+/// registry's.
 struct WaveCtx<'a> {
     registry: &'a Registry,
-    overlay: &'a Overlay,
+    walks: &'a WalkTable,
     params: NowParams,
 }
 
@@ -392,12 +393,13 @@ impl StateView for Planner<'_> {
         self.registry
     }
 
+    /// The op's copy if it has edited the cluster in `slot`, the
+    /// frozen slab otherwise.
     #[inline]
-    fn security(&self, c: ClusterId, mode: SecurityMode) -> ClusterSecurity {
-        let slot = self.slot_of(c);
+    fn size_and_byz(&self, slot: u32) -> (usize, usize) {
         match self.view(slot) {
-            Some(v) => ClusterSecurity::of(v.members.len(), v.byz, mode),
-            None => self.registry.cluster_in_slot(slot).security(mode),
+            Some(v) => (v.members.len(), v.byz),
+            None => self.registry.size_and_byz(slot),
         }
     }
 
@@ -510,14 +512,14 @@ impl<S: StateView> Kernel<'_, S> {
 fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn Malice) -> OpPlan {
     let mut view = Planner::new(ctx.registry);
     let mut ledger = Ledger::new();
-    let outcome = Kernel::new(
-        &mut view,
-        ctx.overlay,
-        ctx.params,
-        &mut ledger,
-        &mut rng,
+    let outcome = Kernel {
+        state: &mut view,
+        walks: ctx.walks,
+        params: ctx.params,
+        ledger: &mut ledger,
+        rng: &mut rng,
         malice,
-    )
+    }
     .run_op(&spec.op);
     OpPlan {
         effects: view.effects,
@@ -1083,14 +1085,14 @@ impl NowSystem {
         } else {
             self.malice.as_mut()
         };
-        Kernel::new(
-            &mut self.registry,
-            &self.overlay,
-            self.params,
-            &mut self.ledger,
-            &mut rng,
+        Kernel {
+            state: &mut self.registry,
+            walks: &self.walks,
+            params: self.params,
+            ledger: &mut self.ledger,
+            rng: &mut rng,
             malice,
-        )
+        }
         .run_op(&spec.op)
     }
 
@@ -1108,7 +1110,7 @@ impl NowSystem {
         let neutral = self.malice.is_neutral();
         let ctx = WaveCtx {
             registry: &self.registry,
-            overlay: &self.overlay,
+            walks: &self.walks,
             params: self.params,
         };
         let plan_start = now_trace::stopwatch();
@@ -1995,14 +1997,14 @@ mod tests {
         let mut ledger = Ledger::new();
         let joiner = NodeId::from_raw(1 << 40);
         let contact = sys.cluster_ids()[17];
-        let host = Kernel::new(
-            &mut planner,
-            &sys.overlay,
-            sys.params,
-            &mut ledger,
-            &mut DetRng::new(9),
-            &mut NoMalice,
-        )
+        let host = Kernel {
+            state: &mut planner,
+            walks: &sys.walks,
+            params: sys.params,
+            ledger: &mut ledger,
+            rng: &mut DetRng::new(9),
+            malice: &mut NoMalice,
+        }
         .join(joiner, true, contact);
         ledger.end();
 
@@ -2067,7 +2069,7 @@ mod tests {
 
         let ctx = WaveCtx {
             registry: &sys.registry,
-            overlay: &sys.overlay,
+            walks: &sys.walks,
             params: sys.params,
         };
         let (master, time_step) = (77, sys.time_step);
@@ -2112,7 +2114,7 @@ mod tests {
 
         let ctx = WaveCtx {
             registry: &sys.registry,
-            overlay: &sys.overlay,
+            walks: &sys.walks,
             params: sys.params,
         };
         let (master, time_step) = (77, sys.time_step);

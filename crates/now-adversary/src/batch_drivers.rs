@@ -1,24 +1,29 @@
-//! The churn-driver trait and the attack styles at batch rate.
+//! The churn-driver trait, the attack styles, and the paper's
+//! one-operation-per-step model over them.
 //!
 //! [`BatchDriver`] is the workspace's one churn-driver interface: each
 //! time step a driver emits the arrivals and departures of that step,
-//! and one [`now_core::NowSystem::step_batch`] executes them. The
-//! paper's one-operation-per-step model is the case of at most one
-//! operation per batch ([`crate::strategies`], [`crate::pressure`],
-//! [`crate::Oscillation`]); the drivers here emit whole batches (the
-//! §2 footnote's "several parallel join and leave operations"):
+//! and one [`now_core::NowSystem::step_batch`] executes them. Each
+//! attack style has one driver, which emits whole batches (the §2
+//! footnote's "several parallel join and leave operations"):
 //!
-//! * [`BatchJoinLeave`] — the §3.3 cluster-capture strategy at batch
-//!   rate: withdraw Byzantine nodes parked outside the target and
-//!   re-join them (corrupt, budget permitting) steered at the target.
-//! * [`BatchForcedLeave`] — the DoS attack at batch rate: evict a
-//!   batch of the target's honest members, replacing them with
-//!   arrivals so the population (and the model floor) hold.
+//! * [`BatchJoinLeave`] — the §3.3 cluster-capture strategy: withdraw
+//!   Byzantine nodes parked outside the target and re-join them
+//!   (corrupt, budget permitting) steered at the target.
+//! * [`BatchForcedLeave`] — the DoS attack: evict the target's honest
+//!   members, replacing them with arrivals so the population (and the
+//!   model floor) hold.
 //! * [`BatchSplitForcing`] / [`BatchMergeForcing`] — structural
-//!   pressure at batch rate: flood the target so it splits every few
-//!   steps, or drain it so it merges.
+//!   pressure: flood the target so it splits every few steps, or drain
+//!   it so it merges.
 //! * [`BatchBurstChurn`] — alternating whole-batch join and leave
 //!   bursts.
+//!
+//! The paper's model — at most one join or leave per time step — is
+//! [`OnePerStep`] over any of them: it replays the inner driver's batch
+//! one operation per step. At width 1 with [`ClusterPick::First`] the
+//! targeted drivers are the §3.3 attacker and its structural cousins
+//! one operation at a time.
 //!
 //! The targeted ones resolve their target through a [`ClusterPick`]
 //! policy (largest cluster by default — the natural flood target) and
@@ -31,12 +36,14 @@
 use crate::budget::CorruptionBudget;
 use now_core::{JoinSpec, NowSystem};
 use now_net::{ClusterId, DetRng, NodeId};
+use std::collections::VecDeque;
 
 /// A churn driver — adversarial strategy or environmental churn alike.
 /// Each time step it emits one batch of operations: join specs
 /// (corruption decision plus optional steered contact) and departing
-/// nodes. A per-step strategy returns at most one operation; an empty
-/// batch is a step in which time passes and nothing churns.
+/// nodes. An empty batch is a step in which time passes and nothing
+/// churns; [`OnePerStep`] turns any driver into one that emits at most
+/// one operation per step.
 ///
 /// Implementations must be deterministic functions of `(sys, rng)` —
 /// the runners rely on it for their bit-reproducibility guarantees.
@@ -72,7 +79,8 @@ impl BatchDriver for QuietBatches {
 /// How a targeted batch driver (re)selects its victim cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterPick {
-    /// The first live cluster in id order (the per-step attacks' default).
+    /// The first live cluster in id order (what the one-op-per-step
+    /// attacks aim at).
     First,
     /// The largest live cluster (ties broken by id) — the natural
     /// flood target.
@@ -130,8 +138,7 @@ fn live_target(target: &mut Option<ClusterId>, pick: ClusterPick, sys: &NowSyste
 /// and re-joins the same number of corrupt arrivals (budget permitting)
 /// steered at the target. When no Byzantine node is parked outside the
 /// target, the driver falls back to pure corrupt insertion up to the
-/// projected budget — the per-step strategy's "all inside already; try to
-/// add one", batched.
+/// projected budget.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchJoinLeave {
     /// Step size: a step holds at most `half = max(1, width / 2)`
@@ -256,6 +263,13 @@ impl BatchForcedLeave {
         self
     }
 
+    /// Aims at `target` first; `pick` takes over once it merges away.
+    /// Call after [`Self::with_pick`], which clears the target.
+    pub fn with_target(mut self, target: ClusterId) -> Self {
+        self.target = Some(target);
+        self
+    }
+
     /// The current sticky target, if one has been resolved.
     pub fn target(&self) -> Option<ClusterId> {
         self.target
@@ -371,8 +385,7 @@ impl BatchDriver for BatchSplitForcing {
 
 /// The merge-forcing drain at batch rate: each step evicts up to
 /// `width / 2` members of the target cluster (honest first — the
-/// adversary keeps its own nodes in play, exactly the per-step
-/// [`crate::MergeForcing`] preference) and interleaves the same number
+/// adversary keeps its own nodes in play) and interleaves the same number
 /// of *uniform* replacement arrivals corrupted up to the projected
 /// budget. The replacements keep the population and model floor
 /// intact, but they land on walk-chosen hosts — so the target
@@ -475,10 +488,9 @@ impl BatchDriver for BatchMergeForcing {
 
 /// Alternating join/leave bursts at batch rate: each *step* is one
 /// whole burst — `width` arrivals on even steps, `width` departures of
-/// distinct uniformly random nodes on odd steps. The batched analogue
-/// of the per-step [`crate::BurstChurn`] (whose burst of `width`
-/// consecutive single-op steps collapses into one wave-scheduled time
-/// step here — the regime the paper's parallel-batch footnote is for).
+/// distinct uniformly random nodes on odd steps — the regime the
+/// paper's parallel-batch footnote is for. Under [`OnePerStep`] a burst
+/// spreads over `width` consecutive one-op steps.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchBurstChurn {
     /// Operations per burst (= per step).
@@ -486,7 +498,7 @@ pub struct BatchBurstChurn {
     /// Corruption budget for the join bursts.
     pub budget: CorruptionBudget,
     /// Steers the join bursts at a sticky [`ClusterPick`] target
-    /// (`None` = uniform contacts, the per-step driver's behavior).
+    /// (`None` = uniform contacts).
     pub pick: Option<ClusterPick>,
     target: Option<ClusterId>,
     position: u64,
@@ -564,10 +576,61 @@ impl BatchDriver for BatchBurstChurn {
     }
 }
 
+/// The paper's one-operation-per-step model over a batch driver: asks
+/// the inner driver for a batch, then emits it one operation per step —
+/// its leaves first, then its joins (the order `step_batch` runs a batch
+/// in) — and asks again only once all of it is out. An empty inner
+/// batch is an empty step.
+///
+/// A buffered operation runs against the state of a later step: a
+/// leave whose node has gone meanwhile is refused by `step_batch` (it
+/// lands in the report's `rejected`), and a join steered at a cluster
+/// that merged away contacts a uniform one.
+#[derive(Debug, Clone)]
+pub struct OnePerStep<D> {
+    inner: D,
+    leaves: VecDeque<NodeId>,
+    joins: VecDeque<JoinSpec>,
+}
+
+impl<D: BatchDriver> OnePerStep<D> {
+    /// Emits `inner`'s batches one operation per step.
+    pub fn new(inner: D) -> Self {
+        OnePerStep {
+            inner,
+            leaves: VecDeque::new(),
+            joins: VecDeque::new(),
+        }
+    }
+
+    /// The inner driver (its current target, say).
+    pub fn inner(&self) -> &D {
+        &self.inner
+    }
+}
+
+impl<D: BatchDriver> BatchDriver for OnePerStep<D> {
+    fn decide_batch(&mut self, sys: &NowSystem, rng: &mut DetRng) -> (Vec<JoinSpec>, Vec<NodeId>) {
+        if self.leaves.is_empty() && self.joins.is_empty() {
+            let (joins, leaves) = self.inner.decide_batch(sys, rng);
+            self.joins = joins.into();
+            self.leaves = leaves.into();
+        }
+        match self.leaves.pop_front() {
+            Some(node) => (Vec::new(), vec![node]),
+            None => (self.joins.pop_front().into_iter().collect(), Vec::new()),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_core::NowParams;
+    use now_core::{BatchInput, ExecConfig, NowParams};
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -758,5 +821,138 @@ mod tests {
         let target = adv.target().unwrap();
         assert_eq!(target, ClusterPick::Largest.resolve(&sys));
         assert!(joins.iter().all(|j| j.contact == Some(target)));
+    }
+
+    /// One step of a one-op driver, as the adapter table expects it;
+    /// "target" is the first cluster, which every targeted row aims at.
+    #[derive(Debug, Clone, Copy)]
+    enum Expect {
+        /// A Byzantine node outside the target leaves.
+        ByzLeaveOutside,
+        /// An honest member of the target leaves.
+        HonestEviction,
+        /// Some node leaves.
+        AnyLeave,
+        /// A corrupt arrival steered at the target.
+        CorruptJoinAtTarget,
+        /// An arrival steered at the target.
+        JoinAtTarget,
+        /// An arrival contacting a uniform cluster.
+        UniformJoin,
+        /// Nothing churns.
+        Idle,
+    }
+
+    impl Expect {
+        fn holds(self, sys: &NowSystem, joins: &[JoinSpec], leaves: &[NodeId]) -> bool {
+            let target = sys.cluster_ids()[0];
+            let honest = |n: NodeId| sys.is_honest(n).unwrap();
+            let home = |n: NodeId| sys.node_cluster(n).unwrap();
+            match (self, joins, leaves) {
+                (Expect::ByzLeaveOutside, [], &[n]) => !honest(n) && home(n) != target,
+                (Expect::HonestEviction, [], &[n]) => honest(n) && home(n) == target,
+                (Expect::AnyLeave, [], [_]) => true,
+                (Expect::CorruptJoinAtTarget, [j], []) => !j.honest && j.contact == Some(target),
+                (Expect::JoinAtTarget, [j], []) => j.contact == Some(target),
+                (Expect::UniformJoin, [j], []) => j.contact.is_none(),
+                (Expect::Idle, [], []) => true,
+                _ => false,
+            }
+        }
+    }
+
+    /// The paper's per-step attacks are [`OnePerStep`] over the batch
+    /// drivers at width 1 aimed at the first cluster: each row runs its
+    /// driver on the serial engine and checks every step's one
+    /// operation, leaves of a batch before its joins.
+    #[test]
+    fn one_per_step_replays_each_style_one_op_at_a_time() {
+        use Expect::*;
+        fn one<D: BatchDriver + 'static>(inner: D) -> Box<dyn BatchDriver> {
+            Box::new(OnePerStep::new(inner))
+        }
+        let first = ClusterPick::First;
+        let rows: Vec<(&str, Box<dyn BatchDriver>, Vec<Expect>)> = vec![
+            (
+                "join-leave",
+                one(BatchJoinLeave::new(1, 0.3).with_pick(first)),
+                vec![
+                    ByzLeaveOutside,
+                    CorruptJoinAtTarget,
+                    ByzLeaveOutside,
+                    CorruptJoinAtTarget,
+                ],
+            ),
+            (
+                "forced-leave",
+                one(BatchForcedLeave::new(1, 0.2).with_pick(first)),
+                vec![HonestEviction, UniformJoin, HonestEviction, UniformJoin],
+            ),
+            (
+                // The second eviction was decided before the first
+                // one's exchange, which may have moved its node.
+                "forced-leave, width 4",
+                one(BatchForcedLeave::new(4, 0.2).with_pick(first)),
+                vec![HonestEviction, AnyLeave, UniformJoin, UniformJoin],
+            ),
+            (
+                "merge-forcing",
+                one(BatchMergeForcing::new(1, 0.2).with_pick(first)),
+                vec![HonestEviction, UniformJoin, HonestEviction, UniformJoin],
+            ),
+            (
+                "split-forcing",
+                one(BatchSplitForcing::new(1, 0.3).with_pick(first)),
+                vec![JoinAtTarget; 5],
+            ),
+            (
+                "burst(3)",
+                one(BatchBurstChurn::new(3, 0.1)),
+                [[UniformJoin; 3], [AnyLeave; 3]].concat(),
+            ),
+            ("quiet", one(QuietBatches), vec![Idle; 3]),
+        ];
+        for (name, mut adv, expected) in rows {
+            let mut sys = system(200, 0.2, 11);
+            let mut rng = DetRng::new(11);
+            let mut leavers: Vec<NodeId> = Vec::new();
+            for (step, expect) in expected.into_iter().enumerate() {
+                let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+                assert!(
+                    expect.holds(&sys, &joins, &leaves),
+                    "{name}, step {step}: expected {expect:?}, got {joins:?} {leaves:?}"
+                );
+                leavers.extend(&leaves);
+                let input = BatchInput::from_specs(&joins, &leaves);
+                let report = sys.step_batch(&input, &ExecConfig::serial());
+                assert!(report.rejected.is_empty(), "{name}, step {step}");
+            }
+            let all = leavers.len();
+            leavers.sort_unstable();
+            leavers.dedup();
+            assert_eq!(leavers.len(), all, "{name}: distinct leavers");
+            sys.check_consistency().unwrap();
+        }
+
+        // A buffered leave runs a step late: if its node left meanwhile,
+        // `step_batch` refuses it instead of panicking.
+        let mut sys = system(200, 0.2, 12);
+        let mut rng = DetRng::new(12);
+        let mut adv = OnePerStep::new(BatchForcedLeave::new(4, 0.2).with_pick(first));
+        let (_, due) = adv.decide_batch(&sys, &mut rng);
+        let (_, buffered) = adv.clone().decide_batch(&sys, &mut rng);
+        sys.leave(buffered[0]).unwrap();
+        sys.step_batch(&BatchInput::from_specs(&[], &due), &ExecConfig::serial());
+
+        let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
+        assert_eq!((joins.len(), &leaves), (0, &buffered));
+        let population = sys.population();
+        let report = sys.step_batch(
+            &BatchInput::from_specs(&joins, &leaves),
+            &ExecConfig::serial(),
+        );
+        assert_eq!(report.rejected.len(), 1, "the departed node is refused");
+        assert_eq!(sys.population(), population);
+        sys.check_consistency().unwrap();
     }
 }

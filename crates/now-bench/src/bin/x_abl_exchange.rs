@@ -15,6 +15,7 @@
 //! The adversary is the §3.3 join–leave attacker — the strategy the
 //! shuffling exists to defeat.
 
+use now_adversary::{BatchJoinLeave, ClusterPick, OnePerStep};
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
 use now_sim::{BatchRun, Table, ViolationKind};
@@ -42,8 +43,7 @@ fn main() {
             .with_exchange_cap((cap > 0 && cap != usize::MAX).then_some(cap));
         let n0 = 10 * params.target_cluster_size();
         let mut sys = NowSystem::init_fast(params, n0, tau, 31_000 + cap as u64 % 997);
-        let target = sys.cluster_ids()[0];
-        let mut adv = now_adversary::JoinLeaveAttack::new(target, tau);
+        let mut adv = OnePerStep::new(BatchJoinLeave::new(1, tau).with_pick(ClusterPick::First));
         let report = BatchRun::new().run(&mut sys, &mut adv, steps, 13);
         let join_msgs = sys.ledger().stats(now_net::CostKind::Join).mean_messages();
         let leave_msgs = sys.ledger().stats(now_net::CostKind::Leave).mean_messages();

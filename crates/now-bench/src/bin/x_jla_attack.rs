@@ -8,7 +8,7 @@
 //!   crossings (beyond the paper's analysis — the sticky-threshold
 //!   effect; capture times should grow rapidly with k).
 
-use now_adversary::{BatchDriver, JoinLeaveAttack, TargetedMalice};
+use now_adversary::{BatchDriver, BatchJoinLeave, ClusterPick, OnePerStep, TargetedMalice};
 use now_bench::results_dir;
 use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_net::DetRng;
@@ -26,7 +26,7 @@ fn attack(params: NowParams, tau: f64, steps: u64, hardened: bool, seed: u64) ->
     if hardened {
         sys.set_malice(Box::new(TargetedMalice::new(target)));
     }
-    let mut adv = JoinLeaveAttack::new(target, tau);
+    let mut adv = OnePerStep::new(BatchJoinLeave::new(1, tau).with_pick(ClusterPick::First));
     let mut rng = DetRng::new(seed.wrapping_mul(7).wrapping_add(1));
     let mut peak = 0.0f64;
     for step in 0..steps {
@@ -35,8 +35,10 @@ fn attack(params: NowParams, tau: f64, steps: u64, hardened: bool, seed: u64) ->
             &BatchInput::from_specs(&joins, &leaves),
             &ExecConfig::serial(),
         );
-        let frac = sys
-            .cluster(adv.target)
+        let frac = adv
+            .inner()
+            .target()
+            .and_then(|t| sys.cluster(t))
             .map(|c| c.byz_fraction())
             .unwrap_or(0.0);
         peak = peak.max(frac);

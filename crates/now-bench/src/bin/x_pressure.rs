@@ -14,14 +14,15 @@
 //! no-shuffle ablation (where the same pressure is expected to break
 //! the target).
 
-use now_adversary::{BatchDriver, BurstChurn, MergeForcing, SplitForcing};
+use now_adversary::{
+    BatchBurstChurn, BatchDriver, BatchMergeForcing, BatchSplitForcing, ClusterPick, OnePerStep,
+};
 use now_bench::results_dir;
 use now_core::{NowParams, NowSystem};
-use now_net::ClusterId;
 use now_sim::{BatchRandomChurn, BatchRun, Table, ViolationKind};
 
-/// Builds an attack's per-step driver against the target cluster.
-type Attack = fn(ClusterId, f64) -> Box<dyn BatchDriver>;
+/// Builds an attack's one-op-per-step driver at corruption fraction τ.
+type Attack = fn(f64) -> Box<dyn BatchDriver>;
 
 fn main() {
     println!("# X-PRESSURE: split/merge-forcing attacks (§3.3 extension)\n");
@@ -39,18 +40,27 @@ fn main() {
 
     let attacks: [(Attack, &str); 4] = [
         (
-            |_, tau| Box::new(BatchRandomChurn::balanced(1, tau)),
+            |tau| Box::new(BatchRandomChurn::balanced(1, tau)),
             "balanced (control)",
         ),
         (
-            |target, tau| Box::new(SplitForcing::new(target, tau)),
+            |tau| {
+                let flood = BatchSplitForcing::new(1, tau).with_pick(ClusterPick::First);
+                Box::new(OnePerStep::new(flood))
+            },
             "split-forcing",
         ),
         (
-            |target, tau| Box::new(MergeForcing::new(target, tau)),
+            |tau| {
+                let drain = BatchMergeForcing::new(1, tau).with_pick(ClusterPick::First);
+                Box::new(OnePerStep::new(drain))
+            },
             "merge-forcing",
         ),
-        (|_, tau| Box::new(BurstChurn::new(8, tau)), "burst-8"),
+        (
+            |tau| Box::new(OnePerStep::new(BatchBurstChurn::new(8, tau))),
+            "burst-8",
+        ),
     ];
     for (attack, label) in attacks {
         for shuffle in [true, false] {
@@ -59,8 +69,8 @@ fn main() {
                 .with_shuffle(shuffle);
             let n0 = 10 * params.target_cluster_size();
             let mut sys = NowSystem::init_fast(params, n0, tau, 23);
-            // The attacks target the first cluster.
-            let mut driver = attack(sys.cluster_ids()[0], tau);
+            // The targeted attacks aim at the first cluster.
+            let mut driver = attack(tau);
             let report = BatchRun::new().run(&mut sys, driver.as_mut(), steps, 24);
             let (_, _, splits, merges) = sys.op_counts();
             table.row([

@@ -23,7 +23,7 @@ struct VertexSlot {
 /// with structural enforcement of the degree cap and floor-repair on
 /// removals.
 ///
-/// Storage is a slab of [`VertexSlot`]s (freelist-recycled on removal),
+/// Storage is a slab of vertex slots (freelist-recycled on removal),
 /// a sorted `(id, slot)` index that fixes the canonical iteration
 /// order, and a direct `raw id → slot` map that resolves lookups in
 /// O(1): neighbor sets are per-vertex sorted vecs, so

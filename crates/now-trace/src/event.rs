@@ -4,8 +4,8 @@ use crate::json::Json;
 
 /// One protocol event, as recorded by the engines.
 ///
-/// Identities are raw `u64`s ([`now_net::NodeId::raw`] /
-/// `ClusterId::raw` upstream) so the event type carries no workspace
+/// Identities are raw `u64`s (`NodeId::raw` / `ClusterId::raw`
+/// upstream) so the event type carries no workspace
 /// dependencies. Every variant's fields are protocol outcomes — never
 /// wall-clock readings, thread counts, or any other value that could
 /// differ between two runs of the same `(seed, config)` pair.

@@ -17,7 +17,7 @@
 //! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |
-//! | [`adversary`] | the churn-driver trait, per-step and batch-rate attacks, structural pressure, in-protocol malice |
+//! | [`adversary`] | the churn-driver trait, one driver per attack style, the one-op-per-step adapter, in-protocol malice |
 //! | [`sim`] | the step loop, churn schedules, metrics, baselines |
 //! | [`trace`] | deterministic flight recorder, metrics registry, opt-in phase profiler |
 //! | [`campaign`] | declarative multi-phase attack campaigns (`scenarios/*.campaign`) |

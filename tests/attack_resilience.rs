@@ -11,8 +11,7 @@
 //! seed could.
 
 use now_bft::adversary::{
-    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick,
-    ForcedLeaveAttack, JoinLeaveAttack,
+    BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick, OnePerStep,
 };
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, SecurityMode};
 use now_bft::net::{ClusterId, DetRng};
@@ -25,11 +24,12 @@ fn params() -> NowParams {
 
 /// Drives `adv` for `steps` one-op steps on the serial engine,
 /// returning the peak Byzantine fraction seen at the adversary's
-/// (possibly retargeted) aim cluster, read through `aim`.
+/// (possibly retargeted) aim cluster, read off the inner driver by
+/// `aim`.
 fn drive<D: BatchDriver>(
     sys: &mut NowSystem,
-    adv: &mut D,
-    aim: impl Fn(&D) -> ClusterId,
+    adv: &mut OnePerStep<D>,
+    aim: impl Fn(&D) -> Option<ClusterId>,
     steps: u64,
     seed: u64,
 ) -> f64 {
@@ -41,11 +41,18 @@ fn drive<D: BatchDriver>(
             &BatchInput::from_specs(&joins, &leaves),
             &ExecConfig::serial(),
         );
-        if let Some(c) = sys.cluster(aim(adv)) {
+        if let Some(c) = aim(adv.inner()).and_then(|t| sys.cluster(t)) {
             peak = peak.max(c.byz_fraction());
         }
     }
     peak
+}
+
+/// [`drive`]s the §3.3 attacker, one op per step, aimed at the first
+/// cluster.
+fn join_leave_peak(sys: &mut NowSystem, tau: f64, steps: u64, seed: u64) -> f64 {
+    let mut adv = OnePerStep::new(BatchJoinLeave::new(1, tau).with_pick(ClusterPick::First));
+    drive(sys, &mut adv, BatchJoinLeave::target, steps, seed)
 }
 
 /// Sorted copy, for quantile reads.
@@ -91,14 +98,10 @@ fn shuffling_beats_the_join_leave_attack() {
     let mut baseline_wins = 0usize;
     for &(init_seed, drive_seed) in &seeds {
         let mut baseline = NowSystem::init_fast(no_shuffle_params(params()), 300, tau, init_seed);
-        let target_b = baseline.cluster_ids()[0];
-        let mut adv_b = JoinLeaveAttack::new(target_b, tau);
-        let peak_baseline = drive(&mut baseline, &mut adv_b, |a| a.target, steps, drive_seed);
+        let peak_baseline = join_leave_peak(&mut baseline, tau, steps, drive_seed);
 
         let mut now = NowSystem::init_fast(params(), 300, tau, init_seed);
-        let target_n = now.cluster_ids()[0];
-        let mut adv_n = JoinLeaveAttack::new(target_n, tau);
-        let peak_now = drive(&mut now, &mut adv_n, |a| a.target, steps, drive_seed);
+        let peak_now = join_leave_peak(&mut now, tau, steps, drive_seed);
 
         baseline.check_consistency().unwrap();
         now.check_consistency().unwrap();
@@ -149,8 +152,15 @@ fn forced_leaves_do_not_concentrate_byzantines() {
     for &(init_seed, drive_seed) in &seeds {
         let mut sys = NowSystem::init_fast(params(), 300, tau, init_seed);
         let target = sys.cluster_ids()[1];
-        let mut adv = ForcedLeaveAttack::new(target, tau);
-        let peak = drive(&mut sys, &mut adv, |a| a.target, 200, drive_seed);
+        let first = BatchForcedLeave::new(1, tau).with_pick(ClusterPick::First);
+        let mut dos = OnePerStep::new(first.with_target(target));
+        let peak = drive(
+            &mut sys,
+            &mut dos,
+            BatchForcedLeave::target,
+            200,
+            drive_seed,
+        );
         sys.check_consistency().unwrap();
         peaks.push(peak);
     }
@@ -260,15 +270,11 @@ fn no_shuffle_ablation_is_strictly_cheaper_but_weaker() {
     let mut cheap_wins = 0usize;
     for &(init_seed, drive_seed) in &seeds {
         let mut cheap = NowSystem::init_fast(no_shuffle_params(params()), 300, tau, init_seed);
-        let t1 = cheap.cluster_ids()[0];
-        let mut adv1 = JoinLeaveAttack::new(t1, tau);
-        let peak_cheap = drive(&mut cheap, &mut adv1, |a| a.target, steps, drive_seed);
+        let peak_cheap = join_leave_peak(&mut cheap, tau, steps, drive_seed);
         let cost_cheap = cheap.ledger().total().messages;
 
         let mut full = NowSystem::init_fast(params(), 300, tau, init_seed);
-        let t2 = full.cluster_ids()[0];
-        let mut adv2 = JoinLeaveAttack::new(t2, tau);
-        let peak_full = drive(&mut full, &mut adv2, |a| a.target, steps, drive_seed);
+        let peak_full = join_leave_peak(&mut full, tau, steps, drive_seed);
         let cost_full = full.ledger().total().messages;
 
         // The cost separation is structural (shuffling dominates every

@@ -12,7 +12,7 @@
 //! engine on the ideal network, with and without a pool, must all land
 //! on every pin.
 
-use now_bft::adversary::{BatchDriver, JoinLeaveAttack};
+use now_bft::adversary::{BatchDriver, BatchJoinLeave, ClusterPick, OnePerStep};
 use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, WavePool};
 use now_bft::sim::{BatchRandomChurn, BatchRun, BatchSawtooth};
 
@@ -25,9 +25,9 @@ const PINS: [(&str, u64, u64, Pin); 9] = [
     ("batch-random-churn", 150, 1, (88, 62, 226, 34, 586930828, 485701, (88, 62, 0, 0))),
     ("batch-random-churn", 150, 2, (82, 68, 214, 32, 575320215, 516005, (82, 68, 0, 0))),
     ("batch-random-churn", 150, 3, (81, 69, 212, 31, 611233232, 524605, (81, 69, 0, 0))),
-    ("join-leave-attack", 150, 1, (75, 75, 200, 30, 630180696, 640407, (94, 75, 1, 1))),
-    ("join-leave-attack", 150, 2, (75, 75, 200, 30, 601461513, 560656, (75, 75, 1, 0))),
-    ("join-leave-attack", 150, 3, (75, 75, 200, 30, 602346672, 592126, (75, 75, 1, 0))),
+    ("batch-join-leave", 150, 1, (75, 75, 200, 30, 630180696, 640407, (94, 75, 1, 1))),
+    ("batch-join-leave", 150, 2, (75, 75, 200, 30, 601461513, 560656, (75, 75, 1, 0))),
+    ("batch-join-leave", 150, 3, (75, 75, 200, 30, 602346672, 592126, (75, 75, 1, 0))),
     ("batch-sawtooth", 300, 1, (160, 140, 220, 33, 1268015403, 1273575, (255, 140, 5, 5))),
     ("batch-sawtooth", 300, 2, (160, 140, 220, 33, 1244301636, 1297451, (236, 140, 5, 4))),
     ("batch-sawtooth", 300, 3, (160, 140, 220, 33, 1268877177, 1190511, (255, 140, 6, 5))),
@@ -48,7 +48,9 @@ fn per_step_strategies_replay_the_parent_commit() {
             let mut sys = NowSystem::init_fast(params, 200, 0.15, seed);
             let mut driver: Box<dyn BatchDriver> = match name {
                 "batch-random-churn" => Box::new(BatchRandomChurn::balanced(1, 0.15)),
-                "join-leave-attack" => Box::new(JoinLeaveAttack::new(sys.cluster_ids()[0], 0.15)),
+                "batch-join-leave" => Box::new(OnePerStep::new(
+                    BatchJoinLeave::new(1, 0.15).with_pick(ClusterPick::First),
+                )),
                 _ => Box::new(BatchSawtooth::new(120, 260, 1, 0.15)),
             };
             assert_eq!(driver.name(), name);

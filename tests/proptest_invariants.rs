@@ -3,10 +3,12 @@
 //! ledger.
 
 use now_bft::adversary::{
-    BatchDriver, BurstChurn, ForcedLeaveAttack, JoinLeaveAttack, MergeForcing, SplitForcing,
+    BatchBurstChurn, BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing,
+    BatchSplitForcing, ClusterPick, OnePerStep,
 };
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{Cost, CostKind, CostStats, Ledger, NodeId};
+use now_bft::sim::{BatchRandomChurn, BatchSawtooth};
 use proptest::prelude::*;
 
 mod oracle;
@@ -134,17 +136,24 @@ proptest! {
 
     /// One trajectory per seed: one-op drivers run singleton waves, so
     /// `serial`, `scheduled`, `pooled{1,4}` and `event(ideal){1,4}` end
-    /// equal, trace and metrics included. (Batched drivers are styles.)
+    /// equal, trace and metrics included. Every driver style runs one op
+    /// per step, its batches up to four wide spread over several steps.
     #[test]
-    fn singleton_partitions_agree_across_engines(seed in any::<u64>(), kind in 0usize..5) {
-        let driver = move |sys: &NowSystem| -> Box<dyn BatchDriver> {
-            let (target, tau) = (sys.cluster_ids()[0], 0.20);
+    fn singleton_partitions_agree_across_engines(
+        seed in any::<u64>(),
+        kind in 0usize..7,
+        width in 1usize..=4,
+    ) {
+        let driver = move |_: &NowSystem| -> Box<dyn BatchDriver> {
+            let (first, tau) = (ClusterPick::First, 0.20);
             match kind {
-                0 => Box::new(JoinLeaveAttack::new(target, tau)),
-                1 => Box::new(ForcedLeaveAttack::new(target, tau)),
-                2 => Box::new(SplitForcing::new(target, tau)),
-                3 => Box::new(MergeForcing::new(target, tau)),
-                _ => Box::new(BurstChurn::new(5, tau)),
+                0 => Box::new(OnePerStep::new(BatchJoinLeave::new(width, tau).with_pick(first))),
+                1 => Box::new(OnePerStep::new(BatchForcedLeave::new(width, tau).with_pick(first))),
+                2 => Box::new(OnePerStep::new(BatchSplitForcing::new(width, tau).with_pick(first))),
+                3 => Box::new(OnePerStep::new(BatchMergeForcing::new(width, tau).with_pick(first))),
+                4 => Box::new(OnePerStep::new(BatchBurstChurn::new(width, tau))),
+                5 => Box::new(OnePerStep::new(BatchRandomChurn::balanced(width, tau))),
+                _ => Box::new(OnePerStep::new(BatchSawtooth::new(130, 170, width, tau))),
             }
         };
         let shape = oracle::Shape(params(), 150, 0.15, seed);

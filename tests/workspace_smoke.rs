@@ -14,7 +14,7 @@ fn facade_reexports_resolve() {
     let _agreement = now_bft::agreement::quorum::forgery_possible;
     let _over = now_bft::over::OverParams::for_capacity(1 << 10);
     let _core = now_bft::core::NowParams::for_capacity;
-    let _adversary = now_bft::adversary::JoinLeaveAttack::new;
+    let _adversary = now_bft::adversary::BatchJoinLeave::new;
     let _sim = now_bft::sim::BatchRun::new;
     let _apps = now_bft::apps::broadcast;
 }

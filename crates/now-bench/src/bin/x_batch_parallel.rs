@@ -124,9 +124,7 @@ fn sweep(
             report.max_wave_width.into(),
             report.wave_slack_rounds.into(),
             report.parallel_speedup().into(),
-            report
-                .binding_violations(now_core::SecurityMode::Plain)
-                .into(),
+            report.binding_violations().into(),
         ]);
         wall.row([
             width.into(),

@@ -98,20 +98,21 @@ fn run(args: &Args) -> Result<(), NowError> {
         "binding_viol",
     ]);
     for p in &report.phases {
+        let r = &p.run;
         table.row([
             p.name.clone().into(),
             p.style.clone().into(),
-            p.steps.into(),
+            r.steps.into(),
             p.trigger_fired.into(),
-            p.joins.into(),
-            p.leaves.into(),
-            p.waves.into(),
-            p.max_wave_width.into(),
-            p.wave_slack_rounds.into(),
+            r.joins.into(),
+            r.leaves.into(),
+            r.waves.into(),
+            r.max_wave_width.into(),
+            r.wave_slack_rounds.into(),
             p.messages.into(),
-            format!("{}→{}", p.pop_start, p.pop_end).into(),
-            p.peak_byz_fraction.into(),
-            p.binding_violations.into(),
+            format!("{}→{}", p.pop_start, r.final_audit.population).into(),
+            r.peak_byz_fraction().into(),
+            r.binding_violations().into(),
         ]);
     }
     println!("{}", table.to_markdown());

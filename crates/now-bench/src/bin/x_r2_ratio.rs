@@ -35,10 +35,9 @@ fn main() {
         let mut churn = BatchRandomChurn::balanced(1, tau);
         let report = BatchRun::new().run(&mut sys, &mut churn, steps, 43);
         let over_bound = report
-            .worst_byz_fraction
-            .points()
+            .audits
             .iter()
-            .filter(|&&(_, v)| v > bound)
+            .filter(|a| a.worst_byz_fraction > bound)
             .count();
         let over_rate = over_bound as f64 / steps as f64;
         table.row([

@@ -77,7 +77,7 @@ fn main() {
                 steps,
                 70 + i as u64,
             );
-            violations += report.binding_violations(now_core::SecurityMode::Plain);
+            violations += report.binding_violations();
             worst = worst.max(report.peak_byz_fraction());
             band_ok &= report.final_audit.size_bounds_ok;
             if sys.population() >= peak_n {

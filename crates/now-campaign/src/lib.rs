@@ -24,10 +24,11 @@
 //!   holds a corpus of ready-to-run campaign files.
 //! * **Runner + report** ([`run`], [`report`]) — the phase-switching
 //!   runner produces a [`CampaignReport`] with one [`PhaseReport`] per
-//!   phase (violations, wave statistics, population trajectory, ledger
-//!   totals) and emits it as deterministic JSON: runs of the same
-//!   campaign are byte-identical across `--threads` values, which CI
-//!   gates (`campaign-smoke`).
+//!   phase (the phase's [`now_sim::BatchRunReport`], whose per-step
+//!   audits give the violations, peak and population trajectory, plus
+//!   the trigger outcome and ledger totals) and emits it as
+//!   deterministic JSON: runs of the same campaign are byte-identical
+//!   across `--threads` values, which CI gates (`campaign-smoke`).
 //!
 //! # Example
 //! ```

@@ -1,129 +1,82 @@
 //! Per-phase campaign reports and their deterministic JSON form.
 //!
 //! The JSON contains **only deterministic outcome fields** — no
-//! wall-clock, no thread counts — so two runs of the same campaign file
-//! must be byte-identical whatever `--threads` value drove them. CI's
-//! `campaign-smoke` job diffs exactly that.
+//! wall-clock, no thread counts (a phase's run carries both; neither is
+//! written) — so two runs of the same campaign file must be
+//! byte-identical whatever `--threads` value drove them. CI's
+//! `campaign-smoke` job diffs exactly that, and checks the bytes
+//! against sums committed in `.github/artifacts.sha256`.
 
 use now_core::{Json, SecurityMode};
-use now_sim::{TimeSeries, Violation, ViolationKind};
+use now_sim::{BatchRunReport, ViolationKind};
 
-/// Outcome of one campaign phase.
+/// Outcome of one campaign phase: its [`BatchRunReport`] plus what only
+/// a campaign knows.
 #[derive(Debug, Clone)]
 pub struct PhaseReport {
     /// Phase name (from the campaign).
     pub name: String,
     /// Style name (e.g. `join-leave`).
     pub style: String,
-    /// Driver name as reported by the batch driver.
-    pub driver: String,
-    /// Steps actually executed (≤ the trigger's cap).
-    pub steps: u64,
     /// Whether the trigger's condition fired (as opposed to the step
     /// cap running out). Always true for `steps` triggers.
     pub trigger_fired: bool,
-    /// Joins admitted during the phase.
-    pub joins: u64,
-    /// Leaves completed during the phase.
-    pub leaves: u64,
-    /// Departures rejected (floor / unknown).
-    pub rejected: u64,
-    /// Serial round sum over the phase.
-    pub rounds_serial: u64,
-    /// Scheduled parallel round sum over the phase.
-    pub rounds_parallel: u64,
-    /// Conflict-free waves scheduled.
-    pub waves: u64,
-    /// Widest wave observed.
-    pub max_wave_width: usize,
-    /// Round slack of the schedules (serial rounds saved).
-    pub wave_slack_rounds: u64,
-    /// Messages the event network accepted for delivery (always zero
-    /// outside `exec event` phases). Conservation: `sent` equals
-    /// `delivered + dropped` within every phase.
-    pub sent: u64,
-    /// Messages the event network delivered (always zero outside
-    /// `exec event` phases).
-    pub delivered: u64,
-    /// Operations whose triggering message the event network dropped
-    /// (always zero outside `exec event` phases).
-    pub dropped: u64,
+    /// Population when the phase began.
+    pub pop_start: u64,
     /// Ledger message delta across the phase.
     pub messages: u64,
     /// Ledger round delta across the phase.
     pub rounds: u64,
-    /// Population when the phase began.
-    pub pop_start: u64,
-    /// Population when the phase ended.
-    pub pop_end: u64,
-    /// Smallest population seen during the phase.
-    pub pop_min: u64,
-    /// Largest population seen during the phase.
-    pub pop_max: u64,
-    /// Highest worst-cluster Byzantine fraction seen during the phase.
-    pub peak_byz_fraction: f64,
-    /// Every invariant violation observed (all kinds).
-    pub violations: Vec<Violation>,
-    /// Violations binding for the system's security mode.
-    pub binding_violations: usize,
-    /// Population trajectory (one point per step).
-    pub population: TimeSeries,
+    /// The phase's run: churn, wave and network counts, one audit per
+    /// step, and the audit at its end.
+    pub run: BatchRunReport,
 }
 
 impl PhaseReport {
-    /// Number of violations of the given kind.
-    pub fn count(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
-    }
-
     /// The phase's JSON object, as it appears in the report's `phases`.
     fn json(&self) -> Json {
+        let r = &self.run;
+        let pops = r.audits.iter().map(|a| a.population);
         let population = Json::object([
             ("start", self.pop_start.into()),
-            ("end", self.pop_end.into()),
-            ("min", self.pop_min.into()),
-            ("max", self.pop_max.into()),
+            ("end", r.final_audit.population.into()),
+            ("min", pops.clone().fold(self.pop_start, u64::min).into()),
+            ("max", pops.fold(self.pop_start, u64::max).into()),
         ]);
-        let mut violations = vec![("binding", self.binding_violations.into())];
-        for kind in [
-            ViolationKind::NotTwoThirdsHonest,
-            ViolationKind::NotMajorityHonest,
-            ViolationKind::RandNumCompromised,
-            ViolationKind::Forgeable,
-            ViolationKind::SizeBounds,
-        ] {
-            violations.push((kind.name(), self.count(kind).into()));
+        let mut violations = vec![("binding", r.binding_violations().into())];
+        for kind in ViolationKind::ALL {
+            violations.push((kind.name(), r.count(kind).into()));
         }
         // Downsampled population trajectory: at most ~25 points per
         // phase, stride-even so equal runs sample equal steps.
-        let points = self.population.points();
-        let stride = (points.len() / 25).max(1);
-        let trajectory = points
+        let stride = (r.audits.len() / 25).max(1);
+        let trajectory = r
+            .audits
             .iter()
             .enumerate()
-            .filter(|(i, _)| i % stride == 0 || *i + 1 == points.len())
-            .map(|(_, &(step, pop))| Json::array([step, pop.round() as u64]));
+            .filter(|(i, _)| i % stride == 0 || *i + 1 == r.audits.len())
+            .map(|(_, a)| Json::array([a.time_step, a.population]));
         Json::object([
             ("name", self.name.as_str().into()),
             ("style", self.style.as_str().into()),
-            ("driver", self.driver.as_str().into()),
-            ("steps", self.steps.into()),
+            ("driver", r.driver.as_str().into()),
+            ("steps", r.steps.into()),
             ("trigger_fired", self.trigger_fired.into()),
-            ("joins", self.joins.into()),
-            ("leaves", self.leaves.into()),
-            ("rejected", self.rejected.into()),
-            ("rounds_serial", self.rounds_serial.into()),
-            ("rounds_parallel", self.rounds_parallel.into()),
-            ("waves", self.waves.into()),
-            ("max_wave_width", self.max_wave_width.into()),
-            ("wave_slack", self.wave_slack_rounds.into()),
-            ("sent", self.sent.into()),
-            ("delivered", self.delivered.into()),
-            ("dropped", self.dropped.into()),
+            ("joins", r.joins.into()),
+            ("leaves", r.leaves.into()),
+            ("rejected", r.rejected.into()),
+            ("rounds_serial", r.rounds_serial.into()),
+            ("rounds_parallel", r.rounds_parallel.into()),
+            ("waves", r.waves.into()),
+            ("max_wave_width", r.max_wave_width.into()),
+            ("wave_slack", r.wave_slack_rounds.into()),
+            ("sent", r.sent.into()),
+            ("delivered", r.delivered.into()),
+            ("dropped", r.dropped.into()),
             ("messages", self.messages.into()),
             ("rounds", self.rounds.into()),
             ("population", population),
-            ("peak_byz_fraction", self.peak_byz_fraction.into()),
+            ("peak_byz_fraction", r.peak_byz_fraction().into()),
             ("violations", Json::object(violations)),
             ("trajectory", Json::array(trajectory)),
         ])
@@ -155,12 +108,12 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// Total steps across all phases.
     pub fn total_steps(&self) -> u64 {
-        self.phases.iter().map(|p| p.steps).sum()
+        self.phases.iter().map(|p| p.run.steps).sum()
     }
 
     /// Total binding violations across all phases.
     pub fn total_binding_violations(&self) -> usize {
-        self.phases.iter().map(|p| p.binding_violations).sum()
+        self.phases.iter().map(|p| p.run.binding_violations()).sum()
     }
 
     /// Total ledger messages across all phases.
@@ -199,43 +152,46 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use now_core::SystemAudit;
 
     fn phase(name: &str) -> PhaseReport {
-        let mut population = TimeSeries::new("population");
-        for s in 0..60u64 {
-            population.push(s, 100.0 + s as f64);
-        }
+        let params = now_core::NowParams::for_capacity(1 << 10).unwrap();
+        let base = now_core::NowSystem::init_fast(params, 100, 0.0, 1).audit();
+        let audits: Vec<_> = (0..60u64)
+            .map(|s| SystemAudit {
+                time_step: s,
+                population: 100 + s,
+                worst_byz_fraction: 0.25,
+                size_bounds_ok: s != 3,
+                ..base
+            })
+            .collect();
         PhaseReport {
             name: name.into(),
             style: "balanced".into(),
-            driver: "batch-random-churn".into(),
-            steps: 60,
             trigger_fired: true,
-            joins: 30,
-            leaves: 28,
-            rejected: 2,
-            rounds_serial: 600,
-            rounds_parallel: 420,
-            waves: 120,
-            max_wave_width: 3,
-            wave_slack_rounds: 180,
-            sent: 0,
-            delivered: 0,
-            dropped: 0,
+            pop_start: 100,
             messages: 12345,
             rounds: 600,
-            pop_start: 100,
-            pop_end: 159,
-            pop_min: 100,
-            pop_max: 159,
-            peak_byz_fraction: 0.25,
-            violations: vec![Violation {
-                step: 3,
-                kind: ViolationKind::SizeBounds,
-                cluster: None,
-            }],
-            binding_violations: 1,
-            population,
+            run: BatchRunReport {
+                driver: "batch-random-churn".into(),
+                threads: None,
+                steps: 60,
+                joins: 30,
+                leaves: 28,
+                rejected: 2,
+                rounds_serial: 600,
+                rounds_parallel: 420,
+                waves: 120,
+                max_wave_width: 3,
+                wave_slack_rounds: 180,
+                dropped: 0,
+                sent: 0,
+                delivered: 0,
+                wall_nanos: 0,
+                final_audit: audits[59],
+                audits,
+            },
         }
     }
 
@@ -295,7 +251,7 @@ mod tests {
     #[test]
     fn non_finite_fraction_renders_null() {
         let mut p = phase("a");
-        p.peak_byz_fraction = f64::NAN;
+        p.run.audits[0].worst_byz_fraction = f64::INFINITY;
         let report = CampaignReport {
             campaign: "t".into(),
             seed: 0,
@@ -306,7 +262,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"peak_byz_fraction\": null,"), "{json}");
-        assert!(!json.contains("NaN"));
+        assert!(!json.contains("inf"));
     }
 
     #[test]
@@ -322,8 +278,8 @@ mod tests {
         assert_eq!(report.total_steps(), 180);
         assert_eq!(report.total_binding_violations(), 3);
         assert_eq!(report.total_messages(), 3 * 12345);
-        assert_eq!(report.phases[0].count(ViolationKind::SizeBounds), 1);
-        assert_eq!(report.phases[0].count(ViolationKind::Forgeable), 0);
+        assert_eq!(report.phases[0].run.count(ViolationKind::SizeBounds), 1);
+        assert_eq!(report.phases[0].run.count(ViolationKind::Forgeable), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use now_adversary::{
     BatchSplitForcing, QuietBatches,
 };
 use now_core::{ExecConfig, NowError, NowParams, NowSystem, WavePool};
-use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth};
+use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth, ViolationKind};
 
 /// A phase's compiled stop condition (evaluated before the first step
 /// and after every step, audited or not).
@@ -154,15 +154,21 @@ impl Campaign {
                 Trigger::PopulationBelow { target, .. } => {
                     Box::new(move |s, _| s.population() <= target)
                 }
-                Trigger::FirstViolation { .. } => {
-                    Box::new(move |_, r| r.binding_violations(mode) > 0)
-                }
+                // Checked after every step, so the newest audit is the
+                // only one that can hold the first binding violation.
+                Trigger::FirstViolation { .. } => Box::new(|_, r| {
+                    r.audits.last().is_some_and(|a| {
+                        ViolationKind::ALL
+                            .iter()
+                            .any(|k| k.binds_in(a.security) && k.fails(a))
+                    })
+                }),
             };
             let fired = std::cell::Cell::new(false);
 
             let pop_start = sys.population();
             let ledger_before = sys.ledger().total();
-            let r = BatchRun::new()
+            let run = BatchRun::new()
                 .exec(exec)
                 .until(|s, rep| {
                     let hit = condition(s, rep);
@@ -173,43 +179,14 @@ impl Campaign {
                 })
                 .run(sys, driver.as_mut(), phase.trigger.max_steps(), phase_seed);
             let ledger_after = sys.ledger().total();
-            let trigger_fired = matches!(phase.trigger, Trigger::Steps(_)) || fired.get();
-            let pops = r.population.summary();
-            let (pop_min, pop_max) = if pops.count == 0 {
-                (pop_start, pop_start)
-            } else {
-                (
-                    (pops.min as u64).min(pop_start),
-                    (pops.max as u64).max(pop_start),
-                )
-            };
             phases.push(PhaseReport {
                 name: phase.name.clone(),
                 style: phase.style.name().to_string(),
-                driver: r.driver.clone(),
-                steps: r.steps,
-                trigger_fired,
-                joins: r.joins,
-                leaves: r.leaves,
-                rejected: r.rejected,
-                rounds_serial: r.rounds_serial,
-                rounds_parallel: r.rounds_parallel,
-                waves: r.waves,
-                max_wave_width: r.max_wave_width,
-                wave_slack_rounds: r.wave_slack_rounds,
-                sent: r.sent,
-                delivered: r.delivered,
-                dropped: r.dropped,
+                trigger_fired: matches!(phase.trigger, Trigger::Steps(_)) || fired.get(),
+                pop_start,
                 messages: ledger_after.messages - ledger_before.messages,
                 rounds: ledger_after.rounds - ledger_before.rounds,
-                pop_start,
-                pop_end: sys.population(),
-                pop_min,
-                pop_max,
-                peak_byz_fraction: r.peak_byz_fraction(),
-                binding_violations: r.binding_violations(mode),
-                violations: r.violations,
-                population: r.population,
+                run,
             });
         }
 
@@ -246,11 +223,12 @@ mod tests {
         assert_eq!(sys.time_step(), 23, "one time step per batch");
         // Quiet phase changed nothing.
         let calm = &report.phases[1];
-        assert_eq!(calm.joins + calm.leaves, 0);
-        assert_eq!(calm.pop_start, calm.pop_end);
+        assert_eq!(calm.run.joins + calm.run.leaves, 0);
+        assert_eq!(calm.pop_start, calm.run.final_audit.population);
         // The flood grew the population before the quiet phase.
-        assert_eq!(report.phases[0].pop_end, calm.pop_start);
-        assert!(report.phases[0].joins == 60, "6-wide × 10 steps of flood");
+        let flood = &report.phases[0].run;
+        assert_eq!(flood.final_audit.population, calm.pop_start);
+        assert!(flood.joins == 60, "6-wide × 10 steps of flood");
         sys.check_consistency().unwrap();
     }
 
@@ -270,7 +248,7 @@ mod tests {
         let (report, sys) = c.run(1).unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired, "threshold is reachable");
-        assert!(p.steps < 500, "stopped well before the cap");
+        assert!(p.run.steps < 500, "stopped well before the cap");
         assert!(sys.population() >= 150);
         // 5 joins per step: fired on the first step at or past 150.
         assert!(sys.population() < 160);
@@ -294,11 +272,11 @@ mod tests {
         let (report, sys) = c.run(1).unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired);
-        assert_eq!(p.steps, 0, "goal already met: no batch may run");
-        assert_eq!(p.joins + p.leaves, 0);
-        assert_eq!(p.pop_start, p.pop_end);
+        assert_eq!(p.run.steps, 0, "goal already met: no batch may run");
+        assert_eq!(p.run.joins + p.run.leaves, 0);
+        assert_eq!(p.pop_start, p.run.final_audit.population);
         assert_eq!(sys.population(), 200);
-        assert_eq!(report.phases[1].steps, 2, "later phases still run");
+        assert_eq!(report.phases[1].run.steps, 2, "later phases still run");
     }
 
     #[test]
@@ -314,7 +292,7 @@ mod tests {
         let (report, _) = c.run(1).unwrap();
         let p = &report.phases[0];
         assert!(!p.trigger_fired);
-        assert_eq!(p.steps, 4, "ran to the cap");
+        assert_eq!(p.run.steps, 4, "ran to the cap");
     }
 
     #[test]
@@ -400,9 +378,9 @@ mod tests {
         let a = &report.phases[0];
         let b = &report.phases[1];
         assert!(a.messages > 0);
-        assert!(a.waves > 0);
+        assert!(a.run.waves > 0);
         assert_eq!(b.messages, 0, "quiet spends nothing");
-        assert_eq!(b.waves, 0);
+        assert_eq!(b.run.waves, 0);
         assert_eq!(report.total_messages(), a.messages);
     }
 
@@ -429,10 +407,10 @@ mod tests {
         let (r4, s4) = c.run(4).unwrap();
         assert_eq!(r1.to_json(), r4.to_json(), "byte-identical across threads");
         assert_eq!(s1.node_ids(), s4.node_ids());
-        let storm = &r1.phases[1];
+        let storm = &r1.phases[1].run;
         assert_eq!(storm.steps, 8);
         assert!(storm.dropped > 0, "30% loss over 8 steps must drop joins");
-        assert_eq!(r1.phases[0].dropped, 0, "wave engines never drop");
+        assert_eq!(r1.phases[0].run.dropped, 0, "wave engines never drop");
         assert!(r1.to_json().contains("\"dropped\":"));
         s1.check_consistency().unwrap();
     }
@@ -453,12 +431,14 @@ mod tests {
         let (far, far_sys) = Campaign::parse(&saturated).unwrap().run(1).unwrap();
         let (ideal, ideal_sys) = Campaign::parse(&text("")).unwrap().run(1).unwrap();
         let (f, i) = (&far.phases[0], &ideal.phases[0]);
-        assert_eq!(f.dropped, 0, "a latency cuts nothing");
-        assert_eq!(
-            (f.joins, f.leaves, f.waves, f.messages, f.rounds, f.pop_end),
-            (i.joins, i.leaves, i.waves, i.messages, i.rounds, i.pop_end)
-        );
-        assert!(f.joins + f.leaves > 0);
+        assert_eq!(f.run.dropped, 0, "a latency cuts nothing");
+        let outcome = |p: &PhaseReport| {
+            let r = &p.run;
+            let pop_end = r.final_audit.population;
+            (r.joins, r.leaves, r.waves, p.messages, p.rounds, pop_end)
+        };
+        assert_eq!(outcome(f), outcome(i));
+        assert!(f.run.joins + f.run.leaves > 0);
         assert_eq!(far_sys.node_ids(), ideal_sys.node_ids());
         far_sys.check_consistency().unwrap();
     }
@@ -499,10 +479,11 @@ mod tests {
         // Message conservation holds per phase, and only event phases
         // route through the network.
         for p in &r1.phases {
-            assert_eq!(p.sent, p.delivered + p.dropped, "phase {}", p.name);
+            let r = &p.run;
+            assert_eq!(r.sent, r.delivered + r.dropped, "phase {}", p.name);
         }
-        assert_eq!(r1.phases[0].sent, 0, "wave engines never touch the net");
-        assert!(r1.phases[1].sent > 0);
+        assert_eq!(r1.phases[0].run.sent, 0, "wave engines never touch the net");
+        assert!(r1.phases[1].run.sent > 0);
         // The deterministic artifact must not leak run-environment data.
         for banned in ["wall", "nanos", "thread"] {
             assert!(!r1.to_json().contains(banned), "{banned} leaked");
@@ -538,6 +519,34 @@ mod tests {
             .unwrap()
             .render()
             .contains("now_violations_total"));
+        // The sinks agree with the report: one increment per failing
+        // (audit, kind), and the dump is the first of them.
+        let counted: usize = report
+            .phases
+            .iter()
+            .flat_map(|p| ViolationKind::ALL.map(|kind| p.run.count(kind)))
+            .sum();
+        let registry = sys.metrics().expect("registry armed");
+        assert_eq!(registry.counter("now_violations_total"), counted as u64);
+        let (audit, kind) = report.phases[0]
+            .run
+            .audits
+            .iter()
+            .find_map(|a| {
+                ViolationKind::ALL
+                    .into_iter()
+                    .find(|k| k.fails(a))
+                    .map(|k| (a, k))
+            })
+            .expect("the probe phase saw a violation");
+        let cluster = match kind {
+            ViolationKind::SizeBounds => None,
+            _ => audit.worst_cluster.map(|c| c.raw()),
+        };
+        assert_eq!(
+            (dump.step, dump.kind, dump.cluster),
+            (audit.time_step, kind.name(), cluster)
+        );
     }
 
     #[test]
@@ -552,8 +561,8 @@ mod tests {
         let (report, _) = c.run(1).unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired, "τ = 0.3 must violate quickly");
-        assert!(p.steps < 200);
-        assert!(p.binding_violations > 0);
+        assert!(p.run.steps < 200);
+        assert!(p.run.binding_violations() > 0);
     }
 
     #[test]

@@ -318,8 +318,10 @@ impl NowSystem {
     /// `violation` trace event, a `now_violations_total` increment, and
     /// — once per recorder — a flight-recorder dump filtered to the
     /// offending cluster's causal neighborhood (the cluster plus its
-    /// overlay neighbors). Harnesses (e.g. `now-sim`'s violation
-    /// auditor) call this when an audit first observes the violation.
+    /// overlay neighbors). `now-sim`'s step loop calls this for each
+    /// failing kind on every audited step, not only the first one that
+    /// fails: every call emits one event and one increment, and only
+    /// the dump is taken once.
     pub fn record_violation(&mut self, kind: &'static str, cluster: Option<ClusterId>) {
         let step = self.time_step;
         let neighborhood: Vec<u64> = match cluster {

@@ -8,14 +8,13 @@
 //! asks a [`BatchDriver`] for each step's operations, hands them to
 //! [`now_core::NowSystem::step_batch`] on the [`ExecConfig`] the caller
 //! names — which schedules a batch into conflict-free waves by
-//! cluster-footprint disjointness — and reports the outcome: violation
-//! tracking and time series, plus the round-complexity advantage of the
-//! scheduled execution (messages are identical; rounds shrink from the
-//! batch sum to the per-wave maxima) and the wave-level metrics of the
-//! schedule.
+//! cluster-footprint disjointness — and reports the outcome: one
+//! [`SystemAudit`] per audited step, read for violations and peaks,
+//! plus the round-complexity advantage of the scheduled execution
+//! (messages are identical; rounds shrink from the batch sum to the
+//! per-wave maxima) and the wave-level metrics of the schedule.
 
-use crate::metrics::TimeSeries;
-use crate::violation::{record_violations, Violation, ViolationKind};
+use crate::violation::ViolationKind;
 use now_adversary::CorruptionBudget;
 use now_core::{BatchInput, ExecConfig, JoinSpec, NowSystem, SystemAudit};
 use now_net::{DetRng, NodeId};
@@ -134,18 +133,10 @@ pub struct BatchRunReport {
     /// Wall-clock nanoseconds spent inside batch execution across all
     /// steps (host-dependent; excluded from determinism comparisons).
     pub wall_nanos: u64,
-    /// Waves per step over time (1 point per step; lower = more
-    /// parallelism for a fixed batch width).
-    pub waves_per_step: TimeSeries,
-    /// Population over time (1 point per audited step).
-    pub population: TimeSeries,
-    /// Cluster count over time (1 point per audited step).
-    pub cluster_count: TimeSeries,
-    /// Worst per-cluster Byzantine fraction over time (1 point per
-    /// audited step).
-    pub worst_byz_fraction: TimeSeries,
-    /// All invariant violations the audits observed.
-    pub violations: Vec<Violation>,
+    /// One audit per audited step (see [`BatchRun::audit_every`]), in
+    /// step order: the run's record of the paper's invariants, which
+    /// the violation counts and the peak read.
+    pub audits: Vec<SystemAudit>,
     /// Audit at the final step.
     pub final_audit: SystemAudit,
 }
@@ -174,29 +165,37 @@ impl BatchRunReport {
         }
     }
 
-    /// True if no invariant violation was observed.
+    /// True if no audit observed an invariant violation.
     pub fn clean(&self) -> bool {
-        self.violations.is_empty()
+        ViolationKind::ALL.iter().all(|&kind| self.count(kind) == 0)
     }
 
-    /// Number of violations of a given kind.
+    /// Number of audited steps that observed a violation of `kind`.
     pub fn count(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
+        self.audits.iter().filter(|a| kind.fails(a)).count()
     }
 
     /// Highest worst-cluster Byzantine fraction any audit of the run
     /// observed (0 for a run without audited steps).
     pub fn peak_byz_fraction(&self) -> f64 {
-        self.worst_byz_fraction.summary().max
+        self.audits
+            .iter()
+            .map(|a| a.worst_byz_fraction)
+            .fold(0.0, f64::max)
     }
 
-    /// Violations binding for the given mode (see
-    /// [`ViolationKind::binds_in`]).
-    pub fn binding_violations(&self, mode: now_core::SecurityMode) -> usize {
-        self.violations
+    /// Violations binding for each audit's security mode (see
+    /// [`ViolationKind::binds_in`]), summed over kinds and audits.
+    pub fn binding_violations(&self) -> usize {
+        ViolationKind::ALL
             .iter()
-            .filter(|v| v.kind.binds_in(mode))
-            .count()
+            .map(|&kind| {
+                self.audits
+                    .iter()
+                    .filter(|a| kind.binds_in(a.security) && kind.fails(a))
+                    .count()
+            })
+            .sum()
     }
 }
 
@@ -216,8 +215,8 @@ type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 /// Every step is one [`now_core::NowSystem::step_batch`] of whatever
 /// the driver decided, so **time advances once per step** — also when
 /// the batch is empty (a quiet step) or its only operation is refused
-/// (counted in [`BatchRunReport::rejected`]) — and the x values of
-/// every series are strictly increasing.
+/// (counted in [`BatchRunReport::rejected`]) — and the time steps of
+/// [`BatchRunReport::audits`] are strictly increasing.
 ///
 /// # Example
 /// ```
@@ -277,8 +276,8 @@ impl<'p> BatchRun<'p> {
     /// Sets the audit cadence: the first step and every `every`-th
     /// after it are audited (1, the default, audits every step; 0 is
     /// read as 1). Larger values trade coverage for speed on very long
-    /// runs: only audited steps check the invariants and add a point to
-    /// the audit-derived series.
+    /// runs: only audited steps check the invariants and add an entry
+    /// to [`BatchRunReport::audits`].
     pub fn audit_every(mut self, every: u64) -> Self {
         self.audit_every = every.max(1);
         self
@@ -322,11 +321,7 @@ impl<'p> BatchRun<'p> {
             sent: 0,
             delivered: 0,
             wall_nanos: 0,
-            waves_per_step: TimeSeries::new("waves_per_step"),
-            population: TimeSeries::new("population"),
-            cluster_count: TimeSeries::new("cluster_count"),
-            worst_byz_fraction: TimeSeries::new("worst_byz_fraction"),
-            violations: Vec::new(),
+            audits: Vec::new(),
             final_audit: sys.audit(),
         };
         if stop(sys, &report) {
@@ -349,28 +344,20 @@ impl<'p> BatchRun<'p> {
             report.delivered += step_delivered;
             report.sent += step_delivered + batch.dropped;
             report.wall_nanos += batch.wall_nanos;
-            report
-                .waves_per_step
-                .push(sys.time_step(), batch.wave_count() as f64);
 
             if step % audit_every == 0 {
                 let audit = sys.audit();
-                report
-                    .population
-                    .push(audit.time_step, audit.population as f64);
-                report
-                    .cluster_count
-                    .push(audit.time_step, audit.cluster_count as f64);
-                report
-                    .worst_byz_fraction
-                    .push(audit.time_step, audit.worst_byz_fraction);
-                let seen = report.violations.len();
-                record_violations(&audit, &mut report.violations);
-                // INVARIANT: `seen` is the pre-append length of this same
-                // vec, so the tail slice is in bounds.
-                for v in &report.violations[seen..] {
-                    sys.record_violation(v.kind.name(), v.cluster);
+                for kind in ViolationKind::ALL {
+                    if kind.fails(&audit) {
+                        // A size-band breach has no one cluster to blame.
+                        let cluster = match kind {
+                            ViolationKind::SizeBounds => None,
+                            _ => audit.worst_cluster,
+                        };
+                        sys.record_violation(kind.name(), cluster);
+                    }
                 }
+                report.audits.push(audit);
             }
             if stop(sys, &report) {
                 break;
@@ -447,7 +434,6 @@ mod tests {
         assert!(report.waves < report.joins + report.leaves);
         assert!(report.max_wave_width >= 2);
         assert!(report.mean_waves_per_step() >= 1.0);
-        assert_eq!(report.waves_per_step.len() as u64, report.steps);
     }
 
     #[test]
@@ -459,7 +445,10 @@ mod tests {
         assert!(
             report.clean(),
             "violations under batching: {:?}",
-            report.violations
+            report
+                .audits
+                .iter()
+                .find(|a| ViolationKind::ALL.iter().any(|k| k.fails(a)))
         );
         sys.check_consistency().unwrap();
     }
@@ -686,7 +675,10 @@ mod tests {
         assert!(
             report.clean(),
             "violations at τ=0.1: {:?}",
-            report.violations
+            report
+                .audits
+                .iter()
+                .find(|a| ViolationKind::ALL.iter().any(|k| k.fails(a)))
         );
         assert!(report.peak_byz_fraction() < 1.0 / 3.0);
         sys.check_consistency().unwrap();
@@ -761,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_cadence_thins_series() {
+    fn audit_cadence_thins_audits() {
         let go = |every: u64| {
             let mut sys = system(150, 0.1, 4);
             let mut adv = BatchRandomChurn::balanced(1, 0.1);
@@ -770,22 +762,16 @@ mod tests {
                 .run(&mut sys, &mut adv, 50, 9)
         };
         let every_step = go(1);
-        for series in [
-            &every_step.worst_byz_fraction,
-            &every_step.population,
-            &every_step.cluster_count,
-            &every_step.waves_per_step,
-        ] {
-            assert_eq!(series.len(), 50, "{}", series.name);
-            assert!(
-                series.points().windows(2).all(|w| w[0].0 < w[1].0),
-                "{}: time advances once per step",
-                series.name
-            );
-        }
+        assert_eq!(every_step.audits.len(), 50);
+        assert!(
+            every_step
+                .audits
+                .windows(2)
+                .all(|w| w[0].time_step < w[1].time_step),
+            "time advances once per step"
+        );
         let thinned = go(10);
-        assert_eq!(thinned.worst_byz_fraction.len(), 5);
-        assert_eq!(thinned.population.len(), 5);
+        assert_eq!(thinned.audits.len(), 5);
         assert_eq!(thinned.steps, 50, "cadence thins audits, not steps");
         assert_eq!(
             (thinned.joins, thinned.leaves),
@@ -798,11 +784,11 @@ mod tests {
         let mut sys = system(50, 0.0, 6);
         let mut report = BatchRun::new().run(&mut sys, &mut QuietBatches, 0, 0);
         assert!(report.clean());
-        for step in [1, 2] {
-            report.violations.push(Violation {
-                step,
-                kind: ViolationKind::SizeBounds,
-                cluster: None,
+        for time_step in [1, 2] {
+            report.audits.push(SystemAudit {
+                time_step,
+                size_bounds_ok: false,
+                ..report.final_audit
             });
         }
         assert!(!report.clean());

@@ -207,7 +207,7 @@ mod tests {
         let mut sys = system(60, 0.1, 4);
         let mut adv = BatchSawtooth::new(50, 90, 1, 0.1);
         let report = BatchRun::new().run(&mut sys, &mut adv, 300, 5);
-        let pops: Vec<f64> = report.population.points().iter().map(|&(_, v)| v).collect();
+        let pops: Vec<f64> = report.audits.iter().map(|a| a.population as f64).collect();
         let max = pops.iter().cloned().fold(0.0f64, f64::max);
         let min = pops.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max >= 90.0, "never reached high: {max}");
@@ -241,9 +241,10 @@ mod tests {
         assert!(driver.is_growing());
         let report = BatchRun::new().run(&mut sys, &mut driver, 60, 7);
         assert_eq!(report.steps, 60);
-        let pops = report.population.summary();
-        assert!(pops.max >= 140.0, "never reached high: {}", pops.max);
-        assert!(pops.min <= 65.0, "never came back down: {}", pops.min);
+        let pops = report.audits.iter().map(|a| a.population);
+        let (min, max) = (pops.clone().min().unwrap(), pops.max().unwrap());
+        assert!(max >= 140, "never reached high: {max}");
+        assert!(min <= 65, "never came back down: {min}");
         assert!(report.waves > 0, "the scheduler ran");
         sys.check_consistency().unwrap();
     }

@@ -7,14 +7,15 @@
 //! * [`batch_run`] — the step loop ([`BatchRun`]): each step is one
 //!   `step_batch` of what the driver decided — at most one operation
 //!   under the paper's model, several under its §2 footnote — on the
-//!   [`now_core::ExecConfig`] the caller names, with time series
-//!   collection and the serial-vs-parallel round complexity
-//!   ([`BatchRunReport`]).
-//! * [`violation`] — violation tracking ([`Violation`], [`ViolationKind`]).
+//!   [`now_core::ExecConfig`] the caller names, reporting one
+//!   [`now_core::SystemAudit`] per audited step and the
+//!   serial-vs-parallel round complexity ([`BatchRunReport`]).
+//! * [`violation`] — the invariant kinds an audit can fail
+//!   ([`ViolationKind`]).
 //! * [`churn`] — environmental churn schedules, including the headline
 //!   *polynomial size variation* driver ([`BatchSawtooth`]) that swings the
 //!   population between `√N` and `N`.
-//! * [`metrics`] — time series, summaries, and quantiles.
+//! * [`metrics`] — quantiles.
 //! * [`report`] — the experiment binaries' [`Table`]: one set of rows,
 //!   rendered as markdown, as CSV, and as JSON rows (through
 //!   [`now_core::Json`], the workspace's one JSON writer).
@@ -35,6 +36,5 @@ pub mod violation;
 
 pub use batch_run::{BatchDriver, BatchRandomChurn, BatchRun, BatchRunReport};
 pub use churn::{BatchSawtooth, GrowthPhase, ShrinkPhase};
-pub use metrics::{Summary, TimeSeries};
 pub use report::{Cell, Table};
-pub use violation::{Violation, ViolationKind};
+pub use violation::ViolationKind;

@@ -1,8 +1,9 @@
-//! Violation tracking: what an audit of the step loop
-//! ([`crate::BatchRun`]) found wrong, and when.
+//! Violation kinds: what an audit of the step loop
+//! ([`crate::BatchRun`]) can find wrong. The audits themselves are the
+//! record ([`crate::BatchRunReport::audits`]); a kind is a predicate
+//! over one of them.
 
 use now_core::SystemAudit;
-use now_net::ClusterId;
 
 /// What went wrong at a time step (Theorem 3 says: nothing, whp).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +24,15 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// Every kind, in the order an audited step records them.
+    pub const ALL: [ViolationKind; 5] = [
+        ViolationKind::NotTwoThirdsHonest,
+        ViolationKind::NotMajorityHonest,
+        ViolationKind::RandNumCompromised,
+        ViolationKind::Forgeable,
+        ViolationKind::SizeBounds,
+    ];
+
     /// Stable snake_case tag of the kind, used as the flight recorder's
     /// `violation` event payload and the trace-dump `kind` field.
     pub fn name(self) -> &'static str {
@@ -50,55 +60,15 @@ impl ViolationKind {
             (ViolationKind::SizeBounds, _) => true,
         }
     }
-}
 
-/// A recorded invariant violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Violation {
-    /// Time step at which the audit caught it.
-    pub step: u64,
-    /// Which invariant failed.
-    pub kind: ViolationKind,
-    /// The worst cluster at that moment, if identifiable.
-    pub cluster: Option<ClusterId>,
-}
-
-/// Translates one audit snapshot into violation records.
-pub(crate) fn record_violations(audit: &SystemAudit, out: &mut Vec<Violation>) {
-    let step = audit.time_step;
-    if audit.clusters_not_two_thirds_honest > 0 {
-        out.push(Violation {
-            step,
-            kind: ViolationKind::NotTwoThirdsHonest,
-            cluster: audit.worst_cluster,
-        });
-    }
-    if audit.clusters_not_majority_honest > 0 {
-        out.push(Violation {
-            step,
-            kind: ViolationKind::NotMajorityHonest,
-            cluster: audit.worst_cluster,
-        });
-    }
-    if audit.clusters_rand_num_compromised > 0 {
-        out.push(Violation {
-            step,
-            kind: ViolationKind::RandNumCompromised,
-            cluster: audit.worst_cluster,
-        });
-    }
-    if audit.clusters_forgeable > 0 {
-        out.push(Violation {
-            step,
-            kind: ViolationKind::Forgeable,
-            cluster: audit.worst_cluster,
-        });
-    }
-    if !audit.size_bounds_ok {
-        out.push(Violation {
-            step,
-            kind: ViolationKind::SizeBounds,
-            cluster: None,
-        });
+    /// Whether `audit` observed this kind of violation.
+    pub fn fails(self, audit: &SystemAudit) -> bool {
+        match self {
+            ViolationKind::NotTwoThirdsHonest => audit.clusters_not_two_thirds_honest > 0,
+            ViolationKind::NotMajorityHonest => audit.clusters_not_majority_honest > 0,
+            ViolationKind::RandNumCompromised => audit.clusters_rand_num_compromised > 0,
+            ViolationKind::Forgeable => audit.clusters_forgeable > 0,
+            ViolationKind::SizeBounds => !audit.size_bounds_ok,
+        }
     }
 }

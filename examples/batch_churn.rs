@@ -38,15 +38,16 @@ fn main() {
         "phase", "steps", "rounds serial", "rounds parallel", "waves", "max width", "wave slack"
     );
     for p in &report.phases {
+        let r = &p.run;
         println!(
             "{:>10} {:>7} {:>14} {:>16} {:>7} {:>10} {:>11}",
             p.name,
-            p.steps,
-            p.rounds_serial,
-            p.rounds_parallel,
-            p.waves,
-            p.max_wave_width,
-            p.wave_slack_rounds
+            r.steps,
+            r.rounds_serial,
+            r.rounds_parallel,
+            r.waves,
+            r.max_wave_width,
+            r.wave_slack_rounds
         );
     }
     sys.check_consistency().expect("system is consistent");
@@ -78,17 +79,18 @@ phase quiesce
     let (report, sys) = campaign.run(4).expect("campaign runs");
     println!("\ndeclarative campaign `{}`:", report.campaign);
     for p in &report.phases {
+        let r = &p.run;
         println!(
             "  {:>8} ({}): {} steps, {} joins, {} leaves, {} waves (≤ {} wide), pop {}→{}",
             p.name,
             p.style,
-            p.steps,
-            p.joins,
-            p.leaves,
-            p.waves,
-            p.max_wave_width,
+            r.steps,
+            r.joins,
+            r.leaves,
+            r.waves,
+            r.max_wave_width,
             p.pop_start,
-            p.pop_end
+            r.final_audit.population
         );
     }
     sys.check_consistency().expect("system is consistent");

@@ -55,16 +55,19 @@ fn summarize(label: &str, report: &now_bft::campaign::CampaignReport) {
     for p in &report.phases {
         println!(
             "  {:>8}: {:>4} steps, peak byz fraction {:.3}, {} binding violations",
-            p.name, p.steps, p.peak_byz_fraction, p.binding_violations
+            p.name,
+            p.run.steps,
+            p.run.peak_byz_fraction(),
+            p.run.binding_violations()
         );
     }
-    let flood = &report.phases[1];
-    if flood.peak_byz_fraction >= 0.5 {
+    let flood = report.phases[1].run.peak_byz_fraction();
+    if flood >= 0.5 {
         println!("  CAPTURED: some cluster reached 1/2 Byzantine during the flood");
     } else {
         println!(
             "  never captured (flood peaked at {:.3}, honest majority throughout)",
-            flood.peak_byz_fraction
+            flood
         );
     }
 }

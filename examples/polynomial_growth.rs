@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example polynomial_growth`
 
-use now_bft::core::{NowParams, NowSystem};
+use now_bft::core::{NowParams, NowSystem, SystemAudit};
 use now_bft::net::CostKind;
 use now_bft::sim::{BatchRun, BatchSawtooth};
 
@@ -39,17 +39,18 @@ fn main() {
         sys.op_counts().2,
         sys.op_counts().3
     );
-    let pop = report.population.summary();
+    let range = |of: fn(&SystemAudit) -> u64| {
+        let values = report.audits.iter().map(of);
+        (values.clone().min().unwrap_or(0), values.max().unwrap_or(0))
+    };
+    let (pop_min, pop_max) = range(|a| a.population);
     println!(
-        "population range observed: {:.0}..{:.0} (×{:.1} swing)",
-        pop.min,
-        pop.max,
-        pop.max / pop.min.max(1.0)
+        "population range observed: {pop_min}..{pop_max} (×{:.1} swing)",
+        pop_max as f64 / pop_min.max(1) as f64
     );
-    let cc = report.cluster_count.summary();
+    let (cc_min, cc_max) = range(|a| a.cluster_count as u64);
     println!(
-        "cluster count adapted: {:.0}..{:.0} — the dynamic-#clusters departure from prior work",
-        cc.min, cc.max
+        "cluster count adapted: {cc_min}..{cc_max} — the dynamic-#clusters departure from prior work"
     );
     println!(
         "worst byz fraction over whole run: {:.3} (1/3 threshold crossings: {})",

@@ -4,7 +4,7 @@
 
 use now_bft::core::{NowParams, NowSystem};
 use now_bft::net::CostKind;
-use now_bft::sim::{BatchRandomChurn, BatchRun};
+use now_bft::sim::{BatchRandomChurn, BatchRun, ViolationKind};
 
 fn main() {
     // A deployment sized for at most N = 2^12 nodes, with clusters of
@@ -45,7 +45,8 @@ fn main() {
         "  all clusters > 2/3 honest: {}",
         audit.all_two_thirds_honest()
     );
-    println!("  invariant violations  : {}", report.violations.len());
+    let violations: usize = ViolationKind::ALL.iter().map(|&k| report.count(k)).sum();
+    println!("  invariant violations  : {violations}");
 
     let overlay = sys.overlay_audit();
     println!("\noverlay (OVER):");

@@ -18,7 +18,7 @@
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |
 //! | [`adversary`] | the churn-driver trait, one driver per attack style, the one-op-per-step adapter, in-protocol malice |
-//! | [`sim`] | the step loop, churn schedules, metrics, baselines |
+//! | [`sim`] | the step loop, churn schedules, quantiles, baselines |
 //! | [`trace`] | deterministic flight recorder, metrics registry, opt-in phase profiler |
 //! | [`campaign`] | declarative multi-phase attack campaigns (`scenarios/*.campaign`) |
 //! | [`apps`] | §6 applications: broadcast, sampling, aggregation, agreement, polling |

@@ -13,7 +13,7 @@
 use now_bft::adversary::{
     BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchSplitForcing, ClusterPick, OnePerStep,
 };
-use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, SecurityMode};
+use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{ClusterId, DetRng};
 use now_bft::sim::baselines::no_shuffle_params;
 use now_bft::sim::BatchRun;
@@ -198,7 +198,7 @@ fn batched_attack_violations(
     let report = BatchRun::new().run(&mut sys, driver.as_mut(), 60, drive_seed);
     sys.check_consistency().unwrap();
     let forgeable = report.count(now_bft::sim::ViolationKind::Forgeable);
-    (report.binding_violations(SecurityMode::Plain), forgeable)
+    (report.binding_violations(), forgeable)
 }
 
 /// Calibrated violation-count bounds for each batched attack driver, as

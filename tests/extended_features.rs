@@ -111,9 +111,10 @@ fn oscillation_attack_cannot_break_the_band() {
     let mut sys = NowSystem::init_fast(params, 160, 0.1, 34);
     let mut adv = Oscillation::new(0.1);
     let report = BatchRun::new().run(&mut sys, &mut adv, 300, 35);
-    assert_eq!(report.population.len(), 300, "audited after every step");
+    assert_eq!(report.audits.len(), 300, "audited after every step");
     let broken = report.count(ViolationKind::SizeBounds);
-    assert_eq!(broken, 0, "band broken: {:?}", report.violations);
+    let first = report.audits.iter().find(|a| !a.size_bounds_ok);
+    assert_eq!(broken, 0, "band broken: {first:?}");
     sys.check_consistency().unwrap();
     let (_, _, splits, merges) = sys.op_counts();
     assert!(

@@ -127,9 +127,9 @@ fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
     };
     run = observe(&mut sys, &[])?;
     for p in &report.phases {
-        let off_band = p.count(ViolationKind::SizeBounds);
+        let off_band = p.run.count(ViolationKind::SizeBounds);
         prop_assert!(off_band == 0, "leg {leg}: phase {} off band", p.name);
-        run.widest = run.widest.max(p.max_wave_width);
+        run.widest = run.widest.max(p.run.max_wave_width);
     }
     run.views[3] = report.to_json();
     Ok(run)

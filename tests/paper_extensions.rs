@@ -26,9 +26,12 @@ fn batched_and_serial_runs_preserve_the_same_invariants() {
     assert_eq!(sys.time_step(), 30, "one time step per batch");
     assert!(report.joins + report.leaves > 120, "6-wide × 30 steps");
     assert!(
-        report.binding_violations(SecurityMode::Plain) == 0,
+        report.binding_violations() == 0,
         "batching must not break Theorem 3 at τ = 0.1, k = 4: {:?}",
-        report.violations
+        report
+            .audits
+            .iter()
+            .find(|a| ViolationKind::ALL.iter().any(|k| k.fails(a)))
     );
     // Six clusters, overlay degree ≥ 5: every footprint overlaps, so the
     // scheduler mostly serializes here — but never does worse than

@@ -29,6 +29,9 @@ pub struct NowSystem {
     /// The overlay by registry slot, as walks read it: rebuilt where
     /// `overlay` or the cluster slab changes shape, and nowhere else.
     pub(crate) walks: WalkTable,
+    /// The live kernel's walk scratch (see [`crate::rand_cl`]): holds
+    /// only the CTRW running, and is kept so that walks allocate none.
+    pub(crate) walk_holds: Vec<(u32, u32)>,
     pub(crate) ledger: Ledger,
     pub(crate) rng: DetRng,
     pub(crate) malice: Box<dyn Malice>,
@@ -136,6 +139,7 @@ impl NowSystem {
             registry,
             overlay,
             walks,
+            walk_holds: Vec::new(),
             ledger,
             rng,
             malice: Box::new(NoMalice),
@@ -388,6 +392,7 @@ impl NowSystem {
             ledger: &mut self.ledger,
             rng: &mut self.rng,
             malice: self.malice.as_mut(),
+            holds: &mut self.walk_holds,
         }
     }
 

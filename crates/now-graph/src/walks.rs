@@ -67,8 +67,9 @@ pub fn ctrw_endpoint<R: Rng>(g: &Graph, start: usize, duration: f64, rng: &mut R
             elapsed += remaining;
             break;
         }
-        // Exponential holding time with rate = degree (inverse-transform;
-        // same construction as DetRng::exp but generic over Rng).
+        // Exponential holding time with rate = degree, by inverse
+        // transform of a uniform in (0, 1] (`randCl` in now-core draws
+        // its holds the same way, at 24-bit resolution via `randNum`).
         let u = (rng.next_u64() as f64 + 1.0) / (u64::MAX as f64 + 1.0);
         let hold = -u.ln() / d as f64;
         if hold >= remaining {

@@ -113,24 +113,6 @@ impl DetRng {
             inner: ChaCha12Rng::from_seed(seed),
         }
     }
-
-    /// Samples an exponential random variable with the given `rate`
-    /// (mean `1/rate`) via inverse-transform sampling.
-    ///
-    /// Used by the continuous-time random walk: the holding time at a
-    /// vertex of degree `d` is `Exp(d)` when every edge fires at rate 1.
-    ///
-    /// # Panics
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn exp(&mut self, rate: f64) -> f64 {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "exponential rate must be positive and finite, got {rate}"
-        );
-        // Map a u64 to (0, 1]: (x + 1) / 2^64 avoids ln(0).
-        let u = (self.inner.next_u64() as f64 + 1.0) / (u64::MAX as f64 + 1.0);
-        -u.ln() / rate
-    }
 }
 
 // Inlined across crates: a `randNum` draw is `gen_range` over
@@ -241,34 +223,6 @@ mod tests {
         let mut a = DetRng::for_op(42, 0, 0);
         let mut b = DetRng::new(42);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn exponential_mean_close_to_inverse_rate() {
-        let mut rng = DetRng::new(77);
-        let n = 20_000;
-        let rate = 3.0;
-        let mean: f64 = (0..n).map(|_| rng.exp(rate)).sum::<f64>() / n as f64;
-        assert!(
-            (mean - 1.0 / rate).abs() < 0.02,
-            "empirical mean {mean} too far from {}",
-            1.0 / rate
-        );
-    }
-
-    #[test]
-    fn exponential_is_positive() {
-        let mut rng = DetRng::new(4);
-        for _ in 0..1000 {
-            assert!(rng.exp(0.5) > 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_rejects_zero_rate() {
-        let mut rng = DetRng::new(4);
-        let _ = rng.exp(0.0);
     }
 
     #[test]

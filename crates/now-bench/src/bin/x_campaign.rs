@@ -9,7 +9,9 @@
 //! * a per-phase markdown table on stdout (steps, churn, wave stats,
 //!   violations, population trajectory endpoints), and
 //! * the deterministic per-phase JSON report to `--out` (default:
-//!   `results/x_campaign_<name>.json`).
+//!   `results/x_campaign_<name>.json`; missing parent directories are
+//!   created, and a path that cannot be written exits with code 2,
+//!   naming it).
 //!
 //! The JSON contains only deterministic outcome fields, so CI's
 //! `campaign-smoke` job byte-diffs `--threads 1` against `--threads 4`
@@ -19,7 +21,7 @@
 //! Malformed files are reported as typed errors (line number + reason)
 //! with exit code 2 — never a panic.
 
-use now_bench::results_dir;
+use now_bench::{results_dir, write_artifact};
 use now_campaign::Campaign;
 use now_core::NowError;
 use now_sim::Table;
@@ -128,8 +130,8 @@ fn run(args: &Args) -> Result<(), NowError> {
         .out
         .clone()
         .unwrap_or_else(|| results_dir().join(format!("x_campaign_{}.json", report.campaign)));
-    std::fs::write(&out_path, report.to_json()).map_err(|e| NowError::CampaignReport {
-        reason: format!("cannot write {}: {e}", out_path.display()),
+    write_artifact(&out_path, &report.to_json()).map_err(|e| NowError::CampaignReport {
+        reason: e.to_string(),
     })?;
     println!("wrote {}", out_path.display());
     Ok(())

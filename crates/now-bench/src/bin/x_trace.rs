@@ -6,7 +6,9 @@
 //! Replays a fixed mixed workload — pooled balanced churn, a
 //! split-forcing burst on the serial engine, then lossy event-driven
 //! churn — on one system with both observability sinks armed, and
-//! writes three artifacts:
+//! writes three artifacts into `--out-dir` (default `results/`; created
+//! if missing, and a directory or file that cannot be written exits
+//! with code 2, naming it):
 //!
 //! * `x_trace.trace.json` — the flight recorder's retained ring
 //!   (canonical op order) plus the violation dump, if any,
@@ -23,7 +25,7 @@
 //! artifact.
 
 use now_adversary::BatchSplitForcing;
-use now_bench::results_dir;
+use now_bench::{results_dir, write_artifact};
 use now_core::{wave_plan_nanos_total, ExecConfig, NowParams, NowSystem, WavePool};
 use now_net::EventNetConfig;
 use now_sim::{BatchRandomChurn, BatchRun};
@@ -109,8 +111,8 @@ fn main() -> ExitCode {
         (dir.join("x_trace.metrics.prom"), metrics.to_prometheus()),
     ];
     for (path, content) in &artifacts {
-        if let Err(e) = std::fs::write(path, content) {
-            eprintln!("x_trace: cannot write {}: {e}", path.display());
+        if let Err(e) = write_artifact(path, content) {
+            eprintln!("x_trace: {e}");
             return ExitCode::from(2);
         }
         println!("wrote {}", path.display());

@@ -13,7 +13,7 @@
 #![warn(missing_docs)]
 
 use now_core::{NowParams, NowSystem};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Directory experiment CSVs are written to (created on demand).
 pub fn results_dir() -> PathBuf {
@@ -22,6 +22,21 @@ pub fn results_dir() -> PathBuf {
     // results dir should abort the experiment loudly.
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
+}
+
+/// Writes an artifact to `path`, creating its parent directories first.
+///
+/// # Errors
+/// The I/O error, its message naming the directory or file that failed.
+pub fn write_artifact(path: &Path, content: &str) -> std::io::Result<()> {
+    let naming = |at: &Path| {
+        let at = at.display().to_string();
+        move |e: std::io::Error| std::io::Error::new(e.kind(), format!("cannot write {at}: {e}"))
+    };
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(naming(dir))?;
+    }
+    std::fs::write(path, content).map_err(naming(path))
 }
 
 /// Standard parameters used across experiments: band constant 1.5,
@@ -93,6 +108,29 @@ mod tests {
         let costs: Vec<f64> = caps.iter().map(|&c| (c as f64).log2().powi(3)).collect();
         let p = polylog_exponent(&caps, &costs);
         assert!((p - 3.0).abs() < 1e-9, "got {p}");
+    }
+
+    /// An artifact lands in a directory tree that does not exist yet,
+    /// and a parent that cannot be a directory is named in the error.
+    #[test]
+    fn write_artifact_creates_missing_directories() {
+        let root = std::env::temp_dir().join(format!("now-bench-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("a/b/c/report.json");
+        write_artifact(&path, "{}\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}\n");
+        write_artifact(&path, "[]\n").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "[]\n",
+            "overwrites"
+        );
+
+        let blocked = path.join("nested");
+        let err = write_artifact(&blocked.join("deeper.json"), "").unwrap_err();
+        let named = format!("cannot write {}:", blocked.display());
+        assert!(err.to_string().starts_with(&named), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

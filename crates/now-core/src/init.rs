@@ -32,7 +32,7 @@ use now_agreement::outcome::ByzPlan;
 use now_agreement::rand_num::rand_num_commit_reveal;
 use now_graph::sample::{sample_distinct, shuffle};
 use now_graph::Graph;
-use now_net::{CostKind, DetRng, EventNet, EventNetConfig, Ledger};
+use now_net::{ieee, CostKind, DetRng, EventNet, EventNetConfig, Ledger};
 use std::collections::BTreeSet;
 
 /// Result of the discovery flooding.
@@ -129,6 +129,14 @@ pub struct ClusterizeOutcome {
     pub seed: u64,
 }
 
+/// The committee election's cost among `n` nodes: `⌈n^{3/2}·log₂ n⌉`
+/// messages and `⌈log₂ n⌉` rounds (`log₂` of at least 2).
+pub(crate) fn election_cost(n: usize) -> (u64, u64) {
+    let log_n = ieee::log2(n.max(2) as f64);
+    let messages = (ieee::pow(n as f64, 1.5) * log_n).ceil() as u64;
+    (messages, ieee::ceil_log2(n as u64))
+}
+
 /// Runs the clusterization sub-phase among `n` ports with the given
 /// Byzantine set: committee election (cost accounted per \[19\], outcome
 /// inherited — see module docs), a *real* commit–reveal `randNum` among
@@ -158,9 +166,9 @@ pub fn clusterize(
     // The committee is as large as the smallest cluster it forms.
     let committee_size = n / cluster_count;
     let committee = sample_distinct(n, committee_size, rng);
-    let election_cost = ((n as f64).powf(1.5) * (n.max(2) as f64).log2()).ceil() as u64;
-    ledger.add_messages(election_cost);
-    ledger.add_rounds((n.max(2) as f64).log2().ceil() as u64);
+    let (messages, rounds) = election_cost(n);
+    ledger.add_messages(messages);
+    ledger.add_rounds(rounds);
 
     // Committee-local ports for the real randNum run.
     let committee_byz: BTreeSet<usize> = committee

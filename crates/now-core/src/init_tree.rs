@@ -48,7 +48,7 @@ use now_agreement::outcome::ByzPlan;
 use now_agreement::rand_num::rand_num_commit_reveal;
 use now_graph::sample::sample_distinct;
 use now_graph::Graph;
-use now_net::{CostKind, DetRng, Ledger};
+use now_net::{ieee, CostKind, DetRng, Ledger};
 use std::collections::BTreeSet;
 
 /// Result of the redundant tree convergecast ([`tree_discover`]).
@@ -202,6 +202,18 @@ pub fn tree_discover(
     }
 }
 
+/// What sampling a committee of `committee_size` among `n` nodes by
+/// walks costs: `⌈committee_size·log₂² n⌉` messages and `⌈log₂² n⌉`
+/// rounds (`log₂` of at least 2).
+pub(crate) fn committee_walk_cost(n: usize, committee_size: usize) -> (u64, u64) {
+    let log_n = ieee::log2(n.max(2) as f64);
+    let rounds = log_n * log_n;
+    (
+        (committee_size as f64 * rounds).ceil() as u64,
+        rounds.ceil() as u64,
+    )
+}
+
 /// Full sub-quadratic initialization: committee sampling, redundant
 /// tree discovery with `trees` spanning trees, committee `randNum`,
 /// seed-driven partition, and *scoped* dissemination (each node learns
@@ -246,10 +258,10 @@ pub fn init_tree_discovered(
     // member instead of the flooding/election costs.
     let committee_size = params.target_cluster_size().min(n).max(trees);
     let committee = sample_distinct(n, committee_size, &mut rng);
-    let log_n = (n.max(2) as f64).log2();
+    let (messages, rounds) = committee_walk_cost(n, committee_size);
     ledger.begin(CostKind::Clusterization);
-    ledger.add_messages((committee_size as f64 * log_n * log_n).ceil() as u64);
-    ledger.add_rounds((log_n * log_n).ceil() as u64);
+    ledger.add_messages(messages);
+    ledger.add_rounds(rounds);
     ledger.end();
 
     // Redundant tree discovery rooted at the first `trees` committee

@@ -136,10 +136,6 @@ pub(crate) struct Kernel<'k, S: StateView> {
     /// substream on a view.
     pub(crate) rng: &'k mut DetRng,
     pub(crate) malice: &'k mut dyn Malice,
-    /// The buffer a walk records its CTRW's holds in (see
-    /// [`crate::rand_cl`]): the system's own on the live registry, the
-    /// op's own on a view, so that only an op's first walks grow it.
-    pub(crate) holds: &'k mut Vec<(u32, u32)>,
 }
 
 impl<S: StateView> Kernel<'_, S> {

@@ -50,6 +50,8 @@
 #![deny(unsafe_code)]
 #![deny(deprecated)]
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod audit;
 mod batch;

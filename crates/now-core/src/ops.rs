@@ -626,7 +626,6 @@ mod tests {
             registry: sys.registry.clone(),
             overlay: sys.overlay.clone(),
             walks: WalkTable::build(&sys.params, &sys.overlay, &sys.registry),
-            walk_holds: Vec::new(),
             ledger: Ledger::new(),
             rng: sys.rng.clone(),
             malice: Box::new(NoMalice),

@@ -1,6 +1,7 @@
 //! NOW protocol parameters and derived quantities.
 
 use crate::error::NowError;
+use now_net::ieee;
 use now_over::OverParams;
 
 /// Which quorum/agreement substrate a deployment runs on, and therefore
@@ -248,7 +249,7 @@ impl NowParams {
         if !(z >= 1.0 && z.is_finite()) {
             return fail("population ceiling exponent z must be >= 1");
         }
-        if (self.capacity as f64).powf(z) > u64::MAX as f64 / 2.0 {
+        if ieee::pow(self.capacity as f64, z) > u64::MAX as f64 / 2.0 {
             return fail("population ceiling N^z overflows u64");
         }
         self.y = y;
@@ -340,7 +341,7 @@ impl NowParams {
 
     /// `log₂ N`.
     pub fn log_n(&self) -> f64 {
-        (self.capacity as f64).log2()
+        ieee::log2(self.capacity as f64)
     }
 
     /// Target cluster size `⌈k·logN⌉`.
@@ -372,20 +373,20 @@ impl NowParams {
     /// Lower bound on the population (`N^{1/y}`, default `√N`) the model
     /// assumes.
     pub fn min_population(&self) -> u64 {
-        (self.capacity as f64).powf(1.0 / self.y).floor() as u64
+        ieee::pow(self.capacity as f64, 1.0 / self.y).floor() as u64
     }
 
     /// Upper bound on the population (`N^z`, default `N`) the model
     /// assumes.
     pub fn max_population(&self) -> u64 {
-        (self.capacity as f64).powf(self.z).floor() as u64
+        ieee::pow(self.capacity as f64, self.z).floor() as u64
     }
 
     /// CTRW duration for an overlay of `m` clusters: chosen so the
     /// expected hop count is ≈ `walk_length_factor · log²(m+2)`
     /// (the paper's "walks of length O(log²n)").
     pub fn ctrw_duration(&self, m: usize) -> f64 {
-        let log_m = ((m + 2) as f64).log2();
+        let log_m = ieee::log2((m + 2) as f64);
         self.walk_length_factor * log_m * log_m / self.over.target_degree() as f64
     }
 
@@ -616,5 +617,85 @@ mod tests {
         let capped = p.with_exchange_cap(Some(5));
         assert_eq!(capped.exchange_cap(), Some(5));
         assert_eq!(capped.with_exchange_cap(None).exchange_cap(), None);
+    }
+
+    /// The integers derived without libm are libm's: for capacities
+    /// 2⁴…2³⁰ and every shape the tests, the bench and the scenarios
+    /// build (`k` 1–8, `l` ∈ {1.42, 1.5, 2}, the population exponents
+    /// they pass), the overlay's target degree, the population bounds
+    /// (and which exponents are rejected), the size band and the
+    /// initial cluster counts; and the init election costs at every
+    /// population up to 4 096, and at `2^e` and `3·2^(e−2)` up to
+    /// `e` = 30.
+    #[test]
+    fn derived_integers_are_libms() {
+        let mut populations: Vec<usize> = (1..=4_096).collect();
+        for e in 12..=30 {
+            populations.extend([1 << e, 3 << (e - 2)]);
+        }
+        for e in 4..=30 {
+            let capacity = 1u64 << e;
+            let (n, log_n) = (capacity as f64, (capacity as f64).log2());
+            let over = OverParams::for_capacity(capacity);
+            assert_eq!(
+                over.target_degree(),
+                log_n.powf(1.1).ceil() as usize,
+                "N = 2^{e}"
+            );
+            for (k, l) in (1..=8).flat_map(|k| [(k, 1.42), (k, 1.5), (k, 2.0)]) {
+                let Ok(p) = NowParams::new(capacity, k, l, 0.2, 0.1) else {
+                    continue;
+                };
+                let (target, max) = (
+                    (k as f64 * log_n).ceil() as usize,
+                    (l * k as f64 * log_n).floor() as usize,
+                );
+                assert_eq!(p.target_cluster_size(), target);
+                assert_eq!(p.max_cluster_size(), max);
+                assert_eq!(p.min_cluster_size(), (k as f64 * log_n / l).ceil() as usize);
+                for &pop in &populations {
+                    let libm = (pop / target).max(pop.div_ceil(max)).max(1);
+                    assert_eq!(
+                        p.initial_cluster_count(pop),
+                        libm,
+                        "N = 2^{e}, k {k}, l {l}, n {pop}"
+                    );
+                }
+                for (y, z) in [
+                    (2.0, 1.0),
+                    (3.0, 1.5),
+                    (2.0, 7.0),
+                    (2.0, 1.25),
+                    (2.0, 1.2),
+                    (1.0, 1.0),
+                ] {
+                    let bounded = p.with_population_exponents(y, z);
+                    assert_eq!(bounded.is_ok(), n.powf(z) <= u64::MAX as f64 / 2.0, "N^{z}");
+                    if let Ok(q) = bounded {
+                        assert_eq!(q.min_population(), n.powf(1.0 / y).floor() as u64);
+                        assert_eq!(q.max_population(), n.powf(z).floor() as u64);
+                    }
+                }
+            }
+        }
+        for &pop in &populations {
+            let log_n = (pop.max(2) as f64).log2();
+            let election = ((pop as f64).powf(1.5) * log_n).ceil() as u64;
+            assert_eq!(
+                crate::init::election_cost(pop),
+                (election, log_n.ceil() as u64),
+                "n {pop}"
+            );
+            assert_eq!(now_net::ieee::ceil_log2(pop as u64), log_n.ceil() as u64);
+            for committee in [1, 2, 8, 24, 60] {
+                let walks = committee as f64 * log_n * log_n;
+                let libm = (walks.ceil() as u64, (log_n * log_n).ceil() as u64);
+                assert_eq!(
+                    crate::init_tree::committee_walk_cost(pop, committee),
+                    libm,
+                    "n {pop}"
+                );
+            }
+        }
     }
 }

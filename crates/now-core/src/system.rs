@@ -9,7 +9,7 @@ use crate::params::NowParams;
 use crate::rand_cl::WalkTable;
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
-use now_net::{ClusterId, CostKind, DetRng, IdGen, Ledger, NodeId};
+use now_net::{ieee, ClusterId, CostKind, DetRng, IdGen, Ledger, NodeId};
 use now_over::Overlay;
 use rand::Rng;
 use std::fmt;
@@ -29,9 +29,6 @@ pub struct NowSystem {
     /// The overlay by registry slot, as walks read it: rebuilt where
     /// `overlay` or the cluster slab changes shape, and nowhere else.
     pub(crate) walks: WalkTable,
-    /// The live kernel's walk scratch (see [`crate::rand_cl`]): holds
-    /// only the CTRW running, and is kept so that walks allocate none.
-    pub(crate) walk_holds: Vec<(u32, u32)>,
     pub(crate) ledger: Ledger,
     pub(crate) rng: DetRng,
     pub(crate) malice: Box<dyn Malice>,
@@ -120,7 +117,7 @@ impl NowSystem {
         // measures).
         let mut ledger = Ledger::new();
         let n = n0 as u64;
-        let log_n = ((n0.max(2)) as f64).log2().ceil() as u64;
+        let log_n = ieee::ceil_log2(n0 as u64);
         let bootstrap_edges = n * log_n / 2;
         ledger.begin(CostKind::Discovery);
         ledger.add_messages(n * bootstrap_edges);
@@ -139,7 +136,6 @@ impl NowSystem {
             registry,
             overlay,
             walks,
-            walk_holds: Vec::new(),
             ledger,
             rng,
             malice: Box::new(NoMalice),
@@ -392,7 +388,6 @@ impl NowSystem {
             ledger: &mut self.ledger,
             rng: &mut self.rng,
             malice: self.malice.as_mut(),
-            holds: &mut self.walk_holds,
         }
     }
 

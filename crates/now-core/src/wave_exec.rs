@@ -519,7 +519,6 @@ fn plan_op(ctx: &WaveCtx<'_>, spec: &OpSpec, mut rng: DetRng, malice: &mut dyn M
         ledger: &mut ledger,
         rng: &mut rng,
         malice,
-        holds: &mut Vec::new(),
     }
     .run_op(&spec.op);
     OpPlan {
@@ -1093,7 +1092,6 @@ impl NowSystem {
             ledger: &mut self.ledger,
             rng: &mut rng,
             malice,
-            holds: &mut self.walk_holds,
         }
         .run_op(&spec.op)
     }
@@ -2006,7 +2004,6 @@ mod tests {
             ledger: &mut ledger,
             rng: &mut DetRng::new(9),
             malice: &mut NoMalice,
-            holds: &mut Vec::new(),
         }
         .join(joiner, true, contact);
         ledger.end();

@@ -1,0 +1,16 @@
+//! libm ban positive: each call below is a platform libm routine, which
+//! the `clippy.toml` of now-core, now-over and now-net bans outside
+//! tests (`clippy::disallowed_methods`). The test module's call is the
+//! negative case: test code may use libm as a reference.
+
+pub fn libm_calls(x: f64) -> [f64; 5] {
+    [x.ln(), x.ln_1p(), x.log2(), x.exp(), x.powf(1.5)]
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reference() {
+        assert!(super::libm_calls(2.0)[0] == 2f64.ln());
+    }
+}

@@ -291,6 +291,108 @@ mod tests {
         }
     }
 
+    /// The libm ban has teeth: a scratch crate with now-core's,
+    /// now-over's and now-net's `clippy.toml` and lint attributes, whose
+    /// one module is the `libm_calls` fixture, fails `cargo clippy`
+    /// with `disallowed_methods` at each of the fixture's five libm
+    /// calls, and passes it under `--tests`, where the crate root
+    /// allows libm as a reference. Where the toolchain has no clippy,
+    /// the probe prints a note and checks nothing.
+    #[test]
+    fn libm_ban_fires_on_a_seeded_probe() {
+        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+        let clippy = std::process::Command::new(&cargo)
+            .args(["clippy", "--version"])
+            .output();
+        if !clippy.is_ok_and(|out| out.status.success()) {
+            eprintln!("no cargo clippy on this toolchain: the libm-ban probe is skipped");
+            return;
+        }
+        let (root, fixtures) = (
+            workspace_root(),
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures"),
+        );
+        let attributes = [
+            "#![deny(clippy::disallowed_methods)]",
+            "#![cfg_attr(test, allow(clippy::disallowed_methods))]",
+        ];
+        for host in ["now-core", "now-over", "now-net"] {
+            let lib = fs::read_to_string(root.join(format!("crates/{host}/src/lib.rs"))).unwrap();
+            for attribute in attributes {
+                assert!(
+                    lib.lines().any(|l| l == attribute),
+                    "{host} lacks {attribute}"
+                );
+            }
+            let probe =
+                std::env::temp_dir().join(format!("now-libm-probe-{}-{host}", std::process::id()));
+            let _ = fs::remove_dir_all(&probe);
+            fs::create_dir_all(probe.join("src")).unwrap();
+            fs::write(
+                probe.join("Cargo.toml"),
+                "[package]\nname = \"probe\"\nversion = \"0.0.0\"\nedition = \"2021\"\n[workspace]\n",
+            )
+            .unwrap();
+            fs::copy(
+                root.join(format!("crates/{host}/clippy.toml")),
+                probe.join("clippy.toml"),
+            )
+            .unwrap();
+            fs::copy(
+                fixtures.join("libm_calls.rs"),
+                probe.join("src/libm_calls.rs"),
+            )
+            .unwrap();
+            fs::write(
+                probe.join("src/lib.rs"),
+                format!(
+                    "{}\nmod libm_calls;\npub use libm_calls::libm_calls;\n",
+                    attributes.join("\n")
+                ),
+            )
+            .unwrap();
+            let clippy = |tests: bool| {
+                let mut run = std::process::Command::new(&cargo);
+                run.args(["clippy", "--offline", "--quiet", "--message-format=short"])
+                    .args(if tests {
+                        &["--tests"][..]
+                    } else {
+                        &["--lib"][..]
+                    })
+                    .current_dir(&probe)
+                    .env("CARGO_TARGET_DIR", probe.join("target"));
+                run.output().unwrap()
+            };
+            let lib = clippy(false);
+            let stderr = String::from_utf8_lossy(&lib.stderr);
+            let fired: Vec<&str> = stderr
+                .lines()
+                .filter(|l| l.contains("disallowed method"))
+                .collect();
+            assert!(
+                !lib.status.success(),
+                "{host}: libm calls passed clippy:\n{stderr}"
+            );
+            for method in ["ln", "ln_1p", "log2", "exp", "powf"] {
+                let name = format!("`f64::{method}`");
+                let at = |l: &&&str| l.contains("src/libm_calls.rs:7:") && l.contains(&name);
+                assert_eq!(
+                    fired.iter().filter(at).count(),
+                    1,
+                    "{host}: {name} did not fire once:\n{stderr}"
+                );
+            }
+            assert_eq!(fired.len(), 5, "{host}:\n{stderr}");
+            let tests = clippy(true);
+            assert!(
+                tests.status.success(),
+                "{host}: test code may call libm:\n{}",
+                String::from_utf8_lossy(&tests.stderr)
+            );
+            let _ = fs::remove_dir_all(&probe);
+        }
+    }
+
     /// The gate has teeth: on a scratch tree, each fixture violation
     /// planted into a crate's `src/` fires its own rule on the planted
     /// file (every fixture also declares `pub` items, so API001 alone

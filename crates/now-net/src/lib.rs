@@ -27,6 +27,8 @@
 //!   spans, used by the cluster-level execution path (fidelity level L1)
 //!   and by the L0 protocols alike, so both levels report comparable
 //!   costs.
+//! * [`ieee`] — `ln`, `log₂` and powers from IEEE-754 basic operations
+//!   alone, so that no trajectory depends on the platform's libm.
 //!
 //! # Example
 //!
@@ -50,9 +52,12 @@
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod event;
 mod id;
+pub mod ieee;
 mod ledger;
 mod rng;
 

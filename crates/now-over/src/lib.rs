@@ -48,6 +48,8 @@
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod audit;
 mod cycles;

@@ -19,12 +19,17 @@
 //! Property 2; experiment X-P12 verifies both properties under this
 //! choice.
 
+use now_net::ieee;
+
 /// Static OVER parameters (shared by every overlay of one deployment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverParams {
     capacity: u64,
     alpha: f64,
     cap_factor: usize,
+    /// `log^{1+α} N`, computed once: [`OverParams::target_degree`] is
+    /// read on every overlay edit.
+    log_1_alpha: f64,
 }
 
 impl OverParams {
@@ -53,6 +58,7 @@ impl OverParams {
             capacity,
             alpha,
             cap_factor,
+            log_1_alpha: ieee::pow(ieee::log2(capacity as f64), 1.0 + alpha),
         }
     }
 
@@ -68,12 +74,12 @@ impl OverParams {
 
     /// `log₂ N` as a float.
     pub fn log_n(&self) -> f64 {
-        (self.capacity as f64).log2()
+        ieee::log2(self.capacity as f64)
     }
 
     /// `log^{1+α} N`, the degree/expansion scale of Properties 1–2.
     pub fn log_1_alpha(&self) -> f64 {
-        self.log_n().powf(1.0 + self.alpha)
+        self.log_1_alpha
     }
 
     /// Edges a fresh vertex aims for on `Add`: `⌈log^{1+α} N⌉`.

@@ -1,6 +1,6 @@
 //! X-CAMPAIGN — run a declarative attack campaign file.
 //!
-//! Usage: `x_campaign <file.campaign> [--threads N] [--out <path>]`
+//! Usage: `x_campaign <file.campaign> [--out <path>]`
 //!
 //! Parses the campaign text format (`now-campaign`), runs every phase
 //! on one system through the batched wave-scheduled execution path, and
@@ -14,9 +14,8 @@
 //!   naming it).
 //!
 //! The JSON contains only deterministic outcome fields, so CI's
-//! `campaign-smoke` job byte-diffs `--threads 1` against `--threads 4`
-//! for every file in `scenarios/` — the campaign engine inherits the
-//! threaded wave executor's bit-determinism guarantee.
+//! `campaign-smoke` job byte-diffs two runs of every file in
+//! `scenarios/` and checks them against committed sums.
 //!
 //! Malformed files are reported as typed errors (line number + reason)
 //! with exit code 2 — never a panic.
@@ -30,23 +29,15 @@ use std::process::ExitCode;
 
 struct Args {
     file: PathBuf,
-    threads: usize,
     out: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut file = None;
-    let mut threads = 1usize;
     let mut out = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--threads takes a positive integer")?;
-            }
             "--out" => {
                 out = Some(PathBuf::from(argv.next().ok_or("--out takes a file path")?));
             }
@@ -61,8 +52,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(Args {
-        file: file.ok_or("usage: x_campaign <file.campaign> [--threads N] [--out <path>]")?,
-        threads,
+        file: file.ok_or("usage: x_campaign <file.campaign> [--out <path>]")?,
         out,
     })
 }
@@ -72,17 +62,16 @@ fn run(args: &Args) -> Result<(), NowError> {
         reason: format!("cannot read {}: {e}", args.file.display()),
     })?;
     let campaign = Campaign::parse(&text)?;
-    let (report, sys) = campaign.run(args.threads)?;
+    let (report, sys) = campaign.execute()?;
     sys.check_consistency()
         .map_err(|e| NowError::CampaignReport {
             reason: format!("post-run consistency check failed: {e}"),
         })?;
 
     println!(
-        "# X-CAMPAIGN `{}` ({} phases, {} threads)\n",
+        "# X-CAMPAIGN `{}` ({} phases)\n",
         report.campaign,
-        report.phases.len(),
-        args.threads
+        report.phases.len()
     );
     let mut table = Table::new([
         "phase",

@@ -1,28 +1,27 @@
 //! X-EVENT-RUNTIME — the deterministic event-driven network runtime,
 //! end to end.
 //!
-//! Usage: `x_event_runtime [--threads N] [--out <path>]`
+//! Usage: `x_event_runtime [--out <path>]`
 //!
 //! Exercises both consumers of the seeded discrete-event scheduler
 //! ([`now_net::EventNet`]) across a fixed ladder of per-link network
 //! models (ideal → latency+jitter → lossy → partition-and-heal):
 //!
 //! * **NOW on the event engine**: batched churn where joins travel as
-//!   routed messages and leaves as self-messages, delivery order
-//!   re-partitioned into conflict-free waves ([`now_core::ExecConfig::Event`]).
+//!   routed messages and leaves as self-messages, run in delivery
+//!   order and priced in conflict-free waves ([`now_core::ExecConfig::Event`]).
 //! * **Ben-Or on [`now_net::EventNet`]**: asynchronous binary consensus
 //!   whose liveness visibly degrades with loss and partitions while
 //!   safety holds ([`now_agreement::run_ben_or_event`]).
 //!
 //! The JSON report holds the same two tables the binary prints, one
 //! object per row. They contain only deterministic outcome fields — no
-//! wall-clock, no thread counts — so CI's `event-smoke` job byte-diffs
-//! `--threads 1` against `--threads 4`: every outcome is a pure
-//! function of `(seed, config)`, never of the worker schedule.
+//! wall-clock — so CI's `event-smoke` job byte-diffs two runs: every
+//! outcome is a pure function of `(seed, config)`.
 
 use now_agreement::{run_ben_or_event, ByzPlan, CoinMode};
 use now_bench::results_dir;
-use now_core::{ExecConfig, Json, NowParams, NowSystem, WavePool};
+use now_core::{ExecConfig, Json, NowParams, NowSystem};
 use now_net::{DetRng, EventNetConfig, Ledger};
 use now_sim::{BatchRandomChurn, BatchRun, Cell, Table};
 use std::collections::BTreeSet;
@@ -34,30 +33,21 @@ const STEPS: u64 = 40;
 const WIDTH: usize = 6;
 
 struct Args {
-    threads: usize,
     out: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut threads = 1usize;
     let mut out = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .ok_or("--threads takes a positive integer")?;
-            }
             "--out" => {
                 out = Some(PathBuf::from(argv.next().ok_or("--out takes a file path")?));
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Args { threads, out })
+    Ok(Args { out })
 }
 
 /// The network-model ladder every consumer runs through.
@@ -83,11 +73,11 @@ fn scenarios() -> Vec<(&'static str, EventNetConfig)> {
 }
 
 /// One row of the NOW table: batched churn on the event engine.
-fn run_now(name: &'static str, net: EventNetConfig, pool: &WavePool) -> Vec<Cell> {
+fn run_now(name: &'static str, net: EventNetConfig) -> Vec<Cell> {
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 220, 0.10, SEED);
     let mut driver = BatchRandomChurn::balanced(WIDTH, 0.10);
-    let r = BatchRun::new().exec(ExecConfig::event_in(net, pool)).run(
+    let r = BatchRun::new().exec(ExecConfig::event(net)).run(
         &mut sys,
         &mut driver,
         STEPS,
@@ -155,7 +145,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let pool = WavePool::new(args.threads);
     let mut now_table = Table::new([
         "scenario",
         "steps",
@@ -174,7 +163,7 @@ fn main() -> ExitCode {
         "messages",
     ]);
     for (name, net) in scenarios() {
-        now_table.row(run_now(name, net, &pool));
+        now_table.row(run_now(name, net));
     }
     let mut ben_or_table = Table::new([
         "scenario",
@@ -190,10 +179,7 @@ fn main() -> ExitCode {
         ben_or_table.row(run_agreement(name, net));
     }
 
-    println!(
-        "# X-EVENT-RUNTIME ({} workers; outputs are worker-count invariant)\n",
-        args.threads
-    );
+    println!("# X-EVENT-RUNTIME\n");
     println!("## NOW on the event scheduler\n");
     println!("{}", now_table.to_markdown());
     println!("## Ben-Or on the event scheduler\n");

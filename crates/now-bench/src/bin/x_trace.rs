@@ -1,7 +1,7 @@
 //! X-TRACE — the deterministic flight recorder and metrics registry,
 //! end to end.
 //!
-//! Usage: `x_trace [--threads N] [--out-dir <dir>]`
+//! Usage: `x_trace [--out-dir <dir>]`
 //!
 //! Replays a fixed mixed workload — pooled balanced churn, a
 //! split-forcing burst on the serial engine, then lossy event-driven
@@ -18,15 +18,13 @@
 //!   exposition format.
 //!
 //! All three artifacts contain only deterministic outcome fields — no
-//! wall-clock, no thread counts — so CI's `trace-smoke` job byte-diffs
-//! `--threads 1` against `--threads 4` and greps the artifacts for
-//! banned run-environment vocabulary. Advisory wall-clock totals from
-//! the opt-in phase profiler go to **stderr only**, never into an
-//! artifact.
+//! wall-clock — so CI's `trace-smoke` job byte-diffs two runs, checks
+//! them against committed sums and greps them for banned
+//! run-environment vocabulary.
 
 use now_adversary::BatchSplitForcing;
 use now_bench::{results_dir, write_artifact};
-use now_core::{wave_plan_nanos_total, ExecConfig, NowParams, NowSystem, WavePool};
+use now_core::{ExecConfig, NowParams, NowSystem};
 use now_net::EventNetConfig;
 use now_sim::{BatchRandomChurn, BatchRun};
 use std::path::PathBuf;
@@ -36,23 +34,14 @@ const SEED: u64 = 0x7ACE;
 const RING: usize = 1024;
 
 struct Args {
-    threads: usize,
     out_dir: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut threads = 1usize;
     let mut out_dir = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .ok_or("--threads takes a positive integer")?;
-            }
             "--out-dir" => {
                 out_dir = Some(PathBuf::from(
                     argv.next().ok_or("--out-dir takes a directory path")?,
@@ -61,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Args { threads, out_dir })
+    Ok(Args { out_dir })
 }
 
 fn main() -> ExitCode {
@@ -73,16 +62,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let pool = WavePool::new(args.threads);
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 220, 0.10, SEED);
     sys.enable_tracing(RING);
     sys.enable_metrics();
 
-    // Segment 1: balanced churn on the pooled wave engine.
+    // Segment 1: balanced churn priced in parallel waves.
     let mut churn = BatchRandomChurn::balanced(6, 0.10);
     BatchRun::new()
-        .exec(ExecConfig::pooled(&pool))
+        .exec(ExecConfig::Pooled)
         .run(&mut sys, &mut churn, 12, SEED ^ 1);
 
     // Segment 2: split-forcing burst on the serial engine.
@@ -94,7 +82,7 @@ fn main() -> ExitCode {
     let mut storm = BatchRandomChurn::balanced(6, 0.10);
     let net = EventNetConfig::ideal().with_latency(2).with_drop(0.25);
     BatchRun::new()
-        .exec(ExecConfig::event_in(net, &pool))
+        .exec(ExecConfig::event(net))
         .run(&mut sys, &mut storm, 10, SEED ^ 3);
 
     if let Err(e) = sys.check_consistency() {
@@ -126,11 +114,6 @@ fn main() -> ExitCode {
         metrics.counter("now_net_sent_total"),
         metrics.counter("now_net_delivered_total"),
         metrics.counter("now_net_dropped_total"),
-    );
-    // Advisory profiling only — never part of any artifact.
-    eprintln!(
-        "advisory: wave planning spent {} ns of wall-clock (profiler; varies run to run)",
-        wave_plan_nanos_total()
     );
     ExitCode::SUCCESS
 }

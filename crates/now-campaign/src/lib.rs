@@ -27,8 +27,8 @@
 //!   phase (the phase's [`now_sim::BatchRunReport`], whose per-step
 //!   audits give the violations, peak and population trajectory, plus
 //!   the trigger outcome and ledger totals) and emits it as
-//!   deterministic JSON: runs of the same campaign are byte-identical
-//!   across `--threads` values, which CI gates (`campaign-smoke`).
+//!   deterministic JSON: runs of the same campaign are byte-identical,
+//!   which CI gates (`campaign-smoke`).
 //!
 //! # Example
 //! ```
@@ -57,7 +57,7 @@
 //!   steps 3
 //! ";
 //! let campaign = Campaign::parse(text)?;
-//! let (report, sys) = campaign.run(1)?;
+//! let (report, sys) = campaign.execute()?;
 //! assert_eq!(report.phases.len(), 3);
 //! assert_eq!(report.total_steps(), 21);
 //! assert!(sys.check_consistency().is_ok());

@@ -103,21 +103,19 @@ impl PhaseStyle {
     }
 }
 
-/// The pool-free, parseable name of the [`now_core::ExecConfig`] a
-/// phase runs on; each variant (and its `exec` keyword in the text
-/// format) is named after the `ExecConfig` variant it selects, on the
-/// campaign's one worker pool.
+/// The parseable name of the [`now_core::ExecConfig`] a phase runs
+/// on; each variant (and its `exec` keyword in the text format) is
+/// named after the `ExecConfig` variant it selects.
 ///
-/// Outcomes are deterministic in every case: `Serial` ignores the
-/// runner's thread count entirely, `Pooled` is bit-identical at
-/// every thread count, and `Event` replays from the campaign seed and
-/// the phase's network model alone — so a campaign report never
-/// depends on how many workers the host offered.
+/// Outcomes are deterministic in every case: `Serial` and `Pooled` run
+/// the same trajectory and differ only in the waves they price it by,
+/// and `Event` replays from the campaign seed and the phase's network
+/// model alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseExec {
     /// The serial engine ([`now_core::ExecConfig::Serial`]).
     Serial,
-    /// The wave engine on the campaign pool
+    /// The serial trajectory priced in parallel waves
     /// ([`now_core::ExecConfig::Pooled`]).
     Pooled,
     /// The event-driven network runtime

@@ -1,9 +1,8 @@
 //! Per-phase campaign reports and their deterministic JSON form.
 //!
 //! The JSON contains **only deterministic outcome fields** — no
-//! wall-clock, no thread counts (a phase's run carries both; neither is
-//! written) — so two runs of the same campaign file must be
-//! byte-identical whatever `--threads` value drove them. CI's
+//! wall-clock (a phase's run carries it; it is not written) — so two
+//! runs of the same campaign file must be byte-identical. CI's
 //! `campaign-smoke` job diffs exactly that, and checks the bytes
 //! against sums committed in `.github/artifacts.sha256`.
 
@@ -175,7 +174,6 @@ mod tests {
             rounds: 600,
             run: BatchRunReport {
                 driver: "batch-random-churn".into(),
-                threads: None,
                 steps: 60,
                 joins: 30,
                 leaves: 28,

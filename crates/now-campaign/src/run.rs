@@ -14,7 +14,7 @@ use now_adversary::{
     BatchBurstChurn, BatchDriver, BatchForcedLeave, BatchJoinLeave, BatchMergeForcing,
     BatchSplitForcing, QuietBatches,
 };
-use now_core::{ExecConfig, NowError, NowParams, NowSystem, WavePool};
+use now_core::{ExecConfig, NowError, NowParams, NowSystem};
 use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth, ViolationKind};
 
 /// A phase's compiled stop condition (evaluated before the first step
@@ -33,8 +33,8 @@ impl Campaign {
         )
     }
 
-    /// Builds the campaign's initial system (shared by [`Campaign::run`]
-    /// and callers that want to pre-process the system — e.g. install a
+    /// Builds the campaign's initial system (shared by
+    /// [`Campaign::execute`] and callers that want to pre-process the system — e.g. install a
     /// strategic [`now_core::Malice`] — before [`Campaign::run_on`]).
     ///
     /// # Errors
@@ -52,36 +52,37 @@ impl Campaign {
     /// Builds the system and runs every phase in order, returning the
     /// per-phase report together with the final system.
     ///
-    /// `threads` is the planner count of the campaign-scoped
-    /// [`WavePool`], the driving thread included (normalized by
-    /// [`now_core::normalize_threads`]; its workers are spawned once and reused by every `exec pooled` and `exec event`
-    /// phase). It never changes outcomes (the engines are bit-identical
-    /// across thread counts), only wall-clock.
-    ///
     /// # Errors
     /// [`NowError::CampaignReport`] for shape defects
     /// ([`Campaign::check`]), [`NowError::BadParams`] for invalid
     /// parameters.
-    pub fn run(&self, threads: usize) -> Result<(CampaignReport, NowSystem), NowError> {
+    pub fn execute(&self) -> Result<(CampaignReport, NowSystem), NowError> {
         self.check()?;
         let mut sys = self.build_system()?;
-        let report = self.run_on(&mut sys, threads)?;
+        let report = self.run_on(&mut sys)?;
         Ok((report, sys))
+    }
+
+    /// [`Campaign::execute`], which runs on no worker pool: `_threads`
+    /// is ignored. Kept, with the rest of the retired pool's names (see
+    /// now-core's `compat.rs`), for the frozen step-anatomy benchmark.
+    ///
+    /// # Errors
+    /// As [`Campaign::execute`].
+    #[doc(hidden)]
+    pub fn run(&self, _threads: usize) -> Result<(CampaignReport, NowSystem), NowError> {
+        self.execute()
     }
 
     /// Runs every phase in order on a caller-built system (see
     /// [`Campaign::build_system`]).
     ///
     /// # Errors
-    /// As [`Campaign::run`].
-    pub fn run_on(&self, sys: &mut NowSystem, threads: usize) -> Result<CampaignReport, NowError> {
+    /// As [`Campaign::execute`].
+    pub fn run_on(&self, sys: &mut NowSystem) -> Result<CampaignReport, NowError> {
         self.check()?;
         let mode = sys.params().security();
         let mut phases = Vec::with_capacity(self.phases.len());
-        // One campaign-scoped worker pool: successive phases (and their
-        // steps) reuse the same workers, so a whole campaign spawns
-        // O(threads) threads however many phases and waves it runs —
-        // and none at all when every phase is `exec serial`.
         // Campaign-scoped observability: the `trace` / `metrics`
         // header directives arm the system's sinks before the first
         // phase. Sinks a caller already armed on a prebuilt system are
@@ -95,11 +96,6 @@ impl Campaign {
         if self.metrics && sys.metrics().is_none() {
             sys.enable_metrics();
         }
-        let pool = self
-            .phases
-            .iter()
-            .any(|p| p.exec != PhaseExec::Serial)
-            .then(|| WavePool::new(threads));
 
         for (i, phase) in self.phases.iter().enumerate() {
             let width = phase.width.unwrap_or(self.width);
@@ -124,16 +120,10 @@ impl Campaign {
                 }
                 PhaseStyle::BurstChurn => Box::new(BatchBurstChurn::new(width, tau)),
             };
-            let exec = match (phase.exec, pool.as_ref()) {
-                (PhaseExec::Serial, _) => ExecConfig::serial(),
-                (PhaseExec::Pooled, Some(pool)) => ExecConfig::pooled(pool),
-                // Event phases plan their delivery waves on the same
-                // campaign pool; the thread count never changes the
-                // outcome, only wall-clock.
-                (PhaseExec::Event, Some(pool)) => ExecConfig::event_in(phase.net, pool),
-                // INVARIANT: the pool was constructed upfront for any
-                // campaign containing a non-serial phase.
-                (_, None) => unreachable!("a pooled or event phase implies a pool"),
+            let exec = match phase.exec {
+                PhaseExec::Serial => ExecConfig::Serial,
+                PhaseExec::Pooled => ExecConfig::Pooled,
+                PhaseExec::Event => ExecConfig::event(phase.net),
             };
             // Per-phase substream: a splitmix-style mix of the master
             // seed and the phase index, so reordering or editing one
@@ -217,7 +207,7 @@ mod tests {
             .phase(Phase::new("grow", PhaseStyle::SplitForcing, Trigger::Steps(10)).width(6))
             .phase(Phase::new("calm", PhaseStyle::Quiet, Trigger::Steps(5)))
             .phase(Phase::new("churn", PhaseStyle::Balanced, Trigger::Steps(8)));
-        let (report, sys) = c.run(1).unwrap();
+        let (report, sys) = c.execute().unwrap();
         assert_eq!(report.phases.len(), 3);
         assert_eq!(report.total_steps(), 23);
         assert_eq!(sys.time_step(), 23, "one time step per batch");
@@ -245,7 +235,7 @@ mod tests {
             )
             .width(5),
         );
-        let (report, sys) = c.run(1).unwrap();
+        let (report, sys) = c.execute().unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired, "threshold is reachable");
         assert!(p.run.steps < 500, "stopped well before the cap");
@@ -269,7 +259,7 @@ mod tests {
                 },
             ))
             .phase(Phase::new("after", PhaseStyle::Quiet, Trigger::Steps(2)));
-        let (report, sys) = c.run(1).unwrap();
+        let (report, sys) = c.execute().unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired);
         assert_eq!(p.run.steps, 0, "goal already met: no batch may run");
@@ -289,14 +279,14 @@ mod tests {
                 cap: 4,
             },
         ));
-        let (report, _) = c.run(1).unwrap();
+        let (report, _) = c.execute().unwrap();
         let p = &report.phases[0];
         assert!(!p.trigger_fired);
         assert_eq!(p.run.steps, 4, "ran to the cap");
     }
 
     #[test]
-    fn campaign_runs_are_deterministic_across_thread_counts() {
+    fn campaign_runs_are_deterministic() {
         let c = base()
             .initial_population_of(160)
             .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(6)))
@@ -309,18 +299,16 @@ mod tests {
                 Phase::new("dos", PhaseStyle::ForcedLeave, Trigger::Steps(6))
                     .target(ClusterPick::First),
             );
-        let (r1, s1) = c.run(1).unwrap();
-        let (r4, s4) = c.run(4).unwrap();
-        assert_eq!(r1.to_json(), r4.to_json(), "byte-identical across threads");
+        let (r1, s1) = c.execute().unwrap();
+        let (r4, s4) = c.execute().unwrap();
+        assert_eq!(r1.to_json(), r4.to_json(), "byte-identical replay");
         assert_eq!(s1.population(), s4.population());
         assert_eq!(s1.node_ids(), s4.node_ids());
         s1.check_consistency().unwrap();
     }
 
     #[test]
-    fn zero_threads_runs_like_one_thread() {
-        // Regression for the shared `normalize_threads` rule at the
-        // campaign layer's per-phase exec knob.
+    fn run_ignores_its_thread_count() {
         let c = base()
             .initial_population_of(150)
             .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(4)))
@@ -329,9 +317,12 @@ mod tests {
                     .exec(PhaseExec::Serial),
             );
         let (r0, s0) = c.run(0).unwrap();
-        let (r1, s1) = c.run(1).unwrap();
-        assert_eq!(r0.to_json(), r1.to_json());
-        assert_eq!(s0.node_ids(), s1.node_ids());
+        let (r4, s4) = c.run(4).unwrap();
+        let (r, s) = c.execute().unwrap();
+        assert_eq!(r0.to_json(), r.to_json());
+        assert_eq!(r4.to_json(), r.to_json());
+        assert_eq!(s0.node_ids(), s.node_ids());
+        assert_eq!(s4.node_ids(), s.node_ids());
     }
 
     #[test]
@@ -347,11 +338,11 @@ mod tests {
                 PhaseStyle::Balanced,
                 Trigger::Steps(5),
             ));
-        let (report, sys) = c.run(2).unwrap();
+        let (report, sys) = c.execute().unwrap();
         assert_eq!(report.total_steps(), 10);
         sys.check_consistency().unwrap();
         // And the mixed-engine run is reproducible as a whole.
-        let (again, _) = c.run(2).unwrap();
+        let (again, _) = c.execute().unwrap();
         assert_eq!(report.to_json(), again.to_json());
     }
 
@@ -363,8 +354,8 @@ mod tests {
             Trigger::Steps(5),
         ));
         let mut sys = c.build_system().unwrap();
-        let direct = c.run_on(&mut sys, 1).unwrap();
-        let (viarun, _) = c.run(1).unwrap();
+        let direct = c.run_on(&mut sys).unwrap();
+        let (viarun, _) = c.execute().unwrap();
         assert_eq!(direct.to_json(), viarun.to_json());
     }
 
@@ -374,7 +365,7 @@ mod tests {
             .initial_population_of(150)
             .phase(Phase::new("a", PhaseStyle::Balanced, Trigger::Steps(6)).width(5))
             .phase(Phase::new("b", PhaseStyle::Quiet, Trigger::Steps(4)));
-        let (report, _) = c.run(1).unwrap();
+        let (report, _) = c.execute().unwrap();
         let a = &report.phases[0];
         let b = &report.phases[1];
         assert!(a.messages > 0);
@@ -385,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn event_phases_run_and_replay_across_thread_counts() {
+    fn event_phases_run_and_replay() {
         use now_core::EventNetConfig;
         let c = base()
             .initial_population_of(160)
@@ -403,9 +394,9 @@ mod tests {
                     ),
             )
             .phase(Phase::new("calm", PhaseStyle::Quiet, Trigger::Steps(3)));
-        let (r1, s1) = c.run(1).unwrap();
-        let (r4, s4) = c.run(4).unwrap();
-        assert_eq!(r1.to_json(), r4.to_json(), "byte-identical across threads");
+        let (r1, s1) = c.execute().unwrap();
+        let (r4, s4) = c.execute().unwrap();
+        assert_eq!(r1.to_json(), r4.to_json(), "byte-identical replay");
         assert_eq!(s1.node_ids(), s4.node_ids());
         let storm = &r1.phases[1].run;
         assert_eq!(storm.steps, 8);
@@ -428,8 +419,8 @@ mod tests {
             )
         };
         let saturated = text("latency 18446744073709551615\njitter 1\n");
-        let (far, far_sys) = Campaign::parse(&saturated).unwrap().run(1).unwrap();
-        let (ideal, ideal_sys) = Campaign::parse(&text("")).unwrap().run(1).unwrap();
+        let (far, far_sys) = Campaign::parse(&saturated).unwrap().execute().unwrap();
+        let (ideal, ideal_sys) = Campaign::parse(&text("")).unwrap().execute().unwrap();
         let (f, i) = (&far.phases[0], &ideal.phases[0]);
         assert_eq!(f.run.dropped, 0, "a latency cuts nothing");
         let outcome = |p: &PhaseReport| {
@@ -444,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_campaigns_are_byte_identical_across_threads() {
+    fn traced_campaigns_replay_byte_identically() {
         use now_core::EventNetConfig;
         let c = base()
             .initial_population_of(160)
@@ -456,12 +447,12 @@ mod tests {
                     .width(6)
                     .net(EventNetConfig::ideal().with_latency(1).with_drop(0.2)),
             );
-        let (r1, _) = c.run(1).unwrap();
-        let (r4, _) = c.run(4).unwrap();
+        let (r1, _) = c.execute().unwrap();
+        let (r4, _) = c.execute().unwrap();
         assert_eq!(
             r1.to_json(),
             r4.to_json(),
-            "trace + metrics byte-identical across threads"
+            "trace + metrics byte-identical on replay"
         );
         let trace = r1
             .trace
@@ -502,7 +493,7 @@ mod tests {
                 Trigger::FirstViolation { cap: 200 },
             ));
         c.tau = 0.30;
-        let (report, sys) = c.run(1).unwrap();
+        let (report, sys) = c.execute().unwrap();
         assert!(report.phases[0].trigger_fired);
         let rec = sys.flight_recorder().expect("recorder armed");
         let dump = rec.dump().expect("first violation captured a dump");
@@ -558,7 +549,7 @@ mod tests {
             Trigger::FirstViolation { cap: 200 },
         ));
         c.tau = 0.30;
-        let (report, _) = c.run(1).unwrap();
+        let (report, _) = c.execute().unwrap();
         let p = &report.phases[0];
         assert!(p.trigger_fired, "τ = 0.3 must violate quickly");
         assert!(p.run.steps < 200);
@@ -568,10 +559,16 @@ mod tests {
     #[test]
     fn defective_campaigns_are_typed_errors() {
         let empty = base();
-        assert!(matches!(empty.run(1), Err(NowError::CampaignReport { .. })));
+        assert!(matches!(
+            empty.execute(),
+            Err(NowError::CampaignReport { .. })
+        ));
         let mut bad_params = base().phase(Phase::new("a", PhaseStyle::Quiet, Trigger::Steps(1)));
         bad_params.tau = 0.45; // over the plain-mode bound
-        assert!(matches!(bad_params.run(1), Err(NowError::BadParams { .. })));
+        assert!(matches!(
+            bad_params.execute(),
+            Err(NowError::BadParams { .. })
+        ));
     }
 
     impl Campaign {

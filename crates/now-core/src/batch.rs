@@ -25,11 +25,12 @@
 //! its joiners — each in input order) and opening a new wave whenever
 //! an operation's footprint intersects the current wave's. Waves
 //! therefore form contiguous segments of the canonical order and every
-//! wave's operations are pairwise footprint-disjoint. It then executes
-//! wave by wave. [`crate::ExecConfig::Serial`] is the same engine with
-//! every operation in a wave of its own. Either way the batch is
-//! deterministic: same seed and engine ⇒ same admitted ids, same ledger
-//! totals.
+//! wave's operations are pairwise footprint-disjoint. The operations
+//! themselves run one at a time in that order, each live on the
+//! registry; the waves price the step. [`crate::ExecConfig::Serial`]
+//! prices every operation as a wave of its own and ends every batch on
+//! the same state. Either way the batch is deterministic: same seed and
+//! engine ⇒ same admitted ids, same ledger totals.
 //!
 //! The round complexity of the batched step is read off the waves
 //! executed: each wave costs the *maximum* round count over its
@@ -49,15 +50,12 @@
 //! traffic as quorum-layer message passing that composes across waves
 //! (their rounds are already accounted per operation), and reserves
 //! *conflict* for contention on the entry cluster's quorum
-//! neighborhood. Exchange traffic composes *because* an exchange step
-//! is a swap — the partner sends one of its own members back "in
-//! replacement" (§3.1) — and the wave engine applies it as a swap of
-//! the two nodes' current positions: two concurrent cascades that pick
-//! the same node reorder who ends up where, but neither can change a
-//! cluster's size, so the size band never depends on how ops of a wave
-//! interleave. How often they do pick the same node is measured, not
-//! assumed: `now_swap_conflicts_total`. On [`crate::ExecConfig::Serial`]
-//! no two operations share a wave, so none of this arises.
+//! neighborhood. The engine does not run a wave's operations side by
+//! side: it runs them one after another and prices them as if they had
+//! run together, so a wave's trajectory is the serial one and no two
+//! operations of a wave can collide. What genuinely concurrent
+//! operations would do differently — two cascades of one wave
+//! shuffling the same nodes — is outside this model.
 
 use crate::error::NowError;
 use crate::system::NowSystem;
@@ -125,14 +123,14 @@ pub struct BatchReport {
     pub rejected: Vec<(NodeId, NowError)>,
     /// Inclusive batch cost; `rounds` is the *serial* sum.
     pub cost: Cost,
-    /// Round complexity of the scheduled parallel execution: the sum
+    /// Round complexity of the step priced in parallel waves: the sum
     /// over waves of each wave's maximum operation round count.
     pub rounds_parallel: u64,
-    /// The conflict-free wave schedule, in execution order.
+    /// The conflict-free waves the step is priced in, in run order.
     pub waves: Vec<WaveStats>,
     /// Steered contacts ([`JoinSpec::via`]) that had been dissolved —
-    /// before the batch, or (wave engine) by an earlier wave's
-    /// merge — and degraded to the uniform redraw. Deterministic per
+    /// before the batch, or by an earlier op's merge — and degraded to
+    /// the uniform redraw. Deterministic per
     /// engine; every engine applies the same uniform-over-all-clusters
     /// rule the serial [`NowSystem::join`] path uses.
     pub contact_redraws: u64,
@@ -331,10 +329,7 @@ mod tests {
             .iter()
             .map(|&c| sys.cluster(c).unwrap().member_at(0))
             .collect();
-        let report = sys.step_batch(
-            &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::scheduled(),
-        );
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
         assert_eq!(report.left.len(), 3);
         assert_eq!(report.wave_count(), 1, "disjoint batch must not serialize");
         assert_eq!(report.max_wave_width(), 3);
@@ -355,10 +350,7 @@ mod tests {
         // overlay, so any two operations conflict.
         let mut sys = system(200, 6);
         let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(2).collect();
-        let report = sys.step_batch(
-            &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::scheduled(),
-        );
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
         assert_eq!(report.left.len(), 2);
         assert_eq!(report.wave_count(), 2, "overlapping ops must serialize");
         assert_eq!(
@@ -368,11 +360,10 @@ mod tests {
         sys.check_consistency().unwrap();
     }
 
-    /// Same seed, same batch: the scheduled execution agrees with plain
+    /// Same seed, same batch: the batched execution agrees with plain
     /// one-at-a-time `leave` / `join` calls on population and admitted
-    /// ids, and — on this dense overlay, where every footprint meets
-    /// every other and the partition is all singletons — with the serial
-    /// engine on every node's home and the whole ledger.
+    /// ids, and with the serial engine on every node's home and the
+    /// whole ledger.
     #[test]
     fn batched_execution_matches_serial_exactly() {
         let mut batched = system(160, 8);
@@ -382,7 +373,7 @@ mod tests {
         let joins = [true, false, true];
         let input = BatchInput::from_flags(&joins, &leavers);
 
-        let report = batched.step_batch(&input, &ExecConfig::scheduled());
+        let report = batched.step_batch(&input, &ExecConfig::Pooled);
         assert_eq!(report.max_wave_width(), 1, "dense overlay: singleton waves");
         let serial_report = serial.step_batch(&input, &ExecConfig::serial());
         let mut joined = Vec::new();
@@ -513,10 +504,7 @@ mod tests {
             .iter()
             .map(|&c| sys.cluster(c).unwrap().member_at(0))
             .collect();
-        let report = sys.step_batch(
-            &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::scheduled(),
-        );
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
         assert_eq!(report.wave_count(), 1);
         assert_eq!(
             report.wave_slack_rounds(),

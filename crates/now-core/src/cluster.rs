@@ -7,8 +7,8 @@ use now_net::{ClusterId, Cost, NodeId};
 ///
 /// Members live in one sorted, contiguous `Vec<NodeId>` — membership is
 /// a binary search, iteration is a cache-line walk, and `member_at` is
-/// a direct index (the wave planner draws exchange victims by index on
-/// every operation). Clusters are polylog-sized, so the `O(size)`
+/// a direct index (`exchange` draws its victims by index on every
+/// operation). Clusters are polylog-sized, so the `O(size)`
 /// shifts on insert/remove stay well under the pointer-chasing cost of
 /// the `BTreeSet` layout this replaced.
 ///
@@ -151,7 +151,7 @@ impl Cluster {
     }
 
     /// Members in id order, borrowed — the zero-copy view for read-only
-    /// walks (planner views, audits, quorum checks).
+    /// walks (exchange snapshots, audits, quorum checks).
     pub fn member_slice(&self) -> &[NodeId] {
         &self.members
     }

@@ -12,9 +12,9 @@
 //! runs one batch skeleton for every engine — admission, the master
 //! draw, the waves, the report — and the event engine contributes one
 //! stage to it, [`NowSystem::deliver`]: it maps the admitted operations
-//! to the order the network delivers them in, and the skeleton cuts that
-//! order into waves exactly as it cuts the canonical order of
-//! [`crate::ExecConfig::Pooled`].
+//! to the order the network delivers them in, and the skeleton runs
+//! that order, and prices it in waves, exactly as it runs and prices
+//! the canonical order of [`crate::ExecConfig::Pooled`].
 //!
 //! # Execution model
 //!
@@ -28,15 +28,14 @@
 //! not healed within the step.
 //!
 //! The protocol then runs in **delivery order**: the drained deliveries
-//! form the execution sequence, re-partitioned into conflict-free waves
-//! (contiguous runs of footprint-disjoint deliveries) that drain
-//! through the same wave machinery — plan/apply, or the kernel live for
-//! a wave of one op, and optionally the same [`crate::WavePool`]
-//! workers — as the other engines. Split/merge maintenance runs after
-//! each wave, i.e. it is *driven by the deliveries* rather than by a
-//! barrier. Per-operation randomness is keyed by the operation's
-//! **canonical** index ([`OpSpec::canon`]), not its delivery position,
-//! so an operation plans identically wherever the network schedules it.
+//! form the execution sequence, each op live on the registry with its
+//! split/merge check right after it — maintenance is *driven by the
+//! deliveries* rather than by a barrier — and the sequence is priced
+//! in conflict-free waves (contiguous runs of footprint-disjoint
+//! deliveries) as the other engines price theirs. Per-operation
+//! randomness is keyed by the operation's **canonical** index
+//! ([`OpSpec::canon`]), not its delivery position, so an operation
+//! draws the same stream wherever the network schedules it.
 //!
 //! A dropped message means the operation simply does not happen this
 //! step: the joiner never reached its contact (the id it would have
@@ -49,12 +48,11 @@
 //!
 //! The network is seeded from the batch's master draw (the same one
 //! draw per step every engine makes), so the delivery trace and the
-//! final state are a pure function of `(seed, EventNetConfig)` — the
-//! thread count of the optional pool changes nothing, which the
-//! workspace determinism tests pin byte-for-byte.
+//! final state are a pure function of `(seed, EventNetConfig)`, which
+//! the workspace determinism tests pin byte-for-byte.
 
 use crate::system::NowSystem;
-use crate::wave_exec::{AdmittedBatch, OpSpec, PlannedOp};
+use crate::wave_exec::{AdmittedBatch, BatchOp, OpSpec};
 use now_net::{
     ClusterId, DetRng, DropReason, EventNet, EventNetConfig, EventRecord, NodeId, Partition,
 };
@@ -122,11 +120,11 @@ impl NowSystem {
             let to = port_of(spec.center);
             let from = match spec.op {
                 // Failure detection is local to the home cluster.
-                PlannedOp::Leave { .. } => to,
+                BatchOp::Leave { .. } => to,
                 // The joiner contacts from "somewhere on the network":
                 // a uniformly drawn port, so partitions cut a
                 // deterministic, config-governed fraction of arrivals.
-                PlannedOp::Join { .. } => route.gen_range(0..ports.len()),
+                BatchOp::Join { .. } => route.gen_range(0..ports.len()),
             };
             self.hub.event(
                 step,
@@ -184,7 +182,7 @@ impl NowSystem {
         let executed: BTreeSet<u64> = order.iter().copied().collect();
         let join_canons: Vec<u64> = specs
             .iter()
-            .filter(|s| matches!(s.op, PlannedOp::Join { .. }))
+            .filter(|s| matches!(s.op, BatchOp::Join { .. }))
             .map(|s| s.canon)
             .collect();
         let mut slots: Vec<Option<OpSpec>> = specs.into_iter().map(Some).collect();
@@ -213,7 +211,7 @@ impl NowSystem {
             batch
                 .specs
                 .iter()
-                .filter(|s| matches!(s.op, PlannedOp::Leave { .. }))
+                .filter(|s| matches!(s.op, BatchOp::Leave { .. }))
                 .count(),
             batch.left.len(),
             "departure self-messages always deliver"
@@ -228,7 +226,6 @@ mod tests {
     use crate::batch::BatchReport;
     use crate::exec::{BatchInput, ExecConfig};
     use crate::params::NowParams;
-    use crate::wave_exec::WavePool;
 
     fn system(n0: usize, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -302,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_is_pool_invariant() {
+    fn event_engine_replays_from_seed_and_net() {
         let victims: Vec<_> = system(300, 21).node_ids().into_iter().take(4).collect();
         let input = BatchInput::from_flags(&[true; 10], &victims);
         let net = EventNetConfig::ideal()
@@ -311,21 +308,18 @@ mod tests {
             .with_drop(0.2)
             .with_partition(3)
             .healing_at(6);
-        let mut solo = system(300, 21);
-        let want = strip_wall(solo.step_batch(&input, &ExecConfig::event(net)));
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WavePool::new(threads);
-            let mut sys = system(300, 21);
-            let got = strip_wall(sys.step_batch(&input, &ExecConfig::event_in(net, &pool)));
-            assert_eq!(got.events, want.events, "trace at {threads} threads");
-            assert_eq!(got.joined, want.joined);
-            assert_eq!(got.left, want.left);
-            assert_eq!(got.dropped, want.dropped);
-            assert_eq!(got.cost, want.cost);
-            assert_eq!(got.waves, want.waves);
-            assert_eq!(sys.population(), solo.population());
-            assert_eq!(sys.check_consistency(), solo.check_consistency());
-        }
+        let mut first = system(300, 21);
+        let want = strip_wall(first.step_batch(&input, &ExecConfig::event(net)));
+        let mut again = system(300, 21);
+        let got = strip_wall(again.step_batch(&input, &ExecConfig::event(net)));
+        assert_eq!(got.events, want.events);
+        assert_eq!(got.joined, want.joined);
+        assert_eq!(got.left, want.left);
+        assert_eq!(got.dropped, want.dropped);
+        assert_eq!(got.cost, want.cost);
+        assert_eq!(got.waves, want.waves);
+        assert_eq!(again.node_ids(), first.node_ids());
+        assert!(again.check_consistency().is_ok());
     }
 
     #[test]

@@ -16,19 +16,16 @@
 //! for `leave`: every cluster that received one of `C`'s (possibly
 //! non-uniform) nodes must itself exchange all of its nodes afterwards.
 //!
-//! The shuffle is a [`Kernel`] method, so it edits whichever
-//! [`StateView`] the operation runs against: swaps land in the live
-//! registry at once, or in a planner view as recorded swaps — one
-//! effect per `x ↔ y` pair, applied as a unit after the wave, so no
-//! conflict between concurrent cascades can leave half of one behind.
+//! The shuffle is a [`Kernel`] method: each `x ↔ y` pair is one
+//! [`Kernel::swap`] on the live registry, so no cluster's size changes.
 
-use crate::kernel::{Kernel, StateView};
+use crate::kernel::Kernel;
 use crate::malice::RandNumPurpose;
 use crate::system::NowSystem;
 use now_net::{ClusterId, CostKind, NodeId};
 use std::collections::BTreeSet;
 
-impl<S: StateView> Kernel<'_, S> {
+impl Kernel<'_> {
     /// Exchanges every member of `c` with uniformly chosen nodes of the
     /// network (one `randCl` + one `randNum` per member). Returns the
     /// set of partner clusters that received one of `c`'s former
@@ -55,7 +52,7 @@ impl<S: StateView> Kernel<'_, S> {
         self.ledger.begin(CostKind::Exchange);
         // The exchange's one membership snapshot: the loop below edits
         // `c` while it iterates.
-        let mut members = self.state.members(c).to_vec();
+        let mut members = self.members(c).to_vec();
         if let Some(cap) = self.params.exchange_cap() {
             if cap < members.len() {
                 let picks = now_graph::sample::sample_distinct(members.len(), cap, self.rng);
@@ -71,8 +68,7 @@ impl<S: StateView> Kernel<'_, S> {
             // cluster, and the one leaving `c` in an earlier iteration
             // was that iteration's own `x` — its `y` came from a
             // `partner ≠ c`, so it was never an unprocessed member of
-            // the snapshot. (Were a view ever to drift from this, the
-            // planner's `remove_member` fails loudly on the missing id.)
+            // the snapshot.
             let (partner, _trace) = self.rand_cl(c);
             if partner == c {
                 continue; // self-exchange is a no-op
@@ -92,29 +88,28 @@ impl<S: StateView> Kernel<'_, S> {
             ) as usize;
             // INVARIANT: `partner_size > 0` (checked above); `min`
             // clamps the drawn index into bounds.
-            let mut y = self.state.members(partner)[idx.min(partner_size - 1)];
+            let mut y = self.members(partner)[idx.min(partner_size - 1)];
             // A neutral adversary ignores the labels: skip building them.
             if !at_partner.secure && !self.malice.is_neutral() {
                 let labeled: Vec<(NodeId, bool)> = self
-                    .state
                     .members(partner)
                     .iter()
-                    .map(|&m| (m, self.state.honesty(m)))
+                    .map(|&m| (m, self.honesty(m)))
                     .collect();
                 if let Some(forced) = self.malice.exchange_victim(&labeled, self.rng) {
-                    if self.state.members(partner).binary_search(&forced).is_ok() {
+                    if self.members(partner).binary_search(&forced).is_ok() {
                         y = forced;
                     }
                 }
             }
             // Swap x ↔ y: `y` goes back "in replacement" (§3.1), so
             // neither cluster's size changes.
-            self.state.swap(x, c, y, partner);
+            self.swap(x, c, y, partner);
             receivers.insert(partner);
             // Transfer + view updates inside both clusters: each member
             // of each cluster learns the newcomer (1 round).
-            let size_c = self.state.members(c).len() as u64;
-            let size_p = self.state.members(partner).len() as u64;
+            let size_c = self.members(c).len() as u64;
+            let size_p = self.members(partner).len() as u64;
             self.ledger.add_messages(size_c + size_p);
             self.ledger.add_rounds(1);
         }

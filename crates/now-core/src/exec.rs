@@ -3,38 +3,39 @@
 //!
 //! * [`BatchInput`] — *what* the step does: the arrivals and departures
 //!   of one time step, however constructed.
-//! * [`ExecConfig`] — *how* it runs: the execution engine and its
-//!   resources (a caller-held [`WavePool`], an event network model).
+//! * [`ExecConfig`] — *how* it runs: the order its operations run in
+//!   and the waves its rounds are priced by.
 //!
-//! Every engine is bit-deterministic from `(seed, input, config)`, and
-//! every engine is one batch skeleton, [`NowSystem::step_batch`]:
-//! admission, one master draw per batch, the waves, the report. Each
-//! wave runs the same op kernel in the same wave machinery
-//! ([`crate::wave_exec`]): one [`now_net::DetRng::for_op`] substream per
-//! operation, the kernel on per-operation views, planned and applied,
-//! in a wave of two or more ops, and live on the registry in a wave of
-//! one. The engines differ only in the order the admitted operations
-//! run in — canonical, or the delivery order of the event network
-//! ([`NowSystem::deliver`]) — how that order is cut into waves, and
-//! where waves are planned; the outcome is independent of thread count.
+//! Every engine is one batch skeleton, [`NowSystem::step_batch`]:
+//! admission, one master draw per batch, the waves, the report. Every
+//! operation runs the same op kernel live on the registry, on its own
+//! [`now_net::DetRng::for_op`] substream, with its split/merge check
+//! right after it ([`crate::wave_exec`]). The engines differ only in
+//! the order the admitted operations run in — canonical, or the
+//! delivery order of the event network ([`NowSystem::deliver`]) — and
+//! in how that order is cut into the waves that price the step. Every
+//! engine is bit-deterministic from `(seed, input, config)`, and
+//! [`ExecConfig::Serial`] and [`ExecConfig::Pooled`] end every batch on
+//! the same state.
 //!
 //! ```
-//! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
+//! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
 //!
 //! let params = NowParams::for_capacity(1 << 10).unwrap();
 //! let mut sys = NowSystem::init_fast(params, 300, 0.2, 7);
 //! let input = BatchInput::new().joins_uniform(4, true);
-//! let pool = WavePool::new(2);
-//! let report = sys.step_batch(&input, &ExecConfig::pooled(&pool));
+//! let report = sys.step_batch(&input, &ExecConfig::Pooled);
 //! assert_eq!(report.joined.len(), 4);
 //! ```
 
 use crate::batch::{BatchReport, JoinSpec, WaveStats};
 use crate::system::NowSystem;
-use crate::wave_exec::{partition_waves, singleton_waves, WavePool};
+use crate::wave_exec::{partition_waves, singleton_waves};
 use now_net::{CostKind, EventNetConfig, NodeId};
 use now_trace::TraceData;
 use rand::RngCore;
+use std::convert::Infallible;
+use std::marker::PhantomData;
 
 /// The work of one batched time step: departures first, then arrivals,
 /// each in input order (the canonical order of the wave scheduler).
@@ -104,90 +105,49 @@ impl BatchInput {
 
 /// How [`NowSystem::step_batch`] executes a step.
 ///
-/// Every variant is the wave engine and draws its randomness the same
-/// way, so a seed has one trajectory: a batch whose footprint partition
-/// is all singletons ends byte-identical on every variant and thread
-/// count. [`ExecConfig::Pooled`] is bit-identical with and without a
-/// pool, at every thread count. The variants differ in how wide a wave
-/// may be (and the event engine in *which* admitted operations execute,
-/// governed solely by its `(seed, net)` pair).
-#[derive(Clone, Copy)]
+/// Every variant draws its randomness the same way and runs every
+/// admitted operation live, one at a time, so a seed has one
+/// trajectory per run order: [`ExecConfig::Serial`] and
+/// [`ExecConfig::Pooled`] end every batch byte-identical and differ
+/// only in the waves they price it by; [`ExecConfig::Event`] runs the
+/// order its network delivers in, governed solely by its `(seed, net)`
+/// pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecConfig<'p> {
-    /// The wave engine capped at width 1: every admitted operation is
-    /// its own wave, run live on the registry — the paper's one join or
-    /// leave at a time, folded into one time step.
+    /// Canonical order, every op priced as a wave of its own: the
+    /// paper's one join or leave at a time, folded into one time step.
     Serial,
-    /// The wave engine on conflict-free waves over cluster footprints,
-    /// planned on a caller-held [`WavePool`] (successive batches reuse
-    /// its workers, so a run spawns O(threads) threads total), or on
-    /// the driving thread without one.
-    Pooled {
-        /// The pool whose workers plan the waves; `None` plans on the
-        /// driving thread.
-        pool: Option<&'p WavePool>,
-    },
+    /// Canonical order, priced in conflict-free waves over cluster
+    /// footprints: the §2 footnote's parallel joins and leaves, whose
+    /// step costs the sum over waves of each wave's slowest op.
+    Pooled,
     /// The event-driven engine: each admitted operation becomes a
     /// message on a seeded discrete-event network
     /// ([`now_net::EventNet`]) with per-link latency/jitter/loss/
-    /// partition models, and operations execute in **delivery order**
-    /// (conflict-free runs of deliveries still drain through the wave
-    /// workers). Messages the network drops are admitted-but-not-
-    /// executed ([`BatchReport::dropped`]); the delivery trace is
-    /// reported in [`BatchReport::events`]. Replayable from
-    /// `(seed, net)` alone — thread count never changes the outcome.
+    /// partition models, and operations run in **delivery order**,
+    /// priced in conflict-free waves of consecutive deliveries.
+    /// Messages the network drops are admitted-but-not-executed
+    /// ([`BatchReport::dropped`]); the delivery trace is reported in
+    /// [`BatchReport::events`]. Replayable from `(seed, net)` alone.
     Event {
         /// The per-link network model.
         net: EventNetConfig,
-        /// Optional caller-held pool for planning delivery waves; the
-        /// driving thread plans alone when absent.
-        pool: Option<&'p WavePool>,
     },
+    /// Never constructed: it carries the lifetime parameter the
+    /// retired worker-pool borrow gave this type (see `compat.rs`).
+    #[doc(hidden)]
+    Retired(Infallible, PhantomData<&'p ()>),
 }
 
-impl<'p> ExecConfig<'p> {
+impl ExecConfig<'_> {
     /// [`ExecConfig::Serial`].
     pub fn serial() -> Self {
         ExecConfig::Serial
     }
 
-    /// [`ExecConfig::Pooled`] planning on the driving thread.
-    pub fn scheduled() -> Self {
-        ExecConfig::Pooled { pool: None }
-    }
-
-    /// [`ExecConfig::Pooled`] on a caller-held pool.
-    pub fn pooled(pool: &'p WavePool) -> Self {
-        ExecConfig::Pooled { pool: Some(pool) }
-    }
-
-    /// [`ExecConfig::Event`] planning on the driving thread.
+    /// [`ExecConfig::Event`] on the network model `net`.
     pub fn event(net: EventNetConfig) -> Self {
-        ExecConfig::Event { net, pool: None }
-    }
-
-    /// [`ExecConfig::Event`] planning on a caller-held pool.
-    pub fn event_in(net: EventNetConfig, pool: &'p WavePool) -> Self {
-        ExecConfig::Event {
-            net,
-            pool: Some(pool),
-        }
-    }
-}
-
-impl std::fmt::Debug for ExecConfig<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            ExecConfig::Serial => f.write_str("Serial"),
-            ExecConfig::Pooled { pool } => f
-                .debug_struct("Pooled")
-                .field("threads", &pool.map(WavePool::threads))
-                .finish(),
-            ExecConfig::Event { net, pool } => f
-                .debug_struct("Event")
-                .field("net", &net)
-                .field("pooled", &pool.is_some())
-                .finish(),
-        }
+        ExecConfig::Event { net }
     }
 }
 
@@ -212,14 +172,12 @@ impl NowSystem {
         // admission on every engine.
         let master = self.rng.next_u64();
         let (dropped, events) = match *exec {
-            ExecConfig::Event { net, .. } => self.deliver(&mut batch, net, master),
+            ExecConfig::Event { net } => self.deliver(&mut batch, net, master),
             _ => (0, Vec::new()),
         };
-        let (waves, pool) = match *exec {
-            ExecConfig::Serial => (singleton_waves(&batch.specs), None),
-            ExecConfig::Pooled { pool } | ExecConfig::Event { pool, .. } => {
-                (partition_waves(&batch.specs), pool)
-            }
+        let waves = match *exec {
+            ExecConfig::Serial => singleton_waves(&batch.specs),
+            _ => partition_waves(&batch.specs),
         };
 
         let mut contact_redraws = 0u64;
@@ -227,7 +185,7 @@ impl NowSystem {
             .into_iter()
             // INVARIANT: both partitions return ranges within the slice
             // they were given.
-            .map(|wave| self.execute_wave(&batch.specs[wave], pool, master, &mut contact_redraws))
+            .map(|wave| self.execute_wave(&batch.specs[wave], master, &mut contact_redraws))
             .collect();
         if contact_redraws > 0 {
             self.hub.event(
@@ -321,17 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_and_pooled_agree() {
+    fn serial_and_pooled_agree() {
         let input = BatchInput::new().joins_uniform(12, true);
         let mut reference = system(260, 33);
-        let want = reference.step_batch(&input, &ExecConfig::scheduled());
-        let pool = WavePool::new(3);
+        let want = reference.step_batch(&input, &ExecConfig::serial());
         let mut sys = system(260, 33);
-        let got = sys.step_batch(&input, &ExecConfig::pooled(&pool));
+        let got = sys.step_batch(&input, &ExecConfig::Pooled);
         assert_eq!(got.joined, want.joined);
         assert_eq!(got.cost, want.cost);
-        assert_eq!(got.waves, want.waves);
-        assert_eq!(sys.population(), reference.population());
+        assert_eq!(sys.node_ids(), reference.node_ids());
+        assert_eq!(sys.ledger().total(), reference.ledger().total());
     }
 
     #[test]
@@ -350,16 +307,15 @@ mod tests {
     fn empty_step_still_advances_time() {
         let mut sys = system(240, 6);
         let t0 = sys.time_step();
-        let report = sys.step_batch(&BatchInput::new(), &ExecConfig::scheduled());
+        let report = sys.step_batch(&BatchInput::new(), &ExecConfig::Pooled);
         assert_eq!(report.joined.len() + report.left.len(), 0);
         assert_eq!(sys.time_step(), t0 + 1);
     }
 
     #[test]
     fn exec_config_debug_is_compact() {
-        let pool = WavePool::new(2);
         assert_eq!(format!("{:?}", ExecConfig::serial()), "Serial");
-        assert!(format!("{:?}", ExecConfig::pooled(&pool)).contains("Pooled"));
+        assert_eq!(format!("{:?}", ExecConfig::Pooled), "Pooled");
         assert!(
             format!("{:?}", ExecConfig::event(now_net::EventNetConfig::ideal())).contains("Event")
         );

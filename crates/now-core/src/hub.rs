@@ -1,14 +1,13 @@
 //! The system's observability hub: optional flight recorder + metrics
-//! registry, threaded through every execution engine.
+//! registry, shared by every execution engine.
 //!
 //! Both sinks are **off by default** (`None`): a system that never
 //! calls [`crate::NowSystem::enable_tracing`] /
 //! [`crate::NowSystem::enable_metrics`] pays one branch per recording
-//! site and allocates nothing. Every recording site sits on the
-//! driving-thread (sequential) path — admission, wave stats, canonical
-//! effect application, deferred maintenance, the event net's
-//! inject/drain loops — so enabled sinks observe the *canonical op
-//! order* and their contents are byte-identical at every thread count.
+//! site and allocates nothing. Every recording site — admission, each
+//! op and its split/merge check, wave stats, the event net's
+//! inject/drain loops — runs in the step's one run order, so enabled
+//! sinks are a pure function of `(seed, input, engine)`.
 //! Wall-clock readings never reach either sink (lint rule D002 plus
 //! CI's `trace-smoke` grep gate).
 

@@ -43,11 +43,7 @@
 //! assert!(audit.size_bounds_ok);
 //! ```
 
-// `deny` rather than `forbid`: the persistent wave-worker pool
-// ([`WavePool`]) transports lifetime-erased wave jobs to its workers,
-// which takes two `unsafe` blocks (SAFETY-documented in
-// `wave_exec.rs`); everything else in the crate stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(deprecated)]
 #![warn(missing_docs)]
 #![deny(clippy::disallowed_methods)]
@@ -56,6 +52,7 @@
 mod audit;
 mod batch;
 mod cluster;
+mod compat;
 mod error;
 mod event_exec;
 mod exchange;
@@ -76,6 +73,7 @@ mod wave_exec;
 pub use audit::SystemAudit;
 pub use batch::{BatchReport, JoinSpec, WaveStats};
 pub use cluster::Cluster;
+pub use compat::{wave_plan_nanos_total, wave_worker_spawn_total, WavePool};
 pub use error::NowError;
 pub use exec::{BatchInput, ExecConfig};
 pub use malice::{Malice, NoMalice, RandNumContext, RandNumPurpose};
@@ -88,4 +86,3 @@ pub use rand_cl::WalkTrace;
 pub use registry::{ClusterStats, NodeRecord, Registry};
 pub use system::NowSystem;
 pub use views::{NodeView, ViewAudit};
-pub use wave_exec::{normalize_threads, wave_plan_nanos_total, wave_worker_spawn_total, WavePool};

@@ -71,14 +71,11 @@ pub trait Malice {
     /// Whether this adversary is behaviorally identical to [`NoMalice`]
     /// (uniform `rand_num`, no hop forcing, no victim forcing).
     ///
-    /// The threaded wave executor plans a wave's operations on worker
-    /// threads only when this returns `true`: a strategic adversary is
-    /// a single *stateful* oracle whose hook-call order is part of the
-    /// protocol semantics, so its batches are planned sequentially in
-    /// canonical order instead (same results at every thread count,
-    /// just no planning concurrency). Defaults to `false`; only
-    /// implementations that are genuinely stateless and neutral should
-    /// override it.
+    /// An exchange shows a compromised partner's members to the
+    /// adversary, labelled with their honesty, only when this returns
+    /// `false`: a neutral adversary ignores the labels, so they are not
+    /// built. Defaults to `false`; only implementations that are
+    /// genuinely stateless and neutral should override it.
     fn is_neutral(&self) -> bool {
         false
     }

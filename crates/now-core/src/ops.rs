@@ -19,23 +19,22 @@
 //!   over subsequent time steps; we execute them inline, which accounts
 //!   identical costs and keeps one external operation per time step).
 //!
-//! Join and leave up to the size check are [`Kernel`] methods and run
-//! on any [`StateView`]; the check itself belongs to the caller. The
-//! direct API ([`NowSystem::join`], [`NowSystem::leave`]) and a merge's
-//! re-joins run it inline, inside the operation's span. Every batch
-//! engine runs its ops in waves (`Serial` in waves of one) and defers
-//! the check to after the wave, where a split or merge books a span of
-//! its own after the op's span has closed. Split and merge change the
+//! Join and leave up to the size check are [`Kernel`] methods; the
+//! check itself belongs to the caller. The direct API
+//! ([`NowSystem::join`], [`NowSystem::leave`]) and a merge's re-joins
+//! run it inline, inside the operation's span. A batch runs it right
+//! after each op's span has closed, so a split or merge books a span
+//! of its own. Split and merge change the
 //! cluster set and the overlay, so they only ever run on the live
 //! system, between operations, and each rebuilds the system's walk
 //! table once ([`crate::rand_cl::WalkTable`]).
 
 use crate::error::NowError;
-use crate::kernel::{Kernel, StateView};
+use crate::kernel::Kernel;
 use crate::system::NowSystem;
 use now_net::{ClusterId, CostKind, NodeId};
 
-impl<S: StateView> Kernel<'_, S> {
+impl Kernel<'_> {
     /// Algorithm 1 up to the size check: the contact cluster draws the
     /// host with `randCl`, the host absorbs `node`, announces it, and
     /// exchanges all of its members. Returns the host with the
@@ -50,8 +49,8 @@ impl<S: StateView> Kernel<'_, S> {
         // Host inserts the newcomer into every member's view and
         // announces it to neighboring clusters; the newcomer receives
         // the local overlay structure.
-        self.state.attach(node, honest, host);
-        let host_size = self.state.members(host).len() as u64;
+        self.registry.attach(node, honest, host);
+        let host_size = self.members(host).len() as u64;
         self.ledger.add_messages(host_size); // views += x
         self.ledger.add_rounds(1);
         self.notify_neighbors(host);
@@ -77,8 +76,8 @@ impl<S: StateView> Kernel<'_, S> {
 
         // Members of C update their views and tell the neighbors to
         // drop x (accepted once more than half of C says so).
-        self.state.detach(node, home);
-        let size = self.state.members(home).len() as u64;
+        self.detach(node, home);
+        let size = self.members(home).len() as u64;
         self.ledger.add_messages(size);
         self.ledger.add_rounds(1);
         self.notify_neighbors(home);

@@ -22,17 +22,15 @@
 //! `randNum` draws, a table hold, and two reads by slot — the
 //! [`WalkTable`] row of the slot it stands on (its neighbours' slots,
 //! contiguous, in the overlay's order) and the next cluster's size and
-//! Byzantine count ([`StateView::size_and_byz`]: the cluster slab on the
-//! live registry; the op's `view_of_slot`, then the frozen slab, on a
-//! planner view). The id behind a slot is read only where it is told:
+//! Byzantine count, from the registry's cluster slab
+//! (`Registry::security_at`). The id behind a slot is read only where it is told:
 //! to the adversary at a compromised cluster, and as the walk's result.
 //! The table is the overlay by registry slot, one per system, rebuilt
 //! only where the overlay or the cluster slab changes shape (init,
 //! split, merge), and it carries what every walk on that shape shares —
 //! the CTRW duration, the acceptance normaliser, and each degree's
 //! reciprocal — so a hop calls no libm function and divides nothing.
-//! Nothing is booked per hop, and the walk is monomorphised per state:
-//! a hop's costs stay in walk-local variables ([`WalkBooks`] — its
+//! Nothing is booked per hop: a hop's costs stay in walk-local variables ([`WalkBooks`] — its
 //! `randNum` leaves as a count, a message sum and a peak, and its
 //! hand-off messages) and are settled into the ledger once per walk
 //! ([`Ledger::leaves`], exactly that many leaf calls).
@@ -52,7 +50,7 @@
 //! measurements.
 
 use crate::cluster::ClusterSecurity;
-use crate::kernel::{draw_value, Kernel, StateView};
+use crate::kernel::{draw_value, Kernel};
 use crate::malice::{Malice, RandNumPurpose};
 use crate::params::{acceptance, NowParams};
 use crate::registry::Registry;
@@ -144,15 +142,14 @@ pub struct WalkTrace {
 /// acceptance normaliser, and per degree the reciprocal a hop scales
 /// its table hold by. A hop reads its row by the slot it stands on
 /// and the next cluster's size and Byzantine count by the slot the row
-/// gives ([`StateView::size_and_byz`]), so no hop translates an id, on
-/// the live registry or on a planner view, whose slots are the frozen
-/// registry's. Rows hold no ids: a hop reads none, and the few readers
+/// gives (`Registry::security_at`), so no hop translates an id. Rows
+/// hold no ids: a hop reads none, and the few readers
 /// that need one (the adversary at a compromised cluster, the walk's
 /// result) take it from the cluster slab, in the slot's own line.
 ///
 /// [`NowSystem`] keeps one, rebuilt where the overlay or the cluster
-/// slab changes shape (init, split, merge) and shared read-only by
-/// every planner of a wave; `check_consistency` re-derives it. Between
+/// slab changes shape (init, split, merge); `check_consistency`
+/// re-derives it. Between
 /// a split's `create_cluster` and its rebuild, the new cluster's slot
 /// has no row; nothing reads one, because the cluster is not yet an
 /// overlay vertex.
@@ -260,7 +257,7 @@ impl WalkBooks {
     }
 }
 
-impl<S: StateView> Kernel<'_, S> {
+impl Kernel<'_> {
     /// `randCl` from cluster `start`: the selected cluster and the walk
     /// diagnostics. Costs are recorded under [`CostKind::RandCl`]
     /// (inclusive of the per-hop `randNum`s).
@@ -274,7 +271,7 @@ impl<S: StateView> Kernel<'_, S> {
         let mut books = WalkBooks::default();
         let start = self.slot_of(start);
         let (end, trace) = walk(
-            &*self.state,
+            &*self.registry,
             self.walks,
             self.params,
             self.rng,
@@ -307,8 +304,8 @@ fn walk_draw(
 /// one by one rather than through `&mut Kernel`: as distinct parameters
 /// the stream, the adversary and the books are known to alias nothing
 /// else, so a hop need not reload them from memory.
-fn walk<S: StateView>(
-    state: &S,
+fn walk(
+    registry: &Registry,
     walks: &WalkTable,
     params: NowParams,
     rng: &mut DetRng,
@@ -323,7 +320,6 @@ fn walk<S: StateView>(
     };
     // The walk carries the slot it stands on; the id behind it is read
     // only where it is told: to the adversary, and as the result.
-    let registry = state.registry();
     let id_of = |slot: u32| move || registry.cluster_in_slot(slot).id();
     let mut slot = start;
     let m = walks.vertices;
@@ -332,7 +328,7 @@ fn walk<S: StateView>(
     }
 
     let mode = params.security();
-    let mut here = state.security_at(slot, mode);
+    let mut here = registry.security_at(slot, mode);
     // The legal hops by id, as the adversary is shown them: filled only
     // at a compromised cluster.
     let mut nbr_ids = Vec::new();
@@ -389,7 +385,7 @@ fn walk<S: StateView>(
                 pick = forced_pick(registry, slots, pick, malice, rng, &mut nbr_ids);
             }
             // Quorum-validated hand-off message C → C'.
-            let there = state.security_at(slots[pick], mode);
+            let there = registry.security_at(slots[pick], mode);
             books.hops += Cost {
                 messages: here.size * there.size,
                 rounds: 1,

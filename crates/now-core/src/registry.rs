@@ -2,10 +2,9 @@
 //!
 //! The membership state of a NOW deployment used to live in sharded
 //! `BTreeMap`s — one node → record map and one cluster map, split over
-//! fixed shard arrays. Wave planning walks this state on every
-//! operation (~85 % of a batch step's wall clock), and pointer-chasing
-//! tree layouts dominate that walk, so this module stores the hot state
-//! in contiguous slabs instead:
+//! fixed shard arrays. Every operation's walks read this state at every
+//! hop, and pointer-chasing tree layouts dominate such a walk, so this
+//! module stores the hot state in contiguous slabs instead:
 //!
 //! * **cluster slab** — [`Cluster`] objects (sorted member vecs plus
 //!   cached Byzantine counts) live in one `Vec` of slots, recycled
@@ -13,8 +12,8 @@
 //!   array index (`cluster_index[raw id]`); the parallel sorted id/slot
 //!   arrays stay the canonical iteration order, and
 //!   [`Registry::cluster_ids`] is a borrow of the sorted cache. The
-//!   wave planner sizes its per-op slot tables by this slab, so the
-//!   slab stays compact: merges free slots and splits reuse them.
+//!   walk table has one row per slot, so the slab stays compact: merges
+//!   free slots and splits reuse them.
 //! * **direct node table** — one 8-byte entry per node id ever issued,
 //!   indexed by raw id: the slot of the node's home cluster in the
 //!   cluster slab and its honesty, with `NO_SLOT` marking an absent
@@ -32,9 +31,8 @@
 //! and every public iteration order is canonical id order
 //! ([`Registry::cluster_ids`], [`Registry::node_ids`],
 //! [`Registry::clusters`]). Slab recycling is deterministic too: the
-//! registry has one writer at a time (`&mut self`), and the wave engine
-//! applies effects in canonical order on the driving thread, so the
-//! freelist sees the same sequence at every thread count.
+//! registry has one writer (`&mut self`), and every operation edits it
+//! in run order, so the freelist sees the same sequence on every run.
 //!
 //! Every mutation goes through the registry ([`Registry::attach`],
 //! [`Registry::detach`], [`Registry::move_to`]), which keeps the node
@@ -43,7 +41,8 @@
 //! and is run by `NowSystem::check_consistency` after every operation in
 //! the test suites, so the slab layout is *exact*, not approximate.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterSecurity};
+use crate::params::SecurityMode;
 use now_net::{ClusterId, NodeId};
 
 /// Sentinel in the node table and the direct cluster index: "no slot".
@@ -145,6 +144,16 @@ impl Registry {
         let s = &self.cluster_slots[slot as usize];
         debug_assert!(s.live);
         &s.cluster
+    }
+
+    /// Size and `randNum` security under `mode` of the cluster in
+    /// `slot`: what every walk hop and every collective draw reads, by
+    /// slot, so that a hop, which has the next cluster's slot from its
+    /// table row, translates no id.
+    #[inline]
+    pub(crate) fn security_at(&self, slot: u32, mode: SecurityMode) -> ClusterSecurity {
+        let c = self.cluster_in_slot(slot);
+        ClusterSecurity::of(c.size(), c.byz_count(), mode)
     }
 
     /// The id of the cluster in `slot`, or `None` if the slot is free.
@@ -410,9 +419,9 @@ impl Registry {
         if from_id == to {
             return Some(from_id);
         }
-        // INVARIANT: documented `# Panics` contract — move targets are
-        // resolved from live footprints by the planner; a dead target
-        // means the serial maintenance phase was bypassed.
+        // INVARIANT: documented `# Panics` contract — the kernel moves
+        // nodes only into clusters it just read from the overlay, which
+        // names live clusters alone between splits and merges.
         let to_slot = self
             .cluster_slot_of(to)
             .unwrap_or_else(|| panic!("move into dead cluster {to}"));

@@ -290,8 +290,8 @@ impl NowSystem {
 
     /// Turns on the flight recorder with a ring buffer of `capacity`
     /// events. Every execution engine then records typed protocol
-    /// events in canonical op order, so two runs that agree on seeds
-    /// and inputs produce byte-identical traces at every thread count.
+    /// events in the step's run order, so two runs that agree on seeds,
+    /// inputs and engine produce byte-identical traces.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.hub.recorder = Some(now_trace::FlightRecorder::new(capacity));
     }
@@ -380,9 +380,9 @@ impl NowSystem {
 
     /// The op kernel over the live registry: what the direct API
     /// (and split/merge, which only ever run here) drives.
-    pub(crate) fn kernel(&mut self) -> Kernel<'_, Registry> {
+    pub(crate) fn kernel(&mut self) -> Kernel<'_> {
         Kernel {
-            state: &mut self.registry,
+            registry: &mut self.registry,
             walks: &self.walks,
             params: self.params,
             ledger: &mut self.ledger,

@@ -1,6 +1,6 @@
-//! D003 positive: thread spawning outside the WavePool machinery. All
-//! workers must come from the pool so spawn accounting and the
-//! cross-thread determinism gates keep holding.
+//! D003 positive: thread spawning in non-test code. Every step runs on
+//! the driving thread, so no outcome can depend on a thread schedule,
+//! and no file is exempt.
 
 pub fn rogue() -> i32 {
     let h = std::thread::spawn(|| 1 + 1);

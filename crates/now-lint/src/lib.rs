@@ -11,11 +11,10 @@
 //! aware, no `syn` — the workspace vendors every dependency),
 //! [`scope`] (marks `#[cfg(test)]` / `#[test]` items so determinism
 //! rules bind only to production code), then [`rules`] (D001–D004,
-//! S001, P001). The tool takes no configuration: the two sanctioned
-//! exceptions (D002's wall-clock site, D003's thread-spawn site) are
-//! constants next to their rules, and the directories never linted are
-//! `SKIPPED_DIRS`. Tests on the real tree keep each of them from
-//! going stale.
+//! S001, P001). The tool takes no configuration: the one sanctioned
+//! exception (D002's wall-clock site) is a constant next to its rule,
+//! and the directories never linted are `SKIPPED_DIRS`. Tests on the
+//! real tree keep each of them from going stale.
 //!
 //! One rule looks past a single file: [`api_lock`] parses each crate's
 //! `src/` files into an [`items`] tree, renders the crate's public
@@ -200,7 +199,7 @@ pub fn write_api_locks(root: &Path) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::{D002_SANCTIONED_FILE, D003_SANCTIONED_FILE};
+    use rules::D002_SANCTIONED_FILE;
 
     fn workspace_root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -252,27 +251,23 @@ mod tests {
         );
     }
 
-    /// Every exemption still exempts something: each sanctioned file
+    /// Every exemption still exempts something: the sanctioned file
     /// exists and would fire its rule under any other path, and each
     /// skipped directory holds `.rs` files with findings. An exemption
     /// that no longer covers anything fails here and should be deleted.
     #[test]
     fn sanctions_cannot_go_stale() {
         let root = workspace_root();
-        for (file, rule) in [
-            (D002_SANCTIONED_FILE, "D002"),
-            (D003_SANCTIONED_FILE, "D003"),
-        ] {
-            let src = fs::read_to_string(root.join(file))
-                .unwrap_or_else(|e| panic!("sanctioned file {file}: {e}"));
-            let elsewhere = file.replace(".rs", "_elsewhere.rs");
-            assert!(
-                lint_source(&elsewhere, FileClass::Prod, &src)
-                    .iter()
-                    .any(|f| f.rule == rule),
-                "{file} no longer needs its {rule} sanction"
-            );
-        }
+        let file = D002_SANCTIONED_FILE;
+        let src = fs::read_to_string(root.join(file))
+            .unwrap_or_else(|e| panic!("sanctioned file {file}: {e}"));
+        let elsewhere = file.replace(".rs", "_elsewhere.rs");
+        assert!(
+            lint_source(&elsewhere, FileClass::Prod, &src)
+                .iter()
+                .any(|f| f.rule == "D002"),
+            "{file} no longer needs its D002 sanction"
+        );
         for dir in SKIPPED_DIRS {
             let files = discover_rs_files(&root.join(dir));
             assert!(

@@ -1,9 +1,9 @@
 //! The token rules: what this workspace's determinism-and-safety
 //! contract forbids, one token stream at a time.
 //!
-//! Everything the reproduction claims — pooled ≡ sequential
-//! execution, byte-identical campaign reports across thread counts,
-//! replayable `EventNet` runs — rests on one invariant: *no
+//! Everything the reproduction claims — pooled ≡ serial execution,
+//! byte-identical campaign reports, replayable `EventNet` runs — rests
+//! on one invariant: *no
 //! nondeterminism source ever enters a deterministic code path*. Each
 //! D rule below names one way that invariant has been (or could be)
 //! broken, and the engine flags it at lint time instead of leaving it
@@ -15,7 +15,7 @@
 //! |------|---------|----------------|
 //! | D001 | `HashMap` / `HashSet` (iteration-order nondeterminism) | all non-test code |
 //! | D002 | `Instant::now` / `SystemTime` (wall clock) | non-test lib code; `x_*` bins are exempt; the one sanctioned library site is `now_trace::stopwatch` (`D002_SANCTIONED_FILE`) |
-//! | D003 | thread spawning outside the `WavePool` machinery | all non-test code except the pool's home (`D003_SANCTIONED_FILE`) |
+//! | D003 | thread spawning (every step runs on the driving thread) | all non-test code |
 //! | D004 | ambient entropy (`thread_rng`, `rand::random`, `OsRng`, …) | everywhere, tests included |
 //! | S001 | `unsafe` without a preceding `// SAFETY:` comment | everywhere |
 //! | P001 | panic-capable sites (`.unwrap()` / `.expect(` / `panic!`-family / *computed* slice indexing) without a `// INVARIANT:` justification in the statement head | Prod-class non-test code |
@@ -74,18 +74,10 @@ const D001_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// The one sanctioned wall-clock site, exempt from D002:
 /// `now_trace::stopwatch`, behind which every advisory measurement
-/// (`BatchReport::wall_nanos`, `wave_plan_nanos`) routes. Its readings
+/// (`BatchReport::wall_nanos`) routes. Its readings
 /// are excluded from all byte-diffed artifacts and never fed back into
 /// deterministic state.
 pub(crate) const D002_SANCTIONED_FILE: &str = "crates/now-trace/src/profile.rs";
-
-/// The `WavePool` home, exempt from D003: `WavePool::new`, which spawns
-/// a pool's workers once for the pool's lifetime, is the only sanctioned
-/// thread-spawn site, gated by `tests/pool_spawn_accounting.rs`. The
-/// pool is also the only state shared across threads, and it takes no
-/// lock (write-once plan slots behind an atomic cursor), so no
-/// lock-discipline rule is needed.
-pub(crate) const D003_SANCTIONED_FILE: &str = "crates/now-core/src/wave_exec.rs";
 
 /// Ambient-entropy entry points. `DetRng` substreams are the only
 /// approved randomness source, in tests included: a test drawing OS
@@ -294,17 +286,16 @@ pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Findin
             }
         }
 
-        // D003 — thread spawning outside the WavePool machinery.
+        // D003 — thread spawning. No state is shared across threads.
         if !test_code
-            && path != D003_SANCTIONED_FILE
             && name == "spawn"
             && next_noncomment(tokens, i).is_some_and(|t| t.is_punct('('))
         {
             push(
                 tok.line,
                 "D003",
-                "thread spawning outside WavePool: all workers must come from the pool so \
-                 spawn accounting and cross-thread determinism gates hold"
+                "thread spawning: every step runs on the driving thread, so a run's outcome \
+                 can never depend on a thread schedule"
                     .to_string(),
             );
         }
@@ -428,7 +419,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(rules_at(D002_SANCTIONED_FILE), ["D003"]);
-        assert_eq!(rules_at(D003_SANCTIONED_FILE), ["D002"]);
         assert_eq!(rules_at("crates/now-trace/src/lib.rs"), ["D002", "D003"]);
     }
 

@@ -79,7 +79,7 @@ fn d002_stopwatch_wrapper_is_clean_but_raw_reads_still_flag() {
 }
 
 #[test]
-fn d003_flags_spawns_outside_the_pool() {
+fn d003_flags_every_spawn() {
     assert_eq!(
         lint_fixture("d003_thread_spawn.rs", FileClass::Prod),
         pairs(&[("D003", 6), ("D003", 8)])

@@ -31,7 +31,7 @@ struct VertexSlot {
 /// allocation — and iteration is a contiguous scan in canonical id
 /// order. The previous `BTreeMap<ClusterId, BTreeSet<ClusterId>>`
 /// layout paid a pointer chase per neighbor on every footprint
-/// computation and planner walk.
+/// computation.
 ///
 /// Neighbor selection for maintenance comes in two flavors:
 /// * `*_uniform` methods sample uniformly from the live vertices — the
@@ -148,8 +148,7 @@ impl Overlay {
     }
 
     /// Neighbors of `id` in id order, borrowed from the slab (empty if
-    /// absent). Zero-allocation: this is the footprint/planner hot
-    /// path.
+    /// absent). Zero-allocation: this is the footprint hot path.
     #[inline]
     pub fn neighbors(&self, id: ClusterId) -> &[ClusterId] {
         match self.slot_of(id) {

@@ -90,12 +90,6 @@ impl BatchDriver for BatchRandomChurn {
 pub struct BatchRunReport {
     /// Driver name.
     pub driver: String,
-    /// Worker threads that planned the run's waves, read off its
-    /// [`ExecConfig`]: the pool's width for [`ExecConfig::Pooled`] and
-    /// for [`ExecConfig::Event`] on a pool, `None` for engines that run
-    /// on the driving thread. Advisory (outcomes never depend on it) and
-    /// in no byte-diffed artifact.
-    pub threads: Option<usize>,
     /// Time steps executed (each may contain many operations).
     pub steps: u64,
     /// Total joins admitted.
@@ -206,9 +200,8 @@ type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 /// The step loop, as a builder — **the** way to run churn.
 ///
 /// A `BatchRun` describes *how* a run executes: the engine (an
-/// [`ExecConfig`], default [`ExecConfig::Serial`]; a caller who wants
-/// workers holds the [`now_core::WavePool`], as `step_batch` itself
-/// requires), an optional stop predicate, and the audit cadence. The
+/// [`ExecConfig`], default [`ExecConfig::Serial`]), an optional stop
+/// predicate, and the audit cadence. The
 /// *what* — system, driver, length, seed — is supplied at
 /// [`BatchRun::run`] time.
 ///
@@ -221,18 +214,16 @@ type StopFn<'p> = Box<dyn FnMut(&NowSystem, &BatchRunReport) -> bool + 'p>;
 /// # Example
 /// ```
 /// use now_sim::{BatchRandomChurn, BatchRun};
-/// use now_core::{ExecConfig, NowParams, NowSystem, WavePool};
+/// use now_core::{ExecConfig, NowParams, NowSystem};
 ///
 /// let params = NowParams::for_capacity(1 << 10).unwrap();
 /// let mut sys = NowSystem::init_fast(params, 200, 0.1, 1);
 /// let mut driver = BatchRandomChurn::balanced(6, 0.1);
-/// let pool = WavePool::new(2);
 /// let report = BatchRun::new()
-///     .exec(ExecConfig::pooled(&pool))
+///     .exec(ExecConfig::Pooled)
 ///     .until(|_, r| r.steps >= 5)
 ///     .run(&mut sys, &mut driver, 20, 2);
 /// assert_eq!(report.steps, 5);
-/// assert_eq!(report.threads, Some(2));
 /// ```
 pub struct BatchRun<'p> {
     exec: ExecConfig<'p>,
@@ -301,13 +292,6 @@ impl<'p> BatchRun<'p> {
         let mut rng = DetRng::new(seed);
         let mut report = BatchRunReport {
             driver: driver.name().to_string(),
-            threads: match exec {
-                ExecConfig::Pooled { pool: Some(pool) }
-                | ExecConfig::Event {
-                    pool: Some(pool), ..
-                } => Some(pool.threads()),
-                _ => None,
-            },
             steps: 0,
             joins: 0,
             leaves: 0,
@@ -375,7 +359,7 @@ mod tests {
         BatchBurstChurn, BatchMergeForcing, BatchSplitForcing, ClusterPick, OnePerStep,
         QuietBatches,
     };
-    use now_core::{EventNetConfig, NowParams, WavePool};
+    use now_core::{EventNetConfig, NowParams};
 
     fn system(n0: usize, tau: f64, seed: u64) -> NowSystem {
         let params = NowParams::for_capacity(1 << 10).unwrap();
@@ -416,10 +400,9 @@ mod tests {
     fn parallel_rounds_beat_serial_on_sparse_overlays() {
         let mut sys = sparse_system(3);
         let mut driver = BatchRandomChurn::balanced(8, 0.1);
-        let report =
-            BatchRun::new()
-                .exec(ExecConfig::scheduled())
-                .run(&mut sys, &mut driver, 10, 4);
+        let report = BatchRun::new()
+            .exec(ExecConfig::Pooled)
+            .run(&mut sys, &mut driver, 10, 4);
         assert!(
             report.parallel_speedup() > 1.2,
             "8-wide batches on a 64-cluster sparse overlay should save \
@@ -476,87 +459,10 @@ mod tests {
         assert!(frac <= tau, "batch overshot τ: {frac}");
     }
 
+    /// `Pooled` runs the serial trajectory and prices it in fewer
+    /// rounds: identical outcomes and state, a wider schedule.
     #[test]
-    fn threaded_runs_are_thread_count_invariant() {
-        let go = |threads: usize| {
-            let pool = WavePool::new(threads);
-            let mut sys = sparse_system(13);
-            let mut driver = BatchRandomChurn::balanced(6, 0.1);
-            let r =
-                BatchRun::new()
-                    .exec(ExecConfig::pooled(&pool))
-                    .run(&mut sys, &mut driver, 12, 14);
-            sys.check_consistency().unwrap();
-            (
-                r.joins,
-                r.leaves,
-                r.rejected,
-                r.rounds_serial,
-                r.rounds_parallel,
-                r.waves,
-                r.max_wave_width,
-                r.wave_slack_rounds,
-                sys.population(),
-                sys.node_ids(),
-            )
-        };
-        let serial = go(1);
-        assert_eq!(serial, go(2));
-        assert_eq!(serial, go(8));
-    }
-
-    #[test]
-    fn threaded_report_carries_thread_and_timing_metadata() {
-        let pool = WavePool::new(4);
-        let mut sys = sparse_system(15);
-        let mut driver = BatchRandomChurn::balanced(6, 0.1);
-        let report =
-            BatchRun::new()
-                .exec(ExecConfig::pooled(&pool))
-                .run(&mut sys, &mut driver, 8, 16);
-        assert_eq!(report.threads, Some(4));
-        assert!(report.wall_nanos > 0, "executed batches take time");
-        assert!(
-            report.wave_slack_rounds > 0,
-            "sparse batches should schedule real concurrency"
-        );
-        // Slack is consistent with the serial-vs-parallel gap whenever
-        // maintenance rounds are charged outside the schedule.
-        assert!(report.wave_slack_rounds <= report.rounds_serial - report.rounds_parallel);
-
-        let mut serial_sys = sparse_system(15);
-        let mut serial_driver = BatchRandomChurn::balanced(6, 0.1);
-        let serial = BatchRun::new().run(&mut serial_sys, &mut serial_driver, 8, 16);
-        assert_eq!(serial.threads, None);
-    }
-
-    #[test]
-    fn zero_threads_normalizes_like_one() {
-        // Regression for the shared `normalize_threads` rule: a pool of
-        // 0 is a pool of 1 — in the report metadata *and* in the
-        // outcomes.
-        let go = |threads: usize| {
-            let pool = WavePool::new(threads);
-            let mut sys = sparse_system(19);
-            let mut driver = BatchRandomChurn::balanced(5, 0.1);
-            let r =
-                BatchRun::new()
-                    .exec(ExecConfig::pooled(&pool))
-                    .run(&mut sys, &mut driver, 6, 20);
-            (
-                r.threads,
-                r.joins,
-                r.leaves,
-                r.rounds_parallel,
-                sys.node_ids(),
-            )
-        };
-        assert_eq!(go(0).0, Some(1));
-        assert_eq!(go(0), go(1));
-    }
-
-    #[test]
-    fn pooled_exec_agrees_bitwise_with_the_driving_thread() {
+    fn pooled_runs_the_serial_trajectory_in_fewer_rounds() {
         let go = |exec: ExecConfig<'_>| {
             let mut sys = sparse_system(23);
             let mut driver = BatchRandomChurn::balanced(7, 0.1);
@@ -564,25 +470,30 @@ mod tests {
                 .exec(exec)
                 .run(&mut sys, &mut driver, 10, 24);
             sys.check_consistency().unwrap();
-            (
+            let outcome = (
                 r.joins,
                 r.leaves,
                 r.rejected,
                 r.rounds_serial,
-                r.rounds_parallel,
-                r.waves,
-                r.max_wave_width,
-                r.wave_slack_rounds,
                 sys.population(),
                 sys.node_ids(),
-            )
+            );
+            (outcome, r)
         };
-        let pool = WavePool::new(4);
-        let pooled = go(ExecConfig::pooled(&pool));
-        // The same pool again (reuse across runs)...
-        assert_eq!(pooled, go(ExecConfig::pooled(&pool)));
-        // ...and the wave engine without workers.
-        assert_eq!(pooled, go(ExecConfig::scheduled()), "pooled vs inline");
+        let (serial, rs) = go(ExecConfig::Serial);
+        let (pooled, rp) = go(ExecConfig::Pooled);
+        assert_eq!(serial, pooled);
+        assert_eq!(rs.max_wave_width, 1);
+        assert!(rp.max_wave_width >= 2);
+        assert!(rp.rounds_parallel < rs.rounds_parallel);
+        assert!(rp.wall_nanos > 0, "executed batches take time");
+        assert!(
+            rp.wave_slack_rounds > 0,
+            "sparse batches should price real concurrency"
+        );
+        // Slack is consistent with the serial-vs-parallel gap whenever
+        // maintenance rounds are charged outside the waves.
+        assert!(rp.wave_slack_rounds <= rp.rounds_serial - rp.rounds_parallel);
     }
 
     #[test]
@@ -627,27 +538,22 @@ mod tests {
                 .exec(ExecConfig::event(net))
                 .run(&mut sys, &mut driver, 15, 32);
         assert_eq!(report.steps, 15);
-        assert_eq!(report.threads, None, "planned on the driving thread");
         assert!(report.dropped > 0, "30% loss over 15 steps must drop joins");
         sys.check_consistency().unwrap();
 
-        // Same run planning on a caller-held pool: identical outcomes
-        // (planning threads never change results), the pool's width in
-        // the report.
-        let pool = WavePool::new(4);
-        let mut pooled_sys = system(200, 0.1, 31);
-        let mut pooled_driver = BatchRandomChurn::balanced(6, 0.1);
-        let pooled = BatchRun::new().exec(ExecConfig::event_in(net, &pool)).run(
-            &mut pooled_sys,
-            &mut pooled_driver,
+        // The same run again: identical outcomes.
+        let mut again_sys = system(200, 0.1, 31);
+        let mut again_driver = BatchRandomChurn::balanced(6, 0.1);
+        let again = BatchRun::new().exec(ExecConfig::event(net)).run(
+            &mut again_sys,
+            &mut again_driver,
             15,
             32,
         );
-        assert_eq!(pooled.threads, Some(4));
-        assert_eq!(pooled.dropped, report.dropped);
-        assert_eq!(pooled.joins, report.joins);
-        assert_eq!(pooled.leaves, report.leaves);
-        assert_eq!(pooled_sys.node_ids(), sys.node_ids());
+        assert_eq!(again.dropped, report.dropped);
+        assert_eq!(again.joins, report.joins);
+        assert_eq!(again.leaves, report.leaves);
+        assert_eq!(again_sys.node_ids(), sys.node_ids());
     }
 
     #[test]

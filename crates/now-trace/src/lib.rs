@@ -13,11 +13,10 @@
 //!   gauges, and fixed-bucket histograms. All values are integers
 //!   derived from protocol outcomes; no wall clock ever enters a
 //!   metric. Exports as canonical JSON and Prometheus-style text.
-//! * **Phase profiler** ([`stopwatch`], [`SpanTotal`]) — the single
-//!   sanctioned wall-clock measurement site (lint rule D002 exempts
-//!   exactly `src/profile.rs` of this crate). Wall-clock readings feed
-//!   advisory fields and process-global span totals only; they are
-//!   excluded from every byte-diffed artifact.
+//! * **Phase profiler** ([`stopwatch`]) — the single sanctioned
+//!   wall-clock measurement site (lint rule D002 exempts exactly
+//!   `src/profile.rs` of this crate). Wall-clock readings feed advisory
+//!   fields only; they are excluded from every byte-diffed artifact.
 //!
 //! Every deterministic JSON artifact of the workspace — these two
 //! sinks', campaign reports, experiment tables, lint findings — is
@@ -41,5 +40,5 @@ mod recorder;
 pub use event::{TraceData, TraceEvent};
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use profile::{stopwatch, SpanTotal, Stopwatch};
+pub use profile::{stopwatch, Stopwatch};
 pub use recorder::{FlightRecorder, ViolationDump};

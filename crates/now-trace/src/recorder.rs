@@ -10,9 +10,9 @@ use std::collections::{BTreeSet, VecDeque};
 /// ring is full the oldest event is evicted. Sequence numbers are
 /// global and monotone, so [`FlightRecorder::evicted`] history is
 /// visible as a gap before the first retained event. Because every
-/// recording site is on the deterministic (driving-thread) path, the
-/// retained window — and its JSON rendering — is byte-identical across
-/// thread counts.
+/// recording site is on the deterministic path, the retained window —
+/// and its JSON rendering — is a pure function of the run's seed and
+/// inputs.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,

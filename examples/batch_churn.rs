@@ -31,7 +31,7 @@ fn main() {
         );
     }
 
-    let (report, sys) = sweep.run(4).expect("valid campaign");
+    let (report, sys) = sweep.execute().expect("valid campaign");
     println!("batch width sweep (400 operations per phase, τ = 0.1, ~64 clusters):\n");
     println!(
         "{:>10} {:>7} {:>14} {:>16} {:>7} {:>10} {:>11}",
@@ -76,7 +76,7 @@ phase quiesce
   steps 10
 ";
     let campaign = Campaign::parse(text).expect("well-formed campaign text");
-    let (report, sys) = campaign.run(4).expect("campaign runs");
+    let (report, sys) = campaign.execute().expect("campaign runs");
     println!("\ndeclarative campaign `{}`:", report.campaign);
     for p in &report.phases {
         let r = &p.run;

@@ -79,12 +79,12 @@ fn main() {
     // compromise, while the baseline's target accumulates Byzantine
     // mass monotonically until capture.
     let baseline = campaign(false);
-    let (report, sys) = baseline.run(1).expect("baseline campaign runs");
+    let (report, sys) = baseline.execute().expect("baseline campaign runs");
     summarize("baseline: no shuffling, batched §3.3 adversary", &report);
     sys.check_consistency().expect("consistent");
 
     let now = campaign(true);
-    let (report, sys) = now.run(1).expect("NOW campaign runs");
+    let (report, sys) = now.execute().expect("NOW campaign runs");
     summarize("NOW: shuffling on, batched §3.3 adversary", &report);
     sys.check_consistency().expect("consistent");
 
@@ -95,9 +95,7 @@ fn main() {
     let mut sys = hardened.build_system().expect("valid parameters");
     let target = sys.cluster_ids()[0];
     sys.set_malice(Box::new(TargetedMalice::new(target)));
-    let report = hardened
-        .run_on(&mut sys, 1)
-        .expect("hardened campaign runs");
+    let report = hardened.run_on(&mut sys).expect("hardened campaign runs");
     summarize(
         "NOW: shuffling on, HARDENED adversary (beyond-paper)",
         &report,

@@ -1,22 +1,16 @@
 //! An exchange is a swap (§3.1: the partner sends one of its own
 //! members back "in replacement"), so it cannot change a cluster's
 //! size — not even when two leaves of one wave cascade through a few
-//! hundred of the same nodes. Each was planned against the pre-wave
-//! state, so their swaps collide; the canonical apply must resolve
-//! every collision without tearing a swap in half.
+//! hundred of the same nodes, the second after the first.
 
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{ClusterId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
-const SWAP_CONFLICTS: &str = "now_swap_conflicts_total";
-
 /// The steady benchmark pair's system: 128 clusters of 24.
 fn system(seed: u64) -> NowSystem {
     let params = NowParams::new(1 << 12, 2, 1.5, 0.30, 0.05).unwrap();
-    let mut sys = NowSystem::init_fast(params, 3072, 0.05, seed);
-    sys.enable_metrics();
-    sys
+    NowSystem::init_fast(params, 3072, 0.05, seed)
 }
 
 /// The first two clusters, in id order, whose footprints are disjoint.
@@ -36,10 +30,6 @@ fn sizes(sys: &NowSystem) -> BTreeMap<ClusterId, usize> {
     sys.clusters().map(|c| (c.id(), c.size())).collect()
 }
 
-fn swap_conflicts(sys: &NowSystem) -> u64 {
-    sys.metrics().expect("metrics on").counter(SWAP_CONFLICTS)
-}
-
 #[test]
 fn two_concurrent_cascades_leave_third_party_sizes_alone() {
     let mut sys = system(1);
@@ -50,10 +40,7 @@ fn two_concurrent_cascades_leave_third_party_sizes_alone() {
         .collect();
     let before = sizes(&sys);
 
-    let report = sys.step_batch(
-        &BatchInput::from_flags(&[], &leavers),
-        &ExecConfig::scheduled(),
-    );
+    let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
     sys.check_consistency().unwrap();
 
     assert_eq!(report.left, leavers);
@@ -68,8 +55,8 @@ fn two_concurrent_cascades_leave_third_party_sizes_alone() {
 
     // Every departure takes one member out of one cluster, and nothing
     // else changes a size: the two homes may each be one short, and at
-    // most one other cluster is — the one an earlier cascade had swapped
-    // the second leaver into before its own departure applied.
+    // most one other cluster is — the one the first cascade swapped the
+    // second leaver into before its own departure.
     let after = sizes(&sys);
     assert_eq!(
         before.keys().collect::<Vec<_>>(),
@@ -90,39 +77,4 @@ fn two_concurrent_cascades_leave_third_party_sizes_alone() {
         .map(|(c, &was)| was as i64 - after[c] as i64)
         .sum();
     assert_eq!(lost, 2, "two departures, two members fewer");
-
-    // The cascades did collide, and the engine counted it.
-    assert!(
-        swap_conflicts(&sys) > 0,
-        "two ≈ 500-swap cascades over 3072 nodes share nodes"
-    );
-}
-
-/// A plan's view is exact when its op is alone in the wave, so a step
-/// whose waves all have width 1 collides on nothing.
-#[test]
-fn width_one_waves_have_no_swap_conflicts() {
-    let mut sys = system(2);
-    for step in 0..6usize {
-        // Two departures from one cluster share a footprint and
-        // serialize into two waves; every other step is one arrival.
-        let home = sys.cluster_ids()[7 * step];
-        let leavers: Vec<NodeId> = sys.cluster(home).unwrap().member_slice()[..2].to_vec();
-        let input = if step % 2 == 0 {
-            BatchInput::from_flags(&[], &leavers)
-        } else {
-            BatchInput::from_flags(&[true], &[])
-        };
-        let report = sys.step_batch(&input, &ExecConfig::scheduled());
-        assert_eq!(
-            report.max_wave_width(),
-            1,
-            "step {step}: {:?}",
-            report.waves
-        );
-        assert_eq!(swap_conflicts(&sys), 0, "step {step}");
-    }
-    let (joins, leaves, ..) = sys.op_counts();
-    assert_eq!((joins, leaves), (3, 6));
-    sys.check_consistency().unwrap();
 }

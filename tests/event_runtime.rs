@@ -1,19 +1,19 @@
 //! End-to-end contracts of the deterministic event-driven network
 //! runtime:
 //!
-//! 1. **Worker-count invariance** — a NOW run on the event scheduler
-//!    (`ExecConfig::Event`) is byte-identical across pools of 1, 2, 4,
-//!    and 8 workers: every outcome is a pure function of
-//!    `(seed, config)`, never of the thread schedule.
+//! 1. **Replay** — a NOW run on the event scheduler
+//!    (`ExecConfig::Event`) is byte-identical on every run: every
+//!    outcome is a pure function of `(seed, config)`.
 //! 2. **Partition heal ⇒ eventual delivery** — every message the
 //!    scheduler accepts (not dropped at send time) is eventually
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
 //! 3. **Cross-commit replay** — wide batches on lossy and partitioned
-//!    nets land on pins recorded at the parent of the change that made
-//!    the event engine a delivery-order stage of the one wave step.
+//!    nets land on pins recorded when every op of a wave began to run
+//!    live, one after another, with its split/merge check right after
+//!    it.
 
-use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
@@ -36,12 +36,12 @@ fn wide_nets() -> [EventNetConfig; 3] {
 /// `(index into wide_nets, seed, pin)`.
 #[rustfmt::skip]
 const WIDE_PINS: [(usize, u64, WidePin); 6] = [
-    (0, 1, (68, 60, 12, 140, 9875977520330526162, 77, 82858162, 1359493, 520)),
-    (0, 2, (69, 60, 11, 140, 9150135244004420998, 74, 74200296, 1242897, 521)),
-    (1, 1, (56, 60, 24, 140, 7818462764055692236, 70, 82859718, 1374854, 508)),
-    (1, 2, (57, 60, 23, 140, 17060628869837930303, 61, 70351989, 1171381, 509)),
-    (2, 1, (41, 60, 39, 140, 4651820939083069359, 59, 75204110, 1278117, 493)),
-    (2, 2, (35, 60, 45, 140, 2610702007871140875, 53, 62468387, 1110991, 487)),
+    (0, 1, (69, 60, 11, 140, 8381274856971033827, 84, 86409872, 1385092, 521)),
+    (0, 2, (64, 60, 16, 140, 9507290580926370688, 70, 74935724, 1241819, 516)),
+    (1, 1, (56, 60, 24, 140, 17531552356194042294, 72, 81116705, 1357119, 508)),
+    (1, 2, (59, 60, 21, 140, 11405706586539108723, 68, 69877714, 1185118, 511)),
+    (2, 1, (43, 60, 37, 140, 8198111422145168559, 61, 73711620, 1285362, 495)),
+    (2, 2, (39, 60, 41, 140, 3334424823939405537, 56, 64253717, 1105422, 491)),
 ];
 
 /// Ten steps of eight joins and six spread-out leaves each on `exec`,
@@ -88,13 +88,10 @@ fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> WidePin {
 
 #[test]
 fn wide_event_batches_replay_the_parent_commit() {
-    let pool = WavePool::new(2);
     for (net, seed, pin) in WIDE_PINS {
         let net = wide_nets()[net];
-        let solo = wide_event_run(&ExecConfig::event(net), seed);
-        assert_eq!(solo, pin, "seed {seed}, {net:?}");
-        let pooled = wide_event_run(&ExecConfig::event_in(net, &pool), seed);
-        assert_eq!(pooled, pin, "seed {seed}, {net:?}, pooled");
+        let got = wide_event_run(&ExecConfig::event(net), seed);
+        assert_eq!(got, pin, "seed {seed}, {net:?}");
     }
 }
 
@@ -102,7 +99,6 @@ fn wide_event_batches_replay_the_parent_commit() {
 /// aggregates, end state, and ledger statistics.
 #[allow(clippy::type_complexity)]
 fn event_run(
-    threads: usize,
     net: EventNetConfig,
     seed: u64,
 ) -> (
@@ -118,13 +114,10 @@ fn event_run(
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
     let mut driver = BatchRandomChurn::balanced(5, 0.12);
-    let pool = WavePool::new(threads);
-    let report = BatchRun::new().exec(ExecConfig::event_in(net, &pool)).run(
-        &mut sys,
-        &mut driver,
-        12,
-        seed ^ 0xD1CE,
-    );
+    let report =
+        BatchRun::new()
+            .exec(ExecConfig::event(net))
+            .run(&mut sys, &mut driver, 12, seed ^ 0xD1CE);
     sys.check_consistency().expect("post-run consistency");
     (
         (
@@ -154,10 +147,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// NOW on the event scheduler replays byte-identically from
-    /// `(seed, config)` across worker pools of 1, 2, 4, and 8 threads,
-    /// for arbitrary seeds and per-link network models.
+    /// `(seed, config)`, for arbitrary seeds and per-link network
+    /// models.
     #[test]
-    fn event_runs_are_worker_count_invariant(
+    fn event_runs_replay_from_seed_and_net(
         seed in any::<u64>(),
         latency in 1u64..5,
         jitter in 0u64..5,
@@ -167,15 +160,7 @@ proptest! {
             .with_latency(latency)
             .with_jitter(jitter)
             .with_drop(f64::from(drop) / 100.0);
-        let baseline = event_run(1, net, seed);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(
-                &baseline,
-                &event_run(threads, net, seed),
-                "threads=1 vs threads={} diverged",
-                threads
-            );
-        }
+        prop_assert_eq!(event_run(net, seed), event_run(net, seed));
     }
 
     /// Message conservation at the run-report level: every message an
@@ -190,13 +175,12 @@ proptest! {
         let net = EventNetConfig::ideal()
             .with_latency(2)
             .with_drop(f64::from(drop) / 100.0);
-        let pool = WavePool::new(2);
 
         let params = NowParams::for_capacity(1 << 10).expect("params");
         let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
         let mut driver = BatchRandomChurn::balanced(5, 0.12);
         let report = BatchRun::new()
-            .exec(ExecConfig::event_in(net, &pool))
+            .exec(ExecConfig::event(net))
             .run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
         prop_assert_eq!(report.sent, report.delivered + report.dropped);
         prop_assert!(report.sent > 0, "12 churn steps must send messages");
@@ -205,7 +189,7 @@ proptest! {
         let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
         let mut driver = BatchRandomChurn::balanced(5, 0.12);
         let waved = BatchRun::new()
-            .exec(ExecConfig::pooled(&pool))
+            .exec(ExecConfig::Pooled)
             .run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
         prop_assert_eq!(waved.sent, 0, "wave engines never touch the net");
         prop_assert_eq!(waved.delivered, 0);

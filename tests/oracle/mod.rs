@@ -1,17 +1,15 @@
 //! The engine-diff oracle: one seeded input runs on every engine leg,
 //! and the legs must agree. An input is a generated campaign
-//! ([`campaign`]) run by `Campaign::run`, or a [`Shape`] with a [`Body`]
-//! for what the grammar cannot say: the per-step drivers, `scheduled()`
-//! and raw batches, which a plain one-op replay runs too.
+//! ([`campaign`]) run by `Campaign::execute`, or a [`Shape`] with a
+//! [`Body`] for what the grammar cannot say: the per-step drivers and
+//! raw batches, which a plain one-op replay runs too.
 //!
 //! Every leg must end consistent with no audited step out of the size
 //! band; a typed error is an outcome if every leg returns it. Then:
-//! * `pooled{1}` ≡ `pooled{4}` and `event{1}` ≡ `event{4}` on node ids,
-//!   homes, every ledger kind's stats, the next `rand_num`, and the
-//!   report, trace and metrics JSON (`scheduled` ≡ `pooled` too);
-//! * on singleton-shaped inputs (`pooled{1}`'s widest wave is 1),
-//!   `serial` ≡ `pooled` on all of that, and `serial` ≡ `event` on all
-//!   but the JSON (the network adds events) when every net is ideal;
+//! * `serial` ≡ `pooled` on node ids, homes, every ledger kind's stats
+//!   and the next `rand_num`, on every input (the report, trace and
+//!   metrics JSON differ by the waves the step is priced in);
+//! * `serial` ≡ `event` on the same when every net is ideal;
 //! * on raw batches every leg, the replay included, admits the same ops.
 // Each test target that includes this module uses a part of it.
 #![allow(dead_code)]
@@ -19,7 +17,7 @@
 use now_bft::adversary::BatchDriver;
 use now_bft::campaign::{Campaign, PhaseExec};
 use now_bft::core::{BatchInput, EventNetConfig as Net, ExecConfig, JoinSpec, NowParams};
-use now_bft::core::{NowSystem, WavePool, WaveStats};
+use now_bft::core::{NowSystem, WaveStats};
 use now_bft::net::{CostKind, DetRng, NodeId};
 use now_bft::sim::ViolationKind;
 use proptest::collection::vec;
@@ -58,17 +56,9 @@ pub fn batches(steps: Range<usize>, width: usize) -> impl Strategy<Value = Scrip
     vec((joins, vec(any::<u16>(), 0..width)), steps)
 }
 
-/// The legs as (engine, threads), by index: campaigns run the first
-/// five, scripts add `scheduled`, raw batches the plain one-op replay.
-const LEGS: [(&str, usize); 7] = [
-    ("serial", 1),
-    ("pooled", 1),
-    ("pooled", 4),
-    ("event", 1),
-    ("event", 4),
-    ("scheduled", 1),
-    ("replay", 1),
-];
+/// The legs, by index: campaigns and scripts run the first three, raw
+/// batches the plain one-op replay too.
+const LEGS: [&str; 4] = ["serial", "pooled", "event", "replay"];
 
 /// What one leg observed: the outcome (typed error or none), admission
 /// (node ids, Byzantine population, joiners), the end state (homes,
@@ -88,7 +78,7 @@ type Checked<T> = Result<T, TestCaseError>;
 /// it was singleton-shaped.
 pub fn check_campaign(text: &str) -> Checked<bool> {
     let c = Campaign::parse(text).map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
-    let runs: Checked<Vec<_>> = (0..5).map(|leg| campaign_leg(&c, leg)).collect();
+    let runs: Checked<Vec<_>> = (0..3).map(|leg| campaign_leg(&c, leg)).collect();
     let ideal = c.phases.iter().all(|p| p.net == Net::ideal());
     agree(&runs?, ideal, false, text)
 }
@@ -100,14 +90,13 @@ pub fn check_script(shape: &Shape, body: &Body) -> Checked<bool> {
         Body::Driver(_, steps) => (format!("{shape:?}, {steps} driver steps"), false),
         Body::Batches(batches) => (format!("{shape:?}, batches {batches:?}"), true),
     };
-    let legs = 6 + usize::from(batches);
+    let legs = 3 + usize::from(batches);
     let runs: Checked<Vec<_>> = (0..legs).map(|leg| script_leg(shape, body, leg)).collect();
     agree(&runs?, true, batches, &context)
 }
 
 fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
-    let (engine, threads) = LEGS[leg];
-    let exec = match engine {
+    let exec = match LEGS[leg] {
         "pooled" => PhaseExec::Pooled,
         "event" => PhaseExec::Event,
         _ => PhaseExec::Serial,
@@ -118,7 +107,7 @@ fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
         (p.exec, p.net) = (exec, if event { p.net } else { Net::ideal() });
     }
     let mut run = Run::default();
-    let (report, mut sys) = match c.run(threads) {
+    let (report, mut sys) = match c.execute() {
         Ok(done) => done,
         Err(e) => {
             run.views[0] = format!("{e:?}");
@@ -139,12 +128,10 @@ fn script_leg(&Shape(params, n0, tau, seed): &Shape, body: &Body, leg: usize) ->
     let mut sys = NowSystem::init_fast(params, n0, tau, seed);
     sys.enable_tracing(1 << 12);
     sys.enable_metrics();
-    let ((engine, threads), mut json) = (LEGS[leg], String::new());
-    let pool = WavePool::new(threads);
+    let (engine, mut json) = (LEGS[leg], String::new());
     let exec = match engine {
-        "pooled" => ExecConfig::pooled(&pool),
-        "event" => ExecConfig::event_in(Net::ideal(), &pool),
-        "scheduled" => ExecConfig::scheduled(),
+        "pooled" => ExecConfig::Pooled,
+        "event" => ExecConfig::event(Net::ideal()),
         _ => ExecConfig::serial(),
     };
     let (nodes, clusters) = (sys.node_ids(), sys.cluster_ids());
@@ -215,18 +202,15 @@ fn observe(sys: &mut NowSystem, joined: &[NodeId]) -> Checked<Run> {
 
 /// Holds `runs`, one per leg of [`LEGS`] in order, to the agreement
 /// rules of the module docs; with `batches`, every leg admits the same
-/// ops.
+/// ops. Returns whether the input was singleton-shaped (`pooled`'s
+/// widest wave is 1).
 fn agree(runs: &[Run], ideal: bool, batches: bool, context: &str) -> Checked<bool> {
-    let singleton = runs[1].widest <= 1;
     // (leg, leg, last shared view): serial against every leg, then
-    // pooled{1, 4}, event{1, 4}, pooled{1} ≡ scheduled, then singletons.
+    // against pooled and event to the end state.
     let admitted = usize::from(batches);
     let mut pairs: Vec<_> = (0..runs.len()).map(|b| (0, b, admitted)).collect();
-    pairs.extend([(1, 2, 3), (3, 4, 3), (1, 5, 3)]);
-    if singleton {
-        pairs.extend([(0, 1, 3), (0, 3, if ideal { 2 } else { 0 })]);
-    }
-    for (a, b, depth) in pairs.into_iter().filter(|&(_, b, _)| b < runs.len()) {
+    pairs.extend([(0, 1, 2), (0, 2, if ideal { 2 } else { 0 })]);
+    for (a, b, depth) in pairs {
         let (x, y) = (&runs[a].views, &runs[b].views);
         if let Some(at) = (0..=depth).find(|&i| x[i] != y[i]) {
             let (legs, what) = ((LEGS[a], LEGS[b]), VIEWS[at]);
@@ -234,7 +218,7 @@ fn agree(runs: &[Run], ideal: bool, batches: bool, context: &str) -> Checked<boo
             return Err(TestCaseError::fail(why + context));
         }
     }
-    Ok(singleton)
+    Ok(runs[1].widest <= 1)
 }
 
 /// A grammar-directed campaign drawn from `seed`: every header knob,

@@ -51,7 +51,7 @@ fn sparse_overlays_unlock_wave_parallelism() {
     let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, 73);
     let mut driver = BatchRandomChurn::balanced(8, 0.1);
     let report = BatchRun::new()
-        .exec(ExecConfig::scheduled())
+        .exec(ExecConfig::Pooled)
         .run(&mut sys, &mut driver, 10, 74);
     assert!(
         report.parallel_speedup() > 1.2,

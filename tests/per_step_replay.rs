@@ -7,13 +7,12 @@
 //! `DetRng::for_op(master, step, canon)` substream instead of the
 //! system's shared stream); that change is their one cause. Before it
 //! they were recorded at the parent of the change that deleted the
-//! per-step loop (`now_sim::run`). A batch of at most one op is one
-//! singleton wave on every engine, so `serial`, `pooled` and the event
-//! engine on the ideal network, with and without a pool, must all land
-//! on every pin.
+//! per-step loop (`now_sim::run`). A batch of at most one op runs the
+//! same way on every engine, so `serial`, `pooled` and the event engine
+//! on the ideal network must all land on every pin.
 
 use now_bft::adversary::{BatchDriver, BatchJoinLeave, ClusterPick, OnePerStep};
-use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem};
 use now_bft::sim::{BatchRandomChurn, BatchRun, BatchSawtooth};
 
 /// `(joins, leaves, population, byz, ledger messages, rounds, op_counts)`.
@@ -35,13 +34,10 @@ const PINS: [(&str, u64, u64, Pin); 9] = [
 
 #[test]
 fn per_step_strategies_replay_the_parent_commit() {
-    let pool = WavePool::new(2);
-    let ideal = EventNetConfig::ideal();
     for exec in [
         ExecConfig::serial(),
-        ExecConfig::pooled(&pool),
-        ExecConfig::event(ideal),
-        ExecConfig::event_in(ideal, &pool),
+        ExecConfig::Pooled,
+        ExecConfig::event(EventNetConfig::ideal()),
     ] {
         for (name, steps, seed, pin) in PINS {
             let params = NowParams::new(1 << 10, 3, 1.5, 0.25, 0.05).unwrap();

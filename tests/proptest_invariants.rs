@@ -23,7 +23,7 @@ proptest! {
     /// Generated campaigns of every style and knob agree on every engine
     /// leg of the oracle, each consistent and inside the size band.
     #[test]
-    fn threaded_waves_are_bit_deterministic(seed in any::<u64>()) {
+    fn generated_campaigns_agree_across_engines(seed in any::<u64>()) {
         oracle::check_campaign(&oracle::campaign(seed, oracle::STYLES))?;
     }
 
@@ -118,9 +118,9 @@ proptest! {
     }
 
     /// Multi-step raw batches — duplicate and departed leave ids,
-    /// steered contacts that may have dissolved — on one pool per leg
-    /// reused across steps: `scheduled` ≡ `pooled{1,4}`, and every leg
-    /// and the plain one-op replay admit the same operations.
+    /// steered contacts that may have dissolved — on sparse overlays
+    /// too, where waves widen: `pooled` ends where `serial` does, and
+    /// every leg and the plain one-op replay admit the same operations.
     #[test]
     fn pooled_serial_agree_across_pool_reuse(
         seed in any::<u64>(),
@@ -134,10 +134,10 @@ proptest! {
         oracle::check_script(&shape, &oracle::Body::Batches(batches))?;
     }
 
-    /// One trajectory per seed: one-op drivers run singleton waves, so
-    /// `serial`, `scheduled`, `pooled{1,4}` and `event(ideal){1,4}` end
-    /// equal, trace and metrics included. Every driver style runs one op
-    /// per step, its batches up to four wide spread over several steps.
+    /// One trajectory per seed: one-op drivers run singleton waves, and
+    /// `serial`, `pooled` and `event(ideal)` end equal. Every driver
+    /// style runs one op per step, its batches up to four wide spread
+    /// over several steps.
     #[test]
     fn singleton_partitions_agree_across_engines(
         seed in any::<u64>(),
@@ -162,9 +162,9 @@ proptest! {
     }
 
     /// Exchanges are swaps, so only a departure changes a cluster's
-    /// size: in a leave-only batch on the wave engine — on an overlay
-    /// sparse enough that the cascades of one wave collide — that ran
-    /// no split and no merge, the cluster sizes move by exactly the
+    /// size: in a leave-only batch — on an overlay sparse enough for
+    /// wide waves, whose cascades shuffle many of the same nodes — that
+    /// ran no split and no merge, the cluster sizes move by exactly the
     /// number of admitted leaves, one cluster down one per leave.
     #[test]
     fn concurrent_leaves_move_sizes_by_departures_only(
@@ -182,7 +182,7 @@ proptest! {
         let sizes = |sys: &NowSystem| -> Vec<usize> { sys.clusters().map(|c| c.size()).collect() };
         let before = sizes(&sys);
 
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::scheduled());
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::Pooled);
         prop_assert!(sys.check_consistency().is_ok(), "{:?}", sys.check_consistency());
         if let (.., 0, 0) = sys.op_counts() {
             prop_assert_eq!(&ids, &sys.cluster_ids(), "no maintenance, same cluster set");

@@ -1,39 +1,39 @@
 //! Byte-identity contracts of the observability artifacts (the
 //! `now-trace` flight recorder + metrics registry):
 //!
-//! 1. **Engine/worker-count invariance** — the trace JSON, metrics
-//!    JSON, and Prometheus text from a run are byte-identical across
-//!    the wave engine's worker counts: pooled executors of 1, 2, 4,
-//!    and 8 workers. Every recording site sits on the driving-thread
-//!    path, so the artifacts are a pure function of `(seed, config)`,
-//!    never of the worker schedule.
-//! 2. **Event-engine invariance** — the same holds when operations
-//!    travel through the event-driven network (send/deliver/drop
-//!    events included).
-//! 3. **Serial self-replay** — the serial engine (the wave engine
-//!    capped at width 1) replays itself byte-identically; that it
-//!    equals the wider engines on singleton partitions is
-//!    `proptest_invariants::singleton_partitions_agree_across_engines`.
-//! 4. **No run-environment leakage** — no wall-clock or thread-count
+//! 1. **Engine invariance** — `serial` and `pooled` run one trajectory
+//!    and differ only in the waves they price it by, so their traces
+//!    agree event for event once the `wave` records are set aside, and
+//!    their metrics agree on every protocol counter.
+//! 2. **Self-replay** — every engine, the event engine included (whose
+//!    traces additionally carry send/deliver/drop events), replays
+//!    itself byte-identically: the artifacts are a pure function of
+//!    `(seed, config)`.
+//! 3. **No run-environment leakage** — no wall-clock or thread-count
 //!    vocabulary ever appears in a deterministic artifact.
 
-use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, WavePool};
+use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, TraceData};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
 /// Runs a fixed balanced-churn workload with both sinks armed on
-/// `exec` (its pool, if any, held by the caller) and returns the three
-/// observability artifacts.
-fn traced_run(exec: ExecConfig<'_>, seed: u64) -> (String, String, String) {
+/// `exec`; the ring holds every event of the run.
+fn traced_system(exec: ExecConfig<'_>, seed: u64) -> NowSystem {
     let params = NowParams::for_capacity(1 << 10).expect("params");
     let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
-    sys.enable_tracing(512);
+    sys.enable_tracing(1 << 12);
     sys.enable_metrics();
     let mut driver = BatchRandomChurn::balanced(5, 0.12);
     BatchRun::new()
         .exec(exec)
         .run(&mut sys, &mut driver, 10, seed ^ 0x7A0E);
     sys.check_consistency().expect("post-run consistency");
+    sys
+}
+
+/// The three observability artifacts of [`traced_system`].
+fn traced_run(exec: ExecConfig<'_>, seed: u64) -> (String, String, String) {
+    let sys = traced_system(exec, seed);
     (
         sys.flight_recorder().expect("tracing armed").to_json(),
         sys.metrics().expect("metrics armed").to_json(),
@@ -41,30 +41,49 @@ fn traced_run(exec: ExecConfig<'_>, seed: u64) -> (String, String, String) {
     )
 }
 
+/// A run's trace without its `wave` records, as `(step, event)`
+/// pairs, and the protocol counters of its metrics.
+fn unpriced(exec: ExecConfig<'_>, seed: u64) -> (Vec<(u64, TraceData)>, Vec<u64>) {
+    let sys = traced_system(exec, seed);
+    let rec = sys.flight_recorder().expect("tracing armed");
+    assert_eq!(rec.evicted(), 0, "the ring holds the whole run");
+    let events = (rec.events())
+        .filter(|e| e.data.kind() != "wave")
+        .map(|e| (e.step, e.data))
+        .collect();
+    let metrics = sys.metrics().expect("metrics armed");
+    let counters = [
+        "now_steps_total",
+        "now_ops_joined_total",
+        "now_ops_left_total",
+        "now_ops_rejected_total",
+        "now_messages_total",
+        "now_rounds_serial_total",
+        "now_splits_total",
+        "now_merges_total",
+    ]
+    .map(|name| metrics.counter(name))
+    .to_vec();
+    (events, counters)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The artifacts are byte-identical across every worker count of
-    /// the wave engine, for arbitrary seeds.
+    /// `serial` and `pooled` record the same protocol events, in the
+    /// same order, and count the same protocol outcomes, for arbitrary
+    /// seeds.
     #[test]
     fn trace_identical_across_engines(seed in any::<u64>()) {
-        let on = |pool: WavePool| traced_run(ExecConfig::pooled(&pool), seed);
-        let baseline = on(WavePool::new(1));
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(
-                &baseline,
-                &on(WavePool::new(threads)),
-                "pooled executor with {} workers diverged",
-                threads
-            );
-        }
+        let (serial, pooled) = (unpriced(ExecConfig::Serial, seed), unpriced(ExecConfig::Pooled, seed));
+        prop_assert!(!serial.0.is_empty());
+        prop_assert_eq!(serial, pooled);
     }
 
-    /// Worker-count invariance holds through the event-driven network
-    /// too, where the trace additionally carries send/deliver/drop
-    /// events.
+    /// The event engine's artifacts, network events included, replay
+    /// byte-identically.
     #[test]
-    fn event_traces_are_worker_count_invariant(
+    fn event_traces_self_replay(
         seed in any::<u64>(),
         latency in 1u64..4,
         drop in 0u32..30,
@@ -72,16 +91,10 @@ proptest! {
         let net = EventNetConfig::ideal()
             .with_latency(latency)
             .with_drop(f64::from(drop) / 100.0);
-        let on = |pool: WavePool| traced_run(ExecConfig::event_in(net, &pool), seed);
-        let baseline = on(WavePool::new(1));
-        for threads in [2usize, 4] {
-            prop_assert_eq!(
-                &baseline,
-                &on(WavePool::new(threads)),
-                "event engine with {} workers diverged",
-                threads
-            );
-        }
+        prop_assert_eq!(
+            traced_run(ExecConfig::event(net), seed),
+            traced_run(ExecConfig::event(net), seed)
+        );
     }
 
     /// The serial engine replays itself byte-identically.
@@ -102,9 +115,8 @@ fn ring_eviction_retains_the_newest_window() {
     let mut sys = NowSystem::init_fast(params, 200, 0.12, 7);
     sys.enable_tracing(16);
     let mut driver = BatchRandomChurn::balanced(6, 0.12);
-    let pool = WavePool::new(2);
     BatchRun::new()
-        .exec(ExecConfig::pooled(&pool))
+        .exec(ExecConfig::Pooled)
         .run(&mut sys, &mut driver, 12, 99);
     let rec = sys.flight_recorder().unwrap();
     assert!(rec.evicted() > 0, "12 churn steps must overflow 16 slots");
@@ -119,11 +131,10 @@ fn ring_eviction_retains_the_newest_window() {
 }
 
 /// Determinism surface gate: the artifacts carry no wall-clock or
-/// worker-count vocabulary (mirrors CI's `trace-smoke` grep gate).
+/// thread vocabulary (mirrors CI's `trace-smoke` grep gate).
 #[test]
 fn artifacts_never_mention_run_environment() {
-    let pool = WavePool::new(4);
-    let (trace, metrics, prom) = traced_run(ExecConfig::pooled(&pool), 0xFACE);
+    let (trace, metrics, prom) = traced_run(ExecConfig::Pooled, 0xFACE);
     for artifact in [&trace, &metrics, &prom] {
         for banned in ["wall", "nanos", "thread", "Instant"] {
             assert!(

@@ -110,8 +110,10 @@ impl PhaseStyle {
 /// Outcomes are deterministic in every case: `Serial` and `Pooled` run
 /// the same trajectory and differ only in the waves they price it by,
 /// and `Event` replays from the campaign seed and the phase's network
-/// model alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// model alone. Only `Event` carries a network, so a network model on
+/// another engine, which would make the campaign lie about what ran,
+/// cannot be written down.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseExec {
     /// The serial engine ([`now_core::ExecConfig::Serial`]).
     Serial,
@@ -119,11 +121,12 @@ pub enum PhaseExec {
     /// ([`now_core::ExecConfig::Pooled`]).
     Pooled,
     /// The event-driven network runtime
-    /// ([`now_core::ExecConfig::Event`]): each step's operations become
-    /// messages on a seeded discrete-event network shaped by the
-    /// phase's `latency`/`jitter`/`drop`/`partition` knobs, and the
-    /// protocol reacts in delivery order.
-    Event,
+    /// ([`now_core::ExecConfig::Event`]) on this per-link network
+    /// model: each step's operations become messages on a seeded
+    /// discrete-event network shaped by the phase's
+    /// `latency`/`jitter`/`drop`/`partition` knobs, and the protocol
+    /// reacts in delivery order.
+    Event(EventNetConfig),
 }
 
 /// One phase of a campaign: a style, its knob overrides, and a trigger.
@@ -141,14 +144,9 @@ pub struct Phase {
     /// the *driver's* budget changes; the system's parameter bound is
     /// fixed at build time.
     pub tau: Option<f64>,
-    /// Execution engine for this phase.
+    /// Execution engine for this phase, with its network model if it
+    /// runs on the event runtime.
     pub exec: PhaseExec,
-    /// Per-link network model for [`PhaseExec::Event`] phases
-    /// (latency/jitter/loss/partition). Must stay at
-    /// [`EventNetConfig::ideal`] on the other engines — they have no
-    /// network to apply it to, and a silently ignored knob would make
-    /// the campaign file lie about what ran.
-    pub net: EventNetConfig,
     /// Hand-over condition.
     pub trigger: Trigger,
 }
@@ -165,7 +163,6 @@ impl Phase {
             width: None,
             tau: None,
             exec: PhaseExec::Pooled,
-            net: EventNetConfig::ideal(),
             trigger,
         }
     }
@@ -194,11 +191,10 @@ impl Phase {
         self
     }
 
-    /// Sets the network model and switches the phase onto the event
-    /// runtime (the only engine that can honor it).
+    /// Runs the phase on the event runtime (the only engine with a
+    /// network) over the network model `net`.
     pub fn net(mut self, net: EventNetConfig) -> Self {
-        self.net = net;
-        self.exec = PhaseExec::Event;
+        self.exec = PhaseExec::Event(net);
         self
     }
 }
@@ -326,18 +322,13 @@ impl Campaign {
                     return fail(format!("phase `{}`: tau {tau} outside [0, 1)", p.name));
                 }
             }
-            if p.net != EventNetConfig::ideal() && p.exec != PhaseExec::Event {
-                return fail(format!(
-                    "phase `{}`: network knobs (latency/jitter/drop/partition) \
-                     require `exec event`",
-                    p.name
-                ));
-            }
-            if !(0.0..=1.0).contains(&p.net.drop) {
-                return fail(format!(
-                    "phase `{}`: drop {} outside [0, 1]",
-                    p.name, p.net.drop
-                ));
+            if let PhaseExec::Event(net) = p.exec {
+                if !(0.0..=1.0).contains(&net.drop) {
+                    return fail(format!(
+                        "phase `{}`: drop {} outside [0, 1]",
+                        p.name, net.drop
+                    ));
+                }
             }
         }
         Ok(())
@@ -400,30 +391,22 @@ mod tests {
     }
 
     #[test]
-    fn net_knobs_require_the_event_engine() {
+    fn net_knobs_put_the_phase_on_the_event_engine() {
         let net = EventNetConfig::ideal().with_latency(3).with_drop(0.2);
         // The builder switches the engine along with the model.
         let ok = Campaign::new("n", 1 << 10)
             .phase(Phase::new("a", PhaseStyle::Balanced, Trigger::Steps(2)).net(net));
-        assert_eq!(ok.phases[0].exec, PhaseExec::Event);
+        assert_eq!(ok.phases[0].exec, PhaseExec::Event(net));
         assert!(ok.check().is_ok());
 
-        // Hand-assembled knobs on a non-event engine are a defect.
-        let mut bad = ok.clone();
-        bad.phases[0].exec = PhaseExec::Pooled;
-        let Err(NowError::CampaignReport { reason }) = bad.check() else {
-            panic!("net knobs without exec event must fail");
+        let bad_drop = Campaign::new("d", 1 << 10).phase(
+            Phase::new("a", PhaseStyle::Quiet, Trigger::Steps(1))
+                .net(EventNetConfig::ideal().with_drop(1.5)),
+        );
+        let Err(NowError::CampaignReport { reason }) = bad_drop.check() else {
+            panic!("a drop rate past 1 must fail");
         };
-        assert!(reason.contains("exec event"), "{reason}");
-
-        let mut bad_drop = Campaign::new("d", 1 << 10).phase(Phase::new(
-            "a",
-            PhaseStyle::Quiet,
-            Trigger::Steps(1),
-        ));
-        bad_drop.phases[0].exec = PhaseExec::Event;
-        bad_drop.phases[0].net = EventNetConfig::ideal().with_drop(1.5);
-        assert!(bad_drop.check().is_err());
+        assert!(reason.contains("drop 1.5"), "{reason}");
     }
 
     #[test]

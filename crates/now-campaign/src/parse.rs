@@ -94,6 +94,8 @@ struct PhaseDraft {
     target: ClusterPick,
     width: Option<usize>,
     tau: Option<f64>,
+    /// The engine; an `Event` engine's network is `net`'s, set on
+    /// `finish`.
     exec: PhaseExec,
     net: EventNetConfig,
     /// Line of the first network knob, if any — net knobs are only
@@ -132,8 +134,9 @@ impl PhaseDraft {
                 ),
             )
         })?;
-        if let Some(line) = self.net_line {
-            if self.exec != PhaseExec::Event {
+        let exec = match (self.exec, self.net_line) {
+            (PhaseExec::Event(_), _) => PhaseExec::Event(self.net),
+            (_, Some(line)) => {
                 return Err(err(
                     line,
                     format!(
@@ -141,17 +144,17 @@ impl PhaseDraft {
                          require `exec event`",
                         self.name
                     ),
-                ));
+                ))
             }
-        }
+            (exec, None) => exec,
+        };
         Ok(Phase {
             name: self.name,
             style,
             target: self.target,
             width: self.width,
             tau: self.tau,
-            exec: self.exec,
-            net: self.net,
+            exec,
             trigger,
         })
     }
@@ -357,7 +360,7 @@ impl Campaign {
                     }
                     ("exec", ["serial"]) => p.exec = PhaseExec::Serial,
                     ("exec", ["pooled"]) => p.exec = PhaseExec::Pooled,
-                    ("exec", ["event"]) => p.exec = PhaseExec::Event,
+                    ("exec", ["event"]) => p.exec = PhaseExec::Event(EventNetConfig::ideal()),
                     ("exec", other) => {
                         return Err(err(
                             line,
@@ -575,15 +578,16 @@ phase pulse
         );
         assert_eq!(c.phases[5].style, PhaseStyle::Quiet);
         let storm = &c.phases[6];
-        assert_eq!(storm.exec, PhaseExec::Event);
         assert_eq!(
-            storm.net,
-            EventNetConfig::ideal()
-                .with_latency(2)
-                .with_jitter(5)
-                .with_drop(0.1)
-                .with_partition(2)
-                .healing_at(40)
+            storm.exec,
+            PhaseExec::Event(
+                EventNetConfig::ideal()
+                    .with_latency(2)
+                    .with_jitter(5)
+                    .with_drop(0.1)
+                    .with_partition(2)
+                    .healing_at(40)
+            )
         );
         assert_eq!(c.phases[7].style, PhaseStyle::MergeForcing);
         assert_eq!(c.phases[7].target, ClusterPick::Smallest);
@@ -788,8 +792,7 @@ phase pulse
     fn event_exec_without_knobs_is_the_ideal_network() {
         let c =
             Campaign::parse("campaign x\nphase a\nstyle balanced\nexec event\nsteps 3\n").unwrap();
-        assert_eq!(c.phases[0].exec, PhaseExec::Event);
-        assert_eq!(c.phases[0].net, EventNetConfig::ideal());
+        assert_eq!(c.phases[0].exec, PhaseExec::Event(EventNetConfig::ideal()));
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl Campaign {
             let exec = match phase.exec {
                 PhaseExec::Serial => ExecConfig::Serial,
                 PhaseExec::Pooled => ExecConfig::Pooled,
-                PhaseExec::Event => ExecConfig::event(phase.net),
+                PhaseExec::Event(net) => ExecConfig::event(net),
             };
             // Per-phase substream: a splitmix-style mix of the master
             // seed and the phase index, so reordering or editing one

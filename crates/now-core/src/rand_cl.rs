@@ -161,7 +161,13 @@ pub(crate) struct WalkTable {
     slots: Vec<u32>,
     /// The overlay's vertex count.
     vertices: usize,
-    /// [`NowParams::ctrw_duration`] of the overlay.
+    /// The overlay's CTRW duration, [`NowParams::ctrw_duration`] of its
+    /// vertex count: the paper's schedule, ≈ `log²(m+2)` expected hops,
+    /// unless the duration that brings `randCl`'s output within TV
+    /// `1/N²` of `|C|/n` from the worst start, times a safety factor of
+    /// 1.25, is shorter. That cap is a closed form in `N` and binds on
+    /// large overlays only (`grow_wide`'s); README § Walk table gives
+    /// hops per CTRW per workload, and the exact law's TV and margin.
     duration: f64,
     /// [`NowParams::max_cluster_size`], the size an endpoint is
     /// accepted against.
@@ -598,6 +604,145 @@ mod tests {
             seeds.len() - bias_ok,
             seeds.len()
         );
+    }
+
+    /// The exact law of `randCl`'s output from `start` on `sys`, by
+    /// cluster id ([`now_graph::ctrw_law`] at the system's duration),
+    /// with sizes and the normaliser read from the system and the
+    /// parameters, not from the walk table.
+    fn exact_law(sys: &NowSystem, start: ClusterId) -> Vec<(ClusterId, f64)> {
+        let (g, ids) = sys.overlay.to_dense();
+        let sizes: Vec<usize> = ids
+            .iter()
+            .map(|&c| sys.cluster(c).unwrap().size())
+            .collect();
+        let params = sys.params();
+        let duration = params.ctrw_duration(ids.len());
+        let from = ids.binary_search(&start).unwrap();
+        let law = now_graph::ctrw_law(&g, &sizes, params.max_cluster_size(), duration, from);
+        ids.into_iter().zip(law).collect()
+    }
+
+    /// The real walk samples the exact law: 40 000 `rand_cl_from` walks
+    /// from one cluster of a small irregular overlay (N = 16, 20
+    /// clusters of sizes 3 to 12, Erdős–Rényi degrees 2 to 9), at a
+    /// tenth of the schedule (≈ 2 hops per CTRW, ≈ 0.6 restarts per
+    /// walk), so that the law is far from `|C|/n` and the test sees the
+    /// walk's duration, its hold scaling and its restarts, not only the
+    /// target. A G-test against the law, over the clusters with ≥ 5
+    /// expected hits (the rest pooled), must stay below the χ² quantile
+    /// of its degrees of freedom at 1 − 10⁻⁴ (Wilson–Hilferty), on
+    /// each of two seeds.
+    #[test]
+    fn walk_endpoints_follow_the_exact_law() {
+        for seed in [1, 2] {
+            let params = NowParams::for_capacity(16)
+                .unwrap()
+                .with_walk_length_factor(0.1);
+            let mut sys = NowSystem::init_fast(params, 160, 0.0, seed);
+            let ids = sys.cluster_ids();
+            // Sizes 3 to 12 (the normaliser): move members from the
+            // even-ranked clusters to the odd-ranked ones.
+            for (i, pair) in ids.chunks(2).enumerate() {
+                for _ in 0..(i % 5) + 1 {
+                    let node = sys.cluster(pair[0]).unwrap().member_at(0);
+                    sys.move_node(node, pair[1]);
+                }
+            }
+            sys.check_consistency().unwrap();
+            let degrees: Vec<usize> = ids.iter().map(|&c| sys.overlay.degree(c)).collect();
+            assert!(
+                degrees.iter().min() < degrees.iter().max(),
+                "irregular overlay"
+            );
+            let start = ids[3];
+            let law = exact_law(&sys, start);
+            let walks = 40_000;
+            let mut hits: BTreeMap<ClusterId, u64> = BTreeMap::new();
+            for _ in 0..walks {
+                *hits.entry(sys.rand_cl_from(start).0).or_default() += 1;
+            }
+            // (observed, expected) per bin, the sparse bins pooled.
+            let mut bins: Vec<(f64, f64)> = Vec::new();
+            let mut pool = (0.0, 0.0);
+            for (c, p) in law {
+                let bin = (*hits.get(&c).unwrap_or(&0) as f64, p * walks as f64);
+                if bin.1 >= 5.0 {
+                    bins.push(bin);
+                } else {
+                    pool = (pool.0 + bin.0, pool.1 + bin.1);
+                }
+            }
+            if pool.1 > 0.0 {
+                bins.push(pool);
+            }
+            let g: f64 = bins
+                .iter()
+                .filter(|&&(o, _)| o > 0.0)
+                .map(|&(o, e)| 2.0 * o * (o / e).ln())
+                .sum();
+            // χ²(df) quantile at 1 − 10⁻⁴ (z = 3.719), Wilson–Hilferty.
+            let df = (bins.len() - 1) as f64;
+            let h = 2.0 / (9.0 * df);
+            let threshold = df * (1.0 - h + 3.719 * h.sqrt()).powi(3);
+            println!(
+                "seed {seed}: G = {g:.1} over {} bins, threshold {threshold:.1}",
+                bins.len()
+            );
+            assert!(bins.len() >= 10, "{} bins", bins.len());
+            assert!(g < threshold, "seed {seed}: G = {g:.1} ≥ {threshold:.1}");
+        }
+    }
+
+    /// Where the guarantee binds — the overlays `init_fast` builds at
+    /// `grow_wide`'s shape (N = 2¹⁶, 1 024 clusters) and at N = 2¹⁴
+    /// with 512 clusters — `randCl`'s exact law is within TV 1/N² of
+    /// `|C|/n` from each of 12 starts (8 evenly spaced, the 4 of least
+    /// degree, where the walk mixes slowest) at the walk's duration,
+    /// and still is at 1/1.25 of it: the duration is at least 1.25
+    /// times the shortest that meets the target.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "exact law on 10³ vertices: run with --release"
+    )]
+    fn the_walk_reaches_tv_one_over_n_squared_with_margin() {
+        for (log_n, clusters) in [(16, 1_024), (14, 512)] {
+            let params = NowParams::new(1 << log_n, 2, 1.5, 0.30, 0.05).unwrap();
+            let n0 = clusters * params.target_cluster_size();
+            let sys = NowSystem::init_fast(params, n0, 0.05, 1);
+            let (g, ids) = sys.overlay.to_dense();
+            let m = ids.len();
+            let sizes: Vec<usize> = ids
+                .iter()
+                .map(|&c| sys.cluster(c).unwrap().size())
+                .collect();
+            let n: usize = sizes.iter().sum();
+            let target: Vec<f64> = sizes.iter().map(|&s| s as f64 / n as f64).collect();
+            let duration = params.ctrw_duration(m);
+            let log_m = ((m + 2) as f64).log2();
+            let schedule = log_m * log_m / params.over().target_degree() as f64;
+            assert!(duration < schedule, "N = 2^{log_n}: the guarantee binds");
+            let mut starts: Vec<usize> = (0..8).map(|i| i * m / 8).collect();
+            let mut by_degree: Vec<usize> = (0..m).collect();
+            by_degree.sort_by_key(|&v| g.degree(v));
+            starts.extend(&by_degree[..4]);
+            let eps = 0.5f64.powi(2 * log_n);
+            for t in [duration, duration / 1.25] {
+                let worst = starts
+                    .iter()
+                    .map(|&s| {
+                        let law = now_graph::ctrw_law(&g, &sizes, params.max_cluster_size(), t, s);
+                        now_graph::total_variation(&law, &target)
+                    })
+                    .fold(0.0, f64::max);
+                println!("N = 2^{log_n}, m = {m}, duration {t:.3}: worst TV {worst:.2e}");
+                assert!(
+                    worst <= eps,
+                    "N = 2^{log_n}, duration {t}: TV {worst:e} > {eps:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Graph substrate for the NOW/OVER reproduction.
 //!
-//! The paper's overlay Ĝᴿ is analyzed through three lenses, all provided
+//! The paper's overlay Ĝᴿ is analyzed through four lenses, all provided
 //! here:
 //!
 //! * **Generation** ([`gen`]): Erdős–Rényi `G(n,p)` graphs — OVER starts
@@ -16,6 +16,8 @@
 //!   the CTRW's stationary distribution is *uniform over vertices* even
 //!   on irregular graphs — the property the paper imports from Aldous &
 //!   Fill and the reason NOW uses CTRWs rather than discrete walks.
+//! * **`randCl`'s law** ([`law`]): the exact output law of the
+//!   size-biased CTRW, restarts included ([`ctrw_law`]).
 //!
 //! All randomness flows through [`rand::Rng`], so callers pass
 //! `now_net::DetRng` for reproducibility.
@@ -39,6 +41,7 @@
 pub mod expansion;
 pub mod gen;
 pub mod graph;
+pub mod law;
 pub mod mixing;
 pub mod sample;
 pub mod spectral;
@@ -47,6 +50,7 @@ pub mod walks;
 
 pub use expansion::{cheeger_lower_bound, exact_isoperimetric, sweep_cut_upper_bound};
 pub use graph::Graph;
+pub use law::ctrw_law;
 pub use mixing::{mixing_profile, relaxation_time, sufficient_duration, to_dot, MixingPoint};
 pub use sample::WeightedAlias;
 pub use spectral::{algebraic_connectivity, fiedler_vector, SpectralOptions};

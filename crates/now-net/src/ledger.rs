@@ -349,32 +349,6 @@ impl Ledger {
         self.stats[kind as usize]
     }
 
-    /// Folds a completed child ledger into this one, exactly as if the
-    /// child's activity had run inline at the current nesting depth.
-    ///
-    /// The threaded wave executor gives each batched operation a
-    /// private ledger (so worker threads never contend on the shared
-    /// accountant) and merges them back **in canonical operation
-    /// order**: the child's total is added to the global total (and
-    /// thereby to every currently open span — inclusive accounting, as
-    /// if the child's spans had nested here), and its per-kind statistics
-    /// are folded in (counts and totals add, maxima take the max).
-    /// Merging the same children in the same order therefore yields a
-    /// bit-identical ledger regardless of which threads produced them.
-    ///
-    /// # Panics
-    /// Panics if the child still has open spans.
-    pub fn merge_child(&mut self, child: &Ledger) {
-        assert!(
-            child.is_balanced(),
-            "merge_child requires a balanced child ledger"
-        );
-        self.total += child.total;
-        for (mine, theirs) in self.stats.iter_mut().zip(&child.stats) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Number of currently open spans.
     pub fn open_spans(&self) -> usize {
         self.stack.len()
@@ -552,53 +526,6 @@ mod tests {
         let s = l.stats(CostKind::Merge);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean_messages(), 0.0);
-    }
-
-    /// The merge contract the threaded wave executor relies on: running
-    /// an op inline vs. in a child ledger merged afterwards must leave
-    /// the parent bit-identical (totals, open-span attribution, stats).
-    #[test]
-    fn merge_child_matches_inline_execution() {
-        let run_op = |l: &mut Ledger| {
-            l.begin(CostKind::Join);
-            l.add_messages(5);
-            l.begin(CostKind::RandCl);
-            l.add_messages(2);
-            l.add_rounds(1);
-            l.end();
-            l.add_rounds(1);
-            l.end();
-        };
-
-        let mut inline = Ledger::new();
-        inline.begin(CostKind::Batch);
-        run_op(&mut inline);
-        run_op(&mut inline);
-        let inline_batch = inline.end();
-
-        let mut merged = Ledger::new();
-        merged.begin(CostKind::Batch);
-        for _ in 0..2 {
-            let mut child = Ledger::new();
-            run_op(&mut child);
-            merged.merge_child(&child);
-        }
-        let merged_batch = merged.end();
-
-        assert_eq!(inline_batch, merged_batch);
-        assert_eq!(inline.total(), merged.total());
-        for kind in CostKind::ALL {
-            assert_eq!(inline.stats(kind), merged.stats(kind), "{kind}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "balanced child")]
-    fn merge_child_rejects_open_spans() {
-        let mut parent = Ledger::new();
-        let mut child = Ledger::new();
-        child.begin(CostKind::Other);
-        parent.merge_child(&child);
     }
 
     #[test]

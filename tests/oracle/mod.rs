@@ -79,7 +79,10 @@ type Checked<T> = Result<T, TestCaseError>;
 pub fn check_campaign(text: &str) -> Checked<bool> {
     let c = Campaign::parse(text).map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
     let runs: Checked<Vec<_>> = (0..3).map(|leg| campaign_leg(&c, leg)).collect();
-    let ideal = c.phases.iter().all(|p| p.net == Net::ideal());
+    let ideal = c
+        .phases
+        .iter()
+        .all(|p| !matches!(p.exec, PhaseExec::Event(net) if net != Net::ideal()));
     agree(&runs?, ideal, false, text)
 }
 
@@ -96,15 +99,17 @@ pub fn check_script(shape: &Shape, body: &Body) -> Checked<bool> {
 }
 
 fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
-    let exec = match LEGS[leg] {
-        "pooled" => PhaseExec::Pooled,
-        "event" => PhaseExec::Event,
-        _ => PhaseExec::Serial,
-    };
-    let event = exec == PhaseExec::Event;
     let mut c = campaign.clone();
     for p in &mut c.phases {
-        (p.exec, p.net) = (exec, if event { p.net } else { Net::ideal() });
+        let net = match p.exec {
+            PhaseExec::Event(net) => net,
+            _ => Net::ideal(),
+        };
+        p.exec = match LEGS[leg] {
+            "pooled" => PhaseExec::Pooled,
+            "event" => PhaseExec::Event(net),
+            _ => PhaseExec::Serial,
+        };
     }
     let mut run = Run::default();
     let (report, mut sys) = match c.execute() {

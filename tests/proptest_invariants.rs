@@ -245,19 +245,6 @@ impl EagerLedger {
         stats.max_rounds = stats.max_rounds.max(cost.rounds);
         cost
     }
-
-    fn merge_child(&mut self, child: &EagerLedger) {
-        assert!(child.stack.is_empty());
-        self.add(child.total);
-        for (&kind, theirs) in &child.stats {
-            let mine = self.stats.entry(kind).or_default();
-            mine.count += theirs.count;
-            mine.total_messages += theirs.total_messages;
-            mine.total_rounds += theirs.total_rounds;
-            mine.max_messages = mine.max_messages.max(theirs.max_messages);
-            mine.max_rounds = mine.max_rounds.max(theirs.max_rounds);
-        }
-    }
 }
 
 /// One scripted ledger call, applied to both implementations; the
@@ -318,38 +305,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Settling inclusive costs at `end()` is unobservable: random
-    /// begin / add / leaf / end scripts with child ledgers merged in at
-    /// random depths leave the `Ledger` equal to the eager reference on
-    /// `total()`, every `stats(kind)` and every `end()` return value.
+    /// begin / add / leaf / end scripts leave the `Ledger` equal to the
+    /// eager reference on `total()`, every `stats(kind)` and every
+    /// `end()` return value.
     #[test]
     fn ledger_equals_eager_reference(
-        script in proptest::collection::vec(
-            (
-                (0u8..8, any::<u8>(), any::<u16>(), any::<u16>()),
-                // A child ledger to merge in after the call, sometimes.
-                any::<bool>(),
-                proptest::collection::vec((0u8..6, any::<u8>(), any::<u16>(), any::<u16>()), 0..12),
-            ),
-            1..60,
-        ),
+        script in proptest::collection::vec((0u8..8, any::<u8>(), any::<u16>(), any::<u16>()), 1..60),
     ) {
         let mut ledger = Ledger::new();
         let mut eager = EagerLedger::default();
-        for (call, merge, child_script) in script {
+        for call in script {
             ledger_step(&mut ledger, &mut eager, call)?;
-            if merge {
-                let mut child = Ledger::new();
-                let mut eager_child = EagerLedger::default();
-                for call in child_script {
-                    ledger_step(&mut child, &mut eager_child, call)?;
-                }
-                while !eager_child.stack.is_empty() {
-                    prop_assert_eq!(child.end(), eager_child.end());
-                }
-                assert_ledgers_equal(&child, &eager_child)?;
-                ledger.merge_child(&child);
-                eager.merge_child(&eager_child);
-            }
         }
         while !eager.stack.is_empty() {
             prop_assert_eq!(ledger.end(), eager.end());

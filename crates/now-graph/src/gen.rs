@@ -80,7 +80,7 @@ pub fn star(n: usize) -> Graph {
 }
 
 /// Ring plus `chords` random chords — a cheap "small-world" expander-ish
-/// construction used as a fixture in walk tests.
+/// construction used as a fixture in expansion and traversal tests.
 pub fn ring_with_chords<R: Rng>(n: usize, chords: usize, rng: &mut R) -> Graph {
     let mut g = ring(n);
     if n < 4 {
@@ -95,45 +95,6 @@ pub fn ring_with_chords<R: Rng>(n: usize, chords: usize, rng: &mut R) -> Graph {
         if u != v && !g.has_edge(u, v) {
             g.add_edge(u, v);
             added += 1;
-        }
-    }
-    g
-}
-
-/// Near-`d`-regular random graph via the configuration-model pairing with
-/// rejection of loops/multi-edges (retrying a bounded number of times).
-/// The result may miss a few edges of exact regularity; callers needing
-/// exact degrees should check [`Graph::min_degree`]/[`Graph::max_degree`].
-///
-/// # Panics
-/// Panics if `d >= n`.
-pub fn near_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
-    assert!(d < n, "degree {d} must be below vertex count {n}");
-    let mut g = Graph::new(n);
-    if n == 0 || d == 0 {
-        return g;
-    }
-    // Stub list: each vertex appears d times; pair stubs randomly.
-    for _round in 0..40 {
-        let mut stubs: Vec<usize> = Vec::new();
-        for v in 0..n {
-            let deficit = d.saturating_sub(g.degree(v));
-            stubs.extend(std::iter::repeat_n(v, deficit));
-        }
-        if stubs.len() < 2 {
-            break;
-        }
-        // Fisher–Yates shuffle.
-        for i in (1..stubs.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            stubs.swap(i, j);
-        }
-        for pair in stubs.chunks(2) {
-            if let [u, v] = *pair {
-                if u != v && !g.has_edge(u, v) && g.degree(u) < d && g.degree(v) < d {
-                    g.add_edge(u, v);
-                }
-            }
         }
     }
     g
@@ -229,19 +190,6 @@ mod tests {
         assert_eq!(g.edge_count(), 40);
     }
 
-    #[test]
-    fn near_regular_hits_target_degree() {
-        let mut rng = DetRng::new(4);
-        let g = near_regular(40, 6, &mut rng);
-        assert!(g.max_degree() <= 6);
-        // Configuration model with retries should get very close.
-        assert!(
-            g.min_degree() >= 5,
-            "min degree {} too far below 6",
-            g.min_degree()
-        );
-    }
-
     proptest! {
         #[test]
         fn er_never_exceeds_complete(n in 0usize..30, seed in any::<u64>()) {
@@ -249,14 +197,6 @@ mod tests {
             let g = erdos_renyi(n, 0.5, &mut rng);
             prop_assert!(g.edge_count() <= n.saturating_sub(1) * n / 2);
             prop_assert_eq!(g.vertex_count(), n);
-        }
-
-        #[test]
-        fn near_regular_respects_cap(n in 2usize..30, seed in any::<u64>()) {
-            let d = (n - 1).min(5);
-            let mut rng = DetRng::new(seed);
-            let g = near_regular(n, d, &mut rng);
-            prop_assert!(g.max_degree() <= d);
         }
     }
 }

@@ -7,7 +7,8 @@
 //! so its output law is the accepted mass summed over the restarts.
 //! [`ctrw_law`] computes it by uniformization: with `Λ` the largest
 //! degree, `e^{−tL} = Σ_k Poisson(Λt; k) P^k` for the stochastic
-//! `P = I − L/Λ`.
+//! `P = I − L/Λ`. Its callers measure how far a law is from its target
+//! by [`total_variation`].
 
 use crate::graph::Graph;
 
@@ -54,6 +55,19 @@ pub fn ctrw_law(
     }
 }
 
+/// Total variation distance `½ Σ |p_i − q_i|` between two distributions.
+///
+/// # Panics
+/// Panics if the vectors have different lengths.
+pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
+    assert_eq!(p.len(), q.len(), "distribution length mismatch");
+    0.5 * p
+        .iter()
+        .zip(q.iter())
+        .map(|(a, b)| (a - b).abs())
+        .sum::<f64>()
+}
+
 /// `e^{−tL} p` on the graph of adjacency `rows`, by uniformization in
 /// slices of `Λt ≤ 600`, so that `e^{−Λt}` stays a normal `f64`. Each
 /// slice's Poisson series stops past its mean once a term's weight falls
@@ -93,7 +107,6 @@ fn heat(rows: &[Vec<usize>], mut p: Vec<f64>, t: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::walks::total_variation;
 
     /// On `K_n`, `e^{−tL} δ_s` puts `1/n + (1 − 1/n)e^{−nt}` on `s` and
     /// the rest evenly elsewhere, and with every size at the normaliser
@@ -114,8 +127,12 @@ mod tests {
     }
 
     /// A long walk's law is the size-biased one, `|v| / Σ|u|`, on an
-    /// irregular graph with unequal sizes; at any duration the law is a
-    /// distribution, and at 0 it is the start's if the start accepts.
+    /// irregular graph with unequal sizes, and uniform when every size
+    /// is the normaliser: a CTRW with every edge at rate 1 is uniform
+    /// over vertices whatever their degrees (Aldous & Fill), where a
+    /// discrete walk would be biased by degree. At any duration the law
+    /// is a distribution, and at 0 it is the start's if the start
+    /// accepts.
     #[test]
     fn long_walks_reach_the_size_biased_law() {
         let mut g = gen::ring(12);
@@ -127,10 +144,27 @@ mod tests {
         let target: Vec<f64> = sizes.iter().map(|&s| s as f64 / total as f64).collect();
         let long = ctrw_law(&g, &sizes, 12, 200.0, 0);
         assert!(total_variation(&long, &target) < 1e-12);
+        assert!(g.min_degree() < g.max_degree(), "irregular fixture");
+        let uniform = ctrw_law(&g, &[12; 12], 12, 200.0, 0);
+        assert!(total_variation(&uniform, &[1.0 / 12.0; 12]) < 1e-12);
         for t in [0.0, 0.3, 2.0] {
             let law = ctrw_law(&g, &sizes, 12, t, 4);
             assert!((law.iter().sum::<f64>() - 1.0).abs() < 1e-12, "t = {t}");
         }
         assert!((ctrw_law(&g, &sizes, 12, 0.0, 4)[4] - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn tv_distance_properties() {
+        let p = vec![0.5, 0.5, 0.0];
+        let q = vec![0.0, 0.5, 0.5];
+        assert!((total_variation(&p, &q) - 0.5).abs() < 1e-12);
+        assert_eq!(total_variation(&p, &p), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn tv_rejects_mismatched_lengths() {
+        let _ = total_variation(&[0.5], &[0.5, 0.5]);
     }
 }

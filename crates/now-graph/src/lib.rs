@@ -1,23 +1,24 @@
 //! Graph substrate for the NOW/OVER reproduction.
 //!
-//! The paper's overlay Ĝᴿ is analyzed through four lenses, all provided
+//! The paper's overlay Ĝᴿ is analyzed through three lenses, all provided
 //! here:
 //!
 //! * **Generation** ([`gen`]): Erdős–Rényi `G(n,p)` graphs — OVER starts
 //!   from one with `p = log^{1+α}N / √N` — plus reference topologies used
-//!   in tests (rings, stars, complete graphs, near-regular graphs).
+//!   in tests (rings, stars, paths, complete graphs).
 //! * **Expansion** ([`expansion`], [`spectral`]): the isoperimetric
 //!   constant `I(G) = min_{|S| ≤ n/2} E(S,S̄)/|S|` of Property 1, computed
 //!   exactly for small graphs and bracketed by the Cheeger-style spectral
 //!   lower bound `λ₂/2` and a Fiedler sweep-cut upper bound for large
 //!   ones.
-//! * **Random walks** ([`walks`]): discrete walks and the continuous-time
-//!   random walk (CTRW) of `randCl`. With every edge firing at rate 1,
-//!   the CTRW's stationary distribution is *uniform over vertices* even
-//!   on irregular graphs — the property the paper imports from Aldous &
-//!   Fill and the reason NOW uses CTRWs rather than discrete walks.
 //! * **`randCl`'s law** ([`law`]): the exact output law of the
-//!   size-biased CTRW, restarts included ([`ctrw_law`]).
+//!   size-biased continuous-time random walk (CTRW), restarts included
+//!   ([`ctrw_law`]), and the [`total_variation`] distance it is measured
+//!   by. With every edge firing at rate 1, the CTRW's stationary
+//!   distribution is *uniform over vertices* even on irregular graphs —
+//!   the property the paper imports from Aldous & Fill and the reason
+//!   NOW uses CTRWs rather than discrete walks, whose law is biased by
+//!   degree.
 //!
 //! All randomness flows through [`rand::Rng`], so callers pass
 //! `now_net::DetRng` for reproducibility.
@@ -42,16 +43,11 @@ pub mod expansion;
 pub mod gen;
 pub mod graph;
 pub mod law;
-pub mod mixing;
 pub mod sample;
 pub mod spectral;
 pub mod traversal;
-pub mod walks;
 
 pub use expansion::{cheeger_lower_bound, exact_isoperimetric, sweep_cut_upper_bound};
 pub use graph::Graph;
-pub use law::ctrw_law;
-pub use mixing::{mixing_profile, relaxation_time, sufficient_duration, to_dot, MixingPoint};
-pub use sample::WeightedAlias;
+pub use law::{ctrw_law, total_variation};
 pub use spectral::{algebraic_connectivity, fiedler_vector, SpectralOptions};
-pub use walks::{ctrw_endpoint, discrete_walk, endpoint_distribution, total_variation, CtrwHop};

@@ -1,126 +1,12 @@
-//! Weighted sampling utilities.
+//! Shuffles and distinct draws.
 //!
-//! `randCl` selects clusters with probability proportional to their size
-//! (`|Cᵢ|/n`). The walk achieves that online, but the analysis layer and
-//! the L1 execution path frequently need direct size-biased draws — the
-//! [`WeightedAlias`] table gives `O(1)` draws after `O(n)` setup
-//! (Walker/Vose alias method), and [`sample_weighted_linear`] is the
-//! simple `O(n)` fallback used for one-off draws on freshly changed
-//! weight vectors.
+//! Clusterization orders nodes by a random permutation ([`shuffle`]),
+//! and the system picks Byzantine nodes, leavers and exchange partners
+//! as distinct indices ([`sample_distinct`]). `randCl`'s size-biased
+//! cluster choice is not drawn here: the walk in now-core makes it
+//! online, and [`crate::ctrw_law`] gives its exact law.
 
 use rand::Rng;
-
-/// Walker/Vose alias table for repeated O(1) draws from a fixed discrete
-/// distribution.
-///
-/// # Example
-/// ```
-/// use now_graph::WeightedAlias;
-/// use now_net::DetRng;
-/// use rand::Rng;
-///
-/// let table = WeightedAlias::new(&[1.0, 3.0]).unwrap();
-/// let mut rng = DetRng::new(1);
-/// let mut hits = [0u32; 2];
-/// for _ in 0..10_000 { hits[table.sample(&mut rng)] += 1; }
-/// assert!(hits[1] > hits[0] * 2); // index 1 is 3× as likely
-/// ```
-#[derive(Debug, Clone)]
-pub struct WeightedAlias {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl WeightedAlias {
-    /// Builds the table. Returns `None` if `weights` is empty, contains a
-    /// negative/NaN entry, or sums to zero.
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        let n = weights.len();
-        if n == 0 {
-            return None;
-        }
-        let sum: f64 = weights.iter().sum();
-        if sum.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-            || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-        {
-            return None;
-        }
-        let scaled: Vec<f64> = weights.iter().map(|w| w * n as f64 / sum).collect();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        let mut work = scaled;
-        for (i, &w) in work.iter().enumerate() {
-            if w < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while !small.is_empty() && !large.is_empty() {
-            // INVARIANT: the loop condition just checked both stacks
-            // non-empty.
-            let s = small.pop().expect("checked non-empty");
-            // INVARIANT: same loop condition covers the large stack.
-            let l = *large.last().expect("checked non-empty");
-            prob[s] = work[s];
-            alias[s] = l;
-            work[l] = (work[l] + work[s]) - 1.0;
-            if work[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            prob[i] = 1.0;
-            alias[i] = i;
-        }
-        Some(WeightedAlias { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if the table has no categories (never constructed that way,
-    /// kept for the conventional `len`/`is_empty` pair).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws a category index.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen_bool(self.prob[i].clamp(0.0, 1.0)) {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
-/// One-off `O(n)` weighted draw (inverse-CDF scan). Returns `None` under
-/// the same conditions as [`WeightedAlias::new`].
-pub fn sample_weighted_linear<R: Rng>(weights: &[f64], rng: &mut R) -> Option<usize> {
-    let sum: f64 = weights.iter().sum();
-    if weights.is_empty()
-        || sum.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-        || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-    {
-        return None;
-    }
-    let mut t = rng.gen_range(0.0..sum);
-    for (i, &w) in weights.iter().enumerate() {
-        if t < w {
-            return Some(i);
-        }
-        t -= w;
-    }
-    // Floating-point slack: return the last positive-weight index.
-    weights.iter().rposition(|&w| w > 0.0)
-}
 
 /// In-place Fisher–Yates shuffle (deterministic given the RNG stream —
 /// used by clusterization's random node ordering).
@@ -151,77 +37,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn alias_matches_weights() {
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let table = WeightedAlias::new(&weights).unwrap();
-        let mut rng = DetRng::new(1);
-        let trials = 100_000;
-        let mut hits = [0u64; 4];
-        for _ in 0..trials {
-            hits[table.sample(&mut rng)] += 1;
-        }
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            let expected = w / total;
-            let got = hits[i] as f64 / trials as f64;
-            assert!(
-                (got - expected).abs() < 0.01,
-                "category {i}: got {got}, want {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn alias_rejects_bad_inputs() {
-        assert!(WeightedAlias::new(&[]).is_none());
-        assert!(WeightedAlias::new(&[0.0, 0.0]).is_none());
-        assert!(WeightedAlias::new(&[1.0, -1.0]).is_none());
-        assert!(WeightedAlias::new(&[1.0, f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn alias_single_category() {
-        let table = WeightedAlias::new(&[5.0]).unwrap();
-        let mut rng = DetRng::new(2);
-        for _ in 0..10 {
-            assert_eq!(table.sample(&mut rng), 0);
-        }
-        assert_eq!(table.len(), 1);
-        assert!(!table.is_empty());
-    }
-
-    #[test]
-    fn alias_zero_weight_category_never_drawn() {
-        let table = WeightedAlias::new(&[1.0, 0.0, 1.0]).unwrap();
-        let mut rng = DetRng::new(3);
-        for _ in 0..5000 {
-            assert_ne!(table.sample(&mut rng), 1);
-        }
-    }
-
-    #[test]
-    fn linear_sampler_matches_weights() {
-        let weights = [2.0, 0.0, 6.0];
-        let mut rng = DetRng::new(4);
-        let trials = 50_000;
-        let mut hits = [0u64; 3];
-        for _ in 0..trials {
-            hits[sample_weighted_linear(&weights, &mut rng).unwrap()] += 1;
-        }
-        assert_eq!(hits[1], 0);
-        let ratio = hits[2] as f64 / hits[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn linear_sampler_rejects_bad_inputs() {
-        let mut rng = DetRng::new(5);
-        assert!(sample_weighted_linear(&[], &mut rng).is_none());
-        assert!(sample_weighted_linear(&[0.0], &mut rng).is_none());
-        assert!(sample_weighted_linear(&[-1.0, 2.0], &mut rng).is_none());
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = DetRng::new(6);
         let mut v: Vec<u32> = (0..50).collect();
@@ -246,18 +61,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn alias_always_returns_valid_index(weights in proptest::collection::vec(0.0f64..10.0, 1..20), seed in any::<u64>()) {
-            prop_assume!(weights.iter().sum::<f64>() > 0.0);
-            let table = WeightedAlias::new(&weights).unwrap();
-            let mut rng = DetRng::new(seed);
-            for _ in 0..100 {
-                let i = table.sample(&mut rng);
-                prop_assert!(i < weights.len());
-                prop_assert!(weights[i] > 0.0 || weights.iter().all(|&w| w == 0.0));
-            }
-        }
-
         #[test]
         fn distinct_samples_are_distinct(n in 0usize..40, k in 0usize..50, seed in any::<u64>()) {
             let mut rng = DetRng::new(seed);

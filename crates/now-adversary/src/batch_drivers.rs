@@ -863,7 +863,7 @@ mod tests {
 
     /// The paper's per-step attacks are [`OnePerStep`] over the batch
     /// drivers at width 1 aimed at the first cluster: each row runs its
-    /// driver on the serial engine and checks every step's one
+    /// driver on the canonical engine and checks every step's one
     /// operation, leaves of a batch before its joins.
     #[test]
     fn one_per_step_replays_each_style_one_op_at_a_time() {
@@ -924,7 +924,7 @@ mod tests {
                 );
                 leavers.extend(&leaves);
                 let input = BatchInput::from_specs(&joins, &leaves);
-                let report = sys.step_batch(&input, &ExecConfig::serial());
+                let report = sys.step_batch(&input, &ExecConfig::Canonical);
                 assert!(report.rejected.is_empty(), "{name}, step {step}");
             }
             let all = leavers.len();
@@ -942,14 +942,14 @@ mod tests {
         let (_, due) = adv.decide_batch(&sys, &mut rng);
         let (_, buffered) = adv.clone().decide_batch(&sys, &mut rng);
         sys.leave(buffered[0]).unwrap();
-        sys.step_batch(&BatchInput::from_specs(&[], &due), &ExecConfig::serial());
+        sys.step_batch(&BatchInput::from_specs(&[], &due), &ExecConfig::Canonical);
 
         let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
         assert_eq!((joins.len(), &leaves), (0, &buffered));
         let population = sys.population();
         let report = sys.step_batch(
             &BatchInput::from_specs(&joins, &leaves),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.rejected.len(), 1, "the departed node is refused");
         assert_eq!(sys.population(), population);

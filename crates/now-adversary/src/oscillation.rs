@@ -106,7 +106,7 @@ mod tests {
             let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
             sys.step_batch(
                 &BatchInput::from_specs(&joins, &leaves),
-                &ExecConfig::serial(),
+                &ExecConfig::Canonical,
             );
         }
         let (_, _, splits, merges) = sys.op_counts();

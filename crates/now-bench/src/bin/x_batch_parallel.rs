@@ -12,15 +12,15 @@
 //!   counts, and the per-wave *slack* (Σ `rounds_total − rounds_max` —
 //!   the serial rounds the waves save).
 //!
-//! Every run is `ExecConfig::Pooled`: each op runs live, one after
-//! another, and the step is priced in waves.
+//! Every run is on the canonical engine: each op runs live, one after
+//! another, and the step is priced both ways at once.
 //!
 //! `--smoke` runs a reduced sweep for CI. The CSV and JSON hold the
 //! deterministic outcome table only, so two runs of the same seed must
 //! be byte-identical (`batch-smoke`).
 
 use now_bench::results_dir;
-use now_core::{ExecConfig, Json, NowParams, NowSystem};
+use now_core::{Json, NowParams, NowSystem};
 use now_sim::{BatchRandomChurn, BatchRun, Table};
 
 fn run_once(
@@ -34,12 +34,7 @@ fn run_once(
     let mut sys = NowSystem::init_fast(params, n0, 0.10, 4200 + width as u64);
     let mut driver = BatchRandomChurn::balanced(width, 0.10);
     let steps = total_ops / width as u64;
-    let report = BatchRun::new().exec(ExecConfig::Pooled).run(
-        &mut sys,
-        &mut driver,
-        steps,
-        11 + width as u64,
-    );
+    let report = BatchRun::new().run(&mut sys, &mut driver, steps, 11 + width as u64);
     sys.check_consistency().unwrap();
     (report, sys, steps)
 }

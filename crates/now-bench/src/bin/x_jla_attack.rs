@@ -33,7 +33,7 @@ fn attack(params: NowParams, tau: f64, steps: u64, hardened: bool, seed: u64) ->
         let (joins, leaves) = adv.decide_batch(&sys, &mut rng);
         sys.step_batch(
             &BatchInput::from_specs(&joins, &leaves),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         let frac = adv
             .inner()

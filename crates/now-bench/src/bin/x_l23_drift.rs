@@ -50,7 +50,7 @@ fn main() {
             let (joins, leaves) = churn.decide_batch(&sys, &mut rng);
             sys.step_batch(
                 &BatchInput::from_specs(&joins, &leaves),
-                &ExecConfig::serial(),
+                &ExecConfig::Canonical,
             );
             let Some(cluster) = sys.cluster(watched) else {
                 break; // merged away; the trace ends here

@@ -84,8 +84,8 @@ fn main() {
         let mean_rounds = (after_rc.total_rounds - before_rc.total_rounds) as f64 / trials as f64;
         table.row([
             factor.into(),
-            format!("{tv:.1e}").into(),
-            format!("{one_over_n2:.1e}").into(),
+            tv.into(),
+            one_over_n2.into(),
             mean_msgs.into(),
             mean_rounds.into(),
             (hops as f64 / trials as f64).into(),

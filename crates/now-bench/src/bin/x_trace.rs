@@ -3,8 +3,8 @@
 //!
 //! Usage: `x_trace [--out-dir <dir>]`
 //!
-//! Replays a fixed mixed workload — pooled balanced churn, a
-//! split-forcing burst on the serial engine, then lossy event-driven
+//! Replays a fixed mixed workload — balanced churn and a
+//! split-forcing burst on the canonical engine, then lossy event-driven
 //! churn — on one system with both observability sinks armed, and
 //! writes three artifacts into `--out-dir` (default `results/`; created
 //! if missing, and a directory or file that cannot be written exits
@@ -69,11 +69,9 @@ fn main() -> ExitCode {
 
     // Segment 1: balanced churn priced in parallel waves.
     let mut churn = BatchRandomChurn::balanced(6, 0.10);
-    BatchRun::new()
-        .exec(ExecConfig::Pooled)
-        .run(&mut sys, &mut churn, 12, SEED ^ 1);
+    BatchRun::new().run(&mut sys, &mut churn, 12, SEED ^ 1);
 
-    // Segment 2: split-forcing burst on the serial engine.
+    // Segment 2: split-forcing burst.
     let mut split = BatchSplitForcing::new(5, 0.10);
     BatchRun::new().run(&mut sys, &mut split, 8, SEED ^ 2);
 

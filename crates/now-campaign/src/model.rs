@@ -107,19 +107,17 @@ impl PhaseStyle {
 /// on; each variant (and its `exec` keyword in the text format) is
 /// named after the `ExecConfig` variant it selects.
 ///
-/// Outcomes are deterministic in every case: `Serial` and `Pooled` run
-/// the same trajectory and differ only in the waves they price it by,
-/// and `Event` replays from the campaign seed and the phase's network
-/// model alone. Only `Event` carries a network, so a network model on
-/// another engine, which would make the campaign lie about what ran,
-/// cannot be written down.
+/// Outcomes are deterministic in every case: `Canonical` runs one
+/// trajectory per seed, and `Event` replays from the campaign seed and
+/// the phase's network model alone. Either way the phase report carries
+/// both prices, `rounds_serial` and `rounds_parallel`. Only `Event`
+/// carries a network, so a network model on the canonical engine, which
+/// would make the campaign lie about what ran, cannot be written down.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseExec {
-    /// The serial engine ([`now_core::ExecConfig::Serial`]).
-    Serial,
-    /// The serial trajectory priced in parallel waves
-    /// ([`now_core::ExecConfig::Pooled`]).
-    Pooled,
+    /// The canonical order, priced one op at a time and in parallel
+    /// waves ([`now_core::ExecConfig::Canonical`]).
+    Canonical,
     /// The event-driven network runtime
     /// ([`now_core::ExecConfig::Event`]) on this per-link network
     /// model: each step's operations become messages on a seeded
@@ -153,7 +151,7 @@ pub struct Phase {
 
 impl Phase {
     /// A phase of the given style ending after `steps` steps, with the
-    /// campaign's default width/τ, pooled execution, and (for
+    /// campaign's default width/τ, canonical execution, and (for
     /// targeted styles) the largest-cluster pick.
     pub fn new(name: impl Into<String>, style: PhaseStyle, trigger: Trigger) -> Self {
         Phase {
@@ -162,7 +160,7 @@ impl Phase {
             target: ClusterPick::Largest,
             width: None,
             tau: None,
-            exec: PhaseExec::Pooled,
+            exec: PhaseExec::Canonical,
             trigger,
         }
     }
@@ -348,14 +346,15 @@ mod tests {
                     .width(8)
                     .tau(0.2)
                     .target(ClusterPick::First)
-                    .exec(PhaseExec::Serial),
+                    .exec(PhaseExec::Event(EventNetConfig::ideal())),
             );
         assert_eq!(c.k, 2);
         assert_eq!(c.width, 4);
         assert!(c.shuffle);
         assert_eq!(c.phases.len(), 2);
         assert_eq!(c.phases[1].width, Some(8));
-        assert_eq!(c.phases[1].exec, PhaseExec::Serial);
+        assert_eq!(c.phases[0].exec, PhaseExec::Canonical);
+        assert_eq!(c.phases[1].exec, PhaseExec::Event(EventNetConfig::ideal()));
         assert!(c.check().is_ok());
     }
 

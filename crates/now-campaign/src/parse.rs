@@ -38,7 +38,7 @@
 //! sawtooth <low> <high> | join-leave | forced-leave | split-forcing |
 //! merge-forcing | burst`,
 //! `target first|largest|smallest`, `width`, `tau`,
-//! `exec serial|pooled|event`, and exactly one trigger — `steps
+//! `exec canonical|event`, and exactly one trigger — `steps
 //! <n>`, `until-pop-above <target> [cap <n>]`, `until-pop-below
 //! <target> [cap <n>]`, or `until-violation [cap <n>]` (default cap
 //! 10 000).
@@ -48,8 +48,8 @@
 //! extra delay bound), `drop <p>` (loss probability in `[0, 1]`), and
 //! `partition <groups> [heal <time>]` (split the clusters into
 //! `groups` components, optionally healing at the given virtual time).
-//! Using any of them without `exec event` is an error — the other
-//! engines have no network to apply them to:
+//! Using any of them without `exec event` is an error — the canonical
+//! engine has no network to apply them to:
 //!
 //! ```text
 //! phase storm
@@ -113,7 +113,7 @@ impl PhaseDraft {
             target: ClusterPick::Largest,
             width: None,
             tau: None,
-            exec: PhaseExec::Pooled,
+            exec: PhaseExec::Canonical,
             net: EventNetConfig::ideal(),
             net_line: None,
             trigger: None,
@@ -358,16 +358,22 @@ impl Campaign {
                         }
                         p.tau = Some(t);
                     }
-                    ("exec", ["serial"]) => p.exec = PhaseExec::Serial,
-                    ("exec", ["pooled"]) => p.exec = PhaseExec::Pooled,
+                    ("exec", ["canonical"]) => p.exec = PhaseExec::Canonical,
                     ("exec", ["event"]) => p.exec = PhaseExec::Event(EventNetConfig::ideal()),
-                    ("exec", other) => {
+                    ("exec", [old @ ("serial" | "pooled")]) => {
                         return Err(err(
                             line,
                             format!(
-                                "`exec` takes serial|pooled|event, got `{}`",
-                                other.join(" ")
+                                "`exec {old}` is retired: `serial` and `pooled` are one \
+                                 engine now, `exec canonical`, whose report carries \
+                                 both prices (`rounds_serial`, `rounds_parallel`)"
                             ),
+                        ))
+                    }
+                    ("exec", other) => {
+                        return Err(err(
+                            line,
+                            format!("`exec` takes canonical|event, got `{}`", other.join(" ")),
                         ))
                     }
                     ("latency", [n]) => {
@@ -505,7 +511,7 @@ phase flood      # inline comment
   target largest
   width 8
   tau 0.15
-  exec serial
+  exec canonical
   steps 30
 
 phase drain
@@ -559,7 +565,7 @@ phase pulse
         assert_eq!(c.phases[0].style, PhaseStyle::Balanced);
         assert_eq!(c.phases[1].width, Some(8));
         assert_eq!(c.phases[1].tau, Some(0.15));
-        assert_eq!(c.phases[1].exec, PhaseExec::Serial);
+        assert_eq!(c.phases[1].exec, PhaseExec::Canonical);
         assert_eq!(c.phases[1].target, ClusterPick::Largest);
         assert_eq!(
             c.phases[2].trigger,
@@ -751,7 +757,7 @@ phase pulse
         assert_eq!(line, 4, "error points at the first net knob");
         assert!(reason.contains("require `exec event`"), "{reason}");
         let (_, reason) =
-            parse_err("campaign x\nphase a\nstyle quiet\nexec pooled\ndrop 0.5\nsteps 2\n");
+            parse_err("campaign x\nphase a\nstyle quiet\nexec canonical\ndrop 0.5\nsteps 2\n");
         assert!(reason.contains("require `exec event`"), "{reason}");
     }
 
@@ -760,7 +766,7 @@ phase pulse
         let (line, reason) =
             parse_err("campaign x\nphase a\nstyle quiet\nexec scheduled\nsteps 2\n");
         assert_eq!(line, 4);
-        assert!(reason.contains("takes serial|pooled|event"), "{reason}");
+        assert!(reason.contains("takes canonical|event"), "{reason}");
     }
 
     #[test]
@@ -768,7 +774,21 @@ phase pulse
         let (line, reason) =
             parse_err("campaign x\nphase a\nstyle quiet\nexec threaded\nsteps 2\n");
         assert_eq!(line, 4);
-        assert!(reason.contains("takes serial|pooled|event"), "{reason}");
+        assert!(reason.contains("takes canonical|event"), "{reason}");
+    }
+
+    #[test]
+    fn retired_exec_serial_and_pooled_are_typed() {
+        for old in ["serial", "pooled"] {
+            let text = format!("campaign x\nphase a\nstyle quiet\nexec {old}\nsteps 2\n");
+            let (line, reason) = parse_err(&text);
+            assert_eq!(line, 4);
+            assert!(
+                reason.contains(&format!("`exec {old}` is retired")),
+                "{reason}"
+            );
+            assert!(reason.contains("`exec canonical`"), "{reason}");
+        }
     }
 
     #[test]

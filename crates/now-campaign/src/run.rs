@@ -121,8 +121,7 @@ impl Campaign {
                 PhaseStyle::BurstChurn => Box::new(BatchBurstChurn::new(width, tau)),
             };
             let exec = match phase.exec {
-                PhaseExec::Serial => ExecConfig::Serial,
-                PhaseExec::Pooled => ExecConfig::Pooled,
+                PhaseExec::Canonical => ExecConfig::Canonical,
                 PhaseExec::Event(net) => ExecConfig::event(net),
             };
             // Per-phase substream: a splitmix-style mix of the master
@@ -312,10 +311,7 @@ mod tests {
         let c = base()
             .initial_population_of(150)
             .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(4)))
-            .phase(
-                Phase::new("sched", PhaseStyle::Balanced, Trigger::Steps(3))
-                    .exec(PhaseExec::Serial),
-            );
+            .phase(Phase::new("more", PhaseStyle::Balanced, Trigger::Steps(3)));
         let (r0, s0) = c.run(0).unwrap();
         let (r4, s4) = c.run(4).unwrap();
         let (r, s) = c.execute().unwrap();
@@ -323,27 +319,6 @@ mod tests {
         assert_eq!(r4.to_json(), r.to_json());
         assert_eq!(s0.node_ids(), s.node_ids());
         assert_eq!(s4.node_ids(), s.node_ids());
-    }
-
-    #[test]
-    fn serial_and_pooled_phases_both_run() {
-        let c = base()
-            .initial_population_of(140)
-            .phase(
-                Phase::new("sched", PhaseStyle::Balanced, Trigger::Steps(5))
-                    .exec(PhaseExec::Serial),
-            )
-            .phase(Phase::new(
-                "thread",
-                PhaseStyle::Balanced,
-                Trigger::Steps(5),
-            ));
-        let (report, sys) = c.execute().unwrap();
-        assert_eq!(report.total_steps(), 10);
-        sys.check_consistency().unwrap();
-        // And the mixed-engine run is reproducible as a whole.
-        let (again, _) = c.execute().unwrap();
-        assert_eq!(report.to_json(), again.to_json());
     }
 
     #[test]
@@ -401,7 +376,7 @@ mod tests {
         let storm = &r1.phases[1].run;
         assert_eq!(storm.steps, 8);
         assert!(storm.dropped > 0, "30% loss over 8 steps must drop joins");
-        assert_eq!(r1.phases[0].run.dropped, 0, "wave engines never drop");
+        assert_eq!(r1.phases[0].run.dropped, 0, "canonical phases never drop");
         assert!(r1.to_json().contains("\"dropped\":"));
         s1.check_consistency().unwrap();
     }
@@ -473,7 +448,10 @@ mod tests {
             let r = &p.run;
             assert_eq!(r.sent, r.delivered + r.dropped, "phase {}", p.name);
         }
-        assert_eq!(r1.phases[0].run.sent, 0, "wave engines never touch the net");
+        assert_eq!(
+            r1.phases[0].run.sent, 0,
+            "canonical phases never touch the net"
+        );
         assert!(r1.phases[1].run.sent > 0);
         // The deterministic artifact must not leak run-environment data.
         for banned in ["wall", "nanos", "thread"] {

@@ -27,10 +27,8 @@
 //! therefore form contiguous segments of the canonical order and every
 //! wave's operations are pairwise footprint-disjoint. The operations
 //! themselves run one at a time in that order, each live on the
-//! registry; the waves price the step. [`crate::ExecConfig::Serial`]
-//! prices every operation as a wave of its own and ends every batch on
-//! the same state. Either way the batch is deterministic: same seed and
-//! engine ⇒ same admitted ids, same ledger totals.
+//! registry; the waves price the step. The batch is deterministic:
+//! same seed and engine ⇒ same admitted ids, same ledger totals.
 //!
 //! The round complexity of the batched step is read off the waves
 //! executed: each wave costs the *maximum* round count over its
@@ -255,7 +253,7 @@ mod tests {
         let t0 = sys.time_step();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[true, true, false, true], &[]),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.joined.len(), 4);
         assert!(report.left.is_empty());
@@ -272,7 +270,7 @@ mod tests {
         let before = sys.population();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[true, true], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.left.len(), 3);
         assert_eq!(report.joined.len(), 2);
@@ -286,7 +284,7 @@ mod tests {
         let victim = sys.node_ids()[0];
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &[victim, victim]),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.left, vec![victim]);
         assert_eq!(report.rejected.len(), 1);
@@ -301,7 +299,7 @@ mod tests {
         let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(3).collect();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.left.len(), 1, "only one leave fits above the floor");
         assert_eq!(report.rejected.len(), 2);
@@ -329,7 +327,10 @@ mod tests {
             .iter()
             .map(|&c| sys.cluster(c).unwrap().member_at(0))
             .collect();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
+        let report = sys.step_batch(
+            &BatchInput::from_flags(&[], &leavers),
+            &ExecConfig::Canonical,
+        );
         assert_eq!(report.left.len(), 3);
         assert_eq!(report.wave_count(), 1, "disjoint batch must not serialize");
         assert_eq!(report.max_wave_width(), 3);
@@ -350,7 +351,10 @@ mod tests {
         // overlay, so any two operations conflict.
         let mut sys = system(200, 6);
         let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(2).collect();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
+        let report = sys.step_batch(
+            &BatchInput::from_flags(&[], &leavers),
+            &ExecConfig::Canonical,
+        );
         assert_eq!(report.left.len(), 2);
         assert_eq!(report.wave_count(), 2, "overlapping ops must serialize");
         assert_eq!(
@@ -360,58 +364,13 @@ mod tests {
         sys.check_consistency().unwrap();
     }
 
-    /// Same seed, same batch: the batched execution agrees with plain
-    /// one-at-a-time `leave` / `join` calls on population and admitted
-    /// ids, and with the serial engine on every node's home and the
-    /// whole ledger.
-    #[test]
-    fn batched_execution_matches_serial_exactly() {
-        let mut batched = system(160, 8);
-        let mut serial = system(160, 8);
-        let mut calls = system(160, 8);
-        let leavers: Vec<NodeId> = batched.node_ids().into_iter().take(4).collect();
-        let joins = [true, false, true];
-        let input = BatchInput::from_flags(&joins, &leavers);
-
-        let report = batched.step_batch(&input, &ExecConfig::Pooled);
-        assert_eq!(report.max_wave_width(), 1, "dense overlay: singleton waves");
-        let serial_report = serial.step_batch(&input, &ExecConfig::serial());
-        let mut joined = Vec::new();
-        for &n in &leavers {
-            calls.leave(n).unwrap();
-        }
-        for &honest in &joins {
-            joined.push(calls.join(honest));
-        }
-
-        assert_eq!(batched.population(), calls.population());
-        assert_eq!(batched.byz_population(), calls.byz_population());
-        assert_eq!(report.joined, joined, "identical admitted ids");
-        assert_eq!(batched.node_ids(), calls.node_ids());
-        // Batch took 1 step; the calls took 7.
-        assert_eq!(batched.time_step() + 6, calls.time_step());
-
-        assert_eq!(report.waves, serial_report.waves);
-        assert_eq!(report.cost, serial_report.cost);
-        let homes = |sys: &NowSystem| {
-            sys.node_ids()
-                .into_iter()
-                .map(|n| sys.node_cluster(n).unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(homes(&batched), homes(&serial));
-        for &kind in CostKind::ALL.iter() {
-            assert_eq!(batched.ledger().stats(kind), serial.ledger().stats(kind));
-        }
-    }
-
     #[test]
     fn wave_stats_cover_the_whole_batch() {
         let mut sys = system(200, 5);
         let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(2).collect();
         let report = sys.step_batch(
             &BatchInput::from_flags(&[true, true, true], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.waves.iter().map(|w| w.ops).sum::<usize>(), 5);
         assert_eq!(
@@ -432,7 +391,7 @@ mod tests {
         // "At each time step … or nothing occurs."
         let mut sys = system(100, 6);
         let t0 = sys.time_step();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::serial());
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::Canonical);
         assert_eq!(sys.time_step(), t0 + 1);
         assert_eq!(report.cost, Cost::ZERO);
         assert_eq!(report.rounds_parallel, 0);
@@ -477,7 +436,7 @@ mod tests {
     #[test]
     fn max_wave_width_distinguishes_empty_from_serialized() {
         let mut empty = system(100, 20);
-        let report = empty.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::serial());
+        let report = empty.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::Canonical);
         assert_eq!(report.max_wave_width(), 0, "empty schedule");
         assert_eq!(report.wave_slack_rounds(), 0);
 
@@ -486,7 +445,7 @@ mod tests {
         let leavers: Vec<NodeId> = dense.node_ids().into_iter().take(2).collect();
         let serialized = dense.step_batch(
             &BatchInput::from_flags(&[], &leavers),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(serialized.max_wave_width(), 1, "fully serialized");
         assert_eq!(
@@ -504,7 +463,10 @@ mod tests {
             .iter()
             .map(|&c| sys.cluster(c).unwrap().member_at(0))
             .collect();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
+        let report = sys.step_batch(
+            &BatchInput::from_flags(&[], &leavers),
+            &ExecConfig::Canonical,
+        );
         assert_eq!(report.wave_count(), 1);
         assert_eq!(
             report.wave_slack_rounds(),
@@ -517,7 +479,10 @@ mod tests {
     #[test]
     fn batch_lands_under_batch_cost_kind() {
         let mut sys = system(150, 7);
-        sys.step_batch(&BatchInput::from_flags(&[true], &[]), &ExecConfig::serial());
+        sys.step_batch(
+            &BatchInput::from_flags(&[true], &[]),
+            &ExecConfig::Canonical,
+        );
         let s = sys.ledger().stats(CostKind::Batch);
         assert_eq!(s.count, 1);
         assert!(s.total_messages > 0);
@@ -533,7 +498,7 @@ mod tests {
             let joins = [round % 3 != 0, true];
             sys.step_batch(
                 &BatchInput::from_flags(&joins, &leavers),
-                &ExecConfig::serial(),
+                &ExecConfig::Canonical,
             );
         }
         sys.check_consistency().unwrap();

@@ -1,4 +1,5 @@
-//! The names the retired worker pool left behind, with no behaviour.
+//! The names the retired worker pool and serial engine left behind,
+//! with no behaviour of their own.
 //!
 //! The step-anatomy benchmark (`bench/`) is frozen between benchmark
 //! changes and compiles against them, so they stay — hidden from the
@@ -9,8 +10,10 @@
 //! * [`WavePool::new`], which holds no threads;
 //! * the lifetime parameter of [`ExecConfig`], carried by its
 //!   uninhabited `Retired` variant;
-//! * [`ExecConfig::scheduled`], [`ExecConfig::pooled`] and
-//!   [`ExecConfig::event_in`], the engines they always named;
+//! * [`ExecConfig::serial`], [`ExecConfig::scheduled`] and
+//!   [`ExecConfig::pooled`], all [`ExecConfig::Canonical`] (whose
+//!   report carries the serial and the wave price alike), and
+//!   [`ExecConfig::event_in`];
 //! * [`wave_worker_spawn_total`] and [`wave_plan_nanos_total`], which
 //!   always return 0;
 //! * `now_campaign::Campaign::run`, whose thread count is ignored.
@@ -32,14 +35,19 @@ impl WavePool {
 
 #[doc(hidden)]
 impl<'p> ExecConfig<'p> {
-    /// [`ExecConfig::Pooled`].
-    pub fn scheduled() -> Self {
-        ExecConfig::Pooled
+    /// [`ExecConfig::Canonical`].
+    pub fn serial() -> Self {
+        ExecConfig::Canonical
     }
 
-    /// [`ExecConfig::Pooled`]; the pool is not used.
+    /// [`ExecConfig::Canonical`].
+    pub fn scheduled() -> Self {
+        ExecConfig::Canonical
+    }
+
+    /// [`ExecConfig::Canonical`]; the pool is not used.
     pub fn pooled(_pool: &'p WavePool) -> Self {
-        ExecConfig::Pooled
+        ExecConfig::Canonical
     }
 
     /// [`ExecConfig::Event`] on `net`; the pool is not used.

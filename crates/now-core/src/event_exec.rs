@@ -9,12 +9,12 @@
 //! decide *when* — and *whether* — the protocol reacts to it.
 //!
 //! The engine is not a second step function. [`NowSystem::step_batch`]
-//! runs one batch skeleton for every engine — admission, the master
+//! runs one batch skeleton for both engines — admission, the master
 //! draw, the waves, the report — and the event engine contributes one
 //! stage to it, [`NowSystem::deliver`]: it maps the admitted operations
 //! to the order the network delivers them in, and the skeleton runs
 //! that order, and prices it in waves, exactly as it runs and prices
-//! the canonical order of [`crate::ExecConfig::Pooled`].
+//! the canonical order of [`crate::ExecConfig::Canonical`].
 //!
 //! # Execution model
 //!
@@ -32,7 +32,7 @@
 //! split/merge check right after it — maintenance is *driven by the
 //! deliveries* rather than by a barrier — and the sequence is priced
 //! in conflict-free waves (contiguous runs of footprint-disjoint
-//! deliveries) as the other engines price theirs. Per-operation
+//! deliveries) as the canonical engine prices its own. Per-operation
 //! randomness is keyed by the operation's **canonical** index
 //! ([`OpSpec::canon`]), not its delivery position, so an operation
 //! draws the same stream wherever the network schedules it.

@@ -6,17 +6,18 @@
 //! * [`ExecConfig`] — *how* it runs: the order its operations run in
 //!   and the waves its rounds are priced by.
 //!
-//! Every engine is one batch skeleton, [`NowSystem::step_batch`]:
+//! Both engines are one batch skeleton, [`NowSystem::step_batch`]:
 //! admission, one master draw per batch, the waves, the report. Every
 //! operation runs the same op kernel live on the registry, on its own
 //! [`now_net::DetRng::for_op`] substream, with its split/merge check
 //! right after it ([`crate::wave_exec`]). The engines differ only in
 //! the order the admitted operations run in — canonical, or the
 //! delivery order of the event network ([`NowSystem::deliver`]) — and
-//! in how that order is cut into the waves that price the step. Every
-//! engine is bit-deterministic from `(seed, input, config)`, and
-//! [`ExecConfig::Serial`] and [`ExecConfig::Pooled`] end every batch on
-//! the same state.
+//! both cut that order into the conflict-free waves that price the
+//! step. Every engine is bit-deterministic from `(seed, input,
+//! config)`, and every report carries both prices: the paper's one op
+//! at a time (`cost.rounds`) and the §2 footnote's parallel waves
+//! ([`BatchReport::rounds_parallel`]).
 //!
 //! ```
 //! use now_core::{BatchInput, ExecConfig, NowParams, NowSystem};
@@ -24,13 +25,14 @@
 //! let params = NowParams::for_capacity(1 << 10).unwrap();
 //! let mut sys = NowSystem::init_fast(params, 300, 0.2, 7);
 //! let input = BatchInput::new().joins_uniform(4, true);
-//! let report = sys.step_batch(&input, &ExecConfig::Pooled);
+//! let report = sys.step_batch(&input, &ExecConfig::Canonical);
 //! assert_eq!(report.joined.len(), 4);
+//! assert!(report.rounds_parallel <= report.cost.rounds);
 //! ```
 
 use crate::batch::{BatchReport, JoinSpec, WaveStats};
 use crate::system::NowSystem;
-use crate::wave_exec::{partition_waves, singleton_waves};
+use crate::wave_exec::partition_waves;
 use now_net::{CostKind, EventNetConfig, NodeId};
 use now_trace::TraceData;
 use rand::RngCore;
@@ -107,20 +109,19 @@ impl BatchInput {
 ///
 /// Every variant draws its randomness the same way and runs every
 /// admitted operation live, one at a time, so a seed has one
-/// trajectory per run order: [`ExecConfig::Serial`] and
-/// [`ExecConfig::Pooled`] end every batch byte-identical and differ
-/// only in the waves they price it by; [`ExecConfig::Event`] runs the
-/// order its network delivers in, governed solely by its `(seed, net)`
-/// pair.
+/// trajectory per run order: [`ExecConfig::Canonical`] runs the
+/// canonical order; [`ExecConfig::Event`] runs the order its network
+/// delivers in, governed solely by its `(seed, net)` pair. Both price
+/// the step twice in one [`BatchReport`]: one op at a time, and in
+/// conflict-free waves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecConfig<'p> {
-    /// Canonical order, every op priced as a wave of its own: the
-    /// paper's one join or leave at a time, folded into one time step.
-    Serial,
-    /// Canonical order, priced in conflict-free waves over cluster
-    /// footprints: the §2 footnote's parallel joins and leaves, whose
-    /// step costs the sum over waves of each wave's slowest op.
-    Pooled,
+    /// Canonical order (departures before arrivals, each in input
+    /// order), priced in conflict-free waves over cluster footprints:
+    /// the report's `cost.rounds` is the paper's one join or leave at a
+    /// time, and its `rounds_parallel` the §2 footnote's parallel joins
+    /// and leaves, the sum over waves of each wave's slowest op.
+    Canonical,
     /// The event-driven engine: each admitted operation becomes a
     /// message on a seeded discrete-event network
     /// ([`now_net::EventNet`]) with per-link latency/jitter/loss/
@@ -140,11 +141,6 @@ pub enum ExecConfig<'p> {
 }
 
 impl ExecConfig<'_> {
-    /// [`ExecConfig::Serial`].
-    pub fn serial() -> Self {
-        ExecConfig::Serial
-    }
-
     /// [`ExecConfig::Event`] on the network model `net`.
     pub fn event(net: EventNetConfig) -> Self {
         ExecConfig::Event { net }
@@ -175,16 +171,11 @@ impl NowSystem {
             ExecConfig::Event { net } => self.deliver(&mut batch, net, master),
             _ => (0, Vec::new()),
         };
-        let waves = match *exec {
-            ExecConfig::Serial => singleton_waves(&batch.specs),
-            _ => partition_waves(&batch.specs),
-        };
-
         let mut contact_redraws = 0u64;
-        let waves: Vec<WaveStats> = waves
+        let waves: Vec<WaveStats> = partition_waves(&batch.specs)
             .into_iter()
-            // INVARIANT: both partitions return ranges within the slice
-            // they were given.
+            // INVARIANT: the partition returns ranges within the slice
+            // it was given.
             .map(|wave| self.execute_wave(&batch.specs[wave], master, &mut contact_redraws))
             .collect();
         if contact_redraws > 0 {
@@ -279,24 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_pooled_agree() {
-        let input = BatchInput::new().joins_uniform(12, true);
-        let mut reference = system(260, 33);
-        let want = reference.step_batch(&input, &ExecConfig::serial());
-        let mut sys = system(260, 33);
-        let got = sys.step_batch(&input, &ExecConfig::Pooled);
-        assert_eq!(got.joined, want.joined);
-        assert_eq!(got.cost, want.cost);
-        assert_eq!(sys.node_ids(), reference.node_ids());
-        assert_eq!(sys.ledger().total(), reference.ledger().total());
-    }
-
-    #[test]
-    fn serial_engine_reports_no_events() {
+    fn canonical_engine_reports_no_events() {
         let mut sys = system(240, 5);
         let report = sys.step_batch(
             &BatchInput::new().joins_uniform(3, true),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.dropped, 0);
         assert!(report.events.is_empty());
@@ -307,15 +285,14 @@ mod tests {
     fn empty_step_still_advances_time() {
         let mut sys = system(240, 6);
         let t0 = sys.time_step();
-        let report = sys.step_batch(&BatchInput::new(), &ExecConfig::Pooled);
+        let report = sys.step_batch(&BatchInput::new(), &ExecConfig::Canonical);
         assert_eq!(report.joined.len() + report.left.len(), 0);
         assert_eq!(sys.time_step(), t0 + 1);
     }
 
     #[test]
     fn exec_config_debug_is_compact() {
-        assert_eq!(format!("{:?}", ExecConfig::serial()), "Serial");
-        assert_eq!(format!("{:?}", ExecConfig::Pooled), "Pooled");
+        assert_eq!(format!("{:?}", ExecConfig::Canonical), "Canonical");
         assert!(
             format!("{:?}", ExecConfig::event(now_net::EventNetConfig::ideal())).contains("Event")
         );

@@ -21,7 +21,7 @@ pub(crate) const WAVE_WIDTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 pub(crate) const WAVE_ROUNDS_BOUNDS: &[u64] = &[2, 4, 8, 16, 32, 64, 128];
 
 /// The optional sinks carried by a [`crate::NowSystem`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TraceHub {
     pub(crate) recorder: Option<FlightRecorder>,
     pub(crate) metrics: Option<MetricsRegistry>,

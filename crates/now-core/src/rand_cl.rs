@@ -153,7 +153,7 @@ pub struct WalkTrace {
 /// a split's `create_cluster` and its rebuild, the new cluster's slot
 /// has no row; nothing reads one, because the cluster is not yet an
 /// overlay vertex.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct WalkTable {
     /// Row `s` is `slots[offsets[s]..offsets[s + 1]]`; a free slab
     /// slot has an empty row.

@@ -149,6 +149,26 @@ impl NowSystem {
         self.malice = malice;
     }
 
+    /// An independent copy of the system, on `malice`: the same
+    /// registry, overlay, ledger, random stream, time step and armed
+    /// sinks, so the copy continues exactly where `self` stands. The
+    /// adversary hook is the one part that is not copied, since a
+    /// [`Malice`] may hold state of its own.
+    pub fn fork(&self, malice: Box<dyn Malice>) -> NowSystem {
+        NowSystem {
+            params: self.params,
+            ids: self.ids.clone(),
+            registry: self.registry.clone(),
+            overlay: self.overlay.clone(),
+            walks: self.walks.clone(),
+            ledger: self.ledger.clone(),
+            rng: self.rng.clone(),
+            malice,
+            time_step: self.time_step,
+            hub: self.hub.clone(),
+        }
+    }
+
     /// Static parameters.
     pub fn params(&self) -> NowParams {
         self.params

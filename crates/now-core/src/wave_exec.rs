@@ -12,11 +12,9 @@
 //! after the op's span has closed: a split or merge books a span of its
 //! own, a sibling of the ops' spans under the batch. The next operation
 //! sees everything the ones before it did. So every engine runs one
-//! trajectory for a run order: [`crate::ExecConfig::Serial`] and
-//! [`crate::ExecConfig::Pooled`] run the canonical order (departures
-//! before arrivals, each in input order) and end byte-identical on
-//! every batch; [`crate::ExecConfig::Event`] runs the network's
-//! delivery order.
+//! trajectory for a run order: [`crate::ExecConfig::Canonical`] runs the
+//! canonical order (departures before arrivals, each in input order);
+//! [`crate::ExecConfig::Event`] runs the network's delivery order.
 //!
 //! # Pricing
 //!
@@ -30,8 +28,8 @@
 //! waves are a price, not a schedule: ops of one wave run one after
 //! another like any others, so a wave of width w is the serial
 //! trajectory of its w ops, priced as if they had run side by side.
-//! `Serial` prices every op as a wave of its own ([`singleton_waves`]):
-//! the paper's one join or leave at a time.
+//! The paper's one join or leave at a time is the same report's serial
+//! sum, `cost.rounds`.
 //!
 //! The direct one-op API ([`NowSystem::join`] / [`NowSystem::leave`])
 //! draws from the system's shared stream instead and is not part of
@@ -152,7 +150,7 @@ impl Kernel<'_> {
 /// footprint intersects the union of the open wave's, so every wave's
 /// operations are pairwise footprint-disjoint. The event engine feeds
 /// this the batch in *network delivery order*;
-/// [`crate::ExecConfig::Pooled`] feeds it the canonical order.
+/// [`crate::ExecConfig::Canonical`] feeds it the canonical order.
 pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
     let mut waves = Vec::new();
     let mut start = 0usize;
@@ -169,12 +167,6 @@ pub(crate) fn partition_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
         waves.push(start..specs.len());
     }
     waves
-}
-
-/// The partition of [`crate::ExecConfig::Serial`]: every operation is
-/// a wave of its own, in canonical order.
-pub(crate) fn singleton_waves(specs: &[OpSpec]) -> Vec<Range<usize>> {
-    (0..specs.len()).map(|i| i..i + 1).collect()
 }
 
 /// The admitted half of a batch: up-front rejection decisions applied,
@@ -409,8 +401,7 @@ mod tests {
     }
 
     /// The observable end state of a run and what the batch admitted
-    /// and spent: everything but the wave schedule, which is the one
-    /// thing the engines price differently.
+    /// and spent.
     fn trajectory(sys: &mut NowSystem, report: &BatchReport) -> impl PartialEq + std::fmt::Debug {
         let homes: Vec<ClusterId> = (sys.node_ids().iter())
             .map(|&n| sys.node_cluster(n).unwrap())
@@ -462,50 +453,24 @@ mod tests {
         (sys, report)
     }
 
-    /// A wide wave is the serial trajectory priced in parallel rounds:
-    /// `Pooled` and `Serial` end on the same state, stream word, ledger
-    /// and report on multi-wave batches with waves of several ops, and
-    /// differ only in the wave schedule they price the batch by.
-    #[test]
-    fn pooled_runs_the_serial_trajectory() {
-        let joins = [true, false, true, true, false, true, true, false];
-        for seed in [9u64, 11, 21] {
-            let (mut serial, rs) = run_sparse(seed, &joins, 8, &ExecConfig::serial());
-            let (mut pooled, rp) = run_sparse(seed, &joins, 8, &ExecConfig::Pooled);
-            assert!(rp.max_wave_width() >= 2, "seed {seed}: {:?}", rp.waves);
-            assert_eq!(rs.max_wave_width(), 1);
-            assert!(rp.rounds_parallel < rs.rounds_parallel, "seed {seed}");
-            assert_eq!(
-                trajectory(&mut serial, &rs),
-                trajectory(&mut pooled, &rp),
-                "seed {seed}"
-            );
-            pooled.check_consistency().unwrap();
-        }
-    }
-
     /// Steered contacts that are already dead at batch admission
-    /// degrade to the uniform redraw — same rule, and same count
-    /// surfaced, on both canonical engines.
+    /// degrade to the uniform redraw, and the report counts it.
     #[test]
-    fn stale_contact_at_admission_redraws_in_both_engines() {
+    fn stale_contact_at_admission_redraws() {
         let ghost = ClusterId::from_raw(999_999);
         let joins = [JoinSpec::via(ghost, true), JoinSpec::uniform(true)];
-        for exec in [ExecConfig::serial(), ExecConfig::Pooled] {
-            let mut sys = system(150, 31);
-            assert!(sys.cluster(ghost).is_none());
-            let r = sys.step_batch(&BatchInput::from_specs(&joins, &[]), &exec);
-            assert_eq!(r.contact_redraws, 1, "{exec:?} counts the redraw");
-            assert_eq!(r.joined.len(), 2);
-            sys.check_consistency().unwrap();
-        }
+        let mut sys = system(150, 31);
+        assert!(sys.cluster(ghost).is_none());
+        let r = sys.step_batch(&BatchInput::from_specs(&joins, &[]), &ExecConfig::Canonical);
+        assert_eq!(r.contact_redraws, 1, "the redraw is counted");
+        assert_eq!(r.joined.len(), 2);
+        sys.check_consistency().unwrap();
     }
 
     /// Regression for the run-time redraw: a batch in which an earlier
     /// op's merge dissolves a later join's steered contact must redraw
-    /// uniformly from the op's substream — the same on both canonical
-    /// engines — rather than panic or silently attach to a dead
-    /// cluster.
+    /// uniformly from the op's substream rather than panic or silently
+    /// attach to a dead cluster.
     #[test]
     fn merge_dissolving_steered_contact_mid_batch_redraws() {
         // Shuffle is disabled so the targeted members stay in their home
@@ -530,7 +495,10 @@ mod tests {
 
             // Probe: which cluster does the batch's merge dissolve?
             let mut probe = build(seed);
-            probe.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::Pooled);
+            probe.step_batch(
+                &BatchInput::from_flags(&[], &leaves),
+                &ExecConfig::Canonical,
+            );
             let dissolved: Vec<ClusterId> = ids_before
                 .iter()
                 .copied()
@@ -539,25 +507,18 @@ mod tests {
 
             for &victim in &dissolved {
                 let input = BatchInput::from_specs(&[JoinSpec::via(victim, true)], &leaves);
-                let mut pooled = build(seed);
-                let rp = pooled.step_batch(&input, &ExecConfig::Pooled);
-                if rp.contact_redraws == 0 {
+                let mut sys = build(seed);
+                let report = sys.step_batch(&input, &ExecConfig::Canonical);
+                if report.contact_redraws == 0 {
                     continue;
                 }
                 exercised = true;
-                assert_eq!(rp.joined.len(), 1, "redrawn join still admitted");
+                assert_eq!(report.joined.len(), 1, "redrawn join still admitted");
                 assert!(
-                    pooled.cluster(victim).is_none(),
+                    sys.cluster(victim).is_none(),
                     "contact was dissolved mid-batch"
                 );
-                pooled.check_consistency().unwrap();
-                let mut serial = build(seed);
-                let rs = serial.step_batch(&input, &ExecConfig::serial());
-                assert_eq!(
-                    trajectory(&mut serial, &rs),
-                    trajectory(&mut pooled, &rp),
-                    "run-time redraw diverged across engines (seed {seed})"
-                );
+                sys.check_consistency().unwrap();
             }
             if exercised {
                 break;
@@ -571,8 +532,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let (mut s1, r1) = run_sparse(5, &[true, true], 3, &ExecConfig::Pooled);
-        let (mut s2, r2) = run_sparse(6, &[true, true], 3, &ExecConfig::Pooled);
+        let (mut s1, r1) = run_sparse(5, &[true, true], 3, &ExecConfig::Canonical);
+        let (mut s2, r2) = run_sparse(6, &[true, true], 3, &ExecConfig::Canonical);
         assert_ne!(
             format!("{:?}", trajectory(&mut s1, &r1)),
             format!("{:?}", trajectory(&mut s2, &r2))
@@ -581,7 +542,7 @@ mod tests {
 
     #[test]
     fn wide_disjoint_batches_schedule_wide_waves() {
-        let (sys, report) = run_sparse(9, &[true; 8], 8, &ExecConfig::Pooled);
+        let (sys, report) = run_sparse(9, &[true; 8], 8, &ExecConfig::Canonical);
         assert_eq!(report.joined.len(), 8);
         assert_eq!(report.left.len(), 8);
         assert!(
@@ -607,7 +568,10 @@ mod tests {
         let nodes = sys.node_ids();
         // One fits above the floor, the duplicate and the rest reject.
         let leaves = [nodes[0], nodes[0], nodes[1]];
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::Pooled);
+        let report = sys.step_batch(
+            &BatchInput::from_flags(&[], &leaves),
+            &ExecConfig::Canonical,
+        );
         assert_eq!(report.left, vec![nodes[0]]);
         assert_eq!(report.rejected.len(), 2);
         assert!(matches!(
@@ -634,7 +598,7 @@ mod tests {
             let joins = [round % 3 != 0, true];
             let report = sys.step_batch(
                 &BatchInput::from_flags(&joins, &leavers),
-                &ExecConfig::Pooled,
+                &ExecConfig::Canonical,
             );
             assert_eq!(report.joined.len(), 2);
             sys.check_consistency().unwrap();
@@ -664,7 +628,10 @@ mod tests {
         let mut sys = system(220, 8);
         for _ in 0..30 {
             let leavers: Vec<NodeId> = sys.node_ids().into_iter().take(3).collect();
-            sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
+            sys.step_batch(
+                &BatchInput::from_flags(&[], &leavers),
+                &ExecConfig::Canonical,
+            );
             sys.check_consistency().unwrap();
         }
         let (_, _, _, merges) = sys.op_counts();
@@ -674,7 +641,7 @@ mod tests {
         for _ in 0..30 {
             grow.step_batch(
                 &BatchInput::from_flags(&[true, true, true, true], &[]),
-                &ExecConfig::Pooled,
+                &ExecConfig::Canonical,
             );
             grow.check_consistency().unwrap();
         }
@@ -687,7 +654,7 @@ mod tests {
         let mut sys = system(150, 10);
         let report = sys.step_batch(
             &BatchInput::from_flags(&[true, false], &[]),
-            &ExecConfig::Pooled,
+            &ExecConfig::Canonical,
         );
         assert_eq!(report.joined.len(), 2);
         let batch = sys.ledger().stats(CostKind::Batch);
@@ -703,7 +670,7 @@ mod tests {
         let mut sys = system(100, 11);
         let t0 = sys.time_step();
         let total = sys.ledger().total();
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::Pooled);
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &[]), &ExecConfig::Canonical);
         assert_eq!(sys.time_step(), t0 + 1);
         assert_eq!(report.cost, Cost::ZERO);
         assert_eq!(sys.ledger().total(), total);

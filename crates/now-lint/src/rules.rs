@@ -1,8 +1,8 @@
 //! The token rules: what this workspace's determinism-and-safety
 //! contract forbids, one token stream at a time.
 //!
-//! Everything the reproduction claims — pooled ≡ serial execution,
-//! byte-identical campaign reports, replayable `EventNet` runs — rests
+//! Everything the reproduction claims — a forked run ≡ the unforked
+//! one, byte-identical campaign reports, replayable `EventNet` runs — rests
 //! on one invariant: *no
 //! nondeterminism source ever enters a deterministic code path*. Each
 //! D rule below names one way that invariant has been (or could be)

@@ -16,7 +16,8 @@ pub enum Cell {
     /// A count, rendered exactly.
     Int(u64),
     /// Markdown renders about three significant decimals, CSV six
-    /// decimals.
+    /// decimals; a magnitude below 10⁻³ (but not zero) renders in
+    /// exponent form in both, so it never reads as zero.
     Float(f64),
 }
 
@@ -129,6 +130,7 @@ impl Table {
                     Cell::Text(s) => escape(s),
                     Cell::Bool(b) => b.to_string(),
                     Cell::Int(v) => v.to_string(),
+                    Cell::Float(v) if is_tiny(*v) => format!("{v:e}"),
                     Cell::Float(v) => format!("{v:.6}"),
                 })
                 .collect();
@@ -161,10 +163,17 @@ impl Table {
     }
 }
 
+/// Nonzero and below 10⁻³ in magnitude: fixed-point would print zero.
+fn is_tiny(v: f64) -> bool {
+    v != 0.0 && v.abs() < 1e-3
+}
+
 /// Formats a float with 3 significant-ish decimals for table cells.
 fn fmt_f(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
+    } else if is_tiny(v) {
+        format!("{v:.1e}")
     } else if v.abs() >= 100.0 {
         format!("{v:.0}")
     } else if v.abs() >= 1.0 {
@@ -253,5 +262,18 @@ mod tests {
         assert_eq!(fmt_f(1234.5), "1234"); // round-half-to-even
         assert_eq!(fmt_f(12.345), "12.35");
         assert_eq!(fmt_f(0.01234), "0.0123");
+    }
+
+    #[test]
+    fn tiny_floats_never_read_as_zero() {
+        assert_eq!(fmt_f(1.3e-6), "1.3e-6");
+        assert_eq!(fmt_f(4e-7), "4.0e-7");
+        assert_eq!(fmt_f(-4e-7), "-4.0e-7");
+        let mut t = Table::new(["tv"]);
+        t.row([1.3e-6.into()]);
+        t.row([4e-7.into()]);
+        t.row([0.0.into()]);
+        assert_eq!(t.to_csv(), "tv\n1.3e-6\n4e-7\n0.000000\n");
+        assert!(t.to_markdown().contains("| 1.3e-6 |"));
     }
 }

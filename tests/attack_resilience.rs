@@ -22,7 +22,7 @@ fn params() -> NowParams {
     NowParams::new(1 << 10, 3, 2.0, 0.15, 0.05).unwrap()
 }
 
-/// Drives `adv` for `steps` one-op steps on the serial engine,
+/// Drives `adv` for `steps` one-op steps on the canonical engine,
 /// returning the peak Byzantine fraction seen at the adversary's
 /// (possibly retargeted) aim cluster, read off the inner driver by
 /// `aim`.
@@ -39,7 +39,7 @@ fn drive<D: BatchDriver>(
         let (joins, leaves) = adv.decide_batch(sys, &mut rng);
         sys.step_batch(
             &BatchInput::from_specs(&joins, &leaves),
-            &ExecConfig::serial(),
+            &ExecConfig::Canonical,
         );
         if let Some(c) = aim(adv.inner()).and_then(|t| sys.cluster(t)) {
             peak = peak.max(c.byz_fraction());

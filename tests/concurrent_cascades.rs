@@ -40,7 +40,10 @@ fn two_concurrent_cascades_leave_third_party_sizes_alone() {
         .collect();
     let before = sizes(&sys);
 
-    let report = sys.step_batch(&BatchInput::from_flags(&[], &leavers), &ExecConfig::Pooled);
+    let report = sys.step_batch(
+        &BatchInput::from_flags(&[], &leavers),
+        &ExecConfig::Canonical,
+    );
     sys.check_consistency().unwrap();
 
     assert_eq!(report.left, leavers);

@@ -165,7 +165,7 @@ proptest! {
 
     /// Message conservation at the run-report level: every message an
     /// event run sends is either delivered or dropped (`sent =
-    /// delivered + dropped`), and wave engines report zero network
+    /// delivered + dropped`), and the canonical engine reports zero network
     /// traffic — the counters only ever count the event net.
     #[test]
     fn event_runs_conserve_sent_messages(
@@ -188,11 +188,9 @@ proptest! {
         let params = NowParams::for_capacity(1 << 10).expect("params");
         let mut sys = NowSystem::init_fast(params, 200, 0.12, seed);
         let mut driver = BatchRandomChurn::balanced(5, 0.12);
-        let waved = BatchRun::new()
-            .exec(ExecConfig::Pooled)
-            .run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
-        prop_assert_eq!(waved.sent, 0, "wave engines never touch the net");
-        prop_assert_eq!(waved.delivered, 0);
+        let canonical = BatchRun::new().run(&mut sys, &mut driver, 12, seed ^ 0xACC7);
+        prop_assert_eq!(canonical.sent, 0, "the canonical engine never touches the net");
+        prop_assert_eq!(canonical.delivered, 0);
     }
 
     /// Across a partition that heals mid-run, every send the scheduler

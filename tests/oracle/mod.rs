@@ -6,18 +6,21 @@
 //!
 //! Every leg must end consistent with no audited step out of the size
 //! band; a typed error is an outcome if every leg returns it. Then:
-//! * `serial` ≡ `pooled` on node ids, homes, every ledger kind's stats
-//!   and the next `rand_num`, on every input (the report, trace and
-//!   metrics JSON differ by the waves the step is priced in);
-//! * `serial` ≡ `event` on the same when every net is ideal;
+//! * `canonical` ≡ `fork` on node ids, homes, every ledger kind's stats,
+//!   the next `rand_num`, and the report, trace and metrics JSON, on
+//!   every input: `fork` runs the canonical engine to a step drawn from
+//!   the input, continues on [`NowSystem::fork`] of the system, and
+//!   must not be told apart;
+//! * `canonical` ≡ `event` on node ids, homes, ledger stats and the
+//!   next `rand_num` when every net is ideal;
 //! * on raw batches every leg, the replay included, admits the same ops.
 // Each test target that includes this module uses a part of it.
 #![allow(dead_code)]
 
 use now_bft::adversary::BatchDriver;
-use now_bft::campaign::{Campaign, PhaseExec};
+use now_bft::campaign::{Campaign, CampaignReport, PhaseExec};
 use now_bft::core::{BatchInput, EventNetConfig as Net, ExecConfig, JoinSpec, NowParams};
-use now_bft::core::{NowSystem, WaveStats};
+use now_bft::core::{NoMalice, NowError, NowSystem, WaveStats};
 use now_bft::net::{CostKind, DetRng, NodeId};
 use now_bft::sim::ViolationKind;
 use proptest::collection::vec;
@@ -58,7 +61,7 @@ pub fn batches(steps: Range<usize>, width: usize) -> impl Strategy<Value = Scrip
 
 /// The legs, by index: campaigns and scripts run the first three, raw
 /// batches the plain one-op replay too.
-const LEGS: [&str; 4] = ["serial", "pooled", "event", "replay"];
+const LEGS: [&str; 4] = ["canonical", "fork", "event", "replay"];
 
 /// What one leg observed: the outcome (typed error or none), admission
 /// (node ids, Byzantine population, joiners), the end state (homes,
@@ -75,7 +78,7 @@ const VIEWS: [&str; 4] = ["outcome", "admission", "end state", "JSON"];
 type Checked<T> = Result<T, TestCaseError>;
 
 /// Runs a campaign text on every leg and compares them; `Ok(true)` if
-/// it was singleton-shaped.
+/// it was singleton-shaped. The `fork` leg forks at a phase boundary.
 pub fn check_campaign(text: &str) -> Checked<bool> {
     let c = Campaign::parse(text).map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
     let runs: Checked<Vec<_>> = (0..3).map(|leg| campaign_leg(&c, leg)).collect();
@@ -87,7 +90,8 @@ pub fn check_campaign(text: &str) -> Checked<bool> {
 }
 
 /// Runs a scripted input on every leg (and raw batches on the replay)
-/// and compares them; `Ok(true)` if it was singleton-shaped.
+/// and compares them; `Ok(true)` if it was singleton-shaped. The `fork`
+/// leg forks before a step drawn from the shape's seed.
 pub fn check_script(shape: &Shape, body: &Body) -> Checked<bool> {
     let (context, batches) = match body {
         Body::Driver(_, steps) => (format!("{shape:?}, {steps} driver steps"), false),
@@ -101,18 +105,18 @@ pub fn check_script(shape: &Shape, body: &Body) -> Checked<bool> {
 fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
     let mut c = campaign.clone();
     for p in &mut c.phases {
-        let net = match p.exec {
-            PhaseExec::Event(net) => net,
-            _ => Net::ideal(),
-        };
-        p.exec = match LEGS[leg] {
-            "pooled" => PhaseExec::Pooled,
-            "event" => PhaseExec::Event(net),
-            _ => PhaseExec::Serial,
+        p.exec = match (LEGS[leg], p.exec) {
+            ("event", PhaseExec::Canonical) => PhaseExec::Event(Net::ideal()),
+            ("event", event) => event,
+            _ => PhaseExec::Canonical,
         };
     }
     let mut run = Run::default();
-    let (report, mut sys) = match c.execute() {
+    let done = match LEGS[leg] {
+        "fork" => execute_forked(&c, c.seed as usize % (c.phases.len() + 1)),
+        _ => c.execute(),
+    };
+    let (report, mut sys) = match done {
         Ok(done) => done,
         Err(e) => {
             run.views[0] = format!("{e:?}");
@@ -129,15 +133,48 @@ fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
     Ok(run)
 }
 
+/// [`Campaign::execute`] with a fork at phase boundary `at`: the
+/// phases before it run on the built system, the rest on its fork.
+fn execute_forked(c: &Campaign, at: usize) -> Result<(CampaignReport, NowSystem), NowError> {
+    c.check()?;
+    let mut sys = c.build_system()?;
+    // Phase `i` draws from `seed + (i + 1)·φ` (`Campaign::run_on`), so
+    // the tail, renumbered from 0, keeps its streams on `seed + at·φ`.
+    let part = |phases: &[_], skip: u64| Campaign {
+        phases: phases.to_vec(),
+        seed: c
+            .seed
+            .wrapping_add(skip.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        ..c.clone()
+    };
+    let (head, tail) = c.phases.split_at(at);
+    let mut phases = match head {
+        [] => vec![],
+        _ => part(head, 0).run_on(&mut sys)?.phases,
+    };
+    let mut fork = sys.fork(Box::new(NoMalice));
+    if !tail.is_empty() {
+        phases.extend(part(tail, at as u64).run_on(&mut fork)?.phases);
+    }
+    let report = CampaignReport {
+        campaign: c.name.clone(),
+        seed: c.seed,
+        security: fork.params().security(),
+        phases,
+        trace: fork.flight_recorder().map(|r| r.json()),
+        metrics: fork.metrics().map(|m| m.json()),
+    };
+    Ok((report, fork))
+}
+
 fn script_leg(&Shape(params, n0, tau, seed): &Shape, body: &Body, leg: usize) -> Checked<Run> {
     let mut sys = NowSystem::init_fast(params, n0, tau, seed);
     sys.enable_tracing(1 << 12);
     sys.enable_metrics();
     let (engine, mut json) = (LEGS[leg], String::new());
     let exec = match engine {
-        "pooled" => ExecConfig::Pooled,
         "event" => ExecConfig::event(Net::ideal()),
-        _ => ExecConfig::serial(),
+        _ => ExecConfig::Canonical,
     };
     let (nodes, clusters) = (sys.node_ids(), sys.cluster_ids());
     let steer = |c: u16| (c < 0x5555).then(|| clusters[c as usize % clusters.len()]);
@@ -149,7 +186,12 @@ fn script_leg(&Shape(params, n0, tau, seed): &Shape, body: &Body, leg: usize) ->
         Body::Batches(batches) => (None, batches.clone()),
     };
     let (mut rng, mut widest, mut joined) = (DetRng::new(seed), 0, vec![]);
-    for (joins, picks) in script {
+    let steps = script.len();
+    let fork_at = (engine == "fork").then(|| seed as usize % (steps + 1));
+    for (step, (joins, picks)) in script.into_iter().enumerate() {
+        if fork_at == Some(step) {
+            sys = sys.fork(Box::new(NoMalice));
+        }
         let mut specs: Vec<_> = joins.iter().map(spec).collect();
         let mut leaves: Vec<_> = picks.iter().map(leave).collect();
         if let Some(driver) = &mut driver {
@@ -185,6 +227,9 @@ fn script_leg(&Shape(params, n0, tau, seed): &Shape, body: &Body, leg: usize) ->
         }
         prop_assert!(sys.audit().size_bounds_ok, "leg {leg} off band");
     }
+    if fork_at == Some(steps) {
+        sys = sys.fork(Box::new(NoMalice));
+    }
     json += &(sys.flight_recorder().unwrap().to_json() + &sys.metrics().unwrap().to_json());
     let mut run = observe(&mut sys, &joined)?;
     (run.views[3], run.widest) = (json, widest);
@@ -207,14 +252,14 @@ fn observe(sys: &mut NowSystem, joined: &[NodeId]) -> Checked<Run> {
 
 /// Holds `runs`, one per leg of [`LEGS`] in order, to the agreement
 /// rules of the module docs; with `batches`, every leg admits the same
-/// ops. Returns whether the input was singleton-shaped (`pooled`'s
+/// ops. Returns whether the input was singleton-shaped (`canonical`'s
 /// widest wave is 1).
 fn agree(runs: &[Run], ideal: bool, batches: bool, context: &str) -> Checked<bool> {
-    // (leg, leg, last shared view): serial against every leg, then
-    // against pooled and event to the end state.
+    // (leg, leg, last shared view): canonical against every leg, then
+    // against fork to the JSON and event to the end state.
     let admitted = usize::from(batches);
     let mut pairs: Vec<_> = (0..runs.len()).map(|b| (0, b, admitted)).collect();
-    pairs.extend([(0, 1, 2), (0, 2, if ideal { 2 } else { 0 })]);
+    pairs.extend([(0, 1, 3), (0, 2, if ideal { 2 } else { 0 })]);
     for (a, b, depth) in pairs {
         let (x, y) = (&runs[a].views, &runs[b].views);
         if let Some(at) = (0..=depth).find(|&i| x[i] != y[i]) {
@@ -223,7 +268,7 @@ fn agree(runs: &[Run], ideal: bool, batches: bool, context: &str) -> Checked<boo
             return Err(TestCaseError::fail(why + context));
         }
     }
-    Ok(runs[1].widest <= 1)
+    Ok(runs[0].widest <= 1)
 }
 
 /// A grammar-directed campaign drawn from `seed`: every header knob,
@@ -252,7 +297,7 @@ pub fn campaign(seed: u64, styles: &str) -> String {
         text += &opt(format!("target {target}\n"), 0.5, g);
         text += &opt(format!("width {}\n", g.gen_range(1..=8)), 0.5, g);
         text += &opt(format!("tau {}\n", one(g, "0 0.1 0.2 0.3")), 0.3, g);
-        let exec = one(g, "serial pooled event");
+        let exec = one(g, "canonical event");
         text += &format!("exec {exec}\n");
         let (latency, jitter) = (g.gen_range(1..=3), g.gen_range(0..=3));
         let drop = one(g, "0 0.1 0.3");

@@ -11,7 +11,7 @@
 use now_bft::agreement::{run_ben_or, ByzPlan};
 use now_bft::apps::poll;
 use now_bft::core::init_tree::init_tree_discovered;
-use now_bft::core::{ExecConfig, NowParams, NowSystem, SecurityMode};
+use now_bft::core::{NowParams, NowSystem, SecurityMode};
 use now_bft::graph::gen;
 use now_bft::net::{CostKind, DetRng, Ledger};
 use now_bft::sim::{BatchRandomChurn, BatchRun, ViolationKind};
@@ -50,9 +50,7 @@ fn sparse_overlays_unlock_wave_parallelism() {
     let params = NowParams::for_capacity(16).unwrap();
     let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, 73);
     let mut driver = BatchRandomChurn::balanced(8, 0.1);
-    let report = BatchRun::new()
-        .exec(ExecConfig::Pooled)
-        .run(&mut sys, &mut driver, 10, 74);
+    let report = BatchRun::new().run(&mut sys, &mut driver, 10, 74);
     assert!(
         report.parallel_speedup() > 1.2,
         "sparse overlay should coalesce waves: ×{:.2}",

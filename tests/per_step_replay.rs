@@ -2,14 +2,13 @@
 //! one loop — `decide_batch` → `step_batch(≤ 1 op)` — must land on the
 //! pinned state, cost and operation counts.
 //!
-//! The pins were re-recorded when `ExecConfig::Serial` became the wave
-//! engine capped at width 1 (every op draws its own
-//! `DetRng::for_op(master, step, canon)` substream instead of the
-//! system's shared stream); that change is their one cause. Before it
-//! they were recorded at the parent of the change that deleted the
-//! per-step loop (`now_sim::run`). A batch of at most one op runs the
-//! same way on every engine, so `serial`, `pooled` and the event engine
-//! on the ideal network must all land on every pin.
+//! The pins were re-recorded when the one-op engine began drawing every
+//! op from its own `DetRng::for_op(master, step, canon)` substream
+//! instead of the system's shared stream; that change is their one
+//! cause. Before it they were recorded at the parent of the change that
+//! deleted the per-step loop (`now_sim::run`). A batch of at most one
+//! op runs the same way on both engines, so the canonical engine and
+//! the event engine on the ideal network must both land on every pin.
 
 use now_bft::adversary::{BatchDriver, BatchJoinLeave, ClusterPick, OnePerStep};
 use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem};
@@ -35,8 +34,7 @@ const PINS: [(&str, u64, u64, Pin); 9] = [
 #[test]
 fn per_step_strategies_replay_the_parent_commit() {
     for exec in [
-        ExecConfig::serial(),
-        ExecConfig::Pooled,
+        ExecConfig::Canonical,
         ExecConfig::event(EventNetConfig::ideal()),
     ] {
         for (name, steps, seed, pin) in PINS {

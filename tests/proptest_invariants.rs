@@ -119,10 +119,11 @@ proptest! {
 
     /// Multi-step raw batches — duplicate and departed leave ids,
     /// steered contacts that may have dissolved — on sparse overlays
-    /// too, where waves widen: `pooled` ends where `serial` does, and
-    /// every leg and the plain one-op replay admit the same operations.
+    /// too, where waves widen: a fork taken between any two steps ends
+    /// where the unforked run does, and every leg and the plain one-op
+    /// replay admit the same operations.
     #[test]
-    fn pooled_serial_agree_across_pool_reuse(
+    fn multi_step_batches_agree_across_legs(
         seed in any::<u64>(),
         sparse in any::<bool>(),
         batches in oracle::batches(2..5, 6),
@@ -135,7 +136,7 @@ proptest! {
     }
 
     /// One trajectory per seed: one-op drivers run singleton waves, and
-    /// `serial`, `pooled` and `event(ideal)` end equal. Every driver
+    /// `canonical`, its fork and `event(ideal)` end equal. Every driver
     /// style runs one op per step, its batches up to four wide spread
     /// over several steps.
     #[test]
@@ -182,7 +183,7 @@ proptest! {
         let sizes = |sys: &NowSystem| -> Vec<usize> { sys.clusters().map(|c| c.size()).collect() };
         let before = sizes(&sys);
 
-        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::Pooled);
+        let report = sys.step_batch(&BatchInput::from_flags(&[], &leaves), &ExecConfig::Canonical);
         prop_assert!(sys.check_consistency().is_ok(), "{:?}", sys.check_consistency());
         if let (.., 0, 0) = sys.op_counts() {
             prop_assert_eq!(&ids, &sys.cluster_ids(), "no maintenance, same cluster set");

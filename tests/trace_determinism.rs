@@ -1,18 +1,15 @@
 //! Byte-identity contracts of the observability artifacts (the
 //! `now-trace` flight recorder + metrics registry):
 //!
-//! 1. **Engine invariance** — `serial` and `pooled` run one trajectory
-//!    and differ only in the waves they price it by, so their traces
-//!    agree event for event once the `wave` records are set aside, and
-//!    their metrics agree on every protocol counter.
-//! 2. **Self-replay** — every engine, the event engine included (whose
-//!    traces additionally carry send/deliver/drop events), replays
-//!    itself byte-identically: the artifacts are a pure function of
-//!    `(seed, config)`.
-//! 3. **No run-environment leakage** — no wall-clock or thread-count
+//! 1. **Self-replay** — both engines, the event engine included (whose
+//!    traces additionally carry send/deliver/drop events), replay
+//!    themselves byte-identically: the artifacts are a pure function of
+//!    `(seed, config)`. That a fork of a run traces what the run does is
+//!    the engine-diff oracle's (`tests/oracle`).
+//! 2. **No run-environment leakage** — no wall-clock or thread-count
 //!    vocabulary ever appears in a deterministic artifact.
 
-use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem, TraceData};
+use now_bft::core::{EventNetConfig, ExecConfig, NowParams, NowSystem};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
 
@@ -41,44 +38,8 @@ fn traced_run(exec: ExecConfig<'_>, seed: u64) -> (String, String, String) {
     )
 }
 
-/// A run's trace without its `wave` records, as `(step, event)`
-/// pairs, and the protocol counters of its metrics.
-fn unpriced(exec: ExecConfig<'_>, seed: u64) -> (Vec<(u64, TraceData)>, Vec<u64>) {
-    let sys = traced_system(exec, seed);
-    let rec = sys.flight_recorder().expect("tracing armed");
-    assert_eq!(rec.evicted(), 0, "the ring holds the whole run");
-    let events = (rec.events())
-        .filter(|e| e.data.kind() != "wave")
-        .map(|e| (e.step, e.data))
-        .collect();
-    let metrics = sys.metrics().expect("metrics armed");
-    let counters = [
-        "now_steps_total",
-        "now_ops_joined_total",
-        "now_ops_left_total",
-        "now_ops_rejected_total",
-        "now_messages_total",
-        "now_rounds_serial_total",
-        "now_splits_total",
-        "now_merges_total",
-    ]
-    .map(|name| metrics.counter(name))
-    .to_vec();
-    (events, counters)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// `serial` and `pooled` record the same protocol events, in the
-    /// same order, and count the same protocol outcomes, for arbitrary
-    /// seeds.
-    #[test]
-    fn trace_identical_across_engines(seed in any::<u64>()) {
-        let (serial, pooled) = (unpriced(ExecConfig::Serial, seed), unpriced(ExecConfig::Pooled, seed));
-        prop_assert!(!serial.0.is_empty());
-        prop_assert_eq!(serial, pooled);
-    }
 
     /// The event engine's artifacts, network events included, replay
     /// byte-identically.
@@ -97,12 +58,12 @@ proptest! {
         );
     }
 
-    /// The serial engine replays itself byte-identically.
+    /// The canonical engine replays itself byte-identically.
     #[test]
-    fn serial_traces_self_replay(seed in any::<u64>()) {
+    fn canonical_traces_self_replay(seed in any::<u64>()) {
         prop_assert_eq!(
-            traced_run(ExecConfig::serial(), seed),
-            traced_run(ExecConfig::serial(), seed)
+            traced_run(ExecConfig::Canonical, seed),
+            traced_run(ExecConfig::Canonical, seed)
         );
     }
 }
@@ -115,9 +76,7 @@ fn ring_eviction_retains_the_newest_window() {
     let mut sys = NowSystem::init_fast(params, 200, 0.12, 7);
     sys.enable_tracing(16);
     let mut driver = BatchRandomChurn::balanced(6, 0.12);
-    BatchRun::new()
-        .exec(ExecConfig::Pooled)
-        .run(&mut sys, &mut driver, 12, 99);
+    BatchRun::new().run(&mut sys, &mut driver, 12, 99);
     let rec = sys.flight_recorder().unwrap();
     assert!(rec.evicted() > 0, "12 churn steps must overflow 16 slots");
     assert_eq!(rec.len(), rec.capacity());
@@ -134,7 +93,7 @@ fn ring_eviction_retains_the_newest_window() {
 /// thread vocabulary (mirrors CI's `trace-smoke` grep gate).
 #[test]
 fn artifacts_never_mention_run_environment() {
-    let (trace, metrics, prom) = traced_run(ExecConfig::Pooled, 0xFACE);
+    let (trace, metrics, prom) = traced_run(ExecConfig::Canonical, 0xFACE);
     for artifact in [&trace, &metrics, &prom] {
         for banned in ["wall", "nanos", "thread", "Instant"] {
             assert!(

@@ -16,6 +16,7 @@ use now_adversary::{
 };
 use now_core::{ExecConfig, NowError, NowParams, NowSystem};
 use now_sim::{BatchRandomChurn, BatchRun, BatchRunReport, BatchSawtooth, ViolationKind};
+use std::ops::Range;
 
 /// A phase's compiled stop condition (evaluated before the first step
 /// and after every step, audited or not).
@@ -80,9 +81,33 @@ impl Campaign {
     /// # Errors
     /// As [`Campaign::execute`].
     pub fn run_on(&self, sys: &mut NowSystem) -> Result<CampaignReport, NowError> {
-        self.check()?;
         let mode = sys.params().security();
-        let mut phases = Vec::with_capacity(self.phases.len());
+        let phases = self.run_phases_on(sys, 0..self.phases.len())?;
+        Ok(CampaignReport {
+            campaign: self.name.clone(),
+            seed: self.seed,
+            security: mode,
+            phases,
+            trace: sys.flight_recorder().map(|r| r.json()),
+            metrics: sys.metrics().map(|m| m.json()),
+        })
+    }
+
+    /// Runs the phases whose indices fall in `range`, in order, on
+    /// `sys`, each on its own stream, and returns their reports. Phase
+    /// `i` draws from the same stream whichever range runs it, so a
+    /// campaign split into consecutive ranges (on one system, or on a
+    /// [`NowSystem::fork`] between them) replays [`Campaign::run_on`].
+    ///
+    /// # Errors
+    /// As [`Campaign::execute`].
+    pub fn run_phases_on(
+        &self,
+        sys: &mut NowSystem,
+        range: Range<usize>,
+    ) -> Result<Vec<PhaseReport>, NowError> {
+        self.check()?;
+        let mut phases = Vec::with_capacity(range.len());
         // Campaign-scoped observability: the `trace` / `metrics`
         // header directives arm the system's sinks before the first
         // phase. Sinks a caller already armed on a prebuilt system are
@@ -97,7 +122,13 @@ impl Campaign {
             sys.enable_metrics();
         }
 
-        for (i, phase) in self.phases.iter().enumerate() {
+        for (i, phase) in self
+            .phases
+            .iter()
+            .enumerate()
+            .take(range.end)
+            .skip(range.start)
+        {
             let width = phase.width.unwrap_or(self.width);
             let tau = phase.tau.unwrap_or(self.tau);
             let mut driver: Box<dyn BatchDriver> = match phase.style {
@@ -178,15 +209,7 @@ impl Campaign {
                 run,
             });
         }
-
-        Ok(CampaignReport {
-            campaign: self.name.clone(),
-            seed: self.seed,
-            security: mode,
-            phases,
-            trace: sys.flight_recorder().map(|r| r.json()),
-            metrics: sys.metrics().map(|m| m.json()),
-        })
+        Ok(phases)
     }
 }
 
@@ -332,6 +355,25 @@ mod tests {
         let direct = c.run_on(&mut sys).unwrap();
         let (viarun, _) = c.execute().unwrap();
         assert_eq!(direct.to_json(), viarun.to_json());
+    }
+
+    #[test]
+    fn phase_ranges_replay_the_whole_run() {
+        let c = base()
+            .initial_population_of(140)
+            .phase(Phase::new("a", PhaseStyle::Balanced, Trigger::Steps(4)))
+            .phase(Phase::new("b", PhaseStyle::Balanced, Trigger::Steps(4)).width(5))
+            .phase(Phase::new("c", PhaseStyle::Balanced, Trigger::Steps(3)));
+        let (whole, end) = c.execute().unwrap();
+        let mut sys = c.build_system().unwrap();
+        let mut phases = c.run_phases_on(&mut sys, 0..1).unwrap();
+        phases.extend(c.run_phases_on(&mut sys, 1..3).unwrap());
+        let split = CampaignReport {
+            phases,
+            ..whole.clone()
+        };
+        assert_eq!(split.to_json(), whole.to_json());
+        assert_eq!(sys.node_ids(), end.node_ids());
     }
 
     #[test]

@@ -138,23 +138,13 @@ fn campaign_leg(campaign: &Campaign, leg: usize) -> Checked<Run> {
 fn execute_forked(c: &Campaign, at: usize) -> Result<(CampaignReport, NowSystem), NowError> {
     c.check()?;
     let mut sys = c.build_system()?;
-    // Phase `i` draws from `seed + (i + 1)·φ` (`Campaign::run_on`), so
-    // the tail, renumbered from 0, keeps its streams on `seed + at·φ`.
-    let part = |phases: &[_], skip: u64| Campaign {
-        phases: phases.to_vec(),
-        seed: c
-            .seed
-            .wrapping_add(skip.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        ..c.clone()
-    };
-    let (head, tail) = c.phases.split_at(at);
-    let mut phases = match head {
-        [] => vec![],
-        _ => part(head, 0).run_on(&mut sys)?.phases,
+    let mut phases = match at {
+        0 => vec![],
+        _ => c.run_phases_on(&mut sys, 0..at)?,
     };
     let mut fork = sys.fork(Box::new(NoMalice));
-    if !tail.is_empty() {
-        phases.extend(part(tail, at as u64).run_on(&mut fork)?.phases);
+    if at < c.phases.len() {
+        phases.extend(c.run_phases_on(&mut fork, at..c.phases.len())?);
     }
     let report = CampaignReport {
         campaign: c.name.clone(),

@@ -26,10 +26,15 @@ use rand::Rng;
 /// target cluster and rejects them elsewhere).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RandNumPurpose {
-    /// Drawing the CTRW's exponential holding time at a cluster.
-    WalkHoldingTime,
-    /// Choosing the CTRW's next neighbor.
-    WalkNeighborChoice,
+    /// One hop of a CTRW at a cluster of degree `d`: one draw `w` over
+    /// `0..2²⁴·d` decides both the hop's holding time and its next
+    /// neighbour. Its low 24 bits, `w % 2²⁴`, are the hold draw `u`,
+    /// read as the `Exp(d)` quantile `−ln((u + 1)/(2²⁴ + 1))/d`: `0`
+    /// is the longest hold and `2²⁴ − 1` the shortest. The rest, `w /
+    /// 2²⁴`, indexes the neighbours in ascending id order (clamped to
+    /// `d − 1`), and goes unused when the hold ends the CTRW. So
+    /// `idx · 2²⁴ + u` encodes the hold `u` and the neighbour `idx`.
+    WalkHop,
     /// The size-biased acceptance test at a walk endpoint (small draws
     /// accept, large draws reject and restart the walk).
     WalkAcceptance,
@@ -146,7 +151,7 @@ mod tests {
         let mut rng = DetRng::new(4);
         for purpose in [
             RandNumPurpose::WalkAcceptance,
-            RandNumPurpose::WalkHoldingTime,
+            RandNumPurpose::WalkHop,
             RandNumPurpose::SplitSeed,
         ] {
             let c = RandNumContext {

@@ -3,12 +3,13 @@
 //!
 //! Per the paper's §3.1 footnote, a *biased CTRW* from cluster `Cᵢ` is a
 //! sequence of CTRWs: at each hop the current cluster collaboratively
-//! draws (via `randNum`) the next neighbor and the exponential holding
-//! time; when the walk's duration expires at cluster `C`, it is accepted
-//! with probability `|C| / max_C'|C'|`, otherwise a fresh CTRW starts
-//! from there. The CTRW's uniform stationary law over vertices times the
-//! size-biased acceptance yields the target distribution `(|C|/n)` —
-//! i.e. a uniformly random *node*'s cluster.
+//! draws, by one `randNum` over `0..2²⁴·degree`, the exponential
+//! holding time (its low 24 bits) and the next neighbor (the bits
+//! above); when the walk's duration expires at cluster `C`, it is
+//! accepted with probability `|C| / max_C'|C'|`, otherwise a fresh CTRW
+//! starts from there. The CTRW's uniform stationary law over vertices
+//! times the size-biased acceptance yields the target distribution
+//! `(|C|/n)` — i.e. a uniformly random *node*'s cluster.
 //!
 //! Byzantine influence: each hop's collective choices are
 //! [`Kernel::draw`]s, so a cluster with ≥ 1/3 Byzantine members lets
@@ -18,8 +19,8 @@
 //!
 //! Hot path: every join and every exchanged member performs this walk,
 //! so it translates no cluster id while it hops. It resolves its
-//! start's registry slot once and then carries a slot: one hop is two
-//! `randNum` draws, a table hold, and two reads by slot — the
+//! start's registry slot once and then carries a slot: one hop is one
+//! `randNum` draw, a table hold, and two reads by slot — the
 //! [`WalkTable`] row of the slot it stands on (its neighbours' slots,
 //! contiguous, in the overlay's order) and the next cluster's size and
 //! Byzantine count, from the registry's cluster slab
@@ -37,17 +38,19 @@
 //!
 //! Holding times: a CTRW ends at the first hop whose hold reaches the
 //! time left, the holds subtracted one by one in `f64`. A hop's hold is
-//! [`LnTable`]'s `−ln((u + 1)/(RES + 1))` for its draw `u` times the
-//! degree's reciprocal. The table is the law: every hold is the
+//! [`LnTable`]'s `−ln((u + 1)/(RES + 1))` for its draw's hold half `u`
+//! times the degree's reciprocal. The table is the law: every hold is the
 //! `Exp(degree)` quantile of its draw to within 2⁻²³ ≈ 1.2·10⁻⁷ before
 //! the scaling, and, built from IEEE-754 basic operations alone
 //! ([`now_net::ieee`]), it is the same on every target, so no
 //! trajectory depends on the platform's libm.
 //!
-//! A hop's cost is its two draws' keystream (two buffered words of a
-//! sixteen-block ChaCha12 refill), the table hold, range scaling, the
-//! row and slab reads and the tally; README § Walk table has its
-//! measurements.
+//! A hop's cost is its draw's keystream (one buffered word of a
+//! sixteen-block ChaCha12 refill), range scaling, the split, the table
+//! hold, the row and slab reads and the tally; README § Walk table has
+//! its measurements and its message bill: one `randNum` per hop, so
+//! `2s(s − 1) + s·s′` messages over 3 rounds at a cluster of size `s`
+//! handing off to one of size `s′`.
 
 use crate::cluster::ClusterSecurity;
 use crate::kernel::{draw_value, Kernel};
@@ -58,8 +61,10 @@ use crate::system::NowSystem;
 use now_net::{ieee, ClusterId, Cost, CostKind, DetRng, Ledger};
 use now_over::Overlay;
 
-/// Resolution for fixed-point randomness drawn via randNum.
-const RES: u64 = 1 << 24;
+/// Resolution for fixed-point randomness drawn via randNum: a hold
+/// draw and an acceptance draw are `RES_BITS`-bit fractions.
+const RES_BITS: u32 = 24;
+const RES: u64 = 1 << RES_BITS;
 
 /// The [`LnTable`] has `2^LN_BITS` bins.
 const LN_BITS: u32 = 10;
@@ -115,12 +120,11 @@ impl LnTable {
         top - (exponent as f64 * std::f64::consts::LN_2 + low as f64 * slope)
     }
 
-    /// The hold of the draw `u` at a cluster whose degree has the
-    /// reciprocal `recip`: `Exp(degree)`. A draw of `RES` or more (only
-    /// a compromised cluster's) is read as `RES − 1`, the shortest hold.
+    /// The hold of the draw `u < RES` at a cluster whose degree has
+    /// the reciprocal `recip`: `Exp(degree)`.
     #[inline]
     fn hold(&self, u: u64, recip: f64) -> f64 {
-        self.neg_ln_unit(u.min(RES - 1)) * recip
+        self.neg_ln_unit(u) * recip
     }
 }
 
@@ -357,32 +361,24 @@ fn walk(
             if degree == 0 {
                 break; // isolated vertex absorbs the walk
             }
-            // Collaborative holding time: Exp(degree), derived from a
-            // randNum draw (compromised clusters control it).
-            let u = walk_draw(
+            // The hop's one collaborative randNum (compromised clusters
+            // control it): the holding time, Exp(degree), and the
+            // neighbour, split from one draw (`split_hop`).
+            let w = walk_draw(
                 rng,
                 malice,
                 books,
                 id_of(slot),
-                RES,
-                RandNumPurpose::WalkHoldingTime,
+                RES * degree as u64,
+                RandNumPurpose::WalkHop,
                 here,
             );
+            let (u, idx) = split_hop(w);
             let hold = LN_TABLE.hold(u, walks.recip(degree));
             if hold >= remaining {
                 break; // duration expires at this cluster
             }
             remaining -= hold;
-            // Collaborative neighbor choice.
-            let idx = walk_draw(
-                rng,
-                malice,
-                books,
-                id_of(slot),
-                degree as u64,
-                RandNumPurpose::WalkNeighborChoice,
-                here,
-            ) as usize;
             // INVARIANT: `degree = slots.len() > 0` (checked above);
             // `min` clamps the drawn index into bounds.
             let mut pick = idx.min(degree - 1);
@@ -419,6 +415,17 @@ fn walk(
     // Restart cap exhausted (never in the invariant regime; see
     // NowParams::max_walk_restarts) — accept the current endpoint.
     (id_of(slot)(), trace)
+}
+
+/// A hop's draw `w` over `0..RES·degree` as its hold draw `w % RES`
+/// and its neighbour index `w / RES`, by a mask and a shift. For `w`
+/// uniform the two are uniform over `0..RES` and `0..degree` and
+/// independent: the hop's law is that of a hold draw and a neighbour
+/// draw made apart. A compromised cluster's `w` out of range still
+/// gives a hold draw below `RES`; the walk clamps its index.
+#[inline]
+fn split_hop(w: u64) -> (u64, usize) {
+    (w & (RES - 1), (w >> RES_BITS) as usize)
 }
 
 /// The hop at a compromised cluster: the neighbour the adversary
@@ -781,9 +788,10 @@ mod tests {
 
     /// A walk's books settle once, inside its span: on a fresh ledger,
     /// each of 200 walks leaves one `RandCl` span that holds everything
-    /// booked, one round per hop on top of its draws' rounds, two draws
-    /// per hop plus a holding-time and an acceptance draw per component
-    /// CTRW, and a peak that is one cluster's `randNum` cost, not a sum —
+    /// booked, one round per hop on top of its draws' rounds, one draw
+    /// per hop plus the hop draw that ends each component CTRW and its
+    /// acceptance draw — so three rounds per hop and four per CTRW —
+    /// and a peak that is one cluster's `randNum` cost, not a sum —
     /// on a secure system, and on one whose start cluster the adversary
     /// holds past 1/3, where draws go through `Malice`. Cluster sizes
     /// differ, so a walk's leaves differ in cost.
@@ -840,7 +848,8 @@ mod tests {
                 assert_eq!(walk.total_rounds, l.total().rounds, "walk {i}");
                 assert_eq!(walk.total_rounds - draws.total_rounds, trace.hops);
                 let ctrws = trace.restarts + 1;
-                assert_eq!(draws.count, 2 * trace.hops + 2 * ctrws, "walk {i}");
+                assert_eq!(draws.count, trace.hops + 2 * ctrws, "walk {i}");
+                assert_eq!(walk.total_rounds, 3 * trace.hops + 4 * ctrws, "walk {i}");
                 assert!(draw_costs.contains(&draws.max_messages), "walk {i}");
             }
             assert!(restarts > 0, "restarts covered");
@@ -917,16 +926,20 @@ mod tests {
         }
     }
 
-    /// A compromised cluster's out-of-range hold draw gets the hold of
-    /// `RES − 1`, the shortest there is, and a positive one.
+    /// A hop's draw splits as `(w % RES, w / RES)` for every `w`, and
+    /// every hold draw it gives is one the table covers: a compromised
+    /// cluster's out-of-range words too, whose all-ones word gets the
+    /// shortest hold, a positive one.
     #[test]
-    fn out_of_range_hold_draws_get_the_shortest_hold() {
+    fn hop_words_split_into_a_hold_and_a_neighbour() {
+        for w in [0, 1, RES - 1, RES, 5 * RES + 7, 88 * RES - 1, u64::MAX] {
+            let (u, idx) = split_hop(w);
+            assert_eq!((u, idx as u64), (w % RES, w / RES), "word {w}");
+        }
+        let (u, _) = split_hop(u64::MAX);
         for recip in [1.0, 1.0 / 3.0, 1.0 / 17.0] {
-            let shortest = LN_TABLE.hold(RES - 1, recip);
+            let shortest = LN_TABLE.hold(u, recip);
             assert!(shortest > 0.0 && shortest < LN_TABLE.hold(RES - 2, recip));
-            for u in [RES, RES + 1, 2 * RES, u64::MAX] {
-                assert_eq!(LN_TABLE.hold(u, recip), shortest, "draw {u}");
-            }
         }
     }
 
@@ -957,7 +970,7 @@ mod tests {
         loop {
             let row = walks.row(slot);
             let degree = row.len();
-            let u = rng.gen_range(0..RES);
+            let (u, idx) = split_hop(rng.gen_range(0..RES * degree as u64));
             let recip = walks.recip(degree);
             let (table, libm) = (LN_TABLE.hold(u, recip), libm_hold(u, degree));
             slack += LN_ERR * recip + tol;
@@ -969,7 +982,7 @@ mod tests {
             }
             left -= table;
             exact -= libm;
-            slot = row[rng.gen_range(0..degree)];
+            slot = row[idx];
         }
     }
 

@@ -9,9 +9,10 @@
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
 //! 3. **Cross-commit replay** — wide batches on lossy and partitioned
-//!    nets land on pins recorded when every op of a wave began to run
-//!    live, one after another, with its split/merge check right after
-//!    it.
+//!    nets land on pins recorded when a walk hop began to draw its hold
+//!    and its neighbour from one `randNum` (before that, when every op
+//!    of a wave began to run live, one after another, with its
+//!    split/merge check right after it).
 
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
@@ -36,12 +37,12 @@ fn wide_nets() -> [EventNetConfig; 3] {
 /// `(index into wide_nets, seed, pin)`.
 #[rustfmt::skip]
 const WIDE_PINS: [(usize, u64, WidePin); 6] = [
-    (0, 1, (69, 60, 11, 140, 8381274856971033827, 84, 86409872, 1385092, 521)),
-    (0, 2, (64, 60, 16, 140, 9507290580926370688, 70, 74935724, 1241819, 516)),
-    (1, 1, (56, 60, 24, 140, 17531552356194042294, 72, 81116705, 1357119, 508)),
-    (1, 2, (59, 60, 21, 140, 11405706586539108723, 68, 69877714, 1185118, 511)),
-    (2, 1, (43, 60, 37, 140, 8198111422145168559, 61, 73711620, 1285362, 495)),
-    (2, 2, (39, 60, 41, 140, 3334424823939405537, 56, 64253717, 1105422, 491)),
+    (0, 1, (65, 60, 15, 140, 11964425272259808189, 73, 51596005, 824056, 517)),
+    (0, 2, (66, 60, 14, 140, 12526418413494053771, 71, 46511476, 740734, 518)),
+    (1, 1, (59, 60, 21, 140, 16195337685265294270, 70, 47727947, 796608, 511)),
+    (1, 2, (60, 60, 20, 140, 13373463556029466376, 65, 44677910, 730976, 512)),
+    (2, 1, (44, 60, 36, 140, 15304735245381786853, 64, 48377628, 793872, 496)),
+    (2, 2, (39, 60, 41, 140, 4962406792257941041, 58, 43573868, 718791, 491)),
 ];
 
 /// Ten steps of eight joins and six spread-out leaves each on `exec`,

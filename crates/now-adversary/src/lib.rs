@@ -29,8 +29,6 @@
 //! The corruption *budget* is enforced by [`CorruptionBudget`]: the
 //! adversary may corrupt an arrival only while its share is below `τ`.
 
-#![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 mod batch_drivers;

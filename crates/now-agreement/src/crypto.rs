@@ -17,14 +17,15 @@
 //! Hashes are 64-bit (`std::hash::DefaultHasher` with fixed keys), which
 //! is ample for simulation-scale collision resistance.
 //!
-//! **Determinism note (D001 regression):** the oracle's issued-set is a
-//! [`BTreeSet`], not a `HashSet`. An earlier version held a `HashSet`,
-//! which was the one hash-ordered collection left in non-test code: its
-//! membership queries were deterministic, so no seed re-pins were needed
-//! when converting, but any future *iteration* over the issued set would
-//! have observed `RandomState` order and broken the byte-identical
-//! report gates. `now-lint` rule D001 keeps it (and everything else)
-//! canonical from here on.
+//! **Determinism note (hash-collection regression):** the oracle's
+//! issued-set is a [`BTreeSet`], not a `HashSet`. An earlier version
+//! held a `HashSet`, which was the one hash-ordered collection left in
+//! non-test code: its membership queries were deterministic, so no seed
+//! re-pins were needed when converting, but any future *iteration* over
+//! the issued set would have observed `RandomState` order and broken the
+//! byte-identical report gates. `crates/clippy.toml` bans `HashSet` and
+//! `HashMap`, which keeps it (and everything else) canonical from here
+//! on.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;

@@ -16,8 +16,6 @@
 //! (every member of `C` to every member of `D`), and `D`'s members
 //! accept it only with more than half of `C` behind it.
 
-#![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

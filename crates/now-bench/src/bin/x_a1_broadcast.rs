@@ -2,6 +2,7 @@
 
 use now_apps::broadcast;
 use now_bench::{build_system, results_dir, slope};
+use now_net::ieee::ln;
 use now_sim::baselines::naive_broadcast_cost;
 use now_sim::Table;
 
@@ -25,8 +26,8 @@ fn main() {
         let origin = sys.cluster_ids()[0];
         let report = broadcast(&mut sys, origin);
         let naive = naive_broadcast_cost(n);
-        ns.push((n as f64).ln());
-        costs.push((report.messages as f64).ln());
+        ns.push(ln(n as f64));
+        costs.push(ln(report.messages as f64));
         table.row([
             n.into(),
             sys.cluster_count().into(),

@@ -2,6 +2,7 @@
 
 use now_apps::sample_node;
 use now_bench::{build_system, results_dir, slope};
+use now_net::ieee::ln;
 use now_sim::baselines::naive_sampling_cost;
 use now_sim::Table;
 use std::collections::BTreeMap;
@@ -40,8 +41,8 @@ fn main() {
         }
         tv /= 2.0;
         let mean = msgs as f64 / trials as f64;
-        ns.push((n as f64).ln());
-        costs.push(mean.ln());
+        ns.push(ln(n as f64));
+        costs.push(ln(mean));
         // An ideal uniform sampler measured with `trials` draws over n
         // atoms still shows TV ≈ sqrt(n/(2π·trials)) — the noise floor.
         let floor = (n as f64 / (2.0 * std::f64::consts::PI * trials as f64)).sqrt();

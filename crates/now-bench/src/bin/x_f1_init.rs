@@ -11,6 +11,7 @@ use now_core::init::{clusterize, discover};
 use now_core::NowParams;
 use now_graph::gen;
 use now_graph::traversal::diameter;
+use now_net::ieee::log2;
 use now_net::{CostKind, DetRng, Ledger};
 use now_sim::Table;
 use std::collections::BTreeSet;
@@ -31,7 +32,7 @@ fn main() {
     for (i, n) in [64usize, 128, 256, 512].into_iter().enumerate() {
         let mut rng = DetRng::new(100 + i as u64);
         // Bootstrap graph dense enough to stay connected with byz cuts.
-        let p = (4.0 * (n as f64).log2() / n as f64).min(0.5);
+        let p = (4.0 * log2(n as f64) / n as f64).min(0.5);
         let g = gen::erdos_renyi(n, p, &mut rng);
         let byz: BTreeSet<usize> = (0..n / 5).collect(); // 20% silent
         let mut ledger = Ledger::new();

@@ -19,6 +19,7 @@ use now_bench::{results_dir, slope};
 use now_core::init::discover;
 use now_core::init_tree::tree_discover;
 use now_graph::gen;
+use now_net::ieee::ln;
 use now_net::{DetRng, Ledger};
 use now_sim::Table;
 use std::collections::BTreeSet;
@@ -28,7 +29,7 @@ fn bootstrap(n: usize, seed: u64) -> now_graph::Graph {
     // Density ~8·ln(n)/n keeps the honest subgraph connected whp while
     // staying sparse enough that flooding's n·e term is visibly
     // super-linear.
-    let p = (8.0 * (n as f64).ln() / n as f64).min(0.5);
+    let p = (8.0 * ln(n as f64) / n as f64).min(0.5);
     gen::erdos_renyi(n, p, &mut rng)
 }
 
@@ -65,12 +66,9 @@ fn main() {
             ratio.into(),
         ]);
     }
-    let xs: Vec<f64> = ns.iter().map(|&n| n.ln()).collect();
-    let flood_exp = slope(
-        &xs,
-        &flood_costs.iter().map(|&c| c.ln()).collect::<Vec<_>>(),
-    );
-    let tree_exp = slope(&xs, &tree_costs.iter().map(|&c| c.ln()).collect::<Vec<_>>());
+    let xs: Vec<f64> = ns.iter().map(|&n| ln(n)).collect();
+    let flood_exp = slope(&xs, &flood_costs.iter().map(|&c| ln(c)).collect::<Vec<_>>());
+    let tree_exp = slope(&xs, &tree_costs.iter().map(|&c| ln(c)).collect::<Vec<_>>());
     println!("{}", table.to_markdown());
     println!("fitted exponents: flooding n^{flood_exp:.2}, trees n^{tree_exp:.2}");
     println!("expectation: flooding ≈ n^2 (n·e with e = Θ(n·log n) gives exponent ≥ 2);");

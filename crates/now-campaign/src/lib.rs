@@ -64,8 +64,6 @@
 //! # Ok::<(), now_core::NowError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 pub mod model;

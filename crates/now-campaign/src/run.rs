@@ -81,16 +81,22 @@ impl Campaign {
     /// # Errors
     /// As [`Campaign::execute`].
     pub fn run_on(&self, sys: &mut NowSystem) -> Result<CampaignReport, NowError> {
-        let mode = sys.params().security();
         let phases = self.run_phases_on(sys, 0..self.phases.len())?;
-        Ok(CampaignReport {
+        Ok(self.report(sys, phases))
+    }
+
+    /// The report of this campaign's `phases` as run on `sys`: its name,
+    /// seed and `sys`'s security mode, with `sys`'s trace and metrics
+    /// as they stand.
+    pub fn report(&self, sys: &NowSystem, phases: Vec<PhaseReport>) -> CampaignReport {
+        CampaignReport {
             campaign: self.name.clone(),
             seed: self.seed,
-            security: mode,
+            security: sys.params().security(),
             phases,
             trace: sys.flight_recorder().map(|r| r.json()),
             metrics: sys.metrics().map(|m| m.json()),
-        })
+        }
     }
 
     /// Runs the phases whose indices fall in `range`, in order, on

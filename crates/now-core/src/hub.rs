@@ -8,8 +8,8 @@
 //! op and its split/merge check, wave stats, the event net's
 //! inject/drain loops — runs in the step's one run order, so enabled
 //! sinks are a pure function of `(seed, input, engine)`.
-//! Wall-clock readings never reach either sink (lint rule D002 plus
-//! CI's `trace-smoke` grep gate).
+//! Wall-clock readings never reach either sink (`crates/clippy.toml`'s
+//! wall-clock ban plus CI's `trace-smoke` grep gate).
 
 use now_trace::{FlightRecorder, MetricsRegistry, TraceData};
 

@@ -52,7 +52,7 @@ mod tests {
         let mut rng = DetRng::new(7);
         let s = sample_distinct(10, 4, &mut rng);
         assert_eq!(s.len(), 4);
-        let set: std::collections::HashSet<_> = s.iter().collect();
+        let set: std::collections::BTreeSet<_> = s.iter().collect();
         assert_eq!(set.len(), 4);
         assert!(s.iter().all(|&x| x < 10));
         // k > n clamps.
@@ -65,7 +65,7 @@ mod tests {
         fn distinct_samples_are_distinct(n in 0usize..40, k in 0usize..50, seed in any::<u64>()) {
             let mut rng = DetRng::new(seed);
             let s = sample_distinct(n, k, &mut rng);
-            let set: std::collections::HashSet<_> = s.iter().collect();
+            let set: std::collections::BTreeSet<_> = s.iter().collect();
             prop_assert_eq!(set.len(), s.len());
             prop_assert_eq!(s.len(), k.min(n));
         }

@@ -1,6 +1,6 @@
-//! D001 positive: hash collections in production code. HashMap and
-//! HashSet iterate in per-process RandomState order — one traversal
-//! leaking into a report breaks byte-identical determinism gates.
+//! D001 positive: hash collections, which `crates/clippy.toml` bans as
+//! disallowed types. HashMap and HashSet iterate in per-process
+//! RandomState order, so one traversal in a report breaks byte-identity.
 
 use std::collections::HashMap;
 use std::collections::HashSet;

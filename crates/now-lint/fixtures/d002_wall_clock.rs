@@ -1,6 +1,6 @@
-//! D002 positive: wall-clock reads in deterministic code. Time must
-//! derive from the step counter; wall measurement belongs in x_* bins
-//! (`bench/` is one), or an allowlisted wall_nanos site.
+//! D002 positive: wall-clock reads, which `crates/clippy.toml` bans.
+//! Time derives from the step counter; advisory measurement goes
+//! through `now_trace::stopwatch`, the one sanctioned read.
 
 use std::time::Instant;
 

@@ -1,6 +1,6 @@
-//! D003 positive: thread spawning in non-test code. Every step runs on
-//! the driving thread, so no outcome can depend on a thread schedule,
-//! and no file is exempt.
+//! D003 positive: thread spawning, which `crates/clippy.toml` bans.
+//! Every step runs on the driving thread, so no outcome can depend on a
+//! thread schedule.
 
 pub fn rogue() -> i32 {
     let h = std::thread::spawn(|| 1 + 1);

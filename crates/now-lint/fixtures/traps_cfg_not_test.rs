@@ -2,10 +2,11 @@
 //! `test` under a `not(…)` must NOT exempt the item.
 
 #[cfg(not(test))]
-use std::collections::HashMap;
+pub fn prod_only(v: &[u32]) -> u32 {
+    v[0]
+}
 
 #[cfg(not(test))]
-pub fn prod_only() -> u32 {
-    let m: HashMap<u32, u32> = Default::default();
-    m.len() as u32
+pub fn also_prod(v: &[u32]) -> u32 {
+    *v.last().unwrap()
 }

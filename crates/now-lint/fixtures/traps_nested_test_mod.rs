@@ -1,24 +1,22 @@
-//! Scoping traps: production code before and after a nested test
-//! module stays bound by the rules; the test internals are exempt.
+//! Scoping traps: library code before and after a nested test module
+//! stays bound by P001; the test internals are exempt.
 
-use std::collections::HashMap;
+pub fn before_the_test_mod(v: &[u32]) -> u32 {
+    v[0]
+}
 
 pub mod inner {
     #[cfg(test)]
     mod tests {
-        use std::collections::HashMap;
-        use std::collections::HashSet;
-
         #[test]
         fn uses_both() {
-            let m: HashMap<u32, u32> = HashMap::new();
-            let s: HashSet<u32> = HashSet::new();
-            let _ = (m, s);
+            let v = vec![1u32];
+            let _ = v.first().unwrap();
+            let _ = v[0];
         }
     }
 
-    pub fn after_the_test_mod() -> usize {
-        let s = std::collections::HashSet::<u32>::new();
-        s.len()
+    pub fn after_the_test_mod(v: &[u32]) -> u32 {
+        *v.first().unwrap()
     }
 }

@@ -1,7 +1,7 @@
 //! The item tree API001 renders: each file's token stream parsed into
 //! mods / fns / impls / traits / … with their names and visibility.
 //!
-//! The token rules need no items; the per-crate public-surface lock
+//! P001 needs no items; the per-crate public-surface lock
 //! ([`crate::api_lock`]) does. The parse is lexical, with these
 //! approximations (also in the `API.lock` docs):
 //!

@@ -1,34 +1,32 @@
-//! # now-lint — workspace determinism-and-safety static analysis
+//! # now-lint — the workspace checks no compiler lint makes
 //!
 //! Everything this reproduction claims rests on one invariant: **no
-//! nondeterminism source ever enters a deterministic code path**.
-//! Runtime proptests and CI byte-diff gates catch a violation *after*
-//! it has produced divergent bytes; this crate catches it at lint time,
-//! before a stray `HashMap` iteration or `thread_rng()` call has to be
-//! bisected out of a million-node campaign.
+//! nondeterminism source ever enters a deterministic code path**. The
+//! compiler and clippy enforce it: `crates/clippy.toml` lists the
+//! banned methods and types (hash collections, wall clock, threads,
+//! OS entropy, libm) and the root `Cargo.toml`'s `[workspace.lints]`
+//! table denies them and forbids `unsafe` in every target. A test in
+//! this crate runs clippy on seeded probes to keep that configuration
+//! firing. What is left here are the two checks no compiler lint makes:
 //!
-//! The pipeline per file: [`tokenizer`] (comment/string/raw-string
-//! aware, no `syn` — the workspace vendors every dependency),
-//! [`scope`] (marks `#[cfg(test)]` / `#[test]` items so determinism
-//! rules bind only to production code), then [`rules`] (D001–D004,
-//! S001, P001). The tool takes no configuration: the one sanctioned
-//! exception (D002's wall-clock site) is a constant next to its rule,
-//! and the directories never linted are `SKIPPED_DIRS`. Tests on the
-//! real tree keep each of them from going stale.
+//! * P001 ([`rules`]): a panic-capable site in library code needs a
+//!   `// INVARIANT:` justification. Per file: [`tokenizer`] (comment,
+//!   string and raw-string aware, no `syn` — the workspace vendors
+//!   every dependency), [`scope`] (marks `#[cfg(test)]` / `#[test]`
+//!   items, which P001 skips), then [`rules`].
+//! * API001 ([`api_lock`]): each crate's `src/` files parse into an
+//!   [`items`] tree, whose public surface renders into a canonical
+//!   `API.lock`; drift against the committed copy is a finding.
 //!
-//! One rule looks past a single file: [`api_lock`] parses each crate's
-//! `src/` files into an [`items`] tree, renders the crate's public
-//! surface into a canonical `API.lock` and reports drift against the
-//! committed copy (API001).
+//! The tool takes no configuration: the directories never linted are
+//! `SKIPPED_DIRS`, and a test on the real tree keeps that list from
+//! going stale.
 //!
 //! Run it locally with:
 //!
 //! ```text
 //! cargo run -p now-lint --release -- --workspace
 //! ```
-
-#![forbid(unsafe_code)] // a linter that polices unsafe must not need any
-#![deny(deprecated)]
 
 pub mod api_lock;
 pub mod items;
@@ -53,21 +51,21 @@ use api_lock::UnitFile;
 pub(crate) const SKIPPED_DIRS: &[&str] = &["vendor", "crates/now-lint/fixtures"];
 
 /// Classifies a workspace-relative path (forward slashes) into the
-/// file class that decides which rules bind. See [`FileClass`].
+/// file class that decides whether P001 binds. See [`FileClass`].
 pub fn classify(rel_path: &str) -> FileClass {
-    if rel_path.starts_with("tests/") || rel_path.contains("/tests/") {
-        FileClass::TestOnly
-    } else if rel_path.contains("/src/bin/") {
-        FileClass::Bin
-    } else if rel_path.starts_with("examples/") || rel_path.contains("/examples/") {
-        FileClass::Example
+    let other = rel_path.starts_with("tests/")
+        || rel_path.starts_with("examples/")
+        || ["/tests/", "/examples/", "/src/bin/"]
+            .iter()
+            .any(|dir| rel_path.contains(dir));
+    if other {
+        FileClass::Other
     } else {
         FileClass::Prod
     }
 }
 
-/// Lints one file's source text under the given class with the token
-/// rules.
+/// Lints one file's source text under the given class with P001.
 pub fn lint_source(rel_path: &str, class: FileClass, src: &str) -> Vec<Finding> {
     let mut tokens = tokenizer::tokenize(src);
     scope::mark_test_scopes(&mut tokens);
@@ -145,8 +143,8 @@ fn read_workspace(root: &Path) -> Result<(Vec<Source>, CrateUnits), String> {
     Ok((sources, crates))
 }
 
-/// Lints every discovered `.rs` file under `root`. The token rules run
-/// per file; API001 compares each crate's rendered public surface
+/// Lints every discovered `.rs` file under `root`. P001 runs per
+/// file; API001 compares each crate's rendered public surface
 /// against the committed `crates/<name>/API.lock`. An orphan lock (its
 /// crate has no linted sources) is checked against the empty surface,
 /// so a lock claiming any item fails until it is deleted with its
@@ -199,7 +197,7 @@ pub fn write_api_locks(root: &Path) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::D002_SANCTIONED_FILE;
+    use std::process::Command;
 
     fn workspace_root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -209,23 +207,26 @@ mod tests {
             .to_path_buf()
     }
 
+    fn fixtures() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
+    }
+
     #[test]
     fn classification_covers_the_workspace_layout() {
         assert_eq!(classify("crates/now-core/src/batch.rs"), FileClass::Prod);
         assert_eq!(classify("src/lib.rs"), FileClass::Prod);
-        assert_eq!(classify("tests/event_runtime.rs"), FileClass::TestOnly);
-        assert_eq!(classify("crates/now-net/tests/t.rs"), FileClass::TestOnly);
-        // No bench class: a wall-clock read in a `benches/` file is a
-        // finding (timing lives in `bench/`, whose sources are bins).
+        assert_eq!(classify("tests/event_runtime.rs"), FileClass::Other);
+        assert_eq!(classify("crates/now-net/tests/t.rs"), FileClass::Other);
+        // No bench class: a `benches/` file is library code to P001.
         assert_eq!(
             classify("crates/now-bench/benches/bench_ops.rs"),
             FileClass::Prod
         );
         assert_eq!(
             classify("crates/now-bench/src/bin/x_batch_parallel.rs"),
-            FileClass::Bin
+            FileClass::Other
         );
-        assert_eq!(classify("examples/batch_churn.rs"), FileClass::Example);
+        assert_eq!(classify("examples/batch_churn.rs"), FileClass::Other);
     }
 
     #[test]
@@ -251,23 +252,12 @@ mod tests {
         );
     }
 
-    /// Every exemption still exempts something: the sanctioned file
-    /// exists and would fire its rule under any other path, and each
-    /// skipped directory holds `.rs` files with findings. An exemption
-    /// that no longer covers anything fails here and should be deleted.
+    /// Every skipped directory still skips something: it holds `.rs`
+    /// files with findings. One that no longer covers anything fails
+    /// here and should be deleted.
     #[test]
-    fn sanctions_cannot_go_stale() {
+    fn skipped_dirs_cannot_go_stale() {
         let root = workspace_root();
-        let file = D002_SANCTIONED_FILE;
-        let src = fs::read_to_string(root.join(file))
-            .unwrap_or_else(|e| panic!("sanctioned file {file}: {e}"));
-        let elsewhere = file.replace(".rs", "_elsewhere.rs");
-        assert!(
-            lint_source(&elsewhere, FileClass::Prod, &src)
-                .iter()
-                .any(|f| f.rule == "D002"),
-            "{file} no longer needs its D002 sanction"
-        );
         for dir in SKIPPED_DIRS {
             let files = discover_rs_files(&root.join(dir));
             assert!(
@@ -286,156 +276,168 @@ mod tests {
         }
     }
 
-    /// The libm ban has teeth: a scratch crate with now-core's,
-    /// now-over's and now-net's `clippy.toml` and lint attributes, whose
-    /// one module is the `libm_calls` fixture, fails `cargo clippy`
-    /// with `disallowed_methods` at each of the fixture's five libm
-    /// calls, and passes it under `--tests`, where the crate root
-    /// allows libm as a reference. Where the toolchain has no clippy,
-    /// the probe prints a note and checks nothing.
+    /// The determinism configuration has teeth. A scratch crate with
+    /// `crates/clippy.toml`, the root manifest's `[workspace.lints]`
+    /// tables and the crate-root allow that lets tests call libm:
+    /// * fails `cargo clippy --lib` with an error at exactly the sites
+    ///   the `d00*` and `libm_calls` fixtures plant, plus a seeded
+    ///   `RandomState`;
+    /// * passes `cargo clippy --tests` on the libm reference;
+    /// * fails to compile a seeded `unsafe` block.
+    ///
+    /// Where the toolchain has no clippy, the probe prints a note and
+    /// checks nothing.
     #[test]
-    fn libm_ban_fires_on_a_seeded_probe() {
+    fn determinism_config_fires_on_seeded_probes() {
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let clippy = std::process::Command::new(&cargo)
-            .args(["clippy", "--version"])
-            .output();
-        if !clippy.is_ok_and(|out| out.status.success()) {
-            eprintln!("no cargo clippy on this toolchain: the libm-ban probe is skipped");
+        let version = Command::new(&cargo).args(["clippy", "--version"]).output();
+        if !version.is_ok_and(|out| out.status.success()) {
+            eprintln!("no cargo clippy on this toolchain: the determinism-config probe is skipped");
             return;
         }
-        let (root, fixtures) = (
-            workspace_root(),
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures"),
-        );
-        let attributes = [
-            "#![deny(clippy::disallowed_methods)]",
-            "#![cfg_attr(test, allow(clippy::disallowed_methods))]",
-        ];
-        for host in ["now-core", "now-over", "now-net"] {
-            let lib = fs::read_to_string(root.join(format!("crates/{host}/src/lib.rs"))).unwrap();
-            for attribute in attributes {
-                assert!(
-                    lib.lines().any(|l| l == attribute),
-                    "{host} lacks {attribute}"
-                );
+        let root = workspace_root();
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let mut lints = String::new();
+        let mut in_lints = false;
+        for line in manifest.lines() {
+            if line.starts_with('[') {
+                in_lints = line.starts_with("[workspace.lints");
             }
-            let probe =
-                std::env::temp_dir().join(format!("now-libm-probe-{}-{host}", std::process::id()));
-            let _ = fs::remove_dir_all(&probe);
-            fs::create_dir_all(probe.join("src")).unwrap();
-            fs::write(
-                probe.join("Cargo.toml"),
-                "[package]\nname = \"probe\"\nversion = \"0.0.0\"\nedition = \"2021\"\n[workspace]\n",
-            )
-            .unwrap();
-            fs::copy(
-                root.join(format!("crates/{host}/clippy.toml")),
-                probe.join("clippy.toml"),
-            )
-            .unwrap();
-            fs::copy(
-                fixtures.join("libm_calls.rs"),
-                probe.join("src/libm_calls.rs"),
-            )
-            .unwrap();
-            fs::write(
-                probe.join("src/lib.rs"),
-                format!(
-                    "{}\nmod libm_calls;\npub use libm_calls::libm_calls;\n",
-                    attributes.join("\n")
-                ),
-            )
-            .unwrap();
-            let clippy = |tests: bool| {
-                let mut run = std::process::Command::new(&cargo);
-                run.args(["clippy", "--offline", "--quiet", "--message-format=short"])
-                    .args(if tests {
-                        &["--tests"][..]
-                    } else {
-                        &["--lib"][..]
-                    })
-                    .current_dir(&probe)
-                    .env("CARGO_TARGET_DIR", probe.join("target"));
-                run.output().unwrap()
-            };
-            let lib = clippy(false);
-            let stderr = String::from_utf8_lossy(&lib.stderr);
-            let fired: Vec<&str> = stderr
-                .lines()
-                .filter(|l| l.contains("disallowed method"))
-                .collect();
-            assert!(
-                !lib.status.success(),
-                "{host}: libm calls passed clippy:\n{stderr}"
-            );
-            for method in ["ln", "ln_1p", "log2", "exp", "powf"] {
-                let name = format!("`f64::{method}`");
-                let at = |l: &&&str| l.contains("src/libm_calls.rs:7:") && l.contains(&name);
-                assert_eq!(
-                    fired.iter().filter(at).count(),
-                    1,
-                    "{host}: {name} did not fire once:\n{stderr}"
-                );
+            if in_lints {
+                lints += line;
+                lints += "\n";
             }
-            assert_eq!(fired.len(), 5, "{host}:\n{stderr}");
-            let tests = clippy(true);
-            assert!(
-                tests.status.success(),
-                "{host}: test code may call libm:\n{}",
-                String::from_utf8_lossy(&tests.stderr)
-            );
-            let _ = fs::remove_dir_all(&probe);
         }
+        assert!(
+            lints.contains("unsafe_code"),
+            "Cargo.toml has no [workspace.lints]"
+        );
+        let probe =
+            std::env::temp_dir().join(format!("now-lint-config-probe-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&probe);
+        fs::create_dir_all(probe.join("src")).unwrap();
+        fs::write(
+            probe.join("Cargo.toml"),
+            format!(
+                "[package]\nname = \"probe\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n\
+                 [lints]\nworkspace = true\n\n[workspace]\n\n{lints}"
+            ),
+        )
+        .unwrap();
+        fs::copy(root.join("crates/clippy.toml"), probe.join("clippy.toml")).unwrap();
+        let planted = [
+            "d001_hash_collections",
+            "d002_wall_clock",
+            "d003_thread_spawn",
+            "libm_calls",
+        ];
+        for name in planted {
+            let file = format!("{name}.rs");
+            fs::copy(fixtures().join(&file), probe.join("src").join(&file)).unwrap();
+        }
+        // `(passed, stderr)` of `cargo clippy <target>` on `lib` as the
+        // crate root.
+        let clippy = |lib: &str, target: &str| {
+            fs::write(probe.join("src/lib.rs"), lib).unwrap();
+            let out = Command::new(&cargo)
+                .args(["clippy", "--offline", "--quiet", "--message-format=short"])
+                .arg(target)
+                .current_dir(&probe)
+                .env("CARGO_TARGET_DIR", probe.join("target"))
+                .output()
+                .unwrap();
+            (
+                out.status.success(),
+                String::from_utf8_lossy(&out.stderr).into_owned(),
+            )
+        };
+        let tests_may_call_libm = "#![cfg_attr(test, allow(clippy::disallowed_methods))]\n";
+
+        let mods: String = planted.iter().map(|m| format!("pub mod {m};\n")).collect();
+        let lib = format!(
+            "{tests_may_call_libm}{mods}pub fn entropy() {{\n    \
+             let _ = std::collections::hash_map::RandomState::new();\n}}\n"
+        );
+        let (passed, stderr) = clippy(&lib, "--lib");
+        assert!(!passed, "the planted sites passed clippy:\n{stderr}");
+        let mut fired: Vec<String> = stderr
+            .lines()
+            .filter(|l| l.contains("error: use of a disallowed"))
+            .map(|l| {
+                let site = l.splitn(3, ':').take(2).collect::<Vec<_>>().join(":");
+                let path = l.split('`').nth(1).unwrap_or_default();
+                format!("{site} {path}")
+            })
+            .collect();
+        fired.sort();
+        let mut want: Vec<String> = [
+            ("d001_hash_collections.rs:5", "std::collections::HashMap"),
+            ("d001_hash_collections.rs:6", "std::collections::HashSet"),
+            ("d001_hash_collections.rs:9", "std::collections::HashMap"),
+            ("d001_hash_collections.rs:13", "std::collections::HashSet"),
+            ("d002_wall_clock.rs:8", "std::time::Instant::now"),
+            ("d002_wall_clock.rs:9", "std::time::SystemTime"),
+            ("d003_thread_spawn.rs:6", "std::thread::spawn"),
+            ("d003_thread_spawn.rs:7", "std::thread::scope"),
+            ("d003_thread_spawn.rs:8", "std::thread::Scope::spawn"),
+            ("libm_calls.rs:7", "f64::ln"),
+            ("libm_calls.rs:7", "f64::ln_1p"),
+            ("libm_calls.rs:7", "f64::log2"),
+            ("libm_calls.rs:7", "f64::exp"),
+            ("libm_calls.rs:7", "f64::powf"),
+            ("lib.rs:7", "std::hash::RandomState"),
+        ]
+        .iter()
+        .map(|(site, path)| format!("src/{site} {path}"))
+        .collect();
+        want.sort();
+        assert_eq!(fired, want, "clippy:\n{stderr}");
+
+        let (passed, stderr) = clippy(
+            &format!("{tests_may_call_libm}pub mod libm_calls;\n"),
+            "--tests",
+        );
+        assert!(passed, "test code may call libm:\n{stderr}");
+
+        let (passed, stderr) = clippy(
+            "pub fn read(x: &u32) -> u32 {\n    unsafe { *(x as *const u32) }\n}\n",
+            "--lib",
+        );
+        assert!(
+            !passed
+                && stderr.lines().any(|l| {
+                    l.starts_with("src/lib.rs:2:") && l.contains("usage of an `unsafe` block")
+                }),
+            "a seeded unsafe block compiled:\n{stderr}"
+        );
+        let _ = fs::remove_dir_all(&probe);
     }
 
-    /// The gate has teeth: on a scratch tree, each fixture violation
-    /// planted into a crate's `src/` fires its own rule on the planted
-    /// file (every fixture also declares `pub` items, so API001 alone
-    /// would fail the run even if the rule under test went silent), the
-    /// D002 sanction covers `profile.rs` alone, an appended `pub fn`
-    /// drifts its crate's lock, and an orphan lock fails API001.
+    /// The gate has teeth: on a scratch tree, the P001 fixture planted
+    /// into a crate's `src/` fires P001 on the planted file (the fixture
+    /// also declares `pub` items, so API001 alone would fail the run
+    /// even if P001 went silent), an appended `pub fn` drifts its
+    /// crate's lock, and an orphan lock fails API001.
     #[test]
     fn seeded_probes_fire_their_own_rule() {
         let root = std::env::temp_dir().join(format!("now-lint-probes-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        for host in ["now-core", "now-trace"] {
-            fs::create_dir_all(root.join(format!("crates/{host}/src"))).unwrap();
-            fs::write(
-                root.join(format!("crates/{host}/src/lib.rs")),
-                "pub fn ok() {}\n",
-            )
-            .unwrap();
-        }
-        fs::write(
-            root.join(D002_SANCTIONED_FILE),
-            "pub fn stopwatch() -> std::time::Instant { std::time::Instant::now() }\n",
-        )
-        .unwrap();
+        let lib = root.join("crates/now-core/src/lib.rs");
+        fs::create_dir_all(lib.parent().unwrap()).unwrap();
+        fs::write(&lib, "pub fn ok() {}\n").unwrap();
         // Baseline the locks so only the planted violations remain.
         write_api_locks(&root).unwrap();
         assert!(run_workspace(&root).unwrap().is_empty());
 
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        for (host, fixture, rule) in [
-            ("now-core", "d001_hash_collections", "D001"),
-            ("now-core", "d002_wall_clock", "D002"),
-            ("now-core", "d003_thread_spawn", "D003"),
-            ("now-core", "d004_ambient_entropy", "D004"),
-            ("now-core", "s001_unsafe", "S001"),
-            ("now-core", "p001_panic_paths", "P001"),
-            ("now-trace", "d002_wall_clock", "D002"),
-        ] {
-            let probe = format!("crates/{host}/src/__lint_probe.rs");
-            fs::copy(fixtures.join(format!("{fixture}.rs")), root.join(&probe)).unwrap();
-            let findings = run_workspace(&root).unwrap();
-            assert!(
-                findings.iter().any(|f| f.path == probe && f.rule == rule),
-                "{fixture} planted in {host} did not fire {rule}: {findings:?}"
-            );
-            fs::remove_file(root.join(&probe)).unwrap();
-        }
+        let probe = "crates/now-core/src/__lint_probe.rs";
+        fs::copy(fixtures().join("p001_panic_paths.rs"), root.join(probe)).unwrap();
+        let findings = run_workspace(&root).unwrap();
+        assert!(
+            findings.iter().any(|f| f.path == probe && f.rule == "P001"),
+            "the planted P001 fixture did not fire P001: {findings:?}"
+        );
+        fs::remove_file(root.join(probe)).unwrap();
 
-        let lib = root.join("crates/now-core/src/lib.rs");
         fs::write(&lib, "pub fn ok() {}\npub fn __api_drift_probe() {}\n").unwrap();
         fs::create_dir_all(root.join("crates/ghost")).unwrap();
         fs::write(root.join("crates/ghost/API.lock"), "# stale\nfn gone\n").unwrap();

@@ -1,4 +1,5 @@
-//! The `now-lint` binary: the CI determinism-and-safety gate.
+//! The `now-lint` binary: the CI gate for P001 (panic-site
+//! justifications) and API001 (public-surface locks).
 //!
 //! ```text
 //! now-lint --workspace            # lint the whole tree
@@ -11,9 +12,6 @@
 //! Exit codes: `0` clean, `1` findings, `2` usage or IO error.
 //! Findings print as `file:line rule-id message`, one per line, sorted
 //! by path, line and rule.
-
-#![forbid(unsafe_code)] // SAFETY-comment police carry no unsafe themselves
-#![deny(deprecated)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

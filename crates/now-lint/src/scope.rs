@@ -1,9 +1,9 @@
 //! Marks tokens that live inside test-gated items.
 //!
-//! The determinism rules only bind *non-test* code: a `HashSet` inside
-//! `#[cfg(test)] mod tests { … }` can never leak iteration order into a
-//! campaign report. This pass walks the token stream once and flags
-//! every token covered by a test-gating attribute:
+//! P001 binds only *non-test* code: an `.unwrap()` inside
+//! `#[cfg(test)] mod tests { … }` can only fail a test, never a run.
+//! This pass walks the token stream once and flags every token covered
+//! by a test-gating attribute:
 //!
 //! * `#[test]` (the bare attribute),
 //! * `#[cfg(test)]` and any `cfg(…)` that *mentions* `test` without a

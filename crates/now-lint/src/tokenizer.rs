@@ -9,7 +9,7 @@
 //! that could hide a violation or fake one:
 //!
 //! * line (`//`) and nested block (`/* /* */ */`) comments — kept as
-//!   tokens because rule S001 inspects comment text for `SAFETY:`;
+//!   tokens because rule P001 inspects comment text for `INVARIANT:`;
 //! * string, byte-string, raw-string (`r#"…"#`, any `#` depth), char
 //!   and byte-char literals — all skipped as single opaque tokens;
 //! * the `'a` lifetime vs `'a'` char-literal ambiguity;
@@ -19,10 +19,10 @@
 //! punctuation tokens, which is all the rule engine consumes.
 
 /// What a token is. Identifiers carry their name and comments their
-/// full text (S001 greps it for `SAFETY:`); literals are opaque.
+/// full text (P001 greps it for `INVARIANT:`); literals are opaque.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`unsafe`, `HashMap`, `spawn`, …).
+    /// Identifier or keyword (`unwrap`, `panic`, `fn`, …).
     Ident,
     /// One character of punctuation.
     Punct(char),

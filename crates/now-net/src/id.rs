@@ -126,13 +126,13 @@ impl IdGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn node_ids_unique_and_monotone() {
         let mut gen = IdGen::new();
         let ids: Vec<NodeId> = (0..100).map(|_| gen.node()).collect();
-        let set: HashSet<_> = ids.iter().copied().collect();
+        let set: BTreeSet<_> = ids.iter().copied().collect();
         assert_eq!(set.len(), 100);
         for w in ids.windows(2) {
             assert!(w[0] < w[1]);

@@ -2,8 +2,8 @@
 //! no trajectory depends on the platform's libm, which two C libraries
 //! may round differently: the walk's `ln` table, `log₂ N`,
 //! `log^{1+α} N`, `N^{1/y}`, the CTRW duration and the init election
-//! costs come from here (the `clippy.toml` of now-core, now-over and
-//! now-net bans libm outside tests).
+//! costs come from here (`crates/clippy.toml` bans libm in every crate;
+//! some crates' unit tests may call it as a reference).
 //!
 //! Double-double arithmetic (Knuth's and Dekker's error-free sum and
 //! product, no fused multiply-add) through an `atanh` series for `ln`

@@ -571,8 +571,8 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable_and_unique() {
-        use std::collections::HashSet;
-        let names: HashSet<&str> = CostKind::ALL.iter().map(|k| k.name()).collect();
+        use std::collections::BTreeSet;
+        let names: BTreeSet<&str> = CostKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), CostKind::ALL.len());
     }
 }

@@ -49,10 +49,7 @@
 //! assert_eq!(cost.messages, 42);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
-#![deny(clippy::disallowed_methods)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod event;

@@ -23,9 +23,7 @@
 //!   clustering (the §3.3 attack victim) and the naive
 //!   single-cluster/full-mesh cost formulas of §6.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(deprecated)]
 
 pub mod baselines;
 pub mod batch_run;

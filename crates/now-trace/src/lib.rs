@@ -14,9 +14,10 @@
 //!   derived from protocol outcomes; no wall clock ever enters a
 //!   metric. Exports as canonical JSON and Prometheus-style text.
 //! * **Phase profiler** ([`stopwatch`]) — the single sanctioned
-//!   wall-clock measurement site (lint rule D002 exempts exactly
-//!   `src/profile.rs` of this crate). Wall-clock readings feed advisory
-//!   fields only; they are excluded from every byte-diffed artifact.
+//!   wall-clock measurement site (`crates/clippy.toml` bans the wall
+//!   clock, and only [`stopwatch`] expects it). Wall-clock readings
+//!   feed advisory fields only; they are excluded from every
+//!   byte-diffed artifact.
 //!
 //! Every deterministic JSON artifact of the workspace — these two
 //! sinks', campaign reports, experiment tables, lint findings — is
@@ -27,8 +28,6 @@
 //! the bottom of the workspace DAG (everything above — now-core,
 //! now-sim, now-campaign — can depend on it).
 
-#![deny(unsafe_code)]
-#![deny(deprecated)]
 #![warn(missing_docs)]
 
 mod event;

@@ -1,8 +1,8 @@
 //! The phase profiler: the workspace's **single sanctioned wall-clock
 //! measurement site**.
 //!
-//! Lint rule D002 bans `Instant::now` / `SystemTime` from every
-//! deterministic path and exempts exactly this file. All
+//! `crates/clippy.toml` bans `Instant::now` / `SystemTime` from every
+//! crate, and [`stopwatch`] alone carries an `expect` for it. All
 //! engine-internal timing — `BatchReport::wall_nanos` — is funneled
 //! through [`stopwatch`], so the wall clock has one auditable entry
 //! point instead of a scatter of raw `Instant::now` calls.
@@ -23,6 +23,10 @@ pub struct Stopwatch {
 
 /// Starts a wall-clock measurement — the only approved way to read the
 /// wall clock in this workspace.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned wall-clock read: advisory timing only, never fed back into deterministic state"
+)]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch {
         start: Instant::now(),

@@ -40,7 +40,6 @@
 //! See `examples/` for runnable scenarios and `crates/now-bench` for the
 //! experiment harness (indexed in the README).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use now_adversary as adversary;

@@ -146,15 +146,7 @@ fn execute_forked(c: &Campaign, at: usize) -> Result<(CampaignReport, NowSystem)
     if at < c.phases.len() {
         phases.extend(c.run_phases_on(&mut fork, at..c.phases.len())?);
     }
-    let report = CampaignReport {
-        campaign: c.name.clone(),
-        seed: c.seed,
-        security: fork.params().security(),
-        phases,
-        trace: fork.flight_recorder().map(|r| r.json()),
-        metrics: fork.metrics().map(|m| m.json()),
-    };
-    Ok((report, fork))
+    Ok((c.report(&fork, phases), fork))
 }
 
 fn script_leg(&Shape(params, n0, tau, seed): &Shape, body: &Body, leg: usize) -> Checked<Run> {

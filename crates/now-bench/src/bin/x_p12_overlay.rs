@@ -7,6 +7,11 @@
 //! degree and expansion along the way: exactly (subset enumeration) for
 //! small overlays, spectrally (Cheeger lower bound + Fiedler sweep upper
 //! bound) for large ones.
+//!
+//! The run is also the overlay-level gate on OVER's degree-preserving
+//! `Add` and `Remove`: it exits 1 if the mean degree leaves ±10 % of
+//! the target degree at any step, or an audit finds a vertex past the
+//! degree cap.
 
 use now_bench::results_dir;
 use now_net::{ClusterId, DetRng};
@@ -32,6 +37,7 @@ fn main() {
     let mut table = Table::new([
         "step",
         "m",
+        "mean_degree",
         "max_degree",
         "cap_ok",
         "connected",
@@ -42,6 +48,9 @@ fn main() {
         "exact",
     ]);
 
+    let target = params.target_degree() as f64;
+    let mut band_misses = Vec::new();
+    let mut cap_ok = true;
     let total_steps = 1200usize;
     for step in 0..=total_steps {
         if step > 0 {
@@ -55,11 +64,17 @@ fn main() {
                 overlay.remove(victim, &mut rng);
             }
         }
+        let mean = 2.0 * overlay.edge_count() as f64 / overlay.vertex_count() as f64;
+        if (mean - target).abs() > 0.1 * target {
+            band_misses.push((step, mean));
+        }
         if step % 100 == 0 {
             let audit = overlay.audit();
+            cap_ok &= audit.degree_bound_holds;
             table.row([
                 step.into(),
                 audit.vertex_count.into(),
+                audit.mean_degree.into(),
                 audit.max_degree.into(),
                 audit.degree_bound_holds.into(),
                 audit.connected.into(),
@@ -110,8 +125,21 @@ fn main() {
     table
         .write_csv(&results_dir().join("x_p12_overlay.csv"))
         .unwrap();
-    println!("\nexpectation: cap_ok true throughout (Property 2, enforced structurally +");
-    println!("audited), overlay stays connected with λ₂ bounded away from 0 (Property 1's");
-    println!("substance); absolute expansion tracks the degree scale log^{{1+α}}N.");
+    println!("\nexpectation: mean_degree within ±10 % of the target degree and cap_ok true");
+    println!("throughout (Add and Remove keep every other vertex's degree; Property 2,");
+    println!("enforced structurally + audited), overlay stays connected with λ₂ bounded");
+    println!("away from 0 (Property 1's substance); absolute expansion tracks the degree");
+    println!("scale log^{{1+α}}N.");
     println!("wrote results/x_p12_overlay.csv");
+    if let Some(&(step, mean)) = band_misses.first() {
+        eprintln!(
+            "x_p12_overlay: mean degree left ±10 % of {target} at {} steps, first at step {step} ({mean:.2})",
+            band_misses.len()
+        );
+        std::process::exit(1);
+    }
+    if !cap_ok {
+        eprintln!("x_p12_overlay: an audit found a vertex past the degree cap");
+        std::process::exit(1);
+    }
 }

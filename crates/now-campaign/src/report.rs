@@ -42,6 +42,33 @@ impl PhaseReport {
             ("min", pops.clone().fold(self.pop_start, u64::min).into()),
             ("max", pops.fold(self.pop_start, u64::max).into()),
         ]);
+        // The overlay degree over the phase's audits: the time-mean of
+        // the mean, and the extremes.
+        let audited = r.audits.len().max(1) as f64;
+        let overlay_degree = Json::object([
+            (
+                "mean",
+                (r.audits.iter().map(|a| a.overlay_mean_degree).sum::<f64>() / audited).into(),
+            ),
+            (
+                "min",
+                r.audits
+                    .iter()
+                    .map(|a| a.overlay_min_degree)
+                    .min()
+                    .unwrap_or(r.final_audit.overlay_min_degree)
+                    .into(),
+            ),
+            (
+                "max",
+                r.audits
+                    .iter()
+                    .map(|a| a.overlay_max_degree)
+                    .max()
+                    .unwrap_or(r.final_audit.overlay_max_degree)
+                    .into(),
+            ),
+        ]);
         let mut violations = vec![("binding", r.binding_violations().into())];
         for kind in ViolationKind::ALL {
             violations.push((kind.name(), r.count(kind).into()));
@@ -76,6 +103,7 @@ impl PhaseReport {
             ("rounds", self.rounds.into()),
             ("population", population),
             ("peak_byz_fraction", r.peak_byz_fraction().into()),
+            ("overlay_degree", overlay_degree),
             ("violations", Json::object(violations)),
             ("trajectory", Json::array(trajectory)),
         ])

@@ -10,8 +10,9 @@ use now_net::ClusterId;
 /// sequence, **every** cluster has more than two thirds honest members.
 /// The audit reports the worst cluster plus the two protocol-relevant
 /// threshold counts (1/3: `randNum` compromised; 1/2: messages
-/// forgeable), the cluster-size band of the split/merge rules, and the
-/// structural health of the partition.
+/// forgeable), the cluster-size band of the split/merge rules, the
+/// overlay's degree spread (the degree `randCl`'s walk duration is sized
+/// for), and the structural health of the partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemAudit {
     /// Time step at which the audit ran.
@@ -52,6 +53,12 @@ pub struct SystemAudit {
     /// (the merge/split band; a single remaining cluster is exempt from
     /// the lower bound, as merging is impossible).
     pub size_bounds_ok: bool,
+    /// Mean overlay degree, `2·|E| / #C` (0 for an empty system).
+    pub overlay_mean_degree: f64,
+    /// Smallest overlay degree (0 for an empty system).
+    pub overlay_min_degree: usize,
+    /// Largest overlay degree.
+    pub overlay_max_degree: usize,
 }
 
 impl SystemAudit {
@@ -72,6 +79,7 @@ impl SystemAudit {
         let mode = sys.params().security();
         let mut bounds_ok = true;
         let cluster_count = sys.cluster_count();
+        let (mut min_degree, mut max_degree, mut degrees) = (usize::MAX, 0usize, 0usize);
 
         for c in sys.clusters() {
             let size = c.size();
@@ -98,9 +106,14 @@ impl SystemAudit {
             if size > hi || (size < lo && cluster_count > 1) {
                 bounds_ok = false;
             }
+            let degree = sys.overlay().degree(c.id());
+            min_degree = min_degree.min(degree);
+            max_degree = max_degree.max(degree);
+            degrees += degree;
         }
         if cluster_count == 0 {
             min_size = 0;
+            min_degree = 0;
         }
         SystemAudit {
             time_step: sys.time_step(),
@@ -122,6 +135,13 @@ impl SystemAudit {
             clusters_forgeable: forgeable,
             security: mode,
             size_bounds_ok: bounds_ok,
+            overlay_mean_degree: if cluster_count == 0 {
+                0.0
+            } else {
+                degrees as f64 / cluster_count as f64
+            },
+            overlay_min_degree: min_degree,
+            overlay_max_degree: max_degree,
         }
     }
 
@@ -180,6 +200,16 @@ mod tests {
         assert!(a.worst_byz_fraction < 1.0 / 3.0);
         assert!(a.worst_cluster.is_some());
         assert!((a.mean_cluster_size - 20.0).abs() < 1e-9);
+        let overlay = sys.overlay();
+        let degrees: Vec<usize> = sys
+            .cluster_ids()
+            .iter()
+            .map(|&c| overlay.degree(c))
+            .collect();
+        assert_eq!(a.overlay_min_degree, *degrees.iter().min().unwrap());
+        assert_eq!(a.overlay_max_degree, *degrees.iter().max().unwrap());
+        let edges = overlay.edge_count() as f64;
+        assert!((a.overlay_mean_degree - 2.0 * edges / 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -44,7 +44,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod audit;
 mod batch;

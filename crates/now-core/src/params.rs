@@ -440,7 +440,7 @@ impl NowParams {
 /// (`now_graph::ctrw_law`) reaches TV `1/N²` from its worst start within
 /// `2 ln N / (ρ'(d − 2√(d−1)))` for some `ρ' ≥ 0.70`; 0.65 is below
 /// every such `ρ'`.
-const GAP_SHARE: f64 = 0.65;
+pub(crate) const GAP_SHARE: f64 = 0.65;
 
 /// The safety factor on the duration the guarantee needs, in
 /// [`NowParams::ctrw_duration`].
@@ -713,6 +713,10 @@ mod tests {
     /// population up to 4 096, and at `2^e` and `3·2^(e−2)` up to
     /// `e` = 30.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm is the reference the ieee-derived integers are checked against"
+    )]
     fn derived_integers_are_libms() {
         let mut populations: Vec<usize> = (1..=4_096).collect();
         for e in 12..=30 {

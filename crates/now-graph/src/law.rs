@@ -116,6 +116,10 @@ mod tests {
     /// the rest evenly elsewhere, and with every size at the normaliser
     /// the first endpoint is accepted.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm evaluates the closed form the law is checked against"
+    )]
     fn matches_the_closed_form_on_a_complete_graph() {
         let (n, t) = (6, 0.13);
         let law = ctrw_law(&gen::complete(n), &[4; 6], 4, t, 2);

@@ -36,7 +36,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod expansion;
 pub mod gen;

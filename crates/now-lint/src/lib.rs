@@ -277,12 +277,14 @@ mod tests {
     }
 
     /// The determinism configuration has teeth. A scratch crate with
-    /// `crates/clippy.toml`, the root manifest's `[workspace.lints]`
-    /// tables and the crate-root allow that lets tests call libm:
+    /// `crates/clippy.toml` and the root manifest's `[workspace.lints]`
+    /// tables:
     /// * fails `cargo clippy --lib` with an error at exactly the sites
     ///   the `d00*` and `libm_calls` fixtures plant, plus a seeded
     ///   `RandomState`;
-    /// * passes `cargo clippy --tests` on the libm reference;
+    /// * passes `cargo clippy --tests` on a test's libm reference under
+    ///   an item-level `#[expect]`, and fails it on a test-side
+    ///   `Instant::now` beside it;
     /// * fails to compile a seeded `unsafe` block.
     ///
     /// Where the toolchain has no clippy, the probe prints a note and
@@ -351,11 +353,9 @@ mod tests {
                 String::from_utf8_lossy(&out.stderr).into_owned(),
             )
         };
-        let tests_may_call_libm = "#![cfg_attr(test, allow(clippy::disallowed_methods))]\n";
-
         let mods: String = planted.iter().map(|m| format!("pub mod {m};\n")).collect();
         let lib = format!(
-            "{tests_may_call_libm}{mods}pub fn entropy() {{\n    \
+            "{mods}pub fn entropy() {{\n    \
              let _ = std::collections::hash_map::RandomState::new();\n}}\n"
         );
         let (passed, stderr) = clippy(&lib, "--lib");
@@ -385,7 +385,7 @@ mod tests {
             ("libm_calls.rs:7", "f64::log2"),
             ("libm_calls.rs:7", "f64::exp"),
             ("libm_calls.rs:7", "f64::powf"),
-            ("lib.rs:7", "std::hash::RandomState"),
+            ("lib.rs:6", "std::hash::RandomState"),
         ]
         .iter()
         .map(|(site, path)| format!("src/{site} {path}"))
@@ -393,11 +393,26 @@ mod tests {
         want.sort();
         assert_eq!(fired, want, "clippy:\n{stderr}");
 
-        let (passed, stderr) = clippy(
-            &format!("{tests_may_call_libm}pub mod libm_calls;\n"),
-            "--tests",
+        // A test may call libm as a reference under an item-level
+        // `#[expect]`; the sanction reaches no further, so a test-side
+        // wall clock next to it still fails.
+        let reference = "#[cfg(test)]\nmod tests {\n    #[test]\n    \
+             #[expect(clippy::disallowed_methods, reason = \"libm is the reference\")]\n    \
+             fn reference() {\n        assert!(2f64.ln() > 0.0);\n    }\n}\n";
+        let (passed, stderr) = clippy(reference, "--tests");
+        assert!(passed, "test code may call libm under #[expect]:\n{stderr}");
+        let clock = format!(
+            "{reference}#[cfg(test)]\nmod clock {{\n    #[test]\n    \
+             fn wall_clock() {{\n        let _ = std::time::Instant::now();\n    }}\n}}\n"
         );
-        assert!(passed, "test code may call libm:\n{stderr}");
+        let (passed, stderr) = clippy(&clock, "--tests");
+        assert!(
+            !passed
+                && stderr.lines().any(|l| {
+                    l.starts_with("src/lib.rs:13:") && l.contains("`std::time::Instant::now`")
+                }),
+            "a test-side Instant::now passed clippy:\n{stderr}"
+        );
 
         let (passed, stderr) = clippy(
             "pub fn read(x: &u32) -> u32 {\n    unsafe { *(x as *const u32) }\n}\n",

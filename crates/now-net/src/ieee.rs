@@ -188,6 +188,10 @@ mod tests {
     /// they differ, a 50-digit decimal `ln` sides with this module:
     /// glibc 2.36's `log` is not correctly rounded.)
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm is the reference the IEEE-only logarithms are checked against"
+    )]
     fn logarithms_agree_with_libm() {
         let mut rng = crate::DetRng::new(7);
         let (mut trials, mut differ) = (0, 0);
@@ -230,6 +234,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm is the reference the IEEE-only pow is checked against"
+    )]
     fn pow_agrees_with_libm() {
         let mut rng = crate::DetRng::new(11);
         let mut differ = 0;
@@ -244,6 +252,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm is the reference the IEEE-only ceil_log2 is checked against"
+    )]
     fn ceil_log2_is_libms() {
         let mut ns: Vec<u64> = (0..5_000).collect();
         for e in 2..40 {

@@ -50,7 +50,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod event;
 mod id;

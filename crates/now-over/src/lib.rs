@@ -12,12 +12,15 @@
 //! (arXiv:1202.3084), which is not available offline; this crate
 //! re-derives it from the constraints stated in the PODC text: the
 //! overlay starts as a degree-normalized
-//! Erdős–Rényi graph; `Add` links the incoming vertex to
-//! `target_degree` vertices sampled (by the caller, normally via
-//! `randCl`) from the existing overlay, skipping vertices at the degree
-//! cap; `Remove` deletes the vertex and tops every orphaned neighbor
-//! back up to the degree floor with fresh random edges. Properties 1–2
-//! are then *measured* (experiment X-P12) instead of assumed.
+//! Erdős–Rényi graph of mean degree `target_degree`; `Add` splices the
+//! incoming vertex into `target_degree / 2` existing edges, each found
+//! from a candidate sampled (by the caller, normally via `randCl`) from
+//! the existing overlay; `Remove` deletes the vertex and pairs its
+//! former neighbours with each other, topping up any left below the
+//! degree floor with fresh random edges. Both leave every other
+//! vertex's degree as it was, so the mean degree stays the one the
+//! walk's duration is sized for. Properties 1–2 are then *measured*
+//! (experiment X-P12) instead of assumed.
 //!
 //! Cost accounting deliberately lives one layer up (in `now-core`),
 //! where cluster sizes — and therefore real message counts — are known.
@@ -46,7 +49,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod audit;
 mod cycles;
@@ -55,5 +57,5 @@ mod params;
 
 pub use audit::OverlayAudit;
 pub use cycles::{CyclesAudit, CyclesOverlay};
-pub use overlay::Overlay;
+pub use overlay::{EdgeEdit, Overlay};
 pub use params::OverParams;

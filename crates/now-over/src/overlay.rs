@@ -6,6 +6,17 @@ use now_graph::Graph;
 use now_net::ClusterId;
 use rand::Rng;
 
+/// The edges one OVER `Add` or `Remove` made and cut, each an unordered
+/// pair, in the order the operation touched them: what the caller bills,
+/// since cluster sizes, and so message counts, live one layer up.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EdgeEdit {
+    /// Edges created.
+    pub made: Vec<(ClusterId, ClusterId)>,
+    /// Edges deleted.
+    pub cut: Vec<(ClusterId, ClusterId)>,
+}
+
 /// One vertex of the overlay slab: its id, its sorted neighbor vec, and
 /// its position in the uniform-sampling pool.
 #[derive(Debug, Clone)]
@@ -20,8 +31,9 @@ struct VertexSlot {
 }
 
 /// The cluster overlay Ĝᴿ: an undirected graph keyed by [`ClusterId`],
-/// with structural enforcement of the degree cap and floor-repair on
-/// removals.
+/// with structural enforcement of the degree cap, and an `Add` and a
+/// `Remove` that leave every other vertex's degree as it was (up to a
+/// collision in `Remove`'s re-pairing), with a floor repair as the guard.
 ///
 /// Storage is a slab of vertex slots (freelist-recycled on removal),
 /// a sorted `(id, slot)` index that fixes the canonical iteration
@@ -33,12 +45,13 @@ struct VertexSlot {
 /// layout paid a pointer chase per neighbor on every footprint
 /// computation.
 ///
-/// Neighbor selection for maintenance comes in two flavors:
-/// * `*_uniform` methods sample uniformly from the live vertices — the
-///   overlay-local stand-in used by overlay-only experiments and tests;
-/// * `*_with` methods accept caller-chosen candidates — `now-core`
-///   passes clusters drawn by `randCl` (size-biased walks), which is the
-///   protocol-faithful path.
+/// `Add` takes its candidates in two flavors:
+/// * [`Overlay::add_uniform`] samples uniformly from the live vertices —
+///   the overlay-local stand-in used by overlay-only experiments and
+///   tests;
+/// * [`Overlay::add_with_candidates`] accepts caller-chosen candidates —
+///   `now-core` passes clusters drawn by `randCl` (size-biased walks),
+///   which is the protocol-faithful path.
 #[derive(Debug, Clone)]
 pub struct Overlay {
     /// The vertex slab; freed slots are recycled via `free`.
@@ -273,90 +286,114 @@ impl Overlay {
         true
     }
 
-    /// OVER `Add` with caller-chosen neighbor candidates (in preference
-    /// order, normally produced by `randCl`). Links until the target
-    /// degree is reached or candidates run out; returns the neighbors
-    /// actually linked.
-    pub fn add_with_candidates(
+    /// OVER `Add` with caller-chosen neighbor candidates, in preference
+    /// order (normally drawn by `randCl`): `id` is spliced into existing
+    /// edges (see [`Overlay::add_uniform`]) until it has the target
+    /// degree or the candidates run out. `rng` picks each spliced edge's
+    /// far end.
+    pub fn add_with_candidates<R: Rng>(
         &mut self,
         id: ClusterId,
         candidates: &[ClusterId],
-    ) -> Vec<ClusterId> {
+        rng: &mut R,
+    ) -> EdgeEdit {
         self.insert_vertex(id);
-        let want = self.params.target_degree();
-        let mut linked = Vec::new();
-        for &c in candidates {
-            if linked.len() >= want {
-                break;
-            }
-            if self.link(id, c) {
-                linked.push(c);
-            }
-        }
-        linked
+        let mut rest = candidates.iter().copied();
+        let mut edit = EdgeEdit::default();
+        self.splice_in(id, rng, &mut edit, |_, _| rest.next());
+        edit
     }
 
-    /// OVER `Add` with uniform sampling over existing vertices.
+    /// OVER `Add` with candidates drawn uniformly from the live vertices.
     ///
-    /// Candidates come from the incremental sampling pool by rejection
-    /// (expected O(1) per accepted link while most vertices are
-    /// linkable — the overwhelmingly common case), with a bounded
-    /// attempt budget; the rare dense/degenerate corner (most vertices
-    /// at the cap or already neighbors) falls back to the exhaustive
-    /// partial Fisher–Yates scan, keeping the postcondition exact.
-    pub fn add_uniform<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
+    /// The new vertex splices into ⌊d/2⌋ existing edges, `d` the target
+    /// degree: a candidate `c` not adjacent to it gives up the edge to a
+    /// uniform neighbour `u` of its own that is not adjacent to it
+    /// either, and the new vertex links to both ends, so `c` and `u`
+    /// keep their degree. An odd `d` ends on one direct link, and so
+    /// does a candidate with no such edge (a tiny overlay still grows).
+    /// Every other vertex keeps its degree, so the mean degree stays the
+    /// initial overlay's, the degree `randCl`'s walk duration is sized
+    /// for.
+    ///
+    /// Candidates come from the incremental sampling pool by rejection,
+    /// with a bounded attempt budget; the rare dense/degenerate corner
+    /// falls back to a scan over every vertex not yet adjacent, keeping
+    /// the postcondition exact.
+    pub fn add_uniform<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> EdgeEdit {
         self.insert_vertex(id);
-        let others = self.vertex_count() - 1;
-        let want = self.params.target_degree().min(others);
-        let mut linked = Vec::new();
-        let mut attempts = 0usize;
-        let budget = 6 * want + 16;
-        while linked.len() < want && attempts < budget {
-            attempts += 1;
-            let cand = self.sample_vertex(rng);
-            if cand != id && self.link(id, cand) {
-                linked.push(cand);
-            }
-        }
-        if linked.len() < want {
-            self.link_exhaustive(id, want - linked.len(), rng, &mut linked);
-        }
-        linked
+        let want = self.params.target_degree().min(self.vertex_count() - 1);
+        let mut edit = EdgeEdit::default();
+        self.splice_in(id, rng, &mut edit, uniform_candidates(id, 6 * want + 16));
+        edit
     }
 
-    /// The exhaustive fallback: partial Fisher–Yates over every
-    /// remaining linkable vertex (O(V); reached only when rejection
-    /// sampling's budget ran out).
-    fn link_exhaustive<R: Rng>(
+    /// The splice behind both `Add`s: takes candidates from `next` until
+    /// `id` has the target degree or `next` runs dry, recording every
+    /// edge made and cut in `edit`.
+    fn splice_in<R: Rng>(
         &mut self,
         id: ClusterId,
-        mut want_more: usize,
         rng: &mut R,
-        linked: &mut Vec<ClusterId>,
+        edit: &mut EdgeEdit,
+        mut next: impl FnMut(&Self, &mut R) -> Option<ClusterId>,
     ) {
-        let mut rest: Vec<ClusterId> = self
-            .vertices()
-            .filter(|&v| v != id && !self.has_edge(id, v))
-            .collect();
-        let mut i = 0;
-        while want_more > 0 && i < rest.len() {
-            let j = rng.gen_range(i..rest.len());
-            rest.swap(i, j);
-            if self.link(id, rest[i]) {
-                linked.push(rest[i]);
-                want_more -= 1;
+        let want = self.params.target_degree();
+        while self.degree(id) < want {
+            let Some(c) = next(self, rng) else {
+                return;
+            };
+            if c == id || !self.contains(c) || self.has_edge(id, c) {
+                continue;
             }
-            i += 1;
+            let far = if want - self.degree(id) >= 2 {
+                self.splice_end(id, c, rng)
+            } else {
+                None
+            };
+            match far {
+                Some(u) => {
+                    self.unlink(c, u);
+                    // Both links hold: `c` and `u` each just lost an
+                    // edge, and `id` stays below `want ≤ cap`.
+                    self.link(id, c);
+                    self.link(id, u);
+                    edit.cut.push((c, u));
+                    edit.made.extend([(id, c), (id, u)]);
+                }
+                None => {
+                    if self.link(id, c) {
+                        edit.made.push((id, c));
+                    }
+                }
+            }
         }
+    }
+
+    /// A neighbour of `c` drawn uniformly among those not adjacent to
+    /// `id` (`None` if every one is). `c` is not adjacent to `id`, so
+    /// the draw is never `id` itself.
+    fn splice_end<R: Rng>(&self, id: ClusterId, c: ClusterId, rng: &mut R) -> Option<ClusterId> {
+        let open = |u: &&ClusterId| !self.has_edge(id, **u);
+        let count = self.neighbors(c).iter().filter(open).count();
+        if count == 0 {
+            return None;
+        }
+        let pick = rng.gen_range(0..count);
+        self.neighbors(c).iter().filter(open).nth(pick).copied()
     }
 
     /// OVER `Remove`: deletes `id` and its edges (freeing its slab
-    /// slot), then repairs every former neighbor that fell below the
-    /// degree floor by linking it to fresh uniform vertices. Returns
-    /// the former neighbors.
-    pub fn remove<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
+    /// slot), then re-pairs its former neighbours. In an order shuffled
+    /// by `rng`, each former neighbour still open links to the first
+    /// open one it is not adjacent to and that is below the cap; one
+    /// left over links to a uniform vertex instead. So each former
+    /// neighbour keeps its degree unless its pairing collided, and
+    /// [`Overlay::repair_floor`] stays as the guard for one that fell
+    /// below the floor all the same. Returns every edge cut and made.
+    pub fn remove<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> EdgeEdit {
         let Some(pos) = self.index.binary_search_by_key(&id, |&(i, _)| i).ok() else {
-            return Vec::new();
+            return EdgeEdit::default();
         };
         let slot = self.index[pos].1;
         self.index.remove(pos);
@@ -381,49 +418,75 @@ impl Overlay {
                 .expect("symmetric adjacency");
             self.slots[sn as usize].neighbors.remove(p);
         }
-        // Repairs run in ascending neighbor-id order — the canonical
-        // order the rng-consumption determinism contract pins.
-        for &n in &former {
-            self.repair_floor(n, rng);
+        let mut edit = EdgeEdit {
+            made: Vec::new(),
+            cut: former.iter().map(|&n| (id, n)).collect(),
+        };
+        let mut order = former.clone();
+        now_graph::sample::shuffle(&mut order, rng);
+        let mut open = vec![true; order.len()];
+        for i in 0..order.len() {
+            if !std::mem::replace(&mut open[i], false) {
+                continue;
+            }
+            let a = order[i];
+            // The first open mate `link` accepts: not adjacent to `a`,
+            // both below the cap.
+            let mate = (i + 1..order.len()).find(|&j| open[j] && self.link(a, order[j]));
+            if let Some(j) = mate {
+                open[j] = false;
+                edit.made.push((a, order[j]));
+                continue;
+            }
+            // A leftover tries a few uniform vertices; the floor guard
+            // below covers a miss.
+            for _ in 0..16 {
+                let v = self.sample_vertex(rng);
+                if self.link(a, v) {
+                    edit.made.push((a, v));
+                    break;
+                }
+            }
         }
-        former
+        // The floor guard runs in ascending neighbor-id order — the
+        // canonical order the rng-consumption determinism contract pins.
+        for &n in &former {
+            let linked = self.repair_floor(n, rng);
+            edit.made.extend(linked.into_iter().map(|v| (n, v)));
+        }
+        edit
     }
 
     /// Tops `id` up to the degree floor with uniform random links (to
-    /// vertices below the cap). Returns how many edges were added.
+    /// vertices below the cap). Returns the new neighbours.
     ///
     /// An at-floor vertex returns without touching the pool or the rng
-    /// — the common case of `remove`'s neighbor repairs — and deficits
-    /// are filled by rejection sampling against the incremental pool
-    /// (exhaustive-scan fallback for the saturated corner), so the
-    /// per-op cost no longer carries an O(V) candidate materialization.
-    pub fn repair_floor<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> usize {
+    /// — the common case of `remove`'s guard — and deficits are filled
+    /// from the candidates [`Overlay::add_uniform`] draws, so the per-op
+    /// cost carries no O(V) candidate materialization outside the
+    /// saturated corner.
+    pub fn repair_floor<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
+        let mut linked = Vec::new();
         if !self.contains(id) {
-            return 0;
+            return linked;
         }
         let floor = self
             .params
             .degree_floor()
             .min(self.vertex_count().saturating_sub(1));
         if self.degree(id) >= floor {
-            return 0;
+            return linked;
         }
-        let mut added = 0;
-        let mut attempts = 0usize;
-        let budget = 6 * (floor - self.degree(id)) + 16;
-        while self.degree(id) < floor && attempts < budget {
-            attempts += 1;
-            let cand = self.sample_vertex(rng);
+        let mut next = uniform_candidates(id, 6 * (floor - self.degree(id)) + 16);
+        while self.degree(id) < floor {
+            let Some(cand) = next(self, rng) else {
+                break;
+            };
             if cand != id && self.link(id, cand) {
-                added += 1;
+                linked.push(cand);
             }
         }
-        if self.degree(id) < floor {
-            let mut linked = Vec::new();
-            self.link_exhaustive(id, floor - self.degree(id), rng, &mut linked);
-            added += linked.len();
-        }
-        added
+        linked
     }
 
     /// Exports a dense snapshot for analysis: the graph plus the
@@ -561,11 +624,41 @@ impl Overlay {
     }
 }
 
+/// Candidates for `id` drawn uniformly from the live vertices: `draws`
+/// samples from the sampling pool (O(1) each; a draw may repeat or be
+/// ineligible), then, for the saturated corner, every vertex not yet
+/// adjacent to `id` in partial Fisher–Yates order, so a caller that keeps
+/// asking reaches every eligible vertex before the stream runs dry.
+fn uniform_candidates<R: Rng>(
+    id: ClusterId,
+    mut draws: usize,
+) -> impl FnMut(&Overlay, &mut R) -> Option<ClusterId> {
+    let mut rest: Option<Vec<ClusterId>> = None;
+    let mut i = 0;
+    move |overlay, rng| {
+        if let Some(left) = draws.checked_sub(1) {
+            draws = left;
+            return Some(overlay.sample_vertex(rng));
+        }
+        let rest = rest.get_or_insert_with(|| {
+            overlay
+                .vertices()
+                .filter(|&v| v != id && !overlay.has_edge(id, v))
+                .collect()
+        });
+        let j = (i < rest.len()).then(|| rng.gen_range(i..rest.len()))?;
+        rest.swap(i, j);
+        i += 1;
+        rest.get(i - 1).copied()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use now_net::DetRng;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn ids(n: u64) -> Vec<ClusterId> {
         (0..n).map(ClusterId::from_raw).collect()
@@ -607,32 +700,117 @@ mod tests {
         let mut rng = DetRng::new(3);
         let mut overlay = Overlay::init_random(&ids(100), params(), &mut rng);
         let newcomer = ClusterId::from_raw(999);
-        let linked = overlay.add_uniform(newcomer, &mut rng);
-        assert_eq!(linked.len(), params().target_degree());
-        assert_eq!(overlay.degree(newcomer), params().target_degree());
+        let edit = overlay.add_uniform(newcomer, &mut rng);
+        let d = params().target_degree();
+        assert_eq!(edit.made.len(), d);
+        assert_eq!(edit.cut.len(), d / 2, "one cut edge per splice");
+        assert_eq!(overlay.degree(newcomer), d);
         overlay.check_invariants().unwrap();
     }
 
+    /// Each splice starts at the earliest candidate not yet adjacent to
+    /// the newcomer (an earlier splice's far end is adjacent already).
     #[test]
     fn add_with_candidates_respects_preference_order() {
         let mut rng = DetRng::new(4);
         let mut overlay = Overlay::init_random(&ids(50), params(), &mut rng);
         let newcomer = ClusterId::from_raw(999);
         let candidates: Vec<ClusterId> = ids(50);
-        let linked = overlay.add_with_candidates(newcomer, &candidates);
-        assert_eq!(linked.len(), params().target_degree());
-        assert_eq!(linked, candidates[..linked.len()].to_vec());
+        let edit = overlay.add_with_candidates(newcomer, &candidates, &mut rng);
+        assert_eq!(overlay.degree(newcomer), params().target_degree());
+        let mut adjacent = BTreeSet::new();
+        let mut next = candidates.iter();
+        for &(c, u) in &edit.cut {
+            let first = next.find(|v| !adjacent.contains(*v)).unwrap();
+            assert_eq!(c, *first);
+            adjacent.extend([c, u]);
+        }
+        overlay.check_invariants().unwrap();
     }
 
+    /// Candidates without an edge to splice into are linked directly;
+    /// one with an edge splices into it.
     #[test]
     fn add_into_tiny_overlay_links_everyone() {
         let mut rng = DetRng::new(5);
         let mut overlay = Overlay::new(params());
         overlay.insert_vertex(ClusterId::from_raw(0));
         overlay.insert_vertex(ClusterId::from_raw(1));
-        let linked = overlay.add_uniform(ClusterId::from_raw(2), &mut rng);
-        assert_eq!(linked.len(), 2, "only 2 candidates exist");
+        let edit = overlay.add_uniform(ClusterId::from_raw(2), &mut rng);
+        assert_eq!(edit.made.len(), 2, "only 2 candidates exist");
+        assert!(edit.cut.is_empty(), "no edge to splice into");
         overlay.check_invariants().unwrap();
+
+        let edit = overlay.add_uniform(ClusterId::from_raw(3), &mut rng);
+        assert_eq!(edit.cut.len(), 1, "splices into one of 0–2, 1–2");
+        assert_eq!(overlay.degree(ClusterId::from_raw(3)), 3);
+        overlay.check_invariants().unwrap();
+    }
+
+    /// OVER `Add` leaves every pre-existing vertex's degree as it was and
+    /// gives the newcomer the target degree, whether its candidates are
+    /// sampled or given.
+    #[test]
+    fn splice_add_keeps_every_other_degree() {
+        let d = params().target_degree();
+        for seed in [12, 13] {
+            let mut rng = DetRng::new(seed);
+            let mut overlay = Overlay::init_random(&ids(100), params(), &mut rng);
+            for newcomer in [1000, 1001].map(ClusterId::from_raw) {
+                let before: Vec<(ClusterId, usize)> =
+                    overlay.vertices().map(|v| (v, overlay.degree(v))).collect();
+                let edit = if newcomer.raw() == 1000 {
+                    overlay.add_uniform(newcomer, &mut rng)
+                } else {
+                    let mut candidates = ids(100);
+                    now_graph::sample::shuffle(&mut candidates, &mut rng);
+                    overlay.add_with_candidates(newcomer, &candidates, &mut rng)
+                };
+                for (v, degree) in before {
+                    assert_eq!(overlay.degree(v), degree, "seed {seed}: {v} moved");
+                }
+                assert_eq!(overlay.degree(newcomer), d, "seed {seed}");
+                assert_eq!(edit.cut.len(), d / 2, "seed {seed}");
+                overlay.check_invariants().unwrap();
+            }
+        }
+    }
+
+    /// OVER `Remove` pairs the former neighbours: where no two of them
+    /// are adjacent, pairing cannot collide, so each keeps its degree,
+    /// and the only vertex that moves is the one an odd leftover links
+    /// to.
+    #[test]
+    fn remove_re_pairs_former_neighbours() {
+        let mut rng = DetRng::new(14);
+        let mut overlay = Overlay::init_random(&ids(200), params(), &mut rng);
+        for parity in [0, 1] {
+            let victim = overlay
+                .vertices()
+                .find(|&v| overlay.degree(v) % 2 == parity)
+                .unwrap();
+            let former = overlay.neighbors(victim).to_vec();
+            for (i, &a) in former.iter().enumerate() {
+                for &b in &former[i + 1..] {
+                    overlay.unlink(a, b);
+                }
+            }
+            let before: Vec<(ClusterId, usize)> = overlay
+                .vertices()
+                .filter(|&v| v != victim)
+                .map(|v| (v, overlay.degree(v)))
+                .collect();
+            let edit = overlay.remove(victim, &mut rng);
+            assert_eq!(edit.cut.len(), former.len());
+            let moved: Vec<(ClusterId, usize, usize)> = before
+                .into_iter()
+                .filter(|&(v, degree)| overlay.degree(v) != degree)
+                .map(|(v, degree)| (v, degree, overlay.degree(v)))
+                .collect();
+            assert_eq!(moved.len(), parity, "{victim}: {moved:?}");
+            assert!(moved.iter().all(|&(_, was, is)| is == was + 1), "{moved:?}");
+            overlay.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -674,9 +852,9 @@ mod tests {
         let mut rng = DetRng::new(6);
         let mut overlay = Overlay::init_random(&ids(60), params(), &mut rng);
         let victim = ClusterId::from_raw(7);
-        let former = overlay.remove(victim, &mut rng);
+        let edit = overlay.remove(victim, &mut rng);
         assert!(!overlay.contains(victim));
-        assert!(!former.is_empty());
+        assert!(!edit.cut.is_empty());
         let floor = params().degree_floor();
         for v in overlay.vertices() {
             assert!(
@@ -691,7 +869,10 @@ mod tests {
     fn remove_absent_vertex_is_noop() {
         let mut rng = DetRng::new(7);
         let mut overlay = Overlay::new(params());
-        assert!(overlay.remove(ClusterId::from_raw(9), &mut rng).is_empty());
+        assert_eq!(
+            overlay.remove(ClusterId::from_raw(9), &mut rng),
+            EdgeEdit::default()
+        );
     }
 
     #[test]
@@ -722,8 +903,8 @@ mod tests {
         assert!(overlay.neighbors(ghost).is_empty());
         assert!(!overlay.has_edge(ghost, live) && !overlay.has_edge(live, ghost));
         assert!(!overlay.link(ghost, live) && !overlay.unlink(ghost, live));
-        assert!(overlay.remove(ghost, &mut rng).is_empty());
-        assert_eq!(overlay.repair_floor(ghost, &mut rng), 0);
+        assert_eq!(overlay.remove(ghost, &mut rng), EdgeEdit::default());
+        assert!(overlay.repair_floor(ghost, &mut rng).is_empty());
         assert_eq!(
             overlay.slot_index.len(),
             map_len,

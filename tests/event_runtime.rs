@@ -9,10 +9,12 @@
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
 //! 3. **Cross-commit replay** — wide batches on lossy and partitioned
-//!    nets land on pins recorded when a walk hop began to draw its hold
-//!    and its neighbour from one `randNum` (before that, when every op
-//!    of a wave began to run live, one after another, with its
-//!    split/merge check right after it).
+//!    nets land on pins recorded when OVER's `Add` and `Remove` began to
+//!    keep every other vertex's degree (the three runs with a split or
+//!    merge moved); before that, when a walk hop began to draw its hold
+//!    and its neighbour from one `randNum`, and before that, when every
+//!    op of a wave began to run live, one after another, with its
+//!    split/merge check right after it.
 
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
@@ -38,11 +40,11 @@ fn wide_nets() -> [EventNetConfig; 3] {
 #[rustfmt::skip]
 const WIDE_PINS: [(usize, u64, WidePin); 6] = [
     (0, 1, (65, 60, 15, 140, 11964425272259808189, 73, 51596005, 824056, 517)),
-    (0, 2, (66, 60, 14, 140, 12526418413494053771, 71, 46511476, 740734, 518)),
+    (0, 2, (67, 60, 13, 140, 2309967428178360453, 73, 48564914, 769089, 519)),
     (1, 1, (59, 60, 21, 140, 16195337685265294270, 70, 47727947, 796608, 511)),
     (1, 2, (60, 60, 20, 140, 13373463556029466376, 65, 44677910, 730976, 512)),
-    (2, 1, (44, 60, 36, 140, 15304735245381786853, 64, 48377628, 793872, 496)),
-    (2, 2, (39, 60, 41, 140, 4962406792257941041, 58, 43573868, 718791, 491)),
+    (2, 1, (47, 60, 33, 140, 9889076286510835711, 64, 48689954, 800927, 499)),
+    (2, 2, (37, 60, 43, 140, 7151976460709317127, 56, 42476650, 704234, 489)),
 ];
 
 /// Ten steps of eight joins and six spread-out leaves each on `exec`,

@@ -2,9 +2,12 @@
 //! one loop — `decide_batch` → `step_batch(≤ 1 op)` — must land on the
 //! pinned state, cost and operation counts.
 //!
-//! The pins were last re-recorded when a walk hop began to draw its
-//! hold and its neighbour from one `randNum` instead of two; that change
-//! is their one cause. Before it they were re-recorded when the one-op
+//! The pins were last re-recorded when OVER's `Add` began to splice a
+//! split's new cluster into existing edges and its `Remove` to re-pair a
+//! merged victim's neighbours; that change is their one cause, and only
+//! the runs with a split or a merge moved. Before it they were
+//! re-recorded when a walk hop began to draw its hold and its neighbour
+//! from one `randNum` instead of two, and before that when the one-op
 //! engine began drawing every op from its own `DetRng::for_op(master,
 //! step, canon)` substream instead of the system's shared stream. A batch of at most one
 //! op runs the same way on both engines, so the canonical engine and
@@ -20,15 +23,15 @@ type Pin = (u64, u64, u64, u64, u64, u64, (u64, u64, u64, u64));
 /// `(driver, steps, seed, pin)`.
 #[rustfmt::skip]
 const PINS: [(&str, u64, u64, Pin); 9] = [
-    ("batch-random-churn", 150, 1, (88, 62, 226, 34, 415914973, 422274, (88, 62, 2, 0))),
+    ("batch-random-churn", 150, 1, (88, 62, 226, 34, 391690768, 421080, (88, 62, 2, 0))),
     ("batch-random-churn", 150, 2, (82, 68, 214, 32, 409402284, 365163, (82, 68, 0, 0))),
     ("batch-random-churn", 150, 3, (81, 69, 212, 31, 428911309, 367750, (81, 69, 0, 0))),
-    ("batch-join-leave", 150, 1, (75, 75, 200, 30, 422300564, 387136, (75, 75, 1, 0))),
-    ("batch-join-leave", 150, 2, (75, 75, 200, 30, 427199689, 440916, (75, 75, 1, 0))),
-    ("batch-join-leave", 150, 3, (75, 75, 200, 30, 434985261, 452192, (75, 75, 1, 0))),
-    ("batch-sawtooth", 300, 1, (160, 140, 220, 33, 839913431, 840549, (217, 140, 3, 3))),
-    ("batch-sawtooth", 300, 2, (160, 140, 220, 33, 894692087, 815128, (274, 140, 6, 6))),
-    ("batch-sawtooth", 300, 3, (160, 140, 220, 33, 880231126, 1038562, (255, 140, 6, 5))),
+    ("batch-join-leave", 150, 1, (75, 75, 200, 30, 422305085, 387136, (75, 75, 1, 0))),
+    ("batch-join-leave", 150, 2, (75, 75, 200, 30, 406151262, 417748, (75, 75, 1, 0))),
+    ("batch-join-leave", 150, 3, (75, 75, 200, 30, 410435281, 426244, (75, 75, 1, 0))),
+    ("batch-sawtooth", 300, 1, (160, 140, 220, 33, 835941656, 830011, (255, 140, 6, 5))),
+    ("batch-sawtooth", 300, 2, (160, 140, 220, 33, 784782418, 700046, (198, 140, 4, 2))),
+    ("batch-sawtooth", 300, 3, (160, 140, 220, 33, 808058392, 1064078, (274, 140, 7, 6))),
 ];
 
 #[test]

@@ -3,8 +3,8 @@
 //! The JSON contains **only deterministic outcome fields** — no
 //! wall-clock (a phase's run carries it; it is not written) — so two
 //! runs of the same campaign file must be byte-identical. CI's
-//! `campaign-smoke` job diffs exactly that, and checks the bytes
-//! against sums committed in `.github/artifacts.sha256`.
+//! `campaign-smoke` job diffs exactly that, and each report's sha256
+//! is a pin in `pins/pins.txt`, which `pins/repin.sh` recomputes.
 
 use now_core::{Json, SecurityMode};
 use now_sim::{BatchRunReport, ViolationKind};

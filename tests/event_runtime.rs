@@ -9,21 +9,14 @@
 //!    delivered, across a partition that heals mid-run; accepted +
 //!    dropped accounts for every send.
 //! 3. **Cross-commit replay** — wide batches on lossy and partitioned
-//!    nets land on pins recorded when OVER's `Add` and `Remove` began to
-//!    keep every other vertex's degree (the three runs with a split or
-//!    merge moved); before that, when a walk hop began to draw its hold
-//!    and its neighbour from one `randNum`, and before that, when every
-//!    op of a wave began to run live, one after another, with its
-//!    split/merge check right after it.
+//!    nets land on the runs pinned in `pins/pins.txt`.
+
+mod pins;
 
 use now_bft::core::{BatchInput, ExecConfig, NowParams, NowSystem};
 use now_bft::net::{CostKind, EventNet, EventNetConfig};
 use now_bft::sim::{BatchRandomChurn, BatchRun};
 use proptest::prelude::*;
-
-/// `(joined, left, dropped, events, event digest, waves, ledger
-/// messages, ledger rounds, population)` after ten wide steps.
-type WidePin = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
 /// The pinned networks: lossy and jittered, a partition that heals
 /// mid-step, and a permanent partition.
@@ -36,22 +29,13 @@ fn wide_nets() -> [EventNetConfig; 3] {
     ]
 }
 
-/// `(index into wide_nets, seed, pin)`.
-#[rustfmt::skip]
-const WIDE_PINS: [(usize, u64, WidePin); 6] = [
-    (0, 1, (65, 60, 15, 140, 11964425272259808189, 73, 51596005, 824056, 517)),
-    (0, 2, (67, 60, 13, 140, 2309967428178360453, 73, 48564914, 769089, 519)),
-    (1, 1, (59, 60, 21, 140, 16195337685265294270, 70, 47727947, 796608, 511)),
-    (1, 2, (60, 60, 20, 140, 13373463556029466376, 65, 44677910, 730976, 512)),
-    (2, 1, (47, 60, 33, 140, 9889076286510835711, 64, 48689954, 800927, 499)),
-    (2, 2, (37, 60, 43, 140, 7151976460709317127, 56, 42476650, 704234, 489)),
-];
-
 /// Ten steps of eight joins and six spread-out leaves each on `exec`,
 /// over 64 clusters of a degree-5 overlay, so footprints leave room
 /// for waves of several ops. The event trace is folded into a count
-/// and an FNV-1a digest over `(time, op, delivered)`.
-fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> WidePin {
+/// and an FNV-1a digest over `(time, op, delivered)`. The pin reads:
+/// joined, left, dropped, events, event digest, waves, ledger messages,
+/// ledger rounds, population.
+fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> String {
     let params = NowParams::for_capacity(16).expect("params");
     let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, seed);
     let honesty = [true, true, false, true, true, true, false, true];
@@ -76,7 +60,7 @@ fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> WidePin {
     }
     sys.check_consistency().expect("post-run consistency");
     let total = sys.ledger().total();
-    (
+    pins::value(&[
         joined,
         left,
         dropped,
@@ -86,16 +70,19 @@ fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> WidePin {
         total.messages,
         total.rounds,
         sys.population(),
-    )
+    ])
 }
 
 #[test]
 fn wide_event_batches_replay_the_parent_commit() {
-    for (net, seed, pin) in WIDE_PINS {
-        let net = wide_nets()[net];
-        let got = wide_event_run(&ExecConfig::event(net), seed);
-        assert_eq!(got, pin, "seed {seed}, {net:?}");
+    let mut got = Vec::new();
+    for (i, net) in wide_nets().into_iter().enumerate() {
+        for seed in 1..=2 {
+            let pin = wide_event_run(&ExecConfig::event(net), seed);
+            got.push((format!("wide/{i}/{seed}"), pin));
+        }
     }
+    pins::check("wide/", &got);
 }
 
 /// Full deterministic fingerprint of an event-driven NOW run: report

@@ -93,7 +93,7 @@ pub enum ClusterPick {
 impl ClusterPick {
     /// Resolves the policy against the current system state.
     /// Deterministic: ties break toward the smaller cluster id.
-    pub fn resolve(self, sys: &NowSystem) -> ClusterId {
+    pub(crate) fn resolve(self, sys: &NowSystem) -> ClusterId {
         let ids = sys.cluster_ids();
         match self {
             // INVARIANT: the registry never drops its last cluster
@@ -355,7 +355,8 @@ impl BatchSplitForcing {
     }
 
     /// The current sticky target, if one has been resolved.
-    pub fn target(&self) -> Option<ClusterId> {
+    #[cfg(test)]
+    pub(crate) fn target(&self) -> Option<ClusterId> {
         self.target
     }
 }
@@ -429,7 +430,8 @@ impl BatchMergeForcing {
     }
 
     /// The current sticky target, if one has been resolved.
-    pub fn target(&self) -> Option<ClusterId> {
+    #[cfg(test)]
+    pub(crate) fn target(&self) -> Option<ClusterId> {
         self.target
     }
 }
@@ -522,19 +524,21 @@ impl BatchBurstChurn {
     }
 
     /// Steers the join bursts at a sticky target chosen by `pick`.
-    pub fn with_pick(mut self, pick: ClusterPick) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_pick(mut self, pick: ClusterPick) -> Self {
         self.pick = Some(pick);
         self.target = None;
         self
     }
 
     /// Whether the next batch is a join burst.
-    pub fn is_joining(&self) -> bool {
+    pub(crate) fn is_joining(&self) -> bool {
         self.position.is_multiple_of(2)
     }
 
     /// The current sticky target, if steered and resolved.
-    pub fn target(&self) -> Option<ClusterId> {
+    #[cfg(test)]
+    pub(crate) fn target(&self) -> Option<ClusterId> {
         self.target
     }
 }

@@ -20,11 +20,6 @@ impl CorruptionBudget {
         CorruptionBudget { tau }
     }
 
-    /// The fraction bound.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
     /// Whether corrupting one more arrival keeps the adversary within
     /// budget (evaluated against the population *after* the arrival).
     pub fn can_corrupt_arrival(&self, sys: &NowSystem) -> bool {
@@ -43,19 +38,6 @@ impl CorruptionBudget {
         let byz_after = byz_population as f64 + 1.0;
         byz_after / pop_after <= self.tau
     }
-
-    /// Current slack: how many more corrupt arrivals fit (approximate,
-    /// assuming all upcoming arrivals are corrupt).
-    pub fn slack(&self, sys: &NowSystem) -> u64 {
-        let pop = sys.population() as f64;
-        let byz = sys.byz_population() as f64;
-        // Largest j with (byz + j) / (pop + j) ≤ tau.
-        if self.tau >= 1.0 || byz / pop >= self.tau {
-            return 0;
-        }
-        let j = (self.tau * pop - byz) / (1.0 - self.tau);
-        j.max(0.0).floor() as u64
-    }
 }
 
 #[cfg(test)]
@@ -73,9 +55,9 @@ mod tests {
         let sys = system(100, 0.1); // 10 byz of 100
         let budget = CorruptionBudget::new(0.3);
         assert!(budget.can_corrupt_arrival(&sys));
-        let slack = budget.slack(&sys);
         // (10 + j)/(100 + j) ≤ 0.3 → j ≤ 20/0.7 ≈ 28.
-        assert_eq!(slack, 28);
+        assert!(budget.can_corrupt_at(127, 37), "the 28th fits");
+        assert!(!budget.can_corrupt_at(128, 38), "a 29th does not");
     }
 
     #[test]
@@ -83,7 +65,6 @@ mod tests {
         let sys = system(100, 0.3);
         let budget = CorruptionBudget::new(0.3);
         assert!(!budget.can_corrupt_arrival(&sys), "(31)/(101) > 0.3");
-        assert_eq!(budget.slack(&sys), 0);
     }
 
     #[test]
@@ -91,7 +72,6 @@ mod tests {
         let sys = system(50, 0.0);
         let budget = CorruptionBudget::new(0.0);
         assert!(!budget.can_corrupt_arrival(&sys));
-        assert_eq!(budget.slack(&sys), 0);
     }
 
     #[test]

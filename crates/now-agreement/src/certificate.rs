@@ -98,11 +98,6 @@ impl QuorumCertificate {
             .count();
         valid >= members.len() / 2 + 1
     }
-
-    /// Number of signatures carried.
-    pub fn weight(&self) -> usize {
-        self.signatures.len()
-    }
 }
 
 /// Convenience: have every honest member of a cluster sign `message`
@@ -140,7 +135,6 @@ mod tests {
         let byz: BTreeSet<NodeId> = [5u64, 6].into_iter().map(NodeId::from_raw).collect();
         let mut oracle = SigOracle::new();
         let cert = certify_by_honest(42, &m, &byz, &mut oracle).unwrap();
-        assert_eq!(cert.weight(), 5);
         // Transferability: an unrelated verifier with the same oracle
         // view accepts it.
         assert!(cert.verify(&m, &oracle));

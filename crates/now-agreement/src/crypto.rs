@@ -33,7 +33,7 @@ use std::hash::{Hash, Hasher};
 
 /// A 64-bit commitment digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Commitment(pub u64);
+pub(crate) struct Commitment(pub u64);
 
 fn hash3(a: u64, b: u64, c: u64) -> u64 {
     let mut h = DefaultHasher::new();
@@ -45,25 +45,22 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 
 /// Commits to `value` with `nonce`, bound to the committer's port so two
 /// parties committing to the same value produce different digests.
-pub fn commit_value(value: u64, nonce: u64, committer: usize) -> Commitment {
+pub(crate) fn commit_value(value: u64, nonce: u64, committer: usize) -> Commitment {
     Commitment(hash3(value, nonce, committer as u64))
 }
 
 /// Checks that `(value, nonce)` opens `commitment` for `committer`.
-pub fn verify_commitment(commitment: Commitment, value: u64, nonce: u64, committer: usize) -> bool {
+pub(crate) fn verify_commitment(
+    commitment: Commitment,
+    value: u64,
+    nonce: u64,
+    committer: usize,
+) -> bool {
     commit_value(value, nonce, committer) == commitment
 }
 
-/// Ideal signature functionality: unforgeability by bookkeeping.
-///
-/// # Example
-/// ```
-/// use now_agreement::SigOracle;
-/// let mut oracle = SigOracle::new();
-/// let sig = oracle.sign(3, 0xBEEF);
-/// assert!(oracle.verify(3, 0xBEEF, sig));
-/// assert!(!oracle.verify(4, 0xBEEF, sig)); // nobody else signed it
-/// ```
+/// Ideal signature functionality: unforgeability by bookkeeping. Only
+/// this crate's protocols sign.
 #[derive(Debug, Clone, Default)]
 pub struct SigOracle {
     issued: BTreeSet<(usize, u64)>,
@@ -79,7 +76,7 @@ pub struct Signature {
 
 impl Signature {
     /// The claimed signer (must still be verified against the oracle).
-    pub fn signer(&self) -> usize {
+    pub(crate) fn signer(&self) -> usize {
         self.signer
     }
 }
@@ -93,7 +90,7 @@ impl SigOracle {
     /// Produces `signer`'s signature over `message`. Byzantine nodes may
     /// call this freely **for their own port** — the runner enforces
     /// that a node only ever signs as itself.
-    pub fn sign(&mut self, signer: usize, message: u64) -> Signature {
+    pub(crate) fn sign(&mut self, signer: usize, message: u64) -> Signature {
         self.issued.insert((signer, message));
         Signature {
             signer,
@@ -102,13 +99,8 @@ impl SigOracle {
     }
 
     /// True iff `signer` really signed `message` at some point.
-    pub fn verify(&self, signer: usize, message: u64, sig: Signature) -> bool {
+    pub(crate) fn verify(&self, signer: usize, message: u64, sig: Signature) -> bool {
         sig.signer == signer && sig.digest == message && self.issued.contains(&(signer, message))
-    }
-
-    /// Number of signatures issued (monitoring/tests).
-    pub fn issued_count(&self) -> usize {
-        self.issued.len()
     }
 }
 
@@ -149,14 +141,5 @@ mod tests {
         // The real sig does not verify for another message or signer.
         assert!(!oracle.verify(2, 101, sig));
         assert!(!oracle.verify(3, 100, sig));
-    }
-
-    #[test]
-    fn issued_count_tracks_unique_signatures() {
-        let mut oracle = SigOracle::new();
-        oracle.sign(0, 1);
-        oracle.sign(0, 1); // duplicate
-        oracle.sign(1, 1);
-        assert_eq!(oracle.issued_count(), 2);
     }
 }

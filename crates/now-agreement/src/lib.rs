@@ -52,11 +52,11 @@
     clippy::int_plus_one
 )]
 
-pub mod ben_or;
-pub mod bracha;
-pub mod certificate;
-pub mod crypto;
-pub mod dolev_strong;
+mod ben_or;
+mod bracha;
+mod certificate;
+mod crypto;
+mod dolev_strong;
 pub mod outcome;
 pub mod quorum;
 pub mod rand_num;
@@ -65,9 +65,8 @@ pub mod rand_num_async;
 pub use ben_or::{run_ben_or, run_ben_or_event, run_ben_or_with_coin, BenOrReport, CoinMode};
 pub use bracha::run_bracha;
 pub use certificate::{certify_by_honest, CertificateError, QuorumCertificate};
-pub use crypto::{commit_value, verify_commitment, Commitment, SigOracle};
+pub use crypto::SigOracle;
 pub use dolev_strong::run_dolev_strong;
 pub use outcome::{check_agreement, check_validity, ByzPlan, ProtocolResult};
-pub use quorum::{accept_cluster_message, QuorumDecision};
 pub use rand_num::rand_num_commit_reveal;
 pub use rand_num_async::{rand_num_async, AsyncRandNum};

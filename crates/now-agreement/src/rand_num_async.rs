@@ -10,7 +10,7 @@
 //! 1. every node commits to a private contribution and broadcasts the
 //!    commitment, then its reveal, over an adversarially delayed
 //!    [`now_net::EventNet`];
-//! 2. for each node `i`, a binary [`crate::ben_or`] instance decides
+//! 2. for each node `i`, a binary Ben-Or ([`crate::run_ben_or_event`]) instance decides
 //!    whether `i`'s contribution is **included**; each honest node
 //!    votes 1 iff it saw `i`'s valid reveal before the instance starts.
 //!    Validation of Ben-Or guarantees: contributions every honest node

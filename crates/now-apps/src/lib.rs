@@ -18,11 +18,11 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod agreement_app;
+mod aggregate;
+mod agreement_app;
 pub mod broadcast;
-pub mod polling;
-pub mod sampling;
+mod polling;
+mod sampling;
 
 pub use aggregate::{aggregate_count, AggregateReport};
 pub use agreement_app::{cluster_agreement, AgreementReport};

@@ -13,7 +13,7 @@
 //!
 //! Three layers:
 //!
-//! * **Model** ([`model`]) — [`Campaign`] / [`Phase`] with triggers
+//! * **Model** (`model`) — [`Campaign`] / [`Phase`] with triggers
 //!   ([`Trigger`]: step count, population thresholds, first binding
 //!   violation) and composable per-phase knobs (batch width, driver
 //!   τ, execution engine, attack style and target policy).
@@ -66,7 +66,7 @@
 
 #![warn(missing_docs)]
 
-pub mod model;
+mod model;
 pub mod parse;
 pub mod report;
 pub mod run;

@@ -77,7 +77,7 @@ pub enum PhaseStyle {
 
 impl PhaseStyle {
     /// Short name as written in campaign files.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             PhaseStyle::Quiet => "quiet",
             PhaseStyle::Balanced => "balanced",
@@ -88,18 +88,6 @@ impl PhaseStyle {
             PhaseStyle::MergeForcing => "merge-forcing",
             PhaseStyle::BurstChurn => "burst",
         }
-    }
-
-    /// Whether this style aims at a target cluster (and so honors the
-    /// phase's `target` policy).
-    pub fn is_targeted(&self) -> bool {
-        matches!(
-            self,
-            PhaseStyle::JoinLeave
-                | PhaseStyle::ForcedLeave
-                | PhaseStyle::SplitForcing
-                | PhaseStyle::MergeForcing
-        )
     }
 }
 
@@ -172,7 +160,8 @@ impl Phase {
     }
 
     /// Overrides the driver's corruption budget.
-    pub fn tau(mut self, tau: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn tau(mut self, tau: f64) -> Self {
         self.tau = Some(tau);
         self
     }
@@ -184,14 +173,16 @@ impl Phase {
     }
 
     /// Sets the execution engine.
-    pub fn exec(mut self, exec: PhaseExec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn exec(mut self, exec: PhaseExec) -> Self {
         self.exec = exec;
         self
     }
 
     /// Runs the phase on the event runtime (the only engine with a
     /// network) over the network model `net`.
-    pub fn net(mut self, net: EventNetConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn net(mut self, net: EventNetConfig) -> Self {
         self.exec = PhaseExec::Event(net);
         self
     }
@@ -272,13 +263,15 @@ impl Campaign {
 
     /// Enables the flight recorder with a ring buffer of `capacity`
     /// events.
-    pub fn trace(mut self, capacity: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn trace(mut self, capacity: usize) -> Self {
         self.trace = Some(capacity);
         self
     }
 
     /// Enables the metrics registry.
-    pub fn metrics(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn metrics(mut self) -> Self {
         self.metrics = true;
         self
     }
@@ -423,14 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn style_names_and_targeting() {
+    fn style_names() {
         assert_eq!(PhaseStyle::JoinLeave.name(), "join-leave");
-        assert!(PhaseStyle::SplitForcing.is_targeted());
-        assert!(!PhaseStyle::Balanced.is_targeted());
         assert_eq!(PhaseStyle::Sawtooth { low: 1, high: 2 }.name(), "sawtooth");
         assert_eq!(PhaseStyle::MergeForcing.name(), "merge-forcing");
-        assert!(PhaseStyle::MergeForcing.is_targeted());
         assert_eq!(PhaseStyle::BurstChurn.name(), "burst");
-        assert!(!PhaseStyle::BurstChurn.is_targeted());
     }
 }

@@ -71,7 +71,7 @@ use now_adversary::ClusterPick;
 use now_core::{EventNetConfig, NowError};
 
 /// Default step cap for `until-*` triggers without an explicit `cap`.
-pub const DEFAULT_TRIGGER_CAP: u64 = 10_000;
+pub(crate) const DEFAULT_TRIGGER_CAP: u64 = 10_000;
 
 fn err(line: usize, reason: impl Into<String>) -> NowError {
     NowError::CampaignParse {

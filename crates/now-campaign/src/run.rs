@@ -27,7 +27,7 @@ impl Campaign {
     ///
     /// # Errors
     /// [`NowError::BadParams`] for invalid parameter combinations.
-    pub fn build_params(&self) -> Result<NowParams, NowError> {
+    pub(crate) fn build_params(&self) -> Result<NowParams, NowError> {
         Ok(
             NowParams::new(self.capacity, self.k, self.l, self.tau, self.epsilon)?
                 .with_shuffle(self.shuffle),

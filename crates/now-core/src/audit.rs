@@ -64,7 +64,7 @@ pub struct SystemAudit {
 impl SystemAudit {
     /// Measures `sys` (cheap: no spectral work — see
     /// [`NowSystem::overlay_audit`] for Properties 1–2).
-    pub fn measure(sys: &NowSystem) -> Self {
+    pub(crate) fn measure(sys: &NowSystem) -> Self {
         let mut min_size = usize::MAX;
         let mut max_size = 0usize;
         let mut total = 0usize;
@@ -152,7 +152,7 @@ impl SystemAudit {
 
     /// Remark 1's invariant: every cluster has an honest strict
     /// majority.
-    pub fn all_majority_honest(&self) -> bool {
+    pub(crate) fn all_majority_honest(&self) -> bool {
         self.clusters_not_majority_honest == 0
     }
 
@@ -163,12 +163,6 @@ impl SystemAudit {
             SecurityMode::Plain => self.all_two_thirds_honest(),
             SecurityMode::Authenticated => self.all_majority_honest(),
         }
-    }
-
-    /// Whether the adversary currently has *any* protocol leverage
-    /// (some cluster at or past the 1/3 threshold).
-    pub fn adversary_has_leverage(&self) -> bool {
-        self.clusters_rand_num_compromised > 0
     }
 }
 
@@ -195,7 +189,7 @@ mod tests {
         assert_eq!(a.cluster_count, 10);
         assert!(a.size_bounds_ok);
         assert!(a.all_two_thirds_honest(), "random partition at τ=0.1");
-        assert!(!a.adversary_has_leverage());
+        assert_eq!(a.clusters_rand_num_compromised, 0);
         assert_eq!(a.clusters_forgeable, 0);
         assert!(a.worst_byz_fraction < 1.0 / 3.0);
         assert!(a.worst_cluster.is_some());
@@ -226,7 +220,6 @@ mod tests {
         assert!(a.clusters_not_two_thirds_honest >= 1);
         assert!(a.clusters_rand_num_compromised >= 1);
         assert!(a.clusters_forgeable >= 1);
-        assert!(a.adversary_has_leverage());
         assert!(!a.size_bounds_ok, "victim is far oversize now");
     }
 

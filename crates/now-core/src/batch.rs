@@ -174,22 +174,6 @@ impl BatchReport {
             .map(|w| w.rounds_total - w.rounds_max)
             .sum()
     }
-
-    /// Rounds saved by executing the batch wave-parallel rather than
-    /// serially.
-    ///
-    /// Degenerate cases are reported honestly: a batch with no
-    /// scheduled work on both sides is a 1.0 (nothing to speed up),
-    /// while serial rounds without any parallel rounds — possible only
-    /// if costs were accounted outside the schedule — report the full
-    /// serial count rather than pretending parity.
-    pub fn parallel_speedup(&self) -> f64 {
-        match (self.cost.rounds, self.rounds_parallel) {
-            (0, 0) => 1.0,
-            (serial, 0) => serial as f64,
-            (serial, parallel) => serial as f64 / parallel as f64,
-        }
-    }
 }
 
 impl NowSystem {
@@ -340,7 +324,6 @@ mod tests {
             "one wave ⇒ parallel rounds = max over its ops"
         );
         assert!(report.rounds_parallel < report.cost.rounds);
-        assert!(report.parallel_speedup() > 1.0);
         sys.check_consistency().unwrap();
     }
 
@@ -397,37 +380,6 @@ mod tests {
         assert_eq!(report.rounds_parallel, 0);
         assert_eq!(report.wave_count(), 0);
         assert_eq!(report.max_wave_width(), 0);
-        assert_eq!(report.parallel_speedup(), 1.0);
-    }
-
-    #[test]
-    fn speedup_edge_case_reports_honest_ratio() {
-        // Regression: a report with serial rounds but an empty schedule
-        // must not claim parity.
-        let report = BatchReport {
-            joined: vec![],
-            left: vec![],
-            rejected: vec![],
-            cost: Cost {
-                messages: 10,
-                rounds: 7,
-            },
-            rounds_parallel: 0,
-            waves: vec![],
-            contact_redraws: 0,
-            dropped: 0,
-            events: vec![],
-            wall_nanos: 0,
-        };
-        assert_eq!(report.parallel_speedup(), 7.0);
-        let balanced = BatchReport {
-            cost: Cost {
-                messages: 0,
-                rounds: 0,
-            },
-            ..report
-        };
-        assert_eq!(balanced.parallel_speedup(), 1.0);
     }
 
     /// Regression for the `max_wave_width` doc/value mismatch: an empty

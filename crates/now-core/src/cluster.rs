@@ -62,7 +62,7 @@ impl ClusterSecurity {
 
 impl Cluster {
     /// Creates an empty cluster.
-    pub fn new(id: ClusterId) -> Self {
+    pub(crate) fn new(id: ClusterId) -> Self {
         Cluster {
             id,
             members: Vec::new(),
@@ -81,7 +81,7 @@ impl Cluster {
     }
 
     /// Whether the cluster has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
@@ -104,17 +104,10 @@ impl Cluster {
         }
     }
 
-    /// Whether `randNum` is secure here under the paper's main model
-    /// (Byzantine < 1/3 of members). Mode-aware variant:
-    /// [`Cluster::rand_num_secure_in`].
-    pub fn rand_num_secure(&self) -> bool {
-        self.rand_num_secure_in(SecurityMode::Plain)
-    }
-
     /// Whether `randNum` is secure here under the given substrate mode
     /// (Byzantine < 1/3 in [`SecurityMode::Plain`], < 1/2 in
     /// [`SecurityMode::Authenticated`] — Remark 1).
-    pub fn rand_num_secure_in(&self, mode: SecurityMode) -> bool {
+    pub(crate) fn rand_num_secure_in(&self, mode: SecurityMode) -> bool {
         !self.members.is_empty() && mode.rand_num_secure(self.byz_count, self.members.len())
     }
 
@@ -122,26 +115,25 @@ impl Cluster {
     /// Signatures do not change this: honest members never co-sign a
     /// forged message, so forgery needs a Byzantine strict majority in
     /// both modes.
-    pub fn forgeable(&self) -> bool {
+    pub(crate) fn forgeable(&self) -> bool {
         !self.members.is_empty() && self.byz_count > self.members.len() / 2
     }
 
     /// The paper's headline invariant: strictly more than two thirds of
-    /// the members are honest. Mode-aware variant:
-    /// [`Cluster::invariant_holds_in`].
-    pub fn two_thirds_honest(&self) -> bool {
+    /// the members are honest.
+    pub(crate) fn two_thirds_honest(&self) -> bool {
         3 * self.honest_count() > 2 * self.members.len()
     }
 
     /// Whether this cluster satisfies the target invariant of the given
     /// mode: > 2/3 honest in [`SecurityMode::Plain`], an honest strict
     /// majority in [`SecurityMode::Authenticated`].
-    pub fn invariant_holds_in(&self, mode: SecurityMode) -> bool {
+    pub(crate) fn invariant_holds_in(&self, mode: SecurityMode) -> bool {
         mode.invariant_holds(self.honest_count(), self.members.len())
     }
 
     /// Membership test (binary search over the sorted member vec).
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.members.binary_search(&node).is_ok()
     }
 
@@ -152,7 +144,7 @@ impl Cluster {
 
     /// Members in id order, borrowed — the zero-copy view for read-only
     /// walks (exchange snapshots, audits, quorum checks).
-    pub fn member_slice(&self) -> &[NodeId] {
+    pub(crate) fn member_slice(&self) -> &[NodeId] {
         &self.members
     }
 
@@ -164,7 +156,7 @@ impl Cluster {
 
     /// Adds a member; `honest` is the simulator's ground truth. Returns
     /// `false` (and changes nothing) if already present.
-    pub fn insert(&mut self, node: NodeId, honest: bool) -> bool {
+    pub(crate) fn insert(&mut self, node: NodeId, honest: bool) -> bool {
         match self.members.binary_search(&node) {
             Ok(_) => false,
             Err(pos) => {
@@ -179,7 +171,7 @@ impl Cluster {
 
     /// Removes a member; `honest` must match the flag used at insertion.
     /// Returns `false` if the node was not a member.
-    pub fn remove(&mut self, node: NodeId, honest: bool) -> bool {
+    pub(crate) fn remove(&mut self, node: NodeId, honest: bool) -> bool {
         match self.members.binary_search(&node) {
             Ok(pos) => {
                 self.members.remove(pos);
@@ -233,14 +225,17 @@ mod tests {
             c.insert(nid(i), i >= 2); // 2 byzantine of 9
         }
         assert!((c.byz_fraction() - 2.0 / 9.0).abs() < 1e-12);
-        assert!(c.rand_num_secure(), "2 < 9/3");
+        assert!(c.rand_num_secure_in(SecurityMode::Plain), "2 < 9/3");
         assert!(!c.forgeable());
         assert!(c.two_thirds_honest());
 
         c.insert(nid(100), false); // 3 of 10
-        assert!(c.rand_num_secure(), "3 < 10/3? 9 < 10 yes");
+        assert!(
+            c.rand_num_secure_in(SecurityMode::Plain),
+            "3 < 10/3? 9 < 10 yes"
+        );
         c.insert(nid(101), false); // 4 of 11
-        assert!(!c.rand_num_secure(), "12 ≥ 11");
+        assert!(!c.rand_num_secure_in(SecurityMode::Plain), "12 ≥ 11");
         assert!(!c.two_thirds_honest(), "7 honest of 11: 21 < 22");
     }
 
@@ -276,7 +271,10 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.byz_fraction(), 0.0);
         assert!(!c.forgeable());
-        assert!(!c.rand_num_secure(), "0 < 0 is false — vacuously insecure");
+        assert!(
+            !c.rand_num_secure_in(SecurityMode::Plain),
+            "0 < 0 is false — vacuously insecure"
+        );
     }
 
     #[test]
@@ -313,7 +311,7 @@ mod tests {
             c.insert(nid(i), i >= 2);
         }
         assert_eq!(
-            c.rand_num_secure(),
+            c.rand_num_secure_in(SecurityMode::Plain),
             c.rand_num_secure_in(SecurityMode::Plain)
         );
         assert_eq!(

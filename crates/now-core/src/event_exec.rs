@@ -279,7 +279,7 @@ mod tests {
         let mut sys = system(280, 13);
         let net = EventNetConfig::ideal().with_partition(2);
         let report = sys.step_batch(
-            &BatchInput::new().joins_uniform(12, true),
+            &BatchInput::default().joins_uniform(12, true),
             &ExecConfig::event(net),
         );
         assert!(
@@ -291,7 +291,7 @@ mod tests {
         // land at t=1 ≥ heal time.
         let mut healed = system(280, 13);
         let report = healed.step_batch(
-            &BatchInput::new().joins_uniform(12, true),
+            &BatchInput::default().joins_uniform(12, true),
             &ExecConfig::event(net.healing_at(1)),
         );
         assert_eq!(report.dropped, 0);

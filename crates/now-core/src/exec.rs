@@ -24,7 +24,7 @@
 //!
 //! let params = NowParams::for_capacity(1 << 10).unwrap();
 //! let mut sys = NowSystem::init_fast(params, 300, 0.2, 7);
-//! let input = BatchInput::new().joins_uniform(4, true);
+//! let input = BatchInput::from_flags(&[true; 4], &[]);
 //! let report = sys.step_batch(&input, &ExecConfig::Canonical);
 //! assert_eq!(report.joined.len(), 4);
 //! assert!(report.rounds_parallel <= report.cost.rounds);
@@ -51,11 +51,6 @@ pub struct BatchInput {
 }
 
 impl BatchInput {
-    /// An empty step (still advances the time step when executed).
-    pub fn new() -> Self {
-        BatchInput::default()
-    }
-
     /// A step from explicit join specs and leave ids (the shape the
     /// batch drivers produce).
     pub fn from_specs(joins: &[JoinSpec], leaves: &[NodeId]) -> Self {
@@ -74,34 +69,12 @@ impl BatchInput {
         }
     }
 
-    /// Appends one arrival.
-    pub fn join(mut self, spec: JoinSpec) -> Self {
-        self.joins.push(spec);
-        self
-    }
-
     /// Appends `n` uniform-contact arrivals of the given honesty.
-    pub fn joins_uniform(mut self, n: usize, honest: bool) -> Self {
+    #[cfg(test)]
+    pub(crate) fn joins_uniform(mut self, n: usize, honest: bool) -> Self {
         self.joins
             .extend(std::iter::repeat_n(JoinSpec::uniform(honest), n));
         self
-    }
-
-    /// Appends one departure.
-    pub fn leave(mut self, node: NodeId) -> Self {
-        self.leaves.push(node);
-        self
-    }
-
-    /// Appends departures.
-    pub fn leaves(mut self, nodes: &[NodeId]) -> Self {
-        self.leaves.extend_from_slice(nodes);
-        self
-    }
-
-    /// True when the step carries no operations.
-    pub fn is_empty(&self) -> bool {
-        self.joins.is_empty() && self.leaves.is_empty()
     }
 }
 
@@ -259,21 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_input_builders_agree() {
-        let a = BatchInput::from_flags(&[true, false], &[]);
-        let b = BatchInput::new()
-            .join(JoinSpec::uniform(true))
-            .join(JoinSpec::uniform(false));
-        assert_eq!(a, b);
-        assert!(BatchInput::new().is_empty());
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn canonical_engine_reports_no_events() {
         let mut sys = system(240, 5);
         let report = sys.step_batch(
-            &BatchInput::new().joins_uniform(3, true),
+            &BatchInput::default().joins_uniform(3, true),
             &ExecConfig::Canonical,
         );
         assert_eq!(report.dropped, 0);
@@ -285,7 +247,7 @@ mod tests {
     fn empty_step_still_advances_time() {
         let mut sys = system(240, 6);
         let t0 = sys.time_step();
-        let report = sys.step_batch(&BatchInput::new(), &ExecConfig::Canonical);
+        let report = sys.step_batch(&BatchInput::default(), &ExecConfig::Canonical);
         assert_eq!(report.joined.len() + report.left.len(), 0);
         assert_eq!(sys.time_step(), t0 + 1);
     }

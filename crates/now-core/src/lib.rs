@@ -79,6 +79,6 @@ pub use now_trace::{
 };
 pub use params::{NowParams, SecurityMode};
 pub use rand_cl::WalkTrace;
-pub use registry::{ClusterStats, NodeRecord, Registry};
+pub use registry::{NodeRecord, Registry};
 pub use system::NowSystem;
-pub use views::{NodeView, ViewAudit};
+pub use views::ViewAudit;

@@ -37,7 +37,7 @@ pub enum SecurityMode {
 
 impl SecurityMode {
     /// The corruption supremum this mode is sized for (1/3 or 1/2).
-    pub fn tau_bound(self) -> f64 {
+    pub(crate) fn tau_bound(self) -> f64 {
         match self {
             SecurityMode::Plain => 1.0 / 3.0,
             SecurityMode::Authenticated => 0.5,
@@ -282,7 +282,7 @@ impl NowParams {
     }
 
     /// The per-invocation exchange cap, if any (default `None`).
-    pub fn exchange_cap(&self) -> Option<usize> {
+    pub(crate) fn exchange_cap(&self) -> Option<usize> {
         self.exchange_cap
     }
 
@@ -297,43 +297,14 @@ impl NowParams {
     }
 
     /// The capacity `N`.
-    pub fn capacity(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// The security parameter `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The band constant `l`.
-    pub fn l(&self) -> f64 {
-        self.l
-    }
-
-    /// The designed-for corruption bound `τ`.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// The drift slack `ε`.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// The quorum/agreement substrate mode (Plain or Authenticated).
     pub fn security(&self) -> SecurityMode {
         self.security
-    }
-
-    /// The population floor exponent `y` (`n ≥ N^{1/y}`).
-    pub fn population_floor_exponent(&self) -> f64 {
-        self.y
-    }
-
-    /// The population ceiling exponent `z` (`n ≤ N^z`).
-    pub fn population_ceiling_exponent(&self) -> f64 {
-        self.z
     }
 
     /// Parameters of the OVER overlay this deployment uses.
@@ -417,19 +388,11 @@ impl NowParams {
         schedule.min(self.walk_length_factor * guarantee)
     }
 
-    /// Size-bias acceptance normalizer: the walk's endpoint `C` is
-    /// accepted with probability `|C| / max_cluster_size` (the static
-    /// bound stands in for `max_C |C|`, which the protocol cannot know
-    /// exactly; sizes never exceed it while the invariants hold).
-    pub fn acceptance_probability(&self, cluster_size: usize) -> f64 {
-        acceptance(cluster_size, self.max_cluster_size())
-    }
-
     /// Cap on biased-walk restarts before `rand_cl` falls back to the
     /// current endpoint (guards against pathological overlays; never hit
     /// in the invariant regime — restarts are geometric with success
     /// probability ≥ `1/l²`).
-    pub fn max_walk_restarts(&self) -> usize {
+    pub(crate) fn max_walk_restarts(&self) -> usize {
         self.max_walk_restarts
     }
 }
@@ -446,8 +409,10 @@ pub(crate) const GAP_SHARE: f64 = 0.65;
 /// [`NowParams::ctrw_duration`].
 const WALK_SAFETY: f64 = 1.25;
 
-/// [`NowParams::acceptance_probability`] under a normaliser the caller
-/// has already computed: `|C| / max_cluster_size`, clamped to `[0, 1]`.
+/// Size-bias acceptance: the walk's endpoint `C` is accepted with
+/// probability `|C| / max_cluster_size`, clamped to `[0, 1]` (the static
+/// bound stands in for `max_C |C|`, which the protocol cannot know
+/// exactly; sizes never exceed it while the invariants hold).
 pub(crate) fn acceptance(cluster_size: usize, max_cluster_size: usize) -> f64 {
     (cluster_size as f64 / max_cluster_size as f64).clamp(0.0, 1.0)
 }
@@ -544,11 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_probability_clamped() {
-        let p = NowParams::for_capacity(1 << 10).unwrap();
-        assert_eq!(p.acceptance_probability(0), 0.0);
-        assert_eq!(p.acceptance_probability(10 * p.max_cluster_size()), 1.0);
-        let half = p.acceptance_probability(p.max_cluster_size() / 2);
+    fn acceptance_is_clamped() {
+        let max = NowParams::for_capacity(1 << 10).unwrap().max_cluster_size();
+        assert_eq!(acceptance(0, max), 0.0);
+        assert_eq!(acceptance(10 * max, max), 1.0);
+        let half = acceptance(max / 2, max);
         assert!(half > 0.0 && half < 1.0);
     }
 
@@ -620,7 +585,7 @@ mod tests {
         assert!(NowParams::new(1 << 10, 2, 1.5, 0.40, 0.05).is_err());
         let p = NowParams::new_authenticated(1 << 10, 2, 1.5, 0.40, 0.05).unwrap();
         assert_eq!(p.security(), SecurityMode::Authenticated);
-        assert!((p.tau() - 0.40).abs() < 1e-12);
+        assert!((p.tau - 0.40).abs() < 1e-12);
     }
 
     #[test]
@@ -661,8 +626,6 @@ mod tests {
     #[test]
     fn default_population_band_is_sqrt_to_n() {
         let p = NowParams::for_capacity(1 << 10).unwrap();
-        assert_eq!(p.population_floor_exponent(), 2.0);
-        assert_eq!(p.population_ceiling_exponent(), 1.0);
         assert_eq!(p.min_population(), 32);
         assert_eq!(p.max_population(), 1024);
     }

@@ -774,7 +774,11 @@ mod tests {
         // detach honest members until the fraction crosses.
         let victim = sys.cluster_ids()[0];
         let mut moved = 0;
-        while sys.cluster(victim).unwrap().rand_num_secure() {
+        while sys
+            .cluster(victim)
+            .unwrap()
+            .rand_num_secure_in(crate::params::SecurityMode::Plain)
+        {
             let honest_member = sys
                 .cluster(victim)
                 .unwrap()
@@ -835,10 +839,18 @@ mod tests {
             for _ in 0..6 {
                 shift(&mut sys, donor, ids[1]);
             }
-            while polluted && sys.cluster(ids[0]).unwrap().rand_num_secure() {
+            while polluted
+                && sys
+                    .cluster(ids[0])
+                    .unwrap()
+                    .rand_num_secure_in(crate::params::SecurityMode::Plain)
+            {
                 shift(&mut sys, ids[0], ids[1]);
             }
-            let secure = sys.clusters().filter(|c| c.rand_num_secure()).count();
+            let secure = sys
+                .clusters()
+                .filter(|c| c.rand_num_secure_in(crate::params::SecurityMode::Plain))
+                .count();
             let compromised = if polluted { 1 } else { 0 };
             assert_eq!(secure + compromised, sys.cluster_count(), "setup");
             let draw_costs: Vec<u64> = sys

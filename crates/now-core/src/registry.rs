@@ -59,22 +59,6 @@ pub struct NodeRecord {
     pub cluster: ClusterId,
 }
 
-/// O(1) per-cluster aggregate: member count and honest-member count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClusterStats {
-    /// Total members.
-    pub size: usize,
-    /// Honest members.
-    pub honest: usize,
-}
-
-impl ClusterStats {
-    /// Byzantine members.
-    pub fn byz(&self) -> usize {
-        self.size - self.honest
-    }
-}
-
 /// One slot of the cluster slab.
 #[derive(Debug, Clone)]
 struct ClusterSlot {
@@ -182,18 +166,13 @@ impl Registry {
     // ------------------------------------------------------------------
 
     /// Current population (exact counter, O(1)).
-    pub fn population(&self) -> u64 {
+    pub(crate) fn population(&self) -> u64 {
         self.population
     }
 
     /// Current Byzantine population (exact counter, O(1)).
-    pub fn byz_population(&self) -> u64 {
+    pub(crate) fn byz_population(&self) -> u64 {
         self.byz_population
-    }
-
-    /// Whether no node is registered.
-    pub fn is_empty(&self) -> bool {
-        self.population == 0
     }
 
     // ------------------------------------------------------------------
@@ -201,7 +180,7 @@ impl Registry {
     // ------------------------------------------------------------------
 
     /// The record of a live node (direct table index, O(1)).
-    pub fn get(&self, node: NodeId) -> Option<NodeRecord> {
+    pub(crate) fn get(&self, node: NodeId) -> Option<NodeRecord> {
         let entry = self.entry(node)?;
         Some(NodeRecord {
             honest: entry.honest,
@@ -210,7 +189,7 @@ impl Registry {
     }
 
     /// Whether the node is registered.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.entry(node).is_some()
     }
 
@@ -227,7 +206,7 @@ impl Registry {
     }
 
     /// Ids of the Byzantine nodes, ascending (same scan, filtered).
-    pub fn byz_node_ids(&self) -> Vec<NodeId> {
+    pub(crate) fn byz_node_ids(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.byz_population as usize);
         for (raw, entry) in self.nodes.iter().enumerate() {
             if entry.cluster_slot != NO_SLOT && !entry.honest {
@@ -283,7 +262,7 @@ impl Registry {
     /// # Panics
     /// Panics if the cluster still has members (detach or move them
     /// first) — removing a populated cluster would corrupt the counters.
-    pub fn remove_cluster(&mut self, id: ClusterId) -> Option<Cluster> {
+    pub(crate) fn remove_cluster(&mut self, id: ClusterId) -> Option<Cluster> {
         let pos = self.sorted_clusters.binary_search(&id).ok()?;
         let slot = self.sorted_slots[pos];
         let s = &mut self.cluster_slots[slot as usize];
@@ -302,24 +281,24 @@ impl Registry {
     }
 
     /// A cluster by id.
-    pub fn cluster(&self, id: ClusterId) -> Option<&Cluster> {
+    pub(crate) fn cluster(&self, id: ClusterId) -> Option<&Cluster> {
         self.cluster_slot_of(id)
             .map(|slot| self.cluster_in_slot(slot))
     }
 
     /// Whether the cluster is live.
-    pub fn contains_cluster(&self, id: ClusterId) -> bool {
+    pub(crate) fn contains_cluster(&self, id: ClusterId) -> bool {
         self.cluster_slot_of(id).is_some()
     }
 
     /// Number of live clusters.
-    pub fn cluster_count(&self) -> usize {
+    pub(crate) fn cluster_count(&self) -> usize {
         self.sorted_clusters.len()
     }
 
     /// Live cluster ids, ascending (cached; no allocation on the
     /// registry's side beyond the slice view).
-    pub fn cluster_ids(&self) -> &[ClusterId] {
+    pub(crate) fn cluster_ids(&self) -> &[ClusterId] {
         &self.sorted_clusters
     }
 
@@ -328,24 +307,15 @@ impl Registry {
     ///
     /// # Panics
     /// Panics if `idx ≥ cluster_count()`.
-    pub fn cluster_id_at(&self, idx: usize) -> ClusterId {
+    pub(crate) fn cluster_id_at(&self, idx: usize) -> ClusterId {
         self.sorted_clusters[idx]
     }
 
     /// Iterates clusters in ascending id order.
-    pub fn clusters(&self) -> impl Iterator<Item = &Cluster> {
+    pub(crate) fn clusters(&self) -> impl Iterator<Item = &Cluster> {
         self.sorted_slots
             .iter()
             .map(move |&slot| &self.cluster_slots[slot as usize].cluster)
-    }
-
-    /// Per-cluster size / honest-count aggregate, O(1) after the slot
-    /// lookup ([`Cluster`] caches its Byzantine count).
-    pub fn cluster_stats(&self, id: ClusterId) -> Option<ClusterStats> {
-        self.cluster(id).map(|c| ClusterStats {
-            size: c.size(),
-            honest: c.honest_count(),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -453,7 +423,7 @@ impl Registry {
     ///
     /// # Errors
     /// A human-readable description of the first inconsistency found.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         // Node table: every entry names a live home cluster that holds
         // the node.
         let mut seen_nodes = 0u64;
@@ -674,18 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_stats_track_mutations() {
-        let mut reg = registry_with(2, 6);
-        let s0 = reg.cluster_stats(cid(0)).unwrap();
-        assert_eq!(s0.size, 6);
-        assert_eq!(s0.byz(), 2);
-        reg.move_to(nid(0), cid(1)).unwrap();
-        assert_eq!(reg.cluster_stats(cid(0)).unwrap().size, 5);
-        assert_eq!(reg.cluster_stats(cid(1)).unwrap().size, 7);
-        assert!(reg.cluster_stats(cid(42)).is_none());
-    }
-
-    #[test]
     fn sorted_cluster_cache_is_maintained() {
         let mut reg = Registry::new();
         for raw in [5u64, 1, 9, 3] {
@@ -761,7 +719,6 @@ mod tests {
         let ghost = cid(99_999);
         assert!(reg.cluster(ghost).is_none());
         assert!(!reg.contains_cluster(ghost));
-        assert!(reg.cluster_stats(ghost).is_none());
         assert!(reg.remove_cluster(ghost).is_none());
         assert!(reg.cluster(cid(3)).is_none(), "never issued");
         assert_eq!(
@@ -856,7 +813,7 @@ mod tests {
     #[test]
     fn invariant_check_is_exhaustive_on_empty() {
         let reg = Registry::new();
-        assert!(reg.is_empty());
+        assert_eq!(reg.population(), 0);
         reg.check_invariants().unwrap();
     }
 

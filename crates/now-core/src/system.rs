@@ -197,11 +197,6 @@ impl NowSystem {
         self.registry.byz_population()
     }
 
-    /// The slab-backed membership registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Number of clusters `#C`.
     pub fn cluster_count(&self) -> usize {
         self.registry.cluster_count()
@@ -294,7 +289,7 @@ impl NowSystem {
 
     /// A uniformly random live cluster — the cluster a joining node
     /// "gets in contact with" when the caller has no preference.
-    pub fn contact_cluster(&mut self) -> ClusterId {
+    pub(crate) fn contact_cluster(&mut self) -> ClusterId {
         let idx = self.rng.gen_range(0..self.registry.cluster_count());
         self.registry.cluster_id_at(idx)
     }

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The derived local view of one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeView {
+pub(crate) struct NodeView {
     /// The node whose view this is.
     pub node: NodeId,
     /// Its cluster.
@@ -40,7 +40,7 @@ pub struct NodeView {
 
 impl NodeView {
     /// Every identity this node is entitled to know.
-    pub fn known_ids(&self) -> BTreeSet<NodeId> {
+    pub(crate) fn known_ids(&self) -> BTreeSet<NodeId> {
         let mut all = self.own_members.clone();
         for members in self.neighbor_members.values() {
             all.extend(members.iter().copied());
@@ -50,7 +50,7 @@ impl NodeView {
 
     /// View size — the paper's `polylog(N)` knowledge bound: own cluster
     /// plus `deg(C)` neighbor clusters of `O(logN)` members each.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.known_ids().len()
     }
 }
@@ -78,7 +78,7 @@ impl NowSystem {
     ///
     /// # Panics
     /// Panics if `node` is not in the network.
-    pub fn node_view(&self, node: NodeId) -> NodeView {
+    pub(crate) fn node_view(&self, node: NodeId) -> NodeView {
         // INVARIANT: documented `# Panics` contract on node_view.
         let cluster = self.node_cluster(node).expect("node must be live");
         let own_members: BTreeSet<NodeId> = self

@@ -33,8 +33,9 @@ pub const EXACT_LIMIT: usize = 24;
 /// # Example
 /// ```
 /// use now_graph::{gen, exact_isoperimetric};
-/// // Complete graph on 6 vertices: worst S has |S| = 3, cut = 9, I = 3.
-/// assert_eq!(exact_isoperimetric(&gen::complete(6)), 3.0);
+/// // G(6, 1) is K_6: worst S has |S| = 3, cut = 9, I = 3.
+/// let k6 = gen::erdos_renyi(6, 1.0, &mut now_net::DetRng::new(1));
+/// assert_eq!(exact_isoperimetric(&k6), 3.0);
 /// ```
 pub fn exact_isoperimetric(g: &Graph) -> f64 {
     let n = g.vertex_count();

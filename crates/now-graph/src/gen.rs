@@ -6,6 +6,8 @@
 //! expansion behavior, used to validate the spectral and isoperimetric
 //! estimators: rings expand poorly (`I ≈ 2/(n/2)`), complete graphs
 //! expand maximally (`I = ⌈n/2⌉`), stars have conductance bottlenecks.
+//! Complete graphs, rings, stars and rings with chords are unit-test
+//! fixtures.
 
 use crate::graph::Graph;
 use rand::Rng;
@@ -34,8 +36,18 @@ pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
     g
 }
 
+/// Simple path `P_n`.
+pub fn path(n: usize) -> Graph {
+    let mut g = Graph::new(n);
+    for u in 0..n.saturating_sub(1) {
+        g.add_edge(u, u + 1);
+    }
+    g
+}
+
 /// Complete graph `K_n`.
-pub fn complete(n: usize) -> Graph {
+#[cfg(test)]
+pub(crate) fn complete(n: usize) -> Graph {
     let mut g = Graph::new(n);
     for u in 0..n {
         for v in (u + 1)..n {
@@ -47,7 +59,8 @@ pub fn complete(n: usize) -> Graph {
 
 /// Cycle `C_n` (requires `n ≥ 3`; smaller `n` yields a path or a single
 /// edge without panicking, which keeps generators total for tests).
-pub fn ring(n: usize) -> Graph {
+#[cfg(test)]
+pub(crate) fn ring(n: usize) -> Graph {
     let mut g = Graph::new(n);
     if n < 2 {
         return g;
@@ -61,17 +74,9 @@ pub fn ring(n: usize) -> Graph {
     g
 }
 
-/// Simple path `P_n`.
-pub fn path(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n.saturating_sub(1) {
-        g.add_edge(u, u + 1);
-    }
-    g
-}
-
 /// Star with center `0` and `n - 1` leaves.
-pub fn star(n: usize) -> Graph {
+#[cfg(test)]
+pub(crate) fn star(n: usize) -> Graph {
     let mut g = Graph::new(n);
     for v in 1..n {
         g.add_edge(0, v);
@@ -80,8 +85,9 @@ pub fn star(n: usize) -> Graph {
 }
 
 /// Ring plus `chords` random chords — a cheap "small-world" expander-ish
-/// construction used as a fixture in expansion and traversal tests.
-pub fn ring_with_chords<R: Rng>(n: usize, chords: usize, rng: &mut R) -> Graph {
+/// construction used as a fixture in the expansion tests.
+#[cfg(test)]
+pub(crate) fn ring_with_chords<R: Rng>(n: usize, chords: usize, rng: &mut R) -> Graph {
     let mut g = ring(n);
     if n < 4 {
         return g;

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 /// g.add_edge(0, 1);
 /// g.add_edge(1, 2);
 /// assert_eq!(g.degree(1), 2);
-/// assert!(g.has_edge(0, 1));
+/// assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [0, 2]);
 /// assert_eq!(g.edge_count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,21 +69,9 @@ impl Graph {
         inserted
     }
 
-    /// Removes the edge `{u, v}` if present; returns `true` if removed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        if u >= self.adj.len() || v >= self.adj.len() {
-            return false;
-        }
-        let removed = self.adj[u].remove(&v);
-        if removed {
-            self.adj[v].remove(&u);
-            self.edges -= 1;
-        }
-        removed
-    }
-
     /// Whether the edge `{u, v}` exists.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_edge(&self, u: usize, v: usize) -> bool {
         self.adj.get(u).is_some_and(|s| s.contains(&v))
     }
 
@@ -101,20 +89,6 @@ impl Graph {
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
         self.adj[v].iter().copied()
-    }
-
-    /// The `i`-th neighbor of `v` in ascending order (used by walks for
-    /// deterministic indexed choice).
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range or `i >= degree(v)`.
-    pub fn neighbor_at(&self, v: usize, i: usize) -> usize {
-        *self.adj[v]
-            .iter()
-            .nth(i)
-            // INVARIANT: documented contract — callers index below
-            // `degree(v)`, which is this set's exact length.
-            .expect("neighbor index out of range")
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
@@ -148,27 +122,6 @@ impl Graph {
         }
         out
     }
-
-    /// Number of edges crossing the cut `(S, S̄)` where membership in `S`
-    /// is given by `in_s`.
-    ///
-    /// # Panics
-    /// Panics if `in_s.len() != vertex_count()`.
-    pub fn cut_size(&self, in_s: &[bool]) -> usize {
-        assert_eq!(in_s.len(), self.adj.len(), "cut indicator length mismatch");
-        let mut cut = 0;
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            if !in_s[u] {
-                continue;
-            }
-            for &v in nbrs.iter() {
-                if !in_s[v] {
-                    cut += 1;
-                }
-            }
-        }
-        cut
-    }
 }
 
 #[cfg(test)]
@@ -177,15 +130,12 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn add_remove_edge_roundtrip() {
+    fn parallel_edges_are_rejected() {
         let mut g = Graph::new(4);
         assert!(g.add_edge(0, 1));
         assert!(!g.add_edge(1, 0), "parallel edge rejected");
         assert_eq!(g.edge_count(), 1);
-        assert!(g.remove_edge(1, 0));
-        assert!(!g.remove_edge(0, 1));
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.degree(0), 0);
+        assert_eq!(g.degree(0), 1);
     }
 
     #[test]
@@ -200,17 +150,6 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut g = Graph::new(2);
         g.add_edge(0, 5);
-    }
-
-    #[test]
-    fn neighbor_at_is_sorted() {
-        let mut g = Graph::new(5);
-        g.add_edge(2, 4);
-        g.add_edge(2, 0);
-        g.add_edge(2, 3);
-        assert_eq!(g.neighbor_at(2, 0), 0);
-        assert_eq!(g.neighbor_at(2, 1), 3);
-        assert_eq!(g.neighbor_at(2, 2), 4);
     }
 
     #[test]
@@ -242,27 +181,14 @@ mod tests {
         assert_eq!(g.edges(), vec![(0, 1), (0, 2), (1, 2)]);
     }
 
-    #[test]
-    fn cut_size_triangle() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(0, 2);
-        assert_eq!(g.cut_size(&[true, false, false]), 2);
-        assert_eq!(g.cut_size(&[true, true, false]), 2);
-        assert_eq!(g.cut_size(&[true, true, true]), 0);
-        assert_eq!(g.cut_size(&[false, false, false]), 0);
-    }
-
     proptest! {
         /// Handshake lemma: sum of degrees is twice the edge count, for
-        /// arbitrary edge scripts (inserts and deletes interleaved).
+        /// arbitrary edge scripts (repeated edges included).
         #[test]
-        fn handshake_lemma(script in proptest::collection::vec((0usize..12, 0usize..12, any::<bool>()), 0..200)) {
+        fn handshake_lemma(script in proptest::collection::vec((0usize..12, 0usize..12), 0..200)) {
             let mut g = Graph::new(12);
-            for (u, v, insert) in script {
-                if u == v { continue; }
-                if insert { g.add_edge(u, v); } else { g.remove_edge(u, v); }
+            for (u, v) in script {
+                if u != v { g.add_edge(u, v); }
             }
             let degree_sum: usize = (0..12).map(|v| g.degree(v)).sum();
             prop_assert_eq!(degree_sum, 2 * g.edge_count());
@@ -272,18 +198,6 @@ mod tests {
                     prop_assert!(g.has_edge(v, u));
                 }
             }
-        }
-
-        /// A cut and its complement have the same size.
-        #[test]
-        fn cut_is_symmetric(edges in proptest::collection::vec((0usize..10, 0usize..10), 0..40),
-                            mask in proptest::collection::vec(any::<bool>(), 10)) {
-            let mut g = Graph::new(10);
-            for (u, v) in edges {
-                if u != v { g.add_edge(u, v); }
-            }
-            let flipped: Vec<bool> = mask.iter().map(|b| !b).collect();
-            prop_assert_eq!(g.cut_size(&mask), g.cut_size(&flipped));
         }
     }
 }

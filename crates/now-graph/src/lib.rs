@@ -6,7 +6,7 @@
 //! * **Generation** ([`gen`]): Erdős–Rényi `G(n,p)` graphs — OVER starts
 //!   from one with `p = log^{1+α}N / √N` — plus reference topologies used
 //!   in tests (rings, stars, paths, complete graphs).
-//! * **Expansion** ([`expansion`], [`spectral`]): the isoperimetric
+//! * **Expansion** ([`expansion`], `spectral`): the isoperimetric
 //!   constant `I(G) = min_{|S| ≤ n/2} E(S,S̄)/|S|` of Property 1, computed
 //!   exactly for small graphs and bracketed by the Cheeger-style spectral
 //!   lower bound `λ₂/2` and a Fiedler sweep-cut upper bound for large
@@ -42,10 +42,10 @@ pub mod gen;
 pub mod graph;
 pub mod law;
 pub mod sample;
-pub mod spectral;
+mod spectral;
 pub mod traversal;
 
 pub use expansion::{cheeger_lower_bound, exact_isoperimetric, sweep_cut_upper_bound};
 pub use graph::Graph;
 pub use law::{ctrw_law, total_variation};
-pub use spectral::{algebraic_connectivity, fiedler_vector, SpectralOptions};
+pub use spectral::{algebraic_connectivity, SpectralOptions};

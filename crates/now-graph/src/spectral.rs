@@ -124,7 +124,7 @@ fn fiedler_iteration(g: &Graph, opts: SpectralOptions) -> (f64, Vec<f64>) {
 /// # Example
 /// ```
 /// use now_graph::{gen, algebraic_connectivity, SpectralOptions};
-/// let g = gen::complete(6);
+/// let g = gen::erdos_renyi(6, 1.0, &mut now_net::DetRng::new(1)); // K_6
 /// let l2 = algebraic_connectivity(&g, SpectralOptions::default());
 /// assert!((l2 - 6.0).abs() < 1e-6); // λ₂(K_n) = n
 /// ```
@@ -134,7 +134,7 @@ pub fn algebraic_connectivity(g: &Graph, opts: SpectralOptions) -> f64 {
 
 /// Unit-norm Fiedler vector (eigenvector of λ₂), used for sweep cuts.
 /// For graphs with fewer than two vertices returns a zero vector.
-pub fn fiedler_vector(g: &Graph, opts: SpectralOptions) -> Vec<f64> {
+pub(crate) fn fiedler_vector(g: &Graph, opts: SpectralOptions) -> Vec<f64> {
     fiedler_iteration(g, opts).1
 }
 

@@ -29,35 +29,6 @@ pub fn bfs_distances(g: &Graph, start: usize) -> Vec<usize> {
     dist
 }
 
-/// Connected components as a vector of vertex lists, each sorted, ordered
-/// by smallest member.
-pub fn connected_components(g: &Graph) -> Vec<Vec<usize>> {
-    let n = g.vertex_count();
-    let mut seen = vec![false; n];
-    let mut components = Vec::new();
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[s] = true;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for v in g.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        comp.sort_unstable();
-        components.push(comp);
-    }
-    components
-}
-
 /// Whether the graph is connected (vacuously true for `n ≤ 1`).
 pub fn is_connected(g: &Graph) -> bool {
     if g.vertex_count() <= 1 {
@@ -87,26 +58,11 @@ pub fn diameter(g: &Graph) -> Option<usize> {
     Some(best)
 }
 
-/// Eccentricity of `v` (max distance to any reachable vertex); `None` if
-/// some vertex is unreachable.
-pub fn eccentricity(g: &Graph, v: usize) -> Option<usize> {
-    let dist = bfs_distances(g, v);
-    let mut best = 0;
-    for &d in &dist {
-        if d == usize::MAX {
-            return None;
-        }
-        best = best.max(d);
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
     use now_net::DetRng;
-    use proptest::prelude::*;
 
     #[test]
     fn bfs_on_path() {
@@ -123,15 +79,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], usize::MAX);
         assert_eq!(d[3], usize::MAX);
-    }
-
-    #[test]
-    fn components_of_two_islands() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
-        let comps = connected_components(&g);
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3], vec![4]]);
     }
 
     #[test]
@@ -157,44 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_of_path_center_and_end() {
-        let g = gen::path(5);
-        assert_eq!(eccentricity(&g, 2), Some(2));
-        assert_eq!(eccentricity(&g, 0), Some(4));
-    }
-
-    #[test]
     fn dense_er_is_connected_with_small_diameter() {
         let mut rng = DetRng::new(5);
         let g = gen::erdos_renyi(100, 0.15, &mut rng);
         assert!(is_connected(&g));
         let d = diameter(&g).unwrap();
         assert!(d <= 4, "ER(100, 0.15) should have tiny diameter, got {d}");
-    }
-
-    proptest! {
-        /// Diameter is an upper bound for every eccentricity, and is
-        /// achieved by at least one vertex.
-        #[test]
-        fn diameter_is_max_eccentricity(seed in any::<u64>()) {
-            let mut rng = DetRng::new(seed);
-            let g = gen::ring_with_chords(20, 5, &mut rng);
-            let d = diameter(&g).expect("ring with chords is connected");
-            let eccs: Vec<usize> = (0..20).map(|v| eccentricity(&g, v).unwrap()).collect();
-            prop_assert_eq!(d, *eccs.iter().max().unwrap());
-        }
-
-        /// Components partition the vertex set.
-        #[test]
-        fn components_partition(edges in proptest::collection::vec((0usize..15, 0usize..15), 0..30)) {
-            let mut g = Graph::new(15);
-            for (u, v) in edges {
-                if u != v { g.add_edge(u, v); }
-            }
-            let comps = connected_components(&g);
-            let mut all: Vec<usize> = comps.into_iter().flatten().collect();
-            all.sort_unstable();
-            prop_assert_eq!(all, (0..15).collect::<Vec<_>>());
-        }
     }
 }

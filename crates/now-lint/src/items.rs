@@ -1,5 +1,6 @@
-//! The item tree API001 renders: each file's token stream parsed into
-//! mods / fns / impls / traits / … with their names and visibility.
+//! The item tree API001 renders and API002 judges: each file's token
+//! stream parsed into mods / fns / impls / traits / … with their names,
+//! visibility and token ranges.
 //!
 //! P001 needs no items; the per-crate public-surface lock
 //! ([`crate::api_lock`]) does. The parse is lexical, with these
@@ -11,6 +12,8 @@
 //!   (local fns, local impls) are not parsed.
 //! * **Impls are named by their self-type's last path segment**, and a
 //!   trait impl records the trait's last segment.
+
+use std::ops::Range;
 
 use crate::tokenizer::{TokKind, Token};
 
@@ -36,7 +39,7 @@ pub enum ItemKind {
 
 impl ItemKind {
     /// Stable lowercase label used in `API.lock` lines and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ItemKind::Mod => "mod",
             ItemKind::Fn => "fn",
@@ -83,8 +86,11 @@ pub struct Item {
     /// opaque (no nested item parsing).
     pub children: Vec<Item>,
     /// True when the item's first token is test-scoped (set by
-    /// [`crate::scope::mark_test_scopes`] before parsing).
+    /// `scope::mark_test_scopes` before parsing).
     pub in_test: bool,
+    /// The item's token indices, from its visibility (attributes
+    /// excluded) to one past its closing `;` or `}`.
+    pub span: Range<usize>,
 }
 
 impl Item {
@@ -96,6 +102,7 @@ impl Item {
             vis,
             children: Vec::new(),
             in_test,
+            span: 0..0,
         }
     }
 }
@@ -104,7 +111,7 @@ impl Item {
 /// fails: unrecognized tokens are skipped (error recovery — the lint
 /// runs on code rustc already accepts, so recovery paths are dusty
 /// corners, not the common case).
-pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
+pub(crate) fn parse_items(tokens: &[Token]) -> Vec<Item> {
     let mut p = Parser { tokens };
     p.items(0, tokens.len())
 }
@@ -245,13 +252,15 @@ impl<'t> Parser<'t> {
                     i = self.skip_attribute(i, end);
                     i = self.skip_comments(i, end);
                 }
-                if let Some((item, next)) = self.item(i, end) {
+                if let Some((mut item, next)) = self.item(i, end) {
+                    item.span = i..next;
                     out.push(item);
                     i = next;
                 }
                 continue;
             }
-            if let Some((item, next)) = self.item(i, end) {
+            if let Some((mut item, next)) = self.item(i, end) {
+                item.span = i..next;
                 out.push(item);
                 i = next;
             } else {
@@ -655,6 +664,26 @@ mod tests {
         assert!(items[0].in_test);
         assert!(items[0].children[0].in_test);
         assert!(!items[1].in_test);
+    }
+
+    #[test]
+    fn spans_run_from_visibility_to_the_closing_token() {
+        let src = "#[inline]\npub fn a() { x(); }\nstruct S;";
+        let mut toks = tokenize(src);
+        mark_test_scopes(&mut toks);
+        let items = parse_items(&toks);
+        let text = |item: &Item| -> Vec<String> {
+            toks[item.span.clone()]
+                .iter()
+                .map(|t| match t.kind {
+                    TokKind::Punct(c) => c.to_string(),
+                    _ => t.text.clone(),
+                })
+                .collect()
+        };
+        let a = ["pub", "fn", "a", "(", ")", "{", "x", "(", ")", ";", "}"];
+        assert_eq!(text(&items[0]), a);
+        assert_eq!(text(&items[1]), ["struct", "S", ";"]);
     }
 
     #[test]

@@ -7,16 +7,22 @@
 //! OS entropy, libm) and the root `Cargo.toml`'s `[workspace.lints]`
 //! table denies them and forbids `unsafe` in every target. A test in
 //! this crate runs clippy on seeded probes to keep that configuration
-//! firing. What is left here are the two checks no compiler lint makes:
+//! firing. What is left here are the checks no compiler lint makes:
 //!
-//! * P001 ([`rules`]): a panic-capable site in library code needs a
-//!   `// INVARIANT:` justification. Per file: [`tokenizer`] (comment,
+//! * P001 (`rules`): a panic-capable site in library code needs a
+//!   `// INVARIANT:` justification. Per file: `tokenizer` (comment,
 //!   string and raw-string aware, no `syn` — the workspace vendors
-//!   every dependency), [`scope`] (marks `#[cfg(test)]` / `#[test]`
-//!   items, which P001 skips), then [`rules`].
+//!   every dependency), `scope` (marks `#[cfg(test)]` / `#[test]`
+//!   items, which P001 skips), then `rules`.
 //! * API001 ([`api_lock`]): each crate's `src/` files parse into an
 //!   [`items`] tree, whose public surface renders into a canonical
 //!   `API.lock`; drift against the committed copy is a finding.
+//! * API002 (`api_lock::unused_lines`): `pub` means used. A lock line
+//!   whose name no source outside the crate's library writes, and that
+//!   no used item's signature names, is a finding: make it `pub(crate)`
+//!   or delete it. Outside means other crates, every `src/bin/` and
+//!   `src/main.rs`, crate `tests/`, `benches/` and `examples/`, the root
+//!   package, and `bench/`.
 //!
 //! The tool takes no configuration: the directories never linted are
 //! `SKIPPED_DIRS`, and a test on the real tree keeps that list from
@@ -30,17 +36,18 @@
 
 pub mod api_lock;
 pub mod items;
-pub mod rules;
-pub mod scope;
-pub mod tokenizer;
+mod rules;
+mod scope;
+mod tokenizer;
 
 pub use rules::{FileClass, Finding};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use api_lock::UnitFile;
+use tokenizer::TokKind;
 
 /// Directories never linted, relative to the workspace root: the
 /// vendored API-compatible subsets of external crates (`rand`,
@@ -52,7 +59,7 @@ pub(crate) const SKIPPED_DIRS: &[&str] = &["vendor", "crates/now-lint/fixtures"]
 
 /// Classifies a workspace-relative path (forward slashes) into the
 /// file class that decides whether P001 binds. See [`FileClass`].
-pub fn classify(rel_path: &str) -> FileClass {
+pub(crate) fn classify(rel_path: &str) -> FileClass {
     let other = rel_path.starts_with("tests/")
         || rel_path.starts_with("examples/")
         || ["/tests/", "/examples/", "/src/bin/"]
@@ -76,7 +83,7 @@ pub fn lint_source(rel_path: &str, class: FileClass, src: &str) -> Vec<Finding> 
 /// directories (`.git` among them), every `target` build-output
 /// directory and the `SKIPPED_DIRS` under `root`. Paths come back
 /// sorted so reports are byte-stable.
-pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
     let skipped: Vec<PathBuf> = SKIPPED_DIRS.iter().map(|d| root.join(d)).collect();
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -104,12 +111,17 @@ pub fn discover_rs_files(root: &Path) -> Vec<PathBuf> {
 
 /// The crate whose public surface a workspace-relative path belongs
 /// to: `<name>` for files in `crates/<name>/src/` outside `src/bin/`
-/// (each bin is its own process, not part of the crate's API), `None`
-/// for every other file.
+/// and `src/main.rs` (each bin is its own process, not part of the
+/// crate's API), `None` for every other file.
 fn crate_of(rel: &str) -> Option<&str> {
     let (name, tail) = rel.strip_prefix("crates/")?.split_once('/')?;
-    (tail.starts_with("src/") && !tail.starts_with("src/bin/")).then_some(name)
+    let library = tail.starts_with("src/") && !tail.starts_with("src/bin/");
+    (library && tail != "src/main.rs").then_some(name)
 }
+
+/// Each identifier of the workspace's sources, with the crates whose
+/// library writes it (`None` for every other file).
+type IdentOwners<'s> = BTreeMap<String, BTreeSet<Option<&'s str>>>;
 
 /// One linted source file: its workspace-relative path and its text.
 type Source = (String, String);
@@ -145,10 +157,12 @@ fn read_workspace(root: &Path) -> Result<(Vec<Source>, CrateUnits), String> {
 
 /// Lints every discovered `.rs` file under `root`. P001 runs per
 /// file; API001 compares each crate's rendered public surface
-/// against the committed `crates/<name>/API.lock`. An orphan lock (its
-/// crate has no linted sources) is checked against the empty surface,
-/// so a lock claiming any item fails until it is deleted with its
-/// crate. Returns the findings sorted by path, line, rule.
+/// against the committed `crates/<name>/API.lock`, and API002 reports
+/// each rendered line nothing outside the crate's library uses, at its
+/// line of the rendered lock. An orphan lock (its crate has no linted
+/// sources) is checked against the empty surface, so a lock claiming
+/// any item fails until it is deleted with its crate. Returns the
+/// findings sorted by path, line, rule.
 pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let (sources, mut crates) = read_workspace(root)?;
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
@@ -160,8 +174,14 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         }
     }
     let mut findings = Vec::new();
+    let mut owners = IdentOwners::new();
     for (rel, src) in &sources {
-        findings.extend(lint_source(rel, classify(rel), src));
+        let mut tokens = tokenizer::tokenize(src);
+        scope::mark_test_scopes(&mut tokens);
+        findings.extend(rules::lint_tokens(rel, classify(rel), &tokens));
+        for t in tokens.into_iter().filter(|t| t.kind == TokKind::Ident) {
+            owners.entry(t.text).or_default().insert(crate_of(rel));
+        }
     }
     for (name, files) in &crates {
         let lock_rel = format!("crates/{name}/API.lock");
@@ -171,6 +191,23 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             &lock_rel,
             &rendered,
         ));
+        let used_outside = |ident: &str| {
+            owners
+                .get(ident)
+                .is_some_and(|o| o.iter().any(|owner| *owner != Some(name.as_str())))
+        };
+        for line in api_lock::unused_lines(files, used_outside) {
+            let at = rendered.lines().position(|l| l == line).unwrap_or(0);
+            findings.push(Finding {
+                path: lock_rel.clone(),
+                line: u32::try_from(at + 1).unwrap_or(u32::MAX),
+                rule: "API002",
+                message: format!(
+                    "`{line}` has no user outside {name}'s library — make it pub(crate) \
+                     or delete it"
+                ),
+            });
+        }
     }
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
@@ -432,17 +469,23 @@ mod tests {
     /// into a crate's `src/` fires P001 on the planted file (the fixture
     /// also declares `pub` items, so API001 alone would fail the run
     /// even if P001 went silent), an appended `pub fn` drifts its
-    /// crate's lock, and an orphan lock fails API001.
+    /// crate's lock, an orphan lock fails API001, and a locked `pub fn`
+    /// nothing outside the crate calls fails API002 while a type only a
+    /// used signature names does not.
     #[test]
     fn seeded_probes_fire_their_own_rule() {
         let root = std::env::temp_dir().join(format!("now-lint-probes-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let lib = root.join("crates/now-core/src/lib.rs");
+        let user = root.join("src/lib.rs");
         fs::create_dir_all(lib.parent().unwrap()).unwrap();
-        fs::write(&lib, "pub fn ok() {}\n").unwrap();
+        fs::create_dir_all(user.parent().unwrap()).unwrap();
+        fs::write(&lib, "pub struct Shown;\npub fn ok() -> Shown { Shown }\n").unwrap();
+        fs::write(&user, "pub fn run() { now_core::ok(); }\n").unwrap();
         // Baseline the locks so only the planted violations remain.
         write_api_locks(&root).unwrap();
-        assert!(run_workspace(&root).unwrap().is_empty());
+        let findings = run_workspace(&root).unwrap();
+        assert!(findings.is_empty(), "baseline: {findings:?}");
 
         let probe = "crates/now-core/src/__lint_probe.rs";
         fs::copy(fixtures().join("p001_panic_paths.rs"), root.join(probe)).unwrap();
@@ -453,7 +496,16 @@ mod tests {
         );
         fs::remove_file(root.join(probe)).unwrap();
 
-        fs::write(&lib, "pub fn ok() {}\npub fn __api_drift_probe() {}\n").unwrap();
+        fs::write(
+            &lib,
+            "pub struct Shown;\npub fn ok() -> Shown { Shown }\npub fn __api_drift_probe() {}\n",
+        )
+        .unwrap();
+        fs::write(
+            &user,
+            "pub fn run() { now_core::ok(); now_core::__api_drift_probe(); }\n",
+        )
+        .unwrap();
         fs::create_dir_all(root.join("crates/ghost")).unwrap();
         fs::write(root.join("crates/ghost/API.lock"), "# stale\nfn gone\n").unwrap();
         let findings = run_workspace(&root).unwrap();
@@ -465,6 +517,25 @@ mod tests {
                 ("crates/now-core/API.lock", "API001")
             ],
             "findings: {findings:?}"
+        );
+        fs::remove_dir_all(root.join("crates/ghost")).unwrap();
+
+        fs::write(&user, "pub fn run() { now_core::ok(); }\n").unwrap();
+        write_api_locks(&root).unwrap();
+        let findings = run_workspace(&root).unwrap();
+        let got: Vec<(String, u32, &str)> = findings
+            .iter()
+            .map(|f| (f.path.clone(), f.line, f.rule))
+            .collect();
+        assert_eq!(
+            got,
+            [("crates/now-core/API.lock".to_string(), 2, "API002")],
+            "findings: {findings:?}"
+        );
+        assert!(
+            findings[0].message.contains("`fn __api_drift_probe`"),
+            "{}",
+            findings[0].message
         );
         let _ = fs::remove_dir_all(&root);
     }

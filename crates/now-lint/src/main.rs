@@ -1,5 +1,6 @@
 //! The `now-lint` binary: the CI gate for P001 (panic-site
-//! justifications) and API001 (public-surface locks).
+//! justifications), API001 (public-surface locks) and API002 (every
+//! locked item has a user outside its crate).
 //!
 //! ```text
 //! now-lint --workspace            # lint the whole tree

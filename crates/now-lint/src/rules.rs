@@ -179,7 +179,7 @@ fn p001_message(what: &str) -> String {
 
 /// Runs P001 over one file's marked token stream: nothing outside
 /// library code, nothing in test-gated items.
-pub fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Finding> {
+pub(crate) fn lint_tokens(path: &str, class: FileClass, tokens: &[Token]) -> Vec<Finding> {
     if class != FileClass::Prod {
         return Vec::new();
     }

@@ -84,7 +84,7 @@ fn mark_item(tokens: &mut [Token], mut i: usize) -> usize {
 }
 
 /// The pass: flags every token belonging to a test-gated item.
-pub fn mark_test_scopes(tokens: &mut [Token]) {
+pub(crate) fn mark_test_scopes(tokens: &mut [Token]) {
     let mut i = 0usize;
     while i < tokens.len() {
         if tokens[i].is_punct('#') {

@@ -63,12 +63,12 @@ impl Token {
     }
 
     /// True for identifier tokens named exactly `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
     }
 
     /// True for the given punctuation character.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
 }
@@ -248,7 +248,7 @@ impl Lexer {
 /// Tokenizes `src`. Never fails: unrecognized bytes become punctuation,
 /// and unterminated literals simply run to end of file — good enough
 /// for a linter that only runs on code rustc already accepts.
-pub fn tokenize(src: &str) -> Vec<Token> {
+pub(crate) fn tokenize(src: &str) -> Vec<Token> {
     let mut lx = Lexer {
         chars: src.chars().collect(),
         pos: 0,

@@ -158,12 +158,12 @@ impl EventNetConfig {
     }
 
     /// Whether the partition is in force at virtual time `now`.
-    pub fn partitioned_at(&self, now: u64) -> bool {
+    pub(crate) fn partitioned_at(&self, now: u64) -> bool {
         self.partition != Partition::None && self.heal_at.is_none_or(|h| now < h)
     }
 
     /// Whether the link `from → to` is cut at virtual time `now`.
-    pub fn severs_at(&self, from: usize, to: usize, now: u64) -> bool {
+    pub(crate) fn severs_at(&self, from: usize, to: usize, now: u64) -> bool {
         self.partitioned_at(now) && self.partition.severs(from, to)
     }
 }
@@ -181,7 +181,7 @@ pub enum DropReason {
     Loss,
     /// The partition severed the link at send time.
     Partition,
-    /// The recipient was dead or unknown at send time.
+    /// The recipient is no port of the net.
     DeadRecipient,
 }
 
@@ -223,7 +223,7 @@ pub struct EventNet<M> {
     rng: DetRng,
     now: u64,
     seq: u64,
-    alive: Vec<bool>,
+    ports: usize,
     messages_sent: u64,
     delivered: u64,
     dropped: u64,
@@ -241,7 +241,7 @@ impl<M: Clone> EventNet<M> {
             rng: DetRng::new(seed),
             now: 0,
             seq: 0,
-            alive: vec![true; n],
+            ports: n,
             messages_sent: 0,
             delivered: 0,
             dropped: 0,
@@ -250,12 +250,7 @@ impl<M: Clone> EventNet<M> {
 
     /// Number of ports.
     pub fn ports(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// The link model this net was built with.
-    pub fn config(&self) -> &EventNetConfig {
-        &self.config
+        self.ports
     }
 
     /// Current virtual time (the timestamp of the last delivery).
@@ -284,20 +279,6 @@ impl<M: Clone> EventNet<M> {
     /// Messages currently in flight.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether the partition (if any) is still in force at the current
-    /// virtual time.
-    pub fn partitioned(&self) -> bool {
-        self.config.partitioned_at(self.now)
-    }
-
-    /// Marks a port dead (its in-flight and future traffic is lost) or
-    /// alive again.
-    pub fn set_alive(&mut self, port: usize, alive: bool) {
-        if let Some(slot) = self.alive.get_mut(port) {
-            *slot = alive;
-        }
     }
 
     /// Queues a message on the link `from → to`, scheduling its
@@ -337,9 +318,9 @@ impl<M: Clone> EventNet<M> {
     /// when [`EventNetConfig::drop`] is positive: under
     /// [`EventNetConfig::ideal`] the net's own stream is never read.
     ///
-    /// A dead or unknown *sender* sends nothing (not counted). A live
-    /// sender's message always counts in [`EventNet::messages_sent`],
-    /// even when lost. Self-addressed messages (`from == to`) are
+    /// A sender that is no port sends nothing (not counted). A port's
+    /// message always counts in [`EventNet::messages_sent`], even when
+    /// lost. Self-addressed messages (`from == to`) are
     /// node-local: exempt from loss and partitions.
     ///
     /// A partition cuts a cross-group message iff it is still in force
@@ -386,25 +367,17 @@ impl<M: Clone> EventNet<M> {
 
     /// Delivers the earliest in-flight message, advancing virtual time
     /// to its timestamp. Returns `None` when nothing is in flight.
-    /// Messages addressed to ports that died after sending are counted
-    /// as [`EventNet::dropped`] and skipped.
     pub fn pop(&mut self) -> Option<(u64, Envelope<M>)> {
-        while let Some(((time, _), env)) = self.queue.pop_first() {
-            self.now = time;
-            if self.live(env.to) {
-                self.delivered += 1;
-                return Some((time, env));
-            }
-            self.dropped += 1;
-        }
-        None
+        let ((time, _), env) = self.queue.pop_first()?;
+        self.now = time;
+        self.delivered += 1;
+        Some((time, env))
     }
 
     /// One synchronous round: advances virtual time by one tick and
     /// delivers every in-flight message due by then. Returns each port's
     /// deliveries as `(sender, payload)` pairs in send order
-    /// (`inboxes[p]` for port `p`). A message to a port that died after
-    /// the send counts as [`EventNet::dropped`], as in [`EventNet::pop`].
+    /// (`inboxes[p]` for port `p`).
     ///
     /// Under [`EventNetConfig::ideal`] every message sent before a round
     /// is delivered by it, and [`EventNet::now`] equals the number of
@@ -414,18 +387,14 @@ impl<M: Clone> EventNet<M> {
         let mut inboxes = vec![Vec::new(); self.ports()];
         while let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= self.now) {
             let env = due.remove();
-            if self.live(env.to) {
-                self.delivered += 1;
-                inboxes[env.to].push((env.from, env.payload));
-            } else {
-                self.dropped += 1;
-            }
+            self.delivered += 1;
+            inboxes[env.to].push((env.from, env.payload));
         }
         inboxes
     }
 
     fn live(&self, port: usize) -> bool {
-        self.alive.get(port).copied().unwrap_or(false)
+        port < self.ports
     }
 }
 
@@ -523,7 +492,6 @@ mod tests {
             hops += 1;
             assert!(hops < 1000, "heal never reached");
         }
-        assert!(!net.partitioned());
         assert_eq!(net.send(0, 1, 3), None, "healed link flows");
         assert_eq!(net.pop().unwrap().1.payload, 3);
         // Conservation: every sent message was delivered or dropped.
@@ -535,7 +503,10 @@ mod tests {
         let config = EventNetConfig::ideal().with_partition(2);
         let mut net: EventNet<u64> = EventNet::new(2, config, 5);
         assert_eq!(net.send(0, 1, 1), Some(DropReason::Partition));
-        assert!(net.partitioned());
+        assert_eq!(
+            net.send_after(0, 1, 2, 1 << 40),
+            Some(DropReason::Partition)
+        );
     }
 
     #[test]
@@ -552,20 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_sender_not_counted_dead_recipient_counted() {
-        let config = EventNetConfig::ideal();
-        let mut net: EventNet<u64> = EventNet::new(3, config, 1);
-        net.set_alive(1, false);
-        assert_eq!(net.send(1, 0, 1), None, "dead sender sends nothing");
+    fn unknown_sender_not_counted_unknown_recipient_counted() {
+        let mut net: EventNet<u64> = EventNet::new(2, EventNetConfig::ideal(), 1);
+        assert_eq!(net.send(2, 0, 1), None, "no port sends nothing");
         assert_eq!(net.messages_sent(), 0);
-        assert_eq!(net.send(0, 1, 2), Some(DropReason::DeadRecipient));
-        assert_eq!(net.messages_sent(), 1);
-        assert_eq!(net.dropped(), 1);
-        // Dying after send drops at delivery, still conserving counts.
-        net.send(0, 2, 3);
-        net.set_alive(2, false);
-        assert!(net.pop().is_none());
-        assert_eq!(net.delivered() + net.dropped(), net.messages_sent());
+        assert_eq!(net.send_after(0, 2, 2, 1), Some(DropReason::DeadRecipient));
+        assert_eq!((net.messages_sent(), net.dropped()), (1, 1));
     }
 
     #[test]
@@ -591,27 +554,6 @@ mod tests {
         assert_eq!(
             order,
             vec![(1, 2, 40), (5, 0, 20), (20, 1, 30), (50, 0, 10)]
-        );
-    }
-
-    #[test]
-    fn explicit_delay_keeps_the_liveness_and_counter_rules() {
-        let mut net: EventNet<u64> = EventNet::new(3, EventNetConfig::ideal(), 1);
-        net.set_alive(1, false);
-        assert_eq!(
-            net.send_after(1, 0, 1, 1),
-            None,
-            "dead sender sends nothing"
-        );
-        assert_eq!(net.messages_sent(), 0);
-        assert_eq!(net.send_after(0, 1, 2, 1), Some(DropReason::DeadRecipient));
-        // A recipient dying after the send drops the message at delivery.
-        assert_eq!(net.send_after(0, 2, 3, 1), None);
-        net.set_alive(2, false);
-        assert!(net.pop().is_none());
-        assert_eq!(
-            (net.messages_sent(), net.delivered(), net.dropped()),
-            (2, 0, 2)
         );
     }
 
@@ -703,14 +645,6 @@ mod tests {
         net.send(0, 1, 7);
         assert!(net.round()[1].is_empty(), "due at t = 2");
         assert_eq!(net.round()[1], vec![(0, 7)]);
-        // A recipient dying in flight drops the message at its round.
-        net.send(0, 1, 8);
-        net.set_alive(1, false);
-        assert!(net.round().concat().is_empty() && net.round().concat().is_empty());
-        assert_eq!(
-            (net.delivered(), net.dropped(), net.messages_sent()),
-            (1, 1, 2)
-        );
     }
 
     #[test]

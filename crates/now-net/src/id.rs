@@ -111,16 +111,6 @@ impl IdGen {
         self.next_cluster += 1;
         id
     }
-
-    /// Number of node ids issued so far.
-    pub fn nodes_issued(&self) -> u64 {
-        self.next_node
-    }
-
-    /// Number of cluster ids issued so far.
-    pub fn clusters_issued(&self) -> u64 {
-        self.next_cluster
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +127,7 @@ mod tests {
         for w in ids.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert_eq!(gen.nodes_issued(), 100);
+        assert_eq!(gen.node().raw(), 100);
     }
 
     #[test]
@@ -147,7 +137,7 @@ mod tests {
         let c = gen.cluster();
         assert_eq!(n.raw(), 0);
         assert_eq!(c.raw(), 0);
-        assert_eq!(gen.clusters_issued(), 1);
+        assert_eq!(gen.cluster().raw(), 1);
     }
 
     #[test]

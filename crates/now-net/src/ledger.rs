@@ -134,7 +134,7 @@ impl Cost {
     };
 
     /// Component-wise sum.
-    pub fn plus(self, other: Cost) -> Cost {
+    pub(crate) fn plus(self, other: Cost) -> Cost {
         Cost {
             messages: self.messages + other.messages,
             rounds: self.rounds + other.rounds,
@@ -177,15 +177,6 @@ impl CostStats {
             0.0
         } else {
             self.total_messages as f64 / self.count as f64
-        }
-    }
-
-    /// Mean rounds per span (0 if none recorded).
-    pub fn mean_rounds(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_rounds as f64 / self.count as f64
         }
     }
 

@@ -13,8 +13,6 @@
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Deterministic PRNG used everywhere in the workspace.
 ///
@@ -29,9 +27,7 @@ use std::hash::{Hash, Hasher};
 /// let mut a = DetRng::new(7);
 /// let mut b = DetRng::new(7);
 /// assert_eq!(a.gen::<u64>(), b.gen::<u64>()); // same seed, same stream
-///
-/// let mut child = a.fork("exchange");
-/// let _ = child.gen_range(0..10u32);
+/// let _ = a.gen_range(0..10u32);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
@@ -43,31 +39,6 @@ impl DetRng {
     pub fn new(seed: u64) -> Self {
         Self {
             inner: ChaCha12Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// Derives an independent child stream identified by `label`.
-    ///
-    /// The child seed mixes fresh output of `self` with a hash of the
-    /// label, so distinct labels forked at the same point yield
-    /// uncorrelated streams, and the same `(seed, fork sequence)` always
-    /// reproduces the same child.
-    pub fn fork(&mut self, label: &str) -> DetRng {
-        let mut hasher = DefaultHasher::new();
-        label.hash(&mut hasher);
-        let label_bits = hasher.finish();
-        let mut seed = [0u8; 32];
-        // INVARIANT: fixed literal sub-ranges of a [u8; 32] — each
-        // 8-byte window is in bounds and sized to the u64 it copies.
-        seed[..8].copy_from_slice(&self.inner.next_u64().to_le_bytes());
-        // INVARIANT: same fixed windows, statements two to four.
-        seed[8..16].copy_from_slice(&label_bits.to_le_bytes());
-        // INVARIANT: fixed window three of four.
-        seed[16..24].copy_from_slice(&self.inner.next_u64().to_le_bytes());
-        // INVARIANT: fixed window four of four.
-        seed[24..32].copy_from_slice(&label_bits.rotate_left(17).to_le_bytes());
-        DetRng {
-            inner: ChaCha12Rng::from_seed(seed),
         }
     }
 
@@ -161,38 +132,6 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn forks_are_deterministic() {
-        let mut a = DetRng::new(9);
-        let mut b = DetRng::new(9);
-        let mut fa = a.fork("walks");
-        let mut fb = b.fork("walks");
-        for _ in 0..32 {
-            assert_eq!(fa.next_u64(), fb.next_u64());
-        }
-    }
-
-    #[test]
-    fn forks_with_distinct_labels_differ() {
-        let mut root = DetRng::new(9);
-        // Fork both from clones at the same stream position.
-        let mut root2 = root.clone();
-        let mut fa = root.fork("alpha");
-        let mut fb = root2.fork("beta");
-        let va: Vec<u64> = (0..8).map(|_| fa.next_u64()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| fb.next_u64()).collect();
-        assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn fork_does_not_alias_parent() {
-        let mut root = DetRng::new(5);
-        let mut child = root.fork("c");
-        let parent_next = root.next_u64();
-        let child_next = child.next_u64();
-        assert_ne!(parent_next, child_next);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct OverlayAudit {
 impl OverlayAudit {
     /// Measures `overlay` (cost: one λ₂ power iteration plus, for small
     /// overlays, the exact subset enumeration).
-    pub fn measure(overlay: &Overlay) -> Self {
+    pub(crate) fn measure(overlay: &Overlay) -> Self {
         let (g, _) = overlay.to_dense();
         let n = g.vertex_count();
         let opts = SpectralOptions::default();
@@ -75,13 +75,6 @@ impl OverlayAudit {
             degree_bound_holds: g.max_degree() <= overlay.params().degree_cap(),
         }
     }
-
-    /// Best available point estimate of the isoperimetric constant:
-    /// exact when known, else the sweep-cut upper bound (expansion
-    /// claims quoted from it are conservative *against* the paper).
-    pub fn expansion_estimate(&self) -> f64 {
-        self.exact_isoperimetric.unwrap_or(self.sweep_upper)
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +99,6 @@ mod tests {
         assert!(audit.lambda2 > 0.0);
         assert!(audit.cheeger_lower <= audit.sweep_upper + 1e-9);
         assert!(audit.exact_isoperimetric.is_none(), "80 > exact limit");
-        assert!(audit.expansion_estimate() > 0.0);
     }
 
     #[test]
@@ -118,7 +110,6 @@ mod tests {
         let exact = audit.exact_isoperimetric.expect("12 ≤ exact limit");
         assert!(audit.cheeger_lower <= exact + 1e-6);
         assert!(audit.sweep_upper >= exact - 1e-9);
-        assert_eq!(audit.expansion_estimate(), exact);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! [`crate::Overlay`] (vertices/neighbors/degree/audit) so the two can
 //! be compared side by side.
 
-use now_graph::traversal::is_connected;
-use now_graph::{algebraic_connectivity, Graph, SpectralOptions};
+use now_graph::Graph;
 use now_net::ClusterId;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -69,7 +68,7 @@ impl CyclesOverlay {
     }
 
     /// Number of cycles `r` (max degree is `2r`).
-    pub fn cycle_count(&self) -> usize {
+    pub(crate) fn cycle_count(&self) -> usize {
         self.succ.len()
     }
 
@@ -78,18 +77,13 @@ impl CyclesOverlay {
         self.order.len()
     }
 
-    /// Whether `id` is a live vertex.
-    pub fn contains(&self, id: ClusterId) -> bool {
-        self.order.contains(&id)
-    }
-
     /// Live vertices in id order.
     pub fn vertices(&self) -> impl Iterator<Item = ClusterId> + '_ {
         self.order.iter().copied()
     }
 
     /// Distinct neighbors of `id` across all cycles (empty if absent).
-    pub fn neighbors(&self, id: ClusterId) -> Vec<ClusterId> {
+    pub(crate) fn neighbors(&self, id: ClusterId) -> Vec<ClusterId> {
         let mut out = BTreeSet::new();
         for c in 0..self.cycle_count() {
             if let Some(&s) = self.succ[c].get(&id) {
@@ -109,11 +103,6 @@ impl CyclesOverlay {
     /// Degree of `id` in the union graph (≤ `2r`).
     pub fn degree(&self, id: ClusterId) -> usize {
         self.neighbors(id).len()
-    }
-
-    /// Number of edges of the union graph.
-    pub fn edge_count(&self) -> usize {
-        self.order.iter().map(|&v| self.degree(v)).sum::<usize>() / 2
     }
 
     /// Splices `id` into every cycle at an independent uniformly random
@@ -224,7 +213,9 @@ impl CyclesOverlay {
     }
 
     /// Spectral health snapshot of the union graph.
-    pub fn audit(&self) -> CyclesAudit {
+    #[cfg(test)]
+    pub(crate) fn audit(&self) -> CyclesAudit {
+        use now_graph::{algebraic_connectivity, traversal::is_connected, SpectralOptions};
         let (g, _) = self.to_dense();
         let n = g.vertex_count();
         let lambda2 = if n >= 2 {
@@ -245,6 +236,7 @@ impl CyclesOverlay {
 }
 
 /// Health snapshot of a [`CyclesOverlay`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CyclesAudit {
     /// Live vertices.
@@ -308,7 +300,7 @@ mod tests {
         let newcomer = ClusterId::from_raw(99);
         overlay.insert(newcomer, &mut rng);
         overlay.check_invariants().unwrap();
-        assert!(overlay.contains(newcomer));
+        assert!(overlay.vertices().any(|v| v == newcomer));
         assert_eq!(overlay.vertex_count(), 21);
         let d = overlay.degree(newcomer);
         assert!((1..=4).contains(&d), "degree {d} out of [1, 2r]");

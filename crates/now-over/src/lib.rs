@@ -56,6 +56,6 @@ mod overlay;
 mod params;
 
 pub use audit::OverlayAudit;
-pub use cycles::{CyclesAudit, CyclesOverlay};
+pub use cycles::CyclesOverlay;
 pub use overlay::{EdgeEdit, Overlay};
 pub use params::OverParams;

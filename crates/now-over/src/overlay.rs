@@ -78,7 +78,7 @@ const NO_SLOT: u32 = u32::MAX;
 
 impl Overlay {
     /// Creates an empty overlay.
-    pub fn new(params: OverParams) -> Self {
+    pub(crate) fn new(params: OverParams) -> Self {
         Overlay {
             slots: Vec::new(),
             free: Vec::new(),
@@ -92,7 +92,7 @@ impl Overlay {
 
     /// Bootstraps the overlay on `ids` as a degree-normalized
     /// Erdős–Rényi graph (each pair linked with
-    /// [`OverParams::init_edge_probability`]), then tops every vertex up
+    /// `OverParams::init_edge_probability`), then tops every vertex up
     /// to the degree floor so no vertex starts isolated.
     pub fn init_random<R: Rng>(ids: &[ClusterId], params: OverParams, rng: &mut R) -> Self {
         let mut overlay = Overlay::new(params);
@@ -129,7 +129,7 @@ impl Overlay {
     }
 
     /// Static parameters.
-    pub fn params(&self) -> OverParams {
+    pub(crate) fn params(&self) -> OverParams {
         self.params
     }
 
@@ -171,12 +171,12 @@ impl Overlay {
     }
 
     /// Whether the overlay has the edge `{a, b}`.
-    pub fn has_edge(&self, a: ClusterId, b: ClusterId) -> bool {
+    pub(crate) fn has_edge(&self, a: ClusterId, b: ClusterId) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Inserts an isolated vertex (no-op if present).
-    pub fn insert_vertex(&mut self, id: ClusterId) {
+    pub(crate) fn insert_vertex(&mut self, id: ClusterId) {
         let pos = match self.index.binary_search_by_key(&id, |&(i, _)| i) {
             Ok(_) => return,
             Err(pos) => pos,
@@ -233,7 +233,7 @@ impl Overlay {
 
     /// Links `a`–`b` if both exist, are distinct, unlinked, and **both
     /// below the degree cap**. Returns whether the edge was created.
-    pub fn link(&mut self, a: ClusterId, b: ClusterId) -> bool {
+    pub(crate) fn link(&mut self, a: ClusterId, b: ClusterId) -> bool {
         if a == b {
             return false;
         }
@@ -261,7 +261,7 @@ impl Overlay {
     }
 
     /// Removes the edge `{a, b}`; returns whether it existed.
-    pub fn unlink(&mut self, a: ClusterId, b: ClusterId) -> bool {
+    pub(crate) fn unlink(&mut self, a: ClusterId, b: ClusterId) -> bool {
         let Some(sa) = self.slot_of(a) else {
             return false;
         };
@@ -389,7 +389,7 @@ impl Overlay {
     /// open one it is not adjacent to and that is below the cap; one
     /// left over links to a uniform vertex instead. So each former
     /// neighbour keeps its degree unless its pairing collided, and
-    /// [`Overlay::repair_floor`] stays as the guard for one that fell
+    /// `Overlay::repair_floor` stays as the guard for one that fell
     /// below the floor all the same. Returns every edge cut and made.
     pub fn remove<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> EdgeEdit {
         let Some(pos) = self.index.binary_search_by_key(&id, |&(i, _)| i).ok() else {
@@ -465,7 +465,7 @@ impl Overlay {
     /// from the candidates [`Overlay::add_uniform`] draws, so the per-op
     /// cost carries no O(V) candidate materialization outside the
     /// saturated corner.
-    pub fn repair_floor<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
+    pub(crate) fn repair_floor<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
         let mut linked = Vec::new();
         if !self.contains(id) {
             return linked;
@@ -815,7 +815,7 @@ mod tests {
 
     #[test]
     fn link_refuses_cap_violation() {
-        let small = OverParams::new(16, 0.1, 2); // cap = 2·⌈4^1.1⌉ = 2·5 = 10
+        let small = OverParams::for_capacity(16); // cap = 4·⌈4^1.1⌉ = 4·5 = 20
         let cap = small.degree_cap();
         let mut overlay = Overlay::new(small);
         let hub = ClusterId::from_raw(0);

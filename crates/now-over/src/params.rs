@@ -1,8 +1,9 @@
 //! OVER parameterization derived from the system capacity `N`.
 //!
 //! All quantities are functions of `log N` (base 2 throughout, matching
-//! the common convention for "polylog" claims) and the pre-chosen small
-//! constant `α > 0`:
+//! the common convention for "polylog" claims), the pre-chosen small
+//! constant `α = 0.1` and the cap factor `c = 4` (`ALPHA` and
+//! `CAP_FACTOR`):
 //!
 //! * target degree per vertex: `⌈log^{1+α} N⌉` — the initial overlay's
 //!   mean degree, and what `Add` gives the new vertex;
@@ -29,64 +30,34 @@
 
 use now_net::ieee;
 
+/// The expansion exponent constant `α` of Properties 1–2.
+const ALPHA: f64 = 0.1;
+
+/// The cap factor `c` of Property 2's degree bound.
+const CAP_FACTOR: usize = 4;
+
 /// Static OVER parameters (shared by every overlay of one deployment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverParams {
-    capacity: u64,
-    alpha: f64,
-    cap_factor: usize,
     /// `log^{1+α} N`, computed once: [`OverParams::target_degree`] is
     /// read on every overlay edit.
     log_1_alpha: f64,
 }
 
 impl OverParams {
-    /// Parameters for a system of maximal size `capacity` (= `N`), with
-    /// the default `α = 0.1` and cap factor `c = 4`.
+    /// Parameters for a system of maximal size `capacity` (= `N`).
     ///
     /// # Panics
     /// Panics if `capacity < 4` (logarithms degenerate below that).
     pub fn for_capacity(capacity: u64) -> Self {
-        Self::new(capacity, 0.1, 4)
-    }
-
-    /// Fully explicit constructor.
-    ///
-    /// # Panics
-    /// Panics if `capacity < 4`, `alpha` is not in `(0, 1]`, or
-    /// `cap_factor < 2`.
-    pub fn new(capacity: u64, alpha: f64, cap_factor: usize) -> Self {
         assert!(capacity >= 4, "capacity must be at least 4, got {capacity}");
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "alpha must lie in (0, 1], got {alpha}"
-        );
-        assert!(cap_factor >= 2, "cap factor must be ≥ 2, got {cap_factor}");
         OverParams {
-            capacity,
-            alpha,
-            cap_factor,
-            log_1_alpha: ieee::pow(ieee::log2(capacity as f64), 1.0 + alpha),
+            log_1_alpha: ieee::pow(ieee::log2(capacity as f64), 1.0 + ALPHA),
         }
     }
 
-    /// The system capacity `N`.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// The expansion exponent constant `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// `log₂ N` as a float.
-    pub fn log_n(&self) -> f64 {
-        ieee::log2(self.capacity as f64)
-    }
-
     /// `log^{1+α} N`, the degree/expansion scale of Properties 1–2.
-    pub fn log_1_alpha(&self) -> f64 {
+    pub(crate) fn log_1_alpha(&self) -> f64 {
         self.log_1_alpha
     }
 
@@ -97,12 +68,12 @@ impl OverParams {
 
     /// Property 2's bound: `c · ⌈log^{1+α} N⌉`. Enforced structurally.
     pub fn degree_cap(&self) -> usize {
-        self.cap_factor * self.target_degree()
+        CAP_FACTOR * self.target_degree()
     }
 
     /// Repair threshold: a vertex dropping below this after a neighbor's
     /// removal draws replacement edges.
-    pub fn degree_floor(&self) -> usize {
+    pub(crate) fn degree_floor(&self) -> usize {
         (self.target_degree() / 2).max(2)
     }
 
@@ -115,17 +86,11 @@ impl OverParams {
     /// Edge probability for the initial Erdős–Rényi overlay on
     /// `m` vertices, normalized so the expected degree equals the
     /// target degree (clamped to 1 for tiny overlays).
-    pub fn init_edge_probability(&self, m: usize) -> f64 {
+    pub(crate) fn init_edge_probability(&self, m: usize) -> f64 {
         if m <= 1 {
             return 0.0;
         }
         (self.target_degree() as f64 / (m - 1) as f64).min(1.0)
-    }
-
-    /// The walk-sampling budget Figure 2 attaches to structural
-    /// operations: `2·log² N` candidate draws.
-    pub fn walk_budget(&self) -> usize {
-        (2.0 * self.log_n() * self.log_n()).ceil() as usize
     }
 }
 
@@ -139,14 +104,12 @@ mod tests {
         reason = "libm is the reference the ieee-derived degree is checked against"
     )]
     fn derived_quantities_for_pow2_capacity() {
-        let p = OverParams::new(1 << 16, 0.1, 4);
-        assert!((p.log_n() - 16.0).abs() < 1e-12);
+        let p = OverParams::for_capacity(1 << 16);
         let expect = 16f64.powf(1.1);
         assert!((p.log_1_alpha() - expect).abs() < 1e-9);
         assert_eq!(p.target_degree(), expect.ceil() as usize);
         assert_eq!(p.degree_cap(), 4 * p.target_degree());
         assert!((p.expansion_bound() - expect / 2.0).abs() < 1e-9);
-        assert_eq!(p.walk_budget(), 512);
     }
 
     #[test]
@@ -187,17 +150,5 @@ mod tests {
     #[should_panic(expected = "capacity must be at least 4")]
     fn tiny_capacity_rejected() {
         let _ = OverParams::for_capacity(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must lie in")]
-    fn bad_alpha_rejected() {
-        let _ = OverParams::new(1 << 10, 0.0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap factor")]
-    fn bad_cap_factor_rejected() {
-        let _ = OverParams::new(1 << 10, 0.1, 1);
     }
 }

@@ -10,18 +10,12 @@
 //!   quantifies: broadcast `O(n²)` naive vs `Õ(n)` clustered, sampling
 //!   `polylog(n)` per draw.
 
-use now_core::{NowParams, NowSystem};
+use now_core::NowParams;
 
 /// Parameters identical to `params` but with `exchange` shuffling
 /// disabled — the static-clustering baseline of §3.3.
 pub fn no_shuffle_params(params: NowParams) -> NowParams {
     params.with_shuffle(false)
-}
-
-/// Builds the no-shuffle baseline system (same shape as
-/// [`NowSystem::init_fast`]).
-pub fn no_shuffle_system(params: NowParams, n0: usize, tau: f64, seed: u64) -> NowSystem {
-    NowSystem::init_fast(no_shuffle_params(params), n0, tau, seed)
 }
 
 /// Message cost of a naive full-mesh broadcast among `n` nodes: every
@@ -48,12 +42,13 @@ pub fn naive_sampling_cost(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use now_core::NowSystem;
     use now_net::CostKind;
 
     #[test]
     fn no_shuffle_system_skips_exchanges() {
-        let params = NowParams::for_capacity(1 << 10).unwrap();
-        let mut sys = no_shuffle_system(params, 150, 0.1, 1);
+        let params = no_shuffle_params(NowParams::for_capacity(1 << 10).unwrap());
+        let mut sys = NowSystem::init_fast(params, 150, 0.1, 1);
         assert!(!sys.params().shuffle_enabled());
         sys.join(true);
         let node = sys.node_ids()[0];
@@ -70,7 +65,7 @@ mod tests {
     fn no_shuffle_join_is_much_cheaper() {
         let params = NowParams::for_capacity(1 << 10).unwrap();
         let mut now = NowSystem::init_fast(params, 200, 0.1, 2);
-        let mut base = no_shuffle_system(params, 200, 0.1, 2);
+        let mut base = NowSystem::init_fast(no_shuffle_params(params), 200, 0.1, 2);
         now.join(true);
         base.join(true);
         let now_cost = now.ledger().stats(CostKind::Join).total_messages;

@@ -116,11 +116,6 @@ impl BatchSawtooth {
             growing: true,
         }
     }
-
-    /// Whether the driver is currently in its growth phase.
-    pub fn is_growing(&self) -> bool {
-        self.growing
-    }
 }
 
 impl BatchDriver for BatchSawtooth {
@@ -238,7 +233,6 @@ mod tests {
     fn batch_sawtooth_oscillates_in_batches() {
         let mut sys = system(80, 0.1, 6);
         let mut driver = BatchSawtooth::new(60, 140, 5, 0.1);
-        assert!(driver.is_growing());
         let report = BatchRun::new().run(&mut sys, &mut driver, 60, 7);
         assert_eq!(report.steps, 60);
         let pops = report.audits.iter().map(|a| a.population);

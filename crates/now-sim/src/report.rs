@@ -112,7 +112,7 @@ impl Table {
     }
 
     /// Renders as CSV (quotes cells containing separators).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         fn escape(cell: &str) -> String {
             if cell.contains([',', '"', '\n']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))

@@ -109,7 +109,7 @@ pub enum TraceData {
 
 impl TraceData {
     /// Canonical event-kind tag (the `"kind"` field of the JSON form).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceData::OpPlanned { .. } => "op_planned",
             TraceData::OpApplied { .. } => "op_applied",
@@ -129,7 +129,7 @@ impl TraceData {
 
     /// The clusters this event references, for causal-neighborhood
     /// filtering (none for node- or step-scoped events).
-    pub fn clusters(&self) -> (Option<u64>, Option<u64>) {
+    pub(crate) fn clusters(&self) -> (Option<u64>, Option<u64>) {
         match *self {
             TraceData::MsgSend { from, to, .. } => (Some(from), Some(to)),
             TraceData::Split {
@@ -160,7 +160,7 @@ impl TraceEvent {
     /// The event as one JSON row: fixed field order (`seq`, `step`,
     /// `kind`, then the variant's fields in declaration order),
     /// integers only.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         let mut m: Vec<(&str, Json)> = vec![
             ("seq", self.seq.into()),
             ("step", self.step.into()),

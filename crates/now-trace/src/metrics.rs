@@ -26,7 +26,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// A histogram over the given ascending upper bounds.
-    pub fn new(bounds: &[u64]) -> Self {
+    pub(crate) fn new(bounds: &[u64]) -> Self {
         // INVARIANT: `windows(2)` only yields slices of length 2.
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
@@ -37,7 +37,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         let idx = self
             .bounds
             .iter()
@@ -48,22 +48,22 @@ impl Histogram {
     }
 
     /// Upper bounds (exclusive of the implicit `+Inf` bucket).
-    pub fn bounds(&self) -> &[u64] {
+    pub(crate) fn bounds(&self) -> &[u64] {
         &self.bounds
     }
 
     /// Per-bucket counts (`bounds.len() + 1` entries; last is `+Inf`).
-    pub fn counts(&self) -> &[u64] {
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Total observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 }
@@ -105,16 +105,6 @@ impl MetricsRegistry {
     /// Current value of a counter (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Canonical JSON: three sorted maps, fixed field order, integers

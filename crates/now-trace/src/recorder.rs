@@ -43,7 +43,7 @@ pub struct ViolationDump {
 
 impl ViolationDump {
     /// Canonical JSON object for the dump.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         Json::object([
             ("step", self.step.into()),
             ("kind", self.kind.into()),

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`net`] | ids, the one network (synchronous rounds or event-driven), cost ledger, deterministic RNG |
 //! | [`graph`] | ER generation, spectral expansion, isoperimetric constants, CTRWs |
-//! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum rule |
+//! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum threshold |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |
 //! | [`adversary`] | the churn-driver trait, one driver per attack style, the one-op-per-step adapter, in-protocol malice |

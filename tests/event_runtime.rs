@@ -29,21 +29,23 @@ fn wide_nets() -> [EventNetConfig; 3] {
     ]
 }
 
-/// Ten steps of eight joins and six spread-out leaves each on `exec`,
-/// over 64 clusters of a degree-5 overlay, so footprints leave room
-/// for waves of several ops. The event trace is folded into a count
-/// and an FNV-1a digest over `(time, op, delivered)`. The pin reads:
-/// joined, left, dropped, events, event digest, waves, ledger messages,
-/// ledger rounds, population.
-fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> String {
+/// Ten steps of `joins` joins (honesty cycling through a fixed
+/// pattern) and `leaves` spread-out leaves each on `exec`, over 64
+/// clusters of a degree-5 overlay, so footprints leave room for waves
+/// of several ops. The event trace is folded into a count and an
+/// FNV-1a digest over `(time, op, delivered)`. The pin reads: joined,
+/// left, dropped, events, event digest, waves, ledger messages, ledger
+/// rounds, population. Also returns the run's split count.
+fn wide_event_run(exec: &ExecConfig<'_>, seed: u64, joins: usize, leaves: usize) -> (String, u64) {
     let params = NowParams::for_capacity(16).expect("params");
     let mut sys = NowSystem::init_fast(params, 64 * params.target_cluster_size(), 0.1, seed);
-    let honesty = [true, true, false, true, true, true, false, true];
+    let pattern = [true, true, false, true, true, true, false, true];
+    let honesty: Vec<bool> = pattern.into_iter().cycle().take(joins).collect();
     let (mut joined, mut left, mut dropped, mut waves) = (0, 0, 0, 0);
     let (mut events, mut digest) = (0u64, 0xcbf2_9ce4_8422_2325u64);
     for step in 0..10usize {
         let ids = sys.node_ids();
-        let leaves: Vec<_> = (0..6)
+        let leaves: Vec<_> = (0..leaves)
             .map(|i| ids[(step * 7 + i * 37) % ids.len()])
             .collect();
         let report = sys.step_batch(&BatchInput::from_flags(&honesty, &leaves), exec);
@@ -60,7 +62,7 @@ fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> String {
     }
     sys.check_consistency().expect("post-run consistency");
     let total = sys.ledger().total();
-    pins::value(&[
+    let pin = pins::value(&[
         joined,
         left,
         dropped,
@@ -70,16 +72,23 @@ fn wide_event_run(exec: &ExecConfig<'_>, seed: u64) -> String {
         total.messages,
         total.rounds,
         sys.population(),
-    ])
+    ]);
+    (pin, sys.op_counts().2)
 }
 
+/// Each net runs eight joins and six leaves a step, and a join-only
+/// sixteen a step (`wide/grow/…`), whose growth splits clusters on the
+/// event net.
 #[test]
 fn wide_event_batches_replay_the_parent_commit() {
     let mut got = Vec::new();
     for (i, net) in wide_nets().into_iter().enumerate() {
         for seed in 1..=2 {
-            let pin = wide_event_run(&ExecConfig::event(net), seed);
+            let (pin, _) = wide_event_run(&ExecConfig::event(net), seed, 8, 6);
             got.push((format!("wide/{i}/{seed}"), pin));
+            let (pin, splits) = wide_event_run(&ExecConfig::event(net), seed, 16, 0);
+            assert!(splits >= 1, "wide/grow/{i}/{seed} never split");
+            got.push((format!("wide/grow/{i}/{seed}"), pin));
         }
     }
     pins::check("wide/", &got);

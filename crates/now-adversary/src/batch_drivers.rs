@@ -499,10 +499,6 @@ pub struct BatchBurstChurn {
     pub width: usize,
     /// Corruption budget for the join bursts.
     pub budget: CorruptionBudget,
-    /// Steers the join bursts at a sticky [`ClusterPick`] target
-    /// (`None` = uniform contacts).
-    pub pick: Option<ClusterPick>,
-    target: Option<ClusterId>,
     position: u64,
 }
 
@@ -517,29 +513,13 @@ impl BatchBurstChurn {
         BatchBurstChurn {
             width,
             budget: CorruptionBudget::new(tau),
-            pick: None,
-            target: None,
             position: 0,
         }
-    }
-
-    /// Steers the join bursts at a sticky target chosen by `pick`.
-    #[cfg(test)]
-    pub(crate) fn with_pick(mut self, pick: ClusterPick) -> Self {
-        self.pick = Some(pick);
-        self.target = None;
-        self
     }
 
     /// Whether the next batch is a join burst.
     pub(crate) fn is_joining(&self) -> bool {
         self.position.is_multiple_of(2)
-    }
-
-    /// The current sticky target, if steered and resolved.
-    #[cfg(test)]
-    pub(crate) fn target(&self) -> Option<ClusterId> {
-        self.target
     }
 }
 
@@ -548,9 +528,6 @@ impl BatchDriver for BatchBurstChurn {
         let joining = self.is_joining();
         self.position += 1;
         if joining {
-            let contact = self
-                .pick
-                .map(|pick| live_target(&mut self.target, pick, sys));
             let mut pop = sys.population();
             let mut byz = sys.byz_population();
             let joins = (0..self.width)
@@ -560,10 +537,7 @@ impl BatchDriver for BatchBurstChurn {
                     if corrupt {
                         byz += 1;
                     }
-                    match contact {
-                        Some(c) => JoinSpec::via(c, !corrupt),
-                        None => JoinSpec::uniform(!corrupt),
-                    }
+                    JoinSpec::uniform(!corrupt)
                 })
                 .collect();
             (joins, Vec::new())
@@ -814,17 +788,6 @@ mod tests {
                 assert_eq!(distinct.len(), 5, "distinct departures");
             }
         }
-    }
-
-    #[test]
-    fn burst_batches_steer_when_picked() {
-        let sys = system(200, 0.1, 10);
-        let mut adv = BatchBurstChurn::new(4, 0.1).with_pick(ClusterPick::Largest);
-        let mut rng = DetRng::new(10);
-        let (joins, _) = adv.decide_batch(&sys, &mut rng);
-        let target = adv.target().unwrap();
-        assert_eq!(target, ClusterPick::Largest.resolve(&sys));
-        assert!(joins.iter().all(|j| j.contact == Some(target)));
     }
 
     /// One step of a one-op driver, as the adapter table expects it;

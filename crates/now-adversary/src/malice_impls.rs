@@ -37,22 +37,9 @@ impl Malice for TargetedMalice {
                     range.saturating_sub(1)
                 }
             }
-            // A hop's draw holds its hold in the low 24 bits and its
-            // neighbour above them (`RandNumPurpose::WalkHop`). At the
-            // target, the minimal draw's hold half maps to a *long*
-            // exponential holding time: the walk expires right there
-            // (and the acceptance above then admits it). Anywhere
-            // else, the maximal draw's hold half makes the holding time
-            // ≈ 0: the walk rushes through, handing the adversary one
-            // more routed hop toward the target. The neighbour half is
-            // irrelevant: the hop itself is overridden in `walk_hop`.
-            RandNumPurpose::WalkHop => {
-                if ctx.cluster == self.target {
-                    0
-                } else {
-                    range.saturating_sub(1)
-                }
-            }
+            // The hop itself is overridden in `walk_hop`; the draw's
+            // value is the honest fallback's, and any will do.
+            RandNumPurpose::WalkHop => 0,
             // Member indices are refined by `exchange_victim`; split
             // seeds and generic draws get an extremal fixed choice.
             RandNumPurpose::MemberIndex | RandNumPurpose::SplitSeed | RandNumPurpose::Generic => {
@@ -120,23 +107,17 @@ mod tests {
         );
     }
 
-    /// Decoded through the walk's hop layout (`RandNumPurpose::WalkHop`)
-    /// at every degree: the hold half stalls at the target (the longest
-    /// hold) and rushes elsewhere (the shortest), and the neighbour half
-    /// is a legal index.
+    /// A hop's draw is a legal index at every cluster, the target's
+    /// included: the hop is steered by `walk_hop`, not by the draw.
     #[test]
-    fn hop_draws_stall_at_target_rush_elsewhere() {
-        const RES: u64 = 1 << 24;
+    fn hop_draws_defer_to_walk_hop() {
         let mut m = TargetedMalice::new(ClusterId::from_raw(0));
         let mut rng = DetRng::new(2);
         for d in [1, 5, 88] {
-            let range = RES * d;
-            let stall = m.rand_num(range, ctx(0, RandNumPurpose::WalkHop), &mut rng);
-            assert_eq!(stall % RES, 0, "degree {d}: stall at the target");
-            assert!(stall / RES < d, "degree {d}");
-            let rush = m.rand_num(range, ctx(5, RandNumPurpose::WalkHop), &mut rng);
-            assert_eq!(rush % RES, RES - 1, "degree {d}: rush elsewhere");
-            assert!(rush / RES < d, "degree {d}");
+            for cluster in [0, 5] {
+                let w = m.rand_num(d, ctx(cluster, RandNumPurpose::WalkHop), &mut rng);
+                assert!(w < d, "degree {d}, cluster {cluster}");
+            }
         }
     }
 

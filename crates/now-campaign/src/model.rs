@@ -159,31 +159,9 @@ impl Phase {
         self
     }
 
-    /// Overrides the driver's corruption budget.
-    #[cfg(test)]
-    pub(crate) fn tau(mut self, tau: f64) -> Self {
-        self.tau = Some(tau);
-        self
-    }
-
     /// Sets the target-selection policy for a targeted style.
     pub fn target(mut self, pick: ClusterPick) -> Self {
         self.target = pick;
-        self
-    }
-
-    /// Sets the execution engine.
-    #[cfg(test)]
-    pub(crate) fn exec(mut self, exec: PhaseExec) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Runs the phase on the event runtime (the only engine with a
-    /// network) over the network model `net`.
-    #[cfg(test)]
-    pub(crate) fn net(mut self, net: EventNetConfig) -> Self {
-        self.exec = PhaseExec::Event(net);
         self
     }
 }
@@ -261,21 +239,6 @@ impl Campaign {
         self
     }
 
-    /// Enables the flight recorder with a ring buffer of `capacity`
-    /// events.
-    #[cfg(test)]
-    pub(crate) fn trace(mut self, capacity: usize) -> Self {
-        self.trace = Some(capacity);
-        self
-    }
-
-    /// Enables the metrics registry.
-    #[cfg(test)]
-    pub(crate) fn metrics(mut self) -> Self {
-        self.metrics = true;
-        self
-    }
-
     /// Validates the campaign's shape (phase list, widths, triggers).
     /// Parameter validity (τ bounds etc.) is checked by
     /// [`now_core::NowParams`] at build time.
@@ -332,20 +295,18 @@ mod tests {
 
     #[test]
     fn builder_defaults_and_knobs() {
-        let c = Campaign::new("t", 1 << 10)
-            .phase(Phase::new("a", PhaseStyle::Balanced, Trigger::Steps(5)))
-            .phase(
-                Phase::new("b", PhaseStyle::JoinLeave, Trigger::Steps(3))
-                    .width(8)
-                    .tau(0.2)
-                    .target(ClusterPick::First)
-                    .exec(PhaseExec::Event(EventNetConfig::ideal())),
-            );
+        let c = Campaign::parse(
+            "campaign t\nphase a\nstyle balanced\nsteps 5\n\
+             phase b\nstyle join-leave\nwidth 8\ntau 0.2\ntarget first\nexec event\nsteps 3\n",
+        )
+        .unwrap();
         assert_eq!(c.k, 2);
         assert_eq!(c.width, 4);
         assert!(c.shuffle);
         assert_eq!(c.phases.len(), 2);
         assert_eq!(c.phases[1].width, Some(8));
+        assert_eq!(c.phases[1].tau, Some(0.2));
+        assert_eq!(c.phases[1].target, ClusterPick::First);
         assert_eq!(c.phases[0].exec, PhaseExec::Canonical);
         assert_eq!(c.phases[1].exec, PhaseExec::Event(EventNetConfig::ideal()));
         assert!(c.check().is_ok());
@@ -377,24 +338,34 @@ mod tests {
         ));
         assert!(bad_saw.check().is_err());
 
-        let bad_tau = Campaign::new("t", 1 << 10)
-            .phase(Phase::new("a", PhaseStyle::Quiet, Trigger::Steps(1)).tau(1.5));
+        // The parser refuses this τ; a caller can still set the field.
+        let mut bad_tau = Campaign::new("t", 1 << 10).phase(Phase::new(
+            "a",
+            PhaseStyle::Quiet,
+            Trigger::Steps(1),
+        ));
+        bad_tau.phases[0].tau = Some(1.5);
         assert!(bad_tau.check().is_err());
     }
 
     #[test]
     fn net_knobs_put_the_phase_on_the_event_engine() {
         let net = EventNetConfig::ideal().with_latency(3).with_drop(0.2);
-        // The builder switches the engine along with the model.
-        let ok = Campaign::new("n", 1 << 10)
-            .phase(Phase::new("a", PhaseStyle::Balanced, Trigger::Steps(2)).net(net));
+        let ok = Campaign::parse(
+            "campaign n\nphase a\nstyle balanced\nexec event\nlatency 3\ndrop 0.2\nsteps 2\n",
+        )
+        .unwrap();
         assert_eq!(ok.phases[0].exec, PhaseExec::Event(net));
         assert!(ok.check().is_ok());
 
-        let bad_drop = Campaign::new("d", 1 << 10).phase(
-            Phase::new("a", PhaseStyle::Quiet, Trigger::Steps(1))
-                .net(EventNetConfig::ideal().with_drop(1.5)),
-        );
+        // The parser refuses this drop rate; a caller can still set the
+        // field.
+        let mut bad_drop = Campaign::new("d", 1 << 10).phase(Phase::new(
+            "a",
+            PhaseStyle::Quiet,
+            Trigger::Steps(1),
+        ));
+        bad_drop.phases[0].exec = PhaseExec::Event(EventNetConfig::ideal().with_drop(1.5));
         let Err(NowError::CampaignReport { reason }) = bad_drop.check() else {
             panic!("a drop rate past 1 must fail");
         };

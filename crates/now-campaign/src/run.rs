@@ -223,7 +223,6 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::model::Phase;
-    use now_adversary::ClusterPick;
 
     fn base() -> Campaign {
         Campaign::new("test", 1 << 10)
@@ -315,18 +314,13 @@ mod tests {
 
     #[test]
     fn campaign_runs_are_deterministic() {
-        let c = base()
-            .initial_population_of(160)
-            .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(6)))
-            .phase(
-                Phase::new("flood", PhaseStyle::JoinLeave, Trigger::Steps(6))
-                    .width(6)
-                    .tau(0.2),
-            )
-            .phase(
-                Phase::new("dos", PhaseStyle::ForcedLeave, Trigger::Steps(6))
-                    .target(ClusterPick::First),
-            );
+        let c = Campaign::parse(
+            "campaign test\ninitial-population 160\n\
+             phase warm\nstyle balanced\nsteps 6\n\
+             phase flood\nstyle join-leave\nwidth 6\ntau 0.2\nsteps 6\n\
+             phase dos\nstyle forced-leave\ntarget first\nsteps 6\n",
+        )
+        .unwrap();
         let (r1, s1) = c.execute().unwrap();
         let (r4, s4) = c.execute().unwrap();
         assert_eq!(r1.to_json(), r4.to_json(), "byte-identical replay");
@@ -400,23 +394,14 @@ mod tests {
 
     #[test]
     fn event_phases_run_and_replay() {
-        use now_core::EventNetConfig;
-        let c = base()
-            .initial_population_of(160)
-            .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(5)))
-            .phase(
-                Phase::new("storm", PhaseStyle::Balanced, Trigger::Steps(8))
-                    .width(6)
-                    .net(
-                        EventNetConfig::ideal()
-                            .with_latency(2)
-                            .with_jitter(4)
-                            .with_drop(0.3)
-                            .with_partition(2)
-                            .healing_at(20),
-                    ),
-            )
-            .phase(Phase::new("calm", PhaseStyle::Quiet, Trigger::Steps(3)));
+        let c = Campaign::parse(
+            "campaign test\ninitial-population 160\n\
+             phase warm\nstyle balanced\nsteps 5\n\
+             phase storm\nstyle balanced\nwidth 6\nexec event\nlatency 2\njitter 4\n\
+             drop 0.3\npartition 2 heal 20\nsteps 8\n\
+             phase calm\nstyle quiet\nsteps 3\n",
+        )
+        .unwrap();
         let (r1, s1) = c.execute().unwrap();
         let (r4, s4) = c.execute().unwrap();
         assert_eq!(r1.to_json(), r4.to_json(), "byte-identical replay");
@@ -459,17 +444,12 @@ mod tests {
 
     #[test]
     fn traced_campaigns_replay_byte_identically() {
-        use now_core::EventNetConfig;
-        let c = base()
-            .initial_population_of(160)
-            .trace(256)
-            .metrics()
-            .phase(Phase::new("warm", PhaseStyle::Balanced, Trigger::Steps(5)))
-            .phase(
-                Phase::new("storm", PhaseStyle::Balanced, Trigger::Steps(6))
-                    .width(6)
-                    .net(EventNetConfig::ideal().with_latency(1).with_drop(0.2)),
-            );
+        let c = Campaign::parse(
+            "campaign test\ninitial-population 160\ntrace 256\nmetrics on\n\
+             phase warm\nstyle balanced\nsteps 5\n\
+             phase storm\nstyle balanced\nwidth 6\nexec event\nlatency 1\ndrop 0.2\nsteps 6\n",
+        )
+        .unwrap();
         let (r1, _) = c.execute().unwrap();
         let (r4, _) = c.execute().unwrap();
         assert_eq!(
@@ -509,16 +489,11 @@ mod tests {
 
     #[test]
     fn traced_violation_campaign_captures_a_dump() {
-        let mut c = base()
-            .initial_population_of(100)
-            .trace(512)
-            .metrics()
-            .phase(Phase::new(
-                "probe",
-                PhaseStyle::SplitForcing,
-                Trigger::FirstViolation { cap: 200 },
-            ));
-        c.tau = 0.30;
+        let c = Campaign::parse(
+            "campaign test\ntau 0.30\ninitial-population 100\ntrace 512\nmetrics on\n\
+             phase probe\nstyle split-forcing\nuntil-violation cap 200\n",
+        )
+        .unwrap();
         let (report, sys) = c.execute().unwrap();
         assert!(report.phases[0].trigger_fired);
         let rec = sys.flight_recorder().expect("recorder armed");

@@ -11,7 +11,7 @@ use now_net::ClusterId;
 /// The audit reports the worst cluster plus the two protocol-relevant
 /// threshold counts (1/3: `randNum` compromised; 1/2: messages
 /// forgeable), the cluster-size band of the split/merge rules, the
-/// overlay's degree spread (the degree `randCl`'s walk duration is sized
+/// overlay's degree spread (the degree `randCl`'s walk length is sized
 /// for), and the structural health of the partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemAudit {

@@ -138,7 +138,6 @@ impl NowSystem {
                 let reason = match reason {
                     DropReason::Loss => "loss",
                     DropReason::Partition => "partition",
-                    DropReason::DeadRecipient => "dead_recipient",
                 };
                 self.hub.event(
                     step,

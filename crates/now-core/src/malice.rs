@@ -26,14 +26,10 @@ use rand::Rng;
 /// target cluster and rejects them elsewhere).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RandNumPurpose {
-    /// One hop of a CTRW at a cluster of degree `d`: one draw `w` over
-    /// `0..2²⁴·d` decides both the hop's holding time and its next
-    /// neighbour. Its low 24 bits, `w % 2²⁴`, are the hold draw `u`,
-    /// read as the `Exp(d)` quantile `−ln((u + 1)/(2²⁴ + 1))/d`: `0`
-    /// is the longest hold and `2²⁴ − 1` the shortest. The rest, `w /
-    /// 2²⁴`, indexes the neighbours in ascending id order (clamped to
-    /// `d − 1`), and goes unused when the hold ends the CTRW. So
-    /// `idx · 2²⁴ + u` encodes the hold `u` and the neighbour `idx`.
+    /// One hop of a non-backtracking walk: a draw over the neighbours
+    /// the walk may take, in ascending id order but for the one it came
+    /// from, whose place the last of them takes (clamped to the last).
+    /// At a compromised cluster [`Malice::walk_hop`] may override it.
     WalkHop,
     /// The size-biased acceptance test at a walk endpoint (small draws
     /// accept, large draws reject and restart the walk).
@@ -64,8 +60,9 @@ pub trait Malice {
     /// Output of a compromised `randNum` over `0..range`.
     fn rand_num(&mut self, range: u64, ctx: RandNumContext, rng: &mut DetRng) -> u64;
 
-    /// Next hop chosen by a compromised cluster during a CTRW (`None`
-    /// lets the walk proceed honestly). `neighbors` are the legal hops.
+    /// Next hop chosen by a compromised cluster during a walk (`None`
+    /// lets the walk proceed honestly). `neighbors` are the legal hops:
+    /// every neighbour but the one the walk came from.
     fn walk_hop(&mut self, neighbors: &[ClusterId], rng: &mut DetRng) -> Option<ClusterId>;
 
     /// Which member a compromised cluster surrenders in an exchange

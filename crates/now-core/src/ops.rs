@@ -18,7 +18,7 @@
 //!   degree. This deviates from the figure's reading that the new
 //!   vertex adds fresh edges on top of all of `C`'s: that drifts the
 //!   mean degree toward twice the target under growth, and the walk's
-//!   duration ([`crate::NowParams::ctrw_duration`]) is sized for the
+//!   length ([`crate::NowParams::walk_length`]) is sized for the
 //!   target.
 //! * **Merge**: the undersized `C` draws a random victim cluster `C'`
 //!   (via `randCl`); `C'`'s overlay vertex is removed (OVER `Remove`,
@@ -737,42 +737,17 @@ mod tests {
         sys
     }
 
-    /// The gap `ctrw_duration` assumes holds at `sys`'s end state, and
-    /// the walk's exact law is within TV 1/N² of `|C|/n` from each of 12
-    /// starts (8 evenly spaced, the 4 of least degree) at every
-    /// duration in `durations` (multiples of `ctrw_duration(m)`).
-    fn assert_walk_mixes(sys: &NowSystem, seed: u64, durations: &[f64]) {
-        let params = sys.params;
-        let d = params.over().target_degree() as f64;
-        let gap = crate::params::GAP_SHARE * (d - 2.0 * (d - 1.0).sqrt());
-        let lambda2 = sys.overlay.audit().lambda2;
-        let (g, ids) = sys.overlay.to_dense();
-        let m = ids.len();
-        assert!(
-            lambda2 >= gap,
-            "seed {seed}, m = {m}: λ₂ = {lambda2} < {gap}"
-        );
-        let sizes: Vec<usize> = ids.iter().map(|&c| sys.cluster_ref(c).size()).collect();
-        let n: usize = sizes.iter().sum();
-        let target: Vec<f64> = sizes.iter().map(|&s| s as f64 / n as f64).collect();
-        let mut starts: Vec<usize> = (0..8).map(|i| i * m / 8).collect();
-        let mut by_degree: Vec<usize> = (0..m).collect();
-        by_degree.sort_by_key(|&v| g.degree(v));
-        starts.extend(&by_degree[..4]);
-        let eps = 1.0 / (params.capacity() as f64 * params.capacity() as f64);
-        for &share in durations {
-            let t = params.ctrw_duration(m) * share;
-            let worst = starts
-                .iter()
-                .map(|&s| {
-                    let law = now_graph::ctrw_law(&g, &sizes, params.max_cluster_size(), t, s);
-                    now_graph::total_variation(&law, &target)
-                })
-                .fold(0.0, f64::max);
-            println!("seed {seed}, m = {m}, λ₂ = {lambda2:.2} (gap {gap:.2}), duration {t:.3}: worst TV {worst:.2e}");
+    /// The walk's exact law at `sys`'s end state is within TV 1/N² of
+    /// `|C|/n` from every start, at its length `k` and at `⌊k/1.25⌋`.
+    fn assert_walk_mixes(sys: &NowSystem, seed: u64) {
+        let k = sys.params.walk_length(sys.overlay.vertex_count());
+        for hops in [k, k * 4 / 5] {
+            let (m, worst) = crate::rand_cl::tests::worst_start_tv(sys, hops);
+            let eps = 1.0 / (sys.params.capacity() as f64).powi(2);
+            println!("seed {seed}, m = {m}, {hops} hops: worst TV {worst:.2e}");
             assert!(
                 worst <= eps,
-                "seed {seed}, duration {t}: TV {worst:e} > {eps:e}"
+                "seed {seed}, {hops} hops: TV {worst:e} > {eps:e}"
             );
         }
     }
@@ -782,10 +757,9 @@ mod tests {
     /// that force splits, churned, then shrunk by leaves that force
     /// merges, and on `grow_wide`'s (N = 2¹⁶, k = 2, 1 024 clusters) over
     /// 300 steps of 64 joins, every step's mean degree stays within ±10 %
-    /// of the target and no vertex passes the cap. At the end state λ₂
-    /// is at least the gap `ctrw_duration` assumes, and the walk's law
-    /// is within TV 1/N² at the duration — on `grow_wide`, where the
-    /// guarantee binds, at 1/1.25 of it too.
+    /// of the target and no vertex passes the cap. At the end state the
+    /// walk's law is within TV 1/N² from every start, at its length and
+    /// at 1/1.25 of it.
     #[test]
     #[cfg_attr(
         debug_assertions,
@@ -799,11 +773,11 @@ mod tests {
             splits > 20 && merges > 5,
             "{splits} splits, {merges} merges"
         );
-        assert_walk_mixes(&sys, 1, &[1.0]);
+        assert_walk_mixes(&sys, 1);
 
         let wide = NowParams::new(1 << 16, 2, 1.5, 0.30, 0.05).unwrap();
         let n0 = 1_024 * wide.target_cluster_size();
         let sys = churn_in_degree_band(wide, n0, 1, &[(0, 64, 300)]);
-        assert_walk_mixes(&sys, 1, &[1.0, 1.0 / 1.25]);
+        assert_walk_mixes(&sys, 1);
     }
 }

@@ -286,11 +286,10 @@ impl NowParams {
         self.exchange_cap
     }
 
-    /// Overrides the CTRW duration factor (default 1.0). It scales
-    /// [`NowParams::ctrw_duration`], schedule and guarantee alike, so a
-    /// CTRW on an overlay of `m` clusters lasts `factor` times the
-    /// shorter of `log²(m+2)` hops and the guarantee's hops (at the
-    /// target degree).
+    /// Overrides the walk-length factor (default 1.0). It scales
+    /// [`NowParams::walk_length`] before the rounding up, so a walk on
+    /// an overlay of `m` clusters takes `⌈factor · k(m)⌉` hops, at
+    /// least 1.
     pub fn with_walk_length_factor(mut self, factor: f64) -> Self {
         self.walk_length_factor = factor.max(0.01);
         self
@@ -355,37 +354,28 @@ impl NowParams {
         ieee::pow(self.capacity as f64, self.z).floor() as u64
     }
 
-    /// CTRW duration for an overlay of `m` clusters: the shorter of the
-    /// paper's schedule and the duration its guarantee needs, each
-    /// scaled by `walk_length_factor`. With `d` the target degree:
+    /// Hops per `randCl` walk on an overlay of `m` clusters, scaled by
+    /// `walk_length_factor`: with `d` the target degree and `d′ =
+    /// max(min(d, m − 1), 3)` the degree an overlay of `m` vertices can
+    /// have,
     ///
-    /// * the **schedule** is `log²(m+2)/d`, ≈ `log²(m+2)` expected hops
-    ///   (the paper's "walks of length O(log²n)");
-    /// * the **guarantee** is `randCl`'s output within total variation
-    ///   `1/N²` of `|C|/n` from the worst start (§3.1 needs
-    ///   `1/poly(N)`). TV falls like `e^{−λ₂T}`, and for a random graph
-    ///   of mean degree `d`, `λ₂ ≈ d − 2√(d−1)` (the Ramanujan gap), so
-    ///   the needed duration is `2 ln N / (ρ(d − 2√(d−1)))`, with
-    ///   `ρ = 0.65` a share of that gap that every measured
-    ///   `init_fast` overlay attains. That is multiplied by the safety
-    ///   factor 1.25.
+    /// `k = ⌈factor · WALK_SPAN · (ln m + 4 ln N) / ln(d′ − 1)⌉`, at
+    /// least 1.
     ///
-    /// Nodes know `N`, not `λ₂`, so the guarantee is a closed form in
-    /// `N`. It is the shorter walk only past a cluster count that grows
-    /// with `N` (116 clusters at the least, 233 at `N = 2¹²`, 373 at
-    /// `N = 2¹⁶`), so at `N ≤ 2¹²` it binds only for populations above
-    /// `N`, and the `steady_*`, `storm_event` and `attack_resilience`
-    /// walks keep the schedule to the bit. On `grow_wide`'s overlay
-    /// (`N = 2¹⁶`, 1 024 clusters and more) it binds: a CTRW lasts
-    /// 73.1 hops at the target degree, not 100 or more. README § Walk
-    /// table gives the exact law's TV and margin wherever it binds.
-    pub fn ctrw_duration(&self, m: usize) -> f64 {
-        let log_m = ieee::log2((m + 2) as f64);
-        let d = self.over.target_degree() as f64;
-        let schedule = self.walk_length_factor * log_m * log_m / d;
-        let gap = GAP_SHARE * (d - 2.0 * (d - 1.0).sqrt());
-        let guarantee = WALK_SAFETY * 2.0 * ieee::ln(self.capacity as f64) / gap;
-        schedule.min(self.walk_length_factor * guarantee)
+    /// A non-backtracking walk on a random graph of degree `d′` mixes in
+    /// `log_{d′−1} m` hops, and its distance from stationarity then falls
+    /// by about `√(d′ − 1)` a hop, so it reaches total variation `1/N²`
+    /// after about `(ln m + 4 ln N) / ln(d′ − 1)` hops. [`WALK_SPAN`]
+    /// scales that estimate so that `randCl`'s exact law
+    /// (`now_graph::nbrw_law`) is within TV `1/N²` of `|C|/n` from every
+    /// start already at `⌊k/1.25⌋` on every overlay README § Walk table
+    /// lists. Nodes know `N` and `d`; `m` is the overlay the walk table
+    /// was built on.
+    pub fn walk_length(&self, m: usize) -> usize {
+        let d = self.over.target_degree().min(m.saturating_sub(1)).max(3) as f64;
+        let span = ieee::ln(m.max(1) as f64) + 4.0 * ieee::ln(self.capacity as f64);
+        let k = self.walk_length_factor * WALK_SPAN * span / ieee::ln(d - 1.0);
+        (k.ceil() as usize).max(1)
     }
 
     /// Cap on biased-walk restarts before `rand_cl` falls back to the
@@ -397,25 +387,13 @@ impl NowParams {
     }
 }
 
-/// The share `ρ` of the Ramanujan gap `d − 2√(d−1)` that bounds the
-/// CTRW's decay on the overlay in [`NowParams::ctrw_duration`]: on
-/// every `init_fast` overlay README § Walk table measures, the exact law
-/// (`now_graph::ctrw_law`) reaches TV `1/N²` from its worst start within
-/// `2 ln N / (ρ'(d − 2√(d−1)))` for some `ρ' ≥ 0.70`; 0.65 is below
-/// every such `ρ'`.
-pub(crate) const GAP_SHARE: f64 = 0.65;
-
-/// The safety factor on the duration the guarantee needs, in
-/// [`NowParams::ctrw_duration`].
-const WALK_SAFETY: f64 = 1.25;
-
-/// Size-bias acceptance: the walk's endpoint `C` is accepted with
-/// probability `|C| / max_cluster_size`, clamped to `[0, 1]` (the static
-/// bound stands in for `max_C |C|`, which the protocol cannot know
-/// exactly; sizes never exceed it while the invariants hold).
-pub(crate) fn acceptance(cluster_size: usize, max_cluster_size: usize) -> f64 {
-    (cluster_size as f64 / max_cluster_size as f64).clamp(0.0, 1.0)
-}
+/// The factor on the mixing estimate in [`NowParams::walk_length`]:
+/// the least at which `⌊k/1.25⌋` still reaches TV `1/N²` on every
+/// overlay README § Walk table measures, rounded up. It binds on
+/// `steady_*`'s start overlay, where the walk first reaches the target
+/// at 13 hops against an estimate of 14.08, so `k` must be at least 17:
+/// a factor above 16/14.08 = 1.1365.
+const WALK_SPAN: f64 = 1.14;
 
 #[cfg(test)]
 mod tests {
@@ -509,72 +487,25 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_is_clamped() {
-        let max = NowParams::for_capacity(1 << 10).unwrap().max_cluster_size();
-        assert_eq!(acceptance(0, max), 0.0);
-        assert_eq!(acceptance(10 * max, max), 1.0);
-        let half = acceptance(max / 2, max);
-        assert!(half > 0.0 && half < 1.0);
-    }
-
-    #[test]
-    fn ctrw_duration_grows_with_overlay_size() {
+    fn walk_length_grows_with_overlay_and_capacity() {
         let p = NowParams::for_capacity(1 << 12).unwrap();
-        assert!(p.ctrw_duration(100) > p.ctrw_duration(10));
-        assert!(p.ctrw_duration(0) > 0.0);
-    }
-
-    /// The paper's schedule, as `ctrw_duration` computed it before the
-    /// guarantee capped it.
-    fn schedule(p: &NowParams, m: usize) -> f64 {
-        let log_m = ieee::log2((m + 2) as f64);
-        p.walk_length_factor * log_m * log_m / p.over.target_degree() as f64
-    }
-
-    /// Where the schedule binds, the duration is the schedule's to the
-    /// bit, so those trajectories stay byte-identical: at the
-    /// `steady_*` shape (N = 2¹², k = 2, 128 clusters), at
-    /// `storm_event`'s (N = 2¹¹, k = 3, 20 clusters) and at
-    /// `attack_resilience`'s (N = 2¹⁰, k = 3, l = 2, 300 nodes), each
-    /// with room for the cluster count to grow past its start. At
-    /// `grow_wide`'s (N = 2¹⁶, 1 024 clusters and more) the guarantee
-    /// binds and the walk is strictly shorter; with a walk factor it
-    /// scales alike.
-    #[test]
-    fn the_guarantee_caps_the_schedule_only_on_large_overlays() {
-        // (shape, most clusters checked): 128, 20 and 10 at the start.
-        let shapes = [
-            (NowParams::new(1 << 12, 2, 1.5, 0.30, 0.05), 200),
-            (NowParams::new(1 << 11, 3, 1.5, 0.30, 0.05), 100),
-            (NowParams::new(1 << 10, 3, 2.0, 0.15, 0.05), 60),
-        ];
-        for (p, most) in shapes {
-            let p = p.unwrap();
-            for m in 0..=most {
-                let (new, old) = (p.ctrw_duration(m), schedule(&p, m));
-                assert_eq!(
-                    new.to_bits(),
-                    old.to_bits(),
-                    "N = {}, m = {m}",
-                    p.capacity()
-                );
-            }
-        }
-        let wide = NowParams::new(1 << 16, 2, 1.5, 0.30, 0.05).unwrap();
-        let hops = |p: &NowParams, m| p.ctrw_duration(m) * p.over.target_degree() as f64;
-        for m in [1_024, 1_500, 2_048, 4_096] {
-            assert!(wide.ctrw_duration(m) < schedule(&wide, m), "m = {m}");
-            assert!((hops(&wide, m) - 73.1).abs() < 0.05, "{}", hops(&wide, m));
-            let slow = wide.with_walk_length_factor(2.0);
-            assert_eq!(slow.ctrw_duration(m), 2.0 * wide.ctrw_duration(m));
-        }
+        assert!(p.walk_length(1_000) > p.walk_length(20));
+        assert!(p.walk_length(0) >= 1);
+        let wide = NowParams::for_capacity(1 << 16).unwrap();
+        assert!(wide.walk_length(128) > p.walk_length(128));
     }
 
     #[test]
     fn walk_factor_override() {
         let p = NowParams::for_capacity(1 << 12).unwrap();
-        let fast = p.with_walk_length_factor(2.0);
-        assert!((fast.ctrw_duration(50) - 2.0 * p.ctrw_duration(50)).abs() < 1e-12);
+        let k = p.walk_length(50);
+        assert!(
+            p.with_walk_length_factor(2.0)
+                .walk_length(50)
+                .abs_diff(2 * k)
+                <= 1
+        );
+        assert_eq!(p.with_walk_length_factor(0.0).walk_length(50), 1);
     }
 
     // ----- SecurityMode (Remark 1) -----

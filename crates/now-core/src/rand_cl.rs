@@ -1,137 +1,61 @@
-//! `randCl` — size-biased cluster selection by continuous-time random
+//! `randCl` — size-biased cluster selection by non-backtracking random
 //! walk on the overlay.
 //!
-//! Per the paper's §3.1 footnote, a *biased CTRW* from cluster `Cᵢ` is a
-//! sequence of CTRWs: at each hop the current cluster collaboratively
-//! draws, by one `randNum` over `0..2²⁴·degree`, the exponential
-//! holding time (its low 24 bits) and the next neighbor (the bits
-//! above); when the walk's duration expires at cluster `C`, it is
-//! accepted with probability `|C| / max_C'|C'|`, otherwise a fresh CTRW
-//! starts from there. The CTRW's uniform stationary law over vertices
-//! times the size-biased acceptance yields the target distribution
-//! `(|C|/n)` — i.e. a uniformly random *node*'s cluster.
+//! A call is a loop of walks of exactly `k` hops
+//! ([`NowParams::walk_length`]). Each hop is one collaborative `randNum`
+//! at the cluster the walk stands on: the first hop of a walk draws over
+//! all of its neighbours, every later hop over all but the one it came
+//! from (at a degree-1 cluster, over that one); on an overlay of two or
+//! three clusters, where no such walk mixes, a hop may also stay
+//! ([`WalkTable`]'s `stays`). When the `k` hops are
+//! done, the endpoint `C` is accepted with probability `(|C| /
+//! max_cluster_size) · (d_min / deg C)`, `d_min` the overlay's least
+//! degree, by one more `randNum`; otherwise a fresh walk starts from
+//! `C`. A non-backtracking walk's endpoints are spread in proportion to
+//! degree once it mixes, so the degree-corrected acceptance yields the
+//! target distribution `|C|/n`, a uniformly random *node*'s cluster.
+//! This deviates from the paper's biased CTRW (§3.1 footnote), whose
+//! continuous time is uniform over vertices on any overlay; README §
+//! Walk table gives the rule for `k`, the exact law it is checked
+//! against (`now_graph::nbrw_law`) and what the walk costs.
 //!
 //! Byzantine influence: each hop's collective choices are
 //! [`Kernel::draw`]s, so a cluster with ≥ 1/3 Byzantine members lets
-//! the adversary steer the hop (and [`crate::Malice`] may redirect it
-//! outright). Every hop is also a quorum-validated cluster-to-cluster
-//! message, accounted as `|C|·|C'|` message units.
+//! the adversary steer the hop among the non-backtracking neighbours
+//! ([`crate::Malice::walk_hop`]) and decide the acceptance draw. A walk's
+//! length is fixed, so the adversary cannot stall or rush it. Every hop
+//! is also a quorum-validated cluster-to-cluster message, accounted as
+//! `|C|·|C'|` message units.
 //!
 //! Hot path: every join and every exchanged member performs this walk,
 //! so it translates no cluster id while it hops. It resolves its
 //! start's registry slot once and then carries a slot: one hop is one
-//! `randNum` draw, a table hold, and two reads by slot — the
-//! [`WalkTable`] row of the slot it stands on (its neighbours' slots,
-//! contiguous, in the overlay's order) and the next cluster's size and
-//! Byzantine count, from the registry's cluster slab
-//! (`Registry::security_at`). The id behind a slot is read only where it is told:
-//! to the adversary at a compromised cluster, and as the walk's result.
-//! The table is the overlay by registry slot, one per system, rebuilt
-//! only where the overlay or the cluster slab changes shape (init,
-//! split, merge), and it carries what every walk on that shape shares —
-//! the CTRW duration, the acceptance normaliser, and each degree's
-//! reciprocal — so a hop calls no libm function and divides nothing.
-//! Nothing is booked per hop: a hop's costs stay in walk-local variables ([`WalkBooks`] — its
+//! `randNum` draw and two reads by slot — the [`WalkTable`] row of the
+//! slot it stands on (its neighbours' slots, contiguous, in the
+//! overlay's order) and the next cluster's size and Byzantine count,
+//! from the registry's cluster slab (`Registry::security_at`). The id
+//! behind a slot is read only where it is told: to the adversary at a
+//! compromised cluster, and as the walk's result. Nothing is booked per
+//! hop: a hop's costs stay in walk-local variables ([`WalkBooks`] — its
 //! `randNum` leaves as a count, a message sum and a peak, and its
-//! hand-off messages) and are settled into the ledger once per walk
-//! ([`Ledger::leaves`], exactly that many leaf calls).
-//!
-//! Holding times: a CTRW ends at the first hop whose hold reaches the
-//! time left, the holds subtracted one by one in `f64`. A hop's hold is
-//! [`LnTable`]'s `−ln((u + 1)/(RES + 1))` for its draw's hold half `u`
-//! times the degree's reciprocal. The table is the law: every hold is the
-//! `Exp(degree)` quantile of its draw to within 2⁻²³ ≈ 1.2·10⁻⁷ before
-//! the scaling, and, built from IEEE-754 basic operations alone
-//! ([`now_net::ieee`]), it is the same on every target, so no
-//! trajectory depends on the platform's libm.
-//!
-//! A hop's cost is its draw's keystream (one buffered word of a
-//! sixteen-block ChaCha12 refill), range scaling, the split, the table
-//! hold, the row and slab reads and the tally; README § Walk table has
-//! its measurements and its message bill: one `randNum` per hop, so
-//! `2s(s − 1) + s·s′` messages over 3 rounds at a cluster of size `s`
-//! handing off to one of size `s′`.
+//! hand-off messages) and are settled into the ledger once per call
+//! ([`Ledger::leaves`], exactly that many leaf calls). One `randNum` per
+//! hop costs `2s(s − 1) + s·s′` messages over 3 rounds at a cluster of
+//! size `s` handing off to one of size `s′`.
 
 use crate::cluster::ClusterSecurity;
 use crate::kernel::{draw_value, Kernel};
 use crate::malice::{Malice, RandNumPurpose};
-use crate::params::{acceptance, NowParams};
+use crate::params::NowParams;
 use crate::registry::Registry;
 use crate::system::NowSystem;
-use now_net::{ieee, ClusterId, Cost, CostKind, DetRng, Ledger};
+use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger};
 use now_over::Overlay;
-
-/// Resolution for fixed-point randomness drawn via randNum: a hold
-/// draw and an acceptance draw are `RES_BITS`-bit fractions.
-const RES_BITS: u32 = 24;
-const RES: u64 = 1 << RES_BITS;
-
-/// The [`LnTable`] has `2^LN_BITS` bins.
-const LN_BITS: u32 = 10;
-
-/// `ln(u + 1)` for every draw `u < RES`, as one chord per bin of the
-/// mantissa of `u + 1`, folded into the hold: bin `i` is `(ln(RES + 1)
-/// − ln m₀, slope)`, `m₀ = 1 + i·2^−LN_BITS`, the slope per unit of the
-/// mantissa bits below the bin's.
-///
-/// Its error: write `u + 1 = 2^e · m` with `m ∈ [1, 2)` (exactly, by its
-/// `f64` exponent and mantissa): `ln(u + 1) = e·ln 2 + ln m`, and bin
-/// `i` holds the chord of `ln` over `[m₀, m₀ + h)`, `h = 2^−LN_BITS`. A
-/// chord is off by at most `max|f''|·h²/8`, and `|ln''(m)| = 1/m² ≤ 1`,
-/// so the table is off by at most `h²/8` (2⁻²³ ≈ 1.19·10⁻⁷; the bin `m₀
-/// = 1` attains it to within 0.1 %), plus the roundings of a few `f64`
-/// operations on values ≤ 17, ≤ 10⁻¹⁴ together.
-struct LnTable {
-    bins: [(f64, f64); 1 << LN_BITS],
-}
-
-/// Mantissa bits of an `f64`, and those below a bin's.
-const MANTISSA: u32 = 52;
-const BIN_LOW: u32 = MANTISSA - LN_BITS;
-
-/// The one [`LnTable`], evaluated at compile time.
-static LN_TABLE: LnTable = LnTable::new();
-
-impl LnTable {
-    const fn new() -> Self {
-        let h = 1.0 / (1u64 << LN_BITS) as f64;
-        let ln_res = ieee::ln(RES as f64 + 1.0);
-        let mut bins = [(0.0, 0.0); 1 << LN_BITS];
-        let mut i = 0;
-        while i < bins.len() {
-            let m0 = 1.0 + i as f64 * h;
-            let rise = ieee::ln_1p(h / m0);
-            bins[i] = (ln_res - ieee::ln(m0), rise / (1u64 << BIN_LOW) as f64);
-            i += 1;
-        }
-        LnTable { bins }
-    }
-
-    /// The table's `−ln((u + 1)/(RES + 1))` for `u < RES` (and
-    /// meaningless above).
-    #[inline]
-    fn neg_ln_unit(&self, u: u64) -> f64 {
-        let bits = ((u + 1) as f64).to_bits();
-        let exponent = (bits >> MANTISSA) as i64 - 1023;
-        let low = bits & ((1 << BIN_LOW) - 1);
-        // INVARIANT: the mask keeps the index below `1 << LN_BITS`,
-        // the table's length.
-        let (top, slope) = self.bins[(bits >> BIN_LOW) as usize & ((1 << LN_BITS) - 1)];
-        top - (exponent as f64 * std::f64::consts::LN_2 + low as f64 * slope)
-    }
-
-    /// The hold of the draw `u < RES` at a cluster whose degree has
-    /// the reciprocal `recip`: `Exp(degree)`.
-    #[inline]
-    fn hold(&self, u: u64, recip: f64) -> f64 {
-        self.neg_ln_unit(u) * recip
-    }
-}
 
 /// Diagnostics of one `randCl` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkTrace {
-    /// Total hops across all component CTRWs.
+    /// Total hops across all walks of the call.
     pub hops: u64,
     /// Number of rejected endpoints (walk restarts).
     pub restarts: u64,
@@ -142,14 +66,13 @@ pub struct WalkTrace {
 /// The overlay as walks read it, built once per overlay shape: for the
 /// registry slot of every live cluster, a row of its neighbours'
 /// registry slots in the overlay's (ascending id) order, plus what
-/// every walk on this shape shares — the CTRW duration and the
-/// acceptance normaliser, and per degree the reciprocal a hop scales
-/// its table hold by. A hop reads its row by the slot it stands on
-/// and the next cluster's size and Byzantine count by the slot the row
-/// gives (`Registry::security_at`), so no hop translates an id. Rows
-/// hold no ids: a hop reads none, and the few readers
-/// that need one (the adversary at a compromised cluster, the walk's
-/// result) take it from the cluster slab, in the slot's own line.
+/// every walk on this shape shares — its length `k`, the least degree
+/// and the acceptance normaliser. A hop reads its row by the slot it
+/// stands on and the next cluster's size and Byzantine count by the
+/// slot the row gives (`Registry::security_at`), so no hop translates
+/// an id. Rows hold no ids: a hop reads none, and the few readers that
+/// need one (the adversary at a compromised cluster, the walk's result)
+/// take it from the cluster slab, in the slot's own line.
 ///
 /// [`NowSystem`] keeps one, rebuilt where the overlay or the cluster
 /// slab changes shape (init, split, merge); `check_consistency`
@@ -165,20 +88,20 @@ pub(crate) struct WalkTable {
     slots: Vec<u32>,
     /// The overlay's vertex count.
     vertices: usize,
-    /// The overlay's CTRW duration, [`NowParams::ctrw_duration`] of its
-    /// vertex count: the paper's schedule, ≈ `log²(m+2)` expected hops,
-    /// unless the duration that brings `randCl`'s output within TV
-    /// `1/N²` of `|C|/n` from the worst start, times a safety factor of
-    /// 1.25, is shorter. That cap is a closed form in `N` and binds on
-    /// large overlays only (`grow_wide`'s); README § Walk table gives
-    /// hops per CTRW per workload, and the exact law's TV and margin.
-    duration: f64,
+    /// Hops per walk, [`NowParams::walk_length`] of the vertex count.
+    hops: u64,
+    /// The least row length over the live clusters' rows: the overlay's
+    /// least degree.
+    d_min: u64,
+    /// 1 where no row is longer than 2 (an overlay of two or three
+    /// clusters, or a path or cycle), on which a non-backtracking walk
+    /// does not mix, else 0. There a hop may also stay where it is, one
+    /// more choice past the row, it bars no neighbour, and the
+    /// acceptance counts the stay in every degree.
+    stays: u64,
     /// [`NowParams::max_cluster_size`], the size an endpoint is
     /// accepted against.
-    max_cluster_size: usize,
-    /// Entry `d` is `1/d`, for every degree up to the largest row's
-    /// (entry 0 is never read).
-    recips: Vec<f64>,
+    max_cluster_size: u64,
 }
 
 impl WalkTable {
@@ -198,23 +121,23 @@ impl WalkTable {
         self.offsets.reserve(rows + 1);
         self.slots.reserve(entries);
         self.offsets.push(0);
-        let mut max_degree = 0;
+        let (mut d_min, mut d_max) = (usize::MAX, 0);
         for slot in 0..rows as u32 {
             if let Some(c) = registry.cluster_id_in_slot(slot) {
                 // INVARIANT: the overlay's vertices are the live
                 // clusters whenever the table is rebuilt.
                 let slot_of = |&nbr| registry.cluster_slot_of(nbr).expect("neighbour is live");
                 let row = overlay.neighbors(c);
-                max_degree = max_degree.max(row.len());
+                (d_min, d_max) = (d_min.min(row.len()), d_max.max(row.len()));
                 self.slots.extend(row.iter().map(slot_of));
             }
             self.offsets.push(self.slots.len() as u32);
         }
         self.vertices = overlay.vertex_count();
-        self.duration = params.ctrw_duration(self.vertices);
-        self.max_cluster_size = params.max_cluster_size();
-        self.recips.clear();
-        self.recips.extend((0..=max_degree).map(|d| 1.0 / d as f64));
+        self.hops = params.walk_length(self.vertices) as u64;
+        self.d_min = d_min as u64;
+        self.stays = (d_max <= 2) as u64;
+        self.max_cluster_size = params.max_cluster_size() as u64;
     }
 
     /// The registry slots of the neighbours of the cluster in `slot`.
@@ -225,14 +148,6 @@ impl WalkTable {
         // was built on, which bounds every slot a walk or notification
         // holds, and its offsets ascend to `slots.len()`.
         &self.slots[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-
-    /// `1/degree` for the degree of a row.
-    #[inline]
-    fn recip(&self, degree: usize) -> f64 {
-        // INVARIANT: `rebuild` sizes `recips` past the longest row of
-        // the table, and every degree a walk asks for is a row's.
-        self.recips[degree]
     }
 }
 
@@ -335,8 +250,8 @@ fn walk(
     // only where it is told: to the adversary, and as the result.
     let id_of = |slot: u32| move || registry.cluster_in_slot(slot).id();
     let mut slot = start;
-    let m = walks.vertices;
-    if m <= 1 {
+    // One cluster, or a cluster with no neighbour, is the only choice.
+    if walks.vertices <= 1 || walks.d_min == 0 {
         return (id_of(slot)(), trace);
     }
 
@@ -345,72 +260,65 @@ fn walk(
     // The legal hops by id, as the adversary is shown them: filled only
     // at a compromised cluster.
     let mut nbr_ids = Vec::new();
-
-    // Hard per-invocation hop cap: compromised clusters can rush
-    // their holding times to ~0 (see `Malice`), so a Byzantine-dense
-    // region could otherwise bounce a walk indefinitely without
-    // consuming walk-time. Honest walks use ~log²m hops; the cap is
-    // far above that and only binds under heavy compromise.
-    let hop_cap = 2_000 + 200 * (m as u64);
     for _restart in 0..=params.max_walk_restarts() {
-        // One CTRW, and its time left.
-        let mut remaining = walks.duration;
-        loop {
-            if trace.hops >= hop_cap {
-                return (id_of(slot)(), trace);
-            }
+        // One walk of `k` hops; `came_from` is the slot it just left.
+        let mut came_from = None;
+        for _ in 0..walks.hops {
             let slots = walks.row(slot);
             let degree = slots.len();
-            if degree == 0 {
-                break; // isolated vertex absorbs the walk
-            }
             // The hop's one collaborative randNum (compromised clusters
-            // control it): the holding time, Exp(degree), and the
-            // neighbour, split from one draw (`split_hop`).
+            // control it): a neighbour other than the one the walk came
+            // from, whose slot the row's last entry stands in for, or,
+            // past the row, a stay where `walks.stays` allows one.
+            let barred = came_from.filter(|_| degree > 1 && walks.stays == 0);
+            let choices = degree + walks.stays as usize - barred.is_some() as usize;
             let w = walk_draw(
                 rng,
                 malice,
                 books,
                 id_of(slot),
-                RES * degree as u64,
+                choices as u64,
                 RandNumPurpose::WalkHop,
                 here,
             );
-            let (u, idx) = split_hop(w);
-            let hold = LN_TABLE.hold(u, walks.recip(degree));
-            if hold >= remaining {
-                break; // duration expires at this cluster
+            // INVARIANT: `choices ≥ 1` (the degree is at least `d_min
+            // ≥ 1`), and `min` clamps the drawn index below it.
+            let pick = (w as usize).min(choices - 1);
+            let mut next = slots.get(pick).copied().unwrap_or(slot);
+            if barred == Some(next) {
+                // INVARIANT: a walk bars a slot only where `degree > 1`.
+                next = slots[degree - 1];
             }
-            remaining -= hold;
-            // INVARIANT: `degree = slots.len() > 0` (checked above);
-            // `min` clamps the drawn index into bounds.
-            let mut pick = idx.min(degree - 1);
             if !here.secure_plain {
                 trace.compromised_hops += 1;
-                pick = forced_pick(registry, slots, pick, malice, rng, &mut nbr_ids);
+                next = forced_pick(registry, slots, barred, next, malice, rng, &mut nbr_ids);
             }
-            // Quorum-validated hand-off message C → C'.
-            let there = registry.security_at(slots[pick], mode);
+            // Quorum-validated hand-off message C → C' (to itself, on a
+            // stay).
+            let there = registry.security_at(next, mode);
             books.hops += Cost {
                 messages: here.size * there.size,
                 rounds: 1,
             };
             trace.hops += 1;
-            slot = slots[pick];
+            came_from = Some(slot);
+            slot = next;
             here = there;
         }
-        // Size-biased acceptance at the endpoint.
-        let p_accept = acceptance(here.size as usize, walks.max_cluster_size);
+        // Size-biased, degree-corrected acceptance at the endpoint:
+        // `min(|C|, max) · d_min` draws out of `max · deg C` accept.
+        let degree = walks.row(slot).len() as u64 + walks.stays;
+        let max = walks.max_cluster_size;
         let draw = walk_draw(
             rng,
             malice,
             books,
             id_of(slot),
-            RES,
+            max * degree,
             RandNumPurpose::WalkAcceptance,
             here,
         );
-        if (draw as f64 + 0.5) / RES as f64 <= p_accept {
+        if draw < here.size.min(max) * (walks.d_min + walks.stays) {
             return (id_of(slot)(), trace);
         }
         trace.restarts += 1;
@@ -420,39 +328,31 @@ fn walk(
     (id_of(slot)(), trace)
 }
 
-/// A hop's draw `w` over `0..RES·degree` as its hold draw `w % RES`
-/// and its neighbour index `w / RES`, by a mask and a shift. For `w`
-/// uniform the two are uniform over `0..RES` and `0..degree` and
-/// independent: the hop's law is that of a hold draw and a neighbour
-/// draw made apart. A compromised cluster's `w` out of range still
-/// gives a hold draw below `RES`; the walk clamps its index.
-#[inline]
-fn split_hop(w: u64) -> (u64, usize) {
-    (w & (RES - 1), (w >> RES_BITS) as usize)
-}
-
 /// The hop at a compromised cluster: the neighbour the adversary
-/// forces, if it names one of the legal hops (shown to it by id, in
-/// `nbr_ids`), else the drawn `pick`. Out of line, so that the honest
-/// hop's loop stays small: inlined, it left the loop's speed to code
-/// placement (a copy of `walk` that differed in one constant ran a
-/// third slower).
+/// forces, if it names one of the legal hops (the row but the `barred`
+/// slot the walk came from, shown to it by id in `nbr_ids`), else the
+/// drawn slot `next`. Out of line, so that the honest hop's loop stays
+/// small: inlined, it left the loop's speed to code placement (a copy
+/// of `walk` that differed in one constant ran a third slower).
 #[cold]
 #[inline(never)]
 fn forced_pick(
     registry: &Registry,
     slots: &[u32],
-    pick: usize,
+    barred: Option<u32>,
+    next: u32,
     malice: &mut dyn Malice,
     rng: &mut DetRng,
     nbr_ids: &mut Vec<ClusterId>,
-) -> usize {
+) -> u32 {
+    let id = |s: u32| registry.cluster_in_slot(s).id();
     nbr_ids.clear();
-    nbr_ids.extend(slots.iter().map(|&s| registry.cluster_in_slot(s).id()));
+    nbr_ids.extend(slots.iter().filter(|&&s| Some(s) != barred).map(|&s| id(s)));
     malice
         .walk_hop(nbr_ids, rng)
-        .and_then(|forced| nbr_ids.iter().position(|&nbr| nbr == forced))
-        .unwrap_or(pick)
+        .filter(|forced| nbr_ids.contains(forced))
+        .and_then(|forced| slots.iter().copied().find(|&s| id(s) == forced))
+        .unwrap_or(next)
 }
 
 impl NowSystem {
@@ -471,10 +371,9 @@ impl NowSystem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::NowParams;
-    use rand::Rng;
     use std::collections::BTreeMap;
 
     fn system(n0: usize, seed: u64) -> NowSystem {
@@ -517,33 +416,20 @@ mod tests {
         assert!(after.total_rounds - before.total_rounds >= trace.hops);
     }
 
+    /// Every walk takes exactly `k` hops, so a call takes `k` per walk,
+    /// its restarts included.
     #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "libm sizes the expected hop count, off the trajectory"
-    )]
-    fn walk_hop_count_tracks_log_squared() {
+    fn every_walk_takes_exactly_k_hops() {
         let mut sys = system(400, 4);
-        let start = sys.cluster_ids()[0];
-        let m = sys.overlay().vertex_count();
-        let log_m = ((m + 2) as f64).log2();
-        let mut hops = 0u64;
-        let mut restarts = 0u64;
-        let trials = 30;
-        for _ in 0..trials {
+        let k = sys.walks.hops;
+        assert_eq!(k, sys.params().walk_length(sys.cluster_count()) as u64);
+        let mut restarts = 0;
+        for start in sys.cluster_ids().into_iter().cycle().take(60) {
             let (_, t) = sys.rand_cl_from(start);
-            hops += t.hops;
+            assert_eq!(t.hops, k * (t.restarts + 1));
             restarts += t.restarts;
         }
-        let mean_hops = hops as f64 / trials as f64;
-        // Expected hops per accepted walk ≈ (1+restarts) · log²m; allow
-        // a wide band.
-        let per_walk = mean_hops / (1.0 + restarts as f64 / trials as f64);
-        assert!(
-            per_walk > 0.2 * log_m * log_m && per_walk < 5.0 * log_m * log_m,
-            "hops/walk {per_walk} vs log²m {}",
-            log_m * log_m
-        );
+        assert!(restarts > 0, "restarts covered");
     }
 
     /// Measures the TV distance between `randCl`'s endpoint frequencies
@@ -620,29 +506,40 @@ mod tests {
         );
     }
 
-    /// The exact law of `randCl`'s output from `start` on `sys`, by
-    /// cluster id ([`now_graph::ctrw_law`] at the system's duration),
-    /// with sizes and the normaliser read from the system and the
-    /// parameters, not from the walk table.
-    fn exact_law(sys: &NowSystem, start: ClusterId) -> Vec<(ClusterId, f64)> {
+    /// The exact law of `randCl`'s output on `sys` at `k` hops a walk,
+    /// from every start ([`now_graph::nbrw_law`]), with the clusters'
+    /// ids and the target `|C|/n`, sizes and the normaliser read from
+    /// the system and the parameters, not from the walk table.
+    fn exact_laws(sys: &NowSystem, k: usize) -> (Vec<ClusterId>, Vec<Vec<f64>>, Vec<f64>) {
         let (g, ids) = sys.overlay.to_dense();
         let sizes: Vec<usize> = ids
             .iter()
             .map(|&c| sys.cluster(c).unwrap().size())
             .collect();
-        let params = sys.params();
-        let duration = params.ctrw_duration(ids.len());
-        let from = ids.binary_search(&start).unwrap();
-        let law = now_graph::ctrw_law(&g, &sizes, params.max_cluster_size(), duration, from);
-        ids.into_iter().zip(law).collect()
+        let n: usize = sizes.iter().sum();
+        let target = sizes.iter().map(|&s| s as f64 / n as f64).collect();
+        let laws = now_graph::nbrw_law(&g, &sizes, sys.params().max_cluster_size(), k);
+        (ids, laws, target)
+    }
+
+    /// The overlay's vertex count and the largest TV distance from
+    /// `|C|/n` of `randCl`'s exact law at `k` hops a walk, over every
+    /// start.
+    pub(crate) fn worst_start_tv(sys: &NowSystem, k: usize) -> (usize, f64) {
+        let (ids, laws, target) = exact_laws(sys, k);
+        let worst = laws
+            .iter()
+            .map(|law| now_graph::total_variation(law, &target))
+            .fold(0.0, f64::max);
+        (ids.len(), worst)
     }
 
     /// The real walk samples the exact law: 40 000 `rand_cl_from` walks
     /// from one cluster of a small irregular overlay (N = 16, 20
-    /// clusters of sizes 3 to 12, Erdős–Rényi degrees 2 to 9), at a
-    /// tenth of the schedule (≈ 2 hops per CTRW, ≈ 0.6 restarts per
-    /// walk), so that the law is far from `|C|/n` and the test sees the
-    /// walk's duration, its hold scaling and its restarts, not only the
+    /// clusters of sizes 3 to 12, Erdős–Rényi degrees 2 to 9), at two
+    /// hops a walk, so that the law is far from `|C|/n` and the test
+    /// sees the hop's exclusion of the edge it came in on, the
+    /// degree-corrected acceptance and the restarts, not only the
     /// target. A G-test against the law, over the clusters with ≥ 5
     /// expected hits (the rest pooled), must stay below the χ² quantile
     /// of its degrees of freedom at 1 − 10⁻⁴ (Wilson–Hilferty), on
@@ -656,7 +553,7 @@ mod tests {
         for seed in [1, 2] {
             let params = NowParams::for_capacity(16)
                 .unwrap()
-                .with_walk_length_factor(0.1);
+                .with_walk_length_factor(0.15);
             let mut sys = NowSystem::init_fast(params, 160, 0.0, seed);
             let ids = sys.cluster_ids();
             // Sizes 3 to 12 (the normaliser): move members from the
@@ -673,8 +570,11 @@ mod tests {
                 degrees.iter().min() < degrees.iter().max(),
                 "irregular overlay"
             );
+            let k = sys.walks.hops as usize;
+            assert_eq!(k, 2, "two hops a walk");
             let start = ids[3];
-            let law = exact_law(&sys, start);
+            let (law_ids, laws, _) = exact_laws(&sys, k);
+            let law = &laws[law_ids.binary_search(&start).unwrap()];
             let walks = 40_000;
             let mut hits: BTreeMap<ClusterId, u64> = BTreeMap::new();
             for _ in 0..walks {
@@ -683,8 +583,8 @@ mod tests {
             // (observed, expected) per bin, the sparse bins pooled.
             let mut bins: Vec<(f64, f64)> = Vec::new();
             let mut pool = (0.0, 0.0);
-            for (c, p) in law {
-                let bin = (*hits.get(&c).unwrap_or(&0) as f64, p * walks as f64);
+            for (c, &p) in law_ids.iter().zip(law) {
+                let bin = (*hits.get(c).unwrap_or(&0) as f64, p * walks as f64);
                 if bin.1 >= 5.0 {
                     bins.push(bin);
                 } else {
@@ -712,56 +612,72 @@ mod tests {
         }
     }
 
-    /// Where the guarantee binds — the overlays `init_fast` builds at
-    /// `grow_wide`'s shape (N = 2¹⁶, 1 024 clusters) and at N = 2¹⁴
-    /// with 512 clusters — `randCl`'s exact law is within TV 1/N² of
-    /// `|C|/n` from each of 12 starts (8 evenly spaced, the 4 of least
-    /// degree, where the walk mixes slowest) at the walk's duration,
-    /// and still is at 1/1.25 of it: the duration is at least 1.25
-    /// times the shortest that meets the target.
+    /// The walk's guarantee, from every start: on the start overlays
+    /// `init_fast` builds at each bench workload's shape (seeds 1 and
+    /// 2), at the `wide/` toy's (N = 16, 64 clusters) and at
+    /// `attack_resilience`'s two shapes, `randCl`'s exact law is within
+    /// TV 1/N² of `|C|/n` from every start at the walk's length `k`, and
+    /// already at `⌊k/1.25⌋`.
     #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "exact law on 10³ vertices: run with --release"
     )]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "libm sizes the paper schedule this test compares with, off the trajectory"
-    )]
-    fn the_walk_reaches_tv_one_over_n_squared_with_margin() {
-        for (log_n, clusters) in [(16, 1_024), (14, 512)] {
-            let params = NowParams::new(1 << log_n, 2, 1.5, 0.30, 0.05).unwrap();
-            let n0 = clusters * params.target_cluster_size();
-            let sys = NowSystem::init_fast(params, n0, 0.05, 1);
-            let (g, ids) = sys.overlay.to_dense();
-            let m = ids.len();
-            let sizes: Vec<usize> = ids
-                .iter()
-                .map(|&c| sys.cluster(c).unwrap().size())
-                .collect();
-            let n: usize = sizes.iter().sum();
-            let target: Vec<f64> = sizes.iter().map(|&s| s as f64 / n as f64).collect();
-            let duration = params.ctrw_duration(m);
-            let log_m = ((m + 2) as f64).log2();
-            let schedule = log_m * log_m / params.over().target_degree() as f64;
-            assert!(duration < schedule, "N = 2^{log_n}: the guarantee binds");
-            let mut starts: Vec<usize> = (0..8).map(|i| i * m / 8).collect();
-            let mut by_degree: Vec<usize> = (0..m).collect();
-            by_degree.sort_by_key(|&v| g.degree(v));
-            starts.extend(&by_degree[..4]);
-            let eps = 0.5f64.powi(2 * log_n);
-            for t in [duration, duration / 1.25] {
-                let worst = starts
-                    .iter()
-                    .map(|&s| {
-                        let law = now_graph::ctrw_law(&g, &sizes, params.max_cluster_size(), t, s);
-                        now_graph::total_variation(&law, &target)
-                    })
-                    .fold(0.0, f64::max);
-                println!("N = 2^{log_n}, m = {m}, duration {t:.3}: worst TV {worst:.2e}");
+    fn the_walk_reaches_tv_one_over_n_squared_from_every_start() {
+        // (name, N, k, l, τ bound, nodes, τ of the start, seeds)
+        let shapes = [
+            ("storm_event", 1 << 11, 3, 1.5, 0.30, 660, 0.10, 2),
+            ("steady_*", 1 << 12, 2, 1.5, 0.30, 3_072, 0.05, 2),
+            ("grow_wide", 1 << 16, 2, 1.5, 0.30, 32_768, 0.05, 2),
+            ("wide/", 16, 2, 1.5, 0.30, 512, 0.10, 2),
+            ("attack_resilience", 1 << 10, 3, 2.0, 0.15, 300, 0.15, 2),
+            ("in_regime", 1 << 10, 6, 2.0, 0.15, 600, 0.05, 2),
+        ];
+        for (name, cap, k, l, tau, n0, tau0, seeds) in shapes {
+            let params = NowParams::new(cap, k, l, tau, 0.05).unwrap();
+            let eps = 1.0 / (cap as f64 * cap as f64);
+            for seed in 1..=seeds {
+                let sys = NowSystem::init_fast(params, n0, tau0, seed);
+                let hops = sys.walks.hops as usize;
+                for at in [hops, hops * 4 / 5] {
+                    let (m, worst) = worst_start_tv(&sys, at);
+                    println!("{name} seed {seed}, m = {m}, {at} hops: worst TV {worst:.2e} (1/N² {eps:.2e})");
+                    assert!(
+                        worst <= eps,
+                        "{name} seed {seed}, {at} hops: TV {worst:e} > {eps:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// On two or three clusters, where a non-backtracking walk is
+    /// periodic (on three, `k ≡ 0 mod 3` hops always lead back to the
+    /// start), a hop may stay, and the output is `|C|/n`: 6 000 walks
+    /// from one cluster of unequal sizes land within 0.03 of it on
+    /// every cluster.
+    #[test]
+    fn tiny_overlays_sample_the_size_biased_law() {
+        for (clusters, shift) in [(2, 6), (3, 8)] {
+            let mut sys = system(20 * clusters, 9);
+            let ids = sys.cluster_ids();
+            assert_eq!(ids.len(), clusters);
+            for _ in 0..shift {
+                let node = sys.cluster(ids[0]).unwrap().member_at(0);
+                sys.move_node(node, ids[1]);
+            }
+            let walks = 6_000;
+            let mut hits: BTreeMap<ClusterId, u64> = BTreeMap::new();
+            for _ in 0..walks {
+                *hits.entry(sys.rand_cl_from(ids[0]).0).or_default() += 1;
+            }
+            let n = sys.population() as f64;
+            for &c in &ids {
+                let want = sys.cluster(c).unwrap().size() as f64 / n;
+                let got = *hits.get(&c).unwrap_or(&0) as f64 / walks as f64;
                 assert!(
-                    worst <= eps,
-                    "N = 2^{log_n}, duration {t}: TV {worst:e} > {eps:e}"
+                    (got - want).abs() < 0.03,
+                    "{clusters} clusters, {c}: {got} vs {want}"
                 );
             }
         }
@@ -806,11 +722,10 @@ mod tests {
     }
 
     /// A walk's books settle once, inside its span: on a fresh ledger,
-    /// each of 200 walks leaves one `RandCl` span that holds everything
+    /// each of 200 calls leaves one `RandCl` span that holds everything
     /// booked, one round per hop on top of its draws' rounds, one draw
-    /// per hop plus the hop draw that ends each component CTRW and its
-    /// acceptance draw — so three rounds per hop and four per CTRW —
-    /// and a peak that is one cluster's `randNum` cost, not a sum —
+    /// per hop plus each walk's acceptance draw — so three rounds per
+    /// hop and two per walk — and a peak that is one cluster's `randNum` cost, not a sum —
     /// on a secure system, and on one whose start cluster the adversary
     /// holds past 1/3, where draws go through `Malice`. Cluster sizes
     /// differ, so a walk's leaves differ in cost.
@@ -874,9 +789,9 @@ mod tests {
                 assert_eq!(walk.total_messages, l.total().messages, "walk {i}");
                 assert_eq!(walk.total_rounds, l.total().rounds, "walk {i}");
                 assert_eq!(walk.total_rounds - draws.total_rounds, trace.hops);
-                let ctrws = trace.restarts + 1;
-                assert_eq!(draws.count, trace.hops + 2 * ctrws, "walk {i}");
-                assert_eq!(walk.total_rounds, 3 * trace.hops + 4 * ctrws, "walk {i}");
+                let walks = trace.restarts + 1;
+                assert_eq!(draws.count, trace.hops + walks, "walk {i}");
+                assert_eq!(walk.total_rounds, 3 * trace.hops + 2 * walks, "walk {i}");
                 assert!(draw_costs.contains(&draws.max_messages), "walk {i}");
             }
             assert!(restarts > 0, "restarts covered");
@@ -906,169 +821,5 @@ mod tests {
         };
         assert_eq!(run(8), run(8));
         assert_ne!(run(8), run(9), "different seeds should differ");
-    }
-
-    /// The table's error bound before the scaling by `1/degree`: the
-    /// chord error `h²/8` of [`LnTable`] (2⁻²³ ≈ 1.19·10⁻⁷), plus
-    /// `1e-13` for the roundings of the table's few `f64` operations,
-    /// of libm's `ln` (within an ulp) and of `unit`, all on values ≤ 17
-    /// (≤ 10⁻¹⁴ together), with room for the roundings of the scaling.
-    const LN_ERR: f64 = 1.0 / (8u64 << (2 * LN_BITS)) as f64 + 1e-13;
-
-    /// The hold libm's `ln` gives: `−unit.ln()` over the degree, with
-    /// `unit` the draw's fixed-point fraction.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "libm is the reference the ln table is checked against"
-    )]
-    fn libm_hold(u: u64, degree: usize) -> f64 {
-        let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
-        -unit.ln() / degree as f64
-    }
-
-    /// The table is within [`LN_ERR`] of libm's `−unit.ln()` for every
-    /// draw the walk's honest `randNum` can give, `0..RES`, and the
-    /// bound is tight: the worst draw uses most of it.
-    #[test]
-    fn ln_table_is_within_its_bound() {
-        let worst = (0..RES)
-            .map(|u| (LN_TABLE.neg_ln_unit(u) - libm_hold(u, 1)).abs())
-            .fold(0.0, f64::max);
-        assert!(worst <= LN_ERR, "table error {worst:e} > bound {LN_ERR:e}");
-        assert!(worst > 0.99 * LN_ERR, "bound {LN_ERR:e} loose: {worst:e}");
-    }
-
-    /// The compile-time table is the one libm's `ln` and `ln_1p` would
-    /// build, to an ulp per entry.
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "libm is the reference the ln table is checked against"
-    )]
-    fn ln_table_is_a_libm_build_to_an_ulp() {
-        let h = 1.0 / (1u64 << LN_BITS) as f64;
-        let ln_res = (RES as f64 + 1.0).ln();
-        for (i, &(top, slope)) in LN_TABLE.bins.iter().enumerate() {
-            let m0 = 1.0 + i as f64 * h;
-            let libm = (
-                ln_res - m0.ln(),
-                (h / m0).ln_1p() / (1u64 << BIN_LOW) as f64,
-            );
-            for (ours, theirs) in [(top, libm.0), (slope, libm.1)] {
-                let ulps = (ours.to_bits() as i64 - theirs.to_bits() as i64).abs();
-                assert!(ulps <= 1, "bin {i}: {ours:e} vs {theirs:e}");
-            }
-        }
-    }
-
-    /// A hop's draw splits as `(w % RES, w / RES)` for every `w`, and
-    /// every hold draw it gives is one the table covers: a compromised
-    /// cluster's out-of-range words too, whose all-ones word gets the
-    /// shortest hold, a positive one.
-    #[test]
-    fn hop_words_split_into_a_hold_and_a_neighbour() {
-        for w in [0, 1, RES - 1, RES, 5 * RES + 7, 88 * RES - 1, u64::MAX] {
-            let (u, idx) = split_hop(w);
-            assert_eq!((u, idx as u64), (w % RES, w / RES), "word {w}");
-        }
-        let (u, _) = split_hop(u64::MAX);
-        for recip in [1.0, 1.0 / 3.0, 1.0 / 17.0] {
-            let shortest = LN_TABLE.hold(u, recip);
-            assert!(shortest > 0.0 && shortest < LN_TABLE.hold(RES - 2, recip));
-        }
-    }
-
-    /// How one CTRW ends under the two laws, on one stream.
-    enum Coupled {
-        /// Both end at the same hop, in this slot.
-        Agree(u32),
-        /// One ends where the other goes on.
-        Differ,
-    }
-
-    /// One honest CTRW from `slot` on `walks`, each hop decided twice
-    /// from the same draws: by the walk's table holds and by libm's
-    /// holds, each with its own count of the time left. The two use
-    /// the same stream until their decisions first differ. `ambiguous`
-    /// is set if some hop's table hold came within the accumulated
-    /// error bound (per hop [`LN_ERR`]`/degree`, plus a rounding
-    /// allowance of 2⁻⁴⁸ of the duration) of the time left: only such
-    /// a hop can be decided differently.
-    fn coupled_ctrw(
-        walks: &WalkTable,
-        mut slot: u32,
-        rng: &mut DetRng,
-        ambiguous: &mut bool,
-    ) -> Coupled {
-        let (mut left, mut exact, mut slack) = (walks.duration, walks.duration, 0.0);
-        let tol = (walks.duration + 1.0) / (1u64 << 48) as f64;
-        loop {
-            let row = walks.row(slot);
-            let degree = row.len();
-            let (u, idx) = split_hop(rng.gen_range(0..RES * degree as u64));
-            let recip = walks.recip(degree);
-            let (table, libm) = (LN_TABLE.hold(u, recip), libm_hold(u, degree));
-            slack += LN_ERR * recip + tol;
-            *ambiguous |= (table - left).abs() <= slack;
-            match (table >= left, libm >= exact) {
-                (true, true) => return Coupled::Agree(slot),
-                (false, false) => {}
-                _ => return Coupled::Differ,
-            }
-            left -= table;
-            exact -= libm;
-            slot = row[idx];
-        }
-    }
-
-    /// The table walk and libm's walk, coupled on one stream, decide
-    /// alike on all but a vanishing share of CTRWs: on `steady_*`'s
-    /// shape (N = 2¹², 3 072 nodes, 128 clusters, degree ≈ 16) and on
-    /// a small irregular overlay (N = 2¹⁰, 20 clusters, Erdős–Rényi
-    /// degrees), 10⁵ CTRWs each, chained end to start. Every CTRW
-    /// that differs is an ambiguous one, and fewer than 10⁻⁴ of them
-    /// are ambiguous. Two CTRWs that decide alike from the same
-    /// stream are the same CTRW, so the share that differs bounds
-    /// the total-variation distance between the two walks' CTRW laws,
-    /// and with it what moving a walk from libm's holds to the table's
-    /// moves in distribution.
-    #[test]
-    fn table_walk_couples_with_the_libm_walk() {
-        let shapes = [
-            (NowParams::new(1 << 12, 2, 1.5, 0.30, 0.05).unwrap(), 3_072),
-            (NowParams::for_capacity(1 << 10).unwrap(), 400),
-        ];
-        for (seed, (params, n0)) in (1..).zip(shapes) {
-            let sys = NowSystem::init_fast(params, n0, 0.05, seed);
-            let degrees: Vec<usize> = sys
-                .overlay
-                .vertices()
-                .map(|c| sys.overlay.degree(c))
-                .collect();
-            assert!(
-                degrees.iter().min() < degrees.iter().max(),
-                "irregular overlay"
-            );
-            let mut rng = DetRng::new(seed);
-            let mut slot = sys.registry.cluster_slot_of(sys.cluster_ids()[0]).unwrap();
-            let ctrws = 100_000;
-            let (mut differ, mut ambiguous) = (0, 0);
-            for _ in 0..ctrws {
-                let mut close = false;
-                match coupled_ctrw(&sys.walks, slot, &mut rng, &mut close) {
-                    Coupled::Agree(end) => slot = end,
-                    Coupled::Differ => {
-                        assert!(close, "a CTRW differs outside the error band");
-                        differ += 1;
-                    }
-                }
-                ambiguous += close as u32;
-            }
-            assert!(
-                ambiguous * 10_000 < ctrws,
-                "{ambiguous} of {ctrws} CTRWs ambiguous"
-            );
-            println!("shape {seed}: {differ} differ, {ambiguous} ambiguous of {ctrws} CTRWs");
-        }
     }
 }

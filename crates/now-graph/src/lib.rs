@@ -12,13 +12,14 @@
 //!   lower bound `λ₂/2` and a Fiedler sweep-cut upper bound for large
 //!   ones.
 //! * **`randCl`'s law** ([`law`]): the exact output law of the
-//!   size-biased continuous-time random walk (CTRW), restarts included
-//!   ([`ctrw_law`]), and the [`total_variation`] distance it is measured
-//!   by. With every edge firing at rate 1, the CTRW's stationary
-//!   distribution is *uniform over vertices* even on irregular graphs —
-//!   the property the paper imports from Aldous & Fill and the reason
-//!   NOW uses CTRWs rather than discrete walks, whose law is biased by
-//!   degree.
+//!   non-backtracking walk the implementation runs, with its
+//!   degree-corrected acceptance and restarts ([`nbrw_law`]); that of
+//!   the paper's size-biased continuous-time random walk (CTRW), the
+//!   reference it replaced ([`ctrw_law`]); and the [`total_variation`]
+//!   distance both are measured by. With every edge firing at rate 1,
+//!   the CTRW's stationary distribution is *uniform over vertices* even
+//!   on irregular graphs (Aldous & Fill); a discrete walk's is biased
+//!   by degree, which the implementation's acceptance corrects.
 //!
 //! All randomness flows through [`rand::Rng`], so callers pass
 //! `now_net::DetRng` for reproducibility.
@@ -47,5 +48,5 @@ pub mod traversal;
 
 pub use expansion::{cheeger_lower_bound, exact_isoperimetric, sweep_cut_upper_bound};
 pub use graph::Graph;
-pub use law::{ctrw_law, total_variation};
+pub use law::{ctrw_law, nbrw_law, total_variation};
 pub use spectral::{algebraic_connectivity, SpectralOptions};

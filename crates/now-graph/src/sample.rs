@@ -4,7 +4,7 @@
 //! and the system picks Byzantine nodes, leavers and exchange partners
 //! as distinct indices ([`sample_distinct`]). `randCl`'s size-biased
 //! cluster choice is not drawn here: the walk in now-core makes it
-//! online, and [`crate::ctrw_law`] gives its exact law.
+//! online, and [`crate::nbrw_law`] gives its exact law.
 
 use rand::Rng;
 

@@ -181,8 +181,6 @@ pub enum DropReason {
     Loss,
     /// The partition severed the link at send time.
     Partition,
-    /// The recipient is no port of the net.
-    DeadRecipient,
 }
 
 /// One entry of a net's event trace: a delivery or a loss, in the
@@ -269,8 +267,8 @@ impl<M: Clone> EventNet<M> {
         self.delivered
     }
 
-    /// Total messages lost so far (Bernoulli loss, partition cuts,
-    /// dead recipients — at send or at delivery time). After draining,
+    /// Total messages lost so far (Bernoulli loss and partition cuts,
+    /// at send time). After draining,
     /// `delivered() + dropped() == messages_sent()`.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -286,10 +284,11 @@ impl<M: Clone> EventNet<M> {
     /// link loses it: [`EventNet::send_after`] with the delay drawn
     /// from the link model. Self-addressed messages (`from == to`) are
     /// node-local and pay base latency only.
+    ///
+    /// # Panics
+    /// Panics if `from` or `to` is no port of the net.
     pub fn send(&mut self, from: usize, to: usize, payload: M) -> Option<DropReason> {
-        if !self.live(from) {
-            return None;
-        }
+        self.check_ports(from, to);
         // Fixed draw order per accepted send — jitter here, then the
         // loss draw of `send_after` — so the stream position never
         // depends on the config's outcome.
@@ -318,9 +317,8 @@ impl<M: Clone> EventNet<M> {
     /// when [`EventNetConfig::drop`] is positive: under
     /// [`EventNetConfig::ideal`] the net's own stream is never read.
     ///
-    /// A sender that is no port sends nothing (not counted). A port's
-    /// message always counts in [`EventNet::messages_sent`], even when
-    /// lost. Self-addressed messages (`from == to`) are
+    /// A message always counts in [`EventNet::messages_sent`], even
+    /// when lost. Self-addressed messages (`from == to`) are
     /// node-local: exempt from loss and partitions.
     ///
     /// A partition cuts a cross-group message iff it is still in force
@@ -328,6 +326,10 @@ impl<M: Clone> EventNet<M> {
     /// arrivals, so in-flight messages outrun a heal that lands before
     /// their delivery, while one that would land inside the cut is
     /// lost.
+    ///
+    /// # Panics
+    /// Panics if `from` or `to` is no port of the net: a send between
+    /// ports the net does not have is the caller's bug.
     pub fn send_after(
         &mut self,
         from: usize,
@@ -335,9 +337,7 @@ impl<M: Clone> EventNet<M> {
         payload: M,
         delay: u64,
     ) -> Option<DropReason> {
-        if !self.live(from) {
-            return None;
-        }
+        self.check_ports(from, to);
         self.messages_sent += 1;
         let local = from == to;
         let lost = if self.config.drop > 0.0 && !local {
@@ -346,9 +346,7 @@ impl<M: Clone> EventNet<M> {
             false
         };
         let deliver = self.now.saturating_add(delay.max(1));
-        let reason = if !self.live(to) {
-            Some(DropReason::DeadRecipient)
-        } else if !local && self.config.severs_at(from, to, deliver) {
+        let reason = if !local && self.config.severs_at(from, to, deliver) {
             Some(DropReason::Partition)
         } else if lost {
             Some(DropReason::Loss)
@@ -393,8 +391,13 @@ impl<M: Clone> EventNet<M> {
         inboxes
     }
 
-    fn live(&self, port: usize) -> bool {
-        port < self.ports
+    fn check_ports(&self, from: usize, to: usize) {
+        let ports = self.ports;
+        assert!(
+            from < ports,
+            "send from port {from}: the net has {ports} ports"
+        );
+        assert!(to < ports, "send to port {to}: the net has {ports} ports");
     }
 }
 
@@ -523,12 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_sender_not_counted_unknown_recipient_counted() {
+    #[should_panic(expected = "send from port 2: the net has 2 ports")]
+    fn a_send_from_no_port_panics() {
         let mut net: EventNet<u64> = EventNet::new(2, EventNetConfig::ideal(), 1);
-        assert_eq!(net.send(2, 0, 1), None, "no port sends nothing");
-        assert_eq!(net.messages_sent(), 0);
-        assert_eq!(net.send_after(0, 2, 2, 1), Some(DropReason::DeadRecipient));
-        assert_eq!((net.messages_sent(), net.dropped()), (1, 1));
+        net.send(2, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "send to port 2: the net has 2 ports")]
+    fn a_send_to_no_port_panics() {
+        let mut net: EventNet<u64> = EventNet::new(2, EventNetConfig::ideal(), 1);
+        net.send_after(0, 2, 2, 1);
     }
 
     #[test]

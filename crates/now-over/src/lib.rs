@@ -19,7 +19,7 @@
 //! former neighbours with each other, topping up any left below the
 //! degree floor with fresh random edges. Both leave every other
 //! vertex's degree as it was, so the mean degree stays the one the
-//! walk's duration is sized for. Properties 1–2 are then *measured*
+//! walk's length is sized for. Properties 1–2 are then *measured*
 //! (experiment X-P12) instead of assumed.
 //!
 //! Cost accounting deliberately lives one layer up (in `now-core`),

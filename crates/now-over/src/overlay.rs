@@ -313,7 +313,7 @@ impl Overlay {
     /// keep their degree. An odd `d` ends on one direct link, and so
     /// does a candidate with no such edge (a tiny overlay still grows).
     /// Every other vertex keeps its degree, so the mean degree stays the
-    /// initial overlay's, the degree `randCl`'s walk duration is sized
+    /// initial overlay's, the degree `randCl`'s walk length is sized
     /// for.
     ///
     /// Candidates come from the incremental sampling pool by rejection,

@@ -24,7 +24,7 @@
 //! vertex's neighbours with each other. This is a stated deviation (the
 //! long version's `Add` rule is not available offline): adding fresh
 //! edges on every split drifts the mean degree toward twice the target,
-//! and the walk's duration in `now-core` is sized for the target.
+//! and the walk's length in `now-core` is sized for the target.
 //! Experiment X-P12 verifies both properties under this choice, and
 //! gates the mean degree at ±10 % of the target.
 

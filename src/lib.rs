@@ -13,7 +13,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`net`] | ids, the one network (synchronous rounds or event-driven), cost ledger, deterministic RNG |
-//! | [`graph`] | ER generation, spectral expansion, isoperimetric constants, CTRWs |
+//! | [`graph`] | ER generation, spectral expansion, isoperimetric constants, the exact laws of `randCl`'s walk and the paper's CTRW |
 //! | [`agreement`] | Bracha, Dolev–Strong, async Ben-Or, `randNum` (sync + async), quorum threshold |
 //! | [`over`] | the OVER dynamic expander overlay + the Law–Siu constant-degree alternative |
 //! | [`core`] | the NOW protocol itself ([`core::NowSystem`]): ops, batches, both init paths |

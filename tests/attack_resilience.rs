@@ -299,3 +299,64 @@ fn no_shuffle_ablation_is_strictly_cheaper_but_weaker() {
         seeds.len()
     );
 }
+
+/// Inside Theorem 3's regime nothing is captured (ROADMAP item 22(b)).
+/// The shape: N = 2¹⁰, k = 6, l = 2 (clusters of 60, band [30, 120]),
+/// 600 nodes, τ = 0.05 Byzantine at the start and in the drivers'
+/// budgets, under neutral churn (four random joins or leaves a step)
+/// and the §3.3 join–leave attack (one op a step, aimed at the first
+/// cluster), 30 steps each on three seeds.
+///
+/// Lemma 1's ideal law (`now_sim::ideal_law`) prices the ensemble: an
+/// audited step whose clusters were fresh uniform samples would hold
+/// `cluster_count × max_s capture_tail(population, byz_population, s)`
+/// captured clusters in expectation, `s` over the sizes present that
+/// step. Summed over every audited step of every run that is ≤ 10⁻³,
+/// and no audit of any run finds a cluster at a third or more
+/// Byzantine.
+#[test]
+fn in_regime_churn_and_attack_capture_no_cluster() {
+    use now_bft::sim::ideal_law::capture_tail;
+    use now_bft::sim::{BatchRandomChurn, ViolationKind};
+    const TAU: f64 = 0.05;
+    let params = NowParams::new(1 << 10, 6, 2.0, 0.15, 0.05).unwrap();
+    type MakeDriver = fn() -> Box<dyn BatchDriver>;
+    let drivers: [(&str, MakeDriver); 2] = [
+        ("neutral churn", || {
+            Box::new(BatchRandomChurn::balanced(4, TAU))
+        }),
+        ("join-leave", || {
+            Box::new(OnePerStep::new(
+                BatchJoinLeave::new(2, TAU).with_pick(ClusterPick::First),
+            ))
+        }),
+    ];
+    let mut expected = 0.0;
+    for (name, make) in drivers {
+        for (init_seed, drive_seed) in [(81, 82), (83, 84), (85, 86)] {
+            let mut sys = NowSystem::init_fast(params, 600, TAU, init_seed);
+            let report = BatchRun::new().run(&mut sys, make().as_mut(), 30, drive_seed);
+            sys.check_consistency().unwrap();
+            assert_eq!(report.audits.len(), 30, "{name}: every step audited");
+            for a in &report.audits {
+                let (n, byz) = (a.population as usize, a.byz_population as usize);
+                let worst = (a.min_cluster_size..=a.max_cluster_size)
+                    .map(|s| capture_tail(n, byz, s))
+                    .fold(0.0, f64::max);
+                expected += a.cluster_count as f64 * worst;
+            }
+            assert_eq!(
+                report.count(ViolationKind::NotTwoThirdsHonest),
+                0,
+                "{name}: a cluster was captured on seed ({init_seed}, {drive_seed}), \
+                 peak Byzantine fraction {}",
+                report.peak_byz_fraction()
+            );
+        }
+    }
+    println!("expected captures over the ensemble under Lemma 1's ideal law: {expected:.2e}");
+    assert!(
+        expected <= 1e-3,
+        "the shape is outside the regime: {expected:e}"
+    );
+}

@@ -197,6 +197,10 @@ pub struct Campaign {
     /// Whether exchange shuffling is enabled (`false` = the §3.3
     /// baseline ablation).
     pub shuffle: bool,
+    /// Whether a leave's receivers re-exchange all of their members
+    /// (`false` = the cascade ablation; see
+    /// [`now_core::NowParams::with_cascade`]).
+    pub cascade: bool,
     /// Flight-recorder capacity: `Some(n)` enables the system's ring
     /// buffer of the last `n` protocol events before the first phase
     /// runs, and the report carries the trace (plus the first
@@ -213,7 +217,8 @@ pub struct Campaign {
 
 impl Campaign {
     /// A campaign with the standard scenario defaults (`k = 2`,
-    /// `l = 1.5`, `τ = 0.10`, `ε = 0.05`, width 4, shuffling on) and no
+    /// `l = 1.5`, `τ = 0.10`, `ε = 0.05`, width 4, shuffling and the
+    /// leave cascade on) and no
     /// phases yet.
     pub fn new(name: impl Into<String>, capacity: u64) -> Self {
         Campaign {
@@ -227,6 +232,7 @@ impl Campaign {
             seed: 0,
             width: 4,
             shuffle: true,
+            cascade: true,
             trace: None,
             metrics: false,
             phases: Vec::new(),
@@ -303,6 +309,7 @@ mod tests {
         assert_eq!(c.k, 2);
         assert_eq!(c.width, 4);
         assert!(c.shuffle);
+        assert!(c.cascade);
         assert_eq!(c.phases.len(), 2);
         assert_eq!(c.phases[1].width, Some(8));
         assert_eq!(c.phases[1].tau, Some(0.2));

@@ -32,7 +32,8 @@
 //!
 //! Header directives: `campaign <name>` (required, first), `capacity`,
 //! `k`, `l`, `tau`, `epsilon`, `initial-population`, `seed`, `width`,
-//! `shuffle on|off`, `trace <capacity>` (enable the flight recorder
+//! `shuffle on|off`, `cascade on|off` (whether a leave's receivers
+//! re-exchange), `trace <capacity>` (enable the flight recorder
 //! with a ring buffer of that many events), `metrics on|off` (enable
 //! the metrics registry). Phase directives: `style quiet | balanced |
 //! sawtooth <low> <high> | join-leave | forced-leave | split-forcing |
@@ -271,6 +272,14 @@ impl Campaign {
                                 format!("`shuffle` takes on|off, got `{}`", other.join(" ")),
                             ))
                         }
+                        ("cascade", ["on"]) => c.cascade = true,
+                        ("cascade", ["off"]) => c.cascade = false,
+                        ("cascade", other) => {
+                            return Err(err(
+                                line,
+                                format!("`cascade` takes on|off, got `{}`", other.join(" ")),
+                            ))
+                        }
                         ("trace", [n]) => {
                             let cap: usize = parse_num(line, "trace", n)?;
                             if cap == 0 {
@@ -450,7 +459,7 @@ impl Campaign {
                         let cap = parse_cap(line, rest)?;
                         p.set_trigger(line, Trigger::FirstViolation { cap })?;
                     }
-                    ("capacity" | "seed" | "initial-population" | "shuffle", _) => {
+                    ("capacity" | "seed" | "initial-population" | "shuffle" | "cascade", _) => {
                         return Err(err(
                             line,
                             format!("`{head}` is a header directive; it cannot appear in a phase"),
@@ -682,6 +691,24 @@ phase pulse
         let c = Campaign::parse("campaign x\nphase a\nstyle quiet\nsteps 1\n").unwrap();
         assert_eq!(c.trace, None);
         assert!(!c.metrics);
+    }
+
+    #[test]
+    fn cascade_directive_parses_and_reaches_the_params() {
+        let tail = "phase a\nstyle balanced\nsteps 1\n";
+        let on = Campaign::parse(&format!("campaign x\n{tail}")).unwrap();
+        assert!(on.cascade, "on by default");
+        let off = Campaign::parse(&format!("campaign x\ncascade off\n{tail}")).unwrap();
+        assert!(!off.cascade);
+        assert_eq!(
+            off.build_params().unwrap(),
+            on.build_params().unwrap().with_cascade(false)
+        );
+        let (line, reason) = parse_err(&format!("campaign x\ncascade maybe\n{tail}"));
+        assert_eq!(line, 2);
+        assert!(reason.contains("`cascade` takes on|off"), "{reason}");
+        let (_, reason) = parse_err("campaign x\nphase a\nstyle quiet\ncascade on\nsteps 2\n");
+        assert!(reason.contains("header directive"), "{reason}");
     }
 
     #[test]

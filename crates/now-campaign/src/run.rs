@@ -30,7 +30,8 @@ impl Campaign {
     pub(crate) fn build_params(&self) -> Result<NowParams, NowError> {
         Ok(
             NowParams::new(self.capacity, self.k, self.l, self.tau, self.epsilon)?
-                .with_shuffle(self.shuffle),
+                .with_shuffle(self.shuffle)
+                .with_cascade(self.cascade),
         )
     }
 

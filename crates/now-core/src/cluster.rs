@@ -50,12 +50,20 @@ impl ClusterSecurity {
         }
     }
 
+    /// The rounds of one `randNum`, at any cluster: commit and reveal.
+    pub(crate) const RAND_NUM_ROUNDS: u64 = 2;
+
+    /// The messages of one `randNum` run here: `2·|C|·(|C|−1)`.
+    pub(crate) fn rand_num_messages(&self) -> u64 {
+        2 * self.size * self.size.saturating_sub(1)
+    }
+
     /// The paper's cost of one `randNum` run here: `2·|C|·(|C|−1)`
     /// messages over 2 rounds.
     pub(crate) fn rand_num_cost(&self) -> Cost {
         Cost {
-            messages: 2 * self.size * self.size.saturating_sub(1),
-            rounds: 2,
+            messages: self.rand_num_messages(),
+            rounds: Self::RAND_NUM_ROUNDS,
         }
     }
 }

@@ -34,42 +34,74 @@ impl Kernel<'_> {
     /// With `cascade = true`, each partner cluster then exchanges all of
     /// *its* members (non-recursively — partners of partners do not
     /// cascade), matching the `leave` operation's specification.
+    ///
+    /// The walks of `c`'s exchange are one group, and the walks of all
+    /// the partners' exchanges another: each group's walks run before
+    /// its swaps and are billed as lockstep rounds
+    /// ([`Kernel::rand_cl_group`]). The cascade's [`CostKind::Exchange`]
+    /// span closes as one exchange per partner ([`Ledger::end_as`]).
+    ///
+    /// [`Ledger::end_as`]: now_net::Ledger::end_as
     pub(crate) fn exchange_all(&mut self, c: ClusterId, cascade: bool) -> BTreeSet<ClusterId> {
-        let receivers = self.exchange_single(c);
-        if cascade {
-            for &partner in &receivers {
-                self.exchange_single(partner);
+        self.ledger.begin(CostKind::Exchange);
+        let partners = self.exchange_walks(&[c]);
+        let group = self.exchange_swaps(c, &partners);
+        self.ledger.end();
+        if cascade && !group.is_empty() {
+            self.ledger.begin(CostKind::Exchange);
+            let partners = self.exchange_walks(&group);
+            let mut rest = &partners[..];
+            for &r in &group {
+                let (own, tail) = rest.split_at(self.exchanged(r));
+                self.exchange_swaps(r, own);
+                rest = tail;
             }
+            self.ledger.end_as(group.len() as u64);
         }
-        receivers
+        group.into_iter().collect()
     }
 
-    /// One full-membership exchange of `c`, no cascade. With the
-    /// [`crate::NowParams::with_exchange_cap`] ablation set, only a
-    /// uniformly chosen subset of that size is exchanged (the regime
-    /// Lemmas 2–3 analyze between full refreshes).
-    fn exchange_single(&mut self, c: ClusterId) -> BTreeSet<ClusterId> {
-        self.ledger.begin(CostKind::Exchange);
-        // The exchange's one membership snapshot: the loop below edits
-        // `c` while it iterates.
-        let mut members = self.members(c).to_vec();
-        if let Some(cap) = self.params.exchange_cap() {
-            if cap < members.len() {
-                let picks = now_graph::sample::sample_distinct(members.len(), cap, self.rng);
-                // INVARIANT: `sample_distinct(n, ..)` yields indices below
-                // `n = members.len()`.
-                members = picks.into_iter().map(|i| members[i]).collect();
-            }
-        }
-        let mut receivers = BTreeSet::new();
+    /// How many of `c`'s members one exchange moves: all of them, or,
+    /// with the [`crate::NowParams::with_exchange_cap`] ablation set, at
+    /// most the cap (the regime Lemmas 2–3 analyze between full
+    /// refreshes).
+    fn exchanged(&self, c: ClusterId) -> usize {
+        let size = self.members(c).len();
+        self.params.exchange_cap().map_or(size, |cap| cap.min(size))
+    }
 
-        for x in members {
+    /// The partner walks of the exchanges of every cluster in `group`,
+    /// as one group of walks: [`Kernel::exchanged`] calls from each, in
+    /// order.
+    fn exchange_walks(&mut self, group: &[ClusterId]) -> Vec<ClusterId> {
+        let starts: Vec<(ClusterId, usize)> =
+            group.iter().map(|&c| (c, self.exchanged(c))).collect();
+        let mut partners = Vec::with_capacity(starts.iter().map(|&(_, n)| n).sum());
+        self.rand_cl_group(&starts, &mut partners);
+        partners
+    }
+
+    /// The swaps of one exchange of `c`, whose walks found `partners`:
+    /// the `i`-th member exchanged goes to the `i`-th partner. Returns
+    /// the partners that received a member, in ascending order.
+    fn exchange_swaps(&mut self, c: ClusterId, partners: &[ClusterId]) -> Vec<ClusterId> {
+        // The exchange's one membership snapshot, read as its swaps
+        // start: the loop below edits `c` while it iterates.
+        let mut members = self.members(c).to_vec();
+        if partners.len() < members.len() {
+            let picks = now_graph::sample::sample_distinct(members.len(), partners.len(), self.rng);
+            // INVARIANT: `sample_distinct(n, ..)` yields indices below
+            // `n = members.len()`.
+            members = picks.into_iter().map(|i| members[i]).collect();
+        }
+        let mut receivers = Vec::with_capacity(partners.len());
+
+        for (x, &partner) in members.into_iter().zip(partners) {
             // `x` is still in `c`: only a swap takes a node out of a
             // cluster, and the one leaving `c` in an earlier iteration
             // was that iteration's own `x` — its `y` came from a
             // `partner ≠ c`, so it was never an unprocessed member of
             // the snapshot.
-            let (partner, _trace) = self.rand_cl(c);
             if partner == c {
                 continue; // self-exchange is a no-op
             }
@@ -105,7 +137,7 @@ impl Kernel<'_> {
             // Swap x ↔ y: `y` goes back "in replacement" (§3.1), so
             // neither cluster's size changes.
             self.swap(x, c, y, partner);
-            receivers.insert(partner);
+            receivers.push(partner);
             // Transfer + view updates inside both clusters: each member
             // of each cluster learns the newcomer (1 round).
             let size_c = self.members(c).len() as u64;
@@ -116,11 +148,12 @@ impl Kernel<'_> {
 
         // Both `c` and the partners announce their final compositions to
         // their overlay neighbors.
+        receivers.sort_unstable();
+        receivers.dedup();
         self.notify_neighbors(c);
         for &partner in &receivers {
             self.notify_neighbors(partner);
         }
-        self.ledger.end();
         receivers
     }
 }
@@ -199,6 +232,41 @@ mod tests {
         // One exchange for c + one per receiver.
         assert_eq!(s.count, 1 + receivers.len() as u64);
         sys.check_consistency().unwrap();
+    }
+
+    /// The cascade ablation ([`NowParams::with_cascade`]) as a leave
+    /// runs it: on one system and the same leaves, a leave that merges
+    /// nothing books one exchange with the cascade off, and more than
+    /// one (its receivers') with it on.
+    #[test]
+    fn a_leave_without_the_cascade_exchanges_once() {
+        for cascade in [true, false] {
+            let params = NowParams::for_capacity(1 << 10)
+                .unwrap()
+                .with_cascade(cascade);
+            let mut sys = NowSystem::init_fast(params, 200, 0.25, 9);
+            let mut leaves = 0;
+            for node in sys.node_ids().into_iter().step_by(9).take(12) {
+                let exchanges = sys.ledger().stats(CostKind::Exchange).count;
+                let merges = sys.op_counts().3;
+                sys.leave(node).unwrap();
+                if sys.op_counts().3 > merges {
+                    continue;
+                }
+                let booked = sys.ledger().stats(CostKind::Exchange).count - exchanges;
+                assert_eq!(
+                    booked == 1,
+                    !cascade,
+                    "cascade {cascade}: {booked} exchanges"
+                );
+                leaves += 1;
+            }
+            assert!(
+                leaves >= 8,
+                "cascade {cascade}: {leaves} leaves merged nothing"
+            );
+            sys.check_consistency().unwrap();
+        }
     }
 
     #[test]

@@ -24,14 +24,15 @@
 //! validated it — so it names the clusters in every edit.
 //!
 //! Everything else — the walk table (the overlay, read by registry
-//! slot), ledger, stream, adversary — is borrowed as disjoint fields of
-//! the system. Each [`Malice`] hook (`rand_num`, `walk_hop`,
-//! `exchange_victim`) is consulted at exactly one site.
+//! slot), ledger, the walks' lockstep books, stream, adversary — is
+//! borrowed as disjoint fields of the system. Each [`Malice`] hook
+//! (`rand_num`, `walk_hop`, `exchange_victim`) is consulted at exactly
+//! one site.
 
 use crate::cluster::ClusterSecurity;
 use crate::malice::{Malice, RandNumContext, RandNumPurpose};
 use crate::params::NowParams;
-use crate::rand_cl::WalkTable;
+use crate::rand_cl::{Lockstep, WalkTable};
 use crate::registry::Registry;
 use now_net::{ClusterId, CostKind, DetRng, Ledger, NodeId};
 use rand::Rng;
@@ -51,6 +52,9 @@ pub(crate) struct Kernel<'k> {
     pub(crate) walks: &'k WalkTable,
     pub(crate) params: NowParams,
     pub(crate) ledger: &'k mut Ledger,
+    /// The books a group of walks tallies its shared draws in, lent by
+    /// the system like the ledger.
+    pub(crate) lockstep: &'k mut Lockstep,
     /// The system's shared stream for the direct API, the op's own
     /// substream in a batch.
     pub(crate) rng: &'k mut DetRng,
@@ -115,8 +119,9 @@ impl Kernel<'_> {
     /// [`CostKind::RandNum`] leaf span (`2·|C|·(|C|−1)` messages, 2
     /// rounds), then the draw — from the stream when the cluster is
     /// secure, from [`Malice`] otherwise. `purpose` tells a strategic
-    /// adversary what the draw decides. A walk books its leaves itself,
-    /// once per walk, and takes only the draw ([`draw_value`]).
+    /// adversary what the draw decides. A walk books its leaves on its
+    /// group's books, settled once per group, and takes only the draw
+    /// ([`draw_value`]).
     #[inline]
     pub(crate) fn draw(
         &mut self,

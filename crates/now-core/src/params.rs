@@ -108,6 +108,8 @@ pub struct NowParams {
     walk_length_factor: f64,
     max_walk_restarts: usize,
     shuffle: bool,
+    /// Whether a leave's receivers re-exchange (Algorithm 2's cascade).
+    cascade: bool,
     /// Ablation: exchange at most this many members per `exchange`
     /// invocation (`None` = the paper's "all of its nodes").
     exchange_cap: Option<usize>,
@@ -209,6 +211,7 @@ impl NowParams {
             walk_length_factor: 1.0,
             max_walk_restarts: 64,
             shuffle: true,
+            cascade: true,
             exchange_cap: None,
         };
         // `l > √2` is the real-valued condition; the integer band must
@@ -266,6 +269,15 @@ impl NowParams {
         self
     }
 
+    /// **Ablation switch**: with `false`, a leave's exchange does not
+    /// cascade: the clusters that received one of the leaving cluster's
+    /// nodes keep their other members (default `true`, Algorithm 2).
+    /// Theorem 3's proof leans on the cascade; this knob prices it.
+    pub fn with_cascade(mut self, cascade: bool) -> Self {
+        self.cascade = cascade;
+        self
+    }
+
     /// **Ablation switch**: caps how many members one `exchange`
     /// invocation shuffles (`None` = the paper's "exchanges all of its
     /// nodes"). Lemmas 2–3 analyze the drift when only `O(log N)` nodes
@@ -279,6 +291,11 @@ impl NowParams {
     /// Whether `exchange` shuffling is enabled (default true).
     pub fn shuffle_enabled(&self) -> bool {
         self.shuffle
+    }
+
+    /// Whether a leave's receivers re-exchange (default true).
+    pub(crate) fn cascade_enabled(&self) -> bool {
+        self.cascade
     }
 
     /// The per-invocation exchange cap, if any (default `None`).
@@ -365,7 +382,7 @@ impl NowParams {
     /// A non-backtracking walk on a random graph of degree `d′` mixes in
     /// `log_{d′−1} m` hops, and its distance from stationarity then falls
     /// by about `√(d′ − 1)` a hop, so it reaches total variation `1/N²`
-    /// after about `(ln m + 4 ln N) / ln(d′ − 1)` hops. [`WALK_SPAN`]
+    /// after about `(ln m + 4 ln N) / ln(d′ − 1)` hops. `WALK_SPAN`
     /// scales that estimate so that `randCl`'s exact law
     /// (`now_graph::nbrw_law`) is within TV `1/N²` of `|C|/n` from every
     /// start already at `⌊k/1.25⌋` on every overlay README § Walk table

@@ -36,12 +36,17 @@
 //! from the registry's cluster slab (`Registry::security_at`). The id
 //! behind a slot is read only where it is told: to the adversary at a
 //! compromised cluster, and as the walk's result. Nothing is booked per
-//! hop: a hop's costs stay in walk-local variables ([`WalkBooks`] — its
-//! `randNum` leaves as a count, a message sum and a peak, and its
-//! hand-off messages) and are settled into the ledger once per call
-//! ([`Ledger::leaves`], exactly that many leaf calls). One `randNum` per
-//! hop costs `2s(s − 1) + s·s′` messages over 3 rounds at a cluster of
-//! size `s` handing off to one of size `s′`.
+//! hop: a hop's costs stay in its group's books, the system's
+//! [`Lockstep`] (a bit per (step, cluster) pair that a shared draw sets
+//! once), and are settled into the ledger once per group
+//! ([`Ledger::concurrent_leaves`]). A group is the calls that start in
+//! one round: an exchange's, a leave's cascade's, or one call alone.
+//! Its calls run one after another on the op's one stream, but are
+//! billed as lockstep rounds: the walks that stand on one cluster at
+//! one step share one `randNum` there, and the group takes its longest
+//! call's rounds. A draw costs `2s(s − 1)` messages over 2 rounds at a
+//! cluster of size `s`, and a hop's hand-off to one of size `s′` costs
+//! `s·s′` more in 1 round.
 
 use crate::cluster::ClusterSecurity;
 use crate::kernel::{draw_value, Kernel};
@@ -151,86 +156,197 @@ impl WalkTable {
     }
 }
 
-/// A walk's costs, kept in walk-local variables and settled into the
-/// ledger once, when the walk ends: its hand-off messages, and its
-/// `randNum` leaves as a count, a sum and a peak
-/// ([`Ledger::leaves`]). Nothing reads either before the walk's span
-/// closes.
-#[derive(Default)]
-struct WalkBooks {
-    /// The tallied leaves: how many, their summed cost, and their
-    /// component-wise largest cost.
+/// The books of a group of walks: the `randCl` calls that start in one
+/// round and are billed as lockstep rounds (README § randCl's walk). A
+/// call's `j`-th walk takes its `h`-th hop at the group's step `j·(k +
+/// 1) + h` and draws its acceptance at step `j·(k + 1) + k`, so the
+/// walks that stand on one cluster at one step share that cluster's one
+/// `randNum` there, and its slices are theirs; a call's own steps never
+/// coincide, so a group of one books every draw. The books hold one bit
+/// per (step, registry slot) pair, `words` words a step, opened once per
+/// walk: a draw is counted, and its messages booked, by the walk that
+/// sets its bit, without a branch, and the group clears the rows it
+/// opened when it settles. Hand-offs are booked per hop, and the group takes the
+/// rounds of its longest call: three a hop and two an acceptance.
+/// Nothing reaches the ledger before [`Lockstep::settle`].
+///
+/// [`NowSystem`] owns one and lends it to every [`Kernel`]: it holds no
+/// state between groups but its allocation, made at the first group.
+#[derive(Debug, Default)]
+pub(crate) struct Lockstep {
+    /// The (step, slot) bits, step-major; zero past `opened`.
+    drawn: Vec<u64>,
+    /// Words per step: the cluster slab's slots over 64, rounded up.
+    words: usize,
+    /// The words of the steps the group has opened.
+    opened: usize,
+    /// The booked draws, their messages (each `randNum` takes
+    /// [`ClusterSecurity::RAND_NUM_ROUNDS`]), and the largest cost seen.
     count: u64,
-    sum: Cost,
-    peak: Cost,
-    /// The hand-off messages and rounds.
-    hops: Cost,
+    messages: u64,
+    peak: u64,
+    /// The hand-off messages of every hop.
+    handoffs: u64,
+    /// The rounds of the group's longest call so far.
+    rounds: u64,
+    /// The walks the group's calls have opened, and their hops through
+    /// compromised clusters: the group's [`WalkTrace`], with its length.
+    walks: u64,
+    compromised_hops: u64,
 }
 
-impl WalkBooks {
-    #[inline]
-    fn leaf(&mut self, cost: Cost) {
-        self.count += 1;
-        self.sum += cost;
-        self.peak.messages = self.peak.messages.max(cost.messages);
-        self.peak.rounds = self.peak.rounds.max(cost.rounds);
+impl Lockstep {
+    /// Starts a group on a cluster slab of `slots` slots.
+    fn open(&mut self, slots: usize) {
+        self.words = slots.div_ceil(64);
     }
 
-    fn settle(self, ledger: &mut Ledger) {
-        ledger.leaves(CostKind::RandNum, self.count, self.sum, self.peak);
-        ledger.add(self.hops);
+    /// Opens the steps of a call's `walk`-th walk, of `steps` steps, and
+    /// returns the first word of its first step's row: once per walk,
+    /// not per hop.
+    #[inline]
+    fn open_walk(&mut self, walk: usize, steps: usize) -> usize {
+        let row = walk * steps * self.words;
+        let end = row + steps * self.words;
+        if end > self.drawn.len() {
+            self.drawn.resize(end, 0);
+        }
+        self.opened = self.opened.max(end);
+        self.walks += 1;
+        row
+    }
+
+    /// Books the `randNum` of the cluster in registry slot `slot` at the
+    /// step whose row starts at word `row`, of `messages` messages.
+    #[inline]
+    fn book(&mut self, row: usize, slot: u32, messages: u64) {
+        let (i, bit) = (row + (slot >> 6) as usize, 1u64 << (slot & 63));
+        // INVARIANT: `open_walk` opened the step, and a slot is below
+        // the slab's slot count, so `i` is within the opened rows.
+        let word = self.drawn[i];
+        self.drawn[i] = word | bit;
+        let first = ((word & bit) == 0) as u64;
+        self.count += first;
+        self.messages += messages & first.wrapping_neg();
+        // Every cost seen at a (step, slot) pair is that pair's, whoever
+        // booked it, so the peak needs no mask.
+        self.peak = self.peak.max(messages);
+    }
+
+    /// Ends a call that sent `handoffs` hand-off messages and took
+    /// `rounds` rounds.
+    #[inline]
+    fn end_call(&mut self, handoffs: u64, rounds: u64) {
+        self.handoffs += handoffs;
+        self.rounds = self.rounds.max(rounds);
+    }
+
+    /// Settles a group of `calls` calls of walks of `hops` hops into
+    /// `ledger` and empties the books, keeping their allocation: its
+    /// draws as side-by-side `randNum` leaves
+    /// ([`Ledger::concurrent_leaves`]), its hand-offs, and its longest
+    /// call's rounds. Returns the calls' diagnostics, summed.
+    fn settle(&mut self, ledger: &mut Ledger, calls: u64, hops: u64) -> WalkTrace {
+        let trace = WalkTrace {
+            hops: self.walks * hops,
+            // A call that opens no walk (an overlay of one cluster)
+            // opens none of the group's.
+            restarts: self.walks.saturating_sub(calls),
+            compromised_hops: self.compromised_hops,
+        };
+        // INVARIANT: `open_walk` keeps `opened` within `drawn`.
+        self.drawn[..self.opened].fill(0);
+        let (count, rounds) = (self.count, ClusterSecurity::RAND_NUM_ROUNDS);
+        let sum = Cost {
+            messages: self.messages,
+            rounds: count * rounds,
+        };
+        let peak = Cost {
+            messages: self.peak,
+            rounds: rounds.min(sum.rounds),
+        };
+        ledger.concurrent_leaves(CostKind::RandNum, count, sum, peak);
+        ledger.add(Cost {
+            messages: self.handoffs,
+            rounds: self.rounds,
+        });
+        *self = Lockstep {
+            drawn: std::mem::take(&mut self.drawn),
+            ..Lockstep::default()
+        };
+        trace
     }
 }
 
 impl Kernel<'_> {
-    /// `randCl` from cluster `start`: the selected cluster and the walk
-    /// diagnostics. Costs are recorded under [`CostKind::RandCl`]
-    /// (inclusive of the per-hop `randNum`s).
-    ///
-    /// Membership and overlay are immutable while a walk runs, so the
-    /// walk borrows its table rows and reads cluster sizes in place; the
-    /// size and security of the cluster it stands on carry over from the
-    /// hop that reached it.
+    /// `randCl` from cluster `start`, a group of one: the selected
+    /// cluster and the walk diagnostics. Costs are recorded under
+    /// [`CostKind::RandCl`] (inclusive of the walk's `randNum`s): one
+    /// draw per hop and per acceptance.
     pub(crate) fn rand_cl(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
+        let mut end = Vec::with_capacity(1);
+        let trace = self.rand_cl_group(&[(start, 1)], &mut end);
+        // INVARIANT: a group of one call pushes one end.
+        (end[0], trace)
+    }
+
+    /// `count` `randCl` calls from each `(start, count)` of `starts`,
+    /// one after another in that order, as one group ([`Lockstep`]):
+    /// each call's result is pushed onto `ends`, and the calls'
+    /// diagnostics are returned summed. The group's costs land in one
+    /// [`CostKind::RandCl`] span, closed as one span per call
+    /// ([`Ledger::end_as`]).
+    ///
+    /// Membership and overlay are immutable while the group runs, so
+    /// its walks borrow their table rows and read cluster sizes and
+    /// security in place: every walk sees the clusters as they were
+    /// when the group started.
+    pub(crate) fn rand_cl_group(
+        &mut self,
+        starts: &[(ClusterId, usize)],
+        ends: &mut Vec<ClusterId>,
+    ) -> WalkTrace {
+        let calls: usize = starts.iter().map(|&(_, n)| n).sum();
+        if calls == 0 {
+            return WalkTrace {
+                hops: 0,
+                restarts: 0,
+                compromised_hops: 0,
+            };
+        }
         self.ledger.begin(CostKind::RandCl);
-        let mut books = WalkBooks::default();
-        let start = self.slot_of(start);
-        let (end, trace) = walk(
-            &*self.registry,
-            self.walks,
-            self.params,
-            self.rng,
-            self.malice,
-            start,
-            &mut books,
-        );
-        books.settle(self.ledger);
-        self.ledger.end();
-        (end, trace)
+        self.lockstep.open(self.registry.cluster_slab_len());
+        for &(start, n) in starts {
+            let start = self.slot_of(start);
+            for _ in 0..n {
+                let end = walk(
+                    &*self.registry,
+                    self.walks,
+                    self.params,
+                    self.rng,
+                    self.malice,
+                    start,
+                    self.lockstep,
+                );
+                ends.push(end);
+            }
+        }
+        let trace = (self.lockstep).settle(self.ledger, calls as u64, self.walks.hops);
+        self.ledger.end_as(calls as u64);
+        trace
     }
 }
 
-/// [`Kernel::draw`], with the leaf booked on the walk's `books`.
-#[inline]
-fn walk_draw(
-    rng: &mut DetRng,
-    malice: &mut dyn Malice,
-    books: &mut WalkBooks,
-    cluster: impl FnOnce() -> ClusterId,
-    range: u64,
-    purpose: RandNumPurpose,
-    at: ClusterSecurity,
-) -> u64 {
-    books.leaf(at.rand_num_cost());
-    draw_value(rng, malice, cluster, range, purpose, at)
-}
-
-/// The walk from registry slot `start`, on the kernel's borrows passed
-/// one by one rather than through `&mut Kernel`: as distinct parameters
-/// the stream, the adversary and the books are known to alias nothing
-/// else, so a hop need not reload them from memory. Its one caller,
-/// [`Kernel::rand_cl`], takes it inline: out of line, where the
-/// crate's codegen-unit split leaves it apart, the hop paid 15–20 %.
+/// One `randCl` call from registry slot `start`, booked on `books`, on
+/// the kernel's borrows passed one by one rather than through `&mut
+/// Kernel`: as distinct parameters the stream, the adversary and the
+/// books are known to alias nothing else, so a hop need not reload them
+/// from memory. The call's diagnostics are the books' too (its walks,
+/// and its hops at a compromised cluster): a trace carried through the
+/// hop loop cost a group's walks 10–15 % on `grow_wide`, where the loop
+/// spilled it. Its caller, [`Kernel::rand_cl_group`], takes it inline:
+/// out of line, where the crate's codegen-unit split leaves it apart,
+/// the hop paid 15–20 %.
 #[inline]
 fn walk(
     registry: &Registry,
@@ -239,20 +355,15 @@ fn walk(
     rng: &mut DetRng,
     malice: &mut dyn Malice,
     start: u32,
-    books: &mut WalkBooks,
-) -> (ClusterId, WalkTrace) {
-    let mut trace = WalkTrace {
-        hops: 0,
-        restarts: 0,
-        compromised_hops: 0,
-    };
+    books: &mut Lockstep,
+) -> ClusterId {
     // The walk carries the slot it stands on; the id behind it is read
     // only where it is told: to the adversary, and as the result.
     let id_of = |slot: u32| move || registry.cluster_in_slot(slot).id();
     let mut slot = start;
     // One cluster, or a cluster with no neighbour, is the only choice.
     if walks.vertices <= 1 || walks.d_min == 0 {
-        return (id_of(slot)(), trace);
+        return id_of(slot)();
     }
 
     let mode = params.security();
@@ -260,8 +371,16 @@ fn walk(
     // The legal hops by id, as the adversary is shown them: filled only
     // at a compromised cluster.
     let mut nbr_ids = Vec::new();
-    for _restart in 0..=params.max_walk_restarts() {
-        // One walk of `k` hops; `came_from` is the slot it just left.
+    // A walk's steps: `k` hops and the acceptance.
+    let (steps, words) = (walks.hops as usize + 1, books.words);
+    // The call's hand-off messages and rounds: a `randNum` takes two
+    // rounds and a hand-off one.
+    let (mut handoffs, mut rounds) = (0, 0);
+    for walk in 0..=params.max_walk_restarts() {
+        // One walk of `k` hops; `came_from` is the slot it just left, and
+        // `row` the first word of its current step's lockstep row.
+        let mut row = books.open_walk(walk, steps);
+        rounds += 3 * walks.hops + 2;
         let mut came_from = None;
         for _ in 0..walks.hops {
             let slots = walks.row(slot);
@@ -272,10 +391,11 @@ fn walk(
             // past the row, a stay where `walks.stays` allows one.
             let barred = came_from.filter(|_| degree > 1 && walks.stays == 0);
             let choices = degree + walks.stays as usize - barred.is_some() as usize;
-            let w = walk_draw(
+            // [`Kernel::draw`], its leaf booked at this step's row.
+            books.book(row, slot, here.rand_num_messages());
+            let w = draw_value(
                 rng,
                 malice,
-                books,
                 id_of(slot),
                 choices as u64,
                 RandNumPurpose::WalkHop,
@@ -290,42 +410,40 @@ fn walk(
                 next = slots[degree - 1];
             }
             if !here.secure_plain {
-                trace.compromised_hops += 1;
+                books.compromised_hops += 1;
                 next = forced_pick(registry, slots, barred, next, malice, rng, &mut nbr_ids);
             }
             // Quorum-validated hand-off message C → C' (to itself, on a
             // stay).
             let there = registry.security_at(next, mode);
-            books.hops += Cost {
-                messages: here.size * there.size,
-                rounds: 1,
-            };
-            trace.hops += 1;
+            handoffs += here.size * there.size;
             came_from = Some(slot);
             slot = next;
             here = there;
+            row += words;
         }
         // Size-biased, degree-corrected acceptance at the endpoint:
         // `min(|C|, max) · d_min` draws out of `max · deg C` accept.
         let degree = walks.row(slot).len() as u64 + walks.stays;
         let max = walks.max_cluster_size;
-        let draw = walk_draw(
+        books.book(row, slot, here.rand_num_messages());
+        let draw = draw_value(
             rng,
             malice,
-            books,
             id_of(slot),
             max * degree,
             RandNumPurpose::WalkAcceptance,
             here,
         );
         if draw < here.size.min(max) * (walks.d_min + walks.stays) {
-            return (id_of(slot)(), trace);
+            books.end_call(handoffs, rounds);
+            return id_of(slot)();
         }
-        trace.restarts += 1;
     }
     // Restart cap exhausted (never in the invariant regime; see
     // NowParams::max_walk_restarts) — accept the current endpoint.
-    (id_of(slot)(), trace)
+    books.end_call(handoffs, rounds);
+    id_of(slot)()
 }
 
 /// The hop at a compromised cluster: the neighbour the adversary
@@ -417,7 +535,8 @@ pub(crate) mod tests {
     }
 
     /// Every walk takes exactly `k` hops, so a call takes `k` per walk,
-    /// its restarts included.
+    /// its restarts included: the ledger books one `randNum` a hop and
+    /// one an acceptance, and a call's own steps never share one.
     #[test]
     fn every_walk_takes_exactly_k_hops() {
         let mut sys = system(400, 4);
@@ -425,8 +544,12 @@ pub(crate) mod tests {
         assert_eq!(k, sys.params().walk_length(sys.cluster_count()) as u64);
         let mut restarts = 0;
         for start in sys.cluster_ids().into_iter().cycle().take(60) {
+            let before = sys.ledger().stats(CostKind::RandNum).count;
             let (_, t) = sys.rand_cl_from(start);
-            assert_eq!(t.hops, k * (t.restarts + 1));
+            let draws = sys.ledger().stats(CostKind::RandNum).count - before;
+            let walks = t.restarts + 1;
+            assert_eq!(draws, (k + 1) * walks);
+            assert_eq!(t.hops, k * walks);
             restarts += t.restarts;
         }
         assert!(restarts > 0, "restarts covered");
@@ -534,6 +657,33 @@ pub(crate) mod tests {
         (ids.len(), worst)
     }
 
+    /// A small irregular overlay whose walk is far from mixed: N = 16,
+    /// 20 clusters of sizes 3 to 12, Erdős–Rényi degrees 2 to 9, two
+    /// hops a walk.
+    fn skewed_toy(seed: u64) -> NowSystem {
+        let params = NowParams::for_capacity(16)
+            .unwrap()
+            .with_walk_length_factor(0.15);
+        let mut sys = NowSystem::init_fast(params, 160, 0.0, seed);
+        let ids = sys.cluster_ids();
+        // Sizes 3 to 12 (the normaliser): move members from the
+        // even-ranked clusters to the odd-ranked ones.
+        for (i, pair) in ids.chunks(2).enumerate() {
+            for _ in 0..(i % 5) + 1 {
+                let node = sys.cluster(pair[0]).unwrap().member_at(0);
+                sys.move_node(node, pair[1]);
+            }
+        }
+        sys.check_consistency().unwrap();
+        let degrees: Vec<usize> = ids.iter().map(|&c| sys.overlay.degree(c)).collect();
+        assert!(
+            degrees.iter().min() < degrees.iter().max(),
+            "irregular overlay"
+        );
+        assert_eq!(sys.walks.hops, 2, "two hops a walk");
+        sys
+    }
+
     /// The real walk samples the exact law: 40 000 `rand_cl_from` walks
     /// from one cluster of a small irregular overlay (N = 16, 20
     /// clusters of sizes 3 to 12, Erdős–Rényi degrees 2 to 9), at two
@@ -551,27 +701,9 @@ pub(crate) mod tests {
     )]
     fn walk_endpoints_follow_the_exact_law() {
         for seed in [1, 2] {
-            let params = NowParams::for_capacity(16)
-                .unwrap()
-                .with_walk_length_factor(0.15);
-            let mut sys = NowSystem::init_fast(params, 160, 0.0, seed);
+            let mut sys = skewed_toy(seed);
             let ids = sys.cluster_ids();
-            // Sizes 3 to 12 (the normaliser): move members from the
-            // even-ranked clusters to the odd-ranked ones.
-            for (i, pair) in ids.chunks(2).enumerate() {
-                for _ in 0..(i % 5) + 1 {
-                    let node = sys.cluster(pair[0]).unwrap().member_at(0);
-                    sys.move_node(node, pair[1]);
-                }
-            }
-            sys.check_consistency().unwrap();
-            let degrees: Vec<usize> = ids.iter().map(|&c| sys.overlay.degree(c)).collect();
-            assert!(
-                degrees.iter().min() < degrees.iter().max(),
-                "irregular overlay"
-            );
             let k = sys.walks.hops as usize;
-            assert_eq!(k, 2, "two hops a walk");
             let start = ids[3];
             let (law_ids, laws, _) = exact_laws(&sys, k);
             let law = &laws[law_ids.binary_search(&start).unwrap()];
@@ -799,6 +931,171 @@ pub(crate) mod tests {
                 compromised > 0,
                 polluted,
                 "Malice path covered iff polluted"
+            );
+        }
+    }
+
+    /// The calls of a group replayed by hand on a copy of the system's
+    /// stream, on the overlay by id (not the walk table), under
+    /// [`crate::NoMalice`], whose draws are the stream's: per call, the
+    /// cluster each of its steps draws at (`k` hops, then the
+    /// acceptance, per walk) and its end. The overlay must have a
+    /// cluster of degree > 2, so that no hop may stay.
+    fn replay_group(
+        sys: &NowSystem,
+        starts: &[(ClusterId, usize)],
+    ) -> Vec<(Vec<ClusterId>, ClusterId)> {
+        use rand::Rng;
+        let mut rng = sys.rng.clone();
+        let k = sys.params().walk_length(sys.cluster_count());
+        let max = sys.params().max_cluster_size() as u64;
+        let ids = sys.cluster_ids();
+        let d_min = ids.iter().map(|&c| sys.overlay.degree(c)).min().unwrap() as u64;
+        assert!(ids.iter().any(|&c| sys.overlay.degree(c) > 2), "no stays");
+        let size = |c: ClusterId| sys.cluster(c).unwrap().size() as u64;
+        let mut calls = Vec::new();
+        for &(start, n) in starts {
+            for _ in 0..n {
+                let (mut path, mut at) = (Vec::new(), start);
+                loop {
+                    let mut came_from = None;
+                    for _ in 0..k {
+                        path.push(at);
+                        let row = sys.overlay.neighbors(at);
+                        let barred = came_from.filter(|_| row.len() > 1);
+                        let choices = (row.len() - barred.is_some() as usize) as u64;
+                        let mut next = row[rng.gen_range(0..choices) as usize];
+                        if Some(next) == barred {
+                            next = row[row.len() - 1];
+                        }
+                        came_from = Some(at);
+                        at = next;
+                    }
+                    path.push(at);
+                    let degree = sys.overlay.degree(at) as u64;
+                    if rng.gen_range(0..max * degree) < size(at).min(max) * d_min {
+                        break;
+                    }
+                }
+                calls.push((path, at));
+            }
+        }
+        calls
+    }
+
+    /// The lockstep bill, recomputed from the walks' paths: groups of
+    /// three starts (5, 4 and 3 calls, as a cascade's receivers), 24 per
+    /// system, on a clean system and on one whose first cluster the
+    /// adversary holds past 1/3. Each group books one `randNum` per
+    /// distinct (step, cluster) pair of its paths, at that cluster's
+    /// cost, the hand-offs of every hop, one `randCl` span per call,
+    /// and the rounds of its longest call: three a hop and two a walk.
+    #[test]
+    fn lockstep_bill_counts_distinct_cluster_rounds() {
+        for polluted in [false, true] {
+            let mut sys = system(300, 12);
+            let ids = sys.cluster_ids();
+            while polluted
+                && sys
+                    .cluster(ids[0])
+                    .unwrap()
+                    .rand_num_secure_in(crate::params::SecurityMode::Plain)
+            {
+                let honest = sys
+                    .cluster(ids[0])
+                    .unwrap()
+                    .members()
+                    .find(|&m| sys.is_honest(m).unwrap())
+                    .expect("has honest members");
+                sys.move_node(honest, ids[1]);
+            }
+            let k = sys.walks.hops as usize;
+            let size = |sys: &NowSystem, c: ClusterId| sys.cluster(c).unwrap().size() as u64;
+            let starts = [(ids[0], 5), (ids[1], 4), (ids[2], 3)];
+            let (mut shared, mut compromised) = (0, 0);
+            for group in 0..24 {
+                let calls = replay_group(&sys, &starts);
+                *sys.ledger_mut() = Ledger::new();
+                let mut ends = Vec::new();
+                sys.kernel().rand_cl_group(&starts, &mut ends);
+                let got: Vec<ClusterId> = calls.iter().map(|c| c.1).collect();
+                assert_eq!(ends, got, "group {group}: the replay is the walk");
+
+                let mut pairs = std::collections::BTreeSet::new();
+                let (mut draws, mut handoffs, mut longest) = (0, 0, 0);
+                for (path, _) in &calls {
+                    let walks = path.len() / (k + 1);
+                    let hops = path.len() - walks;
+                    longest = longest.max(3 * hops + 2 * walks);
+                    for (step, &c) in path.iter().enumerate() {
+                        pairs.insert((step, c));
+                        compromised += (c == ids[0] && polluted) as u64;
+                        // A hop hands off to the next step's cluster;
+                        // the acceptance, a walk's last step, does not.
+                        if step % (k + 1) != k {
+                            handoffs += size(&sys, c) * size(&sys, path[step + 1]);
+                        }
+                    }
+                    draws += path.len();
+                }
+                let l = sys.ledger();
+                let (walk, rn) = (l.stats(CostKind::RandCl), l.stats(CostKind::RandNum));
+                let leaf_messages: u64 = (pairs.iter())
+                    .map(|&(_, c)| 2 * size(&sys, c) * (size(&sys, c) - 1))
+                    .sum();
+                assert_eq!(walk.count, 12, "group {group}");
+                assert_eq!(rn.count, pairs.len() as u64, "group {group}");
+                assert_eq!(rn.total_messages, leaf_messages, "group {group}");
+                assert_eq!(rn.total_rounds, 2 * pairs.len() as u64, "group {group}");
+                assert_eq!(
+                    l.total().messages,
+                    leaf_messages + handoffs,
+                    "group {group}"
+                );
+                assert_eq!(l.total().rounds, longest as u64, "group {group}");
+                assert_eq!(walk.total_rounds, longest as u64, "group {group}");
+                shared += draws - pairs.len();
+            }
+            assert!(shared > 0, "draws shared");
+            assert_eq!(
+                compromised > 0,
+                polluted,
+                "Malice path covered iff polluted"
+            );
+        }
+    }
+
+    /// Walks that share draws stay independent: 2 500 groups of 8 walks
+    /// from one cluster of the skewed toy, where all 8 stand on one
+    /// cluster at least at the first step. Within a group, walks `2i`
+    /// and `2i + 1` end on one cluster at the rate `Σ_C p_C²` of two
+    /// independent draws from the exact law `p` ([`now_graph::nbrw_law`]),
+    /// within the binomial bound at 1 − 10⁻⁴ (z = 3.891), on each of two
+    /// seeds.
+    #[test]
+    fn co_located_walks_draw_independently() {
+        for seed in [1, 2] {
+            let mut sys = skewed_toy(seed);
+            let start = sys.cluster_ids()[3];
+            let (law_ids, laws, _) = exact_laws(&sys, sys.walks.hops as usize);
+            let law = &laws[law_ids.binary_search(&start).unwrap()];
+            let p: f64 = law.iter().map(|q| q * q).sum();
+            let (groups, walks) = (2_500, 8);
+            let mut hits = 0u64;
+            let mut ends = Vec::new();
+            for _ in 0..groups {
+                ends.clear();
+                sys.kernel().rand_cl_group(&[(start, walks)], &mut ends);
+                hits += ends.chunks(2).filter(|pair| pair[0] == pair[1]).count() as u64;
+            }
+            let trials = (groups * walks / 2) as f64;
+            let (want, bound) = (trials * p, 3.891 * (trials * p * (1.0 - p)).sqrt());
+            println!(
+                "seed {seed}: {hits} of {trials} pairs met, want {want:.0} ± {bound:.0} (p {p:.6})"
+            );
+            assert!(
+                (hits as f64 - want).abs() <= bound,
+                "seed {seed}: {hits} meetings, want {want:.0} ± {bound:.0}"
             );
         }
     }

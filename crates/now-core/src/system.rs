@@ -6,7 +6,7 @@ use crate::error::NowError;
 use crate::kernel::Kernel;
 use crate::malice::{Malice, NoMalice};
 use crate::params::NowParams;
-use crate::rand_cl::WalkTable;
+use crate::rand_cl::{Lockstep, WalkTable};
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
 use now_net::{ieee, ClusterId, CostKind, DetRng, IdGen, Ledger, NodeId};
@@ -30,6 +30,9 @@ pub struct NowSystem {
     /// `overlay` or the cluster slab changes shape, and nowhere else.
     pub(crate) walks: WalkTable,
     pub(crate) ledger: Ledger,
+    /// The books every group of walks borrows: empty until the first
+    /// group, so `init` allocates nothing for them.
+    pub(crate) lockstep: Lockstep,
     pub(crate) rng: DetRng,
     pub(crate) malice: Box<dyn Malice>,
     pub(crate) time_step: u64,
@@ -137,6 +140,7 @@ impl NowSystem {
             overlay,
             walks,
             ledger,
+            lockstep: Lockstep::default(),
             rng,
             malice: Box::new(NoMalice),
             time_step: 0,
@@ -162,6 +166,7 @@ impl NowSystem {
             overlay: self.overlay.clone(),
             walks: self.walks.clone(),
             ledger: self.ledger.clone(),
+            lockstep: Lockstep::default(),
             rng: self.rng.clone(),
             malice,
             time_step: self.time_step,
@@ -401,6 +406,7 @@ impl NowSystem {
             walks: &self.walks,
             params: self.params,
             ledger: &mut self.ledger,
+            lockstep: &mut self.lockstep,
             rng: &mut self.rng,
             malice: self.malice.as_mut(),
         }

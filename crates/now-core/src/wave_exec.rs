@@ -348,6 +348,7 @@ impl NowSystem {
             walks: &self.walks,
             params: self.params,
             ledger: &mut self.ledger,
+            lockstep: &mut self.lockstep,
             rng: &mut rng,
             malice: self.malice.as_mut(),
         }

@@ -3,7 +3,7 @@
 //! The paper's complexity claims are about *numbers of messages* (of
 //! identical size) and *communication rounds*. The [`Ledger`] records both
 //! with nested operation spans: when `exchange` calls `randCl`, which in
-//! turn runs one `randNum` per hop, each message counts towards every
+//! turn runs `randNum`s along its walks, each message counts towards every
 //! open span, so `exchange`'s recorded cost includes its sub-protocols —
 //! exactly how the paper states "exchange costs O(log⁶N)" (inclusive of
 //! the `randCl` invocations inside it).
@@ -164,9 +164,13 @@ pub struct CostStats {
     pub total_messages: u64,
     /// Sum of inclusive round costs.
     pub total_rounds: u64,
-    /// Maximum inclusive message cost of a single span.
+    /// Maximum inclusive message cost of a single span. Spans closed
+    /// together over one shared cost ([`Ledger::end_as`]) count that
+    /// whole cost here: for a group of walks or a cascade, a group's
+    /// cost, not one call's.
     pub max_messages: u64,
-    /// Maximum inclusive round cost of a single span.
+    /// Maximum inclusive round cost of a single span, or of a shared
+    /// cost, as for `max_messages`.
     pub max_rounds: u64,
 }
 
@@ -258,6 +262,32 @@ impl Ledger {
     /// programming error in protocol code).
     #[inline]
     pub fn end(&mut self) -> Cost {
+        let (kind, cost) = self.pop();
+        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
+        // variants, so its discriminant indexes `stats` in bounds.
+        self.stats[kind as usize].absorb(cost);
+        cost
+    }
+
+    /// Closes the innermost span as `n` spans of its kind that ran side
+    /// by side and shared its one inclusive cost, and returns that cost.
+    /// The kind's count grows by `n`, its totals by the cost once, and
+    /// its peaks by the whole cost, since no span's own share is told
+    /// apart. With `n = 1` this is [`Ledger::end`]. A group of walks
+    /// closes its `randCl` span so, one span per call, and a leave's
+    /// cascade its `exchange` span, one per receiver.
+    ///
+    /// # Panics
+    /// Panics if no span is open.
+    pub fn end_as(&mut self, n: u64) -> Cost {
+        let (kind, cost) = self.pop();
+        self.close(kind, n, cost, cost);
+        cost
+    }
+
+    /// Pops the innermost span: its kind and inclusive cost.
+    #[inline]
+    fn pop(&mut self) -> (CostKind, Cost) {
         let span = self
             .stack
             .pop()
@@ -268,44 +298,44 @@ impl Ledger {
             messages: self.total.messages - span.began_at.messages,
             rounds: self.total.rounds - span.began_at.rounds,
         };
-        self.close(span.kind, cost);
-        cost
+        (span.kind, cost)
     }
 
-    /// Folds a span of `kind` that just closed with inclusive cost
-    /// `cost` into its kind's stats.
-    #[inline]
-    fn close(&mut self, kind: CostKind, cost: Cost) {
-        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
-        // variants, so its discriminant indexes `stats` in bounds.
-        self.stats[kind as usize].absorb(cost);
-    }
-
-    /// A whole leaf span in one call: exactly `begin(kind)`, `add(cost)`,
-    /// `end()`, without the stack push and pop. The walk kernels account
-    /// each hop's `randNum` draws with it.
-    #[inline]
-    pub fn leaf(&mut self, kind: CostKind, cost: Cost) {
-        self.total += cost;
-        self.close(kind, cost);
-    }
-
-    /// `count` leaf spans of `kind` in one call, given their summed cost
-    /// `sum` and their component-wise largest cost `peak`: exactly
-    /// `count` [`Ledger::leaf`] calls (with `count = 0`, `sum` and `peak`
-    /// zero, nothing). A walk tallies its `randNum` draws locally and
-    /// settles them here once.
-    pub fn leaves(&mut self, kind: CostKind, count: u64, sum: Cost, peak: Cost) {
-        self.total += sum;
-        // INVARIANT: `CostKind` has exactly `ALL.len()` fieldless
-        // variants, so its discriminant indexes `stats` in bounds.
+    /// Folds `n` spans of `kind`, with summed inclusive cost `sum` and
+    /// component-wise largest cost `peak`, into its kind's stats.
+    fn close(&mut self, kind: CostKind, n: u64, sum: Cost, peak: Cost) {
+        // INVARIANT: as in `end`.
         self.stats[kind as usize].merge(&CostStats {
-            count,
+            count: n,
             total_messages: sum.messages,
             total_rounds: sum.rounds,
             max_messages: peak.messages,
             max_rounds: peak.rounds,
         });
+    }
+
+    /// A whole leaf span in one call: exactly `begin(kind)`, `add(cost)`,
+    /// `end()`, without the stack push and pop. A lone `randNum` draw
+    /// (an exchange partner's member pick) is booked with it.
+    #[inline]
+    pub fn leaf(&mut self, kind: CostKind, cost: Cost) {
+        self.total += cost;
+        // INVARIANT: as in `end`.
+        self.stats[kind as usize].absorb(cost);
+    }
+
+    /// `count` leaf spans of `kind` that run side by side, in one call,
+    /// given their summed cost `sum` and their component-wise largest
+    /// cost `peak`. The kind's stats grow exactly as by `count`
+    /// [`Ledger::leaf`] calls (with `count = 0`, `sum` and `peak` zero,
+    /// not at all). The total gains `sum`'s messages but none of its
+    /// rounds: leaves that run side by side overlap in time, so the
+    /// caller adds the rounds they took together. A group of walks
+    /// tallies its shared `randNum` draws locally and settles them here
+    /// once.
+    pub fn concurrent_leaves(&mut self, kind: CostKind, count: u64, sum: Cost, peak: Cost) {
+        self.total.messages += sum.messages;
+        self.close(kind, count, sum, peak);
     }
 
     /// Adds `n` messages to the global total, and thereby to every
@@ -447,12 +477,13 @@ mod tests {
         }
     }
 
-    /// A tally settled with `leaves` is exactly its leaves booked one by
-    /// one, on a ledger with prior activity of the same kind (so maxima
-    /// on both sides of the tally's peak are exercised) and with
-    /// `n = 0`.
+    /// A tally settled with `concurrent_leaves` grows the stats exactly
+    /// as its leaves booked one by one, on a ledger with prior activity
+    /// of the same kind (so maxima on both sides of the tally's peak are
+    /// exercised) and with `n = 0`; the total gains the leaves' messages
+    /// and none of their rounds.
     #[test]
-    fn leaves_equal_n_leaf_calls() {
+    fn concurrent_leaves_equal_n_leaf_calls_but_their_rounds() {
         let cost = |messages, rounds| Cost { messages, rounds };
         let tallies: [&[Cost]; 4] = [
             &[],
@@ -474,7 +505,8 @@ mod tests {
                     messages: a.messages.max(c.messages),
                     rounds: a.rounds.max(c.rounds),
                 });
-                tallied.leaves(kind, costs.len() as u64, sum, peak);
+                tallied.concurrent_leaves(kind, costs.len() as u64, sum, peak);
+                tallied.add_rounds(sum.rounds);
                 assert_eq!(one_by_one.end(), tallied.end(), "{costs:?}");
                 assert_eq!(one_by_one.total(), tallied.total(), "{costs:?}");
                 for k in CostKind::ALL {
@@ -482,6 +514,40 @@ mod tests {
                 }
             }
         }
+        let mut l = Ledger::new();
+        l.concurrent_leaves(CostKind::RandNum, 2, cost(10, 4), cost(6, 2));
+        assert_eq!(l.total(), cost(10, 0));
+    }
+
+    /// `end_as(n)` books `n` spans over one shared cost: the count grows
+    /// by `n`, the totals and the peaks by the cost once, an enclosing
+    /// span sees the cost once, and `end_as(1)` is `end`.
+    #[test]
+    fn end_as_books_n_spans_over_one_cost() {
+        let mut l = Ledger::new();
+        l.begin(CostKind::Exchange);
+        l.begin(CostKind::RandCl);
+        l.add(Cost {
+            messages: 30,
+            rounds: 7,
+        });
+        let shared = l.end_as(5);
+        let outer = l.end();
+        assert_eq!(shared, outer);
+        let rc = l.stats(CostKind::RandCl);
+        assert_eq!((rc.count, rc.total_messages, rc.total_rounds), (5, 30, 7));
+        assert_eq!((rc.max_messages, rc.max_rounds), (30, 7));
+        let mut single = Ledger::new();
+        let mut spelled = Ledger::new();
+        for l in [&mut single, &mut spelled] {
+            l.begin(CostKind::Leave);
+            l.add_messages(9);
+        }
+        assert_eq!(single.end_as(1), spelled.end());
+        assert_eq!(
+            single.stats(CostKind::Leave),
+            spelled.stats(CostKind::Leave)
+        );
     }
 
     /// `stats` is indexed by discriminant, so `ALL` must list the

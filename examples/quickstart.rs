@@ -64,7 +64,10 @@ fn main() {
         overlay.degree_bound_holds
     );
 
-    println!("\nper-operation costs (messages, mean):");
+    // A group of walks, or a leave's cascade, closes its spans together
+    // over one shared cost (`Ledger::end_as`), so the `max` of `randCl`
+    // and `exchange` is a whole group's cost.
+    println!("\nper-operation costs (messages; max of a span, or of a group closed together):");
     for kind in [
         CostKind::Join,
         CostKind::Leave,

@@ -18,8 +18,12 @@
 # any patch stops applying, or a named test does not run or fails
 # unmutated.
 #
+# Any other command that fails stops the script, which first prints
+# that command and its line.
+#
 # Usage: mutants/run.sh
-set -euo pipefail
+set -Eeuo pipefail
+trap 'echo "mutants/run.sh: line $LINENO: \`$BASH_COMMAND\` exited $?" >&2' ERR
 
 here=$(cd "$(dirname "$0")" && pwd)
 repo=$(git -C "$here" rev-parse --show-toplevel)

@@ -360,3 +360,85 @@ fn in_regime_churn_and_attack_capture_no_cluster() {
         "the shape is outside the regime: {expected:e}"
     );
 }
+
+/// The §3.3 attack against neutral churn at equal budget (ROADMAP item
+/// 22(a)): 24 paired seeds `(s, 2000 + s)`, `s = 1..=24`, each pair
+/// run from one start (this file's shape, 300 nodes at τ = 0.15) for
+/// 300 one-op steps twice, once under the join–leave attacker aimed at
+/// the first cluster ([`join_leave_peak`]) and once under balanced
+/// neutral churn (one uniform join or leave a step, corrupt whenever
+/// the budget allows), watched at the cluster the attacker would aim
+/// at: the first live cluster, kept until it dies. The statistic is the
+/// mean over pairs of the attack's peak Byzantine fraction there minus
+/// neutral churn's, and the test is a one-sided paired permutation test
+/// on it: 9 999 resamples that flip each pair's sign with a fair
+/// `DetRng` coin, p = (1 + resamples at or above the observed mean) /
+/// (1 + 9 999).
+///
+/// Every join exchanges its host, so the attacker's aim buys nothing:
+/// the attack's peak is the lower on 17 of 24 pairs (mean −0.026) and
+/// p = 0.996. The test asserts p > 0.01, that the attack is not
+/// detectably worse than neutral churn. It has the power to see a
+/// protocol that lets the attack through: on the no-shuffle baseline
+/// (`no_shuffle_params`) the attack's peak is the higher on 24 of 24
+/// pairs (mean +0.30) and p = 10⁻⁴.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "48 runs of 300 steps and 10⁴ resamples: run with --release"
+)]
+fn join_leave_attack_against_neutral_churn_at_equal_budget() {
+    use now_bft::sim::BatchRandomChurn;
+    use rand::Rng;
+    let (steps, tau) = (300, 0.15);
+    let mut diffs = Vec::new();
+    for s in 1..=24u64 {
+        let (init_seed, drive_seed) = (s, 2000 + s);
+        let mut attacked = NowSystem::init_fast(params(), 300, tau, init_seed);
+        let attack = join_leave_peak(&mut attacked, tau, steps, drive_seed);
+
+        let mut sys = NowSystem::init_fast(params(), 300, tau, init_seed);
+        let mut churn = BatchRandomChurn::balanced(1, tau);
+        let mut rng = DetRng::new(drive_seed);
+        let (mut aim, mut neutral) = (sys.cluster_ids()[0], 0.0f64);
+        for _ in 0..steps {
+            if sys.cluster(aim).is_none() {
+                aim = sys.cluster_ids()[0];
+            }
+            let (joins, leaves) = churn.decide_batch(&sys, &mut rng);
+            sys.step_batch(
+                &BatchInput::from_specs(&joins, &leaves),
+                &ExecConfig::Canonical,
+            );
+            if let Some(c) = sys.cluster(aim) {
+                neutral = neutral.max(c.byz_fraction());
+            }
+        }
+        attacked.check_consistency().unwrap();
+        sys.check_consistency().unwrap();
+        diffs.push(attack - neutral);
+    }
+    let mean = |signs: &[f64]| -> f64 {
+        diffs.iter().zip(signs).map(|(d, s)| d * s).sum::<f64>() / diffs.len() as f64
+    };
+    let observed = mean(&vec![1.0; diffs.len()]);
+    let mut rng = DetRng::new(22);
+    let resamples = 9_999;
+    let at_or_above = (0..resamples)
+        .filter(|_| {
+            let signs: Vec<f64> = (0..diffs.len())
+                .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+                .collect();
+            mean(&signs) >= observed
+        })
+        .count();
+    let p = (1 + at_or_above) as f64 / (1 + resamples) as f64;
+    let wins = diffs.iter().filter(|&&d| d > 0.0).count();
+    println!(
+        "attack − neutral peak: mean {observed:.4}, attack higher on {wins}/24, one-sided p {p:.4}"
+    );
+    assert!(
+        p > 0.01,
+        "the join–leave attack beats neutral churn at equal budget: p {p}, differences {diffs:?}"
+    );
+}

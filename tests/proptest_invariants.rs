@@ -237,14 +237,30 @@ impl EagerLedger {
     }
 
     fn end(&mut self) -> Cost {
+        self.end_as(1)
+    }
+
+    /// Closes the innermost span as `n` spans over its one cost.
+    fn end_as(&mut self, n: u64) -> Cost {
         let (kind, cost) = self.stack.pop().expect("script ends open spans only");
-        let stats = self.stats.entry(kind).or_default();
-        stats.count += 1;
-        stats.total_messages += cost.messages;
-        stats.total_rounds += cost.rounds;
-        stats.max_messages = stats.max_messages.max(cost.messages);
-        stats.max_rounds = stats.max_rounds.max(cost.rounds);
+        self.fold(kind, n, cost, cost);
         cost
+    }
+
+    /// `count` leaves side by side: their messages reach every open
+    /// span, their rounds none.
+    fn concurrent_leaves(&mut self, kind: CostKind, count: u64, sum: Cost, peak: Cost) {
+        self.add(Cost { rounds: 0, ..sum });
+        self.fold(kind, count, sum, peak);
+    }
+
+    fn fold(&mut self, kind: CostKind, n: u64, sum: Cost, peak: Cost) {
+        let stats = self.stats.entry(kind).or_default();
+        stats.count += n;
+        stats.total_messages += sum.messages;
+        stats.total_rounds += sum.rounds;
+        stats.max_messages = stats.max_messages.max(peak.messages);
+        stats.max_rounds = stats.max_rounds.max(peak.rounds);
     }
 }
 
@@ -283,6 +299,28 @@ fn ledger_step(
             eager.add(cost);
             eager.end();
         }
+        // `b % 4` leaves side by side (none: no cost), each of at most
+        // `a` messages and 2 rounds.
+        5 => {
+            let count = u64::from(b % 4);
+            let peak = Cost {
+                messages: if count == 0 { 0 } else { cost.messages },
+                rounds: 2.min(count),
+            };
+            let sum = Cost {
+                messages: count * peak.messages,
+                rounds: count * peak.rounds,
+            };
+            ledger.concurrent_leaves(kind, count, sum, peak);
+            eager.concurrent_leaves(kind, count, sum, peak);
+        }
+        // A shared close of `b % 4 + 1` spans.
+        6 => {
+            if !eager.stack.is_empty() {
+                let n = u64::from(b % 4) + 1;
+                prop_assert_eq!(ledger.end_as(n), eager.end_as(n), "end_as({}) of a span", n);
+            }
+        }
         _ => {
             if !eager.stack.is_empty() {
                 prop_assert_eq!(ledger.end(), eager.end(), "end() of a {} span", kind);
@@ -306,12 +344,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Settling inclusive costs at `end()` is unobservable: random
-    /// begin / add / leaf / end scripts leave the `Ledger` equal to the
-    /// eager reference on `total()`, every `stats(kind)` and every
-    /// `end()` return value.
+    /// begin / add / leaf / concurrent-leaves / end / shared-end scripts
+    /// leave the `Ledger` equal to the eager reference on `total()`,
+    /// every `stats(kind)` and every `end()` and `end_as()` return value.
     #[test]
     fn ledger_equals_eager_reference(
-        script in proptest::collection::vec((0u8..8, any::<u8>(), any::<u16>(), any::<u16>()), 1..60),
+        script in proptest::collection::vec((0u8..10, any::<u8>(), any::<u16>(), any::<u16>()), 1..60),
     ) {
         let mut ledger = Ledger::new();
         let mut eager = EagerLedger::default();
